@@ -21,7 +21,7 @@ def fmt(m: CycMatrix) -> str:
 def main() -> None:
     alpha, beta, lift, ref = sl23_reference()
     space = lift.space
-    els, _, _ = sp_table(space)
+    els = sp_table(space).names
     jel = weyl_element(space)
     n1 = n_element(space, [[1]])
 

@@ -4,6 +4,7 @@ Everything is computed over the cyclotomic field Q(zeta_N) with N = lcm(4, p),
 using exact rational arithmetic throughout.  The subpackages split along the
 main objects:
 
+- ``groups``       the finite-group core: Cayley tables, closure, extend_hom
 - ``scalar``       exact cyclotomic numbers, roots of unity, Gauss sums
 - ``linalg``       small exact matrices and a batched integer kernel for sweeps
 - ``symplectic``   symplectic spaces over F_p, polarizations, Sp(W) and friends

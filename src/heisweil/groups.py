@@ -1,0 +1,178 @@
+"""The one finite-group core: Cayley tables on indices and breadth-first search.
+
+Every finite group the package works with is small (|Sp(W)| <= 336 and
+|H| <= 343 at p = 7), so it can be a :class:`TableGroup`: a multiplication
+table on the indices 0..n-1 with the identity at index 0.  Two traversal
+routines do all the breadth-first work:
+
+- :func:`closure` collects everything reachable from some start elements
+  under a set of generators (subgroups, orbits);
+- :func:`extend_hom` extends images of generators to a homomorphism on a
+  whole table group, checking every (element, generator) edge.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+__all__ = [
+    "TableGroup",
+    "closure",
+    "extend_hom",
+    "is_subgroup",
+    "table_group_from_mul",
+]
+
+
+def closure(start, gens, act) -> list:
+    """Everything reachable from ``start`` by x -> act(x, g), g in ``gens``,
+    in breadth-first discovery order (the start elements first)."""
+    gens = list(gens)
+    found = list(dict.fromkeys(start))
+    seen = set(found)
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        found.extend(nxt)
+        frontier = nxt
+    return found
+
+
+def extend_hom(tg: "TableGroup", gen_images: dict, mul, one):
+    """Extend generator images {index: image} to a homomorphism on ``tg``.
+
+    Returns {index: image} in discovery order, or None when two products
+    give one element different images or the generators do not reach
+    every element.  Checking every (element, generator) edge makes the
+    result multiplicative: phi(x g) = phi(x) phi(g) for each generator g.
+    """
+    images = {0: one}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a, image in gen_images.items():
+                xa = tg.mul(x, a)
+                value = mul(images[x], image)
+                if xa not in images:
+                    images[xa] = value
+                    nxt.append(xa)
+                elif images[xa] != value:
+                    return None
+        frontier = nxt
+    if len(images) != tg.order:
+        return None
+    return images
+
+
+def is_subgroup(subset, mul, identity) -> bool:
+    subset = frozenset(subset)
+    return identity in subset and all(
+        mul(a, b) in subset for a in subset for b in subset
+    )
+
+
+class TableGroup:
+    """A finite group given by its multiplication table on indices 0..n-1,
+    with the identity at index 0."""
+
+    def __init__(self, table, names=None):
+        self.table = np.array(table, dtype=np.int64)
+        n = self.table.shape[0]
+        if self.table.shape != (n, n):
+            raise ValueError(
+                f"multiplication table must be square; got shape {self.table.shape}"
+            )
+        self.order = n
+        self.names = names if names is not None else list(range(n))
+        if not all(self.table[0, j] == j and self.table[j, 0] == j for j in range(n)):
+            raise ValueError("index 0 must be the identity")
+        self.inverse_of = np.zeros(n, dtype=np.int64)
+        for i in range(n):
+            js = np.nonzero(self.table[i] == 0)[0]
+            if len(js) != 1 or self.table[js[0], i] != 0:
+                raise ValueError("table lacks two-sided inverses")
+            self.inverse_of[i] = js[0]
+        # associativity spot check is O(n^3); keep it for n <= 64
+        if n <= 64:
+            t = self.table
+            for a in range(n):
+                if not np.array_equal(t[t[a]], t[a][t]):
+                    raise ValueError("table is not associative")
+
+    # group protocol shared with HeisenbergGroup
+    def elements(self):
+        return list(range(self.order))
+
+    def identity(self):
+        return 0
+
+    def mul(self, a, b):
+        return int(self.table[a, b])
+
+    def inv(self, a):
+        return int(self.inverse_of[a])
+
+    def conjugate(self, g, h):
+        return self.mul(self.mul(g, h), self.inv(g))
+
+    def center(self) -> frozenset:
+        return frozenset(
+            z
+            for z in range(self.order)
+            if all(self.mul(z, g) == self.mul(g, z) for g in range(self.order))
+        )
+
+    def subgroup_generated(self, gens) -> frozenset:
+        return frozenset(closure([0], gens, self.mul))
+
+    def is_subgroup(self, subset) -> bool:
+        return is_subgroup(subset, self.mul, 0)
+
+    def commutator_subgroup(self) -> frozenset:
+        """[G, G], closed from all commutators a b a^-1 b^-1 on the table."""
+        t, inv = self.table, self.inverse_of
+        comms = np.unique(t[t, t[np.ix_(inv, inv)]]).tolist()
+        return frozenset(closure([0], comms, self.mul))
+
+    def element_order(self, a) -> int:
+        x, k = a, 1
+        while x != 0:
+            x = self.mul(x, a)
+            k += 1
+        return k
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {"order": self.order, "table": self.table.tolist()}, sort_keys=True
+        )
+
+    @staticmethod
+    def from_json(text: str) -> "TableGroup":
+        data = json.loads(text)
+        return TableGroup(data["table"])
+
+    def __repr__(self):
+        return f"TableGroup(order={self.order})"
+
+
+def table_group_from_mul(elements, mul, identity) -> TableGroup:
+    """Build a TableGroup from abstract elements and a multiplication map."""
+    elements = list(elements)
+    elements.remove(identity)
+    elements = [identity] + elements
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    table = np.zeros((n, n), dtype=np.int64)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            table[i, j] = index[mul(a, b)]
+    return TableGroup(table, names=elements)

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from heisweil.groups import closure, is_subgroup
 from heisweil.symplectic import (
     GuardError,
     Polarization,
@@ -116,25 +117,10 @@ class HeisenbergGroup:
     # -- subgroups ----------------------------------------------------------
 
     def subgroup_generated(self, gens) -> frozenset[HElem]:
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in gens:
-                    gh = self.mul(g, h)
-                    if gh not in seen:
-                        seen.add(gh)
-                        nxt.append(gh)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(closure([self.identity()], gens, self.mul))
 
     def is_subgroup(self, subset) -> bool:
-        subset = frozenset(subset)
-        if self.identity() not in subset:
-            return False
-        return all(self.mul(a, b) in subset for a in subset for b in subset)
+        return is_subgroup(subset, self.mul, self.identity())
 
     def all_subgroups(self) -> list[frozenset[HElem]]:
         """Every subgroup, via closures of pairs (subgroups here are 2-generated)."""

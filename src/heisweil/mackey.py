@@ -1,9 +1,9 @@
 """Induced representations and twisted involution bookkeeping on finite groups.
 
-Groups are multiplication tables (:class:`TableGroup`), so everything here
-is generic: the same code runs on symmetric / dihedral / quaternion test
-groups and on the Heisenberg group W x| F_p or Sp(W) x| H exported from the
-other modules.
+Groups are multiplication tables (:class:`TableGroup` from
+:mod:`heisweil.groups`), so everything here is generic: the same code runs
+on symmetric / dihedral / quaternion test groups and on the Heisenberg group
+W x| F_p or Sp(W) x| H exported from the other modules.
 
 The two Hom-dimension computations are deliberately independent:
 
@@ -19,11 +19,9 @@ Their agreement on every configuration is the module-level theorem check.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
-import numpy as np
-
+from heisweil.groups import TableGroup, closure, extend_hom, table_group_from_mul
 from heisweil.linalg import CycMatrix
 from heisweil.reps import MatrixRep, hom_dim
 
@@ -50,110 +48,6 @@ __all__ = [
     "table_group_from_mul",
     "twisted_classes",
 ]
-
-
-class TableGroup:
-    """A finite group given by its multiplication table on indices 0..n-1,
-    with the identity at index 0."""
-
-    def __init__(self, table, names=None):
-        self.table = np.array(table, dtype=np.int64)
-        n = self.table.shape[0]
-        assert self.table.shape == (n, n)
-        self.order = n
-        self.names = names if names is not None else list(range(n))
-        if not all(self.table[0, j] == j and self.table[j, 0] == j for j in range(n)):
-            raise ValueError("index 0 must be the identity")
-        self.inverse_of = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            js = np.nonzero(self.table[i] == 0)[0]
-            if len(js) != 1 or self.table[js[0], i] != 0:
-                raise ValueError("table lacks two-sided inverses")
-            self.inverse_of[i] = js[0]
-        # associativity spot check is O(n^3); keep it for n <= 64
-        if n <= 64:
-            t = self.table
-            for a in range(n):
-                if not np.array_equal(t[t[a]], t[a][t]):
-                    raise ValueError("table is not associative")
-
-    # group protocol shared with HeisenbergGroup
-    def elements(self):
-        return list(range(self.order))
-
-    def identity(self):
-        return 0
-
-    def mul(self, a, b):
-        return int(self.table[a, b])
-
-    def inv(self, a):
-        return int(self.inverse_of[a])
-
-    def conjugate(self, g, h):
-        return self.mul(self.mul(g, h), self.inv(g))
-
-    def center(self) -> frozenset:
-        return frozenset(
-            z
-            for z in range(self.order)
-            if all(self.mul(z, g) == self.mul(g, z) for g in range(self.order))
-        )
-
-    def subgroup_generated(self, gens) -> frozenset:
-        seen = {0}
-        frontier = [0]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    ag = self.mul(a, g)
-                    if ag not in seen:
-                        seen.add(ag)
-                        nxt.append(ag)
-            frontier = nxt
-        return frozenset(seen)
-
-    def is_subgroup(self, subset) -> bool:
-        subset = frozenset(subset)
-        return 0 in subset and all(
-            self.mul(a, b) in subset for a in subset for b in subset
-        )
-
-    def element_order(self, a) -> int:
-        x, k = a, 1
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"order": self.order, "table": self.table.tolist()}, sort_keys=True
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "TableGroup":
-        data = json.loads(text)
-        return TableGroup(data["table"])
-
-    def __repr__(self):
-        return f"TableGroup(order={self.order})"
-
-
-def table_group_from_mul(elements, mul, identity) -> TableGroup:
-    """Build a TableGroup from abstract elements and a multiplication map."""
-    elements = list(elements)
-    elements.remove(identity)
-    elements = [identity] + elements
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = index[mul(a, b)]
-    return TableGroup(table, names=elements)
 
 
 # -- the test-group zoo ----------------------------------------------------------
@@ -266,17 +160,17 @@ def inner_involutions(g: TableGroup) -> list[InvolutionRecord]:
 
 def _minimal_generators(g: TableGroup) -> list[int]:
     gens: list[int] = []
-    closure = frozenset([0])
-    while len(closure) < g.order:
+    generated = frozenset([0])
+    while len(generated) < g.order:
         best = None
         for a in range(g.order):
-            if a in closure:
+            if a in generated:
                 continue
             new = g.subgroup_generated(gens + [a])
             if best is None or len(new) > best[0]:
                 best = (len(new), a, new)
         gens.append(best[1])
-        closure = best[2]
+        generated = best[2]
     return gens
 
 
@@ -296,42 +190,13 @@ def all_involutive_automorphisms(g: TableGroup) -> list[InvolutionRecord]:
     ]
     found = {}
     for images in itertools.product(*candidates):
-        perm = _extend_hom(g, gens, images)
-        if perm is None:
+        phi = extend_hom(g, dict(zip(gens, images)), g.mul, 0)
+        if phi is None:
             continue
-        rec = InvolutionRecord(perm)
-        if all(perm[perm[x]] == x for x in range(g.order)):
-            found[perm] = rec
+        rec = InvolutionRecord(tuple(phi[x] for x in range(g.order)))
+        if rec.is_valid(g):  # bijective, of order <= 2, multiplicative
+            found[rec.perm] = rec
     return list(found.values())
-
-
-def _extend_hom(g: TableGroup, gens, images):
-    """Extend gens -> images to a total endomorphism; None if inconsistent
-    or not bijective."""
-    phi = {0: 0}
-    frontier = [0]
-    gen_image = dict(zip(gens, images))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a, ia in gen_image.items():
-                xa = g.mul(x, a)
-                val = g.mul(phi[x], ia)
-                if xa in phi:
-                    if phi[xa] != val:
-                        return None
-                else:
-                    phi[xa] = val
-                    nxt.append(xa)
-        frontier = nxt
-    if len(phi) != g.order or len(set(phi.values())) != g.order:
-        return None
-    perm = tuple(phi[x] for x in range(g.order))
-    for a in range(g.order):
-        for b in range(g.order):
-            if perm[g.mul(a, b)] != g.mul(perm[a], perm[b]):
-                return None
-    return perm
 
 
 def fixed_subgroup(g: TableGroup, theta: InvolutionRecord) -> frozenset:
@@ -356,15 +221,16 @@ def _generators_within(g: TableGroup, members) -> list[int]:
     members = sorted(frozenset(members))
     target = frozenset(members)
     gens: list[int] = []
-    closure = frozenset([0])
+    generated = frozenset([0])
     for a in members:
-        if a in closure:
+        if a in generated:
             continue
         gens.append(a)
-        closure = g.subgroup_generated(gens)
-        if closure == target:
+        generated = g.subgroup_generated(gens)
+        if generated == target:
             break
-    assert closure == target, "actor is not a subgroup"
+    if generated != target:
+        raise ValueError("actor is not a subgroup")
     return gens
 
 
@@ -379,20 +245,10 @@ def involution_orbits(g: TableGroup, thetas, actor) -> list[list[InvolutionRecor
     orbits = []
     while remaining:
         _, seed = remaining.popitem()
-        orbit = {seed.perm: seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for a in gens:
-                    moved = conjugate_involution(g, a, t)
-                    if moved.perm not in orbit:
-                        orbit[moved.perm] = moved
-                        nxt.append(moved)
-            frontier = nxt
-        for key in orbit:
-            remaining.pop(key, None)
-        orbits.append(list(orbit.values()))
+        orbit = closure([seed], gens, lambda t, a: conjugate_involution(g, a, t))
+        for t in orbit:
+            remaining.pop(t.perm, None)
+        orbits.append(orbit)
     return orbits
 
 
@@ -503,18 +359,12 @@ def twisted_classes(g: TableGroup, k_sub, theta: InvolutionRecord):
     remaining = set(s_set)
     classes = []
     while remaining:
-        x = min(remaining)
-        orbit = set()
-        frontier = [x]
-        orbit.add(x)
-        while frontier:
-            y = frontier.pop()
-            for k in k_list:
-                moved = g.mul(g.mul(k, y), g.inv(theta.apply(k)))
-                if moved not in orbit:
-                    orbit.add(moved)
-                    frontier.append(moved)
-        remaining -= orbit
+        orbit = closure(
+            [min(remaining)],
+            k_list,
+            lambda y, k: g.mul(g.mul(k, y), g.inv(theta.apply(k))),
+        )
+        remaining -= set(orbit)
         classes.append(sorted(orbit))
     return classes
 
@@ -576,23 +426,22 @@ def semidirect_table_group(space):
     from heisweil.weil import sp_table
 
     g = HeisenbergGroup(space)
-    sels, sp_index, sp_tab = sp_table(space)
+    sp = sp_table(space)
     hels = g.elements()
     h_index = {h: i for i, h in enumerate(hels)}
     hmul = [[h_index[g.mul(a, b)] for b in hels] for a in hels]
     act = [
-        [h_index[g.element(s.apply(h.w), h.z)] for h in hels] for s in sels
+        [h_index[g.element(s.apply(h.w), h.z)] for h in hels] for s in sp.names
     ]
-    sp_inv = [sp_index[s.inverse()] for s in sels]
-    names = [(si, hi) for si in range(len(sels)) for hi in range(len(hels))]
+    sp_mul, sp_inv = sp.table.tolist(), sp.inverse_of.tolist()
+    names = [(si, hi) for si in range(sp.order) for hi in range(len(hels))]
 
     def mul(x, y):
         (s1, h1), (s2, h2) = x, y
-        return (int(sp_tab[s1, s2]), hmul[act[sp_inv[s2]][h1]][h2])
+        return (sp_mul[s1][s2], hmul[act[sp_inv[s2]][h1]][h2])
 
-    ident = next(i for i, s in enumerate(sels) if s.is_identity())
-    tg = table_group_from_mul(names, mul, (ident, 0))
-    tg.names = [(sels[si], hels[hi]) for si, hi in tg.names]
+    tg = table_group_from_mul(names, mul, (0, 0))
+    tg.names = [(sp.names[si], hels[hi]) for si, hi in tg.names]
     return tg, g
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from heisweil.scalar import is_odd_prime
 
 __all__ = [
-    "AlphaSpec",
     "CongruenceGroup",
     "alpha_factor",
     "h1_alpha_trivial",
@@ -140,15 +139,6 @@ def sqrt(group: CongruenceGroup, a) -> np.ndarray:
 
 
 # -- involutions -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlphaSpec:
-    """g -> m . theta0(g) . m^-1 with theta0 one of the named kinds."""
-
-    kind: str  # identity | transpose_inverse | permutation
-    perm: tuple[int, ...] | None = None
-    m_key: bytes | None = None
 
 
 def make_alpha(group: CongruenceGroup, kind: str, perm=None, m=None):

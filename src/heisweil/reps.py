@@ -60,9 +60,6 @@ class MatrixRep:
     def character(self, g) -> CycNumber:
         return self.images[g].trace()
 
-    def character_table(self) -> dict:
-        return {g: self.images[g].trace() for g in self.group.elements()}
-
     def verify_homomorphism(self, pairs=None) -> bool:
         g = self.group
         els = g.elements()

@@ -18,7 +18,6 @@ the square root of p.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -323,9 +322,6 @@ class CycNumber:
                 out[w] += aj * coef
         return CycNumber(self.N, out, self.den)
 
-    def is_real(self) -> bool:
-        return self == self.conj()
-
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -393,9 +389,6 @@ class CycNumber:
         for c in coeffs:
             den = lcm(den, c.denominator)
         return CycNumber(n, [int(c * den) for c in coeffs], den)
-
-    def json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 class _ConductorClash(ValueError):

@@ -9,6 +9,7 @@ byte-identical report.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Any
@@ -21,6 +22,7 @@ from heisweil import prounipotent as pro
 from heisweil import reps as reps_mod
 from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
+from heisweil.groups import extend_hom
 from heisweil.linalg import CycMatrix
 from heisweil.scalar import CycNumber, gauss_sum, root_of_unity, run_conductor, zeta_p
 
@@ -28,7 +30,6 @@ __all__ = [
     "CheckResult",
     "RunConfig",
     "SUITES",
-    "run_suite",
     "standard_mackey_configurations",
 ]
 
@@ -605,7 +606,7 @@ def suite_weil(cfg: RunConfig) -> list[CheckResult]:
 def _sl23_checks(lift) -> list[CheckResult]:
     out = []
     alpha, beta, ref_lift, ref = weil_mod.sl23_reference()
-    els, _, _ = weil_mod.sp_table(ref_lift.space)
+    els = weil_mod.sp_table(ref_lift.space).names
     char_ok = all(
         ref_lift.sp_images[ref.translate(s)].trace()
         == alpha[s][0, 0] + beta[s].trace()
@@ -654,7 +655,7 @@ def _abstract_lift_checks(lift, cfg: RunConfig) -> list[CheckResult]:
     rng = random.Random(cfg.seed)
     g = lift.group
     out = []
-    els, _, _ = weil_mod.sp_table(g.space)
+    els = weil_mod.sp_table(g.space).names
     isos = heis.all_special_isos(g)
     base = weil_mod.abstract_lift(lift.base, heis.SpecialIso(g, (0,) * g.dim))
     reference = {
@@ -698,7 +699,7 @@ def _contragredient_check(lift, exhaustive: bool, seed: int = 0) -> CheckResult:
     g = lift.group
     tau_tilde = reps_mod.heisenberg_rep(g, g.p - 1, model="minus")
     lift_tilde = weil_mod.weil_lift(tau_tilde)
-    els, _, _ = weil_mod.sp_table(g.space)
+    els = weil_mod.sp_table(g.space).names
     if exhaustive:
         pairs = [(s, h) for s in els for h in g.elements()]
     else:
@@ -728,40 +729,28 @@ def _contragredient_check(lift, exhaustive: bool, seed: int = 0) -> CheckResult:
 def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
     """All characters of an abelian subgroup, as MatrixReps on the members."""
     mset = frozenset(members)
-    gens: list[int] = []
-    closure = frozenset([0])
-    while closure != mset:
-        a = next(x for x in sorted(mset) if x not in closure)
-        gens.append(a)
-        closure = tg.subgroup_generated(gens)
+    gens = mk._generators_within(tg, mset)
     orders = [tg.element_order(a) for a in gens]
+    # the subgroup as a TableGroup of its own, on sub-indices of sorted members
+    sub_names = sorted(mset)
+    sub_index = {x: i for i, x in enumerate(sub_names)}
+    sub = mk.TableGroup(
+        [[sub_index[tg.mul(a, b)] for b in sub_names] for a in sub_names]
+    )
     chars = []
     for exps in itertools.product(*[range(d) for d in orders]):
-        values = {0: CycNumber.one(conductor)}
-        frontier = [0]
-        consistent = True
         gen_vals = {
-            a: root_of_unity(conductor, (conductor // d) * e)
+            sub_index[a]: root_of_unity(conductor, (conductor // d) * e)
             for a, d, e in zip(gens, orders, exps)
             if conductor % d == 0
         }
         if len(gen_vals) != len(gens):
             continue
-        while frontier and consistent:
-            nxt = []
-            for x in frontier:
-                for a, va in gen_vals.items():
-                    xa = tg.mul(x, a)
-                    val = values[x] * va
-                    if xa in values:
-                        if values[xa] != val:
-                            consistent = False
-                    else:
-                        values[xa] = val
-                        nxt.append(xa)
-            frontier = nxt
-        if consistent and len(values) == len(members):
-            imgs = {k: CycMatrix(conductor, [[v]]) for k, v in values.items()}
+        values = extend_hom(sub, gen_vals, operator.mul, CycNumber.one(conductor))
+        if values is not None:
+            imgs = {
+                sub_names[k]: CycMatrix(conductor, [[v]]) for k, v in values.items()
+            }
             chars.append(
                 reps_mod.MatrixRep(group=tg, dim=1, images=imgs, conductor=conductor)
             )
@@ -1268,6 +1257,3 @@ SUITES = {
     "sqrt": suite_sqrt,
 }
 
-
-def run_suite(name: str, cfg: RunConfig) -> list[CheckResult]:
-    return SUITES[name](cfg)

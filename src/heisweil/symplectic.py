@@ -14,11 +14,13 @@ sign so that the union Sp(W) u Sp(W)^- is a group.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from heisweil.groups import closure
 from heisweil.scalar import is_odd_prime, legendre_symbol
 
 __all__ = [
@@ -334,17 +336,6 @@ def n_element(space: SymplecticSpace, b) -> SpElement:
     return SpElement(space, out, 1)
 
 
-def lower_n_element(space: SymplecticSpace, c) -> SpElement:
-    """Unipotent [[1, 0], [c, 1]] with c symmetric."""
-    p, ell = space.p, space.ell
-    c = mat_mod(c, p)
-    if not np.array_equal(c.T % p, c):
-        raise ValueError("lower n(c) needs a symmetric block")
-    out = np.eye(2 * ell, dtype=np.int64)
-    out[ell:, :ell] = c
-    return SpElement(space, out, 1)
-
-
 def weyl_element(space: SymplecticSpace) -> SpElement:
     """The form matrix j itself as a group element."""
     return SpElement(space, space.form.copy(), 1)
@@ -423,15 +414,16 @@ SP_ENUM_GUARD = {"ell1_max_p": 7, "ell2_p": 3}
 
 
 @lru_cache(maxsize=None)
-def _sp_elements_cached(p: int, ell: int, form_bytes: bytes):
-    space = SymplecticSpace(p, ell)
+def _sp_elements_cached(space: SymplecticSpace):
+    p, ell = space.p, space.ell
     if ell == 1:
+        # Sp = SL(2, p) for every nondegenerate form on F_p^2
         out = []
         for a, b, c, d in itertools.product(range(p), repeat=4):
             if (a * d - b * c) % p == 1:
                 out.append(SpElement(space, [[a, b], [c, d]], 1))
         return tuple(out)
-    # generator closure for ell = 2, p = 3
+    # generator closure for ell = 2, p = 3 (standard form only)
     gens = [
         n_element(space, [[1, 0], [0, 0]]),
         n_element(space, [[0, 0], [0, 1]]),
@@ -440,33 +432,25 @@ def _sp_elements_cached(p: int, ell: int, form_bytes: bytes):
         m_element(space, [[1, 1], [0, 1]]),
         m_element(space, [[2, 0], [0, 1]]),
     ]
-    seen = {}
-    frontier = [SpElement(space, np.eye(4, dtype=np.int64), 1)]
-    seen[frontier[0]._key] = frontier[0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                gh = g * h
-                if gh._key not in seen:
-                    seen[gh._key] = gh
-                    nxt.append(gh)
-        frontier = nxt
-    return tuple(seen.values())
+    ident = SpElement(space, np.eye(4, dtype=np.int64), 1)
+    return tuple(closure([ident], gens, operator.mul))
 
 
 def enumerate_sp(space: SymplecticSpace) -> list[SpElement]:
-    """All of Sp(W); guarded to (ell=1, p<=7) and (ell=2, p=3)."""
+    """All of Sp(W); guarded to (ell=1, p<=7) and (ell=2, p=3, standard form)."""
     if space.ell == 1 and space.p <= SP_ENUM_GUARD["ell1_max_p"]:
         pass
     elif space.ell == 2 and space.p == SP_ENUM_GUARD["ell2_p"]:
-        pass
+        if space != SymplecticSpace(space.p, space.ell):
+            raise GuardError(
+                "Sp enumeration at ell=2 supports only the standard form"
+            )
     else:
         raise GuardError(
             f"Sp enumeration guarded to ell=1,p<=7 or ell=2,p=3; "
             f"got ell={space.ell}, p={space.p}"
         )
-    return list(_sp_elements_cached(space.p, space.ell, space.form.tobytes()))
+    return list(_sp_elements_cached(space))
 
 
 def antisymplectic_representative(space: SymplecticSpace) -> SpElement:

@@ -27,11 +27,13 @@ exactly, entry by entry, over Q(zeta_12).
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from heisweil.groups import TableGroup, extend_hom
 from heisweil.heisenberg import HeisenbergGroup, SpecialIso
 from heisweil.linalg import (
     CycMatrix,
@@ -105,9 +107,6 @@ class WeilLift:
 
     def semidirect_image(self, s: SpElement, h) -> CycMatrix:
         return self.sp_images[s] @ self.base.images[h]
-
-    def semidirect_character(self, s: SpElement, h) -> CycNumber:
-        return self.semidirect_image(s, h).trace()
 
     def restriction_is_base(self) -> bool:
         ident = next(s for s in self.sp_images if s.is_identity())
@@ -292,31 +291,30 @@ def _generator_images_ell2(tau, j_img):
 # -- verification ----------------------------------------------------------------
 
 
-def sp_table(space: SymplecticSpace):
-    """(elements, index map, multiplication table) for Sp(W)."""
+def sp_table(space: SymplecticSpace) -> TableGroup:
+    """Sp(W) as a TableGroup; ``names`` are the SpElements in enumeration
+    order with the identity moved to index 0.  ell = 1 only: the table is
+    filled by 2x2 integer-tuple products, never by SpElement products."""
+    if space.ell != 1:
+        raise GuardError(f"sp_table needs ell = 1; got ell={space.ell}")
     els = enumerate_sp(space)
-    index = {s: i for i, s in enumerate(els)}
-    order = len(els)
-    table = np.zeros((order, order), dtype=np.int64)
-    if space.ell == 1:
-        # tuple arithmetic fast path for the 336^2 products at p = 7
-        p = space.p
-        tuples = [tuple(int(x) for x in s.matrix.flat) for s in els]
-        tup_index = {t: i for i, t in enumerate(tuples)}
-        for i, (a, b, c, d) in enumerate(tuples):
-            for j, (e, f, g, h) in enumerate(tuples):
-                prod = (
-                    (a * e + b * g) % p,
-                    (a * f + b * h) % p,
-                    (c * e + d * g) % p,
-                    (c * f + d * h) % p,
-                )
-                table[i, j] = tup_index[prod]
-    else:
-        for i, s in enumerate(els):
-            for j, t in enumerate(els):
-                table[i, j] = index[s * t]
-    return els, index, table
+    ident = next(s for s in els if s.is_identity())
+    els.remove(ident)
+    els.insert(0, ident)
+    p = space.p
+    tuples = [tuple(int(x) for x in s.matrix.flat) for s in els]
+    tup_index = {t: i for i, t in enumerate(tuples)}
+    table = np.zeros((len(els), len(els)), dtype=np.int64)
+    for i, (a, b, c, d) in enumerate(tuples):
+        for j, (e, f, g, h) in enumerate(tuples):
+            prod = (
+                (a * e + b * g) % p,
+                (a * f + b * h) % p,
+                (c * e + d * g) % p,
+                (c * f + d * h) % p,
+            )
+            table[i, j] = tup_index[prod]
+    return TableGroup(table, names=els)
 
 
 @dataclass
@@ -357,11 +355,12 @@ def verify_homomorphism(
     if space.ell != WEIL_EXHAUSTIVE_GUARD["ell"] or space.p > WEIL_EXHAUSTIVE_GUARD["max_p"]:
         raise GuardError("exhaustive verification guarded to ell=1, p<=7")
 
-    els, index, table = sp_table(space)
+    tg = sp_table(space)
+    els = tg.names
     mats = [lift.sp_images[s] for s in els]
     num, den = batch_from_matrices(mats, lift.base.conductor)
     bad_pairs = verify_multiplication_table(
-        num, den, table, lift.base.conductor
+        num, den, tg.table, lift.base.conductor
     )
     report.checks += len(els) ** 2
     report.failures.extend((els[s], els[t]) for s, t in bad_pairs)
@@ -497,35 +496,6 @@ def p_action_check(lift: WeilLift, lam=None) -> CheckReport:
 # -- SL(2,3) reference model -----------------------------------------------------
 
 
-def extend_from_generators(els, index, table, gen_images: dict, identity_idx: int, ident_mat):
-    """Extend generator images to the whole group by breadth-first products,
-    asserting consistency at every revisit; returns None when inconsistent."""
-    images = {identity_idx: ident_mat}
-    frontier = [identity_idx]
-    gen_idx = {index[g]: m for g, m in gen_images.items()}
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for gi, gm in gen_idx.items():
-                j = int(table[i, gi])
-                cand = images[i] @ gm
-                if j in images:
-                    if images[j] != cand:
-                        return None
-                else:
-                    images[j] = cand
-                    nxt.append(j)
-        frontier = nxt
-    if len(images) != len(els):
-        return None
-    # full consistency sweep
-    for i in range(len(els)):
-        for gi in gen_idx:
-            if images[int(table[i, gi])] != images[i] @ gen_idx[gi]:
-                return None
-    return {els[i]: m for i, m in images.items()}
-
-
 @dataclass
 class Sl23Reference:
     alpha: dict  # appendix-basis element -> 1x1 CycMatrix
@@ -554,26 +524,30 @@ def sl23_reference() -> tuple[dict, dict, WeilLift, "Sl23Reference"]:
     def translate(s_app: SpElement) -> SpElement:
         return xi * s_app * xi_inv
 
-    els, index, table = sp_table(space)
-    ident_idx = index[SpElement(space, np.eye(2, dtype=np.int64), 1)]
+    tg = sp_table(space)
+
+    def extend(gen_images: dict, dim: int):
+        images = extend_hom(
+            tg,
+            {tg.names.index(s): m for s, m in gen_images.items()},
+            operator.matmul,
+            CycMatrix.identity(n, dim),
+        )
+        if images is None:
+            return None
+        return {tg.names[i]: m for i, m in images.items()}
+
     omega = zeta_p(3, 1, conductor=n)
     one = CycNumber.one(n)
 
     n1 = n_element(space, [[1]])
     jel = weyl_element(space)
     # alpha from the printed values: alpha(n(b)) = zeta(-b), alpha(j) = 1
-    alpha = extend_from_generators(
-        els,
-        index,
-        table,
-        {
-            n1: CycMatrix(n, [[omega.inverse()]]),
-            jel: CycMatrix(n, [[one]]),
-        },
-        ident_idx,
-        CycMatrix.identity(n, 1),
+    alpha = extend(
+        {n1: CycMatrix(n, [[omega.inverse()]]), jel: CycMatrix(n, [[one]])}, 1
     )
-    assert alpha is not None, "printed alpha values must extend to a character"
+    if alpha is None:
+        raise RuntimeError("printed alpha values must extend to a character")
 
     i = imaginary_unit(n)
     sqrt3 = gauss_sum(3) * i.inverse()  # sqrt(3) = g(3)/i under the embedding
@@ -588,15 +562,13 @@ def sl23_reference() -> tuple[dict, dict, WeilLift, "Sl23Reference"]:
         ("direct", beta_j_displayed),
         ("inverse", beta_j_displayed.inverse()),
     ):
-        readings[name] = extend_from_generators(
-            els, index, table, {n1: beta_n1, jel: jmat}, ident_idx,
-            CycMatrix.identity(n, 2),
-        )
+        readings[name] = extend({n1: beta_n1, jel: jmat}, 2)
     consistent = [name for name, imgs in readings.items() if imgs is not None]
-    assert len(consistent) == 1, (
-        "exactly one reading of the printed beta(j) must assemble into a "
-        f"homomorphism; got {consistent}"
-    )
+    if len(consistent) != 1:
+        raise RuntimeError(
+            "exactly one reading of the printed beta(j) must assemble into a "
+            f"homomorphism; got {consistent}"
+        )
     reading = consistent[0]
     beta = readings[reading]
 
@@ -634,28 +606,9 @@ def lift_in_odd_even_basis(ref: Sl23Reference, s_app: SpElement) -> CycMatrix:
 # -- extensions and abstract lifts -----------------------------------------------
 
 
-def sp_commutator_subgroup(space: SymplecticSpace) -> set:
-    els = enumerate_sp(space)
-    comms = {
-        s * t * s.inverse() * t.inverse() for s in els for t in els
-    }
-    # close under multiplication
-    seen = set(comms)
-    frontier = list(comms)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in comms:
-                ab = a * b
-                if ab not in seen:
-                    seen.add(ab)
-                    nxt.append(ab)
-        frontier = nxt
-    return seen
-
-
 def sp_abelianization_order(space: SymplecticSpace) -> int:
-    return len(enumerate_sp(space)) // len(sp_commutator_subgroup(space))
+    tg = sp_table(space)
+    return tg.order // len(tg.commutator_subgroup())
 
 
 def sp_one_dim_characters(space: SymplecticSpace) -> list[dict]:
@@ -666,49 +619,50 @@ def sp_one_dim_characters(space: SymplecticSpace) -> list[dict]:
     """
     from heisweil.scalar import root_of_unity
 
-    els = enumerate_sp(space)
-    comm = sp_commutator_subgroup(space)
-    m = len(els) // len(comm)
+    tg = sp_table(space)
+    comm = tg.commutator_subgroup()
+    m = tg.order // len(comm)
     n = run_conductor(space.p)
     if m == 1:
         one = CycNumber.one(n)
-        return [{s: one for s in els}]
-    comm_keys = {c._key for c in comm}
-    coset_id: dict = {}
+        return [{s: one for s in tg.names}]
+    coset_id: dict = {}  # element index -> index of its coset s.[G, G]
     reps = []
-    for s in els:
-        if s._key in coset_id:
+    for s in range(tg.order):
+        if s in coset_id:
             continue
-        idx = len(reps)
+        for c in comm:
+            coset_id[tg.mul(s, c)] = len(reps)
         reps.append(s)
-        s_inv = s.inverse()
-        for t in els:
-            if (s_inv * t)._key in comm_keys:
-                coset_id[t._key] = idx
-    assert len(reps) == m
-    ident_idx = coset_id[next(s for s in els if s.is_identity())._key]
-    gen = next(a for a in range(m) if a != ident_idx)
-    powers = [ident_idx]
-    cur = ident_idx
+    if len(reps) != m:
+        raise RuntimeError(f"found {len(reps)} cosets of [G, G], expected {m}")
+    powers = [0]  # coset 0 holds the identity; powers of coset 1 follow
     for _ in range(m - 1):
-        cur = coset_id[(reps[cur] * reps[gen])._key]
-        powers.append(cur)
-    assert len(set(powers)) == m, "abelianization is expected to be cyclic here"
+        powers.append(coset_id[tg.mul(reps[powers[-1]], reps[1])])
+    if len(set(powers)) != m:
+        raise RuntimeError("abelianization is expected to be cyclic here")
     exp_of = {c: e for e, c in enumerate(powers)}
-    assert n % m == 0
+    if n % m:
+        raise RuntimeError(f"conductor {n} has no primitive {m}-th root of unity")
     out = []
     for k in range(m):
         root = root_of_unity(n, (n // m) * k)
-        out.append({s: root ** exp_of[coset_id[s._key]] for s in els})
+        out.append(
+            {s: root ** exp_of[coset_id[i]] for i, s in enumerate(tg.names)}
+        )
     return out
 
 
 def three_extensions_p3(lift: WeilLift) -> list[dict]:
     """All extensions of tau at p = 3: the lift and its two character twists."""
     space = lift.space
-    assert space.p == 3 and space.ell == 1
+    if space.p != 3 or space.ell != 1:
+        raise ValueError(
+            f"three_extensions_p3 needs p = 3 and ell = 1; got {space!r}"
+        )
     chars = sp_one_dim_characters(space)
-    assert len(chars) == 3
+    if len(chars) != 3:
+        raise RuntimeError(f"SL(2,3) must have 3 characters; found {len(chars)}")
     out = []
     for char in chars:
         out.append({s: lift.sp_images[s].scale(char[s]) for s in lift.sp_images})

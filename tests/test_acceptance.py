@@ -47,7 +47,7 @@ def lifts():
 def test_criterion_01_sl23_crosscheck():
     start = time.time()
     alpha, beta, lift, ref = weil_mod.sl23_reference()
-    els, _, _ = weil_mod.sp_table(lift.space)
+    els = weil_mod.sp_table(lift.space).names
     assert len(els) == 24
     for s in els:
         assert (
@@ -230,7 +230,7 @@ def test_criterion_07_special_isomorphisms():
             assert back.offset == nu.offset
 
     lift = weil_mod.weil_lift(reps_mod.heisenberg_rep(g, 1, model="minus"))
-    els, _, _ = weil_mod.sp_table(g.space)
+    els = weil_mod.sp_table(g.space).names
     base_ab = weil_mod.abstract_lift(lift.base, heis.SpecialIso(g, (0, 0)))
     reference = {
         (s, x): base_ab.character(s, x) for s in els for x in g.elements()

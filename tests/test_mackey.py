@@ -1,8 +1,10 @@
+import operator
 import random
 
 import numpy as np
 import pytest
 
+from heisweil.groups import extend_hom
 from heisweil.linalg import CycMatrix
 from heisweil.mackey import (
     InvolutionRecord,
@@ -111,6 +113,13 @@ def test_involution_orbits_trivial_actor(s3):
     invs = [t for t in all_involutive_automorphisms(s3) if not t.is_identity()]
     orbits = involution_orbits(s3, invs, [0])
     assert all(len(o) == 1 for o in orbits)
+
+
+def test_involution_orbits_rejects_a_non_subgroup_actor(s3):
+    invs = [t for t in all_involutive_automorphisms(s3) if not t.is_identity()]
+    rot = next(a for a in range(6) if s3.element_order(a) == 3)
+    with pytest.raises(ValueError, match="not a subgroup"):
+        involution_orbits(s3, invs, [0, rot])
 
 
 def test_inner_involutions_by_transpositions_form_one_orbit(s3):
@@ -227,7 +236,6 @@ def test_contragredient_multiplicities_match(s3, a3):
 def test_two_dimensional_kappa():
     # the standard 2-dimensional representation of S3 as kappa, K = G
     s3 = symmetric_group(3)
-    from heisweil.weil import extend_from_generators
 
     rot = next(a for a in range(6) if s3.element_order(a) == 3)
     flip = next(a for a in range(6) if s3.element_order(a) == 2)
@@ -240,9 +248,7 @@ def test_two_dimensional_kappa():
         ),
     }
     els = list(range(6))
-    images = extend_from_generators(
-        els, {e: e for e in els}, s3.table, gen_images, 0, CycMatrix.identity(n, 2)
-    )
+    images = extend_hom(s3, gen_images, operator.matmul, CycMatrix.identity(n, 2))
     assert images is not None
     kappa = MatrixRep(group=s3, dim=2, images=images, conductor=n)
     theta = next(

@@ -70,6 +70,21 @@ def test_enumeration_guard():
         enumerate_sp(SymplecticSpace(11, 1))
 
 
+def test_enumeration_uses_a_custom_form_at_ell1():
+    space = SymplecticSpace(3, 1, form=[[0, 2], [1, 0]])
+    elems = enumerate_sp(space)
+    assert len(set(elems)) == 24
+    assert all(s.space == space for s in elems)
+    assert all(is_symplectic(space, s.matrix) for s in elems)
+
+
+def test_enumeration_rejects_a_custom_form_at_ell2():
+    form = np.zeros((4, 4), dtype=np.int64)
+    form[0, 1], form[1, 0], form[2, 3], form[3, 2] = 1, -1, 1, -1
+    with pytest.raises(GuardError, match="standard form"):
+        enumerate_sp(SymplecticSpace(3, 2, form=form))
+
+
 def test_sp_closure_random_pairs():
     space = SymplecticSpace(5, 1)
     elems = enumerate_sp(space)

@@ -131,7 +131,7 @@ def test_sl23_beta_det_is_alpha(ref3):
 
 def test_sl23_character_decomposition(ref3):
     alpha, beta, lift, ref = ref3
-    els, _, _ = sp_table(lift.space)
+    els = sp_table(lift.space).names
     for s in els:
         lhs = lift.sp_images[ref.translate(s)].trace()
         assert lhs == alpha[s][0, 0] + beta[s].trace()
@@ -186,7 +186,7 @@ def test_sl23_unipotent_and_scalar_operators_match_printed_formulas(ref3):
 
 def test_sl23_odd_part_carries_alpha(ref3):
     alpha, beta, lift, ref = ref3
-    els, _, _ = sp_table(lift.space)
+    els = sp_table(lift.space).names
     for s in els:
         m = lift_in_odd_even_basis(ref, s)
         assert m[0, 0] == alpha[s][0, 0]
@@ -196,7 +196,7 @@ def test_sl23_odd_part_carries_alpha(ref3):
 def test_three_extensions_and_selection(lift3):
     exts = three_extensions_p3(lift3)
     assert len(exts) == 3
-    els, _, table = sp_table(lift3.space)
+    els = sp_table(lift3.space).names
     # each is a homomorphism on a sample of pairs
     rng = random.Random(3)
     for imgs in exts:
@@ -227,6 +227,11 @@ def test_sp_characters_count():
     assert len(sp_one_dim_characters(SymplecticSpace(5, 1))) == 1
 
 
+def test_sp_characters_p7_trivial_only():
+    (char,) = sp_one_dim_characters(SymplecticSpace(7, 1))
+    assert len(char) == 336 and all(v == 1 for v in char.values())
+
+
 # -- contragredient compatibility -------------------------------------------------
 
 
@@ -240,7 +245,7 @@ def test_contragredient_of_lift_is_lift_of_contragredient(lift3):
     g = lift3.group
     tau_tilde = heisenberg_rep(g, 2, model="minus")  # the zeta^-1 model
     lift_tilde = weil_lift(tau_tilde)
-    els, _, _ = sp_table(g.space)
+    els = sp_table(g.space).names
     for s in els:
         for h in g.elements():
             si, hi = _semidirect_inverse(g, s, h)
@@ -271,7 +276,7 @@ def test_abstract_lift_twist_relation(lift3):
 
 def test_abstract_lift_is_rep_of_twisted_product(lift3):
     g = lift3.group
-    els, _, _ = sp_table(g.space)
+    els = sp_table(g.space).names
     rng = random.Random(11)
     hs = g.elements()
     for nu in all_special_isos(g):
@@ -289,7 +294,7 @@ def test_abstract_lift_is_rep_of_twisted_product(lift3):
 def test_abstract_lift_characters_nu_independent(lift3):
     """Matched through nu, every choice gives the same character function."""
     g = lift3.group
-    els, _, _ = sp_table(g.space)
+    els = sp_table(g.space).names
     base = abstract_lift(lift3.base, SpecialIso(g, (0, 0)))
     reference = {
         (s, x): base.character(s, x) for s in els for x in g.elements()
