@@ -6,7 +6,7 @@ main objects:
 
 - ``groups``       the finite-group core: Cayley tables, closure, extend_hom
 - ``scalar``       exact cyclotomic numbers, roots of unity, Gauss sums
-- ``linalg``       small exact matrices and a batched integer kernel for sweeps
+- ``linalg``       small exact matrices and the one packed multiplication kernel
 - ``symplectic``   symplectic spaces over F_p, polarizations, Sp(W) and friends
 - ``heisenberg``   the group W x| F_p, special isomorphisms, involutions
 - ``reps``         Heisenberg representations, invariant forms, Hom dimensions

@@ -6,15 +6,23 @@ Two layers:
   with exact inverse, REF-based rank/nullspace, trace and conjugation.
   Fine for dimensions up to a few dozen.
 
-- a batched integer kernel (:func:`batch_from_matrices`,
-  :func:`verify_multiplication_table`, ...) that stores a family of
-  matrices as one int64 numpy array of power-basis numerators over a
-  common denominator.  Products reduce modulo the cyclotomic polynomial
-  through a precomputed integer tensor, so sweeps over 10^5 matrix pairs
-  stay exact while running at numpy speed.
+- one packed multiplication kernel behind both :meth:`CycMatrix.__matmul__`
+  and :func:`verify_multiplication_table`.  A family of matrices is packed
+  as power-basis numerators over a common denominator
+  (:func:`batch_from_matrices`).  The left factor is folded with the
+  (phi, phi, phi) reduction tensor of Q(zeta_N) into one
+  (rows*phi) x (k*phi) integer operator, which multiplies the whole
+  right-hand batch in a single float64 ``@``.  Before it runs, the
+  magnitude bound k * phi^2 * max|T| * max|a| * max|b| on every partial
+  sum is computed; when it is not below 2^53 the same kernel runs on
+  Python ints (``dtype=object``) instead, so a result is never rounded or
+  wrapped.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from math import lcm
 
 import numpy as np
 
@@ -23,7 +31,6 @@ from heisweil.scalar import CycNumber, context
 __all__ = [
     "CycMatrix",
     "batch_from_matrices",
-    "batch_products_against",
     "nullspace",
     "row_space_rank",
     "same_row_space",
@@ -108,24 +115,34 @@ class CycMatrix:
         return CycMatrix(self.N, [[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
-        assert self.ncols == other.nrows, "shape mismatch"
-        zero = CycNumber.zero(self.N)
-        bt = list(zip(*other.rows))
-        out = []
-        for ra in self.rows:
-            row = []
-            for cb in bt:
-                acc = zero
-                for a, b in zip(ra, cb):
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return CycMatrix(self.N, out)
+        if self.ncols != other.nrows:
+            raise ValueError(
+                f"cannot multiply {self.nrows}x{self.ncols} by "
+                f"{other.nrows}x{other.ncols}"
+            )
+        if self.N != other.N:
+            raise ValueError(f"conductor mismatch: {self.N} vs {other.N}")
+        n, phi = self.N, context(self.N).phi
+        r, k, c = self.nrows, self.ncols, other.ncols
+        left, da, amax = _pack_entries(self.rows)
+        right, db, bmax = _pack_entries(other.rows)
+        dtype = _exact_dtype(n, k, amax, bmax)
+        left = np.array(left, dtype=dtype).reshape(r, k, phi)
+        right = np.array(right, dtype=dtype).reshape(k, c, phi)
+        right = right.transpose(0, 2, 1).reshape(k * phi, c)
+        nums = _packed_products(left, right, n).reshape(r, phi, c).transpose(0, 2, 1)
+        if dtype is np.float64:
+            nums = nums.astype(np.int64)
+        den = da * db
+        return CycMatrix(
+            n, [[CycNumber(n, e, den) for e in row] for row in nums.tolist()]
+        )
 
     def __pow__(self, k: int) -> "CycMatrix":
-        assert self.nrows == self.ncols
+        if self.nrows != self.ncols:
+            raise ValueError(
+                f"power of a non-square {self.nrows}x{self.ncols} matrix"
+            )
         if k < 0:
             return self.inverse() ** (-k)
         out = CycMatrix.identity(self.N, self.nrows)
@@ -150,7 +167,10 @@ class CycMatrix:
         return acc
 
     def inverse(self) -> "CycMatrix":
-        assert self.nrows == self.ncols
+        if self.nrows != self.ncols:
+            raise ValueError(
+                f"inverse of a non-square {self.nrows}x{self.ncols} matrix"
+            )
         d = self.nrows
         aug = [
             list(r)
@@ -176,7 +196,10 @@ class CycMatrix:
         return CycMatrix(self.N, [row[d:] for row in aug])
 
     def det(self) -> CycNumber:
-        assert self.nrows == self.ncols
+        if self.nrows != self.ncols:
+            raise ValueError(
+                f"determinant of a non-square {self.nrows}x{self.ncols} matrix"
+            )
         d = self.nrows
         a = [list(r) for r in self.rows]
         out = CycNumber.one(self.N)
@@ -271,43 +294,66 @@ def nullspace(rows: list[list[CycNumber]], n: int, ncols: int):
     return basis
 
 
-# -- batched integer kernel ---------------------------------------------------
+# -- the packed multiplication kernel ------------------------------------------
+
+# float64 represents every integer of absolute value below 2^53 exactly, so
+# sums of such integers are exact in any order while they stay below it.
+_FLOAT_EXACT = 2**53
+
+
+def _pack_entries(rows):
+    """(numerators as nested lists (r, c, phi), common denominator, max |numerator|)."""
+    den = lcm(*(e.den for row in rows for e in row))
+    nums = [
+        [e.nums if e.den == den else [x * (den // e.den) for x in e.nums] for e in row]
+        for row in rows
+    ]
+    flat = list(chain.from_iterable(e for row in nums for e in row))
+    amax = max(max(flat), -min(flat)) if flat else 0
+    return nums, den, amax
+
+
+def _exact_dtype(n: int, k: int, amax: int, bmax: int):
+    """float64 when every partial sum of a product is provably exact, else object.
+
+    An entry of a product of a (., k) and a (k, .) matrix over Q(zeta_N) is,
+    per power-basis coordinate, a sum of k * phi^2 terms T[u, v, w] a_u b_v;
+    the bound below also covers the folded operator entries, which are sums
+    of phi terms T * a.
+    """
+    ctx = context(n)
+    tmax = int(np.abs(ctx.product_table).max())
+    bound = k * ctx.phi**2 * tmax * max(amax, 1) * max(bmax, 1)
+    return np.float64 if bound < _FLOAT_EXACT else object
+
+
+def _packed_products(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    """Numerators of the products left @ (each right-hand matrix), at once.
+
+    ``left`` has shape (r, k, phi); ``right`` has shape (k*phi, cols), its
+    row (l, v) holding coordinate v of row l of every right-hand matrix.
+    Both share one dtype, chosen by :func:`_exact_dtype`.  The result has
+    shape (r*phi, cols) with row (i, w) holding coordinate w of row i; its
+    denominator is the product of the two input denominators.
+    """
+    r, k, phi = left.shape
+    t = context(n).product_table.astype(left.dtype)
+    # operator[(i, w), (l, v)] = sum_u left[i, l, u] * T[u, v, w]
+    operator = np.tensordot(left, t, axes=([2], [0]))  # (r, k, v, w)
+    operator = operator.transpose(0, 3, 1, 2).reshape(r * phi, k * phi)
+    return operator @ right
 
 
 def batch_from_matrices(mats: list[CycMatrix], n: int):
-    """Pack matrices into (num, den): num int64 of shape (m, r, c, phi)."""
-    ctx = context(n)
-    phi = ctx.phi
-    den = 1
-    for m in mats:
-        for row in m.rows:
-            for e in row:
-                den = den * e.den // np.gcd(den, e.den)
-    den = int(den)
-    count = len(mats)
-    r, c = mats[0].nrows, mats[0].ncols
-    num = np.zeros((count, r, c, phi), dtype=np.int64)
-    for idx, m in enumerate(mats):
-        for i, row in enumerate(m.rows):
-            for j, e in enumerate(row):
-                scale = den // e.den
-                num[idx, i, j, :] = np.array(e.nums, dtype=np.int64) * scale
-    return num, den
+    """Pack matrices into (num, den): num of shape (m, r, c, phi).
 
-
-def _product_tensor(n: int) -> np.ndarray:
-    return context(n).product_table  # (phi, phi, phi) int64
-
-
-def batch_products_against(left_num: np.ndarray, batch_num: np.ndarray, n: int):
-    """All products left @ batch[t] in one einsum; numerators only.
-
-    left_num: (r, k, phi); batch_num: (m, k, c, phi); result (m, r, c, phi).
-    The caller tracks denominators (they multiply).
+    ``num`` is int64 when every numerator fits, and otherwise an object
+    array of Python ints, so packing never wraps.
     """
-    t = _product_tensor(n)
-    oper = np.einsum("iku,uvw->ikwv", left_num, t)
-    return np.einsum("ikwv,tkjv->tijw", oper, batch_num)
+    nums, den, amax = _pack_entries([row for m in mats for row in m.rows])
+    dtype = np.int64 if amax < 2**63 else object
+    shape = (len(mats), mats[0].nrows, mats[0].ncols, context(n).phi)
+    return np.array(nums, dtype=dtype).reshape(shape), den
 
 
 def verify_multiplication_table(
@@ -315,20 +361,34 @@ def verify_multiplication_table(
 ):
     """Check num[s] @ num[t] == num[table[s, t]] exactly, for all pairs.
 
-    ``num`` holds numerators over the common denominator ``den``; a product
-    of two entries carries den^2, so the expected side is scaled by den
-    before comparing.  Returns a list of failing (s, t) pairs, empty when
-    the family realizes the multiplication table exactly.
+    ``num`` holds numerators of square matrices over the common denominator
+    ``den``; a product of two entries carries den^2, so the expected side is
+    scaled by den before comparing.  Row s runs as one kernel call against
+    the whole family, so temporaries stay at a few blocks the size of
+    ``num``; the exactness bound is taken once, from the largest numerator
+    of the family, which bounds every row.  Returns a list of failing
+    (s, t) pairs, empty when the family realizes the multiplication table
+    exactly.
     """
-    count = num.shape[0]
+    count, d, _, phi = num.shape
+    amax = int(max(num.max(initial=0), -num.min(initial=0)))
+    dtype = _exact_dtype(n, d, amax, amax)
+    if max(amax, 1) * den >= _FLOAT_EXACT:  # the expected side, num * den
+        dtype = object
+    # rows (l, v) and columns (t, j): the kernel's right-hand layout, and
+    # the layout of its result
+    right = np.ascontiguousarray(num.transpose(1, 3, 0, 2), dtype=dtype)
     failures = []
     for s in range(count):
-        prods = batch_products_against(num[s], num, n)
-        expected = num[table[s]] * den
+        prods = _packed_products(
+            num[s].astype(dtype), right.reshape(d * phi, count * d), n
+        ).reshape(d, phi, count, d)
+        expected = right[:, :, table[s], :]
+        expected *= den
         if not np.array_equal(prods, expected):
-            bad = np.nonzero(np.any(prods != expected, axis=(1, 2, 3)))[0]
+            bad = np.nonzero(np.any(prods != expected, axis=(0, 1, 3)))[0]
             failures.extend((s, int(t)) for t in bad[:max_failures])
             if len(failures) >= max_failures:
                 return failures
+        del prods, expected  # free this row's blocks before the next call
     return failures
-

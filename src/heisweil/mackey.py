@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from heisweil.groups import TableGroup, closure, extend_hom, table_group_from_mul
 from heisweil.linalg import CycMatrix
 from heisweil.reps import MatrixRep, hom_dim
@@ -128,16 +130,14 @@ class InvolutionRecord:
         return self.perm[x]
 
     def is_valid(self, g: TableGroup) -> bool:
-        p = self.perm
-        if sorted(p) != list(range(g.order)):
+        """Bijective, of order <= 2, and p(ab) = p(a)p(b) for all pairs."""
+        p, t = np.asarray(self.perm), g.table
+        ident = np.arange(g.order)
+        if not np.array_equal(np.sort(p), ident):
             return False
-        if any(p[p[x]] != x for x in range(g.order)):
+        if not np.array_equal(p[p], ident):
             return False
-        return all(
-            p[g.mul(a, b)] == g.mul(p[a], p[b])
-            for a in range(g.order)
-            for b in range(g.order)
-        )
+        return np.array_equal(p[t], t[np.ix_(p, p)])
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.perm))
@@ -206,14 +206,11 @@ def fixed_subgroup(g: TableGroup, theta: InvolutionRecord) -> frozenset:
 def conjugate_involution(
     g: TableGroup, a: int, theta: InvolutionRecord
 ) -> InvolutionRecord:
-    """a . theta = Int(a) o theta o Int(a^-1)."""
-    ainv = g.inv(a)
-    return InvolutionRecord(
-        tuple(
-            g.conjugate(a, theta.apply(g.conjugate(ainv, x)))
-            for x in range(g.order)
-        )
-    )
+    """a . theta = Int(a) o theta o Int(a^-1), on the whole table at once."""
+    t, ainv = g.table, g.inv(a)
+    perm = np.asarray(theta.perm)
+    # x -> a theta(a^-1 x a) a^-1
+    return InvolutionRecord(tuple(t[t[a, perm[t[t[ainv], a]]], ainv].tolist()))
 
 
 def _generators_within(g: TableGroup, members) -> list[int]:
@@ -421,28 +418,30 @@ def heisenberg_involution_record(tg: TableGroup, alpha) -> InvolutionRecord:
 
 
 def semidirect_table_group(space):
-    """Sp(W) x| H as a TableGroup; names are (SpElement, HElem) pairs."""
+    """Sp(W) x| H as a TableGroup; names are (SpElement, HElem) pairs.
+
+    (s1, h1)(s2, h2) = (s1 s2, (s2^-1 . h1) h2); the element (s, h) has index
+    s * |H| + h, and the table is assembled by numpy broadcasting.
+    """
     from heisweil.heisenberg import HeisenbergGroup
     from heisweil.weil import sp_table
 
     g = HeisenbergGroup(space)
     sp = sp_table(space)
     hels = g.elements()
+    nh = len(hels)
     h_index = {h: i for i, h in enumerate(hels)}
-    hmul = [[h_index[g.mul(a, b)] for b in hels] for a in hels]
-    act = [
-        [h_index[g.element(s.apply(h.w), h.z)] for h in hels] for s in sp.names
-    ]
-    sp_mul, sp_inv = sp.table.tolist(), sp.inverse_of.tolist()
-    names = [(si, hi) for si in range(sp.order) for hi in range(len(hels))]
-
-    def mul(x, y):
-        (s1, h1), (s2, h2) = x, y
-        return (sp_mul[s1][s2], hmul[act[sp_inv[s2]][h1]][h2])
-
-    tg = table_group_from_mul(names, mul, (0, 0))
-    tg.names = [(sp.names[si], hels[hi]) for si, hi in tg.names]
-    return tg, g
+    hmul = np.array([[h_index[g.mul(a, b)] for b in hels] for a in hels])
+    act = np.array(
+        [[h_index[g.element(s.apply(h.w), h.z)] for h in hels] for s in sp.names]
+    )
+    # h_part[h1, s2, h2] = index of (s2^-1 . h1) h2
+    h_part = hmul[act[sp.inverse_of].T]
+    table = (sp.table[:, None, :, None] * nh + h_part[None]).reshape(
+        sp.order * nh, sp.order * nh
+    )
+    names = [(s, h) for s in sp.names for h in hels]
+    return TableGroup(table, names=names), g
 
 
 def semidirect_lift_rep(tg: TableGroup, lift) -> MatrixRep:

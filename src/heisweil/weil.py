@@ -268,7 +268,8 @@ def weil_lift(tau: MatrixRep, nu: SpecialIso | None = None) -> WeilLift:
                 acc = acc @ m_images[tok[1]]
         images[s] = acc
     lift = WeilLift(base=tau, sp_images=images, normalization=c, nu=nu)
-    assert lift.restriction_is_base()
+    if not lift.restriction_is_base():
+        raise RuntimeError("the Weil lift does not send the identity to the identity")
     return lift
 
 
@@ -333,7 +334,7 @@ def verify_homomorphism(
 ) -> CheckReport:
     """Check sp_images(s) sp_images(t) == sp_images(st) exactly.
 
-    exhaustive: every pair, through the batched integer kernel;
+    exhaustive: every pair, through the packed multiplication kernel;
     relations:  generator relations only (the j^2 / braid identities);
     sampled:    ``samples`` random pairs.
     """

@@ -1,0 +1,144 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import heisweil.linalg as linalg
+from heisweil.heisenberg import HeisenbergGroup
+from heisweil.linalg import CycMatrix, batch_from_matrices, verify_multiplication_table
+from heisweil.reps import heisenberg_rep
+from heisweil.scalar import CycNumber, context
+from heisweil.symplectic import SymplecticSpace
+from heisweil.weil import sp_table, weil_lift
+
+
+def schoolbook(a: CycMatrix, b: CycMatrix) -> CycMatrix:
+    """The reference product: one CycNumber multiply-add per term."""
+    zero = CycNumber.zero(a.N)
+    out = []
+    for ra in a.rows:
+        row = []
+        for cb in zip(*b.rows):
+            acc = zero
+            for x, y in zip(ra, cb):
+                acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return CycMatrix(a.N, out)
+
+
+@st.composite
+def cyc_matrices(draw, n, nrows, ncols):
+    phi = context(n).phi
+    entry = st.builds(
+        lambda nums, den: CycNumber(n, nums, den),
+        st.lists(st.integers(-9, 9), min_size=phi, max_size=phi),
+        st.integers(1, 6),
+    )
+    return CycMatrix(
+        n, [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    )
+
+
+@pytest.fixture
+def kernel_dtypes(monkeypatch):
+    """Record the dtype of every packed kernel call."""
+    seen = []
+    kernel = linalg._packed_products
+
+    def spy(left, right, n):
+        seen.append(left.dtype)
+        return kernel(left, right, n)
+
+    monkeypatch.setattr(linalg, "_packed_products", spy)
+    return seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_packed_matmul_equals_schoolbook(data):
+    n = data.draw(st.sampled_from([12, 20, 28]))
+    r, k, c = (data.draw(st.integers(1, 7)) for _ in range(3))
+    a = data.draw(cyc_matrices(n, r, k))
+    b = data.draw(cyc_matrices(n, k, c))
+    prod = a @ b
+    ref = schoolbook(a, b)
+    assert prod == ref
+    assert hash(prod) == hash(ref)
+    assert prod.to_json() == ref.to_json()
+
+
+@pytest.mark.parametrize("n", [12, 20, 28])
+def test_large_numerators_use_python_ints(n, kernel_dtypes):
+    rng = np.random.default_rng(n)
+    phi = context(n).phi
+
+    def big(dim):
+        return CycMatrix(
+            n,
+            [
+                [
+                    CycNumber(
+                        n, [int(x) + 2**27 for x in rng.integers(0, 2**20, phi)], 1
+                    )
+                    for _ in range(dim)
+                ]
+                for _ in range(dim)
+            ],
+        )
+
+    a, b = big(7), big(7)
+    assert a @ b == schoolbook(a, b)
+    assert kernel_dtypes == [object]
+    # far beyond int64 too
+    huge = CycMatrix(n, [[e * 2**70 for e in row] for row in a.rows])
+    assert huge @ b == schoolbook(huge, b)
+
+
+def test_small_numerators_use_float64(kernel_dtypes):
+    a = CycMatrix.from_entries(12, [[1, 2], [3, 4]])
+    assert a @ a == CycMatrix.from_entries(12, [[7, 10], [15, 22]])
+    assert kernel_dtypes == [np.float64]
+
+
+def test_shape_mismatch_names_both_shapes():
+    a = CycMatrix.zeros(12, 2, 3)
+    with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
+        a @ a
+    for op in (lambda m: m**2, CycMatrix.inverse, CycMatrix.det):
+        with pytest.raises(ValueError, match="non-square 2x3"):
+            op(a)
+
+
+@pytest.fixture(scope="module")
+def packed_lift3():
+    g = HeisenbergGroup(SymplecticSpace(3, 1))
+    lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
+    tg = sp_table(lift.space)
+    num, den = batch_from_matrices(
+        [lift.sp_images[s] for s in tg.names], lift.base.conductor
+    )
+    return num, den, tg.table, lift.base.conductor
+
+
+def test_verify_table_passes_on_the_lift(packed_lift3, kernel_dtypes):
+    num, den, table, n = packed_lift3
+    assert verify_multiplication_table(num, den, table, n) == []
+    assert set(kernel_dtypes) == {np.dtype(np.float64)}
+
+
+def test_verify_table_falls_back_when_the_bound_fails(packed_lift3, kernel_dtypes):
+    num, den, table, n = packed_lift3
+    scale = 2**30
+    assert verify_multiplication_table(num * scale, den * scale, table, n) == []
+    assert len(kernel_dtypes) == len(table)
+    assert set(kernel_dtypes) == {np.dtype(object)}
+
+
+def test_verify_table_reports_a_corrupted_numerator(packed_lift3):
+    num, den, table, n = packed_lift3
+    bad = num.copy()
+    bad[5, 0, 1, 0] += 1
+    failures = verify_multiplication_table(bad, den, table, n, max_failures=5)
+    assert failures
+    assert all(5 in (s, t, table[s, t]) for s, t in failures)

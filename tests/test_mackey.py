@@ -25,7 +25,9 @@ from heisweil.mackey import (
     orbmult_check,
     quaternion_group,
     s_theta,
+    semidirect_table_group,
     symmetric_group,
+    table_group_from_mul,
     twisted_classes,
 )
 from heisweil.reps import MatrixRep
@@ -36,6 +38,8 @@ from heisweil.suites import (
     heisenberg_mackey_configurations,
     standard_mackey_configurations,
 )
+from heisweil.symplectic import SymplecticSpace
+from heisweil.weil import sp_table
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +271,37 @@ def test_direct_product_and_cyclic():
     assert c6.order == 6
     orders = sorted(c6.element_order(a) for a in range(6))
     assert orders == [1, 2, 3, 3, 6, 6]
+
+
+def test_semidirect_table_matches_pairwise_products():
+    space = SymplecticSpace(3, 1)
+    tg, g = semidirect_table_group(space)
+    # reference: the same group built one product at a time
+    sp = sp_table(space)
+    hels = g.elements()
+    sp_index = {s: i for i, s in enumerate(sp.names)}
+    names = [(s, h) for s in sp.names for h in hels]
+
+    def mul(x, y):
+        (s1, h1), (s2, h2) = x, y
+        moved = g.element(sp.names[sp.inv(sp_index[s2])].apply(h1.w), h1.z)
+        return (sp.names[sp.mul(sp_index[s1], sp_index[s2])], g.mul(moved, h2))
+
+    ref = table_group_from_mul(names, mul, names[0])
+    assert tg.order == 648
+    assert tg.names == ref.names
+    assert np.array_equal(tg.table, ref.table)
+
+
+def test_involution_record_validity(s3):
+    inner = inner_involution(s3, 1)
+    assert inner.is_valid(s3)
+    transposition = next(a for a in range(1, 6) if s3.element_order(a) == 2)
+    other = next(a for a in range(1, 6) if a != transposition)
+    swap = list(range(6))
+    swap[transposition], swap[other] = other, transposition
+    assert not InvolutionRecord(tuple(swap)).is_valid(s3)  # not multiplicative
+    assert not InvolutionRecord((1, 2, 0, 3, 4, 5)).is_valid(s3)  # order 3
+    assert not InvolutionRecord((0, 0, 2, 3, 4, 5)).is_valid(s3)  # not bijective
+    with pytest.raises(ValueError, match="not an involutive automorphism"):
+        involution_orbits(s3, [InvolutionRecord(tuple(swap))], range(6))

@@ -63,6 +63,28 @@ def test_homomorphism_exhaustive(p):
     assert report.passed
 
 
+def _fixed_space_dim(s, p: int) -> int:
+    """dim ker(s - 1) over F_p for a 2x2 matrix s."""
+    a, b, c, d = (int(x) for x in s.matrix.flat)
+    m = ((a - 1) % p, b % p, c % p, (d - 1) % p)
+    if not any(m):
+        return 2
+    return 1 if (m[0] * m[3] - m[1] * m[2]) % p == 0 else 0
+
+
+@pytest.mark.parametrize("model", ["plus", "minus"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_character_norm_howe_gerardin(p, model):
+    # |tr omega(g)|^2 = p^dim ker(g - 1) for every g in Sp(W) (Howe 1973,
+    # Gerardin 1977): an O(|Sp|) oracle that uses no pair products.
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    lift = weil_lift(heisenberg_rep(g, 1, model=model))
+    assert len(lift.sp_images) == p * (p * p - 1)
+    for s, image in lift.sp_images.items():
+        tr = image.trace()
+        assert tr * tr.conj() == p ** _fixed_space_dim(s, p), s
+
+
 def test_homomorphism_plus_model_and_other_characters():
     g = HeisenbergGroup(SymplecticSpace(5, 1))
     for k in (1, 2, 3):
