@@ -17,6 +17,7 @@ for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -33,7 +34,9 @@ SUITE_NAMES = ["heisenberg", "reps", "weil", "mackey", "sqrt"]
 __all__ = ["main", "run"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state in the parser, so one build serves every run
     parser = argparse.ArgumentParser(
         prog="heisweil",
         description="exact verification suites for Heisenberg/Weil structures",
@@ -253,15 +256,34 @@ def _dump(args, cfg: RunConfig):
     raise AssertionError(args.what)
 
 
+def _parse_matrix(text: str, n: int) -> list[list[int]]:
+    """The --matrix JSON, checked to be an n x n list of integer rows."""
+    rows = json.loads(text)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("matrix must be a JSON list of rows")
+    widths = {len(r) for r in rows}
+    if len(rows) != n or widths != {n}:
+        if len(widths) > 1:
+            shape = f"{len(rows)} rows of lengths {[len(r) for r in rows]}"
+        else:
+            shape = f"{len(rows)}x{widths.pop() if widths else 0}"
+        raise ValueError(f"matrix is {shape}, expected {n}x{n}")
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                raise ValueError(f"matrix entry ({i}, {j}) = {x!r} is not an integer")
+    return rows
+
+
 def _run_sqrt(args) -> int:
     from heisweil.prounipotent import CongruenceGroup, sqrt_with_trace
 
     try:
-        matrix = json.loads(args.matrix)
         group = CongruenceGroup(args.n, args.p, args.K, args.k0)
-        root, levels = sqrt_with_trace(group, matrix)
-    except (ValueError, AssertionError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        root, levels = sqrt_with_trace(group, _parse_matrix(args.matrix, args.n))
+    except (ValueError, RuntimeError) as exc:
+        # json.JSONDecodeError is a ValueError; never print an empty reason
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 2
     _emit(
         {

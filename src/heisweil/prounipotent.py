@@ -11,13 +11,23 @@ terminates after K - k0 steps with the unique square root.  That drives
 both H^1_alpha(G) = 1 (every alpha-inverted element is y alpha(y)^-1
 with y its square root) and the fixed-point factorization
 C^alpha = A^alpha B^alpha.
+
+The residual of layer c is read from a - x^2.  Once x^2 = a mod p^c, the
+textbook residual (x^2)^-1 a - 1 = (x^2)^-1 (a - x^2) agrees with a - x^2
+mod p^(c+1), because x^2 = 1 mod p^k0; so both give the same digit, the
+same root and the same residual levels, and a layer costs two products.
+
+Every operation takes one matrix (n, n) or a stack (..., n, n).  Reduced
+entries lie in [0, p^K), so a product has entries below n (p^K - 1)^2.  A
+group computes in int64 only when that bound is below 2^63 and in Python
+ints (``dtype=object``) otherwise, so no product wraps.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +43,9 @@ __all__ = [
 ]
 
 
+_python_ints = np.frompyfunc(operator.index, 1, 1)
+
+
 @dataclass(frozen=True)
 class CongruenceGroup:
     """1 + p^k0 M_n(Z/p^K), with exact matrix arithmetic mod p^K."""
@@ -41,96 +54,131 @@ class CongruenceGroup:
     p: int
     K: int
     k0: int = 1
+    modulus: int = field(init=False, repr=False, compare=False)
+    dtype: type = field(init=False, repr=False, compare=False)
+    _one: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got n = {self.n}")
         if not is_odd_prime(self.p):
             raise ValueError("p must be an odd prime")
         if not (1 <= self.k0 <= self.K):
             raise ValueError("need 1 <= k0 <= K")
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.K
+        modulus = self.p**self.K
+        dtype = np.int64 if self.n * (modulus - 1) ** 2 < 2**63 else object
+        one = np.eye(self.n, dtype=np.int64).astype(dtype)
+        one.flags.writeable = False
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "dtype", dtype)
+        object.__setattr__(self, "_one", one)
 
     def identity(self) -> np.ndarray:
-        return np.eye(self.n, dtype=np.int64)
+        """The identity matrix, shared and read-only."""
+        return self._one
 
     def reduce(self, m) -> np.ndarray:
-        return np.array(m, dtype=np.int64) % self.modulus
+        """Integer matrix or stack m with entries mod p^K, in the group's dtype."""
+        # nested lists are read as Python ints: numpy would read a mix of
+        # int64- and uint64-sized ints as float64
+        arr = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
+        if arr.shape[-2:] != (self.n, self.n):
+            raise ValueError(
+                f"expected {self.n}x{self.n} matrices, got shape {arr.shape}"
+            )
+        if arr is not m:
+            try:
+                arr = _python_ints(arr)
+            except TypeError:
+                raise ValueError("entries must be integers") from None
+        elif arr.dtype.kind not in "iuO":
+            raise ValueError(f"entries must be integers, got dtype {arr.dtype}")
+        if arr.dtype != self.dtype:
+            # Python ints cannot wrap, whatever the size of the input
+            return (arr.astype(object) % self.modulus).astype(self.dtype)
+        return arr % self.modulus
 
-    def contains(self, m) -> bool:
+    def contains(self, m):
+        """Whether m = 1 mod p^k0; one bool per matrix of a stack."""
         m = self.reduce(m)
-        return bool(
-            np.all((m - self.identity()) % self.p**self.k0 == 0)
-        )
+        inside = np.all((m - self._one) % self.p**self.k0 == 0, axis=(-2, -1))
+        return bool(inside) if inside.ndim == 0 else inside
 
     def mul(self, a, b) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % self.modulus
+        """a b mod p^K for reduced elements; stacks broadcast."""
+        a = np.asarray(a, dtype=self.dtype)
+        b = np.asarray(b, dtype=self.dtype)
+        return (a @ b) % self.modulus
 
     def inv(self, a) -> np.ndarray:
-        """Geometric series: (1 + m)^-1 = sum (-m)^i, finite since m is
-        nilpotent mod p^K."""
+        """(1 + u)^-1 = (1 - u)(1 + u^2)(1 + u^4)..., finite since
+        u = a - 1 is 0 mod p^k0 and so u^j = 0 once j k0 >= K."""
         a = self.reduce(a)
-        m = (a - self.identity()) % self.modulus
-        out = self.identity().copy()
-        term = self.identity().copy()
-        steps = -(-self.K // self.k0) + 1
-        for _ in range(steps):
-            term = (term @ (-m)) % self.modulus
-            out = (out + term) % self.modulus
-        assert np.array_equal(self.mul(a, out), self.identity())
+        if not np.all(self.contains(a)):
+            raise ValueError("matrix is not in the congruence group")
+        power = (self._one - a) % self.modulus
+        out = (self._one + power) % self.modulus
+        terms = 2  # out is the sum of (-u)^j for j < terms
+        while terms * self.k0 < self.K:
+            power = self.mul(power, power)
+            out = self.mul(out, (self._one + power) % self.modulus)
+            terms *= 2
+        if not np.array_equal(self.mul(a, out), np.broadcast_to(self._one, a.shape)):
+            raise RuntimeError("inverse check failed: a * a^-1 != 1 mod p^K")
         return out
 
     def random_element(self, rng: random.Random) -> np.ndarray:
-        scale = self.p**self.k0
-        bound = self.modulus // scale
+        bound = self.p ** (self.K - self.k0)
         m = np.array(
             [[rng.randrange(bound) for _ in range(self.n)] for _ in range(self.n)],
-            dtype=np.int64,
+            dtype=self.dtype,
         )
-        return (self.identity() + scale * m) % self.modulus
+        return (self._one + self.p**self.k0 * m) % self.modulus
 
-    def enumerate(self, guard: int = 20_000) -> list[np.ndarray]:
+    def enumerate(self, guard: int = 20_000) -> np.ndarray:
+        """All elements as one (count, n, n) stack, ordered like
+        itertools.product over the entries of (g - 1) / p^k0."""
         bound = self.p ** (self.K - self.k0)
-        count = bound ** (self.n * self.n)
+        size = self.n * self.n
+        count = bound**size
         if count > guard:
             raise ValueError(f"enumeration of {count} elements exceeds the guard")
-        scale = self.p**self.k0
-        out = []
-        for entries in itertools.product(range(bound), repeat=self.n * self.n):
-            m = np.array(entries, dtype=np.int64).reshape(self.n, self.n)
-            out.append((self.identity() + scale * m) % self.modulus)
-        return out
+        digits = np.indices((bound,) * size).reshape(size, count).T
+        m = digits.reshape(count, self.n, self.n).astype(self.dtype)
+        return (self._one + self.p**self.k0 * m) % self.modulus
 
-    def key(self, m) -> bytes:
-        return self.reduce(m).tobytes()
+
+def _random_stack(group: CongruenceGroup, rng: random.Random, count: int):
+    return np.stack([group.random_element(rng) for _ in range(count)])
 
 
 def sqrt_with_trace(group: CongruenceGroup, a) -> tuple[np.ndarray, list[int]]:
-    """The unique square root of a, plus the residual congruence level
-    reached after each layer step.
+    """The unique square root of a (or of each matrix of a stack), plus the
+    residual congruence level reached after each layer step.
 
-    Each step solves 2Y = residual in the abelian layer and multiplies the
-    current approximation by 1 + p^c Y; the residual level must strictly
-    ascend (this is asserted, step by step).
+    Each step solves 2Y = (a - x^2) / p^c mod p in the abelian layer and
+    multiplies the current approximation by 1 + p^c Y; the residual level
+    must strictly ascend, which is checked step by step.
     """
-    p, K, k0 = group.p, group.K, group.k0
+    p, K, k0, mod = group.p, group.K, group.k0, group.modulus
     a = group.reduce(a)
-    if not group.contains(a):
+    if not np.all(group.contains(a)):
         raise ValueError("matrix is not in the congruence group")
     inv2 = pow(2, -1, p)
-    x = group.identity().copy()
+    x = np.broadcast_to(group.identity(), a.shape).copy()
     levels = []
     for c in range(k0, K):
-        r = group.mul(group.inv(group.mul(x, x)), a)
-        delta = (r - group.identity()) % group.modulus
-        assert np.all(delta % p**c == 0), "residual level failed to ascend"
-        big_r = (delta // p**c) % p
-        y = (group.identity() + p**c * ((big_r * inv2) % p)) % group.modulus
-        x = group.mul(x, y)
+        scale = p**c
+        residual = (a - group.mul(x, x)) % mod
+        if np.any(residual % scale):
+            raise RuntimeError(f"residual a - x^2 is not 0 mod p^{c}")
+        y = (residual // scale * inv2) % p
+        x = group.mul(x, group.identity() + scale * y)
         levels.append(c + 1)
-    assert np.array_equal(group.mul(x, x), a)
-    assert group.contains(x)
+    if not np.array_equal(group.mul(x, x), a):
+        raise RuntimeError("final check failed: root^2 != a mod p^K")
+    if not np.all(group.contains(x)):
+        raise RuntimeError("final check failed: root is not 1 mod p^k0")
     return x, levels
 
 
@@ -144,7 +192,8 @@ def sqrt(group: CongruenceGroup, a) -> np.ndarray:
 def make_alpha(group: CongruenceGroup, kind: str, perm=None, m=None):
     """Build the automorphism map; perm permutes matrix indices entrywise
     (equivalently conjugation by a permutation matrix), and may be combined
-    with transpose_inverse; m is an optional inner twist from the group."""
+    with transpose_inverse; m is an optional inner twist from the group.
+    The map acts on one matrix or on a stack."""
     if kind not in ("identity", "transpose_inverse", "permutation"):
         raise ValueError(f"unknown automorphism kind {kind!r}")
     if kind == "permutation" and perm is None:
@@ -157,15 +206,11 @@ def make_alpha(group: CongruenceGroup, kind: str, perm=None, m=None):
         m_inv = group.inv(m)
 
     def theta0(g):
-        if kind == "identity":
-            out = g
-        elif kind == "transpose_inverse":
-            out = group.inv(g).T % group.modulus
-        else:
-            out = g
+        if kind == "transpose_inverse":
+            g = group.inv(g).swapaxes(-1, -2)
         if perm_arr is not None:
-            out = out[np.ix_(perm_arr, perm_arr)]
-        return out
+            g = g[..., perm_arr, :][..., perm_arr]
+        return g
 
     if m is None:
         return theta0
@@ -177,16 +222,20 @@ def make_alpha(group: CongruenceGroup, kind: str, perm=None, m=None):
 
 
 def _is_involution(group: CongruenceGroup, alpha, rng: random.Random, trials=40):
-    for _ in range(trials):
-        g = group.random_element(rng)
-        if not np.array_equal(alpha(alpha(g)), group.reduce(g)):
-            return False
-        if not group.contains(alpha(g)):
-            return False
+    gs = _random_stack(group, rng, trials)
+    images = alpha(gs)
+    if not np.array_equal(alpha(images), gs):
+        return False
+    if not np.all(group.contains(images)):
+        return False
     g1, g2 = group.random_element(rng), group.random_element(rng)
     return np.array_equal(
         alpha(group.mul(g1, g2)), group.mul(alpha(g1), alpha(g2))
     )
+
+
+def _row_set(stack: np.ndarray) -> set[tuple]:
+    return {tuple(row) for row in stack.reshape(len(stack), -1).tolist()}
 
 
 def h1_alpha_trivial(
@@ -198,10 +247,10 @@ def h1_alpha_trivial(
 ):
     """Verify Z^1_alpha = B^1_alpha.
 
-    exhaustive: enumerate the whole group and compare the two sets.
-    constructive: for random alpha-inverted z, the square root y = sqrt(z)
-    satisfies z = y alpha(y)^-1 exactly (alpha commutes with sqrt by
-    uniqueness of square roots).
+    exhaustive: enumerate the whole group as one stack and compare the two
+    sets.  constructive: for random alpha-inverted z, the square root
+    y = sqrt(z) satisfies z = y alpha(y)^-1 exactly (alpha commutes with
+    sqrt by uniqueness of square roots).
     Returns (ok, details).
     """
     rng = random.Random(seed)
@@ -209,24 +258,23 @@ def h1_alpha_trivial(
         raise ValueError("alpha is not an involutive automorphism of the group")
     if mode == "exhaustive":
         els = group.enumerate()
-        z1 = [
-            g for g in els if np.array_equal(alpha(g), group.inv(g))
-        ]
-        b1 = {group.key(group.mul(g, group.inv(alpha(g)))) for g in els}
-        ok = {group.key(z) for z in z1} == b1
-        return ok, {"z1": len(z1), "b1": len(b1)}
+        images = alpha(els)
+        z1 = els[np.all(images == group.inv(els), axis=(-2, -1))]
+        b1 = _row_set(group.mul(els, group.inv(images)))
+        return _row_set(z1) == b1, {"z1": len(z1), "b1": len(b1)}
     if mode != "constructive":
         raise ValueError(f"unknown mode {mode!r}")
-    checked = 0
-    for _ in range(witnesses):
-        g = group.random_element(rng)
-        z = group.mul(g, group.inv(alpha(g)))  # a generic element of B^1 < Z^1
-        assert np.array_equal(alpha(z), group.inv(z))
-        y = sqrt(group, z)
-        if not np.array_equal(group.mul(y, group.inv(alpha(y))), z):
-            return False, {"witness": z.tolist()}
-        checked += 1
-    return True, {"witnesses": checked}
+    if witnesses < 1:
+        raise ValueError(f"need at least one witness, got {witnesses}")
+    gs = _random_stack(group, rng, witnesses)
+    z = group.mul(gs, group.inv(alpha(gs)))  # generic elements of B^1 < Z^1
+    if not np.array_equal(alpha(z), group.inv(z)):
+        raise RuntimeError("g alpha(g)^-1 is not alpha-inverted")
+    y = sqrt(group, z)
+    bad = ~np.all(group.mul(y, group.inv(alpha(y))) == z, axis=(-2, -1))
+    if bad.any():
+        return False, {"witness": z[np.argmax(bad)].tolist()}
+    return True, {"witnesses": witnesses}
 
 
 # -- fixed-point factorization -------------------------------------------------------
@@ -287,9 +335,12 @@ def _ul_decompose(group: CongruenceGroup, c):
                 e[row, col] = f
                 u_acc = group.mul(u_acc, e)
     l = work
-    assert in_pattern(group, u_acc, "upper_unipotent")
-    assert np.all(l[~_lower_mask(n)] == 0)
-    assert np.array_equal(group.mul(u_acc, l), group.reduce(c))
+    if not in_pattern(group, u_acc, "upper_unipotent"):
+        raise RuntimeError("UL decomposition: u is not unit upper triangular")
+    if not np.all(l[~_lower_mask(n)] == 0):
+        raise RuntimeError("UL decomposition: l is not lower triangular")
+    if not np.array_equal(group.mul(u_acc, l), group.reduce(c)):
+        raise RuntimeError("UL decomposition: u l != c")
     return u_acc, l
 
 
@@ -308,18 +359,22 @@ def alpha_factor(group: CongruenceGroup, c, a_pattern: str, b_pattern: str, alph
     if not (in_pattern(group, a, a_pattern) and in_pattern(group, b, b_pattern)):
         raise ValueError("c does not factor through the requested patterns")
     delta = group.mul(group.inv(a), alpha(a))
-    same = group.mul(b, group.inv(alpha(b)))
-    assert np.array_equal(delta, same)
-    assert np.array_equal(alpha(delta), group.inv(delta))
+    if not np.array_equal(delta, group.mul(b, group.inv(alpha(b)))):
+        raise RuntimeError("a^-1 alpha(a) != b alpha(b)^-1")
+    if not np.array_equal(alpha(delta), group.inv(delta)):
+        raise RuntimeError("the cocycle a^-1 alpha(a) is not alpha-inverted")
     y = sqrt(group, delta)
     a_fixed = group.mul(a, y)
     b_fixed = group.mul(group.inv(y), b)
-    assert np.array_equal(alpha(a_fixed), a_fixed)
-    assert np.array_equal(alpha(b_fixed), b_fixed)
-    assert np.array_equal(group.mul(a_fixed, b_fixed), c)
+    if not np.array_equal(alpha(a_fixed), a_fixed):
+        raise RuntimeError("factor a y is not alpha-fixed")
+    if not np.array_equal(alpha(b_fixed), b_fixed):
+        raise RuntimeError("factor y^-1 b is not alpha-fixed")
+    if not np.array_equal(group.mul(a_fixed, b_fixed), c):
+        raise RuntimeError("the fixed factors do not multiply to c")
     if not (
         in_pattern(group, a_fixed, a_pattern)
         and in_pattern(group, b_fixed, b_pattern)
     ):
-        raise AssertionError("factors left the requested block patterns")
+        raise RuntimeError("factors left the requested block patterns")
     return a_fixed, b_fixed

@@ -1171,11 +1171,11 @@ def suite_sqrt(cfg: RunConfig) -> list[CheckResult]:
         for p in (3, 5):
             for K in (3, 4, 5, 6):
                 group = pro.CongruenceGroup(n_size, p, K)
-                for _ in range(63):  # 63 * 16 combinations > 1000 roots
-                    a = group.random_element(rng)
-                    x = pro.sqrt(group, a)
-                    count += 1
-                    ok &= bool(np.array_equal(group.mul(x, x), a))
+                # 63 * 16 combinations > 1000 roots
+                a = np.stack([group.random_element(rng) for _ in range(63)])
+                x = pro.sqrt(group, a)
+                count += len(a)
+                ok &= bool(np.array_equal(group.mul(x, x), a))
     out.append(CheckResult("sqrt.random_square_roots", ok, count))
 
     uniq_ok = True
@@ -1185,9 +1185,10 @@ def suite_sqrt(cfg: RunConfig) -> list[CheckResult]:
         pro.CongruenceGroup(2, 3, 2),
     ):
         els = group.enumerate(guard=10_000)
+        squares = group.mul(els, els)
         for _ in range(5):
             a = group.random_element(rng)
-            roots = [x for x in els if np.array_equal(group.mul(x, x), a)]
+            roots = els[np.all(squares == a, axis=(-2, -1))]
             uniq_ok &= len(roots) == 1 and np.array_equal(
                 roots[0], pro.sqrt(group, a)
             )
@@ -1231,18 +1232,18 @@ def suite_sqrt(cfg: RunConfig) -> list[CheckResult]:
 
 def _cayley_fixed_point(group: pro.CongruenceGroup, rng: random.Random):
     n, mod, scale = group.n, group.modulus, group.p**group.k0
-    j0 = np.fliplr(np.eye(n, dtype=np.int64))
     inv2 = pow(2, -1, mod)
     while True:
         x = (
             np.array(
                 [[rng.randrange(mod // scale) for _ in range(n)] for _ in range(n)],
-                dtype=np.int64,
+                dtype=group.dtype,
             )
             * scale
             % mod
         )
-        x = ((x - j0 @ x.T @ j0) * inv2) % mod
+        # J0 x^T J0 for the antidiagonal J0; entries stay below mod^2 / 2
+        x = ((x - x.T[::-1, ::-1]) % mod * inv2) % mod
         one = group.identity()
         c = group.mul(group.inv((one - x) % mod), (one + x) % mod)
         if group.contains(c):

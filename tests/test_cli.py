@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from heisweil.cli import run
+import heisweil
+from heisweil.cli import _build_parser, run
 from heisweil.suites import RunConfig, SUITES, standard_mackey_configurations
 
 
@@ -90,3 +99,117 @@ def test_sqrt_command_rejects_outsider():
 
 def test_zoo_has_at_least_twenty_configurations():
     assert len(standard_mackey_configurations()) >= 20
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _max_exponent(p: int, bits: int = 96) -> int:
+    K = 0
+    while p ** (K + 1) <= 2**bits:
+        K += 1
+    return K
+
+
+@st.composite
+def _sqrt_requests(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    n = draw(st.integers(1, 4))
+    k0 = draw(st.sampled_from([1, 2]))
+    K = draw(st.integers(k0, _max_exponent(p)))
+    mod, scale = p**K, p**k0
+    digit = st.integers(0, mod // scale - 1)
+    rows = draw(st.lists(st.lists(digit, min_size=n, max_size=n), min_size=n, max_size=n))
+    a = [[(int(i == j) + scale * rows[i][j]) % mod for j in range(n)] for i in range(n)]
+    return p, n, k0, K, a
+
+
+@settings(max_examples=80, deadline=None)
+@given(request=_sqrt_requests())
+@example(request=(3, 2, 1, 19, [[4, 3], [9, 1]]))  # int64: 2 (3^19 - 1)^2 < 2^63
+@example(request=(3, 2, 1, 21, [[4, 3], [9, 1]]))  # Python ints
+@example(request=(13, 4, 2, 25, [[int(i == j) + 169 * (i + j) for j in range(4)]
+                                  for i in range(4)]))
+# entries on both sides of 2^63: numpy alone would read them as float64
+@example(request=(3, 3, 2, 40, [
+    [6775272543264218785, 5341321161779817474, 8774142682098460761],
+    [11488485244915750680, 2960433911489718799, 8401697307395737803],
+    [10272593712676316436, 1567364669718044697, 2959276792176451981],
+]))
+def test_sqrt_cli_property(request):
+    p, n, k0, K, a = request
+    mod, scale = p**K, p**k0
+    code, out, err = _run_captured(
+        ["sqrt", "--n", str(n), "--p", str(p), "--K", str(K), "--k0", str(k0),
+         "--matrix", json.dumps(a)]
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    root = doc["root"]
+    assert doc["modulus"] == mod
+    assert doc["residual_levels"] == list(range(k0 + 1, K + 1))
+    for i in range(n):
+        for j in range(n):
+            square = sum(root[i][t] * root[t][j] for t in range(n))
+            assert (square - a[i][j]) % mod == 0
+            assert (root[i][j] - (i == j)) % scale == 0
+
+
+def test_sqrt_large_modulus_under_optimize_flag():
+    # asserts vanish under python -O; the checks that guard the root must not
+    env = dict(os.environ, PYTHONPATH=str(Path(heisweil.__file__).resolve().parents[1]))
+    a = [[4, 3], [9, 1]]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "heisweil", "sqrt", "--n", "2", "--p", "3",
+         "--K", "21", "--matrix", json.dumps(a)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    root, mod = json.loads(proc.stdout)["root"], 3**21
+    for i in range(2):
+        for j in range(2):
+            assert (sum(root[i][t] * root[t][j] for t in range(2)) - a[i][j]) % mod == 0
+
+
+@pytest.mark.parametrize(
+    "n,matrix,message",
+    [
+        (1, "[[4.9]]", "matrix entry (0, 0) = 4.9 is not an integer"),
+        (1, "[[true]]", "matrix entry (0, 0) = True is not an integer"),
+        (2, "[[4, 3]]", "matrix is 1x2, expected 2x2"),
+        (2, "[[4, 3], [9]]", "matrix is 2 rows of lengths [2, 1], expected 2x2"),
+        (1, "{}", "matrix must be a JSON list of rows"),
+        (0, "[]", "need n >= 1, got n = 0"),
+    ],
+)
+def test_sqrt_rejects_malformed_input(n, matrix, message):
+    code, out, err = _run_captured(
+        ["sqrt", "--n", str(n), "--p", "3", "--K", "4", "--matrix", matrix]
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_parser_reuse_matches_fresh_runs():
+    calls = [
+        ["sqrt", "--n", "1", "--p", "3", "--K", "4", "--matrix", "[[4]]"],
+        ["heisenberg", "dump", "--p", "3"],
+        ["verify", "nonsense"],
+        ["sqrt", "--n", "2", "--p", "5", "--K", "3", "--k0", "2",
+         "--matrix", "[[26, 25], [0, 1]]"],
+        ["mackey", "dump"],
+        ["sqrt", "--n", "1", "--p", "3", "--K", "4", "--matrix", "[[2]]"],
+    ]
+    _build_parser.cache_clear()
+    together = [_run_captured(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(_run_captured(argv))
+    assert together == fresh
+    assert [code for code, _, _ in together] == [0, 0, 2, 0, 0, 2]

@@ -305,3 +305,19 @@ def test_involution_record_validity(s3):
     assert not InvolutionRecord((0, 0, 2, 3, 4, 5)).is_valid(s3)  # not bijective
     with pytest.raises(ValueError, match="not an involutive automorphism"):
         involution_orbits(s3, [InvolutionRecord(tuple(swap))], range(6))
+
+
+def test_involution_record_validity_across_row_blocks():
+    # order 130 > 64: the all-pairs check runs in several blocks of rows
+    z = cyclic_group(130)
+    negation = InvolutionRecord(tuple((-x) % 130 for x in range(130)))
+    assert negation.is_valid(z)
+    # negation with 30 and 100 fixed is bijective and of order 2 but not
+    # multiplicative
+    perm = list(negation.perm)
+    perm[100], perm[30] = perm[30], perm[100]
+    swapped = InvolutionRecord(tuple(perm))
+    assert not swapped.is_valid(z)
+    p = np.array(perm)
+    whole = np.array_equal(p[z.table], z.table[np.ix_(p, p)])
+    assert swapped.is_valid(z) == whole

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -192,3 +193,95 @@ def test_sqrt_property_hypothesis(seed):
     x, levels = sqrt_with_trace(g, a)
     assert np.array_equal(g.mul(x, x), a)
     assert levels == list(range(g.k0 + 1, K + 1))
+
+
+def test_dtype_follows_the_product_bound():
+    # a product of reduced matrices has entries below n (p^K - 1)^2
+    for n, p, K in [(2, 3, 19), (2, 3, 20), (1, 3, 39), (1, 3, 40), (4, 13, 8), (4, 13, 9)]:
+        g = CongruenceGroup(n, p, K)
+        fits = n * (p**K - 1) ** 2 < 2**63
+        assert g.dtype is (np.int64 if fits else object)
+    assert CongruenceGroup(2, 3, 19).dtype is np.int64
+    assert CongruenceGroup(2, 3, 20).dtype is object
+
+
+def test_reduce_reads_nested_lists_as_python_ints():
+    # 3^40 lies between 2^63 and 2^64; numpy reads such a mix as float64
+    g = CongruenceGroup(1, 3, 40, 2)
+    assert g.reduce([[2**63 + 1]]).tolist() == [[2**63 + 1]]
+    g2 = CongruenceGroup(2, 3, 4)
+    big = [[2**63 - 1, 2**64 - 1], [3**200 + 4, -5]]
+    assert g2.reduce(big).tolist() == [[x % 81 for x in row] for row in big]
+    assert g2.reduce(big).dtype == np.int64
+    for bad in ([[4.0, 0], [0, 1]], [["4", 0], [0, 1]], np.array([[4.5, 0], [0, 1]])):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            g2.reduce(bad)
+    with pytest.raises(ValueError, match="expected 2x2 matrices, got shape"):
+        g2.reduce([[4, 0, 0], [0, 1, 0]])
+
+
+def _schoolbook(a, b, mod):
+    n = len(a)
+    return [
+        [sum(int(a[i][t]) * int(b[t][j]) for t in range(n)) % mod for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n,p,K,k0", [(2, 3, 5, 1), (3, 5, 4, 2), (2, 3, 30, 1)])
+def test_stacked_arithmetic_matches_per_element(n, p, K, k0):
+    g = CongruenceGroup(n, p, K, k0)
+    rng = random.Random(f"stack{n}{p}{K}{k0}")
+    a = np.stack([g.random_element(rng) for _ in range(12)])
+    b = np.stack([g.random_element(rng) for _ in range(12)])
+    prod = g.mul(a, b)
+    assert prod.shape == (12, n, n)
+    for x, y, xy in zip(a, b, prod):
+        assert xy.tolist() == _schoolbook(x, y, g.modulus)
+        assert np.array_equal(xy, g.mul(x, y))
+    inverses = g.inv(a)
+    for x, x_inv in zip(a, inverses):
+        assert np.array_equal(x_inv, g.inv(x))
+        assert _schoolbook(x, x_inv, g.modulus) == np.eye(n, dtype=int).tolist()
+    assert g.contains(a).tolist() == [True] * 12
+    roots = sqrt(g, a)
+    for x, r in zip(a, roots):
+        assert np.array_equal(r, sqrt(g, x))
+
+
+def test_inv_rejects_outsiders():
+    g = CongruenceGroup(2, 3, 4)
+    with pytest.raises(ValueError, match="not in the congruence group"):
+        g.inv([[2, 0], [0, 1]])
+
+
+def test_enumerate_order_matches_itertools_product():
+    for n, p, K, k0 in [(2, 3, 2, 1), (1, 3, 4, 1), (2, 5, 3, 2)]:
+        g = CongruenceGroup(n, p, K, k0)
+        bound, scale = p ** (K - k0), p**k0
+        expected = [
+            (np.eye(n, dtype=np.int64) + scale * np.array(e).reshape(n, n)) % g.modulus
+            for e in itertools.product(range(bound), repeat=n * n)
+        ]
+        assert np.array_equal(g.enumerate(), np.stack(expected))
+
+
+def _h1_exhaustive_reference(group, alpha):
+    """Z^1 = B^1 element by element, as a loop over the enumerated group."""
+    els = list(group.enumerate())
+
+    def key(m):
+        return tuple(np.asarray(m).ravel().tolist())
+
+    z1 = [g for g in els if np.array_equal(alpha(g), group.inv(g))]
+    b1 = {key(group.mul(g, group.inv(alpha(g)))) for g in els}
+    return {key(z) for z in z1} == b1, {"z1": len(z1), "b1": len(b1)}
+
+
+@pytest.mark.parametrize("perm", [None, (1, 0)])
+def test_h1_exhaustive_matches_per_element_reference(perm):
+    g = CongruenceGroup(2, 3, 2)
+    alpha = make_alpha(g, "transpose_inverse", perm=perm)
+    batched = h1_alpha_trivial(g, alpha, mode="exhaustive")
+    assert batched == _h1_exhaustive_reference(g, alpha)
+    assert batched[0] and batched[1]["z1"] > 1
