@@ -21,6 +21,8 @@ import functools
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 from heisweil.suites import (
     CheckResult,
@@ -117,12 +119,90 @@ def _emit(payload, out_path: str | None, fmt: str = "json") -> None:
             )
         text = "\n".join(lines)
     else:
-        text = json.dumps(payload, sort_keys=True, indent=1)
+        text = _to_json(payload)
+    # print writes the newline on its own: no copy of a 9 MB text
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
-        sys.stdout.write(text + "\n")
+        print(text)
+
+
+def _to_json(obj) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte.
+
+    With any ``indent`` CPython's json module falls back to its pure-Python
+    encoder, which yields one string per token; a p = 7 dump is millions of
+    them.  Here a list of plain ints, or of non-empty lists of plain ints,
+    is one C-level ``str.join``, and every piece goes to one list that is
+    joined once at the end.  Other leaves (None, bool, float, subclasses)
+    go to ``json.dumps``, whose text for a leaf does not depend on the
+    indent.  Payloads are trees: there is no cycle check.
+    """
+    parts: list[str] = []
+    put = parts.append
+
+    def write(o, nl: str) -> None:
+        # nl is the newline and indent of the line o starts on
+        if isinstance(o, str):
+            put(encode_basestring_ascii(o))
+        elif type(o) is int:
+            put(int.__repr__(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = nl + " "
+            sep = "," + inner
+            types = set(map(type, o))
+            put("[" + inner)
+            if types == {int}:
+                put(sep.join(map(int.__repr__, o)))
+            elif (
+                types <= {list, tuple}
+                and all(o)
+                and set(map(type, chain.from_iterable(o))) == {int}
+            ):
+                row_nl = inner + " "
+                rows = map(("," + row_nl).join, map(map, repeat(int.__repr__), o))
+                put("[" + row_nl)
+                put((inner + "]" + sep + "[" + row_nl).join(rows))
+                put(inner + "]")
+            else:
+                for i, x in enumerate(o):
+                    if i:
+                        put(sep)
+                    write(x, inner)
+            put(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = nl + " "
+            sep = "," + inner
+            put("{" + inner)
+            # sorted before the keys are converted, as the json module
+            # does, so mixed key types raise the same TypeError
+            for i, (key, value) in enumerate(sorted(o.items())):
+                if i:
+                    put(sep)
+                if isinstance(key, str):
+                    key = encode_basestring_ascii(key)
+                elif isinstance(key, (int, float)) or key is None:
+                    key = '"' + json.dumps(key) + '"'
+                else:
+                    raise TypeError(
+                        "keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}"
+                    )
+                put(key + ": ")
+                write(value, inner)
+            put(nl + "}")
+        else:
+            put(json.dumps(o))
+
+    write(obj, "\n")
+    return "".join(parts)
 
 
 def _suite_report(name: str, cfg: RunConfig, results: list[CheckResult]) -> dict:
@@ -252,7 +332,7 @@ def _dump(args, cfg: RunConfig):
         from heisweil.mackey import heisenberg_table_group
 
         tg = heisenberg_table_group(group)
-        return json.loads(tg.to_json())
+        return {"order": tg.order, "table": tg.table.tolist()}
     raise AssertionError(args.what)
 
 

@@ -89,7 +89,10 @@ class HeisenbergGroup:
         prod = self.mul(
             self.mul(a, b), self.mul(self.inv(a), self.inv(b))
         )
-        assert not any(prod.w)
+        if any(prod.w):
+            raise RuntimeError(
+                f"commutator of {a} and {b} is not central: w = {prod.w}"
+            )
         return prod.z
 
     def conjugate(self, g: HElem, h: HElem) -> HElem:
@@ -249,7 +252,10 @@ def special_iso_from_split_polarization(
         )
         hp, hm = plus_by_w[wp], minus_by_w[wm]
         prod = g.mul(hp, hm)
-        assert prod.w == h.w
+        if prod.w != h.w:
+            raise RuntimeError(
+                f"h+ h- has w = {prod.w}, not the decomposed w = {h.w}"
+            )
         zc = (h.z - prod.z) % p
         mu_table[h] = (zc + g.half * g.commutator(hp, hm)) % p
 
@@ -302,10 +308,10 @@ def split_polarization_from_iso(nu: SpecialIso, hplus, hhat_minus):
     hminus = frozenset(h for h in hhat_minus if nu.mu(h) == 0)
     if not g.is_subgroup(hminus):
         raise AssertionError("splitting is not a subgroup")
-    assert len(hminus & g.center()) == 1
-    assert frozenset(
-        g.mul(h, z) for h in hminus for z in g.center()
-    ) == hhat_minus
+    if len(hminus & g.center()) != 1:
+        raise RuntimeError("splitting meets the center nontrivially")
+    if frozenset(g.mul(h, z) for h in hminus for z in g.center()) != hhat_minus:
+        raise RuntimeError("splitting times the center is not Hhat^-")
     return hminus
 
 

@@ -269,7 +269,8 @@ def double_cosets(g: TableGroup, k_sub, h_sub) -> list[int]:
         x = min(remaining)
         reps.append(x)
         coset = {g.mul(g.mul(a, x), b) for a in k_sub for b in h_sub}
-        assert coset <= remaining
+        if not coset <= remaining:
+            raise RuntimeError(f"double coset of {x} meets an earlier one")
         remaining -= coset
     return reps
 
@@ -321,7 +322,10 @@ def induced_hom_dim_oracle(
             y = g.mul(xi, h)
             j = coset_of[y]
             kk = g.mul(y, g.inv(transversal[j]))  # x_i h = kk x_j
-            assert kk in k_set
+            if kk not in k_set:
+                raise RuntimeError(
+                    f"x_i h x_j^-1 = {kk} is not in K (i = {i}, h = {h})"
+                )
             block = kappa.images[kk]
             for a in range(d):
                 for b in range(d):
@@ -332,7 +336,8 @@ def induced_hom_dim_oracle(
     if not tr.is_integer():
         raise AssertionError("projector trace must be a rational integer")
     val = int(tr.rational_value())
-    assert val >= 0
+    if val < 0:
+        raise RuntimeError(f"projector trace {val} is negative")
     return val
 
 
@@ -376,8 +381,8 @@ def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, orbit=None, k_orbits=None
     """(m_K(Theta), |H^1_Theta| or None) for the G-orbit of theta.
 
     The bound |H^1| uses the center and is only meaningful when Z <= K;
-    m_K <= |H^1| is asserted in that case.  ``orbit`` / ``k_orbits`` may be
-    passed in when already computed.
+    m_K <= |H^1| is checked in that case (RuntimeError when it fails).
+    ``orbit`` / ``k_orbits`` may be passed in when already computed.
     """
     k_set = frozenset(k_sub)
     if orbit is None:
@@ -394,7 +399,8 @@ def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, orbit=None, k_orbits=None
     b1 = {g.mul(z, g.inv(theta.apply(z))) for z in center}
     bound = len(z1) // len(b1)
     if center <= k_set:
-        assert m <= bound, f"m_K = {m} exceeds |H^1| = {bound}"
+        if m > bound:
+            raise RuntimeError(f"m_K = {m} exceeds |H^1| = {bound}")
         return m, bound
     return m, None
 
@@ -402,11 +408,28 @@ def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, orbit=None, k_orbits=None
 # -- exports from the Heisenberg side ----------------------------------------------
 
 
-def heisenberg_table_group(hgroup):
-    """(TableGroup, names) for W x| F_p; names[i] is the HElem at index i."""
+def heisenberg_table_group(hgroup) -> TableGroup:
+    """W x| F_p as a TableGroup; ``names[i]`` is the HElem at index i.
+
+    The indices follow ``hgroup.elements()``: (w, z) sits at
+    (w read in base p) * p + z, so the identity is index 0.  The table is
+    assembled by numpy broadcasting from
+    (w1, z1)(w2, z2) = (w1 + w2, z1 + z2 + half <w1, w2>).
+    """
+    p, space = hgroup.p, hgroup.space
     els = hgroup.elements()
-    tg = table_group_from_mul(els, hgroup.mul, hgroup.identity())
-    return tg
+    vecs = np.array([h.w for h in els[::p]], dtype=np.int64)
+    digits = p ** np.arange(hgroup.dim - 1, -1, -1, dtype=np.int64)
+    w_part = ((vecs[:, None, :] + vecs[None, :, :]) % p) @ digits
+    twist = hgroup.half * (vecs @ space.form @ vecs.T % p)
+    z = np.arange(p)
+    # table[(w1, z1), (w2, z2)] over the axes (w1, z1, w2, z2)
+    z_part = (
+        z[None, :, None, None] + z[None, None, None, :] + twist[:, None, :, None]
+    ) % p
+    n = len(els)
+    table = (w_part[:, None, :, None] * p + z_part).reshape(n, n)
+    return TableGroup(table, names=els)
 
 
 def heisenberg_rep_on_table(tg: TableGroup, rep: MatrixRep) -> MatrixRep:
@@ -437,7 +460,7 @@ def semidirect_table_group(space):
     hels = g.elements()
     nh = len(hels)
     h_index = {h: i for i, h in enumerate(hels)}
-    hmul = np.array([[h_index[g.mul(a, b)] for b in hels] for a in hels])
+    hmul = heisenberg_table_group(g).table
     act = np.array(
         [[h_index[g.element(s.apply(h.w), h.z)] for h in hels] for s in sp.names]
     )

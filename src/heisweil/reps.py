@@ -171,7 +171,8 @@ def hom_dim(rep: MatrixRep, subgroup, chi=None) -> int:
     if not val.is_integer():
         raise AssertionError(f"projector trace {val!r} is not an integer")
     out = int(val.rational_value())
-    assert out >= 0
+    if out < 0:
+        raise RuntimeError(f"projector trace {out} is negative")
     return out
 
 
@@ -311,5 +312,8 @@ def irreducibles_of_H(group: HeisenbergGroup) -> list[MatrixRep]:
     for k in range(1, p):
         out.append(heisenberg_rep(g, k, model="minus"))
     total = sum(r.dim**2 for r in out)
-    assert total == g.order(), "sum of squared dimensions must be |H|"
+    if total != g.order():
+        raise RuntimeError(
+            f"sum of squared dimensions {total} is not |H| = {g.order()}"
+        )
     return out

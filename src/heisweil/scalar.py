@@ -84,7 +84,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             q, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not any(rem), f"Phi_{d} must divide x^{n}-1 exactly"
+            if any(rem):
+                raise RuntimeError(f"Phi_{d} does not divide x^{n}-1 exactly")
             poly = q
             while poly and poly[-1] == 0:
                 poly.pop()

@@ -368,7 +368,8 @@ def p_factor(space: SymplecticSpace, s: SpElement):
     y = m[:ell, :ell]
     x = mat_mul(mat_inv(y, p), m[:ell, ell:], p)
     me, ne = m_element(space, y), n_element(space, x)
-    assert (me * ne) == s
+    if me * ne != s:
+        raise RuntimeError("m(y) n(x) does not recover the element of P")
     return me, ne
 
 def chi_P(space: SymplecticSpace, s: SpElement) -> int:
@@ -393,7 +394,12 @@ def eigen_polarization(s: SpElement):
     eye = np.eye(space.dim, dtype=np.int64)
     plus = nullspace_mod((s.matrix - eye) % p, p)
     minus = nullspace_mod((s.matrix + eye) % p, p)
-    assert len(plus) + len(minus) == space.dim
+    if len(plus) + len(minus) != space.dim:
+        # a failed check in the suite, which catches ValueError
+        raise ValueError(
+            f"eigenspaces of dimensions {len(plus)} + {len(minus)} "
+            f"do not span W of dimension {space.dim}"
+        )
     return tuple(plus), tuple(minus)
 
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heisweil
-from heisweil.cli import _build_parser, run
+from heisweil import cli
+from heisweil.cli import _build_parser, _to_json, run
 from heisweil.suites import RunConfig, SUITES, standard_mackey_configurations
 
 
@@ -159,6 +161,18 @@ def test_sqrt_cli_property(request):
             assert (root[i][j] - (i == j)) % scale == 0
 
 
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements; every check must raise explicitly
+    package = Path(heisweil.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_sqrt_large_modulus_under_optimize_flag():
     # asserts vanish under python -O; the checks that guard the root must not
     env = dict(os.environ, PYTHONPATH=str(Path(heisweil.__file__).resolve().parents[1]))
@@ -213,3 +227,75 @@ def test_parser_reuse_matches_fresh_runs():
         fresh.append(_run_captured(argv))
     assert together == fresh
     assert [code for code, _, _ in together] == [0, 0, 2, 0, 0, 2]
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+_ints = st.integers() | st.integers(-(2**200), 2**200)
+_leaves = (
+    st.none() | st.booleans() | _ints | st.floats()
+    | st.text() | st.sampled_from(["", "\u00e9\n\t\"\\\x00\x7f", "\ud800", "\U0001f600"])
+)
+_number_keys = st.integers() | st.floats() | st.booleans()
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=5)
+        # numbers compare with each other; None only with itself
+        | st.dictionaries(_number_keys, children, max_size=5)
+        | st.dictionaries(st.none(), children, max_size=1)
+        # the int-list fast paths, and near misses that must take the slow one
+        | st.lists(_ints, max_size=6)
+        | st.lists(st.lists(_ints, min_size=1, max_size=4), max_size=4)
+        | st.lists(st.lists(_ints | st.booleans(), max_size=3).map(tuple), max_size=4)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.recursive(_leaves, _containers, max_leaves=40))
+@example(value={1: [[1, 2], (3,)], 2.5: [], 3: {}})
+@example(value=[[1, True], [2]])
+@example(value=[[1], []])
+@example(value={True: float("nan"), 0: float("-inf"), -(2**70): [2**70]})
+def test_to_json_equals_stdlib_indent_1(value):
+    assert _to_json(value) == _stdlib_json(value)
+
+
+@pytest.mark.parametrize(
+    "value", [{(1, 2): 0}, {1: 0, "a": 1}, {None: 0, 1: 1}, [{b"k": 0}], [object()]]
+)
+def test_to_json_rejects_what_stdlib_rejects(value):
+    with pytest.raises(Exception) as stdlib:
+        _stdlib_json(value)
+    with pytest.raises(stdlib.type):
+        _to_json(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dump", "weil", "--p", "3"],
+        ["dump", "reps", "--p", "3"],
+        ["dump", "mackey", "--p", "3"],
+        ["dump", "heisenberg", "--p", "3"],
+        ["verify", "all", "--p", "3"],
+    ],
+)
+def test_cli_prints_stdlib_indent_1(argv, monkeypatch):
+    payloads = []
+    emit = cli._emit
+
+    def recording_emit(payload, out_path, fmt="json"):
+        payloads.append(payload)
+        emit(payload, out_path, fmt)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    code, out, err = _run_captured(argv)
+    assert code == 0, err
+    assert len(payloads) == 1
+    assert out == _stdlib_json(payloads[0]) + "\n"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from heisweil.groups import extend_hom
+from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import CycMatrix
 from heisweil.mackey import (
     InvolutionRecord,
@@ -16,6 +17,7 @@ from heisweil.mackey import (
     direct_product,
     double_cosets,
     fixed_subgroup,
+    heisenberg_table_group,
     induced_hom_dim_oracle,
     inner_involution,
     inner_involutions,
@@ -271,6 +273,16 @@ def test_direct_product_and_cyclic():
     assert c6.order == 6
     orders = sorted(c6.element_order(a) for a in range(6))
     assert orders == [1, 2, 3, 3, 6, 6]
+
+
+@pytest.mark.parametrize("p,ell", [(3, 1), (3, 2), (5, 1)])
+def test_heisenberg_table_matches_pairwise_products(p, ell):
+    g = HeisenbergGroup(SymplecticSpace(p, ell))
+    tg = heisenberg_table_group(g)
+    # reference: one HeisenbergGroup.mul per pair
+    ref = table_group_from_mul(g.elements(), g.mul, g.identity())
+    assert tg.names == ref.names
+    assert np.array_equal(tg.table, ref.table)
 
 
 def test_semidirect_table_matches_pairwise_products():
