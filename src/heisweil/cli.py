@@ -302,18 +302,16 @@ def _dump(args, cfg: RunConfig):
             "images": [
                 {
                     "element": {"w": list(h.w), "z": h.z},
-                    "matrix": tau.images[h].to_json(),
+                    "matrix": tau.images[i].to_json(),
                 }
-                for h in sorted(group.elements())
+                for i, h in enumerate(group.names)
             ],
         }
     if args.what == "heisenberg":
         payload = {
             "p": cfg.p,
             "ell": cfg.ell,
-            "elements": [
-                {"w": list(h.w), "z": h.z} for h in sorted(group.elements())
-            ],
+            "elements": [{"w": list(h.w), "z": h.z} for h in group.names],
             "special_iso_offsets": [
                 list(nu.offset) for nu in all_special_isos(group)
             ],
@@ -322,18 +320,18 @@ def _dump(args, cfg: RunConfig):
 
         try:
             payload["subgroups"] = [
-                [{"w": list(h.w), "z": h.z} for h in sorted(sub)]
+                [
+                    {"w": list(group.names[h].w), "z": group.names[h].z}
+                    for h in sorted(sub)
+                ]
                 for sub in group.all_subgroups()
             ]
         except GuardError:
             pass  # subgroup sweep is guarded for larger groups
         return payload
     if args.what == "mackey":
-        from heisweil.mackey import heisenberg_table_group
-
-        tg = heisenberg_table_group(group)
-        return {"order": tg.order, "table": tg.table.tolist()}
-    raise AssertionError(args.what)
+        return {"order": group.order, "table": group.table.tolist()}
+    raise RuntimeError(f"no dump for {args.what!r}")
 
 
 def _parse_matrix(text: str, n: int) -> list[list[int]]:

@@ -1,31 +1,38 @@
 """The Heisenberg p-group W x| F_p and its special isomorphisms.
 
-Elements are pairs (w, z) with w in F_p^(2l) and z in F_p, multiplied by
+The group law on pairs (w, z) with w in F_p^(2l) and z in F_p is
 
     (w1, z1)(w2, z2) = (w1 + w2, z1 + z2 + (1/2)<w1, w2>),
 
-where 1/2 means (p+1)/2 in F_p.  The center {(0, z)} equals the
+where 1/2 means (p+1)/2 in F_p.  :class:`HeisenbergGroup` is a
+:class:`~heisweil.groups.TableGroup`: an element is an index, (w, z) sits at
+(w read in base p) * p + z, and the Cayley table is built once from the law
+by numpy broadcasting.  Index order is the sorted order of the pairs, the
+identity is 0 and the center {(0, z)} is 0..p-1.  The pair itself survives
+only as ``names[i]``, an :class:`HElem` for dumps and failure witnesses;
+``w[i]`` and ``z[i]`` hold the coordinates as arrays.  The center equals the
 commutator subgroup, and the commutator pairing factors through W as the
 symplectic form.
 
 Special isomorphisms H -> W x| Z are stored by their torsor offset w0
-relative to the base one mu0(w, z) = z; the set of them is a principal
-homogeneous space of W.  Automorphisms of H carried here are the maps
-(w, z) -> (s.w, eps*z + <w0, w>) with s (anti)symplectic according to
-the central sign eps; every automorphism of order two lives in this
-family.
+relative to the base one mu0(w, z) = z, with the central coordinate as a
+length-|H| array ``mu``; the set of them is a principal homogeneous space
+of W.  Automorphisms of H carried here are the maps
+(w, z) -> (s.w, eps*z + <w0, w>) with s (anti)symplectic according to the
+central sign eps, stored as permutation arrays of the indices; every
+automorphism of order two lives in this family.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from heisweil.groups import closure, is_subgroup
+from heisweil.groups import TableGroup
 from heisweil.symplectic import (
     GuardError,
     Polarization,
@@ -48,6 +55,7 @@ __all__ = [
     "order_two_automorphisms_inverting_center",
     "order_two_automorphisms_trivial_on_center",
     "polarization_from_involution",
+    "special_iso_axioms",
     "special_iso_equal_tests",
     "special_iso_from_split_polarization",
     "split_polarization_from_iso",
@@ -55,89 +63,87 @@ __all__ = [
 
 
 class HElem(NamedTuple):
+    """The name of an element: its coordinates (w, z)."""
+
     w: tuple[int, ...]
     z: int
 
 
-class HeisenbergGroup:
-    """W x| F_p for a fixed symplectic space W."""
+class HeisenbergGroup(TableGroup):
+    """W x| F_p for a fixed symplectic space W, on its Cayley table."""
 
     def __init__(self, space: SymplecticSpace):
         self.space = space
-        self.p = space.p
-        self.dim = space.dim
+        self.p = p = space.p
+        self.dim = dim = space.dim
         self.half = space.half
+        self._digits = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        vecs = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
+        # coordinates of every index
+        self.w = np.repeat(vecs, p, axis=0)
+        self.z = np.tile(np.arange(p, dtype=np.int64), len(vecs))
+        w_part = ((vecs[:, None, :] + vecs[None, :, :]) % p) @ self._digits
+        twist = self.half * (vecs @ space.form @ vecs.T % p)
+        zs = np.arange(p)
+        # table[(w1, z1), (w2, z2)] over the axes (w1, z1, w2, z2), built in
+        # place: one table-sized array
+        table = twist[:, None, :, None] + np.add.outer(zs, zs)[None, :, None, :]
+        table %= p
+        table += w_part[:, None, :, None] * p
+        n = len(self.z)
+        table = table.reshape(n, n)
+        names = [HElem(tuple(w), z) for w, z in zip(self.w.tolist(), self.z.tolist())]
+        super().__init__(table, names=names)
 
-    # -- group structure ----------------------------------------------------
+    # -- coordinates ----------------------------------------------------------
 
-    def element(self, w, z: int) -> HElem:
-        return HElem(tuple(int(x) % self.p for x in w), int(z) % self.p)
+    def index_of(self, w, z):
+        """Indices of the pairs (w, z); w has shape (..., 2l), z broadcasts."""
+        w = np.asarray(w, dtype=np.int64) % self.p
+        return (w @ self._digits) * self.p + np.asarray(z, dtype=np.int64) % self.p
 
-    def identity(self) -> HElem:
-        return HElem((0,) * self.dim, 0)
+    def element(self, w, z: int) -> int:
+        return int(self.index_of(w, z))
 
-    def mul(self, a: HElem, b: HElem) -> HElem:
-        w = tuple((x + y) % self.p for x, y in zip(a.w, b.w))
-        z = (a.z + b.z + self.half * self.space.pair(a.w, b.w)) % self.p
-        return HElem(w, z)
+    def central(self, z: int) -> int:
+        return self.element((0,) * self.dim, z)
 
-    def inv(self, a: HElem) -> HElem:
-        return HElem(tuple(-x % self.p for x in a.w), -a.z % self.p)
-
-    def commutator(self, a: HElem, b: HElem) -> int:
-        """[a, b] = a b a^-1 b^-1 as a central value; equals <w_a, w_b>."""
-        prod = self.mul(
-            self.mul(a, b), self.mul(self.inv(a), self.inv(b))
-        )
-        if any(prod.w):
-            raise RuntimeError(
-                f"commutator of {a} and {b} is not central: w = {prod.w}"
-            )
-        return prod.z
-
-    def conjugate(self, g: HElem, h: HElem) -> HElem:
-        return self.mul(self.mul(g, h), self.inv(g))
-
-    def elements(self) -> list[HElem]:
-        return [
-            HElem(w, z)
-            for w in itertools.product(range(self.p), repeat=self.dim)
-            for z in range(self.p)
-        ]
-
-    def order(self) -> int:
-        return self.p ** (self.dim + 1)
-
-    def center(self) -> frozenset[HElem]:
-        return frozenset(HElem((0,) * self.dim, z) for z in range(self.p))
-
-    def central(self, z: int) -> HElem:
-        return HElem((0,) * self.dim, z % self.p)
-
-    def from_w(self, w) -> HElem:
+    def from_w(self, w) -> int:
         return self.element(w, 0)
+
+    def linear_action(self, mats) -> np.ndarray:
+        """Index of (m w, z) for every index (w, z): shape (|H|,) for one
+        matrix m, (k, |H|) for a stack of k matrices."""
+        moved = self.w @ np.swapaxes(np.asarray(mats, dtype=np.int64), -1, -2)
+        return self.index_of(moved, self.z)
+
+    def commutator_values(self) -> np.ndarray:
+        """(|H|, |H|) array of c with [a, b] = a b a^-1 b^-1 = (0, c), read
+        off the table; raises when some commutator is not central."""
+        comm = self.commutators()
+        off_center = self.w[comm].any(axis=-1)
+        if off_center.any():
+            a, b = np.argwhere(off_center)[0]
+            raise RuntimeError(
+                f"commutator of {self.names[a]} and {self.names[b]} is not central: "
+                f"{self.names[comm[a, b]]}"
+            )
+        return self.z[comm]
 
     # -- subgroups ----------------------------------------------------------
 
-    def subgroup_generated(self, gens) -> frozenset[HElem]:
-        return frozenset(closure([self.identity()], gens, self.mul))
-
-    def is_subgroup(self, subset) -> bool:
-        return is_subgroup(subset, self.mul, self.identity())
-
-    def all_subgroups(self) -> list[frozenset[HElem]]:
+    def all_subgroups(self) -> list[frozenset[int]]:
         """Every subgroup, via closures of pairs (subgroups here are 2-generated)."""
-        if self.order() > 200:
+        if self.order > 200:
             raise GuardError("subgroup sweep guarded to |H| <= 200")
-        els = self.elements()
-        seen = {frozenset([self.identity()])}
-        for a in els:
+        seen = {frozenset([0])}
+        for a in range(self.order):
             seen.add(self.subgroup_generated([a]))
-            for b in els:
+            for b in range(a + 1, self.order):
                 seen.add(self.subgroup_generated([a, b]))
         return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
-    def random_subgroup(self, rng: random.Random) -> frozenset[HElem]:
+    def random_subgroup(self, rng: random.Random) -> frozenset[int]:
         els = self.elements()
         k = rng.choice([1, 1, 2, 2, 2])
         gens = [rng.choice(els) for _ in range(k)]
@@ -146,22 +152,22 @@ class HeisenbergGroup:
         return self.subgroup_generated(gens)
 
     def image_in_w(self, subset) -> frozenset[tuple[int, ...]]:
-        return frozenset(h.w for h in subset)
+        return frozenset(self.names[h].w for h in subset)
 
     # -- embedded subgroups of interest --------------------------------------
 
-    def plus_subgroup(self, pol: Polarization | None = None) -> frozenset[HElem]:
+    def plus_subgroup(self, pol: Polarization | None = None) -> frozenset[int]:
         pol = pol or self.space.standard_polarization()
         return frozenset(self.from_w(w) for w in pol.plus_span())
 
-    def minus_subgroup(self, pol: Polarization | None = None) -> frozenset[HElem]:
+    def minus_subgroup(self, pol: Polarization | None = None) -> frozenset[int]:
         pol = pol or self.space.standard_polarization()
         return frozenset(self.from_w(w) for w in pol.minus_span())
 
-    def minus_z_subgroup(self, pol: Polarization | None = None) -> frozenset[HElem]:
+    def minus_z_subgroup(self, pol: Polarization | None = None) -> frozenset[int]:
         pol = pol or self.space.standard_polarization()
         return frozenset(
-            HElem(w, z) for w in pol.minus_span() for z in range(self.p)
+            self.element(w, z) for w in pol.minus_span() for z in range(self.p)
         )
 
     def __repr__(self):
@@ -171,45 +177,49 @@ class HeisenbergGroup:
 # -- special isomorphisms -------------------------------------------------------
 
 
+def special_iso_axioms(group: HeisenbergGroup, mu) -> bool:
+    """Whether mu is the central coordinate of a special isomorphism:
+    mu(0, z) = z on the center and mu(ab) = mu(a) + mu(b) + (1/2)[a, b] for
+    every pair, with the commutator read off the table."""
+    g, mu = group, np.asarray(mu)
+    center = np.array(sorted(g.center()))
+    if not np.array_equal(mu[center], g.z[center]):
+        return False
+    twisted = (mu[:, None] + mu[None, :] + g.half * g.commutator_values()) % g.p
+    return bool(np.array_equal(mu[g.table], twisted))
+
+
 @dataclass(frozen=True)
 class SpecialIso:
-    """nu(w, z) = (w, z + <w, w0>), encoded by the torsor offset w0."""
+    """nu(w, z) = (w, z + <w, w0>), encoded by the torsor offset w0;
+    ``mu[h]`` is the central coordinate of nu(h)."""
 
     group: HeisenbergGroup
     offset: tuple[int, ...]
+    mu: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def mu(self, h: HElem) -> int:
-        return (h.z + self.group.space.pair(h.w, self.offset)) % self.group.p
+    def __post_init__(self):
+        g = self.group
+        offset = np.array(self.offset, dtype=np.int64)
+        object.__setattr__(self, "mu", (g.z + g.w @ g.space.form @ offset) % g.p)
 
-    def apply(self, h: HElem) -> tuple[tuple[int, ...], int]:
-        return (h.w, self.mu(h))
+    def image(self, h) -> int:
+        """nu(h) = (w, mu(h)), written as an index of the same layout as H."""
+        return int(h - self.group.z[h] + self.mu[h])
 
-    def preimage_of_w(self) -> frozenset[HElem]:
+    def inverse_image(self, x) -> int:
+        """The h with nu(h) = x, for x = (w, z) written as an index: h has
+        the same w and z_h = z - <w, w0> = 2 z - mu(x)."""
+        zx = self.group.z[x]
+        return int(x - zx + (2 * zx - self.mu[x]) % self.group.p)
+
+    def preimage_of_w(self) -> frozenset[int]:
         """nu^-1(W x 1): the elements with trivial central coordinate."""
-        g = self.group
-        return frozenset(h for h in g.elements() if self.mu(h) == 0)
-
-    def inverse_image(self, w, z: int) -> HElem:
-        g = self.group
-        zz = (z - g.space.pair(w, self.offset)) % g.p
-        return g.element(w, zz)
+        return frozenset(np.flatnonzero(self.mu == 0).tolist())
 
     def check_axioms(self) -> bool:
         """mu(z) = z on the center and the product twist rule everywhere."""
-        g = self.group
-        for z in range(g.p):
-            if self.mu(g.central(z)) != z:
-                return False
-        els = g.elements()
-        for a in els:
-            for b in els:
-                lhs = self.mu(g.mul(a, b))
-                rhs = (
-                    self.mu(a) + self.mu(b) + g.half * g.commutator(a, b)
-                ) % g.p
-                if lhs != rhs:
-                    return False
-        return True
+        return special_iso_axioms(self.group, self.mu)
 
 
 def all_special_isos(group: HeisenbergGroup) -> list[SpecialIso]:
@@ -227,57 +237,60 @@ def special_iso_from_split_polarization(
     nu(h_+ h_- z) has central part z + (1/2)[h_+, h_-]; the offset is then
     recovered from mu and validated against every element.
     """
-    g, p = group, group.p
+    g, p, ell = group, group.p, group.space.ell
     hplus, hminus = frozenset(hplus), frozenset(hminus)
     _check_split_polarization(group, hplus, hminus)
 
-    plus_by_w = {h.w: h for h in hplus}
-    minus_by_w = {h.w: h for h in hminus}
-    plus_basis = _basis_of(group, plus_by_w)
-    minus_basis = _basis_of(group, minus_by_w)
-    basis_mat = np.array(plus_basis + minus_basis, dtype=np.int64).T
-    inv = mat_inv(basis_mat, p)
-    ell = g.space.ell
-
-    mu_table = {}
-    for h in g.elements():
-        coords = (inv @ np.array(h.w, dtype=np.int64)) % p
-        wp = tuple(
-            int(sum(c * b[i] for c, b in zip(coords[:ell], plus_basis)) % p)
-            for i in range(g.dim)
+    plus_basis = np.array(_basis_of(g, g.image_in_w(hplus)), dtype=np.int64)
+    minus_basis = np.array(_basis_of(g, g.image_in_w(hminus)), dtype=np.int64)
+    inv = mat_inv(np.concatenate([plus_basis, minus_basis]).T, p)
+    # w = w+ + w- for every element, and the side elements over w+ and w-
+    coords = g.w @ inv.T % p
+    hp = _side_by_w(g, hplus)[g.index_of(coords[:, :ell] @ plus_basis, 0) // p]
+    hm = _side_by_w(g, hminus)[g.index_of(coords[:, ell:] @ minus_basis, 0) // p]
+    prod = g.table[hp, hm]
+    bad = np.flatnonzero(prod // p != np.arange(g.order) // p)
+    if bad.size:
+        raise RuntimeError(
+            f"h+ h- has w = {g.names[prod[bad[0]]].w}, not the decomposed "
+            f"w = {g.names[bad[0]].w}"
         )
-        wm = tuple(
-            int(sum(c * b[i] for c, b in zip(coords[ell:], minus_basis)) % p)
-            for i in range(g.dim)
-        )
-        hp, hm = plus_by_w[wp], minus_by_w[wm]
-        prod = g.mul(hp, hm)
-        if prod.w != h.w:
-            raise RuntimeError(
-                f"h+ h- has w = {prod.w}, not the decomposed w = {h.w}"
-            )
-        zc = (h.z - prod.z) % p
-        mu_table[h] = (zc + g.half * g.commutator(hp, hm)) % p
+    mu = (g.z - g.z[prod] + g.half * g.commutator_values()[hp, hm]) % p
 
     # offset from mu restricted to (w, 0): <w, w0> = mu((e_i, 0)) on basis
-    rhs = np.array(
-        [mu_table[g.from_w(g.space.basis_vector(i))] for i in range(g.dim)],
-        dtype=np.int64,
-    )
+    rhs = mu[[g.from_w(g.space.basis_vector(i)) for i in range(g.dim)]]
     w0 = tuple(int(x) for x in (mat_inv(g.space.form, p) @ rhs) % p)
     nu = SpecialIso(group, w0)
-    for h, val in mu_table.items():
-        if nu.mu(h) != val:
-            raise AssertionError(
-                "split-polarization map is not in the offset torsor"
-            )
+    if not np.array_equal(nu.mu, mu):
+        raise RuntimeError("split-polarization map is not in the offset torsor")
     return nu
+
+
+def _side_by_w(g: HeisenbergGroup, side) -> np.ndarray:
+    """Lookup from (w read in base p) to the element of ``side`` over w."""
+    members = np.array(sorted(side), dtype=np.int64)
+    lookup = np.full(g.order // g.p, -1, dtype=np.int64)
+    lookup[members // g.p] = members
+    return lookup
 
 
 def _basis_of(group: HeisenbergGroup, vectors) -> list[tuple[int, ...]]:
     mat = np.array(sorted(vectors), dtype=np.int64)
     red, _ = rref_mod(mat, group.p)
     return [tuple(int(x) for x in row) for row in red]
+
+
+def _check_lagrangian_images(g: HeisenbergGroup, hplus, hminus):
+    """The images in W are complementary maximal totally isotropic subspaces."""
+    images = [g.image_in_w(hplus), g.image_in_w(hminus)]
+    if any(len(w) != g.p**g.space.ell for w in images):
+        raise ValueError("images do not have maximal isotropic size")
+    for w in images:
+        v = np.array(sorted(w), dtype=np.int64)
+        if (v @ g.space.form @ v.T % g.p).any():
+            raise ValueError("image is not totally isotropic")
+    if images[0] & images[1] != {(0,) * g.dim}:
+        raise ValueError("images are not complementary")
 
 
 def _check_split_polarization(group: HeisenbergGroup, hplus, hminus):
@@ -287,17 +300,7 @@ def _check_split_polarization(group: HeisenbergGroup, hplus, hminus):
             raise ValueError("split polarization needs subgroups")
         if len(side & g.center()) > 1:
             raise ValueError("side meets the center nontrivially")
-    wplus, wminus = g.image_in_w(hplus), g.image_in_w(hminus)
-    if len(wplus) != g.p**g.space.ell or len(wminus) != g.p**g.space.ell:
-        raise ValueError("images do not have maximal isotropic size")
-    for side in (wplus, wminus):
-        vecs = list(side)
-        for a in vecs:
-            for b in vecs:
-                if g.space.pair(a, b) != 0:
-                    raise ValueError("image is not totally isotropic")
-    if wplus & wminus != {(0,) * g.dim}:
-        raise ValueError("images are not complementary")
+    _check_lagrangian_images(g, hplus, hminus)
 
 
 def split_polarization_from_iso(nu: SpecialIso, hplus, hhat_minus):
@@ -305,9 +308,9 @@ def split_polarization_from_iso(nu: SpecialIso, hplus, hhat_minus):
     g = nu.group
     hplus, hhat_minus = frozenset(hplus), frozenset(hhat_minus)
     _check_polarization(g, hplus, hhat_minus)
-    hminus = frozenset(h for h in hhat_minus if nu.mu(h) == 0)
+    hminus = hhat_minus & nu.preimage_of_w()
     if not g.is_subgroup(hminus):
-        raise AssertionError("splitting is not a subgroup")
+        raise RuntimeError("splitting is not a subgroup")
     if len(hminus & g.center()) != 1:
         raise RuntimeError("splitting meets the center nontrivially")
     if frozenset(g.mul(h, z) for h in hminus for z in g.center()) != hhat_minus:
@@ -322,17 +325,7 @@ def _check_polarization(g: HeisenbergGroup, hplus, hhat_minus):
         raise ValueError("H^+ meets the center")
     if not g.center() <= hhat_minus:
         raise ValueError("Hhat^- must contain the center")
-    wplus, wminus = g.image_in_w(hplus), g.image_in_w(hhat_minus)
-    ell = g.space.ell
-    if len(wplus) != g.p**ell or len(wminus) != g.p**ell:
-        raise ValueError("images are not maximal isotropic")
-    for side in (wplus, wminus):
-        for a in side:
-            for b in side:
-                if g.space.pair(a, b) != 0:
-                    raise ValueError("image not isotropic")
-    if wplus & wminus != {(0,) * g.dim}:
-        raise ValueError("images are not complementary")
+    _check_lagrangian_images(g, hplus, hhat_minus)
 
 
 def special_iso_equal_tests(nu1: SpecialIso, nu2: SpecialIso):
@@ -343,14 +336,13 @@ def special_iso_equal_tests(nu1: SpecialIso, nu2: SpecialIso):
      exists s in Sp with nu2 = s o nu1).
     """
     g = nu1.group
-    els = g.elements()
-    same_map = all(nu1.apply(h) == nu2.apply(h) for h in els)
+    same_map = bool(np.array_equal(nu1.mu, nu2.mu))
     same_preimage = nu1.preimage_of_w() == nu2.preimage_of_w()
-    exists_s = False
-    for s in enumerate_sp(g.space):
-        if all((s.apply(h.w), nu1.mu(h)) == nu2.apply(h) for h in els):
-            exists_s = True
-            break
+    # row i of act: (w, z) -> (s_i w, z), applied to nu1(h) for every h
+    act = g.linear_action(np.stack([s.matrix for s in enumerate_sp(g.space)]))
+    hs = np.arange(g.order)
+    image1, image2 = hs - g.z + nu1.mu, hs - g.z + nu2.mu
+    exists_s = bool((act[:, image1] == image2).all(axis=1).any())
     return same_map, same_preimage, exists_s
 
 
@@ -359,7 +351,8 @@ def special_iso_equal_tests(nu1: SpecialIso, nu2: SpecialIso):
 
 @dataclass(frozen=True)
 class HeisenbergAutomorphism:
-    """(w, z) -> (s.w, central_sign * z + <w0, w>).
+    """(w, z) -> (s.w, central_sign * z + <w0, w>), as the permutation
+    ``perm`` of the indices.
 
     central_sign must match the form multiplier of s: symplectic s fix the
     center, antisymplectic s invert it.
@@ -369,6 +362,7 @@ class HeisenbergAutomorphism:
     s: SpElement
     w0: tuple[int, ...]
     central_sign: int
+    perm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.central_sign not in (1, -1):
@@ -377,36 +371,32 @@ class HeisenbergAutomorphism:
             raise ValueError(
                 "central sign must match the (anti)symplectic sign of s"
             )
-
-    def apply(self, h: HElem) -> HElem:
         g = self.group
-        w = self.s.apply(h.w)
-        z = (self.central_sign * h.z + g.space.pair(self.w0, h.w)) % g.p
-        return HElem(w, z)
+        twist = g.w @ (np.array(self.w0, dtype=np.int64) @ g.space.form)
+        moved = g.linear_action(self.s.matrix)  # (s.w, z)
+        perm = moved - g.z + (self.central_sign * g.z + twist) % g.p
+        object.__setattr__(self, "perm", perm)
+
+    def apply(self, h) -> int:
+        return int(self.perm[h])
 
     def is_automorphism(self) -> bool:
-        g = self.group
-        els = g.elements()
-        return all(
-            self.apply(g.mul(a, b)) == g.mul(self.apply(a), self.apply(b))
-            for a in els
-            for b in els
-        )
+        return self.group.is_automorphism(self.perm)
 
     def is_order_two(self) -> bool:
-        g = self.group
-        ident = all(self.apply(self.apply(h)) == h for h in g.elements())
-        nontrivial = any(self.apply(h) != h for h in g.elements())
-        return ident and nontrivial
-
-    def fixed_points(self) -> frozenset[HElem]:
-        return frozenset(h for h in self.group.elements() if self.apply(h) == h)
-
-    def inverted_points(self) -> frozenset[HElem]:
-        g = self.group
-        return frozenset(
-            h for h in g.elements() if self.apply(h) == g.inv(h)
+        ident = np.arange(self.group.order)
+        return bool(
+            np.array_equal(self.perm[self.perm], ident)
+            and not np.array_equal(self.perm, ident)
         )
+
+    def fixed_points(self) -> frozenset[int]:
+        return frozenset(
+            np.flatnonzero(self.perm == np.arange(self.group.order)).tolist()
+        )
+
+    def inverted_points(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.perm == self.group.inverse_of).tolist())
 
 
 def involution_from_polarization(
@@ -476,7 +466,7 @@ def graph_subgroup_offset(group: HeisenbergGroup, hplus) -> tuple[int, ...]:
     trivial central part, the w0 with mu(w) = <w, w0>; then conjugation by
     (w0, 0) carries W+ x 0 onto the subgroup."""
     g = group
-    by_w = {h.w: h.z for h in hplus}
+    by_w = {g.names[h].w: g.names[h].z for h in hplus}
     basis = _basis_of(g, by_w.keys())
     # mu is linear on the image; solve <w, w0> = mu(w) on a basis, then extend
     rows = np.array(basis, dtype=np.int64) @ g.space.form % g.p
@@ -489,8 +479,7 @@ def graph_subgroup_offset(group: HeisenbergGroup, hplus) -> tuple[int, ...]:
     w0 = np.zeros(g.dim, dtype=np.int64)
     for row, pc in zip(red, pivots):
         w0[pc] = row[g.dim]
-    w0 = tuple(int(x) for x in w0)
-    for w, z in by_w.items():
-        if g.space.pair(w, w0) != z:
-            raise AssertionError("offset reconstruction failed")
-    return w0
+    members = np.array(sorted(hplus), dtype=np.int64)
+    if not np.array_equal(g.w[members] @ g.space.form @ w0 % g.p, g.z[members]):
+        raise RuntimeError("offset reconstruction failed")
+    return tuple(int(x) for x in w0)

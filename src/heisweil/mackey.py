@@ -2,8 +2,8 @@
 
 Groups are multiplication tables (:class:`TableGroup` from
 :mod:`heisweil.groups`), so everything here is generic: the same code runs
-on symmetric / dihedral / quaternion test groups and on the Heisenberg group
-W x| F_p or Sp(W) x| H exported from the other modules.
+on symmetric / dihedral / quaternion test groups, on the Heisenberg group
+W x| F_p (itself a TableGroup) and on Sp(W) x| H built below.
 
 The two Hom-dimension computations are deliberately independent:
 
@@ -131,19 +131,8 @@ class InvolutionRecord:
 
     def is_valid(self, g: TableGroup) -> bool:
         """Bijective, of order <= 2, and p(ab) = p(a)p(b) for all pairs."""
-        p, t = np.asarray(self.perm), g.table
-        ident = np.arange(g.order)
-        if not np.array_equal(np.sort(p), ident):
-            return False
-        if not np.array_equal(p[p], ident):
-            return False
-        # blocks of rows: two whole-table temporaries (2 x 3.4 MB for the
-        # 648-element Sp x| H) set the peak memory of a verify run
-        rows = 64
-        return all(
-            np.array_equal(p[t[i : i + rows]], t[p[i : i + rows]][:, p])
-            for i in range(0, g.order, rows)
-        )
+        p = np.asarray(self.perm)
+        return g.is_automorphism(p) and np.array_equal(p[p], np.arange(g.order))
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.perm))
@@ -334,7 +323,7 @@ def induced_hom_dim_oracle(
                     )
     tr = acc.trace() / len(members)
     if not tr.is_integer():
-        raise AssertionError("projector trace must be a rational integer")
+        raise RuntimeError(f"projector trace {tr!r} is not a rational integer")
     val = int(tr.rational_value())
     if val < 0:
         raise RuntimeError(f"projector trace {val} is negative")
@@ -405,49 +394,11 @@ def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, orbit=None, k_orbits=None
     return m, None
 
 
-# -- exports from the Heisenberg side ----------------------------------------------
-
-
-def heisenberg_table_group(hgroup) -> TableGroup:
-    """W x| F_p as a TableGroup; ``names[i]`` is the HElem at index i.
-
-    The indices follow ``hgroup.elements()``: (w, z) sits at
-    (w read in base p) * p + z, so the identity is index 0.  The table is
-    assembled by numpy broadcasting from
-    (w1, z1)(w2, z2) = (w1 + w2, z1 + z2 + half <w1, w2>).
-    """
-    p, space = hgroup.p, hgroup.space
-    els = hgroup.elements()
-    vecs = np.array([h.w for h in els[::p]], dtype=np.int64)
-    digits = p ** np.arange(hgroup.dim - 1, -1, -1, dtype=np.int64)
-    w_part = ((vecs[:, None, :] + vecs[None, :, :]) % p) @ digits
-    twist = hgroup.half * (vecs @ space.form @ vecs.T % p)
-    z = np.arange(p)
-    # table[(w1, z1), (w2, z2)] over the axes (w1, z1, w2, z2)
-    z_part = (
-        z[None, :, None, None] + z[None, None, None, :] + twist[:, None, :, None]
-    ) % p
-    n = len(els)
-    table = (w_part[:, None, :, None] * p + z_part).reshape(n, n)
-    return TableGroup(table, names=els)
-
-
-def heisenberg_rep_on_table(tg: TableGroup, rep: MatrixRep) -> MatrixRep:
-    images = {i: rep.images[name] for i, name in enumerate(tg.names)}
-    return MatrixRep(
-        group=tg, dim=rep.dim, images=images, conductor=rep.conductor
-    )
-
-
-def heisenberg_involution_record(tg: TableGroup, alpha) -> InvolutionRecord:
-    index = {name: i for i, name in enumerate(tg.names)}
-    return InvolutionRecord(
-        tuple(index[alpha.apply(name)] for name in tg.names)
-    )
+# -- Sp(W) x| H -------------------------------------------------------------------
 
 
 def semidirect_table_group(space):
-    """Sp(W) x| H as a TableGroup; names are (SpElement, HElem) pairs.
+    """Sp(W) x| H as a TableGroup; names are (SpElement, index in H) pairs.
 
     (s1, h1)(s2, h2) = (s1 s2, (s2^-1 . h1) h2); the element (s, h) has index
     s * |H| + h, and the table is assembled by numpy broadcasting.
@@ -457,19 +408,15 @@ def semidirect_table_group(space):
 
     g = HeisenbergGroup(space)
     sp = sp_table(space)
-    hels = g.elements()
-    nh = len(hels)
-    h_index = {h: i for i, h in enumerate(hels)}
-    hmul = heisenberg_table_group(g).table
-    act = np.array(
-        [[h_index[g.element(s.apply(h.w), h.z)] for h in hels] for s in sp.names]
-    )
+    nh = g.order
+    # act[s, h] = index of s . h = (s.w, z)
+    act = g.linear_action(np.stack([s.matrix for s in sp.names]))
     # h_part[h1, s2, h2] = index of (s2^-1 . h1) h2
-    h_part = hmul[act[sp.inverse_of].T]
+    h_part = g.table[act[sp.inverse_of].T]
     table = (sp.table[:, None, :, None] * nh + h_part[None]).reshape(
         sp.order * nh, sp.order * nh
     )
-    names = [(s, h) for s in sp.names for h in hels]
+    names = [(s, h) for s in sp.names for h in range(nh)]
     return TableGroup(table, names=names), g
 
 
@@ -491,14 +438,12 @@ def semidirect_involution_record(tg: TableGroup, alpha) -> InvolutionRecord:
     """theta(s, h) = (abar s abar^-1, alpha(h)) for a central-inverting alpha."""
     abar = alpha.s
     abar_inv = abar.inverse()
-    index = {}
-    for i, (s, h) in enumerate(tg.names):
-        index[(s._key, h)] = i
-    perm = []
-    for s, h in tg.names:
-        moved_s = abar * s * abar_inv
-        perm.append(index[(moved_s._key, alpha.apply(h))])
-    return InvolutionRecord(tuple(perm))
+    nh = alpha.group.order
+    sp_names = [s for s, _ in tg.names[::nh]]
+    sp_index = {s: i for i, s in enumerate(sp_names)}
+    moved = np.array([sp_index[abar * s * abar_inv] for s in sp_names])
+    perm = moved[:, None] * nh + alpha.perm[None, :]
+    return InvolutionRecord(tuple(perm.ravel().tolist()))
 
 
 def orbmult_check(

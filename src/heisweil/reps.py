@@ -19,7 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from heisweil.heisenberg import HElem, HeisenbergGroup
+import numpy as np
+
+from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import CycMatrix, nullspace, row_space_rank, same_row_space
 from heisweil.scalar import CycNumber, run_conductor, zeta_p
 from heisweil.symplectic import GuardError
@@ -42,8 +44,8 @@ __all__ = [
 class MatrixRep:
     """A finite group mapped to exact invertible matrices.
 
-    ``group`` provides elements()/mul/inv/identity; ``images`` maps each
-    element to a CycMatrix over Q(zeta_N).
+    ``group`` is a :class:`~heisweil.groups.TableGroup`; ``images`` maps
+    each element index to a CycMatrix over Q(zeta_N).
     """
 
     group: object
@@ -90,20 +92,20 @@ def heisenberg_rep(
     half = group.half
 
     images = {}
-    for h in group.elements():
-        u, v = h.w[:ell], h.w[ell:]
+    for h, (w, z) in enumerate(group.names):
+        u, v = w[:ell], w[ell:]
         rows = [[zero] * dim for _ in range(dim)]
         for t in points:
             if model == "minus":
                 exp = (
-                    h.z
+                    z
                     + sum(a * b for a, b in zip(t, v))
                     + half * sum(a * b for a, b in zip(v, u))
                 ) % p
                 src = tuple((a + b) % p for a, b in zip(t, u))
             else:
                 exp = (
-                    h.z
+                    z
                     - sum(a * b for a, b in zip(u, t))
                     - half * sum(a * b for a, b in zip(u, v))
                 ) % p
@@ -169,7 +171,7 @@ def hom_dim(rep: MatrixRep, subgroup, chi=None) -> int:
         acc = acc + tr
     val = acc / len(members)
     if not val.is_integer():
-        raise AssertionError(f"projector trace {val!r} is not an integer")
+        raise RuntimeError(f"projector trace {val!r} is not an integer")
     out = int(val.rational_value())
     if out < 0:
         raise RuntimeError(f"projector trace {out} is negative")
@@ -208,17 +210,6 @@ class FixedForms:
     representatives: list = field(default_factory=list)
 
 
-def _induced_value_coeff(rep: MatrixRep, h: HElem):
-    """Write the minus-model induced function value at h as (t-index, phase):
-    f(h) = phase * phi(t)."""
-    g = rep.group
-    p, ell = g.p, g.space.ell
-    u, v = h.w[:ell], h.w[ell:]
-    z = (h.z + g.half * sum(a * b for a, b in zip(v, u))) % p
-    phase = zeta_p(p, rep.zeta_exponent * z, conductor=rep.conductor)
-    return u, phase
-
-
 def fixed_forms(rep: MatrixRep, subgroup) -> FixedForms:
     """Basis of Hom_K(tau, 1) for the minus model, built twice.
 
@@ -229,41 +220,47 @@ def fixed_forms(rep: MatrixRep, subgroup) -> FixedForms:
     if rep.model != "minus":
         raise ValueError("fixed_forms expects a minus-model Heisenberg rep")
     g: HeisenbergGroup = rep.group
-    n = rep.conductor
-    K = sorted(frozenset(subgroup))
+    n, p, ell = rep.conductor, g.p, g.space.ell
+    K = np.array(sorted(frozenset(subgroup)), dtype=np.int64)
     if not g.is_subgroup(K):
         raise ValueError("K must be a subgroup of H")
-    q = sorted(g.minus_z_subgroup())
-    center = g.center()
-    identity = g.identity()
+    t, inv = g.table, g.inverse_of
+    q = np.array(sorted(g.minus_z_subgroup()), dtype=np.int64)
+    w_minus = np.array(sorted(g.minus_subgroup()), dtype=np.int64)
+    center = np.array(sorted(g.center()), dtype=np.int64)
+    zetas = [zeta_p(p, rep.zeta_exponent * e, conductor=n) for e in range(p)]
+    digits = p ** np.arange(ell - 1, -1, -1, dtype=np.int64)
 
-    # double cosets Q\H/K
-    remaining = set(g.elements())
-    reps_found, rows, qualifying = [], [], []
-    index = {t: i for i, t in enumerate(rep.basis_labels)}
-    while remaining:
-        x = min(remaining)
-        coset = {g.mul(g.mul(a, x), b) for a in q for b in K}
-        remaining -= coset
-        reps_found.append(x)
-        prod_set = {
-            g.mul(w_minus, g.conjugate(x, k))
-            for w_minus in g.minus_subgroup()
-            for k in K
-        }
-        if prod_set & center != {identity}:
+    # double cosets Q\H/K, each found from its smallest index
+    remaining = np.ones(g.order, dtype=bool)
+    rows, qualifying = [], []
+    while remaining.any():
+        x = int(np.argmax(remaining))
+        remaining[t[t[q, x]][:, K]] = False
+        conj = t[t[x, K], inv[x]]  # x K x^-1
+        if np.isin(t[np.ix_(w_minus, conj)], center[center != 0]).any():
             continue  # W^- x K x^-1 meets Z nontrivially: no invariant form here
         qualifying.append(x)
-        row = [CycNumber.zero(n) for _ in range(rep.dim)]
-        for k in K:
-            t, phase = _induced_value_coeff(rep, g.mul(x, k))
-            row[index[t]] = row[index[t]] + phase
-        rows.append(row)
+        # minus model: f(x k) = zeta(z + (1/2) v.u) phi(u) for x k = (u, v; z)
+        xk = t[x, K]
+        u, v = g.w[xk, :ell], g.w[xk, ell:]
+        exps = (g.z[xk] + g.half * (u * v).sum(axis=1)) % p
+        counts = np.zeros((rep.dim, p), dtype=np.int64)
+        np.add.at(counts, (u @ digits, exps), 1)
+        rows.append(
+            [
+                sum(
+                    (int(c) * zetas[e] for e, c in enumerate(r) if c),
+                    start=CycNumber.zero(n),
+                )
+                for r in counts
+            ]
+        )
 
     # brute-force: lambda with lambda . rep(k) = lambda for all k in K
     stacked = []
     eye = CycMatrix.identity(n, rep.dim)
-    for k in K:
+    for k in K.tolist():
         diff = rep.images[k].transpose() - eye
         stacked.extend(diff.rows)
     null = nullspace(stacked, n, rep.dim)
@@ -295,25 +292,23 @@ def irreducibles_of_H(group: HeisenbergGroup) -> list[MatrixRep]:
     plus p-1 Heisenberg representations, one per nontrivial central character."""
     g = group
     p = g.p
-    if g.order() > 3200:
+    if g.order > 3200:
         raise GuardError("irreducible sweep guarded to |H| <= 3200")
     n = run_conductor(p)
+    zetas = [zeta_p(p, e, conductor=n) for e in range(p)]
+    offsets = np.array(list(itertools.product(range(p), repeat=g.dim)), dtype=np.int64)
     out = []
-    for w0 in itertools.product(range(p), repeat=g.dim):
-        images = {
-            h: CycMatrix(
-                n, [[zeta_p(p, g.space.pair(w0, h.w), conductor=n)]]
-            )
-            for h in g.elements()
-        }
+    # row i: <w0_i, w> for every element
+    for values in (offsets @ g.space.form @ g.w.T % p).tolist():
+        images = {h: CycMatrix(n, [[zetas[e]]]) for h, e in enumerate(values)}
         out.append(
             MatrixRep(group=g, dim=1, images=images, conductor=n, model="char")
         )
     for k in range(1, p):
         out.append(heisenberg_rep(g, k, model="minus"))
     total = sum(r.dim**2 for r in out)
-    if total != g.order():
+    if total != g.order:
         raise RuntimeError(
-            f"sum of squared dimensions {total} is not |H| = {g.order()}"
+            f"sum of squared dimensions {total} is not |H| = {g.order}"
         )
     return out

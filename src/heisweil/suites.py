@@ -199,33 +199,31 @@ def suite_heisenberg(cfg: RunConfig) -> list[CheckResult]:
 
     group = heis.HeisenbergGroup(space)
     els = group.elements()
+    t = group.table
     if p == 3 and cfg.ell == 1:
-        assoc_ok = all(
-            group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
-            for a, b, c in itertools.product(els, repeat=3)
-        )
+        # t[t][a, b, c] = (ab)c and t[:, t][a, b, c] = a(bc)
+        assoc_ok = bool(np.array_equal(t[t], t[:, t]))
         assoc_count = len(els) ** 3
     else:
         assoc_count = 500
         assoc_ok = True
         for _ in range(assoc_count):
             a, b, c = rng.choice(els), rng.choice(els), rng.choice(els)
-            if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
+            if t[t[a, b], c] != t[a, t[b, c]]:
                 assoc_ok = False
     out.append(CheckResult("heisenberg.group_axioms", assoc_ok, assoc_count))
 
+    # commutators off the table against <w_a, w_b> from the form
+    comm = group.commutator_values()
+    form_values = group.w @ space.form @ group.w.T % p
     if p <= 5:
-        comm_ok = all(
-            group.commutator(a, b) == space.pair(a.w, b.w)
-            for a in els
-            for b in els
-        )
+        comm_ok = bool(np.array_equal(comm, form_values))
         comm_count = len(els) ** 2
     else:
         comm_ok, comm_count = True, 400
         for _ in range(comm_count):
             a, b = rng.choice(els), rng.choice(els)
-            comm_ok &= group.commutator(a, b) == space.pair(a.w, b.w)
+            comm_ok &= bool(comm[a, b] == form_values[a, b])
     out.append(CheckResult("heisenberg.commutator_equals_form", comm_ok, comm_count))
 
     isos = heis.all_special_isos(group)
@@ -267,8 +265,8 @@ def suite_heisenberg(cfg: RunConfig) -> list[CheckResult]:
         matching = [
             c
             for c in isos
-            if all(c.mu(h) == 0 for h in hplus)
-            and all(c.mu(h) == 0 for h in hminus)
+            if all(c.mu[h] == 0 for h in hplus)
+            and all(c.mu[h] == 0 for h in hminus)
         ]
         rt_ok &= matching == [nu2]
         splits_ok = True
@@ -308,9 +306,8 @@ def suite_heisenberg(cfg: RunConfig) -> list[CheckResult]:
 def _specisores_check() -> CheckResult:
     big = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 2))
     small = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 1))
-
-    def embed(h):
-        return big.element((h.w[0], 0, h.w[1], 0), h.z)
+    # (w1, w2; z) -> (w1, 0, w2, 0; z) preserves the form
+    embed = big.index_of(np.insert(small.w, [1, 2], 0, axis=1), small.z)
 
     rng = random.Random(0)
     ok = True
@@ -318,16 +315,8 @@ def _specisores_check() -> CheckResult:
     for _ in range(4):
         w0 = tuple(rng.randrange(3) for _ in range(4))
         nu_big = heis.SpecialIso(big, w0)
-        mu = {h: nu_big.mu(embed(h)) for h in small.elements()}
-        for z in range(3):
-            count += 1
-            ok &= mu[small.central(z)] == z
-        for a in small.elements():
-            for b in small.elements():
-                count += 1
-                lhs = mu[small.mul(a, b)]
-                rhs = (mu[a] + mu[b] + small.half * small.commutator(a, b)) % 3
-                ok &= lhs == rhs
+        count += 3 + small.order**2
+        ok &= heis.special_iso_axioms(small, nu_big.mu[embed])
     return CheckResult("heisenberg.special_iso_restriction", ok, count)
 
 
@@ -664,12 +653,14 @@ def _abstract_lift_checks(lift, cfg: RunConfig) -> list[CheckResult]:
     twist_ok, match_ok, rep_ok = True, True, True
     for nu in isos:
         ab = weil_mod.abstract_lift(lift.base, nu)
+        # <w_h, w0> for every h, from the form
+        pairings = (g.w @ g.space.form @ np.array(nu.offset) % g.p).tolist()
         for h in g.elements():
-            twist = zeta_p(g.p, g.space.pair(h.w, nu.offset))
+            twist = zeta_p(g.p, pairings[h])
             twist_ok &= ab.h_image(h) == lift.base.images[h].scale(twist)
         for s in els:
             for x in g.elements():
-                h = nu.inverse_image(x.w, x.z)
+                h = nu.inverse_image(x)
                 match_ok &= ab.character(s, h) == reference[(s, x)]
         pairs = [
             ((rng.choice(els), rng.choice(g.elements())),
@@ -679,14 +670,14 @@ def _abstract_lift_checks(lift, cfg: RunConfig) -> list[CheckResult]:
         rep_ok &= ab.verify_rep_on_pairs(pairs)
     out.append(
         CheckResult(
-            "weil.abstract_lift_twist_relation", twist_ok, len(isos) * g.order()
+            "weil.abstract_lift_twist_relation", twist_ok, len(isos) * g.order
         )
     )
     out.append(
         CheckResult(
             "weil.abstract_lift_characters_nu_independent",
             match_ok,
-            len(isos) * len(els) * g.order(),
+            len(isos) * len(els) * g.order,
         )
     )
     out.append(
@@ -700,20 +691,21 @@ def _contragredient_check(lift, exhaustive: bool, seed: int = 0) -> CheckResult:
     tau_tilde = reps_mod.heisenberg_rep(g, g.p - 1, model="minus")
     lift_tilde = weil_mod.weil_lift(tau_tilde)
     els = weil_mod.sp_table(g.space).names
+    act = g.linear_action(np.stack([s.matrix for s in els]))  # act[i, h] = s_i . h
     if exhaustive:
-        pairs = [(s, h) for s in els for h in g.elements()]
+        pairs = [(i, h) for i in range(len(els)) for h in g.elements()]
     else:
         rng = random.Random(seed)
         pairs = [
-            (rng.choice(els), rng.choice(g.elements())) for _ in range(200)
+            (rng.choice(range(len(els))), rng.choice(g.elements()))
+            for _ in range(200)
         ]
     ok = True
-    for s, h in pairs:
-        s_inv = s.inverse()
-        h_inv = g.inv(h)
-        moved = g.element(s.apply(h_inv.w), h_inv.z)
+    for i, h in pairs:
+        s = els[i]
+        moved = int(act[i, g.inv(h)])
         ok &= (
-            lift.semidirect_image(s_inv, moved).trace()
+            lift.semidirect_image(s.inverse(), moved).trace()
             == lift_tilde.semidirect_image(s, h).trace()
         )
     return CheckResult(
@@ -916,27 +908,21 @@ def heisenberg_mackey_configurations():
     group = heis.HeisenbergGroup(space)
     tau = reps_mod.heisenberg_rep(group, 1, model="minus")
 
-    tg = mk.heisenberg_table_group(group)
-    tau_tg = mk.heisenberg_rep_on_table(tg, tau)
     alpha = heis.involution_from_polarization(group)
-    theta = mk.heisenberg_involution_record(tg, alpha)
-    k_members = sorted(
-        i
-        for i, name in enumerate(tg.names)
-        if name in group.minus_z_subgroup()
-    )
-    kappa_values = {
-        i: zeta_p(3, tg.names[i].z, conductor=12) for i in k_members
-    }
+    theta = mk.InvolutionRecord(tuple(alpha.perm.tolist()))
+    k_members = sorted(group.minus_z_subgroup())
     kappa = reps_mod.MatrixRep(
-        group=tg,
+        group=group,
         dim=1,
-        images={i: CycMatrix(12, [[v]]) for i, v in kappa_values.items()},
+        images={
+            i: CycMatrix(12, [[zeta_p(3, int(group.z[i]), conductor=12)]])
+            for i in k_members
+        },
         conductor=12,
     )
-    configs.append(("H3/HhatMinus/zeta/polar", tg, k_members, kappa, theta))
+    configs.append(("H3/HhatMinus/zeta/polar", group, k_members, kappa, theta))
     configs.append(
-        ("H3/G/tau/polar", tg, list(range(tg.order)), tau_tg, theta)
+        ("H3/G/tau/polar", group, list(range(group.order)), tau, theta)
     )
 
     sd, g2 = mk.semidirect_table_group(space)

@@ -294,27 +294,25 @@ def _generator_images_ell2(tau, j_img):
 
 def sp_table(space: SymplecticSpace) -> TableGroup:
     """Sp(W) as a TableGroup; ``names`` are the SpElements in enumeration
-    order with the identity moved to index 0.  ell = 1 only: the table is
-    filled by 2x2 integer-tuple products, never by SpElement products."""
+    order with the identity moved to index 0.  ell = 1 only: row i of the
+    table is one broadcast product of s_i with the stacked 2x2 matrices,
+    each product found again through its entries read in base p."""
     if space.ell != 1:
         raise GuardError(f"sp_table needs ell = 1; got ell={space.ell}")
     els = enumerate_sp(space)
     ident = next(s for s in els if s.is_identity())
     els.remove(ident)
     els.insert(0, ident)
-    p = space.p
-    tuples = [tuple(int(x) for x in s.matrix.flat) for s in els]
-    tup_index = {t: i for i, t in enumerate(tuples)}
-    table = np.zeros((len(els), len(els)), dtype=np.int64)
-    for i, (a, b, c, d) in enumerate(tuples):
-        for j, (e, f, g, h) in enumerate(tuples):
-            prod = (
-                (a * e + b * g) % p,
-                (a * f + b * h) % p,
-                (c * e + d * g) % p,
-                (c * f + d * h) % p,
-            )
-            table[i, j] = tup_index[prod]
+    p, m = space.p, len(els)
+    mats = np.stack([s.matrix for s in els])
+    digits = p ** np.arange(3, -1, -1, dtype=np.int64)
+    index = np.full(p**4, -1, dtype=np.int64)
+    index[mats.reshape(m, 4) @ digits] = np.arange(m)
+    table = np.empty((m, m), dtype=np.int64)
+    for i, a in enumerate(mats):  # a row at a time: no (m, m, 2, 2) temporary
+        table[i] = index[(a @ mats % p).reshape(m, 4) @ digits]
+    if (table < 0).any():
+        raise RuntimeError("a product of two elements of Sp(W) left Sp(W)")
     return TableGroup(table, names=els)
 
 
@@ -434,12 +432,15 @@ def verify_intertwining(lift: WeilLift, exhaustive: bool | None = None) -> Check
     else:
         hs = [g.from_w(g.space.basis_vector(i)) for i in range(g.dim)]
         hs.append(g.central(1))
-    for s, mat in lift.sp_images.items():
+    sps = list(lift.sp_images)
+    act = g.linear_action(np.stack([s.matrix for s in sps]))  # act[i, h] = s_i . h
+    for s, moved_by_s in zip(sps, act.tolist()):
+        mat = lift.sp_images[s]
         for h in hs:
-            moved = g.element(s.apply(h.w), h.z)
+            moved = moved_by_s[h]
             report.checks += 1
             if mat @ lift.base.images[h] != lift.base.images[moved] @ mat:
-                report.failures.append((s, h))
+                report.failures.append((s, g.names[h]))
                 if len(report.failures) >= 5:
                     return report
     return report
@@ -685,20 +686,21 @@ class AbstractLift:
     std: WeilLift
     nu: SpecialIso
 
+    def __post_init__(self):
+        sps = list(self.std.sp_images)
+        act = self.group.linear_action(np.stack([s.matrix for s in sps]))
+        self.sp_action = dict(zip(sps, act))  # s -> the permutation h -> s . h
+
     @property
     def group(self) -> HeisenbergGroup:
         return self.std.group
 
-    def twisted_action(self, s: SpElement, h):
-        """s ._nu h = nu^-1(s . nu(h))."""
-        g = self.group
-        w, mu = self.nu.apply(h)
-        return self.nu.inverse_image(s.apply(w), mu)
+    def twisted_action(self, s: SpElement, h) -> int:
+        """s ._nu h = nu^-1(s . nu(h)), where s . (w, z) = (s.w, z)."""
+        return self.nu.inverse_image(self.sp_action[s][self.nu.image(h)])
 
     def h_image(self, h) -> CycMatrix:
-        g = self.group
-        w, mu = self.nu.apply(h)
-        return self.std.base.images[g.element(w, mu)]
+        return self.std.base.images[self.nu.image(h)]
 
     def image(self, s: SpElement, h) -> CycMatrix:
         return self.std.sp_images[s] @ self.h_image(h)

@@ -6,6 +6,7 @@ traces, and no tolerance appears anywhere.  Run with `pytest -s` to see
 the per-criterion lines.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -223,7 +224,7 @@ def test_criterion_07_special_isomorphisms():
             nu, g.plus_subgroup(), g.minus_z_subgroup()
         )
         assert len(hminus) == 3
-        if all(nu.mu(h) == 0 for h in g.plus_subgroup()):
+        if all(nu.mu[h] == 0 for h in g.plus_subgroup()):
             back = heis.special_iso_from_split_polarization(
                 g, g.plus_subgroup(), hminus
             )
@@ -239,7 +240,7 @@ def test_criterion_07_special_isomorphisms():
         ab = weil_mod.abstract_lift(lift.base, nu)
         for s in els:
             for x in g.elements():
-                h = nu.inverse_image(x.w, x.z)
+                h = nu.inverse_image(x)
                 assert ab.character(s, h) == reference[(s, x)]
     elapsed = time.time() - start
     assert elapsed < 60
@@ -323,13 +324,24 @@ def test_criterion_09_congruence_square_roots():
     )
 
 
+# sha256 of the `verify all --p p --ell 1` report at seed 0; the reports are
+# byte-identical for a fixed config, so any change to them shows here
+REPORT_SHA256 = {
+    3: "f6b01c2e4f8fc78c266a5deec80a946f9bd5d62ed71c8f6933058f52bf4167ca",
+    5: "b11da6f7a825c5e9fdc54430acf2ad41e2e1c8d949b1205a09233afce1686c77",
+    7: "9bbca909bd37ac1a3f64e97b2821943900a51772fc923c7193c6e9eb8d2524db",
+}
+
+
 def test_criterion_10_full_cli_runs():
     start = time.time()
     for p in (3, 5, 7):
-        code = cli_run(
-            ["verify", "all", "--p", str(p), "--ell", "1", "--out", f"/tmp/heisweil_all_p{p}.json"]
-        )
+        path = f"/tmp/heisweil_all_p{p}.json"
+        code = cli_run(["verify", "all", "--p", str(p), "--ell", "1", "--out", path])
         assert code == 0, f"verify all failed at p = {p}"
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == REPORT_SHA256[p], f"report bytes changed at p = {p}"
     elapsed = time.time() - start
     assert elapsed < 600
     _report(

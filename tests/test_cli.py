@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -161,16 +162,40 @@ def test_sqrt_cli_property(request):
             assert (root[i][j] - (i == j)) % scale == 0
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_package():
-    # python -O strips assert statements; every check must raise explicitly
+    # python -O strips assert statements; every check must raise explicitly,
+    # and a failed verification is a RuntimeError naming the condition
     package = Path(heisweil.__file__).resolve().parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Raise) and node.exc and _raises_assertion_error(node))
     ]
     assert found == []
+
+
+# sha256 of `heisweil dump <what> --p 3` on stdout, pinned against the
+# tuple-based implementation these dumps were first written by
+DUMP_SHA256_P3 = {
+    "heisenberg": "2b6aae13a8b635142c5f6eb4ff070b2f5275228c2c058acdb756dc4be282f4bb",
+    "reps": "c1e101e65cfde15e471ef320f4db32cf2720db4967211768fa026a051639abba",
+}
+
+
+@pytest.mark.parametrize("what", sorted(DUMP_SHA256_P3))
+def test_dump_bytes_pinned_p3(what):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(["dump", what, "--p", "3"]) == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == DUMP_SHA256_P3[what]
 
 
 def test_sqrt_large_modulus_under_optimize_flag():

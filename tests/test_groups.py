@@ -1,10 +1,24 @@
 import operator
 
 from heisweil.groups import closure, extend_hom
-from heisweil.heisenberg import HeisenbergGroup
+from heisweil.heisenberg import HElem, HeisenbergGroup
 from heisweil.linalg import CycMatrix
-from heisweil.mackey import heisenberg_table_group, symmetric_group
+from heisweil.mackey import symmetric_group
 from heisweil.symplectic import SymplecticSpace
+
+
+def _heisenberg_law(space):
+    """(w1, z1)(w2, z2) = (w1 + w2, z1 + z2 + (1/2)<w1, w2>) on HElem tuples."""
+    p, half, form = space.p, space.half, space.form.tolist()
+
+    def mul(a, b):
+        pair = sum(
+            x * form[i][j] * y for i, x in enumerate(a.w) for j, y in enumerate(b.w)
+        )
+        w = tuple((x + y) % p for x, y in zip(a.w, b.w))
+        return HElem(w, (a.z + b.z + half * pair) % p)
+
+    return mul
 
 
 def test_closure_is_breadth_first():
@@ -48,8 +62,22 @@ def test_extend_hom_rejects_non_generating_set():
 
 def test_heisenberg_closure_matches_table_closure_p3():
     g = HeisenbergGroup(SymplecticSpace(3, 1))
-    tg = heisenberg_table_group(g)
-    for a in range(tg.order):
-        for b in range(tg.order):
-            on_table = {tg.names[i] for i in tg.subgroup_generated([a, b])}
-            assert g.subgroup_generated([tg.names[a], tg.names[b]]) == on_table
+    law = _heisenberg_law(g.space)
+    one = HElem((0, 0), 0)
+    for a in range(g.order):
+        for b in range(g.order):
+            on_table = {g.names[i] for i in g.subgroup_generated([a, b])}
+            by_law = closure([one], [g.names[a], g.names[b]], law)
+            assert set(by_law) == on_table
+
+
+def test_is_subgroup_rejects_a_set_missing_one_product():
+    g = HeisenbergGroup(SymplecticSpace(3, 1))
+    for sub in g.all_subgroups():
+        assert g.is_subgroup(sub)
+        for x in sorted(sub)[1:]:
+            assert not g.is_subgroup(sub - {x})
+    s3 = symmetric_group(3)
+    assert s3.is_subgroup(range(6)) and s3.is_subgroup([0])
+    assert not s3.is_subgroup(range(1, 6))  # no identity
+    assert not s3.is_subgroup([])

@@ -16,6 +16,7 @@ from heisweil.heisenberg import (
     order_two_automorphisms_inverting_center,
     order_two_automorphisms_trivial_on_center,
     polarization_from_involution,
+    special_iso_axioms,
     special_iso_equal_tests,
     special_iso_from_split_polarization,
     split_polarization_from_iso,
@@ -36,7 +37,7 @@ def h5():
 def test_multiplication_example(h3):
     e1, e2 = h3.from_w((1, 0)), h3.from_w((0, 1))
     prod = h3.mul(e1, e2)
-    assert prod == HElem((1, 1), 2)  # (1/2)<e1,e2> = 2*1 in F_3
+    assert h3.names[prod] == HElem((1, 1), 2)  # (1/2)<e1,e2> = 2*1 in F_3
 
 
 def test_identity_and_inverse(h3):
@@ -75,15 +76,17 @@ def test_center_equals_commutator_subgroup(h3):
 
 
 def test_commutator_examples(h3):
+    comm = h3.commutator_values()
     e1, e2 = h3.from_w((1, 0)), h3.from_w((0, 1))
-    assert h3.commutator(e1, e2) == 1
-    assert h3.commutator(h3.element((1, 0), 2), h3.element((1, 0), 1)) == 0
-    assert h3.commutator(h3.central(2), e1) == 0
+    assert comm[e1, e2] == 1
+    assert comm[h3.element((1, 0), 2), h3.element((1, 0), 1)] == 0
+    assert comm[h3.central(2), e1] == 0
 
 
 def test_commutator_equals_form(h3):
+    comm = h3.commutator_values()
     for a, b in itertools.product(h3.elements(), repeat=2):
-        assert h3.commutator(a, b) == h3.space.pair(a.w, b.w)
+        assert comm[a, b] == h3.space.pair(h3.names[a].w, h3.names[b].w)
 
 
 # -- special isomorphisms ------------------------------------------------------
@@ -95,7 +98,7 @@ def test_special_iso_count_and_torsor(h3):
     assert len(isos) == 3 ** 2
     assert len({nu.offset for nu in isos}) == 9
     # distinct offsets give distinct maps (simply transitive W-action)
-    mu_tables = {tuple(nu.mu(h) for h in h3.elements()) for nu in isos}
+    mu_tables = {tuple(nu.mu.tolist()) for nu in isos}
     assert len(mu_tables) == 9
 
 
@@ -121,8 +124,8 @@ def test_conjugated_split_polarization_shifts_offset(h3):
     matching = [
         candidate
         for candidate in all_special_isos(h3)
-        if all(candidate.mu(h) == 0 for h in hplus)
-        and all(candidate.mu(h) == 0 for h in hminus)
+        if all(candidate.mu[h] == 0 for h in hplus)
+        and all(candidate.mu[h] == 0 for h in hminus)
     ]
     assert matching == [nu]
 
@@ -140,7 +143,7 @@ def test_split_from_iso_sizes_and_roundtrip(h3):
             nu, h3.plus_subgroup(), h3.minus_z_subgroup()
         )
         assert len(hminus) == 3  # p^l
-        if all(nu.mu(h) == 0 for h in h3.plus_subgroup()):
+        if all(nu.mu[h] == 0 for h in h3.plus_subgroup()):
             back = special_iso_from_split_polarization(
                 h3, h3.plus_subgroup(), hminus
             )
@@ -177,7 +180,7 @@ def test_polarization_from_involution_roundtrip(h3):
     assert len(hplus) == 3 and len(hhat) == 9  # p^l and p^(l+1)
     # Hhat^- = {h : h * alpha(h) central}
     assert hhat == frozenset(
-        h for h in h3.elements() if not any(h3.mul(h, alpha.apply(h)).w)
+        h for h in h3.elements() if not any(h3.names[h3.mul(h, alpha.apply(h))].w)
     )
 
 
@@ -243,7 +246,7 @@ def test_special_iso_restriction_to_nondegenerate_subspace():
     small_space = SymplecticSpace(3, 1)
     small = HeisenbergGroup(small_space)
     embed = lambda h: big.element(
-        (h.w[0], 0, h.w[1], 0), h.z
+        (small.names[h].w[0], 0, small.names[h].w[1], 0), small.names[h].z
     )  # e1 -> e1, e2 -> e3
     # the embedding preserves the form, hence multiplication
     for a in small.elements():
@@ -253,7 +256,8 @@ def test_special_iso_restriction_to_nondegenerate_subspace():
     for _ in range(5):
         w0 = tuple(rng.randrange(3) for _ in range(4))
         nu_big = SpecialIso(big, w0)
-        mu_small = {h: nu_big.mu(embed(h)) for h in small.elements()}
+        mu_small = {h: nu_big.mu[embed(h)] for h in small.elements()}
+        comm = small.commutator_values()
         # restriction satisfies both special-isomorphism axioms
         for z in range(3):
             assert mu_small[small.central(z)] == z
@@ -263,7 +267,7 @@ def test_special_iso_restriction_to_nondegenerate_subspace():
                 rhs = (
                     mu_small[a]
                     + mu_small[b]
-                    + small.half * small.commutator(a, b)
+                    + small.half * comm[a, b]
                 ) % 3
                 assert lhs == rhs
 
@@ -278,4 +282,27 @@ def test_graph_subgroup_offset_identity(h3):
     off = graph_subgroup_offset(h3, conj)
     for h in h3.plus_subgroup():
         moved = h3.mul(h3.mul(h3.inv(g0), h), g0)
-        assert moved == HElem(h.w, h3.space.pair(h.w, off))
+        w = h3.names[h].w
+        assert moved == h3.element(w, h3.space.pair(w, off))
+
+
+# -- the index-based checks reject broken inputs ----------------------------------
+
+
+def test_special_iso_axioms_reject_one_changed_entry(h3):
+    nu = all_special_isos(h3)[4]
+    assert special_iso_axioms(h3, nu.mu)
+    for h in (0, 5, 26):  # a central element and two off the center
+        broken = nu.mu.copy()
+        broken[h] = (broken[h] + 1) % 3
+        assert not special_iso_axioms(h3, broken)
+
+
+def test_automorphism_check_rejects_non_multiplicative_permutation(h3):
+    alpha = involution_from_polarization(h3)
+    assert h3.is_automorphism(alpha.perm)
+    # swapping two images keeps a bijection but breaks products
+    perm = alpha.perm.copy()
+    perm[[3, 4]] = perm[[4, 3]]
+    assert not h3.is_automorphism(perm)
+    assert not h3.is_automorphism(perm[:-1])  # not a permutation of H

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from heisweil.groups import extend_hom
-from heisweil.heisenberg import HeisenbergGroup
+from heisweil.heisenberg import HElem, HeisenbergGroup
 from heisweil.linalg import CycMatrix
 from heisweil.mackey import (
     InvolutionRecord,
@@ -17,7 +18,6 @@ from heisweil.mackey import (
     direct_product,
     double_cosets,
     fixed_subgroup,
-    heisenberg_table_group,
     induced_hom_dim_oracle,
     inner_involution,
     inner_involutions,
@@ -275,33 +275,52 @@ def test_direct_product_and_cyclic():
     assert orders == [1, 2, 3, 3, 6, 6]
 
 
-@pytest.mark.parametrize("p,ell", [(3, 1), (3, 2), (5, 1)])
+def _heisenberg_law(space):
+    """(w1, z1)(w2, z2) = (w1 + w2, z1 + z2 + (1/2)<w1, w2>) on HElem tuples."""
+    p, half, form = space.p, space.half, space.form.tolist()
+
+    def mul(a, b):
+        pair = sum(
+            x * form[i][j] * y for i, x in enumerate(a.w) for j, y in enumerate(b.w)
+        )
+        w = tuple((x + y) % p for x, y in zip(a.w, b.w))
+        return HElem(w, (a.z + b.z + half * pair) % p)
+
+    return mul
+
+
+@pytest.mark.parametrize("p,ell", [(3, 1), (3, 2), (5, 1), (7, 1)])
 def test_heisenberg_table_matches_pairwise_products(p, ell):
     g = HeisenbergGroup(SymplecticSpace(p, ell))
-    tg = heisenberg_table_group(g)
-    # reference: one HeisenbergGroup.mul per pair
-    ref = table_group_from_mul(g.elements(), g.mul, g.identity())
-    assert tg.names == ref.names
-    assert np.array_equal(tg.table, ref.table)
+    # reference: the law applied to every pair of names, in sorted order
+    names = sorted(
+        HElem(w, z)
+        for w in itertools.product(range(p), repeat=2 * ell)
+        for z in range(p)
+    )
+    ref = table_group_from_mul(names, _heisenberg_law(g.space), names[0])
+    assert g.names == ref.names
+    assert np.array_equal(g.table, ref.table)
 
 
 def test_semidirect_table_matches_pairwise_products():
     space = SymplecticSpace(3, 1)
     tg, g = semidirect_table_group(space)
-    # reference: the same group built one product at a time
+    # reference: the same group built one product at a time from the law
+    law = _heisenberg_law(space)
     sp = sp_table(space)
-    hels = g.elements()
     sp_index = {s: i for i, s in enumerate(sp.names)}
-    names = [(s, h) for s in sp.names for h in hels]
+    names = [(s, h) for s in sp.names for h in g.names]
 
     def mul(x, y):
         (s1, h1), (s2, h2) = x, y
-        moved = g.element(sp.names[sp.inv(sp_index[s2])].apply(h1.w), h1.z)
-        return (sp.names[sp.mul(sp_index[s1], sp_index[s2])], g.mul(moved, h2))
+        s2_inv = sp.names[sp.inv(sp_index[s2])]
+        moved = HElem(s2_inv.apply(h1.w), h1.z)
+        return (sp.names[sp.mul(sp_index[s1], sp_index[s2])], law(moved, h2))
 
     ref = table_group_from_mul(names, mul, names[0])
     assert tg.order == 648
-    assert tg.names == ref.names
+    assert [(s, g.names[h]) for s, h in tg.names] == ref.names
     assert np.array_equal(tg.table, ref.table)
 
 

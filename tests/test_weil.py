@@ -259,8 +259,8 @@ def test_sp_characters_p7_trivial_only():
 
 def _semidirect_inverse(g, s, h):
     s_inv = s.inverse()
-    h_inv = g.inv(h)
-    return s_inv, g.element(s.apply(h_inv.w), h_inv.z)
+    w, z = g.names[g.inv(h)]
+    return s_inv, g.element(s.apply(w), z)
 
 
 def test_contragredient_of_lift_is_lift_of_contragredient(lift3):
@@ -292,7 +292,7 @@ def test_abstract_lift_twist_relation(lift3):
     for nu in all_special_isos(g):
         ab = abstract_lift(lift3.base, nu)
         for h in g.elements():
-            twist = zeta_p(3, g.space.pair(h.w, nu.offset))
+            twist = zeta_p(3, g.space.pair(g.names[h].w, nu.offset))
             assert ab.h_image(h) == lift3.base.images[h].scale(twist)
 
 
@@ -325,7 +325,7 @@ def test_abstract_lift_characters_nu_independent(lift3):
         ab = abstract_lift(lift3.base, nu)
         for s in els:
             for x in g.elements():
-                h = nu.inverse_image(x.w, x.z)  # the element matching x
+                h = nu.inverse_image(x)  # the element matching x
                 assert ab.character(s, h) == reference[(s, x)]
 
 
