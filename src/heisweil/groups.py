@@ -26,6 +26,7 @@ __all__ = [
     "TableGroup",
     "closure",
     "extend_hom",
+    "generators_within",
     "table_group_from_mul",
 ]
 
@@ -175,6 +176,25 @@ class TableGroup:
 
     def __repr__(self):
         return f"TableGroup(order={self.order})"
+
+
+def generators_within(g: TableGroup, members) -> list[int]:
+    """A small generating set of the subgroup given by ``members``: each
+    member, in index order, that the ones before it do not generate."""
+    members = sorted(frozenset(members))
+    target = frozenset(members)
+    gens: list[int] = []
+    generated = frozenset([0])
+    for a in members:
+        if a in generated:
+            continue
+        gens.append(a)
+        generated = g.subgroup_generated(gens)
+        if generated == target:
+            break
+    if generated != target:
+        raise ValueError("members are not a subgroup")
+    return gens
 
 
 def table_group_from_mul(elements, mul, identity) -> TableGroup:

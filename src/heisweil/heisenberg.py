@@ -276,7 +276,7 @@ def _side_by_w(g: HeisenbergGroup, side) -> np.ndarray:
 
 def _basis_of(group: HeisenbergGroup, vectors) -> list[tuple[int, ...]]:
     mat = np.array(sorted(vectors), dtype=np.int64)
-    red, _ = rref_mod(mat, group.p)
+    red, _, _ = rref_mod(mat, group.p)
     return [tuple(int(x) for x in row) for row in red]
 
 
@@ -473,7 +473,7 @@ def graph_subgroup_offset(group: HeisenbergGroup, hplus) -> tuple[int, ...]:
     rhs = np.array([by_w[b] for b in basis], dtype=np.int64)
     # underdetermined in general: solve via rref on [rows | rhs]
     aug = np.concatenate([rows, rhs[:, None]], axis=1)
-    red, pivots = rref_mod(aug, g.p)
+    red, pivots, _ = rref_mod(aug, g.p)
     if any(pc == g.dim for pc in pivots):
         raise ValueError("subgroup is not a graph of a linear map")
     w0 = np.zeros(g.dim, dtype=np.int64)

@@ -3,8 +3,10 @@
 Two layers:
 
 - :class:`CycMatrix`, a small dense matrix of :class:`CycNumber` entries
-  with exact inverse, REF-based rank/nullspace, trace and conjugation.
-  Fine for dimensions up to a few dozen.
+  with trace, conjugation and exact inverse, determinant, rank and
+  nullspace.  The last four all read one Gauss-Jordan elimination,
+  :func:`_rref`, which returns the reduced rows, the pivot columns and
+  the determinant.  Fine for dimensions up to a few dozen.
 
 - one packed multiplication kernel behind both :meth:`CycMatrix.__matmul__`
   and :func:`verify_multiplication_table`.  A family of matrices is packed
@@ -172,53 +174,25 @@ class CycMatrix:
                 f"inverse of a non-square {self.nrows}x{self.ncols} matrix"
             )
         d = self.nrows
+        one, zero = CycNumber.one(self.N), CycNumber.zero(self.N)
         aug = [
-            list(r)
-            + [
-                CycNumber.one(self.N) if i == j else CycNumber.zero(self.N)
-                for j in range(d)
-            ]
+            list(r) + [one if i == j else zero for j in range(d)]
             for i, r in enumerate(self.rows)
         ]
-        for col in range(d):
-            piv = next(
-                (r for r in range(col, d) if not aug[r][col].is_zero()), None
-            )
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [inv * x for x in aug[col]]
-            for r in range(d):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return CycMatrix(self.N, [row[d:] for row in aug])
+        red, pivots, _ = _rref(aug)
+        if pivots != list(range(d)):
+            raise ZeroDivisionError("singular matrix")
+        return CycMatrix(self.N, [row[d:] for row in red])
 
     def det(self) -> CycNumber:
         if self.nrows != self.ncols:
             raise ValueError(
                 f"determinant of a non-square {self.nrows}x{self.ncols} matrix"
             )
-        d = self.nrows
-        a = [list(r) for r in self.rows]
-        out = CycNumber.one(self.N)
-        for col in range(d):
-            piv = next(
-                (r for r in range(col, d) if not a[r][col].is_zero()), None
-            )
-            if piv is None:
-                return CycNumber.zero(self.N)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                out = -out
-            out = out * a[col][col]
-            inv = a[col][col].inverse()
-            for r in range(col + 1, d):
-                if not a[r][col].is_zero():
-                    f = a[r][col] * inv
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return out
+        if not self.rows:
+            return CycNumber.one(self.N)
+        _, pivots, det = _rref(self.rows)
+        return det if len(pivots) == self.nrows else CycNumber.zero(self.N)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -240,35 +214,41 @@ class CycMatrix:
 # -- exact row reduction ------------------------------------------------------
 
 
-def _rref(rows: list[list[CycNumber]]) -> list[list[CycNumber]]:
-    """Reduced row echelon form over the field; returns nonzero rows."""
+def _rref(rows: list[list[CycNumber]]):
+    """Reduced row echelon form over the field, the one pivot loop here.
+
+    Returns (nonzero rows, pivot columns, det), where det is the product of
+    the pivots as they are found, negated at each row swap: the determinant
+    of a square matrix of full rank.
+    """
     rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivot_row = 0
+    ncols = len(rows[0]) if rows else 0
+    pivots, det = [], 1
     for col in range(ncols):
+        r0 = len(pivots)
         piv = next(
-            (r for r in range(pivot_row, len(rows)) if not rows[r][col].is_zero()),
-            None,
+            (r for r in range(r0, len(rows)) if not rows[r][col].is_zero()), None
         )
         if piv is None:
             continue
-        rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        rows[pivot_row] = [inv * x for x in rows[pivot_row]]
+        if piv != r0:
+            rows[r0], rows[piv] = rows[piv], rows[r0]
+            det = -det
+        det = det * rows[r0][col]
+        inv = rows[r0][col].inverse()
+        rows[r0] = [inv * x for x in rows[r0]]
         for r in range(len(rows)):
-            if r != pivot_row and not rows[r][col].is_zero():
+            if r != r0 and not rows[r][col].is_zero():
                 f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[r0])]
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return [r for r in rows if any(not x.is_zero() for x in r)]
+    return rows[: len(pivots)], pivots, det
 
 
 def row_space_rank(rows: list[list[CycNumber]]) -> int:
-    return len(_rref(rows))
+    return len(_rref(rows)[1])
 
 
 def same_row_space(rows_a, rows_b) -> bool:
@@ -279,10 +259,7 @@ def same_row_space(rows_a, rows_b) -> bool:
 
 def nullspace(rows: list[list[CycNumber]], n: int, ncols: int):
     """Basis of {v : rows @ v = 0}, as column vectors (lists)."""
-    red = _rref(rows)
-    pivots = []
-    for r in red:
-        pivots.append(next(j for j, x in enumerate(r) if not x.is_zero()))
+    red, pivots, _ = _rref(rows)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for j in free:

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from heisweil.groups import TableGroup, closure, extend_hom, table_group_from_mul
+from heisweil.groups import (
+    TableGroup,
+    closure,
+    extend_hom,
+    generators_within,
+    table_group_from_mul,
+)
 from heisweil.linalg import CycMatrix
 from heisweil.reps import MatrixRep, hom_dim
 
@@ -208,31 +214,13 @@ def conjugate_involution(
     return InvolutionRecord(tuple(t[t[a, perm[t[t[ainv], a]]], ainv].tolist()))
 
 
-def _generators_within(g: TableGroup, members) -> list[int]:
-    """A small generating set of the subgroup given by ``members``."""
-    members = sorted(frozenset(members))
-    target = frozenset(members)
-    gens: list[int] = []
-    generated = frozenset([0])
-    for a in members:
-        if a in generated:
-            continue
-        gens.append(a)
-        generated = g.subgroup_generated(gens)
-        if generated == target:
-            break
-    if generated != target:
-        raise ValueError("actor is not a subgroup")
-    return gens
-
-
 def involution_orbits(g: TableGroup, thetas, actor) -> list[list[InvolutionRecord]]:
     """Partition of the given involutions under conjugation by the actor
     subgroup (orbits are computed with a generating set of the actor)."""
     thetas = list(thetas)
     if thetas and not thetas[0].is_valid(g):
         raise ValueError("input is not an involutive automorphism")
-    gens = _generators_within(g, actor)
+    gens = generators_within(g, actor)
     remaining = {t.perm: t for t in thetas}
     orbits = []
     while remaining:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from heisweil.groups import generators_within
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import CycMatrix, nullspace, row_space_rank, same_row_space
 from heisweil.scalar import CycNumber, run_conductor, zeta_p
@@ -214,8 +215,8 @@ def fixed_forms(rep: MatrixRep, subgroup) -> FixedForms:
     """Basis of Hom_K(tau, 1) for the minus model, built twice.
 
     Once through the double-coset sum forms lambda_x(phi) = sum_k phi(x k)
-    over qualifying cosets, once as the nullspace of the K-invariance
-    conditions; the two spans must agree.
+    over qualifying cosets, once as the nullspace of the invariance
+    conditions for a generating set of K; the two spans must agree.
     """
     if rep.model != "minus":
         raise ValueError("fixed_forms expects a minus-model Heisenberg rep")
@@ -257,10 +258,11 @@ def fixed_forms(rep: MatrixRep, subgroup) -> FixedForms:
             ]
         )
 
-    # brute-force: lambda with lambda . rep(k) = lambda for all k in K
+    # brute-force: lambda with lambda . rep(k) = lambda for all k in K,
+    # which holds for all of K once it holds for a generating set
     stacked = []
     eye = CycMatrix.identity(n, rep.dim)
-    for k in K.tolist():
+    for k in generators_within(g, K.tolist()):
         diff = rep.images[k].transpose() - eye
         stacked.extend(diff.rows)
     null = nullspace(stacked, n, rep.dim)

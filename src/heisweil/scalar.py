@@ -6,10 +6,12 @@ common positive denominator, always fully reduced modulo the N-th
 cyclotomic polynomial and with gcd(numerators, denominator) = 1.  That
 makes equality and hashing literal tuple comparisons.
 
-The complex embedding zeta_N -> exp(2*pi*i/N) is fixed once and for all;
-``conj`` is the Galois map zeta -> zeta^-1, which matches complex
-conjugation under that embedding.  ``to_complex`` exists for diagnostics
-only and is never used in any assertion.
+The complex embedding zeta_N -> exp(2*pi*i/N) is fixed once and for all.
+``galois(k)`` is the automorphism zeta -> zeta^k for a unit k mod N;
+``conj`` is ``galois(-1)``, which matches complex conjugation under that
+embedding, and ``inverse`` divides the product of the other conjugates by
+the rational norm, so this module needs no elimination.  ``to_complex``
+exists for diagnostics only and is never used in any assertion.
 
 A run of the verification suites at an odd prime p works in N = lcm(4, p),
 which contains zeta_p, i = zeta_N^p, and (through the quadratic Gauss sum)
@@ -125,13 +127,16 @@ class CycContext:
             ]
             for u in range(self.phi)
         ]
-        # Galois conjugation zeta -> zeta^-1 on the power basis
-        conj_rows = table[(-np.arange(self.phi)) % n]
-        self.conj_matrix = conj_rows  # shape (phi, phi): row j = conj(x^j)
-        self.conj_sparse = [
-            [(w, int(c)) for w, c in enumerate(conj_rows[j]) if c]
-            for j in range(self.phi)
-        ]
+        # Galois maps sigma_k: zeta -> zeta^k for each unit k mod N, as
+        # sparse tables: galois_sparse[k][j] = sigma_k(x^j) on the power basis
+        self.galois_sparse = {
+            k: [
+                [(w, int(c)) for w, c in enumerate(table[j * k % n]) if c]
+                for j in range(self.phi)
+            ]
+            for k in range(n)
+            if gcd(k, n) == 1
+        }
 
     def reduce_power(self, k: int) -> np.ndarray:
         return self.power_table[k % self.N]
@@ -201,10 +206,6 @@ class CycNumber:
 
     # -- helpers -----------------------------------------------------------
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.den) for a in self.nums)
-
     def _coerce(self, other) -> "CycNumber":
         if isinstance(other, CycNumber):
             if other.N != self.N:
@@ -273,27 +274,22 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
+        """1/a = (product of the other Galois conjugates of a) / N(a).
+
+        The norm N(a), the product of all conjugates, is rational, so no
+        elimination is needed (Cohen, GTM 138, section 4.3).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             q = 1 / self.rational_value()
             return CycNumber.from_rational(self.N, q)
-        ctx = context(self.N)
-        phi = ctx.phi
-        # Solve (multiplication-by-self) x = 1 over Q.
-        cols = []
-        for j in range(phi):
-            basis = [0] * phi
-            basis[j] = 1
-            col = (CycNumber(self.N, basis) * self).coeffs
-            cols.append(col)
-        mat = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(phi)]
-        sol = _solve_fraction_system(mat, rhs)
-        den = 1
-        for s in sol:
-            den = lcm(den, s.denominator)
-        return CycNumber(self.N, [int(s * den) for s in sol], den)
+        others = CycNumber.one(self.N)
+        for k in context(self.N).galois_sparse:
+            if k != 1:
+                others = others * self.galois(k)
+        norm = (self * others).rational_value()
+        return others * (1 / norm)
 
     def __truediv__(self, other) -> "CycNumber":
         return self * self._coerce(other).inverse()
@@ -313,15 +309,22 @@ class CycNumber:
             k >>= 1
         return out
 
-    def conj(self) -> "CycNumber":
+    def galois(self, k: int) -> "CycNumber":
+        """sigma_k(self) for the automorphism zeta -> zeta^k, k a unit mod N."""
         ctx = context(self.N)
+        tables = ctx.galois_sparse.get(k % self.N)
+        if tables is None:
+            raise ValueError(f"{k} is not a unit mod {self.N}")
         out = [0] * ctx.phi
         for j, aj in enumerate(self.nums):
             if not aj:
                 continue
-            for w, coef in ctx.conj_sparse[j]:
+            for w, coef in tables[j]:
                 out[w] += aj * coef
         return CycNumber(self.N, out, self.den)
+
+    def conj(self) -> "CycNumber":
+        return self.galois(-1)
 
     # -- comparisons / hashing ---------------------------------------------
 
@@ -395,22 +398,6 @@ class CycNumber:
 class _ConductorClash(ValueError):
     def __init__(self, a, b):
         super().__init__(f"conductor mismatch: {a.N} vs {b.N}")
-
-
-def _solve_fraction_system(mat: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination over Q; mat is square and invertible."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def root_of_unity(n: int, k: int) -> CycNumber:

@@ -22,7 +22,7 @@ from heisweil import prounipotent as pro
 from heisweil import reps as reps_mod
 from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
-from heisweil.groups import extend_hom
+from heisweil.groups import extend_hom, generators_within
 from heisweil.linalg import CycMatrix
 from heisweil.scalar import CycNumber, gauss_sum, root_of_unity, run_conductor, zeta_p
 
@@ -721,7 +721,7 @@ def _contragredient_check(lift, exhaustive: bool, seed: int = 0) -> CheckResult:
 def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
     """All characters of an abelian subgroup, as MatrixReps on the members."""
     mset = frozenset(members)
-    gens = mk._generators_within(tg, mset)
+    gens = generators_within(tg, mset)
     orders = [tg.element_order(a) for a in gens]
     # the subgroup as a TableGroup of its own, on sub-indices of sorted members
     sub_names = sorted(mset)

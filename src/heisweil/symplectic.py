@@ -57,56 +57,27 @@ def mat_mul(a, b, p: int) -> np.ndarray:
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 
-def mat_inv(a, p: int) -> np.ndarray:
-    a = np.array(a, dtype=np.int64) % p
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r, col] % p), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix mod p")
-        aug[[row, piv]] = aug[[piv, row]]
-        aug[row] = (aug[row] * pow(int(aug[row, col]), p - 2, p)) % p
-        for r in range(n):
-            if r != row and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
-        row += 1
-    return aug[:, n:]
-
-
-def mat_det(a, p: int) -> int:
-    a = np.array(a, dtype=np.int64) % p
-    n = a.shape[0]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r, col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            det = -det
-        det = det * int(a[col, col]) % p
-        inv = pow(int(a[col, col]), p - 2, p)
-        for r in range(col + 1, n):
-            if a[r, col]:
-                a[r] = (a[r] - (a[r, col] * inv % p) * a[col]) % p
-    return det % p
-
-
 def rref_mod(a, p: int):
-    """Row echelon form mod p; returns (reduced rows, pivot columns)."""
+    """Reduced row echelon form mod p, the one pivot loop over F_p.
+
+    Returns (nonzero rows, pivot columns, det), where det is the product of
+    the pivots as they are found, negated at each row swap: the determinant
+    mod p of a square matrix of full rank.
+    """
     a = np.array(a, dtype=np.int64) % p
     if a.size == 0:
-        return a, []
+        return a, [], 1
     rows, cols = a.shape
-    pivots = []
+    pivots, det = [], 1
     r = 0
     for c in range(cols):
-        piv = next((k for k in range(r, rows) if a[k, c] % p), None)
+        piv = next((k for k in range(r, rows) if a[k, c]), None)
         if piv is None:
             continue
-        a[[r, piv]] = a[[piv, r]]
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+            det = -det
+        det = det * int(a[r, c]) % p
         a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
         for k in range(rows):
             if k != r and a[k, c]:
@@ -115,13 +86,29 @@ def rref_mod(a, p: int):
         r += 1
         if r == rows:
             break
-    return a[: len(pivots)], pivots
+    return a[: len(pivots)], pivots, det
+
+
+def mat_inv(a, p: int) -> np.ndarray:
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[0]
+    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
+    red, pivots, _ = rref_mod(aug, p)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix mod p")
+    return red[:, n:]
+
+
+def mat_det(a, p: int) -> int:
+    a = np.asarray(a, dtype=np.int64)
+    _, pivots, det = rref_mod(a, p)
+    return det if len(pivots) == a.shape[0] else 0
 
 
 def nullspace_mod(a, p: int) -> list[tuple[int, ...]]:
     """Basis of the right kernel of a mod p, as tuples."""
     a = np.atleast_2d(np.array(a, dtype=np.int64) % p)
-    red, pivots = rref_mod(a, p)
+    red, pivots, _ = rref_mod(a, p)
     ncols = a.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

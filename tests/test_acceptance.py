@@ -333,10 +333,10 @@ REPORT_SHA256 = {
 }
 
 
-def test_criterion_10_full_cli_runs():
+def test_criterion_10_full_cli_runs(tmp_path):
     start = time.time()
     for p in (3, 5, 7):
-        path = f"/tmp/heisweil_all_p{p}.json"
+        path = str(tmp_path / f"heisweil_all_p{p}.json")
         code = cli_run(["verify", "all", "--p", str(p), "--ell", "1", "--out", path])
         assert code == 0, f"verify all failed at p = {p}"
         with open(path, "rb") as fh:

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,3 +145,91 @@ def test_verify_table_reports_a_corrupted_numerator(packed_lift3):
     failures = verify_multiplication_table(bad, den, table, n, max_failures=5)
     assert failures
     assert all(5 in (s, t, table[s, t]) for s, t in failures)
+
+
+def random_matrix(rng, n, nrows, ncols, zero_chance=0.4):
+    """Entries over Q(zeta_n) with many zeros, so elimination must swap rows."""
+    phi = context(n).phi
+
+    def entry():
+        if rng.random() < zero_chance:
+            return CycNumber.zero(n)
+        return CycNumber(n, [rng.randint(-4, 4) for _ in range(phi)], rng.randint(1, 3))
+
+    return CycMatrix(n, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+
+
+def leibniz_det(rows, one):
+    """Sum over permutations of sign * product of entries: the reference."""
+    d = len(rows)
+    total = one - one
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        term = one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [12, 28])
+def test_det_matches_leibniz_and_is_multiplicative(n):
+    rng = random.Random(n)
+    one = CycNumber.one(n)
+    swaps = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    mats = [random_matrix(rng, n, 3, 3) for _ in range(12)]
+    mats.append(CycMatrix.from_entries(n, swaps))
+    for a in mats:
+        assert a.det() == leibniz_det(a.rows, one), a.rows
+    assert mats[-1].det() == one  # a 3-cycle is even
+    assert CycMatrix.from_entries(n, [[0, 1], [1, 0]]).det() == -one
+    for a, b in zip(mats, mats[1:]):
+        assert (a @ b).det() == a.det() * b.det()
+
+
+@pytest.mark.parametrize("n", [12, 28])
+def test_inverse_is_two_sided(n):
+    rng = random.Random(1000 + n)
+    eye = CycMatrix.identity(n, 4)
+    tried = 0
+    for _ in range(10):
+        a = random_matrix(rng, n, 4, 4)
+        if a.det().is_zero():
+            continue
+        tried += 1
+        assert a @ a.inverse() == eye
+        assert a.inverse() @ a == eye
+    assert tried >= 5
+
+
+def test_singular_matrix_has_det_zero_and_no_inverse():
+    rng = random.Random(7)
+    a = random_matrix(rng, 12, 2, 3, zero_chance=0.0)
+    c = CycNumber(12, [1, 2, 0, -1], 3)
+    third = [x + c * y for x, y in zip(*a.rows)]
+    s = CycMatrix(12, a.rows + [third])
+    assert s.det() == CycNumber.zero(12)
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        s.inverse()
+
+
+def test_zero_by_zero_det_is_one():
+    assert CycMatrix(12, []).det() == CycNumber.one(12)
+
+
+@pytest.mark.parametrize("n,shape", [(12, (3, 5)), (28, (4, 4)), (12, (5, 3))])
+def test_nullspace_is_the_kernel(n, shape):
+    rng = random.Random(sum(shape) + n)
+    a = random_matrix(rng, n, *shape)
+    # a rank-deficient stack: repeat a combination of the first two rows
+    rows = a.rows + [[x - y * 2 for x, y in zip(a.rows[0], a.rows[1])]]
+    ncols = shape[1]
+    basis = linalg.nullspace(rows, n, ncols)
+    zero = CycNumber.zero(n)
+    for v in basis:
+        assert any(not x.is_zero() for x in v)
+        for row in rows:
+            assert sum((x * y for x, y in zip(row, v)), start=zero) == zero
+    rank = linalg.row_space_rank(rows)
+    assert rank + len(basis) == ncols
+    assert linalg.row_space_rank([list(v) for v in basis]) == len(basis)

@@ -1,6 +1,8 @@
 """Exactness and algebra of the cyclotomic scalar layer."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -149,3 +151,54 @@ def test_rational_detection():
     x = root_of_unity(12, 6)  # = -1
     assert x.is_rational() and x.rational_value() == Fraction(-1)
     assert not root_of_unity(12, 4).is_rational()
+
+
+def random_cyc(rng, n):
+    nums = [0 if rng.random() < 0.3 else rng.randint(-7, 7) for _ in range(len_phi(n))]
+    return CycNumber(n, nums, rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_inverse_for_every_conductor_up_to_40(n):
+    rng = random.Random(n)
+    one = CycNumber.one(n)
+    samples = [random_cyc(rng, n) for _ in range(4)]
+    samples += [root_of_unity(n, 1) + 2, 1 - root_of_unity(n, 1) * 3]
+    for a in samples:
+        if a.is_zero():
+            continue
+        inv = a.inverse()
+        assert a * inv == one, (n, a)
+        assert inv.inverse() == a
+
+
+def test_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        CycNumber.zero(12).inverse()
+
+
+def units(n):
+    return [k for k in range(1, n + 1) if gcd(k, n) == 1]
+
+
+@pytest.mark.parametrize("n", [5, 8, 9, 12, 15, 28])
+def test_galois_maps_are_composing_ring_automorphisms(n):
+    rng = random.Random(100 + n)
+    for k in units(n):
+        for j in range(n):
+            assert root_of_unity(n, j).galois(k) == root_of_unity(n, j * k)
+    for _ in range(3):
+        a, b = random_cyc(rng, n), random_cyc(rng, n)
+        for k in units(n):
+            assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+            assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+            for l in units(n):
+                assert a.galois(k).galois(l) == a.galois(k * l)
+        assert a.galois(1) == a
+        assert a.galois(-1) == a.conj()
+        assert abs(a.conj().to_complex() - a.to_complex().conjugate()) < 1e-9
+
+
+def test_galois_rejects_a_non_unit():
+    with pytest.raises(ValueError, match="not a unit mod 12"):
+        root_of_unity(12, 1).galois(3)

@@ -21,6 +21,8 @@ from heisweil.symplectic import (
     is_antisymplectic,
     is_symplectic,
     m_element,
+    mat_det,
+    mat_inv,
     n_element,
     polarization_to_involution,
     weyl_element,
@@ -204,3 +206,47 @@ def test_sp4_f3_order():
 def test_enumerate_N_count():
     space = SymplecticSpace(3, 2)
     assert len(enumerate_N(space)) == 27  # symmetric 2x2 over F_3
+
+
+def leibniz_det_mod(a, p):
+    d = len(a)
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= int(a[i][j])
+        total += term
+    return total % p
+
+
+def test_mat_det_is_ad_minus_bc_on_every_2x2_mod_3():
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        assert mat_det([[a, b], [c, d]], 3) == (a * d - b * c) % 3
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_mat_inv_and_mat_det_on_random_4x4(p):
+    rng = np.random.default_rng(p)
+    eye = np.eye(4, dtype=np.int64)
+    invertible = 0
+    for _ in range(40):
+        a = rng.integers(0, p, (4, 4))
+        a[rng.random((4, 4)) < 0.3] = 0  # zeros force row swaps
+        det = mat_det(a, p)
+        assert det == leibniz_det_mod(a, p), a
+        if det:
+            invertible += 1
+            assert np.array_equal(mat_inv(a, p) @ a % p, eye)
+            assert np.array_equal(a @ mat_inv(a, p) % p, eye)
+        else:
+            with pytest.raises(ZeroDivisionError, match="singular"):
+                mat_inv(a, p)
+    assert invertible >= 20
+
+
+def test_singular_input_raises_mod_p():
+    a = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert mat_det(a, 5) == 0
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        mat_inv(a, 5)
