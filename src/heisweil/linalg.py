@@ -1,30 +1,28 @@
 """Exact linear algebra over cyclotomic fields.
 
-Two layers:
+A :class:`CycMatrix` is held in one layout, the one its products need:
+power-basis numerators ``num`` of shape (rows, cols, phi) over one
+positive denominator ``den``, reduced by their common gcd.  Every
+product runs through one packed multiplication kernel, which also backs
+:func:`verify_multiplication_table`; a family of matrices is stacked over
+its common denominator by :func:`batch_from_matrices`.  The left factor is
+folded with the (phi, phi, phi) reduction tensor of Q(zeta_N) into one
+(rows*phi) x (k*phi) integer operator, which multiplies the whole
+right-hand side in a single float64 ``@``.  Before it runs, the magnitude
+bound k * phi^2 * max|T| * max|a| * max|b| on every partial sum is
+computed; when it is not below 2^53 the same kernel runs on Python ints
+(``dtype=object``) instead, so a result is never rounded or wrapped.
 
-- :class:`CycMatrix`, a small dense matrix of :class:`CycNumber` entries
-  with trace, conjugation and exact inverse, determinant, rank and
-  nullspace.  The last four all read one Gauss-Jordan elimination,
-  :func:`_rref`, which returns the reduced rows, the pivot columns and
-  the determinant.  Fine for dimensions up to a few dozen.
-
-- one packed multiplication kernel behind both :meth:`CycMatrix.__matmul__`
-  and :func:`verify_multiplication_table`.  A family of matrices is packed
-  as power-basis numerators over a common denominator
-  (:func:`batch_from_matrices`).  The left factor is folded with the
-  (phi, phi, phi) reduction tensor of Q(zeta_N) into one
-  (rows*phi) x (k*phi) integer operator, which multiplies the whole
-  right-hand batch in a single float64 ``@``.  Before it runs, the
-  magnitude bound k * phi^2 * max|T| * max|a| * max|b| on every partial
-  sum is computed; when it is not below 2^53 the same kernel runs on
-  Python ints (``dtype=object``) instead, so a result is never rounded or
-  wrapped.
+Entries are read out as :class:`CycNumber` only where the algorithm is
+entrywise: inverse, determinant, rank and nullspace all read one
+Gauss-Jordan elimination, :func:`_rref`, which returns the reduced rows,
+the pivot columns and the determinant.  Fine for dimensions up to a few
+dozen.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -41,80 +39,89 @@ __all__ = [
 
 
 class CycMatrix:
-    """Dense matrix over Q(zeta_N) with exact arithmetic."""
+    """Dense matrix over Q(zeta_N): entry (i, j) is sum_u num[i, j, u] zeta^u / den.
 
-    __slots__ = ("N", "rows")
+    (num, den) is reduced by the gcd of all of num and den, so it is
+    canonical.  ``num`` is int64 when every |numerator| < 2^63 and an
+    object array of Python ints otherwise, so no numerator ever wraps.
+    """
+
+    __slots__ = ("N", "num", "den")
 
     def __init__(self, n: int, rows):
-        self.N = n
-        self.rows = [list(r) for r in rows]
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def from_entries(n: int, rows) -> "CycMatrix":
-        conv = [
+        """Matrix of the given rows of CycNumbers or rationals."""
+        entries = [
             [
                 e if isinstance(e, CycNumber) else CycNumber.from_rational(n, e)
                 for e in row
             ]
             for row in rows
         ]
-        return CycMatrix(n, conv)
+        den = lcm(*(e.den for row in entries for e in row))
+        nums = [[[x * (den // e.den) for x in e.nums] for e in row] for row in entries]
+        shape = (len(entries), len(entries[0]) if entries else 0, context(n).phi)
+        self._set(n, np.array(nums, dtype=object).reshape(shape), den)
+
+    def _set(self, n: int, num: np.ndarray, den: int) -> None:
+        """Store (num, den) in the canonical form; ``num`` is exact integers."""
+        if den != 1:
+            g = gcd(den, int(np.gcd.reduce(num.ravel())))
+            if g >= _INT64:  # num is all zero and g = den
+                num = num.astype(object)
+            num, den = num // g, den // g
+        if num.dtype == object and _max_abs(num) < _INT64:
+            num = num.astype(np.int64)
+        self.N, self.num, self.den = n, num, den
+
+    @classmethod
+    def _packed(cls, n: int, num: np.ndarray, den: int) -> "CycMatrix":
+        out = cls.__new__(cls)
+        out._set(n, num, den)
+        return out
 
     @staticmethod
     def identity(n: int, dim: int) -> "CycMatrix":
-        one, zero = CycNumber.one(n), CycNumber.zero(n)
-        return CycMatrix(
-            n, [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-        )
+        num = np.zeros((dim, dim, context(n).phi), dtype=np.int64)
+        num[np.arange(dim), np.arange(dim), 0] = 1
+        return CycMatrix._packed(n, num, 1)
 
-    @staticmethod
-    def zeros(n: int, nrows: int, ncols: int) -> "CycMatrix":
-        zero = CycNumber.zero(n)
-        return CycMatrix(n, [[zero] * ncols for _ in range(nrows)])
-
-    # -- shape ---------------------------------------------------------------
+    # -- shape and entries ----------------------------------------------------
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self.num.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return self.num.shape[1]
 
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> CycNumber:
         i, j = ij
-        return self.rows[i][j]
+        return CycNumber(self.N, self.num[i, j].tolist(), self.den)
+
+    @property
+    def rows(self) -> list[list[CycNumber]]:
+        """The entries as CycNumbers, built on each read."""
+        n, den = self.N, self.den
+        return [[CycNumber(n, e, den) for e in row] for row in self.num.tolist()]
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "CycMatrix") -> "CycMatrix":
-        return CycMatrix(
-            self.N,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
-
     def __sub__(self, other: "CycMatrix") -> "CycMatrix":
-        return CycMatrix(
-            self.N,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
-
-    def __neg__(self) -> "CycMatrix":
-        return CycMatrix(self.N, [[-a for a in r] for r in self.rows])
+        if self.num.shape != other.num.shape or self.N != other.N:
+            raise ValueError(f"cannot subtract {other!r} from {self!r}")
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        a, b = self.num, other.num
+        if max(_max_abs(a), 1) * fa + max(_max_abs(b), 1) * fb >= _INT64:
+            a, b = a.astype(object), b.astype(object)
+        return CycMatrix._packed(self.N, a * fa - b * fb, den)
 
     def scale(self, c) -> "CycMatrix":
-        if not isinstance(c, CycNumber):
-            c = CycNumber.from_rational(self.N, c)
-        return CycMatrix(self.N, [[c * a for a in r] for r in self.rows])
+        """c times every entry: one kernel call with c as a 1x1 left factor."""
+        left, shape = CycMatrix(self.N, [[c]]), self.num.shape
+        nums = _products(self.N, left.num, self.num.reshape(1, -1, shape[2]))
+        return CycMatrix._packed(self.N, nums.reshape(shape), left.den * self.den)
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.ncols != other.nrows:
@@ -124,21 +131,8 @@ class CycMatrix:
             )
         if self.N != other.N:
             raise ValueError(f"conductor mismatch: {self.N} vs {other.N}")
-        n, phi = self.N, context(self.N).phi
-        r, k, c = self.nrows, self.ncols, other.ncols
-        left, da, amax = _pack_entries(self.rows)
-        right, db, bmax = _pack_entries(other.rows)
-        dtype = _exact_dtype(n, k, amax, bmax)
-        left = np.array(left, dtype=dtype).reshape(r, k, phi)
-        right = np.array(right, dtype=dtype).reshape(k, c, phi)
-        right = right.transpose(0, 2, 1).reshape(k * phi, c)
-        nums = _packed_products(left, right, n).reshape(r, phi, c).transpose(0, 2, 1)
-        if dtype is np.float64:
-            nums = nums.astype(np.int64)
-        den = da * db
-        return CycMatrix(
-            n, [[CycNumber(n, e, den) for e in row] for row in nums.tolist()]
-        )
+        nums = _products(self.N, self.num, other.num)
+        return CycMatrix._packed(self.N, nums, self.den * other.den)
 
     def __pow__(self, k: int) -> "CycMatrix":
         if self.nrows != self.ncols:
@@ -157,16 +151,11 @@ class CycMatrix:
         return out
 
     def transpose(self) -> "CycMatrix":
-        return CycMatrix(self.N, [list(r) for r in zip(*self.rows)])
-
-    def conj(self) -> "CycMatrix":
-        return CycMatrix(self.N, [[a.conj() for a in r] for r in self.rows])
+        return CycMatrix._packed(self.N, self.num.transpose(1, 0, 2), self.den)
 
     def trace(self) -> CycNumber:
-        acc = CycNumber.zero(self.N)
-        for i in range(min(self.nrows, self.ncols)):
-            acc = acc + self.rows[i][i]
-        return acc
+        m = np.arange(min(self.nrows, self.ncols))
+        return CycNumber(self.N, self.num[m, m].astype(object).sum(axis=0), self.den)
 
     def inverse(self) -> "CycMatrix":
         if self.nrows != self.ncols:
@@ -174,11 +163,7 @@ class CycMatrix:
                 f"inverse of a non-square {self.nrows}x{self.ncols} matrix"
             )
         d = self.nrows
-        one, zero = CycNumber.one(self.N), CycNumber.zero(self.N)
-        aug = [
-            list(r) + [one if i == j else zero for j in range(d)]
-            for i, r in enumerate(self.rows)
-        ]
+        aug = [r + e for r, e in zip(self.rows, CycMatrix.identity(self.N, d).rows)]
         red, pivots, _ = _rref(aug)
         if pivots != list(range(d)):
             raise ZeroDivisionError("singular matrix")
@@ -189,7 +174,7 @@ class CycMatrix:
             raise ValueError(
                 f"determinant of a non-square {self.nrows}x{self.ncols} matrix"
             )
-        if not self.rows:
+        if not self.nrows:
             return CycNumber.one(self.N)
         _, pivots, det = _rref(self.rows)
         return det if len(pivots) == self.nrows else CycNumber.zero(self.N)
@@ -199,16 +184,29 @@ class CycMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        return self.N == other.N and self.rows == other.rows
+        return (
+            self.N == other.N
+            and self.den == other.den
+            and np.array_equal(self.num, other.num)
+        )
 
     def __hash__(self):
-        return hash((self.N, tuple(tuple(r) for r in self.rows)))
+        return hash((self.N, self.den, self.num.shape, tuple(self.num.ravel().tolist())))
 
     def __repr__(self) -> str:
         return f"CycMatrix({self.N}, {self.nrows}x{self.ncols})"
 
     def to_json(self):
-        return [[a.to_json() for a in r] for r in self.rows]
+        """Each entry as CycNumber.to_json gives it: reduced by its own gcd."""
+        n, den = self.N, self.den
+        out = []
+        for row in self.num.tolist():
+            jrow = []
+            for e in row:
+                g = gcd(den, *e)
+                jrow.append({"N": n, "coeffs": [[a // g, den // g] for a in e]})
+            out.append(jrow)
+        return out
 
 
 # -- exact row reduction ------------------------------------------------------
@@ -278,16 +276,11 @@ def nullspace(rows: list[list[CycNumber]], n: int, ncols: int):
 _FLOAT_EXACT = 2**53
 
 
-def _pack_entries(rows):
-    """(numerators as nested lists (r, c, phi), common denominator, max |numerator|)."""
-    den = lcm(*(e.den for row in rows for e in row))
-    nums = [
-        [e.nums if e.den == den else [x * (den // e.den) for x in e.nums] for e in row]
-        for row in rows
-    ]
-    flat = list(chain.from_iterable(e for row in nums for e in row))
-    amax = max(max(flat), -min(flat)) if flat else 0
-    return nums, den, amax
+_INT64 = 2**63  # num is int64 exactly when every |numerator| is below this
+
+
+def _max_abs(num: np.ndarray) -> int:
+    return int(np.abs(num).max(initial=0))
 
 
 def _exact_dtype(n: int, k: int, amax: int, bmax: int):
@@ -321,16 +314,29 @@ def _packed_products(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
     return operator @ right
 
 
+def _products(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact numerators, shape (r, c, phi), of packed a (r, k, phi) times b (k, c, phi)."""
+    (r, k, phi), c = a.shape, b.shape[1]
+    dtype = _exact_dtype(n, k, _max_abs(a), _max_abs(b))
+    right = b.astype(dtype).transpose(0, 2, 1).reshape(k * phi, c)
+    nums = _packed_products(a.astype(dtype), right, n)
+    if dtype is np.float64:
+        nums = nums.astype(np.int64)
+    return nums.reshape(r, phi, c).transpose(0, 2, 1)
+
+
 def batch_from_matrices(mats: list[CycMatrix], n: int):
-    """Pack matrices into (num, den): num of shape (m, r, c, phi).
+    """Stack matrices over their common denominator: (num, den) with num
+    of shape (m, r, c, phi).
 
     ``num`` is int64 when every numerator fits, and otherwise an object
-    array of Python ints, so packing never wraps.
+    array of Python ints, so stacking never wraps.
     """
-    nums, den, amax = _pack_entries([row for m in mats for row in m.rows])
-    dtype = np.int64 if amax < 2**63 else object
-    shape = (len(mats), mats[0].nrows, mats[0].ncols, context(n).phi)
-    return np.array(nums, dtype=dtype).reshape(shape), den
+    den = lcm(*(m.den for m in mats))
+    factors = [den // m.den for m in mats]
+    if any(max(_max_abs(m.num), 1) * f >= _INT64 for m, f in zip(mats, factors)):
+        return np.stack([m.num.astype(object) * f for m, f in zip(mats, factors)]), den
+    return np.stack([m.num * f for m, f in zip(mats, factors)]), den
 
 
 def verify_multiplication_table(

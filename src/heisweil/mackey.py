@@ -30,8 +30,8 @@ from heisweil.groups import (
     generators_within,
     table_group_from_mul,
 )
-from heisweil.linalg import CycMatrix
 from heisweil.reps import MatrixRep, hom_dim
+from heisweil.scalar import CycNumber
 
 __all__ = [
     "InvolutionRecord",
@@ -291,10 +291,11 @@ def induced_hom_dim_oracle(
     if dim * dim * len(list(h_sub)) > guard:
         raise ValueError("induced-representation oracle guard exceeded")
 
-    acc = CycMatrix.zeros(n, dim, dim)
+    zero = CycNumber.zero(n)
+    rows = [[zero] * dim for _ in range(dim)]
+    blocks = {k: kappa.images[k].rows for k in k_set}
     members = sorted(h_sub)
     for h in members:
-        rows = acc.rows
         for i, xi in enumerate(transversal):
             y = g.mul(xi, h)
             j = coset_of[y]
@@ -303,13 +304,13 @@ def induced_hom_dim_oracle(
                 raise RuntimeError(
                     f"x_i h x_j^-1 = {kk} is not in K (i = {i}, h = {h})"
                 )
-            block = kappa.images[kk]
+            block = blocks[kk]
             for a in range(d):
                 for b in range(d):
                     rows[i * d + a][j * d + b] = (
-                        rows[i * d + a][j * d + b] + block[a, b]
+                        rows[i * d + a][j * d + b] + block[a][b]
                     )
-    tr = acc.trace() / len(members)
+    tr = sum((rows[i][i] for i in range(dim)), start=zero) / len(members)
     if not tr.is_integer():
         raise RuntimeError(f"projector trace {tr!r} is not a rational integer")
     val = int(tr.rational_value())

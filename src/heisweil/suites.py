@@ -442,28 +442,18 @@ def suite_reps(cfg: RunConfig) -> list[CheckResult]:
 def _pairing_invariance(group, tau, rng, exhaustive):
     n = tau.conductor
     cotau_model = reps_mod.heisenberg_rep(group, group.p - 1, model="minus")
-    zero = CycNumber.zero(n)
-    dim = tau.dim
-    basis = [
-        [CycNumber.one(n) if i == j else zero for j in range(dim)]
-        for i in range(dim)
-    ]
+    basis = CycMatrix.identity(n, tau.dim).rows[:2]
     els = group.elements() if exhaustive else [
         rng.choice(group.elements()) for _ in range(25)
     ]
     ok, count = True, 0
+    columns = [CycMatrix(n, [[x] for x in f]) for f in basis]
     for h in els:
         m1, m2 = tau.images[h], cotau_model.images[h]
-        for f1 in basis[:2]:
-            for f2 in basis[:2]:
-                v1 = [
-                    sum((m1[i, k] * f1[k] for k in range(dim)), start=zero)
-                    for i in range(dim)
-                ]
-                v2 = [
-                    sum((m2[i, k] * f2[k] for k in range(dim)), start=zero)
-                    for i in range(dim)
-                ]
+        for f1, c1 in zip(basis, columns):
+            for f2, c2 in zip(basis, columns):
+                v1 = [e for (e,) in (m1 @ c1).rows]
+                v2 = [e for (e,) in (m2 @ c2).rows]
                 count += 1
                 ok &= reps_mod.invariant_pairing(
                     v1, v2, tau, cotau_model

@@ -480,17 +480,11 @@ def p_action_check(lift: WeilLift, lam=None) -> CheckReport:
             lam[origin] = CycNumber.one(n)
         else:
             lam = [CycNumber.one(n)] * dim
+    lam = CycMatrix(n, [lam])
     report = CheckReport(name="weil.parabolic_action", checks=0)
     for gel in enumerate_P(space):
-        mat = lift.sp_images[gel]
-        sign = chi_P(space, gel)
-        out = [
-            sum((lam[i] * mat[i, j] for i in range(dim)), start=CycNumber.zero(n))
-            for j in range(dim)
-        ]
-        expected = [c * sign for c in lam]
         report.checks += 1
-        if out != expected:
+        if lam @ lift.sp_images[gel] != lam.scale(chi_P(space, gel)):
             report.failures.append(gel)
     return report
 

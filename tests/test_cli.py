@@ -189,13 +189,36 @@ DUMP_SHA256_P3 = {
 }
 
 
-@pytest.mark.parametrize("what", sorted(DUMP_SHA256_P3))
-def test_dump_bytes_pinned_p3(what):
+# `dump weil` at zeta 1, keyed (p, model): the entries with a nontrivial
+# denominator; the same digests as perfbench/digests.json
+WEIL_DUMP_SHA256 = {
+    (3, "minus"): "d5d676ea243c3261b823dc25603f0ccba493779444f4559fda518a7bf0f695fe",
+    (3, "plus"): "a8545ca0a7ebd320f4afb359d64014ecffc83fddd3edd432cf500302edd41dd6",
+    (5, "minus"): "f044e758d38b4e37f1be2d1390c0a2793f6a40a83d990f779ccd8a5e27124c1a",
+    (5, "plus"): "2e1b44520d1f2beeb2e4c7e509dd5baf637dd5e3126d1e0acac25cb34572e06b",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        pytest.param(["dump", what, "--p", "3"], digest, id=what)
+        for what, digest in sorted(DUMP_SHA256_P3.items())
+    ]
+    + [
+        pytest.param(
+            ["dump", "weil", "--p", str(p), "--zeta", "1", "--model", model],
+            digest,
+            id=f"weil-p{p}-{model}",
+        )
+        for (p, model), digest in sorted(WEIL_DUMP_SHA256.items())
+    ],
+)
+def test_dump_bytes_pinned_p3(argv, digest):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert run(["dump", what, "--p", "3"]) == 0
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert digest == DUMP_SHA256_P3[what]
+        assert run(argv) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def test_sqrt_large_modulus_under_optimize_flag():

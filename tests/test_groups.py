@@ -34,7 +34,7 @@ def _s3_generators():
 
 
 def _scalar(n, value):
-    return CycMatrix.from_entries(n, [[value]])
+    return CycMatrix(n, [[value]])
 
 
 def test_extend_hom_sign_character():

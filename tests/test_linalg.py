@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,45 @@ def test_packed_matmul_equals_schoolbook(data):
     assert hash(prod) == hash(ref)
     assert prod.to_json() == ref.to_json()
 
+    # the other operations against an entrywise CycNumber reference
+    a2 = data.draw(cyc_matrices(n, r, k))
+    phi = context(n).phi
+    nums = data.draw(st.lists(st.integers(-9, 9), min_size=phi, max_size=phi))
+    c = CycNumber(n, [nums[0], data.draw(st.integers(1, 9))] + nums[2:], 5)
+    zero = CycNumber.zero(n)
+    assert a - a2 == CycMatrix(
+        n, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, a2.rows)]
+    )
+    assert a.scale(c) == CycMatrix(n, [[c * x for x in row] for row in a.rows])
+    assert a.transpose() == CycMatrix(n, [list(col) for col in zip(*a.rows)])
+    assert a.trace() == sum((a.rows[i][i] for i in range(min(r, k))), start=zero)
+
+    # entries read out one by one, and serialized one by one
+    for m in (a, prod, a - a2, a.scale(c)):
+        rows = m.rows
+        assert m.to_json() == [[e.to_json() for e in row] for row in rows]
+        assert all(m[i, j] == rows[i][j] for i in range(m.nrows) for j in range(m.ncols))
+
+    # (num, den) is canonical: a common factor is reduced away
+    factor = data.draw(st.integers(2, 30))
+    scaled = CycMatrix._packed(n, prod.num * factor, prod.den * factor)
+    assert scaled == prod
+    assert hash(scaled) == hash(prod)
+
+    # numerators past 2^63 are Python ints, and come back to int64 when they fit
+    big = 2**70
+    high = CycMatrix(n, [[e * big for e in row] for row in a.rows])
+    assert high.num.dtype == (object if a.num.any() else np.int64)
+    below = CycMatrix(n, [[e * (big - 1) for e in row] for row in a.rows])
+    for back, expected in (
+        (high @ b.scale(Fraction(1, big)), ref),
+        (high - below, a),
+    ):
+        rebuilt = CycMatrix(n, expected.rows)
+        assert back.num.dtype == np.int64
+        assert back == rebuilt
+        assert hash(back) == hash(rebuilt)
+
 
 @pytest.mark.parametrize("n", [12, 20, 28])
 def test_large_numerators_use_python_ints(n, kernel_dtypes):
@@ -99,13 +139,13 @@ def test_large_numerators_use_python_ints(n, kernel_dtypes):
 
 
 def test_small_numerators_use_float64(kernel_dtypes):
-    a = CycMatrix.from_entries(12, [[1, 2], [3, 4]])
-    assert a @ a == CycMatrix.from_entries(12, [[7, 10], [15, 22]])
+    a = CycMatrix(12, [[1, 2], [3, 4]])
+    assert a @ a == CycMatrix(12, [[7, 10], [15, 22]])
     assert kernel_dtypes == [np.float64]
 
 
 def test_shape_mismatch_names_both_shapes():
-    a = CycMatrix.zeros(12, 2, 3)
+    a = CycMatrix(12, [[0] * 3] * 2)
     with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
         a @ a
     for op in (lambda m: m**2, CycMatrix.inverse, CycMatrix.det):
@@ -178,11 +218,11 @@ def test_det_matches_leibniz_and_is_multiplicative(n):
     one = CycNumber.one(n)
     swaps = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     mats = [random_matrix(rng, n, 3, 3) for _ in range(12)]
-    mats.append(CycMatrix.from_entries(n, swaps))
+    mats.append(CycMatrix(n, swaps))
     for a in mats:
         assert a.det() == leibniz_det(a.rows, one), a.rows
     assert mats[-1].det() == one  # a 3-cycle is even
-    assert CycMatrix.from_entries(n, [[0, 1], [1, 0]]).det() == -one
+    assert CycMatrix(n, [[0, 1], [1, 0]]).det() == -one
     for a, b in zip(mats, mats[1:]):
         assert (a @ b).det() == a.det() * b.det()
 

@@ -191,7 +191,7 @@ def test_sl23_unipotent_and_scalar_operators_match_printed_formulas(ref3):
                 for t in range(3)
             ],
         )
-        expected = CycMatrix.from_entries(
+        expected = CycMatrix(
             n, [[expected[i, j] for j in range(3)] for i in range(3)]
         )
         assert img == expected
