@@ -24,6 +24,9 @@ from dataclasses import asdict
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
+from heisweil.linalg import CycMatrix
 from heisweil.suites import (
     CheckResult,
     RunConfig,
@@ -129,15 +132,18 @@ def _emit(payload, out_path: str | None, fmt: str = "json") -> None:
 
 
 def _to_json(obj) -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte.
+    """``json.dumps(plain, sort_keys=True, indent=1)``, byte for byte, where
+    ``plain`` is ``obj`` with every CycMatrix replaced by its ``to_json()``.
 
     With any ``indent`` CPython's json module falls back to its pure-Python
     encoder, which yields one string per token; a p = 7 dump is millions of
-    them.  Here a list of plain ints, or of non-empty lists of plain ints,
-    is one C-level ``str.join``, and every piece goes to one list that is
-    joined once at the end.  Other leaves (None, bool, float, subclasses)
-    go to ``json.dumps``, whose text for a leaf does not depend on the
-    indent.  Payloads are trees: there is no cycle check.
+    them.  Here a CycMatrix is one ``%`` of a cached template with the
+    integers of :meth:`CycMatrix.reduced_entries`, a list of plain ints, or
+    of non-empty lists of plain ints, is one C-level ``str.join``, and every
+    piece goes to one list that is joined once at the end.  Other leaves
+    (None, bool, float, subclasses) go to ``json.dumps``, whose text for a
+    leaf does not depend on the indent.  Payloads are trees: there is no
+    cycle check.
     """
     parts: list[str] = []
     put = parts.append
@@ -146,6 +152,13 @@ def _to_json(obj) -> str:
         # nl is the newline and indent of the line o starts on
         if isinstance(o, str):
             put(encode_basestring_ascii(o))
+        elif type(o) is CycMatrix:
+            if not (o.nrows and o.ncols):
+                write(o.to_json(), nl)
+                return
+            a, d = o.reduced_entries()
+            pairs = np.stack([a, np.broadcast_to(d[..., None], a.shape)], axis=3)
+            put(_matrix_template(o.N, *a.shape, nl) % tuple(pairs.ravel().tolist()))
         elif type(o) is int:
             put(int.__repr__(o))
         elif isinstance(o, (list, tuple)):
@@ -203,6 +216,20 @@ def _to_json(obj) -> str:
 
     write(obj, "\n")
     return "".join(parts)
+
+
+@functools.cache
+def _matrix_template(n: int, r: int, c: int, phi: int, nl: str) -> str:
+    """The indent=1 text of an r x c CycMatrix.to_json() over Q(zeta_n),
+    starting on the line whose newline and indent is nl, with a ``%d`` for
+    each numerator and denominator in the order (row, column, power, a/d).
+    """
+    i1, i2, i3, i4, i5 = (nl + " " * k for k in range(1, 6))
+    pair = "[" + i5 + "%d," + i5 + "%d" + i4 + "]"
+    coeffs = "[" + i4 + ("," + i4).join([pair] * phi) + i3 + "]"
+    entry = "{" + i3 + f'"N": {n},' + i3 + '"coeffs": ' + coeffs + i2 + "}"
+    row = "[" + i2 + ("," + i2).join([entry] * c) + i1 + "]"
+    return "[" + i1 + ("," + i1).join([row] * r) + nl + "]"
 
 
 def _suite_report(name: str, cfg: RunConfig, results: list[CheckResult]) -> dict:
@@ -282,7 +309,7 @@ def _dump(args, cfg: RunConfig):
         entries = [
             {
                 "element": s.matrix.tolist(),
-                "matrix": lift.sp_images[s].to_json(),
+                "matrix": lift.sp_images[s],
             }
             for s in sorted(lift.sp_images, key=lambda s: s.matrix.tolist())
         ]
@@ -302,7 +329,7 @@ def _dump(args, cfg: RunConfig):
             "images": [
                 {
                     "element": {"w": list(h.w), "z": h.z},
-                    "matrix": tau.images[i].to_json(),
+                    "matrix": tau.images[i],
                 }
                 for i, h in enumerate(group.names)
             ],

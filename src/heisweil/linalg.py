@@ -85,6 +85,19 @@ class CycMatrix:
         num[np.arange(dim), np.arange(dim), 0] = 1
         return CycMatrix._packed(n, num, 1)
 
+    @staticmethod
+    def from_roots(n: int, exponents, coeffs) -> "CycMatrix":
+        """Entry (i, j) = coeffs[i, j] * zeta_N^exponents[i, j], for integer coeffs.
+
+        Each entry is a row of the power table scaled by its coefficient,
+        so no CycNumber is built.
+        """
+        num = context(n).power_table[np.asarray(exponents) % n]
+        coeffs = np.asarray(coeffs)
+        if coeffs.dtype == object or _max_abs(coeffs) * _max_abs(num) >= _INT64:
+            num, coeffs = num.astype(object), coeffs.astype(object)
+        return CycMatrix._packed(n, num * coeffs[..., None], 1)
+
     # -- shape and entries ----------------------------------------------------
 
     @property
@@ -196,17 +209,31 @@ class CycMatrix:
     def __repr__(self) -> str:
         return f"CycMatrix({self.N}, {self.nrows}x{self.ncols})"
 
+    def reduced_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each entry over its own lowest denominator, as CycNumber keeps it.
+
+        Returns (a, d): entry (i, j) is sum_u a[i, j, u] zeta^u / d[i, j],
+        with a of shape (rows, cols, phi), d of shape (rows, cols) and
+        gcd(a[i, j, :], d[i, j]) = 1.  Both are int64 when num is and den
+        fits, and object arrays of Python ints otherwise.
+        """
+        num, den = self.num, self.den
+        if den >= _INT64:  # np.gcd would convert den to int64
+            num = num.astype(object)
+        g = np.gcd(np.gcd.reduce(num, axis=2), den)
+        return num // g[..., None], den // g
+
     def to_json(self):
         """Each entry as CycNumber.to_json gives it: reduced by its own gcd."""
-        n, den = self.N, self.den
-        out = []
-        for row in self.num.tolist():
-            jrow = []
-            for e in row:
-                g = gcd(den, *e)
-                jrow.append({"N": n, "coeffs": [[a // g, den // g] for a in e]})
-            out.append(jrow)
-        return out
+        n = self.N
+        a, d = self.reduced_entries()
+        return [
+            [
+                {"N": n, "coeffs": [[x, e_den] for x in e]}
+                for e, e_den in zip(row, row_den)
+            ]
+            for row, row_den in zip(a.tolist(), d.tolist())
+        ]
 
 
 # -- exact row reduction ------------------------------------------------------

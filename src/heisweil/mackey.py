@@ -267,9 +267,10 @@ def induced_hom_dim_oracle(
 ) -> int:
     """dim Hom_H(Ind_K^G kappa, 1) without Mackey theory.
 
-    Builds the block-permutation matrices of the induced representation on
-    the elements of H, averages them, and returns the exact trace of the
-    idempotent averaging projector.
+    Returns the exact trace of the idempotent averaging projector over H on
+    the induced representation, read off its block-permutation matrices:
+    x_i h = k x_j puts kappa(k) in block (i, j), so only j = i adds to the
+    trace, by trace kappa(x_i h x_i^-1).
     """
     k_set = frozenset(k_sub)
     n = kappa.conductor
@@ -291,9 +292,7 @@ def induced_hom_dim_oracle(
     if dim * dim * len(list(h_sub)) > guard:
         raise ValueError("induced-representation oracle guard exceeded")
 
-    zero = CycNumber.zero(n)
-    rows = [[zero] * dim for _ in range(dim)]
-    blocks = {k: kappa.images[k].rows for k in k_set}
+    tr = CycNumber.zero(n)
     members = sorted(h_sub)
     for h in members:
         for i, xi in enumerate(transversal):
@@ -304,13 +303,9 @@ def induced_hom_dim_oracle(
                 raise RuntimeError(
                     f"x_i h x_j^-1 = {kk} is not in K (i = {i}, h = {h})"
                 )
-            block = blocks[kk]
-            for a in range(d):
-                for b in range(d):
-                    rows[i * d + a][j * d + b] = (
-                        rows[i * d + a][j * d + b] + block[a][b]
-                    )
-    tr = sum((rows[i][i] for i in range(dim)), start=zero) / len(members)
+            if j == i:
+                tr = tr + kappa.images[kk].trace()
+    tr = tr / len(members)
     if not tr.is_integer():
         raise RuntimeError(f"projector trace {tr!r} is not a rational integer")
     val = int(tr.rational_value())

@@ -87,32 +87,29 @@ def heisenberg_rep(
         raise ValueError("model must be 'minus' or 'plus'")
     n = run_conductor(p)
     points = list(itertools.product(range(p), repeat=ell))
-    index = {t: i for i, t in enumerate(points)}
     dim = len(points)
-    zero = CycNumber.zero(n)
+    pts = np.array(points, dtype=np.int64).reshape(dim, ell)
+    place = p ** np.arange(ell - 1, -1, -1)  # position of a point in points
+    diag = np.arange(dim)
     half = group.half
 
     images = {}
     for h, (w, z) in enumerate(group.names):
-        u, v = w[:ell], w[ell:]
-        rows = [[zero] * dim for _ in range(dim)]
-        for t in points:
-            if model == "minus":
-                exp = (
-                    z
-                    + sum(a * b for a, b in zip(t, v))
-                    + half * sum(a * b for a, b in zip(v, u))
-                ) % p
-                src = tuple((a + b) % p for a, b in zip(t, u))
-            else:
-                exp = (
-                    z
-                    - sum(a * b for a, b in zip(u, t))
-                    - half * sum(a * b for a, b in zip(u, v))
-                ) % p
-                src = tuple((a + b) % p for a, b in zip(t, v))
-            rows[index[t]][index[src]] = zeta_p(p, k * exp, conductor=n)
-        images[h] = CycMatrix(n, rows)
+        u = np.array(w[:ell], dtype=np.int64)
+        v = np.array(w[ell:], dtype=np.int64)
+        if model == "minus":
+            exp = z + pts @ v + half * int(v @ u)
+            src = (pts + u) % p
+        else:
+            exp = z - pts @ u - half * int(u @ v)
+            src = (pts + v) % p
+        # row t holds zeta_p^(k exp) in the column of src
+        cols = src @ place
+        exponents = np.zeros((dim, dim), dtype=np.int64)
+        coeffs = np.zeros((dim, dim), dtype=np.int64)
+        exponents[diag, cols] = (n // p) * (k * exp % p)
+        coeffs[diag, cols] = 1
+        images[h] = CycMatrix.from_roots(n, exponents, coeffs)
     return MatrixRep(
         group=group,
         dim=dim,

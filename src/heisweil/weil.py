@@ -128,17 +128,15 @@ def _levi_image(rep: MatrixRep, y) -> CycMatrix:
     sign = legendre_symbol(mat_det(y, p), p)
     labels = rep.basis_labels
     index = {t: i for i, t in enumerate(labels)}
-    zero = CycNumber.zero(n)
-    val = CycNumber.from_rational(n, sign)
-    rows = [[zero] * rep.dim for _ in range(rep.dim)]
+    coeffs = np.zeros((rep.dim, rep.dim), dtype=np.int64)
     if rep.model == "plus":
         move = y.T % p  # phi(y) -> phi(tA y)
     else:
         move = mat_inv(y, p)  # phi(t) -> phi(A^-1 t)
     for t in labels:
         src = tuple(int(x) for x in (move @ np.array(t, dtype=np.int64)) % p)
-        rows[index[t]][index[src]] = val
-    return CycMatrix(n, rows)
+        coeffs[index[t], index[src]] = sign
+    return CycMatrix.from_roots(n, np.zeros_like(coeffs), coeffs)
 
 
 def _quadratic_phase_image(rep: MatrixRep, b, lower: bool) -> CycMatrix:
@@ -150,30 +148,20 @@ def _quadratic_phase_image(rep: MatrixRep, b, lower: bool) -> CycMatrix:
     g: HeisenbergGroup = rep.group
     p, n, half = g.p, rep.conductor, g.half
     b = np.atleast_2d(np.array(b, dtype=np.int64)) % p
-    zero = CycNumber.zero(n)
-    rows = [[zero] * rep.dim for _ in range(rep.dim)]
+    labels = np.array(rep.basis_labels, dtype=np.int64).reshape(rep.dim, -1)
+    q = np.einsum("ti,ij,tj->t", labels, b, labels) % p
     sign = -1 if lower else 1
-    for i, t in enumerate(rep.basis_labels):
-        tv = np.array(t, dtype=np.int64)
-        q = int(tv @ b @ tv) % p
-        exp = sign * half * q * rep.zeta_exponent
-        rows[i][i] = zeta_p(p, exp, conductor=n)
-    return CycMatrix(n, rows)
+    exponents = np.diag((n // p) * (sign * half * rep.zeta_exponent * q))
+    return CycMatrix.from_roots(n, exponents, np.eye(rep.dim, dtype=np.int64))
 
 
 def _fourier_kernel(rep: MatrixRep) -> CycMatrix:
     """F[t, s] = zeta(k * s.t) on the transversal (unnormalized)."""
     g: HeisenbergGroup = rep.group
     p, n, k = g.p, rep.conductor, rep.zeta_exponent
-    labels = rep.basis_labels
-    rows = []
-    for t in labels:
-        row = []
-        for s in labels:
-            dot = sum(a * b for a, b in zip(s, t)) % p
-            row.append(zeta_p(p, k * dot, conductor=n))
-        rows.append(row)
-    return CycMatrix(n, rows)
+    labels = np.array(rep.basis_labels, dtype=np.int64).reshape(rep.dim, -1)
+    exponents = (n // p) * (k * (labels @ labels.T % p))
+    return CycMatrix.from_roots(n, exponents, np.ones_like(exponents))
 
 
 def _normalization_candidates(p: int, ell: int, n: int) -> list[CycNumber]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 import heisweil
 from heisweil import cli
 from heisweil.cli import _build_parser, _to_json, run
+from heisweil.linalg import CycMatrix
+from heisweil.scalar import context
 from heisweil.suites import RunConfig, SUITES, standard_mackey_configurations
 
 
@@ -196,7 +199,12 @@ WEIL_DUMP_SHA256 = {
     (3, "plus"): "a8545ca0a7ebd320f4afb359d64014ecffc83fddd3edd432cf500302edd41dd6",
     (5, "minus"): "f044e758d38b4e37f1be2d1390c0a2793f6a40a83d990f779ccd8a5e27124c1a",
     (5, "plus"): "2e1b44520d1f2beeb2e4c7e509dd5baf637dd5e3126d1e0acac25cb34572e06b",
+    # N = 28, phi = 12: the largest matrix template
+    (7, "plus"): "07a9e565ff6fc542b0a4663133c16180ece765a227e6c50d70ee6d7d136d2b49",
 }
+
+# `dump reps --p 7`, as perfbench/digests.json pins it under "reps/p7"
+REPS_P7_SHA256 = "a0d4f3cbdf9110e8c15768342a9d4a5fd149b0c91e3c6a227f71f36aa09fdccc"
 
 
 @pytest.mark.parametrize(
@@ -212,7 +220,8 @@ WEIL_DUMP_SHA256 = {
             id=f"weil-p{p}-{model}",
         )
         for (p, model), digest in sorted(WEIL_DUMP_SHA256.items())
-    ],
+    ]
+    + [pytest.param(["dump", "reps", "--p", "7"], REPS_P7_SHA256, id="reps-p7")],
 )
 def test_dump_bytes_pinned_p3(argv, digest):
     buf = io.StringIO()
@@ -281,6 +290,18 @@ def _stdlib_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1)
 
 
+def _plain(obj):
+    """obj with every CycMatrix replaced by the to_json of its CycNumber
+    entries: the entrywise reduction, independent of the packed one."""
+    if isinstance(obj, CycMatrix):
+        return [[e.to_json() for e in row] for row in obj.rows]
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(x) for x in obj]
+    return obj
+
+
 _ints = st.integers() | st.integers(-(2**200), 2**200)
 _leaves = (
     st.none() | st.booleans() | _ints | st.floats()
@@ -312,6 +333,80 @@ def _containers(children):
 @example(value={True: float("nan"), 0: float("-inf"), -(2**70): [2**70]})
 def test_to_json_equals_stdlib_indent_1(value):
     assert _to_json(value) == _stdlib_json(value)
+
+
+@st.composite
+def _packed_matrices(draw):
+    """Packed matrices of every storage case, 0 x c and r x 0 included."""
+    n = draw(st.sampled_from([1, 4, 12, 20, 28]))
+    phi = context(n).phi
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    # from 2^63 on, np.gcd against int64 numerators would overflow
+    den = draw(
+        st.sampled_from([1, 1, 60, 2**63, 2**64, 3 * 2**70]) | st.integers(1, 10**6)
+    )
+    value = draw(
+        st.sampled_from(["small", "small", "int64", "object"]).map(
+            {
+                "small": st.integers(-12, 12),
+                "int64": st.integers(-(2**63) + 1, 2**63 - 1),
+                "object": st.integers(-(2**90), 2**90),
+            }.get
+        )
+    )
+    # an entry is all zero, a multiple of a factor of den, or arbitrary
+    entry = (
+        st.just([0] * phi)
+        | st.builds(
+            lambda f, xs: [f * x for x in xs],
+            st.sampled_from([2, 3, 5, 2**40]),
+            st.lists(value, min_size=phi, max_size=phi),
+        )
+        | st.lists(value, min_size=phi, max_size=phi)
+    )
+    entries = draw(st.lists(entry, min_size=r * c, max_size=r * c))
+    num = np.array(entries, dtype=object).reshape(r, c, phi)
+    return CycMatrix._packed(n, num, den)
+
+
+def _nest(draw, value, depth: int):
+    for _ in range(depth):
+        value = draw(
+            st.sampled_from(
+                [{"m": value}, {"a": 0, "z": value}, [value], [1, value, None]]
+            )
+        )
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_to_json_writes_packed_matrices_as_stdlib(data):
+    draw = data.draw
+    mats = draw(st.lists(_packed_matrices(), min_size=1, max_size=3))
+    m = mats[0]
+    assert m.to_json() == _plain(m)
+    assert _to_json(m) == _stdlib_json(_plain(m))
+    # the first matrix at two different depths, then the others anywhere
+    d1 = draw(st.integers(0, 2))
+    d2 = draw(st.integers(d1 + 1, 3))
+    payload = {
+        "again": _nest(draw, m, d2),
+        "first": _nest(draw, m, d1),
+        "others": [_nest(draw, x, draw(st.integers(0, 3))) for x in mats[1:]],
+    }
+    assert _to_json(payload) == _stdlib_json(_plain(payload))
+
+
+def test_packed_matrix_cases_reach_both_dtypes():
+    # int64 numerators over a denominator of at least 2^63, and object ones
+    big_den = CycMatrix._packed(12, np.array([[[1, 2, 3, 4]]], dtype=object), 2**64)
+    big_num = CycMatrix._packed(12, np.array([[[2**80, 0, 0, 1]]], dtype=object), 6)
+    assert big_den.num.dtype == np.int64 and big_den.den == 2**64
+    assert big_num.num.dtype == object
+    for m in (big_den, big_num):
+        assert m.to_json() == _plain(m)
+        assert _to_json([m, {"m": m}]) == _stdlib_json(_plain([m, {"m": m}]))
 
 
 @pytest.mark.parametrize(
@@ -346,4 +441,4 @@ def test_cli_prints_stdlib_indent_1(argv, monkeypatch):
     code, out, err = _run_captured(argv)
     assert code == 0, err
     assert len(payloads) == 1
-    assert out == _stdlib_json(payloads[0]) + "\n"
+    assert out == _stdlib_json(_plain(payloads[0])) + "\n"

@@ -11,7 +11,7 @@ import heisweil.linalg as linalg
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import CycMatrix, batch_from_matrices, verify_multiplication_table
 from heisweil.reps import heisenberg_rep
-from heisweil.scalar import CycNumber, context
+from heisweil.scalar import CycNumber, context, root_of_unity
 from heisweil.symplectic import SymplecticSpace
 from heisweil.weil import sp_table, weil_lift
 
@@ -273,3 +273,27 @@ def test_nullspace_is_the_kernel(n, shape):
     rank = linalg.row_space_rank(rows)
     assert rank + len(basis) == ncols
     assert linalg.row_space_rank([list(v) for v in basis]) == len(basis)
+
+
+@pytest.mark.parametrize("n", [1, 12, 28])
+def test_from_roots_equals_the_entrywise_matrix(n):
+    rng = random.Random(n)
+    for shape, cmax in [((3, 4), 3), ((2, 2), 2**70), ((3, 0), 1)]:
+        r, c = shape
+        exps = [[rng.randrange(-2 * n, 2 * n) for _ in range(c)] for _ in range(r)]
+        coeffs = [[rng.randint(-cmax, cmax) for _ in range(c)] for _ in range(r)]
+        expected = CycMatrix(
+            n,
+            [
+                [k * root_of_unity(n, e) for e, k in zip(er, kr)]
+                for er, kr in zip(exps, coeffs)
+            ],
+        )
+        dtype = object if cmax > 2**63 else np.int64
+        got = CycMatrix.from_roots(
+            n,
+            np.array(exps, dtype=np.int64).reshape(shape),
+            np.array(coeffs, dtype=dtype).reshape(shape),
+        )
+        assert got == expected and hash(got) == hash(expected)
+        assert got.num.dtype == dtype
