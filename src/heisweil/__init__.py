@@ -15,7 +15,9 @@ main objects:
                    for generic finite groups given by multiplication tables
 - ``prounipotent`` square roots and vanishing first cohomology in congruence
                    subgroups of GL_n(Z/p^K)
-- ``cli``          the ``heisweil`` command-line driver and verification suites
+- ``checks``       Check, the one result type of every verification
+- ``suites``       the verification suites, one Check per named identity family
+- ``cli``          the ``heisweil`` command-line driver
 """
 
 from heisweil.scalar import CycNumber, gauss_sum, root_of_unity

@@ -17,22 +17,22 @@ for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
-from dataclasses import asdict
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from heisweil.checks import Check
+from heisweil.heisenberg import HElem, HeisenbergAutomorphism, SpecialIso
 from heisweil.linalg import CycMatrix
-from heisweil.suites import (
-    CheckResult,
-    RunConfig,
-    SUITES,
-    _jsonable,
-)
+from heisweil.prounipotent import CongruenceGroup
+from heisweil.scalar import CycNumber
+from heisweil.suites import RunConfig, SUITES
+from heisweil.symplectic import SpElement
 
 SUITE_NAMES = ["heisenberg", "reps", "weil", "mackey", "sqrt"]
 
@@ -58,6 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="alternative way to pick the suite",
     )
     _add_config_flags(verify)
+    verify.add_argument("--precision", type=int, default=4, help="K for sqrt suites")
+    verify.add_argument("--samples", type=int, default=200)
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--format", choices=["json", "csv"], default="json")
 
     dump = sub.add_parser("dump", help="emit exact matrices or tables as JSON")
     dump.add_argument("what", choices=["weil", "heisenberg", "reps", "mackey"])
@@ -76,18 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
+    """The flags that verify and dump share."""
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--precision", type=int, default=4, help="K for sqrt suites")
-    p.add_argument("--k0", type=int, default=1)
     p.add_argument(
         "--mode",
         choices=["exhaustive", "relations", "sampled"],
         default="exhaustive",
     )
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=str, default=None, help="report path (default stdout)")
 
 
@@ -101,15 +101,10 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        p=args.p,
-        ell=args.ell,
-        precision=args.precision,
-        k0=args.k0,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    # dump has no --precision, --samples or --seed: those keep their defaults
+    given = vars(args)
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    return RunConfig(**{k: given[k] for k in names if k in given})
 
 
 def _emit(payload, out_path: str | None, fmt: str = "json") -> None:
@@ -232,17 +227,42 @@ def _matrix_template(n: int, r: int, c: int, phi: int, nl: str) -> str:
     return "[" + i1 + ("," + i1).join([row] * r) + nl + "]"
 
 
-def _suite_report(name: str, cfg: RunConfig, results: list[CheckResult]) -> dict:
+def _jsonable(x):
+    """A witness as plain JSON values."""
+    if isinstance(x, (str, int, float, bool)) or x is None:
+        return x
+    if isinstance(x, (CycNumber, CycMatrix)):
+        return x.to_json()
+    if isinstance(x, SpElement):
+        return {"matrix": x.matrix.tolist(), "sign": x.sign}
+    if isinstance(x, HElem):
+        return {"w": list(x.w), "z": x.z}
+    if isinstance(x, SpecialIso):
+        return {"offset": _jsonable(x.offset)}
+    if isinstance(x, HeisenbergAutomorphism):
+        return {"s": _jsonable(x.s), "w0": _jsonable(x.w0), "sign": x.central_sign}
+    if isinstance(x, CongruenceGroup):
+        return {"n": x.n, "p": x.p, "K": x.K, "k0": x.k0}
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    return repr(x)
+
+
+def _suite_report(name: str, cfg: RunConfig, results: list[Check]) -> dict:
     return {
         "suite": name,
-        "checks": sum(r.count for r in results),
+        "checks": sum(r.checks for r in results),
         "failures": [
             {"check": r.check, "witness": _jsonable(r.witness)}
             for r in results
             if not r.passed
         ],
         "seed": cfg.seed,
-        "config": asdict(cfg),
+        "config": dataclasses.asdict(cfg),
     }
 
 

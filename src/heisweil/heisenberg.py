@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from heisweil.checks import Check
 from heisweil.groups import TableGroup
 from heisweil.symplectic import (
     GuardError,
@@ -177,16 +178,19 @@ class HeisenbergGroup(TableGroup):
 # -- special isomorphisms -------------------------------------------------------
 
 
-def special_iso_axioms(group: HeisenbergGroup, mu) -> bool:
+def special_iso_axioms(group: HeisenbergGroup, mu, check: Check | None = None) -> bool:
     """Whether mu is the central coordinate of a special isomorphism:
     mu(0, z) = z on the center and mu(ab) = mu(a) + mu(b) + (1/2)[a, b] for
     every pair, with the commutator read off the table."""
     g, mu = group, np.asarray(mu)
+    check = Check("heisenberg.special_iso_axioms") if check is None else check
     center = np.array(sorted(g.center()))
-    if not np.array_equal(mu[center], g.z[center]):
-        return False
+    check.all(
+        mu[center] == g.z[center], lambda i: {"mu": mu, "center": int(center[i])}
+    )
     twisted = (mu[:, None] + mu[None, :] + g.half * g.commutator_values()) % g.p
-    return bool(np.array_equal(mu[g.table], twisted))
+    check.all(mu[g.table] == twisted, lambda a, b: {"mu": mu, "a": a, "b": b})
+    return check.passed
 
 
 @dataclass(frozen=True)
@@ -217,9 +221,9 @@ class SpecialIso:
         """nu^-1(W x 1): the elements with trivial central coordinate."""
         return frozenset(np.flatnonzero(self.mu == 0).tolist())
 
-    def check_axioms(self) -> bool:
+    def check_axioms(self, check: Check | None = None) -> bool:
         """mu(z) = z on the center and the product twist rule everywhere."""
-        return special_iso_axioms(self.group, self.mu)
+        return special_iso_axioms(self.group, self.mu, check)
 
 
 def all_special_isos(group: HeisenbergGroup) -> list[SpecialIso]:

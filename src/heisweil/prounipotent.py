@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from heisweil.checks import Check
 from heisweil.scalar import is_odd_prime
 
 __all__ = [
@@ -234,8 +235,8 @@ def _is_involution(group: CongruenceGroup, alpha, rng: random.Random, trials=40)
     )
 
 
-def _row_set(stack: np.ndarray) -> set[tuple]:
-    return {tuple(row) for row in stack.reshape(len(stack), -1).tolist()}
+def _rows(stack: np.ndarray) -> list[tuple]:
+    return list(map(tuple, stack.reshape(len(stack), -1).tolist()))
 
 
 def h1_alpha_trivial(
@@ -244,24 +245,29 @@ def h1_alpha_trivial(
     mode: str = "constructive",
     witnesses: int = 100,
     seed: int = 0,
+    check: Check | None = None,
 ):
     """Verify Z^1_alpha = B^1_alpha.
 
-    exhaustive: enumerate the whole group as one stack and compare the two
-    sets.  constructive: for random alpha-inverted z, the square root
+    exhaustive: enumerate the whole group as one stack and check, for every
+    element, that it is a cocycle exactly when it is a coboundary.
+    constructive: for random alpha-inverted z, the square root
     y = sqrt(z) satisfies z = y alpha(y)^-1 exactly (alpha commutes with
     sqrt by uniqueness of square roots).
-    Returns (ok, details).
+    Returns (ok, details); the identities go to ``check`` when one is given.
     """
     rng = random.Random(seed)
+    check = Check(f"sqrt.h1_{mode}") if check is None else check
     if not _is_involution(group, alpha, rng):
         raise ValueError("alpha is not an involutive automorphism of the group")
     if mode == "exhaustive":
         els = group.enumerate()
         images = alpha(els)
-        z1 = els[np.all(images == group.inv(els), axis=(-2, -1))]
-        b1 = _row_set(group.mul(els, group.inv(images)))
-        return _row_set(z1) == b1, {"z1": len(z1), "b1": len(b1)}
+        in_z1 = np.all(images == group.inv(els), axis=(-2, -1))
+        b1 = set(_rows(group.mul(els, group.inv(images))))
+        in_b1 = np.array([row in b1 for row in _rows(els)], dtype=bool)
+        check.all(in_z1 == in_b1, lambda i: els[i].tolist())
+        return check.passed, {"z1": int(in_z1.sum()), "b1": len(b1)}
     if mode != "constructive":
         raise ValueError(f"unknown mode {mode!r}")
     if witnesses < 1:
@@ -271,9 +277,10 @@ def h1_alpha_trivial(
     if not np.array_equal(alpha(z), group.inv(z)):
         raise RuntimeError("g alpha(g)^-1 is not alpha-inverted")
     y = sqrt(group, z)
-    bad = ~np.all(group.mul(y, group.inv(alpha(y))) == z, axis=(-2, -1))
-    if bad.any():
-        return False, {"witness": z[np.argmax(bad)].tolist()}
+    good = np.all(group.mul(y, group.inv(alpha(y))) == z, axis=(-2, -1))
+    check.all(good, lambda i: z[i].tolist())
+    if not check.passed:
+        return False, {"witness": check.witness}
     return True, {"witnesses": witnesses}
 
 

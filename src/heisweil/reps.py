@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from heisweil.checks import Check
 from heisweil.groups import generators_within
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import CycMatrix, nullspace, row_space_rank, same_row_space
@@ -63,16 +64,17 @@ class MatrixRep:
     def character(self, g) -> CycNumber:
         return self.images[g].trace()
 
-    def verify_homomorphism(self, pairs=None) -> bool:
+    def verify_homomorphism(self, pairs=None, check: Check | None = None) -> bool:
+        """tau(1) = 1 and tau(a) tau(b) = tau(ab) on ``pairs`` (every pair by
+        default)."""
         g = self.group
+        check = Check("reps.homomorphism") if check is None else check
+        one = CycMatrix.identity(self.conductor, self.dim)
+        check(self.images[g.identity()] == one, "identity")
         els = g.elements()
-        if self.images[g.identity()] != CycMatrix.identity(self.conductor, self.dim):
-            return False
-        pairs = pairs if pairs is not None else itertools.product(els, els)
-        return all(
-            self.images[a] @ self.images[b] == self.images[g.mul(a, b)]
-            for a, b in pairs
-        )
+        for a, b in itertools.product(els, els) if pairs is None else pairs:
+            check(self.images[a] @ self.images[b] == self.images[g.mul(a, b)], (a, b))
+        return check.passed
 
 
 def heisenberg_rep(

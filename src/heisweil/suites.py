@@ -1,7 +1,9 @@
 """Verification suites: every theorem-level check, packaged for the CLI.
 
-Each suite function takes a :class:`RunConfig` and returns a list of
-:class:`CheckResult`.  All randomness flows through the config seed, and
+Each suite function takes a :class:`RunConfig` and returns the
+:class:`~heisweil.checks.Check` list its :class:`~heisweil.checks.Recorder`
+collected: per check, the number of identities evaluated and the first
+failing input.  All randomness flows through the config seed, and
 iteration orders are deterministic, so a fixed config reproduces a
 byte-identical report.
 """
@@ -12,7 +14,6 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -22,12 +23,19 @@ from heisweil import prounipotent as pro
 from heisweil import reps as reps_mod
 from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
+from heisweil.checks import Check, Recorder
 from heisweil.groups import extend_hom, generators_within
 from heisweil.linalg import CycMatrix
-from heisweil.scalar import CycNumber, gauss_sum, root_of_unity, run_conductor, zeta_p
+from heisweil.scalar import (
+    CycNumber,
+    context,
+    gauss_sum,
+    root_of_unity,
+    run_conductor,
+    zeta_p,
+)
 
 __all__ = [
-    "CheckResult",
     "RunConfig",
     "SUITES",
     "standard_mackey_configurations",
@@ -39,7 +47,6 @@ class RunConfig:
     p: int = 3
     ell: int = 1
     precision: int = 4  # K for the congruence-subgroup suite
-    k0: int = 1
     mode: str = "exhaustive"  # exhaustive | relations | sampled
     samples: int = 200
     seed: int = 0
@@ -54,6 +61,12 @@ class RunConfig:
             return f"ell = {self.ell} unsupported (1, or 2 with p = 3)"
         if self.ell == 2 and self.p != 3:
             return "ell = 2 is supported only with p = 3 (relation mode)"
+        if self.samples < 1:
+            return f"samples = {self.samples} must be at least 1"
+        if self.precision < 1:
+            return f"precision = {self.precision} must be at least 1 (K >= k0 = 1)"
+        if suite in ("reps", "all") and self.ell != 1:
+            return "the reps suite runs at ell = 1 only"
         if suite in ("weil", "all") and self.mode == "exhaustive":
             if self.ell != 1 or self.p > 7:
                 return (
@@ -65,259 +78,155 @@ class RunConfig:
         return None
 
 
-@dataclass
-class CheckResult:
-    check: str
-    passed: bool
-    count: int = 1
-    witness: Any = None
-
-
-def _jsonable(x):
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    if isinstance(x, CycNumber):
-        return x.to_json()
-    if isinstance(x, CycMatrix):
-        return x.to_json()
-    if isinstance(x, sympl.SpElement):
-        return {"matrix": x.matrix.tolist(), "sign": x.sign}
-    if isinstance(x, heis.HElem):
-        return {"w": list(x.w), "z": x.z}
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    return repr(x)
-
-
 # ---------------------------------------------------------------------------
 # heisenberg suite: scalars, the symplectic layer, H itself, special isos
 # ---------------------------------------------------------------------------
 
 
-def suite_heisenberg(cfg: RunConfig) -> list[CheckResult]:
+def suite_heisenberg(cfg: RunConfig) -> list[Check]:
     rng = random.Random(cfg.seed)
     p = cfg.p
     n = run_conductor(p)
-    out: list[CheckResult] = []
+    phi = context(n).phi
+    rec = Recorder()
 
     # exact field arithmetic on random triples
     def rand_cyc():
-        from heisweil.scalar import context
-
-        phi = context(n).phi
         return CycNumber(
             n, [rng.randrange(-4, 5) for _ in range(phi)], rng.randrange(1, 4)
         )
 
-    ok, count = True, 0
+    c = rec("scalar.field_axioms")
     for _ in range(40):
-        a, b, c = rand_cyc(), rand_cyc(), rand_cyc()
-        count += 3
-        if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
-            ok = False
-        if a * (b + c) != a * b + a * c:
-            ok = False
-        if not a.is_zero() and a * a.inverse() != CycNumber.one(n):
-            ok = False
-    out.append(CheckResult("scalar.field_axioms", ok, count))
+        a, b, x = rand_cyc(), rand_cyc(), rand_cyc()
+        c((a + b) + x == a + (b + x), ("(a + b) + c", a, b, x))
+        c((a * b) * x == a * (b * x), ("(a b) c", a, b, x))
+        c(a * (b + x) == a * b + a * x, ("a (b + c)", a, b, x))
+        if not a.is_zero():
+            c(a * a.inverse() == CycNumber.one(n), ("a a^-1", a))
 
     g = gauss_sum(p)
-    sign = -1 if p % 4 == 3 else 1
-    out.append(
-        CheckResult(
-            "scalar.gauss_sum",
-            g * g.conj() == CycNumber.from_rational(n, p)
-            and g * g == CycNumber.from_rational(n, sign * p),
-            2,
-        )
-    )
+    c = rec("scalar.gauss_sum")
+    c(g * g.conj() == CycNumber.from_rational(n, p), "g conj(g) = p")
+    c(g * g == CycNumber.from_rational(n, (-1 if p % 4 == 3 else 1) * p), "g^2")
 
     space = sympl.SymplecticSpace(p, cfg.ell)
     if cfg.ell == 1:
         elems = sympl.enumerate_sp(space)
-        out.append(
-            CheckResult(
-                "symplectic.group_order", len(elems) == p * (p * p - 1), 1
-            )
-        )
+        rec("symplectic.group_order")(len(elems) == p * (p * p - 1), len(elems))
         pairs = (
             itertools.product(elems, repeat=2)
             if p == 3
             else ((rng.choice(elems), rng.choice(elems)) for _ in range(300))
         )
-        closure_ok = all(
-            sympl.is_symplectic(space, (s * t).matrix) for s, t in pairs
-        )
-        out.append(CheckResult("symplectic.closure", closure_ok, 300))
+        c = rec("symplectic.closure")
+        for s, t in pairs:
+            c(sympl.is_symplectic(space, (s * t).matrix), (s, t))
 
         ms = sympl.enumerate_M(space)
-        hom_ok = all(
-            sympl.chi_M(space, m1 * m2)
-            == sympl.chi_M(space, m1) * sympl.chi_M(space, m2)
-            for m1, m2 in itertools.product(ms, repeat=2)
-        )
-        order_two = {sympl.chi_M(space, m) for m in ms} == {1, -1}
-        out.append(
-            CheckResult(
-                "symplectic.chi_M_order_two_homomorphism",
-                hom_ok and order_two,
-                len(ms) ** 2,
-            )
-        )
+        c = rec("symplectic.chi_M_order_two_homomorphism")
+        for m1, m2 in itertools.product(ms, repeat=2):
+            chi = sympl.chi_M(space, m1) * sympl.chi_M(space, m2)
+            c(sympl.chi_M(space, m1 * m2) == chi, (m1, m2))
+        c({sympl.chi_M(space, m) for m in ms} == {1, -1}, "image is {1, -1}")
 
         pol = space.standard_polarization()
         plus, minus = pol.plus_span(), pol.minus_span()
         m_set = set(ms)
-        stab_ok = all(
-            (
-                all(s.apply(w) in plus for w in plus)
-                and all(s.apply(w) in minus for w in minus)
+        c = rec("symplectic.M_is_polarization_stabilizer")
+        for s in elems:
+            keeps = all(s.apply(w) in plus for w in plus) and all(
+                s.apply(w) in minus for w in minus
             )
-            == (s in m_set)
-            for s in elems
-        )
-        out.append(
-            CheckResult("symplectic.M_is_polarization_stabilizer", stab_ok, len(elems))
-        )
+            c(keeps == (s in m_set), s)
 
-        eig_ok, eig_count = True, 0
+        c = rec("symplectic.eigen_polarization_of_involutions")
         for s in sympl.enumerate_antisymplectic(space):
             if (s * s).is_identity():
-                eig_count += 1
                 try:
-                    pl, mi = sympl.eigen_polarization(s)
-                    sympl.Polarization(space, pl, mi)
+                    sympl.Polarization(space, *sympl.eigen_polarization(s))
                 except ValueError:
-                    eig_ok = False
-        out.append(
-            CheckResult("symplectic.eigen_polarization_of_involutions", eig_ok, eig_count)
-        )
+                    c(False, s)
+                else:
+                    c(True)
 
     group = heis.HeisenbergGroup(space)
     els = group.elements()
     t = group.table
+    c = rec("heisenberg.group_axioms")
     if p == 3 and cfg.ell == 1:
         # t[t][a, b, c] = (ab)c and t[:, t][a, b, c] = a(bc)
-        assoc_ok = bool(np.array_equal(t[t], t[:, t]))
-        assoc_count = len(els) ** 3
+        c.all(t[t] == t[:, t])
     else:
-        assoc_count = 500
-        assoc_ok = True
-        for _ in range(assoc_count):
-            a, b, c = rng.choice(els), rng.choice(els), rng.choice(els)
-            if t[t[a, b], c] != t[a, t[b, c]]:
-                assoc_ok = False
-    out.append(CheckResult("heisenberg.group_axioms", assoc_ok, assoc_count))
+        for _ in range(500):
+            a, b, x = rng.choice(els), rng.choice(els), rng.choice(els)
+            c(t[t[a, b], x] == t[a, t[b, x]], (a, b, x))
 
     # commutators off the table against <w_a, w_b> from the form
     comm = group.commutator_values()
     form_values = group.w @ space.form @ group.w.T % p
+    c = rec("heisenberg.commutator_equals_form")
     if p <= 5:
-        comm_ok = bool(np.array_equal(comm, form_values))
-        comm_count = len(els) ** 2
+        c.all(comm == form_values)
     else:
-        comm_ok, comm_count = True, 400
-        for _ in range(comm_count):
+        for _ in range(400):
             a, b = rng.choice(els), rng.choice(els)
-            comm_ok &= bool(comm[a, b] == form_values[a, b])
-    out.append(CheckResult("heisenberg.commutator_equals_form", comm_ok, comm_count))
+            c(comm[a, b] == form_values[a, b], (a, b))
 
     isos = heis.all_special_isos(group)
-    out.append(
-        CheckResult(
-            "heisenberg.special_iso_count",
-            len(isos) == p ** (2 * cfg.ell),
-            1,
-            {"count": len(isos)},
-        )
-    )
+    rec("heisenberg.special_iso_count")(len(isos) == p ** (2 * cfg.ell), len(isos))
     if p <= 5 and cfg.ell == 1:
-        axioms_ok = all(nu.check_axioms() for nu in isos)
-        out.append(
-            CheckResult("heisenberg.special_iso_axioms", axioms_ok, len(isos))
-        )
-        triple_ok = True
-        for nu1 in isos:
-            for nu2 in isos:
-                t = heis.special_iso_equal_tests(nu1, nu2)
-                if len(set(t)) != 1:
-                    triple_ok = False
-        out.append(
-            CheckResult(
-                "heisenberg.special_iso_equal_tests_agree",
-                triple_ok,
-                len(isos) ** 2,
-            )
-        )
+        c = rec("heisenberg.special_iso_axioms")
+        for nu in isos:
+            nu.check_axioms(c)
+        c = rec("heisenberg.special_iso_equal_tests_agree")
+        for nu1, nu2 in itertools.product(isos, repeat=2):
+            c(len(set(heis.special_iso_equal_tests(nu1, nu2))) == 1, (nu1, nu2))
     if cfg.ell == 1:
+        c = rec("heisenberg.split_polarization_roundtrips")
         base = heis.special_iso_from_split_polarization(
             group, group.plus_subgroup(), group.minus_subgroup()
         )
-        rt_ok = base.offset == (0,) * group.dim
+        c(base.offset == (0,) * group.dim, base)
         g0 = group.element(tuple([1] + [0] * (group.dim - 1)), 0)
         hplus = frozenset(group.conjugate(g0, h) for h in group.plus_subgroup())
         hminus = frozenset(group.conjugate(g0, h) for h in group.minus_subgroup())
         nu2 = heis.special_iso_from_split_polarization(group, hplus, hminus)
         matching = [
-            c
-            for c in isos
-            if all(c.mu[h] == 0 for h in hplus)
-            and all(c.mu[h] == 0 for h in hminus)
+            x
+            for x in isos
+            if all(x.mu[h] == 0 for h in hplus) and all(x.mu[h] == 0 for h in hminus)
         ]
-        rt_ok &= matching == [nu2]
-        splits_ok = True
+        c(matching == [nu2], matching)
         for nu in isos:
             hminus_split = heis.split_polarization_from_iso(
                 nu, group.plus_subgroup(), group.minus_z_subgroup()
             )
-            splits_ok &= len(hminus_split) == p**cfg.ell
-        out.append(
-            CheckResult(
-                "heisenberg.split_polarization_roundtrips",
-                rt_ok and splits_ok,
-                2 + len(isos),
-            )
-        )
+            c(len(hminus_split) == p**cfg.ell, nu)
 
     if p <= 5 and cfg.ell == 1:
-        autos = heis.order_two_automorphisms_trivial_on_center(group)
-        listed_ok = all(
-            a.is_order_two() and all(a.apply(z) == z for z in group.center())
-            for a in autos
-        )
-        out.append(
-            CheckResult(
-                "heisenberg.order_two_trivial_center",
-                listed_ok,
-                len(autos),
-                {"count": len(autos)},
-            )
-        )
+        c = rec("heisenberg.order_two_trivial_center")
+        center = sorted(group.center())
+        for a in heis.order_two_automorphisms_trivial_on_center(group):
+            c(a.is_order_two(), a)
+            for z in center:
+                c(a.apply(z) == z, (a, z))
 
     if p == 3 and cfg.ell == 1:
-        out.append(_specisores_check())
-    return out
+        _specisores_check(rec("heisenberg.special_iso_restriction"))
+    return rec
 
 
-def _specisores_check() -> CheckResult:
+def _specisores_check(c: Check) -> None:
     big = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 2))
     small = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 1))
     # (w1, w2; z) -> (w1, 0, w2, 0; z) preserves the form
     embed = big.index_of(np.insert(small.w, [1, 2], 0, axis=1), small.z)
 
     rng = random.Random(0)
-    ok = True
-    count = 0
     for _ in range(4):
         w0 = tuple(rng.randrange(3) for _ in range(4))
-        nu_big = heis.SpecialIso(big, w0)
-        count += 3 + small.order**2
-        ok &= heis.special_iso_axioms(small, nu_big.mu[embed])
-    return CheckResult("heisenberg.special_iso_restriction", ok, count)
+        heis.special_iso_axioms(small, heis.SpecialIso(big, w0).mu[embed], c)
 
 
 # ---------------------------------------------------------------------------
@@ -325,157 +234,115 @@ def _specisores_check() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_reps(cfg: RunConfig) -> list[CheckResult]:
+def suite_reps(cfg: RunConfig) -> list[Check]:
     rng = random.Random(cfg.seed)
     p = cfg.p
-    out: list[CheckResult] = []
+    rec = Recorder()
     group = heis.HeisenbergGroup(sympl.SymplecticSpace(p, 1))
     tau = reps_mod.heisenberg_rep(group, 1, model="minus")
 
-    hom_ok = (
-        tau.verify_homomorphism()
-        if p == 3
-        else tau.verify_homomorphism(
-            pairs=[
-                (rng.choice(group.elements()), rng.choice(group.elements()))
-                for _ in range(300)
-            ]
-        )
-    )
-    out.append(CheckResult("reps.heisenberg_rep_homomorphism", hom_ok, 300))
+    pairs = None if p == 3 else [
+        (rng.choice(group.elements()), rng.choice(group.elements()))
+        for _ in range(300)
+    ]
+    tau.verify_homomorphism(pairs, rec("reps.heisenberg_rep_homomorphism"))
 
     # fixed forms: coset basis vs nullspace basis
     if p == 3:
         subgroups = group.all_subgroups()
     else:
         subgroups = [group.random_subgroup(rng) for _ in range(50 if p == 5 else 10)]
-    ff_ok = True
+    c = rec("reps.fixed_forms_oracle_equivalence")
     for sub in subgroups:
         res = reps_mod.fixed_forms(tau, sub)
-        ff_ok &= res.spans_agree
+        c(res.spans_agree, sorted(sub))
         if group.center() <= sub:
-            ff_ok &= res.dim == 0
-    out.append(
-        CheckResult("reps.fixed_forms_oracle_equivalence", ff_ok, len(subgroups))
-    )
+            c(res.dim == 0, sorted(sub))
 
-    res_plus = reps_mod.fixed_forms(tau, group.plus_subgroup())
-    res_center = reps_mod.fixed_forms(tau, group.center())
+    c = rec("reps.fixed_forms_examples")
     w0 = group.subgroup_generated([group.from_w(tuple([1] * group.dim))])
-    res_w0 = reps_mod.fixed_forms(tau, w0)
-    out.append(
-        CheckResult(
-            "reps.fixed_forms_examples",
-            res_plus.dim == 1 and res_center.dim == 0 and res_w0.dim == 1,
-            3,
-        )
-    )
+    for label, sub, dim in (
+        ("H+", group.plus_subgroup(), 1),
+        ("center", group.center(), 0),
+        ("<(1, ..., 1)>", w0, 1),
+    ):
+        c(reps_mod.fixed_forms(tau, sub).dim == dim, label)
 
-    inv_ok, inv_count = _pairing_invariance(group, tau, rng, exhaustive=(p == 3))
-    out.append(CheckResult("reps.invariant_pairing", inv_ok, inv_count))
+    _pairing_invariance(
+        rec("reps.invariant_pairing"), group, tau, rng, exhaustive=(p == 3)
+    )
 
     if p <= 5:
         cotau = reps_mod.contragredient(tau)
         alphas = heis.order_two_automorphisms_inverting_center(group)
-        heisthm_ok = True
+        c = rec("reps.involution_polarization_and_homdim")
         for alpha in alphas:
             hplus, hhat = heis.polarization_from_involution(alpha)
-            heisthm_ok &= reps_mod.hom_dim(tau, hplus) == 1
+            c(reps_mod.hom_dim(tau, hplus) == 1, alpha)
             twisted = reps_mod.MatrixRep(
                 group=group,
                 dim=tau.dim,
                 images={h: tau.images[alpha.apply(h)] for h in group.elements()},
                 conductor=tau.conductor,
             )
-            heisthm_ok &= reps_mod.rep_equivalent(twisted, cotau)
-        out.append(
-            CheckResult(
-                "reps.involution_polarization_and_homdim",
-                heisthm_ok,
-                3 * len(alphas),
-                {"alphas": len(alphas)},
-            )
-        )
+            c(reps_mod.rep_equivalent(twisted, cotau), alpha)
 
         irreps = reps_mod.irreducibles_of_H(group)
-        gelfand_ok = all(
-            reps_mod.hom_dim(rho, alpha.fixed_points()) <= 1
-            for alpha in alphas
-            for rho in irreps
-        )
-        out.append(
-            CheckResult(
-                "reps.gelfand_bound", gelfand_ok, len(alphas) * len(irreps)
-            )
-        )
-        dc_ok = _double_coset_identity(group)
-        out.append(CheckResult("reps.gelfand_coset_identity", dc_ok, p**3))
+        c = rec("reps.gelfand_bound")
+        for alpha in alphas:
+            fixed = alpha.fixed_points()
+            for i, rho in enumerate(irreps):
+                c(reps_mod.hom_dim(rho, fixed) <= 1, (alpha, i))
+        _double_coset_identity(rec("reps.gelfand_coset_identity"), group)
 
-        counting_ok = sorted(r.dim for r in irreps) == [1] * p**2 + [p] * (p - 1)
-        ortho_ok = True
+        c = rec("reps.irreducible_census")
+        dims = sorted(r.dim for r in irreps)
+        c(dims == [1] * p**2 + [p] * (p - 1), dims)
         if p == 3:
             n = irreps[0].conductor
-            for i, r1 in enumerate(irreps):
-                for j, r2 in enumerate(irreps):
-                    ip = reps_mod.character_inner_product(r1, r2)
-                    ortho_ok &= ip == CycNumber.from_rational(
-                        n, 1 if i == j else 0
-                    )
-        out.append(
-            CheckResult(
-                "reps.irreducible_census",
-                counting_ok and ortho_ok,
-                len(irreps) ** 2,
-            )
-        )
+            for (i, r1), (j, r2) in itertools.product(enumerate(irreps), repeat=2):
+                ip = reps_mod.character_inner_product(r1, r2)
+                c(ip == CycNumber.from_rational(n, int(i == j)), (i, j))
 
-        triv = heis.order_two_automorphisms_trivial_on_center(group)
-        hom0_ok = all(
-            reps_mod.hom_dim(tau, a.fixed_points()) == 0 for a in triv
-        )
-        out.append(
-            CheckResult("reps.central_trivial_involutions_have_no_forms", hom0_ok, len(triv))
-        )
-    return out
+        c = rec("reps.central_trivial_involutions_have_no_forms")
+        for a in heis.order_two_automorphisms_trivial_on_center(group):
+            c(reps_mod.hom_dim(tau, a.fixed_points()) == 0, a)
+    return rec
 
 
-def _pairing_invariance(group, tau, rng, exhaustive):
+def _pairing_invariance(c: Check, group, tau, rng, exhaustive) -> None:
     n = tau.conductor
     cotau_model = reps_mod.heisenberg_rep(group, group.p - 1, model="minus")
     basis = CycMatrix.identity(n, tau.dim).rows[:2]
     els = group.elements() if exhaustive else [
         rng.choice(group.elements()) for _ in range(25)
     ]
-    ok, count = True, 0
     columns = [CycMatrix(n, [[x] for x in f]) for f in basis]
     for h in els:
         m1, m2 = tau.images[h], cotau_model.images[h]
-        for f1, c1 in zip(basis, columns):
-            for f2, c2 in zip(basis, columns):
-                v1 = [e for (e,) in (m1 @ c1).rows]
-                v2 = [e for (e,) in (m2 @ c2).rows]
-                count += 1
-                ok &= reps_mod.invariant_pairing(
-                    v1, v2, tau, cotau_model
-                ) == reps_mod.invariant_pairing(f1, f2, tau, cotau_model)
-    return ok, count
+        for (i, (f1, c1)), (j, (f2, c2)) in itertools.product(
+            enumerate(zip(basis, columns)), repeat=2
+        ):
+            v1 = [e for (e,) in (m1 @ c1).rows]
+            v2 = [e for (e,) in (m2 @ c2).rows]
+            c(
+                reps_mod.invariant_pairing(v1, v2, tau, cotau_model)
+                == reps_mod.invariant_pairing(f1, f2, tau, cotau_model),
+                (h, i, j),
+            )
 
 
-def _double_coset_identity(group) -> bool:
+def _double_coset_identity(c: Check, group) -> None:
     p = group.p
-    for a in range(p):
-        for b in range(p):
-            for z in range(p):
-                lhs = group.mul(
-                    group.mul(
-                        group.from_w(((-a) % p, 0)),
-                        group.element((a % p, (-b) % p), (-z) % p),
-                    ),
-                    group.from_w(((-a) % p, 0)),
-                )
-                if lhs != group.element(((-a) % p, (-b) % p), (-z) % p):
-                    return False
-    return True
+    for a, b, z in itertools.product(range(p), repeat=3):
+        lhs = group.mul(
+            group.mul(
+                group.from_w(((-a) % p, 0)),
+                group.element((a % p, (-b) % p), (-z) % p),
+            ),
+            group.from_w(((-a) % p, 0)),
+        )
+        c(lhs == group.element(((-a) % p, (-b) % p), (-z) % p), (a, b, z))
 
 
 # ---------------------------------------------------------------------------
@@ -483,200 +350,132 @@ def _double_coset_identity(group) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def suite_weil(cfg: RunConfig) -> list[CheckResult]:
+def suite_weil(cfg: RunConfig) -> list[Check]:
     p = cfg.p
-    out: list[CheckResult] = []
+    rec = Recorder()
     if cfg.ell == 2:
         group = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 2))
-        tau = reps_mod.heisenberg_rep(group, 1, model="plus")
-        lift = weil_mod.weil_lift(tau)
-        rel = weil_mod.verify_homomorphism(lift, mode="relations")
-        out.append(
-            CheckResult(
-                "weil.generator_relations",
-                rel.passed,
-                rel.checks,
-                rel.failures or None,
-            )
+        lift = weil_mod.weil_lift(reps_mod.heisenberg_rep(group, 1, model="plus"))
+        weil_mod.verify_homomorphism(
+            lift, mode="relations", check=rec("weil.generator_relations")
         )
-        inter = weil_mod.verify_intertwining(lift, exhaustive=False)
-        out.append(
-            CheckResult("weil.intertwining", inter.passed, inter.checks)
+        weil_mod.verify_intertwining(
+            lift, exhaustive=False, check=rec("weil.intertwining")
         )
-        return out
+        return rec
 
     group = heis.HeisenbergGroup(sympl.SymplecticSpace(p, 1))
-    tau = reps_mod.heisenberg_rep(group, 1, model="minus")
-    lift = weil_mod.weil_lift(tau)
-    c = lift.normalization
-    out.append(
-        CheckResult(
-            "weil.normalization_unitary",
-            c * c.conj() * p == CycNumber.one(c.N),
-            1,
-            {"c": c.to_json()},
-        )
+    lift = weil_mod.weil_lift(reps_mod.heisenberg_rep(group, 1, model="minus"))
+    norm = lift.normalization
+    rec("weil.normalization_unitary")(
+        norm * norm.conj() * p == CycNumber.one(norm.N), norm
     )
 
-    hom = weil_mod.verify_homomorphism(
-        lift, mode=cfg.mode, samples=cfg.samples, seed=cfg.seed
+    weil_mod.verify_homomorphism(
+        lift,
+        mode=cfg.mode,
+        samples=cfg.samples,
+        seed=cfg.seed,
+        check=rec(f"weil.homomorphism_{cfg.mode}"),
     )
-    out.append(
-        CheckResult(
-            f"weil.homomorphism_{cfg.mode}",
-            hom.passed,
-            hom.checks,
-            [_jsonable(f) for f in hom.failures] or None,
-        )
-    )
-
-    tau_plus = reps_mod.heisenberg_rep(group, 1, model="plus")
-    lift_plus = weil_mod.weil_lift(tau_plus)
-    homp = weil_mod.verify_homomorphism(
+    lift_plus = weil_mod.weil_lift(reps_mod.heisenberg_rep(group, 1, model="plus"))
+    weil_mod.verify_homomorphism(
         lift_plus,
         mode="sampled" if p == 7 else cfg.mode,
         samples=cfg.samples,
         seed=cfg.seed,
-    )
-    out.append(
-        CheckResult("weil.homomorphism_plus_model", homp.passed, homp.checks)
+        check=rec("weil.homomorphism_plus_model"),
     )
 
-    inter = weil_mod.verify_intertwining(lift, exhaustive=(p == 3))
-    out.append(CheckResult("weil.intertwining", inter.passed, inter.checks))
-    out.append(
-        CheckResult("weil.restriction_is_base", lift.restriction_is_base(), 1)
+    weil_mod.verify_intertwining(
+        lift, exhaustive=(p == 3), check=rec("weil.intertwining")
     )
-
-    tr = weil_mod.trace_sign_on_M(lift)
-    out.append(
-        CheckResult(
-            "weil.trace_sign_on_levi",
-            tr.passed,
-            tr.checks,
-            [_jsonable(f) for f in tr.failures] or None,
-        )
-    )
+    rec("weil.restriction_is_base")(lift.restriction_is_base())
+    weil_mod.trace_sign_on_M(lift, check=rec("weil.trace_sign_on_levi"))
     for name, lf in (("minus", lift), ("plus", lift_plus)):
-        pa = weil_mod.p_action_check(lf)
-        out.append(
-            CheckResult(f"weil.parabolic_action_{name}", pa.passed, pa.checks)
-        )
+        weil_mod.p_action_check(lf, check=rec(f"weil.parabolic_action_{name}"))
 
     if p == 3:
-        out.extend(_sl23_checks(lift))
-        out.extend(_abstract_lift_checks(lift, cfg))
-        out.append(_contragredient_check(lift, exhaustive=True))
+        _sl23_checks(rec, lift)
+        _abstract_lift_checks(rec, lift, cfg)
+        _contragredient_check(rec, lift, exhaustive=True)
     else:
         ab = weil_mod.sp_abelianization_order(group.space)
-        out.append(
-            CheckResult(
-                "weil.unique_extension_no_characters",
-                ab == 1,
-                1,
-                {"abelianization_order": ab},
-            )
+        rec("weil.unique_extension_no_characters")(
+            ab == 1, {"abelianization_order": ab}
         )
         if p == 5:
-            out.append(_contragredient_check(lift, exhaustive=False, seed=cfg.seed))
-    return out
+            _contragredient_check(rec, lift, exhaustive=False, seed=cfg.seed)
+    return rec
 
 
-def _sl23_checks(lift) -> list[CheckResult]:
-    out = []
+def _sl23_checks(rec: Recorder, lift) -> None:
     alpha, beta, ref_lift, ref = weil_mod.sl23_reference()
     els = weil_mod.sp_table(ref_lift.space).names
-    char_ok = all(
-        ref_lift.sp_images[ref.translate(s)].trace()
-        == alpha[s][0, 0] + beta[s].trace()
-        for s in els
-    )
-    out.append(CheckResult("weil.sl23_character_is_alpha_plus_beta", char_ok, len(els)))
+    c = rec("weil.sl23_character_is_alpha_plus_beta")
+    for s in els:
+        tr = ref_lift.sp_images[ref.translate(s)].trace()
+        c(tr == alpha[s][0, 0] + beta[s].trace(), s)
 
     jel = sympl.weyl_element(ref_lift.space)
     m = weil_mod.lift_in_odd_even_basis(ref, jel.inverse())
     even = CycMatrix(12, [[m[1, 1], m[1, 2]], [m[2, 1], m[2, 2]]])
-    entry_ok = even == ref.beta_j_displayed
-    out.append(
-        CheckResult(
-            "weil.sl23_beta_j_matrix",
-            entry_ok,
-            1,
-            {
-                "displayed_reading": ref.displayed_j_reading,
-                "note": "printed Fourier operator represents the inverse "
-                "Weyl element; see README",
-            },
-        )
+    rec("weil.sl23_beta_j_matrix")(
+        even == ref.beta_j_displayed,
+        {
+            "even_block": even,
+            "displayed_reading": ref.displayed_j_reading,
+            "note": "printed Fourier operator represents the inverse "
+            "Weyl element; see README",
+        },
     )
-    det_ok = all(beta[s].det() == alpha[s][0, 0] for s in els)
-    out.append(CheckResult("weil.sl23_det_beta_is_alpha", det_ok, len(els)))
+    c = rec("weil.sl23_det_beta_is_alpha")
+    for s in els:
+        c(beta[s].det() == alpha[s][0, 0], s)
 
     exts = weil_mod.three_extensions_p3(lift)
     chars = [tuple(imgs[s].trace() for s in els) for imgs in exts]
-    target = tuple(
-        alpha[s][0, 0] + beta[s].trace() for s in els
-    )
+    target = tuple(alpha[s][0, 0] + beta[s].trace() for s in els)
     translated = [
         tuple(imgs[ref.translate(s)].trace() for s in els) for imgs in exts
     ]
-    out.append(
-        CheckResult(
-            "weil.sl23_three_extensions_and_selection",
-            len(set(chars)) == 3 and translated.count(target) == 1,
-            len(exts),
-        )
-    )
-    return out
+    c = rec("weil.sl23_three_extensions_and_selection")
+    c(len(set(chars)) == 3, {"distinct_characters": len(set(chars))})
+    c(translated.count(target) == 1, {"selected": translated.count(target)})
 
 
-def _abstract_lift_checks(lift, cfg: RunConfig) -> list[CheckResult]:
+def _abstract_lift_checks(rec: Recorder, lift, cfg: RunConfig) -> None:
     rng = random.Random(cfg.seed)
     g = lift.group
-    out = []
     els = weil_mod.sp_table(g.space).names
     isos = heis.all_special_isos(g)
     base = weil_mod.abstract_lift(lift.base, heis.SpecialIso(g, (0,) * g.dim))
     reference = {
         (s, x): base.character(s, x) for s in els for x in g.elements()
     }
-    twist_ok, match_ok, rep_ok = True, True, True
+    twist = rec("weil.abstract_lift_twist_relation")
+    match = rec("weil.abstract_lift_characters_nu_independent")
+    rep_law = rec("weil.abstract_lift_rep_law")
     for nu in isos:
         ab = weil_mod.abstract_lift(lift.base, nu)
         # <w_h, w0> for every h, from the form
         pairings = (g.w @ g.space.form @ np.array(nu.offset) % g.p).tolist()
         for h in g.elements():
-            twist = zeta_p(g.p, pairings[h])
-            twist_ok &= ab.h_image(h) == lift.base.images[h].scale(twist)
+            scaled = lift.base.images[h].scale(zeta_p(g.p, pairings[h]))
+            twist(ab.h_image(h) == scaled, (nu, h))
         for s in els:
             for x in g.elements():
-                h = nu.inverse_image(x)
-                match_ok &= ab.character(s, h) == reference[(s, x)]
+                chi = ab.character(s, nu.inverse_image(x))
+                match(chi == reference[(s, x)], (nu, s, x))
         pairs = [
             ((rng.choice(els), rng.choice(g.elements())),
              (rng.choice(els), rng.choice(g.elements())))
             for _ in range(40)
         ]
-        rep_ok &= ab.verify_rep_on_pairs(pairs)
-    out.append(
-        CheckResult(
-            "weil.abstract_lift_twist_relation", twist_ok, len(isos) * g.order
-        )
-    )
-    out.append(
-        CheckResult(
-            "weil.abstract_lift_characters_nu_independent",
-            match_ok,
-            len(isos) * len(els) * g.order,
-        )
-    )
-    out.append(
-        CheckResult("weil.abstract_lift_rep_law", rep_ok, len(isos) * 40)
-    )
-    return out
+        ab.verify_rep_on_pairs(pairs, rep_law)
 
 
-def _contragredient_check(lift, exhaustive: bool, seed: int = 0) -> CheckResult:
+def _contragredient_check(rec: Recorder, lift, exhaustive: bool, seed: int = 0) -> None:
     g = lift.group
     tau_tilde = reps_mod.heisenberg_rep(g, g.p - 1, model="minus")
     lift_tilde = weil_mod.weil_lift(tau_tilde)
@@ -690,17 +489,15 @@ def _contragredient_check(lift, exhaustive: bool, seed: int = 0) -> CheckResult:
             (rng.choice(range(len(els))), rng.choice(g.elements()))
             for _ in range(200)
         ]
-    ok = True
+    c = rec("weil.contragredient_of_lift_is_lift_of_contragredient")
     for i, h in pairs:
         s = els[i]
         moved = int(act[i, g.inv(h)])
-        ok &= (
+        c(
             lift.semidirect_image(s.inverse(), moved).trace()
-            == lift_tilde.semidirect_image(s, h).trace()
+            == lift_tilde.semidirect_image(s, h).trace(),
+            (s, h),
         )
-    return CheckResult(
-        "weil.contragredient_of_lift_is_lift_of_contragredient", ok, len(pairs)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -933,77 +730,44 @@ def heisenberg_mackey_configurations():
     return configs
 
 
-def suite_mackey(cfg: RunConfig) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def suite_mackey(cfg: RunConfig) -> list[Check]:
+    rec = Recorder()
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
 
-    oracle_ok, oracle_count, mismatches = True, 0, []
+    c = rec("mackey.double_coset_sum_equals_oracle")
     for label, tg, k_members, kappa, theta in configs:
         h_members = sorted(mk.fixed_subgroup(tg, theta))
         lhs = mk.mackey_hom_dim(tg, k_members, kappa, h_members)
         rhs = mk.induced_hom_dim_oracle(tg, k_members, kappa, h_members)
-        oracle_count += 1
-        if lhs != rhs:
-            oracle_ok = False
-            mismatches.append({"config": label, "mackey": lhs, "oracle": rhs})
-    out.append(
-        CheckResult(
-            "mackey.double_coset_sum_equals_oracle",
-            oracle_ok,
-            oracle_count,
-            mismatches or {"configurations": oracle_count},
-        )
-    )
+        c(lhs == rhs, {"config": label, "mackey": lhs, "oracle": rhs})
 
-    clause_ok, clause_count = True, 0
-    triangle_ok = True
-    bound_ok = True
-    orb_ok, orb_details = True, []
-    contr_ok = True
+    clauses = rec("mackey.twisted_coset_clauses")
+    triangle = rec("mackey.triangle_bijection")
+    bounded = rec("mackey.multiplicity_bound")
+    orbmult = rec("mackey.orbit_multiplicity_formula")
+    contr = rec("mackey.contragredient_multiplicity")
     rng = random.Random(cfg.seed)
     for label, tg, k_members, kappa, theta in configs:
         orbit = mk.involution_orbits(tg, [theta], range(tg.order))[0]
         k_orbits = mk.involution_orbits(tg, orbit, k_members)
-        clause_res = _stheta_clauses(tg, k_members, theta, orbit, k_orbits, rng)
-        clause_ok &= clause_res[0]
-        clause_count += clause_res[1]
-        triangle_ok &= _triangle_bijection(tg, k_members, theta)
+        _stheta_clauses(clauses, label, tg, k_members, theta, orbit, k_orbits, rng)
+        triangle(_triangle_bijection(tg, k_members, theta), label)
         m, bound = mk.m_K(tg, k_members, theta, orbit=orbit, k_orbits=k_orbits)
         if bound is not None:
-            bound_ok &= m <= bound
+            bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
         lhs, rhs, details = mk.orbmult_check(
             tg, k_members, kappa, theta, orbit=orbit, k_orbits=k_orbits
         )
-        if lhs != rhs:
-            orb_ok = False
-            orb_details.append({"config": label, "lhs": lhs, "rhs": rhs})
-        contr_ok &= _contrmult_check(tg, k_members, kappa, theta)
-    out.append(
-        CheckResult("mackey.twisted_coset_clauses", clause_ok, clause_count)
-    )
-    out.append(
-        CheckResult("mackey.triangle_bijection", triangle_ok, len(configs))
-    )
-    out.append(CheckResult("mackey.multiplicity_bound", bound_ok, len(configs)))
-    out.append(
-        CheckResult(
-            "mackey.orbit_multiplicity_formula",
-            orb_ok,
-            len(configs),
-            orb_details or None,
-        )
-    )
-    out.append(
-        CheckResult("mackey.contragredient_multiplicity", contr_ok, len(configs))
-    )
+        orbmult(lhs == rhs, {"config": label, "lhs": lhs, "rhs": rhs})
+        contr(_contrmult_check(tg, k_members, kappa, theta), label)
 
-    inv_ok = _invstab_check()
-    out.append(CheckResult("mackey.involution_stabilizer", inv_ok, 3))
-    return out
+    _invstab_check(rec("mackey.involution_stabilizer"))
+    return rec
 
 
-def _stheta_clauses(tg, k_members, theta, orbit, k_orbits, rng) -> tuple[bool, int]:
-    ok, count = True, 0
+def _stheta_clauses(
+    c: Check, label, tg, k_members, theta, orbit, k_orbits, rng
+) -> None:
     my_orbit = next(
         o for o in k_orbits if any(t.perm == theta.perm for t in o)
     )
@@ -1019,16 +783,14 @@ def _stheta_clauses(tg, k_members, theta, orbit, k_orbits, rng) -> tuple[bool, i
         has_central_twist = any(
             tg.mul(gq, tg.inv(theta.apply(gq))) in center for gq in coset
         )
-        count += 1
-        ok &= (x in s_base) == has_central_twist
+        c((x in s_base) == has_central_twist, {"config": label, "clause": 2, "x": x})
 
     # clause 4: the cardinality only depends on the G-orbit
     sizes = set()
     for t2 in orbit[: min(len(orbit), 3)]:
         for o2 in k_orbits:
             sizes.add(len(mk.s_theta(tg, k_members, t2, o2)))
-    count += 1
-    ok &= len(sizes) == 1
+    c(len(sizes) == 1, {"config": label, "clause": 4, "sizes": sorted(sizes)})
 
     # clause 1: S(g.theta, Theta') = S(theta, Theta') g^-1
     g = rng.randrange(tg.order)
@@ -1038,8 +800,10 @@ def _stheta_clauses(tg, k_members, theta, orbit, k_orbits, rng) -> tuple[bool, i
     expected = {
         _coset_key(tg, k_members, h_moved, tg.mul(x, tg.inv(g))) for x in s_base
     }
-    count += 1
-    ok &= {_coset_key(tg, k_members, h_moved, x) for x in lhs} == expected
+    c(
+        {_coset_key(tg, k_members, h_moved, x) for x in lhs} == expected,
+        {"config": label, "clause": 1, "g": g},
+    )
 
     # clause 3: K g1 G^theta -> K (g g1 g^-1) G^(g.theta), using a central-twist
     # representative g1 in each member of S(theta, K.theta), is a bijection
@@ -1048,11 +812,10 @@ def _stheta_clauses(tg, k_members, theta, orbit, k_orbits, rng) -> tuple[bool, i
         o for o in k_orbits if any(t.perm == moved.perm for t in o)
     )
     lhs3 = mk.s_theta(tg, k_members, moved, moved_k_orbit)
-    h_theta = h_members
     image_keys = set()
     for x in s_base:
         coset = {
-            tg.mul(tg.mul(a, x), b) for a in k_members for b in h_theta
+            tg.mul(tg.mul(a, x), b) for a in k_members for b in h_members
         }
         g1 = next(
             gq
@@ -1061,12 +824,11 @@ def _stheta_clauses(tg, k_members, theta, orbit, k_orbits, rng) -> tuple[bool, i
         )
         y = tg.mul(tg.mul(g, g1), tg.inv(g))
         image_keys.add(_coset_key(tg, k_members, h_moved, y))
-    count += 1
-    ok &= (
+    c(
         len(image_keys) == len(s_base)
-        and image_keys == {_coset_key(tg, k_members, h_moved, x) for x in lhs3}
+        and image_keys == {_coset_key(tg, k_members, h_moved, x) for x in lhs3},
+        {"config": label, "clause": 3, "g": g},
     )
-    return ok, count
 
 
 def _coset_key(tg, k_members, h_members, x) -> frozenset:
@@ -1104,19 +866,20 @@ def _contrmult_check(tg, k_members, kappa, theta) -> bool:
     return lhs == rhs
 
 
-def _invstab_check() -> bool:
-    for tg in (mk.symmetric_group(3), mk.dihedral_group(4), mk.quaternion_group()):
+def _invstab_check(c: Check) -> None:
+    for label, tg in (
+        ("S3", mk.symmetric_group(3)),
+        ("D4", mk.dihedral_group(4)),
+        ("Q8", mk.quaternion_group()),
+    ):
         center = tg.center()
-        thetas = [
+        theta = next(
             t for t in mk.all_involutive_automorphisms(tg) if not t.is_identity()
-        ]
-        theta = thetas[0]
+        )
         for a in range(tg.order):
             stab = mk.conjugate_involution(tg, a, theta).perm == theta.perm
             central = tg.mul(a, tg.inv(theta.apply(a))) in center
-            if stab != central:
-                return False
-    return True
+            c(stab == central, {"group": label, "a": a})
 
 
 # ---------------------------------------------------------------------------
@@ -1124,37 +887,26 @@ def _invstab_check() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def suite_sqrt(cfg: RunConfig) -> list[CheckResult]:
+def suite_sqrt(cfg: RunConfig) -> list[Check]:
     rng = random.Random(cfg.seed)
-    out: list[CheckResult] = []
+    rec = Recorder()
 
     g1 = pro.CongruenceGroup(1, 3, 4)
     root, levels = pro.sqrt_with_trace(g1, [[4]])
-    candidates = [x for x in g1.enumerate() if (int(x[0, 0]) ** 2) % 81 == 4]
-    out.append(
-        CheckResult(
-            "sqrt.scalar_example",
-            int(root[0, 0]) == 79
-            and len(candidates) == 1
-            and int(candidates[0][0, 0]) == 79,
-            2,
-            {"root": 79, "levels": levels},
-        )
-    )
+    roots = [int(x[0, 0]) for x in g1.enumerate() if (int(x[0, 0]) ** 2) % 81 == 4]
+    c = rec("sqrt.scalar_example")
+    c(int(root[0, 0]) == 79, {"root": int(root[0, 0]), "levels": levels})
+    c(roots == [79], {"roots_by_enumeration": roots})
 
-    ok, count = True, 0
-    for n_size in (1, 2):
-        for p in (3, 5):
-            for K in (3, 4, 5, 6):
-                group = pro.CongruenceGroup(n_size, p, K)
-                # 63 * 16 combinations > 1000 roots
-                a = np.stack([group.random_element(rng) for _ in range(63)])
-                x = pro.sqrt(group, a)
-                count += len(a)
-                ok &= bool(np.array_equal(group.mul(x, x), a))
-    out.append(CheckResult("sqrt.random_square_roots", ok, count))
+    c = rec("sqrt.random_square_roots")
+    for n_size, p, K in itertools.product((1, 2), (3, 5), (3, 4, 5, 6)):
+        group = pro.CongruenceGroup(n_size, p, K)
+        # 63 * 16 combinations > 1000 roots
+        a = np.stack([group.random_element(rng) for _ in range(63)])
+        x = pro.sqrt(group, a)
+        c.all(np.all(group.mul(x, x) == a, axis=(-2, -1)), lambda i: (group, a[i]))
 
-    uniq_ok = True
+    c = rec("sqrt.uniqueness_exhaustive")
     for group in (
         pro.CongruenceGroup(2, 3, 3),
         pro.CongruenceGroup(1, 5, 5),
@@ -1164,46 +916,41 @@ def suite_sqrt(cfg: RunConfig) -> list[CheckResult]:
         squares = group.mul(els, els)
         for _ in range(5):
             a = group.random_element(rng)
-            roots = els[np.all(squares == a, axis=(-2, -1))]
-            uniq_ok &= len(roots) == 1 and np.array_equal(
-                roots[0], pro.sqrt(group, a)
+            found = els[np.all(squares == a, axis=(-2, -1))]
+            c(
+                len(found) == 1 and np.array_equal(found[0], pro.sqrt(group, a)),
+                (group, a),
             )
-    out.append(CheckResult("sqrt.uniqueness_exhaustive", uniq_ok, 15))
 
     g27 = pro.CongruenceGroup(2, 3, 3)
-    alpha27 = pro.make_alpha(g27, "transpose_inverse")
-    ok27, details27 = pro.h1_alpha_trivial(g27, alpha27, mode="exhaustive")
-    out.append(
-        CheckResult(
-            "sqrt.h1_exhaustive_transpose_inverse", ok27, 6561, details27
-        )
+    pro.h1_alpha_trivial(
+        g27,
+        pro.make_alpha(g27, "transpose_inverse"),
+        mode="exhaustive",
+        check=rec("sqrt.h1_exhaustive_transpose_inverse"),
     )
-
     g6 = pro.CongruenceGroup(2, 3, 6)
-    alpha6 = pro.make_alpha(g6, "transpose_inverse", perm=(1, 0))
-    okc, detc = pro.h1_alpha_trivial(
-        g6, alpha6, mode="constructive", witnesses=100, seed=cfg.seed
+    pro.h1_alpha_trivial(
+        g6,
+        pro.make_alpha(g6, "transpose_inverse", perm=(1, 0)),
+        mode="constructive",
+        witnesses=100,
+        seed=cfg.seed,
+        check=rec("sqrt.h1_constructive_witnesses"),
     )
-    out.append(CheckResult("sqrt.h1_constructive_witnesses", okc, 100, detc))
 
-    factor_ok, factor_count = True, 0
-    for n_size, K in ((2, cfg.precision), (3, cfg.precision)):
-        group = pro.CongruenceGroup(n_size, 3, K)
+    c = rec("sqrt.alpha_factor_witnesses")
+    for n_size in (2, 3):
+        group = pro.CongruenceGroup(n_size, 3, cfg.precision)
         perm = tuple(range(n_size - 1, -1, -1))
         alpha = pro.make_alpha(group, "transpose_inverse", perm=perm)
         for _ in range(50):
-            c = _cayley_fixed_point(group, rng)
-            a, b = pro.alpha_factor(group, c, "upper", "lower", alpha)
-            factor_count += 1
-            factor_ok &= bool(
-                np.array_equal(group.mul(a, b), c)
-                and np.array_equal(alpha(a), a)
-                and np.array_equal(alpha(b), b)
-            )
-    out.append(
-        CheckResult("sqrt.alpha_factor_witnesses", factor_ok, factor_count)
-    )
-    return out
+            cm = _cayley_fixed_point(group, rng)
+            a, b = pro.alpha_factor(group, cm, "upper", "lower", alpha)
+            c(np.array_equal(group.mul(a, b), cm), ("a b = c", group, cm))
+            c(np.array_equal(alpha(a), a), ("alpha(a) = a", group, cm))
+            c(np.array_equal(alpha(b), b), ("alpha(b) = b", group, cm))
+    return rec
 
 
 def _cayley_fixed_point(group: pro.CongruenceGroup, rng: random.Random):
@@ -1233,4 +980,3 @@ SUITES = {
     "mackey": suite_mackey,
     "sqrt": suite_sqrt,
 }
-

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from heisweil.checks import Check
 from heisweil.groups import TableGroup, extend_hom
 from heisweil.heisenberg import HeisenbergGroup, SpecialIso
 from heisweil.linalg import (
@@ -304,20 +305,13 @@ def sp_table(space: SymplecticSpace) -> TableGroup:
     return TableGroup(table, names=els)
 
 
-@dataclass
-class CheckReport:
-    name: str
-    checks: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def verify_homomorphism(
-    lift: WeilLift, mode: str = "exhaustive", samples: int = 200, seed: int = 0
-) -> CheckReport:
+    lift: WeilLift,
+    mode: str = "exhaustive",
+    samples: int = 200,
+    seed: int = 0,
+    check: Check | None = None,
+) -> Check:
     """Check sp_images(s) sp_images(t) == sp_images(st) exactly.
 
     exhaustive: every pair, through the packed multiplication kernel;
@@ -325,18 +319,17 @@ def verify_homomorphism(
     sampled:    ``samples`` random pairs.
     """
     space = lift.space
-    report = CheckReport(name=f"weil.homomorphism.{mode}", checks=0)
+    check = Check(f"weil.homomorphism.{mode}") if check is None else check
     if mode == "relations" or lift.generators_only:
-        return _verify_relations(lift, report)
+        return _verify_relations(lift, check)
     if mode == "sampled":
         rng = random.Random(seed)
-        els = list(lift.sp_images)
+        img = lift.sp_images
+        els = list(img)
         for _ in range(samples):
             s, t = rng.choice(els), rng.choice(els)
-            report.checks += 1
-            if lift.sp_images[s] @ lift.sp_images[t] != lift.sp_images[s * t]:
-                report.failures.append((s, t))
-        return report
+            check(img[s] @ img[t] == img[s * t], (s, t))
+        return check
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     if space.ell != WEIL_EXHAUSTIVE_GUARD["ell"] or space.p > WEIL_EXHAUSTIVE_GUARD["max_p"]:
@@ -346,34 +339,32 @@ def verify_homomorphism(
     els = tg.names
     mats = [lift.sp_images[s] for s in els]
     num, den = batch_from_matrices(mats, lift.base.conductor)
-    bad_pairs = verify_multiplication_table(
-        num, den, tg.table, lift.base.conductor
-    )
-    report.checks += len(els) ** 2
-    report.failures.extend((els[s], els[t]) for s, t in bad_pairs)
-    return report
+    ok = np.ones(tg.table.shape, dtype=bool)
+    for s, t in verify_multiplication_table(
+        num, den, tg.table, lift.base.conductor, max_failures=1
+    ):
+        ok[s, t] = False
+    check.all(ok, lambda s, t: (els[s], els[t]))
+    return check
 
 
-def _verify_relations(lift: WeilLift, report: CheckReport) -> CheckReport:
+def _verify_relations(lift: WeilLift, check: Check) -> Check:
     space = lift.space
     n, dim = lift.base.conductor, lift.base.dim
     ident = CycMatrix.identity(n, dim)
     img = lift.sp_images.__getitem__
     jel = weyl_element(space)
     ell, p = space.ell, space.p
-    checks = []
     if ell == 1:
-        checks.append(("j^4 = 1", img(jel) ** 4 == ident))
+        check(img(jel) ** 4 == ident, "j^4 = 1")
         nel = n_element(space, [[1]])
         braided = img(jel) @ img(nel)
-        checks.append(("(j n(1))^3 = 1", braided**3 == ident))
+        check(braided**3 == ident, "(j n(1))^3 = 1")
         m2 = m_element(space, [[2]])
-        checks.append(
-            (
-                "m(2) n(1) m(2)^-1 = n(4)",
-                img(m2) @ img(nel) @ img(m2).inverse()
-                == img(n_element(space, [[4 % p]])),
-            )
+        check(
+            img(m2) @ img(nel) @ img(m2).inverse()
+            == img(n_element(space, [[4 % p]])),
+            "m(2) n(1) m(2)^-1 = n(4)",
         )
     else:
         m1 = m_element(space, [[1, 1], [0, 1]])
@@ -381,12 +372,8 @@ def _verify_relations(lift: WeilLift, report: CheckReport) -> CheckReport:
         n1 = n_element(space, [[1, 0], [0, 0]])
         n2 = n_element(space, [[0, 0], [0, 1]])
         n3 = n_element(space, [[0, 1], [1, 0]])
-        checks.append(
-            ("n-generators commute", img(n1) @ img(n2) == img(n2) @ img(n1))
-        )
-        checks.append(
-            ("n-generators commute (2)", img(n1) @ img(n3) == img(n3) @ img(n1))
-        )
+        check(img(n1) @ img(n2) == img(n2) @ img(n1), "n-generators commute")
+        check(img(n1) @ img(n3) == img(n3) @ img(n1), "n-generators commute (2)")
         # m-conjugation carries the phase of n(b) to that of n(y b ty)
         for mel, mat in ((m1, [[1, 1], [0, 1]]), (m2, [[2, 0], [0, 1]])):
             y = np.array(mat, dtype=np.int64)
@@ -394,25 +381,23 @@ def _verify_relations(lift: WeilLift, report: CheckReport) -> CheckReport:
                 b2 = (y @ np.array(b, dtype=np.int64) @ y.T) % p
                 lhs = img(mel) @ img(nel) @ img(mel).inverse()
                 rhs = _quadratic_phase_image(lift.base, b2, lower=False)
-                checks.append(("m n m^-1 = n(y b ty)", lhs == rhs))
+                check(lhs == rhs, f"m n m^-1 = n(y b ty), y = {mat}, b = {b}")
         jj = img(jel) @ img(jel)
         mm = _levi_image(lift.base, (-np.eye(ell, dtype=np.int64)) % p)
-        checks.append(("j^2 = m(-1)", jj == mm))
+        check(jj == mm, "j^2 = m(-1)")
         nid = n_element(space, np.eye(2, dtype=np.int64))
         if nid in lift.sp_images:
             b = img(jel) @ img(nid)
-            checks.append(("(j n(I))^3 = 1", b**3 == ident))
-    for name, ok in checks:
-        report.checks += 1
-        if not ok:
-            report.failures.append(name)
-    return report
+            check(b**3 == ident, "(j n(I))^3 = 1")
+    return check
 
 
-def verify_intertwining(lift: WeilLift, exhaustive: bool | None = None) -> CheckReport:
+def verify_intertwining(
+    lift: WeilLift, exhaustive: bool | None = None, check: Check | None = None
+) -> Check:
     """sp_images(s) tau(h) == tau(s.h) sp_images(s), with s.(w,z) = (s.w, z)."""
     g = lift.group
-    report = CheckReport(name="weil.intertwining", checks=0)
+    check = Check("weil.intertwining") if check is None else check
     if exhaustive is None:
         exhaustive = g.p == 3
     if exhaustive:
@@ -422,38 +407,31 @@ def verify_intertwining(lift: WeilLift, exhaustive: bool | None = None) -> Check
         hs.append(g.central(1))
     sps = list(lift.sp_images)
     act = g.linear_action(np.stack([s.matrix for s in sps]))  # act[i, h] = s_i . h
+    tau = lift.base.images
     for s, moved_by_s in zip(sps, act.tolist()):
         mat = lift.sp_images[s]
         for h in hs:
-            moved = moved_by_s[h]
-            report.checks += 1
-            if mat @ lift.base.images[h] != lift.base.images[moved] @ mat:
-                report.failures.append((s, g.names[h]))
-                if len(report.failures) >= 5:
-                    return report
-    return report
+            check(mat @ tau[h] == tau[moved_by_s[h]] @ mat, (s, g.names[h]))
+    return check
 
 
-def trace_sign_on_M(lift: WeilLift) -> CheckReport:
+def trace_sign_on_M(lift: WeilLift, check: Check | None = None) -> Check:
     """Traces on the Levi are real, nonzero, with sign chi^M."""
     space = lift.space
-    report = CheckReport(name="weil.trace_sign_on_levi", checks=0)
+    check = Check("weil.trace_sign_on_levi") if check is None else check
     for m in enumerate_M(space):
         tr = lift.sp_images[m].trace()
-        sign = chi_M(space, m)
-        report.checks += 1
         ok = (
             tr == tr.conj()
             and not tr.is_zero()
             and tr.is_rational()
-            and (1 if tr.rational_value() > 0 else -1) == sign
+            and (1 if tr.rational_value() > 0 else -1) == chi_M(space, m)
         )
-        if not ok:
-            report.failures.append((m, tr))
-    return report
+        check(ok, (m, tr))
+    return check
 
 
-def p_action_check(lift: WeilLift, lam=None) -> CheckReport:
+def p_action_check(lift: WeilLift, lam=None, check: Check | None = None) -> Check:
     """lambda(tauhat(g) phi) = chi^P(g) lambda(phi) for all g in P.
 
     In the plus model lambda is evaluation at the identity coset; in the
@@ -469,12 +447,10 @@ def p_action_check(lift: WeilLift, lam=None) -> CheckReport:
         else:
             lam = [CycNumber.one(n)] * dim
     lam = CycMatrix(n, [lam])
-    report = CheckReport(name="weil.parabolic_action", checks=0)
+    check = Check("weil.parabolic_action") if check is None else check
     for gel in enumerate_P(space):
-        report.checks += 1
-        if lam @ lift.sp_images[gel] != lam.scale(chi_P(space, gel)):
-            report.failures.append(gel)
-    return report
+        check(lam @ lift.sp_images[gel] == lam.scale(chi_P(space, gel)), gel)
+    return check
 
 
 # -- SL(2,3) reference model -----------------------------------------------------
@@ -696,9 +672,9 @@ class AbstractLift:
         g = self.group
         return (s1 * s2, g.mul(self.twisted_action(s2.inverse(), h1), h2))
 
-    def verify_rep_on_pairs(self, pairs) -> bool:
+    def verify_rep_on_pairs(self, pairs, check: Check | None = None) -> bool:
+        check = Check("weil.abstract_lift_rep_law") if check is None else check
         for x, y in pairs:
-            prod = self.multiply(x, y)
-            if self.image(*x) @ self.image(*y) != self.image(*prod):
-                return False
-        return True
+            prod = self.image(*self.multiply(x, y))
+            check(self.image(*x) @ self.image(*y) == prod, (self.nu, x, y))
+        return check.passed

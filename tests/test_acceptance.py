@@ -327,9 +327,9 @@ def test_criterion_09_congruence_square_roots():
 # sha256 of the `verify all --p p --ell 1` report at seed 0; the reports are
 # byte-identical for a fixed config, so any change to them shows here
 REPORT_SHA256 = {
-    3: "f6b01c2e4f8fc78c266a5deec80a946f9bd5d62ed71c8f6933058f52bf4167ca",
-    5: "b11da6f7a825c5e9fdc54430acf2ad41e2e1c8d949b1205a09233afce1686c77",
-    7: "9bbca909bd37ac1a3f64e97b2821943900a51772fc923c7193c6e9eb8d2524db",
+    3: "5f4f884a4a2af35d37c1ce38131ccd051ced26ee5b049cd4f2fb2e67b17077ca",
+    5: "7407fbfefb56320f26d0da266e0b3b302d6fa90fdc4d5135f2bbd338e03bd78d",
+    7: "1c85988876f198c507139eb7e3056743ec670804047d69313a9b215f220d9f08",
 }
 
 

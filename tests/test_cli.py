@@ -442,3 +442,88 @@ def test_cli_prints_stdlib_indent_1(argv, monkeypatch):
     assert code == 0, err
     assert len(payloads) == 1
     assert out == _stdlib_json(_plain(payloads[0])) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["verify", "weil", "--p", "3", "--mode", "sampled", "--samples", "0"],
+         "samples = 0 must be at least 1"),
+        (["verify", "weil", "--p", "3", "--mode", "sampled", "--samples", "-3"],
+         "samples = -3 must be at least 1"),
+        (["verify", "sqrt", "--precision", "0"], "precision = 0 must be at least 1"),
+        (["verify", "reps", "--ell", "2"], "reps suite runs at ell = 1 only"),
+        (["verify", "all", "--p", "3", "--ell", "2", "--mode", "relations"],
+         "reps suite runs at ell = 1 only"),
+    ],
+)
+def test_guard_names_the_limit(argv, limit, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("guard: ") and limit in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "sqrt", "--k0", "2"],
+        ["dump", "mackey", "--format", "csv"],
+        ["dump", "mackey", "--precision", "5"],
+        ["dump", "mackey", "--samples", "5"],
+        ["dump", "mackey", "--seed", "5"],
+    ],
+)
+def test_flags_nothing_reads_are_rejected(argv):
+    assert run(argv) == 2
+
+
+def _check_named(results, name):
+    (found,) = [r for r in results if r.check == name]
+    return found
+
+
+def test_check_counts_are_the_identities_evaluated():
+    from heisweil import mackey as mk
+    from heisweil.symplectic import SymplecticSpace, enumerate_sp
+
+    heis_results = SUITES["heisenberg"](RunConfig(p=3))
+    closure = _check_named(heis_results, "symplectic.closure")
+    assert closure.checks == len(enumerate_sp(SymplecticSpace(3, 1))) ** 2 == 576
+
+    hom = _check_named(SUITES["reps"](RunConfig(p=3)), "reps.heisenberg_rep_homomorphism")
+    assert hom.checks == 27**2 + 1  # every pair, and tau(1) = 1
+
+    stab = _check_named(SUITES["mackey"](RunConfig(p=3)), "mackey.involution_stabilizer")
+    groups = (mk.symmetric_group(3), mk.dihedral_group(4), mk.quaternion_group())
+    assert stab.checks == sum(g.order for g in groups) == 22
+
+
+def test_failing_identity_reports_its_first_input(tmp_path, monkeypatch, capsys):
+    from heisweil import mackey as mk
+
+    configs = standard_mackey_configurations()
+    label, tg, k_members, kappa, theta = configs[1]
+    h_members = sorted(mk.fixed_subgroup(tg, theta))
+    right = mk.induced_hom_dim_oracle(tg, k_members, kappa, h_members)
+
+    real = mk.mackey_hom_dim
+    calls = []
+
+    def off_by_one_from_the_second_call(*args):
+        calls.append(args)
+        return real(*args) + (len(calls) >= 2)
+
+    monkeypatch.setattr(mk, "mackey_hom_dim", off_by_one_from_the_second_call)
+    out = tmp_path / "report.json"
+    assert run(["verify", "mackey", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["failures"] == [
+        {
+            "check": "mackey.double_coset_sum_equals_oracle",
+            "witness": {"config": label, "mackey": right + 1, "oracle": right},
+        }
+    ]
+    assert len(calls) > 2  # later failures are counted, not kept
+    assert f"FAIL suite=mackey checks={report['checks']} failures=1" in (
+        capsys.readouterr().err
+    )
