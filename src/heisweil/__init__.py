@@ -6,7 +6,7 @@ main objects:
 
 - ``groups``       the finite-group core: Cayley tables, closure, extend_hom
 - ``scalar``       exact cyclotomic numbers, roots of unity, Gauss sums
-- ``linalg``       small exact matrices and the one packed multiplication kernel
+- ``linalg``       exact matrices, the one packed kernel and trace_table on it
 - ``symplectic``   symplectic spaces over F_p, polarizations, Sp(W) and friends
 - ``heisenberg``   the group W x| F_p, special isomorphisms, involutions
 - ``reps``         Heisenberg representations, invariant forms, Hom dimensions

@@ -332,21 +332,25 @@ def _check_polarization(g: HeisenbergGroup, hplus, hhat_minus):
     _check_lagrangian_images(g, hplus, hhat_minus)
 
 
-def special_iso_equal_tests(nu1: SpecialIso, nu2: SpecialIso):
-    """The three equivalence-test booleans for a pair of special isomorphisms:
+def special_iso_equal_tests(isos: list[SpecialIso]):
+    """The three equivalence tests on every ordered pair (nu1, nu2) of
+    ``isos``, as three len(isos) x len(isos) boolean arrays:
 
     (equal as maps,
      equal preimages of W x 1,
      exists s in Sp with nu2 = s o nu1).
     """
-    g = nu1.group
-    same_map = bool(np.array_equal(nu1.mu, nu2.mu))
-    same_preimage = nu1.preimage_of_w() == nu2.preimage_of_w()
-    # row i of act: (w, z) -> (s_i w, z), applied to nu1(h) for every h
+    g = isos[0].group
+    mu = np.stack([nu.mu for nu in isos])
+    same_map = (mu[:, None] == mu[None]).all(axis=2)
+    on_w = mu == 0  # row i: the preimage of W x 1 under isos[i]
+    same_preimage = (on_w[:, None] == on_w[None]).all(axis=2)
+    # row i of act: (w, z) -> (s_i w, z); images[k, h] = nu_k(h) as an index
     act = g.linear_action(np.stack([s.matrix for s in enumerate_sp(g.space)]))
-    hs = np.arange(g.order)
-    image1, image2 = hs - g.z + nu1.mu, hs - g.z + nu2.mu
-    exists_s = bool((act[:, image1] == image2).all(axis=1).any())
+    images = np.arange(g.order) - g.z + mu
+    exists_s = np.array(
+        [(act[:, None, row] == images[None]).all(axis=2).any(axis=0) for row in images]
+    )
     return same_map, same_preimage, exists_s
 
 

@@ -5,7 +5,10 @@ power-basis numerators ``num`` of shape (rows, cols, phi) over one
 positive denominator ``den``, reduced by their common gcd.  Every
 product runs through one packed multiplication kernel, which also backs
 :func:`verify_multiplication_table`; a family of matrices is stacked over
-its common denominator by :func:`batch_from_matrices`.  The left factor is
+its common denominator by :func:`batch_from_matrices`.  Characters come from
+the same kernel: :func:`trace_table` returns the traces of a family, or the
+table tr(L_a R_b) of two families, as one CycMatrix over one denominator,
+with no CycNumber per element.  The left factor is
 folded with the (phi, phi, phi) reduction tensor of Q(zeta_N) into one
 (rows*phi) x (k*phi) integer operator, which multiplies the whole
 right-hand side in a single float64 ``@``.  Before it runs, the magnitude
@@ -34,6 +37,7 @@ __all__ = [
     "nullspace",
     "row_space_rank",
     "same_row_space",
+    "trace_table",
     "verify_multiplication_table",
 ]
 
@@ -108,9 +112,15 @@ class CycMatrix:
     def ncols(self) -> int:
         return self.num.shape[1]
 
-    def __getitem__(self, ij) -> CycNumber:
-        i, j = ij
-        return CycNumber(self.N, self.num[i, j].tolist(), self.den)
+    def __getitem__(self, index):
+        """numpy indexing on the entries: one entry is a CycNumber, a 2-D
+        selection of entries is a CycMatrix."""
+        num = self.num[index]
+        if num.ndim == 1:
+            return CycNumber(self.N, num.tolist(), self.den)
+        if num.ndim != 3:
+            raise IndexError("select one entry or a 2-D block of entries")
+        return CycMatrix._packed(self.N, num, self.den)
 
     @property
     def rows(self) -> list[list[CycNumber]]:
@@ -119,6 +129,9 @@ class CycMatrix:
         return [[CycNumber(n, e, den) for e in row] for row in self.num.tolist()]
 
     # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other: "CycMatrix") -> "CycMatrix":
+        return self - CycMatrix._packed(other.N, -other.num, other.den)
 
     def __sub__(self, other: "CycMatrix") -> "CycMatrix":
         if self.num.shape != other.num.shape or self.N != other.N:
@@ -166,6 +179,14 @@ class CycMatrix:
     def transpose(self) -> "CycMatrix":
         return CycMatrix._packed(self.N, self.num.transpose(1, 0, 2), self.den)
 
+    def conj(self) -> "CycMatrix":
+        """Complex conjugation zeta -> zeta^-1 on every entry."""
+        ctx = context(self.N)
+        sigma = ctx.power_table[-np.arange(ctx.phi) % self.N]  # row j: zeta^-j
+        # on Python ints: the sums of phi products are never bounded here
+        num = self.num.astype(object) @ sigma.astype(object)
+        return CycMatrix._packed(self.N, num, self.den)
+
     def trace(self) -> CycNumber:
         m = np.arange(min(self.nrows, self.ncols))
         return CycNumber(self.N, self.num[m, m].astype(object).sum(axis=0), self.den)
@@ -202,6 +223,10 @@ class CycMatrix:
             and self.den == other.den
             and np.array_equal(self.num, other.num)
         )
+
+    def equal_entries(self, other: "CycMatrix") -> np.ndarray:
+        """Boolean (rows, cols) array: entry (i, j) of self equals that of other."""
+        return ~(self - other).num.any(axis=2)
 
     def __hash__(self):
         return hash((self.N, self.den, self.num.shape, tuple(self.num.ravel().tolist())))
@@ -361,9 +386,35 @@ def batch_from_matrices(mats: list[CycMatrix], n: int):
     """
     den = lcm(*(m.den for m in mats))
     factors = [den // m.den for m in mats]
-    if any(max(_max_abs(m.num), 1) * f >= _INT64 for m, f in zip(mats, factors)):
+    # a factor of 1 leaves num as it is stored, so only f > 1 can overflow
+    if any(
+        f > 1 and max(_max_abs(m.num), 1) * f >= _INT64 for m, f in zip(mats, factors)
+    ):
         return np.stack([m.num.astype(object) * f for m, f in zip(mats, factors)]), den
     return np.stack([m.num * f for m, f in zip(mats, factors)]), den
+
+
+def trace_table(mats: list[CycMatrix], left: list[CycMatrix] | None = None):
+    """Entry (a, b) = tr(left[a] @ mats[b]), as one CycMatrix over one denominator.
+
+    Without ``left`` the one left factor is the identity: the result is the
+    1 x len(mats) row of traces.  tr(L R) sums L[i, j] R[j, i] over the
+    index pairs (i, j), so the whole table is one call of the packed kernel
+    on the two stacked families.
+    """
+    n = mats[0].N
+    if left is None:
+        left = [CycMatrix.identity(n, mats[0].nrows)]
+    lnum, lden = batch_from_matrices(left, n)
+    rnum, rden = batch_from_matrices(mats, n)
+    count, d, e, phi = lnum.shape
+    if rnum.shape[1:3] != (e, d):
+        r, c = rnum.shape[1:3]
+        raise ValueError(f"cannot multiply {d}x{e} by {r}x{c}")
+    # a[x, (i, j)] = L_x[i, j] and b[(i, j), y] = R_y[j, i]
+    a = lnum.reshape(count, d * e, phi)
+    b = rnum.transpose(2, 1, 0, 3).reshape(d * e, len(mats), phi)
+    return CycMatrix._packed(n, _products(n, a, b), lden * rden)
 
 
 def verify_multiplication_table(

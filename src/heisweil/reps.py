@@ -9,22 +9,33 @@ character zeta(z) = zeta_p^(k z) are realized on C[F_p^l]:
 - plus model: functions on the W- transversal, coordinates y.
   tau(u, v; z) phi (y) = zeta(z - u.y - (1/2) u.v) phi(y + v).
 
-Hom-space dimensions are exact: the averaging operator over a subgroup is
-idempotent, so its rank equals its trace, a rational integer computed in
-the cyclotomic field with no tolerance anywhere.
+Every character read goes through one routine: a :class:`MatrixRep`
+computes its character once, as the row of traces that
+:func:`~heisweil.linalg.trace_table` returns over one denominator, and
+:func:`hom_dim`, :func:`rep_equivalent` and :func:`character_inner_product`
+read that row.  Hom-space dimensions are exact: the averaging operator over
+a subgroup is idempotent, so its rank equals its trace, a rational integer
+computed in the cyclotomic field with no tolerance anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from heisweil.checks import Check
 from heisweil.groups import generators_within
 from heisweil.heisenberg import HeisenbergGroup
-from heisweil.linalg import CycMatrix, nullspace, row_space_rank, same_row_space
+from heisweil.linalg import (
+    CycMatrix,
+    nullspace,
+    row_space_rank,
+    same_row_space,
+    trace_table,
+)
 from heisweil.scalar import CycNumber, run_conductor, zeta_p
 from heisweil.symplectic import GuardError
 
@@ -58,11 +69,23 @@ class MatrixRep:
     model: str | None = None
     zeta_exponent: int | None = None
 
-    def image(self, g) -> CycMatrix:
-        return self.images[g]
+    @cached_property
+    def _character(self) -> tuple[dict, CycMatrix]:
+        """(column of each element, tr rep(g) on ``images`` in its order)."""
+        return {g: i for i, g in enumerate(self.images)}, trace_table(
+            list(self.images.values())
+        )
 
-    def character(self, g) -> CycNumber:
-        return self.images[g].trace()
+    def characters(self, elements) -> CycMatrix:
+        """tr rep(g) for each of ``elements``, repeats allowed, as a 1 x m row."""
+        column, row = self._character
+        return row[:, [column[g] for g in elements]]
+
+    def character_sum(self, elements) -> CycNumber:
+        """The sum of tr rep(g) over ``elements``: the row times ones."""
+        ones = np.ones((len(elements), 1), dtype=np.int64)
+        column = CycMatrix.from_roots(self.conductor, 0 * ones, ones)
+        return (self.characters(elements) @ column)[0, 0]
 
     def verify_homomorphism(self, pairs=None, check: Check | None = None) -> bool:
         """tau(1) = 1 and tau(a) tau(b) = tau(ab) on ``pairs`` (every pair by
@@ -125,18 +148,11 @@ def heisenberg_rep(
 
 def contragredient(rep: MatrixRep) -> MatrixRep:
     """g -> transpose(rep(g^-1))."""
-    g = rep.group
-    images = {h: rep.images[g.inv(h)].transpose() for h in g.elements()}
-    return MatrixRep(
-        group=g,
-        dim=rep.dim,
-        images=images,
-        conductor=rep.conductor,
-        basis_labels=rep.basis_labels,
-        model=rep.model,
-        zeta_exponent=(-rep.zeta_exponent) % g.p
-        if rep.zeta_exponent is not None
-        else None,
+    g, k = rep.group, rep.zeta_exponent
+    return replace(
+        rep,
+        images={h: rep.images[g.inv(h)].transpose() for h in g.elements()},
+        zeta_exponent=None if k is None else -k % g.p,
     )
 
 
@@ -144,32 +160,18 @@ def invariant_pairing(f1, f2, rep: MatrixRep, corep: MatrixRep) -> CycNumber:
     """<f1, f2> = sum over the transversal of f1(t) f2(t)."""
     if len(f1) != rep.dim or len(f2) != corep.dim or rep.dim != corep.dim:
         raise ValueError("dimension mismatch")
-    acc = CycNumber.zero(rep.conductor)
-    for a, b in zip(f1, f2):
-        acc = acc + a * b
-    return acc
+    return sum((a * b for a, b in zip(f1, f2)), CycNumber.zero(rep.conductor))
 
 
-def hom_dim(rep: MatrixRep, subgroup, chi=None) -> int:
-    """dim Hom_K(rep, chi) = dim { lambda : lambda o rep(k) = chi(k) lambda }.
+def hom_dim(rep: MatrixRep, subgroup) -> int:
+    """dim Hom_K(rep, 1) = dim { lambda : lambda o rep(k) = lambda }.
 
     Computed as the rank of the averaging projector over K, which being
-    idempotent equals its exact trace: (1/|K|) sum_k chi(k)^-1 tr rep(k).
-    For the quadratic (+-1)-valued characters this matches the chi(k)-
-    weighted form verbatim.
+    idempotent equals its exact trace: (1/|K|) sum_k tr rep(k), one sum
+    over the character row.
     """
     members = list(subgroup)
-    n = rep.conductor
-    acc = CycNumber.zero(n)
-    for k in members:
-        tr = rep.images[k].trace()
-        if chi is not None:
-            c = chi(k)
-            if not isinstance(c, CycNumber):
-                c = CycNumber.from_rational(n, c)
-            tr = tr * c.inverse()
-        acc = acc + tr
-    val = acc / len(members)
+    val = rep.character_sum(members) / len(members)
     if not val.is_integer():
         raise RuntimeError(f"projector trace {val!r} is not an integer")
     out = int(val.rational_value())
@@ -182,18 +184,15 @@ def rep_equivalent(rep1: MatrixRep, rep2: MatrixRep) -> bool:
     """Character equality on every element (groups must coincide)."""
     if rep1.group is not rep2.group and set(rep1.images) != set(rep2.images):
         raise ValueError("representations live on different groups")
-    return all(
-        rep1.images[g].trace() == rep2.images[g].trace() for g in rep1.images
-    )
+    els = list(rep1.images)
+    return rep1.characters(els) == rep2.characters(els)
 
 
 def character_inner_product(rep1: MatrixRep, rep2: MatrixRep) -> CycNumber:
+    """(1/|G|) sum_g chi1(g) conj(chi2(g)): one product of the two rows."""
     els = list(rep1.images)
-    n = rep1.conductor
-    acc = CycNumber.zero(n)
-    for g in els:
-        acc = acc + rep1.images[g].trace() * rep2.images[g].trace().conj()
-    return acc / len(els)
+    conj2 = rep2.characters(els).conj().transpose()
+    return (rep1.characters(els) @ conj2)[0, 0] / len(els)
 
 
 # -- fixed linear forms ----------------------------------------------------------

@@ -25,7 +25,7 @@ from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
 from heisweil.checks import Check, Recorder
 from heisweil.groups import extend_hom, generators_within
-from heisweil.linalg import CycMatrix
+from heisweil.linalg import CycMatrix, trace_table
 from heisweil.scalar import (
     CycNumber,
     context,
@@ -179,9 +179,11 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
         c = rec("heisenberg.special_iso_axioms")
         for nu in isos:
             nu.check_axioms(c)
-        c = rec("heisenberg.special_iso_equal_tests_agree")
-        for nu1, nu2 in itertools.product(isos, repeat=2):
-            c(len(set(heis.special_iso_equal_tests(nu1, nu2))) == 1, (nu1, nu2))
+        same_map, same_preimage, exists_s = heis.special_iso_equal_tests(isos)
+        rec("heisenberg.special_iso_equal_tests_agree").all(
+            (same_map == same_preimage) & (same_preimage == exists_s),
+            lambda i, j: (isos[i], isos[j]),
+        )
     if cfg.ell == 1:
         c = rec("heisenberg.split_polarization_roundtrips")
         base = heis.special_iso_from_split_polarization(
@@ -412,10 +414,13 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
 def _sl23_checks(rec: Recorder, lift) -> None:
     alpha, beta, ref_lift, ref = weil_mod.sl23_reference()
     els = weil_mod.sp_table(ref_lift.space).names
-    c = rec("weil.sl23_character_is_alpha_plus_beta")
-    for s in els:
-        tr = ref_lift.sp_images[ref.translate(s)].trace()
-        c(tr == alpha[s][0, 0] + beta[s].trace(), s)
+    # tr alpha(s) + tr beta(s) for every s, as one row
+    alpha_row, beta_row = (trace_table([rep[s] for s in els]) for rep in (alpha, beta))
+    target = alpha_row + beta_row
+    lifted = trace_table([ref_lift.sp_images[ref.translate(s)] for s in els])
+    rec("weil.sl23_character_is_alpha_plus_beta").all(
+        lifted.equal_entries(target)[0], lambda i: els[i]
+    )
 
     jel = sympl.weyl_element(ref_lift.space)
     m = weil_mod.lift_in_odd_even_basis(ref, jel.inverse())
@@ -434,39 +439,45 @@ def _sl23_checks(rec: Recorder, lift) -> None:
         c(beta[s].det() == alpha[s][0, 0], s)
 
     exts = weil_mod.three_extensions_p3(lift)
-    chars = [tuple(imgs[s].trace() for s in els) for imgs in exts]
-    target = tuple(alpha[s][0, 0] + beta[s].trace() for s in els)
-    translated = [
-        tuple(imgs[ref.translate(s)].trace() for s in els) for imgs in exts
-    ]
+    chars = [trace_table([imgs[s] for s in els]) for imgs in exts]
+    translated = [trace_table([imgs[ref.translate(s)] for s in els]) for imgs in exts]
     c = rec("weil.sl23_three_extensions_and_selection")
     c(len(set(chars)) == 3, {"distinct_characters": len(set(chars))})
     c(translated.count(target) == 1, {"selected": translated.count(target)})
+
+
+def _sp_h_table(lift) -> CycMatrix:
+    """tr(omega(s) tau(h)) for s in sp_table order and h in H: one trace_table."""
+    els = weil_mod.sp_table(lift.space).names
+    base = lift.base.images
+    return trace_table(
+        [base[h] for h in lift.group.elements()], [lift.sp_images[s] for s in els]
+    )
 
 
 def _abstract_lift_checks(rec: Recorder, lift, cfg: RunConfig) -> None:
     rng = random.Random(cfg.seed)
     g = lift.group
     els = weil_mod.sp_table(g.space).names
-    isos = heis.all_special_isos(g)
-    base = weil_mod.abstract_lift(lift.base, heis.SpecialIso(g, (0,) * g.dim))
-    reference = {
-        (s, x): base.character(s, x) for s in els for x in g.elements()
-    }
+    xs = g.elements()
+    # entry (s, y) is tr(omega(s) tau(y)); the abstract lift through nu has
+    # character (s, h) -> entry (s, nu(h)), so nu = 0 reads entry (s, x)
+    table = _sp_h_table(lift)
+    reference = table[:, [heis.SpecialIso(g, (0,) * g.dim).image(x) for x in xs]]
     twist = rec("weil.abstract_lift_twist_relation")
     match = rec("weil.abstract_lift_characters_nu_independent")
     rep_law = rec("weil.abstract_lift_rep_law")
-    for nu in isos:
-        ab = weil_mod.abstract_lift(lift.base, nu)
+    for nu in heis.all_special_isos(g):
+        ab = weil_mod.abstract_lift(lift, nu)
         # <w_h, w0> for every h, from the form
         pairings = (g.w @ g.space.form @ np.array(nu.offset) % g.p).tolist()
         for h in g.elements():
             scaled = lift.base.images[h].scale(zeta_p(g.p, pairings[h]))
             twist(ab.h_image(h) == scaled, (nu, h))
-        for s in els:
-            for x in g.elements():
-                chi = ab.character(s, nu.inverse_image(x))
-                match(chi == reference[(s, x)], (nu, s, x))
+        chars = table[:, [nu.image(nu.inverse_image(x)) for x in xs]]
+        match.all(
+            chars.equal_entries(reference), lambda i, j: (nu, els[i], xs[j])
+        )
         pairs = [
             ((rng.choice(els), rng.choice(g.elements())),
              (rng.choice(els), rng.choice(g.elements())))
@@ -476,10 +487,13 @@ def _abstract_lift_checks(rec: Recorder, lift, cfg: RunConfig) -> None:
 
 
 def _contragredient_check(rec: Recorder, lift, exhaustive: bool, seed: int = 0) -> None:
+    """tr(omega(s^-1) tau(s . h^-1)) = tr(omega~(s) tau~(h)): the character of
+    the contragredient of the lift against the lift of tau~, one Sp x H table
+    each."""
     g = lift.group
-    tau_tilde = reps_mod.heisenberg_rep(g, g.p - 1, model="minus")
-    lift_tilde = weil_mod.weil_lift(tau_tilde)
-    els = weil_mod.sp_table(g.space).names
+    lift_tilde = weil_mod.weil_lift(reps_mod.heisenberg_rep(g, g.p - 1, model="minus"))
+    tg = weil_mod.sp_table(g.space)
+    els = tg.names
     act = g.linear_action(np.stack([s.matrix for s in els]))  # act[i, h] = s_i . h
     if exhaustive:
         pairs = [(i, h) for i in range(len(els)) for h in g.elements()]
@@ -489,15 +503,12 @@ def _contragredient_check(rec: Recorder, lift, exhaustive: bool, seed: int = 0) 
             (rng.choice(range(len(els))), rng.choice(g.elements()))
             for _ in range(200)
         ]
-    c = rec("weil.contragredient_of_lift_is_lift_of_contragredient")
-    for i, h in pairs:
-        s = els[i]
-        moved = int(act[i, g.inv(h)])
-        c(
-            lift.semidirect_image(s.inverse(), moved).trace()
-            == lift_tilde.semidirect_image(s, h).trace(),
-            (s, h),
-        )
+    i, h = np.array(pairs).T[:, None]  # 1 x len(pairs) index rows
+    lhs = _sp_h_table(lift)[tg.inverse_of[i], act[i, g.inverse_of[h]]]
+    rhs = _sp_h_table(lift_tilde)[i, h]
+    rec("weil.contragredient_of_lift_is_lift_of_contragredient").all(
+        lhs.equal_entries(rhs)[0], lambda k: (els[pairs[k][0]], pairs[k][1])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +544,10 @@ def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
             chars.append(
                 reps_mod.MatrixRep(group=tg, dim=1, images=imgs, conductor=conductor)
             )
-    # deduplicate by value tuples
-    seen, unique = set(), []
+    unique = {}  # by character values, the first of each
     for chi in chars:
-        key = tuple(chi.images[k][0, 0] for k in sorted(mset))
-        if key not in seen:
-            seen.add(key)
-            unique.append(chi)
-    return unique
+        unique.setdefault(chi.characters(sub_names), chi)
+    return list(unique.values())
 
 
 def _trivial_rep(tg: mk.TableGroup, members, conductor=4):
@@ -558,124 +565,74 @@ def standard_mackey_configurations():
     """
     configs = []
 
-    def add(label, tg, k_members, kappa, theta):
-        configs.append((label, tg, sorted(k_members), kappa, theta))
+    def add(label, tg, k_members, theta, kappa=None):
+        k_members = sorted(k_members)
+        kappa = _trivial_rep(tg, k_members) if kappa is None else kappa
+        configs.append((label, tg, k_members, kappa, theta))
 
     # symmetric groups
     s3 = mk.symmetric_group(3)
-    a3 = next(
-        s for a in range(s3.order) if len(s := s3.subgroup_generated([a])) == 3
-    )
-    c2 = next(
-        s for a in range(1, s3.order) if len(s := s3.subgroup_generated([a])) == 2
-    )
-    thetas3 = [
-        t for t in mk.all_involutive_automorphisms(s3) if not t.is_identity()
-    ]
-    for i, chi in enumerate(_abelian_characters(s3, sorted(a3), 3)):
-        add(f"S3/A3/chi{i}/theta0", s3, sorted(a3), chi, thetas3[0])
-    add("S3/C2/triv/theta0", s3, sorted(c2), _trivial_rep(s3, sorted(c2)), thetas3[0])
-    add("S3/G/triv/theta0", s3, range(6), _trivial_rep(s3, range(6)), thetas3[0])
-    add("S3/A3/triv/theta1", s3, sorted(a3), _trivial_rep(s3, sorted(a3)), thetas3[1])
+    a3, c2 = _cyclic_subgroup(s3, 3), _cyclic_subgroup(s3, 2)
+    thetas3 = _nontrivial(mk.all_involutive_automorphisms(s3))
+    for i, chi in enumerate(_abelian_characters(s3, a3, 3)):
+        add(f"S3/A3/chi{i}/theta0", s3, a3, thetas3[0], chi)
+    add("S3/C2/triv/theta0", s3, c2, thetas3[0])
+    add("S3/G/triv/theta0", s3, range(6), thetas3[0])
+    add("S3/A3/triv/theta1", s3, a3, thetas3[1])
 
     s4 = mk.symmetric_group(4)
-    theta4 = mk.inner_involutions(s4)
-    nontriv4 = [t for t in theta4 if not t.is_identity()]
+    nontriv4 = _nontrivial(mk.inner_involutions(s4))
     # K = a copy of S3 inside S4 (stabilizer of the last point)
-    s3_in_s4 = [
-        i
-        for i, name in enumerate(s4.names)
-        if name[3] == 3
-    ]
-    add(
-        "S4/S3/triv/inner",
-        s4,
-        s3_in_s4,
-        _trivial_rep(s4, s3_in_s4),
-        nontriv4[0],
-    )
+    s3_in_s4 = [i for i, name in enumerate(s4.names) if name[3] == 3]
+    add("S4/S3/triv/inner", s4, s3_in_s4, nontriv4[0])
     v4 = [i for i, name in enumerate(s4.names) if _is_v4(name)]
-    for i, chi in enumerate(_abelian_characters(s4, sorted(v4), 4)[:2]):
-        add(f"S4/V4/chi{i}/inner", s4, sorted(v4), chi, nontriv4[1])
+    for i, chi in enumerate(_abelian_characters(s4, v4, 4)[:2]):
+        add(f"S4/V4/chi{i}/inner", s4, v4, nontriv4[1], chi)
 
-    # dihedral groups
+    # dihedral groups (orders 8, 10, 12: every involutive automorphism)
     for n in (4, 5, 6):
         dn = mk.dihedral_group(n)
-        rot = next(
-            s
-            for a in range(dn.order)
-            if len(s := dn.subgroup_generated([a])) == n
-        )
-        thetas = (
-            [
-                t
-                for t in mk.all_involutive_automorphisms(dn)
-                if not t.is_identity()
-            ]
-            if dn.order <= 24
-            else [t for t in mk.inner_involutions(dn) if not t.is_identity()]
-        )
-        chars = _abelian_characters(dn, sorted(rot), n)
-        for i, chi in enumerate(chars[: 2 if n > 4 else 3]):
-            add(f"D{n}/C{n}/chi{i}/theta0", dn, sorted(rot), chi, thetas[0])
+        rot = _cyclic_subgroup(dn, n)
+        thetas = _nontrivial(mk.all_involutive_automorphisms(dn))
+        for i, chi in enumerate(_abelian_characters(dn, rot, n)[: 2 if n > 4 else 3]):
+            add(f"D{n}/C{n}/chi{i}/theta0", dn, rot, thetas[0], chi)
         if len(thetas) > 2:
-            add(
-                f"D{n}/C{n}/triv/theta2",
-                dn,
-                sorted(rot),
-                _trivial_rep(dn, sorted(rot)),
-                thetas[2],
-            )
+            add(f"D{n}/C{n}/triv/theta2", dn, rot, thetas[2])
 
     # quaternion group
     q8 = mk.quaternion_group()
-    thetas8 = [
-        t for t in mk.all_involutive_automorphisms(q8) if not t.is_identity()
-    ]
-    i_sub = q8.subgroup_generated([2])
-    for i, chi in enumerate(_abelian_characters(q8, sorted(i_sub), 4)[:3]):
-        add(f"Q8/C4/chi{i}/theta0", q8, sorted(i_sub), chi, thetas8[0])
-    add("Q8/C4/triv/theta1", q8, sorted(i_sub), _trivial_rep(q8, sorted(i_sub)), thetas8[1])
+    thetas8 = _nontrivial(mk.all_involutive_automorphisms(q8))
+    i_sub = sorted(q8.subgroup_generated([2]))
+    for i, chi in enumerate(_abelian_characters(q8, i_sub, 4)[:3]):
+        add(f"Q8/C4/chi{i}/theta0", q8, i_sub, thetas8[0], chi)
+    add("Q8/C4/triv/theta1", q8, i_sub, thetas8[1])
 
     # S3 x C2 (order 12), K = C6
     s3c2 = mk.direct_product(mk.symmetric_group(3), mk.cyclic_group(2))
-    c6 = next(
-        (s for a in range(s3c2.order) if len(s := s3c2.subgroup_generated([a])) == 6),
-        None,
-    )
-    theta12 = [
-        t for t in mk.all_involutive_automorphisms(s3c2) if not t.is_identity()
-    ]
-    add(
-        "S3xC2/C6/triv/theta0",
-        s3c2,
-        sorted(c6),
-        _trivial_rep(s3c2, sorted(c6)),
-        theta12[0],
-    )
-    chars6 = _abelian_characters(s3c2, sorted(c6), 6)
-    add("S3xC2/C6/chi1/theta0", s3c2, sorted(c6), chars6[1], theta12[0])
+    c6 = _cyclic_subgroup(s3c2, 6)
+    theta12 = _nontrivial(mk.all_involutive_automorphisms(s3c2))
+    add("S3xC2/C6/triv/theta0", s3c2, c6, theta12[0])
+    chars6 = _abelian_characters(s3c2, c6, 6)
+    add("S3xC2/C6/chi1/theta0", s3c2, c6, theta12[0], chars6[1])
 
     # S4 x C2 (order 48), K = a cyclic 4-subgroup, inner involution
     s4c2 = mk.direct_product(mk.symmetric_group(4), mk.cyclic_group(2))
-    c4 = next(
-        s
-        for a in range(s4c2.order)
-        if len(s := s4c2.subgroup_generated([a])) == 4
-    )
-    theta48 = next(
-        t for t in mk.inner_involutions(s4c2) if not t.is_identity()
-    )
-    add(
-        "S4xC2/C4/triv/inner",
-        s4c2,
-        sorted(c4),
-        _trivial_rep(s4c2, sorted(c4)),
-        theta48,
-    )
-    chars4 = _abelian_characters(s4c2, sorted(c4), 4)
-    add("S4xC2/C4/chi1/inner", s4c2, sorted(c4), chars4[1], theta48)
+    c4 = _cyclic_subgroup(s4c2, 4)
+    theta48 = _nontrivial(mk.inner_involutions(s4c2))[0]
+    add("S4xC2/C4/triv/inner", s4c2, c4, theta48)
+    chars4 = _abelian_characters(s4c2, c4, 4)
+    add("S4xC2/C4/chi1/inner", s4c2, c4, theta48, chars4[1])
     return configs
+
+
+def _cyclic_subgroup(tg: mk.TableGroup, order: int) -> list[int]:
+    """The first cyclic subgroup <a> of the given order, as sorted indices."""
+    gen = (s for a in range(tg.order) if len(s := tg.subgroup_generated([a])) == order)
+    return sorted(next(gen))
+
+
+def _nontrivial(thetas) -> list:
+    return [t for t in thetas if not t.is_identity()]
 
 
 def _is_v4(perm) -> bool:
@@ -714,7 +671,6 @@ def heisenberg_mackey_configurations():
 
     sd, g2 = mk.semidirect_table_group(space)
     lift = weil_mod.weil_lift(reps_mod.heisenberg_rep(g2, 1, model="minus"))
-    lift_rep = mk.semidirect_lift_rep(sd, lift)
     alpha2 = heis.involution_from_polarization(g2)
     theta_sd = mk.semidirect_involution_record(sd, alpha2)
     h_members = sorted(
@@ -723,7 +679,7 @@ def heisenberg_mackey_configurations():
     kappa_sd = reps_mod.MatrixRep(
         group=sd,
         dim=3,
-        images={i: lift_rep.images[i] for i in h_members},
+        images={i: lift.semidirect_image(*sd.names[i]) for i in h_members},
         conductor=12,
     )
     configs.append(("SpH3/H/tau/polar", sd, h_members, kappa_sd, theta_sd))
@@ -777,9 +733,7 @@ def _stheta_clauses(
     center = tg.center()
     h_members = sorted(mk.fixed_subgroup(tg, theta))
     for x in mk.double_cosets(tg, k_members, h_members):
-        coset = {
-            tg.mul(tg.mul(a, x), b) for a in k_members for b in h_members
-        }
+        coset = _coset_key(tg, k_members, h_members, x)
         has_central_twist = any(
             tg.mul(gq, tg.inv(theta.apply(gq))) in center for gq in coset
         )
@@ -814,9 +768,7 @@ def _stheta_clauses(
     lhs3 = mk.s_theta(tg, k_members, moved, moved_k_orbit)
     image_keys = set()
     for x in s_base:
-        coset = {
-            tg.mul(tg.mul(a, x), b) for a in k_members for b in h_members
-        }
+        coset = _coset_key(tg, k_members, h_members, x)
         g1 = next(
             gq
             for gq in sorted(coset)

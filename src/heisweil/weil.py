@@ -15,6 +15,10 @@ character zeta(z) = zeta_p^(k z):
 - all other elements get images through the Bruhat factorization
   s = n(a/c) j m(-c) n(d/c).
 
+Characters of the lift, tr omega(s) and the Sp x H table tr omega(s) tau(h),
+are read through :func:`~heisweil.linalg.trace_table`, one kernel call per
+family, never by a trace per element.
+
 Convention note: printed treatments of the p = 3 case often attach the
 inverse Fourier transform to j.  The reference model built by
 :func:`sl23_reference` records which reading of the printed generator
@@ -30,6 +34,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from heisweil.heisenberg import HeisenbergGroup, SpecialIso
 from heisweil.linalg import (
     CycMatrix,
     batch_from_matrices,
+    trace_table,
     verify_multiplication_table,
 )
 from heisweil.reps import MatrixRep, heisenberg_rep
@@ -103,11 +109,15 @@ class WeilLift:
     def space(self) -> SymplecticSpace:
         return self.base.group.space
 
-    def image(self, s: SpElement) -> CycMatrix:
-        return self.sp_images[s]
-
     def semidirect_image(self, s: SpElement, h) -> CycMatrix:
         return self.sp_images[s] @ self.base.images[h]
+
+    @cached_property
+    def sp_action(self) -> dict:
+        """s -> the permutation h -> s . h of H, for every s with an image."""
+        sps = list(self.sp_images)
+        act = self.group.linear_action(np.stack([s.matrix for s in sps]))
+        return dict(zip(sps, act))
 
     def restriction_is_base(self) -> bool:
         ident = next(s for s in self.sp_images if s.is_identity())
@@ -405,11 +415,9 @@ def verify_intertwining(
     else:
         hs = [g.from_w(g.space.basis_vector(i)) for i in range(g.dim)]
         hs.append(g.central(1))
-    sps = list(lift.sp_images)
-    act = g.linear_action(np.stack([s.matrix for s in sps]))  # act[i, h] = s_i . h
     tau = lift.base.images
-    for s, moved_by_s in zip(sps, act.tolist()):
-        mat = lift.sp_images[s]
+    for s, mat in lift.sp_images.items():
+        moved_by_s = lift.sp_action[s].tolist()
         for h in hs:
             check(mat @ tau[h] == tau[moved_by_s[h]] @ mat, (s, g.names[h]))
     return check
@@ -419,8 +427,10 @@ def trace_sign_on_M(lift: WeilLift, check: Check | None = None) -> Check:
     """Traces on the Levi are real, nonzero, with sign chi^M."""
     space = lift.space
     check = Check("weil.trace_sign_on_levi") if check is None else check
-    for m in enumerate_M(space):
-        tr = lift.sp_images[m].trace()
+    levi = enumerate_M(space)
+    traces = trace_table([lift.sp_images[m] for m in levi])
+    for i, m in enumerate(levi):
+        tr = traces[0, i]
         ok = (
             tr == tr.conj()
             and not tr.is_zero()
@@ -629,14 +639,14 @@ def three_extensions_p3(lift: WeilLift) -> list[dict]:
     return out
 
 
-def abstract_lift(tau: MatrixRep, nu: SpecialIso) -> "AbstractLift":
+def abstract_lift(lift: WeilLift, nu: SpecialIso) -> "AbstractLift":
     """The lift of tau to Sp x|_nu H obtained by transport through nu.
 
-    The Sp-part equals the standard lift; the H-part is h -> tau(w, mu(h)),
-    so on H it differs from tau by the character h -> zeta(<w, w0>).
+    The Sp-part is the standard lift ``lift``, built once for every nu; the
+    H-part is h -> tau(w, mu(h)), so on H it differs from tau by the
+    character h -> zeta(<w, w0>).
     """
-    std = weil_lift(tau)
-    return AbstractLift(std=std, nu=nu)
+    return AbstractLift(std=lift, nu=nu)
 
 
 @dataclass
@@ -644,27 +654,19 @@ class AbstractLift:
     std: WeilLift
     nu: SpecialIso
 
-    def __post_init__(self):
-        sps = list(self.std.sp_images)
-        act = self.group.linear_action(np.stack([s.matrix for s in sps]))
-        self.sp_action = dict(zip(sps, act))  # s -> the permutation h -> s . h
-
     @property
     def group(self) -> HeisenbergGroup:
         return self.std.group
 
     def twisted_action(self, s: SpElement, h) -> int:
         """s ._nu h = nu^-1(s . nu(h)), where s . (w, z) = (s.w, z)."""
-        return self.nu.inverse_image(self.sp_action[s][self.nu.image(h)])
+        return self.nu.inverse_image(self.std.sp_action[s][self.nu.image(h)])
 
     def h_image(self, h) -> CycMatrix:
         return self.std.base.images[self.nu.image(h)]
 
     def image(self, s: SpElement, h) -> CycMatrix:
         return self.std.sp_images[s] @ self.h_image(h)
-
-    def character(self, s: SpElement, h) -> CycNumber:
-        return self.image(s, h).trace()
 
     def multiply(self, x, y):
         """(s1, h1)(s2, h2) = (s1 s2, (s2^-1 ._nu h1) h2) in Sp x|_nu H."""

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 import heisweil.linalg as linalg
 from heisweil.heisenberg import HeisenbergGroup
-from heisweil.linalg import CycMatrix, batch_from_matrices, verify_multiplication_table
+from heisweil.linalg import (
+    CycMatrix,
+    batch_from_matrices,
+    trace_table,
+    verify_multiplication_table,
+)
 from heisweil.reps import heisenberg_rep
 from heisweil.scalar import CycNumber, context, root_of_unity
 from heisweil.symplectic import SymplecticSpace
@@ -185,6 +190,68 @@ def test_verify_table_reports_a_corrupted_numerator(packed_lift3):
     failures = verify_multiplication_table(bad, den, table, n, max_failures=5)
     assert failures
     assert all(5 in (s, t, table[s, t]) for s, t in failures)
+
+
+@pytest.fixture(
+    scope="module", params=[(3, "minus"), (3, "plus"), (5, "minus"), (5, "plus")]
+)
+def lift_families(request):
+    """The Sp images and the H images of the lift, in sp_table and H order."""
+    p, model = request.param
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    lift = weil_lift(heisenberg_rep(g, 1, model=model))
+    sps = [lift.sp_images[s] for s in sp_table(lift.space).names]
+    return sps, [lift.base.images[h] for h in g.elements()]
+
+
+def test_trace_table_equals_per_entry_traces(lift_families, kernel_dtypes):
+    sps, hs = lift_families
+    traces = trace_table(sps)
+    assert (traces.nrows, traces.ncols) == (1, len(sps))
+    assert [traces[0, a] for a in range(len(sps))] == [m.trace() for m in sps]
+    table = trace_table(hs, sps)
+    assert (table.nrows, table.ncols) == (len(sps), len(hs))
+    for a, b in itertools.product(range(len(sps)), range(len(hs))):
+        assert table[a, b] == (sps[a] @ hs[b]).trace()
+    assert kernel_dtypes[:2] == [np.float64, np.float64]
+
+
+def test_trace_table_beyond_float64_runs_on_python_ints(kernel_dtypes):
+    rng = np.random.default_rng(5)
+    n, phi = 20, context(20).phi
+
+    def family(count, nrows, ncols):
+        """int64 numerators near 2^30, so products pass 2^53."""
+        return [
+            CycMatrix(
+                n,
+                [
+                    [
+                        CycNumber(
+                            n,
+                            [int(x) for x in rng.integers(-2**30, 2**30, phi)],
+                            int(rng.integers(1, 7)),
+                        )
+                        for _ in range(ncols)
+                    ]
+                    for _ in range(nrows)
+                ],
+            )
+            for _ in range(count)
+        ]
+
+    left, right = family(4, 2, 3), family(5, 3, 2)
+    assert {m.num.dtype for m in left + right} == {np.dtype(np.int64)}
+    table = trace_table(right, left)
+    assert kernel_dtypes == [object]
+    assert table.num.dtype == object
+    for a, b in itertools.product(range(4), range(5)):
+        assert table[a, b] == (left[a] @ right[b]).trace()
+    squares = [m @ r for m, r in zip(left, right)]
+    del kernel_dtypes[:]
+    traces = trace_table(squares)
+    assert kernel_dtypes == [object]
+    assert [traces[0, a] for a in range(4)] == [m.trace() for m in squares]
 
 
 def random_matrix(rng, n, nrows, ncols, zero_chance=0.4):

@@ -183,6 +183,33 @@ def test_m_K_bound_two_on_quaternions():
     assert bound == 2 and m <= 2
 
 
+def test_multiplicity_bound_failure_is_recorded_with_its_witness(monkeypatch):
+    import heisweil.mackey as mk
+    from heisweil.suites import SUITES, RunConfig
+
+    # the first configuration with Z <= K, the first one the bound applies to
+    for label, tg, k_members, kappa, theta in standard_mackey_configurations():
+        m, bound = m_K(tg, k_members, theta)
+        if bound is not None:
+            break
+    key = (tg.order, tuple(k_members), theta.perm)
+    real = mk.s_theta
+
+    def extra_cosets(g, k_sub, th, orbit):
+        found = real(g, k_sub, th, orbit)
+        if (g.order, tuple(k_sub), th.perm) == key:
+            found = found + list(range(bound + 1))
+        return found
+
+    monkeypatch.setattr(mk, "s_theta", extra_cosets)
+    assert mk.m_K(tg, k_members, theta) == (m + bound + 1, bound)
+    checks = SUITES["mackey"](RunConfig())
+    check = next(c for c in checks if c.check == "mackey.multiplicity_bound")
+    assert not check.passed
+    assert check.witness == {"config": label, "m_K": m + bound + 1, "h1_bound": bound}
+    assert check.checks == 28
+
+
 def test_h1_bound_two_for_theta_trivial_on_center():
     # theta trivial on a C2 center: Z^1 = Z, B^1 = {e}, bound = 2
     q8 = quaternion_group()

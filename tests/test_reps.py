@@ -170,6 +170,12 @@ def test_hom_dim_examples(h3, tau3):
     assert hom_dim(tau3, triv.fixed_points()) == 0
 
 
+def test_hom_dim_rejects_a_non_integer_projector_trace(tau3):
+    # {0, 3} is no subgroup: (tr tau(0) + tr tau(3)) / 2 = (3 + 0) / 2
+    with pytest.raises(RuntimeError, match="is not an integer"):
+        hom_dim(tau3, [0, 3])
+
+
 def test_hom_dim_matches_fixed_forms(h3, tau3):
     for sub in h3.all_subgroups():
         assert hom_dim(tau3, sub) == fixed_forms(tau3, sub).dim
