@@ -18,8 +18,6 @@ as frozensets of indices and checked as sorted index arrays.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 __all__ = [
@@ -163,16 +161,6 @@ class TableGroup:
             x = self.mul(x, a)
             k += 1
         return k
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"order": self.order, "table": self.table.tolist()}, sort_keys=True
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "TableGroup":
-        data = json.loads(text)
-        return TableGroup(data["table"])
 
     def __repr__(self):
         return f"TableGroup(order={self.order})"

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -118,9 +119,10 @@ class HeisenbergGroup(TableGroup):
         moved = self.w @ np.swapaxes(np.asarray(mats, dtype=np.int64), -1, -2)
         return self.index_of(moved, self.z)
 
+    @cached_property
     def commutator_values(self) -> np.ndarray:
-        """(|H|, |H|) array of c with [a, b] = a b a^-1 b^-1 = (0, c), read
-        off the table; raises when some commutator is not central."""
+        """Read-only (|H|, |H|) array of c with [a, b] = a b a^-1 b^-1 = (0, c),
+        read off the table once per group; raises on a non-central one."""
         comm = self.commutators()
         off_center = self.w[comm].any(axis=-1)
         if off_center.any():
@@ -129,7 +131,9 @@ class HeisenbergGroup(TableGroup):
                 f"commutator of {self.names[a]} and {self.names[b]} is not central: "
                 f"{self.names[comm[a, b]]}"
             )
-        return self.z[comm]
+        values = self.z[comm]
+        values.flags.writeable = False
+        return values
 
     # -- subgroups ----------------------------------------------------------
 
@@ -188,7 +192,7 @@ def special_iso_axioms(group: HeisenbergGroup, mu, check: Check | None = None) -
     check.all(
         mu[center] == g.z[center], lambda i: {"mu": mu, "center": int(center[i])}
     )
-    twisted = (mu[:, None] + mu[None, :] + g.half * g.commutator_values()) % g.p
+    twisted = (mu[:, None] + mu[None, :] + g.half * g.commutator_values) % g.p
     check.all(mu[g.table] == twisted, lambda a, b: {"mu": mu, "a": a, "b": b})
     return check.passed
 
@@ -259,7 +263,7 @@ def special_iso_from_split_polarization(
             f"h+ h- has w = {g.names[prod[bad[0]]].w}, not the decomposed "
             f"w = {g.names[bad[0]].w}"
         )
-    mu = (g.z - g.z[prod] + g.half * g.commutator_values()[hp, hm]) % p
+    mu = (g.z - g.z[prod] + g.half * g.commutator_values[hp, hm]) % p
 
     # offset from mu restricted to (w, 0): <w, w0> = mu((e_i, 0)) on basis
     rhs = mu[[g.from_w(g.space.basis_vector(i)) for i in range(g.dim)]]
@@ -430,14 +434,22 @@ def polarization_from_involution(alpha: HeisenbergAutomorphism):
     return hplus, hhat_minus
 
 
+def _sweep_guard(g: HeisenbergGroup) -> None:
+    """The (s, w0) sweeps below run over |Sp(W)| * |W| candidates."""
+    if g.space.ell != 1 or g.p > 7:
+        raise GuardError(
+            f"automorphism sweep guarded to ell = 1 and p <= 7; "
+            f"got ell = {g.space.ell}, p = {g.p}"
+        )
+
+
 def order_two_automorphisms_trivial_on_center(
     group: HeisenbergGroup,
 ) -> list[HeisenbergAutomorphism]:
     """All order-two automorphisms fixing Z pointwise: nontrivial (s, w0)
     with s symplectic, s^2 = 1 and s.w0 = -w0."""
     g = group
-    if g.space.ell != 1 or g.p > 5:
-        raise GuardError("automorphism sweep guarded to ell=1, p<=5")
+    _sweep_guard(g)
     out = []
     for s in enumerate_sp(g.space):
         if not (s * s).is_identity():
@@ -456,8 +468,7 @@ def order_two_automorphisms_inverting_center(
 ) -> list[HeisenbergAutomorphism]:
     """All order-two automorphisms with alpha|Z = inversion."""
     g = group
-    if g.space.ell != 1 or g.p > 5:
-        raise GuardError("automorphism sweep guarded to ell=1, p<=5")
+    _sweep_guard(g)
     out = []
     for s in enumerate_antisymplectic(g.space):
         if not (s * s).is_identity():

@@ -402,7 +402,10 @@ def semidirect_table_group(space):
 
 
 def semidirect_involution_record(tg: TableGroup, alpha) -> InvolutionRecord:
-    """theta(s, h) = (abar s abar^-1, alpha(h)) for a central-inverting alpha."""
+    """theta(s, h) = (abar s abar^-1, alpha(h)) for a central-inverting alpha
+    with w0 = 0: only for those is theta an automorphism of Sp(W) x| H."""
+    if any(alpha.w0):
+        raise ValueError(f"alpha must have w0 = 0; got w0 = {alpha.w0}")
     abar = alpha.s
     abar_inv = abar.inverse()
     nh = alpha.group.order

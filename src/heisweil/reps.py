@@ -11,11 +11,12 @@ character zeta(z) = zeta_p^(k z) are realized on C[F_p^l]:
 
 Every character read goes through one routine: a :class:`MatrixRep`
 computes its character once, as the row of traces that
-:func:`~heisweil.linalg.trace_table` returns over one denominator, and
-:func:`hom_dim`, :func:`rep_equivalent` and :func:`character_inner_product`
-read that row.  Hom-space dimensions are exact: the averaging operator over
-a subgroup is idempotent, so its rank equals its trace, a rational integer
-computed in the cyclotomic field with no tolerance anywhere.
+:func:`~heisweil.linalg.trace_table` returns over one denominator;
+:func:`character_table` stacks such rows, :func:`hom_dims` (every rep
+against every subgroup), :func:`rep_equivalent` and
+:func:`character_inner_product` read them.  Hom-space dimensions are exact:
+the averaging operator over a subgroup is idempotent, so its rank equals its
+trace, a rational integer computed with no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from heisweil.groups import generators_within
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import (
     CycMatrix,
+    batch_from_matrices,
     nullspace,
     row_space_rank,
     same_row_space,
     trace_table,
+    verify_multiplication_table,
 )
 from heisweil.scalar import CycNumber, run_conductor, zeta_p
 from heisweil.symplectic import GuardError
@@ -43,10 +46,12 @@ __all__ = [
     "FixedForms",
     "MatrixRep",
     "character_inner_product",
+    "character_table",
     "contragredient",
     "fixed_forms",
     "heisenberg_rep",
     "hom_dim",
+    "hom_dims",
     "invariant_pairing",
     "irreducibles_of_H",
     "rep_equivalent",
@@ -87,16 +92,17 @@ class MatrixRep:
         column = CycMatrix.from_roots(self.conductor, 0 * ones, ones)
         return (self.characters(elements) @ column)[0, 0]
 
-    def verify_homomorphism(self, pairs=None, check: Check | None = None) -> bool:
-        """tau(1) = 1 and tau(a) tau(b) = tau(ab) on ``pairs`` (every pair by
-        default)."""
-        g = self.group
+    def verify_homomorphism(self, check: Check | None = None) -> bool:
+        """tau(1) = 1, and tau(a) tau(b) = tau(ab) for every pair (a, b) at
+        once, through the packed multiplication kernel over the group table."""
+        g, n = self.group, self.conductor
         check = Check("reps.homomorphism") if check is None else check
-        one = CycMatrix.identity(self.conductor, self.dim)
-        check(self.images[g.identity()] == one, "identity")
-        els = g.elements()
-        for a, b in itertools.product(els, els) if pairs is None else pairs:
-            check(self.images[a] @ self.images[b] == self.images[g.mul(a, b)], (a, b))
+        check(self.images[g.identity()] == CycMatrix.identity(n, self.dim), "identity")
+        num, den = batch_from_matrices([self.images[h] for h in g.elements()], n)
+        ok = np.ones(g.table.shape, dtype=bool)
+        for a, b in verify_multiplication_table(num, den, g.table, n, max_failures=1):
+            ok[a, b] = False
+        check.all(ok)
         return check.passed
 
 
@@ -163,21 +169,31 @@ def invariant_pairing(f1, f2, rep: MatrixRep, corep: MatrixRep) -> CycNumber:
     return sum((a * b for a, b in zip(f1, f2)), CycNumber.zero(rep.conductor))
 
 
-def hom_dim(rep: MatrixRep, subgroup) -> int:
-    """dim Hom_K(rep, 1) = dim { lambda : lambda o rep(k) = lambda }.
+def hom_dims(reps: list[MatrixRep], subgroups) -> np.ndarray:
+    """dim Hom_K(rep, 1) for every rep (rows) and subgroup K (columns): the
+    rank of the averaging projector over K, which being idempotent equals its
+    exact trace (1/|K|) sum_k tr rep(k).  One product of the stacked character
+    rows with the 0/1 indicators of the subgroups; each entry must be an
+    integer >= 0."""
+    subgroups = [frozenset(k) for k in subgroups]
+    els = sorted(frozenset().union(*subgroups))
+    ind = np.array([[x in k for k in subgroups] for x in els], dtype=np.int64)
+    sums = character_table(reps, els) @ CycMatrix.from_roots(
+        reps[0].conductor, 0 * ind, ind
+    )
+    # entry / |K| = num[..., 0] / (den |K|) when the entry is rational
+    sizes, const = sums.den * ind.sum(axis=0), sums.num[..., 0]
+    bad = sums.num[..., 1:].any(axis=2) | (const % sizes != 0) | (const < 0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        val = sums[i, j] / len(subgroups[j])
+        raise RuntimeError(f"projector trace {val!r} is not an integer >= 0")
+    return const // sizes
 
-    Computed as the rank of the averaging projector over K, which being
-    idempotent equals its exact trace: (1/|K|) sum_k tr rep(k), one sum
-    over the character row.
-    """
-    members = list(subgroup)
-    val = rep.character_sum(members) / len(members)
-    if not val.is_integer():
-        raise RuntimeError(f"projector trace {val!r} is not an integer")
-    out = int(val.rational_value())
-    if out < 0:
-        raise RuntimeError(f"projector trace {out} is negative")
-    return out
+
+def hom_dim(rep: MatrixRep, subgroup) -> int:
+    """dim Hom_K(rep, 1) for one rep and one subgroup; see :func:`hom_dims`."""
+    return int(hom_dims([rep], [subgroup])[0, 0])
 
 
 def rep_equivalent(rep1: MatrixRep, rep2: MatrixRep) -> bool:
@@ -186,6 +202,14 @@ def rep_equivalent(rep1: MatrixRep, rep2: MatrixRep) -> bool:
         raise ValueError("representations live on different groups")
     els = list(rep1.images)
     return rep1.characters(els) == rep2.characters(els)
+
+
+def character_table(reps: list[MatrixRep], elements) -> CycMatrix:
+    """Row i holds tr reps[i](g) for each of ``elements``: the character rows
+    stacked over one denominator."""
+    n = reps[0].conductor
+    num, den = batch_from_matrices([r.characters(elements) for r in reps], n)
+    return CycMatrix._packed(n, num[:, 0], den)
 
 
 def character_inner_product(rep1: MatrixRep, rep2: MatrixRep) -> CycNumber:

@@ -372,16 +372,6 @@ class CycNumber:
             float(Fraction(a, self.den)) * z**k for k, a in enumerate(self.nums)
         )
 
-    def multiplicative_order(self) -> int | None:
-        """Order of self in Q(zeta_N)^x, or None if infinite."""
-        one = CycNumber.one(self.N)
-        x = self
-        for k in range(1, 2 * self.N + 1):
-            if x == one:
-                return k
-            x = x * self
-        return None
-
     def to_json(self) -> dict:
         return {"N": self.N, "coeffs": [[a, self.den] for a in self.nums]}
 

@@ -289,18 +289,23 @@ class SpElement:
 # -- form tests and characters -------------------------------------------------
 
 
-def is_symplectic(space: SymplecticSpace, m) -> bool:
+def _has_multiplier(space: SymplecticSpace, m, sign: int):
+    """m^T J m = sign * J, for one matrix or each of a stack (..., 2l, 2l)."""
     m = mat_mod(m, space.p)
-    if m.shape != (space.dim, space.dim):
+    if m.shape[-2:] != (space.dim, space.dim):
         raise ValueError("dimension mismatch with the space")
-    return np.array_equal(m.T @ space.form @ m % space.p, space.form)
+    pulled = np.swapaxes(m, -1, -2) @ space.form @ m % space.p
+    return (pulled == sign * space.form % space.p).all(axis=(-2, -1))
 
 
-def is_antisymplectic(space: SymplecticSpace, m) -> bool:
-    m = mat_mod(m, space.p)
-    if m.shape != (space.dim, space.dim):
-        raise ValueError("dimension mismatch with the space")
-    return np.array_equal(m.T @ space.form @ m % space.p, (-space.form) % space.p)
+def is_symplectic(space: SymplecticSpace, m):
+    """m^T J m = J: a bool for one matrix, a bool array for a stack."""
+    return _has_multiplier(space, m, 1)
+
+
+def is_antisymplectic(space: SymplecticSpace, m):
+    """m^T J m = -J: a bool for one matrix, a bool array for a stack."""
+    return _has_multiplier(space, m, -1)
 
 
 def m_element(space: SymplecticSpace, y) -> SpElement:

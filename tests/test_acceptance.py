@@ -329,8 +329,8 @@ def test_criterion_09_congruence_square_roots():
 # byte-identical for a fixed config, so any change to them shows here
 REPORT_SHA256 = {
     3: "5f4f884a4a2af35d37c1ce38131ccd051ced26ee5b049cd4f2fb2e67b17077ca",
-    5: "7407fbfefb56320f26d0da266e0b3b302d6fa90fdc4d5135f2bbd338e03bd78d",
-    7: "1c85988876f198c507139eb7e3056743ec670804047d69313a9b215f220d9f08",
+    5: "7dde28dc47c44eae8fb2468e22fcf9e10adb4b37ed29f3a51b179233f42d45ea",
+    7: "e00e094e7da1a802aa4b1a583027fe294ea58ea66f6d8cdcf7afdb76f18c4e56",
 }
 
 

@@ -482,16 +482,29 @@ def _check_named(results, name):
     return found
 
 
-def test_check_counts_are_the_identities_evaluated():
+@pytest.mark.parametrize("p", [3, 5])
+def test_check_counts_are_the_identities_evaluated(p):
+    from heisweil import heisenberg as heis
     from heisweil import mackey as mk
+    from heisweil.reps import irreducibles_of_H
     from heisweil.symplectic import SymplecticSpace, enumerate_sp
 
-    heis_results = SUITES["heisenberg"](RunConfig(p=3))
-    closure = _check_named(heis_results, "symplectic.closure")
-    assert closure.checks == len(enumerate_sp(SymplecticSpace(3, 1))) ** 2 == 576
+    space = SymplecticSpace(p, 1)
+    group = heis.HeisenbergGroup(space)
+    sp_order = len(enumerate_sp(space))
+    assert (sp_order, group.order) == (p * (p * p - 1), p**3)
+    irreps = len(irreducibles_of_H(group))
+    alphas = len(heis.order_two_automorphisms_inverting_center(group))
 
-    hom = _check_named(SUITES["reps"](RunConfig(p=3)), "reps.heisenberg_rep_homomorphism")
-    assert hom.checks == 27**2 + 1  # every pair, and tau(1) = 1
+    counts = {c.check: c.checks for c in SUITES["heisenberg"](RunConfig(p=p))}
+    assert counts["symplectic.closure"] == sp_order**2  # every pair
+    assert counts["heisenberg.group_axioms"] == group.order**3  # every triple
+    counts = {c.check: c.checks for c in SUITES["reps"](RunConfig(p=p))}
+    # every pair, and tau(1) = 1
+    assert counts["reps.heisenberg_rep_homomorphism"] == group.order**2 + 1
+    assert counts["reps.gelfand_bound"] == irreps * alphas
+    # the dimension list, and every entry of the Gram matrix
+    assert counts["reps.irreducible_census"] == 1 + irreps**2
 
     stab = _check_named(SUITES["mackey"](RunConfig(p=3)), "mackey.involution_stabilizer")
     groups = (mk.symmetric_group(3), mk.dihedral_group(4), mk.quaternion_group())

@@ -21,7 +21,7 @@ from heisweil.heisenberg import (
     special_iso_from_split_polarization,
     split_polarization_from_iso,
 )
-from heisweil.symplectic import SpElement, SymplecticSpace
+from heisweil.symplectic import GuardError, SpElement, SymplecticSpace
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_center_equals_commutator_subgroup(h3):
 
 
 def test_commutator_examples(h3):
-    comm = h3.commutator_values()
+    comm = h3.commutator_values
     e1, e2 = h3.from_w((1, 0)), h3.from_w((0, 1))
     assert comm[e1, e2] == 1
     assert comm[h3.element((1, 0), 2), h3.element((1, 0), 1)] == 0
@@ -84,7 +84,7 @@ def test_commutator_examples(h3):
 
 
 def test_commutator_equals_form(h3):
-    comm = h3.commutator_values()
+    comm = h3.commutator_values
     for a, b in itertools.product(h3.elements(), repeat=2):
         assert comm[a, b] == h3.space.pair(h3.names[a].w, h3.names[b].w)
 
@@ -190,6 +190,17 @@ def test_central_sign_must_match_matrix_sign(h3):
         HeisenbergAutomorphism(h3, s, (0, 0), 1)
 
 
+@pytest.mark.parametrize("p, ell", [(11, 1), (3, 2)])
+def test_automorphism_sweeps_name_their_limit(p, ell):
+    g = HeisenbergGroup(SymplecticSpace(p, ell))
+    for sweep in (
+        order_two_automorphisms_trivial_on_center,
+        order_two_automorphisms_inverting_center,
+    ):
+        with pytest.raises(GuardError, match=f"p <= 7; got ell = {ell}, p = {p}"):
+            sweep(g)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_order_two_trivial_on_center_crosscheck(p):
     g = HeisenbergGroup(SymplecticSpace(p, 1))
@@ -257,7 +268,7 @@ def test_special_iso_restriction_to_nondegenerate_subspace():
         w0 = tuple(rng.randrange(3) for _ in range(4))
         nu_big = SpecialIso(big, w0)
         mu_small = {h: nu_big.mu[embed(h)] for h in small.elements()}
-        comm = small.commutator_values()
+        comm = small.commutator_values
         # restriction satisfies both special-isomorphism axioms
         for z in range(3):
             assert mu_small[small.central(z)] == z

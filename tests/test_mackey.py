@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from heisweil.groups import extend_hom
-from heisweil.heisenberg import HElem, HeisenbergGroup
+from heisweil.heisenberg import (
+    HElem,
+    HeisenbergGroup,
+    order_two_automorphisms_inverting_center,
+)
 from heisweil.linalg import CycMatrix
 from heisweil.mackey import (
     InvolutionRecord,
@@ -27,6 +31,7 @@ from heisweil.mackey import (
     orbmult_check,
     quaternion_group,
     s_theta,
+    semidirect_involution_record,
     semidirect_table_group,
     symmetric_group,
     table_group_from_mul,
@@ -61,11 +66,6 @@ def test_table_group_rejects_bad_tables():
         TableGroup([[0, 1], [1, 1]])  # not a group
     with pytest.raises(ValueError):
         TableGroup([[1, 0], [0, 1]])  # identity not at 0
-
-
-def test_table_group_json_roundtrip(s3):
-    again = TableGroup.from_json(s3.to_json())
-    assert np.array_equal(again.table, s3.table)
 
 
 def test_double_coset_examples(s3, a3):
@@ -349,6 +349,21 @@ def test_semidirect_table_matches_pairwise_products():
     assert tg.order == 648
     assert [(s, g.names[h]) for s, h in tg.names] == ref.names
     assert np.array_equal(tg.table, ref.table)
+
+
+def test_semidirect_involution_record_needs_untwisted_alpha():
+    # theta(s, h) = (abar s abar^-1, alpha(h)) is an automorphism of Sp x| H
+    # for the untwisted alpha (w0 = 0) only; the others are rejected
+    tg, g = semidirect_table_group(SymplecticSpace(3, 1))
+    alphas = order_two_automorphisms_inverting_center(g)
+    untwisted = [a for a in alphas if not any(a.w0)]
+    assert (len(alphas), len(untwisted)) == (36, 12)
+    for alpha in alphas:
+        if alpha in untwisted:
+            assert semidirect_involution_record(tg, alpha).is_valid(tg)
+        else:
+            with pytest.raises(ValueError, match="w0 = 0"):
+                semidirect_involution_record(tg, alpha)
 
 
 def test_involution_record_validity(s3):

@@ -1,8 +1,10 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+from heisweil.checks import Check
 from heisweil.heisenberg import (
     HeisenbergGroup,
     involution_from_polarization,
@@ -18,6 +20,7 @@ from heisweil.reps import (
     fixed_forms,
     heisenberg_rep,
     hom_dim,
+    hom_dims,
     invariant_pairing,
     irreducibles_of_H,
     rep_equivalent,
@@ -67,6 +70,18 @@ def test_minus_model_shift_and_phase(h3, tau3):
 
 def test_homomorphism_exhaustive_p3(tau3):
     assert tau3.verify_homomorphism()
+
+
+def test_homomorphism_failure_reports_the_first_bad_pair(h3, tau3):
+    images = dict(tau3.images)
+    images[5] = images[5].scale(-1)
+    check = Check("reps.homomorphism")
+    assert not replace(tau3, images=images).verify_homomorphism(check)
+    assert check.checks == 27**2 + 1
+    # row 0 holds (the identity is untouched); in row 1 the first pair
+    # reading the negated image is the first failure
+    first = min(b for b in h3.elements() if 5 in (b, h3.mul(1, b)))
+    assert check.witness == [1, first]
 
 
 def test_character_supported_on_center(h5, tau5):
@@ -174,6 +189,18 @@ def test_hom_dim_rejects_a_non_integer_projector_trace(tau3):
     # {0, 3} is no subgroup: (tr tau(0) + tr tau(3)) / 2 = (3 + 0) / 2
     with pytest.raises(RuntimeError, match="is not an integer"):
         hom_dim(tau3, [0, 3])
+
+
+def test_hom_dims_table_equals_character_sums(h3):
+    irreps = irreducibles_of_H(h3)
+    subgroups = h3.all_subgroups()
+    table = hom_dims(irreps, subgroups)
+    assert table.shape == (len(irreps), len(subgroups))
+    for i, rho in enumerate(irreps):
+        for j, sub in enumerate(subgroups):
+            total = int(table[i, j]) * len(sub)
+            expect = CycNumber.from_rational(rho.conductor, total)
+            assert rho.character_sum(sorted(sub)) == expect
 
 
 def test_hom_dim_matches_fixed_forms(h3, tau3):

@@ -61,7 +61,9 @@ def test_root_of_unity_i_squares_to_minus_one():
 def test_root_of_unity_order(n, k):
     from math import gcd
 
-    assert root_of_unity(n, k).multiplicative_order() == n // gcd(n, k)
+    x, one = root_of_unity(n, k), CycNumber.one(n)
+    powers = [x**e for e in range(1, n // gcd(n, k) + 1)]
+    assert powers[-1] == one and one not in powers[:-1]
 
 
 def test_gauss_sum_p3_closed_form():

@@ -43,6 +43,14 @@ def test_form_is_antisymmetric_and_bilinear(sp3):
     assert lhs == (sp3.pair(a, c) + sp3.pair(b, c)) % 3
 
 
+def test_is_symplectic_on_a_stack(sp3):
+    # m^T J m = det(m) J for 2 x 2 m, and det 2 = -1 mod 3
+    mats = np.array([np.eye(2), sp3.form, [[2, 0], [0, 1]], [[1, 0], [0, -1]], [[1, 1], [1, 1]]])
+    assert is_symplectic(sp3, mats).tolist() == [True, True, False, False, False]
+    assert is_antisymplectic(sp3, mats).tolist() == [False, False, True, True, False]
+    assert is_symplectic(sp3, np.stack([mats, mats])).shape == (2, 5)
+
+
 def test_is_symplectic_examples(sp3):
     assert is_symplectic(sp3, np.eye(2))
     assert is_symplectic(sp3, sp3.form)  # j itself
