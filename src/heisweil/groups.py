@@ -10,6 +10,12 @@ routines do all the breadth-first work:
 - :func:`extend_hom` extends images of generators to a homomorphism on a
   whole table group, checking every (element, generator) edge.
 
+:func:`double_coset_labels` is the one coset partition: it labels every
+element with its double coset K x H, one table gather per coset, and serves
+the Mackey sums, the twisted-coset bookkeeping, the Q\\H/K forms of
+:func:`heisweil.reps.fixed_forms` and the abelianization of Sp(W) (as
+{1} x [G, G]).
+
 The Heisenberg group W x| F_p (:class:`heisweil.heisenberg.HeisenbergGroup`)
 is a TableGroup subclass, so subgroup, commutator and automorphism checks
 below serve it and the Mackey test groups alike.  Subgroups are handed out
@@ -23,6 +29,7 @@ import numpy as np
 __all__ = [
     "TableGroup",
     "closure",
+    "double_coset_labels",
     "extend_hom",
     "generators_within",
     "table_group_from_mul",
@@ -101,6 +108,7 @@ class TableGroup:
             for a in range(n):
                 if not np.array_equal(t[t[a]], t[a][t]):
                     raise ValueError("table is not associative")
+        self._center = frozenset(np.flatnonzero((t == t.T).all(axis=1)).tolist())
 
     # the group protocol: elements are the indices 0..n-1
     def elements(self):
@@ -119,8 +127,7 @@ class TableGroup:
         return self.mul(self.mul(g, h), self.inv(g))
 
     def center(self) -> frozenset:
-        t = self.table
-        return frozenset(np.flatnonzero((t == t.T).all(axis=1)).tolist())
+        return self._center
 
     def subgroup_generated(self, gens) -> frozenset:
         return frozenset(closure([0], gens, self.mul))
@@ -164,6 +171,31 @@ class TableGroup:
 
     def __repr__(self):
         return f"TableGroup(order={self.order})"
+
+
+def double_coset_labels(g: TableGroup, k_sub, h_sub) -> np.ndarray:
+    """For each element x, the number of its double coset K x H.
+
+    Cosets are numbered in the order of their smallest members, so the first
+    index of each label is its coset's smallest element.  Each coset is one
+    gather ``t[t[K, x]][:, H]`` from the table.
+    """
+    k = np.array(sorted(set(k_sub)), dtype=np.int64)
+    h = np.array(sorted(set(h_sub)), dtype=np.int64)
+    if not (g.is_subgroup(k) and g.is_subgroup(h)):
+        raise ValueError("double cosets need subgroups K and H")
+    t = g.table
+    labels = np.full(g.order, -1, dtype=np.int64)
+    count = 0
+    for x in range(g.order):
+        if labels[x] >= 0:
+            continue
+        coset = t[t[k, x]][:, h]
+        if (labels[coset] >= 0).any():
+            raise RuntimeError(f"double coset of {x} meets an earlier one")
+        labels[coset] = count
+        count += 1
+    return labels
 
 
 def generators_within(g: TableGroup, members) -> list[int]:

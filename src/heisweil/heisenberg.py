@@ -478,27 +478,3 @@ def order_two_automorphisms_inverting_center(
             if alpha.is_order_two():
                 out.append(alpha)
     return out
-
-
-def graph_subgroup_offset(group: HeisenbergGroup, hplus) -> tuple[int, ...]:
-    """For an abelian subgroup {(w, mu(w))} with isotropic maximal image and
-    trivial central part, the w0 with mu(w) = <w, w0>; then conjugation by
-    (w0, 0) carries W+ x 0 onto the subgroup."""
-    g = group
-    by_w = {g.names[h].w: g.names[h].z for h in hplus}
-    basis = _basis_of(g, by_w.keys())
-    # mu is linear on the image; solve <w, w0> = mu(w) on a basis, then extend
-    rows = np.array(basis, dtype=np.int64) @ g.space.form % g.p
-    rhs = np.array([by_w[b] for b in basis], dtype=np.int64)
-    # underdetermined in general: solve via rref on [rows | rhs]
-    aug = np.concatenate([rows, rhs[:, None]], axis=1)
-    red, pivots, _ = rref_mod(aug, g.p)
-    if any(pc == g.dim for pc in pivots):
-        raise ValueError("subgroup is not a graph of a linear map")
-    w0 = np.zeros(g.dim, dtype=np.int64)
-    for row, pc in zip(red, pivots):
-        w0[pc] = row[g.dim]
-    members = np.array(sorted(hplus), dtype=np.int64)
-    if not np.array_equal(g.w[members] @ g.space.form @ w0 % g.p, g.z[members]):
-        raise RuntimeError("offset reconstruction failed")
-    return tuple(int(x) for x in w0)

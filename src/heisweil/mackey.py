@@ -18,6 +18,9 @@ Both read kappa's character through its one row of traces
 row over the diagonal blocks itself rather than calling :func:`hom_dim`.
 
 Their agreement on every configuration is the module-level theorem check.
+Every double coset on this side (:func:`double_cosets`, :func:`s_theta` and
+the suites' twisted-coset clauses) comes from the one partition
+:func:`heisweil.groups.double_coset_labels`; the oracle does not call it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from heisweil.groups import (
     TableGroup,
     closure,
+    double_coset_labels,
     extend_hom,
     generators_within,
     table_group_from_mul,
@@ -239,20 +243,10 @@ def involution_orbits(g: TableGroup, thetas, actor) -> list[list[InvolutionRecor
 
 
 def double_cosets(g: TableGroup, k_sub, h_sub) -> list[int]:
-    """One representative per double coset K g H; the cosets partition G."""
-    k_sub, h_sub = sorted(k_sub), sorted(h_sub)
-    if not (g.is_subgroup(k_sub) and g.is_subgroup(h_sub)):
-        raise ValueError("double_cosets needs subgroups")
-    remaining = set(range(g.order))
-    reps = []
-    while remaining:
-        x = min(remaining)
-        reps.append(x)
-        coset = {g.mul(g.mul(a, x), b) for a in k_sub for b in h_sub}
-        if not coset <= remaining:
-            raise RuntimeError(f"double coset of {x} meets an earlier one")
-        remaining -= coset
-    return reps
+    """One representative per double coset K g H, the smallest member of
+    each, in increasing order; the cosets partition G."""
+    labels = double_coset_labels(g, k_sub, h_sub)
+    return np.unique(labels, return_index=True)[1].tolist()
 
 
 def mackey_hom_dim(g: TableGroup, k_sub, kappa: MatrixRep, h_sub) -> int:

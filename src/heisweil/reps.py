@@ -12,9 +12,9 @@ character zeta(z) = zeta_p^(k z) are realized on C[F_p^l]:
 Every character read goes through one routine: a :class:`MatrixRep`
 computes its character once, as the row of traces that
 :func:`~heisweil.linalg.trace_table` returns over one denominator;
-:func:`character_table` stacks such rows, :func:`hom_dims` (every rep
-against every subgroup), :func:`rep_equivalent` and
-:func:`character_inner_product` read them.  Hom-space dimensions are exact:
+:func:`character_table` stacks such rows, and :func:`hom_dims` (every rep
+against every subgroup) reads them; equivalence and inner products of
+characters are products of such rows.  Hom-space dimensions are exact:
 the averaging operator over a subgroup is idempotent, so its rank equals its
 trace, a rational integer computed with no tolerance anywhere.
 """
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from heisweil.checks import Check
-from heisweil.groups import generators_within
+from heisweil.groups import double_coset_labels, generators_within
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import (
     CycMatrix,
@@ -45,16 +45,13 @@ from heisweil.symplectic import GuardError
 __all__ = [
     "FixedForms",
     "MatrixRep",
-    "character_inner_product",
     "character_table",
     "contragredient",
     "fixed_forms",
     "heisenberg_rep",
     "hom_dim",
     "hom_dims",
-    "invariant_pairing",
     "irreducibles_of_H",
-    "rep_equivalent",
 ]
 
 
@@ -162,13 +159,6 @@ def contragredient(rep: MatrixRep) -> MatrixRep:
     )
 
 
-def invariant_pairing(f1, f2, rep: MatrixRep, corep: MatrixRep) -> CycNumber:
-    """<f1, f2> = sum over the transversal of f1(t) f2(t)."""
-    if len(f1) != rep.dim or len(f2) != corep.dim or rep.dim != corep.dim:
-        raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(f1, f2)), CycNumber.zero(rep.conductor))
-
-
 def hom_dims(reps: list[MatrixRep], subgroups) -> np.ndarray:
     """dim Hom_K(rep, 1) for every rep (rows) and subgroup K (columns): the
     rank of the averaging projector over K, which being idempotent equals its
@@ -196,27 +186,12 @@ def hom_dim(rep: MatrixRep, subgroup) -> int:
     return int(hom_dims([rep], [subgroup])[0, 0])
 
 
-def rep_equivalent(rep1: MatrixRep, rep2: MatrixRep) -> bool:
-    """Character equality on every element (groups must coincide)."""
-    if rep1.group is not rep2.group and set(rep1.images) != set(rep2.images):
-        raise ValueError("representations live on different groups")
-    els = list(rep1.images)
-    return rep1.characters(els) == rep2.characters(els)
-
-
 def character_table(reps: list[MatrixRep], elements) -> CycMatrix:
     """Row i holds tr reps[i](g) for each of ``elements``: the character rows
     stacked over one denominator."""
     n = reps[0].conductor
     num, den = batch_from_matrices([r.characters(elements) for r in reps], n)
     return CycMatrix._packed(n, num[:, 0], den)
-
-
-def character_inner_product(rep1: MatrixRep, rep2: MatrixRep) -> CycNumber:
-    """(1/|G|) sum_g chi1(g) conj(chi2(g)): one product of the two rows."""
-    els = list(rep1.images)
-    conj2 = rep2.characters(els).conj().transpose()
-    return (rep1.characters(els) @ conj2)[0, 0] / len(els)
 
 
 # -- fixed linear forms ----------------------------------------------------------
@@ -245,21 +220,15 @@ def fixed_forms(rep: MatrixRep, subgroup) -> FixedForms:
     g: HeisenbergGroup = rep.group
     n, p, ell = rep.conductor, g.p, g.space.ell
     K = np.array(sorted(frozenset(subgroup)), dtype=np.int64)
-    if not g.is_subgroup(K):
-        raise ValueError("K must be a subgroup of H")
+    labels = double_coset_labels(g, g.minus_z_subgroup(), K)  # Q\H/K
     t, inv = g.table, g.inverse_of
-    q = np.array(sorted(g.minus_z_subgroup()), dtype=np.int64)
     w_minus = np.array(sorted(g.minus_subgroup()), dtype=np.int64)
     center = np.array(sorted(g.center()), dtype=np.int64)
     zetas = [zeta_p(p, rep.zeta_exponent * e, conductor=n) for e in range(p)]
     digits = p ** np.arange(ell - 1, -1, -1, dtype=np.int64)
 
-    # double cosets Q\H/K, each found from its smallest index
-    remaining = np.ones(g.order, dtype=bool)
     rows, qualifying = [], []
-    while remaining.any():
-        x = int(np.argmax(remaining))
-        remaining[t[t[q, x]][:, K]] = False
+    for x in np.unique(labels, return_index=True)[1].tolist():
         conj = t[t[x, K], inv[x]]  # x K x^-1
         if np.isin(t[np.ix_(w_minus, conj)], center[center != 0]).any():
             continue  # W^- x K x^-1 meets Z nontrivially: no invariant form here
@@ -319,12 +288,13 @@ def irreducibles_of_H(group: HeisenbergGroup) -> list[MatrixRep]:
     if g.order > 3200:
         raise GuardError("irreducible sweep guarded to |H| <= 3200")
     n = run_conductor(p)
-    zetas = [zeta_p(p, e, conductor=n) for e in range(p)]
     offsets = np.array(list(itertools.product(range(p), repeat=g.dim)), dtype=np.int64)
+    # entry (i, h): zeta_p^<w0_i, w_h>, all characters at once
+    values = offsets @ g.space.form @ g.w.T % p
+    table = CycMatrix.from_roots(n, (n // p) * values, np.ones_like(values))
     out = []
-    # row i: <w0_i, w> for every element
-    for values in (offsets @ g.space.form @ g.w.T % p).tolist():
-        images = {h: CycMatrix(n, [[zetas[e]]]) for h, e in enumerate(values)}
+    for i in range(len(offsets)):
+        images = {h: table[i : i + 1, h : h + 1] for h in range(g.order)}
         out.append(
             MatrixRep(group=g, dim=1, images=images, conductor=n, model="char")
         )

@@ -375,15 +375,6 @@ class CycNumber:
     def to_json(self) -> dict:
         return {"N": self.N, "coeffs": [[a, self.den] for a in self.nums]}
 
-    @staticmethod
-    def from_json(data: dict) -> "CycNumber":
-        n = data["N"]
-        coeffs = [Fraction(a, b) for a, b in data["coeffs"]]
-        den = 1
-        for c in coeffs:
-            den = lcm(den, c.denominator)
-        return CycNumber(n, [int(c * den) for c in coeffs], den)
-
 
 class _ConductorClash(ValueError):
     def __init__(self, a, b):

@@ -36,7 +36,7 @@ from heisweil import reps as reps_mod
 from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
 from heisweil.checks import Check, Recorder
-from heisweil.groups import extend_hom, generators_within
+from heisweil.groups import double_coset_labels, extend_hom, generators_within
 from heisweil.linalg import CycMatrix, trace_table
 from heisweil.scalar import (
     CycNumber,
@@ -80,12 +80,13 @@ class RunConfig:
             return f"precision = {self.precision} must be at least 1 (K >= k0 = 1)"
         if suite in ("reps", "all") and self.ell != 1:
             return "the reps suite runs at ell = 1 only"
-        if suite in ("weil", "all") and self.mode == "exhaustive":
-            if self.ell != 1 or self.p > 7:
-                return (
-                    "exhaustive Weil verification requires ell = 1 and p <= 7; "
-                    "use --mode relations or sampled"
-                )
+        if suite in ("weil", "all") and self.ell == 1 and self.p > 7:
+            return "the Weil lift is built only for p <= 7 at ell = 1, in every mode"
+        if suite in ("weil", "all") and self.ell == 2 and self.mode == "exhaustive":
+            return (
+                "exhaustive Weil verification requires ell = 1; "
+                "use --mode relations at ell = 2"
+            )
         if suite in ("heisenberg", "reps", "all") and self.ell == 1 and self.p > 7:
             return "enumeration suites are guarded to p <= 7"
         return None
@@ -528,8 +529,8 @@ def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
 
 
 def _trivial_rep(tg: mk.TableGroup, members, conductor=4):
-    one = CycNumber.one(conductor)
-    imgs = {k: CycMatrix(conductor, [[one]]) for k in members}
+    one = CycMatrix.from_roots(conductor, [[0]], [[1]])
+    imgs = {k: one for k in members}
     return reps_mod.MatrixRep(group=tg, dim=1, images=imgs, conductor=conductor)
 
 
@@ -683,14 +684,15 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
     for label, tg, k_members, kappa, theta in configs:
         orbit = mk.involution_orbits(tg, [theta], range(tg.order))[0]
         k_orbits = mk.involution_orbits(tg, orbit, k_members)
-        _stheta_clauses(clauses, label, tg, k_members, theta, orbit, k_orbits, rng)
-        triangle(_triangle_bijection(tg, k_members, theta), label)
-        m, bound = mk.m_K(tg, k_members, theta, orbit=orbit, k_orbits=k_orbits)
-        if bound is not None:
-            bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
+        _twisted_coset_checks(
+            clauses, triangle, label, tg, k_members, theta, orbit, k_orbits, rng
+        )
         lhs, rhs, details = mk.orbmult_check(
             tg, k_members, kappa, theta, orbit=orbit, k_orbits=k_orbits
         )
+        m, bound = details["m_K"], details["h1_bound"]
+        if bound is not None:
+            bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
         orbmult(lhs == rhs, {"config": label, "lhs": lhs, "rhs": rhs})
         contr(_contrmult_check(tg, k_members, kappa, theta), label)
 
@@ -698,88 +700,80 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
     return rec
 
 
-def _stheta_clauses(
-    c: Check, label, tg, k_members, theta, orbit, k_orbits, rng
+def _twisted_coset_checks(
+    c: Check, triangle: Check, label, tg, k_members, theta, orbit, k_orbits, rng
 ) -> None:
-    my_orbit = next(
-        o for o in k_orbits if any(t.perm == theta.perm for t in o)
-    )
-    s_base = mk.s_theta(tg, k_members, theta, my_orbit)
+    """Clauses 1-4 on S(theta, Theta') = {K x G^theta : x.theta in Theta'}
+    and the coset/class triangle, partitioning G once per fixed subgroup."""
+    orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
+    g = rng.randrange(tg.order)
+    moved = mk.conjugate_involution(tg, g, theta)
+    partitions = {}  # fixed subgroup -> (label of each element, smallest members)
+    cosets = {}  # involution -> its partition, and the K-orbit of x.theta per member
+    for t2 in [*orbit[:3], moved]:
+        h = mk.fixed_subgroup(tg, t2)
+        if h not in partitions:
+            labels = double_coset_labels(tg, k_members, h)
+            partitions[h] = labels, np.unique(labels, return_index=True)[1].tolist()
+        labels, reps = partitions[h]
+        where = [orbit_of.get(mk.conjugate_involution(tg, x, t2).perm) for x in reps]
+        cosets[t2.perm] = labels, reps, where
+    labels, reps, where = cosets[theta.perm]
+    labels_moved, reps_moved, where_moved = cosets[moved.perm]
+    mine = orbit_of[theta.perm]
+    s_base = [x for x, w in zip(reps, where) if w == mine]
+
+    # x theta(x)^-1 for every x, and where it is central
+    t = tg.table
+    twist = t[np.arange(tg.order), tg.inverse_of[list(theta.perm)]]
+    central = np.isin(twist, sorted(tg.center()))
+    first_central = {}  # coset label -> its smallest member with a central twist
+    for x in np.flatnonzero(central).tolist():
+        first_central.setdefault(labels[x], x)
 
     # clause 2: membership <-> a representative with g theta(g)^-1 central
-    center = tg.center()
-    h_members = sorted(mk.fixed_subgroup(tg, theta))
-    for x in mk.double_cosets(tg, k_members, h_members):
-        coset = _coset_key(tg, k_members, h_members, x)
-        has_central_twist = any(
-            tg.mul(gq, tg.inv(theta.apply(gq))) in center for gq in coset
+    members = set(s_base)
+    for x in reps:
+        c(
+            (x in members) == (labels[x] in first_central),
+            {"config": label, "clause": 2, "x": x},
         )
-        c((x in s_base) == has_central_twist, {"config": label, "clause": 2, "x": x})
 
     # clause 4: the cardinality only depends on the G-orbit
     sizes = set()
-    for t2 in orbit[: min(len(orbit), 3)]:
-        for o2 in k_orbits:
-            sizes.add(len(mk.s_theta(tg, k_members, t2, o2)))
+    for t2 in orbit[:3]:
+        where2 = cosets[t2.perm][2]
+        sizes.update(where2.count(i) for i in range(len(k_orbits)))
     c(len(sizes) == 1, {"config": label, "clause": 4, "sizes": sorted(sizes)})
 
     # clause 1: S(g.theta, Theta') = S(theta, Theta') g^-1
-    g = rng.randrange(tg.order)
-    moved = mk.conjugate_involution(tg, g, theta)
-    h_moved = sorted(mk.fixed_subgroup(tg, moved))
-    lhs = mk.s_theta(tg, k_members, moved, my_orbit)
-    expected = {
-        _coset_key(tg, k_members, h_moved, tg.mul(x, tg.inv(g))) for x in s_base
-    }
+    lhs = [x for x, w in zip(reps_moved, where_moved) if w == mine]
+    expected = {labels_moved[t[x, tg.inv(g)]] for x in s_base}
     c(
-        {_coset_key(tg, k_members, h_moved, x) for x in lhs} == expected,
+        {labels_moved[x] for x in lhs} == expected,
         {"config": label, "clause": 1, "g": g},
     )
 
     # clause 3: K g1 G^theta -> K (g g1 g^-1) G^(g.theta), using a central-twist
     # representative g1 in each member of S(theta, K.theta), is a bijection
     # onto S(g.theta, K.(g.theta))
-    moved_k_orbit = next(
-        o for o in k_orbits if any(t.perm == moved.perm for t in o)
-    )
-    lhs3 = mk.s_theta(tg, k_members, moved, moved_k_orbit)
-    image_keys = set()
-    for x in s_base:
-        coset = _coset_key(tg, k_members, h_members, x)
-        g1 = next(
-            gq
-            for gq in sorted(coset)
-            if tg.mul(gq, tg.inv(theta.apply(gq))) in center
-        )
-        y = tg.mul(tg.mul(g, g1), tg.inv(g))
-        image_keys.add(_coset_key(tg, k_members, h_moved, y))
+    moved_mine = orbit_of[moved.perm]
+    lhs3 = [x for x, w in zip(reps_moved, where_moved) if w == moved_mine]
+    image_keys = {
+        labels_moved[tg.conjugate(g, first_central[labels[x]])] for x in s_base
+    }
     c(
         len(image_keys) == len(s_base)
-        and image_keys == {_coset_key(tg, k_members, h_moved, x) for x in lhs3},
+        and image_keys == {labels_moved[x] for x in lhs3},
         {"config": label, "clause": 3, "g": g},
     )
 
-
-def _coset_key(tg, k_members, h_members, x) -> frozenset:
-    return frozenset(
-        tg.mul(tg.mul(a, x), b) for a in k_members for b in h_members
-    )
-
-
-def _triangle_bijection(tg, k_members, theta) -> bool:
-    h_members = sorted(mk.fixed_subgroup(tg, theta))
-    dcs = mk.double_cosets(tg, k_members, h_members)
+    # the triangle: x -> x theta(x)^-1 maps the double cosets one-to-one onto
+    # the twisted classes
     classes = mk.twisted_classes(tg, k_members, theta)
-    if len(dcs) != len(classes):
-        return False
-    hit = set()
-    for x in dcs:
-        tw = tg.mul(x, tg.inv(theta.apply(x)))
-        idx = next(i for i, cl in enumerate(classes) if tw in cl)
-        if idx in hit:
-            return False
-        hit.add(idx)
-    return len(hit) == len(classes)
+    class_of = {y: i for i, cl in enumerate(classes) for y in cl}
+    hit = {class_of[twist[x]] for x in reps}
+    triangle(len(reps) == len(classes) == len(hit), label)
 
 
 def _contrmult_check(tg, k_members, kappa, theta) -> bool:

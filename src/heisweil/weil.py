@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from heisweil.checks import Check
-from heisweil.groups import TableGroup, extend_hom
+from heisweil.groups import TableGroup, double_coset_labels, extend_hom
 from heisweil.heisenberg import HeisenbergGroup, SpecialIso
 from heisweil.linalg import (
     CycMatrix,
@@ -596,14 +596,9 @@ def sp_one_dim_characters(space: SymplecticSpace) -> list[dict]:
     if m == 1:
         one = CycNumber.one(n)
         return [{s: one for s in tg.names}]
-    coset_id: dict = {}  # element index -> index of its coset s.[G, G]
-    reps = []
-    for s in range(tg.order):
-        if s in coset_id:
-            continue
-        for c in comm:
-            coset_id[tg.mul(s, c)] = len(reps)
-        reps.append(s)
+    labels = double_coset_labels(tg, [0], comm)  # the coset s.[G, G] of each s
+    reps = np.unique(labels, return_index=True)[1].tolist()
+    coset_id = labels.tolist()
     if len(reps) != m:
         raise RuntimeError(f"found {len(reps)} cosets of [G, G], expected {m}")
     powers = [0]  # coset 0 holds the identity; powers of coset 1 follow

@@ -455,6 +455,11 @@ def test_cli_prints_stdlib_indent_1(argv, monkeypatch):
         (["verify", "reps", "--ell", "2"], "reps suite runs at ell = 1 only"),
         (["verify", "all", "--p", "3", "--ell", "2", "--mode", "relations"],
          "reps suite runs at ell = 1 only"),
+        (["verify", "weil", "--p", "11", "--mode", "sampled"], "p <= 7 at ell = 1"),
+        (["verify", "weil", "--p", "11", "--mode", "relations"], "p <= 7 at ell = 1"),
+        (["dump", "weil", "--p", "11", "--mode", "sampled"], "p <= 7 at ell = 1"),
+        (["verify", "weil", "--p", "11"], "p <= 7 at ell = 1"),
+        (["verify", "weil", "--p", "3", "--ell", "2"], "use --mode relations at ell = 2"),
     ],
 )
 def test_guard_names_the_limit(argv, limit, capsys):

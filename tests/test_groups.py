@@ -1,9 +1,17 @@
 import operator
 
-from heisweil.groups import closure, extend_hom
+import numpy as np
+import pytest
+
+from heisweil.groups import closure, double_coset_labels, extend_hom
 from heisweil.heisenberg import HElem, HeisenbergGroup
 from heisweil.linalg import CycMatrix
-from heisweil.mackey import symmetric_group
+from heisweil.mackey import (
+    dihedral_group,
+    double_cosets,
+    quaternion_group,
+    symmetric_group,
+)
 from heisweil.symplectic import SymplecticSpace
 
 
@@ -81,3 +89,48 @@ def test_is_subgroup_rejects_a_set_missing_one_product():
     assert s3.is_subgroup(range(6)) and s3.is_subgroup([0])
     assert not s3.is_subgroup(range(1, 6))  # no identity
     assert not s3.is_subgroup([])
+
+
+def _brute_double_cosets(g, k_sub, h_sub) -> list[set]:
+    """The sets K x H as sets of products, in the order of their smallest
+    members: the reference partition."""
+    cosets = []
+    for x in range(g.order):
+        if not any(x in c for c in cosets):
+            cosets.append({g.mul(g.mul(a, x), b) for a in k_sub for b in h_sub})
+    return cosets
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        symmetric_group(3),
+        dihedral_group(4),
+        quaternion_group(),
+        HeisenbergGroup(SymplecticSpace(3, 1)),
+    ],
+    ids=["S3", "D4", "Q8", "H(3,1)"],
+)
+def test_double_coset_labels_match_the_set_partition(group):
+    g = group
+    # every subgroup of these groups is generated by two elements
+    subgroups = sorted(
+        {g.subgroup_generated([a, b]) for a in range(g.order) for b in range(g.order)},
+        key=sorted,
+    )
+    for k_sub in subgroups:
+        for h_sub in subgroups:
+            labels = double_coset_labels(g, k_sub, h_sub)
+            cosets = [set(np.flatnonzero(labels == i)) for i in range(labels.max() + 1)]
+            expected = _brute_double_cosets(g, k_sub, h_sub)
+            assert cosets == expected
+            assert double_cosets(g, k_sub, h_sub) == [min(c) for c in expected]
+
+
+def test_double_coset_labels_reject_a_non_subgroup():
+    s3 = symmetric_group(3)
+    rot = next(a for a in range(6) if s3.element_order(a) == 3)
+    with pytest.raises(ValueError, match="need subgroups"):
+        double_coset_labels(s3, [0, rot], range(6))
+    with pytest.raises(ValueError, match="need subgroups"):
+        double_coset_labels(s3, range(6), [rot])

@@ -11,7 +11,6 @@ from heisweil.heisenberg import (
     HeisenbergGroup,
     SpecialIso,
     all_special_isos,
-    graph_subgroup_offset,
     involution_from_polarization,
     order_two_automorphisms_inverting_center,
     order_two_automorphisms_trivial_on_center,
@@ -281,20 +280,6 @@ def test_special_iso_restriction_to_nondegenerate_subspace():
                     + small.half * comm[a, b]
                 ) % 3
                 assert lhs == rhs
-
-
-def test_graph_subgroup_offset_identity(h3):
-    # conjugating W+ x 0 by (w0, 0) gives the graph of w -> <w, w0>
-    w0 = (1, 2)
-    g0 = h3.from_w(w0)
-    conj = frozenset(
-        h3.mul(h3.mul(h3.inv(g0), h), g0) for h in h3.plus_subgroup()
-    )
-    off = graph_subgroup_offset(h3, conj)
-    for h in h3.plus_subgroup():
-        moved = h3.mul(h3.mul(h3.inv(g0), h), g0)
-        w = h3.names[h].w
-        assert moved == h3.element(w, h3.space.pair(w, off))
 
 
 # -- the index-based checks reject broken inputs ----------------------------------
