@@ -6,7 +6,8 @@ main objects:
 
 - ``groups``       the finite-group core: Cayley tables, closure, extend_hom
 - ``scalar``       exact cyclotomic numbers, roots of unity, Gauss sums
-- ``linalg``       exact matrices, the one packed kernel and trace_table on it
+- ``linalg``       exact matrices, the one packed kernel, trace_table and
+                   product_table on it
 - ``symplectic``   symplectic spaces over F_p, polarizations, Sp(W) and friends
 - ``heisenberg``   the group W x| F_p, special isomorphisms, involutions
 - ``reps``         Heisenberg representations, invariant forms, Hom dimensions

@@ -158,9 +158,18 @@ class TableGroup:
         return t[t, t[np.ix_(inv, inv)]]
 
     def commutator_subgroup(self) -> frozenset:
-        """[G, G], closed from all commutators a b a^-1 b^-1 on the table."""
-        comms = np.unique(self.commutators()).tolist()
-        return frozenset(closure([0], comms, self.mul))
+        """[G, G], closed from all commutators a b a^-1 b^-1 on the table:
+        each breadth-first layer is one gather of its rows at the
+        commutator columns."""
+        t, comms = self.table, np.unique(self.commutators())
+        seen = np.zeros(self.order, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            reached = np.unique(t[np.ix_(frontier, comms)])
+            frontier = reached[~seen[reached]]
+            seen[frontier] = True
+        return frozenset(np.flatnonzero(seen).tolist())
 
     def element_order(self, a) -> int:
         x, k = a, 1

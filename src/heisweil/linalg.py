@@ -8,7 +8,9 @@ product runs through one packed multiplication kernel, which also backs
 its common denominator by :func:`batch_from_matrices`.  Characters come from
 the same kernel: :func:`trace_table` returns the traces of a family, or the
 table tr(L_a R_b) of two families, as one CycMatrix over one denominator,
-with no CycNumber per element.  The left factor is
+with no CycNumber per element.  :func:`product_table` is its twin for
+products: entry (a, b) is left[a] @ right[b], every entry from one kernel
+call on the two stacked families.  The left factor is
 folded with the (phi, phi, phi) reduction tensor of Q(zeta_N) into one
 (rows*phi) x (k*phi) integer operator, which multiplies the whole
 right-hand side in a single float64 ``@``.  Before it runs, the magnitude
@@ -35,6 +37,7 @@ __all__ = [
     "CycMatrix",
     "batch_from_matrices",
     "nullspace",
+    "product_table",
     "row_space_rank",
     "same_row_space",
     "trace_table",
@@ -384,6 +387,9 @@ def batch_from_matrices(mats: list[CycMatrix], n: int):
     ``num`` is int64 when every numerator fits, and otherwise an object
     array of Python ints, so stacking never wraps.
     """
+    other = next((m.N for m in mats if m.N != n), n)
+    if other != n:
+        raise ValueError(f"conductor mismatch: {n} vs {other}")
     den = lcm(*(m.den for m in mats))
     factors = [den // m.den for m in mats]
     # a factor of 1 leaves num as it is stored, so only f > 1 can overflow
@@ -415,6 +421,32 @@ def trace_table(mats: list[CycMatrix], left: list[CycMatrix] | None = None):
     a = lnum.reshape(count, d * e, phi)
     b = rnum.transpose(2, 1, 0, 3).reshape(d * e, len(mats), phi)
     return CycMatrix._packed(n, _products(n, a, b), lden * rden)
+
+
+def product_table(left: list[CycMatrix], right: list[CycMatrix]) -> list[list[CycMatrix]]:
+    """Entry [a][b] = left[a] @ right[b], every entry from one kernel call.
+
+    Both families are stacked over their common denominators; the rows of
+    all left matrices form one left factor and the columns of all right
+    matrices one right-hand side.  The kernel folds the left factor into
+    an operator, so its temporaries grow with the left family: put the
+    small family on the left.  Each entry is a canonical CycMatrix, equal
+    in (num, den) to the product ``@`` gives.
+    """
+    n = left[0].N
+    lnum, lden = batch_from_matrices(left, n)
+    rnum, rden = batch_from_matrices(right, n)
+    count, d, e, phi = lnum.shape
+    r, c = rnum.shape[1:3]
+    if r != e:
+        raise ValueError(f"cannot multiply {d}x{e} by {r}x{c}")
+    # a[(x, i), l] = L_x[i, l] and b[l, (y, j)] = R_y[l, j]
+    a = lnum.reshape(count * d, e, phi)
+    b = rnum.transpose(1, 0, 2, 3).reshape(e, len(right) * c, phi)
+    nums = _products(n, a, b).reshape(count, d, len(right), c, phi)
+    nums = np.ascontiguousarray(nums.transpose(0, 2, 1, 3, 4))
+    den = lden * rden
+    return [[CycMatrix._packed(n, prod, den) for prod in row] for row in nums]
 
 
 def verify_multiplication_table(

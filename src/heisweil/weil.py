@@ -13,7 +13,10 @@ character zeta(z) = zeta_p^(k z):
   relation as operators is selected (the extension with these parabolic
   operators is unique, so relation enforcement cannot be ambiguous);
 - all other elements get images through the Bruhat factorization
-  s = n(a/c) j m(-c) n(d/c).
+  s = n(a/c) j m(-c) n(d/c), or m(a) n(b/a) on the small cell.  Each cell
+  is built by :func:`~heisweil.linalg.product_table`, one table per Bruhat
+  factor (j m(y), then j m(y) n(z), then n(x) j m(y) n(z); m(a) n(b)),
+  never by one ``@`` per element.
 
 Characters of the lift, tr omega(s) and the Sp x H table tr omega(s) tau(h),
 are read through :func:`~heisweil.linalg.trace_table`, one kernel call per
@@ -44,6 +47,7 @@ from heisweil.heisenberg import HeisenbergGroup, SpecialIso
 from heisweil.linalg import (
     CycMatrix,
     batch_from_matrices,
+    product_table,
     trace_table,
     verify_multiplication_table,
 )
@@ -240,32 +244,40 @@ def weil_lift(tau: MatrixRep, nu: SpecialIso | None = None) -> WeilLift:
             base=tau, sp_images=images, normalization=c, nu=nu, generators_only=True
         )
 
-    # ell = 1: images for every element through the Bruhat factorization
+    # ell = 1: every element through its Bruhat cell, one product table per
+    # factor, each with a one-matrix family on the left
     if tau.model == "plus":
-        n_images = {
-            x: _quadratic_phase_image(tau, [[x]], lower=False) for x in range(p)
-        }
+        n_images = [_quadratic_phase_image(tau, [[x]], lower=False) for x in range(p)]
     else:
-        j_inv = j_img.inverse()
-        n_images = {
-            x: j_img
-            @ _quadratic_phase_image(tau, [[(-x) % p]], lower=True)
-            @ j_inv
+        # j^-1 = j^3 = m(-1) j, since the selection enforced j^2 = m(-1)
+        j_inv = minus_one @ j_img
+        if j_img @ j_inv != ident:
+            raise RuntimeError("m(-1) j is not the inverse of j: m(-1)^2 != 1")
+        n_images = [
+            j_img @ _quadratic_phase_image(tau, [[(-x) % p]], lower=True) @ j_inv
             for x in range(p)
-        }
-    m_images = {y: m_image([[y]]) for y in range(1, p)}
+        ]
+    m_images = [m_image([[y]]) for y in range(1, p)]
+
+    # big cell n(x) j m(y) n(z): big[x][y - 1][z], one y at a time, so only
+    # one row of j m(y) n(z) is held besides the images
+    big = [[] for _ in range(p)]
+    for jm in product_table([j_img], m_images)[0]:
+        j_m_n = product_table([jm], n_images)[0]
+        for x, nx in enumerate(n_images):
+            big[x].append(product_table([nx], j_m_n)[0])
+    # small cell m(a) n(b): small[a - 1][b]
+    small = [product_table([ma], n_images)[0] for ma in m_images]
 
     images = {}
     for s in enumerate_sp(space):
-        acc = ident
-        for tok in bruhat_factor(space, s):
-            if tok[0] == "j":
-                acc = acc @ j_img
-            elif tok[0] == "n":
-                acc = acc @ n_images[tok[1]]
-            else:
-                acc = acc @ m_images[tok[1]]
-        images[s] = acc
+        word = bruhat_factor(space, s)
+        if len(word) == 2:
+            (_, a), (_, b) = word
+            images[s] = small[a - 1][b]
+        else:
+            (_, x), _, (_, y), (_, z) = word
+            images[s] = big[x][y - 1][z]
     lift = WeilLift(base=tau, sp_images=images, normalization=c, nu=nu)
     if not lift.restriction_is_base():
         raise RuntimeError("the Weil lift does not send the identity to the identity")
@@ -416,10 +428,15 @@ def verify_intertwining(
         hs = [g.from_w(g.space.basis_vector(i)) for i in range(g.dim)]
         hs.append(g.central(1))
     tau = lift.base.images
-    for s, mat in lift.sp_images.items():
-        moved_by_s = lift.sp_action[s].tolist()
-        for h in hs:
-            check(mat @ tau[h] == tau[moved_by_s[h]] @ mat, (s, g.names[h]))
+    taus = [tau[h] for h in hs]
+    sps = list(lift.sp_images)
+    ok = np.empty((len(sps), len(hs)), dtype=bool)
+    for i, (s, mat) in enumerate(lift.sp_images.items()):
+        moved = lift.sp_action[s][hs].tolist()
+        lhs = product_table([mat], taus)[0]
+        rhs = product_table([tau[h] for h in moved], [mat])
+        ok[i] = [a == b for a, (b,) in zip(lhs, rhs)]
+    check.all(ok, lambda i, j: (sps[i], g.names[hs[j]]))
     return check
 
 

@@ -192,15 +192,20 @@ DUMP_SHA256_P3 = {
 }
 
 
-# `dump weil` at zeta 1, keyed (p, model): the entries with a nontrivial
+# `dump weil`, keyed (p, model, zeta): the entries with a nontrivial
 # denominator; the same digests as perfbench/digests.json
+# ("weil/p<p>/<model>/<zeta>")
 WEIL_DUMP_SHA256 = {
-    (3, "minus"): "d5d676ea243c3261b823dc25603f0ccba493779444f4559fda518a7bf0f695fe",
-    (3, "plus"): "a8545ca0a7ebd320f4afb359d64014ecffc83fddd3edd432cf500302edd41dd6",
-    (5, "minus"): "f044e758d38b4e37f1be2d1390c0a2793f6a40a83d990f779ccd8a5e27124c1a",
-    (5, "plus"): "2e1b44520d1f2beeb2e4c7e509dd5baf637dd5e3126d1e0acac25cb34572e06b",
+    (3, "minus", 1): "d5d676ea243c3261b823dc25603f0ccba493779444f4559fda518a7bf0f695fe",
+    (3, "plus", 1): "a8545ca0a7ebd320f4afb359d64014ecffc83fddd3edd432cf500302edd41dd6",
+    (5, "minus", 1): "f044e758d38b4e37f1be2d1390c0a2793f6a40a83d990f779ccd8a5e27124c1a",
+    (5, "plus", 1): "2e1b44520d1f2beeb2e4c7e509dd5baf637dd5e3126d1e0acac25cb34572e06b",
     # N = 28, phi = 12: the largest matrix template
-    (7, "plus"): "07a9e565ff6fc542b0a4663133c16180ece765a227e6c50d70ee6d7d136d2b49",
+    (7, "plus", 1): "07a9e565ff6fc542b0a4663133c16180ece765a227e6c50d70ee6d7d136d2b49",
+    # the minus model builds its n(x) images through j^-1 = m(-1) j; zeta 3
+    # is a non-square mod 7
+    (7, "minus", 1): "a1ddda4ae6bd9f1dfaac43622e60c7fc5683c2477a88909fb4c88f95fd918d1e",
+    (7, "minus", 3): "bd6c5e0438dfce2a67911209327937c3858c9f55fd7e1513748029f4052925f4",
 }
 
 # `dump reps --p 7`, as perfbench/digests.json pins it under "reps/p7"
@@ -215,11 +220,11 @@ REPS_P7_SHA256 = "a0d4f3cbdf9110e8c15768342a9d4a5fd149b0c91e3c6a227f71f36aa09fdc
     ]
     + [
         pytest.param(
-            ["dump", "weil", "--p", str(p), "--zeta", "1", "--model", model],
+            ["dump", "weil", "--p", str(p), "--zeta", str(zeta), "--model", model],
             digest,
-            id=f"weil-p{p}-{model}",
+            id=f"weil-p{p}-{model}" + (f"-zeta{zeta}" if zeta != 1 else ""),
         )
-        for (p, model), digest in sorted(WEIL_DUMP_SHA256.items())
+        for (p, model, zeta), digest in sorted(WEIL_DUMP_SHA256.items())
     ]
     + [pytest.param(["dump", "reps", "--p", "7"], REPS_P7_SHA256, id="reps-p7")],
 )

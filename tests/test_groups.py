@@ -13,6 +13,7 @@ from heisweil.mackey import (
     symmetric_group,
 )
 from heisweil.symplectic import SymplecticSpace
+from heisweil.weil import sp_table
 
 
 def _heisenberg_law(space):
@@ -134,3 +135,24 @@ def test_double_coset_labels_reject_a_non_subgroup():
         double_coset_labels(s3, [0, rot], range(6))
     with pytest.raises(ValueError, match="need subgroups"):
         double_coset_labels(s3, range(6), [rot])
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        symmetric_group(3),
+        dihedral_group(4),
+        quaternion_group(),
+        HeisenbergGroup(SymplecticSpace(3, 1)),
+        sp_table(SymplecticSpace(3, 1)),
+        sp_table(SymplecticSpace(7, 1)),
+    ],
+    ids=["S3", "D4", "Q8", "H(3,1)", "SL(2,3)", "SL(2,7)"],
+)
+def test_commutator_subgroup_matches_the_closure(group):
+    """The table-gather closure against closing all commutators under the
+    group law, one product at a time."""
+    comms = np.unique(group.commutators()).tolist()
+    expected = frozenset(closure([0], comms, group.mul))
+    assert group.commutator_subgroup() == expected
+    assert group.is_subgroup(expected)

@@ -12,13 +12,20 @@ from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import (
     CycMatrix,
     batch_from_matrices,
+    product_table,
     trace_table,
     verify_multiplication_table,
 )
 from heisweil.reps import heisenberg_rep
 from heisweil.scalar import CycNumber, context, root_of_unity
-from heisweil.symplectic import SymplecticSpace
-from heisweil.weil import sp_table, weil_lift
+from heisweil.symplectic import SymplecticSpace, bruhat_factor, enumerate_sp
+from heisweil.weil import (
+    _fourier_kernel,
+    _levi_image,
+    _quadratic_phase_image,
+    sp_table,
+    weil_lift,
+)
 
 
 def schoolbook(a: CycMatrix, b: CycMatrix) -> CycMatrix:
@@ -252,6 +259,109 @@ def test_trace_table_beyond_float64_runs_on_python_ints(kernel_dtypes):
     traces = trace_table(squares)
     assert kernel_dtypes == [object]
     assert [traces[0, a] for a in range(4)] == [m.trace() for m in squares]
+
+
+def fraction_family(rng, n, count, nrows, ncols, bound):
+    """Matrices whose entries have numerators below ``bound`` and
+    denominators 2..6, so the stacked family has a denominator > 1."""
+    phi = context(n).phi
+    return [
+        CycMatrix(
+            n,
+            [
+                [
+                    CycNumber(
+                        n,
+                        [int(x) for x in rng.integers(-bound, bound, phi)],
+                        int(rng.integers(2, 7)),
+                    )
+                    for _ in range(ncols)
+                ]
+                for _ in range(nrows)
+            ],
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "bound,dtype", [(10, np.float64), (2**30, object)], ids=["float64", "object"]
+)
+def test_product_table_equals_schoolbook(bound, dtype, kernel_dtypes):
+    rng = np.random.default_rng(bound)
+    for n, (count_l, count_r), (d, e, c) in (
+        (12, (1, 5), (3, 3, 3)),
+        (20, (3, 2), (2, 4, 3)),
+        (28, (2, 3), (4, 1, 2)),
+    ):
+        del kernel_dtypes[:]
+        left = fraction_family(rng, n, count_l, d, e, bound)
+        right = fraction_family(rng, n, count_r, e, c, bound)
+        assert max(m.den for m in left + right) > 1
+        table = product_table(left, right)
+        assert kernel_dtypes == [dtype]
+        assert [len(row) for row in table] == [count_r] * count_l
+        for a, b in itertools.product(range(count_l), range(count_r)):
+            ref = schoolbook(left[a], right[b])
+            assert table[a][b] == ref
+            assert table[a][b].den == ref.den
+            assert table[a][b].to_json() == ref.to_json()
+
+
+def test_product_table_rejects_mismatched_families():
+    a = CycMatrix(12, [[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
+        product_table([a], [a])
+    with pytest.raises(ValueError, match="conductor mismatch: 12 vs 20"):
+        product_table([a], [a.transpose(), CycMatrix(20, [[1, 2], [3, 4], [5, 6]])])
+
+
+def bruhat_word_images(lift) -> dict:
+    """The Weil images as the product of the images of the Bruhat word of
+    each element, one ``@`` per factor; j from the selected normalization
+    and, in the minus model, j^-1 by elimination."""
+    tau, space = lift.base, lift.space
+    p, n = space.p, tau.conductor
+    j_img = _fourier_kernel(tau).scale(lift.normalization)
+    if tau.model == "plus":
+        n_img = {x: _quadratic_phase_image(tau, [[x]], lower=False) for x in range(p)}
+    else:
+        j_inv = j_img.inverse()
+        n_img = {
+            x: j_img @ _quadratic_phase_image(tau, [[(-x) % p]], lower=True) @ j_inv
+            for x in range(p)
+        }
+    factor = {"n": n_img, "m": {y: _levi_image(tau, [[y]]) for y in range(1, p)}}
+    images = {}
+    for s in enumerate_sp(space):
+        acc = CycMatrix.identity(n, tau.dim)
+        for tok in bruhat_factor(space, s):
+            acc = acc @ (j_img if tok[0] == "j" else factor[tok[0]][tok[1]])
+        images[s] = acc
+    return images
+
+
+@pytest.mark.parametrize(
+    "p,model", [(3, "minus"), (3, "plus"), (5, "minus"), (5, "plus"), (7, "minus")]
+)
+def test_weil_lift_equals_the_bruhat_word_products(p, model, monkeypatch):
+    tau = heisenberg_rep(HeisenbergGroup(SymplecticSpace(p, 1)), 1, model=model)
+    calls = []
+    matmul = CycMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(CycMatrix, "__matmul__", counted)
+    lift = weil_lift(tau)
+    # the normalization selection and the n(x) images only: O(p), not O(|Sp|)
+    assert len(calls) <= 4 * 4 + 2 + 2 * p
+    monkeypatch.undo()
+    oracle = bruhat_word_images(lift)
+    assert list(lift.sp_images) == list(oracle)
+    for s, image in oracle.items():
+        assert lift.sp_images[s] == image, s
 
 
 def random_matrix(rng, n, nrows, ncols, zero_chance=0.4):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -97,6 +98,21 @@ def test_homomorphism_plus_model_and_other_characters():
 def test_intertwining_exhaustive_p3(lift3):
     report = verify_intertwining(lift3, exhaustive=True)
     assert report.checks == 24 * 27 and report.passed
+
+
+def test_intertwining_witness_is_the_first_failing_pair(lift3):
+    """One image swapped for another: the count stays |Sp| |H| and the
+    witness is the first (s, h) of the per-pair loop that fails."""
+    sps = list(lift3.sp_images)
+    s, t = sps[5], sps[9]
+    bad = dataclasses.replace(lift3, sp_images={**lift3.sp_images, s: lift3.sp_images[t]})
+    report = verify_intertwining(bad, exhaustive=True)
+    g, tau, mat = bad.group, bad.base.images, bad.sp_images[s]
+    first = next(
+        h for h in g.elements() if mat @ tau[h] != tau[bad.sp_action[s][h]] @ mat
+    )
+    assert report.checks == 24 * 27 and not report.passed
+    assert report.witness == (s, g.names[first])
 
 
 def test_restriction_to_identity_is_tau(lift3):
