@@ -2,11 +2,15 @@
 
 Every finite group the package works with is small (|Sp(W)| <= 336 and
 |H| <= 343 at p = 7), so it can be a :class:`TableGroup`: a multiplication
-table on the indices 0..n-1 with the identity at index 0.  Two traversal
+table on the indices 0..n-1 with the identity at index 0.  Three traversal
 routines do all the breadth-first work:
 
 - :func:`closure` collects everything reachable from some start elements
-  under a set of generators (subgroups, orbits);
+  under a set of generators (orbits, and groups given by generators
+  rather than a table);
+- :meth:`TableGroup.subgroup_generated` is the one subgroup closure on a
+  table, one gather of each layer's rows at the generator columns; it
+  serves every subgroup sweep and [G, G];
 - :func:`extend_hom` extends images of generators to a homomorphism on a
   whole table group, checking every (element, generator) edge.
 
@@ -130,7 +134,18 @@ class TableGroup:
         return self._center
 
     def subgroup_generated(self, gens) -> frozenset:
-        return frozenset(closure([0], gens, self.mul))
+        """The subgroup generated by ``gens``, closed breadth-first from the
+        identity: each layer is one gather of its rows at the generator
+        columns."""
+        t, gens = self.table, np.fromiter(gens, dtype=np.int64)
+        seen = np.zeros(self.order, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            reached = np.unique(t[frontier[:, None], gens])
+            frontier = reached[~seen[reached]]
+            seen[frontier] = True
+        return frozenset(np.flatnonzero(seen).tolist())
 
     def is_subgroup(self, subset) -> bool:
         """Nonempty and closed under products (in a finite group that makes
@@ -158,18 +173,8 @@ class TableGroup:
         return t[t, t[np.ix_(inv, inv)]]
 
     def commutator_subgroup(self) -> frozenset:
-        """[G, G], closed from all commutators a b a^-1 b^-1 on the table:
-        each breadth-first layer is one gather of its rows at the
-        commutator columns."""
-        t, comms = self.table, np.unique(self.commutators())
-        seen = np.zeros(self.order, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            reached = np.unique(t[np.ix_(frontier, comms)])
-            frontier = reached[~seen[reached]]
-            seen[frontier] = True
-        return frozenset(np.flatnonzero(seen).tolist())
+        """[G, G], generated by all commutators a b a^-1 b^-1 on the table."""
+        return self.subgroup_generated(np.unique(self.commutators()))
 
     def element_order(self, a) -> int:
         x, k = a, 1

@@ -138,13 +138,18 @@ class HeisenbergGroup(TableGroup):
     # -- subgroups ----------------------------------------------------------
 
     def all_subgroups(self) -> list[frozenset[int]]:
-        """Every subgroup, via closures of pairs (subgroups here are 2-generated)."""
+        """Every subgroup, via closures of pairs (subgroups here are
+        2-generated).  <a, b> depends only on <a> and <b>, so the pairs are
+        taken over one generator per cyclic subgroup."""
         if self.order > 200:
             raise GuardError("subgroup sweep guarded to |H| <= 200")
-        seen = {frozenset([0])}
+        cyclic: dict[frozenset[int], int] = {}
         for a in range(self.order):
-            seen.add(self.subgroup_generated([a]))
-            for b in range(a + 1, self.order):
+            cyclic.setdefault(self.subgroup_generated([a]), a)
+        gens = list(cyclic.values())
+        seen = set(cyclic)
+        for i, a in enumerate(gens):
+            for b in gens[i + 1 :]:
                 seen.add(self.subgroup_generated([a, b]))
         return sorted(seen, key=lambda s: (len(s), sorted(s)))
 

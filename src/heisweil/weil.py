@@ -14,9 +14,12 @@ character zeta(z) = zeta_p^(k z):
   operators is unique, so relation enforcement cannot be ambiguous);
 - all other elements get images through the Bruhat factorization
   s = n(a/c) j m(-c) n(d/c), or m(a) n(b/a) on the small cell.  Each cell
-  is built by :func:`~heisweil.linalg.product_table`, one table per Bruhat
-  factor (j m(y), then j m(y) n(z), then n(x) j m(y) n(z); m(a) n(b)),
-  never by one ``@`` per element.
+  is built by :func:`~heisweil.linalg.product_table` along its Bruhat
+  factors (j m(y), then j m(y) n(z), then n(x) j m(y) n(z); m(a) n(b)),
+  one table per left factor: every table has a single matrix on the left,
+  which keeps the kernel's temporaries small, so a lift makes
+  1 + 2(p - 1) + p(p - 1) (about p^2) table calls, never one ``@`` per
+  element.
 
 Characters of the lift, tr omega(s) and the Sp x H table tr omega(s) tau(h),
 are read through :func:`~heisweil.linalg.trace_table`, one kernel call per
@@ -245,7 +248,7 @@ def weil_lift(tau: MatrixRep, nu: SpecialIso | None = None) -> WeilLift:
         )
 
     # ell = 1: every element through its Bruhat cell, one product table per
-    # factor, each with a one-matrix family on the left
+    # left factor, so each has a one-matrix family on the left
     if tau.model == "plus":
         n_images = [_quadratic_phase_image(tau, [[x]], lower=False) for x in range(p)]
     else:

@@ -156,3 +156,25 @@ def test_commutator_subgroup_matches_the_closure(group):
     expected = frozenset(closure([0], comms, group.mul))
     assert group.commutator_subgroup() == expected
     assert group.is_subgroup(expected)
+
+
+def test_subgroup_generated_takes_any_iterable_of_generators():
+    g = HeisenbergGroup(SymplecticSpace(3, 1))
+    assert g.subgroup_generated([]) == frozenset([0])
+    a, b = g.from_w((1, 0)), g.from_w((0, 1))
+    whole = frozenset(range(g.order))
+    for gens in ([a, b], (b, a, a), frozenset([a, b]), np.array([a, b]), iter([a, b])):
+        assert g.subgroup_generated(gens) == whole
+    assert g.subgroup_generated([a]) == frozenset(closure([0], [a], g.mul))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_all_subgroups_matches_the_sweep_over_all_pairs(p):
+    """One generator per cyclic subgroup gives the same list as closing every
+    pair of elements one product at a time."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    swept = {frozenset([0])}
+    for a in range(g.order):
+        for b in range(a, g.order):
+            swept.add(frozenset(closure([0], [a, b], g.mul)))
+    assert g.all_subgroups() == sorted(swept, key=lambda s: (len(s), sorted(s)))
