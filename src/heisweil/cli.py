@@ -47,8 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact verification suites for Heisenberg/Weil structures",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    verify = sub.add_parser("verify", help="run a verification suite")
+    # allow_abbrev=False: no prefix matching, so `dump --mode` is not `--model`
+    verify = sub.add_parser(
+        "verify", help="run a verification suite", allow_abbrev=False
+    )
     verify.add_argument("suite", choices=SUITE_NAMES + ["all"], nargs="?")
     verify.add_argument(
         "--suite",
@@ -58,18 +60,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="alternative way to pick the suite",
     )
     _add_config_flags(verify)
+    verify.add_argument(
+        "--mode", choices=["exhaustive", "relations"], default="exhaustive"
+    )
     verify.add_argument("--precision", type=int, default=4, help="K for sqrt suites")
-    verify.add_argument("--samples", type=int, default=200)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--format", choices=["json", "csv"], default="json")
 
-    dump = sub.add_parser("dump", help="emit exact matrices or tables as JSON")
+    dump = sub.add_parser(
+        "dump", help="emit exact matrices or tables as JSON", allow_abbrev=False
+    )
     dump.add_argument("what", choices=["weil", "heisenberg", "reps", "mackey"])
     _add_config_flags(dump)
     dump.add_argument("--zeta", type=int, default=1, help="central character exponent")
     dump.add_argument("--model", choices=["plus", "minus"], default="minus")
 
-    sqrt = sub.add_parser("sqrt", help="square root in 1 + p^k0 M_n(Z/p^K)")
+    sqrt = sub.add_parser(
+        "sqrt", help="square root in 1 + p^k0 M_n(Z/p^K)", allow_abbrev=False
+    )
     sqrt.add_argument("--n", type=int, required=True)
     sqrt.add_argument("--p", type=int, required=True)
     sqrt.add_argument("--K", type=int, required=True)
@@ -83,11 +91,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
     """The flags that verify and dump share."""
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument(
-        "--mode",
-        choices=["exhaustive", "relations", "sampled"],
-        default="exhaustive",
-    )
     p.add_argument("--out", type=str, default=None, help="report path (default stdout)")
 
 
@@ -101,7 +104,7 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def _config_from_args(args) -> RunConfig:
-    # dump has no --precision, --samples or --seed: those keep their defaults
+    # dump has no --mode, --precision or --seed: those keep their defaults
     given = vars(args)
     names = [f.name for f in dataclasses.fields(RunConfig)]
     return RunConfig(**{k: given[k] for k in names if k in given})
@@ -305,7 +308,7 @@ def run(argv: list[str] | None = None) -> int:
         return 1 if failed else 0
 
     if args.verb == "dump":
-        err = cfg.validate_for("weil" if args.what == "weil" else "heisenberg")
+        err = _dump_guard(args, cfg)
         if err:
             sys.stderr.write(f"guard: {err}\n")
             return 2
@@ -313,6 +316,21 @@ def run(argv: list[str] | None = None) -> int:
         _emit(payload, args.out)
         return 0
     return 2
+
+
+def _dump_guard(args, cfg: RunConfig) -> str | None:
+    """Why a dump cannot be built, or None.  A dump reads no --mode: at
+    ell = 2 the Weil lift it builds is the plus model's, on the generators."""
+    weil = args.what == "weil"
+    err = cfg.validate_for("weil" if weil and cfg.ell == 1 else "heisenberg")
+    if err is None and weil and cfg.ell == 2 and args.model != "plus":
+        err = "the Weil lift is built only for the plus model at ell = 2"
+    if err is None and args.what in ("weil", "reps") and args.zeta % cfg.p == 0:
+        err = (
+            f"zeta = {args.zeta} must be nonzero mod p = {cfg.p} "
+            "(the central character is nontrivial)"
+        )
+    return err
 
 
 def _dump(args, cfg: RunConfig):
@@ -363,9 +381,7 @@ def _dump(args, cfg: RunConfig):
                 list(nu.offset) for nu in all_special_isos(group)
             ],
         }
-        from heisweil.symplectic import GuardError
-
-        try:
+        if cfg.ell == 1:  # where every subgroup is 2-generated
             payload["subgroups"] = [
                 [
                     {"w": list(group.names[h].w), "z": group.names[h].z}
@@ -373,8 +389,6 @@ def _dump(args, cfg: RunConfig):
                 ]
                 for sub in group.all_subgroups()
             ]
-        except GuardError:
-            pass  # subgroup sweep is guarded for larger groups
         return payload
     if args.what == "mackey":
         return {"order": group.order, "table": group.table.tolist()}

@@ -26,7 +26,6 @@ automorphism of order two lives in this family.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -138,11 +137,15 @@ class HeisenbergGroup(TableGroup):
     # -- subgroups ----------------------------------------------------------
 
     def all_subgroups(self) -> list[frozenset[int]]:
-        """Every subgroup, via closures of pairs (subgroups here are
-        2-generated).  <a, b> depends only on <a> and <b>, so the pairs are
-        taken over one generator per cyclic subgroup."""
-        if self.order > 200:
-            raise GuardError("subgroup sweep guarded to |H| <= 200")
+        """Every subgroup, via closures of pairs: at ell = 1 every subgroup is
+        2-generated (H itself, and the proper ones have order at most p^2).
+        <a, b> depends only on <a> and <b>, so the pairs are taken over one
+        generator per cyclic subgroup."""
+        if self.space.ell != 1:
+            raise GuardError(
+                "subgroup sweep needs ell = 1 (2-generated subgroups); "
+                f"got ell = {self.space.ell}"
+            )
         cyclic: dict[frozenset[int], int] = {}
         for a in range(self.order):
             cyclic.setdefault(self.subgroup_generated([a]), a)
@@ -152,14 +155,6 @@ class HeisenbergGroup(TableGroup):
             for b in gens[i + 1 :]:
                 seen.add(self.subgroup_generated([a, b]))
         return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-    def random_subgroup(self, rng: random.Random) -> frozenset[int]:
-        els = self.elements()
-        k = rng.choice([1, 1, 2, 2, 2])
-        gens = [rng.choice(els) for _ in range(k)]
-        if rng.random() < 0.3:
-            gens.append(self.central(1))
-        return self.subgroup_generated(gens)
 
     def image_in_w(self, subset) -> frozenset[tuple[int, ...]]:
         return frozenset(self.names[h].w for h in subset)

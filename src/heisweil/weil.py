@@ -418,13 +418,12 @@ def _verify_relations(lift: WeilLift, check: Check) -> Check:
 
 
 def verify_intertwining(
-    lift: WeilLift, exhaustive: bool | None = None, check: Check | None = None
+    lift: WeilLift, exhaustive: bool, check: Check | None = None
 ) -> Check:
-    """sp_images(s) tau(h) == tau(s.h) sp_images(s), with s.(w,z) = (s.w, z)."""
+    """sp_images(s) tau(h) == tau(s.h) sp_images(s), with s.(w,z) = (s.w, z),
+    for every h when ``exhaustive``, else for the generators of H."""
     g = lift.group
     check = Check("weil.intertwining") if check is None else check
-    if exhaustive is None:
-        exhaustive = g.p == 3
     if exhaustive:
         hs = g.elements()
     else:

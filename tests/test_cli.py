@@ -70,6 +70,17 @@ def test_weil_dump_has_all_sp_matrices(tmp_path):
     assert set(entry) == {"N", "coeffs"}  # CycNumber JSON encoding
 
 
+def test_weil_dump_at_ell_2_is_the_plus_model_on_generators(tmp_path):
+    out = tmp_path / "dump.json"
+    argv = ["dump", "weil", "--p", "3", "--ell", "2", "--model", "plus"]
+    assert run(argv + ["--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert (data["ell"], data["model"]) == (2, "plus")
+    # generators only: two m(y), four n(b) and j, not all of Sp(4, 3)
+    assert len(data["images"]) == 7
+    assert len(data["images"][0]["matrix"]) == 9
+
+
 def test_heisenberg_and_mackey_dumps(tmp_path):
     out = tmp_path / "h.json"
     assert run(["heisenberg", "dump", "--p", "3", "--out", str(out)]) == 0
@@ -452,19 +463,20 @@ def test_cli_prints_stdlib_indent_1(argv, monkeypatch):
 @pytest.mark.parametrize(
     "argv, limit",
     [
-        (["verify", "weil", "--p", "3", "--mode", "sampled", "--samples", "0"],
-         "samples = 0 must be at least 1"),
-        (["verify", "weil", "--p", "3", "--mode", "sampled", "--samples", "-3"],
-         "samples = -3 must be at least 1"),
+        (["dump", "weil", "--p", "3", "--zeta", "3"], "zeta = 3 must be nonzero mod p"),
+        (["dump", "reps", "--p", "5", "--zeta", "-10"], "zeta = -10 must be nonzero mod p"),
         (["verify", "sqrt", "--precision", "0"], "precision = 0 must be at least 1"),
         (["verify", "reps", "--ell", "2"], "reps suite runs at ell = 1 only"),
         (["verify", "all", "--p", "3", "--ell", "2", "--mode", "relations"],
          "reps suite runs at ell = 1 only"),
-        (["verify", "weil", "--p", "11", "--mode", "sampled"], "p <= 7 at ell = 1"),
+        (["verify", "weil", "--p", "11", "--mode", "exhaustive"], "p <= 7 at ell = 1"),
         (["verify", "weil", "--p", "11", "--mode", "relations"], "p <= 7 at ell = 1"),
-        (["dump", "weil", "--p", "11", "--mode", "sampled"], "p <= 7 at ell = 1"),
+        (["dump", "weil", "--p", "11"], "p <= 7 at ell = 1"),
         (["verify", "weil", "--p", "11"], "p <= 7 at ell = 1"),
         (["verify", "weil", "--p", "3", "--ell", "2"], "use --mode relations at ell = 2"),
+        (["dump", "weil", "--p", "3", "--ell", "2"], "plus model at ell = 2"),
+        (["dump", "weil", "--p", "3", "--ell", "2", "--model", "plus", "--zeta", "0"],
+         "zeta = 0 must be nonzero mod p"),
     ],
 )
 def test_guard_names_the_limit(argv, limit, capsys):
@@ -481,6 +493,10 @@ def test_guard_names_the_limit(argv, limit, capsys):
         ["dump", "mackey", "--precision", "5"],
         ["dump", "mackey", "--samples", "5"],
         ["dump", "mackey", "--seed", "5"],
+        ["dump", "weil", "--mode", "relations"],
+        ["dump", "weil", "--mode", "plus"],  # no prefix match for --model
+        ["verify", "weil", "--samples", "5"],
+        ["verify", "weil", "--mode", "sampled"],
     ],
 )
 def test_flags_nothing_reads_are_rejected(argv):
@@ -509,12 +525,20 @@ def test_check_counts_are_the_identities_evaluated(p):
     counts = {c.check: c.checks for c in SUITES["heisenberg"](RunConfig(p=p))}
     assert counts["symplectic.closure"] == sp_order**2  # every pair
     assert counts["heisenberg.group_axioms"] == group.order**3  # every triple
+    if p == 3:
+        # every offset of H(3, 2): the center of H(3, 1), then every pair
+        assert counts["heisenberg.special_iso_restriction"] == 3**4 * (3 + 27**2)
     counts = {c.check: c.checks for c in SUITES["reps"](RunConfig(p=p))}
     # every pair, and tau(1) = 1
     assert counts["reps.heisenberg_rep_homomorphism"] == group.order**2 + 1
+    # every entry of tau(h)^T tau~(h), a p x p matrix, for every h
+    assert counts["reps.invariant_pairing"] == group.order * p**2
     assert counts["reps.gelfand_bound"] == irreps * alphas
     # the dimension list, and every entry of the Gram matrix
     assert counts["reps.irreducible_census"] == 1 + irreps**2
+    counts = {c.check: c.checks for c in SUITES["weil"](RunConfig(p=p))}
+    contragredient = "weil.contragredient_of_lift_is_lift_of_contragredient"
+    assert counts[contragredient] == sp_order * group.order  # every (s, h)
 
     stab = _check_named(SUITES["mackey"](RunConfig(p=3)), "mackey.involution_stabilizer")
     groups = (mk.symmetric_group(3), mk.dihedral_group(4), mk.quaternion_group())

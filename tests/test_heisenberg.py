@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -247,6 +248,24 @@ def test_subgroup_count_p3(h3):
         by_size.setdefault(len(s), 0)
         by_size[len(s)] += 1
     assert by_size == {1: 1, 3: 13, 9: 4, 27: 1}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_subgroup_count_oracle(p):
+    # counted without the table: H(p, 1) has exponent p, so its p^3 - 1
+    # elements of order p make (p^3 - 1) / (p - 1) = p^2 + p + 1 subgroups of
+    # order p; one of order p^2 is normal, so it meets the center of order p,
+    # contains it and is the preimage of one of the p + 1 lines of W
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    subs = g.all_subgroups()
+    sizes = collections.Counter(len(s) for s in subs)
+    assert len(subs) == p * p + 2 * p + 4
+    assert sizes == {1: 1, p: p * p + p + 1, p * p: p + 1, p**3: 1}
+
+
+def test_subgroup_sweep_names_its_limit():
+    with pytest.raises(GuardError, match="needs ell = 1 .*; got ell = 2"):
+        HeisenbergGroup(SymplecticSpace(3, 2)).all_subgroups()
 
 
 def test_special_iso_restriction_to_nondegenerate_subspace():
