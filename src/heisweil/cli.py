@@ -67,13 +67,17 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--format", choices=["json", "csv"], default="json")
 
-    dump = sub.add_parser(
-        "dump", help="emit exact matrices or tables as JSON", allow_abbrev=False
-    )
-    dump.add_argument("what", choices=["weil", "heisenberg", "reps", "mackey"])
-    _add_config_flags(dump)
-    dump.add_argument("--zeta", type=int, default=1, help="central character exponent")
-    dump.add_argument("--model", choices=["plus", "minus"], default="minus")
+    dump = sub.add_parser("dump", help="emit exact matrices or tables as JSON")
+    # one parser per kind, so a kind rejects the flags it does not read
+    kinds = dump.add_subparsers(dest="what", required=True)
+    for what in ("weil", "heisenberg", "reps", "mackey"):
+        kind = kinds.add_parser(what, allow_abbrev=False)
+        _add_config_flags(kind)
+        if what in ("weil", "reps"):
+            kind.add_argument(
+                "--zeta", type=int, default=1, help="central character exponent"
+            )
+            kind.add_argument("--model", choices=["plus", "minus"], default="minus")
 
     sqrt = sub.add_parser(
         "sqrt", help="square root in 1 + p^k0 M_n(Z/p^K)", allow_abbrev=False

@@ -10,13 +10,19 @@ the same kernel: :func:`trace_table` returns the traces of a family, or the
 table tr(L_a R_b) of two families, as one CycMatrix over one denominator,
 with no CycNumber per element.  :func:`product_table` is its twin for
 products: entry (a, b) is left[a] @ right[b], every entry from one kernel
-call on the two stacked families.  The left factor is
-folded with the (phi, phi, phi) reduction tensor of Q(zeta_N) into one
-(rows*phi) x (k*phi) integer operator, which multiplies the whole
-right-hand side in a single float64 ``@``.  Before it runs, the magnitude
-bound k * phi^2 * max|T| * max|a| * max|b| on every partial sum is
-computed; when it is not below 2^53 the same kernel runs on Python ints
-(``dtype=object``) instead, so a result is never rounded or wrapped.
+call on the two stacked families (:func:`packed_product_table` gives the
+numerators alone).  The left factor is folded with the (phi, phi, phi)
+reduction tensor of Q(zeta_N) into one (rows*phi) x (k*phi) integer
+operator, which multiplies the whole right-hand side in a single ``@``.
+Before it runs, the magnitude bound k * phi^2 * max|T| * max|a| * max|b|
+on every partial sum is computed, and picks the narrowest exact dtype:
+float32 below 2^24, float64 below 2^53, Python ints (``dtype=object``)
+otherwise, so a result is never rounded or wrapped.
+:func:`verify_multiplication_table` runs the same kernel once per row of
+a group table; it computes the den-scaled expected family once and
+writes each row's product, gather and comparison into buffers allocated
+once, so a p = 7 sweep of 112 896 pairs allocates no family-sized array
+per row.
 
 Entries are read out as :class:`CycNumber` only where the algorithm is
 entrywise: inverse, determinant, rank and nullspace all read one
@@ -37,6 +43,7 @@ __all__ = [
     "CycMatrix",
     "batch_from_matrices",
     "nullspace",
+    "packed_product_table",
     "product_table",
     "row_space_rank",
     "same_row_space",
@@ -326,9 +333,10 @@ def nullspace(rows: list[list[CycNumber]], n: int, ncols: int):
 
 # -- the packed multiplication kernel ------------------------------------------
 
-# float64 represents every integer of absolute value below 2^53 exactly, so
-# sums of such integers are exact in any order while they stay below it.
-_FLOAT_EXACT = 2**53
+# float32 and float64 represent every integer of absolute value below 2^24
+# and 2^53 exactly, so sums of such integers are exact in any order while
+# they stay below that limit.
+_FLOAT_TIERS = ((2**24, np.float32), (2**53, np.float64))
 
 
 _INT64 = 2**63  # num is int64 exactly when every |numerator| is below this
@@ -338,44 +346,52 @@ def _max_abs(num: np.ndarray) -> int:
     return int(np.abs(num).max(initial=0))
 
 
-def _exact_dtype(n: int, k: int, amax: int, bmax: int):
-    """float64 when every partial sum of a product is provably exact, else object.
+def _product_bound(n: int, k: int, amax: int, bmax: int) -> int:
+    """A bound on every partial sum of a product of a (., k) and a (k, .)
+    matrix over Q(zeta_N) whose numerators are at most amax and bmax.
 
-    An entry of a product of a (., k) and a (k, .) matrix over Q(zeta_N) is,
-    per power-basis coordinate, a sum of k * phi^2 terms T[u, v, w] a_u b_v;
-    the bound below also covers the folded operator entries, which are sums
-    of phi terms T * a.
+    An entry of the product is, per power-basis coordinate, a sum of
+    k * phi^2 terms T[u, v, w] a_u b_v; the bound also covers the folded
+    operator entries, which are sums of phi terms T * a.
     """
     ctx = context(n)
     tmax = int(np.abs(ctx.product_table).max())
-    bound = k * ctx.phi**2 * tmax * max(amax, 1) * max(bmax, 1)
-    return np.float64 if bound < _FLOAT_EXACT else object
+    return k * ctx.phi**2 * tmax * max(amax, 1) * max(bmax, 1)
 
 
-def _packed_products(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+def _exact_dtype(bound: int):
+    """The narrowest dtype in which integers up to ``bound`` add exactly:
+    float32 below 2^24, float64 below 2^53, Python ints (object) otherwise."""
+    return next((dtype for limit, dtype in _FLOAT_TIERS if bound < limit), object)
+
+
+def _packed_products(
+    left: np.ndarray, right: np.ndarray, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Numerators of the products left @ (each right-hand matrix), at once.
 
     ``left`` has shape (r, k, phi); ``right`` has shape (k*phi, cols), its
     row (l, v) holding coordinate v of row l of every right-hand matrix.
     Both share one dtype, chosen by :func:`_exact_dtype`.  The result has
     shape (r*phi, cols) with row (i, w) holding coordinate w of row i; its
-    denominator is the product of the two input denominators.
+    denominator is the product of the two input denominators.  It is
+    written to ``out`` when given, an array of that shape and dtype.
     """
     r, k, phi = left.shape
     t = context(n).product_table.astype(left.dtype)
     # operator[(i, w), (l, v)] = sum_u left[i, l, u] * T[u, v, w]
     operator = np.tensordot(left, t, axes=([2], [0]))  # (r, k, v, w)
     operator = operator.transpose(0, 3, 1, 2).reshape(r * phi, k * phi)
-    return operator @ right
+    return np.matmul(operator, right, out=out)
 
 
 def _products(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact numerators, shape (r, c, phi), of packed a (r, k, phi) times b (k, c, phi)."""
     (r, k, phi), c = a.shape, b.shape[1]
-    dtype = _exact_dtype(n, k, _max_abs(a), _max_abs(b))
+    dtype = _exact_dtype(_product_bound(n, k, _max_abs(a), _max_abs(b)))
     right = b.astype(dtype).transpose(0, 2, 1).reshape(k * phi, c)
     nums = _packed_products(a.astype(dtype), right, n)
-    if dtype is np.float64:
+    if dtype is not object:
         nums = nums.astype(np.int64)
     return nums.reshape(r, phi, c).transpose(0, 2, 1)
 
@@ -426,27 +442,39 @@ def trace_table(mats: list[CycMatrix], left: list[CycMatrix] | None = None):
 def product_table(left: list[CycMatrix], right: list[CycMatrix]) -> list[list[CycMatrix]]:
     """Entry [a][b] = left[a] @ right[b], every entry from one kernel call.
 
-    Both families are stacked over their common denominators; the rows of
-    all left matrices form one left factor and the columns of all right
-    matrices one right-hand side.  The kernel folds the left factor into
-    an operator, so its temporaries grow with the left family: put the
-    small family on the left.  Each entry is a canonical CycMatrix, equal
-    in (num, den) to the product ``@`` gives.
+    Both families are stacked over their common denominators and multiplied
+    by :func:`packed_product_table`.  Each entry is a canonical CycMatrix,
+    equal in (num, den) to the product ``@`` gives.
     """
     n = left[0].N
     lnum, lden = batch_from_matrices(left, n)
     rnum, rden = batch_from_matrices(right, n)
+    nums = packed_product_table(n, lnum, rnum)
+    den = lden * rden
+    return [[CycMatrix._packed(n, prod, den) for prod in row] for row in nums]
+
+
+def packed_product_table(n: int, lnum: np.ndarray, rnum: np.ndarray) -> np.ndarray:
+    """Numerators of every product of two stacked families, from one kernel call.
+
+    ``lnum`` (count_l, d, e, phi) and ``rnum`` (count_r, e, c, phi) are
+    stacks as :func:`batch_from_matrices` gives them; entry [a, b] of the
+    result, shape (count_l, count_r, d, c, phi), is the numerator of
+    left[a] @ right[b] over the product of the two denominators.  The rows
+    of all left matrices form one left factor and the columns of all right
+    matrices one right-hand side.  The kernel folds the left factor into
+    an operator, so its temporaries grow with the left family: put the
+    small family on the left.
+    """
     count, d, e, phi = lnum.shape
     r, c = rnum.shape[1:3]
     if r != e:
         raise ValueError(f"cannot multiply {d}x{e} by {r}x{c}")
     # a[(x, i), l] = L_x[i, l] and b[l, (y, j)] = R_y[l, j]
     a = lnum.reshape(count * d, e, phi)
-    b = rnum.transpose(1, 0, 2, 3).reshape(e, len(right) * c, phi)
-    nums = _products(n, a, b).reshape(count, d, len(right), c, phi)
-    nums = np.ascontiguousarray(nums.transpose(0, 2, 1, 3, 4))
-    den = lden * rden
-    return [[CycMatrix._packed(n, prod, den) for prod in row] for row in nums]
+    b = rnum.transpose(1, 0, 2, 3).reshape(e, len(rnum) * c, phi)
+    nums = _products(n, a, b).reshape(count, d, len(rnum), c, phi)
+    return np.ascontiguousarray(nums.transpose(0, 2, 1, 3, 4))
 
 
 def verify_multiplication_table(
@@ -456,32 +484,38 @@ def verify_multiplication_table(
 
     ``num`` holds numerators of square matrices over the common denominator
     ``den``; a product of two entries carries den^2, so the expected side is
-    scaled by den before comparing.  Row s runs as one kernel call against
-    the whole family, so temporaries stay at a few blocks the size of
-    ``num``; the exactness bound is taken once, from the largest numerator
-    of the family, which bounds every row.  Returns a list of failing
-    (s, t) pairs, empty when the family realizes the multiplication table
-    exactly.
+    the family scaled by den, computed once.  Row s runs as one kernel call
+    against the whole family.  The dtype is taken once, from the largest
+    numerator of the family, which bounds every row, and from the largest
+    expected numerator, so both sides are exact.  Each row's product, its
+    gather of the expected side and the comparison mask are written into
+    three buffers of the family's size, allocated once.  Returns a list of
+    failing (s, t) pairs, empty when the family realizes the multiplication
+    table exactly.
     """
     count, d, _, phi = num.shape
-    amax = int(max(num.max(initial=0), -num.min(initial=0)))
-    dtype = _exact_dtype(n, d, amax, amax)
-    if max(amax, 1) * den >= _FLOAT_EXACT:  # the expected side, num * den
-        dtype = object
-    # rows (l, v) and columns (t, j): the kernel's right-hand layout, and
-    # the layout of its result
-    right = np.ascontiguousarray(num.transpose(1, 3, 0, 2), dtype=dtype)
+    table = np.asarray(table)
+    if table.shape != (count, count) or not ((0 <= table) & (table < count)).all():
+        raise ValueError(f"not a multiplication table of {count} elements")
+    amax = _max_abs(num)
+    dtype = _exact_dtype(max(_product_bound(n, d, amax, amax), max(amax, 1) * den))
+    # family[(t, j), (l, v)] = num[t, l, j, v]: its transpose is the kernel's
+    # right-hand side, and the kernel's result, transposed, has its layout
+    family = np.ascontiguousarray(num.transpose(0, 2, 1, 3), dtype=dtype)
+    family = family.reshape(count * d, d * phi)
+    expected = (family * den).reshape(count, d * d * phi)
+    prods = np.empty((count * d, d * phi), dtype=dtype)
+    gathered = np.empty_like(expected)
+    differ = np.empty(expected.shape, dtype=bool)
     failures = []
     for s in range(count):
-        prods = _packed_products(
-            num[s].astype(dtype), right.reshape(d * phi, count * d), n
-        ).reshape(d, phi, count, d)
-        expected = right[:, :, table[s], :]
-        expected *= den
-        if not np.array_equal(prods, expected):
-            bad = np.nonzero(np.any(prods != expected, axis=(0, 1, 3)))[0]
+        _packed_products(num[s].astype(dtype), family.T, n, out=prods.T)
+        # the table was checked above; "clip" takes into out unbuffered
+        np.take(expected, table[s], axis=0, out=gathered, mode="clip")
+        np.not_equal(prods.reshape(expected.shape), gathered, out=differ)
+        if differ.any():
+            bad = np.flatnonzero(differ.any(axis=1))
             failures.extend((s, int(t)) for t in bad[:max_failures])
             if len(failures) >= max_failures:
                 return failures
-        del prods, expected  # free this row's blocks before the next call
     return failures

@@ -13,12 +13,12 @@ packed kernels; the SL(2, 3), H(3, 2) and abstract-lift checks run at
 p = 3 only.  What stays sampled:
 
 - ``scalar.field_axioms``: 40 random triples, as the field is infinite;
-- three weil p-gates, as ``verify weil --p 7`` (about 1.5 s, a benchmark
-  workload) would grow by their exhaustive versions, measured on a 2-core
-  VM: the plus-model homomorphism on 200 random pairs at p = 7 (every
-  pair: about 0.7 s), intertwining on the generators of H beyond p = 3
-  (every element at p = 7: about 14 s), and the contragredient check,
-  skipped at p = 7 (about 0.3 s);
+- three weil p-gates, as ``verify weil --p 7`` (about 0.6 s in a fresh
+  process, a benchmark workload) would grow by their exhaustive versions,
+  measured on a 2-core VM: the plus-model homomorphism on 200 random
+  pairs at p = 7 (every pair: about 0.2 s), intertwining on the
+  generators of H beyond p = 3 (every element at p = 7: about 7 s), and
+  the contragredient check, skipped at p = 7 (about 0.2 s);
 - ``weil.abstract_lift_rep_law``: 40 random pairs per special isomorphism;
 - ``mackey.twisted_coset_clauses``: clauses 1 and 3 at one random g per
   configuration;

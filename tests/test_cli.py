@@ -497,6 +497,11 @@ def test_guard_names_the_limit(argv, limit, capsys):
         ["dump", "weil", "--mode", "plus"],  # no prefix match for --model
         ["verify", "weil", "--samples", "5"],
         ["verify", "weil", "--mode", "sampled"],
+        ["dump", "heisenberg", "--model", "plus"],
+        ["dump", "heisenberg", "--zeta", "2"],
+        ["dump", "mackey", "--zeta", "0"],
+        ["dump", "mackey", "--model", "minus"],
+        ["heisenberg", "dump", "--model", "plus"],
     ],
 )
 def test_flags_nothing_reads_are_rejected(argv):

@@ -62,9 +62,9 @@ def kernel_dtypes(monkeypatch):
     seen = []
     kernel = linalg._packed_products
 
-    def spy(left, right, n):
+    def spy(left, right, n, out=None):
         seen.append(left.dtype)
-        return kernel(left, right, n)
+        return kernel(left, right, n, out=out)
 
     monkeypatch.setattr(linalg, "_packed_products", spy)
     return seen
@@ -150,10 +150,26 @@ def test_large_numerators_use_python_ints(n, kernel_dtypes):
     assert huge @ b == schoolbook(huge, b)
 
 
-def test_small_numerators_use_float64(kernel_dtypes):
+def test_small_numerators_use_float32(kernel_dtypes):
     a = CycMatrix(12, [[1, 2], [3, 4]])
     assert a @ a == CycMatrix(12, [[7, 10], [15, 22]])
-    assert kernel_dtypes == [np.float64]
+    assert kernel_dtypes == [np.float32]
+
+
+@pytest.mark.parametrize(
+    "bound,dtype",
+    [
+        (2**24 - 1, np.float32),
+        (2**24, np.float64),
+        (2**53 - 1, np.float64),
+        (2**53, object),
+        (2**80, object),
+    ],
+)
+def test_exact_dtype_tier_edges(bound, dtype):
+    assert linalg._exact_dtype(bound) is dtype
+    # the same edges through the product bound: one 1 x 1 factor over Q
+    assert linalg._exact_dtype(linalg._product_bound(1, 1, bound, 1)) is dtype
 
 
 def test_shape_mismatch_names_both_shapes():
@@ -179,7 +195,7 @@ def packed_lift3():
 def test_verify_table_passes_on_the_lift(packed_lift3, kernel_dtypes):
     num, den, table, n = packed_lift3
     assert verify_multiplication_table(num, den, table, n) == []
-    assert set(kernel_dtypes) == {np.dtype(np.float64)}
+    assert set(kernel_dtypes) == {np.dtype(np.float32)}
 
 
 def test_verify_table_falls_back_when_the_bound_fails(packed_lift3, kernel_dtypes):
@@ -197,6 +213,58 @@ def test_verify_table_reports_a_corrupted_numerator(packed_lift3):
     failures = verify_multiplication_table(bad, den, table, n, max_failures=5)
     assert failures
     assert all(5 in (s, t, table[s, t]) for s, t in failures)
+
+
+@pytest.mark.parametrize(
+    "den,dtype", [(2**24 - 1, np.float32), (2**24, np.float64)], ids=["below", "at"]
+)
+def test_verify_table_tier_covers_the_expected_side(den, dtype, kernel_dtypes):
+    """The products of {0, N} over Q, N = [[0, 1], [0, 0]] / den, have the
+    bound 2, but the expected side num * den reaches den: it alone sets the
+    tier.  A 1 x 1 family {1 / den} fails its one identity at either tier."""
+    zero_and_n = np.zeros((2, 2, 2, 1), dtype=np.int64)
+    zero_and_n[1, 0, 1, 0] = 1
+    assert verify_multiplication_table(zero_and_n, den, np.zeros((2, 2), int), 1) == []
+    assert set(kernel_dtypes) == {np.dtype(dtype)}
+    del kernel_dtypes[:]
+    one = np.ones((1, 1, 1, 1), dtype=np.int64)
+    assert verify_multiplication_table(one, den, np.zeros((1, 1), int), 1) == [(0, 0)]
+    assert kernel_dtypes == [dtype]
+
+
+def test_verify_table_rejects_a_table_out_of_range(packed_lift3):
+    num, den, table, n = packed_lift3
+    for bad in (table[:-1], np.where(table == 3, len(table), table), -table):
+        with pytest.raises(ValueError, match="not a multiplication table of 24"):
+            verify_multiplication_table(num, den, bad, n)
+
+
+def test_verify_table_p7_corrupted_family_matches_per_pair_products(kernel_dtypes):
+    """One numerator of the p = 7 minus lift off by one: the failing pairs
+    reported on every affected row are those a per-pair ``@`` finds."""
+    g = HeisenbergGroup(SymplecticSpace(7, 1))
+    lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
+    tg = sp_table(lift.space)
+    n, table = lift.base.conductor, tg.table
+    num, den = batch_from_matrices([lift.sp_images[s] for s in tg.names], n)
+    bad_s = 101
+    bad = num.copy()
+    bad[bad_s, 2, 4, 3] += 1
+    del kernel_dtypes[:]
+    count = len(table)
+    failures = verify_multiplication_table(bad, den, table, n, max_failures=count**2)
+    assert set(kernel_dtypes) == {np.dtype(np.float32)}
+    assert len(kernel_dtypes) == count  # every row ran
+    assert all(bad_s in (s, t, table[s, t]) for s, t in failures)
+    mats = [CycMatrix._packed(n, m, den) for m in bad]
+    inverse = int(np.flatnonzero(table[bad_s] == 0)[0])
+    # rows with t = bad_s, t = s^-1 bad_s or s = bad_s among them
+    for s in (0, 1, bad_s, inverse, 335):
+        reference = [
+            (s, t) for t in range(count) if mats[s] @ mats[t] != mats[table[s, t]]
+        ]
+        assert bool(reference) == (s != 0)  # the identity row holds
+        assert [f for f in failures if f[0] == s] == reference
 
 
 @pytest.fixture(
@@ -220,7 +288,7 @@ def test_trace_table_equals_per_entry_traces(lift_families, kernel_dtypes):
     assert (table.nrows, table.ncols) == (len(sps), len(hs))
     for a, b in itertools.product(range(len(sps)), range(len(hs))):
         assert table[a, b] == (sps[a] @ hs[b]).trace()
-    assert kernel_dtypes[:2] == [np.float64, np.float64]
+    assert kernel_dtypes[:2] == [np.float32, np.float32]
 
 
 def test_trace_table_beyond_float64_runs_on_python_ints(kernel_dtypes):
@@ -285,7 +353,9 @@ def fraction_family(rng, n, count, nrows, ncols, bound):
 
 
 @pytest.mark.parametrize(
-    "bound,dtype", [(10, np.float64), (2**30, object)], ids=["float64", "object"]
+    "bound,dtype",
+    [(4, np.float32), (2**10, np.float64), (2**30, object)],
+    ids=["float32", "float64", "object"],
 )
 def test_product_table_equals_schoolbook(bound, dtype, kernel_dtypes):
     rng = np.random.default_rng(bound)
