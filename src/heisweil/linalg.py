@@ -413,7 +413,9 @@ def batch_from_matrices(mats: list[CycMatrix], n: int):
         f > 1 and max(_max_abs(m.num), 1) * f >= _INT64 for m, f in zip(mats, factors)
     ):
         return np.stack([m.num.astype(object) * f for m, f in zip(mats, factors)]), den
-    return np.stack([m.num * f for m, f in zip(mats, factors)]), den
+    # np.stack copies, so num is stacked as stored when f = 1: no second copy
+    nums = [m.num if f == 1 else m.num * f for m, f in zip(mats, factors)]
+    return np.stack(nums), den
 
 
 def trace_table(mats: list[CycMatrix], left: list[CycMatrix] | None = None):

@@ -10,7 +10,9 @@ invertible, so the layer-by-layer iteration
 terminates after K - k0 steps with the unique square root.  That drives
 both H^1_alpha(G) = 1 (every alpha-inverted element is y alpha(y)^-1
 with y its square root) and the fixed-point factorization
-C^alpha = A^alpha B^alpha.
+C^alpha = A^alpha B^alpha, which :func:`alpha_factor` computes for a
+whole stack of alpha-fixed c at once: a UL elimination of n (n - 1) / 2
+stacked steps, one stacked square root, and checks over the whole stack.
 
 The residual of layer c is read from a - x^2.  Once x^2 = a mod p^c, the
 textbook residual (x^2)^-1 a - 1 = (x^2)^-1 (a - x^2) agrees with a - x^2
@@ -295,60 +297,56 @@ def _lower_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n), dtype=bool))
 
 
-def in_pattern(group: CongruenceGroup, g, pattern: str) -> bool:
+def in_pattern(group: CongruenceGroup, g, pattern: str):
+    """Whether g lies in the group and in the block pattern; one bool per
+    matrix of a stack."""
+    n = group.n
+    zero_masks = {
+        "upper": ~_upper_mask(n),
+        "lower": ~_lower_mask(n),
+        "upper_unipotent": ~_upper_mask(n),
+        "lower_unipotent": ~_lower_mask(n),
+        "diagonal": ~np.eye(n, dtype=bool),
+    }
+    if pattern not in zero_masks:
+        raise ValueError(f"unknown block pattern {pattern!r}")
     g = group.reduce(g)
-    if not group.contains(g):
-        return False
-    if pattern == "upper":
-        return bool(np.all(g[~_upper_mask(group.n)] == 0))
-    if pattern == "lower":
-        return bool(np.all(g[~_lower_mask(group.n)] == 0))
-    if pattern == "upper_unipotent":
-        return bool(
-            np.all(g[~_upper_mask(group.n)] == 0)
-            and np.all(np.diag(g) == 1)
-        )
-    if pattern == "lower_unipotent":
-        return bool(
-            np.all(g[~_lower_mask(group.n)] == 0)
-            and np.all(np.diag(g) == 1)
-        )
-    if pattern == "diagonal":
-        return bool(np.all(g[~np.eye(group.n, dtype=bool)] == 0))
-    raise ValueError(f"unknown block pattern {pattern!r}")
+    inside = group.contains(g) & np.all(g[..., zero_masks[pattern]] == 0, axis=-1)
+    if pattern.endswith("_unipotent"):
+        inside &= np.all(np.diagonal(g, axis1=-2, axis2=-1) == 1, axis=-1)
+    return bool(inside) if np.ndim(inside) == 0 else inside
 
 
 def _ul_decompose(group: CongruenceGroup, c):
-    """c = u . l with u unit-upper-triangular and l lower-triangular.
+    """c = u . l with u unit-upper-triangular and l lower-triangular, for one
+    matrix or a stack.
 
     Exists for every congruence element because all the pivots are units.
+    Each elimination step runs over the whole stack at once.
     """
-    mod = group.modulus
-    u_acc = group.identity().copy()
-    work = group.reduce(c).copy()
-    n = group.n
+    mod, n = group.modulus, group.n
+    c = group.reduce(c)
+    work = c.reshape(-1, n, n).copy()
+    u = np.broadcast_to(group.identity(), work.shape).copy()
+    inverse = np.frompyfunc(lambda x: pow(int(x), -1, mod), 1, 1)  # exact
     # clear strictly-upper entries of `work` by left-multiplying with
     # inverse unit-upper eliminations, accumulating u
     for col in range(n - 1, -1, -1):
-        piv = int(work[col, col])
-        piv_inv = pow(piv, -1, mod)
+        piv_inv = inverse(work[:, col, col]).astype(group.dtype)
         for row in range(col):
-            f = int(work[row, col]) * piv_inv % mod
-            if f:
-                # row_row -= f * row_col (makes entry (row, col) zero)
-                work[row] = (work[row] - f * work[col]) % mod
-                # record the inverse operation in u
-                e = group.identity().copy()
-                e[row, col] = f
-                u_acc = group.mul(u_acc, e)
-    l = work
-    if not in_pattern(group, u_acc, "upper_unipotent"):
+            f = (work[:, row, col] * piv_inv % mod)[:, None]
+            # row_row -= f * row_col (makes entry (row, col) zero)
+            work[:, row] = (work[:, row] - f * work[:, col]) % mod
+            # record the inverse operation: u <- u (1 + f e_(row, col))
+            u[:, :, col] = (u[:, :, col] + f * u[:, :, row]) % mod
+    u, l = u.reshape(c.shape), work.reshape(c.shape)
+    if not np.all(in_pattern(group, u, "upper_unipotent")):
         raise RuntimeError("UL decomposition: u is not unit upper triangular")
-    if not np.all(l[~_lower_mask(n)] == 0):
+    if not np.all(l[..., ~_lower_mask(n)] == 0):
         raise RuntimeError("UL decomposition: l is not lower triangular")
-    if not np.array_equal(group.mul(u_acc, l), group.reduce(c)):
+    if not np.array_equal(group.mul(u, l), c):
         raise RuntimeError("UL decomposition: u l != c")
-    return u_acc, l
+    return u, l
 
 
 def alpha_factor(group: CongruenceGroup, c, a_pattern: str, b_pattern: str, alpha):
@@ -357,13 +355,14 @@ def alpha_factor(group: CongruenceGroup, c, a_pattern: str, b_pattern: str, alph
     Follows the constructive cohomology argument: pick any factorization
     c = a b, observe a^-1 alpha(a) = b alpha(b)^-1 lies in
     Z^1_alpha(A ^ B), take its square root y there, and move to
-    (a y, y^-1 b).
+    (a y, y^-1 b).  A stack of c is split at once, every step and every
+    check running over the whole stack; one bad matrix fails the call.
     """
     c = group.reduce(c)
     if not np.array_equal(alpha(c), c):
         raise ValueError("c must be alpha-fixed")
     a, b = _ul_decompose(group, c)
-    if not (in_pattern(group, a, a_pattern) and in_pattern(group, b, b_pattern)):
+    if not np.all(in_pattern(group, a, a_pattern) & in_pattern(group, b, b_pattern)):
         raise ValueError("c does not factor through the requested patterns")
     delta = group.mul(group.inv(a), alpha(a))
     if not np.array_equal(delta, group.mul(b, group.inv(alpha(b)))):
@@ -379,9 +378,8 @@ def alpha_factor(group: CongruenceGroup, c, a_pattern: str, b_pattern: str, alph
         raise RuntimeError("factor y^-1 b is not alpha-fixed")
     if not np.array_equal(group.mul(a_fixed, b_fixed), c):
         raise RuntimeError("the fixed factors do not multiply to c")
-    if not (
-        in_pattern(group, a_fixed, a_pattern)
-        and in_pattern(group, b_fixed, b_pattern)
+    if not np.all(
+        in_pattern(group, a_fixed, a_pattern) & in_pattern(group, b_fixed, b_pattern)
     ):
         raise RuntimeError("factors left the requested block patterns")
     return a_fixed, b_fixed

@@ -19,7 +19,9 @@ p = 3 only.  What stays sampled:
   pairs at p = 7 (every pair: about 0.2 s), intertwining on the
   generators of H beyond p = 3 (every element at p = 7: about 7 s), and
   the contragredient check, skipped at p = 7 (about 0.2 s);
-- ``weil.abstract_lift_rep_law``: 40 random pairs per special isomorphism;
+- ``weil.abstract_lift_rep_law``: 40 random pairs per special isomorphism,
+  each product gathered from the one table of Sp x| H
+  (:meth:`~heisweil.weil.AbstractLift.verify_rep_on_pairs`);
 - ``mackey.twisted_coset_clauses``: clauses 1 and 3 at one random g per
   configuration;
 - the sqrt suite: random elements of congruence groups too large to sweep.
@@ -841,16 +843,18 @@ def suite_sqrt(cfg: RunConfig) -> list[Check]:
     )
 
     c = rec("sqrt.alpha_factor_witnesses")
+    labels = ("a b = c", "alpha(a) = a", "alpha(b) = b")
     for n_size in (2, 3):
         group = pro.CongruenceGroup(n_size, 3, cfg.precision)
         perm = tuple(range(n_size - 1, -1, -1))
         alpha = pro.make_alpha(group, "transpose_inverse", perm=perm)
-        for _ in range(50):
-            cm = _cayley_fixed_point(group, rng)
-            a, b = pro.alpha_factor(group, cm, "upper", "lower", alpha)
-            c(np.array_equal(group.mul(a, b), cm), ("a b = c", group, cm))
-            c(np.array_equal(alpha(a), a), ("alpha(a) = a", group, cm))
-            c(np.array_equal(alpha(b), b), ("alpha(b) = b", group, cm))
+        cm = np.stack([_cayley_fixed_point(group, rng) for _ in range(50)])
+        a, b = pro.alpha_factor(group, cm, "upper", "lower", alpha)
+        # one row per sample, one column per label
+        ok = np.stack(
+            [group.mul(a, b) == cm, alpha(a) == a, alpha(b) == b], axis=1
+        ).all(axis=(-2, -1))
+        c.all(ok, lambda i, j: (labels[j], group, cm[i]))
     return rec
 
 

@@ -235,14 +235,17 @@ def test_criterion_07_special_isomorphisms():
     els = weil_mod.sp_table(g.space).names
     base_ab = weil_mod.abstract_lift(lift, heis.SpecialIso(g, (0, 0)))
     reference = {
-        (s, x): base_ab.image(s, x).trace() for s in els for x in g.elements()
+        (s, x): (lift.sp_images[s] @ base_ab.h_image(x)).trace()
+        for s in els
+        for x in g.elements()
     }
     for nu in isos:
         ab = weil_mod.abstract_lift(lift, nu)
         for s in els:
             for x in g.elements():
                 h = nu.inverse_image(x)
-                assert ab.image(s, h).trace() == reference[(s, x)]
+                image = lift.sp_images[s] @ ab.h_image(h)
+                assert image.trace() == reference[(s, x)]
     elapsed = time.time() - start
     assert elapsed < 60
     _report(

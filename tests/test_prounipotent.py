@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from heisweil.prounipotent import (
     CongruenceGroup,
+    _ul_decompose,
     alpha_factor,
     h1_alpha_trivial,
     in_pattern,
@@ -124,7 +125,7 @@ def _cayley_fixed_point(group, alpha_form, rng):
     while True:
         x = np.array(
             [[rng.randrange(mod // scale) for _ in range(n)] for _ in range(n)],
-            dtype=np.int64,
+            dtype=group.dtype,
         ) * scale % mod
         # project to tX J0 = -J0 X: X = (X - J0 tX J0) / 2
         inv2 = pow(2, -1, mod)
@@ -179,6 +180,85 @@ def test_alpha_factor_rejects_unfixed():
         c = g.mul(c, g.reduce(np.eye(2, dtype=np.int64) + 3 * np.array([[0, 1], [0, 0]])))
     with pytest.raises(ValueError):
         alpha_factor(g, c, "upper", "lower", alpha)
+
+
+STACK_GROUPS = [(1, 3, 4), (2, 3, 4), (3, 3, 4), (1, 5, 4), (2, 5, 3), (3, 5, 3), (2, 13, 17)]
+PATTERNS = ("upper", "lower", "upper_unipotent", "lower_unipotent", "diagonal")
+
+
+def _reversing_alpha(g):
+    return make_alpha(g, "transpose_inverse", perm=tuple(range(g.n - 1, -1, -1)))
+
+
+@pytest.mark.parametrize("n,p,K", STACK_GROUPS)
+def test_in_pattern_on_a_stack_equals_per_matrix(n, p, K):
+    g = CongruenceGroup(n, p, K)
+    rng = random.Random(f"pattern{n}{p}{K}")
+    gs = np.stack([g.random_element(rng) for _ in range(6)])
+    u, l = _ul_decompose(g, gs)
+    diag = l * np.eye(n, dtype=np.int64)
+    outsider = g.reduce(2 * np.eye(n, dtype=np.int64))[None]
+    stack = np.concatenate([gs, u, l, u.swapaxes(-1, -2), diag, outsider])
+    assert g.dtype is (object if (n, p, K) == (2, 13, 17) else np.int64)
+    for pattern in PATTERNS:
+        got = in_pattern(g, stack, pattern)
+        assert got.dtype == bool and got.shape == (len(stack),)
+        assert got.tolist() == [in_pattern(g, m, pattern) for m in stack]
+        assert not got[-1]
+    assert in_pattern(g, u, "upper_unipotent").all()
+    assert in_pattern(g, l, "lower").all()
+    assert in_pattern(g, diag, "diagonal").all()
+
+
+def test_in_pattern_without_a_stack_is_a_python_bool():
+    g = CongruenceGroup(2, 3, 4)
+    for pattern in PATTERNS:
+        assert type(in_pattern(g, g.identity(), pattern)) is bool
+    assert in_pattern(g, [[2, 0], [0, 1]], "diagonal") is False
+    with pytest.raises(ValueError, match="unknown block pattern"):
+        in_pattern(g, np.stack([g.identity()] * 2), "antidiagonal")
+
+
+@pytest.mark.parametrize("n,p,K", STACK_GROUPS)
+def test_ul_decompose_on_a_stack_equals_per_matrix(n, p, K):
+    g = CongruenceGroup(n, p, K)
+    rng = random.Random(f"ul{n}{p}{K}")
+    cs = np.stack([g.random_element(rng) for _ in range(8)])
+    u, l = _ul_decompose(g, cs)
+    assert u.shape == l.shape == cs.shape and u.dtype == l.dtype == g.dtype
+    for c, uc, lc in zip(cs, u, l):
+        u1, l1 = _ul_decompose(g, c)
+        assert np.array_equal(uc, u1) and np.array_equal(lc, l1)
+        assert np.array_equal(g.mul(u1, l1), c)
+
+
+@pytest.mark.parametrize("n,p,K", STACK_GROUPS)
+def test_alpha_factor_on_a_stack_equals_per_matrix(n, p, K):
+    g = CongruenceGroup(n, p, K)
+    alpha = _reversing_alpha(g)
+    rng = random.Random(f"factor{n}{p}{K}")
+    cs = np.stack([_cayley_fixed_point(g, alpha, rng) for _ in range(8)])
+    a, b = alpha_factor(g, cs, "upper", "lower", alpha)
+    assert a.shape == b.shape == cs.shape
+    for c, ac, bc in zip(cs, a, b):
+        a1, b1 = alpha_factor(g, c, "upper", "lower", alpha)
+        assert np.array_equal(ac, a1) and np.array_equal(bc, b1)
+    assert np.array_equal(g.mul(a, b), cs)
+    assert np.array_equal(alpha(a), a) and np.array_equal(alpha(b), b)
+
+
+@pytest.mark.parametrize("n,p,K", [(2, 3, 4), (3, 5, 3), (2, 13, 17)])
+def test_alpha_factor_stack_with_one_unfixed_matrix_raises(n, p, K):
+    g = CongruenceGroup(n, p, K)
+    alpha = _reversing_alpha(g)
+    rng = random.Random(f"unfixed{n}{p}{K}")
+    cs = np.stack([_cayley_fixed_point(g, alpha, rng) for _ in range(5)])
+    alpha_factor(g, cs, "upper", "lower", alpha)
+    unipotent = np.eye(n, dtype=np.int64)
+    unipotent[0, n - 1] = p  # alpha sends it to its inverse
+    cs[3] = g.mul(cs[3], g.reduce(unipotent))
+    with pytest.raises(ValueError, match="alpha-fixed"):
+        alpha_factor(g, cs, "upper", "lower", alpha)
 
 
 @settings(max_examples=30, deadline=None)

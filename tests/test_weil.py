@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from heisweil.checks import Check
 from heisweil.heisenberg import HeisenbergGroup, SpecialIso, all_special_isos
 from heisweil.linalg import CycMatrix
 from heisweil.reps import heisenberg_rep
@@ -335,14 +336,72 @@ def test_abstract_lift_characters_nu_independent(lift3):
     els = sp_table(g.space).names
     base = abstract_lift(lift3, SpecialIso(g, (0, 0)))
     reference = {
-        (s, x): base.image(s, x).trace() for s in els for x in g.elements()
+        (s, x): (lift3.sp_images[s] @ base.h_image(x)).trace()
+        for s in els
+        for x in g.elements()
     }
     for nu in all_special_isos(g):
         ab = abstract_lift(lift3, nu)
         for s in els:
             for x in g.elements():
                 h = nu.inverse_image(x)  # the element matching x
-                assert ab.image(s, h).trace() == reference[(s, x)]
+                image = lift3.sp_images[s] @ ab.h_image(h)
+                assert image.trace() == reference[(s, x)]
+
+
+def _rep_law_per_pair(lift, nu, pairs):
+    """The rep law of the abstract lift, one ``@`` per factor: the
+    multiplication of Sp x|_nu H written out from its definition
+    (s1, h1)(s2, h2) = (s1 s2, (s2^-1 ._nu h1) h2), with
+    s ._nu h = nu^-1(s . nu(h)).  Returns (count, first failing witness)."""
+    g = lift.group
+
+    def image(s, h):
+        return lift.sp_images[s] @ lift.base.images[nu.image(h)]
+
+    def twisted_action(s, h):
+        return nu.inverse_image(lift.sp_action[s][nu.image(h)])
+
+    witness = None
+    for (s1, h1), (s2, h2) in pairs:
+        prod = image(s1 * s2, g.mul(twisted_action(s2.inverse(), h1), h2))
+        if witness is None and image(s1, h1) @ image(s2, h2) != prod:
+            witness = (nu, (s1, h1), (s2, h2))
+    return len(pairs), witness
+
+
+def test_abstract_lift_rep_law_matches_per_pair_reference_on_a_corrupted_lift(lift3):
+    g = lift3.group
+    els = sp_table(g.space).names
+    s_bad = els[5]
+    images = dict(lift3.sp_images)
+    images[s_bad] = images[s_bad].scale(zeta_p(3, 1))  # no longer a homomorphism
+    bad = dataclasses.replace(lift3, sp_images=images)
+    rng = random.Random(5)
+    hs = g.elements()
+    failed = 0
+    for nu in all_special_isos(g):
+        pairs = [
+            ((rng.choice(els), rng.choice(hs)), (rng.choice(els), rng.choice(hs)))
+            for _ in range(40)
+        ]
+        pairs[7] = ((s_bad, hs[2]), (els[1], hs[4]))  # every nu meets s_bad
+        check = Check("weil.abstract_lift_rep_law")
+        passed = abstract_lift(bad, nu).verify_rep_on_pairs(pairs, check)
+        count, witness = _rep_law_per_pair(bad, nu, pairs)
+        assert check.checks == count == 40
+        assert check.witness == witness
+        assert passed == (witness is None)
+        failed += not passed
+    assert failed == len(all_special_isos(g))
+    assert abstract_lift(lift3, all_special_isos(g)[1]).verify_rep_on_pairs(pairs)
+
+
+def test_abstract_lift_rep_law_guards_p_above_3(lift5):
+    g = lift5.group
+    pairs = [((next(iter(lift5.sp_images)), 0),) * 2]
+    with pytest.raises(GuardError, match="p <= 3"):
+        abstract_lift(lift5, SpecialIso(g, (0, 0))).verify_rep_on_pairs(pairs)
 
 
 # -- ell = 2 relation mode ---------------------------------------------------------
