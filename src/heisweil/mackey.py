@@ -8,19 +8,25 @@ W x| F_p (itself a TableGroup) and on Sp(W) x| H built below.
 The two Hom-dimension computations are deliberately independent:
 
 - :func:`mackey_hom_dim` sums dim Hom_{K ^ gHg^-1}(kappa, 1) over double
-  cosets KgH, the double-coset decomposition of Hom_H(Ind kappa, 1);
+  cosets KgH, the double-coset decomposition of Hom_H(Ind kappa, 1), as one
+  :func:`~heisweil.reps.hom_dims` call;
 - :func:`induced_hom_dim_oracle` reads Ind_K^G(kappa) as block-permutation
   matrices over its own right-coset transversal and takes the exact trace
   of the averaging projector over H, never mentioning double cosets.
 
 Both read kappa's character through its one row of traces
 (:meth:`~heisweil.reps.MatrixRep.characters`), and the oracle sums that
-row over the diagonal blocks itself rather than calling :func:`hom_dim`.
+row over the diagonal blocks itself rather than calling ``hom_dims``.
 
 Their agreement on every configuration is the module-level theorem check.
-Every double coset on this side (:func:`double_cosets`, :func:`s_theta` and
-the suites' twisted-coset clauses) comes from the one partition
-:func:`heisweil.groups.double_coset_labels`; the oracle does not call it.
+The double-coset side takes the (K, G^theta) partition of
+:func:`heisweil.groups.double_coset_labels` as an argument and never
+builds one: a caller partitions G once per fixed subgroup, and
+:func:`mackey_hom_dim`, :func:`s_theta` (the split of the double cosets
+by the K-orbit of x.theta), :func:`m_K` (the size of one part of that
+split) and the suites' twisted-coset clauses read that one partition and
+that one split.  The oracle builds its own transversal and never sees the
+partition.
 """
 
 from __future__ import annotations
@@ -33,12 +39,11 @@ import numpy as np
 from heisweil.groups import (
     TableGroup,
     closure,
-    double_coset_labels,
     extend_hom,
     generators_within,
     table_group_from_mul,
 )
-from heisweil.reps import MatrixRep, hom_dim
+from heisweil.reps import MatrixRep, hom_dims
 
 __all__ = [
     "InvolutionRecord",
@@ -48,7 +53,6 @@ __all__ = [
     "cyclic_group",
     "dihedral_group",
     "direct_product",
-    "double_cosets",
     "fixed_subgroup",
     "induced_hom_dim_oracle",
     "inner_involution",
@@ -56,7 +60,7 @@ __all__ = [
     "involution_orbits",
     "m_K",
     "mackey_hom_dim",
-    "orbmult_check",
+    "orbmult_rhs",
     "quaternion_group",
     "s_theta",
     "symmetric_group",
@@ -133,6 +137,10 @@ def direct_product(g1: TableGroup, g2: TableGroup) -> TableGroup:
 # -- involutions -----------------------------------------------------------------
 
 
+# the largest group order, and the most minimal generators, of the search
+AUTOMORPHISM_SEARCH_GUARD = (24, 3)
+
+
 @dataclass(frozen=True)
 class InvolutionRecord:
     """An automorphism of order <= 2 stored as a permutation of indices."""
@@ -185,13 +193,17 @@ def _minimal_generators(g: TableGroup) -> list[int]:
 def all_involutive_automorphisms(g: TableGroup) -> list[InvolutionRecord]:
     """Every automorphism of order <= 2, by generator-image search.
 
-    Guarded to order <= 24 with at most 3 minimal generators.
+    Guarded by :data:`AUTOMORPHISM_SEARCH_GUARD`: the search tries every
+    tuple of same-order images of the minimal generators.
     """
-    if g.order > 24:
-        raise ValueError("automorphism enumeration guarded to order <= 24")
+    max_order, max_gens = AUTOMORPHISM_SEARCH_GUARD
+    if g.order > max_order:
+        raise ValueError(f"automorphism search guarded to order <= {max_order}")
     gens = _minimal_generators(g)
-    if len(gens) > 3:
-        raise ValueError("too many generators for the search")
+    if len(gens) > max_gens:
+        raise ValueError(
+            f"automorphism search guarded to <= {max_gens} generators; got {len(gens)}"
+        )
     orders = {a: g.element_order(a) for a in range(g.order)}
     candidates = [
         [b for b in range(g.order) if orders[b] == orders[a]] for a in gens
@@ -242,66 +254,58 @@ def involution_orbits(g: TableGroup, thetas, actor) -> list[list[InvolutionRecor
 # -- double cosets and Mackey sums -------------------------------------------------
 
 
-def double_cosets(g: TableGroup, k_sub, h_sub) -> list[int]:
-    """One representative per double coset K g H, the smallest member of
-    each, in increasing order; the cosets partition G."""
-    labels = double_coset_labels(g, k_sub, h_sub)
-    return np.unique(labels, return_index=True)[1].tolist()
+# (m d)^2 |H| for an induced representation of dimension m d, averaged over H
+ORACLE_GUARD = 200_000
 
 
-def mackey_hom_dim(g: TableGroup, k_sub, kappa: MatrixRep, h_sub) -> int:
-    """Sum over double cosets KgH of dim Hom_{K ^ gHg^-1}(kappa, 1)."""
+def mackey_hom_dim(g: TableGroup, k_sub, kappa: MatrixRep, h_sub, reps) -> int:
+    """Sum over double cosets KxH of dim Hom_{K ^ xHx^-1}(kappa, 1).
+
+    ``reps`` holds one representative x of each double coset, as the
+    (K, H) partition gives them; the summands are one :func:`hom_dims` call.
+    """
+    t, inv = g.table, g.inverse_of
+    h = np.array(sorted(h_sub), dtype=np.int64)
     k_set = frozenset(k_sub)
-    total = 0
-    for x in double_cosets(g, sorted(k_set), sorted(h_sub)):
-        conj = k_set & frozenset(g.conjugate(x, h) for h in h_sub)
-        total += hom_dim(kappa, sorted(conj))
-    return total
+    conj = [k_set & frozenset(t[t[x, h], inv[x]].tolist()) for x in reps]
+    return int(hom_dims([kappa], conj).sum())
 
 
-def induced_hom_dim_oracle(
-    g: TableGroup, k_sub, kappa: MatrixRep, h_sub, guard: int = 200_000
-) -> int:
+def induced_hom_dim_oracle(g: TableGroup, k_sub, kappa: MatrixRep, h_sub) -> int:
     """dim Hom_H(Ind_K^G kappa, 1) without Mackey theory.
 
     Returns the exact trace of the idempotent averaging projector over H on
     the induced representation, read off its block-permutation matrices:
     x_i h = k x_j puts kappa(k) in block (i, j), so only j = i adds to the
     trace, by trace kappa(x_i h x_i^-1): one sum over kappa's character row.
+    Guarded by :data:`ORACLE_GUARD`.
     """
-    k_set = frozenset(k_sub)
-    d = kappa.dim
-    # right-coset transversal of K\G
-    remaining = set(range(g.order))
+    t, inv = g.table, g.inverse_of
+    k = np.array(sorted(k_sub), dtype=np.int64)
+    # right-coset transversal x_0 < x_1 < ... of K\G, and the coset of each element
+    coset_of = np.full(g.order, -1, dtype=np.int64)
     transversal = []
-    coset_of = {}
-    while remaining:
-        x = min(remaining)
-        idx = len(transversal)
-        transversal.append(x)
-        for a in k_set:
-            y = g.mul(a, x)
-            coset_of[y] = idx
-            remaining.discard(y)
-    m = len(transversal)
-    dim = m * d
-    if dim * dim * len(list(h_sub)) > guard:
-        raise ValueError("induced-representation oracle guard exceeded")
-
-    diagonal = []  # x_i h x_i^-1 for every diagonal block (i, h)
-    members = sorted(h_sub)
-    for h in members:
-        for i, xi in enumerate(transversal):
-            y = g.mul(xi, h)
-            j = coset_of[y]
-            kk = g.mul(y, g.inv(transversal[j]))  # x_i h = kk x_j
-            if kk not in k_set:
-                raise RuntimeError(
-                    f"x_i h x_j^-1 = {kk} is not in K (i = {i}, h = {h})"
-                )
-            if j == i:
-                diagonal.append(kk)
-    tr = kappa.character_sum(diagonal) / len(members)
+    for x in range(g.order):
+        if coset_of[x] < 0:
+            coset_of[t[k, x]] = len(transversal)
+            transversal.append(x)
+    xs, h = np.array(transversal), np.array(sorted(h_sub), dtype=np.int64)
+    size = (len(xs) * kappa.dim) ** 2 * len(h)
+    if size > ORACLE_GUARD:
+        raise ValueError(
+            f"induced-representation oracle guarded to (m d)^2 |H| <= "
+            f"{ORACLE_GUARD}; got {size}"
+        )
+    # x_i h = kk x_j for every (h, i)
+    y = t[xs[None, :], h[:, None]]
+    j = coset_of[y]
+    kk = t[y, inv[xs[j]]]
+    outside = np.argwhere(~np.isin(kk, k))
+    if outside.size:
+        a, i = outside[0]
+        raise RuntimeError(f"x_i h x_j^-1 = {kk[a, i]} not in K (i = {i}, h = {h[a]})")
+    diagonal = kk[j == np.arange(len(xs))].tolist()  # x_i h x_i^-1
+    tr = kappa.character_sum(diagonal) / len(h)
     if not tr.is_integer():
         raise RuntimeError(f"projector trace {tr!r} is not a rational integer")
     val = int(tr.rational_value())
@@ -313,60 +317,64 @@ def induced_hom_dim_oracle(
 # -- twisted classes and multiplicity bookkeeping ----------------------------------
 
 
-def s_theta(
-    g: TableGroup,
-    k_sub,
-    theta: InvolutionRecord,
-    theta_orbit_prime: list[InvolutionRecord],
-) -> list[int]:
-    """S(theta, Theta') = double cosets K g G^theta with g.theta in Theta'."""
-    h_sub = sorted(fixed_subgroup(g, theta))
-    prime_keys = {t.perm for t in theta_orbit_prime}
-    out = []
-    for x in double_cosets(g, sorted(k_sub), h_sub):
-        if conjugate_involution(g, x, theta).perm in prime_keys:
-            out.append(x)
-    return out
+def s_theta(g: TableGroup, theta: InvolutionRecord, reps, orbit_of) -> list[list[int]]:
+    """S(theta, Theta') = {K x G^theta : x.theta in Theta'} for every K-orbit
+    Theta' of the G-orbit of theta, as sublists of ``reps`` (one member of
+    each (K, G^theta) double coset); ``orbit_of`` maps each involution of
+    the G-orbit, by ``perm``, to the index of its K-orbit."""
+    split = [[] for _ in range(max(orbit_of.values()) + 1)]
+    for x in reps:
+        split[orbit_of[conjugate_involution(g, x, theta).perm]].append(x)
+    return split
 
 
 def twisted_classes(g: TableGroup, k_sub, theta: InvolutionRecord):
-    """K-orbits on {g theta(g)^-1} under k . x = k x theta(k)^-1."""
-    s_set = {g.mul(x, g.inv(theta.apply(x))) for x in range(g.order)}
-    k_list = sorted(k_sub)
-    remaining = set(s_set)
+    """K-orbits on {x theta(x)^-1} under k . y = k y theta(k)^-1, as sorted
+    lists in the order of their smallest members.
+
+    The orbit of y is one gather ``t[t[K, y], theta(K)^-1]`` from the table.
+    """
+    t, inv = g.table, g.inverse_of
+    perm = np.asarray(theta.perm)
+    k = np.array(sorted(k_sub), dtype=np.int64)
+    twisted_inverse = inv[perm[k]]
+    unseen = np.zeros(g.order, dtype=bool)
+    unseen[t[np.arange(g.order), inv[perm]]] = True
     classes = []
-    while remaining:
-        orbit = closure(
-            [min(remaining)],
-            k_list,
-            lambda y, k: g.mul(g.mul(k, y), g.inv(theta.apply(k))),
-        )
-        remaining -= set(orbit)
-        classes.append(sorted(orbit))
+    for y in np.flatnonzero(unseen).tolist():
+        if unseen[y]:
+            orbit = np.unique(t[t[k, y], twisted_inverse])
+            unseen[orbit] = False
+            classes.append(orbit.tolist())
     return classes
 
 
-def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, orbit=None, k_orbits=None):
-    """(m_K(Theta), |H^1_Theta| or None) for the G-orbit of theta.
+def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, cosets):
+    """(m_K(Theta), |H^1_Theta| or None) for the G-orbit Theta of theta.
 
-    The bound |H^1| uses the center and is only meaningful when Z <= K, so
-    it is None otherwise; comparing m_K with it is left to the caller.
-    ``orbit`` / ``k_orbits`` may be passed in when already computed.
+    m_K(Theta) is the size of ``cosets`` = S(theta, K.theta) from
+    :func:`s_theta`.  The bound |H^1| uses the center and is only meaningful
+    when Z <= K, so it is None otherwise; the caller compares the two.
     """
-    k_set = frozenset(k_sub)
-    if orbit is None:
-        orbit = involution_orbits(g, [theta], range(g.order))[0]
-    if k_orbits is None:
-        k_orbits = involution_orbits(g, orbit, sorted(k_set))
-    k_orbit = next(
-        o for o in k_orbits if any(t.perm == theta.perm for t in o)
-    )
-    m = len(s_theta(g, sorted(k_set), theta, k_orbit))
-
     center = g.center()
     z1 = [z for z in center if theta.apply(z) == g.inv(z)]
     b1 = {g.mul(z, g.inv(theta.apply(z))) for z in center}
-    return m, len(z1) // len(b1) if center <= k_set else None
+    return len(cosets), len(z1) // len(b1) if center <= frozenset(k_sub) else None
+
+
+def orbmult_rhs(g: TableGroup, k_sub, kappa: MatrixRep, k_orbits, m: int) -> int:
+    """The right side of the orbit multiplicity formula
+
+    dim Hom_{G^theta}(Ind kappa, 1)
+        = m_K * sum over K-orbits Theta' in Theta of dim Hom_{K ^ G^theta'}(kappa, 1),
+
+    with ``m`` = m_K(Theta) and one involution theta' read from each K-orbit;
+    the summands are one :func:`hom_dims` call.  The left side is the
+    oracle's value.
+    """
+    k_set = frozenset(k_sub)
+    fixed = [k_set & fixed_subgroup(g, k_orbit[0]) for k_orbit in k_orbits]
+    return m * int(hom_dims([kappa], fixed).sum())
 
 
 # -- Sp(W) x| H -------------------------------------------------------------------
@@ -408,35 +416,3 @@ def semidirect_involution_record(tg: TableGroup, alpha) -> InvolutionRecord:
     moved = np.array([sp_index[abar * s * abar_inv] for s in sp_names])
     perm = moved[:, None] * nh + alpha.perm[None, :]
     return InvolutionRecord(tuple(perm.ravel().tolist()))
-
-
-def orbmult_check(
-    g: TableGroup,
-    k_sub,
-    kappa: MatrixRep,
-    theta: InvolutionRecord,
-    orbit=None,
-    k_orbits=None,
-):
-    """Compare both sides of the orbit multiplicity formula:
-
-    dim Hom_{G^theta}(Ind kappa, 1)
-        = m_K * sum over K-orbits Theta' in Theta of dim Hom_{K ^ G^theta'}(kappa, 1).
-
-    Returns (lhs, rhs, details).
-    """
-    lhs = induced_hom_dim_oracle(
-        g, k_sub, kappa, sorted(fixed_subgroup(g, theta))
-    )
-    if orbit is None:
-        orbit = involution_orbits(g, [theta], range(g.order))[0]
-    if k_orbits is None:
-        k_orbits = involution_orbits(g, orbit, sorted(k_sub))
-    m, bound = m_K(g, k_sub, theta, orbit=orbit, k_orbits=k_orbits)
-    total = 0
-    for k_orbit in k_orbits:
-        rep_theta = k_orbit[0]
-        members = sorted(frozenset(k_sub) & fixed_subgroup(g, rep_theta))
-        total += hom_dim(kappa, members)
-    rhs = m * total
-    return lhs, rhs, {"m_K": m, "h1_bound": bound, "k_orbits": len(k_orbits)}

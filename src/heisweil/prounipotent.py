@@ -145,7 +145,9 @@ class CongruenceGroup:
         size = self.n * self.n
         count = bound**size
         if count > guard:
-            raise ValueError(f"enumeration of {count} elements exceeds the guard")
+            raise ValueError(
+                f"enumeration of {count} elements exceeds the guard of {guard}"
+            )
         digits = np.indices((bound,) * size).reshape(size, count).T
         m = digits.reshape(count, self.n, self.n).astype(self.dtype)
         return (self._one + self.p**self.k0 * m) % self.modulus

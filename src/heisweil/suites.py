@@ -25,6 +25,12 @@ p = 3 only.  What stays sampled:
 - ``mackey.twisted_coset_clauses``: clauses 1 and 3 at one random g per
   configuration;
 - the sqrt suite: random elements of congruence groups too large to sweep.
+
+The mackey suite makes one pass per configuration (K, kappa, theta): the
+orbits of theta, G^theta, the (K, G^theta) partition, its split
+S(theta, Theta') by K-orbit, and the oracle's value for kappa and for
+kappa~ are each computed once, and every check of the configuration reads
+them.
 """
 
 from __future__ import annotations
@@ -44,7 +50,12 @@ from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
 from heisweil.checks import Check, Recorder
 from heisweil.groups import double_coset_labels, extend_hom, generators_within
-from heisweil.linalg import CycMatrix, trace_table
+from heisweil.linalg import (
+    CycMatrix,
+    batch_from_matrices,
+    packed_product_table,
+    trace_table,
+)
 from heisweil.scalar import (
     CycNumber,
     context,
@@ -431,16 +442,23 @@ def _abstract_lift_checks(rec: Recorder, lift, cfg: RunConfig) -> None:
     # character (s, h) -> entry (s, nu(h)), so nu = 0 reads entry (s, x)
     table = _sp_h_table(lift)
     reference = table[:, [heis.SpecialIso(g, (0,) * g.dim).image(x) for x in xs]]
+    # images[h] = tau(h), and twisted[k, h] = zeta_p^k tau(h), both over den:
+    # one kernel call for every (k, h)
+    n = lift.base.conductor
+    images, den = batch_from_matrices([lift.base.images[h] for h in xs], n)
+    roots = context(n).power_table[(n // g.p) * np.arange(g.p)]
+    twisted = packed_product_table(
+        n, roots[:, None, None], images.reshape(len(xs), 1, -1, images.shape[-1])
+    ).reshape(g.p, *images.shape)
     twist = rec("weil.abstract_lift_twist_relation")
     match = rec("weil.abstract_lift_characters_nu_independent")
     rep_law = rec("weil.abstract_lift_rep_law")
     for nu in heis.all_special_isos(g):
         ab = weil_mod.abstract_lift(lift, nu)
-        # <w_h, w0> for every h, from the form
-        pairings = (g.w @ g.space.form @ np.array(nu.offset) % g.p).tolist()
-        for h in g.elements():
-            scaled = lift.base.images[h].scale(zeta_p(g.p, pairings[h]))
-            twist(ab.h_image(h) == scaled, (nu, h))
+        # tau(nu(h)) = zeta_p^<w_h, w0> tau(h) for every h at once
+        pairings = g.w @ g.space.form @ np.array(nu.offset) % g.p
+        same = images[[nu.image(h) for h in xs]] == twisted[pairings, xs]
+        twist.all(same.all(axis=(1, 2, 3)), lambda h: (nu, h))
         chars = table[:, [nu.image(nu.inverse_image(x)) for x in xs]]
         match.all(
             chars.equal_entries(reference), lambda i, j: (nu, els[i], xs[j])
@@ -647,14 +665,7 @@ def heisenberg_mackey_configurations():
 def suite_mackey(cfg: RunConfig) -> list[Check]:
     rec = Recorder()
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
-
-    c = rec("mackey.double_coset_sum_equals_oracle")
-    for label, tg, k_members, kappa, theta in configs:
-        h_members = sorted(mk.fixed_subgroup(tg, theta))
-        lhs = mk.mackey_hom_dim(tg, k_members, kappa, h_members)
-        rhs = mk.induced_hom_dim_oracle(tg, k_members, kappa, h_members)
-        c(lhs == rhs, {"config": label, "mackey": lhs, "oracle": rhs})
-
+    dcs = rec("mackey.double_coset_sum_equals_oracle")
     clauses = rec("mackey.twisted_coset_clauses")
     triangle = rec("mackey.triangle_bijection")
     bounded = rec("mackey.multiplicity_bound")
@@ -664,44 +675,58 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
     for label, tg, k_members, kappa, theta in configs:
         orbit = mk.involution_orbits(tg, [theta], range(tg.order))[0]
         k_orbits = mk.involution_orbits(tg, orbit, k_members)
+        orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
+        g = rng.randrange(tg.order)
+        moved = mk.conjugate_involution(tg, g, theta)
+        cosets = _twisted_cosets(tg, k_members, [*orbit[:3], moved], orbit_of)
+        fixed, _, reps, split = cosets[theta.perm]
+        h_members = sorted(fixed)
+        oracle = mk.induced_hom_dim_oracle(tg, k_members, kappa, h_members)
+        mackey = mk.mackey_hom_dim(tg, k_members, kappa, h_members, reps)
+        dcs(mackey == oracle, {"config": label, "mackey": mackey, "oracle": oracle})
         _twisted_coset_checks(
-            clauses, triangle, label, tg, k_members, theta, orbit, k_orbits, rng
+            clauses, triangle, label, tg, k_members, theta, g, moved, cosets, orbit_of
         )
-        lhs, rhs, details = mk.orbmult_check(
-            tg, k_members, kappa, theta, orbit=orbit, k_orbits=k_orbits
-        )
-        m, bound = details["m_K"], details["h1_bound"]
+        m, bound = mk.m_K(tg, k_members, theta, split[orbit_of[theta.perm]])
         if bound is not None:
             bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
-        orbmult(lhs == rhs, {"config": label, "lhs": lhs, "rhs": rhs})
-        contr(_contrmult_check(tg, k_members, kappa, theta), label)
+        rhs = mk.orbmult_rhs(tg, k_members, kappa, k_orbits, m)
+        orbmult(oracle == rhs, {"config": label, "lhs": oracle, "rhs": rhs})
+        tilde = _contragredient(tg, k_members, kappa)
+        tilde_oracle = mk.induced_hom_dim_oracle(tg, k_members, tilde, h_members)
+        contr(oracle == tilde_oracle, label)
 
     _invstab_check(rec("mackey.involution_stabilizer"))
     return rec
 
 
+def _twisted_cosets(tg, k_members, involutions, orbit_of) -> dict:
+    """Per involution t, by ``perm``: G^t, the (K, G^t) partition (the label
+    of every element, the smallest member of each coset) and its split
+    S(t, Theta') by K-orbit; one partition per distinct fixed subgroup."""
+    partitions, cosets = {}, {}
+    for t in involutions:
+        if t.perm in cosets:
+            continue
+        fixed = mk.fixed_subgroup(tg, t)
+        if fixed not in partitions:
+            labels = double_coset_labels(tg, k_members, fixed)
+            partitions[fixed] = labels, np.unique(labels, return_index=True)[1].tolist()
+        labels, reps = partitions[fixed]
+        cosets[t.perm] = fixed, labels, reps, mk.s_theta(tg, t, reps, orbit_of)
+    return cosets
+
+
 def _twisted_coset_checks(
-    c: Check, triangle: Check, label, tg, k_members, theta, orbit, k_orbits, rng
+    c: Check, triangle: Check, label, tg, k_members, theta, g, moved, cosets, orbit_of
 ) -> None:
     """Clauses 1-4 on S(theta, Theta') = {K x G^theta : x.theta in Theta'}
-    and the coset/class triangle, partitioning G once per fixed subgroup."""
-    orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
-    g = rng.randrange(tg.order)
-    moved = mk.conjugate_involution(tg, g, theta)
-    partitions = {}  # fixed subgroup -> (label of each element, smallest members)
-    cosets = {}  # involution -> its partition, and the K-orbit of x.theta per member
-    for t2 in [*orbit[:3], moved]:
-        h = mk.fixed_subgroup(tg, t2)
-        if h not in partitions:
-            labels = double_coset_labels(tg, k_members, h)
-            partitions[h] = labels, np.unique(labels, return_index=True)[1].tolist()
-        labels, reps = partitions[h]
-        where = [orbit_of.get(mk.conjugate_involution(tg, x, t2).perm) for x in reps]
-        cosets[t2.perm] = labels, reps, where
-    labels, reps, where = cosets[theta.perm]
-    labels_moved, reps_moved, where_moved = cosets[moved.perm]
+    and the coset/class triangle, for theta and moved = g.theta, read off
+    the cosets of :func:`_twisted_cosets`."""
+    _, labels, reps, split = cosets[theta.perm]
+    _, labels_moved, _, split_moved = cosets[moved.perm]
     mine = orbit_of[theta.perm]
-    s_base = [x for x, w in zip(reps, where) if w == mine]
+    s_base = split[mine]
 
     # x theta(x)^-1 for every x, and where it is central
     t = tg.table
@@ -719,32 +744,28 @@ def _twisted_coset_checks(
             {"config": label, "clause": 2, "x": x},
         )
 
-    # clause 4: the cardinality only depends on the G-orbit
-    sizes = set()
-    for t2 in orbit[:3]:
-        where2 = cosets[t2.perm][2]
-        sizes.update(where2.count(i) for i in range(len(k_orbits)))
+    # clause 4: |S(t, Theta')| only depends on the G-orbit, for every t here
+    sizes = {len(s) for *_, split_t in cosets.values() for s in split_t}
     c(len(sizes) == 1, {"config": label, "clause": 4, "sizes": sorted(sizes)})
 
     # clause 1: S(g.theta, Theta') = S(theta, Theta') g^-1
-    lhs = [x for x, w in zip(reps_moved, where_moved) if w == mine]
     expected = {labels_moved[t[x, tg.inv(g)]] for x in s_base}
     c(
-        {labels_moved[x] for x in lhs} == expected,
+        {labels_moved[x] for x in split_moved[mine]} == expected,
         {"config": label, "clause": 1, "g": g},
     )
 
     # clause 3: K g1 G^theta -> K (g g1 g^-1) G^(g.theta), using a central-twist
     # representative g1 in each member of S(theta, K.theta), is a bijection
     # onto S(g.theta, K.(g.theta))
-    moved_mine = orbit_of[moved.perm]
-    lhs3 = [x for x, w in zip(reps_moved, where_moved) if w == moved_mine]
     image_keys = {
-        labels_moved[tg.conjugate(g, first_central[labels[x]])] for x in s_base
+        labels_moved[tg.conjugate(g, first_central[labels[x]])]
+        for x in s_base
+        if labels[x] in first_central
     }
     c(
         len(image_keys) == len(s_base)
-        and image_keys == {labels_moved[x] for x in lhs3},
+        and image_keys == {labels_moved[x] for x in split_moved[orbit_of[moved.perm]]},
         {"config": label, "clause": 3, "g": g},
     )
 
@@ -756,17 +777,12 @@ def _twisted_coset_checks(
     triangle(len(reps) == len(classes) == len(hit), label)
 
 
-def _contrmult_check(tg, k_members, kappa, theta) -> bool:
-    h_members = sorted(mk.fixed_subgroup(tg, theta))
-    lhs = mk.induced_hom_dim_oracle(tg, k_members, kappa, h_members)
-    images_tilde = {
-        k: kappa.images[tg.inv(k)].transpose() for k in k_members
-    }
-    kappa_tilde = reps_mod.MatrixRep(
-        group=tg, dim=kappa.dim, images=images_tilde, conductor=kappa.conductor
+def _contragredient(tg, k_members, kappa) -> reps_mod.MatrixRep:
+    """kappa~(k) = kappa(k^-1)^T on K."""
+    images = {k: kappa.images[tg.inv(k)].transpose() for k in k_members}
+    return reps_mod.MatrixRep(
+        group=tg, dim=kappa.dim, images=images, conductor=kappa.conductor
     )
-    rhs = mk.induced_hom_dim_oracle(tg, k_members, kappa_tilde, h_members)
-    return lhs == rhs
 
 
 def _invstab_check(c: Check) -> None:

@@ -237,7 +237,10 @@ def weil_lift(tau: MatrixRep, nu: SpecialIso | None = None) -> WeilLift:
     if not (
         (ell == 1 and p <= WEIL_EXHAUSTIVE_GUARD["max_p"]) or (ell == 2 and p == 3)
     ):
-        raise GuardError(f"weil_lift guarded; got ell={ell}, p={p}")
+        raise GuardError(
+            f"weil_lift guarded to ell=1, p<={WEIL_EXHAUSTIVE_GUARD['max_p']} "
+            f"or ell=2, p=3; got ell={ell}, p={p}"
+        )
     if ell == 2 and tau.model != "plus":
         raise GuardError("ell=2 relation-mode support uses the plus model")
     n = tau.conductor

@@ -21,6 +21,7 @@ from heisweil import reps as reps_mod
 from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
 from heisweil.cli import run as cli_run
+from heisweil.groups import double_coset_labels
 from heisweil.linalg import CycMatrix
 from heisweil.scalar import CycNumber
 from heisweil.suites import (
@@ -264,7 +265,9 @@ def test_criterion_08_mackey_suite():
     assert len(configs) >= 20
     for label, tg, k_members, kappa, theta in configs:
         h_members = sorted(mk.fixed_subgroup(tg, theta))
-        assert mk.mackey_hom_dim(tg, k_members, kappa, h_members) == (
+        labels = double_coset_labels(tg, k_members, h_members)
+        reps = np.unique(labels, return_index=True)[1].tolist()
+        assert mk.mackey_hom_dim(tg, k_members, kappa, h_members, reps) == (
             mk.induced_hom_dim_oracle(tg, k_members, kappa, h_members)
         ), label
     results = suite_mackey(RunConfig(p=3))

@@ -8,7 +8,6 @@ from heisweil.heisenberg import HElem, HeisenbergGroup
 from heisweil.linalg import CycMatrix
 from heisweil.mackey import (
     dihedral_group,
-    double_cosets,
     quaternion_group,
     symmetric_group,
 )
@@ -125,7 +124,8 @@ def test_double_coset_labels_match_the_set_partition(group):
             cosets = [set(np.flatnonzero(labels == i)) for i in range(labels.max() + 1)]
             expected = _brute_double_cosets(g, k_sub, h_sub)
             assert cosets == expected
-            assert double_cosets(g, k_sub, h_sub) == [min(c) for c in expected]
+            first = np.unique(labels, return_index=True)[1].tolist()
+            assert first == [min(c) for c in expected]
 
 
 def test_double_coset_labels_reject_a_non_subgroup():

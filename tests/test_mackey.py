@@ -5,12 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from heisweil.groups import extend_hom
+from heisweil.groups import closure, double_coset_labels, extend_hom
 from heisweil.heisenberg import (
     HElem,
     HeisenbergGroup,
     order_two_automorphisms_inverting_center,
 )
+from heisweil import mackey as mk
 from heisweil.linalg import CycMatrix
 from heisweil.mackey import (
     InvolutionRecord,
@@ -20,7 +21,6 @@ from heisweil.mackey import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    double_cosets,
     fixed_subgroup,
     induced_hom_dim_oracle,
     inner_involution,
@@ -28,9 +28,8 @@ from heisweil.mackey import (
     involution_orbits,
     m_K,
     mackey_hom_dim,
-    orbmult_check,
+    orbmult_rhs,
     quaternion_group,
-    s_theta,
     semidirect_involution_record,
     semidirect_table_group,
     symmetric_group,
@@ -47,6 +46,34 @@ from heisweil.suites import (
 )
 from heisweil.symplectic import SymplecticSpace
 from heisweil.weil import sp_table
+
+
+def _reps(g, k_sub, h_sub) -> list[int]:
+    """The smallest member of each double coset K x H, in label order."""
+    return np.unique(double_coset_labels(g, k_sub, h_sub), return_index=True)[1].tolist()
+
+
+def _theta_cosets(g, k_sub, theta):
+    """(G-orbit of theta, its K-orbits, S(theta, K.theta)), from scratch;
+    S is read through the module, so a substituted s_theta is used."""
+    orbit = involution_orbits(g, [theta], range(g.order))[0]
+    k_orbits = involution_orbits(g, orbit, k_sub)
+    orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
+    reps = _reps(g, k_sub, fixed_subgroup(g, theta))
+    return orbit, k_orbits, mk.s_theta(g, theta, reps, orbit_of)[orbit_of[theta.perm]]
+
+
+def _mackey(g, k_sub, kappa, h_sub) -> int:
+    return mackey_hom_dim(g, k_sub, kappa, h_sub, _reps(g, k_sub, h_sub))
+
+
+def _orbmult(g, k_sub, kappa, theta) -> tuple[int, int]:
+    """Both sides of the orbit multiplicity formula: the oracle, and m_K
+    times the sum over K-orbits."""
+    _, k_orbits, cosets = _theta_cosets(g, k_sub, theta)
+    m, _ = m_K(g, k_sub, theta, cosets)
+    lhs = induced_hom_dim_oracle(g, k_sub, kappa, sorted(fixed_subgroup(g, theta)))
+    return lhs, orbmult_rhs(g, k_sub, kappa, k_orbits, m)
 
 
 @pytest.fixture(scope="module")
@@ -72,20 +99,19 @@ def test_double_coset_examples(s3, a3):
     c2 = sorted(
         next(s for a in range(1, 6) if len(s := s3.subgroup_generated([a])) == 2)
     )
-    assert len(double_cosets(s3, list(range(6)), list(range(6)))) == 1
-    assert len(double_cosets(s3, a3, c2)) == 1
-    assert len(double_cosets(s3, [0], [0])) == 6
+    assert double_coset_labels(s3, list(range(6)), list(range(6))).max() == 0
+    assert double_coset_labels(s3, a3, c2).max() == 0
+    assert double_coset_labels(s3, [0], [0]).tolist() == list(range(6))
 
 
 def test_double_cosets_partition(s3, a3):
     c2 = sorted(
         next(s for a in range(1, 6) if len(s := s3.subgroup_generated([a])) == 2)
     )
-    reps = double_cosets(s3, a3, c2)
-    covered = set()
-    for x in reps:
-        covered |= {s3.mul(s3.mul(a, x), b) for a in a3 for b in c2}
-    assert covered == set(range(6))
+    labels = double_coset_labels(s3, a3, c2)
+    for x in range(6):
+        coset = {s3.mul(s3.mul(a, x), b) for a in a3 for b in c2}
+        assert coset == set(np.flatnonzero(labels == labels[x]).tolist())
 
 
 def test_mackey_hom_dim_s3_examples(s3, a3):
@@ -93,16 +119,16 @@ def test_mackey_hom_dim_s3_examples(s3, a3):
         next(s for a in range(1, 6) if len(s := s3.subgroup_generated([a])) == 2)
     )
     for chi in _abelian_characters(s3, a3, 3):
-        assert mackey_hom_dim(s3, a3, chi, c2) == 1
+        assert _mackey(s3, a3, chi, c2) == 1
         assert induced_hom_dim_oracle(s3, a3, chi, c2) == 1
     triv = _trivial_rep(s3, a3)
-    assert mackey_hom_dim(s3, a3, triv, list(range(6))) == 1  # Frobenius
+    assert _mackey(s3, a3, triv, list(range(6))) == 1  # Frobenius
 
 
 def test_oracle_equals_mackey_on_full_zoo():
     for label, tg, k_members, kappa, theta in standard_mackey_configurations():
         h_members = sorted(fixed_subgroup(tg, theta))
-        assert mackey_hom_dim(tg, k_members, kappa, h_members) == (
+        assert _mackey(tg, k_members, kappa, h_members) == (
             induced_hom_dim_oracle(tg, k_members, kappa, h_members)
         ), label
 
@@ -110,7 +136,7 @@ def test_oracle_equals_mackey_on_full_zoo():
 def test_oracle_equals_mackey_on_heisenberg_configs():
     for label, tg, k_members, kappa, theta in heisenberg_mackey_configurations():
         h_members = sorted(fixed_subgroup(tg, theta))
-        assert mackey_hom_dim(tg, k_members, kappa, h_members) == (
+        assert _mackey(tg, k_members, kappa, h_members) == (
             induced_hom_dim_oracle(tg, k_members, kappa, h_members)
         ), label
 
@@ -152,16 +178,10 @@ def test_s_theta_central_twist_characterization(s3, a3):
     theta = next(
         t for t in all_involutive_automorphisms(s3) if not t.is_identity()
     )
-    orbit = involution_orbits(s3, [theta], range(6))[0]
-    k_orbit = next(
-        o
-        for o in involution_orbits(s3, orbit, a3)
-        if any(t.perm == theta.perm for t in o)
-    )
-    members = s_theta(s3, a3, theta, k_orbit)
+    members = _theta_cosets(s3, a3, theta)[2]
     center = s3.center()
     h = sorted(fixed_subgroup(s3, theta))
-    for x in double_cosets(s3, a3, h):
+    for x in _reps(s3, a3, h):
         coset = {s3.mul(s3.mul(a, x), b) for a in a3 for b in h}
         has = any(s3.mul(gq, s3.inv(theta.apply(gq))) in center for gq in coset)
         assert (x in members) == has
@@ -171,7 +191,7 @@ def test_m_K_centerless_is_one(s3, a3):
     theta = next(
         t for t in all_involutive_automorphisms(s3) if not t.is_identity()
     )
-    m, bound = m_K(s3, a3, theta)
+    m, bound = m_K(s3, a3, theta, _theta_cosets(s3, a3, theta)[2])
     assert m == 1 and bound == 1  # trivial center: Z^1 = B^1 = {e}
 
 
@@ -179,7 +199,7 @@ def test_m_K_bound_two_on_quaternions():
     q8 = quaternion_group()
     theta = inner_involution(q8, 2)  # Int(i): order two modulo the center
     k = sorted(q8.subgroup_generated([2]))  # <i> contains the center
-    m, bound = m_K(q8, k, theta)
+    m, bound = m_K(q8, k, theta, _theta_cosets(q8, k, theta)[2])
     assert bound == 2 and m <= 2
 
 
@@ -189,25 +209,90 @@ def test_multiplicity_bound_failure_is_recorded_with_its_witness(monkeypatch):
 
     # the first configuration with Z <= K, the first one the bound applies to
     for label, tg, k_members, kappa, theta in standard_mackey_configurations():
-        m, bound = m_K(tg, k_members, theta)
+        m, bound = m_K(tg, k_members, theta, _theta_cosets(tg, k_members, theta)[2])
         if bound is not None:
             break
-    key = (tg.order, tuple(k_members), theta.perm)
+    key = (tg.order, theta.perm)
     real = mk.s_theta
 
-    def extra_cosets(g, k_sub, th, orbit):
-        found = real(g, k_sub, th, orbit)
-        if (g.order, tuple(k_sub), th.perm) == key:
-            found = found + list(range(bound + 1))
-        return found
+    def extra_cosets(g, th, reps, orbit_of):
+        split = real(g, th, reps, orbit_of)
+        if (g.order, th.perm) == key:
+            mine = orbit_of[th.perm]
+            split[mine] = split[mine] + list(range(bound + 1))
+        return split
 
     monkeypatch.setattr(mk, "s_theta", extra_cosets)
-    assert mk.m_K(tg, k_members, theta) == (m + bound + 1, bound)
+    cosets = _theta_cosets(tg, k_members, theta)[2]
+    assert mk.m_K(tg, k_members, theta, cosets) == (m + bound + 1, bound)
     checks = SUITES["mackey"](RunConfig())
     check = next(c for c in checks if c.check == "mackey.multiplicity_bound")
     assert not check.passed
     assert check.witness == {"config": label, "m_K": m + bound + 1, "h1_bound": bound}
     assert check.checks == 28
+
+
+def test_one_partition_and_one_oracle_value_per_configuration(monkeypatch):
+    """A p = 3 mackey run partitions each fixed subgroup once per
+    configuration (65 partitions, not 125) and runs the oracle once for
+    kappa and once for kappa~ (60 calls for 30 configurations, not 120)."""
+    import heisweil.groups as groups_mod
+    import heisweil.suites as suites_mod
+    from heisweil.suites import SUITES, RunConfig
+
+    calls = {"double_coset_labels": 0, "induced_hom_dim_oracle": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    for module in (groups_mod, suites_mod, mk):
+        if hasattr(module, "double_coset_labels"):
+            spy = counted(module, "double_coset_labels")
+            monkeypatch.setattr(module, "double_coset_labels", spy)
+    spy = counted(mk, "induced_hom_dim_oracle")
+    monkeypatch.setattr(mk, "induced_hom_dim_oracle", spy)
+    checks = SUITES["mackey"](RunConfig())
+    assert all(c.passed for c in checks)
+    assert calls == {"double_coset_labels": 65, "induced_hom_dim_oracle": 60}
+
+
+def test_oracle_guard_names_its_limit():
+    z = cyclic_group(130)  # K = 1, H = G: (130 * 1)^2 * 130 entries
+    triv = _trivial_rep(z, [0])
+    with pytest.raises(ValueError, match="<= 200000; got 2197000"):
+        induced_hom_dim_oracle(z, [0], triv, range(130))
+
+
+def test_automorphism_search_guards_name_their_limits():
+    c2 = cyclic_group(2)
+    c2_4 = direct_product(direct_product(c2, c2), direct_product(c2, c2))
+    with pytest.raises(ValueError, match="<= 3 generators; got 4"):
+        all_involutive_automorphisms(c2_4)
+    with pytest.raises(ValueError, match="guarded to order <= 24"):
+        all_involutive_automorphisms(direct_product(symmetric_group(4), c2))
+
+
+def test_twisted_classes_match_the_closure_reference():
+    """K-orbits under k . y = k y theta(k)^-1 against a breadth-first
+    closure from each smallest unreached twist: same classes, same order."""
+    for label, tg, k_members, kappa, theta in standard_mackey_configurations():
+        twists = {tg.mul(x, tg.inv(theta.apply(x))) for x in range(tg.order)}
+        expected = []
+        while twists:
+            orbit = closure(
+                [min(twists)],
+                k_members,
+                lambda y, k: tg.mul(tg.mul(k, y), tg.inv(theta.apply(k))),
+            )
+            twists -= set(orbit)
+            expected.append(sorted(orbit))
+        assert twisted_classes(tg, k_members, theta) == expected, label
 
 
 def test_h1_bound_two_for_theta_trivial_on_center():
@@ -223,7 +308,7 @@ def test_h1_bound_two_for_theta_trivial_on_center():
 def test_triangle_bijection_on_zoo():
     for label, tg, k_members, kappa, theta in standard_mackey_configurations()[:8]:
         h = sorted(fixed_subgroup(tg, theta))
-        dcs = double_cosets(tg, k_members, h)
+        dcs = _reps(tg, k_members, h)
         classes = twisted_classes(tg, k_members, theta)
         assert len(dcs) == len(classes), label
         images = set()
@@ -238,7 +323,7 @@ def test_orbmult_formula_s3(s3, a3):
         t for t in all_involutive_automorphisms(s3) if not t.is_identity()
     )
     for chi in _abelian_characters(s3, a3, 3):
-        lhs, rhs, _ = orbmult_check(s3, a3, chi, theta)
+        lhs, rhs = _orbmult(s3, a3, chi, theta)
         assert lhs == rhs
 
 
@@ -249,7 +334,7 @@ def test_orbmult_reduces_to_hom_dim_when_K_is_G(s3):
         t for t in all_involutive_automorphisms(s3) if not t.is_identity()
     )
     triv = _trivial_rep(s3, range(6))
-    lhs, rhs, details = orbmult_check(s3, list(range(6)), triv, theta)
+    lhs, rhs = _orbmult(s3, list(range(6)), triv, theta)
     assert lhs == rhs == hom_dim(triv, sorted(fixed_subgroup(s3, theta)))
 
 
@@ -287,12 +372,10 @@ def test_two_dimensional_kappa():
     theta = next(
         t for t in all_involutive_automorphisms(s3) if not t.is_identity()
     )
-    lhs, rhs, _ = orbmult_check(s3, els, kappa, theta)
+    lhs, rhs = _orbmult(s3, els, kappa, theta)
     assert lhs == rhs
     h = sorted(fixed_subgroup(s3, theta))
-    assert mackey_hom_dim(s3, els, kappa, h) == induced_hom_dim_oracle(
-        s3, els, kappa, h
-    )
+    assert _mackey(s3, els, kappa, h) == induced_hom_dim_oracle(s3, els, kappa, h)
 
 
 def test_direct_product_and_cyclic():

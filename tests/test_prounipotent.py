@@ -335,6 +335,15 @@ def test_inv_rejects_outsiders():
         g.inv([[2, 0], [0, 1]])
 
 
+def test_enumerate_guard_names_its_limit():
+    # n=2, p=3, K=4, k0=1: 27^4 = 531441 elements
+    g = CongruenceGroup(2, 3, 4, 1)
+    with pytest.raises(ValueError, match="531441 elements exceeds the guard of 20000"):
+        g.enumerate()
+    with pytest.raises(ValueError, match="the guard of 10000"):
+        g.enumerate(guard=10_000)
+
+
 def test_enumerate_order_matches_itertools_product():
     for n, p, K, k0 in [(2, 3, 2, 1), (1, 3, 4, 1), (2, 5, 3, 2)]:
         g = CongruenceGroup(n, p, K, k0)

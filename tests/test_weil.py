@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from heisweil.checks import Check
+from heisweil.checks import Check, Recorder
 from heisweil.heisenberg import HeisenbergGroup, SpecialIso, all_special_isos
 from heisweil.linalg import CycMatrix
 from heisweil.reps import heisenberg_rep
 from heisweil.scalar import CycNumber, zeta_p
+from heisweil.suites import RunConfig, _abstract_lift_checks
 from heisweil.symplectic import (
     GuardError,
     SymplecticSpace,
@@ -146,7 +147,7 @@ def test_p_action_in_both_models():
 
 def test_weil_guard_rejects_large_p():
     g = HeisenbergGroup(SymplecticSpace(11, 1))
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="guarded to ell=1, p<=7 or ell=2, p=3; got"):
         weil_lift(heisenberg_rep(g, 1))
 
 
@@ -311,6 +312,33 @@ def test_abstract_lift_twist_relation(lift3):
         for h in g.elements():
             twist = zeta_p(3, g.space.pair(g.names[h].w, nu.offset))
             assert ab.h_image(h) == lift3.base.images[h].scale(twist)
+
+
+def test_abstract_lift_twist_relation_on_a_corrupted_base_matches_reference(lift3):
+    """The suite's stacked twist relation against one ``scale`` per (nu, h):
+    same count, same first (nu, h) witness, on a base with one bad image."""
+    g = lift3.group
+    images = dict(lift3.base.images)
+    images[4] = images[4].scale(-1)
+    bad = dataclasses.replace(
+        lift3, base=dataclasses.replace(lift3.base, images=images)
+    )
+    witness = None
+    for nu in all_special_isos(g):
+        for h in g.elements():
+            twist = zeta_p(3, g.space.pair(g.names[h].w, nu.offset))
+            if witness is None and images[nu.image(h)] != images[h].scale(twist):
+                witness = (nu, h)
+    rec = Recorder()
+    _abstract_lift_checks(rec, bad, RunConfig())
+    (check,) = [c for c in rec if c.check == "weil.abstract_lift_twist_relation"]
+    assert check.checks == 243 and not check.passed
+    assert witness is not None and check.witness == witness
+
+    rec = Recorder()
+    _abstract_lift_checks(rec, lift3, RunConfig())
+    (check,) = [c for c in rec if c.check == "weil.abstract_lift_twist_relation"]
+    assert check.checks == 243 and check.passed
 
 
 def test_abstract_lift_is_rep_of_twisted_product(lift3):
