@@ -99,9 +99,13 @@ class HeisenbergGroup(TableGroup):
     # -- coordinates ----------------------------------------------------------
 
     def index_of(self, w, z):
-        """Indices of the pairs (w, z); w has shape (..., 2l), z broadcasts."""
+        """Indices of the pairs (w, z); w has shape (..., 2l), and z broadcasts
+        to the shape (...)."""
         w = np.asarray(w, dtype=np.int64) % self.p
-        return (w @ self._digits) * self.p + np.asarray(z, dtype=np.int64) % self.p
+        index = w @ self._digits
+        index *= self.p
+        index += np.asarray(z, dtype=np.int64) % self.p
+        return index
 
     def element(self, w, z: int) -> int:
         return int(self.index_of(w, z))

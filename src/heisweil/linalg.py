@@ -11,18 +11,35 @@ table tr(L_a R_b) of two families, as one CycMatrix over one denominator,
 with no CycNumber per element.  :func:`product_table` is its twin for
 products: entry (a, b) is left[a] @ right[b], every entry from one kernel
 call on the two stacked families (:func:`packed_product_table` gives the
-numerators alone).  The left factor is folded with the (phi, phi, phi)
-reduction tensor of Q(zeta_N) into one (rows*phi) x (k*phi) integer
-operator, which multiplies the whole right-hand side in a single ``@``.
-Before it runs, the magnitude bound k * phi^2 * max|T| * max|a| * max|b|
-on every partial sum is computed, and picks the narrowest exact dtype:
+numerators alone).
+
+The kernel multiplies only the power-basis coordinates its operands use.
+The support of an operand is the set of coordinates where some numerator
+is nonzero; the (phi, phi, phi) reduction tensor T of Q(zeta_N) is cut to
+(support of a) x (support of b) x (the output coordinates those reach),
+one cached table per conductor, support pair and dtype, and the result is
+scattered back.  Every coordinate left out is exactly 0, so the product
+stays exact.  Weil and Heisenberg images lie in Q(zeta_p), the even
+coordinates of Q(zeta_4p), whose cut table is that of Q(zeta_2p): they
+multiply with a quarter of the multiply-adds.  A rational factor uses
+coordinate 0 alone, so a product with a rational right factor (the 0/1
+indicators of :func:`heisweil.reps.hom_dims`, the ones column of a
+character sum) is a plain per-coordinate product.  Operands whose
+supports are full take the whole table, with no gather and no scatter.
+The left factor is folded with the cut table into one
+(rows*|out|) x (k*|support of b|) integer operator, which multiplies the
+whole right-hand side in a single ``@``.  Before it runs, the magnitude
+bound k * phi^2 * max|T| * max|a| * max|b| on every partial sum of the
+whole-table product is computed, and picks the narrowest exact dtype:
 float32 below 2^24, float64 below 2^53, Python ints (``dtype=object``)
-otherwise, so a result is never rounded or wrapped.
+otherwise, so a result is never rounded or wrapped.  A product on cut
+coordinates sums a subset of the same terms, so the bound holds for it
+too, and the tier does not depend on the supports.
 :func:`verify_multiplication_table` runs the same kernel once per row of
-a group table; it computes the den-scaled expected family once and
-writes each row's product, gather and comparison into buffers allocated
-once, so a p = 7 sweep of 112 896 pairs allocates no family-sized array
-per row.
+a group table, on the support of the whole family; it computes the
+den-scaled expected family once and writes each row's product, gather and
+comparison into buffers allocated once, so a p = 7 sweep of 112 896 pairs
+allocates no family-sized array per row.
 
 Entries are read out as :class:`CycNumber` only where the algorithm is
 entrywise: inverse, determinant, rank and nullspace all read one
@@ -33,6 +50,7 @@ dozen.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -346,17 +364,31 @@ def _max_abs(num: np.ndarray) -> int:
     return int(np.abs(num).max(initial=0))
 
 
+def _coordinate_max(num: np.ndarray) -> np.ndarray:
+    """The largest |numerator| of ``num`` at each power-basis coordinate
+    (its last axis): its maximum bounds ``num``, and its nonzero entries
+    are the support, the coordinates that ``num`` uses."""
+    return np.abs(num).max(axis=tuple(range(num.ndim - 1)), initial=0)
+
+
 def _product_bound(n: int, k: int, amax: int, bmax: int) -> int:
     """A bound on every partial sum of a product of a (., k) and a (k, .)
     matrix over Q(zeta_N) whose numerators are at most amax and bmax.
 
     An entry of the product is, per power-basis coordinate, a sum of
     k * phi^2 terms T[u, v, w] a_u b_v; the bound also covers the folded
-    operator entries, which are sums of phi terms T * a.
+    operator entries, which are sums of phi terms T * a.  A product on
+    restricted coordinates sums a subset of those terms, so the bound
+    covers it too.
     """
+    return k * _table_bound(n) * max(amax, 1) * max(bmax, 1)
+
+
+@lru_cache(maxsize=None)
+def _table_bound(n: int) -> int:
+    """phi^2 * max|T| for the product table T of Q(zeta_N)."""
     ctx = context(n)
-    tmax = int(np.abs(ctx.product_table).max())
-    return k * ctx.phi**2 * tmax * max(amax, 1) * max(bmax, 1)
+    return ctx.phi**2 * int(np.abs(ctx.product_table).max())
 
 
 def _exact_dtype(bound: int):
@@ -365,35 +397,73 @@ def _exact_dtype(bound: int):
     return next((dtype for limit, dtype in _FLOAT_TIERS if bound < limit), object)
 
 
-def _packed_products(
-    left: np.ndarray, right: np.ndarray, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Numerators of the products left @ (each right-hand matrix), at once.
+@lru_cache(maxsize=256)
+def _restricted_table(n: int, left_mask: bytes, right_mask: bytes, dtype):
+    """(us, vs, ws, table): the product table T of Q(zeta_N) on the
+    coordinates us x vs that two operands use (their masks, as bytes of
+    booleans) and on the output coordinates ws that those reach; every other
+    output coordinate of their product is exactly 0.  ``table`` is
+    T[us][:, vs][:, :, ws] as ``dtype``, shaped (len(us), len(vs) * len(ws))
+    for the kernel's fold."""
+    us = np.flatnonzero(np.frombuffer(left_mask, dtype=bool))
+    vs = np.flatnonzero(np.frombuffer(right_mask, dtype=bool))
+    t = context(n).product_table[np.ix_(us, vs)]
+    ws = np.flatnonzero(t.any(axis=(0, 1)))
+    table = t[:, :, ws].astype(dtype).reshape(len(us), len(vs) * len(ws))
+    for a in (us, vs, ws, table):
+        a.flags.writeable = False
+    return us, vs, ws, table
 
-    ``left`` has shape (r, k, phi); ``right`` has shape (k*phi, cols), its
-    row (l, v) holding coordinate v of row l of every right-hand matrix.
-    Both share one dtype, chosen by :func:`_exact_dtype`.  The result has
-    shape (r*phi, cols) with row (i, w) holding coordinate w of row i; its
-    denominator is the product of the two input denominators.  It is
-    written to ``out`` when given, an array of that shape and dtype.
+
+def _packed_products(
+    left: np.ndarray,
+    right: np.ndarray,
+    coords: tuple,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Numerators of the products left @ (each right-hand matrix), at once,
+    on the coordinates ``coords`` = (us, vs, ws, table) of
+    :func:`_restricted_table`.
+
+    ``left`` has shape (r, k, len(us)), coordinate u of each entry;
+    ``right`` has shape (k*len(vs), cols), its row (l, v) holding coordinate
+    v of row l of every right-hand matrix.  Both share the table's dtype,
+    chosen by :func:`_exact_dtype`.  The result has shape (r*len(ws), cols)
+    with row (i, w) holding coordinate w of row i; its denominator is the
+    product of the two input denominators.  It is written to ``out`` when
+    given, an array of that shape and dtype.
     """
-    r, k, phi = left.shape
-    t = context(n).product_table.astype(left.dtype)
+    r, k, nu = left.shape
+    _, vs, ws, table = coords
     # operator[(i, w), (l, v)] = sum_u left[i, l, u] * T[u, v, w]
-    operator = np.tensordot(left, t, axes=([2], [0]))  # (r, k, v, w)
-    operator = operator.transpose(0, 3, 1, 2).reshape(r * phi, k * phi)
+    operator = (left.reshape(r * k, nu) @ table).reshape(r, k, len(vs), len(ws))
+    operator = operator.transpose(0, 3, 1, 2).reshape(r * len(ws), k * len(vs))
     return np.matmul(operator, right, out=out)
 
 
 def _products(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact numerators, shape (r, c, phi), of packed a (r, k, phi) times b (k, c, phi)."""
+    """Exact numerators, shape (r, c, phi), of packed a (r, k, phi) times b (k, c, phi).
+
+    Only the coordinates the operands use are multiplied: Weil and
+    Heisenberg images lie in Q(zeta_p), the even coordinates of
+    Q(zeta_4p), and a rational factor uses coordinate 0 alone.
+    """
     (r, k, phi), c = a.shape, b.shape[1]
-    dtype = _exact_dtype(_product_bound(n, k, _max_abs(a), _max_abs(b)))
-    right = b.astype(dtype).transpose(0, 2, 1).reshape(k * phi, c)
-    nums = _packed_products(a.astype(dtype), right, n)
-    if dtype is not object:
-        nums = nums.astype(np.int64)
-    return nums.reshape(r, phi, c).transpose(0, 2, 1)
+    acol, bcol = _coordinate_max(a), _coordinate_max(b)
+    dtype = _exact_dtype(_product_bound(n, k, int(acol.max()), int(bcol.max())))
+    coords = _restricted_table(n, (acol > 0).tobytes(), (bcol > 0).tobytes(), dtype)
+    us, vs, ws, _ = coords
+    if len(us) == len(vs) == len(ws) == phi:  # full supports: no gather, no scatter
+        right = b.astype(dtype).transpose(0, 2, 1).reshape(k * phi, c)
+        nums = _packed_products(a.astype(dtype), right, coords)
+        if dtype is not object:
+            nums = nums.astype(np.int64)
+        return nums.reshape(r, phi, c).transpose(0, 2, 1)
+    right = b.transpose(0, 2, 1)[:, vs].astype(dtype).reshape(k * len(vs), c)
+    prods = _packed_products(a[..., us].astype(dtype), right, coords)
+    nums = np.zeros((r, c, phi), dtype=object if dtype is object else np.int64)
+    nums[..., ws] = prods.reshape(r, len(ws), c).transpose(0, 2, 1)
+    return nums
 
 
 def batch_from_matrices(mats: list[CycMatrix], n: int):
@@ -487,7 +557,8 @@ def verify_multiplication_table(
     ``num`` holds numerators of square matrices over the common denominator
     ``den``; a product of two entries carries den^2, so the expected side is
     the family scaled by den, computed once.  Row s runs as one kernel call
-    against the whole family.  The dtype is taken once, from the largest
+    against the whole family, on the coordinates the family uses.  The
+    dtype is taken once, from the largest
     numerator of the family, which bounds every row, and from the largest
     expected numerator, so both sides are exact.  Each row's product, its
     gather of the expected side and the comparison mask are written into
@@ -499,19 +570,29 @@ def verify_multiplication_table(
     table = np.asarray(table)
     if table.shape != (count, count) or not ((0 <= table) & (table < count)).all():
         raise ValueError(f"not a multiplication table of {count} elements")
-    amax = _max_abs(num)
+    col = _coordinate_max(num)
+    amax = int(col.max())
     dtype = _exact_dtype(max(_product_bound(n, d, amax, amax), max(amax, 1) * den))
+    # the left factors also use coordinate 0, so the reached coordinates ws
+    # hold the family's own: outside ws both sides are exactly 0
+    left_mask = col > 0
+    left_mask[0] = True
+    coords = _restricted_table(n, left_mask.tobytes(), (col > 0).tobytes(), dtype)
+    us, vs, ws, _ = coords
     # family[(t, j), (l, v)] = num[t, l, j, v]: its transpose is the kernel's
     # right-hand side, and the kernel's result, transposed, has its layout
-    family = np.ascontiguousarray(num.transpose(0, 2, 1, 3), dtype=dtype)
-    family = family.reshape(count * d, d * phi)
-    expected = (family * den).reshape(count, d * d * phi)
-    prods = np.empty((count * d, d * phi), dtype=dtype)
+    family = num.transpose(0, 2, 1, 3)
+    expected = np.ascontiguousarray(family[..., ws], dtype=dtype)
+    expected = expected.reshape(count, d * d * len(ws))
+    expected *= den
+    family = np.ascontiguousarray(family[..., vs], dtype=dtype)
+    family = family.reshape(count * d, d * len(vs))
+    prods = np.empty((count * d, d * len(ws)), dtype=dtype)
     gathered = np.empty_like(expected)
     differ = np.empty(expected.shape, dtype=bool)
     failures = []
     for s in range(count):
-        _packed_products(num[s].astype(dtype), family.T, n, out=prods.T)
+        _packed_products(num[s][..., us].astype(dtype), family.T, coords, out=prods.T)
         # the table was checked above; "clip" takes into out unbuffered
         np.take(expected, table[s], axis=0, out=gathered, mode="clip")
         np.not_equal(prods.reshape(expected.shape), gathered, out=differ)

@@ -38,7 +38,6 @@ import numpy as np
 
 from heisweil.groups import (
     TableGroup,
-    closure,
     extend_hom,
     generators_within,
     table_group_from_mul,
@@ -233,21 +232,45 @@ def conjugate_involution(
     return InvolutionRecord(tuple(t[t[a, perm[t[t[ainv], a]]], ainv].tolist()))
 
 
-def involution_orbits(g: TableGroup, thetas, actor) -> list[list[InvolutionRecord]]:
+def involution_orbits(
+    g: TableGroup, thetas, actor, validate: bool = True
+) -> list[list[InvolutionRecord]]:
     """Partition of the given involutions under conjugation by the actor
-    subgroup (orbits are computed with a generating set of the actor)."""
+    subgroup, each orbit in breadth-first discovery order from a generating
+    set of the actor.
+
+    a.theta = c_a o theta o c_a^-1 with c_a(x) = a x a^-1, so a layer of the
+    search is one gather over (frontier x generators) on the stacked
+    permutations.  ``validate`` checks that the first involution is one;
+    a caller passing conjugates of a checked involution can skip it.
+    """
     thetas = list(thetas)
-    if thetas and not thetas[0].is_valid(g):
+    if validate and thetas and not thetas[0].is_valid(g):
         raise ValueError("input is not an involutive automorphism")
-    gens = generators_within(g, actor)
-    remaining = {t.perm: t for t in thetas}
+    t = g.table
+    gens = np.array(generators_within(g, actor), dtype=np.int64)
+    # outer[j] = c_a and inner[j] = c_a^-1 for the generator a = gens[j]
+    outer = t[t[gens], g.inverse_of[gens, None]]
+    inner = t[t[g.inverse_of[gens]], gens[:, None]]
+    which = np.arange(len(gens))[:, None]
+    remaining = {theta.perm: theta for theta in thetas}
     orbits = []
     while remaining:
         _, seed = remaining.popitem()
-        orbit = closure([seed], gens, lambda t, a: conjugate_involution(g, a, t))
-        for t in orbit:
-            remaining.pop(t.perm, None)
-        orbits.append(orbit)
+        frontier = np.array([seed.perm], dtype=t.dtype)
+        found, seen = [seed], {frontier[0].tobytes()}
+        while len(frontier):
+            # candidate (x, j) is gens[j] . frontier[x], in groups.closure's edge order
+            nxt = []
+            for row in outer[which, frontier[:, inner]].reshape(-1, g.order):
+                if (key := row.tobytes()) not in seen:
+                    seen.add(key)
+                    nxt.append(row)
+            found.extend(InvolutionRecord(tuple(row.tolist())) for row in nxt)
+            frontier = np.array(nxt, dtype=t.dtype).reshape(len(nxt), g.order)
+        for theta in found:
+            remaining.pop(theta.perm, None)
+        orbits.append(found)
     return orbits
 
 

@@ -60,7 +60,11 @@ class MatrixRep:
     """A finite group mapped to exact invertible matrices.
 
     ``group`` is a :class:`~heisweil.groups.TableGroup`; ``images`` maps
-    each element index to a CycMatrix over Q(zeta_N).
+    each element index to a CycMatrix over Q(zeta_N).  A monomial rep (the
+    induced models of :func:`heisenberg_rep` and their contragredients)
+    also keeps its monomial data: row t of the image of h holds
+    zeta_p^root_exponents[h, t] in column cols[h, t], zeros elsewhere, both
+    (|group|, dim) integer arrays; other reps leave them None.
     """
 
     group: object
@@ -70,6 +74,8 @@ class MatrixRep:
     basis_labels: tuple = ()
     model: str | None = None
     zeta_exponent: int | None = None
+    cols: np.ndarray | None = field(default=None, repr=False, compare=False)
+    root_exponents: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def _character(self) -> tuple[dict, CycMatrix]:
@@ -129,8 +135,8 @@ def heisenberg_rep(
         exp = z - u @ pts.T - uv
         src = pts + v[:, None]
     # row t of tau(h) holds zeta_p^(k exp) in the column of src, zeros elsewhere
-    cols = (src % p) @ place
-    roots = context(n).power_table[(n // p) * (k * exp % p)]
+    cols, root_exponents = (src % p) @ place, k * exp % p
+    roots = context(n).power_table[(n // p) * root_exponents]
     # one array per image: views of one |H|-sized stack raised the peak RSS
     # of a dump stream by ~2.5 MB
     shape, diag = (dim, dim, roots.shape[-1]), np.arange(dim)
@@ -147,16 +153,29 @@ def heisenberg_rep(
         basis_labels=tuple(points),
         model=model,
         zeta_exponent=k,
+        cols=cols,
+        root_exponents=root_exponents,
     )
 
 
 def contragredient(rep: MatrixRep) -> MatrixRep:
-    """g -> transpose(rep(g^-1))."""
+    """g -> transpose(rep(g^-1)), with the monomial data of that transpose."""
     g, k = rep.group, rep.zeta_exponent
+    monomial = {}
+    if rep.cols is not None:
+        # row t of rep(h^-1) holds its root in column cols[h^-1, t], so row
+        # cols[h^-1, t] of the transpose holds that root in column t
+        src = rep.cols[g.inverse_of]
+        rows, t = np.arange(len(src))[:, None], np.arange(rep.dim)
+        cols, roots = np.empty_like(src), np.empty_like(rep.root_exponents)
+        cols[rows, src] = t
+        roots[rows, src] = rep.root_exponents[g.inverse_of]
+        monomial = {"cols": cols, "root_exponents": roots}
     return replace(
         rep,
         images={h: rep.images[g.inv(h)].transpose() for h in g.elements()},
         zeta_exponent=None if k is None else -k % g.p,
+        **monomial,
     )
 
 

@@ -13,12 +13,12 @@ packed kernels; the SL(2, 3), H(3, 2) and abstract-lift checks run at
 p = 3 only.  What stays sampled:
 
 - ``scalar.field_axioms``: 40 random triples, as the field is infinite;
-- three weil p-gates, as ``verify weil --p 7`` (about 0.6 s in a fresh
+- three weil p-gates, as ``verify weil --p 7`` (about 0.25 s in a fresh
   process, a benchmark workload) would grow by their exhaustive versions,
-  measured on a 2-core VM: the plus-model homomorphism on 200 random
-  pairs at p = 7 (every pair: about 0.2 s), intertwining on the
-  generators of H beyond p = 3 (every element at p = 7: about 7 s), and
-  the contragredient check, skipped at p = 7 (about 0.2 s);
+  measured warm on a 2-core VM: the plus-model homomorphism on 200 random
+  pairs at p = 7 (0.014 s; every pair: about 0.08 s), intertwining on the
+  generators of H beyond p = 3 (every element at p = 7: about 0.4 s), and
+  the contragredient check, skipped at p = 7 (about 0.1 s);
 - ``weil.abstract_lift_rep_law``: 40 random pairs per special isomorphism,
   each product gathered from the one table of Sp x| H
   (:meth:`~heisweil.weil.AbstractLift.verify_rep_on_pairs`);
@@ -674,7 +674,7 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
     rng = random.Random(cfg.seed)
     for label, tg, k_members, kappa, theta in configs:
         orbit = mk.involution_orbits(tg, [theta], range(tg.order))[0]
-        k_orbits = mk.involution_orbits(tg, orbit, k_members)
+        k_orbits = mk.involution_orbits(tg, orbit, k_members, validate=False)
         orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
         g = rng.randrange(tg.order)
         moved = mk.conjugate_involution(tg, g, theta)

@@ -16,10 +16,9 @@ character zeta(z) = zeta_p^(k z):
   s = n(a/c) j m(-c) n(d/c), or m(a) n(b/a) on the small cell.  Each cell
   is built by :func:`~heisweil.linalg.product_table` along its Bruhat
   factors (j m(y), then j m(y) n(z), then n(x) j m(y) n(z); m(a) n(b)),
-  one table per left factor: every table has a single matrix on the left,
-  which keeps the kernel's temporaries small, so a lift makes
-  1 + 2(p - 1) + p(p - 1) (about p^2) table calls, never one ``@`` per
-  element.
+  one table per y and per m(a): every table has at most p matrices on the
+  left, which keeps the kernel's temporaries small, so a lift makes
+  1 + 3(p - 1) table calls, never one ``@`` per element.
 
 Characters of the lift, tr omega(s) and the Sp x H table tr omega(s) tau(h),
 are read through :func:`~heisweil.linalg.trace_table`, one kernel call per
@@ -59,6 +58,7 @@ from heisweil.mackey import semidirect_table_group
 from heisweil.reps import MatrixRep, heisenberg_rep
 from heisweil.scalar import (
     CycNumber,
+    context,
     gauss_sum,
     imaginary_unit,
     legendre_symbol,
@@ -100,6 +100,8 @@ class NormalizationError(RuntimeError):
 
 
 WEIL_EXHAUSTIVE_GUARD = {"ell": 1, "max_p": 7}
+# the p root multiples of one chunk of Sp images in verify_intertwining
+INTERTWINING_CHUNK_BYTES = 2**19
 SEMIDIRECT_FAMILY_MAX_P = 3
 
 
@@ -300,8 +302,8 @@ def weil_lift(tau: MatrixRep, nu: SpecialIso | None = None) -> WeilLift:
     big = [[] for _ in range(p)]
     for jm in product_table([j_img], m_images)[0]:
         j_m_n = product_table([jm], n_images)[0]
-        for x, nx in enumerate(n_images):
-            big[x].append(product_table([nx], j_m_n)[0])
+        for x, row in enumerate(product_table(n_images, j_m_n)):
+            big[x].append(row)
     # small cell m(a) n(b): small[a - 1][b]
     small = [product_table([ma], n_images)[0] for ma in m_images]
 
@@ -454,12 +456,8 @@ def verify_intertwining(
     lift: WeilLift, exhaustive: bool, check: Check | None = None
 ) -> Check:
     """sp_images(s) tau(h) == tau(s.h) sp_images(s), with s.(w,z) = (s.w, z),
-    for every h when ``exhaustive``, else for the generators of H.
-
-    Per s, the tau(h) and tau(s.h) are stacked over one common denominator,
-    so both sides of every identity carry the same denominator and compare
-    as numerator arrays: one kernel call for each side, and no matrix built
-    per (s, h)."""
+    for every h when ``exhaustive``, else for the generators of H; one
+    identity per (s, h), evaluated by :func:`_intertwining_table`."""
     g = lift.group
     check = Check("weil.intertwining") if check is None else check
     if exhaustive:
@@ -467,17 +465,48 @@ def verify_intertwining(
     else:
         hs = [g.from_w(g.space.basis_vector(i)) for i in range(g.dim)]
         hs.append(g.central(1))
-    n, tau, k = lift.base.conductor, lift.base.images, len(hs)
     sps = list(lift.sp_images)
-    ok = np.empty((len(sps), k), dtype=bool)
-    for i, (s, mat) in enumerate(lift.sp_images.items()):
-        moved = lift.sp_action[s][hs]
-        taus, _ = batch_from_matrices([tau[h] for h in hs] + [tau[h] for h in moved], n)
-        lhs = packed_product_table(n, mat.num[None], taus[:k])[0]
-        rhs = packed_product_table(n, taus[k:], mat.num[None])[:, 0]
-        ok[i] = (lhs == rhs).all(axis=(1, 2, 3))
-    check.all(ok, lambda i, j: (sps[i], g.names[hs[j]]))
+    check.all(_intertwining_table(lift, hs), lambda i, j: (sps[i], g.names[hs[j]]))
     return check
+
+
+def _intertwining_table(lift: WeilLift, hs) -> np.ndarray:
+    """ok[i, j]: omega(s) tau(h) == tau(s.h) omega(s) for the i-th s of
+    ``sp_images`` and h = hs[j].
+
+    tau is monomial: row t of tau(h) holds zeta_p^e[h, t] in column
+    cols[h, t], the monomial data of the rep.  So with Z[j] = zeta_p^j
+    omega(s), entry (i, cols[h, t]) of omega(s) tau(h) is Z[e[h, t], i, t],
+    and that of tau(g) omega(s), g = s.h, is Z[e[g, i], cols[g, i],
+    cols[h, t]]: both sides are gathers from Z, over one denominator.  Z
+    comes from one kernel call per chunk of s, the p roots of unity against
+    the stacked images; a chunk's Z holds about INTERTWINING_CHUNK_BYTES.
+    """
+    g, tau = lift.group, lift.base
+    if tau.cols is None:
+        raise ValueError("intertwining reads the monomial data of tau; it has none")
+    n, p, d = tau.conductor, g.p, tau.dim
+    roots = context(n).power_table[(n // p) * np.arange(p)]
+    phi = roots.shape[-1]
+    cols_h, exps_h = tau.cols[hs], tau.root_exponents[hs]  # (len(hs), d)
+    sps, action = list(lift.sp_images), lift.sp_action
+    ok = np.empty((len(sps), len(hs)), dtype=bool)
+    i, t = np.arange(d)[:, None], np.arange(d)
+    chunk = max(1, INTERTWINING_CHUNK_BYTES // (p * d * d * phi * 8))
+    for start in range(0, len(sps), chunk):
+        block = sps[start : start + chunk]
+        num, _ = batch_from_matrices([lift.sp_images[s] for s in block], n)
+        z = packed_product_table(
+            n, roots[:, None, None], num.reshape(len(block), 1, d * d, phi)
+        ).reshape(p, len(block), d, d, phi)
+        a = np.arange(len(block))[:, None, None]
+        moved = np.stack([action[s][hs] for s in block])  # g = s.h
+        for j in range(len(hs)):
+            lhs = z[exps_h[j, t], a, i, t]
+            gm = moved[:, j, None, None]
+            rhs = z[tau.root_exponents[gm, i], a, tau.cols[gm, i], cols_h[j, t]]
+            ok[start : start + len(block), j] = (lhs == rhs).all(axis=(1, 2, 3))
+    return ok
 
 
 def trace_sign_on_M(lift: WeilLift, check: Check | None = None) -> Check:
@@ -502,7 +531,9 @@ def p_action_check(lift: WeilLift, lam=None, check: Check | None = None) -> Chec
     """lambda(tauhat(g) phi) = chi^P(g) lambda(phi) for all g in P.
 
     In the plus model lambda is evaluation at the identity coset; in the
-    minus model it is summation over the W+ transversal.
+    minus model it is summation over the W+ transversal.  lambda times every
+    image of P is one kernel call on the stacked images; chi^P is +-1, so
+    the right side needs no product.
     """
     space = lift.space
     n, dim = lift.base.conductor, lift.base.dim
@@ -515,8 +546,12 @@ def p_action_check(lift: WeilLift, lam=None, check: Check | None = None) -> Chec
             lam = [CycNumber.one(n)] * dim
     lam = CycMatrix(n, [lam])
     check = Check("weil.parabolic_action") if check is None else check
-    for gel in enumerate_P(space):
-        check(lam @ lift.sp_images[gel] == lam.scale(chi_P(space, gel)), gel)
+    parabolic = enumerate_P(space)
+    num, den = batch_from_matrices([lift.sp_images[g] for g in parabolic], n)
+    lhs = packed_product_table(n, lam.num[None], num)[0, :, 0]  # over lam.den * den
+    chi = np.array([chi_P(space, g) for g in parabolic], dtype=object)
+    rhs = chi[:, None, None] * (lam.num[0].astype(object) * den)
+    check.all((lhs == rhs).all(axis=(1, 2)), lambda i: parabolic[i])
     return check
 
 

@@ -62,9 +62,9 @@ def kernel_dtypes(monkeypatch):
     seen = []
     kernel = linalg._packed_products
 
-    def spy(left, right, n, out=None):
+    def spy(left, right, coords, out=None):
         seen.append(left.dtype)
-        return kernel(left, right, n, out=out)
+        return kernel(left, right, coords, out=out)
 
     monkeypatch.setattr(linalg, "_packed_products", spy)
     return seen
@@ -265,6 +265,105 @@ def test_verify_table_p7_corrupted_family_matches_per_pair_products(kernel_dtype
         ]
         assert bool(reference) == (s != 0)  # the identity row holds
         assert [f for f in failures if f[0] == s] == reference
+
+
+def full_table_product(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The reference: sum_{l, u, v} a[i, l, u] b[l, j, v] T[u, v, w] over
+    the whole product table T, on Python ints."""
+    t = context(n).product_table.astype(object)
+    folded = np.tensordot(a.astype(object), t, axes=([2], [0]))  # (i, l, v, w)
+    return np.tensordot(folded, b.astype(object), axes=([1, 2], [0, 2])).transpose(0, 2, 1)
+
+
+SUPPORTS = {
+    "empty": lambda phi: [],
+    "single": lambda phi: [phi - 1],
+    "rational": lambda phi: [0],
+    "even": lambda phi: list(range(0, phi, 2)),
+    "full": lambda phi: list(range(phi)),
+}
+
+
+@pytest.mark.parametrize(
+    "bound,dtype",
+    [(3, np.float32), (2**10, np.float64), (2**30, object)],
+    ids=["float32", "float64", "object"],
+)
+def test_restricted_product_equals_the_full_table_product(bound, dtype, kernel_dtypes):
+    """Every pair of supports, on each dtype tier: the product on the
+    coordinates in use equals the product over the whole table, and the tier
+    is the one the whole-table bound picks."""
+    rng = np.random.default_rng(bound)
+    for n, (r, k, c) in ((12, (2, 3, 2)), (28, (3, 2, 4))):
+        phi = context(n).phi
+        for (na, sa), (nb, sb) in itertools.product(SUPPORTS.items(), repeat=2):
+            a = np.zeros((r, k, phi), dtype=np.int64)
+            b = np.zeros((k, c, phi), dtype=np.int64)
+            a[..., sa(phi)] = rng.integers(-bound, bound + 1, (r, k, len(sa(phi))))
+            b[..., sb(phi)] = rng.integers(-bound, bound + 1, (k, c, len(sb(phi))))
+            # the largest magnitude on one used coordinate sets the tier
+            if sa(phi):
+                a[0, 0, sa(phi)[0]] = bound
+            if sb(phi):
+                b[0, 0, sb(phi)[0]] = bound
+            del kernel_dtypes[:]
+            prod = linalg._products(n, a, b)
+            assert prod.shape == (r, c, phi)
+            assert prod.tolist() == full_table_product(n, a, b).tolist(), (n, na, nb)
+            expected = linalg._exact_dtype(
+                linalg._product_bound(n, k, linalg._max_abs(a), linalg._max_abs(b))
+            )
+            assert kernel_dtypes == [expected]
+            if sa(phi) and sb(phi):
+                assert expected is dtype
+            if dtype is object:  # numerators past int64 are object arrays
+                huge = a.astype(object) * 2**70
+                assert linalg._products(n, huge, b).tolist() == (
+                    full_table_product(n, huge, b).tolist()
+                )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_even_coordinates_of_q_zeta_4p_multiply_as_q_zeta_2p(p):
+    """Q(zeta_2p) = Q(zeta_p) is spanned by the even power-basis coordinates
+    of Q(zeta_4p): its table is the even sub-table, and even times even has
+    no odd output, so the restricted table of two even supports is it."""
+    full, half = context(4 * p).product_table, context(2 * p).product_table
+    assert np.array_equal(half, full[::2, ::2, ::2])
+    assert not full[::2, ::2, 1::2].any()
+    even = (np.arange(context(4 * p).phi) % 2 == 0).tobytes()
+    us, vs, ws, table = linalg._restricted_table(4 * p, even, even, np.float32)
+    assert us.tolist() == vs.tolist() == ws.tolist() == list(range(0, len(full), 2))
+    assert np.array_equal(table, half.reshape(len(us), -1))
+
+
+def test_verify_table_p7_odd_coordinate_matches_per_pair_products(kernel_dtypes):
+    """One p = 7 image gains a nonzero odd coordinate, which the even-only
+    family never uses: the table widens to it, and the failing pairs are
+    those a per-pair ``@`` finds."""
+    g = HeisenbergGroup(SymplecticSpace(7, 1))
+    lift = weil_lift(heisenberg_rep(g, 1, model="plus"))
+    tg = sp_table(lift.space)
+    n, table = lift.base.conductor, tg.table
+    num, den = batch_from_matrices([lift.sp_images[s] for s in tg.names], n)
+    assert not num[..., 1::2].any()
+    bad_s = 57
+    bad = num.copy()
+    bad[bad_s, 3, 1, 5] = 1
+    count = len(table)
+    del kernel_dtypes[:]
+    failures = verify_multiplication_table(bad, den, table, n, max_failures=count**2)
+    assert len(kernel_dtypes) == count
+    mats = [CycMatrix._packed(n, m, den) for m in bad]
+    inverse = int(np.flatnonzero(table[bad_s] == 0)[0])
+    for s in (0, 2, bad_s, inverse):
+        reference = [
+            (s, t) for t in range(count) if mats[s] @ mats[t] != mats[table[s, t]]
+        ]
+        assert bool(reference) == (s != 0)
+        assert [f for f in failures if f[0] == s] == reference
+    first = verify_multiplication_table(bad, den, table, n, max_failures=3)
+    assert len(first) >= 3 and first == failures[: len(first)]
 
 
 @pytest.fixture(

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from heisweil.groups import closure, double_coset_labels, extend_hom
+from heisweil.groups import closure, double_coset_labels, extend_hom, generators_within
 from heisweil.heisenberg import (
     HElem,
     HeisenbergGroup,
@@ -39,6 +39,8 @@ from heisweil.mackey import (
 from heisweil.reps import MatrixRep
 from heisweil.scalar import CycNumber, root_of_unity
 from heisweil.suites import (
+    SUITES,
+    RunConfig,
     _abelian_characters,
     _trivial_rep,
     heisenberg_mackey_configurations,
@@ -293,6 +295,51 @@ def test_twisted_classes_match_the_closure_reference():
             twists -= set(orbit)
             expected.append(sorted(orbit))
         assert twisted_classes(tg, k_members, theta) == expected, label
+
+
+def closure_orbits(g, thetas, actor):
+    """The reference: one conjugate_involution per (involution, generator)
+    edge, closed breadth-first, seeds taken last-in first."""
+    gens = generators_within(g, actor)
+    remaining = {t.perm: t for t in thetas}
+    orbits = []
+    while remaining:
+        _, seed = remaining.popitem()
+        orbit = closure([seed], gens, lambda t, a: conjugate_involution(g, a, t))
+        for t in orbit:
+            remaining.pop(t.perm, None)
+        orbits.append([t.perm for t in orbit])
+    return orbits
+
+
+def test_involution_orbits_match_the_closure_reference():
+    """G-orbit of theta and its K-orbits on every configuration of the
+    suite, the 648-element Sp x| H one among them: same orbits, same order."""
+    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
+    for label, tg, k_members, kappa, theta in configs:
+        orbit = involution_orbits(tg, [theta], range(tg.order))[0]
+        assert [[t.perm for t in orbit]] == closure_orbits(tg, [theta], range(tg.order))
+        k_orbits = involution_orbits(tg, orbit, k_members, validate=False)
+        assert [[t.perm for t in o] for o in k_orbits] == closure_orbits(
+            tg, orbit, k_members
+        ), label
+
+
+def test_mackey_suite_validates_each_theta_once(monkeypatch):
+    """The G-orbit call checks theta; the K-orbit call reads the conjugates
+    of a checked involution and checks none."""
+    seen = []
+    real = mk.involution_orbits
+
+    def spy(g, thetas, actor, validate=True):
+        seen.append(validate)
+        return real(g, thetas, actor, validate)
+
+    monkeypatch.setattr(mk, "involution_orbits", spy)
+    checks = SUITES["mackey"](RunConfig())
+    assert all(c.passed for c in checks)
+    configs = len(standard_mackey_configurations() + heisenberg_mackey_configurations())
+    assert seen == [True, False] * configs
 
 
 def test_h1_bound_two_for_theta_trivial_on_center():

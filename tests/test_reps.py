@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from heisweil.checks import Check
@@ -22,7 +23,7 @@ from heisweil.reps import (
     hom_dims,
     irreducibles_of_H,
 )
-from heisweil.scalar import CycNumber, zeta_p
+from heisweil.scalar import CycNumber, context, zeta_p
 from heisweil.symplectic import SymplecticSpace
 
 
@@ -112,6 +113,26 @@ def test_contragredient_properties(h3, tau3):
     # contragredient has the zeta^-1 induced model's character
     tau_inv = heisenberg_rep(h3, 2, model="minus")
     assert same_character(cotau, tau_inv)
+
+
+@pytest.mark.parametrize("model", ["minus", "plus"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_monomial_data_rebuilds_the_images(p, model):
+    """Row t of rep(h) holds zeta_p^root_exponents[h, t] in column
+    cols[h, t]: for tau and for its contragredient, whose data is the
+    transpose's, not tau's copied."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    tau = heisenberg_rep(g, 1, model=model)
+    tilde = contragredient(tau)
+    assert not np.array_equal(tilde.root_exponents, tau.root_exponents)
+    for rep in (tau, tilde):
+        n = rep.conductor
+        roots = context(n).power_table[(n // p) * rep.root_exponents]
+        num = np.zeros((g.order, rep.dim, rep.dim, roots.shape[-1]), dtype=np.int64)
+        h, t = np.indices(rep.cols.shape)
+        num[h, t, rep.cols] = roots
+        for x in g.elements():
+            assert rep.images[x] == CycMatrix._packed(n, num[x], 1)
 
 
 def test_invariant_pairing(h3, tau3):

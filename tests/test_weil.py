@@ -1,23 +1,30 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
+
+import heisweil.linalg as linalg
+from heisweil.cli import run
 
 from heisweil.checks import Check, Recorder
 from heisweil.heisenberg import HeisenbergGroup, SpecialIso, all_special_isos
-from heisweil.linalg import CycMatrix
+from heisweil.linalg import CycMatrix, batch_from_matrices, packed_product_table
 from heisweil.reps import heisenberg_rep
 from heisweil.scalar import CycNumber, zeta_p
 from heisweil.suites import RunConfig, _abstract_lift_checks
 from heisweil.symplectic import (
     GuardError,
     SymplecticSpace,
+    chi_P,
+    enumerate_P,
     m_element,
     n_element,
     weyl_element,
 )
 from heisweil.weil import (
     NormalizationError,
+    _intertwining_table,
     abstract_lift,
     lift_in_odd_even_basis,
     p_action_check,
@@ -115,6 +122,107 @@ def test_intertwining_witness_is_the_first_failing_pair(lift3):
     )
     assert report.checks == 24 * 27 and not report.passed
     assert report.witness == (s, g.names[first])
+
+
+def per_s_intertwining(lift, hs) -> np.ndarray:
+    """The reference: omega(s) tau(h) and tau(s.h) omega(s) as two packed
+    product tables per s, against the tau images stacked over one
+    denominator."""
+    n, tau, k = lift.base.conductor, lift.base.images, len(hs)
+    ok = np.empty((len(lift.sp_images), k), dtype=bool)
+    for i, (s, mat) in enumerate(lift.sp_images.items()):
+        moved = lift.sp_action[s][hs]
+        taus, _ = batch_from_matrices([tau[h] for h in hs] + [tau[h] for h in moved], n)
+        lhs = packed_product_table(n, mat.num[None], taus[:k])[0]
+        rhs = packed_product_table(n, taus[k:], mat.num[None])[:, 0]
+        ok[i] = (lhs == rhs).all(axis=(1, 2, 3))
+    return ok
+
+
+def corrupted_lift(lift, count: int, seed: int):
+    """``count`` images omega(s) replaced by omega(s) tau(h), h non-central,
+    so the identities of those s fail for the h that h does not commute with."""
+    rng = random.Random(seed)
+    g, images = lift.group, dict(lift.sp_images)
+    noncentral = [h for h in g.elements() if h not in g.center()]
+    for s in rng.sample(list(images), count):
+        images[s] = images[s] @ lift.base.images[rng.choice(noncentral)]
+    return dataclasses.replace(lift, sp_images=images)
+
+
+@pytest.mark.parametrize("model", ["minus", "plus"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_intertwining_gathers_equal_per_s_products(p, model):
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    lift = corrupted_lift(weil_lift(heisenberg_rep(g, 1, model=model)), 4, p)
+    gens = [g.from_w(g.space.basis_vector(i)) for i in range(g.dim)] + [g.central(1)]
+    hs = g.elements() if p < 7 else gens + list(range(0, g.order, 17))
+    ok = _intertwining_table(lift, hs)
+    assert not ok.all()
+    assert np.array_equal(ok, per_s_intertwining(lift, hs))
+    assert np.array_equal(_intertwining_table(lift, gens), per_s_intertwining(lift, gens))
+
+
+@pytest.mark.parametrize("model", ["minus", "plus"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_intertwining_corrupted_image_reports_the_first_failing_pair(p, model):
+    """One omega(s) replaced by omega(s) tau(h), h non-central: the check
+    fails with the first (s, h) of the per-s products, on generators and,
+    at p = 3, on all of H."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    lift = corrupted_lift(weil_lift(heisenberg_rep(g, 1, model=model)), 1, 10 * p)
+    sps = list(lift.sp_images)
+    for exhaustive in (False, True) if p == 3 else (False,):
+        if exhaustive:
+            hs = g.elements()
+        else:
+            hs = [g.from_w(g.space.basis_vector(i)) for i in range(g.dim)]
+            hs.append(g.central(1))
+        report = verify_intertwining(lift, exhaustive=exhaustive)
+        reference = per_s_intertwining(lift, hs)
+        i, j = np.argwhere(~reference)[0]
+        assert report.checks == reference.size and not report.passed
+        assert report.witness == (sps[i], g.names[hs[j]])
+
+
+def test_verify_weil_p7_kernel_calls(monkeypatch, capsys):
+    """Intertwining and the parabolic action run as stacked calls: the p = 7
+    weil suite makes at most 700 kernel calls (1 531 with one per element)."""
+    calls = []
+    kernel = linalg._packed_products
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_packed_products", counted)
+    assert run(["verify", "weil", "--p", "7", "--seed", "1"]) == 0
+    assert "checks=114197 failures=0" in capsys.readouterr().err
+    assert len(calls) <= 700
+
+
+@pytest.mark.parametrize("model", ["minus", "plus"])
+def test_p_action_corrupted_image_reports_the_first_element(model):
+    """Two images of P negated: the stacked check counts |P| identities and
+    reports the first failing element of a per-element loop."""
+    g = HeisenbergGroup(SymplecticSpace(5, 1))
+    lift = weil_lift(heisenberg_rep(g, 1, model=model))
+    space, n = lift.space, lift.base.conductor
+    parabolic = enumerate_P(space)
+    images = dict(lift.sp_images)
+    for x in (parabolic[-3], parabolic[7]):
+        images[x] = images[x].scale(-1)
+    bad = dataclasses.replace(lift, sp_images=images)
+    report = p_action_check(bad)
+    lam = CycMatrix(n, [[1] * lift.base.dim]) if model == "minus" else None
+    if lam is None:
+        origin = lift.base.basis_labels.index((0,))
+        lam = CycMatrix(n, [[int(t == origin) for t in range(lift.base.dim)]])
+    first = next(
+        x for x in parabolic if lam @ images[x] != lam.scale(chi_P(space, x))
+    )
+    assert report.checks == len(parabolic) and not report.passed
+    assert report.witness == first == parabolic[7]
 
 
 def test_restriction_to_identity_is_tau(lift3):
