@@ -51,14 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="run a verification suite", allow_abbrev=False
     )
-    verify.add_argument("suite", choices=SUITE_NAMES + ["all"], nargs="?")
-    verify.add_argument(
-        "--suite",
-        dest="suite_flag",
-        choices=SUITE_NAMES + ["all"],
-        default=None,
-        help="alternative way to pick the suite",
-    )
+    verify.add_argument("suite", choices=SUITE_NAMES + ["all"])
     _add_config_flags(verify)
     verify.add_argument(
         "--mode", choices=["exhaustive", "relations"], default="exhaustive"
@@ -286,11 +279,7 @@ def run(argv: list[str] | None = None) -> int:
 
     cfg = _config_from_args(args)
     if args.verb == "verify":
-        suite = args.suite or args.suite_flag
-        if suite is None:
-            sys.stderr.write("error: no suite selected\n")
-            return 2
-        names = SUITE_NAMES if suite == "all" else [suite]
+        names = SUITE_NAMES if args.suite == "all" else [args.suite]
         for name in names:
             err = cfg.validate_for(name)
             if err:
@@ -308,7 +297,7 @@ def run(argv: list[str] | None = None) -> int:
                 f"{line} suite={name} checks={report['checks']} "
                 f"failures={len(report['failures'])}\n"
             )
-        _emit(reports if suite == "all" else reports[0], args.out, args.format)
+        _emit(reports if args.suite == "all" else reports[0], args.out, args.format)
         return 1 if failed else 0
 
     if args.verb == "dump":

@@ -28,6 +28,8 @@ as frozensets of indices and checked as sorted index arrays.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 __all__ = [
@@ -132,6 +134,11 @@ class TableGroup:
 
     def center(self) -> frozenset:
         return self._center
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """:func:`generators_within` the whole group, derived once per group."""
+        return tuple(generators_within(self, range(self.order)))
 
     def subgroup_generated(self, gens) -> frozenset:
         """The subgroup generated by ``gens``, closed breadth-first from the

@@ -44,6 +44,7 @@ from heisweil.symplectic import (
     mat_inv,
     polarization_to_involution,
     rref_mod,
+    sp_table,
 )
 
 __all__ = [
@@ -101,7 +102,10 @@ class HeisenbergGroup(TableGroup):
     def index_of(self, w, z):
         """Indices of the pairs (w, z); w has shape (..., 2l), and z broadcasts
         to the shape (...)."""
-        w = np.asarray(w, dtype=np.int64) % self.p
+        return self._read_index(np.asarray(w, dtype=np.int64) % self.p, z)
+
+    def _read_index(self, w, z):
+        """index_of for w already reduced mod p."""
         index = w @ self._digits
         index *= self.p
         index += np.asarray(z, dtype=np.int64) % self.p
@@ -118,9 +122,11 @@ class HeisenbergGroup(TableGroup):
 
     def linear_action(self, mats) -> np.ndarray:
         """Index of (m w, z) for every index (w, z): shape (|H|,) for one
-        matrix m, (k, |H|) for a stack of k matrices."""
+        matrix m, (k, |H|) for a stack of k matrices.  The (k, |H|, 2l)
+        product is reduced in place, so no second copy of it is made."""
         moved = self.w @ np.swapaxes(np.asarray(mats, dtype=np.int64), -1, -2)
-        return self.index_of(moved, self.z)
+        moved %= self.p
+        return self._read_index(moved, self.z)
 
     @cached_property
     def commutator_values(self) -> np.ndarray:
@@ -354,7 +360,7 @@ def special_iso_equal_tests(isos: list[SpecialIso]):
     on_w = mu == 0  # row i: the preimage of W x 1 under isos[i]
     same_preimage = (on_w[:, None] == on_w[None]).all(axis=2)
     # row i of act: (w, z) -> (s_i w, z); images[k, h] = nu_k(h) as an index
-    act = g.linear_action(np.stack([s.matrix for s in enumerate_sp(g.space)]))
+    act = g.linear_action(sp_table(g.space).matrices)
     images = np.arange(g.order) - g.z + mu
     exists_s = np.array(
         [(act[:, None, row] == images[None]).all(axis=2).any(axis=0) for row in images]

@@ -3,7 +3,8 @@
 Groups are multiplication tables (:class:`TableGroup` from
 :mod:`heisweil.groups`), so everything here is generic: the same code runs
 on symmetric / dihedral / quaternion test groups, on the Heisenberg group
-W x| F_p (itself a TableGroup) and on Sp(W) x| H built below.
+W x| F_p (itself a TableGroup) and on Sp(W) x| H, whose table below is
+the law on (sp index, h index) pairs, :func:`semidirect_mul`, on every pair.
 
 The two Hom-dimension computations are deliberately independent:
 
@@ -42,7 +43,9 @@ from heisweil.groups import (
     generators_within,
     table_group_from_mul,
 )
+from heisweil.heisenberg import HeisenbergGroup
 from heisweil.reps import MatrixRep, hom_dims
+from heisweil.symplectic import sp_table
 
 __all__ = [
     "InvolutionRecord",
@@ -62,6 +65,7 @@ __all__ = [
     "orbmult_rhs",
     "quaternion_group",
     "s_theta",
+    "semidirect_mul",
     "symmetric_group",
     "table_group_from_mul",
     "twisted_classes",
@@ -237,7 +241,8 @@ def involution_orbits(
 ) -> list[list[InvolutionRecord]]:
     """Partition of the given involutions under conjugation by the actor
     subgroup, each orbit in breadth-first discovery order from a generating
-    set of the actor.
+    set of the actor: :attr:`~heisweil.groups.TableGroup.generators` when
+    the actor is all of G, derived once per group.
 
     a.theta = c_a o theta o c_a^-1 with c_a(x) = a x a^-1, so a layer of the
     search is one gather over (frontier x generators) on the stacked
@@ -247,8 +252,10 @@ def involution_orbits(
     thetas = list(thetas)
     if validate and thetas and not thetas[0].is_valid(g):
         raise ValueError("input is not an involutive automorphism")
-    t = g.table
-    gens = np.array(generators_within(g, actor), dtype=np.int64)
+    t, actor = g.table, frozenset(actor)
+    whole = len(actor) == g.order
+    gens = g.generators if whole else generators_within(g, actor)
+    gens = np.array(gens, dtype=np.int64)
     # outer[j] = c_a and inner[j] = c_a^-1 for the generator a = gens[j]
     outer = t[t[gens], g.inverse_of[gens, None]]
     inner = t[t[g.inverse_of[gens]], gens[:, None]]
@@ -403,26 +410,25 @@ def orbmult_rhs(g: TableGroup, k_sub, kappa: MatrixRep, k_orbits, m: int) -> int
 # -- Sp(W) x| H -------------------------------------------------------------------
 
 
+def semidirect_mul(sp: TableGroup, h: TableGroup, act, a, u, b, v) -> np.ndarray:
+    """The law of Sp(W) x| H on index pairs: the index of (a, u)(b, v) =
+    (a b, (b^-1 . u) v) for index arrays a, b of ``sp`` and u, v of ``h``
+    that broadcast together, with act[s, x] the index of s . x and (s, x)
+    at index s |H| + x.  Open-mesh arrays (``np.ix_``) give the whole
+    table with no temporary larger than |H| |Sp| |H|."""
+    return sp.table[a, b] * h.order + h.table[act[sp.inverse_of[b], u], v]
+
+
 def semidirect_table_group(space):
-    """Sp(W) x| H as a TableGroup; names are (SpElement, index in H) pairs.
-
-    (s1, h1)(s2, h2) = (s1 s2, (s2^-1 . h1) h2); the element (s, h) has index
-    s * |H| + h, and the table is assembled by numpy broadcasting.
-    """
-    from heisweil.heisenberg import HeisenbergGroup
-    from heisweil.weil import sp_table
-
+    """Sp(W) x| H as a TableGroup, :func:`semidirect_mul` on every pair;
+    names are (SpElement, index in H) pairs, (s, h) at index s |H| + h."""
     g = HeisenbergGroup(space)
     sp = sp_table(space)
-    nh = g.order
-    # act[s, h] = index of s . h = (s.w, z)
-    act = g.linear_action(np.stack([s.matrix for s in sp.names]))
-    # h_part[h1, s2, h2] = index of (s2^-1 . h1) h2
-    h_part = g.table[act[sp.inverse_of].T]
-    table = (sp.table[:, None, :, None] * nh + h_part[None]).reshape(
-        sp.order * nh, sp.order * nh
-    )
-    names = [(s, h) for s in sp.names for h in range(nh)]
+    act = g.linear_action(sp.matrices)
+    n = sp.order * g.order
+    pairs = np.ix_(range(sp.order), range(g.order), range(sp.order), range(g.order))
+    table = semidirect_mul(sp, g, act, *pairs).reshape(n, n)
+    names = [(s, h) for s in sp.names for h in range(g.order)]
     return TableGroup(table, names=names), g
 
 

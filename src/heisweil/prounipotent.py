@@ -194,34 +194,21 @@ def sqrt(group: CongruenceGroup, a) -> np.ndarray:
 # -- involutions -------------------------------------------------------------------
 
 
-def make_alpha(group: CongruenceGroup, kind: str, perm=None, m=None):
-    """Build the automorphism map; perm permutes matrix indices entrywise
-    (equivalently conjugation by a permutation matrix), and may be combined
-    with transpose_inverse; m is an optional inner twist from the group.
-    The map acts on one matrix or on a stack."""
-    if kind not in ("identity", "transpose_inverse", "permutation"):
+def make_alpha(group: CongruenceGroup, kind: str, perm=None):
+    """Build the automorphism map: the identity or the transpose inverse,
+    followed by ``perm`` permuting matrix indices entrywise (equivalently
+    conjugation by a permutation matrix) when given.  The map acts on one
+    matrix or on a stack."""
+    if kind not in ("identity", "transpose_inverse"):
         raise ValueError(f"unknown automorphism kind {kind!r}")
-    if kind == "permutation" and perm is None:
-        raise ValueError("permutation kind needs perm")
     perm_arr = np.array(perm, dtype=np.int64) if perm is not None else None
-    if m is not None:
-        m = group.reduce(m)
-        if not group.contains(m):
-            raise ValueError("twist element must lie in the group")
-        m_inv = group.inv(m)
 
-    def theta0(g):
+    def alpha(g):
         if kind == "transpose_inverse":
             g = group.inv(g).swapaxes(-1, -2)
         if perm_arr is not None:
             g = g[..., perm_arr, :][..., perm_arr]
         return g
-
-    if m is None:
-        return theta0
-
-    def alpha(g):
-        return group.mul(group.mul(m, theta0(g)), m_inv)
 
     return alpha
 

@@ -20,7 +20,7 @@ p = 3 only.  What stays sampled:
   generators of H beyond p = 3 (every element at p = 7: about 0.4 s), and
   the contragredient check, skipped at p = 7 (about 0.1 s);
 - ``weil.abstract_lift_rep_law``: 40 random pairs per special isomorphism,
-  each product gathered from the one table of Sp x| H
+  each product read through the law of Sp x| H on index pairs
   (:meth:`~heisweil.weil.AbstractLift.verify_rep_on_pairs`);
 - ``mackey.twisted_coset_clauses``: clauses 1 and 3 at one random g per
   configuration;
@@ -141,9 +141,9 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
 
     space = sympl.SymplecticSpace(p, cfg.ell)
     if cfg.ell == 1:
-        elems = sympl.enumerate_sp(space)
+        sp = sympl.sp_table(space)
+        elems, mats = sp.names, sp.matrices
         rec("symplectic.group_order")(len(elems) == p * (p * p - 1), len(elems))
-        mats = np.stack([s.matrix for s in elems])
         rec("symplectic.closure").all(
             sympl.is_symplectic(space, mats[:, None] @ mats[None]),
             lambda i, j: (elems[i], elems[j]),
@@ -376,22 +376,25 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
     for name, lf in (("minus", lift), ("plus", lift_plus)):
         weil_mod.p_action_check(lf, check=rec(f"weil.parabolic_action_{name}"))
 
+    # tr omega(s) tau(h) on Sp x H, read by the abstract-lift and the
+    # contragredient checks
+    table = _sp_h_table(lift) if p < 7 else None
     if p == 3:
         _sl23_checks(rec, lift)
-        _abstract_lift_checks(rec, lift, cfg)
+        _abstract_lift_checks(rec, lift, table, cfg)
     else:
         ab = weil_mod.sp_abelianization_order(group.space)
         rec("weil.unique_extension_no_characters")(
             ab == 1, {"abelianization_order": ab}
         )
     if p < 7:  # a p-gate: see the module docstring
-        _contragredient_check(rec, lift)
+        _contragredient_check(rec, lift, table)
     return rec
 
 
 def _sl23_checks(rec: Recorder, lift) -> None:
     alpha, beta, ref_lift, ref = weil_mod.sl23_reference()
-    els = weil_mod.sp_table(ref_lift.space).names
+    els = sympl.sp_table(ref_lift.space).names
     # tr alpha(s) + tr beta(s) for every s, as one row
     alpha_row, beta_row = (trace_table([rep[s] for s in els]) for rep in (alpha, beta))
     target = alpha_row + beta_row
@@ -426,21 +429,21 @@ def _sl23_checks(rec: Recorder, lift) -> None:
 
 def _sp_h_table(lift) -> CycMatrix:
     """tr(omega(s) tau(h)) for s in sp_table order and h in H: one trace_table."""
-    els = weil_mod.sp_table(lift.space).names
+    els = sympl.sp_table(lift.space).names
     base = lift.base.images
     return trace_table(
         [base[h] for h in lift.group.elements()], [lift.sp_images[s] for s in els]
     )
 
 
-def _abstract_lift_checks(rec: Recorder, lift, cfg: RunConfig) -> None:
+def _abstract_lift_checks(rec: Recorder, lift, table, cfg: RunConfig) -> None:
     rng = random.Random(cfg.seed)
     g = lift.group
-    els = weil_mod.sp_table(g.space).names
+    els = sympl.sp_table(g.space).names
     xs = g.elements()
-    # entry (s, y) is tr(omega(s) tau(y)); the abstract lift through nu has
-    # character (s, h) -> entry (s, nu(h)), so nu = 0 reads entry (s, x)
-    table = _sp_h_table(lift)
+    # entry (s, y) of the lift's Sp x H table is tr(omega(s) tau(y)); the
+    # abstract lift through nu has character (s, h) -> entry (s, nu(h)), so
+    # nu = 0 reads entry (s, x)
     reference = table[:, [heis.SpecialIso(g, (0,) * g.dim).image(x) for x in xs]]
     # images[h] = tau(h), and twisted[k, h] = zeta_p^k tau(h), both over den:
     # one kernel call for every (k, h)
@@ -471,17 +474,17 @@ def _abstract_lift_checks(rec: Recorder, lift, cfg: RunConfig) -> None:
         ab.verify_rep_on_pairs(pairs, rep_law)
 
 
-def _contragredient_check(rec: Recorder, lift) -> None:
+def _contragredient_check(rec: Recorder, lift, table) -> None:
     """tr(omega(s^-1) tau(s . h^-1)) = tr(omega~(s) tau~(h)) for every (s, h):
-    the character of the contragredient of the lift against the lift of
-    tau~, one Sp x H table each."""
+    the character of the contragredient of the lift, read off the lift's
+    Sp x H table ``table``, against the lift of tau~."""
     g = lift.group
     lift_tilde = weil_mod.weil_lift(reps_mod.heisenberg_rep(g, g.p - 1, model="minus"))
-    tg = weil_mod.sp_table(g.space)
+    tg = sympl.sp_table(g.space)
     els = tg.names
-    act = g.linear_action(np.stack([s.matrix for s in els]))  # act[i, h] = s_i . h
+    act = g.linear_action(tg.matrices)  # act[i, h] = s_i . h
     i, h = np.indices(act.shape)
-    lhs = _sp_h_table(lift)[tg.inverse_of[i], act[i, g.inverse_of[h]]]
+    lhs = table[tg.inverse_of[i], act[i, g.inverse_of[h]]]
     rec("weil.contragredient_of_lift_is_lift_of_contragredient").all(
         lhs.equal_entries(_sp_h_table(lift_tilde)), lambda i, h: (els[i], h)
     )
@@ -624,8 +627,7 @@ def _order2(perm) -> bool:
 def heisenberg_mackey_configurations():
     """The p = 3 Heisenberg group and Sp x| H as Mackey test beds."""
     configs = []
-    space = sympl.SymplecticSpace(3, 1)
-    group = heis.HeisenbergGroup(space)
+    sd, group = mk.semidirect_table_group(sympl.SymplecticSpace(3, 1))
     tau = reps_mod.heisenberg_rep(group, 1, model="minus")
 
     alpha = heis.involution_from_polarization(group)
@@ -645,19 +647,11 @@ def heisenberg_mackey_configurations():
         ("H3/G/tau/polar", group, list(range(group.order)), tau, theta)
     )
 
-    sd, g2 = mk.semidirect_table_group(space)
-    lift = weil_mod.weil_lift(reps_mod.heisenberg_rep(g2, 1, model="minus"))
-    alpha2 = heis.involution_from_polarization(g2)
-    theta_sd = mk.semidirect_involution_record(sd, alpha2)
-    h_members = sorted(
-        i for i, (s, h) in enumerate(sd.names) if s.is_identity()
-    )
-    kappa_sd = reps_mod.MatrixRep(
-        group=sd,
-        dim=3,
-        images={i: lift.semidirect_image(*sd.names[i]) for i in h_members},
-        conductor=12,
-    )
+    # {1} x H holds the indices h < |H|, as Sp(W) lists the identity first;
+    # kappa there is omega(1) tau(h) = tau(h), as the lift sends 1 to 1
+    h_members = list(range(group.order))
+    kappa_sd = reps_mod.MatrixRep(group=sd, dim=3, images=tau.images, conductor=12)
+    theta_sd = mk.semidirect_involution_record(sd, alpha)
     configs.append(("SpH3/H/tau/polar", sd, h_members, kappa_sd, theta_sd))
     return configs
 

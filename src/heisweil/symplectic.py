@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from heisweil.groups import closure
+from heisweil.groups import TableGroup, closure
 from heisweil.scalar import is_odd_prime, legendre_symbol
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "is_antisymplectic",
     "is_symplectic",
     "polarization_to_involution",
+    "sp_table",
 ]
 
 
@@ -415,10 +416,11 @@ SP_ENUM_GUARD = {"ell1_max_p": 7, "ell2_p": 3}
 def _sp_elements_cached(space: SymplecticSpace):
     p, ell = space.p, space.ell
     if ell == 1:
-        # Sp = SL(2, p) for every nondegenerate form on F_p^2
-        out = []
+        # Sp = SL(2, p) for every nondegenerate form on F_p^2: the identity
+        # first, then the others in the order of their entries
+        out = [SpElement(space, np.eye(2, dtype=np.int64), 1)]
         for a, b, c, d in itertools.product(range(p), repeat=4):
-            if (a * d - b * c) % p == 1:
+            if (a * d - b * c) % p == 1 and (a, b, c, d) != (1, 0, 0, 1):
                 out.append(SpElement(space, [[a, b], [c, d]], 1))
         return tuple(out)
     # generator closure for ell = 2, p = 3 (standard form only)
@@ -435,7 +437,8 @@ def _sp_elements_cached(space: SymplecticSpace):
 
 
 def enumerate_sp(space: SymplecticSpace) -> list[SpElement]:
-    """All of Sp(W); guarded to (ell=1, p<=7) and (ell=2, p=3, standard form)."""
+    """All of Sp(W), the identity first; guarded to (ell=1, p<=7) and
+    (ell=2, p=3, standard form)."""
     if space.ell == 1 and space.p <= SP_ENUM_GUARD["ell1_max_p"]:
         pass
     elif space.ell == 2 and space.p == SP_ENUM_GUARD["ell2_p"]:
@@ -449,6 +452,33 @@ def enumerate_sp(space: SymplecticSpace) -> list[SpElement]:
             f"got ell={space.ell}, p={space.p}"
         )
     return list(_sp_elements_cached(space))
+
+
+@lru_cache(maxsize=None)
+def sp_table(space: SymplecticSpace) -> TableGroup:
+    """Sp(W) as a TableGroup, built once per space and shared: ``names`` is
+    the tuple :func:`enumerate_sp` lists, ``matrices`` stacks their
+    matrices, and every array is read-only.  ell = 1 only: row i of the
+    table is one broadcast product of s_i with the stacked 2x2 matrices,
+    each product found again through its entries read in base p."""
+    if space.ell != 1:
+        raise GuardError(f"sp_table needs ell = 1; got ell={space.ell}")
+    els = tuple(enumerate_sp(space))
+    p, m = space.p, len(els)
+    mats = np.stack([s.matrix for s in els])
+    digits = p ** np.arange(3, -1, -1, dtype=np.int64)
+    index = np.full(p**4, -1, dtype=np.int64)
+    index[mats.reshape(m, 4) @ digits] = np.arange(m)
+    table = np.empty((m, m), dtype=np.int64)
+    for i, a in enumerate(mats):  # a row at a time: no (m, m, 2, 2) temporary
+        table[i] = index[(a @ mats % p).reshape(m, 4) @ digits]
+    if (table < 0).any():
+        raise RuntimeError("a product of two elements of Sp(W) left Sp(W)")
+    tg = TableGroup(table, names=els)
+    tg.matrices = mats
+    for shared in (tg.table, tg.inverse_of, tg.matrices):
+        shared.flags.writeable = False
+    return tg
 
 
 def antisymplectic_representative(space: SymplecticSpace) -> SpElement:

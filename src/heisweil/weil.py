@@ -24,6 +24,11 @@ Characters of the lift, tr omega(s) and the Sp x H table tr omega(s) tau(h),
 are read through :func:`~heisweil.linalg.trace_table`, one kernel call per
 family, never by a trace per element.
 
+Sp(W) is the one indexed group :func:`~heisweil.symplectic.sp_table`, built
+once per space and shared; products in Sp(W) x| H come from the law on
+(sp index, h index) pairs, :func:`~heisweil.mackey.semidirect_mul`, not from
+a table of the semidirect product.
+
 Convention note: printed treatments of the p = 3 case often attach the
 inverse Fourier transform to j.  The reference model built by
 :func:`sl23_reference` records which reading of the printed generator
@@ -44,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from heisweil.checks import Check
-from heisweil.groups import TableGroup, double_coset_labels, extend_hom
+from heisweil.groups import double_coset_labels, extend_hom
 from heisweil.heisenberg import HeisenbergGroup, SpecialIso
 from heisweil.linalg import (
     CycMatrix,
@@ -54,7 +59,7 @@ from heisweil.linalg import (
     trace_table,
     verify_multiplication_table,
 )
-from heisweil.mackey import semidirect_table_group
+from heisweil.mackey import semidirect_mul
 from heisweil.reps import MatrixRep, heisenberg_rep
 from heisweil.scalar import (
     CycNumber,
@@ -62,6 +67,7 @@ from heisweil.scalar import (
     gauss_sum,
     imaginary_unit,
     legendre_symbol,
+    root_of_unity,
     run_conductor,
     zeta_p,
 )
@@ -77,6 +83,7 @@ from heisweil.symplectic import (
     enumerate_sp,
     m_element,
     n_element,
+    sp_table,
     weyl_element,
 )
 
@@ -121,9 +128,6 @@ class WeilLift:
     def space(self) -> SymplecticSpace:
         return self.base.group.space
 
-    def semidirect_image(self, s: SpElement, h) -> CycMatrix:
-        return self.sp_images[s] @ self.base.images[h]
-
     @cached_property
     def sp_action(self) -> dict:
         """s -> the permutation h -> s . h of H, for every s with an image."""
@@ -133,10 +137,9 @@ class WeilLift:
 
     @cached_property
     def semidirect_family(self):
-        """(num, den, table, sp_index): omega(s) tau(h) for every (s, h) of
-        Sp x| H, stacked as numerators over one denominator in the order of
-        :func:`heisweil.mackey.semidirect_table_group`, whose multiplication
-        table comes along; ``sp_index[s]`` is the position of s in Sp.
+        """(num, den): omega(s) tau(h) for every (s, h) of Sp x| H, stacked
+        as numerators over one denominator, (s, h) at s |H| + h with s in
+        the order of :func:`~heisweil.symplectic.sp_table`.
 
         One :func:`~heisweil.linalg.packed_product_table` builds the family:
         187 KB at p = 3, but about 540 MB at p = 7, so it is guarded to p = 3.
@@ -147,16 +150,14 @@ class WeilLift:
                 f"the Sp x| H image family is built for p <= "
                 f"{SEMIDIRECT_FAMILY_MAX_P} only; got p = {p}"
             )
-        tg, _ = semidirect_table_group(self.space)
         nh = self.group.order
-        sps = [s for s, _ in tg.names[::nh]]
+        sps = sp_table(self.space).names
         n = self.base.conductor
         lnum, lden = batch_from_matrices([self.sp_images[s] for s in sps], n)
         base = [self.base.images[h] for h in range(nh)]
         rnum, rden = batch_from_matrices(base, n)
         num = packed_product_table(n, lnum, rnum)
-        num = num.reshape(len(sps) * nh, *num.shape[2:])
-        return num, lden * rden, tg.table, {s: i for i, s in enumerate(sps)}
+        return num.reshape(len(sps) * nh, *num.shape[2:]), lden * rden
 
     def restriction_is_base(self) -> bool:
         ident = next(s for s in self.sp_images if s.is_identity())
@@ -339,30 +340,6 @@ def _generator_images_ell2(tau, j_img):
 
 
 # -- verification ----------------------------------------------------------------
-
-
-def sp_table(space: SymplecticSpace) -> TableGroup:
-    """Sp(W) as a TableGroup; ``names`` are the SpElements in enumeration
-    order with the identity moved to index 0.  ell = 1 only: row i of the
-    table is one broadcast product of s_i with the stacked 2x2 matrices,
-    each product found again through its entries read in base p."""
-    if space.ell != 1:
-        raise GuardError(f"sp_table needs ell = 1; got ell={space.ell}")
-    els = enumerate_sp(space)
-    ident = next(s for s in els if s.is_identity())
-    els.remove(ident)
-    els.insert(0, ident)
-    p, m = space.p, len(els)
-    mats = np.stack([s.matrix for s in els])
-    digits = p ** np.arange(3, -1, -1, dtype=np.int64)
-    index = np.full(p**4, -1, dtype=np.int64)
-    index[mats.reshape(m, 4) @ digits] = np.arange(m)
-    table = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(mats):  # a row at a time: no (m, m, 2, 2) temporary
-        table[i] = index[(a @ mats % p).reshape(m, 4) @ digits]
-    if (table < 0).any():
-        raise RuntimeError("a product of two elements of Sp(W) left Sp(W)")
-    return TableGroup(table, names=els)
 
 
 def verify_homomorphism(
@@ -679,8 +656,6 @@ def sp_one_dim_characters(space: SymplecticSpace) -> list[dict]:
     Computed from the abelianization, which is trivial except for SL(2,3)
     where it is cyclic of order three.
     """
-    from heisweil.scalar import root_of_unity
-
     tg = sp_table(space)
     comm = tg.commutator_subgroup()
     m = tg.order // len(comm)
@@ -742,8 +717,8 @@ class AbstractLift:
 
     (s, h) -> (s, nu(h)) is an isomorphism of Sp x|_nu H onto Sp x| H, so
     the image of (s, h) is entry s |H| + nu(h) of the lift's
-    ``semidirect_family``, and the product law is the one table of
-    :func:`heisweil.mackey.semidirect_table_group`.
+    ``semidirect_family``, and products follow the law on index pairs,
+    :func:`heisweil.mackey.semidirect_mul`.
     """
 
     std: WeilLift
@@ -757,23 +732,24 @@ class AbstractLift:
         return self.std.base.images[self.nu.image(h)]
 
     def verify_rep_on_pairs(self, pairs, check: Check | None = None) -> bool:
-        """F[i] F[j] = F[T[i, j]] for each pair, with F the semidirect
-        family and T its table: one packed product table of the left
-        against the right factors, read on its diagonal."""
+        """F[x] F[y] = F[x y] for each pair (x, y), with F the semidirect
+        family and x y from :func:`~heisweil.mackey.semidirect_mul`: one
+        packed product table of the left against the right factors, read on
+        its diagonal."""
         check = Check("weil.abstract_lift_rep_law") if check is None else check
-        num, den, table, sp_index = self.std.semidirect_family
-        nh = self.group.order
-
-        def index(x) -> int:
-            s, h = x
-            return sp_index[s] * nh + self.nu.image(h)
-
-        i = np.array([index(x) for x, _ in pairs], dtype=np.int64)
-        j = np.array([index(y) for _, y in pairs], dtype=np.int64)
+        num, den = self.std.semidirect_family
+        g, sp = self.group, sp_table(self.std.space)
+        # a, u, b, v: the (sp index, nu(h)) of both factors of every pair
+        a, u, b, v = np.array(
+            [[sp.names.index(s), self.nu.image(h)] for pair in pairs for s, h in pair],
+            dtype=np.int64,
+        ).reshape(len(pairs), 4).T
+        product = semidirect_mul(sp, g, g.linear_action(sp.matrices), a, u, b, v)
+        i, j = a * g.order + u, b * g.order + v
         k = np.arange(len(pairs))
         prods = packed_product_table(self.std.base.conductor, num[i], num[j])[k, k]
-        # prods carry den^2: equal exactly when den divides them into F[T[i, j]]
+        # prods carry den^2: equal exactly when den divides them into F[x y]
         quot, rem = np.divmod(prods, den)
-        ok = ((rem == 0) & (quot == num[table[i, j]])).all(axis=(1, 2, 3))
+        ok = ((rem == 0) & (quot == num[product])).all(axis=(1, 2, 3))
         check.all(ok, lambda k: (self.nu, *pairs[k]))
         return check.passed

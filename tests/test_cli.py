@@ -502,10 +502,17 @@ def test_guard_names_the_limit(argv, limit, capsys):
         ["dump", "mackey", "--zeta", "0"],
         ["dump", "mackey", "--model", "minus"],
         ["heisenberg", "dump", "--model", "plus"],
+        ["verify", "--suite", "sqrt"],
+        ["verify", "heisenberg", "--suite", "sqrt"],
     ],
 )
 def test_flags_nothing_reads_are_rejected(argv):
     assert run(argv) == 2
+
+
+def test_verify_needs_a_suite(capsys):
+    assert run(["verify", "--p", "3"]) == 2
+    assert "required: suite" in capsys.readouterr().err
 
 
 def _check_named(results, name):

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from heisweil.heisenberg import (
     special_iso_from_split_polarization,
     split_polarization_from_iso,
 )
-from heisweil.symplectic import GuardError, SpElement, SymplecticSpace
+from heisweil.symplectic import GuardError, SpElement, SymplecticSpace, sp_table
 
 
 @pytest.fixture(scope="module")
@@ -321,3 +322,19 @@ def test_automorphism_check_rejects_non_multiplicative_permutation(h3):
     perm[[3, 4]] = perm[[4, 3]]
     assert not h3.is_automorphism(perm)
     assert not h3.is_automorphism(perm[:-1])  # not a permutation of H
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_linear_action_matches_the_index_of_the_product(p):
+    """linear_action, which reduces its product in place, against index_of
+    on the whole product, for one matrix and for the stack of Sp(W); the
+    input matrices are left as they were."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    mats = np.array(sp_table(g.space).matrices)
+    kept = mats.copy()
+    expected = g.index_of(g.w @ np.swapaxes(mats, -1, -2), g.z)
+    stacked = g.linear_action(mats)
+    assert stacked.shape == (len(mats), g.order)
+    assert np.array_equal(stacked, expected)
+    assert np.array_equal(g.linear_action(mats[5]), expected[5])
+    assert np.array_equal(mats, kept)

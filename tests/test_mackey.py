@@ -31,6 +31,7 @@ from heisweil.mackey import (
     orbmult_rhs,
     quaternion_group,
     semidirect_involution_record,
+    semidirect_mul,
     semidirect_table_group,
     symmetric_group,
     table_group_from_mul,
@@ -342,6 +343,31 @@ def test_mackey_suite_validates_each_theta_once(monkeypatch):
     assert seen == [True, False] * configs
 
 
+def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
+    """A p = 3 mackey run derives the generators of each of its 10 groups
+    once (the G-orbit call of every configuration read them anew before);
+    orbits under K still derive K's."""
+    import heisweil.groups as groups_mod
+
+    whole, parts = [], []
+    real = groups_mod.generators_within
+
+    def spy(g, members):
+        members = list(members)
+        (whole if len(set(members)) == g.order else parts).append(id(g))
+        return real(g, members)
+
+    for module in (groups_mod, mk):
+        monkeypatch.setattr(module, "generators_within", spy)
+    checks = SUITES["mackey"](RunConfig())
+    assert all(c.passed for c in checks)
+    assert len(whole) == len(set(whole)) == 10
+    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
+    assert len({id(tg) for _, tg, *_ in configs}) == 10
+    # one K-orbit call per configuration with K proper; K = G reads G's
+    assert len(parts) == sum(len(k) < tg.order for _, tg, k, *_ in configs)
+
+
 def test_h1_bound_two_for_theta_trivial_on_center():
     # theta trivial on a C2 center: Z^1 = Z, B^1 = {e}, bound = 2
     q8 = quaternion_group()
@@ -479,6 +505,16 @@ def test_semidirect_table_matches_pairwise_products():
     assert tg.order == 648
     assert [(s, g.names[h]) for s, h in tg.names] == ref.names
     assert np.array_equal(tg.table, ref.table)
+
+
+def test_semidirect_pair_law_equals_the_table_on_every_pair():
+    space = SymplecticSpace(3, 1)
+    tg, g = semidirect_table_group(space)
+    sp = sp_table(space)
+    act = g.linear_action(sp.matrices)
+    s, h = np.divmod(np.arange(tg.order), g.order)
+    law = semidirect_mul(sp, g, act, s[:, None], h[:, None], s[None], h[None])
+    assert np.array_equal(law, tg.table)
 
 
 def test_semidirect_involution_record_needs_untwisted_alpha():

@@ -92,6 +92,15 @@ def test_h1_identity_alpha():
     assert ok and details["z1"] == details["b1"] == 1
 
 
+def test_make_alpha_kinds_are_identity_and_transpose_inverse():
+    g = CongruenceGroup(2, 3, 3)
+    x = g.random_element(random.Random(0))
+    assert np.array_equal(make_alpha(g, "identity")(x), x)
+    assert np.array_equal(make_alpha(g, "identity", perm=(1, 0))(x), x[::-1, ::-1])
+    with pytest.raises(ValueError, match="permutation"):
+        make_alpha(g, "permutation", perm=(1, 0))
+
+
 def test_h1_exhaustive_transpose_inverse_on_27():
     # 1 + 3 M_2(Z/27): 3^8 = 6561 elements, exhaustive Z^1 = B^1
     g = CongruenceGroup(2, 3, 3)

@@ -25,6 +25,7 @@ from heisweil.symplectic import (
     mat_inv,
     n_element,
     polarization_to_involution,
+    sp_table,
     weyl_element,
 )
 
@@ -258,3 +259,32 @@ def test_singular_input_raises_mod_p():
     assert mat_det(a, 5) == 0
     with pytest.raises(ZeroDivisionError, match="singular"):
         mat_inv(a, 5)
+
+
+def test_sp_table_is_built_once_per_space():
+    assert sp_table(SymplecticSpace(3, 1)) is sp_table(SymplecticSpace(3, 1))
+    import heisweil.weil
+
+    assert heisweil.weil.sp_table is sp_table
+
+
+@pytest.mark.parametrize("name", ["table", "inverse_of", "matrices"])
+def test_sp_table_arrays_are_read_only(name):
+    """The table is shared by every caller, so none of them can write to it."""
+    array = getattr(sp_table(SymplecticSpace(3, 1)), name)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = array[1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sp_table_names_are_the_enumeration(p):
+    space = SymplecticSpace(p, 1)
+    tg = sp_table(space)
+    assert tg.names == tuple(enumerate_sp(space))
+    assert tg.names[0].is_identity()
+    assert np.array_equal(tg.matrices, np.stack([s.matrix for s in tg.names]))
+    # the table is the group law on the names
+    rng = random.Random(p)
+    for _ in range(50):
+        i, j = rng.randrange(tg.order), rng.randrange(tg.order)
+        assert tg.names[tg.mul(i, j)] == tg.names[i] * tg.names[j]

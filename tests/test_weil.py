@@ -12,7 +12,7 @@ from heisweil.heisenberg import HeisenbergGroup, SpecialIso, all_special_isos
 from heisweil.linalg import CycMatrix, batch_from_matrices, packed_product_table
 from heisweil.reps import heisenberg_rep
 from heisweil.scalar import CycNumber, zeta_p
-from heisweil.suites import RunConfig, _abstract_lift_checks
+from heisweil.suites import RunConfig, _abstract_lift_checks, _sp_h_table
 from heisweil.symplectic import (
     GuardError,
     SymplecticSpace,
@@ -199,6 +199,51 @@ def test_verify_weil_p7_kernel_calls(monkeypatch, capsys):
     assert run(["verify", "weil", "--p", "7", "--seed", "1"]) == 0
     assert "checks=114197 failures=0" in capsys.readouterr().err
     assert len(calls) <= 700
+
+
+# the suites of one verify-sweep pass, as argv of cli.run
+SWEEP = (
+    ["verify", "all", "--p", "3"],
+    ["verify", "mackey", "--p", "5"],
+    ["verify", "sqrt", "--p", "5"],
+    ["verify", "weil", "--p", "7"],
+)
+
+
+def test_sp_table_second_sweep_pass_builds_none(capsys):
+    """Sp(W) is built once per space and process: after one sweep pass the
+    next one finds every table it reads in the cache."""
+    import heisweil.symplectic as sympl
+
+    assert all(run(argv) == 0 for argv in SWEEP)
+    built = sympl.sp_table.cache_info()
+    assert all(run(argv) == 0 for argv in SWEEP)
+    again = sympl.sp_table.cache_info()
+    assert again.misses == built.misses and again.hits > built.hits
+    capsys.readouterr()
+
+
+def test_sp_table_verify_all_p3_builds_one_semidirect_table_and_four_lifts(
+    monkeypatch, capsys
+):
+    """verify all --p 3 builds Sp x| H once (the mackey configuration; the
+    abstract lift reads the law on pairs) and four p = 3 Weil lifts (the
+    mackey configuration takes tau as it is)."""
+    import heisweil.mackey as mk
+    import heisweil.weil as weil_mod
+
+    calls = {"semidirect_table_group": 0, "weil_lift": 0}
+    for module, name in ((mk, "semidirect_table_group"), (weil_mod, "weil_lift")):
+        real = getattr(module, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    assert run(["verify", "all", "--p", "3"]) == 0
+    assert calls == {"semidirect_table_group": 1, "weil_lift": 4}
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("model", ["minus", "plus"])
@@ -397,8 +442,9 @@ def test_contragredient_of_lift_is_lift_of_contragredient(lift3):
     for s in els:
         for h in g.elements():
             si, hi = _semidirect_inverse(g, s, h)
-            lhs = lift3.semidirect_image(si, hi).trace()  # char of contragredient
-            rhs = lift_tilde.semidirect_image(s, h).trace()
+            # the character of the contragredient
+            lhs = (lift3.sp_images[si] @ lift3.base.images[hi]).trace()
+            rhs = (lift_tilde.sp_images[s] @ lift_tilde.base.images[h]).trace()
             assert lhs == rhs
 
 
@@ -438,13 +484,13 @@ def test_abstract_lift_twist_relation_on_a_corrupted_base_matches_reference(lift
             if witness is None and images[nu.image(h)] != images[h].scale(twist):
                 witness = (nu, h)
     rec = Recorder()
-    _abstract_lift_checks(rec, bad, RunConfig())
+    _abstract_lift_checks(rec, bad, _sp_h_table(bad), RunConfig())
     (check,) = [c for c in rec if c.check == "weil.abstract_lift_twist_relation"]
     assert check.checks == 243 and not check.passed
     assert witness is not None and check.witness == witness
 
     rec = Recorder()
-    _abstract_lift_checks(rec, lift3, RunConfig())
+    _abstract_lift_checks(rec, lift3, _sp_h_table(lift3), RunConfig())
     (check,) = [c for c in rec if c.check == "weil.abstract_lift_twist_relation"]
     assert check.checks == 243 and check.passed
 
