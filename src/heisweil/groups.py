@@ -174,14 +174,19 @@ class TableGroup:
             for i in range(0, self.order, rows)
         )
 
-    def commutators(self) -> np.ndarray:
-        """The (n, n) array of indices of a b a^-1 b^-1, read off the table."""
-        t, inv = self.table, self.inverse_of
-        return t[t, t[np.ix_(inv, inv)]]
-
     def commutator_subgroup(self) -> frozenset:
-        """[G, G], generated by all commutators a b a^-1 b^-1 on the table."""
-        return self.subgroup_generated(np.unique(self.commutators()))
+        """[G, G], as the normal closure N of the commutators [a, b] of the
+        generators a, b of G.
+
+        Lemma: G/N is abelian, its generators commuting, so [G, G] <= N;
+        and N <= [G, G], which is normal.  N is generated by the classes of
+        those commutators under conjugation by the generators.
+        """
+        t, inv, gens = self.table, self.inverse_of, self.generators
+        comms = [int(t[t[a, b], t[inv[a], inv[b]]]) for a in gens for b in gens]
+        return self.subgroup_generated(
+            closure(comms, gens, lambda c, a: int(t[t[a, c], inv[a]]))
+        )
 
     def element_order(self, a) -> int:
         x, k = a, 1

@@ -132,7 +132,8 @@ class HeisenbergGroup(TableGroup):
     def commutator_values(self) -> np.ndarray:
         """Read-only (|H|, |H|) array of c with [a, b] = a b a^-1 b^-1 = (0, c),
         read off the table once per group; raises on a non-central one."""
-        comm = self.commutators()
+        t, inv = self.table, self.inverse_of
+        comm = t[t, t[np.ix_(inv, inv)]]
         off_center = self.w[comm].any(axis=-1)
         if off_center.any():
             a, b = np.argwhere(off_center)[0]

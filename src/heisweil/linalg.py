@@ -38,8 +38,8 @@ too, and the tier does not depend on the supports.
 :func:`verify_multiplication_table` runs the same kernel once per row of
 a group table, on the support of the whole family; it computes the
 den-scaled expected family once and writes each row's product, gather and
-comparison into buffers allocated once, so a p = 7 sweep of 112 896 pairs
-allocates no family-sized array per row.
+comparison into buffers allocated once.  On the rows of a generating set
+it is the certificate of :meth:`heisweil.reps.MatrixRep.verify_homomorphism`.
 
 Entries are read out as :class:`CycNumber` only where the algorithm is
 entrywise: inverse, determinant, rank and nullspace all read one
@@ -550,25 +550,28 @@ def packed_product_table(n: int, lnum: np.ndarray, rnum: np.ndarray) -> np.ndarr
 
 
 def verify_multiplication_table(
-    num: np.ndarray, den: int, table: np.ndarray, n: int, max_failures: int = 5
+    num: np.ndarray, den: int, table: np.ndarray, n: int, max_failures: int = 5, rows=None
 ):
-    """Check num[s] @ num[t] == num[table[s, t]] exactly, for all pairs.
+    """Check num[s] @ num[t] == num[table[i, t]] exactly, for s = rows[i]
+    (every index by default, with ``table`` the whole table) and every t.
 
     ``num`` holds numerators of square matrices over the common denominator
     ``den``; a product of two entries carries den^2, so the expected side is
     the family scaled by den, computed once.  Row s runs as one kernel call
-    against the whole family, on the coordinates the family uses.  The
-    dtype is taken once, from the largest
-    numerator of the family, which bounds every row, and from the largest
-    expected numerator, so both sides are exact.  Each row's product, its
-    gather of the expected side and the comparison mask are written into
-    three buffers of the family's size, allocated once.  Returns a list of
-    failing (s, t) pairs, empty when the family realizes the multiplication
-    table exactly.
+    of num[s] against the whole family, on the coordinates the family uses.
+    The dtype is taken once, from the largest numerator of the family, which
+    bounds every row, and from the largest expected numerator, so both sides
+    are exact.  Each row's product, its gather of the expected side and the
+    comparison mask are written into three buffers of the family's size,
+    allocated once.  Returns a list of failing (s, t) pairs, empty when
+    every product checked is the one the table names.
     """
     count, d, _, phi = num.shape
+    rows = np.arange(count) if rows is None else np.asarray(rows, dtype=np.int64)
     table = np.asarray(table)
-    if table.shape != (count, count) or not ((0 <= table) & (table < count)).all():
+    if table.shape != (len(rows), count) or not all(
+        ((0 <= a) & (a < count)).all() for a in (rows, table)
+    ):
         raise ValueError(f"not a multiplication table of {count} elements")
     col = _coordinate_max(num)
     amax = int(col.max())
@@ -591,10 +594,10 @@ def verify_multiplication_table(
     gathered = np.empty_like(expected)
     differ = np.empty(expected.shape, dtype=bool)
     failures = []
-    for s in range(count):
+    for s, products in zip(rows.tolist(), table):
         _packed_products(num[s][..., us].astype(dtype), family.T, coords, out=prods.T)
         # the table was checked above; "clip" takes into out unbuffered
-        np.take(expected, table[s], axis=0, out=gathered, mode="clip")
+        np.take(expected, products, axis=0, out=gathered, mode="clip")
         np.not_equal(prods.reshape(expected.shape), gathered, out=differ)
         if differ.any():
             bad = np.flatnonzero(differ.any(axis=1))

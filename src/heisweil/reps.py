@@ -96,16 +96,33 @@ class MatrixRep:
         return (self.characters(elements) @ column)[0, 0]
 
     def verify_homomorphism(self, check: Check | None = None) -> bool:
-        """tau(1) = 1, and tau(a) tau(b) = tau(ab) for every pair (a, b) at
-        once, through the packed multiplication kernel over the group table."""
+        """The homomorphism certificate: rep(1) = 1, and rep(x g) = rep(x)
+        rep(g) for every x in S = ``group.generators`` and every g.
+
+        Lemma: if S generates G, F(1) = 1 and F(x g) = F(x) F(g) for every
+        x in S and g in G, then F is a homomorphism.  Proof: write
+        h = x_1 ... x_k with x_i in S (S generates the finite G as a monoid)
+        and peel one generator at a time: F(h g) = F(x_1) F(x_2 ... x_k g)
+        = ... = F(x_1) ... F(x_k) F(g), which at g = 1 is F(h).  So
+        1 + |S| |G| identities prove what the |G|^2 pairs prove.
+
+        Edges that do not reach every element raise ValueError.  The edges
+        are the rows S of :func:`~heisweil.linalg.verify_multiplication_table`;
+        a failing edge's witness is (x, g) by the group's names.
+        """
         g, n = self.group, self.conductor
         check = Check("reps.homomorphism") if check is None else check
-        check(self.images[g.identity()] == CycMatrix.identity(n, self.dim), "identity")
+        gens = list(g.generators)
+        if len(g.subgroup_generated(gens)) != g.order:
+            raise ValueError(f"generators {gens} do not reach all {g.order} elements")
+        check(self.images[0] == CycMatrix.identity(n, self.dim), "identity")
         num, den = batch_from_matrices([self.images[h] for h in g.elements()], n)
-        ok = np.ones(g.table.shape, dtype=bool)
-        for a, b in verify_multiplication_table(num, den, g.table, n, max_failures=1):
-            ok[a, b] = False
-        check.all(ok)
+        ok = np.ones((len(gens), g.order), dtype=bool)
+        for x, y in verify_multiplication_table(
+            num, den, g.table[gens], n, max_failures=1, rows=gens
+        ):
+            ok[gens.index(x), y] = False
+        check.all(ok, lambda i, y: (g.names[gens[i]], g.names[y]))
         return check.passed
 
 
@@ -182,21 +199,27 @@ def contragredient(rep: MatrixRep) -> MatrixRep:
 def hom_dims(reps: list[MatrixRep], subgroups) -> np.ndarray:
     """dim Hom_K(rep, 1) for every rep (rows) and subgroup K (columns): the
     rank of the averaging projector over K, which being idempotent equals its
-    exact trace (1/|K|) sum_k tr rep(k).  One product of the stacked character
-    rows with the 0/1 indicators of the subgroups; each entry must be an
-    integer >= 0."""
+    exact trace (1/|K|) sum_k tr rep(k).  The 0/1 indicators of the
+    subgroups multiply the stacked character numerators one power-basis
+    coordinate at a time, on the coordinates the characters use; each entry
+    must be an integer >= 0."""
     subgroups = [frozenset(k) for k in subgroups]
     els = sorted(frozenset().union(*subgroups))
-    ind = np.array([[x in k for k in subgroups] for x in els], dtype=np.int64)
-    sums = character_table(reps, els) @ CycMatrix.from_roots(
-        reps[0].conductor, 0 * ind, ind
-    )
-    # entry / |K| = num[..., 0] / (den |K|) when the entry is rational
-    sizes, const = sums.den * ind.sum(axis=0), sums.num[..., 0]
-    bad = sums.num[..., 1:].any(axis=2) | (const % sizes != 0) | (const < 0)
+    ind = np.array([[x in k for x in els] for k in subgroups], dtype=np.int64)
+    chars = character_table(reps, els)
+    used = chars.num.any(axis=(0, 1))
+    used[0] = True  # sums[..., 0] is coordinate 0, the rational part
+    num = chars.num[..., used]
+    # a sum over K adds at most len(els) numerators: exact in int64 while
+    # len(els) max|num| < 2^63, and in Python ints past that bound
+    if num.dtype == object or len(els) * int(np.abs(num).max(initial=0)) >= 2**63:
+        num, ind = num.astype(object), ind.astype(object)
+    sums = ind @ num  # sums[r, j]: the used coordinates of the sum over K_j
+    sizes, const = chars.den * ind.sum(axis=1), sums[..., 0]
+    bad = sums[..., 1:].any(axis=2) | (const % sizes != 0) | (const < 0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        val = sums[i, j] / len(subgroups[j])
+        val = reps[i].character_sum(sorted(subgroups[j])) / len(subgroups[j])
         raise RuntimeError(f"projector trace {val!r} is not an integer >= 0")
     return const // sizes
 

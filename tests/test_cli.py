@@ -541,14 +541,20 @@ def test_check_counts_are_the_identities_evaluated(p):
         # every offset of H(3, 2): the center of H(3, 1), then every pair
         assert counts["heisenberg.special_iso_restriction"] == 3**4 * (3 + 27**2)
     counts = {c.check: c.checks for c in SUITES["reps"](RunConfig(p=p))}
-    # every pair, and tau(1) = 1
-    assert counts["reps.heisenberg_rep_homomorphism"] == group.order**2 + 1
+    # tau(1) = 1, and an edge (x, h) per generator x of H and element h
+    assert counts["reps.heisenberg_rep_homomorphism"] == group.order * 3 + 1
+    assert len(group.generators) == 3
     # every entry of tau(h)^T tau~(h), a p x p matrix, for every h
     assert counts["reps.invariant_pairing"] == group.order * p**2
     assert counts["reps.gelfand_bound"] == irreps * alphas
     # the dimension list, and every entry of the Gram matrix
     assert counts["reps.irreducible_census"] == 1 + irreps**2
     counts = {c.check: c.checks for c in SUITES["weil"](RunConfig(p=p))}
+    # omega(1) = 1 and an edge (x, s) per generator x of Sp(W), in each model
+    assert counts["weil.homomorphism_exhaustive"] == 2 * sp_order + 1
+    assert counts["weil.homomorphism_plus_model"] == 2 * sp_order + 1
+    # every pair of a generator of Sp(W) and a generator of H
+    assert counts["weil.intertwining"] == 2 * 3
     contragredient = "weil.contragredient_of_lift_is_lift_of_contragredient"
     assert counts[contragredient] == sp_order * group.order  # every (s, h)
 

@@ -145,14 +145,17 @@ def test_double_coset_labels_reject_a_non_subgroup():
         quaternion_group(),
         HeisenbergGroup(SymplecticSpace(3, 1)),
         sp_table(SymplecticSpace(3, 1)),
+        sp_table(SymplecticSpace(5, 1)),
         sp_table(SymplecticSpace(7, 1)),
     ],
-    ids=["S3", "D4", "Q8", "H(3,1)", "SL(2,3)", "SL(2,7)"],
+    ids=["S3", "D4", "Q8", "H(3,1)", "SL(2,3)", "SL(2,5)", "SL(2,7)"],
 )
 def test_commutator_subgroup_matches_the_closure(group):
-    """The table-gather closure against closing all commutators under the
-    group law, one product at a time."""
-    comms = np.unique(group.commutators()).tolist()
+    """The normal closure of the generators' commutators against closing
+    every commutator of the table under the group law, one product at a
+    time."""
+    t, inv = group.table, group.inverse_of
+    comms = np.unique(t[t, t[np.ix_(inv, inv)]]).tolist()  # a b a^-1 b^-1
     expected = frozenset(closure([0], comms, group.mul))
     assert group.commutator_subgroup() == expected
     assert group.is_subgroup(expected)

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from heisweil.heisenberg import (
     order_two_automorphisms_trivial_on_center,
     polarization_from_involution,
 )
-from heisweil.linalg import CycMatrix
+from heisweil.linalg import CycMatrix, batch_from_matrices, verify_multiplication_table
 from heisweil.reps import (
     MatrixRep,
     character_table,
@@ -24,7 +25,8 @@ from heisweil.reps import (
     irreducibles_of_H,
 )
 from heisweil.scalar import CycNumber, context, zeta_p
-from heisweil.symplectic import SymplecticSpace
+from heisweil.symplectic import SymplecticSpace, sp_table
+from heisweil.weil import weil_lift
 
 
 def same_character(rep1, rep2) -> bool:
@@ -81,11 +83,13 @@ def test_homomorphism_failure_reports_the_first_bad_pair(h3, tau3):
     images[5] = images[5].scale(-1)
     check = Check("reps.homomorphism")
     assert not replace(tau3, images=images).verify_homomorphism(check)
-    assert check.checks == 27**2 + 1
-    # row 0 holds (the identity is untouched); in row 1 the first pair
-    # reading the negated image is the first failure
-    first = min(b for b in h3.elements() if 5 in (b, h3.mul(1, b)))
-    assert check.witness == [1, first]
+    gens = h3.generators
+    assert check.checks == 27 * len(gens) + 1
+    # the identity is untouched; in the row of the first generator the
+    # first edge reading the negated image is the first failure
+    x = gens[0]
+    first = min(b for b in h3.elements() if 5 in (b, h3.mul(x, b)))
+    assert check.witness == (h3.names[x], h3.names[first])
 
 
 def test_character_supported_on_center(h5, tau5):
@@ -200,6 +204,44 @@ def test_hom_dim_rejects_a_non_integer_projector_trace(tau3):
         hom_dim(tau3, [0, 3])
 
 
+def hom_dims_through_the_dense_indicator(reps, subgroups) -> np.ndarray:
+    """The reference: the character table times the (elements, subgroups)
+    0/1 indicator as a CycMatrix, one product of the packed kernel."""
+    els = sorted(frozenset().union(*subgroups))
+    ind = np.array([[x in k for k in subgroups] for x in els], dtype=np.int64)
+    sums = character_table(reps, els) @ CycMatrix.from_roots(
+        reps[0].conductor, 0 * ind, ind
+    )
+    assert not sums.num[..., 1:].any()
+    return sums.num[..., 0] // (sums.den * ind.sum(axis=0))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hom_dims_equals_the_dense_indicator_product(p):
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    irreps = irreducibles_of_H(g)
+    reps = irreps + [heisenberg_rep(g, 1, model="plus"), contragredient(irreps[-1])]
+    subgroups = g.all_subgroups()
+    table = hom_dims(reps, subgroups)
+    assert np.array_equal(table, hom_dims_through_the_dense_indicator(reps, subgroups))
+    assert table.dtype == np.int64 and (table >= 0).all()
+
+
+def test_hom_dims_sums_past_int64_are_exact(h3):
+    """Two traces of 2^62 fit int64, their sum does not: the bound moves the
+    sum to Python ints.  A trace of 2^70 is an object array from the start."""
+    for value, members in ((2**62, [0, 1]), (2**70, [0])):
+        images = {h: CycMatrix(12, [[value]]) for h in members}
+        rep = MatrixRep(group=h3, dim=1, images=images, conductor=12)
+        assert hom_dims([rep], [members])[0, 0] == value
+
+
+def test_hom_dims_rejects_an_irrational_projector_trace(h3, tau3):
+    # {0, z} is no subgroup: (tr tau(0) + tr tau(z)) / 2 = (3 + 3 zeta_3) / 2
+    with pytest.raises(RuntimeError, match="is not an integer"):
+        hom_dims([tau3], [[0, h3.central(1)]])
+
+
 def test_hom_dims_table_equals_character_sums(h3):
     irreps = irreducibles_of_H(h3)
     subgroups = h3.all_subgroups()
@@ -302,3 +344,87 @@ def test_hplusfixed_conjugation_identity(h3, tau3):
                 w, h3.space.pair(w, w0)
             )
         assert hom_dim(tau3, lift) == 1
+
+
+# -- the homomorphism certificate on generator edges --------------------------------
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(p, name) for p in (3, 5) for name in ("tau", "minus", "plus")],
+    ids=lambda param: f"{param[1]}-p{param[0]}",
+)
+def family(request):
+    """(group, images in index order) of tau on H, or of the Weil lift of
+    the minus or plus model on Sp(W)."""
+    p, name = request.param
+    space = SymplecticSpace(p, 1)
+    g = HeisenbergGroup(space)
+    if name == "tau":
+        return g, [heisenberg_rep(g, 1).images[h] for h in g.elements()]
+    tg, lift = sp_table(space), weil_lift(heisenberg_rep(g, 1, model=name))
+    return tg, [lift.sp_images[s] for s in tg.names]
+
+
+def certificate(group, images) -> Check:
+    """MatrixRep.verify_homomorphism on g -> images[g], as its Check."""
+    check = Check("certificate")
+    rep = MatrixRep(group, images[0].nrows, dict(enumerate(images)), images[0].N)
+    rep.verify_homomorphism(check)
+    return check
+
+
+def exhaustive_oracle(group, images) -> bool:
+    """F(1) = 1 and the whole table of |G|^2 pairs."""
+    n = images[0].N
+    num, den = batch_from_matrices(images, n)
+    return images[0] == CycMatrix.identity(n, images[0].nrows) and not (
+        verify_multiplication_table(num, den, group.table, n, max_failures=1)
+    )
+
+
+def edge_touches(group, witness, s: int) -> bool:
+    """The failing edge (x, g), by names, involves s as x, g or x g."""
+    x, g = (group.names.index(name) for name in witness)
+    return s in (x, g, group.mul(x, g))
+
+
+def test_certificate_equals_the_exhaustive_oracle(family):
+    """On the family and on corruptions of it (one image negated, two images
+    swapped, the identity's image negated), the generator-edge certificate
+    and the whole table give the same verdict."""
+    group, images = family
+    rng = random.Random(group.order)
+    a, b = rng.sample(range(1, group.order), 2)
+    corrupted = [list(images) for _ in range(3)]
+    corrupted[0][a] = images[a].scale(-1)
+    corrupted[1][a], corrupted[1][b] = images[b], images[a]
+    corrupted[2][0] = images[0].scale(-1)
+    for family in [images] + corrupted:
+        check = certificate(group, family)
+        assert check.checks == len(group.generators) * group.order + 1
+        assert check.passed == exhaustive_oracle(group, family)
+    assert certificate(group, images).passed
+
+
+def test_every_sign_corruption_fails_the_certificate_on_an_edge_at_it(family):
+    """F(s) -> -F(s) for each s != 1 in turn: the certificate fails, and its
+    witness is an edge (x, g) with s among x, g and x g."""
+    group, images = family
+    for s in range(1, group.order):
+        family = list(images)
+        family[s] = images[s].scale(-1)
+        check = certificate(group, family)
+        assert not check.passed, s
+        assert edge_touches(group, check.witness, s), (s, check.witness)
+
+
+def test_a_non_generating_set_raises(family):
+    """The group's generators replaced by one element (a cyclic, proper
+    subgroup) or by none: the certificate raises before any identity."""
+    group, images = family
+    for gens in ((group.generators[0],), ()):
+        narrowed = copy.copy(group)
+        narrowed.generators = gens  # shadows the cached property
+        with pytest.raises(ValueError, match="do not reach"):
+            certificate(narrowed, images)

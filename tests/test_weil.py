@@ -65,12 +65,18 @@ def test_normalization_magnitude(lift3, lift5):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_homomorphism_exhaustive(p):
+    """The certificate reads 1 + |S| |Sp| identities, and its oracle, the
+    whole table of |Sp|^2 pairs, holds too."""
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
     report = verify_homomorphism(lift, mode="exhaustive")
+    tg, n = sp_table(lift.space), lift.base.conductor
     order = p * (p * p - 1)
-    assert report.checks == order * order
+    assert len(tg.generators) == 2
+    assert report.checks == 2 * order + 1
     assert report.passed
+    num, den = batch_from_matrices([lift.sp_images[s] for s in tg.names], n)
+    assert linalg.verify_multiplication_table(num, den, tg.table, n) == []
 
 
 def _fixed_space_dim(s, p: int) -> int:
@@ -100,38 +106,47 @@ def test_homomorphism_plus_model_and_other_characters():
     for k in (1, 2, 3):
         for model in ("plus", "minus"):
             lift = weil_lift(heisenberg_rep(g, k, model=model))
-            assert verify_homomorphism(lift, mode="sampled", samples=80).passed
-            assert verify_intertwining(lift, exhaustive=False).passed
+            assert verify_homomorphism(lift).passed
+            assert verify_intertwining(lift).passed
 
 
 def test_intertwining_exhaustive_p3(lift3):
-    report = verify_intertwining(lift3, exhaustive=True)
-    assert report.checks == 24 * 27 and report.passed
+    """The check reads the generator pairs of Sp x H; the identity holds on
+    every (s, h), the oracle its lemma stands for."""
+    report = verify_intertwining(lift3)
+    assert report.checks == 2 * 3 and report.passed
+    g = lift3.group
+    assert _intertwining_table(lift3, list(lift3.sp_images), g.elements()).all()
+
+
+def sp_generators(lift) -> list:
+    tg = sp_table(lift.space)
+    return [tg.names[i] for i in tg.generators]
 
 
 def test_intertwining_witness_is_the_first_failing_pair(lift3):
-    """One image swapped for another: the count stays |Sp| |H| and the
-    witness is the first (s, h) of the per-pair loop that fails."""
-    sps = list(lift3.sp_images)
-    s, t = sps[5], sps[9]
+    """A generator's image swapped for another: the count stays
+    |S_Sp| |S_H| and the witness is the first (s, h) of the per-pair loop
+    over generators that fails."""
+    s = sp_generators(lift3)[1]
+    t = list(lift3.sp_images)[9]
     bad = dataclasses.replace(lift3, sp_images={**lift3.sp_images, s: lift3.sp_images[t]})
-    report = verify_intertwining(bad, exhaustive=True)
+    report = verify_intertwining(bad)
     g, tau, mat = bad.group, bad.base.images, bad.sp_images[s]
-    first = next(
-        h for h in g.elements() if mat @ tau[h] != tau[bad.sp_action[s][h]] @ mat
-    )
-    assert report.checks == 24 * 27 and not report.passed
+    action = g.linear_action(s.matrix)
+    first = next(h for h in g.generators if mat @ tau[h] != tau[action[h]] @ mat)
+    assert report.checks == 2 * 3 and not report.passed
     assert report.witness == (s, g.names[first])
 
 
-def per_s_intertwining(lift, hs) -> np.ndarray:
+def per_s_intertwining(lift, sps, hs) -> np.ndarray:
     """The reference: omega(s) tau(h) and tau(s.h) omega(s) as two packed
     product tables per s, against the tau images stacked over one
     denominator."""
-    n, tau, k = lift.base.conductor, lift.base.images, len(hs)
-    ok = np.empty((len(lift.sp_images), k), dtype=bool)
-    for i, (s, mat) in enumerate(lift.sp_images.items()):
-        moved = lift.sp_action[s][hs]
+    n, g, tau, k = lift.base.conductor, lift.group, lift.base.images, len(hs)
+    ok = np.empty((len(sps), k), dtype=bool)
+    for i, s in enumerate(sps):
+        mat, moved = lift.sp_images[s], g.linear_action(s.matrix)[hs]
         taus, _ = batch_from_matrices([tau[h] for h in hs] + [tau[h] for h in moved], n)
         lhs = packed_product_table(n, mat.num[None], taus[:k])[0]
         rhs = packed_product_table(n, taus[k:], mat.num[None])[:, 0]
@@ -139,13 +154,14 @@ def per_s_intertwining(lift, hs) -> np.ndarray:
     return ok
 
 
-def corrupted_lift(lift, count: int, seed: int):
-    """``count`` images omega(s) replaced by omega(s) tau(h), h non-central,
-    so the identities of those s fail for the h that h does not commute with."""
+def corrupted_lift(lift, sps, seed: int):
+    """The images omega(s), s in ``sps``, replaced by omega(s) tau(h), h
+    non-central, so the identities of those s fail for the h that h does
+    not commute with."""
     rng = random.Random(seed)
     g, images = lift.group, dict(lift.sp_images)
     noncentral = [h for h in g.elements() if h not in g.center()]
-    for s in rng.sample(list(images), count):
+    for s in sps:
         images[s] = images[s] @ lift.base.images[rng.choice(noncentral)]
     return dataclasses.replace(lift, sp_images=images)
 
@@ -153,41 +169,42 @@ def corrupted_lift(lift, count: int, seed: int):
 @pytest.mark.parametrize("model", ["minus", "plus"])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_intertwining_gathers_equal_per_s_products(p, model):
-    g = HeisenbergGroup(SymplecticSpace(p, 1))
-    lift = corrupted_lift(weil_lift(heisenberg_rep(g, 1, model=model)), 4, p)
-    gens = [g.from_w(g.space.basis_vector(i)) for i in range(g.dim)] + [g.central(1)]
+    lift = weil_lift(heisenberg_rep(HeisenbergGroup(SymplecticSpace(p, 1)), 1, model=model))
+    g, sps = lift.group, list(lift.sp_images)
+    lift = corrupted_lift(lift, random.Random(p).sample(sps, 4) + sp_generators(lift), p)
+    gens = list(g.generators)
     hs = g.elements() if p < 7 else gens + list(range(0, g.order, 17))
-    ok = _intertwining_table(lift, hs)
+    ok = _intertwining_table(lift, sps, hs)
     assert not ok.all()
-    assert np.array_equal(ok, per_s_intertwining(lift, hs))
-    assert np.array_equal(_intertwining_table(lift, gens), per_s_intertwining(lift, gens))
+    assert np.array_equal(ok, per_s_intertwining(lift, sps, hs))
+    gen_sps = sp_generators(lift)
+    assert np.array_equal(
+        _intertwining_table(lift, gen_sps, gens), per_s_intertwining(lift, gen_sps, gens)
+    )
 
 
 @pytest.mark.parametrize("model", ["minus", "plus"])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_intertwining_corrupted_image_reports_the_first_failing_pair(p, model):
-    """One omega(s) replaced by omega(s) tau(h), h non-central: the check
-    fails with the first (s, h) of the per-s products, on generators and,
-    at p = 3, on all of H."""
-    g = HeisenbergGroup(SymplecticSpace(p, 1))
-    lift = corrupted_lift(weil_lift(heisenberg_rep(g, 1, model=model)), 1, 10 * p)
-    sps = list(lift.sp_images)
-    for exhaustive in (False, True) if p == 3 else (False,):
-        if exhaustive:
-            hs = g.elements()
-        else:
-            hs = [g.from_w(g.space.basis_vector(i)) for i in range(g.dim)]
-            hs.append(g.central(1))
-        report = verify_intertwining(lift, exhaustive=exhaustive)
-        reference = per_s_intertwining(lift, hs)
+    """One generator's omega(s) replaced by omega(s) tau(h), h non-central:
+    the check fails with the first (s, h) of the per-s products over the
+    generators of Sp and of H."""
+    lift = weil_lift(heisenberg_rep(HeisenbergGroup(SymplecticSpace(p, 1)), 1, model=model))
+    g, sps = lift.group, sp_generators(lift)
+    for s in sps:
+        bad = corrupted_lift(lift, [s], 10 * p)
+        report = verify_intertwining(bad)
+        reference = per_s_intertwining(bad, sps, list(g.generators))
         i, j = np.argwhere(~reference)[0]
-        assert report.checks == reference.size and not report.passed
-        assert report.witness == (sps[i], g.names[hs[j]])
+        assert report.checks == reference.size == 6 and not report.passed
+        assert report.witness == (sps[i], g.names[g.generators[j]]) and sps[i] == s
 
 
 def test_verify_weil_p7_kernel_calls(monkeypatch, capsys):
-    """Intertwining and the parabolic action run as stacked calls: the p = 7
-    weil suite makes at most 700 kernel calls (1 531 with one per element)."""
+    """The homomorphism certificates run on the generator rows, and
+    intertwining and the parabolic action as stacked calls: the p = 7 weil
+    suite makes at most 100 kernel calls (644 with a row per element of
+    Sp(W), 1 531 with one call per element)."""
     calls = []
     kernel = linalg._packed_products
 
@@ -197,8 +214,47 @@ def test_verify_weil_p7_kernel_calls(monkeypatch, capsys):
 
     monkeypatch.setattr(linalg, "_packed_products", counted)
     assert run(["verify", "weil", "--p", "7", "--seed", "1"]) == 0
-    assert "checks=114197 failures=0" in capsys.readouterr().err
-    assert len(calls) <= 700
+    assert "checks=1445 failures=0" in capsys.readouterr().err
+    assert len(calls) <= 100
+
+
+def test_a_corrupted_non_generator_image_fails_the_weil_report(monkeypatch, tmp_path):
+    """omega(s) negated for one s outside the generators of SL(2, 3): the
+    certificate reads edges only at the generators, and still fails, with
+    an edge at s as its witness, and the report fails."""
+    import json
+
+    import heisweil.weil as weil_mod
+
+    tg = sp_table(SymplecticSpace(3, 1))
+    s = next(i for i in range(1, tg.order) if i not in tg.generators)
+    real = weil_mod.weil_lift
+
+    def corrupted(tau, nu=None):
+        lift = real(tau, nu)
+        if tau.model != "minus":
+            return lift
+        name = tg.names[s]
+        images = {**lift.sp_images, name: lift.sp_images[name].scale(-1)}
+        return dataclasses.replace(lift, sp_images=images)
+
+    monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
+    check = next(
+        c for c in run_suite("weil", 3) if c.check == "weil.homomorphism_exhaustive"
+    )
+    assert not check.passed and check.checks == 2 * tg.order + 1
+    x, g = (tg.names.index(name) for name in check.witness)
+    assert s in (x, g, tg.mul(x, g))
+    out = tmp_path / "report.json"
+    assert run(["verify", "weil", "--p", "3", "--out", str(out)]) == 1
+    failed = [f["check"] for f in json.loads(out.read_text())["failures"]]
+    assert "weil.homomorphism_exhaustive" in failed
+
+
+def run_suite(name: str, p: int):
+    from heisweil.suites import SUITES
+
+    return SUITES[name](RunConfig(p=p))
 
 
 # the suites of one verify-sweep pass, as argv of cli.run
@@ -542,7 +598,7 @@ def _rep_law_per_pair(lift, nu, pairs):
         return lift.sp_images[s] @ lift.base.images[nu.image(h)]
 
     def twisted_action(s, h):
-        return nu.inverse_image(lift.sp_action[s][nu.image(h)])
+        return nu.inverse_image(g.linear_action(s.matrix)[nu.image(h)])
 
     witness = None
     for (s1, h1), (s2, h2) in pairs:
@@ -596,4 +652,4 @@ def test_ell2_relation_mode():
     assert lift.generators_only
     rep = verify_homomorphism(lift, mode="relations")
     assert rep.passed and rep.checks >= 8
-    assert verify_intertwining(lift, exhaustive=False).passed
+    assert verify_intertwining(lift).passed
