@@ -104,7 +104,7 @@ class NormalizationError(RuntimeError):
     """No (or more than one) Fourier normalization satisfied the relations."""
 
 
-WEIL_EXHAUSTIVE_GUARD = {"ell": 1, "max_p": 7}
+WEIL_EXHAUSTIVE_GUARD = {"max_p": 7}  # at ell = 1
 SEMIDIRECT_FAMILY_MAX_P = 3
 
 
