@@ -23,7 +23,9 @@ the Mackey sums, the twisted-coset bookkeeping, the Q\\H/K forms of
 The Heisenberg group W x| F_p (:class:`heisweil.heisenberg.HeisenbergGroup`)
 is a TableGroup subclass, so subgroup, commutator and automorphism checks
 below serve it and the Mackey test groups alike.  Subgroups are handed out
-as frozensets of indices and checked as sorted index arrays.
+as frozensets of indices.  Membership is a boolean mask over the indices
+(:meth:`TableGroup.mask`): a closure scatters each layer into one, and a
+subgroup, center or K test is one gather from one, never a sort.
 """
 
 from __future__ import annotations
@@ -140,26 +142,38 @@ class TableGroup:
         """:func:`generators_within` the whole group, derived once per group."""
         return tuple(generators_within(self, range(self.order)))
 
+    def mask(self, members) -> np.ndarray:
+        """The boolean mask of ``members`` (indices) over 0..n-1."""
+        idx = np.fromiter(members, dtype=np.int64)
+        if idx.size and not (0 <= idx.min() and idx.max() < self.order):
+            raise ValueError(f"group indices lie in 0..{self.order - 1}")
+        mask = np.zeros(self.order, dtype=bool)
+        mask[idx] = True
+        return mask
+
     def subgroup_generated(self, gens) -> frozenset:
         """The subgroup generated by ``gens``, closed breadth-first from the
         identity: each layer is one gather of its rows at the generator
-        columns."""
+        columns, scattered into a mask of the elements it reaches."""
         t, gens = self.table, np.fromiter(gens, dtype=np.int64)
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
         frontier = np.zeros(1, dtype=np.int64)
         while frontier.size:
-            reached = np.unique(t[frontier[:, None], gens])
-            frontier = reached[~seen[reached]]
-            seen[frontier] = True
+            reached = np.zeros(self.order, dtype=bool)
+            reached[t[frontier[:, None], gens]] = True
+            reached &= ~seen
+            seen |= reached
+            frontier = np.flatnonzero(reached)
         return frozenset(np.flatnonzero(seen).tolist())
 
     def is_subgroup(self, subset) -> bool:
         """Nonempty and closed under products (in a finite group that makes
-        a subgroup), tested as one membership test of the |K| x |K| block
-        of the table."""
-        k = np.array(sorted(set(subset)), dtype=np.int64)
-        return k.size > 0 and bool(np.isin(self.table[np.ix_(k, k)], k).all())
+        a subgroup), tested as one gather of the |K| x |K| block of the
+        table from the mask of K."""
+        inside = self.mask(subset)
+        k = np.flatnonzero(inside)
+        return k.size > 0 and bool(inside[self.table[np.ix_(k, k)]].all())
 
     def is_automorphism(self, perm) -> bool:
         """A permutation of the indices with perm(ab) = perm(a) perm(b)."""

@@ -223,7 +223,9 @@ def all_involutive_automorphisms(g: TableGroup) -> list[InvolutionRecord]:
 
 
 def fixed_subgroup(g: TableGroup, theta: InvolutionRecord) -> frozenset:
-    return frozenset(x for x in range(g.order) if theta.apply(x) == x)
+    """G^theta, the indices where theta's permutation is the identity."""
+    fixed = np.asarray(theta.perm) == np.arange(g.order)
+    return frozenset(np.flatnonzero(fixed).tolist())
 
 
 def conjugate_involution(
@@ -330,7 +332,7 @@ def induced_hom_dim_oracle(g: TableGroup, k_sub, kappa: MatrixRep, h_sub) -> int
     y = t[xs[None, :], h[:, None]]
     j = coset_of[y]
     kk = t[y, inv[xs[j]]]
-    outside = np.argwhere(~np.isin(kk, k))
+    outside = np.argwhere(~g.mask(k)[kk])
     if outside.size:
         a, i = outside[0]
         raise RuntimeError(f"x_i h x_j^-1 = {kk[a, i]} not in K (i = {i}, h = {h[a]})")

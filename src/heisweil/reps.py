@@ -266,14 +266,16 @@ def fixed_forms(rep: MatrixRep, subgroup) -> FixedForms:
     labels = double_coset_labels(g, g.minus_z_subgroup(), K)  # Q\H/K
     t, inv = g.table, g.inverse_of
     w_minus = np.array(sorted(g.minus_subgroup()), dtype=np.int64)
-    center = np.array(sorted(g.center()), dtype=np.int64)
+    # the center without the identity, as a mask over the indices
+    nontrivial_center = g.mask(g.center())
+    nontrivial_center[0] = False
     zetas = [zeta_p(p, rep.zeta_exponent * e, conductor=n) for e in range(p)]
     digits = p ** np.arange(ell - 1, -1, -1, dtype=np.int64)
 
     rows, qualifying = [], []
     for x in np.unique(labels, return_index=True)[1].tolist():
         conj = t[t[x, K], inv[x]]  # x K x^-1
-        if np.isin(t[np.ix_(w_minus, conj)], center[center != 0]).any():
+        if nontrivial_center[t[np.ix_(w_minus, conj)]].any():
             continue  # W^- x K x^-1 meets Z nontrivially: no invariant form here
         qualifying.append(x)
         # minus model: f(x k) = zeta(z + (1/2) v.u) phi(u) for x k = (u, v; z)

@@ -29,11 +29,14 @@ The mackey suite makes one pass per configuration (K, kappa, theta): the
 orbits of theta, G^theta, the (K, G^theta) partition, its split
 S(theta, Theta') by K-orbit, and the oracle's value for kappa and for
 kappa~ are each computed once, and every check of the configuration reads
-them.
+them.  The configurations of the zoo depend on neither p nor the seed:
+they are built once per process (:func:`_mackey_zoo`), read-only, while
+the Heisenberg ones, Sp x| H among them, are built per run.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -533,16 +536,27 @@ def _trivial_rep(tg: mk.TableGroup, members, conductor=4):
 
 
 def standard_mackey_configurations():
-    """(label, group, K, kappa, theta) tuples covering >= 20 cases.
+    """(label, group, K, kappa, theta) tuples covering >= 20 cases, as a
+    fresh list over the one zoo :func:`_mackey_zoo` builds per process.
 
-    Groups of order <= 48 from the zoo, plus the Heisenberg group at p = 3
-    and Sp(W) x| H; involutions are enumerated automorphisms where the
-    order permits and inner involutions otherwise.
+    Groups of order <= 48 from the zoo; involutions are enumerated
+    automorphisms where the order permits and inner involutions otherwise.
     """
+    return list(_mackey_zoo()[0])
+
+
+@functools.cache
+def _mackey_zoo():
+    """(configurations, stabilizer cases), built once per process, as
+    neither depends on p or the seed; a run reads them and evaluates every
+    identity anew.  Each table and ``inverse_of`` is read-only, K is a
+    sorted tuple and theta a frozen record, so no run can change what the
+    next one reads.  The stabilizer cases are (label, group, theta) for
+    S3, D4 and Q8 with their first nontrivial involution."""
     configs = []
 
     def add(label, tg, k_members, theta, kappa=None):
-        k_members = sorted(k_members)
+        k_members = tuple(sorted(k_members))
         kappa = _trivial_rep(tg, k_members) if kappa is None else kappa
         configs.append((label, tg, k_members, kappa, theta))
 
@@ -570,6 +584,8 @@ def standard_mackey_configurations():
         dn = mk.dihedral_group(n)
         rot = _cyclic_subgroup(dn, n)
         thetas = _nontrivial(mk.all_involutive_automorphisms(dn))
+        if n == 4:
+            d4 = dn, thetas[0]
         for i, chi in enumerate(_abelian_characters(dn, rot, n)[: 2 if n > 4 else 3]):
             add(f"D{n}/C{n}/chi{i}/theta0", dn, rot, thetas[0], chi)
         if len(thetas) > 2:
@@ -598,7 +614,12 @@ def standard_mackey_configurations():
     add("S4xC2/C4/triv/inner", s4c2, c4, theta48)
     chars4 = _abelian_characters(s4c2, c4, 4)
     add("S4xC2/C4/chi1/inner", s4c2, c4, theta48, chars4[1])
-    return configs
+
+    for tg in {id(tg): tg for _, tg, *_ in configs}.values():
+        for shared in (tg.table, tg.inverse_of):
+            shared.flags.writeable = False
+    stabilizer = (("S3", s3, thetas3[0]), ("D4", *d4), ("Q8", q8, thetas8[0]))
+    return tuple(configs), stabilizer
 
 
 def _cyclic_subgroup(tg: mk.TableGroup, order: int) -> list[int]:
@@ -722,7 +743,7 @@ def _twisted_coset_checks(
     # x theta(x)^-1 for every x, and where it is central
     t = tg.table
     twist = t[np.arange(tg.order), tg.inverse_of[list(theta.perm)]]
-    central = np.isin(twist, sorted(tg.center()))
+    central = tg.mask(tg.center())[twist]
     first_central = {}  # coset label -> its smallest member with a central twist
     for x in np.flatnonzero(central).tolist():
         first_central.setdefault(labels[x], x)
@@ -777,15 +798,8 @@ def _contragredient(tg, k_members, kappa) -> reps_mod.MatrixRep:
 
 
 def _invstab_check(c: Check) -> None:
-    for label, tg in (
-        ("S3", mk.symmetric_group(3)),
-        ("D4", mk.dihedral_group(4)),
-        ("Q8", mk.quaternion_group()),
-    ):
+    for label, tg, theta in _mackey_zoo()[1]:
         center = tg.center()
-        theta = next(
-            t for t in mk.all_involutive_automorphisms(tg) if not t.is_identity()
-        )
         for a in range(tg.order):
             stab = mk.conjugate_involution(tg, a, theta).perm == theta.perm
             central = tg.mul(a, tg.inv(theta.apply(a))) in center

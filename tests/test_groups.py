@@ -1,4 +1,5 @@
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -181,3 +182,38 @@ def test_all_subgroups_matches_the_sweep_over_all_pairs(p):
         for b in range(a, g.order):
             swept.add(frozenset(closure([0], [a, b], g.mul)))
     assert g.all_subgroups() == sorted(swept, key=lambda s: (len(s), sorted(s)))
+
+
+def _mask_oracle_groups():
+    """Every group of the Mackey zoo, by the first part of its label, and
+    H(3, 1)."""
+    from heisweil.suites import standard_mackey_configurations
+
+    zoo = {label.split("/")[0]: tg for label, tg, *_ in standard_mackey_configurations()}
+    zoo["H(3,1)"] = HeisenbergGroup(SymplecticSpace(3, 1))
+    return [pytest.param(label, tg, id=label) for label, tg in zoo.items()]
+
+
+@pytest.mark.parametrize("label, group", _mask_oracle_groups())
+def test_mask_closure_and_subgroup_test_match_the_closure_oracle(label, group):
+    """subgroup_generated and is_subgroup, on boolean masks, against closing
+    one product at a time: every single generator and 40 seeded pairs; a
+    seeded subset is a subgroup exactly when its products stay inside."""
+    g, rng = group, random.Random(label)
+    gens = [[a] for a in range(g.order)]
+    gens += [rng.sample(range(g.order), 2) for _ in range(40)]
+    for pick in gens:
+        expected = frozenset(closure([0], pick, g.mul))
+        assert g.subgroup_generated(pick) == expected, pick
+        assert g.is_subgroup(expected)
+        if len(expected) > 2:  # |S| - 1 divides |S| only for |S| = 2
+            assert not g.is_subgroup(expected - {max(expected)})
+    for _ in range(40):
+        subset = set(rng.sample(range(g.order), rng.randrange(1, g.order + 1)))
+        closed = all(g.mul(a, b) in subset for a in subset for b in subset)
+        assert g.is_subgroup(subset) == closed, sorted(subset)
+    assert not g.is_subgroup([])
+    with pytest.raises(ValueError, match=f"lie in 0..{g.order - 1}"):
+        g.is_subgroup([0, g.order])
+    with pytest.raises(ValueError, match=f"lie in 0..{g.order - 1}"):
+        g.mask([-1])

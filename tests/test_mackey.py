@@ -344,28 +344,43 @@ def test_mackey_suite_validates_each_theta_once(monkeypatch):
 
 
 def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
-    """A p = 3 mackey run derives the generators of each of its 10 groups
-    once (the G-orbit call of every configuration read them anew before);
-    orbits under K still derive K's."""
+    """A p = 3 mackey run on a fresh zoo derives the generators of each of
+    its 10 groups once (the G-orbit call of every configuration read them
+    anew before); a second run derives only those of the two groups it
+    builds per call, H(3, 1) and Sp x| H, as the shared zoo's groups keep
+    theirs.  Orbits under K still derive K's on every run."""
     import heisweil.groups as groups_mod
+    import heisweil.suites as suites_mod
 
     whole, parts = [], []
     real = groups_mod.generators_within
 
     def spy(g, members):
         members = list(members)
-        (whole if len(set(members)) == g.order else parts).append(id(g))
+        (whole if len(set(members)) == g.order else parts).append((id(g), g.order))
         return real(g, members)
 
     for module in (groups_mod, mk):
         monkeypatch.setattr(module, "generators_within", spy)
-    checks = SUITES["mackey"](RunConfig())
-    assert all(c.passed for c in checks)
-    assert len(whole) == len(set(whole)) == 10
+    suites_mod._mackey_zoo.cache_clear()
+    runs = []
+    for _ in range(2):
+        whole.clear()
+        parts.clear()
+        checks = SUITES["mackey"](RunConfig())
+        assert all(c.passed for c in checks)
+        runs.append((list(whole), list(parts)))
+    (first, first_parts), (second, second_parts) = runs
+    zoo = {(id(tg), tg.order) for _, tg, *_ in standard_mackey_configurations()}
+    assert len(first) == len(set(first)) == 10 and len(zoo) == 8
+    assert zoo < set(first)
+    assert sorted(order for _, order in second) == [27, 648]
+    assert len(set(second)) == 2 and not zoo & set(second)
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
     assert len({id(tg) for _, tg, *_ in configs}) == 10
     # one K-orbit call per configuration with K proper; K = G reads G's
-    assert len(parts) == sum(len(k) < tg.order for _, tg, k, *_ in configs)
+    proper = sum(len(k) < tg.order for _, tg, k, *_ in configs)
+    assert len(first_parts) == len(second_parts) == proper
 
 
 def test_h1_bound_two_for_theta_trivial_on_center():
@@ -560,3 +575,56 @@ def test_involution_record_validity_across_row_blocks():
     p = np.array(perm)
     whole = np.array_equal(p[z.table], z.table[np.ix_(p, p)])
     assert swapped.is_valid(z) == whole
+
+
+def _zoo_snapshot():
+    """Every configuration of the shared zoo as plain data: label, table,
+    inverses, K, theta's permutation and kappa's character row on K; and
+    the stabilizer cases' tables and thetas."""
+    import heisweil.suites as suites_mod
+
+    configs, stabilizer = suites_mod._mackey_zoo()
+    return [
+        (label, tg.table.tolist(), tg.inverse_of.tolist(), list(k), theta.perm,
+         kappa.characters(k).to_json())
+        for label, tg, k, kappa, theta in configs
+    ] + [(label, tg.table.tolist(), theta.perm) for label, tg, theta in stabilizer]
+
+
+def test_mackey_zoo_is_shared_read_only_and_unchanged_by_a_run():
+    """The zoo is built once per process and handed out as fresh lists of
+    the same configurations; every table and inverse array is read-only, K
+    is a tuple, and a suite run leaves every configuration as it was."""
+    import heisweil.suites as suites_mod
+
+    configs, stabilizer = suites_mod._mackey_zoo()
+    first, second = standard_mackey_configurations(), standard_mackey_configurations()
+    assert first is not second and first == second == list(configs)
+    groups = [tg for _, tg, *_ in configs] + [tg for _, tg, _ in stabilizer]
+    for tg in groups:
+        assert not tg.table.flags.writeable and not tg.inverse_of.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tg.table[0, 0] = 1
+    assert all(type(k) is tuple for _, _, k, *_ in configs)
+    before = _zoo_snapshot()
+    checks = SUITES["mackey"](RunConfig(seed=5))
+    assert all(c.passed for c in checks)
+    assert _zoo_snapshot() == before
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_mackey_runs_repeat_on_the_shared_zoo_and_after_cache_clear(seed):
+    """Two runs in one process and a run on a zoo built anew give the same
+    report: checks, counts and witnesses."""
+    import heisweil.suites as suites_mod
+
+    def report():
+        return [
+            (c.check, c.checks, c.passed, c.witness)
+            for c in SUITES["mackey"](RunConfig(seed=seed))
+        ]
+
+    first, second = report(), report()
+    suites_mod._mackey_zoo.cache_clear()
+    assert first == second == report()
+    assert sum(count for _, count, *_ in first) > 0
