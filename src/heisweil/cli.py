@@ -17,6 +17,7 @@ for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -28,7 +29,7 @@ import numpy as np
 
 from heisweil.checks import Check
 from heisweil.heisenberg import HElem, HeisenbergAutomorphism, SpecialIso
-from heisweil.linalg import CycMatrix
+from heisweil.linalg import _INT64, CycMatrix
 from heisweil.prounipotent import CongruenceGroup
 from heisweil.scalar import CycNumber
 from heisweil.suites import RunConfig, SUITES
@@ -108,6 +109,14 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _emit(payload, out_path: str | None, fmt: str = "json") -> None:
+    """Write the payload and a newline to ``out_path``, or to stdout.
+
+    Every piece of the text is built before the file is opened, so a payload
+    the encoder rejects raises before anything is written.  The pieces are
+    then written in order by one ``writelines``: no joined copy of the text
+    (8.9 MB for a p = 7 ``dump weil``) and no text of a whole matrix is
+    made.
+    """
     if fmt == "csv":
         reports = payload if isinstance(payload, list) else [payload]
         lines = ["suite,checks,failures,seed"]
@@ -115,33 +124,49 @@ def _emit(payload, out_path: str | None, fmt: str = "json") -> None:
             lines.append(
                 f"{r['suite']},{r['checks']},{len(r['failures'])},{r['seed']}"
             )
-        text = "\n".join(lines)
+        pieces = ["\n".join(lines)]
     else:
-        text = _to_json(payload)
-    # print writes the newline on its own: no copy of a 9 MB text
-    if out_path:
-        with open(out_path, "w") as fh:
-            print(text, file=fh)
-    else:
-        print(text)
+        pieces = _pieces(payload)
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 def _to_json(obj) -> str:
     """``json.dumps(plain, sort_keys=True, indent=1)``, byte for byte, where
-    ``plain`` is ``obj`` with every CycMatrix replaced by its ``to_json()``.
+    ``plain`` is ``obj`` with every CycMatrix replaced by its ``to_json()``
+    and every ndarray by its ``tolist()``: the join of :func:`_pieces`."""
+    return "".join(_pieces(obj))
+
+
+def _pieces(obj) -> list[str]:
+    """The text of ``obj`` as :func:`_to_json` gives it, as a list of
+    strings in order.
 
     With any ``indent`` CPython's json module falls back to its pure-Python
     encoder, which yields one string per token; a p = 7 dump is millions of
-    them.  Here a CycMatrix is one ``%`` of a cached template with the
-    integers of :meth:`CycMatrix.reduced_entries`, a list of plain ints, or
-    of non-empty lists of plain ints, is one C-level ``str.join``, and every
-    piece goes to one list that is joined once at the end.  Other leaves
-    (None, bool, float, subclasses) go to ``json.dumps``, whose text for a
-    leaf does not depend on the indent.  Payloads are trees: there is no
-    cycle check.
+    them.  Here a list of plain ints, or of non-empty lists of plain ints,
+    is one C-level ``str.join``, and so is a 2-D integer ndarray, through
+    one list of value strings.  A non-empty CycMatrix is its separators
+    (:func:`_matrix_separators`) around the texts of its entries, and the
+    texts come from :func:`_entry_texts` for all the matrices of one shape
+    and indent together, one text per distinct entry, shared by every
+    matrix that holds it.  Other leaves (None, bool, float, subclasses) go
+    to ``json.dumps``, whose text for a leaf does not depend on the indent.
+    Payloads are trees: there is no cycle check.
     """
-    parts: list[str] = []
+    parts: list = []
     put = parts.append
+    # (N, rows, cols, newline) -> [(index in parts, matrix)]
+    groups: dict[tuple, list] = {}
+
+    def put_rows(rows, nl: str) -> None:
+        # rows of int texts, none empty, as the list of lists it is
+        inner = nl + " "
+        row_nl = inner + " "
+        put("[" + inner + "[" + row_nl)
+        put((inner + "]," + inner + "[" + row_nl).join(map(("," + row_nl).join, rows)))
+        put(inner + "]" + nl + "]")
 
     def write(o, nl: str) -> None:
         # nl is the newline and indent of the line o starts on
@@ -151,31 +176,32 @@ def _to_json(obj) -> str:
             if not (o.nrows and o.ncols):
                 write(o.to_json(), nl)
                 return
-            a, d = o.reduced_entries()
-            pairs = np.stack([a, np.broadcast_to(d[..., None], a.shape)], axis=3)
-            put(_matrix_template(o.N, *a.shape, nl) % tuple(pairs.ravel().tolist()))
+            groups.setdefault((o.N, o.nrows, o.ncols, nl), []).append((len(parts), o))
+            put(None)
         elif type(o) is int:
             put(int.__repr__(o))
+        elif isinstance(o, np.ndarray):
+            if o.ndim == 2 and o.size and o.dtype.kind in "iu":
+                put_rows(_int_table_texts(o), nl)
+            else:
+                write(o.tolist(), nl)
         elif isinstance(o, (list, tuple)):
             if not o:
                 put("[]")
                 return
-            inner = nl + " "
-            sep = "," + inner
             types = set(map(type, o))
-            put("[" + inner)
-            if types == {int}:
-                put(sep.join(map(int.__repr__, o)))
-            elif (
+            if (
                 types <= {list, tuple}
                 and all(o)
                 and set(map(type, chain.from_iterable(o))) == {int}
             ):
-                row_nl = inner + " "
-                rows = map(("," + row_nl).join, map(map, repeat(int.__repr__), o))
-                put("[" + row_nl)
-                put((inner + "]" + sep + "[" + row_nl).join(rows))
-                put(inner + "]")
+                put_rows(map(map, repeat(int.__repr__), o), nl)
+                return
+            inner = nl + " "
+            sep = "," + inner
+            put("[" + inner)
+            if types == {int}:
+                put(sep.join(map(int.__repr__, o)))
             else:
                 for i, x in enumerate(o):
                     if i:
@@ -210,21 +236,124 @@ def _to_json(obj) -> str:
             put(json.dumps(o))
 
     write(obj, "\n")
-    return "".join(parts)
+    for (n, r, c, nl), members in groups.items():
+        seps = _matrix_separators(r, c, nl)
+        texts = _entry_texts(n, nl, [m for _, m in members])
+        for (i, _), entries in zip(members, texts):
+            parts[i] = seps, entries
+    pieces: list[str] = []
+    for part in parts:
+        if type(part) is str:
+            pieces.append(part)
+        else:
+            seps, entries = part
+            pieces += chain.from_iterable(zip(seps, entries))
+            pieces.append(seps[-1])
+    return pieces
+
+
+def _int_table_texts(x: np.ndarray) -> list[list[str]]:
+    """The rows of a 2-D integer array as lists of ``int.__repr__`` texts,
+    each distinct value formatted once: over the range of the values when
+    it is no longer than the array, else over ``np.unique``."""
+    lo, hi = int(x.min()), int(x.max())
+    if hi - lo < x.size and np.can_cast(x.dtype, np.int64):
+        values, index = range(lo, hi + 1), x.astype(np.int64, copy=False) - lo
+    else:
+        values, index = np.unique(x, return_inverse=True)
+        values = values.tolist()
+    texts = np.array(list(map(int.__repr__, values)), dtype=object)
+    return texts[index.reshape(x.shape)].tolist()
+
+
+def _entry_texts(n: int, nl: str, mats: list[CycMatrix]) -> list:
+    """The texts of the entries of each of ``mats`` (r x c matrices over
+    Q(zeta_n) that start on the line whose newline and indent is nl), one
+    row-major sequence per matrix, each entry as ``CycNumber.to_json``
+    gives it: reduced by its own gcd.
+
+    When every numerator is int64 and every denominator below 2^63, the
+    matrices go to :func:`_distinct_entry_texts` in slices of about
+    ``_SLICE_ENTRIES`` entries.  Otherwise each entry is formatted on its
+    own from Python ints.
+    """
+    template = _entry_template(n, mats[0].num.shape[2], nl)
+    if all(m.num.dtype != object and m.den < _INT64 for m in mats):
+        step = max(1, _SLICE_ENTRIES // mats[0].num[..., 0].size)
+        return [
+            entries
+            for k in range(0, len(mats), step)
+            for entries in _distinct_entry_texts(template, mats[k : k + step])
+        ]
+    texts = []
+    for m in mats:
+        # Python ints: np.gcd against int64 would overflow
+        a, d = m.reduced_entries()
+        texts.append(
+            [
+                template % tuple(chain.from_iterable(zip(e, repeat(e_den))))
+                for row, row_den in zip(a.tolist(), d.tolist())
+                for e, e_den in zip(row, row_den)
+            ]
+        )
+    return texts
+
+
+# Entries per np.unique call of _entry_texts.  A whole p = 7 dump in one
+# call holds ~5 MB of temporaries, and the heap they leave behind raised
+# the peak RSS of a process that dumps repeatedly by ~4 MB.
+_SLICE_ENTRIES = 4096
+
+
+def _distinct_entry_texts(template: str, mats: list[CycMatrix]) -> list[list[str]]:
+    """:func:`_entry_texts` for same-shape matrices with int64 numerators
+    and denominators below 2^63.  The stacked numerators are reduced in one
+    ``np.gcd`` pass, as :meth:`CycMatrix.reduced_entries` does, and each
+    distinct (reduced numerators, denominator) key among them is formatted
+    once: the 16 464 entries of a p = 7 Weil dump hold 29."""
+    num = np.stack([m.num for m in mats])
+    den = np.array([m.den for m in mats], dtype=np.int64)[:, None, None]
+    g = np.gcd(np.gcd.reduce(num, axis=3), den)
+    phi = num.shape[3]
+    keys = np.empty(g.shape + (phi + 1,), dtype=np.int64)
+    np.floor_divide(num, g[..., None], out=keys[..., :phi])
+    np.floor_divide(den, g, out=keys[..., phi])
+    keys = keys.reshape(-1, phi + 1)
+    # one void scalar per row, so np.unique compares whole keys
+    _, first, inverse = np.unique(
+        keys.view(np.dtype((np.void, keys.itemsize * (phi + 1)))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    distinct = keys[first]
+    fill = np.empty((len(distinct), 2 * phi), dtype=np.int64)
+    fill[:, 0::2] = distinct[:, :phi]
+    fill[:, 1::2] = distinct[:, phi:]
+    texts = np.array([template % tuple(e) for e in fill.tolist()], dtype=object)
+    return texts[inverse.reshape(len(mats), -1)].tolist()
 
 
 @functools.cache
-def _matrix_template(n: int, r: int, c: int, phi: int, nl: str) -> str:
-    """The indent=1 text of an r x c CycMatrix.to_json() over Q(zeta_n),
-    starting on the line whose newline and indent is nl, with a ``%d`` for
-    each numerator and denominator in the order (row, column, power, a/d).
-    """
-    i1, i2, i3, i4, i5 = (nl + " " * k for k in range(1, 6))
+def _entry_template(n: int, phi: int, nl: str) -> str:
+    """The indent=1 text of one CycNumber.to_json() over Q(zeta_n) in a
+    matrix that starts on the line whose newline and indent is nl, with a
+    ``%d`` for each numerator and the denominator after it, in the order of
+    the powers."""
+    i2, i3, i4, i5 = (nl + " " * k for k in range(2, 6))
     pair = "[" + i5 + "%d," + i5 + "%d" + i4 + "]"
     coeffs = "[" + i4 + ("," + i4).join([pair] * phi) + i3 + "]"
-    entry = "{" + i3 + f'"N": {n},' + i3 + '"coeffs": ' + coeffs + i2 + "}"
-    row = "[" + i2 + ("," + i2).join([entry] * c) + i1 + "]"
-    return "[" + i1 + ("," + i1).join([row] * r) + nl + "]"
+    return "{" + i3 + f'"N": {n},' + i3 + '"coeffs": ' + coeffs + i2 + "}"
+
+
+@functools.cache
+def _matrix_separators(r: int, c: int, nl: str) -> tuple[str, ...]:
+    """The r c + 1 strings around the entries of the indent=1 text of an
+    r x c matrix that starts on the line whose newline and indent is nl:
+    the text is separators[0], entry 0, separators[1], ..., entry r c - 1,
+    separators[r c], with the entries in row-major order."""
+    i1, i2 = nl + " ", nl + "  "
+    row = "[" + i2 + ("," + i2).join(["%s"] * c) + i1 + "]"
+    return tuple(("[" + i1 + ("," + i1).join([row] * r) + nl + "]").split("%s"))
 
 
 def _jsonable(x):
@@ -384,7 +513,7 @@ def _dump(args, cfg: RunConfig):
             ]
         return payload
     if args.what == "mackey":
-        return {"order": group.order, "table": group.table.tolist()}
+        return {"order": group.order, "table": group.table}
     raise RuntimeError(f"no dump for {args.what!r}")
 
 

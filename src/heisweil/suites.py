@@ -31,7 +31,10 @@ S(theta, Theta') by K-orbit, and the oracle's value for kappa and for
 kappa~ are each computed once, and every check of the configuration reads
 them.  The configurations of the zoo depend on neither p nor the seed:
 they are built once per process (:func:`_mackey_zoo`), read-only, while
-the Heisenberg ones, Sp x| H among them, are built per run.
+the Heisenberg ones, Sp x| H among them, are built per run.  The zoo
+also keeps each kappa~ with its character row; only the Heisenberg
+configurations build kappa~ per run, and the oracle on kappa~ runs every
+time.
 """
 
 from __future__ import annotations
@@ -547,12 +550,14 @@ def standard_mackey_configurations():
 
 @functools.cache
 def _mackey_zoo():
-    """(configurations, stabilizer cases), built once per process, as
-    neither depends on p or the seed; a run reads them and evaluates every
-    identity anew.  Each table and ``inverse_of`` is read-only, K is a
-    sorted tuple and theta a frozen record, so no run can change what the
-    next one reads.  The stabilizer cases are (label, group, theta) for
-    S3, D4 and Q8 with their first nontrivial involution."""
+    """(configurations, stabilizer cases, contragredients), built once per
+    process, as none depends on p or the seed; a run reads them and
+    evaluates every identity anew.  Each table and ``inverse_of`` is
+    read-only, K is a sorted tuple and theta a frozen record, so no run can
+    change what the next one reads.  The stabilizer cases are (label,
+    group, theta) for S3, D4 and Q8 with their first nontrivial involution.
+    The contragredients are kappa~ of each configuration, in order, with
+    their images and character rows built and read-only."""
     configs = []
 
     def add(label, tg, k_members, theta, kappa=None):
@@ -618,8 +623,12 @@ def _mackey_zoo():
     for tg in {id(tg): tg for _, tg, *_ in configs}.values():
         for shared in (tg.table, tg.inverse_of):
             shared.flags.writeable = False
+    tildes = tuple(_contragredient(tg, k, kappa) for _, tg, k, kappa, _ in configs)
+    for tilde in tildes:
+        for m in (*tilde.images.values(), tilde._character[1]):
+            m.num.flags.writeable = False
     stabilizer = (("S3", s3, thetas3[0]), ("D4", *d4), ("Q8", q8, thetas8[0]))
-    return tuple(configs), stabilizer
+    return tuple(configs), stabilizer, tildes
 
 
 def _cyclic_subgroup(tg: mk.TableGroup, order: int) -> list[int]:
@@ -676,7 +685,10 @@ def heisenberg_mackey_configurations():
 
 def suite_mackey(cfg: RunConfig) -> list[Check]:
     rec = Recorder()
-    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
+    zoo, _, zoo_tildes = _mackey_zoo()
+    heis = heisenberg_mackey_configurations()
+    configs = [*zoo, *heis]
+    tildes = [*zoo_tildes, *(_contragredient(tg, k, kappa) for _, tg, k, kappa, _ in heis)]
     dcs = rec("mackey.double_coset_sum_equals_oracle")
     clauses = rec("mackey.twisted_coset_clauses")
     triangle = rec("mackey.triangle_bijection")
@@ -684,7 +696,7 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
     orbmult = rec("mackey.orbit_multiplicity_formula")
     contr = rec("mackey.contragredient_multiplicity")
     rng = random.Random(cfg.seed)
-    for label, tg, k_members, kappa, theta in configs:
+    for (label, tg, k_members, kappa, theta), tilde in zip(configs, tildes):
         orbit = mk.involution_orbits(tg, [theta], range(tg.order))[0]
         k_orbits = mk.involution_orbits(tg, orbit, k_members, validate=False)
         orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
@@ -704,7 +716,6 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
             bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
         rhs = mk.orbmult_rhs(tg, k_members, kappa, k_orbits, m)
         orbmult(oracle == rhs, {"config": label, "lhs": oracle, "rhs": rhs})
-        tilde = _contragredient(tg, k_members, kappa)
         tilde_oracle = mk.induced_hom_dim_oracle(tg, k_members, tilde, h_members)
         contr(oracle == tilde_oracle, label)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import heisweil
 from heisweil import cli
@@ -222,6 +223,13 @@ WEIL_DUMP_SHA256 = {
 # `dump reps --p 7`, as perfbench/digests.json pins it under "reps/p7"
 REPS_P7_SHA256 = "a0d4f3cbdf9110e8c15768342a9d4a5fd149b0c91e3c6a227f71f36aa09fdccc"
 
+# `dump mackey --p <p>`, written from the table's tolist(); p = 7 as
+# perfbench/digests.json pins it under "mackey/p7"
+MACKEY_SHA256 = {
+    3: "7a697fdbcccc4c7167e660d8d51040221a46c70461e1af81eb2df21f67b4a899",
+    7: "632e619f7183fc9ec481c7461428a955c493c32ebed86c73bfc50c5093faebf1",
+}
+
 
 @pytest.mark.parametrize(
     "argv,digest",
@@ -237,13 +245,33 @@ REPS_P7_SHA256 = "a0d4f3cbdf9110e8c15768342a9d4a5fd149b0c91e3c6a227f71f36aa09fdc
         )
         for (p, model, zeta), digest in sorted(WEIL_DUMP_SHA256.items())
     ]
-    + [pytest.param(["dump", "reps", "--p", "7"], REPS_P7_SHA256, id="reps-p7")],
+    + [pytest.param(["dump", "reps", "--p", "7"], REPS_P7_SHA256, id="reps-p7")]
+    + [
+        pytest.param(["dump", "mackey", "--p", str(p)], digest, id=f"mackey-p{p}")
+        for p, digest in sorted(MACKEY_SHA256.items())
+    ],
 )
 def test_dump_bytes_pinned_p3(argv, digest):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert run(argv) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dump", "weil", "--p", "5"],
+        ["dump", "mackey", "--p", "7"],
+        ["verify", "all", "--p", "3"],
+    ],
+)
+def test_out_file_bytes_equal_stdout(argv, tmp_path):
+    code, out, err = _run_captured(argv)
+    assert code == 0, err
+    path = tmp_path / "out.json"
+    assert run(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == out.encode()
 
 
 def test_sqrt_large_modulus_under_optimize_flag():
@@ -308,9 +336,12 @@ def _stdlib_json(obj) -> str:
 
 def _plain(obj):
     """obj with every CycMatrix replaced by the to_json of its CycNumber
-    entries: the entrywise reduction, independent of the packed one."""
+    entries (the entrywise reduction, independent of the packed one) and
+    every ndarray by its tolist()."""
     if isinstance(obj, CycMatrix):
         return [[e.to_json() for e in row] for row in obj.rows]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -423,6 +454,110 @@ def test_packed_matrix_cases_reach_both_dtypes():
     for m in (big_den, big_num):
         assert m.to_json() == _plain(m)
         assert _to_json([m, {"m": m}]) == _stdlib_json(_plain([m, {"m": m}]))
+
+
+@st.composite
+def _same_shape_matrices(draw):
+    """Two to five r x c matrices over one Q(zeta_n), each stored its own
+    way: int64 numerators over a denominator below 2^63 or of at least 2^63,
+    or object numerators."""
+    n = draw(st.sampled_from([4, 12, 28]))
+    phi = context(n).phi
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    mats = []
+    for _ in range(draw(st.integers(2, 5))):
+        storage = draw(st.sampled_from(["int64", "big_den", "object"]))
+        value = st.integers(-12, 12) | st.integers(-(2**62), 2**62)
+        if storage == "object":
+            value = value | st.integers(-(2**90), 2**90)
+        den = draw(
+            st.integers(2**64, 2**64 + 6) if storage == "big_den"
+            else st.sampled_from([1, 2, 3, 6, 7, 60])
+        )
+        entries = draw(st.lists(value, min_size=r * c * phi, max_size=r * c * phi))
+        if storage == "object":
+            entries[0] = 2**80
+        num = np.array(entries, dtype=object).reshape(r, c, phi)
+        mats.append(CycMatrix._packed(n, num, den))
+    return mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(mats=_same_shape_matrices(), layout=st.sampled_from(["list", "dicts", "keys"]))
+def test_to_json_writes_same_shape_matrices_of_mixed_storage(mats, layout):
+    # all at one depth, so they share one entry and one matrix template
+    payload = {
+        "list": mats,
+        "dicts": [{"m": m} for m in mats],
+        "keys": {f"m{i}": m for i, m in enumerate(mats)},
+    }[layout]
+    assert _to_json(payload) == _stdlib_json(_plain(payload))
+
+
+def test_to_json_mixed_storage_group_reaches_every_case():
+    ints = CycMatrix._packed(12, np.array([[[1, 2, 3, 4], [0, 0, 0, 0]]]), 6)
+    big_den = CycMatrix._packed(12, np.array([[[1, 2, 3, 4], [5, 0, 0, 0]]]), 2**64 + 1)
+    big_num = CycMatrix._packed(
+        12, np.array([[[2**80, 0, 0, 1], [1, 2, 3, 4]]], dtype=object), 6
+    )
+    assert ints.num.dtype == np.int64 and ints.den < 2**63
+    assert big_den.num.dtype == np.int64 and big_den.den >= 2**63
+    assert big_num.num.dtype == object
+    for payload in ([ints, ints], [ints, big_den], [big_num, ints], [ints, big_den, big_num]):
+        assert _to_json(payload) == _stdlib_json(_plain(payload))
+
+
+def test_to_json_keys_entries_by_their_denominator():
+    # the same reduced numerators [1, 0] over 2 and over 3: once in two
+    # matrices of one shape, once in one matrix
+    half = CycMatrix._packed(4, np.array([[[1, 0]]]), 2)
+    third = CycMatrix._packed(4, np.array([[[1, 0]]]), 3)
+    both = CycMatrix._packed(4, np.array([[[3, 0], [2, 0]]]), 6)
+    for payload in ([half, third], [third, half], {"a": both}, [half, both, third]):
+        assert _to_json(payload) == _stdlib_json(_plain(payload))
+    assert _plain(half) != _plain(third)
+
+
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=hnp.arrays(
+        st.sampled_from([np.int8, np.uint8, np.int32, np.int64, np.uint64]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+    )
+)
+@example(x=np.array([[_INT64_MIN, _INT64_MAX], [0, -1]]))
+@example(x=np.array([[np.iinfo(np.uint64).max, 0]], dtype=np.uint64))
+@example(x=np.array([[-128, 127]] * 128, dtype=np.int8))
+@example(x=np.arange(16).reshape(4, 4) % 3)
+@example(x=np.zeros((0, 3), dtype=np.int64))
+@example(x=np.zeros((3, 0), dtype=np.int64))
+@example(x=np.array([_INT64_MIN, _INT64_MAX]))
+def test_to_json_writes_int_arrays_as_their_tolist(x):
+    assert _to_json(x) == _stdlib_json(x.tolist())
+    payload = {"table": x, "nested": [x, {"x": x}]}
+    assert _to_json(payload) == _stdlib_json(_plain(payload))
+
+
+@pytest.mark.parametrize(
+    "x", [np.array([[True, False]]), np.array([[0.5, -1.0]]), np.array(3), np.zeros((2, 0, 2))]
+)
+def test_to_json_writes_other_arrays_as_their_tolist(x):
+    assert _to_json(x) == _stdlib_json(x.tolist())
+
+
+def test_emit_rejects_a_payload_before_writing(tmp_path, capsys):
+    # the matrix comes first, so a streaming writer would have begun
+    payload = {"a": CycMatrix._packed(4, np.array([[[1, 0]]]), 2), "b": object()}
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        cli._emit(payload, str(path))
+    assert not path.exists()
+    with pytest.raises(TypeError):
+        cli._emit(payload, None)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

@@ -579,25 +579,28 @@ def test_involution_record_validity_across_row_blocks():
 
 def _zoo_snapshot():
     """Every configuration of the shared zoo as plain data: label, table,
-    inverses, K, theta's permutation and kappa's character row on K; and
-    the stabilizer cases' tables and thetas."""
+    inverses, K, theta's permutation, and the character rows on K of kappa
+    and of the kept kappa~ with kappa~'s images; and the stabilizer cases'
+    tables and thetas."""
     import heisweil.suites as suites_mod
 
-    configs, stabilizer = suites_mod._mackey_zoo()
+    configs, stabilizer, tildes = suites_mod._mackey_zoo()
     return [
         (label, tg.table.tolist(), tg.inverse_of.tolist(), list(k), theta.perm,
-         kappa.characters(k).to_json())
-        for label, tg, k, kappa, theta in configs
+         kappa.characters(k).to_json(), tilde.characters(k).to_json(),
+         [tilde.images[x].to_json() for x in k])
+        for (label, tg, k, kappa, theta), tilde in zip(configs, tildes)
     ] + [(label, tg.table.tolist(), theta.perm) for label, tg, theta in stabilizer]
 
 
 def test_mackey_zoo_is_shared_read_only_and_unchanged_by_a_run():
     """The zoo is built once per process and handed out as fresh lists of
     the same configurations; every table and inverse array is read-only, K
-    is a tuple, and a suite run leaves every configuration as it was."""
+    is a tuple, kappa~ is kept with its images and character row read-only,
+    and a suite run leaves every configuration as it was."""
     import heisweil.suites as suites_mod
 
-    configs, stabilizer = suites_mod._mackey_zoo()
+    configs, stabilizer, tildes = suites_mod._mackey_zoo()
     first, second = standard_mackey_configurations(), standard_mackey_configurations()
     assert first is not second and first == second == list(configs)
     groups = [tg for _, tg, *_ in configs] + [tg for _, tg, _ in stabilizer]
@@ -606,6 +609,14 @@ def test_mackey_zoo_is_shared_read_only_and_unchanged_by_a_run():
         with pytest.raises(ValueError, match="read-only"):
             tg.table[0, 0] = 1
     assert all(type(k) is tuple for _, _, k, *_ in configs)
+    assert len(tildes) == len(configs)
+    for (_, tg, k, kappa, _), tilde in zip(configs, tildes):
+        assert tilde == suites_mod._contragredient(tg, k, kappa)
+        row = tilde.__dict__["_character"][1]  # built with the zoo
+        for m in (*tilde.images.values(), row):
+            assert not m.num.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            row.num[0, 0, 0] = 1
     before = _zoo_snapshot()
     checks = SUITES["mackey"](RunConfig(seed=5))
     assert all(c.passed for c in checks)
