@@ -688,7 +688,10 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
     zoo, _, zoo_tildes = _mackey_zoo()
     heis = heisenberg_mackey_configurations()
     configs = [*zoo, *heis]
-    tildes = [*zoo_tildes, *(_contragredient(tg, k, kappa) for _, tg, k, kappa, _ in heis)]
+    tildes = [
+        *zoo_tildes,
+        *(_contragredient(tg, k, kappa) for _, tg, k, kappa, _ in heis),
+    ]
     dcs = rec("mackey.double_coset_sum_equals_oracle")
     clauses = rec("mackey.twisted_coset_clauses")
     triangle = rec("mackey.triangle_bijection")

@@ -454,6 +454,11 @@ def test_packed_matrix_cases_reach_both_dtypes():
     for m in (big_den, big_num):
         assert m.to_json() == _plain(m)
         assert _to_json([m, {"m": m}]) == _stdlib_json(_plain([m, {"m": m}]))
+    # and both beside int64 ones over a small denominator, at one shape and depth
+    ints = CycMatrix._packed(12, np.array([[[1, 2, 3, 4]]]), 6)
+    assert ints.num.dtype == np.int64 and ints.den < 2**63
+    for payload in ([ints, big_den], [big_num, ints], [ints, big_den, big_num, ints]):
+        assert _to_json(payload) == _stdlib_json(_plain(payload))
 
 
 @st.composite
@@ -492,19 +497,6 @@ def test_to_json_writes_same_shape_matrices_of_mixed_storage(mats, layout):
         "keys": {f"m{i}": m for i, m in enumerate(mats)},
     }[layout]
     assert _to_json(payload) == _stdlib_json(_plain(payload))
-
-
-def test_to_json_mixed_storage_group_reaches_every_case():
-    ints = CycMatrix._packed(12, np.array([[[1, 2, 3, 4], [0, 0, 0, 0]]]), 6)
-    big_den = CycMatrix._packed(12, np.array([[[1, 2, 3, 4], [5, 0, 0, 0]]]), 2**64 + 1)
-    big_num = CycMatrix._packed(
-        12, np.array([[[2**80, 0, 0, 1], [1, 2, 3, 4]]], dtype=object), 6
-    )
-    assert ints.num.dtype == np.int64 and ints.den < 2**63
-    assert big_den.num.dtype == np.int64 and big_den.den >= 2**63
-    assert big_num.num.dtype == object
-    for payload in ([ints, ints], [ints, big_den], [big_num, ints], [ints, big_den, big_num]):
-        assert _to_json(payload) == _stdlib_json(_plain(payload))
 
 
 def test_to_json_keys_entries_by_their_denominator():
