@@ -6,9 +6,11 @@ Fourier-convention note.
     python3 scripts/explore_sl23.py
 """
 
+from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import CycMatrix
-from heisweil.symplectic import n_element, weyl_element
-from heisweil.weil import lift_in_odd_even_basis, sl23_reference, sp_table
+from heisweil.reps import heisenberg_rep
+from heisweil.symplectic import SymplecticSpace, n_element, weyl_element
+from heisweil.weil import lift_in_odd_even_basis, sl23_reference, sp_table, weil_lift
 
 
 def fmt(m: CycMatrix) -> str:
@@ -19,7 +21,8 @@ def fmt(m: CycMatrix) -> str:
 
 
 def main() -> None:
-    alpha, beta, lift, ref = sl23_reference()
+    tau = heisenberg_rep(HeisenbergGroup(SymplecticSpace(3, 1)), 1, model="minus")
+    alpha, beta, lift, ref = sl23_reference(weil_lift(tau))
     space = lift.space
     els = sp_table(space).names
     jel = weyl_element(space)

@@ -3,7 +3,7 @@
 Usage (noun-verb and verb-noun orders both work):
 
     heisweil verify all --p 3 --ell 1
-    heisweil weil verify --p 5 --mode exhaustive
+    heisweil weil verify --p 5
     heisweil weil dump --p 3 --ell 1 --zeta 1 --model minus
     heisweil heisenberg dump --p 3
     heisweil mackey dump
@@ -48,15 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact verification suites for Heisenberg/Weil structures",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    # allow_abbrev=False: no prefix matching, so `dump --mode` is not `--model`
+    # allow_abbrev=False on every parser: a flag matches only in full, so
+    # `verify --pre` is not `--precision` and `dump weil --mode` is not `--model`
     verify = sub.add_parser(
         "verify", help="run a verification suite", allow_abbrev=False
     )
     verify.add_argument("suite", choices=SUITE_NAMES + ["all"])
     _add_config_flags(verify)
-    verify.add_argument(
-        "--mode", choices=["exhaustive", "relations"], default="exhaustive"
-    )
     verify.add_argument("--precision", type=int, default=4, help="K for sqrt suites")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--format", choices=["json", "csv"], default="json")
@@ -102,7 +100,7 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def _config_from_args(args) -> RunConfig:
-    # dump has no --mode, --precision or --seed: those keep their defaults
+    # dump has no --precision or --seed: those keep their defaults
     given = vars(args)
     names = [f.name for f in dataclasses.fields(RunConfig)]
     return RunConfig(**{k: given[k] for k in names if k in given})
@@ -441,10 +439,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _dump_guard(args, cfg: RunConfig) -> str | None:
-    """Why a dump cannot be built, or None.  A dump reads no --mode: at
-    ell = 2 the Weil lift it builds is the plus model's, on the generators."""
+    """Why a dump cannot be built, or None.  At ell = 2 the Weil lift it
+    builds is the plus model's, on the generators."""
     weil = args.what == "weil"
-    err = cfg.validate_for("weil" if weil and cfg.ell == 1 else "heisenberg")
+    err = cfg.validate_for("weil" if weil else "heisenberg")
     if err is None and weil and cfg.ell == 2 and args.model != "plus":
         err = "the Weil lift is built only for the plus model at ell = 2"
     if err is None and args.what in ("weil", "reps") and args.zeta % cfg.p == 0:

@@ -35,6 +35,7 @@ import numpy as np
 from heisweil.checks import Check
 from heisweil.groups import TableGroup
 from heisweil.symplectic import (
+    SP_ENUM_GUARD,
     GuardError,
     Polarization,
     SpElement,
@@ -447,9 +448,10 @@ def polarization_from_involution(alpha: HeisenbergAutomorphism):
 
 def _sweep_guard(g: HeisenbergGroup) -> None:
     """The (s, w0) sweeps below run over |Sp(W)| * |W| candidates."""
-    if g.space.ell != 1 or g.p > 7:
+    max_p = SP_ENUM_GUARD["ell1_max_p"]
+    if g.space.ell != 1 or g.p > max_p:
         raise GuardError(
-            f"automorphism sweep guarded to ell = 1 and p <= 7; "
+            f"automorphism sweep guarded to ell = 1 and p <= {max_p}; "
             f"got ell = {g.space.ell}, p = {g.p}"
         )
 

@@ -83,32 +83,29 @@ class RunConfig:
     p: int = 3
     ell: int = 1
     precision: int = 4  # K for the congruence-subgroup suite
-    mode: str = "exhaustive"  # exhaustive | relations
     seed: int = 0
 
     def validate_for(self, suite: str) -> str | None:
         """Return an error string when a guard rejects this config."""
         from heisweil.scalar import is_odd_prime
 
+        weil_max_p = weil_mod.WEIL_EXHAUSTIVE_GUARD["max_p"]
+        enum_max_p = sympl.SP_ENUM_GUARD["ell1_max_p"]
         if not is_odd_prime(self.p):
             return f"p = {self.p} must be an odd prime"
         if self.ell not in (1, 2):
             return f"ell = {self.ell} unsupported (1, or 2 with p = 3)"
         if self.ell == 2 and self.p != 3:
-            return "ell = 2 is supported only with p = 3 (relation mode)"
+            return "ell = 2 is supported only with p = 3"
         if self.precision < 1:
             return f"precision = {self.precision} must be at least 1 (K >= k0 = 1)"
         if suite in ("reps", "all") and self.ell != 1:
             return "the reps suite runs at ell = 1 only"
-        if suite in ("weil", "all") and self.ell == 1 and self.p > 7:
-            return "the Weil lift is built only for p <= 7 at ell = 1, in every mode"
-        if suite in ("weil", "all") and self.ell == 2 and self.mode == "exhaustive":
-            return (
-                "exhaustive Weil verification requires ell = 1; "
-                "use --mode relations at ell = 2"
-            )
-        if suite in ("heisenberg", "reps", "all") and self.ell == 1 and self.p > 7:
-            return "enumeration suites are guarded to p <= 7"
+        if suite in ("weil", "all") and self.ell == 1 and self.p > weil_max_p:
+            return f"the Weil lift is built only for p <= {weil_max_p} at ell = 1"
+        enumerated = suite in ("heisenberg", "reps", "all") and self.ell == 1
+        if enumerated and self.p > enum_max_p:
+            return f"enumeration suites are guarded to p <= {enum_max_p}"
         return None
 
 
@@ -346,9 +343,7 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
     if cfg.ell == 2:
         group = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 2))
         lift = weil_mod.weil_lift(reps_mod.heisenberg_rep(group, 1, model="plus"))
-        weil_mod.verify_homomorphism(
-            lift, mode="relations", check=rec("weil.generator_relations")
-        )
+        weil_mod.verify_homomorphism(lift, check=rec("weil.generator_relations"))
         weil_mod.verify_intertwining(lift, check=rec("weil.intertwining"))
         return rec
 
@@ -357,7 +352,7 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
     # certificate runs while both are held; its checks join the report below
     lift_plus = weil_mod.weil_lift(reps_mod.heisenberg_rep(group, 1, model="plus"))
     hom_plus = weil_mod.verify_homomorphism(
-        lift_plus, mode=cfg.mode, check=Check("weil.homomorphism_plus_model")
+        lift_plus, check=Check("weil.homomorphism_plus_model")
     )
     action_plus = weil_mod.p_action_check(
         lift_plus, check=Check("weil.parabolic_action_plus")
@@ -369,9 +364,7 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
     rec("weil.normalization_unitary")(
         norm * norm.conj() * p == CycNumber.one(norm.N), norm
     )
-    weil_mod.verify_homomorphism(
-        lift, mode=cfg.mode, check=rec(f"weil.homomorphism_{cfg.mode}")
-    )
+    weil_mod.verify_homomorphism(lift, check=rec("weil.homomorphism_exhaustive"))
     rec.append(hom_plus)
     weil_mod.verify_intertwining(lift, check=rec("weil.intertwining"))
     rec("weil.restriction_is_base")(lift.restriction_is_base())
@@ -396,17 +389,17 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
 
 
 def _sl23_checks(rec: Recorder, lift) -> None:
-    alpha, beta, ref_lift, ref = weil_mod.sl23_reference()
-    els = sympl.sp_table(ref_lift.space).names
+    alpha, beta, _, ref = weil_mod.sl23_reference(lift)
+    els = sympl.sp_table(lift.space).names
     # tr alpha(s) + tr beta(s) for every s, as one row
     alpha_row, beta_row = (trace_table([rep[s] for s in els]) for rep in (alpha, beta))
     target = alpha_row + beta_row
-    lifted = trace_table([ref_lift.sp_images[ref.translate(s)] for s in els])
+    lifted = trace_table([lift.sp_images[ref.translate(s)] for s in els])
     rec("weil.sl23_character_is_alpha_plus_beta").all(
         lifted.equal_entries(target)[0], lambda i: els[i]
     )
 
-    jel = sympl.weyl_element(ref_lift.space)
+    jel = sympl.weyl_element(lift.space)
     m = weil_mod.lift_in_odd_even_basis(ref, jel.inverse())
     even = CycMatrix(12, [[m[1, 1], m[1, 2]], [m[2, 1], m[2, 2]]])
     rec("weil.sl23_beta_j_matrix")(

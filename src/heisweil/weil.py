@@ -58,7 +58,7 @@ from heisweil.linalg import (
     trace_table,
 )
 from heisweil.mackey import semidirect_mul
-from heisweil.reps import MatrixRep, heisenberg_rep
+from heisweil.reps import MatrixRep
 from heisweil.scalar import (
     CycNumber,
     context,
@@ -113,8 +113,11 @@ class WeilLift:
     base: MatrixRep
     sp_images: dict
     normalization: CycNumber
-    nu: SpecialIso | None = None
-    generators_only: bool = False
+
+    @property
+    def generators_only(self) -> bool:
+        """Images exist on the generators of Sp(W) only: at ell = 2."""
+        return self.space.ell == 2
 
     @property
     def group(self) -> HeisenbergGroup:
@@ -216,11 +219,12 @@ def _normalization_candidates(p: int, ell: int, n: int) -> list[CycNumber]:
     return out
 
 
-def weil_lift(tau: MatrixRep, nu: SpecialIso | None = None) -> WeilLift:
+def weil_lift(tau: MatrixRep) -> WeilLift:
     """Construct the designated extension of tau to Sp(W), as sp-images.
 
     For ell = 1 every element of SL(2, p) receives an image; for
-    (ell, p) = (2, 3) only the generators do (relation-mode support).
+    (ell, p) = (2, 3) only the generators do, and the lift is checked by
+    their relations.
     """
     g: HeisenbergGroup = tau.group
     space, p, ell = g.space, g.p, g.space.ell
@@ -234,7 +238,7 @@ def weil_lift(tau: MatrixRep, nu: SpecialIso | None = None) -> WeilLift:
             f"or ell=2, p=3; got ell={ell}, p={p}"
         )
     if ell == 2 and tau.model != "plus":
-        raise GuardError("ell=2 relation-mode support uses the plus model")
+        raise GuardError("the ell=2 lift is built for the plus model only")
     n = tau.conductor
 
     if tau.model == "plus":
@@ -268,9 +272,7 @@ def weil_lift(tau: MatrixRep, nu: SpecialIso | None = None) -> WeilLift:
 
     if ell == 2:
         images = _generator_images_ell2(tau, j_img)
-        return WeilLift(
-            base=tau, sp_images=images, normalization=c, nu=nu, generators_only=True
-        )
+        return WeilLift(base=tau, sp_images=images, normalization=c)
 
     # ell = 1: every element through its Bruhat cell, one product table per
     # left factor, so each has a one-matrix family on the left
@@ -306,7 +308,7 @@ def weil_lift(tau: MatrixRep, nu: SpecialIso | None = None) -> WeilLift:
         else:
             (_, x), _, (_, y), (_, z) = word
             images[s] = big[x][y - 1][z]
-    lift = WeilLift(base=tau, sp_images=images, normalization=c, nu=nu)
+    lift = WeilLift(base=tau, sp_images=images, normalization=c)
     if not lift.restriction_is_base():
         raise RuntimeError("the Weil lift does not send the identity to the identity")
     return lift
@@ -331,24 +333,21 @@ def _generator_images_ell2(tau, j_img):
 # -- verification ----------------------------------------------------------------
 
 
-def verify_homomorphism(
-    lift: WeilLift, mode: str = "exhaustive", check: Check | None = None
-) -> Check:
+def verify_homomorphism(lift: WeilLift, check: Check | None = None) -> Check:
     """Prove that s -> sp_images(s) is a homomorphism of Sp(W), exactly.
 
-    exhaustive: :meth:`~heisweil.reps.MatrixRep.verify_homomorphism` on
-                the generators S of :func:`~heisweil.symplectic.sp_table`:
-                omega(1) = 1 and omega(x s) = omega(x) omega(s) for x in S
-                and every s prove every pair, by the lemma there, with
-                1 + |S| |Sp| identities (673 at p = 7);
-    relations:  generator relations only (the j^2 / braid identities), the
-                one mode of a lift with images on the generators only.
+    A lift with images on all of Sp(W) (ell = 1) runs
+    :meth:`~heisweil.reps.MatrixRep.verify_homomorphism` on the generators
+    S of :func:`~heisweil.symplectic.sp_table`: omega(1) = 1 and
+    omega(x s) = omega(x) omega(s) for x in S and every s prove every pair,
+    by the lemma there, with 1 + |S| |Sp| identities (673 at p = 7).  A
+    lift with images on the generators only (ell = 2) is checked by the
+    generator relations.
     """
-    check = Check(f"weil.homomorphism.{mode}") if check is None else check
-    if mode == "relations" or lift.generators_only:
+    if lift.generators_only:
+        check = Check("weil.generator_relations") if check is None else check
         return _verify_relations(lift, check)
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
+    check = Check("weil.homomorphism_exhaustive") if check is None else check
     tg = sp_table(lift.space)  # raises GuardError past ell = 1, p <= 7
     images = {i: lift.sp_images[s] for i, s in enumerate(tg.names)}
     MatrixRep(tg, lift.base.dim, images, lift.base.conductor).verify_homomorphism(check)
@@ -356,46 +355,31 @@ def verify_homomorphism(
 
 
 def _verify_relations(lift: WeilLift, check: Check) -> Check:
-    space = lift.space
-    n, dim = lift.base.conductor, lift.base.dim
-    ident = CycMatrix.identity(n, dim)
+    """The relations of the ell = 2 generators of :func:`_generator_images_ell2`."""
+    space, p = lift.space, lift.space.p
     img = lift.sp_images.__getitem__
     jel = weyl_element(space)
-    ell, p = space.ell, space.p
-    if ell == 1:
-        check(img(jel) ** 4 == ident, "j^4 = 1")
-        nel = n_element(space, [[1]])
-        braided = img(jel) @ img(nel)
-        check(braided**3 == ident, "(j n(1))^3 = 1")
-        m2 = m_element(space, [[2]])
-        check(
-            img(m2) @ img(nel) @ img(m2).inverse()
-            == img(n_element(space, [[4 % p]])),
-            "m(2) n(1) m(2)^-1 = n(4)",
-        )
-    else:
-        m1 = m_element(space, [[1, 1], [0, 1]])
-        m2 = m_element(space, [[2, 0], [0, 1]])
-        n1 = n_element(space, [[1, 0], [0, 0]])
-        n2 = n_element(space, [[0, 0], [0, 1]])
-        n3 = n_element(space, [[0, 1], [1, 0]])
-        check(img(n1) @ img(n2) == img(n2) @ img(n1), "n-generators commute")
-        check(img(n1) @ img(n3) == img(n3) @ img(n1), "n-generators commute (2)")
-        # m-conjugation carries the phase of n(b) to that of n(y b ty)
-        for mel, mat in ((m1, [[1, 1], [0, 1]]), (m2, [[2, 0], [0, 1]])):
-            y = np.array(mat, dtype=np.int64)
-            for nel, b in ((n1, [[1, 0], [0, 0]]), (n2, [[0, 0], [0, 1]])):
-                b2 = (y @ np.array(b, dtype=np.int64) @ y.T) % p
-                lhs = img(mel) @ img(nel) @ img(mel).inverse()
-                rhs = _quadratic_phase_image(lift.base, b2, lower=False)
-                check(lhs == rhs, f"m n m^-1 = n(y b ty), y = {mat}, b = {b}")
-        jj = img(jel) @ img(jel)
-        mm = _levi_image(lift.base, (-np.eye(ell, dtype=np.int64)) % p)
-        check(jj == mm, "j^2 = m(-1)")
-        nid = n_element(space, np.eye(2, dtype=np.int64))
-        if nid in lift.sp_images:
-            b = img(jel) @ img(nid)
-            check(b**3 == ident, "(j n(I))^3 = 1")
+    m1 = m_element(space, [[1, 1], [0, 1]])
+    m2 = m_element(space, [[2, 0], [0, 1]])
+    n1 = n_element(space, [[1, 0], [0, 0]])
+    n2 = n_element(space, [[0, 0], [0, 1]])
+    n3 = n_element(space, [[0, 1], [1, 0]])
+    check(img(n1) @ img(n2) == img(n2) @ img(n1), "n-generators commute")
+    check(img(n1) @ img(n3) == img(n3) @ img(n1), "n-generators commute (2)")
+    # m-conjugation carries the phase of n(b) to that of n(y b ty)
+    for mel, mat in ((m1, [[1, 1], [0, 1]]), (m2, [[2, 0], [0, 1]])):
+        y = np.array(mat, dtype=np.int64)
+        for nel, b in ((n1, [[1, 0], [0, 0]]), (n2, [[0, 0], [0, 1]])):
+            b2 = (y @ np.array(b, dtype=np.int64) @ y.T) % p
+            lhs = img(mel) @ img(nel) @ img(mel).inverse()
+            rhs = _quadratic_phase_image(lift.base, b2, lower=False)
+            check(lhs == rhs, f"m n m^-1 = n(y b ty), y = {mat}, b = {b}")
+    jj = img(jel) @ img(jel)
+    mm = _levi_image(lift.base, (-np.eye(2, dtype=np.int64)) % p)
+    check(jj == mm, "j^2 = m(-1)")
+    braided = img(jel) @ img(n_element(space, np.eye(2, dtype=np.int64)))
+    ident = CycMatrix.identity(lift.base.conductor, lift.base.dim)
+    check(braided**3 == ident, "(j n(I))^3 = 1")
     return check
 
 
@@ -515,16 +499,22 @@ class Sl23Reference:
     even_basis_change: CycMatrix
 
 
-def sl23_reference() -> tuple[dict, dict, WeilLift, "Sl23Reference"]:
+def sl23_reference(lift: WeilLift) -> tuple[dict, dict, WeilLift, "Sl23Reference"]:
     """The explicit p=3 model: the character alpha, the 2-dimensional beta,
     and the Weil lift, all over SL(2, 3) written in the basis with the first
     vector in W- and the second in W+ (translation = conjugation by j).
+
+    ``lift`` is the Weil lift of the minus-model H(3, 1) rep with central
+    character zeta_3^1; any other lift raises ValueError.
     """
-    space = SymplecticSpace(3, 1)
-    g = HeisenbergGroup(space)
-    tau = heisenberg_rep(g, 1, model="minus")
-    lift = weil_lift(tau)
-    n = tau.conductor
+    space, base = lift.space, lift.base
+    if (space.p, space.ell, base.model, base.zeta_exponent) != (3, 1, "minus", 1):
+        raise ValueError(
+            "sl23_reference needs the lift of the minus model at p = 3, ell = 1 "
+            f"and zeta exponent 1; got p = {space.p}, ell = {space.ell}, "
+            f"model {base.model!r}, zeta exponent {base.zeta_exponent}"
+        )
+    n = base.conductor
 
     xi = weyl_element(space)  # change of basis between the two conventions
     xi_inv = xi.inverse()

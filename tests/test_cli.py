@@ -48,7 +48,7 @@ def test_reports_byte_identical_for_same_config(tmp_path):
 
 
 def test_guard_gives_exit_2():
-    assert run(["verify", "weil", "--p", "11", "--mode", "exhaustive"]) == 2
+    assert run(["verify", "weil", "--p", "11"]) == 2
     assert run(["verify", "weil", "--p", "4"]) == 2
     assert run(["verify", "weil", "--ell", "2", "--p", "5"]) == 2
 
@@ -80,6 +80,19 @@ def test_weil_dump_at_ell_2_is_the_plus_model_on_generators(tmp_path):
     # generators only: two m(y), four n(b) and j, not all of Sp(4, 3)
     assert len(data["images"]) == 7
     assert len(data["images"][0]["matrix"]) == 9
+
+
+def test_verify_weil_at_ell_2_runs_without_a_flag(tmp_path):
+    """At ell = 2 the lift has images on the generators only, so the suite
+    checks their relations and the intertwining on generator pairs."""
+    out = tmp_path / "weil.json"
+    assert run(["verify", "weil", "--p", "3", "--ell", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["failures"] == [] and report["checks"] == 8 + 35
+    assert report["config"] == {"p": 3, "ell": 2, "precision": 4, "seed": 0}
+    counts = {c.check: c.checks for c in SUITES["weil"](RunConfig(p=3, ell=2))}
+    # 7 generators of Sp(4, 3) against 5 of H(3, 2)
+    assert counts == {"weil.generator_relations": 8, "weil.intertwining": 7 * 5}
 
 
 def test_heisenberg_and_mackey_dumps(tmp_path):
@@ -594,13 +607,13 @@ def test_cli_prints_stdlib_indent_1(argv, monkeypatch):
         (["dump", "reps", "--p", "5", "--zeta", "-10"], "zeta = -10 must be nonzero mod p"),
         (["verify", "sqrt", "--precision", "0"], "precision = 0 must be at least 1"),
         (["verify", "reps", "--ell", "2"], "reps suite runs at ell = 1 only"),
-        (["verify", "all", "--p", "3", "--ell", "2", "--mode", "relations"],
-         "reps suite runs at ell = 1 only"),
-        (["verify", "weil", "--p", "11", "--mode", "exhaustive"], "p <= 7 at ell = 1"),
-        (["verify", "weil", "--p", "11", "--mode", "relations"], "p <= 7 at ell = 1"),
+        (["verify", "all", "--p", "3", "--ell", "2"], "reps suite runs at ell = 1 only"),
+        (["verify", "weil", "--p", "13"], "p <= 7 at ell = 1"),
+        (["weil", "verify", "--p", "11"], "p <= 7 at ell = 1"),
         (["dump", "weil", "--p", "11"], "p <= 7 at ell = 1"),
         (["verify", "weil", "--p", "11"], "p <= 7 at ell = 1"),
-        (["verify", "weil", "--p", "3", "--ell", "2"], "use --mode relations at ell = 2"),
+        (["verify", "weil", "--p", "5", "--ell", "2"],
+         "ell = 2 is supported only with p = 3"),
         (["dump", "weil", "--p", "3", "--ell", "2"], "plus model at ell = 2"),
         (["dump", "weil", "--p", "3", "--ell", "2", "--model", "plus", "--zeta", "0"],
          "zeta = 0 must be nonzero mod p"),
@@ -631,6 +644,8 @@ def test_guard_names_the_limit(argv, limit, capsys):
         ["heisenberg", "dump", "--model", "plus"],
         ["verify", "--suite", "sqrt"],
         ["verify", "heisenberg", "--suite", "sqrt"],
+        ["verify", "weil", "--mode", "relations"],
+        ["verify", "weil", "--mode", "exhaustive"],
     ],
 )
 def test_flags_nothing_reads_are_rejected(argv):

@@ -12,7 +12,7 @@ from heisweil.heisenberg import HeisenbergGroup, SpecialIso, all_special_isos
 from heisweil.linalg import CycMatrix, batch_from_matrices, packed_product_table
 from heisweil.reps import heisenberg_rep
 from heisweil.scalar import CycNumber, zeta_p
-from heisweil.suites import RunConfig, _abstract_lift_checks, _sp_h_table
+from heisweil.suites import SUITES, RunConfig, _abstract_lift_checks, _sp_h_table
 from heisweil.symplectic import (
     GuardError,
     SymplecticSpace,
@@ -53,8 +53,8 @@ def lift5():
 
 
 @pytest.fixture(scope="module")
-def ref3():
-    return sl23_reference()
+def ref3(lift3):
+    return sl23_reference(lift3)
 
 
 def test_normalization_magnitude(lift3, lift5):
@@ -69,7 +69,7 @@ def test_homomorphism_exhaustive(p):
     whole table of |Sp|^2 pairs, holds too."""
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
-    report = verify_homomorphism(lift, mode="exhaustive")
+    report = verify_homomorphism(lift)
     tg, n = sp_table(lift.space), lift.base.conductor
     order = p * (p * p - 1)
     assert len(tg.generators) == 2
@@ -230,8 +230,8 @@ def test_a_corrupted_non_generator_image_fails_the_weil_report(monkeypatch, tmp_
     s = next(i for i in range(1, tg.order) if i not in tg.generators)
     real = weil_mod.weil_lift
 
-    def corrupted(tau, nu=None):
-        lift = real(tau, nu)
+    def corrupted(tau):
+        lift = real(tau)
         if tau.model != "minus":
             return lift
         name = tg.names[s]
@@ -279,12 +279,13 @@ def test_sp_table_second_sweep_pass_builds_none(capsys):
     capsys.readouterr()
 
 
-def test_sp_table_verify_all_p3_builds_one_semidirect_table_and_four_lifts(
+def test_sp_table_verify_all_p3_builds_one_semidirect_table_and_three_lifts(
     monkeypatch, capsys
 ):
     """verify all --p 3 builds Sp x| H once (the mackey configuration; the
-    abstract lift reads the law on pairs) and four p = 3 Weil lifts (the
-    mackey configuration takes tau as it is)."""
+    abstract lift reads the law on pairs) and three p = 3 Weil lifts: the
+    plus, the minus and the contragredient's (the SL(2, 3) reference reads
+    the minus lift, and the mackey configuration takes tau as it is)."""
     import heisweil.mackey as mk
     import heisweil.weil as weil_mod
 
@@ -298,7 +299,7 @@ def test_sp_table_verify_all_p3_builds_one_semidirect_table_and_four_lifts(
 
         monkeypatch.setattr(module, name, spy)
     assert run(["verify", "all", "--p", "3"]) == 0
-    assert calls == {"semidirect_table_group": 1, "weil_lift": 4}
+    assert calls == {"semidirect_table_group": 1, "weil_lift": 3}
     capsys.readouterr()
 
 
@@ -361,6 +362,19 @@ def test_weil_guard_rejects_large_p():
 
 
 # -- the SL(2,3) appendix model ---------------------------------------------------
+
+
+def test_sl23_reference_rejects_other_lifts(lift5):
+    g3, g32 = (HeisenbergGroup(SymplecticSpace(3, ell)) for ell in (1, 2))
+    others = (
+        lift5,
+        weil_lift(heisenberg_rep(g3, 1, model="plus")),
+        weil_lift(heisenberg_rep(g3, 2, model="minus")),
+        weil_lift(heisenberg_rep(g32, 1, model="plus")),
+    )
+    for lift in others:
+        with pytest.raises(ValueError, match="sl23_reference needs the lift"):
+            sl23_reference(lift)
 
 
 def test_sl23_alpha_values(ref3):
@@ -455,7 +469,7 @@ def test_three_extensions_and_selection(lift3):
     chars = [tuple((imgs[s].trace()) for s in els) for imgs in exts]
     assert len(set(chars)) == 3
     # the selected lift is the one whose character matches alpha + beta
-    alpha, beta, _, ref = sl23_reference()
+    alpha, beta, _, ref = sl23_reference(lift3)
     target = tuple(
         alpha[s][0, 0] + beta[s].trace() for s in els
     )
@@ -642,7 +656,7 @@ def test_abstract_lift_rep_law_guards_p_above_3(lift5):
         abstract_lift(lift5, SpecialIso(g, (0, 0))).verify_rep_on_pairs(pairs)
 
 
-# -- ell = 2 relation mode ---------------------------------------------------------
+# -- ell = 2: generator relations --------------------------------------------------
 
 
 def test_ell2_relation_mode():
@@ -650,6 +664,35 @@ def test_ell2_relation_mode():
     tau = heisenberg_rep(g, 1, model="plus")
     lift = weil_lift(tau)
     assert lift.generators_only
-    rep = verify_homomorphism(lift, mode="relations")
-    assert rep.passed and rep.checks >= 8
+    rep = verify_homomorphism(lift)
+    assert rep.check == "weil.generator_relations"
+    assert rep.passed and rep.checks == 8
     assert verify_intertwining(lift).passed
+
+
+def test_ell2_corrupted_generator_image_fails_the_suite(monkeypatch, tmp_path):
+    """omega(j) negated at ell = 2: j^2 = m(-1) still holds, the braid
+    relation does not, and the weil suite fails with no flag to pick the
+    relation check."""
+    import json
+
+    import heisweil.weil as weil_mod
+
+    real = weil_mod.weil_lift
+
+    def corrupted(tau):
+        lift = real(tau)
+        j = weyl_element(lift.space)
+        images = {**lift.sp_images, j: lift.sp_images[j].scale(-1)}
+        return dataclasses.replace(lift, sp_images=images)
+
+    monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
+    checks = {c.check: c for c in SUITES["weil"](RunConfig(p=3, ell=2))}
+    relations = checks["weil.generator_relations"]
+    assert not relations.passed and relations.checks == 8
+    assert relations.witness == "(j n(I))^3 = 1"
+    assert checks["weil.intertwining"].passed  # a scalar commutes with tau
+    out = tmp_path / "report.json"
+    assert run(["verify", "weil", "--p", "3", "--ell", "2", "--out", str(out)]) == 1
+    failed = [f["check"] for f in json.loads(out.read_text())["failures"]]
+    assert failed == ["weil.generator_relations"]
