@@ -1,23 +1,19 @@
 """Square roots and vanishing twisted cohomology in congruence subgroups.
 
 The groups are G = 1 + p^k0 M_n(Z/p^K) inside GL_n(Z/p^K) for an odd
-prime p, filtered by G_i = {g = 1 mod p^(k0+i)}.  Each layer
-G_i/G_(i+1) is an elementary abelian p-group where doubling is
-invertible, so the layer-by-layer iteration
+prime p.  Squaring is a bijection of G, and the unique square root of a is
+x = a z with z = a^(-1/2), reached by the Newton iteration
 
-    x <- x * (1 + p^c * (residual / 2))
+    e = a z^2 - 1,    z <- z (1 - e / 2)
 
-terminates after K - k0 steps with the unique square root.  That drives
-both H^1_alpha(G) = 1 (every alpha-inverted element is y alpha(y)^-1
-with y its square root) and the fixed-point factorization
-C^alpha = A^alpha B^alpha, which :func:`alpha_factor` computes for a
-whole stack of alpha-fixed c at once: a UL elimination of n (n - 1) / 2
-stacked steps, one stacked square root, and checks over the whole stack.
-
-The residual of layer c is read from a - x^2.  Once x^2 = a mod p^c, the
-textbook residual (x^2)^-1 a - 1 = (x^2)^-1 (a - x^2) agrees with a - x^2
-mod p^(c+1), because x^2 = 1 mod p^k0; so both give the same digit, the
-same root and the same residual levels, and a layer costs two products.
+from z = 1.  If e = 0 mod p^m, the next residual is -3/4 e^2 + 1/4 e^3 = 0
+mod p^(2m), so the precision doubles at each step and p^K is reached after
+ceil(log2(K / k0)) steps of three products each.  That drives both
+H^1_alpha(G) = 1 (every alpha-inverted element is y alpha(y)^-1 with y its
+square root) and the fixed-point factorization C^alpha = A^alpha B^alpha,
+which :func:`alpha_factor` computes for a whole stack of alpha-fixed c at
+once: a UL elimination of n (n - 1) / 2 stacked steps, one stacked square
+root, and checks over the whole stack.
 
 Every operation takes one matrix (n, n) or a stack (..., n, n).  Reduced
 entries lie in [0, p^K), so a product has entries below n (p^K - 1)^2.  A
@@ -159,27 +155,34 @@ def _random_stack(group: CongruenceGroup, rng: random.Random, count: int):
 
 def sqrt_with_trace(group: CongruenceGroup, a) -> tuple[np.ndarray, list[int]]:
     """The unique square root of a (or of each matrix of a stack), plus the
-    residual congruence level reached after each layer step.
+    congruence level of the residual a z^2 - 1 reached after each step.
 
-    Each step solves 2Y = (a - x^2) / p^c mod p in the abelian layer and
-    multiplies the current approximation by 1 + p^c Y; the residual level
-    must strictly ascend, which is checked step by step.
+    Every iterate z is a polynomial in a, so a, z and e = a z^2 - 1 commute,
+    and z' = z (1 - e / 2) gives a z'^2 = (1 + e)(1 - e / 2)^2
+    = 1 - 3/4 e^2 + 1/4 e^3.  So e = 0 mod p^m implies e' = 0 mod p^(2m):
+    the levels double from k0 up to K, for example [2, 4, 8, 16, 19] for
+    k0 = 1 and K = 19, and the trace is empty when K = k0.  Each step checks
+    its residual level before it updates z; the root is x = a z.
     """
-    p, K, k0, mod = group.p, group.K, group.k0, group.modulus
+    p, K, mod = group.p, group.K, group.modulus
     a = group.reduce(a)
     if not np.all(group.contains(a)):
         raise ValueError("matrix is not in the congruence group")
-    inv2 = pow(2, -1, p)
-    x = np.broadcast_to(group.identity(), a.shape).copy()
+    one = group.identity()
+    half = (mod + 1) // 2  # 2^-1 mod p^K
+    z, e = one, (a - one) % mod  # the residual at z = 1 needs no product
+    level = group.k0
     levels = []
-    for c in range(k0, K):
-        scale = p**c
-        residual = (a - group.mul(x, x)) % mod
-        if np.any(residual % scale):
-            raise RuntimeError(f"residual a - x^2 is not 0 mod p^{c}")
-        y = (residual // scale * inv2) % p
-        x = group.mul(x, group.identity() + scale * y)
-        levels.append(c + 1)
+    while level < K:
+        if np.any(e % p**level):
+            raise RuntimeError(f"residual a z^2 - 1 is not 0 mod p^{level}")
+        # e and 2^-1 are below p^K, so their product fits the group's dtype
+        z = group.mul(z, (one - e * half % mod) % mod)
+        level = min(2 * level, K)
+        levels.append(level)
+        if level < K:
+            e = (group.mul(a, group.mul(z, z)) - one) % mod
+    x = group.mul(a, z)
     if not np.array_equal(group.mul(x, x), a):
         raise RuntimeError("final check failed: root^2 != a mod p^K")
     if not np.all(group.contains(x)):

@@ -119,7 +119,7 @@ def test_sqrt_command(tmp_path, capsys):
     ) == 0
     data = json.loads(out.read_text())
     assert data["root"] == [[79]]
-    assert data["residual_levels"] == [2, 3, 4]
+    assert data["residual_levels"] == [2, 4]
 
 
 def test_sqrt_command_rejects_outsider():
@@ -163,6 +163,9 @@ def _sqrt_requests(draw):
 @given(request=_sqrt_requests())
 @example(request=(3, 2, 1, 19, [[4, 3], [9, 1]]))  # int64: 2 (3^19 - 1)^2 < 2^63
 @example(request=(3, 2, 1, 21, [[4, 3], [9, 1]]))  # Python ints
+@example(request=(5, 2, 2, 2, [[1, 0], [0, 1]]))  # K = k0: no Newton step
+@example(request=(3, 1, 1, 2, [[4]]))  # K = 2 k0: one step
+@example(request=(7, 2, 2, 9, [[50, 98], [49, 1]]))  # k0 = 2: levels 4, 8, 9
 @example(request=(13, 4, 2, 25, [[int(i == j) + 169 * (i + j) for j in range(4)]
                                   for i in range(4)]))
 # entries on both sides of 2^63: numpy alone would read them as float64
@@ -182,7 +185,9 @@ def test_sqrt_cli_property(request):
     doc = json.loads(out)
     root = doc["root"]
     assert doc["modulus"] == mod
-    assert doc["residual_levels"] == list(range(k0 + 1, K + 1))
+    # the Newton levels double from k0: min(k0 2^i, K) until K is reached
+    steps = (-(-K // k0) - 1).bit_length()
+    assert doc["residual_levels"] == [min(k0 << i, K) for i in range(1, steps + 1)]
     for i in range(n):
         for j in range(n):
             square = sum(root[i][t] * root[t][j] for t in range(n))

@@ -18,6 +18,12 @@ from heisweil.prounipotent import (
 )
 
 
+def _doubling_trace(k0, K):
+    """min(k0 2^i, K) for i = 1 .. s, s the least with k0 2^s >= K."""
+    steps = (-(-K // k0) - 1).bit_length()
+    return [min(k0 << i, K) for i in range(1, steps + 1)]
+
+
 def test_sqrt_identity():
     g = CongruenceGroup(2, 3, 4)
     assert np.array_equal(sqrt(g, g.identity()), g.identity())
@@ -29,7 +35,7 @@ def test_sqrt_scalar_example():
     root, levels = sqrt_with_trace(g, [[4]])
     assert root[0, 0] == 79
     assert (79 * 79) % 81 == 4
-    assert levels == [2, 3, 4]
+    assert levels == [2, 4]
     # exhaustive uniqueness over the 27 elements of 1 + 3 Z/81
     candidates = [x for x in g.enumerate() if (x[0, 0] ** 2) % 81 == 4]
     assert candidates == [np.array([[79]])]
@@ -281,7 +287,7 @@ def test_sqrt_property_hypothesis(seed):
     a = g.random_element(rng)
     x, levels = sqrt_with_trace(g, a)
     assert np.array_equal(g.mul(x, x), a)
-    assert levels == list(range(g.k0 + 1, K + 1))
+    assert levels == _doubling_trace(g.k0, K)
 
 
 def test_dtype_follows_the_product_bound():
@@ -383,3 +389,144 @@ def test_h1_exhaustive_matches_per_element_reference(perm):
     batched = h1_alpha_trivial(g, alpha, mode="exhaustive")
     assert batched == _h1_exhaustive_reference(g, alpha)
     assert batched[0] and batched[1]["z1"] > 1
+
+
+def _digit_root(a, p, K, k0):
+    """The square root of a in 1 + p^k0 M_n(Z/p^K), one p-adic digit at a time
+    in Python ints: x <- x + p^c Y with 2 Y = (a - x^2) / p^c mod p, as
+    x Y + Y x = 2 Y mod p for x = 1 mod p."""
+    n, mod = len(a), p**K
+    half = pow(2, -1, p)
+    x = [[int(i == j) for j in range(n)] for i in range(n)]
+    for c in range(k0, K):
+        sq = _schoolbook(x, x, mod)
+        for i in range(n):
+            for j in range(n):
+                rest = (int(a[i][j]) - sq[i][j]) % mod
+                assert rest % p**c == 0
+                x[i][j] = (x[i][j] + p**c * (rest // p**c * half % p)) % mod
+    return x
+
+
+@pytest.mark.parametrize(
+    "n,p,K,k0,trace",
+    [
+        (1, 3, 4, 1, [2, 4]),
+        (2, 3, 19, 1, [2, 4, 8, 16, 19]),
+        (1, 3, 2, 1, [2]),  # K = 2 k0: one step
+        (2, 5, 4, 2, [4]),
+        (2, 3, 11, 2, [4, 8, 11]),
+        (3, 5, 7, 2, [4, 7]),
+        (2, 3, 2, 2, []),  # K = k0: the group is {1}
+        (1, 7, 3, 3, []),
+    ],
+)
+def test_sqrt_trace_doubles_from_k0(n, p, K, k0, trace):
+    g = CongruenceGroup(n, p, K, k0)
+    assert _doubling_trace(k0, K) == trace
+    rng = random.Random(f"trace{n}{p}{K}{k0}")
+    a = np.stack([g.random_element(rng) for _ in range(4)])
+    x, levels = sqrt_with_trace(g, a)
+    assert levels == trace
+    assert np.array_equal(g.mul(x, x), a)
+    for am, xm in zip(a, x):
+        assert xm.tolist() == _digit_root(am.tolist(), p, K, k0)
+
+
+def test_sqrt_at_k_equal_k0_rejects_everything_but_one():
+    g = CongruenceGroup(2, 3, 2, 2)
+    root, levels = sqrt_with_trace(g, g.identity())
+    assert np.array_equal(root, g.identity()) and levels == []
+    with pytest.raises(ValueError, match="not in the congruence group"):
+        sqrt_with_trace(g, [[4, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "n,p,K", [(2, 3, 19), (2, 3, 20), (1, 3, 39), (1, 3, 40), (4, 13, 8), (4, 13, 9)]
+)
+@pytest.mark.parametrize("k0", [1, 2])
+def test_sqrt_matches_digit_oracle_at_the_dtype_boundary(n, p, K, k0):
+    g = CongruenceGroup(n, p, K, k0)
+    assert g.dtype is (np.int64 if n * (p**K - 1) ** 2 < 2**63 else object)
+    rng = random.Random(f"oracle{n}{p}{K}{k0}")
+    a = np.stack([g.random_element(rng) for _ in range(3)])
+    roots, levels = sqrt_with_trace(g, a)
+    assert roots.dtype == g.dtype
+    assert levels == _doubling_trace(k0, K)
+    for am, root in zip(a, roots):
+        assert root.tolist() == _digit_root(am.tolist(), p, K, k0)
+
+
+def _upper_band(p):
+    """Least and largest K with 2^32 <= p^K <= 2^96."""
+    lo = next(K for K in range(1, 200) if p**K >= 2**32)
+    hi = max(K for K in range(1, 200) if p**K <= 2**96)
+    return lo, hi
+
+
+@st.composite
+def _upper_band_requests(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    n = draw(st.integers(1, 4))
+    k0 = draw(st.sampled_from([1, 2]))
+    K = draw(st.integers(*_upper_band(p)))
+    digit = st.integers(0, p ** (K - k0) - 1)
+    rows = draw(st.lists(st.lists(digit, min_size=n, max_size=n), min_size=n, max_size=n))
+    a = [[int(i == j) + p**k0 * rows[i][j] for j in range(n)] for i in range(n)]
+    return n, p, K, k0, a
+
+
+@settings(max_examples=40, deadline=None)
+@given(request=_upper_band_requests())
+def test_sqrt_upper_band_matches_digit_oracle(request):
+    n, p, K, k0, a = request
+    g = CongruenceGroup(n, p, K, k0)
+    root, levels = sqrt_with_trace(g, a)
+    assert levels == _doubling_trace(k0, K)
+    assert root.tolist() == _digit_root(a, p, K, k0)
+
+
+def _corrupt_product(monkeypatch, index, change):
+    """Make the index-th CongruenceGroup.mul call, counted from 0, return
+    change(group, product) instead of the product."""
+    real = CongruenceGroup.mul
+    calls = itertools.count()
+
+    def mul(self, a, b):
+        out = real(self, a, b)
+        return change(self, out) if next(calls) == index else out
+
+    monkeypatch.setattr(CongruenceGroup, "mul", mul)
+
+
+def _bump_last(group, z):
+    z = z.copy()
+    z[-1, 0, 0] = (z[-1, 0, 0] + group.p) % group.modulus
+    return z
+
+
+# K = 19, k0 = 1 takes the steps to levels 2, 4, 8, 16, 19; step j's update
+# z <- z (1 - e / 2) is product 3 j, then a z^2 takes products 3 j + 1 and
+# 3 j + 2 (none after the last step), x = a z is product 13 and x^2 is 14
+@pytest.mark.parametrize("step,level", [(0, 2), (1, 4), (2, 8), (3, 16)])
+def test_sqrt_corrupted_newton_step_names_its_level(monkeypatch, step, level):
+    g = CongruenceGroup(2, 3, 19)
+    a = np.stack([g.random_element(random.Random(s)) for s in range(3)])
+    _corrupt_product(monkeypatch, 3 * step, _bump_last)
+    with pytest.raises(RuntimeError, match=rf"a z\^2 - 1 is not 0 mod p\^{level}$"):
+        sqrt_with_trace(g, a)
+
+
+@pytest.mark.parametrize(
+    "index,change,message",
+    [
+        (12, _bump_last, r"root\^2 != a"),  # the last step: no residual check follows
+        (13, lambda g, x: -x % g.modulus, r"root is not 1 mod p\^k0"),  # -x squares to a
+    ],
+)
+def test_sqrt_corrupted_newton_final_checks_raise(monkeypatch, index, change, message):
+    g = CongruenceGroup(2, 3, 19)
+    a = np.stack([g.random_element(random.Random(s)) for s in range(3)])
+    _corrupt_product(monkeypatch, index, change)
+    with pytest.raises(RuntimeError, match=f"final check failed: {message}"):
+        sqrt_with_trace(g, a)
