@@ -9,7 +9,7 @@ Fourier-convention note.
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import CycMatrix
 from heisweil.reps import heisenberg_rep
-from heisweil.symplectic import SymplecticSpace, n_element, weyl_element
+from heisweil.symplectic import SymplecticSpace, n_element, sp_index, weyl_element
 from heisweil.weil import lift_in_odd_even_basis, sl23_reference, sp_table, weil_lift
 
 
@@ -24,9 +24,9 @@ def main() -> None:
     tau = heisenberg_rep(HeisenbergGroup(SymplecticSpace(3, 1)), 1, model="minus")
     alpha, beta, lift, ref = sl23_reference(weil_lift(tau))
     space = lift.space
-    els = sp_table(space).names
-    jel = weyl_element(space)
-    n1 = n_element(space, [[1]])
+    tg = sp_table(space)
+    jel = int(sp_index(space, weyl_element(space)))
+    n1 = int(sp_index(space, n_element(space, [[1]])))
 
     print("normalization scalar c =", lift.normalization, "=", f"{lift.normalization.to_complex():.4f}")
     print("reading of the printed beta(j) that assembles into a homomorphism:",
@@ -34,27 +34,27 @@ def main() -> None:
     print()
     print("printed matrix  [[i/sqrt3, 2i/sqrt3], [i/sqrt3, -i/sqrt3]]:")
     print("   ", fmt(ref.beta_j_displayed))
-    m = lift_in_odd_even_basis(ref, jel.inverse())
+    m = lift_in_odd_even_basis(ref, tg.inv(jel))
     even = CycMatrix(12, [[m[1, 1], m[1, 2]], [m[2, 1], m[2, 2]]])
     print("even block of the lift at the inverse Weyl element:")
     print("   ", fmt(even))
     print()
     print("character table on SL(2,3) (trace of the lift = alpha + tr beta):")
     seen = set()
-    for s in els:
-        tr = lift.sp_images[ref.translate(s)].trace()
+    for s in range(tg.order):
+        tr = lift.sp_images[ref.translate[s]].trace()
         key = tr
         if key in seen:
             continue
         seen.add(key)
         print(
-            f"  element {s.matrix.tolist()}  trace {tr.to_complex():.3f}"
+            f"  element {tg.matrices[s].tolist()}  trace {tr.to_complex():.3f}"
             f"  alpha {alpha[s][0, 0].to_complex():.3f}"
             f"  tr beta {beta[s].trace().to_complex():.3f}"
         )
     print()
     print("generator operators (odd/even basis):")
-    for name, el in (("n(1)", n1), ("j", jel), ("j^-1", jel.inverse())):
+    for name, el in (("n(1)", n1), ("j", jel), ("j^-1", tg.inv(jel))):
         print(f"  {name}:", fmt(lift_in_odd_even_basis(ref, el)))
 
 

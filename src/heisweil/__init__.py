@@ -8,7 +8,8 @@ main objects:
 - ``scalar``       exact cyclotomic numbers, roots of unity, Gauss sums
 - ``linalg``       exact matrices, the one packed kernel, trace_table and
                    product_table on it
-- ``symplectic``   symplectic spaces over F_p, polarizations, Sp(W) and friends
+- ``symplectic``   symplectic spaces over F_p, polarizations, Sp(W) as
+                   stacked matrices and its indexed table
 - ``heisenberg``   the group W x| F_p, special isomorphisms, involutions
 - ``reps``         Heisenberg representations, invariant forms, Hom dimensions
 - ``weil``         the Weil lift of a Heisenberg representation to Sp x| H

@@ -33,7 +33,7 @@ from heisweil.linalg import _INT64, CycMatrix
 from heisweil.prounipotent import CongruenceGroup
 from heisweil.scalar import CycNumber
 from heisweil.suites import RunConfig, SUITES
-from heisweil.symplectic import SpElement
+from heisweil.symplectic import codes, sp_witness
 
 SUITE_NAMES = ["heisenberg", "reps", "weil", "mackey", "sqrt"]
 
@@ -317,9 +317,13 @@ def _distinct_entry_texts(template: str, mats: list[CycMatrix]) -> list[list[str
     np.floor_divide(num, g[..., None], out=keys[..., :phi])
     np.floor_divide(den, g, out=keys[..., phi])
     keys = keys.reshape(-1, phi + 1)
-    # one void scalar per row, so np.unique compares whole keys
+    # one void scalar per row, so np.unique compares whole keys, in the
+    # smallest integer type that holds them: the order of the distinct keys
+    # changes with it, but ``inverse`` maps each entry to its own text
+    lo, hi = (np.min_scalar_type(v) for v in (keys.min(), keys.max()))
+    narrow = keys.astype(np.promote_types(lo, hi))
     _, first, inverse = np.unique(
-        keys.view(np.dtype((np.void, keys.itemsize * (phi + 1)))).ravel(),
+        narrow.view(np.dtype((np.void, narrow.itemsize * (phi + 1)))).ravel(),
         return_index=True,
         return_inverse=True,
     )
@@ -360,14 +364,13 @@ def _jsonable(x):
         return x
     if isinstance(x, (CycNumber, CycMatrix)):
         return x.to_json()
-    if isinstance(x, SpElement):
-        return {"matrix": x.matrix.tolist(), "sign": x.sign}
     if isinstance(x, HElem):
         return {"w": list(x.w), "z": x.z}
     if isinstance(x, SpecialIso):
         return {"offset": _jsonable(x.offset)}
     if isinstance(x, HeisenbergAutomorphism):
-        return {"s": _jsonable(x.s), "w0": _jsonable(x.w0), "sign": x.central_sign}
+        s = sp_witness(x.s, x.central_sign)
+        return {"s": s, "w0": _jsonable(x.w0), "sign": x.central_sign}
     if isinstance(x, CongruenceGroup):
         return {"n": x.n, "p": x.p, "K": x.K, "k0": x.k0}
     if isinstance(x, (np.ndarray, np.generic)):
@@ -464,12 +467,10 @@ def _dump(args, cfg: RunConfig):
     if args.what == "weil":
         tau = heisenberg_rep(group, args.zeta, model=args.model)
         lift = weil_lift(tau)
-        entries = [
-            {
-                "element": s.matrix.tolist(),
-                "matrix": lift.sp_images[s],
-            }
-            for s in sorted(lift.sp_images, key=lambda s: s.matrix.tolist())
+        els = lift.sp_images.elements
+        entries = [  # in the order of the elements' entries
+            {"element": els[i].tolist(), "matrix": lift.sp_images[i]}
+            for i in np.argsort(codes(cfg.p, els)).tolist()
         ]
         return {
             "p": cfg.p,

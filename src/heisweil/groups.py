@@ -2,12 +2,13 @@
 
 Every finite group the package works with is small (|Sp(W)| <= 336 and
 |H| <= 343 at p = 7), so it can be a :class:`TableGroup`: a multiplication
-table on the indices 0..n-1 with the identity at index 0.  Three traversal
-routines do all the breadth-first work:
+table on the indices 0..n-1 with the identity at index 0 (Sp(4, 3) is only
+listed, by :func:`heisweil.symplectic.enumerate_sp`).  Three traversal
+routines do the breadth-first work on these groups:
 
 - :func:`closure` collects everything reachable from some start elements
-  under a set of generators (orbits, and groups given by generators
-  rather than a table);
+  under a set of generators: orbits, such as the conjugates of the
+  commutators that :meth:`TableGroup.commutator_subgroup` closes;
 - :meth:`TableGroup.subgroup_generated` is the one subgroup closure on a
   table, one gather of each layer's rows at the generator columns; it
   serves every subgroup sweep and [G, G];

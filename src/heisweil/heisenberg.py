@@ -18,9 +18,11 @@ Special isomorphisms H -> W x| Z are stored by their torsor offset w0
 relative to the base one mu0(w, z) = z, with the central coordinate as a
 length-|H| array ``mu``; the set of them is a principal homogeneous space
 of W.  Automorphisms of H carried here are the maps
-(w, z) -> (s.w, eps*z + <w0, w>) with s (anti)symplectic according to the
-central sign eps, stored as permutation arrays of the indices; every
-automorphism of order two lives in this family.
+(w, z) -> (s.w, eps*z + <w0, w>) with s a (2l, 2l) matrix of form
+multiplier eps, the central sign, stored as permutation arrays of the
+indices; every automorphism of order two lives in this family.  Such a map
+squares to (s^2 w, z + <w0, (eps + s) w>), so it has order two exactly
+when s^2 = 1, s w0 = -w0 (as s^T J = eps J s^-1) and (s, w0) != (1, 0).
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ from heisweil.symplectic import (
     SP_ENUM_GUARD,
     GuardError,
     Polarization,
-    SpElement,
     SymplecticSpace,
     enumerate_antisymplectic,
     enumerate_sp,
+    is_antisymplectic,
+    is_symplectic,
     mat_inv,
+    mat_mod,
     polarization_to_involution,
     rref_mod,
     sp_table,
@@ -378,27 +382,32 @@ class HeisenbergAutomorphism:
     """(w, z) -> (s.w, central_sign * z + <w0, w>), as the permutation
     ``perm`` of the indices.
 
-    central_sign must match the form multiplier of s: symplectic s fix the
-    center, antisymplectic s invert it.
+    s is a (2l, 2l) matrix whose form multiplier is central_sign: symplectic
+    s fix the center, antisymplectic s invert it.  Two automorphisms are
+    equal, and hash alike, when their groups, entries of s, w0 and signs are.
     """
 
     group: HeisenbergGroup
-    s: SpElement
+    s: np.ndarray = field(compare=False)
     w0: tuple[int, ...]
     central_sign: int
+    s_key: bytes = field(init=False, repr=False)
     perm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.central_sign not in (1, -1):
             raise ValueError("central_sign must be +-1")
-        if self.s.sign != self.central_sign:
-            raise ValueError(
-                "central sign must match the (anti)symplectic sign of s"
-            )
         g = self.group
+        s = mat_mod(self.s, g.p)
+        form_test = is_symplectic if self.central_sign == 1 else is_antisymplectic
+        if not form_test(g.space, s):
+            raise ValueError("central sign must match the form multiplier of s")
+        s.flags.writeable = False
         twist = g.w @ (np.array(self.w0, dtype=np.int64) @ g.space.form)
-        moved = g.linear_action(self.s.matrix)  # (s.w, z)
+        moved = g.linear_action(s)  # (s.w, z)
         perm = moved - g.z + (self.central_sign * g.z + twist) % g.p
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s_key", s.tobytes())
         object.__setattr__(self, "perm", perm)
 
     def apply(self, h) -> int:
@@ -456,38 +465,35 @@ def _sweep_guard(g: HeisenbergGroup) -> None:
         )
 
 
+def _order_two_sweep(g: HeisenbergGroup, mats, central_sign: int):
+    """The order-two automorphisms (s, w0) with s in the stack ``mats`` of
+    form multiplier central_sign, in the order of s and then of w0 read in
+    base p: s^2 = 1 and s w0 = -w0 on the stack, (1, 0) left out (see the
+    module docstring)."""
+    p, eye = g.p, np.eye(g.dim, dtype=np.int64)
+    mats = mats[(mats @ mats % p == eye).all(axis=(1, 2))]
+    w0s = g.w[::p]  # every w, in the order of its index
+    negated = ((w0s @ np.swapaxes(mats, 1, 2) + w0s) % p == 0).all(axis=-1)
+    negated[:, 0] &= ~(mats == eye).all(axis=(1, 2))  # (1, 0) is the identity
+    return [
+        HeisenbergAutomorphism(g, mats[k], tuple(w0s[v].tolist()), central_sign)
+        for k, v in np.argwhere(negated).tolist()
+    ]
+
+
 def order_two_automorphisms_trivial_on_center(
     group: HeisenbergGroup,
 ) -> list[HeisenbergAutomorphism]:
     """All order-two automorphisms fixing Z pointwise: nontrivial (s, w0)
     with s symplectic, s^2 = 1 and s.w0 = -w0."""
-    g = group
-    _sweep_guard(g)
-    out = []
-    for s in enumerate_sp(g.space):
-        if not (s * s).is_identity():
-            continue
-        for w0 in itertools.product(range(g.p), repeat=g.dim):
-            if s.is_identity() and not any(w0):
-                continue  # the identity map
-            if s.apply(w0) != tuple(-x % g.p for x in w0):
-                continue
-            out.append(HeisenbergAutomorphism(g, s, w0, 1))
-    return out
+    _sweep_guard(group)
+    return _order_two_sweep(group, enumerate_sp(group.space), 1)
 
 
 def order_two_automorphisms_inverting_center(
     group: HeisenbergGroup,
 ) -> list[HeisenbergAutomorphism]:
-    """All order-two automorphisms with alpha|Z = inversion."""
-    g = group
-    _sweep_guard(g)
-    out = []
-    for s in enumerate_antisymplectic(g.space):
-        if not (s * s).is_identity():
-            continue
-        for w0 in itertools.product(range(g.p), repeat=g.dim):
-            alpha = HeisenbergAutomorphism(g, s, w0, -1)
-            if alpha.is_order_two():
-                out.append(alpha)
-    return out
+    """All order-two automorphisms with alpha|Z = inversion: (s, w0) with s
+    antisymplectic, s^2 = 1 and s.w0 = -w0."""
+    _sweep_guard(group)
+    return _order_two_sweep(group, enumerate_antisymplectic(group.space), -1)

@@ -45,7 +45,7 @@ from heisweil.groups import (
 )
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.reps import MatrixRep, hom_dims
-from heisweil.symplectic import sp_table
+from heisweil.symplectic import mat_inv, sp_index, sp_table
 
 __all__ = [
     "InvolutionRecord",
@@ -423,27 +423,25 @@ def semidirect_mul(sp: TableGroup, h: TableGroup, act, a, u, b, v) -> np.ndarray
 
 def semidirect_table_group(space):
     """Sp(W) x| H as a TableGroup, :func:`semidirect_mul` on every pair;
-    names are (SpElement, index in H) pairs, (s, h) at index s |H| + h."""
+    names are (sp index, h index) pairs, (s, h) at index s |H| + h."""
     g = HeisenbergGroup(space)
     sp = sp_table(space)
     act = g.linear_action(sp.matrices)
     n = sp.order * g.order
     pairs = np.ix_(range(sp.order), range(g.order), range(sp.order), range(g.order))
     table = semidirect_mul(sp, g, act, *pairs).reshape(n, n)
-    names = [(s, h) for s in sp.names for h in range(g.order)]
+    names = [(s, h) for s in range(sp.order) for h in range(g.order)]
     return TableGroup(table, names=names), g
 
 
-def semidirect_involution_record(tg: TableGroup, alpha) -> InvolutionRecord:
-    """theta(s, h) = (abar s abar^-1, alpha(h)) for a central-inverting alpha
-    with w0 = 0: only for those is theta an automorphism of Sp(W) x| H."""
+def semidirect_involution_record(alpha) -> InvolutionRecord:
+    """theta(s, h) = (abar s abar^-1, alpha(h)) on Sp(W) x| H, as
+    :func:`semidirect_table_group` lays it out, for a central-inverting
+    alpha with w0 = 0: only for those is theta an automorphism."""
     if any(alpha.w0):
         raise ValueError(f"alpha must have w0 = 0; got w0 = {alpha.w0}")
-    abar = alpha.s
-    abar_inv = abar.inverse()
-    nh = alpha.group.order
-    sp_names = [s for s, _ in tg.names[::nh]]
-    sp_index = {s: i for i, s in enumerate(sp_names)}
-    moved = np.array([sp_index[abar * s * abar_inv] for s in sp_names])
-    perm = moved[:, None] * nh + alpha.perm[None, :]
+    space, abar = alpha.group.space, alpha.s
+    conjugated = abar @ sp_table(space).matrices @ mat_inv(abar, space.p) % space.p
+    moved = sp_index(space, conjugated)
+    perm = moved[:, None] * alpha.group.order + alpha.perm[None, :]
     return InvolutionRecord(tuple(perm.ravel().tolist()))

@@ -144,39 +144,38 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
     space = sympl.SymplecticSpace(p, cfg.ell)
     if cfg.ell == 1:
         sp = sympl.sp_table(space)
-        elems, mats = sp.names, sp.matrices
-        rec("symplectic.group_order")(len(elems) == p * (p * p - 1), len(elems))
+        names, mats = sp.names, sp.matrices
+        rec("symplectic.group_order")(len(mats) == p * (p * p - 1), len(mats))
         rec("symplectic.closure").all(
             sympl.is_symplectic(space, mats[:, None] @ mats[None]),
-            lambda i, j: (elems[i], elems[j]),
+            lambda i, j: (names[i], names[j]),
         )
 
         ms = sympl.enumerate_M(space)
+        chi = sympl.chi_M(space, ms)
         c = rec("symplectic.chi_M_order_two_homomorphism")
-        for m1, m2 in itertools.product(ms, repeat=2):
-            chi = sympl.chi_M(space, m1) * sympl.chi_M(space, m2)
-            c(sympl.chi_M(space, m1 * m2) == chi, (m1, m2))
-        c({sympl.chi_M(space, m) for m in ms} == {1, -1}, "image is {1, -1}")
+        c.all(
+            sympl.chi_M(space, ms[:, None] @ ms[None] % p) == chi[:, None] * chi[None],
+            lambda i, j: (sympl.sp_witness(ms[i]), sympl.sp_witness(ms[j])),
+        )
+        c(set(chi.tolist()) == {1, -1}, "image is {1, -1}")
 
         pol = space.standard_polarization()
-        plus, minus = pol.plus_span(), pol.minus_span()
-        m_set = set(ms)
-        c = rec("symplectic.M_is_polarization_stabilizer")
-        for s in elems:
-            keeps = all(s.apply(w) in plus for w in plus) and all(
-                s.apply(w) in minus for w in minus
-            )
-            c(keeps == (s in m_set), s)
+        in_m = sp.mask(sympl.sp_index(space, ms).tolist())
+        keeps = _keeps(mats, pol.plus_span(), p) & _keeps(mats, pol.minus_span(), p)
+        rec("symplectic.M_is_polarization_stabilizer").all(
+            keeps == in_m, lambda i: names[i]
+        )
 
         c = rec("symplectic.eigen_polarization_of_involutions")
-        for s in sympl.enumerate_antisymplectic(space):
-            if (s * s).is_identity():
-                try:
-                    sympl.Polarization(space, *sympl.eigen_polarization(s))
-                except ValueError:
-                    c(False, s)
-                else:
-                    c(True)
+        anti = sympl.enumerate_antisymplectic(space)
+        for s in anti[(anti @ anti % p == np.eye(2, dtype=np.int64)).all(axis=(1, 2))]:
+            try:
+                sympl.Polarization(space, *sympl.eigen_polarization(space, s))
+            except ValueError:
+                c(False, sympl.sp_witness(s, -1))
+            else:
+                c(True)
 
     group = heis.HeisenbergGroup(space)
     t = group.table
@@ -238,6 +237,14 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
     if p == 3 and cfg.ell == 1:
         _specisores_check(rec("heisenberg.special_iso_restriction"))
     return rec
+
+
+def _keeps(mats, span, p: int) -> np.ndarray:
+    """Whether each matrix of the stack maps the set of vectors ``span``
+    into itself: s v for every s and v, as columns, found by their codes."""
+    vecs = np.array(sorted(span), dtype=np.int64)[..., None]
+    moved = mats[:, None] @ vecs % p
+    return np.isin(sympl.codes(p, moved), sympl.codes(p, vecs)).all(axis=-1)
 
 
 def _specisores_check(c: Check) -> None:
@@ -390,17 +397,18 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
 
 def _sl23_checks(rec: Recorder, lift) -> None:
     alpha, beta, _, ref = weil_mod.sl23_reference(lift)
-    els = sympl.sp_table(lift.space).names
+    tg = sympl.sp_table(lift.space)
+    names, els = tg.names, range(tg.order)
     # tr alpha(s) + tr beta(s) for every s, as one row
     alpha_row, beta_row = (trace_table([rep[s] for s in els]) for rep in (alpha, beta))
     target = alpha_row + beta_row
-    lifted = trace_table([lift.sp_images[ref.translate(s)] for s in els])
+    lifted = trace_table([lift.sp_images[t] for t in ref.translate])
     rec("weil.sl23_character_is_alpha_plus_beta").all(
-        lifted.equal_entries(target)[0], lambda i: els[i]
+        lifted.equal_entries(target)[0], lambda i: names[i]
     )
 
-    jel = sympl.weyl_element(lift.space)
-    m = weil_mod.lift_in_odd_even_basis(ref, jel.inverse())
+    j = int(sympl.sp_index(lift.space, sympl.weyl_element(lift.space)))
+    m = weil_mod.lift_in_odd_even_basis(ref, tg.inv(j))
     even = CycMatrix(12, [[m[1, 1], m[1, 2]], [m[2, 1], m[2, 2]]])
     rec("weil.sl23_beta_j_matrix")(
         even == ref.beta_j_displayed,
@@ -413,11 +421,11 @@ def _sl23_checks(rec: Recorder, lift) -> None:
     )
     c = rec("weil.sl23_det_beta_is_alpha")
     for s in els:
-        c(beta[s].det() == alpha[s][0, 0], s)
+        c(beta[s].det() == alpha[s][0, 0], names[s])
 
     exts = weil_mod.three_extensions_p3(lift)
-    chars = [trace_table([imgs[s] for s in els]) for imgs in exts]
-    translated = [trace_table([imgs[ref.translate(s)] for s in els]) for imgs in exts]
+    chars = [trace_table(imgs) for imgs in exts]
+    translated = [trace_table([imgs[t] for t in ref.translate]) for imgs in exts]
     c = rec("weil.sl23_three_extensions_and_selection")
     c(len(set(chars)) == 3, {"distinct_characters": len(set(chars))})
     c(translated.count(target) == 1, {"selected": translated.count(target)})
@@ -425,18 +433,15 @@ def _sl23_checks(rec: Recorder, lift) -> None:
 
 def _sp_h_table(lift) -> CycMatrix:
     """tr(omega(s) tau(h)) for s in sp_table order and h in H: one trace_table."""
-    els = sympl.sp_table(lift.space).names
     base = lift.base.images
-    return trace_table(
-        [base[h] for h in lift.group.elements()], [lift.sp_images[s] for s in els]
-    )
+    return trace_table([base[h] for h in lift.group.elements()], lift.sp_images.images)
 
 
 def _abstract_lift_checks(rec: Recorder, lift, table, cfg: RunConfig) -> None:
     rng = random.Random(cfg.seed)
     g = lift.group
     els = sympl.sp_table(g.space).names
-    xs = g.elements()
+    sps, xs = range(len(els)), g.elements()
     # entry (s, y) of the lift's Sp x H table is tr(omega(s) tau(y)); the
     # abstract lift through nu has character (s, h) -> entry (s, nu(h)), so
     # nu = 0 reads entry (s, x)
@@ -463,8 +468,8 @@ def _abstract_lift_checks(rec: Recorder, lift, table, cfg: RunConfig) -> None:
             chars.equal_entries(reference), lambda i, j: (nu, els[i], xs[j])
         )
         pairs = [
-            ((rng.choice(els), rng.choice(g.elements())),
-             (rng.choice(els), rng.choice(g.elements())))
+            ((rng.choice(sps), rng.choice(g.elements())),
+             (rng.choice(sps), rng.choice(g.elements())))
             for _ in range(40)
         ]
         ab.verify_rep_on_pairs(pairs, rep_law)
@@ -671,7 +676,7 @@ def heisenberg_mackey_configurations():
     # kappa there is omega(1) tau(h) = tau(h), as the lift sends 1 to 1
     h_members = list(range(group.order))
     kappa_sd = reps_mod.MatrixRep(group=sd, dim=3, images=tau.images, conductor=12)
-    theta_sd = mk.semidirect_involution_record(sd, alpha)
+    theta_sd = mk.semidirect_involution_record(alpha)
     configs.append(("SpH3/H/tau/polar", sd, h_members, kappa_sd, theta_sd))
     return configs
 

@@ -1,4 +1,4 @@
-"""Symplectic spaces over F_p, polarizations, and the groups around Sp(W).
+"""Symplectic spaces over F_p, polarizations, and Sp(W) as stacked matrices.
 
 The basis convention is fixed globally: e_1..e_l span W+ and
 e_{l+1}..e_{2l} span W-, and the form matrix in that basis is
@@ -7,29 +7,35 @@ e_{l+1}..e_{2l} span W-, and the form matrix in that basis is
 
 so <(x1,y1),(x2,y2)> = x1.y2 - y1.x2 with x the W+ block and y the W-
 block.  All matrices anywhere in the package are written in this basis.
-Antisymplectic maps (form multiplier -1) are carried with an explicit
-sign so that the union Sp(W) u Sp(W)^- is a group.
+
+An element of Sp(W) is a (2l, 2l) int64 matrix with entries in 0..p-1,
+and the helpers below take or return stacks (k, 2l, 2l) of them.
+:func:`enumerate_sp` lists Sp(W) once per space as one read-only stack
+and :func:`sp_table` indexes it: an element is a row of its ``matrices``
+or that row's index, which :func:`sp_index` finds from the entries read
+in base p (:func:`codes`).  Antisymplectic maps (form multiplier -1) are
+matrices too; a witness writes either as :func:`sp_witness` does.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from heisweil.groups import TableGroup, closure
+from heisweil.groups import TableGroup
 from heisweil.scalar import is_odd_prime, legendre_symbol
 
 __all__ = [
     "GuardError",
     "Polarization",
-    "SpElement",
     "SymplecticSpace",
+    "bruhat_factor",
     "chi_M",
     "chi_P",
+    "codes",
     "eigen_polarization",
     "enumerate_antisymplectic",
     "enumerate_M",
@@ -38,8 +44,13 @@ __all__ = [
     "enumerate_sp",
     "is_antisymplectic",
     "is_symplectic",
+    "m_element",
+    "n_element",
     "polarization_to_involution",
+    "sp_index",
     "sp_table",
+    "sp_witness",
+    "weyl_element",
 ]
 
 
@@ -52,10 +63,6 @@ class GuardError(ValueError):
 
 def mat_mod(m, p: int) -> np.ndarray:
     return np.array(m, dtype=np.int64) % p
-
-
-def mat_mul(a, b, p: int) -> np.ndarray:
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 
 def rref_mod(a, p: int):
@@ -91,7 +98,11 @@ def rref_mod(a, p: int):
 
 
 def mat_inv(a, p: int) -> np.ndarray:
+    """The inverse mod p of one matrix or of each of a stack (..., n, n)."""
     a = np.asarray(a, dtype=np.int64)
+    if a.ndim > 2:
+        flat = [mat_inv(m, p) for m in a.reshape(-1, *a.shape[-2:])]
+        return np.array(flat, dtype=np.int64).reshape(a.shape)
     n = a.shape[0]
     aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
     red, pivots, _ = rref_mod(aug, p)
@@ -100,8 +111,13 @@ def mat_inv(a, p: int) -> np.ndarray:
     return red[:, n:]
 
 
-def mat_det(a, p: int) -> int:
+def mat_det(a, p: int):
+    """det mod p, an exact integer from the pivots of :func:`rref_mod`: an
+    int for one matrix, an int64 array for a stack (..., n, n)."""
     a = np.asarray(a, dtype=np.int64)
+    if a.ndim > 2:
+        flat = [mat_det(m, p) for m in a.reshape(-1, *a.shape[-2:])]
+        return np.array(flat, dtype=np.int64).reshape(a.shape[:-2])
     _, pivots, det = rref_mod(a, p)
     return det if len(pivots) == a.shape[0] else 0
 
@@ -164,11 +180,6 @@ class SymplecticSpace:
         b = np.asarray(b, dtype=np.int64)
         return int(a @ self.form @ b % self.p)
 
-    def vectors(self) -> list[tuple[int, ...]]:
-        return [
-            tuple(v) for v in itertools.product(range(self.p), repeat=self.dim)
-        ]
-
     def basis_vector(self, i: int) -> tuple[int, ...]:
         v = [0] * self.dim
         v[i] = 1
@@ -222,72 +233,7 @@ class Polarization:
         return span_mod(self.minus, self.space.p, self.space.dim)
 
 
-class SpElement:
-    """A matrix acting on W, symplectic (sign +1) or antisymplectic (-1)."""
-
-    __slots__ = ("space", "matrix", "sign", "_key")
-
-    def __init__(self, space: SymplecticSpace, matrix, sign: int | None = None):
-        self.space = space
-        m = mat_mod(matrix, space.p)
-        if m.shape != (space.dim, space.dim):
-            raise ValueError(
-                f"matrix must be {space.dim}x{space.dim} for this space"
-            )
-        self.matrix = m
-        if sign is None:
-            if is_symplectic(space, m):
-                sign = 1
-            elif is_antisymplectic(space, m):
-                sign = -1
-            else:
-                raise ValueError("matrix is neither symplectic nor antisymplectic")
-        else:
-            expect = (
-                is_symplectic(space, m) if sign == 1 else is_antisymplectic(space, m)
-            )
-            if not expect:
-                raise ValueError(f"matrix does not have form multiplier {sign}")
-        self.sign = sign
-        self._key = (m.tobytes(), sign)
-
-    def apply(self, w) -> tuple[int, ...]:
-        v = (self.matrix @ np.asarray(w, dtype=np.int64)) % self.space.p
-        return tuple(int(x) for x in v)
-
-    def __mul__(self, other: "SpElement") -> "SpElement":
-        return SpElement(
-            self.space,
-            mat_mul(self.matrix, other.matrix, self.space.p),
-            self.sign * other.sign,
-        )
-
-    def inverse(self) -> "SpElement":
-        return SpElement(self.space, mat_inv(self.matrix, self.space.p), self.sign)
-
-    def is_identity(self) -> bool:
-        return np.array_equal(self.matrix, np.eye(self.space.dim, dtype=np.int64))
-
-    def order(self) -> int:
-        acc = self
-        for k in range(1, 4 * self.space.p**4 + 4):
-            if acc.is_identity():
-                return k
-            acc = acc * self
-        raise RuntimeError("order not found")
-
-    def __eq__(self, other):
-        return isinstance(other, SpElement) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        tag = "Sp" if self.sign == 1 else "Sp-"
-        return f"{tag}({self.matrix.tolist()})"
-
-
-# -- form tests and characters -------------------------------------------------
+# -- form tests, codes and witnesses ---------------------------------------------
 
 
 def _has_multiplier(space: SymplecticSpace, m, sign: int):
@@ -309,84 +255,105 @@ def is_antisymplectic(space: SymplecticSpace, m):
     return _has_multiplier(space, m, -1)
 
 
-def m_element(space: SymplecticSpace, y) -> SpElement:
-    """Block diagonal diag(y, transpose(y)^-1) in the Levi of P."""
+def _checked(space: SymplecticSpace, m, sign: int = 1) -> np.ndarray:
+    """m reduced mod p, once every matrix of it has form multiplier sign."""
+    m = mat_mod(m, space.p)
+    if not np.all(_has_multiplier(space, m, sign)):
+        raise ValueError(f"matrix does not have form multiplier {sign}")
+    return m
+
+
+def codes(p: int, mats) -> np.ndarray:
+    """The entries of each matrix of a stack (..., r, c), row by row, read
+    as one base-p number.  For entries in 0..p-1 the code is one-to-one and
+    orders matrices as their entry lists do."""
+    mats = np.asarray(mats, dtype=np.int64)
+    k = mats.shape[-2] * mats.shape[-1]
+    digits = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return mats.reshape(*mats.shape[:-2], k) @ digits
+
+
+def sp_witness(m, sign: int = 1) -> dict:
+    """A matrix of Sp(W) (sign 1) or of its antisymplectic coset (sign -1)
+    as a failure witness: ``{"matrix": rows, "sign": sign}``."""
+    return {"matrix": np.asarray(m).tolist(), "sign": sign}
+
+
+_legendre = np.vectorize(legendre_symbol, otypes=[np.int64])  # entrywise
+
+
+# -- the Siegel parabolic P = MN and its characters ------------------------------
+
+
+def m_element(space: SymplecticSpace, y) -> np.ndarray:
+    """diag(y, transpose(y)^-1) in the Levi M of P, for one l x l block y or
+    each of a stack (..., l, l)."""
     p, ell = space.p, space.ell
     y = mat_mod(y, p)
-    out = np.zeros((2 * ell, 2 * ell), dtype=np.int64)
-    out[:ell, :ell] = y
-    out[ell:, ell:] = mat_inv(y, p).T
-    return SpElement(space, out, 1)
+    out = np.zeros(y.shape[:-2] + (2 * ell, 2 * ell), dtype=np.int64)
+    out[..., :ell, :ell] = y
+    out[..., ell:, ell:] = np.swapaxes(mat_inv(y, p), -1, -2)
+    return _checked(space, out)
 
-def n_element(space: SymplecticSpace, b) -> SpElement:
-    """Unipotent [[1, b], [0, 1]] with b symmetric."""
+
+def n_element(space: SymplecticSpace, b) -> np.ndarray:
+    """The unipotent [[1, b], [0, 1]] for one symmetric l x l block b or each
+    of a stack (..., l, l)."""
     p, ell = space.p, space.ell
     b = mat_mod(b, p)
-    if not np.array_equal(b.T % p, b):
+    if not np.array_equal(np.swapaxes(b, -1, -2), b):
         raise ValueError("n(b) needs a symmetric block")
-    out = np.eye(2 * ell, dtype=np.int64)
-    out[:ell, ell:] = b
-    return SpElement(space, out, 1)
+    out = np.zeros(b.shape[:-2] + (2 * ell, 2 * ell), dtype=np.int64)
+    out[...] = np.eye(2 * ell, dtype=np.int64)
+    out[..., :ell, ell:] = b
+    return _checked(space, out)
 
 
-def weyl_element(space: SymplecticSpace) -> SpElement:
-    """The form matrix j itself as a group element."""
-    return SpElement(space, space.form.copy(), 1)
+def weyl_element(space: SymplecticSpace) -> np.ndarray:
+    """The form matrix j itself as an element of Sp(W)."""
+    return _checked(space, space.form)
 
 
-def m_block(space: SymplecticSpace, s: SpElement) -> np.ndarray:
-    """The GL_l block y of an element m(y) of M; raises if s is not in M."""
-    ell = space.ell
-    m = s.matrix
-    if s.sign != 1 or np.any(m[:ell, ell:]) or np.any(m[ell:, :ell]):
+def chi_M(space: SymplecticSpace, mats) -> np.ndarray:
+    """The order-two character of M on m(y), or on each of a stack: the
+    Legendre symbol of det y as +-1.  Raises ValueError off M."""
+    p, ell = space.p, space.ell
+    mats = mat_mod(mats, p)
+    y = mats[..., :ell, :ell]
+    det = mat_det(y, p)
+    if np.any(det == 0) or not np.array_equal(mats, m_element(space, y)):
         raise ValueError("element is not in the Levi M")
-    y = m[:ell, :ell]
-    if not np.array_equal(m[ell:, ell:], mat_inv(y, space.p).T):
-        raise ValueError("element is not in the Levi M")
-    return y
+    return _legendre(det, p)
 
 
-def chi_M(space: SymplecticSpace, s: SpElement) -> int:
-    """The unique order-two character of M: (det y)^((p-1)/2) as +-1."""
-    y = m_block(space, s)
-    return legendre_symbol(mat_det(y, space.p), space.p)
-
-
-def p_factor(space: SymplecticSpace, s: SpElement):
-    """Factor an element of P = MN as (m(y), n(x)); raises when s not in P."""
-    ell, p = space.ell, space.p
-    m = s.matrix
-    if s.sign != 1 or np.any(m[ell:, :ell]):
+def chi_P(space: SymplecticSpace, mats) -> np.ndarray:
+    """chi^P(m(y) n(x)) = chi^M(m(y)) on the Siegel parabolic P, for one
+    element or each of a stack: y is the upper-left block, so this is the
+    Legendre symbol of its determinant.  Raises ValueError off P."""
+    p, ell = space.p, space.ell
+    mats = mat_mod(mats, p)
+    if np.any(mats[..., ell:, :ell]) or not np.all(is_symplectic(space, mats)):
         raise ValueError("element does not stabilize W+")
-    y = m[:ell, :ell]
-    x = mat_mul(mat_inv(y, p), m[:ell, ell:], p)
-    me, ne = m_element(space, y), n_element(space, x)
-    if me * ne != s:
-        raise RuntimeError("m(y) n(x) does not recover the element of P")
-    return me, ne
-
-def chi_P(space: SymplecticSpace, s: SpElement) -> int:
-    """chi^P(mn) = chi^M(m) on the Siegel parabolic P."""
-    me, _ = p_factor(space, s)
-    return chi_M(space, me)
+    return _legendre(mat_det(mats[..., :ell, :ell], p), p)
 
 
 # -- involutions and polarizations ----------------------------------------------
 
 
-def eigen_polarization(s: SpElement):
-    """Fixed and negated subspaces of an order-two element, via w = (w+sw)/2 + (w-sw)/2.
+def eigen_polarization(space: SymplecticSpace, s):
+    """Fixed and negated subspaces of an order-two matrix s, via
+    w = (w+sw)/2 + (w-sw)/2.
 
     Returns (plus_basis, minus_basis).  For antisymplectic s this is a
     polarization; the caller can wrap it in :class:`Polarization`.
     """
-    space = s.space
     p = space.p
-    if not (s * s).is_identity():
-        raise ValueError("element must have order dividing two")
+    s = mat_mod(s, p)
     eye = np.eye(space.dim, dtype=np.int64)
-    plus = nullspace_mod((s.matrix - eye) % p, p)
-    minus = nullspace_mod((s.matrix + eye) % p, p)
+    if not np.array_equal(s @ s % p, eye):
+        raise ValueError("element must have order dividing two")
+    plus = nullspace_mod((s - eye) % p, p)
+    minus = nullspace_mod((s + eye) % p, p)
     if len(plus) + len(minus) != space.dim:
         # a failed check in the suite, which catches ValueError
         raise ValueError(
@@ -396,14 +363,13 @@ def eigen_polarization(s: SpElement):
     return tuple(plus), tuple(minus)
 
 
-def polarization_to_involution(pol: Polarization) -> SpElement:
+def polarization_to_involution(pol: Polarization) -> np.ndarray:
     """The unique antisymplectic involution with the polarization as eigenspaces."""
     space = pol.space
     p = space.p
     u = np.array(pol.plus + pol.minus, dtype=np.int64).T % p
     d = np.diag([1] * space.ell + [-1] * space.ell)
-    m = mat_mul(mat_mul(u, d, p), mat_inv(u, p), p)
-    return SpElement(space, m, -1)
+    return _checked(space, u @ d @ mat_inv(u, p), -1)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -413,130 +379,152 @@ SP_ENUM_GUARD = {"ell1_max_p": 7, "ell2_p": 3}
 
 
 @lru_cache(maxsize=None)
-def _sp_elements_cached(space: SymplecticSpace):
+def enumerate_sp(space: SymplecticSpace) -> np.ndarray:
+    """All of Sp(W) as one read-only stack (|Sp|, 2l, 2l), the identity
+    first, built once per space; guarded to (ell=1, p<=7) and (ell=2, p=3,
+    standard form).
+
+    At ell = 1, Sp(W) = SL(2, p) for every nondegenerate form on F_p^2: the
+    p^4 matrices, in the order of their entries, filtered by det = 1, with
+    the identity moved to the front.  At ell = 2, a breadth-first search
+    from the identity over six generators, one stacked product and one
+    ``np.unique`` of base-p codes per layer; each layer's new matrices come
+    in code order.  The form multiplier is tested once, on the whole stack.
+    """
     p, ell = space.p, space.ell
-    if ell == 1:
-        # Sp = SL(2, p) for every nondegenerate form on F_p^2: the identity
-        # first, then the others in the order of their entries
-        out = [SpElement(space, np.eye(2, dtype=np.int64), 1)]
-        for a, b, c, d in itertools.product(range(p), repeat=4):
-            if (a * d - b * c) % p == 1 and (a, b, c, d) != (1, 0, 0, 1):
-                out.append(SpElement(space, [[a, b], [c, d]], 1))
-        return tuple(out)
-    # generator closure for ell = 2, p = 3 (standard form only)
-    gens = [
-        n_element(space, [[1, 0], [0, 0]]),
-        n_element(space, [[0, 0], [0, 1]]),
-        n_element(space, [[0, 1], [1, 0]]),
-        weyl_element(space),
-        m_element(space, [[1, 1], [0, 1]]),
-        m_element(space, [[2, 0], [0, 1]]),
-    ]
-    ident = SpElement(space, np.eye(4, dtype=np.int64), 1)
-    return tuple(closure([ident], gens, operator.mul))
-
-
-def enumerate_sp(space: SymplecticSpace) -> list[SpElement]:
-    """All of Sp(W), the identity first; guarded to (ell=1, p<=7) and
-    (ell=2, p=3, standard form)."""
-    if space.ell == 1 and space.p <= SP_ENUM_GUARD["ell1_max_p"]:
-        pass
-    elif space.ell == 2 and space.p == SP_ENUM_GUARD["ell2_p"]:
-        if space != SymplecticSpace(space.p, space.ell):
-            raise GuardError(
-                "Sp enumeration at ell=2 supports only the standard form"
-            )
-    else:
+    if ell == 2 and p == SP_ENUM_GUARD["ell2_p"]:
+        if space != SymplecticSpace(p, ell):
+            raise GuardError("Sp enumeration at ell=2 supports only the standard form")
+    elif not (ell == 1 and p <= SP_ENUM_GUARD["ell1_max_p"]):
         raise GuardError(
             f"Sp enumeration guarded to ell=1,p<=7 or ell=2,p=3; "
-            f"got ell={space.ell}, p={space.p}"
+            f"got ell={ell}, p={p}"
         )
-    return list(_sp_elements_cached(space))
+    if ell == 1:
+        entries = np.indices((p,) * 4, dtype=np.int64).reshape(4, -1).T
+        a, b, c, d = entries.T
+        keep = np.flatnonzero((a * d - b * c) % p == 1)
+        ident = p**3 + 1  # the entries (1, 0, 0, 1)
+        order = np.concatenate([[ident], keep[keep != ident]])
+        mats = entries[order].reshape(-1, 2, 2)
+    else:
+        mats = _breadth_first(space)
+    if not is_symplectic(space, mats).all():
+        raise RuntimeError("the enumeration of Sp(W) holds a non-symplectic matrix")
+    mats.flags.writeable = False
+    return mats
+
+
+def _breadth_first(space: SymplecticSpace) -> np.ndarray:
+    """Sp(4, 3), breadth-first; ``seen`` holds the sorted codes found."""
+    p = space.p
+    gens = np.concatenate(
+        [
+            n_element(space, [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]]),
+            weyl_element(space)[None],
+            m_element(space, [[[1, 1], [0, 1]], [[2, 0], [0, 1]]]),
+        ]
+    )
+    frontier = np.eye(space.dim, dtype=np.int64)[None]
+    found, seen = [frontier], codes(p, frontier)
+    while len(frontier):
+        products = (frontier[:, None] @ gens % p).reshape(-1, space.dim, space.dim)
+        layer, first = np.unique(codes(p, products), return_index=True)
+        at = np.searchsorted(seen, layer)
+        new = seen[np.minimum(at, len(seen) - 1)] != layer
+        frontier = products[first[new]]
+        found.append(frontier)
+        seen = np.insert(seen, at[new], layer[new])
+    return np.concatenate(found)
 
 
 @lru_cache(maxsize=None)
 def sp_table(space: SymplecticSpace) -> TableGroup:
-    """Sp(W) as a TableGroup, built once per space and shared: ``names`` is
-    the tuple :func:`enumerate_sp` lists, ``matrices`` stacks their
-    matrices, and every array is read-only.  ell = 1 only: row i of the
-    table is one broadcast product of s_i with the stacked 2x2 matrices,
-    each product found again through its entries read in base p."""
+    """Sp(W) as a TableGroup, built once per space and shared: ``matrices``
+    is the stack :func:`enumerate_sp` lists, ``names`` their
+    :func:`sp_witness` records, ``index`` maps a base-p code to its index
+    (-1 off Sp(W)), and every array is read-only.  ell = 1 only: row i of
+    the table is one broadcast product of s_i with the stacked 2x2
+    matrices, each product found again through its code."""
     if space.ell != 1:
         raise GuardError(f"sp_table needs ell = 1; got ell={space.ell}")
-    els = tuple(enumerate_sp(space))
-    p, m = space.p, len(els)
-    mats = np.stack([s.matrix for s in els])
-    digits = p ** np.arange(3, -1, -1, dtype=np.int64)
+    mats = enumerate_sp(space)
+    p, m = space.p, len(mats)
     index = np.full(p**4, -1, dtype=np.int64)
-    index[mats.reshape(m, 4) @ digits] = np.arange(m)
+    index[codes(p, mats)] = np.arange(m)
     table = np.empty((m, m), dtype=np.int64)
     for i, a in enumerate(mats):  # a row at a time: no (m, m, 2, 2) temporary
-        table[i] = index[(a @ mats % p).reshape(m, 4) @ digits]
+        table[i] = index[codes(p, a @ mats % p)]
     if (table < 0).any():
         raise RuntimeError("a product of two elements of Sp(W) left Sp(W)")
-    tg = TableGroup(table, names=els)
-    tg.matrices = mats
-    for shared in (tg.table, tg.inverse_of, tg.matrices):
+    tg = TableGroup(table, names=tuple(sp_witness(s) for s in mats))
+    tg.matrices, tg.index = mats, index
+    for shared in (tg.table, tg.inverse_of, tg.index):
         shared.flags.writeable = False
     return tg
 
 
-def antisymplectic_representative(space: SymplecticSpace) -> SpElement:
-    """diag(1_l, -1_l), the involution attached to the standard polarization."""
-    d = np.diag([1] * space.ell + [-1] * space.ell)
-    return SpElement(space, d, -1)
+def sp_index(space: SymplecticSpace, mats) -> np.ndarray:
+    """The :func:`sp_table` index of one 2x2 matrix or of each of a stack;
+    raises ValueError for a matrix outside Sp(W)."""
+    mats = mat_mod(mats, space.p)
+    if mats.shape[-2:] != (space.dim, space.dim):
+        raise ValueError("dimension mismatch with the space")
+    found = sp_table(space).index[codes(space.p, mats)]
+    if np.any(found < 0):
+        raise ValueError("matrix is not in Sp(W)")
+    return found
 
 
-def enumerate_antisymplectic(space: SymplecticSpace) -> list[SpElement]:
-    sigma = antisymplectic_representative(space)
-    return [s * sigma for s in enumerate_sp(space)]
+def enumerate_antisymplectic(space: SymplecticSpace) -> np.ndarray:
+    """The coset Sp(W) sigma, s sigma in the order of :func:`enumerate_sp`,
+    with sigma = diag(1_l, -1_l) the involution of the standard polarization."""
+    sigma = _checked(space, np.diag([1] * space.ell + [-1] * space.ell), -1)
+    return enumerate_sp(space) @ sigma % space.p
 
 
-def enumerate_M(space: SymplecticSpace) -> list[SpElement]:
+def enumerate_M(space: SymplecticSpace) -> np.ndarray:
+    """The stack of m(y) for every invertible y, in the order of its entries."""
     p, ell = space.p, space.ell
-    out = []
-    for entries in itertools.product(range(p), repeat=ell * ell):
-        y = np.array(entries, dtype=np.int64).reshape(ell, ell)
-        if mat_det(y, p) != 0:
-            out.append(m_element(space, y))
-    return out
+    ys = np.indices((p,) * (ell * ell), dtype=np.int64).reshape(ell * ell, -1).T.reshape(-1, ell, ell)
+    return m_element(space, ys[mat_det(ys, p) != 0])
 
 
-def enumerate_N(space: SymplecticSpace) -> list[SpElement]:
+def enumerate_N(space: SymplecticSpace) -> np.ndarray:
+    """The stack of n(b) for every symmetric b, in the order of the entries
+    on and above its diagonal."""
     p, ell = space.p, space.ell
-    coords = [(i, j) for i in range(ell) for j in range(i, ell)]
-    out = []
-    for vals in itertools.product(range(p), repeat=len(coords)):
-        b = np.zeros((ell, ell), dtype=np.int64)
-        for (i, j), v in zip(coords, vals):
-            b[i, j] = v
-            b[j, i] = v
-        out.append(n_element(space, b))
-    return out
+    i, j = np.triu_indices(ell)
+    vals = np.indices((p,) * len(i), dtype=np.int64).reshape(len(i), -1).T
+    b = np.zeros((len(vals), ell, ell), dtype=np.int64)
+    b[:, i, j] = vals
+    b[:, j, i] = vals
+    return n_element(space, b)
 
 
-def enumerate_P(space: SymplecticSpace) -> list[SpElement]:
-    return [m * n for m in enumerate_M(space) for n in enumerate_N(space)]
+def enumerate_P(space: SymplecticSpace) -> np.ndarray:
+    """The stack of m n for m in M and n in N, m the outer loop."""
+    prods = enumerate_M(space)[:, None] @ enumerate_N(space)[None] % space.p
+    return prods.reshape(-1, space.dim, space.dim)
 
 
-def bruhat_factor(space: SymplecticSpace, s: SpElement):
-    """Write s in SL(2,p) as a word in n(x), j, m(y) (ell = 1 only).
+def bruhat_factor(space: SymplecticSpace, mats):
+    """The Bruhat word of one element of SL(2, p) or of each of a stack
+    (ell = 1 only), as four arrays (big, x, y, z) of the stack's shape.
 
-    Returns a list of ("n", x) / ("m", y) / ("j",) tokens whose product is s:
-    lower-left entry zero gives m(a) n(b/a); otherwise
-    s = n(a/c) j m(-c) n(d/c).
+    Where the lower-left entry c is nonzero (big),
+    s = n(x) j m(y) n(z) with x = a/c, y = -c, z = d/c; elsewhere
+    s = m(y) n(z) with y = a, z = b/a, and x = 0.
     """
     if space.ell != 1:
         raise GuardError("Bruhat factorization implemented for ell = 1 only")
     p = space.p
-    [[a, b], [c, d]] = s.matrix.tolist()
-    if c % p == 0:
-        ainv = pow(a, p - 2, p)
-        return [("m", a), ("n", ainv * b % p)]
-    cinv = pow(c, p - 2, p)
-    return [
-        ("n", a * cinv % p),
-        ("j",),
-        ("m", (-c) % p),
-        ("n", d * cinv % p),
-    ]
+    mats = _checked(space, mats)
+    a, b, c, d = (mats[..., i, k] for i in range(2) for k in range(2))
+    big = c != 0
+    inverse = np.array([0] + [pow(k, p - 2, p) for k in range(1, p)], dtype=np.int64)
+    pivot = inverse[np.where(big, c, a)]  # a != 0 off the big cell: det = a d
+    x = np.where(big, a * pivot % p, 0)
+    y = np.where(big, -c % p, a)
+    z = np.where(big, d, b) * pivot % p
+    return big, x, y, z

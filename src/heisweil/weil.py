@@ -18,14 +18,17 @@ character zeta(z) = zeta_p^(k z):
   factors (j m(y), then j m(y) n(z), then n(x) j m(y) n(z); m(a) n(b)),
   one table per y and per m(a): every table has at most p matrices on the
   left, which keeps the kernel's temporaries small, so a lift makes
-  1 + 3(p - 1) table calls, never one ``@`` per element.
+  1 + 3(p - 1) table calls, never one ``@`` per element.  The stacked
+  :func:`~heisweil.symplectic.bruhat_factor` of all of Sp(W) then picks
+  every element's image out of the cells by one fancy index.
 
 Characters of the lift, tr omega(s) and the Sp x H table tr omega(s) tau(h),
 are read through :func:`~heisweil.linalg.trace_table`, one kernel call per
 family, never by a trace per element.
 
 Sp(W) is the one indexed group :func:`~heisweil.symplectic.sp_table`, built
-once per space and shared; products in Sp(W) x| H come from the law on
+once per space and shared, and at ell = 1 a lift's :class:`SpImages` lists
+its matrices in that order; products in Sp(W) x| H come from the law on
 (sp index, h index) pairs, :func:`~heisweil.mackey.semidirect_mul`, not from
 a table of the semidirect product.
 
@@ -71,7 +74,6 @@ from heisweil.scalar import (
 )
 from heisweil.symplectic import (
     GuardError,
-    SpElement,
     SymplecticSpace,
     bruhat_factor,
     chi_M,
@@ -80,13 +82,18 @@ from heisweil.symplectic import (
     enumerate_P,
     enumerate_sp,
     m_element,
+    mat_det,
+    mat_inv,
     n_element,
+    sp_index,
     sp_table,
+    sp_witness,
     weyl_element,
 )
 
 __all__ = [
     "NormalizationError",
+    "SpImages",
     "WeilLift",
     "abstract_lift",
     "p_action_check",
@@ -108,10 +115,26 @@ WEIL_EXHAUSTIVE_GUARD = {"max_p": 7}  # at ell = 1
 SEMIDIRECT_FAMILY_MAX_P = 3
 
 
+@dataclass(frozen=True, eq=False)
+class SpImages:
+    """``images[i]`` = omega(``elements[i]``), indexed like the stack: all of
+    ``sp_table(space).matrices`` at ell = 1, and at ell = 2 the seven
+    generators of :func:`_generator_images_ell2`."""
+
+    elements: np.ndarray
+    images: list
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, i) -> CycMatrix:
+        return self.images[i]
+
+
 @dataclass
 class WeilLift:
     base: MatrixRep
-    sp_images: dict
+    sp_images: SpImages
     normalization: CycNumber
 
     @property
@@ -143,17 +166,18 @@ class WeilLift:
                 f"{SEMIDIRECT_FAMILY_MAX_P} only; got p = {p}"
             )
         nh = self.group.order
-        sps = sp_table(self.space).names
         n = self.base.conductor
-        lnum, lden = batch_from_matrices([self.sp_images[s] for s in sps], n)
+        lnum, lden = batch_from_matrices(self.sp_images.images, n)
         base = [self.base.images[h] for h in range(nh)]
         rnum, rden = batch_from_matrices(base, n)
         num = packed_product_table(n, lnum, rnum)
-        return num.reshape(len(sps) * nh, *num.shape[2:]), lden * rden
+        return num.reshape(len(self.sp_images) * nh, *num.shape[2:]), lden * rden
 
     def restriction_is_base(self) -> bool:
-        ident = next(s for s in self.sp_images if s.is_identity())
-        return self.sp_images[ident] == CycMatrix.identity(
+        """omega(1) = 1, for a lift whose first element is the identity."""
+        if not np.array_equal(self.sp_images.elements[0], np.eye(self.space.dim)):
+            raise ValueError("the lift holds no image of the identity first")
+        return self.sp_images[0] == CycMatrix.identity(
             self.base.conductor, self.base.dim
         )
 
@@ -163,8 +187,6 @@ class WeilLift:
 
 def _levi_image(rep: MatrixRep, y) -> CycMatrix:
     """chi^M(y) times the permutation of transversal points."""
-    from heisweil.symplectic import mat_det, mat_inv
-
     g: HeisenbergGroup = rep.group
     p, n = g.p, rep.conductor
     y = np.atleast_2d(np.array(y, dtype=np.int64)) % p
@@ -289,45 +311,35 @@ def weil_lift(tau: MatrixRep) -> WeilLift:
         ]
     m_images = [m_image([[y]]) for y in range(1, p)]
 
-    # big cell n(x) j m(y) n(z): big[x][y - 1][z], one y at a time, so only
-    # one row of j m(y) n(z) is held besides the images
-    big = [[] for _ in range(p)]
-    for jm in product_table([j_img], m_images)[0]:
+    # cells[y - 1, x, z]: n(x) j m(y) n(z) for x < p, and m(y) n(z) at x = p;
+    # one y at a time, so only one row of j m(y) n(z) is held besides them
+    cells = np.empty((p - 1, p + 1, p), dtype=object)
+    for yi, (jm, ma) in enumerate(zip(product_table([j_img], m_images)[0], m_images)):
         j_m_n = product_table([jm], n_images)[0]
-        for x, row in enumerate(product_table(n_images, j_m_n)):
-            big[x].append(row)
-    # small cell m(a) n(b): small[a - 1][b]
-    small = [product_table([ma], n_images)[0] for ma in m_images]
-
-    images = {}
-    for s in enumerate_sp(space):
-        word = bruhat_factor(space, s)
-        if len(word) == 2:
-            (_, a), (_, b) = word
-            images[s] = small[a - 1][b]
-        else:
-            (_, x), _, (_, y), (_, z) = word
-            images[s] = big[x][y - 1][z]
-    lift = WeilLift(base=tau, sp_images=images, normalization=c)
+        rows = product_table(n_images, j_m_n) + product_table([ma], n_images)
+        for xi, row in enumerate(rows):
+            for zi, image in enumerate(row):
+                cells[yi, xi, zi] = image
+    mats = enumerate_sp(space)  # sp_table's matrices, without building its table
+    big, x, y, z = bruhat_factor(space, mats)
+    images = cells[y - 1, np.where(big, x, p), z].tolist()
+    lift = WeilLift(base=tau, sp_images=SpImages(mats, images), normalization=c)
     if not lift.restriction_is_base():
         raise RuntimeError("the Weil lift does not send the identity to the identity")
     return lift
 
 
-def _generator_images_ell2(tau, j_img):
+def _generator_images_ell2(tau, j_img) -> SpImages:
+    """m(y) for two y, n(b) for four symmetric b, then j, with their images."""
     space = tau.group.space
-    gens = {}
-    for y in ([[1, 1], [0, 1]], [[2, 0], [0, 1]]):
-        gens[m_element(space, y)] = _levi_image(tau, y)
-    for b in (
-        [[1, 0], [0, 0]],
-        [[0, 0], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[1, 0], [0, 1]],
-    ):
-        gens[n_element(space, b)] = _quadratic_phase_image(tau, b, lower=False)
-    gens[weyl_element(space)] = j_img
-    return gens
+    ys = [[[1, 1], [0, 1]], [[2, 0], [0, 1]]]
+    bs = [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]]
+    elements = np.concatenate(
+        [m_element(space, ys), n_element(space, bs), weyl_element(space)[None]]
+    )
+    images = [_levi_image(tau, y) for y in ys]
+    images += [_quadratic_phase_image(tau, b, lower=False) for b in bs]
+    return SpImages(elements, images + [j_img])
 
 
 # -- verification ----------------------------------------------------------------
@@ -349,35 +361,28 @@ def verify_homomorphism(lift: WeilLift, check: Check | None = None) -> Check:
         return _verify_relations(lift, check)
     check = Check("weil.homomorphism_exhaustive") if check is None else check
     tg = sp_table(lift.space)  # raises GuardError past ell = 1, p <= 7
-    images = {i: lift.sp_images[s] for i, s in enumerate(tg.names)}
+    images = dict(enumerate(lift.sp_images.images))
     MatrixRep(tg, lift.base.dim, images, lift.base.conductor).verify_homomorphism(check)
     return check
 
 
 def _verify_relations(lift: WeilLift, check: Check) -> Check:
     """The relations of the ell = 2 generators of :func:`_generator_images_ell2`."""
-    space, p = lift.space, lift.space.p
-    img = lift.sp_images.__getitem__
-    jel = weyl_element(space)
-    m1 = m_element(space, [[1, 1], [0, 1]])
-    m2 = m_element(space, [[2, 0], [0, 1]])
-    n1 = n_element(space, [[1, 0], [0, 0]])
-    n2 = n_element(space, [[0, 0], [0, 1]])
-    n3 = n_element(space, [[0, 1], [1, 0]])
-    check(img(n1) @ img(n2) == img(n2) @ img(n1), "n-generators commute")
-    check(img(n1) @ img(n3) == img(n3) @ img(n1), "n-generators commute (2)")
+    p, els = lift.space.p, lift.sp_images.elements
+    m1, m2, n1, n2, n3, n_eye, j = lift.sp_images.images
+    check(n1 @ n2 == n2 @ n1, "n-generators commute")
+    check(n1 @ n3 == n3 @ n1, "n-generators commute (2)")
     # m-conjugation carries the phase of n(b) to that of n(y b ty)
-    for mel, mat in ((m1, [[1, 1], [0, 1]]), (m2, [[2, 0], [0, 1]])):
-        y = np.array(mat, dtype=np.int64)
-        for nel, b in ((n1, [[1, 0], [0, 0]]), (n2, [[0, 0], [0, 1]])):
-            b2 = (y @ np.array(b, dtype=np.int64) @ y.T) % p
-            lhs = img(mel) @ img(nel) @ img(mel).inverse()
-            rhs = _quadratic_phase_image(lift.base, b2, lower=False)
-            check(lhs == rhs, f"m n m^-1 = n(y b ty), y = {mat}, b = {b}")
-    jj = img(jel) @ img(jel)
+    for m_img, y in ((m1, els[0, :2, :2]), (m2, els[1, :2, :2])):
+        for n_img, b in ((n1, els[2, :2, 2:]), (n2, els[3, :2, 2:])):
+            lhs = m_img @ n_img @ m_img.inverse()
+            rhs = _quadratic_phase_image(lift.base, y @ b @ y.T % p, lower=False)
+            where = f"y = {y.tolist()}, b = {b.tolist()}"
+            check(lhs == rhs, f"m n m^-1 = n(y b ty), {where}")
+    jj = j @ j
     mm = _levi_image(lift.base, (-np.eye(2, dtype=np.int64)) % p)
     check(jj == mm, "j^2 = m(-1)")
-    braided = img(jel) @ img(n_element(space, np.eye(2, dtype=np.int64)))
+    braided = j @ n_eye
     ident = CycMatrix.identity(lift.base.conductor, lift.base.dim)
     check(braided**3 == ident, "(j n(I))^3 = 1")
     return check
@@ -396,18 +401,20 @@ def verify_intertwining(lift: WeilLift, check: Check | None = None) -> Check:
     tau(s t.h).  So generator pairs prove the identity on all of Sp x H; s
     runs over the generators of ``sp_table`` or of a generators-only lift.
     """
-    g = lift.group
+    g, els = lift.group, lift.sp_images.elements
     check = Check("weil.intertwining") if check is None else check
-    tg = None if lift.generators_only else sp_table(lift.space)
-    sps = list(lift.sp_images) if tg is None else [tg.names[i] for i in tg.generators]
-    hs = list(g.generators)
-    check.all(_intertwining_table(lift, sps, hs), lambda i, j: (sps[i], g.names[hs[j]]))
+    gens = range(len(els)) if lift.generators_only else sp_table(lift.space).generators
+    sps, hs = list(gens), list(g.generators)
+    check.all(
+        _intertwining_table(lift, sps, hs),
+        lambda i, j: (sp_witness(els[sps[i]]), g.names[hs[j]]),
+    )
     return check
 
 
 def _intertwining_table(lift: WeilLift, sps, hs) -> np.ndarray:
-    """ok[i, j]: omega(s) tau(h) == tau(s.h) omega(s) for s = sps[i] and
-    h = hs[j].
+    """ok[i, j]: omega(s) tau(h) == tau(s.h) omega(s) for s the element at
+    index sps[i] of the lift and h = hs[j].
 
     tau is monomial: row t of tau(h) holds zeta_p^e[h, t] in column
     cols[h, t], the monomial data of the rep.  So with Z[j] = zeta_p^j
@@ -424,11 +431,11 @@ def _intertwining_table(lift: WeilLift, sps, hs) -> np.ndarray:
     roots = context(n).power_table[(n // p) * np.arange(p)]
     phi = roots.shape[-1]
     cols_h, exps_h = tau.cols[hs], tau.root_exponents[hs]  # (len(hs), d)
-    num, _ = batch_from_matrices([lift.sp_images[s] for s in sps], n)
+    num, _ = batch_from_matrices([lift.sp_images[i] for i in sps], n)
     z = packed_product_table(
         n, roots[:, None, None], num.reshape(len(sps), 1, d * d, phi)
     ).reshape(p, len(sps), d, d, phi)
-    moved = g.linear_action(np.stack([s.matrix for s in sps]))[:, hs]  # s . h
+    moved = g.linear_action(lift.sp_images.elements[sps])[:, hs]  # s . h
     a, i, t = np.arange(len(sps))[:, None, None], np.arange(d)[:, None], np.arange(d)
     ok = np.empty((len(sps), len(hs)), dtype=bool)
     for j in range(len(hs)):
@@ -444,16 +451,16 @@ def trace_sign_on_M(lift: WeilLift, check: Check | None = None) -> Check:
     space = lift.space
     check = Check("weil.trace_sign_on_levi") if check is None else check
     levi = enumerate_M(space)
-    traces = trace_table([lift.sp_images[m] for m in levi])
-    for i, m in enumerate(levi):
+    traces = trace_table([lift.sp_images[i] for i in sp_index(space, levi)])
+    for i, chi in enumerate(chi_M(space, levi).tolist()):
         tr = traces[0, i]
         ok = (
             tr == tr.conj()
             and not tr.is_zero()
             and tr.is_rational()
-            and (1 if tr.rational_value() > 0 else -1) == chi_M(space, m)
+            and (1 if tr.rational_value() > 0 else -1) == chi
         )
-        check(ok, (m, tr))
+        check(ok, (sp_witness(levi[i]), tr))
     return check
 
 
@@ -477,11 +484,12 @@ def p_action_check(lift: WeilLift, lam=None, check: Check | None = None) -> Chec
     lam = CycMatrix(n, [lam])
     check = Check("weil.parabolic_action") if check is None else check
     parabolic = enumerate_P(space)
-    num, den = batch_from_matrices([lift.sp_images[g] for g in parabolic], n)
+    images = [lift.sp_images[i] for i in sp_index(space, parabolic)]
+    num, den = batch_from_matrices(images, n)
     lhs = packed_product_table(n, lam.num[None], num)[0, :, 0]  # over lam.den * den
-    chi = np.array([chi_P(space, g) for g in parabolic], dtype=object)
+    chi = chi_P(space, parabolic).astype(object)
     rhs = chi[:, None, None] * (lam.num[0].astype(object) * den)
-    check.all((lhs == rhs).all(axis=(1, 2)), lambda i: parabolic[i])
+    check.all((lhs == rhs).all(axis=(1, 2)), lambda i: sp_witness(parabolic[i]))
     return check
 
 
@@ -490,10 +498,10 @@ def p_action_check(lift: WeilLift, lam=None, check: Check | None = None) -> Chec
 
 @dataclass
 class Sl23Reference:
-    alpha: dict  # appendix-basis element -> 1x1 CycMatrix
-    beta: dict  # appendix-basis element -> 2x2 CycMatrix
+    alpha: dict  # sp_table index of an appendix-basis element -> 1x1 CycMatrix
+    beta: dict  # sp_table index of an appendix-basis element -> 2x2 CycMatrix
     lift: WeilLift
-    translate: object  # appendix-basis element -> package-basis element
+    translate: np.ndarray  # appendix-basis index -> package-basis index
     beta_j_displayed: CycMatrix
     displayed_j_reading: str  # "direct" or "inverse"
     even_basis_change: CycMatrix
@@ -503,6 +511,9 @@ def sl23_reference(lift: WeilLift) -> tuple[dict, dict, WeilLift, "Sl23Reference
     """The explicit p=3 model: the character alpha, the 2-dimensional beta,
     and the Weil lift, all over SL(2, 3) written in the basis with the first
     vector in W- and the second in W+ (translation = conjugation by j).
+    Elements are :func:`~heisweil.symplectic.sp_table` indices: alpha and
+    beta map an appendix-basis index to its image, and ``translate[i]`` is
+    the package-basis index of appendix-basis element i.
 
     ``lift`` is the Weil lift of the minus-model H(3, 1) rep with central
     character zeta_3^1; any other lift raises ValueError.
@@ -514,32 +525,19 @@ def sl23_reference(lift: WeilLift) -> tuple[dict, dict, WeilLift, "Sl23Reference
             f"and zeta exponent 1; got p = {space.p}, ell = {space.ell}, "
             f"model {base.model!r}, zeta exponent {base.zeta_exponent}"
         )
-    n = base.conductor
-
-    xi = weyl_element(space)  # change of basis between the two conventions
-    xi_inv = xi.inverse()
-
-    def translate(s_app: SpElement) -> SpElement:
-        return xi * s_app * xi_inv
-
+    n, p = base.conductor, space.p
     tg = sp_table(space)
 
-    def extend(gen_images: dict, dim: int):
-        images = extend_hom(
-            tg,
-            {tg.names.index(s): m for s, m in gen_images.items()},
-            operator.matmul,
-            CycMatrix.identity(n, dim),
-        )
-        if images is None:
-            return None
-        return {tg.names[i]: m for i, m in images.items()}
+    xi = weyl_element(space)  # change of basis between the two conventions
+    translate = sp_index(space, xi @ tg.matrices @ mat_inv(xi, p) % p)
+
+    def extend(gens: dict, dim: int):
+        return extend_hom(tg, gens, operator.matmul, CycMatrix.identity(n, dim))
 
     omega = zeta_p(3, 1, conductor=n)
     one = CycNumber.one(n)
 
-    n1 = n_element(space, [[1]])
-    jel = weyl_element(space)
+    n1, jel = (int(sp_index(space, m)) for m in (n_element(space, [[1]]), xi))
     # alpha from the printed values: alpha(n(b)) = zeta(-b), alpha(j) = 1
     alpha = extend(
         {n1: CycMatrix(n, [[omega.inverse()]]), jel: CycMatrix(n, [[one]])}, 1
@@ -594,9 +592,10 @@ def sl23_reference(lift: WeilLift) -> tuple[dict, dict, WeilLift, "Sl23Reference
     return alpha, beta, lift, ref
 
 
-def lift_in_odd_even_basis(ref: Sl23Reference, s_app: SpElement) -> CycMatrix:
-    """The lift of the appendix-basis element, written in (odd; even) coordinates."""
-    mat = ref.lift.sp_images[ref.translate(s_app)]
+def lift_in_odd_even_basis(ref: Sl23Reference, s_app: int) -> CycMatrix:
+    """The lift of the appendix-basis element with sp_table index s_app,
+    written in (odd; even) coordinates."""
+    mat = ref.lift.sp_images[ref.translate[s_app]]
     u = ref.even_basis_change
     return u.inverse() @ mat @ u
 
@@ -609,8 +608,9 @@ def sp_abelianization_order(space: SymplecticSpace) -> int:
     return tg.order // len(tg.commutator_subgroup())
 
 
-def sp_one_dim_characters(space: SymplecticSpace) -> list[dict]:
-    """All characters Sp -> C*, as dicts element -> CycNumber.
+def sp_one_dim_characters(space: SymplecticSpace) -> list[list]:
+    """All characters Sp -> C*, each as the list of its CycNumber values in
+    :func:`~heisweil.symplectic.sp_table` order.
 
     Computed from the abelianization, which is trivial except for SL(2,3)
     where it is cyclic of order three.
@@ -620,8 +620,7 @@ def sp_one_dim_characters(space: SymplecticSpace) -> list[dict]:
     m = tg.order // len(comm)
     n = run_conductor(space.p)
     if m == 1:
-        one = CycNumber.one(n)
-        return [{s: one for s in tg.names}]
+        return [[CycNumber.one(n)] * tg.order]
     labels = double_coset_labels(tg, [0], comm)  # the coset s.[G, G] of each s
     reps = np.unique(labels, return_index=True)[1].tolist()
     coset_id = labels.tolist()
@@ -638,14 +637,13 @@ def sp_one_dim_characters(space: SymplecticSpace) -> list[dict]:
     out = []
     for k in range(m):
         root = root_of_unity(n, (n // m) * k)
-        out.append(
-            {s: root ** exp_of[coset_id[i]] for i, s in enumerate(tg.names)}
-        )
+        out.append([root ** exp_of[c] for c in coset_id])
     return out
 
 
-def three_extensions_p3(lift: WeilLift) -> list[dict]:
-    """All extensions of tau at p = 3: the lift and its two character twists."""
+def three_extensions_p3(lift: WeilLift) -> list[list]:
+    """All extensions of tau at p = 3: the lift and its two character twists,
+    each as its images in :func:`~heisweil.symplectic.sp_table` order."""
     space = lift.space
     if space.p != 3 or space.ell != 1:
         raise ValueError(
@@ -654,10 +652,10 @@ def three_extensions_p3(lift: WeilLift) -> list[dict]:
     chars = sp_one_dim_characters(space)
     if len(chars) != 3:
         raise RuntimeError(f"SL(2,3) must have 3 characters; found {len(chars)}")
-    out = []
-    for char in chars:
-        out.append({s: lift.sp_images[s].scale(char[s]) for s in lift.sp_images})
-    return out
+    return [
+        [image.scale(c) for image, c in zip(lift.sp_images.images, char)]
+        for char in chars
+    ]
 
 
 def abstract_lift(lift: WeilLift, nu: SpecialIso) -> "AbstractLift":
@@ -691,16 +689,16 @@ class AbstractLift:
         return self.std.base.images[self.nu.image(h)]
 
     def verify_rep_on_pairs(self, pairs, check: Check | None = None) -> bool:
-        """F[x] F[y] = F[x y] for each pair (x, y), with F the semidirect
-        family and x y from :func:`~heisweil.mackey.semidirect_mul`: one
-        packed product table of the left against the right factors, read on
-        its diagonal."""
+        """F[x] F[y] = F[x y] for each pair (x, y) of (sp index, h) factors,
+        with F the semidirect family and x y from
+        :func:`~heisweil.mackey.semidirect_mul`: one packed product table of
+        the left against the right factors, read on its diagonal."""
         check = Check("weil.abstract_lift_rep_law") if check is None else check
         num, den = self.std.semidirect_family
         g, sp = self.group, sp_table(self.std.space)
         # a, u, b, v: the (sp index, nu(h)) of both factors of every pair
         a, u, b, v = np.array(
-            [[sp.names.index(s), self.nu.image(h)] for pair in pairs for s, h in pair],
+            [[s, self.nu.image(h)] for pair in pairs for s, h in pair],
             dtype=np.int64,
         ).reshape(len(pairs), 4).T
         product = semidirect_mul(sp, g, g.linear_action(sp.matrices), a, u, b, v)
@@ -710,5 +708,5 @@ class AbstractLift:
         # prods carry den^2: equal exactly when den divides them into F[x y]
         quot, rem = np.divmod(prods, den)
         ok = ((rem == 0) & (quot == num[product])).all(axis=(1, 2, 3))
-        check.all(ok, lambda k: (self.nu, *pairs[k]))
+        check.all(ok, lambda k: (self.nu, *((sp.names[s], h) for s, h in pairs[k])))
         return check.passed

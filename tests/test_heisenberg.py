@@ -22,7 +22,7 @@ from heisweil.heisenberg import (
     special_iso_from_split_polarization,
     split_polarization_from_iso,
 )
-from heisweil.symplectic import GuardError, SpElement, SymplecticSpace, sp_table
+from heisweil.symplectic import GuardError, SymplecticSpace, is_antisymplectic, sp_table
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +186,17 @@ def test_polarization_from_involution_roundtrip(h3):
 
 
 def test_central_sign_must_match_matrix_sign(h3):
-    s = SpElement(h3.space, [[1, 0], [0, -1]], -1)
+    s = [[1, 0], [0, -1]]
+    assert is_antisymplectic(h3.space, s)
     with pytest.raises(ValueError):
         HeisenbergAutomorphism(h3, s, (0, 0), 1)
+    alpha = HeisenbergAutomorphism(h3, s, (0, 0), -1)
+    # equal, and hashing alike, by the entries of s, w0 and the sign
+    same = HeisenbergAutomorphism(h3, np.array([[1, 0], [0, 2]]), (0, 0), -1)
+    assert alpha == same and hash(alpha) == hash(same)
+    assert alpha != HeisenbergAutomorphism(h3, [[2, 0], [0, 1]], (0, 0), -1)
+    assert alpha != HeisenbergAutomorphism(h3, s, (0, 1), -1)
+    assert len({alpha, same}) == 1
 
 
 @pytest.mark.parametrize("p, ell", [(11, 1), (3, 2)])
@@ -212,15 +220,31 @@ def test_order_two_trivial_on_center_crosscheck(p):
     # brute-force cross-check over all (s, w0) candidates
     from heisweil.symplectic import enumerate_sp
 
-    brute = 0
+    brute = []
     for s in enumerate_sp(g.space):
         for w0 in itertools.product(range(p), repeat=2):
             cand = HeisenbergAutomorphism(g, s, w0, 1)
             if cand.is_order_two():
-                brute += 1
-    assert brute == len(listed)
+                brute.append(cand)
+    assert brute == listed  # the same automorphisms, in the same order
     # no inner automorphism has order two for odd p
-    assert not any(a.s.is_identity() for a in listed)
+    assert not any(np.array_equal(a.s, np.eye(2)) for a in listed)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_order_two_inverting_center_crosscheck(p):
+    """The stacked sweep against every antisymplectic (s, w0) tested on its
+    permutation: the same automorphisms, in the same order."""
+    from heisweil.symplectic import enumerate_antisymplectic
+
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    brute = [
+        cand
+        for s in enumerate_antisymplectic(g.space)
+        for w0 in itertools.product(range(p), repeat=2)
+        if (cand := HeisenbergAutomorphism(g, s, w0, -1)).is_order_two()
+    ]
+    assert brute == order_two_automorphisms_inverting_center(g)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -233,7 +257,7 @@ def test_order_two_inverting_center_all_give_polarizations(p):
         # images are the +-1 eigenspaces of the reduced map
         from heisweil.symplectic import eigen_polarization
 
-        plus, minus = eigen_polarization(alpha.s)
+        plus, minus = eigen_polarization(g.space, alpha.s)
         from heisweil.symplectic import span_mod
 
         assert g.image_in_w(hplus) == span_mod(plus, p, 2)

@@ -18,7 +18,14 @@ from heisweil.linalg import (
 )
 from heisweil.reps import heisenberg_rep
 from heisweil.scalar import CycNumber, context, root_of_unity
-from heisweil.symplectic import SymplecticSpace, bruhat_factor, enumerate_sp
+from heisweil.symplectic import (
+    SymplecticSpace,
+    bruhat_factor,
+    enumerate_sp,
+    m_element,
+    n_element,
+    weyl_element,
+)
 from heisweil.weil import (
     _fourier_kernel,
     _levi_image,
@@ -186,9 +193,7 @@ def packed_lift3():
     g = HeisenbergGroup(SymplecticSpace(3, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
     tg = sp_table(lift.space)
-    num, den = batch_from_matrices(
-        [lift.sp_images[s] for s in tg.names], lift.base.conductor
-    )
+    num, den = batch_from_matrices(lift.sp_images.images, lift.base.conductor)
     return num, den, tg.table, lift.base.conductor
 
 
@@ -246,7 +251,7 @@ def test_verify_table_p7_corrupted_family_matches_per_pair_products(kernel_dtype
     lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
     tg = sp_table(lift.space)
     n, table = lift.base.conductor, tg.table
-    num, den = batch_from_matrices([lift.sp_images[s] for s in tg.names], n)
+    num, den = batch_from_matrices(lift.sp_images.images, n)
     bad_s = 101
     bad = num.copy()
     bad[bad_s, 2, 4, 3] += 1
@@ -345,7 +350,7 @@ def test_verify_table_p7_odd_coordinate_matches_per_pair_products(kernel_dtypes)
     lift = weil_lift(heisenberg_rep(g, 1, model="plus"))
     tg = sp_table(lift.space)
     n, table = lift.base.conductor, tg.table
-    num, den = batch_from_matrices([lift.sp_images[s] for s in tg.names], n)
+    num, den = batch_from_matrices(lift.sp_images.images, n)
     assert not num[..., 1::2].any()
     bad_s = 57
     bad = num.copy()
@@ -374,8 +379,8 @@ def lift_families(request):
     p, model = request.param
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model=model))
-    sps = [lift.sp_images[s] for s in sp_table(lift.space).names]
-    return sps, [lift.base.images[h] for h in g.elements()]
+    assert lift.sp_images.elements is sp_table(lift.space).matrices
+    return lift.sp_images.images, [lift.base.images[h] for h in g.elements()]
 
 
 def test_trace_table_equals_per_entry_traces(lift_families, kernel_dtypes):
@@ -485,10 +490,11 @@ def test_product_table_rejects_mismatched_families():
         product_table([a], [a.transpose(), CycMatrix(20, [[1, 2], [3, 4], [5, 6]])])
 
 
-def bruhat_word_images(lift) -> dict:
+def bruhat_word_images(lift) -> list:
     """The Weil images as the product of the images of the Bruhat word of
-    each element, one ``@`` per factor; j from the selected normalization
-    and, in the minus model, j^-1 by elimination."""
+    each element, in the order of enumerate_sp, one ``@`` per factor; j from
+    the selected normalization and, in the minus model, j^-1 by elimination.
+    Each word is checked to rebuild its element's matrix."""
     tau, space = lift.base, lift.space
     p, n = space.p, tau.conductor
     j_img = _fourier_kernel(tau).scale(lift.normalization)
@@ -500,13 +506,21 @@ def bruhat_word_images(lift) -> dict:
             x: j_img @ _quadratic_phase_image(tau, [[(-x) % p]], lower=True) @ j_inv
             for x in range(p)
         }
-    factor = {"n": n_img, "m": {y: _levi_image(tau, [[y]]) for y in range(1, p)}}
-    images = {}
+    m_img = {y: _levi_image(tau, [[y]]) for y in range(1, p)}
+    images = []
     for s in enumerate_sp(space):
-        acc = CycMatrix.identity(n, tau.dim)
-        for tok in bruhat_factor(space, s):
-            acc = acc @ (j_img if tok[0] == "j" else factor[tok[0]][tok[1]])
-        images[s] = acc
+        big, x, y, z = (int(a) for a in bruhat_factor(space, s))
+        word = [("n", x), ("j",), ("m", y), ("n", z)] if big else [("m", y), ("n", z)]
+        acc, mat = CycMatrix.identity(n, tau.dim), np.eye(2, dtype=np.int64)
+        for tok in word:
+            if tok[0] == "j":
+                acc, mat = acc @ j_img, mat @ weyl_element(space)
+            elif tok[0] == "m":
+                acc, mat = acc @ m_img[tok[1]], mat @ m_element(space, [[tok[1]]])
+            else:
+                acc, mat = acc @ n_img[tok[1]], mat @ n_element(space, [[tok[1]]])
+        assert np.array_equal(mat % p, s)
+        images.append(acc)
     return images
 
 
@@ -528,8 +542,9 @@ def test_weil_lift_equals_the_bruhat_word_products(p, model, monkeypatch):
     assert len(calls) <= 4 * 4 + 2 + 2 * p
     monkeypatch.undo()
     oracle = bruhat_word_images(lift)
-    assert list(lift.sp_images) == list(oracle)
-    for s, image in oracle.items():
+    assert np.array_equal(lift.sp_images.elements, enumerate_sp(lift.space))
+    assert len(lift.sp_images) == len(oracle)
+    for s, image in enumerate(oracle):
         assert lift.sp_images[s] == image, s
 
 

@@ -507,14 +507,13 @@ def test_semidirect_table_matches_pairwise_products():
     # reference: the same group built one product at a time from the law
     law = _heisenberg_law(space)
     sp = sp_table(space)
-    sp_index = {s: i for i, s in enumerate(sp.names)}
-    names = [(s, h) for s in sp.names for h in g.names]
+    names = [(s, h) for s in range(sp.order) for h in g.names]
 
     def mul(x, y):
         (s1, h1), (s2, h2) = x, y
-        s2_inv = sp.names[sp.inv(sp_index[s2])]
-        moved = HElem(s2_inv.apply(h1.w), h1.z)
-        return (sp.names[sp.mul(sp_index[s1], sp_index[s2])], law(moved, h2))
+        s2_inv = sp.matrices[sp.inv(s2)]
+        moved = HElem(tuple((s2_inv @ h1.w % 3).tolist()), h1.z)
+        return (sp.mul(s1, s2), law(moved, h2))
 
     ref = table_group_from_mul(names, mul, names[0])
     assert tg.order == 648
@@ -541,10 +540,10 @@ def test_semidirect_involution_record_needs_untwisted_alpha():
     assert (len(alphas), len(untwisted)) == (36, 12)
     for alpha in alphas:
         if alpha in untwisted:
-            assert semidirect_involution_record(tg, alpha).is_valid(tg)
+            assert semidirect_involution_record(alpha).is_valid(tg)
         else:
             with pytest.raises(ValueError, match="w0 = 0"):
-                semidirect_involution_record(tg, alpha)
+                semidirect_involution_record(alpha)
 
 
 def test_involution_record_validity(s3):

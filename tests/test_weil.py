@@ -20,10 +20,13 @@ from heisweil.symplectic import (
     enumerate_P,
     m_element,
     n_element,
+    sp_index,
+    sp_witness,
     weyl_element,
 )
 from heisweil.weil import (
     NormalizationError,
+    SpImages,
     _intertwining_table,
     abstract_lift,
     lift_in_odd_even_basis,
@@ -57,6 +60,20 @@ def ref3(lift3):
     return sl23_reference(lift3)
 
 
+def with_images(lift, replaced: dict):
+    """The lift with the images at the indices of ``replaced`` swapped for
+    the given ones."""
+    images = list(lift.sp_images.images)
+    for i, image in replaced.items():
+        images[i] = image
+    return dataclasses.replace(lift, sp_images=SpImages(lift.sp_images.elements, images))
+
+
+def index_of(space, m) -> int:
+    """The sp_table index of one matrix."""
+    return int(sp_index(space, m))
+
+
 def test_normalization_magnitude(lift3, lift5):
     for lift, p in ((lift3, 3), (lift5, 5)):
         c = lift.normalization
@@ -75,13 +92,14 @@ def test_homomorphism_exhaustive(p):
     assert len(tg.generators) == 2
     assert report.checks == 2 * order + 1
     assert report.passed
-    num, den = batch_from_matrices([lift.sp_images[s] for s in tg.names], n)
+    assert lift.sp_images.elements is tg.matrices
+    num, den = batch_from_matrices(lift.sp_images.images, n)
     assert linalg.verify_multiplication_table(num, den, tg.table, n) == []
 
 
 def _fixed_space_dim(s, p: int) -> int:
     """dim ker(s - 1) over F_p for a 2x2 matrix s."""
-    a, b, c, d = (int(x) for x in s.matrix.flat)
+    a, b, c, d = (int(x) for x in s.flat)
     m = ((a - 1) % p, b % p, c % p, (d - 1) % p)
     if not any(m):
         return 2
@@ -96,7 +114,7 @@ def test_character_norm_howe_gerardin(p, model):
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model=model))
     assert len(lift.sp_images) == p * (p * p - 1)
-    for s, image in lift.sp_images.items():
+    for s, image in zip(lift.sp_images.elements, lift.sp_images.images):
         tr = image.trace()
         assert tr * tr.conj() == p ** _fixed_space_dim(s, p), s
 
@@ -116,12 +134,13 @@ def test_intertwining_exhaustive_p3(lift3):
     report = verify_intertwining(lift3)
     assert report.checks == 2 * 3 and report.passed
     g = lift3.group
-    assert _intertwining_table(lift3, list(lift3.sp_images), g.elements()).all()
+    every = list(range(len(lift3.sp_images)))
+    assert _intertwining_table(lift3, every, g.elements()).all()
 
 
 def sp_generators(lift) -> list:
-    tg = sp_table(lift.space)
-    return [tg.names[i] for i in tg.generators]
+    """The sp_table indices of the generators of Sp(W)."""
+    return list(sp_table(lift.space).generators)
 
 
 def test_intertwining_witness_is_the_first_failing_pair(lift3):
@@ -129,14 +148,13 @@ def test_intertwining_witness_is_the_first_failing_pair(lift3):
     |S_Sp| |S_H| and the witness is the first (s, h) of the per-pair loop
     over generators that fails."""
     s = sp_generators(lift3)[1]
-    t = list(lift3.sp_images)[9]
-    bad = dataclasses.replace(lift3, sp_images={**lift3.sp_images, s: lift3.sp_images[t]})
+    bad = with_images(lift3, {s: lift3.sp_images[9]})
     report = verify_intertwining(bad)
     g, tau, mat = bad.group, bad.base.images, bad.sp_images[s]
-    action = g.linear_action(s.matrix)
+    action = g.linear_action(bad.sp_images.elements[s])
     first = next(h for h in g.generators if mat @ tau[h] != tau[action[h]] @ mat)
     assert report.checks == 2 * 3 and not report.passed
-    assert report.witness == (s, g.names[first])
+    assert report.witness == (sp_witness(bad.sp_images.elements[s]), g.names[first])
 
 
 def per_s_intertwining(lift, sps, hs) -> np.ndarray:
@@ -146,7 +164,7 @@ def per_s_intertwining(lift, sps, hs) -> np.ndarray:
     n, g, tau, k = lift.base.conductor, lift.group, lift.base.images, len(hs)
     ok = np.empty((len(sps), k), dtype=bool)
     for i, s in enumerate(sps):
-        mat, moved = lift.sp_images[s], g.linear_action(s.matrix)[hs]
+        mat, moved = lift.sp_images[s], g.linear_action(lift.sp_images.elements[s])[hs]
         taus, _ = batch_from_matrices([tau[h] for h in hs] + [tau[h] for h in moved], n)
         lhs = packed_product_table(n, mat.num[None], taus[:k])[0]
         rhs = packed_product_table(n, taus[k:], mat.num[None])[:, 0]
@@ -159,18 +177,19 @@ def corrupted_lift(lift, sps, seed: int):
     non-central, so the identities of those s fail for the h that h does
     not commute with."""
     rng = random.Random(seed)
-    g, images = lift.group, dict(lift.sp_images)
+    g, images = lift.group, {}
     noncentral = [h for h in g.elements() if h not in g.center()]
     for s in sps:
-        images[s] = images[s] @ lift.base.images[rng.choice(noncentral)]
-    return dataclasses.replace(lift, sp_images=images)
+        image = images.get(s, lift.sp_images[s])
+        images[s] = image @ lift.base.images[rng.choice(noncentral)]
+    return with_images(lift, images)
 
 
 @pytest.mark.parametrize("model", ["minus", "plus"])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_intertwining_gathers_equal_per_s_products(p, model):
     lift = weil_lift(heisenberg_rep(HeisenbergGroup(SymplecticSpace(p, 1)), 1, model=model))
-    g, sps = lift.group, list(lift.sp_images)
+    g, sps = lift.group, list(range(len(lift.sp_images)))
     lift = corrupted_lift(lift, random.Random(p).sample(sps, 4) + sp_generators(lift), p)
     gens = list(g.generators)
     hs = g.elements() if p < 7 else gens + list(range(0, g.order, 17))
@@ -197,7 +216,8 @@ def test_intertwining_corrupted_image_reports_the_first_failing_pair(p, model):
         reference = per_s_intertwining(bad, sps, list(g.generators))
         i, j = np.argwhere(~reference)[0]
         assert report.checks == reference.size == 6 and not report.passed
-        assert report.witness == (sps[i], g.names[g.generators[j]]) and sps[i] == s
+        witness = (sp_witness(lift.sp_images.elements[sps[i]]), g.names[g.generators[j]])
+        assert report.witness == witness and sps[i] == s
 
 
 def test_verify_weil_p7_kernel_calls(monkeypatch, capsys):
@@ -234,9 +254,7 @@ def test_a_corrupted_non_generator_image_fails_the_weil_report(monkeypatch, tmp_
         lift = real(tau)
         if tau.model != "minus":
             return lift
-        name = tg.names[s]
-        images = {**lift.sp_images, name: lift.sp_images[name].scale(-1)}
-        return dataclasses.replace(lift, sp_images=images)
+        return with_images(lift, {s: lift.sp_images[s].scale(-1)})
 
     monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
     check = next(
@@ -311,20 +329,21 @@ def test_p_action_corrupted_image_reports_the_first_element(model):
     lift = weil_lift(heisenberg_rep(g, 1, model=model))
     space, n = lift.space, lift.base.conductor
     parabolic = enumerate_P(space)
-    images = dict(lift.sp_images)
-    for x in (parabolic[-3], parabolic[7]):
-        images[x] = images[x].scale(-1)
-    bad = dataclasses.replace(lift, sp_images=images)
+    at = sp_index(space, parabolic).tolist()
+    bad = with_images(lift, {x: lift.sp_images[x].scale(-1) for x in (at[-3], at[7])})
+    images = bad.sp_images
     report = p_action_check(bad)
     lam = CycMatrix(n, [[1] * lift.base.dim]) if model == "minus" else None
     if lam is None:
         origin = lift.base.basis_labels.index((0,))
         lam = CycMatrix(n, [[int(t == origin) for t in range(lift.base.dim)]])
     first = next(
-        x for x in parabolic if lam @ images[x] != lam.scale(chi_P(space, x))
+        i
+        for i, x in enumerate(at)
+        if lam @ images[x] != lam.scale(int(chi_P(space, parabolic[i])))
     )
     assert report.checks == len(parabolic) and not report.passed
-    assert report.witness == first == parabolic[7]
+    assert report.witness == sp_witness(parabolic[first]) and first == 7
 
 
 def test_restriction_to_identity_is_tau(lift3):
@@ -342,8 +361,8 @@ def test_trace_sign_on_M_for_all_p(lift3, lift5):
 def test_trace_values_on_levi(lift5):
     # m(1) has trace p^l > 0; m(2) over F_5 has trace chi(2) * 1 = -1
     space = lift5.space
-    assert lift5.sp_images[m_element(space, [[1]])].trace() == 5
-    tr = lift5.sp_images[m_element(space, [[2]])].trace()
+    assert lift5.sp_images[index_of(space, m_element(space, [[1]]))].trace() == 5
+    tr = lift5.sp_images[index_of(space, m_element(space, [[2]]))].trace()
     assert tr.is_rational() and tr.rational_value() < 0
 
 
@@ -380,10 +399,10 @@ def test_sl23_reference_rejects_other_lifts(lift5):
 def test_sl23_alpha_values(ref3):
     alpha, beta, lift, ref = ref3
     space = lift.space
-    assert alpha[weyl_element(space)][0, 0] == CycNumber.one(12)
-    assert alpha[n_element(space, [[1]])][0, 0] == zeta_p(3, -1)
+    assert alpha[index_of(space, weyl_element(space))][0, 0] == CycNumber.one(12)
+    assert alpha[index_of(space, n_element(space, [[1]]))][0, 0] == zeta_p(3, -1)
     scalar_minus = m_element(space, [[2]])  # diag(2, 2^-1) = diag(-1,-1) mod 3
-    assert alpha[scalar_minus][0, 0] == CycNumber.one(12)
+    assert alpha[index_of(space, scalar_minus)][0, 0] == CycNumber.one(12)
 
 
 def test_sl23_beta_det_is_alpha(ref3):
@@ -394,17 +413,17 @@ def test_sl23_beta_det_is_alpha(ref3):
 
 def test_sl23_character_decomposition(ref3):
     alpha, beta, lift, ref = ref3
-    els = sp_table(lift.space).names
+    els = range(sp_table(lift.space).order)
     for s in els:
-        lhs = lift.sp_images[ref.translate(s)].trace()
+        lhs = lift.sp_images[ref.translate[s]].trace()
         assert lhs == alpha[s][0, 0] + beta[s].trace()
 
 
 def test_sl23_displayed_beta_j_is_even_block_at_j_inverse(ref3):
     alpha, beta, lift, ref = ref3
     space = lift.space
-    jel = weyl_element(space)
-    m = lift_in_odd_even_basis(ref, jel.inverse())
+    jel = index_of(space, weyl_element(space))
+    m = lift_in_odd_even_basis(ref, sp_table(space).inv(jel))
     even = CycMatrix(12, [[m[1, 1], m[1, 2]], [m[2, 1], m[2, 2]]])
     assert even == ref.beta_j_displayed
     # and the image at j itself is its inverse, i.e. the negative
@@ -421,7 +440,7 @@ def test_sl23_unipotent_and_scalar_operators_match_printed_formulas(ref3):
     # printed: n(b) acts on C[F_3] by the phase zeta(-b t^2); the appendix
     # n(b) is the lower unipotent [[1,0],[-b,1]] in the package basis
     for b in (1, 2):
-        img = lift.sp_images[ref.translate(n_element(space, [[b]]))]
+        img = lift.sp_images[ref.translate[index_of(space, n_element(space, [[b]]))]]
         expected = CycMatrix(
             n,
             [
@@ -439,7 +458,7 @@ def test_sl23_unipotent_and_scalar_operators_match_printed_formulas(ref3):
     # printed: diag(a, a) acts by chi(a) f(a t)
     for a in (1, 2):
         sc = m_element(space, [[a]]) if a == 1 else m_element(space, [[2]])
-        img = lift.sp_images[ref.translate(sc)]
+        img = lift.sp_images[ref.translate[index_of(space, sc)]]
         sign = 1 if a == 1 else -1
         rows = [[CycNumber.zero(n)] * 3 for _ in range(3)]
         for t in range(3):
@@ -449,7 +468,7 @@ def test_sl23_unipotent_and_scalar_operators_match_printed_formulas(ref3):
 
 def test_sl23_odd_part_carries_alpha(ref3):
     alpha, beta, lift, ref = ref3
-    els = sp_table(lift.space).names
+    els = range(sp_table(lift.space).order)
     for s in els:
         m = lift_in_odd_even_basis(ref, s)
         assert m[0, 0] == alpha[s][0, 0]
@@ -459,13 +478,14 @@ def test_sl23_odd_part_carries_alpha(ref3):
 def test_three_extensions_and_selection(lift3):
     exts = three_extensions_p3(lift3)
     assert len(exts) == 3
-    els = sp_table(lift3.space).names
+    tg = sp_table(lift3.space)
+    els = range(tg.order)
     # each is a homomorphism on a sample of pairs
     rng = random.Random(3)
     for imgs in exts:
         for _ in range(60):
             s, t = rng.choice(els), rng.choice(els)
-            assert imgs[s] @ imgs[t] == imgs[s * t]
+            assert imgs[s] @ imgs[t] == imgs[tg.mul(s, t)]
     chars = [tuple((imgs[s].trace()) for s in els) for imgs in exts]
     assert len(set(chars)) == 3
     # the selected lift is the one whose character matches alpha + beta
@@ -474,10 +494,10 @@ def test_three_extensions_and_selection(lift3):
         alpha[s][0, 0] + beta[s].trace() for s in els
     )
     translated = [
-        tuple(imgs[ref.translate(s)].trace() for s in els) for imgs in exts
+        tuple(imgs[ref.translate[s]].trace() for s in els) for imgs in exts
     ]
     assert translated.count(target) == 1
-    assert tuple(lift3.sp_images[ref.translate(s)].trace() for s in els) == target
+    assert tuple(lift3.sp_images[ref.translate[s]].trace() for s in els) == target
 
 
 @pytest.mark.parametrize("p,expected", [(3, 3), (5, 1), (7, 1)])
@@ -492,26 +512,25 @@ def test_sp_characters_count():
 
 def test_sp_characters_p7_trivial_only():
     (char,) = sp_one_dim_characters(SymplecticSpace(7, 1))
-    assert len(char) == 336 and all(v == 1 for v in char.values())
+    assert len(char) == 336 and all(v == 1 for v in char)
 
 
 # -- contragredient compatibility -------------------------------------------------
 
 
-def _semidirect_inverse(g, s, h):
-    s_inv = s.inverse()
+def _semidirect_inverse(tg, g, s, h):
     w, z = g.names[g.inv(h)]
-    return s_inv, g.element(s.apply(w), z)
+    return tg.inv(s), g.element(tg.matrices[s] @ np.array(w), z)
 
 
 def test_contragredient_of_lift_is_lift_of_contragredient(lift3):
     g = lift3.group
     tau_tilde = heisenberg_rep(g, 2, model="minus")  # the zeta^-1 model
     lift_tilde = weil_lift(tau_tilde)
-    els = sp_table(g.space).names
-    for s in els:
+    tg = sp_table(g.space)
+    for s in range(tg.order):
         for h in g.elements():
-            si, hi = _semidirect_inverse(g, s, h)
+            si, hi = _semidirect_inverse(tg, g, s, h)
             # the character of the contragredient
             lhs = (lift3.sp_images[si] @ lift3.base.images[hi]).trace()
             rhs = (lift_tilde.sp_images[s] @ lift_tilde.base.images[h]).trace()
@@ -567,7 +586,7 @@ def test_abstract_lift_twist_relation_on_a_corrupted_base_matches_reference(lift
 
 def test_abstract_lift_is_rep_of_twisted_product(lift3):
     g = lift3.group
-    els = sp_table(g.space).names
+    els = range(sp_table(g.space).order)
     rng = random.Random(11)
     hs = g.elements()
     for nu in all_special_isos(g):
@@ -585,7 +604,7 @@ def test_abstract_lift_is_rep_of_twisted_product(lift3):
 def test_abstract_lift_characters_nu_independent(lift3):
     """Matched through nu, every choice gives the same character function."""
     g = lift3.group
-    els = sp_table(g.space).names
+    els = range(sp_table(g.space).order)
     base = abstract_lift(lift3, SpecialIso(g, (0, 0)))
     reference = {
         (s, x): (lift3.sp_images[s] @ base.h_image(x)).trace()
@@ -606,29 +625,28 @@ def _rep_law_per_pair(lift, nu, pairs):
     multiplication of Sp x|_nu H written out from its definition
     (s1, h1)(s2, h2) = (s1 s2, (s2^-1 ._nu h1) h2), with
     s ._nu h = nu^-1(s . nu(h)).  Returns (count, first failing witness)."""
-    g = lift.group
+    g, tg = lift.group, sp_table(lift.space)
 
     def image(s, h):
         return lift.sp_images[s] @ lift.base.images[nu.image(h)]
 
     def twisted_action(s, h):
-        return nu.inverse_image(g.linear_action(s.matrix)[nu.image(h)])
+        return nu.inverse_image(g.linear_action(tg.matrices[s])[nu.image(h)])
 
     witness = None
     for (s1, h1), (s2, h2) in pairs:
-        prod = image(s1 * s2, g.mul(twisted_action(s2.inverse(), h1), h2))
+        prod = image(tg.mul(s1, s2), g.mul(twisted_action(tg.inv(s2), h1), h2))
         if witness is None and image(s1, h1) @ image(s2, h2) != prod:
-            witness = (nu, (s1, h1), (s2, h2))
+            witness = (nu, (tg.names[s1], h1), (tg.names[s2], h2))
     return len(pairs), witness
 
 
 def test_abstract_lift_rep_law_matches_per_pair_reference_on_a_corrupted_lift(lift3):
     g = lift3.group
-    els = sp_table(g.space).names
+    els = range(sp_table(g.space).order)
     s_bad = els[5]
-    images = dict(lift3.sp_images)
-    images[s_bad] = images[s_bad].scale(zeta_p(3, 1))  # no longer a homomorphism
-    bad = dataclasses.replace(lift3, sp_images=images)
+    # no longer a homomorphism
+    bad = with_images(lift3, {s_bad: lift3.sp_images[s_bad].scale(zeta_p(3, 1))})
     rng = random.Random(5)
     hs = g.elements()
     failed = 0
@@ -651,7 +669,7 @@ def test_abstract_lift_rep_law_matches_per_pair_reference_on_a_corrupted_lift(li
 
 def test_abstract_lift_rep_law_guards_p_above_3(lift5):
     g = lift5.group
-    pairs = [((next(iter(lift5.sp_images)), 0),) * 2]
+    pairs = [((0, 0),) * 2]
     with pytest.raises(GuardError, match="p <= 3"):
         abstract_lift(lift5, SpecialIso(g, (0, 0))).verify_rep_on_pairs(pairs)
 
@@ -682,9 +700,9 @@ def test_ell2_corrupted_generator_image_fails_the_suite(monkeypatch, tmp_path):
 
     def corrupted(tau):
         lift = real(tau)
-        j = weyl_element(lift.space)
-        images = {**lift.sp_images, j: lift.sp_images[j].scale(-1)}
-        return dataclasses.replace(lift, sp_images=images)
+        is_j = (lift.sp_images.elements == weyl_element(lift.space)).all(axis=(1, 2))
+        (j,) = np.flatnonzero(is_j)
+        return with_images(lift, {j: lift.sp_images[j].scale(-1)})
 
     monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
     checks = {c.check: c for c in SUITES["weil"](RunConfig(p=3, ell=2))}
@@ -696,3 +714,43 @@ def test_ell2_corrupted_generator_image_fails_the_suite(monkeypatch, tmp_path):
     assert run(["verify", "weil", "--p", "3", "--ell", "2", "--out", str(out)]) == 1
     failed = [f["check"] for f in json.loads(out.read_text())["failures"]]
     assert failed == ["weil.generator_relations"]
+
+
+# -- failure witnesses name elements of Sp(W) by their matrices ---------------------
+
+
+def test_a_corrupted_levi_image_reports_its_matrix(monkeypatch, tmp_path):
+    """omega(m(2)) negated in the p = 5 minus lift: the Levi trace sign and
+    the parabolic action fail at m(2), and the report writes each Sp(W)
+    witness as {"matrix": rows, "sign": 1}."""
+    import json
+
+    import heisweil.weil as weil_mod
+
+    real = weil_mod.weil_lift
+
+    def corrupted(tau):
+        lift = real(tau)
+        if tau.model != "minus" or tau.zeta_exponent != 1:
+            return lift
+        m2 = index_of(lift.space, m_element(lift.space, [[2]]))
+        return with_images(lift, {m2: lift.sp_images[m2].scale(-1)})
+
+    monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
+    out = tmp_path / "report.json"
+    assert run(["verify", "weil", "--p", "5", "--out", str(out)]) == 1
+    failures = {f["check"]: f["witness"] for f in json.loads(out.read_text())["failures"]}
+    m2 = {"matrix": [[2, 0], [0, 3]], "sign": 1}
+    trace = {"N": 20, "coeffs": [[1, 1]] + [[0, 1]] * 7}  # tr = +1, chi^M(2) = -1
+    assert failures == {
+        "weil.homomorphism_exhaustive": [
+            {"matrix": [[0, 1], [4, 0]], "sign": 1},
+            {"matrix": [[0, 2], [2, 0]], "sign": 1},
+        ],
+        "weil.trace_sign_on_levi": [m2, trace],
+        "weil.parabolic_action_minus": m2,
+        "weil.contragredient_of_lift_is_lift_of_contragredient": [
+            {"matrix": [[3, 0], [0, 2]], "sign": 1},
+            0,
+        ],
+    }
