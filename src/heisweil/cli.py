@@ -301,6 +301,7 @@ def _entry_texts(n: int, nl: str, mats: list[CycMatrix]) -> list:
 # call holds ~5 MB of temporaries, and the heap they leave behind raised
 # the peak RSS of a process that dumps repeatedly by ~4 MB.
 _SLICE_ENTRIES = 4096
+_KEY_TYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 def _distinct_entry_texts(template: str, mats: list[CycMatrix]) -> list[list[str]]:
@@ -318,10 +319,13 @@ def _distinct_entry_texts(template: str, mats: list[CycMatrix]) -> list[list[str
     np.floor_divide(den, g, out=keys[..., phi])
     keys = keys.reshape(-1, phi + 1)
     # one void scalar per row, so np.unique compares whole keys, in the
-    # smallest integer type that holds them: the order of the distinct keys
-    # changes with it, but ``inverse`` maps each entry to its own text
-    lo, hi = (np.min_scalar_type(v) for v in (keys.min(), keys.max()))
-    narrow = keys.astype(np.promote_types(lo, hi))
+    # smallest signed integer type that holds them: the order of the distinct
+    # keys changes with it, but ``inverse`` maps each entry to its own text
+    lo, hi = int(keys.min()), int(keys.max())
+    narrow = keys.astype(
+        next(t for t in _KEY_TYPES if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max),
+        copy=False,
+    )
     _, first, inverse = np.unique(
         narrow.view(np.dtype((np.void, narrow.itemsize * (phi + 1)))).ravel(),
         return_index=True,
@@ -467,7 +471,7 @@ def _dump(args, cfg: RunConfig):
     if args.what == "weil":
         tau = heisenberg_rep(group, args.zeta, model=args.model)
         lift = weil_lift(tau)
-        els = lift.sp_images.elements
+        els = lift.sp_elements
         entries = [  # in the order of the elements' entries
             {"element": els[i].tolist(), "matrix": lift.sp_images[i]}
             for i in np.argsort(codes(cfg.p, els)).tolist()

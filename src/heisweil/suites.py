@@ -89,8 +89,7 @@ class RunConfig:
         """Return an error string when a guard rejects this config."""
         from heisweil.scalar import is_odd_prime
 
-        weil_max_p = weil_mod.WEIL_EXHAUSTIVE_GUARD["max_p"]
-        enum_max_p = sympl.SP_ENUM_GUARD["ell1_max_p"]
+        max_p = sympl.SP_ENUM_GUARD["ell1_max_p"]
         if not is_odd_prime(self.p):
             return f"p = {self.p} must be an odd prime"
         if self.ell not in (1, 2):
@@ -101,11 +100,11 @@ class RunConfig:
             return f"precision = {self.precision} must be at least 1 (K >= k0 = 1)"
         if suite in ("reps", "all") and self.ell != 1:
             return "the reps suite runs at ell = 1 only"
-        if suite in ("weil", "all") and self.ell == 1 and self.p > weil_max_p:
-            return f"the Weil lift is built only for p <= {weil_max_p} at ell = 1"
+        if suite in ("weil", "all") and self.ell == 1 and self.p > max_p:
+            return f"the Weil lift is built only for p <= {max_p} at ell = 1"
         enumerated = suite in ("heisenberg", "reps", "all") and self.ell == 1
-        if enumerated and self.p > enum_max_p:
-            return f"enumeration suites are guarded to p <= {enum_max_p}"
+        if enumerated and self.p > max_p:
+            return f"enumeration suites are guarded to p <= {max_p}"
         return None
 
 
@@ -434,7 +433,7 @@ def _sl23_checks(rec: Recorder, lift) -> None:
 def _sp_h_table(lift) -> CycMatrix:
     """tr(omega(s) tau(h)) for s in sp_table order and h in H: one trace_table."""
     base = lift.base.images
-    return trace_table([base[h] for h in lift.group.elements()], lift.sp_images.images)
+    return trace_table([base[h] for h in lift.group.elements()], lift.sp_images)
 
 
 def _abstract_lift_checks(rec: Recorder, lift, table, cfg: RunConfig) -> None:

@@ -47,6 +47,7 @@ __all__ = [
     "m_element",
     "n_element",
     "polarization_to_involution",
+    "sp_guard",
     "sp_index",
     "sp_table",
     "sp_witness",
@@ -378,6 +379,21 @@ def polarization_to_involution(pol: Polarization) -> np.ndarray:
 SP_ENUM_GUARD = {"ell1_max_p": 7, "ell2_p": 3}
 
 
+def sp_guard(space: SymplecticSpace) -> None:
+    """Raise GuardError unless Sp(W) is one the package enumerates or lifts:
+    ell = 1 with p <= 7, or ell = 2, p = 3 with the standard form."""
+    p, ell = space.p, space.ell
+    max_p, ell2_p = SP_ENUM_GUARD["ell1_max_p"], SP_ENUM_GUARD["ell2_p"]
+    if ell == 2 and p == ell2_p:
+        if space != SymplecticSpace(p, ell):
+            raise GuardError("Sp(W) at ell=2 is supported only with the standard form")
+    elif not (ell == 1 and p <= max_p):
+        raise GuardError(
+            f"Sp(W) guarded to ell=1, p<={max_p} or ell=2, p={ell2_p}; "
+            f"got ell={ell}, p={p}"
+        )
+
+
 @lru_cache(maxsize=None)
 def enumerate_sp(space: SymplecticSpace) -> np.ndarray:
     """All of Sp(W) as one read-only stack (|Sp|, 2l, 2l), the identity
@@ -391,15 +407,8 @@ def enumerate_sp(space: SymplecticSpace) -> np.ndarray:
     ``np.unique`` of base-p codes per layer; each layer's new matrices come
     in code order.  The form multiplier is tested once, on the whole stack.
     """
+    sp_guard(space)
     p, ell = space.p, space.ell
-    if ell == 2 and p == SP_ENUM_GUARD["ell2_p"]:
-        if space != SymplecticSpace(p, ell):
-            raise GuardError("Sp enumeration at ell=2 supports only the standard form")
-    elif not (ell == 1 and p <= SP_ENUM_GUARD["ell1_max_p"]):
-        raise GuardError(
-            f"Sp enumeration guarded to ell=1,p<=7 or ell=2,p=3; "
-            f"got ell={ell}, p={p}"
-        )
     if ell == 1:
         entries = np.indices((p,) * 4, dtype=np.int64).reshape(4, -1).T
         a, b, c, d = entries.T

@@ -27,7 +27,7 @@ are read through :func:`~heisweil.linalg.trace_table`, one kernel call per
 family, never by a trace per element.
 
 Sp(W) is the one indexed group :func:`~heisweil.symplectic.sp_table`, built
-once per space and shared, and at ell = 1 a lift's :class:`SpImages` lists
+once per space and shared, and at ell = 1 a lift's ``sp_elements`` are
 its matrices in that order; products in Sp(W) x| H come from the law on
 (sp index, h index) pairs, :func:`~heisweil.mackey.semidirect_mul`, not from
 a table of the semidirect product.
@@ -85,6 +85,7 @@ from heisweil.symplectic import (
     mat_det,
     mat_inv,
     n_element,
+    sp_guard,
     sp_index,
     sp_table,
     sp_witness,
@@ -93,7 +94,6 @@ from heisweil.symplectic import (
 
 __all__ = [
     "NormalizationError",
-    "SpImages",
     "WeilLift",
     "abstract_lift",
     "p_action_check",
@@ -111,30 +111,18 @@ class NormalizationError(RuntimeError):
     """No (or more than one) Fourier normalization satisfied the relations."""
 
 
-WEIL_EXHAUSTIVE_GUARD = {"max_p": 7}  # at ell = 1
 SEMIDIRECT_FAMILY_MAX_P = 3
-
-
-@dataclass(frozen=True, eq=False)
-class SpImages:
-    """``images[i]`` = omega(``elements[i]``), indexed like the stack: all of
-    ``sp_table(space).matrices`` at ell = 1, and at ell = 2 the seven
-    generators of :func:`_generator_images_ell2`."""
-
-    elements: np.ndarray
-    images: list
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-    def __getitem__(self, i) -> CycMatrix:
-        return self.images[i]
 
 
 @dataclass
 class WeilLift:
+    """``sp_images[i]`` = omega(``sp_elements[i]``), indexed like the stack:
+    all of ``sp_table(space).matrices`` at ell = 1, and at ell = 2 the seven
+    generators of :func:`_generator_images_ell2`."""
+
     base: MatrixRep
-    sp_images: SpImages
+    sp_elements: np.ndarray
+    sp_images: list
     normalization: CycNumber
 
     @property
@@ -167,7 +155,7 @@ class WeilLift:
             )
         nh = self.group.order
         n = self.base.conductor
-        lnum, lden = batch_from_matrices(self.sp_images.images, n)
+        lnum, lden = batch_from_matrices(self.sp_images, n)
         base = [self.base.images[h] for h in range(nh)]
         rnum, rden = batch_from_matrices(base, n)
         num = packed_product_table(n, lnum, rnum)
@@ -175,7 +163,7 @@ class WeilLift:
 
     def restriction_is_base(self) -> bool:
         """omega(1) = 1, for a lift whose first element is the identity."""
-        if not np.array_equal(self.sp_images.elements[0], np.eye(self.space.dim)):
+        if not np.array_equal(self.sp_elements[0], np.eye(self.space.dim)):
             raise ValueError("the lift holds no image of the identity first")
         return self.sp_images[0] == CycMatrix.identity(
             self.base.conductor, self.base.dim
@@ -252,13 +240,7 @@ def weil_lift(tau: MatrixRep) -> WeilLift:
     space, p, ell = g.space, g.p, g.space.ell
     if tau.model not in ("plus", "minus"):
         raise ValueError("weil_lift needs an induced-model Heisenberg rep")
-    if not (
-        (ell == 1 and p <= WEIL_EXHAUSTIVE_GUARD["max_p"]) or (ell == 2 and p == 3)
-    ):
-        raise GuardError(
-            f"weil_lift guarded to ell=1, p<={WEIL_EXHAUSTIVE_GUARD['max_p']} "
-            f"or ell=2, p=3; got ell={ell}, p={p}"
-        )
+    sp_guard(space)
     if ell == 2 and tau.model != "plus":
         raise GuardError("the ell=2 lift is built for the plus model only")
     n = tau.conductor
@@ -293,8 +275,8 @@ def weil_lift(tau: MatrixRep) -> WeilLift:
     c, j_img = winners[0]
 
     if ell == 2:
-        images = _generator_images_ell2(tau, j_img)
-        return WeilLift(base=tau, sp_images=images, normalization=c)
+        elements, images = _generator_images_ell2(tau, j_img)
+        return WeilLift(tau, elements, images, normalization=c)
 
     # ell = 1: every element through its Bruhat cell, one product table per
     # left factor, so each has a one-matrix family on the left
@@ -323,13 +305,13 @@ def weil_lift(tau: MatrixRep) -> WeilLift:
     mats = enumerate_sp(space)  # sp_table's matrices, without building its table
     big, x, y, z = bruhat_factor(space, mats)
     images = cells[y - 1, np.where(big, x, p), z].tolist()
-    lift = WeilLift(base=tau, sp_images=SpImages(mats, images), normalization=c)
+    lift = WeilLift(tau, mats, images, normalization=c)
     if not lift.restriction_is_base():
         raise RuntimeError("the Weil lift does not send the identity to the identity")
     return lift
 
 
-def _generator_images_ell2(tau, j_img) -> SpImages:
+def _generator_images_ell2(tau, j_img) -> tuple[np.ndarray, list]:
     """m(y) for two y, n(b) for four symmetric b, then j, with their images."""
     space = tau.group.space
     ys = [[[1, 1], [0, 1]], [[2, 0], [0, 1]]]
@@ -339,7 +321,7 @@ def _generator_images_ell2(tau, j_img) -> SpImages:
     )
     images = [_levi_image(tau, y) for y in ys]
     images += [_quadratic_phase_image(tau, b, lower=False) for b in bs]
-    return SpImages(elements, images + [j_img])
+    return elements, images + [j_img]
 
 
 # -- verification ----------------------------------------------------------------
@@ -361,15 +343,15 @@ def verify_homomorphism(lift: WeilLift, check: Check | None = None) -> Check:
         return _verify_relations(lift, check)
     check = Check("weil.homomorphism_exhaustive") if check is None else check
     tg = sp_table(lift.space)  # raises GuardError past ell = 1, p <= 7
-    images = dict(enumerate(lift.sp_images.images))
+    images = dict(enumerate(lift.sp_images))
     MatrixRep(tg, lift.base.dim, images, lift.base.conductor).verify_homomorphism(check)
     return check
 
 
 def _verify_relations(lift: WeilLift, check: Check) -> Check:
     """The relations of the ell = 2 generators of :func:`_generator_images_ell2`."""
-    p, els = lift.space.p, lift.sp_images.elements
-    m1, m2, n1, n2, n3, n_eye, j = lift.sp_images.images
+    p, els = lift.space.p, lift.sp_elements
+    m1, m2, n1, n2, n3, n_eye, j = lift.sp_images
     check(n1 @ n2 == n2 @ n1, "n-generators commute")
     check(n1 @ n3 == n3 @ n1, "n-generators commute (2)")
     # m-conjugation carries the phase of n(b) to that of n(y b ty)
@@ -401,7 +383,7 @@ def verify_intertwining(lift: WeilLift, check: Check | None = None) -> Check:
     tau(s t.h).  So generator pairs prove the identity on all of Sp x H; s
     runs over the generators of ``sp_table`` or of a generators-only lift.
     """
-    g, els = lift.group, lift.sp_images.elements
+    g, els = lift.group, lift.sp_elements
     check = Check("weil.intertwining") if check is None else check
     gens = range(len(els)) if lift.generators_only else sp_table(lift.space).generators
     sps, hs = list(gens), list(g.generators)
@@ -435,7 +417,7 @@ def _intertwining_table(lift: WeilLift, sps, hs) -> np.ndarray:
     z = packed_product_table(
         n, roots[:, None, None], num.reshape(len(sps), 1, d * d, phi)
     ).reshape(p, len(sps), d, d, phi)
-    moved = g.linear_action(lift.sp_images.elements[sps])[:, hs]  # s . h
+    moved = g.linear_action(lift.sp_elements[sps])[:, hs]  # s . h
     a, i, t = np.arange(len(sps))[:, None, None], np.arange(d)[:, None], np.arange(d)
     ok = np.empty((len(sps), len(hs)), dtype=bool)
     for j in range(len(hs)):
@@ -653,7 +635,7 @@ def three_extensions_p3(lift: WeilLift) -> list[list]:
     if len(chars) != 3:
         raise RuntimeError(f"SL(2,3) must have 3 characters; found {len(chars)}")
     return [
-        [image.scale(c) for image, c in zip(lift.sp_images.images, char)]
+        [image.scale(c) for image, c in zip(lift.sp_images, char)]
         for char in chars
     ]
 

@@ -528,6 +528,20 @@ def test_to_json_keys_entries_by_their_denominator():
     assert _plain(half) != _plain(third)
 
 
+def test_to_json_keeps_int64_entries_apart_that_floats_would_merge():
+    # reduced numerators 2^60 and 2^60 + 1, which round to one float64,
+    # beside a negative one: the entry keys must keep them apart
+    big = 2**60
+    one = CycMatrix._packed(4, np.array([[[big, -1], [big + 1, -1]]]), 1)
+    apart = [
+        CycMatrix._packed(4, np.array([[[big, -1]]]), 1),
+        CycMatrix._packed(4, np.array([[[big + 1, -1]]]), 1),
+    ]
+    for payload in ([one], apart, [apart[1], one, apart[0]]):
+        assert _to_json(payload) == _stdlib_json(_plain(payload))
+    assert _plain(apart[0]) != _plain(apart[1])
+
+
 _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 

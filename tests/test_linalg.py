@@ -193,7 +193,7 @@ def packed_lift3():
     g = HeisenbergGroup(SymplecticSpace(3, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
     tg = sp_table(lift.space)
-    num, den = batch_from_matrices(lift.sp_images.images, lift.base.conductor)
+    num, den = batch_from_matrices(lift.sp_images, lift.base.conductor)
     return num, den, tg.table, lift.base.conductor
 
 
@@ -251,7 +251,7 @@ def test_verify_table_p7_corrupted_family_matches_per_pair_products(kernel_dtype
     lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
     tg = sp_table(lift.space)
     n, table = lift.base.conductor, tg.table
-    num, den = batch_from_matrices(lift.sp_images.images, n)
+    num, den = batch_from_matrices(lift.sp_images, n)
     bad_s = 101
     bad = num.copy()
     bad[bad_s, 2, 4, 3] += 1
@@ -350,7 +350,7 @@ def test_verify_table_p7_odd_coordinate_matches_per_pair_products(kernel_dtypes)
     lift = weil_lift(heisenberg_rep(g, 1, model="plus"))
     tg = sp_table(lift.space)
     n, table = lift.base.conductor, tg.table
-    num, den = batch_from_matrices(lift.sp_images.images, n)
+    num, den = batch_from_matrices(lift.sp_images, n)
     assert not num[..., 1::2].any()
     bad_s = 57
     bad = num.copy()
@@ -379,8 +379,8 @@ def lift_families(request):
     p, model = request.param
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model=model))
-    assert lift.sp_images.elements is sp_table(lift.space).matrices
-    return lift.sp_images.images, [lift.base.images[h] for h in g.elements()]
+    assert lift.sp_elements is sp_table(lift.space).matrices
+    return lift.sp_images, [lift.base.images[h] for h in g.elements()]
 
 
 def test_trace_table_equals_per_entry_traces(lift_families, kernel_dtypes):
@@ -542,7 +542,7 @@ def test_weil_lift_equals_the_bruhat_word_products(p, model, monkeypatch):
     assert len(calls) <= 4 * 4 + 2 + 2 * p
     monkeypatch.undo()
     oracle = bruhat_word_images(lift)
-    assert np.array_equal(lift.sp_images.elements, enumerate_sp(lift.space))
+    assert np.array_equal(lift.sp_elements, enumerate_sp(lift.space))
     assert len(lift.sp_images) == len(oracle)
     for s, image in enumerate(oracle):
         assert lift.sp_images[s] == image, s

@@ -26,7 +26,6 @@ from heisweil.symplectic import (
 )
 from heisweil.weil import (
     NormalizationError,
-    SpImages,
     _intertwining_table,
     abstract_lift,
     lift_in_odd_even_basis,
@@ -63,10 +62,10 @@ def ref3(lift3):
 def with_images(lift, replaced: dict):
     """The lift with the images at the indices of ``replaced`` swapped for
     the given ones."""
-    images = list(lift.sp_images.images)
+    images = list(lift.sp_images)
     for i, image in replaced.items():
         images[i] = image
-    return dataclasses.replace(lift, sp_images=SpImages(lift.sp_images.elements, images))
+    return dataclasses.replace(lift, sp_images=images)
 
 
 def index_of(space, m) -> int:
@@ -92,8 +91,8 @@ def test_homomorphism_exhaustive(p):
     assert len(tg.generators) == 2
     assert report.checks == 2 * order + 1
     assert report.passed
-    assert lift.sp_images.elements is tg.matrices
-    num, den = batch_from_matrices(lift.sp_images.images, n)
+    assert lift.sp_elements is tg.matrices
+    num, den = batch_from_matrices(lift.sp_images, n)
     assert linalg.verify_multiplication_table(num, den, tg.table, n) == []
 
 
@@ -114,7 +113,7 @@ def test_character_norm_howe_gerardin(p, model):
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model=model))
     assert len(lift.sp_images) == p * (p * p - 1)
-    for s, image in zip(lift.sp_images.elements, lift.sp_images.images):
+    for s, image in zip(lift.sp_elements, lift.sp_images):
         tr = image.trace()
         assert tr * tr.conj() == p ** _fixed_space_dim(s, p), s
 
@@ -151,10 +150,10 @@ def test_intertwining_witness_is_the_first_failing_pair(lift3):
     bad = with_images(lift3, {s: lift3.sp_images[9]})
     report = verify_intertwining(bad)
     g, tau, mat = bad.group, bad.base.images, bad.sp_images[s]
-    action = g.linear_action(bad.sp_images.elements[s])
+    action = g.linear_action(bad.sp_elements[s])
     first = next(h for h in g.generators if mat @ tau[h] != tau[action[h]] @ mat)
     assert report.checks == 2 * 3 and not report.passed
-    assert report.witness == (sp_witness(bad.sp_images.elements[s]), g.names[first])
+    assert report.witness == (sp_witness(bad.sp_elements[s]), g.names[first])
 
 
 def per_s_intertwining(lift, sps, hs) -> np.ndarray:
@@ -164,7 +163,7 @@ def per_s_intertwining(lift, sps, hs) -> np.ndarray:
     n, g, tau, k = lift.base.conductor, lift.group, lift.base.images, len(hs)
     ok = np.empty((len(sps), k), dtype=bool)
     for i, s in enumerate(sps):
-        mat, moved = lift.sp_images[s], g.linear_action(lift.sp_images.elements[s])[hs]
+        mat, moved = lift.sp_images[s], g.linear_action(lift.sp_elements[s])[hs]
         taus, _ = batch_from_matrices([tau[h] for h in hs] + [tau[h] for h in moved], n)
         lhs = packed_product_table(n, mat.num[None], taus[:k])[0]
         rhs = packed_product_table(n, taus[k:], mat.num[None])[:, 0]
@@ -216,7 +215,7 @@ def test_intertwining_corrupted_image_reports_the_first_failing_pair(p, model):
         reference = per_s_intertwining(bad, sps, list(g.generators))
         i, j = np.argwhere(~reference)[0]
         assert report.checks == reference.size == 6 and not report.passed
-        witness = (sp_witness(lift.sp_images.elements[sps[i]]), g.names[g.generators[j]])
+        witness = (sp_witness(lift.sp_elements[sps[i]]), g.names[g.generators[j]])
         assert report.witness == witness and sps[i] == s
 
 
@@ -700,7 +699,7 @@ def test_ell2_corrupted_generator_image_fails_the_suite(monkeypatch, tmp_path):
 
     def corrupted(tau):
         lift = real(tau)
-        is_j = (lift.sp_images.elements == weyl_element(lift.space)).all(axis=(1, 2))
+        is_j = (lift.sp_elements == weyl_element(lift.space)).all(axis=(1, 2))
         (j,) = np.flatnonzero(is_j)
         return with_images(lift, {j: lift.sp_images[j].scale(-1)})
 
