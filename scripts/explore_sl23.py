@@ -7,7 +7,7 @@ Fourier-convention note.
 """
 
 from heisweil.heisenberg import HeisenbergGroup
-from heisweil.linalg import CycMatrix
+from heisweil.linalg import CycMatrix, trace_table
 from heisweil.reps import heisenberg_rep
 from heisweil.symplectic import SymplecticSpace, n_element, sp_index, weyl_element
 from heisweil.weil import lift_in_odd_even_basis, sl23_reference, sp_table, weil_lift
@@ -40,13 +40,13 @@ def main() -> None:
     print("   ", fmt(even))
     print()
     print("character table on SL(2,3) (trace of the lift = alpha + tr beta):")
+    traces = trace_table(lift.base.conductor, (lift.num[ref.translate], lift.den))
     seen = set()
     for s in range(tg.order):
-        tr = lift.sp_images[ref.translate[s]].trace()
-        key = tr
-        if key in seen:
+        tr = traces[0, s]
+        if tr in seen:
             continue
-        seen.add(key)
+        seen.add(tr)
         print(
             f"  element {tg.matrices[s].tolist()}  trace {tr.to_complex():.3f}"
             f"  alpha {alpha[s][0, 0].to_complex():.3f}"

@@ -6,8 +6,7 @@ main objects:
 
 - ``groups``       the finite-group core: Cayley tables, closure, extend_hom
 - ``scalar``       exact cyclotomic numbers, roots of unity, Gauss sums
-- ``linalg``       exact matrices, the one packed kernel, trace_table and
-                   product_table on it
+- ``linalg``       exact matrices and stacks of them, the one packed kernel
 - ``symplectic``   symplectic spaces over F_p, polarizations, Sp(W) as
                    stacked matrices and its indexed table
 - ``heisenberg``   the group W x| F_p, special isomorphisms, involutions

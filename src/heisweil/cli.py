@@ -473,7 +473,7 @@ def _dump(args, cfg: RunConfig):
         lift = weil_lift(tau)
         els = lift.sp_elements
         entries = [  # in the order of the elements' entries
-            {"element": els[i].tolist(), "matrix": lift.sp_images[i]}
+            {"element": els[i].tolist(), "matrix": lift.image(i)}
             for i in np.argsort(codes(cfg.p, els)).tolist()
         ]
         return {

@@ -2,16 +2,17 @@
 
 A :class:`CycMatrix` is held in one layout, the one its products need:
 power-basis numerators ``num`` of shape (rows, cols, phi) over one
-positive denominator ``den``, reduced by their common gcd.  Every
-product runs through one packed multiplication kernel, which also backs
-:func:`verify_multiplication_table`; a family of matrices is stacked over
-its common denominator by :func:`batch_from_matrices`.  Characters come from
-the same kernel: :func:`trace_table` returns the traces of a family, or the
-table tr(L_a R_b) of two families, as one CycMatrix over one denominator,
-with no CycNumber per element.  :func:`product_table` is its twin for
-products: entry (a, b) is left[a] @ right[b], every entry from one kernel
-call on the two stacked families (:func:`packed_product_table` gives the
-numerators alone).
+positive denominator ``den``, reduced by their common gcd.  A family of
+matrices is held the same way, as one stack: numerators of shape
+(m, rows, cols, phi) over one common denominator.  The Weil lift is built
+as such a stack; :func:`batch_from_matrices` stacks matrices that were
+built one by one, once.  Every product runs through one packed
+multiplication kernel, and every function on stacks is one call of it:
+:func:`packed_product_table` gives the numerators of left[a] @ right[b]
+for every pair of two families, :func:`root_multiples` those of zeta_k^j
+times every matrix of a family, and :func:`trace_table` the traces of a
+family, or the table tr(L_a R_b) of two families, as one CycMatrix over
+one denominator, with no CycNumber per element.
 
 The kernel multiplies only the power-basis coordinates its operands use.
 The support of an operand is the set of coordinates where some numerator
@@ -39,7 +40,7 @@ too, and the tier does not depend on the supports.
 a group table, on the support of the whole family; it computes the
 den-scaled expected family once and writes each row's product, gather and
 comparison into buffers allocated once.  On the rows of a generating set
-it is the certificate of :meth:`heisweil.reps.MatrixRep.verify_homomorphism`.
+it is the certificate of :func:`heisweil.reps.homomorphism_certificate`.
 
 Entries are read out as :class:`CycNumber` only where the algorithm is
 entrywise: inverse, determinant, rank and nullspace all read one
@@ -62,7 +63,7 @@ __all__ = [
     "batch_from_matrices",
     "nullspace",
     "packed_product_table",
-    "product_table",
+    "root_multiples",
     "row_space_rank",
     "same_row_space",
     "trace_table",
@@ -100,7 +101,8 @@ class CycMatrix:
             g = gcd(den, int(np.gcd.reduce(num.ravel())))
             if g >= _INT64:  # num is all zero and g = den
                 num = num.astype(object)
-            num, den = num // g, den // g
+            if g > 1:  # else num is kept as given, as it is when den = 1
+                num, den = num // g, den // g
         if num.dtype == object and _max_abs(num) < _INT64:
             num = num.astype(np.int64)
         self.N, self.num, self.den = n, num, den
@@ -488,42 +490,24 @@ def batch_from_matrices(mats: list[CycMatrix], n: int):
     return np.stack(nums), den
 
 
-def trace_table(mats: list[CycMatrix], left: list[CycMatrix] | None = None):
-    """Entry (a, b) = tr(left[a] @ mats[b]), as one CycMatrix over one denominator.
-
-    Without ``left`` the one left factor is the identity: the result is the
-    1 x len(mats) row of traces.  tr(L R) sums L[i, j] R[j, i] over the
-    index pairs (i, j), so the whole table is one call of the packed kernel
-    on the two stacked families.
+def trace_table(n: int, right: tuple, left: tuple | None = None) -> CycMatrix:
+    """Entry (a, b) = tr(L_a @ R_b) of the stacked families ``left`` and
+    ``right``, each (num, den) as :func:`batch_from_matrices` gives it, as
+    one CycMatrix over one denominator; without ``left``, the 1 x m row of
+    traces.  tr(L R) sums L[i, j] R[j, i], so the table is one kernel call.
     """
-    n = mats[0].N
+    rnum, rden = right
     if left is None:
-        left = [CycMatrix.identity(n, mats[0].nrows)]
-    lnum, lden = batch_from_matrices(left, n)
-    rnum, rden = batch_from_matrices(mats, n)
+        left = CycMatrix.identity(n, rnum.shape[1]).num[None], 1
+    lnum, lden = left
     count, d, e, phi = lnum.shape
     if rnum.shape[1:3] != (e, d):
         r, c = rnum.shape[1:3]
         raise ValueError(f"cannot multiply {d}x{e} by {r}x{c}")
     # a[x, (i, j)] = L_x[i, j] and b[(i, j), y] = R_y[j, i]
     a = lnum.reshape(count, d * e, phi)
-    b = rnum.transpose(2, 1, 0, 3).reshape(d * e, len(mats), phi)
+    b = rnum.transpose(2, 1, 0, 3).reshape(d * e, len(rnum), phi)
     return CycMatrix._packed(n, _products(n, a, b), lden * rden)
-
-
-def product_table(left: list[CycMatrix], right: list[CycMatrix]) -> list[list[CycMatrix]]:
-    """Entry [a][b] = left[a] @ right[b], every entry from one kernel call.
-
-    Both families are stacked over their common denominators and multiplied
-    by :func:`packed_product_table`.  Each entry is a canonical CycMatrix,
-    equal in (num, den) to the product ``@`` gives.
-    """
-    n = left[0].N
-    lnum, lden = batch_from_matrices(left, n)
-    rnum, rden = batch_from_matrices(right, n)
-    nums = packed_product_table(n, lnum, rnum)
-    den = lden * rden
-    return [[CycMatrix._packed(n, prod, den) for prod in row] for row in nums]
 
 
 def packed_product_table(n: int, lnum: np.ndarray, rnum: np.ndarray) -> np.ndarray:
@@ -547,6 +531,18 @@ def packed_product_table(n: int, lnum: np.ndarray, rnum: np.ndarray) -> np.ndarr
     b = rnum.transpose(1, 0, 2, 3).reshape(e, len(rnum) * c, phi)
     nums = _products(n, a, b).reshape(count, d, len(rnum), c, phi)
     return np.ascontiguousarray(nums.transpose(0, 2, 1, 3, 4))
+
+
+def root_multiples(n: int, k: int, num: np.ndarray) -> np.ndarray:
+    """zeta_k^j num[i] at [j, i], for every j < k and every i, from one
+    kernel call: the k roots of unity, as 1 x 1 matrices, against every
+    matrix of the stack ``num`` flattened to one row.  The result, shape
+    (k, *num.shape), is over the denominator of ``num``."""
+    if n % k:
+        raise ValueError(f"Q(zeta_{n}) holds no primitive {k}-th root of unity")
+    roots = context(n).power_table[(n // k) * np.arange(k)]
+    rows = num.reshape(len(num), 1, -1, num.shape[-1])
+    return packed_product_table(n, roots[:, None, None], rows).reshape(k, *num.shape)
 
 
 def verify_multiplication_table(

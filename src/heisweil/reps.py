@@ -51,6 +51,7 @@ __all__ = [
     "heisenberg_rep",
     "hom_dim",
     "hom_dims",
+    "homomorphism_certificate",
     "irreducibles_of_H",
 ]
 
@@ -80,9 +81,9 @@ class MatrixRep:
     @cached_property
     def _character(self) -> tuple[dict, CycMatrix]:
         """(column of each element, tr rep(g) on ``images`` in its order)."""
-        return {g: i for i, g in enumerate(self.images)}, trace_table(
-            list(self.images.values())
-        )
+        n = self.conductor
+        family = batch_from_matrices(list(self.images.values()), n)
+        return {g: i for i, g in enumerate(self.images)}, trace_table(n, family)
 
     def characters(self, elements) -> CycMatrix:
         """tr rep(g) for each of ``elements``, repeats allowed, as a 1 x m row."""
@@ -96,34 +97,43 @@ class MatrixRep:
         return (self.characters(elements) @ column)[0, 0]
 
     def verify_homomorphism(self, check: Check | None = None) -> bool:
-        """The homomorphism certificate: rep(1) = 1, and rep(x g) = rep(x)
-        rep(g) for every x in S = ``group.generators`` and every g.
-
-        Lemma: if S generates G, F(1) = 1 and F(x g) = F(x) F(g) for every
-        x in S and g in G, then F is a homomorphism.  Proof: write
-        h = x_1 ... x_k with x_i in S (S generates the finite G as a monoid)
-        and peel one generator at a time: F(h g) = F(x_1) F(x_2 ... x_k g)
-        = ... = F(x_1) ... F(x_k) F(g), which at g = 1 is F(h).  So
-        1 + |S| |G| identities prove what the |G|^2 pairs prove.
-
-        Edges that do not reach every element raise ValueError.  The edges
-        are the rows S of :func:`~heisweil.linalg.verify_multiplication_table`;
-        a failing edge's witness is (x, g) by the group's names.
-        """
+        """:func:`homomorphism_certificate` on the images, stacked once."""
         g, n = self.group, self.conductor
         check = Check("reps.homomorphism") if check is None else check
-        gens = list(g.generators)
-        if len(g.subgroup_generated(gens)) != g.order:
-            raise ValueError(f"generators {gens} do not reach all {g.order} elements")
-        check(self.images[0] == CycMatrix.identity(n, self.dim), "identity")
         num, den = batch_from_matrices([self.images[h] for h in g.elements()], n)
-        ok = np.ones((len(gens), g.order), dtype=bool)
-        for x, y in verify_multiplication_table(
-            num, den, g.table[gens], n, max_failures=1, rows=gens
-        ):
-            ok[gens.index(x), y] = False
-        check.all(ok, lambda i, y: (g.names[gens[i]], g.names[y]))
-        return check.passed
+        return homomorphism_certificate(g, num, den, n, check)
+
+
+def homomorphism_certificate(
+    group, num: np.ndarray, den: int, n: int, check: Check
+) -> bool:
+    """The homomorphism certificate of g -> num[g] / den over Q(zeta_N):
+    F(1) = 1, and F(x g) = F(x) F(g) for every x in S = ``group.generators``
+    and every g.
+
+    Lemma: if S generates G, F(1) = 1 and F(x g) = F(x) F(g) for every
+    x in S and g in G, then F is a homomorphism.  Proof: write
+    h = x_1 ... x_k with x_i in S (S generates the finite G as a monoid)
+    and peel one generator at a time: F(h g) = F(x_1) F(x_2 ... x_k g)
+    = ... = F(x_1) ... F(x_k) F(g), which at g = 1 is F(h).  So
+    1 + |S| |G| identities prove what the |G|^2 pairs prove.
+
+    Edges that do not reach every element raise ValueError.  The edges
+    are the rows S of :func:`~heisweil.linalg.verify_multiplication_table`;
+    a failing edge's witness is (x, g) by the group's names.
+    """
+    g, gens = group, list(group.generators)
+    if len(g.subgroup_generated(gens)) != g.order:
+        raise ValueError(f"generators {gens} do not reach all {g.order} elements")
+    identity = CycMatrix.identity(n, num.shape[1])
+    check(CycMatrix._packed(n, num[0], den) == identity, "identity")
+    ok = np.ones((len(gens), g.order), dtype=bool)
+    for x, y in verify_multiplication_table(
+        num, den, g.table[gens], n, max_failures=1, rows=gens
+    ):
+        ok[gens.index(x), y] = False
+    check.all(ok, lambda i, y: (g.names[gens[i]], g.names[y]))
+    return check.passed
 
 
 def heisenberg_rep(

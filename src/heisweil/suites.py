@@ -55,12 +55,7 @@ from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
 from heisweil.checks import Check, Recorder
 from heisweil.groups import double_coset_labels, extend_hom, generators_within
-from heisweil.linalg import (
-    CycMatrix,
-    batch_from_matrices,
-    packed_product_table,
-    trace_table,
-)
+from heisweil.linalg import CycMatrix, batch_from_matrices, root_multiples, trace_table
 from heisweil.scalar import (
     CycNumber,
     context,
@@ -396,12 +391,12 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
 
 def _sl23_checks(rec: Recorder, lift) -> None:
     alpha, beta, _, ref = weil_mod.sl23_reference(lift)
-    tg = sympl.sp_table(lift.space)
+    tg, n = sympl.sp_table(lift.space), lift.base.conductor
     names, els = tg.names, range(tg.order)
     # tr alpha(s) + tr beta(s) for every s, as one row
-    alpha_row, beta_row = (trace_table([rep[s] for s in els]) for rep in (alpha, beta))
-    target = alpha_row + beta_row
-    lifted = trace_table([lift.sp_images[t] for t in ref.translate])
+    row = lambda rep: trace_table(n, batch_from_matrices([rep[s] for s in els], n))
+    target = row(alpha) + row(beta)
+    lifted = trace_table(n, (lift.num[ref.translate], lift.den))
     rec("weil.sl23_character_is_alpha_plus_beta").all(
         lifted.equal_entries(target)[0], lambda i: names[i]
     )
@@ -423,8 +418,8 @@ def _sl23_checks(rec: Recorder, lift) -> None:
         c(beta[s].det() == alpha[s][0, 0], names[s])
 
     exts = weil_mod.three_extensions_p3(lift)
-    chars = [trace_table(imgs) for imgs in exts]
-    translated = [trace_table([imgs[t] for t in ref.translate]) for imgs in exts]
+    chars = [trace_table(n, (num, lift.den)) for num in exts]
+    translated = [trace_table(n, (num[ref.translate], lift.den)) for num in exts]
     c = rec("weil.sl23_three_extensions_and_selection")
     c(len(set(chars)) == 3, {"distinct_characters": len(set(chars))})
     c(translated.count(target) == 1, {"selected": translated.count(target)})
@@ -432,8 +427,9 @@ def _sl23_checks(rec: Recorder, lift) -> None:
 
 def _sp_h_table(lift) -> CycMatrix:
     """tr(omega(s) tau(h)) for s in sp_table order and h in H: one trace_table."""
-    base = lift.base.images
-    return trace_table([base[h] for h in lift.group.elements()], lift.sp_images)
+    n, base = lift.base.conductor, lift.base.images
+    taus = batch_from_matrices([base[h] for h in lift.group.elements()], n)
+    return trace_table(n, taus, (lift.num, lift.den))
 
 
 def _abstract_lift_checks(rec: Recorder, lift, table, cfg: RunConfig) -> None:
@@ -445,14 +441,11 @@ def _abstract_lift_checks(rec: Recorder, lift, table, cfg: RunConfig) -> None:
     # abstract lift through nu has character (s, h) -> entry (s, nu(h)), so
     # nu = 0 reads entry (s, x)
     reference = table[:, [heis.SpecialIso(g, (0,) * g.dim).image(x) for x in xs]]
-    # images[h] = tau(h), and twisted[k, h] = zeta_p^k tau(h), both over den:
-    # one kernel call for every (k, h)
+    # images[h] = tau(h), and twisted[k, h] = zeta_p^k tau(h), both over one
+    # denominator: one kernel call for every (k, h)
     n = lift.base.conductor
-    images, den = batch_from_matrices([lift.base.images[h] for h in xs], n)
-    roots = context(n).power_table[(n // g.p) * np.arange(g.p)]
-    twisted = packed_product_table(
-        n, roots[:, None, None], images.reshape(len(xs), 1, -1, images.shape[-1])
-    ).reshape(g.p, *images.shape)
+    images, _ = batch_from_matrices([lift.base.images[h] for h in xs], n)
+    twisted = root_multiples(n, g.p, images)
     twist = rec("weil.abstract_lift_twist_relation")
     match = rec("weil.abstract_lift_characters_nu_independent")
     rep_law = rec("weil.abstract_lift_rep_law")

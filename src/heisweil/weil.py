@@ -13,18 +13,18 @@ character zeta(z) = zeta_p^(k z):
   relation as operators is selected (the extension with these parabolic
   operators is unique, so relation enforcement cannot be ambiguous);
 - all other elements get images through the Bruhat factorization
-  s = n(a/c) j m(-c) n(d/c), or m(a) n(b/a) on the small cell.  Each cell
-  is built by :func:`~heisweil.linalg.product_table` along its Bruhat
-  factors (j m(y), then j m(y) n(z), then n(x) j m(y) n(z); m(a) n(b)),
-  one table per y and per m(a): every table has at most p matrices on the
-  left, which keeps the kernel's temporaries small, so a lift makes
-  1 + 3(p - 1) table calls, never one ``@`` per element.  The stacked
-  :func:`~heisweil.symplectic.bruhat_factor` of all of Sp(W) then picks
-  every element's image out of the cells by one fancy index.
+  s = n(a/c) j m(-c) n(d/c), or m(a) n(b/a) on the small cell.  The
+  images are one stack of numerators over one denominator, built by
+  :func:`~heisweil.linalg.packed_product_table` along the Bruhat factors:
+  j m(y) for every y, then n(x) j m(y) for every x and y, then, one table
+  per y, those and m(y) against every n(z), so a lift makes p + 1 table
+  calls, never one ``@`` per element.  The stacked
+  :func:`~heisweil.symplectic.bruhat_factor` of all of Sp(W) places every
+  image of a cell row in the stack by one fancy index.
 
-Characters of the lift, tr omega(s) and the Sp x H table tr omega(s) tau(h),
-are read through :func:`~heisweil.linalg.trace_table`, one kernel call per
-family, never by a trace per element.
+Every check reads the stack: characters, the homomorphism certificate,
+intertwining and the parabolic action are one kernel call per family.
+:meth:`WeilLift.image` wraps one row as a CycMatrix for entrywise readers.
 
 Sp(W) is the one indexed group :func:`~heisweil.symplectic.sp_table`, built
 once per space and shared, and at ell = 1 a lift's ``sp_elements`` are
@@ -47,6 +47,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
@@ -57,14 +58,13 @@ from heisweil.linalg import (
     CycMatrix,
     batch_from_matrices,
     packed_product_table,
-    product_table,
+    root_multiples,
     trace_table,
 )
 from heisweil.mackey import semidirect_mul
-from heisweil.reps import MatrixRep
+from heisweil.reps import MatrixRep, homomorphism_certificate
 from heisweil.scalar import (
     CycNumber,
-    context,
     gauss_sum,
     imaginary_unit,
     legendre_symbol,
@@ -116,14 +116,25 @@ SEMIDIRECT_FAMILY_MAX_P = 3
 
 @dataclass
 class WeilLift:
-    """``sp_images[i]`` = omega(``sp_elements[i]``), indexed like the stack:
-    all of ``sp_table(space).matrices`` at ell = 1, and at ell = 2 the seven
-    generators of :func:`_generator_images_ell2`."""
+    """omega(``sp_elements[i]``) = ``num[i]`` / ``den``, one read-only stack
+    (m, d, d, phi) over one denominator: all of ``sp_table(space).matrices``
+    at ell = 1, and at ell = 2 the seven generators of
+    :func:`_generator_images_ell2`."""
 
     base: MatrixRep
     sp_elements: np.ndarray
-    sp_images: list
+    num: np.ndarray
+    den: int
     normalization: CycNumber
+
+    def __post_init__(self):
+        # semidirect_family is cached from num, so neither may change
+        self.sp_elements.flags.writeable = False
+        self.num.flags.writeable = False
+
+    def image(self, i) -> CycMatrix:
+        """omega(``sp_elements[i]``) as a canonical CycMatrix."""
+        return CycMatrix._packed(self.base.conductor, self.num[i], self.den)
 
     @property
     def generators_only(self) -> bool:
@@ -153,21 +164,16 @@ class WeilLift:
                 f"the Sp x| H image family is built for p <= "
                 f"{SEMIDIRECT_FAMILY_MAX_P} only; got p = {p}"
             )
-        nh = self.group.order
-        n = self.base.conductor
-        lnum, lden = batch_from_matrices(self.sp_images, n)
-        base = [self.base.images[h] for h in range(nh)]
-        rnum, rden = batch_from_matrices(base, n)
-        num = packed_product_table(n, lnum, rnum)
-        return num.reshape(len(self.sp_images) * nh, *num.shape[2:]), lden * rden
+        nh, n = self.group.order, self.base.conductor
+        rnum, rden = batch_from_matrices([self.base.images[h] for h in range(nh)], n)
+        num = packed_product_table(n, self.num, rnum)
+        return num.reshape(len(self.num) * nh, *num.shape[2:]), self.den * rden
 
     def restriction_is_base(self) -> bool:
         """omega(1) = 1, for a lift whose first element is the identity."""
         if not np.array_equal(self.sp_elements[0], np.eye(self.space.dim)):
             raise ValueError("the lift holds no image of the identity first")
-        return self.sp_images[0] == CycMatrix.identity(
-            self.base.conductor, self.base.dim
-        )
+        return self.image(0) == CycMatrix.identity(self.base.conductor, self.base.dim)
 
 
 # -- generator operators --------------------------------------------------------
@@ -230,7 +236,7 @@ def _normalization_candidates(p: int, ell: int, n: int) -> list[CycNumber]:
 
 
 def weil_lift(tau: MatrixRep) -> WeilLift:
-    """Construct the designated extension of tau to Sp(W), as sp-images.
+    """Construct the designated extension of tau to Sp(W), as one stack.
 
     For ell = 1 every element of SL(2, p) receives an image; for
     (ell, p) = (2, 3) only the generators do, and the lift is checked by
@@ -275,11 +281,9 @@ def weil_lift(tau: MatrixRep) -> WeilLift:
     c, j_img = winners[0]
 
     if ell == 2:
-        elements, images = _generator_images_ell2(tau, j_img)
-        return WeilLift(tau, elements, images, normalization=c)
+        return WeilLift(tau, *_generator_images_ell2(tau, j_img), c)
 
-    # ell = 1: every element through its Bruhat cell, one product table per
-    # left factor, so each has a one-matrix family on the left
+    # ell = 1: every element through its Bruhat cell
     if tau.model == "plus":
         n_images = [_quadratic_phase_image(tau, [[x]], lower=False) for x in range(p)]
     else:
@@ -291,28 +295,33 @@ def weil_lift(tau: MatrixRep) -> WeilLift:
             j_img @ _quadratic_phase_image(tau, [[(-x) % p]], lower=True) @ j_inv
             for x in range(p)
         ]
-    m_images = [m_image([[y]]) for y in range(1, p)]
-
-    # cells[y - 1, x, z]: n(x) j m(y) n(z) for x < p, and m(y) n(z) at x = p;
-    # one y at a time, so only one row of j m(y) n(z) is held besides them
-    cells = np.empty((p - 1, p + 1, p), dtype=object)
-    for yi, (jm, ma) in enumerate(zip(product_table([j_img], m_images)[0], m_images)):
-        j_m_n = product_table([jm], n_images)[0]
-        rows = product_table(n_images, j_m_n) + product_table([ma], n_images)
-        for xi, row in enumerate(rows):
-            for zi, image in enumerate(row):
-                cells[yi, xi, zi] = image
+    nnum, nden = batch_from_matrices(n_images, n)
+    mnum, mden = batch_from_matrices([m_image([[y]]) for y in range(1, p)], n)
+    jm = packed_product_table(n, j_img.num[None], mnum)[0]  # j m(y)
+    njm = packed_product_table(n, nnum, jm)  # [x, y]: n(x) j m(y)
     mats = enumerate_sp(space)  # sp_table's matrices, without building its table
     big, x, y, z = bruhat_factor(space, mats)
-    images = cells[y - 1, np.where(big, x, p), z].tolist()
-    lift = WeilLift(tau, mats, images, normalization=c)
+    x, scale = np.where(big, x, p), nden * j_img.den
+    # one cell row at a time, cells[x, z]: n(x) j m(y) n(z) for x < p and
+    # m(y) n(z), scaled to the same denominator, at x = p; an int64 stack
+    # takes an object row exactly, or raises if it cannot
+    num = np.empty((len(mats), *nnum.shape[1:]), dtype=np.result_type(njm, nnum))
+    for yi in range(1, p):
+        left = np.concatenate([njm[:, yi - 1], mnum[yi - 1, None] * scale])
+        cells, at = packed_product_table(n, left, nnum), y == yi
+        num[at] = cells[x[at], z[at]]
+    den = scale * mden * nden
+    g = gcd(den, int(np.gcd.reduce(num.ravel())))  # the stack's lowest terms
+    num //= g
+    lift = WeilLift(tau, mats, num, den // g, normalization=c)
     if not lift.restriction_is_base():
         raise RuntimeError("the Weil lift does not send the identity to the identity")
     return lift
 
 
-def _generator_images_ell2(tau, j_img) -> tuple[np.ndarray, list]:
-    """m(y) for two y, n(b) for four symmetric b, then j, with their images."""
+def _generator_images_ell2(tau, j_img) -> tuple[np.ndarray, np.ndarray, int]:
+    """m(y) for two y, n(b) for four symmetric b, then j, with their images
+    stacked: (elements, num, den)."""
     space = tau.group.space
     ys = [[[1, 1], [0, 1]], [[2, 0], [0, 1]]]
     bs = [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]]
@@ -321,18 +330,18 @@ def _generator_images_ell2(tau, j_img) -> tuple[np.ndarray, list]:
     )
     images = [_levi_image(tau, y) for y in ys]
     images += [_quadratic_phase_image(tau, b, lower=False) for b in bs]
-    return elements, images + [j_img]
+    return elements, *batch_from_matrices(images + [j_img], tau.conductor)
 
 
 # -- verification ----------------------------------------------------------------
 
 
 def verify_homomorphism(lift: WeilLift, check: Check | None = None) -> Check:
-    """Prove that s -> sp_images(s) is a homomorphism of Sp(W), exactly.
+    """Prove that s -> omega(s) is a homomorphism of Sp(W), exactly.
 
     A lift with images on all of Sp(W) (ell = 1) runs
-    :meth:`~heisweil.reps.MatrixRep.verify_homomorphism` on the generators
-    S of :func:`~heisweil.symplectic.sp_table`: omega(1) = 1 and
+    :func:`~heisweil.reps.homomorphism_certificate` on its stack, with the
+    generators S of :func:`~heisweil.symplectic.sp_table`: omega(1) = 1 and
     omega(x s) = omega(x) omega(s) for x in S and every s prove every pair,
     by the lemma there, with 1 + |S| |Sp| identities (673 at p = 7).  A
     lift with images on the generators only (ell = 2) is checked by the
@@ -343,15 +352,14 @@ def verify_homomorphism(lift: WeilLift, check: Check | None = None) -> Check:
         return _verify_relations(lift, check)
     check = Check("weil.homomorphism_exhaustive") if check is None else check
     tg = sp_table(lift.space)  # raises GuardError past ell = 1, p <= 7
-    images = dict(enumerate(lift.sp_images))
-    MatrixRep(tg, lift.base.dim, images, lift.base.conductor).verify_homomorphism(check)
+    homomorphism_certificate(tg, lift.num, lift.den, lift.base.conductor, check)
     return check
 
 
 def _verify_relations(lift: WeilLift, check: Check) -> Check:
     """The relations of the ell = 2 generators of :func:`_generator_images_ell2`."""
     p, els = lift.space.p, lift.sp_elements
-    m1, m2, n1, n2, n3, n_eye, j = lift.sp_images
+    m1, m2, n1, n2, n3, n_eye, j = (lift.image(i) for i in range(len(els)))
     check(n1 @ n2 == n2 @ n1, "n-generators commute")
     check(n1 @ n3 == n3 @ n1, "n-generators commute (2)")
     # m-conjugation carries the phase of n(b) to that of n(y b ty)
@@ -371,7 +379,7 @@ def _verify_relations(lift: WeilLift, check: Check) -> Check:
 
 
 def verify_intertwining(lift: WeilLift, check: Check | None = None) -> Check:
-    """sp_images(s) tau(h) == tau(s.h) sp_images(s), with s.(w,z) = (s.w, z),
+    """omega(s) tau(h) == tau(s.h) omega(s), with s.(w,z) = (s.w, z),
     for s in the generators of Sp(W) and h in the generators of H; one
     identity per (s, h), evaluated by :func:`_intertwining_table`.
 
@@ -403,20 +411,16 @@ def _intertwining_table(lift: WeilLift, sps, hs) -> np.ndarray:
     omega(s), entry (i, cols[h, t]) of omega(s) tau(h) is Z[e[h, t], i, t],
     and that of tau(g) omega(s), g = s.h, is Z[e[g, i], cols[g, i],
     cols[h, t]]: both sides are gathers from Z, over one denominator.  Z
-    comes from one kernel call, the p roots of unity against the stacked
-    images of ``sps``, and s.h from the action of those s alone.
+    comes from one :func:`~heisweil.linalg.root_multiples` call on the
+    rows ``sps`` of the lift's stack, and s.h from the action of those s
+    alone.
     """
     g, tau = lift.group, lift.base
     if tau.cols is None:
         raise ValueError("intertwining reads the monomial data of tau; it has none")
     n, p, d = tau.conductor, g.p, tau.dim
-    roots = context(n).power_table[(n // p) * np.arange(p)]
-    phi = roots.shape[-1]
     cols_h, exps_h = tau.cols[hs], tau.root_exponents[hs]  # (len(hs), d)
-    num, _ = batch_from_matrices([lift.sp_images[i] for i in sps], n)
-    z = packed_product_table(
-        n, roots[:, None, None], num.reshape(len(sps), 1, d * d, phi)
-    ).reshape(p, len(sps), d, d, phi)
+    z = root_multiples(n, p, lift.num[sps])
     moved = g.linear_action(lift.sp_elements[sps])[:, hs]  # s . h
     a, i, t = np.arange(len(sps))[:, None, None], np.arange(d)[:, None], np.arange(d)
     ok = np.empty((len(sps), len(hs)), dtype=bool)
@@ -430,10 +434,10 @@ def _intertwining_table(lift: WeilLift, sps, hs) -> np.ndarray:
 
 def trace_sign_on_M(lift: WeilLift, check: Check | None = None) -> Check:
     """Traces on the Levi are real, nonzero, with sign chi^M."""
-    space = lift.space
+    space, n = lift.space, lift.base.conductor
     check = Check("weil.trace_sign_on_levi") if check is None else check
     levi = enumerate_M(space)
-    traces = trace_table([lift.sp_images[i] for i in sp_index(space, levi)])
+    traces = trace_table(n, (lift.num[sp_index(space, levi)], lift.den))
     for i, chi in enumerate(chi_M(space, levi).tolist()):
         tr = traces[0, i]
         ok = (
@@ -466,8 +470,7 @@ def p_action_check(lift: WeilLift, lam=None, check: Check | None = None) -> Chec
     lam = CycMatrix(n, [lam])
     check = Check("weil.parabolic_action") if check is None else check
     parabolic = enumerate_P(space)
-    images = [lift.sp_images[i] for i in sp_index(space, parabolic)]
-    num, den = batch_from_matrices(images, n)
+    num, den = lift.num[sp_index(space, parabolic)], lift.den
     lhs = packed_product_table(n, lam.num[None], num)[0, :, 0]  # over lam.den * den
     chi = chi_P(space, parabolic).astype(object)
     rhs = chi[:, None, None] * (lam.num[0].astype(object) * den)
@@ -577,7 +580,7 @@ def sl23_reference(lift: WeilLift) -> tuple[dict, dict, WeilLift, "Sl23Reference
 def lift_in_odd_even_basis(ref: Sl23Reference, s_app: int) -> CycMatrix:
     """The lift of the appendix-basis element with sp_table index s_app,
     written in (odd; even) coordinates."""
-    mat = ref.lift.sp_images[ref.translate[s_app]]
+    mat = ref.lift.image(ref.translate[s_app])
     u = ref.even_basis_change
     return u.inverse() @ mat @ u
 
@@ -590,54 +593,52 @@ def sp_abelianization_order(space: SymplecticSpace) -> int:
     return tg.order // len(tg.commutator_subgroup())
 
 
-def sp_one_dim_characters(space: SymplecticSpace) -> list[list]:
-    """All characters Sp -> C*, each as the list of its CycNumber values in
-    :func:`~heisweil.symplectic.sp_table` order.
-
-    Computed from the abelianization, which is trivial except for SL(2,3)
-    where it is cyclic of order three.
-    """
+def _abelianization_exponents(space: SymplecticSpace) -> tuple[int, np.ndarray]:
+    """(m, e): Sp / [Sp, Sp] is cyclic of order m, and each s, in
+    :func:`~heisweil.symplectic.sp_table` order, lies in the coset of the
+    e[s]-th power of one generator of it."""
     tg = sp_table(space)
     comm = tg.commutator_subgroup()
     m = tg.order // len(comm)
-    n = run_conductor(space.p)
-    if m == 1:
-        return [[CycNumber.one(n)] * tg.order]
     labels = double_coset_labels(tg, [0], comm)  # the coset s.[G, G] of each s
     reps = np.unique(labels, return_index=True)[1].tolist()
-    coset_id = labels.tolist()
     if len(reps) != m:
         raise RuntimeError(f"found {len(reps)} cosets of [G, G], expected {m}")
     powers = [0]  # coset 0 holds the identity; powers of coset 1 follow
     for _ in range(m - 1):
-        powers.append(coset_id[tg.mul(reps[powers[-1]], reps[1])])
+        powers.append(int(labels[tg.mul(reps[powers[-1]], reps[1])]))
     if len(set(powers)) != m:
         raise RuntimeError("abelianization is expected to be cyclic here")
-    exp_of = {c: e for e, c in enumerate(powers)}
+    return m, np.argsort(powers)[labels]  # the inverse permutation of powers
+
+
+def sp_one_dim_characters(space: SymplecticSpace) -> list[list]:
+    """All characters Sp -> C*, each as the list of its CycNumber values in
+    :func:`~heisweil.symplectic.sp_table` order: the k-th sends s to
+    zeta_m^(k e[s]), with (m, e) from the abelianization, which is trivial
+    except for SL(2,3) where it is cyclic of order three."""
+    m, e = _abelianization_exponents(space)
+    n = run_conductor(space.p)
     if n % m:
         raise RuntimeError(f"conductor {n} has no primitive {m}-th root of unity")
-    out = []
-    for k in range(m):
-        root = root_of_unity(n, (n // m) * k)
-        out.append([root ** exp_of[c] for c in coset_id])
-    return out
+    return [[root_of_unity(n, (n // m) * k * x) for x in e.tolist()] for k in range(m)]
 
 
-def three_extensions_p3(lift: WeilLift) -> list[list]:
-    """All extensions of tau at p = 3: the lift and its two character twists,
-    each as its images in :func:`~heisweil.symplectic.sp_table` order."""
+def three_extensions_p3(lift: WeilLift) -> np.ndarray:
+    """All extensions of tau at p = 3, the lift and its two character twists,
+    as (3, |Sp|, d, d, phi) numerators over the lift's denominator: row k is
+    s -> chi_k(s) omega(s) in sp_table order, chi_k the k-th of
+    :func:`sp_one_dim_characters`, gathered from one root_multiples call."""
     space = lift.space
     if space.p != 3 or space.ell != 1:
         raise ValueError(
             f"three_extensions_p3 needs p = 3 and ell = 1; got {space!r}"
         )
-    chars = sp_one_dim_characters(space)
-    if len(chars) != 3:
-        raise RuntimeError(f"SL(2,3) must have 3 characters; found {len(chars)}")
-    return [
-        [image.scale(c) for image, c in zip(lift.sp_images, char)]
-        for char in chars
-    ]
+    m, e = _abelianization_exponents(space)
+    if m != 3:
+        raise RuntimeError(f"SL(2,3) must have 3 characters; found {m}")
+    z = root_multiples(lift.base.conductor, 3, lift.num)
+    return z[np.arange(3)[:, None] * e % 3, np.arange(len(e))]
 
 
 def abstract_lift(lift: WeilLift, nu: SpecialIso) -> "AbstractLift":

@@ -12,7 +12,7 @@ from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import (
     CycMatrix,
     batch_from_matrices,
-    product_table,
+    packed_product_table,
     trace_table,
     verify_multiplication_table,
 )
@@ -193,8 +193,7 @@ def packed_lift3():
     g = HeisenbergGroup(SymplecticSpace(3, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
     tg = sp_table(lift.space)
-    num, den = batch_from_matrices(lift.sp_images, lift.base.conductor)
-    return num, den, tg.table, lift.base.conductor
+    return lift.num, lift.den, tg.table, lift.base.conductor
 
 
 def test_verify_table_passes_on_the_lift(packed_lift3, kernel_dtypes):
@@ -251,7 +250,7 @@ def test_verify_table_p7_corrupted_family_matches_per_pair_products(kernel_dtype
     lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
     tg = sp_table(lift.space)
     n, table = lift.base.conductor, tg.table
-    num, den = batch_from_matrices(lift.sp_images, n)
+    num, den = lift.num, lift.den
     bad_s = 101
     bad = num.copy()
     bad[bad_s, 2, 4, 3] += 1
@@ -350,7 +349,7 @@ def test_verify_table_p7_odd_coordinate_matches_per_pair_products(kernel_dtypes)
     lift = weil_lift(heisenberg_rep(g, 1, model="plus"))
     tg = sp_table(lift.space)
     n, table = lift.base.conductor, tg.table
-    num, den = batch_from_matrices(lift.sp_images, n)
+    num, den = lift.num, lift.den
     assert not num[..., 1::2].any()
     bad_s = 57
     bad = num.copy()
@@ -380,15 +379,17 @@ def lift_families(request):
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model=model))
     assert lift.sp_elements is sp_table(lift.space).matrices
-    return lift.sp_images, [lift.base.images[h] for h in g.elements()]
+    sps = [lift.image(i) for i in range(len(lift.num))]
+    return lift, sps, [lift.base.images[h] for h in g.elements()]
 
 
 def test_trace_table_equals_per_entry_traces(lift_families, kernel_dtypes):
-    sps, hs = lift_families
-    traces = trace_table(sps)
+    lift, sps, hs = lift_families
+    n = lift.base.conductor
+    traces = trace_table(n, (lift.num, lift.den))
     assert (traces.nrows, traces.ncols) == (1, len(sps))
     assert [traces[0, a] for a in range(len(sps))] == [m.trace() for m in sps]
-    table = trace_table(hs, sps)
+    table = trace_table(n, batch_from_matrices(hs, n), (lift.num, lift.den))
     assert (table.nrows, table.ncols) == (len(sps), len(hs))
     for a, b in itertools.product(range(len(sps)), range(len(hs))):
         assert table[a, b] == (sps[a] @ hs[b]).trace()
@@ -421,14 +422,14 @@ def test_trace_table_beyond_float64_runs_on_python_ints(kernel_dtypes):
 
     left, right = family(4, 2, 3), family(5, 3, 2)
     assert {m.num.dtype for m in left + right} == {np.dtype(np.int64)}
-    table = trace_table(right, left)
+    table = trace_table(n, batch_from_matrices(right, n), batch_from_matrices(left, n))
     assert kernel_dtypes == [object]
     assert table.num.dtype == object
     for a, b in itertools.product(range(4), range(5)):
         assert table[a, b] == (left[a] @ right[b]).trace()
     squares = [m @ r for m, r in zip(left, right)]
     del kernel_dtypes[:]
-    traces = trace_table(squares)
+    traces = trace_table(n, batch_from_matrices(squares, n))
     assert kernel_dtypes == [object]
     assert [traces[0, a] for a in range(4)] == [m.trace() for m in squares]
 
@@ -472,22 +473,43 @@ def test_product_table_equals_schoolbook(bound, dtype, kernel_dtypes):
         left = fraction_family(rng, n, count_l, d, e, bound)
         right = fraction_family(rng, n, count_r, e, c, bound)
         assert max(m.den for m in left + right) > 1
-        table = product_table(left, right)
+        (lnum, lden), (rnum, rden) = (batch_from_matrices(f, n) for f in (left, right))
+        nums = packed_product_table(n, lnum, rnum)
         assert kernel_dtypes == [dtype]
-        assert [len(row) for row in table] == [count_r] * count_l
+        assert nums.shape[:2] == (count_l, count_r)
         for a, b in itertools.product(range(count_l), range(count_r)):
-            ref = schoolbook(left[a], right[b])
-            assert table[a][b] == ref
-            assert table[a][b].den == ref.den
-            assert table[a][b].to_json() == ref.to_json()
+            ref, entry = schoolbook(left[a], right[b]), CycMatrix._packed(n, nums[a, b], lden * rden)
+            assert entry == ref
+            assert entry.den == ref.den
+            assert entry.to_json() == ref.to_json()
 
 
 def test_product_table_rejects_mismatched_families():
+    """A shape mismatch fails in the table, a conductor mismatch when the
+    family is stacked."""
     a = CycMatrix(12, [[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
-        product_table([a], [a])
+        packed_product_table(12, a.num[None], a.num[None])
     with pytest.raises(ValueError, match="conductor mismatch: 12 vs 20"):
-        product_table([a], [a.transpose(), CycMatrix(20, [[1, 2], [3, 4], [5, 6]])])
+        right = [a.transpose(), CycMatrix(20, [[1, 2], [3, 4], [5, 6]])]
+        packed_product_table(12, a.num[None], batch_from_matrices(right, 12)[0])
+
+
+def test_root_multiples_equal_per_matrix_scales(kernel_dtypes):
+    """zeta_k^j M_i for every j < k and every M_i of a family with a
+    denominator, from one kernel call, against one ``scale`` per pair."""
+    rng = np.random.default_rng(7)
+    for n, k in ((12, 3), (20, 5), (28, 4)):
+        del kernel_dtypes[:]
+        mats = fraction_family(rng, n, 3, 2, 3, 50)
+        num, den = batch_from_matrices(mats, n)
+        out = linalg.root_multiples(n, k, num)
+        assert len(kernel_dtypes) == 1 and out.shape == (k, *num.shape)
+        for j, i in itertools.product(range(k), range(len(mats))):
+            scaled = mats[i].scale(root_of_unity(n, (n // k) * j))
+            assert CycMatrix._packed(n, out[j, i], den) == scaled
+    with pytest.raises(ValueError, match="no primitive 7-th root"):
+        linalg.root_multiples(12, 7, num)
 
 
 def bruhat_word_images(lift) -> list:
@@ -525,7 +547,8 @@ def bruhat_word_images(lift) -> list:
 
 
 @pytest.mark.parametrize(
-    "p,model", [(3, "minus"), (3, "plus"), (5, "minus"), (5, "plus"), (7, "minus")]
+    "p,model",
+    [(3, "minus"), (3, "plus"), (5, "minus"), (5, "plus"), (7, "minus"), (7, "plus")],
 )
 def test_weil_lift_equals_the_bruhat_word_products(p, model, monkeypatch):
     tau = heisenberg_rep(HeisenbergGroup(SymplecticSpace(p, 1)), 1, model=model)
@@ -543,9 +566,12 @@ def test_weil_lift_equals_the_bruhat_word_products(p, model, monkeypatch):
     monkeypatch.undo()
     oracle = bruhat_word_images(lift)
     assert np.array_equal(lift.sp_elements, enumerate_sp(lift.space))
-    assert len(lift.sp_images) == len(oracle)
+    assert len(lift.num) == len(oracle)
     for s, image in enumerate(oracle):
-        assert lift.sp_images[s] == image, s
+        assert lift.image(s) == image, s
+    # the stack is the oracle's, stacked over its lowest common denominator
+    num, den = batch_from_matrices(oracle, tau.conductor)
+    assert lift.den == den and np.array_equal(lift.num, num)
 
 
 def random_matrix(rng, n, nrows, ncols, zero_chance=0.4):

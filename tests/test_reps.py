@@ -363,7 +363,7 @@ def family(request):
     if name == "tau":
         return g, [heisenberg_rep(g, 1).images[h] for h in g.elements()]
     tg, lift = sp_table(space), weil_lift(heisenberg_rep(g, 1, model=name))
-    return tg, lift.sp_images
+    return tg, [lift.image(i) for i in range(tg.order)]
 
 
 def certificate(group, images) -> Check:

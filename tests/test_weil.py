@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from math import lcm
 
 import numpy as np
 import pytest
@@ -60,17 +61,32 @@ def ref3(lift3):
 
 
 def with_images(lift, replaced: dict):
-    """The lift with the images at the indices of ``replaced`` swapped for
-    the given ones."""
-    images = list(lift.sp_images)
+    """The lift with the rows of its stack at the indices of ``replaced``
+    swapped for the given images, over the lcm of all denominators."""
+    den = lcm(lift.den, *(image.den for image in replaced.values()))
+    num = lift.num * (den // lift.den)
     for i, image in replaced.items():
-        images[i] = image
-    return dataclasses.replace(lift, sp_images=images)
+        num[i] = image.num * (den // image.den)
+    return dataclasses.replace(lift, num=num, den=den)
 
 
 def index_of(space, m) -> int:
     """The sp_table index of one matrix."""
     return int(sp_index(space, m))
+
+
+def test_weil_lift_stack_is_read_only(lift3):
+    """semidirect_family is cached from the stack: neither the images nor
+    the elements can be written in place, and a replaced row makes a new
+    lift with its own family."""
+    family = lift3.semidirect_family
+    for stack in (lift3.num, lift3.sp_elements):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[1] = stack[0]
+    bad = with_images(lift3, {1: lift3.image(0)})
+    assert not bad.num.flags.writeable
+    assert bad.semidirect_family is not family
+    assert lift3.semidirect_family is family
 
 
 def test_normalization_magnitude(lift3, lift5):
@@ -92,8 +108,7 @@ def test_homomorphism_exhaustive(p):
     assert report.checks == 2 * order + 1
     assert report.passed
     assert lift.sp_elements is tg.matrices
-    num, den = batch_from_matrices(lift.sp_images, n)
-    assert linalg.verify_multiplication_table(num, den, tg.table, n) == []
+    assert linalg.verify_multiplication_table(lift.num, lift.den, tg.table, n) == []
 
 
 def _fixed_space_dim(s, p: int) -> int:
@@ -112,9 +127,9 @@ def test_character_norm_howe_gerardin(p, model):
     # Gerardin 1977): an O(|Sp|) oracle that uses no pair products.
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     lift = weil_lift(heisenberg_rep(g, 1, model=model))
-    assert len(lift.sp_images) == p * (p * p - 1)
-    for s, image in zip(lift.sp_elements, lift.sp_images):
-        tr = image.trace()
+    assert len(lift.num) == p * (p * p - 1)
+    for i, s in enumerate(lift.sp_elements):
+        tr = lift.image(i).trace()
         assert tr * tr.conj() == p ** _fixed_space_dim(s, p), s
 
 
@@ -133,7 +148,7 @@ def test_intertwining_exhaustive_p3(lift3):
     report = verify_intertwining(lift3)
     assert report.checks == 2 * 3 and report.passed
     g = lift3.group
-    every = list(range(len(lift3.sp_images)))
+    every = list(range(len(lift3.num)))
     assert _intertwining_table(lift3, every, g.elements()).all()
 
 
@@ -147,9 +162,9 @@ def test_intertwining_witness_is_the_first_failing_pair(lift3):
     |S_Sp| |S_H| and the witness is the first (s, h) of the per-pair loop
     over generators that fails."""
     s = sp_generators(lift3)[1]
-    bad = with_images(lift3, {s: lift3.sp_images[9]})
+    bad = with_images(lift3, {s: lift3.image(9)})
     report = verify_intertwining(bad)
-    g, tau, mat = bad.group, bad.base.images, bad.sp_images[s]
+    g, tau, mat = bad.group, bad.base.images, bad.image(s)
     action = g.linear_action(bad.sp_elements[s])
     first = next(h for h in g.generators if mat @ tau[h] != tau[action[h]] @ mat)
     assert report.checks == 2 * 3 and not report.passed
@@ -163,7 +178,7 @@ def per_s_intertwining(lift, sps, hs) -> np.ndarray:
     n, g, tau, k = lift.base.conductor, lift.group, lift.base.images, len(hs)
     ok = np.empty((len(sps), k), dtype=bool)
     for i, s in enumerate(sps):
-        mat, moved = lift.sp_images[s], g.linear_action(lift.sp_elements[s])[hs]
+        mat, moved = lift.image(s), g.linear_action(lift.sp_elements[s])[hs]
         taus, _ = batch_from_matrices([tau[h] for h in hs] + [tau[h] for h in moved], n)
         lhs = packed_product_table(n, mat.num[None], taus[:k])[0]
         rhs = packed_product_table(n, taus[k:], mat.num[None])[:, 0]
@@ -179,7 +194,7 @@ def corrupted_lift(lift, sps, seed: int):
     g, images = lift.group, {}
     noncentral = [h for h in g.elements() if h not in g.center()]
     for s in sps:
-        image = images.get(s, lift.sp_images[s])
+        image = images.get(s, lift.image(s))
         images[s] = image @ lift.base.images[rng.choice(noncentral)]
     return with_images(lift, images)
 
@@ -188,7 +203,7 @@ def corrupted_lift(lift, sps, seed: int):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_intertwining_gathers_equal_per_s_products(p, model):
     lift = weil_lift(heisenberg_rep(HeisenbergGroup(SymplecticSpace(p, 1)), 1, model=model))
-    g, sps = lift.group, list(range(len(lift.sp_images)))
+    g, sps = lift.group, list(range(len(lift.num)))
     lift = corrupted_lift(lift, random.Random(p).sample(sps, 4) + sp_generators(lift), p)
     gens = list(g.generators)
     hs = g.elements() if p < 7 else gens + list(range(0, g.order, 17))
@@ -253,7 +268,7 @@ def test_a_corrupted_non_generator_image_fails_the_weil_report(monkeypatch, tmp_
         lift = real(tau)
         if tau.model != "minus":
             return lift
-        return with_images(lift, {s: lift.sp_images[s].scale(-1)})
+        return with_images(lift, {s: lift.image(s).scale(-1)})
 
     monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
     check = next(
@@ -329,8 +344,7 @@ def test_p_action_corrupted_image_reports_the_first_element(model):
     space, n = lift.space, lift.base.conductor
     parabolic = enumerate_P(space)
     at = sp_index(space, parabolic).tolist()
-    bad = with_images(lift, {x: lift.sp_images[x].scale(-1) for x in (at[-3], at[7])})
-    images = bad.sp_images
+    bad = with_images(lift, {x: lift.image(x).scale(-1) for x in (at[-3], at[7])})
     report = p_action_check(bad)
     lam = CycMatrix(n, [[1] * lift.base.dim]) if model == "minus" else None
     if lam is None:
@@ -339,7 +353,7 @@ def test_p_action_corrupted_image_reports_the_first_element(model):
     first = next(
         i
         for i, x in enumerate(at)
-        if lam @ images[x] != lam.scale(int(chi_P(space, parabolic[i])))
+        if lam @ bad.image(x) != lam.scale(int(chi_P(space, parabolic[i])))
     )
     assert report.checks == len(parabolic) and not report.passed
     assert report.witness == sp_witness(parabolic[first]) and first == 7
@@ -360,8 +374,8 @@ def test_trace_sign_on_M_for_all_p(lift3, lift5):
 def test_trace_values_on_levi(lift5):
     # m(1) has trace p^l > 0; m(2) over F_5 has trace chi(2) * 1 = -1
     space = lift5.space
-    assert lift5.sp_images[index_of(space, m_element(space, [[1]]))].trace() == 5
-    tr = lift5.sp_images[index_of(space, m_element(space, [[2]]))].trace()
+    assert lift5.image(index_of(space, m_element(space, [[1]]))).trace() == 5
+    tr = lift5.image(index_of(space, m_element(space, [[2]]))).trace()
     assert tr.is_rational() and tr.rational_value() < 0
 
 
@@ -414,7 +428,7 @@ def test_sl23_character_decomposition(ref3):
     alpha, beta, lift, ref = ref3
     els = range(sp_table(lift.space).order)
     for s in els:
-        lhs = lift.sp_images[ref.translate[s]].trace()
+        lhs = lift.image(ref.translate[s]).trace()
         assert lhs == alpha[s][0, 0] + beta[s].trace()
 
 
@@ -439,7 +453,7 @@ def test_sl23_unipotent_and_scalar_operators_match_printed_formulas(ref3):
     # printed: n(b) acts on C[F_3] by the phase zeta(-b t^2); the appendix
     # n(b) is the lower unipotent [[1,0],[-b,1]] in the package basis
     for b in (1, 2):
-        img = lift.sp_images[ref.translate[index_of(space, n_element(space, [[b]]))]]
+        img = lift.image(ref.translate[index_of(space, n_element(space, [[b]]))])
         expected = CycMatrix(
             n,
             [
@@ -457,7 +471,7 @@ def test_sl23_unipotent_and_scalar_operators_match_printed_formulas(ref3):
     # printed: diag(a, a) acts by chi(a) f(a t)
     for a in (1, 2):
         sc = m_element(space, [[a]]) if a == 1 else m_element(space, [[2]])
-        img = lift.sp_images[ref.translate[index_of(space, sc)]]
+        img = lift.image(ref.translate[index_of(space, sc)])
         sign = 1 if a == 1 else -1
         rows = [[CycNumber.zero(n)] * 3 for _ in range(3)]
         for t in range(3):
@@ -475,7 +489,8 @@ def test_sl23_odd_part_carries_alpha(ref3):
 
 
 def test_three_extensions_and_selection(lift3):
-    exts = three_extensions_p3(lift3)
+    n, den = lift3.base.conductor, lift3.den
+    exts = [[CycMatrix._packed(n, x, den) for x in ext] for ext in three_extensions_p3(lift3)]
     assert len(exts) == 3
     tg = sp_table(lift3.space)
     els = range(tg.order)
@@ -496,7 +511,7 @@ def test_three_extensions_and_selection(lift3):
         tuple(imgs[ref.translate[s]].trace() for s in els) for imgs in exts
     ]
     assert translated.count(target) == 1
-    assert tuple(lift3.sp_images[ref.translate[s]].trace() for s in els) == target
+    assert tuple(lift3.image(ref.translate[s]).trace() for s in els) == target
 
 
 @pytest.mark.parametrize("p,expected", [(3, 3), (5, 1), (7, 1)])
@@ -531,8 +546,8 @@ def test_contragredient_of_lift_is_lift_of_contragredient(lift3):
         for h in g.elements():
             si, hi = _semidirect_inverse(tg, g, s, h)
             # the character of the contragredient
-            lhs = (lift3.sp_images[si] @ lift3.base.images[hi]).trace()
-            rhs = (lift_tilde.sp_images[s] @ lift_tilde.base.images[h]).trace()
+            lhs = (lift3.image(si) @ lift3.base.images[hi]).trace()
+            rhs = (lift_tilde.image(s) @ lift_tilde.base.images[h]).trace()
             assert lhs == rhs
 
 
@@ -606,7 +621,7 @@ def test_abstract_lift_characters_nu_independent(lift3):
     els = range(sp_table(g.space).order)
     base = abstract_lift(lift3, SpecialIso(g, (0, 0)))
     reference = {
-        (s, x): (lift3.sp_images[s] @ base.h_image(x)).trace()
+        (s, x): (lift3.image(s) @ base.h_image(x)).trace()
         for s in els
         for x in g.elements()
     }
@@ -615,7 +630,7 @@ def test_abstract_lift_characters_nu_independent(lift3):
         for s in els:
             for x in g.elements():
                 h = nu.inverse_image(x)  # the element matching x
-                image = lift3.sp_images[s] @ ab.h_image(h)
+                image = lift3.image(s) @ ab.h_image(h)
                 assert image.trace() == reference[(s, x)]
 
 
@@ -627,7 +642,7 @@ def _rep_law_per_pair(lift, nu, pairs):
     g, tg = lift.group, sp_table(lift.space)
 
     def image(s, h):
-        return lift.sp_images[s] @ lift.base.images[nu.image(h)]
+        return lift.image(s) @ lift.base.images[nu.image(h)]
 
     def twisted_action(s, h):
         return nu.inverse_image(g.linear_action(tg.matrices[s])[nu.image(h)])
@@ -645,7 +660,7 @@ def test_abstract_lift_rep_law_matches_per_pair_reference_on_a_corrupted_lift(li
     els = range(sp_table(g.space).order)
     s_bad = els[5]
     # no longer a homomorphism
-    bad = with_images(lift3, {s_bad: lift3.sp_images[s_bad].scale(zeta_p(3, 1))})
+    bad = with_images(lift3, {s_bad: lift3.image(s_bad).scale(zeta_p(3, 1))})
     rng = random.Random(5)
     hs = g.elements()
     failed = 0
@@ -701,7 +716,7 @@ def test_ell2_corrupted_generator_image_fails_the_suite(monkeypatch, tmp_path):
         lift = real(tau)
         is_j = (lift.sp_elements == weyl_element(lift.space)).all(axis=(1, 2))
         (j,) = np.flatnonzero(is_j)
-        return with_images(lift, {j: lift.sp_images[j].scale(-1)})
+        return with_images(lift, {j: lift.image(j).scale(-1)})
 
     monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
     checks = {c.check: c for c in SUITES["weil"](RunConfig(p=3, ell=2))}
@@ -733,7 +748,7 @@ def test_a_corrupted_levi_image_reports_its_matrix(monkeypatch, tmp_path):
         if tau.model != "minus" or tau.zeta_exponent != 1:
             return lift
         m2 = index_of(lift.space, m_element(lift.space, [[2]]))
-        return with_images(lift, {m2: lift.sp_images[m2].scale(-1)})
+        return with_images(lift, {m2: lift.image(m2).scale(-1)})
 
     monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
     out = tmp_path / "report.json"
