@@ -12,6 +12,10 @@ Usage (noun-verb and verb-noun orders both work):
 Exit codes: 0 all selected checks passed, 1 at least one check failed,
 2 bad arguments or a guard violation.  Reports are JSON, deterministic
 for a fixed configuration and seed.
+
+An argv that starts with a known verb is parsed once, by the verb's own
+parser; help, a missing or an unknown verb go to the root parser.  Either
+way the output and the exit code are what the root parser gives.
 """
 
 from __future__ import annotations
@@ -41,8 +45,11 @@ __all__ = ["main", "run"]
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # parse_args keeps no state in the parser, so one build serves every run
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The root parser and its map from verb to the verb's own parser
+    (``sub.choices``).  Parsing keeps no state in a parser, so one build
+    serves every run; :func:`_parse_args` picks the parser an argv goes to.
+    """
     parser = argparse.ArgumentParser(
         prog="heisweil",
         description="exact verification suites for Heisenberg/Weil structures",
@@ -80,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sqrt.add_argument("--k0", type=int, default=1)
     sqrt.add_argument("--matrix", type=str, required=True, help="JSON matrix")
     sqrt.add_argument("--out", type=str, default=None)
-    return parser
+    return parser, sub.choices
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -400,11 +407,29 @@ def _suite_report(name: str, cfg: RunConfig, results: list[Check]) -> dict:
     }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``parse_args(argv)`` of the root parser, with one pass over argv.
+
+    The root parser would classify every string, then hand all but the
+    first to the verb's parser; for a known verb that parser is called
+    directly, and what it leaves over is the root's "unrecognized
+    arguments" error, as argparse gives it.
+    """
+    parser, verbs = _build_parser()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return parser.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.verb = argv[0]
+    return args
+
+
 def run(argv: list[str] | None = None) -> int:
     argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

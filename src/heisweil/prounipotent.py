@@ -66,7 +66,7 @@ class CongruenceGroup:
             raise ValueError("need 1 <= k0 <= K")
         modulus = self.p**self.K
         dtype = np.int64 if self.n * (modulus - 1) ** 2 < 2**63 else object
-        one = np.eye(self.n, dtype=np.int64).astype(dtype)
+        one = np.eye(self.n, dtype=dtype)  # Python ints 0 and 1 in an object array
         one.flags.writeable = False
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "dtype", dtype)
@@ -161,31 +161,34 @@ def sqrt_with_trace(group: CongruenceGroup, a) -> tuple[np.ndarray, list[int]]:
     and z' = z (1 - e / 2) gives a z'^2 = (1 + e)(1 - e / 2)^2
     = 1 - 3/4 e^2 + 1/4 e^3.  So e = 0 mod p^m implies e' = 0 mod p^(2m):
     the levels double from k0 up to K, for example [2, 4, 8, 16, 19] for
-    k0 = 1 and K = 19, and the trace is empty when K = k0.  Each step checks
-    its residual level before it updates z; the root is x = a z.
+    k0 = 1 and K = 19, and the trace is empty when K = k0.  Every step but
+    the last checks that the residual it leaves is 0 mod p^(new level);
+    the root is x = a z.
     """
     p, K, mod = group.p, group.K, group.modulus
     a = group.reduce(a)
-    if not np.all(group.contains(a)):
-        raise ValueError("matrix is not in the congruence group")
     one = group.identity()
-    half = (mod + 1) // 2  # 2^-1 mod p^K
     z, e = one, (a - one) % mod  # the residual at z = 1 needs no product
+    # membership on the reduced residual: p^k0 divides p^K, so e = a - 1
+    # mod p^k0
     level = group.k0
+    if (e % p**level).any():
+        raise ValueError("matrix is not in the congruence group")
+    half = (mod + 1) // 2  # 2^-1 mod p^K
     levels = []
     while level < K:
-        if np.any(e % p**level):
-            raise RuntimeError(f"residual a z^2 - 1 is not 0 mod p^{level}")
         # e and 2^-1 are below p^K, so their product fits the group's dtype
         z = group.mul(z, (one - e * half % mod) % mod)
         level = min(2 * level, K)
         levels.append(level)
         if level < K:
             e = (group.mul(a, group.mul(z, z)) - one) % mod
+            if (e % p**level).any():
+                raise RuntimeError(f"residual a z^2 - 1 is not 0 mod p^{level}")
     x = group.mul(a, z)
     if not np.array_equal(group.mul(x, x), a):
         raise RuntimeError("final check failed: root^2 != a mod p^K")
-    if not np.all(group.contains(x)):
+    if ((x - one) % p**group.k0).any():  # x is a product, so already reduced
         raise RuntimeError("final check failed: root is not 1 mod p^k0")
     return x, levels
 

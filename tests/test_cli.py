@@ -753,3 +753,103 @@ def test_failing_identity_reports_its_first_input(tmp_path, monkeypatch, capsys)
     assert f"FAIL suite=mackey checks={report['checks']} failures=1" in (
         capsys.readouterr().err
     )
+
+
+def _captured_parse(parse, argv):
+    """("args", vars(namespace)) or ("exit", code) from parse(argv), then
+    what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("args", vars(parse(list(argv))))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result + (out.getvalue(), err.getvalue())
+
+
+def _assert_dispatch_matches_root_parser(argv):
+    """cli parses argv as the root parser alone does: the same namespace,
+    or the same exit with the same output; a rejected argv (or a help
+    request) also gives run() the same output and the exit code run()
+    maps the parser's to."""
+    normal = cli._normalize_argv(argv)
+    root = _captured_parse(_build_parser()[0].parse_args, normal)
+    assert _captured_parse(cli._parse_args, normal) == root
+    if root[0] == "exit":
+        code = 0 if root[1] in (0, None) else 2
+        assert _run_captured(argv) == (code, root[2], root[3])
+    return root
+
+
+_SQRT_ARGV = ["sqrt", "--n", "1", "--p", "3", "--K", "4", "--matrix", "[[4]]"]
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        ([], "exit"),
+        (["-h"], "exit"),
+        (["--help"], "exit"),
+        (["frobnicate"], "exit"),  # an unknown verb
+        (["sq"], "exit"),  # verbs are not abbreviated
+        (["verify"], "exit"),  # a verb without its suite
+        (["dump"], "exit"),
+        (["dump", "-h"], "exit"),
+        (["sqrt", "-h"], "exit"),
+        (_SQRT_ARGV + ["extra"], "exit"),
+        (_SQRT_ARGV + ["--bogus", "1"], "exit"),
+        (["dump", "weil", "--p", "3", "extra"], "exit"),
+        (["dump", "weil", "extra", "--zeta", "2"], "exit"),
+        (["weil", "dump", "--p", "x"], "exit"),  # a bad int
+        (["verify", "sqrt", "--precision", "four"], "exit"),
+        (["verify", "weil", "--pre", "4"], "exit"),  # abbreviations are rejected
+        (["dump", "weil", "--mode", "plus"], "exit"),
+        (["sqrt", "--n", "1"], "exit"),  # missing required flags
+        (["--p", "3", "verify", "sqrt"], "exit"),  # a flag before the verb
+        (["dump", "frob"], "exit"),
+        (["verify", "all", "--", "x"], "exit"),
+        (["sqrt", "--", "--n", "1"], "exit"),
+        (["verify", "all", "--p", "5"], "args"),
+        (["mackey", "dump"], "args"),
+        (["weil", "verify", "--ell", "2", "--format", "csv"], "args"),
+        (["dump", "reps", "--zeta=2", "--model", "plus"], "args"),
+        (_SQRT_ARGV + ["--k0", "1", "--out", "-"], "args"),
+    ],
+)
+def test_dispatch_matches_the_root_parser(argv, outcome):
+    assert _assert_dispatch_matches_root_parser(argv)[0] == outcome
+
+
+_ARGV_TOKENS = (
+    ["verify", "dump", "sqrt", "weil", "heisenberg", "reps", "mackey", "sqrt", "all"]
+    + ["--p", "--ell", "--out", "--precision", "--seed", "--format", "--zeta"]
+    + ["--model", "--n", "--K", "--k0", "--matrix", "--pre", "--mode", "--he"]
+    + ["--help", "-h", "--", "-p", "--p=5", "--zeta=0"]
+    + ["3", "-1", "0", "7", "x", "json", "csv", "plus", "minus", "[[4]]", ""]
+    + ["frobnicate", "dum", "VERIFY", "-x", "---", "-"]
+)
+_LEADING_TOKENS = ["verify", "dump", "sqrt", "weil", "mackey", "sqrt", "all", "-h", "x"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    head=st.lists(st.sampled_from(_LEADING_TOKENS), max_size=2),
+    tail=st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8),
+)
+@example(head=["sqrt"], tail=["--n", "1", "--p", "3", "--K", "4", "--matrix", "[[4]]"])
+@example(head=["weil", "dump"], tail=["--zeta", "2", "x"])
+def test_dispatch_matches_the_root_parser_on_drawn_argv(head, tail):
+    _assert_dispatch_matches_root_parser(head + tail)
+
+
+def test_a_known_verb_skips_the_root_parser(monkeypatch):
+    parser, _ = _build_parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the root parser saw a known verb")
+
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    assert _run_captured(_SQRT_ARGV)[0] == 0
+    assert _run_captured(_SQRT_ARGV + ["extra"])[0] == 2
+    with pytest.raises(AssertionError, match="root parser"):
+        run(["frobnicate"])

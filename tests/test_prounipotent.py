@@ -90,6 +90,20 @@ def test_sqrt_rejects_outsiders():
         sqrt(g, [[2, 0], [0, 1]])
 
 
+# an int64 group, and object-dtype groups (p^K > 2^32) at k0 = 1 and 2
+@pytest.mark.parametrize("n,p,K,k0", [(2, 3, 4, 1), (3, 5, 6, 2), (2, 3, 21, 1), (2, 7, 13, 2)])
+@pytest.mark.parametrize("as_lists", [False, True])
+def test_sqrt_stack_with_one_outsider_raises(n, p, K, k0, as_lists):
+    g = CongruenceGroup(n, p, K, k0)
+    assert g.dtype is (np.int64 if p**K < 2**32 else object)
+    rng = random.Random(f"outsider{n}{p}{K}{k0}")
+    a = np.stack([g.random_element(rng) for _ in range(4)])
+    sqrt_with_trace(g, a)
+    a[2, 0, n - 1] = (a[2, 0, n - 1] + p ** (k0 - 1)) % g.modulus  # not 0 mod p^k0
+    with pytest.raises(ValueError, match="^matrix is not in the congruence group$"):
+        sqrt_with_trace(g, a.tolist() if as_lists else a)
+
+
 def test_h1_identity_alpha():
     # alpha = id: Z^1 = elements of order <= 2 = {1} in a pro-p group, p odd
     g = CongruenceGroup(1, 3, 3)
