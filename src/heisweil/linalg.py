@@ -366,21 +366,11 @@ def _max_abs(num: np.ndarray) -> int:
     return int(np.abs(num).max(initial=0))
 
 
-# Above this many entries _coordinate_max reduces num by its max and -min,
-# with no |num| copy of the operand (1.6 MB for the stacked p = 7 Weil family,
-# 336 x 7 x 7 x 12).  Small operands, those of every product, are faster
-# through np.abs: about 2 against 5 us at 36 entries.
-_ABS_COPY_MAX_ENTRIES = 2**16
-
-
 def _coordinate_max(num: np.ndarray) -> np.ndarray:
     """The largest |numerator| of ``num`` at each power-basis coordinate
     (its last axis): its maximum bounds ``num``, and its nonzero entries
     are the support, the coordinates that ``num`` uses."""
-    axes = tuple(range(num.ndim - 1))
-    if num.size <= _ABS_COPY_MAX_ENTRIES:
-        return np.abs(num).max(axis=axes, initial=0)
-    return np.maximum(num.max(axis=axes, initial=0), -num.min(axis=axes, initial=0))
+    return np.abs(num).max(axis=tuple(range(num.ndim - 1)), initial=0)
 
 
 def _product_bound(n: int, k: int, amax: int, bmax: int) -> int:

@@ -685,46 +685,3 @@ def test_from_roots_equals_the_entrywise_matrix(n):
         )
         assert got == expected and hash(got) == hash(expected)
         assert got.num.dtype == dtype
-
-
-def _coordinate_max_reference(num):
-    """max |x| over all but the last axis, from Python ints."""
-    rows = num.reshape(-1, num.shape[-1]).tolist()
-    return [max((abs(int(row[v])) for row in rows), default=0) for v in range(num.shape[-1])]
-
-
-@pytest.mark.parametrize("dtype", [np.int64, np.float64, object])
-@pytest.mark.parametrize("fill", ["random", "zero"])
-@pytest.mark.parametrize("shape", [(3, 3, 4), (3, 4, 5, 5, 12), (580, 7, 7, 4)])
-def test_coordinate_max_paths_agree(dtype, fill, shape, monkeypatch):
-    rng = np.random.default_rng(len(shape))
-    num = rng.integers(-(2**40), 2**40, size=shape) if fill == "random" else np.zeros(shape, int)
-    num = num.astype(dtype)
-    if fill == "random":
-        num[(0,) * (num.ndim - 1)] = -(2**41)  # the largest |x| is negative
-    expected = _coordinate_max_reference(num)
-    results = []
-    for limit in (0, num.size):  # the max/-min path, then the |num| copy
-        monkeypatch.setattr(linalg, "_ABS_COPY_MAX_ENTRIES", limit)
-        col = linalg._coordinate_max(num)
-        assert col.shape == (shape[-1],)
-        assert [int(x) for x in col.tolist()] == expected
-        results.append(col)
-    assert results[0].dtype == results[1].dtype
-    # the default takes the copy only for small operands
-    monkeypatch.undo()
-    assert (num.size > linalg._ABS_COPY_MAX_ENTRIES) == (shape[0] == 580)
-
-
-def test_coordinate_max_of_a_large_stack_makes_no_copy():
-    import tracemalloc
-
-    num = np.random.default_rng(0).integers(-99, 99, size=(336, 7, 7, 12))
-    assert num.size > linalg._ABS_COPY_MAX_ENTRIES
-    tracemalloc.start()
-    try:
-        linalg._coordinate_max(num)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < num.nbytes // 100
