@@ -517,7 +517,7 @@ def _dump(args, cfg: RunConfig):
             "images": [
                 {
                     "element": {"w": list(h.w), "z": h.z},
-                    "matrix": tau.images[i],
+                    "matrix": tau.image(i),
                 }
                 for i, h in enumerate(group.names)
             ],

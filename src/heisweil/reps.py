@@ -9,9 +9,10 @@ character zeta(z) = zeta_p^(k z) are realized on C[F_p^l]:
 - plus model: functions on the W- transversal, coordinates y.
   tau(u, v; z) phi (y) = zeta(z - u.y - (1/2) u.v) phi(y + v).
 
-Every character read goes through one routine: a :class:`MatrixRep`
-computes its character once, as the row of traces that
-:func:`~heisweil.linalg.trace_table` returns over one denominator;
+A :class:`MatrixRep` holds its images as one read-only stack, which every
+reader takes with no restack.  Every character read goes through one
+routine: a rep computes its character once, as the row of traces that
+:func:`~heisweil.linalg.trace_table` returns for its stack;
 :func:`character_table` stacks such rows, and :func:`hom_dims` (every rep
 against every subgroup) reads them; equivalence and inner products of
 characters are products of such rows.  Hom-space dimensions are exact:
@@ -56,39 +57,64 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class MatrixRep:
-    """A finite group mapped to exact invertible matrices.
-
-    ``group`` is a :class:`~heisweil.groups.TableGroup`; ``images`` maps
-    each element index to a CycMatrix over Q(zeta_N).  A monomial rep (the
-    induced models of :func:`heisenberg_rep` and their contragredients)
-    also keeps its monomial data: row t of the image of h holds
-    zeta_p^root_exponents[h, t] in column cols[h, t], zeros elsewhere, both
-    (|group|, dim) integer arrays; other reps leave them None.
+    """A finite group, or a subgroup of it, mapped to exact invertible
+    matrices over Q(zeta_N), N = ``conductor``: rep(``elements[i]``) =
+    ``num[i]`` / ``den``, one read-only (m, dim, dim, phi) stack on the
+    sorted indices ``elements`` of ``group``, a
+    :class:`~heisweil.groups.TableGroup`.  :meth:`image` wraps one row as a
+    CycMatrix; every other reader takes the stack.  Reps compare by
+    identity.  A monomial rep (the induced models of :func:`heisenberg_rep`
+    and their contragredients) also keeps its monomial data: row t of image
+    i holds zeta_p^root_exponents[i, t] in column cols[i, t], zeros
+    elsewhere, both (m, dim) integer arrays; other reps leave them None.
     """
 
     group: object
-    dim: int
-    images: dict
+    elements: np.ndarray = field(repr=False)
+    num: np.ndarray = field(repr=False)
+    den: int
     conductor: int
     basis_labels: tuple = ()
     model: str | None = None
     zeta_exponent: int | None = None
-    cols: np.ndarray | None = field(default=None, repr=False, compare=False)
-    root_exponents: np.ndarray | None = field(default=None, repr=False, compare=False)
+    cols: np.ndarray | None = field(default=None, repr=False)
+    root_exponents: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.elements = np.asarray(self.elements, dtype=np.int64)
+        if len(self.elements) != len(self.num) or (np.diff(self.elements) <= 0).any():
+            raise ValueError(f"{len(self.num)} images need as many sorted elements")
+        # the character row is cached from the stack, so neither may change
+        self.elements.flags.writeable = False
+        self.num.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.num.shape[1]
+
+    def _rows(self, elements) -> np.ndarray:
+        """The stack row of each of ``elements``; ValueError names the first
+        one the rep is not defined on."""
+        els, m = np.asarray(elements, dtype=np.int64), len(self.elements)
+        at = np.minimum(np.searchsorted(self.elements, els), m - 1)
+        if (bad := els[self.elements[at] != els]).size:
+            raise ValueError(f"element {bad[0]} is outside the {m} elements of the rep")
+        return at
+
+    def image(self, h) -> CycMatrix:
+        """rep(h) as a canonical CycMatrix."""
+        return CycMatrix._packed(self.conductor, self.num[self._rows(h)], self.den)
 
     @cached_property
-    def _character(self) -> tuple[dict, CycMatrix]:
-        """(column of each element, tr rep(g) on ``images`` in its order)."""
-        n = self.conductor
-        family = batch_from_matrices(list(self.images.values()), n)
-        return {g: i for i, g in enumerate(self.images)}, trace_table(n, family)
+    def _character(self) -> CycMatrix:
+        """tr rep(g) for g in ``elements``, one 1 x m row; readers get copies."""
+        return trace_table(self.conductor, (self.num, self.den))
 
     def characters(self, elements) -> CycMatrix:
         """tr rep(g) for each of ``elements``, repeats allowed, as a 1 x m row."""
-        column, row = self._character
-        return row[:, [column[g] for g in elements]]
+        return self._character[:, self._rows(elements)]
 
     def character_sum(self, elements) -> CycNumber:
         """The sum of tr rep(g) over ``elements``: the row times ones."""
@@ -97,11 +123,13 @@ class MatrixRep:
         return (self.characters(elements) @ column)[0, 0]
 
     def verify_homomorphism(self, check: Check | None = None) -> bool:
-        """:func:`homomorphism_certificate` on the images, stacked once."""
-        g, n = self.group, self.conductor
+        """:func:`homomorphism_certificate` on the stack, for a rep defined
+        on every element of its group."""
+        g, m = self.group, len(self.elements)
+        if not np.array_equal(self.elements, np.arange(g.order)):
+            raise ValueError(f"the rep covers {m} of the {g.order} elements of its group")
         check = Check("reps.homomorphism") if check is None else check
-        num, den = batch_from_matrices([self.images[h] for h in g.elements()], n)
-        return homomorphism_certificate(g, num, den, n, check)
+        return homomorphism_certificate(g, self.num, self.den, self.conductor, check)
 
 
 def homomorphism_certificate(
@@ -164,18 +192,14 @@ def heisenberg_rep(
     # row t of tau(h) holds zeta_p^(k exp) in the column of src, zeros elsewhere
     cols, root_exponents = (src % p) @ place, k * exp % p
     roots = context(n).power_table[(n // p) * root_exponents]
-    # one array per image: views of one |H|-sized stack raised the peak RSS
-    # of a dump stream by ~2.5 MB
-    shape, diag = (dim, dim, roots.shape[-1]), np.arange(dim)
-    images = {}
-    for h in range(group.order):
-        num = np.zeros(shape, dtype=roots.dtype)
-        num[diag, cols[h]] = roots[h]
-        images[h] = CycMatrix._packed(n, num, 1)
+    # one zeroed stack: row t of image h takes its root in column cols[h, t]
+    num = np.zeros((group.order, dim, dim, roots.shape[-1]), dtype=roots.dtype)
+    num[np.arange(group.order)[:, None], np.arange(dim), cols] = roots
     return MatrixRep(
         group=group,
-        dim=dim,
-        images=images,
+        elements=np.arange(group.order),
+        num=num,
+        den=1,
         conductor=n,
         basis_labels=tuple(points),
         model=model,
@@ -186,21 +210,20 @@ def heisenberg_rep(
 
 
 def contragredient(rep: MatrixRep) -> MatrixRep:
-    """g -> transpose(rep(g^-1)), with the monomial data of that transpose."""
+    """g -> transpose(rep(g^-1)) on the elements of ``rep``, one gather of
+    its stack, with the monomial data of that transpose."""
     g, k = rep.group, rep.zeta_exponent
+    inv = rep._rows(g.inverse_of[rep.elements])  # the stack row of each g^-1
     monomial = {}
     if rep.cols is not None:
-        # row t of rep(h^-1) holds its root in column cols[h^-1, t], so row
-        # cols[h^-1, t] of the transpose holds that root in column t
-        src = rep.cols[g.inverse_of]
-        rows, t = np.arange(len(src))[:, None], np.arange(rep.dim)
-        cols, roots = np.empty_like(src), np.empty_like(rep.root_exponents)
-        cols[rows, src] = t
-        roots[rows, src] = rep.root_exponents[g.inverse_of]
+        # row t of rep(h^-1) holds its root in column cols[h^-1, t], so row r
+        # of the transpose holds the root of the row t whose column is r
+        cols = np.argsort(rep.cols[inv], axis=1)
+        roots = np.take_along_axis(rep.root_exponents[inv], cols, axis=1)
         monomial = {"cols": cols, "root_exponents": roots}
     return replace(
         rep,
-        images={h: rep.images[g.inv(h)].transpose() for h in g.elements()},
+        num=rep.num[inv].swapaxes(1, 2),
         zeta_exponent=None if k is None else -k % g.p,
         **monomial,
     )
@@ -309,7 +332,7 @@ def fixed_forms(rep: MatrixRep, subgroup) -> FixedForms:
     stacked = []
     eye = CycMatrix.identity(n, rep.dim)
     for k in generators_within(g, K.tolist()):
-        diff = rep.images[k].transpose() - eye
+        diff = rep.image(k).transpose() - eye
         stacked.extend(diff.rows)
     null = nullspace(stacked, n, rep.dim)
     null_rows = [list(v) for v in null]
@@ -347,14 +370,10 @@ def irreducibles_of_H(group: HeisenbergGroup) -> list[MatrixRep]:
     # entry (i, h): zeta_p^<w0_i, w_h>, all characters at once
     values = offsets @ g.space.form @ g.w.T % p
     table = CycMatrix.from_roots(n, (n // p) * values, np.ones_like(values))
-    out = []
-    for i in range(len(offsets)):
-        images = {h: table[i : i + 1, h : h + 1] for h in range(g.order)}
-        out.append(
-            MatrixRep(group=g, dim=1, images=images, conductor=n, model="char")
-        )
-    for k in range(1, p):
-        out.append(heisenberg_rep(g, k, model="minus"))
+    # character i is row i of the table, as a stack of |H| 1 x 1 images
+    els, chars = np.arange(g.order), table.num[:, :, None, None]
+    out = [MatrixRep(g, els, num, table.den, n, model="char") for num in chars]
+    out += [heisenberg_rep(g, k, model="minus") for k in range(1, p)]
     total = sum(r.dim**2 for r in out)
     if total != g.order:
         raise RuntimeError(

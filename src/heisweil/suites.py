@@ -63,7 +63,6 @@ from heisweil.scalar import (
     legendre_symbol,
     root_of_unity,
     run_conductor,
-    zeta_p,
 )
 
 __all__ = [
@@ -288,7 +287,7 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
     eye = CycMatrix.identity(n, tau.dim)
     rec("reps.invariant_pairing").all(
         [
-            (tau.images[h].transpose() @ cotau_model.images[h]).equal_entries(eye)
+            (tau.image(h).transpose() @ cotau_model.image(h)).equal_entries(eye)
             for h in els
         ],
         lambda h, i, j: (h, i, j),
@@ -427,9 +426,8 @@ def _sl23_checks(rec: Recorder, lift) -> None:
 
 def _sp_h_table(lift) -> CycMatrix:
     """tr(omega(s) tau(h)) for s in sp_table order and h in H: one trace_table."""
-    n, base = lift.base.conductor, lift.base.images
-    taus = batch_from_matrices([base[h] for h in lift.group.elements()], n)
-    return trace_table(n, taus, (lift.num, lift.den))
+    base = lift.base
+    return trace_table(base.conductor, (base.num, base.den), (lift.num, lift.den))
 
 
 def _abstract_lift_checks(rec: Recorder, lift, table, cfg: RunConfig) -> None:
@@ -443,9 +441,8 @@ def _abstract_lift_checks(rec: Recorder, lift, table, cfg: RunConfig) -> None:
     reference = table[:, [heis.SpecialIso(g, (0,) * g.dim).image(x) for x in xs]]
     # images[h] = tau(h), and twisted[k, h] = zeta_p^k tau(h), both over one
     # denominator: one kernel call for every (k, h)
-    n = lift.base.conductor
-    images, _ = batch_from_matrices([lift.base.images[h] for h in xs], n)
-    twisted = root_multiples(n, g.p, images)
+    images = lift.base.num
+    twisted = root_multiples(lift.base.conductor, g.p, images)
     twist = rec("weil.abstract_lift_twist_relation")
     match = rec("weil.abstract_lift_characters_nu_independent")
     rep_law = rec("weil.abstract_lift_rep_law")
@@ -510,11 +507,10 @@ def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
             continue
         values = extend_hom(sub, gen_vals, operator.mul, CycNumber.one(conductor))
         if values is not None:
-            imgs = {
-                sub_names[k]: CycMatrix(conductor, [[v]]) for k, v in values.items()
-            }
+            # the values in sub-index order, as one column: a stack of 1 x 1 images
+            col = CycMatrix(conductor, [[values[k]] for k in range(len(sub_names))])
             chars.append(
-                reps_mod.MatrixRep(group=tg, dim=1, images=imgs, conductor=conductor)
+                reps_mod.MatrixRep(tg, sub_names, col.num[:, None], col.den, conductor)
             )
     unique = {}  # by character values, the first of each
     for chi in chars:
@@ -523,9 +519,9 @@ def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
 
 
 def _trivial_rep(tg: mk.TableGroup, members, conductor=4):
-    one = CycMatrix.from_roots(conductor, [[0]], [[1]])
-    imgs = {k: one for k in members}
-    return reps_mod.MatrixRep(group=tg, dim=1, images=imgs, conductor=conductor)
+    members = sorted(members)
+    one = CycMatrix.identity(conductor, 1).num[None]
+    return reps_mod.MatrixRep(tg, members, one.repeat(len(members), axis=0), 1, conductor)
 
 
 def standard_mackey_configurations():
@@ -546,8 +542,8 @@ def _mackey_zoo():
     read-only, K is a sorted tuple and theta a frozen record, so no run can
     change what the next one reads.  The stabilizer cases are (label,
     group, theta) for S3, D4 and Q8 with their first nontrivial involution.
-    The contragredients are kappa~ of each configuration, in order, with
-    their images and character rows built and read-only."""
+    The contragredients are kappa~ of each configuration, in order; every
+    rep's stack of images is read-only."""
     configs = []
 
     def add(label, tg, k_members, theta, kappa=None):
@@ -613,10 +609,7 @@ def _mackey_zoo():
     for tg in {id(tg): tg for _, tg, *_ in configs}.values():
         for shared in (tg.table, tg.inverse_of):
             shared.flags.writeable = False
-    tildes = tuple(_contragredient(tg, k, kappa) for _, tg, k, kappa, _ in configs)
-    for tilde in tildes:
-        for m in (*tilde.images.values(), tilde._character[1]):
-            m.num.flags.writeable = False
+    tildes = tuple(reps_mod.contragredient(kappa) for *_, kappa, _ in configs)
     stabilizer = (("S3", s3, thetas3[0]), ("D4", *d4), ("Q8", q8, thetas8[0]))
     return tuple(configs), stabilizer, tildes
 
@@ -650,15 +643,10 @@ def heisenberg_mackey_configurations():
     alpha = heis.involution_from_polarization(group)
     theta = mk.InvolutionRecord(tuple(alpha.perm.tolist()))
     k_members = sorted(group.minus_z_subgroup())
-    kappa = reps_mod.MatrixRep(
-        group=group,
-        dim=1,
-        images={
-            i: CycMatrix(12, [[zeta_p(3, int(group.z[i]), conductor=12)]])
-            for i in k_members
-        },
-        conductor=12,
-    )
+    # kappa(h) = zeta_3^z(h) on the members, as a stack of 1 x 1 images
+    exps = 4 * group.z[k_members][:, None]
+    zetas = CycMatrix.from_roots(12, exps, np.ones_like(exps))
+    kappa = reps_mod.MatrixRep(group, k_members, zetas.num[:, None], zetas.den, 12)
     configs.append(("H3/HhatMinus/zeta/polar", group, k_members, kappa, theta))
     configs.append(
         ("H3/G/tau/polar", group, list(range(group.order)), tau, theta)
@@ -667,7 +655,7 @@ def heisenberg_mackey_configurations():
     # {1} x H holds the indices h < |H|, as Sp(W) lists the identity first;
     # kappa there is omega(1) tau(h) = tau(h), as the lift sends 1 to 1
     h_members = list(range(group.order))
-    kappa_sd = reps_mod.MatrixRep(group=sd, dim=3, images=tau.images, conductor=12)
+    kappa_sd = reps_mod.MatrixRep(sd, tau.elements, tau.num, tau.den, 12)
     theta_sd = mk.semidirect_involution_record(alpha)
     configs.append(("SpH3/H/tau/polar", sd, h_members, kappa_sd, theta_sd))
     return configs
@@ -680,7 +668,7 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
     configs = [*zoo, *heis]
     tildes = [
         *zoo_tildes,
-        *(_contragredient(tg, k, kappa) for _, tg, k, kappa, _ in heis),
+        *(reps_mod.contragredient(kappa) for *_, kappa, _ in heis),
     ]
     dcs = rec("mackey.double_coset_sum_equals_oracle")
     clauses = rec("mackey.twisted_coset_clauses")
@@ -791,14 +779,6 @@ def _twisted_coset_checks(
     class_of = {y: i for i, cl in enumerate(classes) for y in cl}
     hit = {class_of[twist[x]] for x in reps}
     triangle(len(reps) == len(classes) == len(hit), label)
-
-
-def _contragredient(tg, k_members, kappa) -> reps_mod.MatrixRep:
-    """kappa~(k) = kappa(k^-1)^T on K."""
-    images = {k: kappa.images[tg.inv(k)].transpose() for k in k_members}
-    return reps_mod.MatrixRep(
-        group=tg, dim=kappa.dim, images=images, conductor=kappa.conductor
-    )
 
 
 def _invstab_check(c: Check) -> None:

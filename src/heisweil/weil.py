@@ -164,10 +164,9 @@ class WeilLift:
                 f"the Sp x| H image family is built for p <= "
                 f"{SEMIDIRECT_FAMILY_MAX_P} only; got p = {p}"
             )
-        nh, n = self.group.order, self.base.conductor
-        rnum, rden = batch_from_matrices([self.base.images[h] for h in range(nh)], n)
-        num = packed_product_table(n, self.num, rnum)
-        return num.reshape(len(self.num) * nh, *num.shape[2:]), self.den * rden
+        base = self.base
+        num = packed_product_table(base.conductor, self.num, base.num)
+        return num.reshape(-1, *num.shape[2:]), self.den * base.den
 
     def restriction_is_base(self) -> bool:
         """omega(1) = 1, for a lift whose first element is the identity."""
@@ -669,7 +668,7 @@ class AbstractLift:
         return self.std.group
 
     def h_image(self, h) -> CycMatrix:
-        return self.std.base.images[self.nu.image(h)]
+        return self.std.base.image(self.nu.image(h))
 
     def verify_rep_on_pairs(self, pairs, check: Check | None = None) -> bool:
         """F[x] F[y] = F[x y] for each pair (x, y) of (sp index, h) factors,

@@ -132,10 +132,7 @@ def test_criterion_04_involutions_give_polarizations_and_homdim_one():
             hplus, hhat = heis.polarization_from_involution(alpha)  # validates
             assert reps_mod.hom_dim(tau, hplus) == 1
             twisted = reps_mod.MatrixRep(
-                group=g,
-                dim=tau.dim,
-                images={h: tau.images[alpha.apply(h)] for h in g.elements()},
-                conductor=tau.conductor,
+                g, tau.elements, tau.num[alpha.perm], tau.den, tau.conductor
             )
             els = g.elements()
             assert twisted.characters(els) == cotau.characters(els)

@@ -380,7 +380,7 @@ def lift_families(request):
     lift = weil_lift(heisenberg_rep(g, 1, model=model))
     assert lift.sp_elements is sp_table(lift.space).matrices
     sps = [lift.image(i) for i in range(len(lift.num))]
-    return lift, sps, [lift.base.images[h] for h in g.elements()]
+    return lift, sps, [lift.base.image(h) for h in g.elements()]
 
 
 def test_trace_table_equals_per_entry_traces(lift_families, kernel_dtypes):

@@ -12,7 +12,7 @@ from heisweil.heisenberg import (
     order_two_automorphisms_inverting_center,
 )
 from heisweil import mackey as mk
-from heisweil.linalg import CycMatrix
+from heisweil.linalg import CycMatrix, batch_from_matrices
 from heisweil.mackey import (
     InvolutionRecord,
     TableGroup,
@@ -37,7 +37,7 @@ from heisweil.mackey import (
     table_group_from_mul,
     twisted_classes,
 )
-from heisweil.reps import MatrixRep
+from heisweil.reps import MatrixRep, contragredient
 from heisweil.scalar import CycNumber, root_of_unity
 from heisweil.suites import (
     SUITES,
@@ -432,8 +432,10 @@ def test_contragredient_multiplicities_match(s3, a3):
     )
     h = sorted(fixed_subgroup(s3, theta))
     for chi in _abelian_characters(s3, a3, 3):
-        tilde_images = {k: chi.images[s3.inv(k)].transpose() for k in a3}
-        chi_tilde = MatrixRep(group=s3, dim=1, images=tilde_images, conductor=3)
+        num, den = batch_from_matrices(
+            [chi.image(s3.inv(k)).transpose() for k in a3], 3
+        )
+        chi_tilde = MatrixRep(s3, a3, num, den, 3)
         assert induced_hom_dim_oracle(s3, a3, chi, h) == (
             induced_hom_dim_oracle(s3, a3, chi_tilde, h)
         )
@@ -456,7 +458,8 @@ def test_two_dimensional_kappa():
     els = list(range(6))
     images = extend_hom(s3, gen_images, operator.matmul, CycMatrix.identity(n, 2))
     assert images is not None
-    kappa = MatrixRep(group=s3, dim=2, images=images, conductor=n)
+    num, den = batch_from_matrices([images[g] for g in els], n)
+    kappa = MatrixRep(s3, els, num, den, n)
     theta = next(
         t for t in all_involutive_automorphisms(s3) if not t.is_identity()
     )
@@ -587,7 +590,7 @@ def _zoo_snapshot():
     return [
         (label, tg.table.tolist(), tg.inverse_of.tolist(), list(k), theta.perm,
          kappa.characters(k).to_json(), tilde.characters(k).to_json(),
-         [tilde.images[x].to_json() for x in k])
+         [tilde.image(x).to_json() for x in k])
         for (label, tg, k, kappa, theta), tilde in zip(configs, tildes)
     ] + [(label, tg.table.tolist(), theta.perm) for label, tg, theta in stabilizer]
 
@@ -595,8 +598,9 @@ def _zoo_snapshot():
 def test_mackey_zoo_is_shared_read_only_and_unchanged_by_a_run():
     """The zoo is built once per process and handed out as fresh lists of
     the same configurations; every table and inverse array is read-only, K
-    is a tuple, kappa~ is kept with its images and character row read-only,
-    and a suite run leaves every configuration as it was."""
+    is a tuple, kappa and the kept kappa~ hold read-only stacks, kappa~'s
+    character row is the traces of its images, and a suite run leaves every
+    configuration as it was."""
     import heisweil.suites as suites_mod
 
     configs, stabilizer, tildes = suites_mod._mackey_zoo()
@@ -609,13 +613,15 @@ def test_mackey_zoo_is_shared_read_only_and_unchanged_by_a_run():
             tg.table[0, 0] = 1
     assert all(type(k) is tuple for _, _, k, *_ in configs)
     assert len(tildes) == len(configs)
-    for (_, tg, k, kappa, _), tilde in zip(configs, tildes):
-        assert tilde == suites_mod._contragredient(tg, k, kappa)
-        row = tilde.__dict__["_character"][1]  # built with the zoo
-        for m in (*tilde.images.values(), row):
-            assert not m.num.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            row.num[0, 0, 0] = 1
+    for (*_, k, kappa, _), tilde in zip(configs, tildes):
+        fresh = contragredient(kappa)
+        assert np.array_equal(tilde.elements, k) and tilde.den == fresh.den
+        assert np.array_equal(tilde.num, fresh.num)
+        traces = [[tilde.image(x).trace() for x in k]]
+        assert tilde.characters(k) == CycMatrix(tilde.conductor, traces)
+        for stack in (tilde.num, tilde.elements, kappa.num):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0] = 0
     before = _zoo_snapshot()
     checks = SUITES["mackey"](RunConfig(seed=5))
     assert all(c.passed for c in checks)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 from dataclasses import replace
 
@@ -25,13 +26,17 @@ from heisweil.reps import (
     irreducibles_of_H,
 )
 from heisweil.scalar import CycNumber, context, zeta_p
+from heisweil.suites import (
+    heisenberg_mackey_configurations,
+    standard_mackey_configurations,
+)
 from heisweil.symplectic import SymplecticSpace, sp_table
 from heisweil.weil import weil_lift
 
 
 def same_character(rep1, rep2) -> bool:
     """Equal characters on every element: equivalent representations."""
-    els = list(rep1.images)
+    els = rep1.elements
     return rep1.characters(els) == rep2.characters(els)
 
 
@@ -63,14 +68,14 @@ def test_rejects_trivial_central_character(h3):
 def test_minus_model_shift_and_phase(h3, tau3):
     n = tau3.conductor
     # W+ element (e1 here) acts by translation: a cyclic shift permutation
-    shift = tau3.images[h3.from_w((1, 0))]
+    shift = tau3.image(h3.from_w((1, 0)))
     labels = tau3.basis_labels
     for i, t in enumerate(labels):
         for j, s in enumerate(labels):
             expect = 1 if (s[0] - t[0]) % 3 == 1 else 0
             assert shift[i, j] == CycNumber.from_rational(n, expect)
     # central element acts by the scalar zeta_p
-    central = tau3.images[h3.central(1)]
+    central = tau3.image(h3.central(1))
     assert central == CycMatrix.identity(n, 3).scale(zeta_p(3, 1))
 
 
@@ -79,10 +84,10 @@ def test_homomorphism_exhaustive_p3(tau3):
 
 
 def test_homomorphism_failure_reports_the_first_bad_pair(h3, tau3):
-    images = dict(tau3.images)
-    images[5] = images[5].scale(-1)
+    num = tau3.num.copy()
+    num[5] *= -1
     check = Check("reps.homomorphism")
-    assert not replace(tau3, images=images).verify_homomorphism(check)
+    assert not replace(tau3, num=num).verify_homomorphism(check)
     gens = h3.generators
     assert check.checks == 27 * len(gens) + 1
     # the identity is untouched; in the row of the first generator the
@@ -94,7 +99,7 @@ def test_homomorphism_failure_reports_the_first_bad_pair(h3, tau3):
 
 def test_character_supported_on_center(h5, tau5):
     for h, (w, z) in enumerate(h5.names):
-        tr = tau5.images[h].trace()
+        tr = tau5.image(h).trace()
         if any(w):
             assert tr.is_zero()
         else:
@@ -111,7 +116,7 @@ def test_plus_model_is_equivalent_homomorphism(h3):
 def test_contragredient_properties(h3, tau3):
     cotau = contragredient(tau3)
     assert cotau.verify_homomorphism()
-    assert cotau.images[h3.central(1)][0, 0] == zeta_p(3, -1)
+    assert cotau.image(h3.central(1))[0, 0] == zeta_p(3, -1)
     double = contragredient(cotau)
     assert same_character(double, tau3)
     # contragredient has the zeta^-1 induced model's character
@@ -136,7 +141,7 @@ def test_monomial_data_rebuilds_the_images(p, model):
         h, t = np.indices(rep.cols.shape)
         num[h, t, rep.cols] = roots
         for x in g.elements():
-            assert rep.images[x] == CycMatrix._packed(n, num[x], 1)
+            assert rep.image(x) == CycMatrix._packed(n, num[x], 1)
 
 
 def test_invariant_pairing(h3, tau3):
@@ -146,7 +151,7 @@ def test_invariant_pairing(h3, tau3):
     cotau_model = heisenberg_rep(h3, 2, model="minus")
     eye = CycMatrix.identity(tau3.conductor, tau3.dim)
     for h in h3.elements():
-        assert tau3.images[h].transpose() @ cotau_model.images[h] == eye
+        assert tau3.image(h).transpose() @ cotau_model.image(h) == eye
 
 
 def test_fixed_forms_center_kills_everything(h3, tau3):
@@ -231,8 +236,8 @@ def test_hom_dims_sums_past_int64_are_exact(h3):
     """Two traces of 2^62 fit int64, their sum does not: the bound moves the
     sum to Python ints.  A trace of 2^70 is an object array from the start."""
     for value, members in ((2**62, [0, 1]), (2**70, [0])):
-        images = {h: CycMatrix(12, [[value]]) for h in members}
-        rep = MatrixRep(group=h3, dim=1, images=images, conductor=12)
+        col = CycMatrix(12, [[value]] * len(members))
+        rep = MatrixRep(h3, members, col.num[:, None], col.den, 12)
         assert hom_dims([rep], [members])[0, 0] == value
 
 
@@ -267,9 +272,8 @@ def test_heisthm_suite_p3_p5():
         for alpha in order_two_automorphisms_inverting_center(g):
             hplus, hhat = polarization_from_involution(alpha)
             assert hom_dim(tau, hplus) == 1
-            twisted_images = {h: tau.images[alpha.apply(h)] for h in g.elements()}
             twisted = MatrixRep(
-                group=g, dim=tau.dim, images=twisted_images, conductor=tau.conductor
+                g, tau.elements, tau.num[alpha.perm], tau.den, tau.conductor
             )
             assert same_character(twisted, cotau)
 
@@ -361,7 +365,7 @@ def family(request):
     space = SymplecticSpace(p, 1)
     g = HeisenbergGroup(space)
     if name == "tau":
-        return g, [heisenberg_rep(g, 1).images[h] for h in g.elements()]
+        return g, [heisenberg_rep(g, 1).image(h) for h in g.elements()]
     tg, lift = sp_table(space), weil_lift(heisenberg_rep(g, 1, model=name))
     return tg, [lift.image(i) for i in range(tg.order)]
 
@@ -369,7 +373,8 @@ def family(request):
 def certificate(group, images) -> Check:
     """MatrixRep.verify_homomorphism on g -> images[g], as its Check."""
     check = Check("certificate")
-    rep = MatrixRep(group, images[0].nrows, dict(enumerate(images)), images[0].N)
+    num, den = batch_from_matrices(images, images[0].N)
+    rep = MatrixRep(group, np.arange(group.order), num, den, images[0].N)
     rep.verify_homomorphism(check)
     return check
 
@@ -428,3 +433,112 @@ def test_a_non_generating_set_raises(family):
         narrowed.generators = gens  # shadows the cached property
         with pytest.raises(ValueError, match="do not reach"):
             certificate(narrowed, images)
+
+
+# -- one read-only stack of images ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def subgroup_reps():
+    """label -> (group, kappa) of the p = 3 Heisenberg Mackey test beds."""
+    return {
+        label: (tg, kappa)
+        for label, tg, _, kappa, _ in heisenberg_mackey_configurations()
+    }
+
+
+def test_rep_guard_verify_homomorphism_names_the_elements_covered(subgroup_reps):
+    """A rep defined on a subgroup has no certificate on the whole group: the
+    H^- kappa covers 9 of the 27 elements of H(3, 1) and kappa_sd, which
+    shares tau's stack, 27 of the 648 of Sp x| H."""
+    tau = subgroup_reps["H3/G/tau/polar"][1]
+    for label, covered, order in (
+        ("H3/HhatMinus/zeta/polar", 9, 27),
+        ("SpH3/H/tau/polar", 27, 648),
+    ):
+        tg, kappa = subgroup_reps[label]
+        assert tg.order == order and len(kappa.elements) == covered
+        with pytest.raises(ValueError, match=f"covers {covered} of the {order} elements"):
+            kappa.verify_homomorphism()
+    kappa_sd = subgroup_reps["SpH3/H/tau/polar"][1]
+    assert kappa_sd.num is tau.num and kappa_sd.elements is tau.elements
+
+
+def test_rep_guard_characters_outside_the_elements_names_the_element(subgroup_reps):
+    """characters() and image() of an element the rep is not defined on raise
+    ValueError naming that element: inside the group, past its last element
+    and negative."""
+    tg, kappa = subgroup_reps["H3/HhatMinus/zeta/polar"]
+    members = set(kappa.elements.tolist())
+    outside = next(x for x in range(tg.order) if x not in members)
+    for x in (outside, tg.order, -1):
+        with pytest.raises(ValueError, match=f"element {x} is outside the 9 elements"):
+            kappa.characters([kappa.elements[0], x])
+        with pytest.raises(ValueError, match=f"element {x} is outside the 9 elements"):
+            kappa.image(x)
+    kappa_sd = subgroup_reps["SpH3/H/tau/polar"][1]
+    with pytest.raises(ValueError, match="element 27 is outside the 27 elements"):
+        kappa_sd.characters(range(28))
+
+
+def test_rep_guard_rejects_elements_that_do_not_match_the_stack(h3, tau3):
+    for elements in ([0, 1], tau3.elements[::-1], [0] * 27):
+        with pytest.raises(ValueError, match="27 images need as many sorted elements"):
+            MatrixRep(h3, elements, tau3.num, tau3.den, tau3.conductor)
+
+
+@pytest.mark.parametrize("model", ["minus", "plus"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_contragredient_oracle_on_both_models(p, model):
+    """The stacked contragredient, one gather, is rep(g^-1)^T element by
+    element."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    tau = heisenberg_rep(g, 1, model=model)
+    tilde = contragredient(tau)
+    assert np.array_equal(tilde.elements, tau.elements)
+    for h in g.elements():
+        assert tilde.image(h) == tau.image(g.inv(h)).transpose(), h
+
+
+def test_contragredient_oracle_on_subgroup_reps():
+    """Every kappa of the Mackey zoo and of the Heisenberg test beds, on its
+    subgroup K: kappa~(k) = kappa(k^-1)^T for each k in K."""
+    configs = [*standard_mackey_configurations(), *heisenberg_mackey_configurations()]
+    assert any(len(k) < tg.order for _, tg, k, *_ in configs)
+    for label, tg, k, kappa, _ in configs:
+        tilde = contragredient(kappa)
+        assert tilde.elements.tolist() == sorted(k), label
+        for x in k:
+            assert tilde.image(x) == kappa.image(tg.inv(x)).transpose(), (label, x)
+
+
+def test_rep_stacks_are_read_only(h3, tau3, subgroup_reps):
+    """Writing into the images or the elements of any rep raises: tau, its
+    contragredient, an irreducible character (a view of one table), a
+    certificate's edited copy and the subgroup reps."""
+    reps = [tau3, contragredient(tau3), irreducibles_of_H(h3)[1]]
+    num = tau3.num.copy()
+    reps.append(replace(tau3, num=num))
+    reps += [kappa for _, kappa in subgroup_reps.values()]
+    for rep in reps:
+        for stack in (rep.num, rep.elements):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0] = stack[-1]
+    assert not num.flags.writeable
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_irreducible_character_rows_are_rows_of_the_character_table(p):
+    """Character i of irreducibles_of_H is h -> zeta_p^<w0_i, w_h> with w0_i
+    the i-th offset: its row, read from its stack of 1 x 1 images, is row i
+    of the table of those values and of :func:`character_table`."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    irreps = irreducibles_of_H(g)
+    els = g.elements()
+    table = character_table(irreps, els)
+    offsets = list(itertools.product(range(p), repeat=g.dim))
+    assert [r.model for r in irreps] == ["char"] * len(offsets) + ["minus"] * (p - 1)
+    for i, (rho, w0) in enumerate(zip(irreps, offsets)):
+        values = [[zeta_p(p, g.space.pair(w0, g.names[h].w)) for h in els]]
+        row = rho.characters(els)
+        assert row == CycMatrix(rho.conductor, values) == table[i : i + 1], i
