@@ -49,8 +49,8 @@ def main() -> None:
         seen.add(tr)
         print(
             f"  element {tg.matrices[s].tolist()}  trace {tr.to_complex():.3f}"
-            f"  alpha {alpha[s][0, 0].to_complex():.3f}"
-            f"  tr beta {beta[s].trace().to_complex():.3f}"
+            f"  alpha {alpha.image(s)[0, 0].to_complex():.3f}"
+            f"  tr beta {beta.image(s).trace().to_complex():.3f}"
         )
     print()
     print("generator operators (odd/even basis):")

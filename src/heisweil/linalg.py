@@ -42,11 +42,13 @@ den-scaled expected family once and writes each row's product, gather and
 comparison into buffers allocated once.  On the rows of a generating set
 it is the certificate of :func:`heisweil.reps.homomorphism_certificate`.
 
-Entries are read out as :class:`CycNumber` only where the algorithm is
-entrywise: inverse, determinant, rank and nullspace all read one
-Gauss-Jordan elimination, :func:`_rref`, which returns the reduced rows,
-the pivot columns and the determinant.  Fine for dimensions up to a few
-dozen.
+There is no elimination over Q(zeta_N) here: no inverse, determinant,
+rank or nullspace, and ``**`` takes powers k >= 0 only.  The package proves
+what it would read from one without it: Hom_K(tau, 1) by the certificate
+of :func:`heisweil.reps.fixed_forms`, the SL(2, 3) inverse and determinants
+by 2 x 2 closed forms, and the ell = 2 Weil relations in a form with no
+inverse.  A Gauss-Jordan oracle stays in the tests, as the reference these
+are compared against.
 """
 
 from __future__ import annotations
@@ -61,11 +63,8 @@ from heisweil.scalar import CycNumber, context
 __all__ = [
     "CycMatrix",
     "batch_from_matrices",
-    "nullspace",
     "packed_product_table",
     "root_multiples",
-    "row_space_rank",
-    "same_row_space",
     "trace_table",
     "verify_multiplication_table",
 ]
@@ -196,7 +195,7 @@ class CycMatrix:
                 f"power of a non-square {self.nrows}x{self.ncols} matrix"
             )
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError(f"negative power {k}: CycMatrix has no inverse")
         out = CycMatrix.identity(self.N, self.nrows)
         base = self
         while k:
@@ -220,28 +219,6 @@ class CycMatrix:
     def trace(self) -> CycNumber:
         m = np.arange(min(self.nrows, self.ncols))
         return CycNumber(self.N, self.num[m, m].astype(object).sum(axis=0), self.den)
-
-    def inverse(self) -> "CycMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError(
-                f"inverse of a non-square {self.nrows}x{self.ncols} matrix"
-            )
-        d = self.nrows
-        aug = [r + e for r, e in zip(self.rows, CycMatrix.identity(self.N, d).rows)]
-        red, pivots, _ = _rref(aug)
-        if pivots != list(range(d)):
-            raise ZeroDivisionError("singular matrix")
-        return CycMatrix(self.N, [row[d:] for row in red])
-
-    def det(self) -> CycNumber:
-        if self.nrows != self.ncols:
-            raise ValueError(
-                f"determinant of a non-square {self.nrows}x{self.ncols} matrix"
-            )
-        if not self.nrows:
-            return CycNumber.one(self.N)
-        _, pivots, det = _rref(self.rows)
-        return det if len(pivots) == self.nrows else CycNumber.zero(self.N)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -289,66 +266,6 @@ class CycMatrix:
             ]
             for row, row_den in zip(a.tolist(), d.tolist())
         ]
-
-
-# -- exact row reduction ------------------------------------------------------
-
-
-def _rref(rows: list[list[CycNumber]]):
-    """Reduced row echelon form over the field, the one pivot loop here.
-
-    Returns (nonzero rows, pivot columns, det), where det is the product of
-    the pivots as they are found, negated at each row swap: the determinant
-    of a square matrix of full rank.
-    """
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots, det = [], 1
-    for col in range(ncols):
-        r0 = len(pivots)
-        piv = next(
-            (r for r in range(r0, len(rows)) if not rows[r][col].is_zero()), None
-        )
-        if piv is None:
-            continue
-        if piv != r0:
-            rows[r0], rows[piv] = rows[piv], rows[r0]
-            det = -det
-        det = det * rows[r0][col]
-        inv = rows[r0][col].inverse()
-        rows[r0] = [inv * x for x in rows[r0]]
-        for r in range(len(rows)):
-            if r != r0 and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[r0])]
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    return rows[: len(pivots)], pivots, det
-
-
-def row_space_rank(rows: list[list[CycNumber]]) -> int:
-    return len(_rref(rows)[1])
-
-
-def same_row_space(rows_a, rows_b) -> bool:
-    ra = row_space_rank(rows_a)
-    rb = row_space_rank(rows_b)
-    return ra == rb == row_space_rank(list(rows_a) + list(rows_b))
-
-
-def nullspace(rows: list[list[CycNumber]], n: int, ncols: int):
-    """Basis of {v : rows @ v = 0}, as column vectors (lists)."""
-    red, pivots, _ = _rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [CycNumber.zero(n) for _ in range(ncols)]
-        vec[j] = CycNumber.one(n)
-        for r, pcol in zip(red, pivots):
-            vec[pcol] = -r[j]
-        basis.append(vec)
-    return basis
 
 
 # -- the packed multiplication kernel ------------------------------------------

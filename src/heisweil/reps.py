@@ -17,7 +17,10 @@ routine: a rep computes its character once, as the row of traces that
 against every subgroup) reads them; equivalence and inner products of
 characters are products of such rows.  Hom-space dimensions are exact:
 the averaging operator over a subgroup is idempotent, so its rank equals its
-trace, a rational integer computed with no tolerance anywhere.
+trace, a rational integer computed with no tolerance anywhere.  A basis of
+Hom_K(tau, 1) itself is read from the double cosets Q\\H/K, and
+:func:`fixed_forms_certificate` proves it one with no elimination: the rows
+are K-invariant, have disjoint supports, and number the exact trace.
 """
 
 from __future__ import annotations
@@ -34,13 +37,11 @@ from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import (
     CycMatrix,
     batch_from_matrices,
-    nullspace,
-    row_space_rank,
-    same_row_space,
+    packed_product_table,
     trace_table,
     verify_multiplication_table,
 )
-from heisweil.scalar import CycNumber, context, run_conductor, zeta_p
+from heisweil.scalar import CycNumber, context, run_conductor
 from heisweil.symplectic import GuardError
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "character_table",
     "contragredient",
     "fixed_forms",
+    "fixed_forms_certificate",
     "heisenberg_rep",
     "hom_dim",
     "hom_dims",
@@ -233,12 +235,14 @@ def hom_dims(reps: list[MatrixRep], subgroups) -> np.ndarray:
     """dim Hom_K(rep, 1) for every rep (rows) and subgroup K (columns): the
     rank of the averaging projector over K, which being idempotent equals its
     exact trace (1/|K|) sum_k tr rep(k).  The 0/1 indicators of the
-    subgroups multiply the stacked character numerators one power-basis
-    coordinate at a time, on the coordinates the characters use; each entry
-    must be an integer >= 0."""
-    subgroups = [frozenset(k) for k in subgroups]
-    els = sorted(frozenset().union(*subgroups))
-    ind = np.array([[x in k for x in els] for k in subgroups], dtype=np.int64)
+    subgroups, their masks over the group on the elements some K holds,
+    multiply the stacked character numerators one power-basis coordinate at
+    a time, on the coordinates the characters use; each entry must be an
+    integer >= 0."""
+    g = reps[0].group
+    masks = np.array([g.mask(k) for k in subgroups])
+    els = np.flatnonzero(masks.any(axis=0))
+    ind = masks[:, els].astype(np.int64)
     chars = character_table(reps, els)
     used = chars.num.any(axis=(0, 1))
     used[0] = True  # sums[..., 0] is coordinate 0, the rational part
@@ -252,7 +256,8 @@ def hom_dims(reps: list[MatrixRep], subgroups) -> np.ndarray:
     bad = sums[..., 1:].any(axis=2) | (const % sizes != 0) | (const < 0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        val = reps[i].character_sum(sorted(subgroups[j])) / len(subgroups[j])
+        members = np.flatnonzero(masks[j])
+        val = reps[i].character_sum(members) / len(members)
         raise RuntimeError(f"projector trace {val!r} is not an integer >= 0")
     return const // sizes
 
@@ -275,84 +280,86 @@ def character_table(reps: list[MatrixRep], elements) -> CycMatrix:
 
 @dataclass
 class FixedForms:
-    """Hom_K(tau, 1) computed two independent ways."""
+    """A basis of Hom_K(tau, 1) and its :func:`fixed_forms_certificate`."""
 
-    dim: int
-    coset_basis: list  # rows from the double-coset construction
-    nullspace_basis: list  # rows from brute-force linear algebra
-    spans_agree: bool
-    representatives: list = field(default_factory=list)
+    dim: int  # the exact projector trace of hom_dim
+    basis: CycMatrix  # one double-coset form lambda_x per row
+    certified: bool
 
 
-def fixed_forms(rep: MatrixRep, subgroup) -> FixedForms:
-    """Basis of Hom_K(tau, 1) for the minus model, built twice.
+def fixed_forms(rep: MatrixRep, subgroup, check: Check | None = None) -> FixedForms:
+    """Basis of Hom_K(tau, 1) for the minus model, with its certificate.
 
-    Once through the double-coset sum forms lambda_x(phi) = sum_k phi(x k)
-    over qualifying cosets, once as the nullspace of the invariance
-    conditions for a generating set of K; the two spans must agree.
+    The rows are the double-coset sum forms lambda_x(phi) = sum_k phi(x k)
+    over the cosets Q x K, Q = W^- Z, on which W^- x K x^-1 meets Z
+    trivially; :func:`fixed_forms_certificate` proves them a basis, and
+    records one identity in ``check`` when given.
     """
     if rep.model != "minus":
         raise ValueError("fixed_forms expects a minus-model Heisenberg rep")
     g: HeisenbergGroup = rep.group
     n, p, ell = rep.conductor, g.p, g.space.ell
-    K = np.array(sorted(frozenset(subgroup)), dtype=np.int64)
+    members = sorted(frozenset(subgroup))
+    K = np.array(members, dtype=np.int64)
     labels = double_coset_labels(g, g.minus_z_subgroup(), K)  # Q\H/K
     t, inv = g.table, g.inverse_of
     w_minus = np.array(sorted(g.minus_subgroup()), dtype=np.int64)
     # the center without the identity, as a mask over the indices
     nontrivial_center = g.mask(g.center())
     nontrivial_center[0] = False
-    zetas = [zeta_p(p, rep.zeta_exponent * e, conductor=n) for e in range(p)]
     digits = p ** np.arange(ell - 1, -1, -1, dtype=np.int64)
 
-    rows, qualifying = [], []
+    counts = []
     for x in np.unique(labels, return_index=True)[1].tolist():
         conj = t[t[x, K], inv[x]]  # x K x^-1
         if nontrivial_center[t[np.ix_(w_minus, conj)]].any():
             continue  # W^- x K x^-1 meets Z nontrivially: no invariant form here
-        qualifying.append(x)
         # minus model: f(x k) = zeta(z + (1/2) v.u) phi(u) for x k = (u, v; z)
         xk = t[x, K]
         u, v = g.w[xk, :ell], g.w[xk, ell:]
         exps = (g.z[xk] + g.half * (u * v).sum(axis=1)) % p
-        counts = np.zeros((rep.dim, p), dtype=np.int64)
-        np.add.at(counts, (u @ digits, exps), 1)
-        rows.append(
-            [
-                sum(
-                    (int(c) * zetas[e] for e, c in enumerate(r) if c),
-                    start=CycNumber.zero(n),
-                )
-                for r in counts
-            ]
-        )
+        count = np.zeros((rep.dim, p), dtype=np.int64)
+        np.add.at(count, (u @ digits, exps), 1)
+        counts.append(count)
+    # entry u of the row of x: sum over e of count[u, e] zeta_p^(k e)
+    roots = context(n).power_table[(n // p) * (rep.zeta_exponent * np.arange(p) % p)]
+    num = np.array(counts, dtype=np.int64).reshape(-1, rep.dim, p) @ roots
+    basis = CycMatrix._packed(n, num, 1)
+    dim = hom_dim(rep, members)
+    return FixedForms(dim, basis, fixed_forms_certificate(rep, members, basis, dim, check))
 
-    # brute-force: lambda with lambda . rep(k) = lambda for all k in K,
-    # which holds for all of K once it holds for a generating set
-    stacked = []
-    eye = CycMatrix.identity(n, rep.dim)
-    for k in generators_within(g, K.tolist()):
-        diff = rep.image(k).transpose() - eye
-        stacked.extend(diff.rows)
-    null = nullspace(stacked, n, rep.dim)
-    null_rows = [list(v) for v in null]
 
-    if not rows and not null_rows:
-        agree = True
-    else:
-        every_row_nonzero = all(any(not c.is_zero() for c in r) for r in rows)
-        agree = (
-            every_row_nonzero
-            and row_space_rank(rows) == len(rows) == len(null_rows)
-            and same_row_space(rows, null_rows)
-        )
-    return FixedForms(
-        dim=len(null_rows),
-        coset_basis=rows,
-        nullspace_basis=null_rows,
-        spans_agree=bool(agree),
-        representatives=qualifying,
+def fixed_forms_certificate(
+    rep: MatrixRep, subgroup, basis: CycMatrix, dim: int, check: Check | None = None
+) -> bool:
+    """Whether the rows of ``basis`` are a basis of Hom_K(rep, 1), K =
+    ``subgroup``, whose dimension is ``dim`` (:func:`hom_dim`):
+
+    (a) lambda rep(k) = lambda for every row lambda and every k of
+        :func:`~heisweil.groups.generators_within` K, one packed product;
+    (b) every row is nonzero and no two rows share a nonzero coordinate;
+    (c) there are ``dim`` rows.
+
+    (a) puts each row in Hom_K(rep, 1), as invariance under generators is
+    invariance under K; (b) makes the rows independent; (c) counts them to
+    the dimension of the space, so they span it.  No elimination is needed.
+    The verdict is recorded in ``check``, when given, as one identity with
+    the sorted subgroup as its witness.
+    """
+    members = sorted(frozenset(subgroup))
+    gens = rep._rows(generators_within(rep.group, members))
+    # lambda rep(k) carries basis.den * rep.den, as lambda * rep.den does
+    moved = packed_product_table(rep.conductor, basis.num[None], rep.num[gens])[0]
+    support = basis.num.any(axis=2)
+    ok = bool(
+        (moved == basis.num * rep.den).all()
+        and support.any(axis=1).all()
+        and (support.sum(axis=0) <= 1).all()
+        and basis.nrows == dim
     )
+    if check is not None:
+        check(ok, members)
+    return ok
 
 
 # -- irreducibles of H -----------------------------------------------------------

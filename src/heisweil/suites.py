@@ -55,7 +55,7 @@ from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
 from heisweil.checks import Check, Recorder
 from heisweil.groups import double_coset_labels, extend_hom, generators_within
-from heisweil.linalg import CycMatrix, batch_from_matrices, root_multiples, trace_table
+from heisweil.linalg import CycMatrix, root_multiples, trace_table
 from heisweil.scalar import (
     CycNumber,
     context,
@@ -264,11 +264,10 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
     tau = reps_mod.heisenberg_rep(group, 1, model="minus")
     tau.verify_homomorphism(rec("reps.heisenberg_rep_homomorphism"))
 
-    # fixed forms: coset basis vs nullspace basis, on every subgroup
+    # fixed forms: the double-coset basis and its certificate, on every subgroup
     c = rec("reps.fixed_forms_oracle_equivalence")
     for sub in group.all_subgroups():
-        res = reps_mod.fixed_forms(tau, sub)
-        c(res.spans_agree, sorted(sub))
+        res = reps_mod.fixed_forms(tau, sub, c)
         if group.center() <= sub:
             c(res.dim == 0, sorted(sub))
 
@@ -391,10 +390,8 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
 def _sl23_checks(rec: Recorder, lift) -> None:
     alpha, beta, _, ref = weil_mod.sl23_reference(lift)
     tg, n = sympl.sp_table(lift.space), lift.base.conductor
-    names, els = tg.names, range(tg.order)
-    # tr alpha(s) + tr beta(s) for every s, as one row
-    row = lambda rep: trace_table(n, batch_from_matrices([rep[s] for s in els], n))
-    target = row(alpha) + row(beta)
+    names, els = tg.names, np.arange(tg.order)
+    target = alpha.characters(els) + beta.characters(els)
     lifted = trace_table(n, (lift.num[ref.translate], lift.den))
     rec("weil.sl23_character_is_alpha_plus_beta").all(
         lifted.equal_entries(target)[0], lambda i: names[i]
@@ -412,9 +409,15 @@ def _sl23_checks(rec: Recorder, lift) -> None:
             "Weyl element; see README",
         },
     )
-    c = rec("weil.sl23_det_beta_is_alpha")
-    for s in els:
-        c(beta[s].det() == alpha[s][0, 0], names[s])
+    # det beta(s) = ad - bc: tr of the row (a, b) of beta(x) times the column
+    # (d, -c) of beta(y), one trace_table over beta's stack, at x = y
+    rows = beta.num[:, :1]
+    cols = (beta.num[:, 1, ::-1] * np.array([1, -1])[:, None])[..., None, :]
+    table = trace_table(n, (cols, beta.den), (rows, beta.den))
+    dets = CycMatrix._packed(n, table.num[els, els][None], table.den)
+    rec("weil.sl23_det_beta_is_alpha").all(
+        dets.equal_entries(alpha.characters(els))[0], lambda i: names[i]
+    )
 
     exts = weil_mod.three_extensions_p3(lift)
     chars = [trace_table(n, (num, lift.den)) for num in exts]

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -361,13 +362,14 @@ def _verify_relations(lift: WeilLift, check: Check) -> Check:
     m1, m2, n1, n2, n3, n_eye, j = (lift.image(i) for i in range(len(els)))
     check(n1 @ n2 == n2 @ n1, "n-generators commute")
     check(n1 @ n3 == n3 @ n1, "n-generators commute (2)")
-    # m-conjugation carries the phase of n(b) to that of n(y b ty)
+    # m-conjugation carries the phase of n(b) to that of n(y b ty); the Levi
+    # image m is a signed permutation, so invertible, and m n m^-1 = n(y b ty)
+    # is m n = n(y b ty) m
     for m_img, y in ((m1, els[0, :2, :2]), (m2, els[1, :2, :2])):
         for n_img, b in ((n1, els[2, :2, 2:]), (n2, els[3, :2, 2:])):
-            lhs = m_img @ n_img @ m_img.inverse()
             rhs = _quadratic_phase_image(lift.base, y @ b @ y.T % p, lower=False)
             where = f"y = {y.tolist()}, b = {b.tolist()}"
-            check(lhs == rhs, f"m n m^-1 = n(y b ty), {where}")
+            check(m_img @ n_img == rhs @ m_img, f"m n = n(y b ty) m, {where}")
     jj = j @ j
     mm = _levi_image(lift.base, (-np.eye(2, dtype=np.int64)) % p)
     check(jj == mm, "j^2 = m(-1)")
@@ -482,22 +484,26 @@ def p_action_check(lift: WeilLift, lam=None, check: Check | None = None) -> Chec
 
 @dataclass
 class Sl23Reference:
-    alpha: dict  # sp_table index of an appendix-basis element -> 1x1 CycMatrix
-    beta: dict  # sp_table index of an appendix-basis element -> 2x2 CycMatrix
+    alpha: MatrixRep  # the character alpha on sp_table, appendix basis
+    beta: MatrixRep  # the 2-dimensional beta on sp_table, appendix basis
     lift: WeilLift
     translate: np.ndarray  # appendix-basis index -> package-basis index
     beta_j_displayed: CycMatrix
     displayed_j_reading: str  # "direct" or "inverse"
     even_basis_change: CycMatrix
+    even_basis_inverse: CycMatrix
 
 
-def sl23_reference(lift: WeilLift) -> tuple[dict, dict, WeilLift, "Sl23Reference"]:
+def sl23_reference(
+    lift: WeilLift,
+) -> tuple[MatrixRep, MatrixRep, WeilLift, Sl23Reference]:
     """The explicit p=3 model: the character alpha, the 2-dimensional beta,
     and the Weil lift, all over SL(2, 3) written in the basis with the first
     vector in W- and the second in W+ (translation = conjugation by j).
     Elements are :func:`~heisweil.symplectic.sp_table` indices: alpha and
-    beta map an appendix-basis index to its image, and ``translate[i]`` is
-    the package-basis index of appendix-basis element i.
+    beta are reps on all 24 of them, each index read as an appendix-basis
+    element, and ``translate[i]`` is the package-basis index of
+    appendix-basis element i.
 
     ``lift`` is the Weil lift of the minus-model H(3, 1) rep with central
     character zeta_3^1; any other lift raises ValueError.
@@ -515,35 +521,34 @@ def sl23_reference(lift: WeilLift) -> tuple[dict, dict, WeilLift, "Sl23Reference
     xi = weyl_element(space)  # change of basis between the two conventions
     translate = sp_index(space, xi @ tg.matrices @ mat_inv(xi, p) % p)
 
-    def extend(gens: dict, dim: int):
-        return extend_hom(tg, gens, operator.matmul, CycMatrix.identity(n, dim))
+    def extend(gens: dict, dim: int) -> MatrixRep | None:
+        images = extend_hom(tg, gens, operator.matmul, CycMatrix.identity(n, dim))
+        if images is None:
+            return None
+        num, den = batch_from_matrices([images[s] for s in range(tg.order)], n)
+        return MatrixRep(tg, np.arange(tg.order), num, den, n)
 
     omega = zeta_p(3, 1, conductor=n)
-    one = CycNumber.one(n)
 
     n1, jel = (int(sp_index(space, m)) for m in (n_element(space, [[1]]), xi))
     # alpha from the printed values: alpha(n(b)) = zeta(-b), alpha(j) = 1
-    alpha = extend(
-        {n1: CycMatrix(n, [[omega.inverse()]]), jel: CycMatrix(n, [[one]])}, 1
-    )
+    alpha = extend({n1: CycMatrix(n, [[omega.inverse()]]), jel: CycMatrix(n, [[1]])}, 1)
     if alpha is None:
         raise RuntimeError("printed alpha values must extend to a character")
 
     i = imaginary_unit(n)
     sqrt3 = gauss_sum(3) * i.inverse()  # sqrt(3) = g(3)/i under the embedding
     isq = i * sqrt3.inverse()  # i/sqrt(3)
-    beta_j_displayed = CycMatrix(
-        n,
-        [[isq, 2 * isq], [isq, -isq]],
-    )
-    beta_n1 = CycMatrix(n, [[one, CycNumber.zero(n)], [CycNumber.zero(n), omega.inverse()]])
-    readings = {}
-    for name, jmat in (
-        ("direct", beta_j_displayed),
-        ("inverse", beta_j_displayed.inverse()),
-    ):
-        readings[name] = extend({n1: beta_n1, jel: jmat}, 2)
-    consistent = [name for name, imgs in readings.items() if imgs is not None]
+    beta_j_displayed = CycMatrix(n, [[isq, 2 * isq], [isq, -isq]])
+    beta_n1 = CycMatrix(n, [[1, 0], [0, omega.inverse()]])
+    readings = {
+        name: extend({n1: beta_n1, jel: jmat}, 2)
+        for name, jmat in (
+            ("direct", beta_j_displayed),
+            ("inverse", _inverse_2x2(beta_j_displayed)),
+        )
+    }
+    consistent = [name for name, rep in readings.items() if rep is not None]
     if len(consistent) != 1:
         raise RuntimeError(
             "exactly one reading of the printed beta(j) must assemble into a "
@@ -553,16 +558,13 @@ def sl23_reference(lift: WeilLift) -> tuple[dict, dict, WeilLift, "Sl23Reference
     beta = readings[reading]
 
     # basis change to (odd; even) coordinates: xi1(t)=t, xi2=delta_0,
-    # xi3 = delta_1 + delta_{-1} on transversal points (0,), (1,), (2,)
-    zero = CycNumber.zero(n)
-    u = CycMatrix(
-        n,
-        [
-            [zero, one, zero],
-            [one, zero, one],
-            [-one, zero, one],
-        ],
-    )  # columns are xi1, xi2, xi3 in the delta basis (rows t = 0, 1, 2)
+    # xi3 = delta_1 + delta_{-1} on transversal points (0,), (1,), (2,);
+    # columns are xi1, xi2, xi3 in the delta basis (rows t = 0, 1, 2)
+    u = CycMatrix(n, [[0, 1, 0], [1, 0, 1], [-1, 0, 1]])
+    half = Fraction(1, 2)
+    u_inv = CycMatrix(n, [[0, half, -half], [1, 0, 0], [0, half, half]])
+    if u_inv @ u != CycMatrix.identity(n, 3):
+        raise RuntimeError("the constant inverse of the even basis change is wrong")
 
     ref = Sl23Reference(
         alpha=alpha,
@@ -572,16 +574,26 @@ def sl23_reference(lift: WeilLift) -> tuple[dict, dict, WeilLift, "Sl23Reference
         beta_j_displayed=beta_j_displayed,
         displayed_j_reading=reading,
         even_basis_change=u,
+        even_basis_inverse=u_inv,
     )
     return alpha, beta, lift, ref
+
+
+def _inverse_2x2(m: CycMatrix) -> CycMatrix:
+    """The adjugate [[d, -b], [-c, a]] of m = [[a, b], [c, d]] over ad - bc;
+    RuntimeError unless m times it is the identity."""
+    (a, b), (c, d) = m.rows
+    inv = CycMatrix(m.N, [[d, -b], [-c, a]]).scale((a * d - b * c).inverse())
+    if m @ inv != CycMatrix.identity(m.N, 2):
+        raise RuntimeError(f"the adjugate over ad - bc does not invert {m!r}")
+    return inv
 
 
 def lift_in_odd_even_basis(ref: Sl23Reference, s_app: int) -> CycMatrix:
     """The lift of the appendix-basis element with sp_table index s_app,
     written in (odd; even) coordinates."""
     mat = ref.lift.image(ref.translate[s_app])
-    u = ref.even_basis_change
-    return u.inverse() @ mat @ u
+    return ref.even_basis_inverse @ mat @ ref.even_basis_change
 
 
 # -- extensions and abstract lifts -----------------------------------------------

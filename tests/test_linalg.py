@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elimination_oracle as oracle
 import heisweil.linalg as linalg
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import (
@@ -183,7 +184,7 @@ def test_shape_mismatch_names_both_shapes():
     a = CycMatrix(12, [[0] * 3] * 2)
     with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
         a @ a
-    for op in (lambda m: m**2, CycMatrix.inverse, CycMatrix.det):
+    for op in (lambda m: m**2, oracle.inverse, oracle.det):
         with pytest.raises(ValueError, match="non-square 2x3"):
             op(a)
 
@@ -516,7 +517,8 @@ def test_root_multiples_equal_per_matrix_scales(kernel_dtypes):
 def bruhat_word_images(lift) -> list:
     """The Weil images as the product of the images of the Bruhat word of
     each element, in the order of enumerate_sp, one ``@`` per factor; j from
-    the selected normalization and, in the minus model, j^-1 by elimination.
+    the selected normalization and, in the minus model, j^-1 by the oracle's
+    elimination.
     Each word is checked to rebuild its element's matrix."""
     tau, space = lift.base, lift.space
     p, n = space.p, tau.conductor
@@ -524,7 +526,7 @@ def bruhat_word_images(lift) -> list:
     if tau.model == "plus":
         n_img = {x: _quadratic_phase_image(tau, [[x]], lower=False) for x in range(p)}
     else:
-        j_inv = j_img.inverse()
+        j_inv = oracle.inverse(j_img)
         n_img = {
             x: j_img @ _quadratic_phase_image(tau, [[(-x) % p]], lower=True) @ j_inv
             for x in range(p)
@@ -608,11 +610,11 @@ def test_det_matches_leibniz_and_is_multiplicative(n):
     mats = [random_matrix(rng, n, 3, 3) for _ in range(12)]
     mats.append(CycMatrix(n, swaps))
     for a in mats:
-        assert a.det() == leibniz_det(a.rows, one), a.rows
-    assert mats[-1].det() == one  # a 3-cycle is even
-    assert CycMatrix(n, [[0, 1], [1, 0]]).det() == -one
+        assert oracle.det(a) == leibniz_det(a.rows, one), a.rows
+    assert oracle.det(mats[-1]) == one  # a 3-cycle is even
+    assert oracle.det(CycMatrix(n, [[0, 1], [1, 0]])) == -one
     for a, b in zip(mats, mats[1:]):
-        assert (a @ b).det() == a.det() * b.det()
+        assert oracle.det(a @ b) == oracle.det(a) * oracle.det(b)
 
 
 @pytest.mark.parametrize("n", [12, 28])
@@ -622,11 +624,11 @@ def test_inverse_is_two_sided(n):
     tried = 0
     for _ in range(10):
         a = random_matrix(rng, n, 4, 4)
-        if a.det().is_zero():
+        if oracle.det(a).is_zero():
             continue
         tried += 1
-        assert a @ a.inverse() == eye
-        assert a.inverse() @ a == eye
+        assert a @ oracle.inverse(a) == eye
+        assert oracle.inverse(a) @ a == eye
     assert tried >= 5
 
 
@@ -636,13 +638,13 @@ def test_singular_matrix_has_det_zero_and_no_inverse():
     c = CycNumber(12, [1, 2, 0, -1], 3)
     third = [x + c * y for x, y in zip(*a.rows)]
     s = CycMatrix(12, a.rows + [third])
-    assert s.det() == CycNumber.zero(12)
+    assert oracle.det(s) == CycNumber.zero(12)
     with pytest.raises(ZeroDivisionError, match="singular"):
-        s.inverse()
+        oracle.inverse(s)
 
 
 def test_zero_by_zero_det_is_one():
-    assert CycMatrix(12, []).det() == CycNumber.one(12)
+    assert oracle.det(CycMatrix(12, [])) == CycNumber.one(12)
 
 
 @pytest.mark.parametrize("n,shape", [(12, (3, 5)), (28, (4, 4)), (12, (5, 3))])
@@ -652,15 +654,30 @@ def test_nullspace_is_the_kernel(n, shape):
     # a rank-deficient stack: repeat a combination of the first two rows
     rows = a.rows + [[x - y * 2 for x, y in zip(a.rows[0], a.rows[1])]]
     ncols = shape[1]
-    basis = linalg.nullspace(rows, n, ncols)
+    basis = oracle.nullspace(rows, n, ncols)
     zero = CycNumber.zero(n)
     for v in basis:
         assert any(not x.is_zero() for x in v)
         for row in rows:
             assert sum((x * y for x, y in zip(row, v)), start=zero) == zero
-    rank = linalg.row_space_rank(rows)
+    rank = oracle.row_space_rank(rows)
     assert rank + len(basis) == ncols
-    assert linalg.row_space_rank([list(v) for v in basis]) == len(basis)
+    assert oracle.row_space_rank([list(v) for v in basis]) == len(basis)
+
+
+def test_negative_power_raises():
+    a = CycMatrix(12, [[0, 1], [-1, 0]])
+    assert a**4 == CycMatrix.identity(12, 2)
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="negative power"):
+            a**k
+
+
+def test_package_has_no_elimination_over_the_field():
+    for name in ("_rref", "nullspace", "row_space_rank", "same_row_space"):
+        assert not hasattr(linalg, name), name
+    for name in ("inverse", "det"):
+        assert not hasattr(CycMatrix, name), name
 
 
 @pytest.mark.parametrize("n", [1, 12, 28])

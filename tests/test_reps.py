@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import elimination_oracle as oracle
 from heisweil.checks import Check
 from heisweil.heisenberg import (
     HeisenbergGroup,
@@ -20,6 +21,7 @@ from heisweil.reps import (
     character_table,
     contragredient,
     fixed_forms,
+    fixed_forms_certificate,
     heisenberg_rep,
     hom_dim,
     hom_dims,
@@ -156,14 +158,15 @@ def test_invariant_pairing(h3, tau3):
 
 def test_fixed_forms_center_kills_everything(h3, tau3):
     res = fixed_forms(tau3, h3.center())
-    assert res.dim == 0 and res.spans_agree
+    assert res.dim == 0 and res.certified
+    assert oracle.spans_fixed_forms(tau3, h3.center(), res.basis)
 
 
 def test_fixed_forms_wplus_is_summation_form(h3, tau3):
     res = fixed_forms(tau3, h3.plus_subgroup())
-    assert res.dim == 1 and res.spans_agree
-    n = tau3.conductor
-    lam = res.coset_basis[0]
+    assert res.dim == 1 and res.certified
+    assert oracle.spans_fixed_forms(tau3, h3.plus_subgroup(), res.basis)
+    lam = res.basis.rows[0]
     # lambda_1(phi) = sum over W+ of phi: all-ones row up to scale
     assert all(c == lam[0] for c in lam) and not lam[0].is_zero()
 
@@ -172,25 +175,100 @@ def test_fixed_forms_arbitrary_max_isotropic(h3, tau3):
     # W_0 spanned by e1 + e2: maximal totally isotropic, dimension one again
     w0 = h3.subgroup_generated([h3.from_w((1, 1))])
     res = fixed_forms(tau3, w0)
-    assert res.dim == 1 and res.spans_agree
+    assert res.dim == 1 and res.certified
+    assert oracle.spans_fixed_forms(tau3, w0, res.basis)
+
+
+def assert_certified_and_oracle_spans(group, tau, count):
+    """On every subgroup: the certificate passes, and the certified rows
+    span the nullspace the oracle's elimination finds."""
+    subgroups = group.all_subgroups()
+    assert len(subgroups) == count
+    for sub in subgroups:
+        res = fixed_forms(tau, sub)
+        assert res.certified, f"certificate fails on a subgroup of order {len(sub)}"
+        assert res.basis.nrows == res.dim
+        assert oracle.spans_fixed_forms(
+            tau, sub, res.basis
+        ), f"span mismatch for subgroup of order {len(sub)}"
+        if group.center() <= sub:
+            assert res.dim == 0
 
 
 def test_fixed_forms_all_subgroups_p3(h3, tau3):
-    for sub in h3.all_subgroups():
-        res = fixed_forms(tau3, sub)
-        assert res.spans_agree, f"span mismatch for subgroup of order {len(sub)}"
-        if h3.center() <= sub:
-            assert res.dim == 0
+    assert_certified_and_oracle_spans(h3, tau3, 19)
 
 
 def test_fixed_forms_all_subgroups_p5(h5, tau5):
-    subgroups = h5.all_subgroups()
-    assert len(subgroups) == 39
-    for sub in subgroups:
-        res = fixed_forms(tau5, sub)
-        assert res.spans_agree, f"span mismatch for subgroup of order {len(sub)}"
-        if h5.center() <= sub:
-            assert res.dim == 0
+    assert_certified_and_oracle_spans(h5, tau5, 39)
+
+
+def test_fixed_forms_all_subgroups_p7():
+    g = HeisenbergGroup(SymplecticSpace(7, 1))
+    assert_certified_and_oracle_spans(g, heisenberg_rep(g, 1, model="minus"), 67)
+
+
+def test_fixed_forms_records_one_identity_per_call(h3, tau3):
+    check = Check("reps.fixed_forms")
+    for sub in h3.all_subgroups():
+        fixed_forms(tau3, sub, check)
+    assert check.passed and check.checks == 19
+
+
+def certificate_witness(tau, sub, basis, dim):
+    """The certificate on the given rows: its verdict and its witness."""
+    check = Check("reps.fixed_forms")
+    ok = fixed_forms_certificate(tau, sub, basis, dim, check)
+    assert ok == check.passed and check.checks == 1
+    return ok, check.witness
+
+
+def test_certificate_fails_a_shifted_root_exponent(h3, tau3):
+    """One entry of one row times zeta_p: still nonzero on the same support
+    and as many rows as the trace, but no longer K-invariant."""
+    n, tried = tau3.conductor, 0
+    for sub in h3.all_subgroups():
+        res = fixed_forms(tau3, sub)
+        rows = res.basis.rows
+        support = [j for j, c in enumerate(rows[0] if rows else []) if not c.is_zero()]
+        if len(support) < 2:  # a multiple of a one-entry row stays invariant
+            continue
+        rows[0][support[0]] = rows[0][support[0]] * zeta_p(3, 1, conductor=n)
+        shifted = CycMatrix(n, rows)
+        assert not oracle.spans_fixed_forms(tau3, sub, shifted)
+        assert certificate_witness(tau3, sub, shifted, res.dim) == (False, sorted(sub))
+        tried += 1
+    assert tried >= 4
+
+
+def test_certificate_fails_a_duplicated_row(h3, tau3):
+    """A repeated row is K-invariant but overlaps its twin in support: the
+    certificate fails against the trace, and also against one more."""
+    tried = 0
+    for sub in h3.all_subgroups():
+        res = fixed_forms(tau3, sub)
+        if not res.dim:
+            continue
+        num = res.basis.num
+        doubled = CycMatrix._packed(tau3.conductor, np.concatenate([num, num[:1]]), 1)
+        for dim in (res.dim, res.dim + 1):
+            assert certificate_witness(tau3, sub, doubled, dim) == (False, sorted(sub))
+        tried += 1
+    assert tried >= 4
+
+
+def test_certificate_fails_a_dropped_row(h3, tau3):
+    """All but the last row: invariant and disjoint, one short of the trace."""
+    tried = 0
+    for sub in h3.all_subgroups():
+        res = fixed_forms(tau3, sub)
+        if not res.dim:
+            continue
+        fewer = res.basis[: res.dim - 1]
+        assert not oracle.spans_fixed_forms(tau3, sub, fewer)
+        assert certificate_witness(tau3, sub, fewer, res.dim) == (False, sorted(sub))
+        tried += 1
+    assert tried >= 4
 
 
 def test_hom_dim_examples(h3, tau3):

@@ -1,18 +1,21 @@
 import dataclasses
 import random
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
 
+import elimination_oracle as oracle
 import heisweil.linalg as linalg
+import heisweil.weil as weil_mod
 from heisweil.cli import run
 
 from heisweil.checks import Check, Recorder
 from heisweil.heisenberg import HeisenbergGroup, SpecialIso, all_special_isos
 from heisweil.linalg import CycMatrix, batch_from_matrices, packed_product_table
 from heisweil.reps import heisenberg_rep
-from heisweil.scalar import CycNumber, zeta_p
+from heisweil.scalar import CycNumber, root_of_unity, zeta_p
 from heisweil.suites import SUITES, RunConfig, _abstract_lift_checks, _sp_h_table
 from heisweil.symplectic import (
     GuardError,
@@ -28,6 +31,7 @@ from heisweil.symplectic import (
 from heisweil.weil import (
     NormalizationError,
     _intertwining_table,
+    _inverse_2x2,
     abstract_lift,
     lift_in_odd_even_basis,
     p_action_check,
@@ -412,16 +416,16 @@ def test_sl23_reference_rejects_other_lifts(lift5):
 def test_sl23_alpha_values(ref3):
     alpha, beta, lift, ref = ref3
     space = lift.space
-    assert alpha[index_of(space, weyl_element(space))][0, 0] == CycNumber.one(12)
-    assert alpha[index_of(space, n_element(space, [[1]]))][0, 0] == zeta_p(3, -1)
+    assert alpha.image(index_of(space, weyl_element(space)))[0, 0] == CycNumber.one(12)
+    assert alpha.image(index_of(space, n_element(space, [[1]])))[0, 0] == zeta_p(3, -1)
     scalar_minus = m_element(space, [[2]])  # diag(2, 2^-1) = diag(-1,-1) mod 3
-    assert alpha[index_of(space, scalar_minus)][0, 0] == CycNumber.one(12)
+    assert alpha.image(index_of(space, scalar_minus))[0, 0] == CycNumber.one(12)
 
 
 def test_sl23_beta_det_is_alpha(ref3):
     alpha, beta, lift, ref = ref3
-    for s, mat in beta.items():
-        assert mat.det() == alpha[s][0, 0]
+    for s in range(sp_table(lift.space).order):
+        assert oracle.det(beta.image(s)) == alpha.image(s)[0, 0]
 
 
 def test_sl23_character_decomposition(ref3):
@@ -429,7 +433,7 @@ def test_sl23_character_decomposition(ref3):
     els = range(sp_table(lift.space).order)
     for s in els:
         lhs = lift.image(ref.translate[s]).trace()
-        assert lhs == alpha[s][0, 0] + beta[s].trace()
+        assert lhs == alpha.image(s)[0, 0] + beta.image(s).trace()
 
 
 def test_sl23_displayed_beta_j_is_even_block_at_j_inverse(ref3):
@@ -442,7 +446,7 @@ def test_sl23_displayed_beta_j_is_even_block_at_j_inverse(ref3):
     # and the image at j itself is its inverse, i.e. the negative
     m2 = lift_in_odd_even_basis(ref, jel)
     even2 = CycMatrix(12, [[m2[1, 1], m2[1, 2]], [m2[2, 1], m2[2, 2]]])
-    assert even2 == ref.beta_j_displayed.inverse()
+    assert even2 == oracle.inverse(ref.beta_j_displayed)
     assert ref.displayed_j_reading == "inverse"
 
 
@@ -484,8 +488,57 @@ def test_sl23_odd_part_carries_alpha(ref3):
     els = range(sp_table(lift.space).order)
     for s in els:
         m = lift_in_odd_even_basis(ref, s)
-        assert m[0, 0] == alpha[s][0, 0]
+        assert m[0, 0] == alpha.image(s)[0, 0]
         assert m[0, 1].is_zero() and m[1, 0].is_zero()
+
+
+def test_sl23_alpha_and_beta_are_reps_on_sp_table(ref3):
+    alpha, beta, lift, ref = ref3
+    tg = sp_table(lift.space)
+    for rep, dim in ((alpha, 1), (beta, 2)):
+        assert rep.group is tg and rep.dim == dim
+        assert np.array_equal(rep.elements, np.arange(24))
+        assert rep.verify_homomorphism()
+    assert ref.alpha is alpha and ref.beta is beta
+
+
+def test_sl23_adjugate_inverse_equals_the_oracle_inverse(ref3):
+    rng = random.Random(23)
+    tried = 0
+    for n in (12, 28):
+        for _ in range(10):
+            entry = lambda: rng.randint(-3, 3) * root_of_unity(n, rng.randrange(n))
+            m = CycMatrix(n, [[entry(), entry()], [entry(), entry()]])
+            if oracle.det(m).is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    _inverse_2x2(m)
+                continue
+            assert _inverse_2x2(m) == oracle.inverse(m)
+            tried += 1
+    assert tried >= 10
+    displayed = ref3[3].beta_j_displayed
+    assert _inverse_2x2(displayed) == oracle.inverse(displayed)
+
+
+def test_sl23_adjugate_not_over_the_determinant_raises(monkeypatch):
+    m = CycMatrix(12, [[1, 2], [3, 4]])  # ad - bc = -2
+    monkeypatch.setattr(CycMatrix, "scale", lambda self, c: self)
+    with pytest.raises(RuntimeError, match="does not invert"):
+        _inverse_2x2(m)
+
+
+def test_sl23_even_basis_inverse_is_the_constant(ref3):
+    ref = ref3[3]
+    half = Fraction(1, 2)
+    constant = CycMatrix(12, [[0, half, -half], [1, 0, 0], [0, half, half]])
+    assert ref.even_basis_inverse == constant
+    assert constant == oracle.inverse(ref.even_basis_change)
+
+
+def test_sl23_wrong_even_basis_constant_raises(lift3, monkeypatch):
+    monkeypatch.setattr(weil_mod, "Fraction", lambda a, b: Fraction(1, 3))
+    with pytest.raises(RuntimeError, match="inverse of the even basis change"):
+        sl23_reference(lift3)
 
 
 def test_three_extensions_and_selection(lift3):
@@ -505,7 +558,7 @@ def test_three_extensions_and_selection(lift3):
     # the selected lift is the one whose character matches alpha + beta
     alpha, beta, _, ref = sl23_reference(lift3)
     target = tuple(
-        alpha[s][0, 0] + beta[s].trace() for s in els
+        alpha.image(s)[0, 0] + beta.image(s).trace() for s in els
     )
     translated = [
         tuple(imgs[ref.translate[s]].trace() for s in els) for imgs in exts
