@@ -21,6 +21,18 @@ the Mackey sums, the twisted-coset bookkeeping, the Q\\H/K forms of
 :func:`heisweil.reps.fixed_forms` and the abelianization of Sp(W) (as
 {1} x [G, G]).
 
+Multiplicativity is checked on generators only, by the generator lemma
+(Clifford and Preston, *The Algebraic Theory of Semigroups* I, 1.2): if S
+generates the finite group G and a map phi on G has phi(x s) = phi(x) phi(s)
+for every x in G and s in S, then phi is multiplicative.  Each y in G is a
+word s_1 ... s_k in S (S generates G as a monoid, G being finite), so
+phi(x y) = phi(x s_1 ... s_(k-1)) phi(s_k) = ... = phi(x) phi(s_1) ...
+phi(s_k); at x = 1, phi(1) = 1 (from phi(s) = phi(1) phi(s)) gives
+phi(y) = phi(s_1) ... phi(s_k).  So |G| |S| identities prove what the
+|G|^2 pairs prove: :meth:`TableGroup.is_automorphism` reads them as one
+gather of the generator columns, and
+:func:`heisweil.reps.homomorphism_certificate` uses the same lemma.
+
 The Heisenberg group W x| F_p (:class:`heisweil.heisenberg.HeisenbergGroup`)
 is a TableGroup subclass, so subgroup, commutator and automorphism checks
 below serve it and the Mackey test groups alike.  Subgroups are handed out
@@ -177,17 +189,18 @@ class TableGroup:
         return k.size > 0 and bool(inside[self.table[np.ix_(k, k)]].all())
 
     def is_automorphism(self, perm) -> bool:
-        """A permutation of the indices with perm(ab) = perm(a) perm(b)."""
+        """A permutation of the indices with perm(ab) = perm(a) perm(b).
+
+        By the generator lemma of the module docstring, a bijection with
+        perm(x s) = perm(x) perm(s) for every x and every s in
+        :attr:`generators` is an automorphism, so only the |G| x |S|
+        generator columns of the table are compared.
+        """
         perm = np.asarray(perm)
         if not np.array_equal(np.sort(perm), np.arange(self.order)):
             return False
-        # blocks of rows: two whole-table temporaries (2 x 3.4 MB for the
-        # 648-element Sp x| H) would set the peak memory of a verify run
-        t, rows = self.table, 64
-        return all(
-            np.array_equal(perm[t[i : i + rows]], t[perm[i : i + rows]][:, perm])
-            for i in range(0, self.order, rows)
-        )
+        t, gens = self.table, np.array(self.generators, dtype=np.int64)
+        return np.array_equal(perm[t[:, gens]], t[perm[:, None], perm[gens]])
 
     def commutator_subgroup(self) -> frozenset:
         """[G, G], as the normal closure N of the commutators [a, b] of the

@@ -154,7 +154,8 @@ class InvolutionRecord:
         return self.perm[x]
 
     def is_valid(self, g: TableGroup) -> bool:
-        """Bijective, of order <= 2, and p(ab) = p(a)p(b) for all pairs."""
+        """Bijective, of order <= 2, and p(ab) = p(a)p(b) for all pairs
+        (:meth:`~heisweil.groups.TableGroup.is_automorphism`)."""
         p = np.asarray(self.perm)
         return g.is_automorphism(p) and np.array_equal(p[p], np.arange(g.order))
 

@@ -813,7 +813,7 @@ def suite_sqrt(cfg: RunConfig) -> list[Check]:
     for n_size, p, K in itertools.product((1, 2), (3, 5), (3, 4, 5, 6)):
         group = pro.CongruenceGroup(n_size, p, K)
         # 63 * 16 combinations > 1000 roots
-        a = np.stack([group.random_element(rng) for _ in range(63)])
+        a = group.random_elements(rng, 63)
         x = pro.sqrt(group, a)
         c.all(np.all(group.mul(x, x) == a, axis=(-2, -1)), lambda i: (group, a[i]))
 
@@ -825,13 +825,13 @@ def suite_sqrt(cfg: RunConfig) -> list[Check]:
     ):
         els = group.enumerate(guard=10_000)
         squares = group.mul(els, els)
-        for _ in range(5):
-            a = group.random_element(rng)
-            found = els[np.all(squares == a, axis=(-2, -1))]
-            c(
-                len(found) == 1 and np.array_equal(found[0], pro.sqrt(group, a)),
-                (group, a),
-            )
+        a = group.random_elements(rng, 5)
+        roots = pro.sqrt(group, a)
+        # hits[i, j]: els[j] squares to a[i]
+        hits = np.all(squares == a[:, None], axis=(-2, -1))
+        for a_i, hit, root in zip(a, hits, roots):
+            found = els[hit]
+            c(len(found) == 1 and np.array_equal(found[0], root), (group, a_i))
 
     g27 = pro.CongruenceGroup(2, 3, 3)
     pro.h1_alpha_trivial(
@@ -856,7 +856,7 @@ def suite_sqrt(cfg: RunConfig) -> list[Check]:
         group = pro.CongruenceGroup(n_size, 3, cfg.precision)
         perm = tuple(range(n_size - 1, -1, -1))
         alpha = pro.make_alpha(group, "transpose_inverse", perm=perm)
-        cm = np.stack([_cayley_fixed_point(group, rng) for _ in range(50)])
+        cm = _cayley_fixed_points(group, rng, 50)
         a, b = pro.alpha_factor(group, cm, "upper", "lower", alpha)
         # one row per sample, one column per label
         ok = np.stack(
@@ -866,24 +866,21 @@ def suite_sqrt(cfg: RunConfig) -> list[Check]:
     return rec
 
 
-def _cayley_fixed_point(group: pro.CongruenceGroup, rng: random.Random):
-    n, mod, scale = group.n, group.modulus, group.p**group.k0
+def _cayley_fixed_points(group: pro.CongruenceGroup, rng: random.Random, count: int):
+    """``count`` alpha-fixed elements c = (1 - x)^-1 (1 + x) as one stack,
+    for alpha = J0 (transpose inverse) J0 with the antidiagonal J0: x is
+    (y - J0 y^T J0) / 2 for y = g - 1, g from
+    :meth:`~heisweil.prounipotent.CongruenceGroup.random_elements`.  As
+    x = 0 mod p^k0, 1 - x and 1 + x and so c lie in the group."""
+    mod, one = group.modulus, group.identity()
     inv2 = pow(2, -1, mod)
-    while True:
-        x = (
-            np.array(
-                [[rng.randrange(mod // scale) for _ in range(n)] for _ in range(n)],
-                dtype=group.dtype,
-            )
-            * scale
-            % mod
-        )
-        # J0 x^T J0 for the antidiagonal J0; entries stay below mod^2 / 2
-        x = ((x - x.T[::-1, ::-1]) % mod * inv2) % mod
-        one = group.identity()
-        c = group.mul(group.inv((one - x) % mod), (one + x) % mod)
-        if group.contains(c):
-            return c
+    y = (group.random_elements(rng, count) - one) % mod
+    # J0 y^T J0 for the antidiagonal J0; entries stay below mod^2 / 2
+    x = ((y - y.swapaxes(-1, -2)[..., ::-1, ::-1]) % mod * inv2) % mod
+    c = group.mul(group.inv((one - x) % mod), (one + x) % mod)
+    if not np.all(group.contains(c)):
+        raise RuntimeError("a Cayley transform left the congruence group")
+    return c
 
 
 SUITES = {

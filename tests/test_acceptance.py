@@ -317,10 +317,9 @@ def test_criterion_09_congruence_square_roots():
         group = pro.CongruenceGroup(n_size, 3, 4)
         perm = tuple(range(n_size - 1, -1, -1))
         alpha = pro.make_alpha(group, "transpose_inverse", perm=perm)
-        from heisweil.suites import _cayley_fixed_point
+        from heisweil.suites import _cayley_fixed_points
 
-        for _ in range(50):
-            c = _cayley_fixed_point(group, rng)
+        for c in _cayley_fixed_points(group, rng, 50):
             a, b = pro.alpha_factor(group, c, "upper", "lower", alpha)
             assert np.array_equal(group.mul(a, b), c)
             assert np.array_equal(alpha(a), a) and np.array_equal(alpha(b), b)

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 
@@ -217,3 +218,62 @@ def test_mask_closure_and_subgroup_test_match_the_closure_oracle(label, group):
         g.is_subgroup([0, g.order])
     with pytest.raises(ValueError, match=f"lie in 0..{g.order - 1}"):
         g.mask([-1])
+
+
+def _is_automorphism_oracle(g, perm) -> bool:
+    """A permutation of the indices with perm(ab) = perm(a) perm(b) for all
+    |G|^2 pairs, one pair at a time."""
+    perm, t = list(perm), g.table.tolist()
+    if sorted(perm) != list(range(g.order)):
+        return False
+    return all(
+        perm[t[a][b]] == t[perm[a]][perm[b]]
+        for a in range(g.order)
+        for b in range(g.order)
+    )
+
+
+def test_is_automorphism_matches_the_all_pairs_oracle_on_every_permutation_of_s3():
+    s3 = symmetric_group(3)
+    found = 0
+    for perm in itertools.permutations(range(6)):
+        expected = _is_automorphism_oracle(s3, perm)
+        assert s3.is_automorphism(np.array(perm)) == expected, perm
+        found += expected
+    assert found == 6  # Aut(S3) = Inn(S3) = S3
+
+
+def _automorphism_oracle_cases():
+    """(label, group, theta's permutation) for every zoo theta and the
+    p = 3 Heisenberg and Sp x| H thetas."""
+    from heisweil.suites import (
+        heisenberg_mackey_configurations,
+        standard_mackey_configurations,
+    )
+
+    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
+    cases = {}
+    for label, tg, _, _, theta in configs:
+        cases.setdefault((id(tg), theta.perm), (label, tg, theta.perm))
+    return [pytest.param(tg, perm, id=label) for label, tg, perm in cases.values()]
+
+
+@pytest.mark.parametrize("group, perm", _automorphism_oracle_cases())
+def test_is_automorphism_matches_the_all_pairs_oracle_on_theta_and_a_transposed_theta(
+    group, perm
+):
+    """theta is an automorphism; theta after a seeded transposition of two
+    indices is one exactly when the oracle says so; and a repeated index or
+    a wrong length is refused."""
+    perm = np.array(perm)
+    assert group.is_automorphism(perm) and _is_automorphism_oracle(group, perm)
+    rng = random.Random(group.order)
+    i, j = rng.sample(range(group.order), 2)
+    swapped = perm.copy()
+    swapped[[i, j]] = swapped[[j, i]]
+    assert group.is_automorphism(swapped) == _is_automorphism_oracle(group, swapped)
+    repeated = perm.copy()
+    repeated[i] = perm[j]
+    assert not group.is_automorphism(repeated)
+    assert not group.is_automorphism(perm[:-1])
+    assert not group.is_automorphism(np.append(perm, group.order))

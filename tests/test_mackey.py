@@ -563,8 +563,8 @@ def test_involution_record_validity(s3):
         involution_orbits(s3, [InvolutionRecord(tuple(swap))], range(6))
 
 
-def test_involution_record_validity_across_row_blocks():
-    # order 130 > 64: the all-pairs check runs in several blocks of rows
+def test_involution_record_validity_on_a_large_cyclic_group():
+    # order 130, one generator: the generator columns against all pairs
     z = cyclic_group(130)
     negation = InvolutionRecord(tuple((-x) % 130 for x in range(130)))
     assert negation.is_valid(z)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisweil.checks import Check
 from heisweil.prounipotent import (
     CongruenceGroup,
     _ul_decompose,
@@ -544,3 +545,108 @@ def test_sqrt_corrupted_newton_final_checks_raise(monkeypatch, index, change, me
     _corrupt_product(monkeypatch, index, change)
     with pytest.raises(RuntimeError, match=f"final check failed: {message}"):
         sqrt_with_trace(g, a)
+
+
+def _random_element_oracle(group, rng):
+    """One random element, its entries drawn row by row as a nested list."""
+    bound, n = group.p ** (group.K - group.k0), group.n
+    m = np.array(
+        [[rng.randrange(bound) for _ in range(n)] for _ in range(n)], dtype=group.dtype
+    )
+    return (group.identity() + group.p**group.k0 * m) % group.modulus
+
+
+@pytest.mark.parametrize(
+    "group",
+    [CongruenceGroup(2, 3, 4), CongruenceGroup(3, 5, 3, 2), CongruenceGroup(2, 3, 40)],
+    ids=repr,
+)
+def test_random_elements_draw_stream_equals_single_draws(group):
+    """random_elements(rng, k) makes the draws of k random_element calls,
+    in their order, in int64 and object-dtype groups alike."""
+    k, streams = 7, [random.Random(11) for _ in range(3)]
+    stack = group.random_elements(streams[0], k)
+    singles = np.stack([group.random_element(streams[1]) for _ in range(k)])
+    oracle = np.stack([_random_element_oracle(group, streams[2]) for _ in range(k)])
+    assert stack.shape == (k, group.n, group.n) and stack.dtype == group.dtype
+    assert np.array_equal(stack, singles) and np.array_equal(stack, oracle)
+    assert streams[0].getstate() == streams[1].getstate() == streams[2].getstate()
+    assert np.all(group.contains(stack))
+
+
+def _cayley_fixed_point_oracle(group, rng):
+    """One alpha-fixed Cayley transform, drawn row by row as a nested list."""
+    n, mod, scale = group.n, group.modulus, group.p**group.k0
+    inv2 = pow(2, -1, mod)
+    x = (
+        np.array(
+            [[rng.randrange(mod // scale) for _ in range(n)] for _ in range(n)],
+            dtype=group.dtype,
+        )
+        * scale
+        % mod
+    )
+    x = ((x - x.T[::-1, ::-1]) % mod * inv2) % mod
+    one = group.identity()
+    return group.mul(group.inv((one - x) % mod), (one + x) % mod)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [CongruenceGroup(2, 3, 4), CongruenceGroup(3, 3, 5), CongruenceGroup(2, 3, 40)],
+    ids=repr,
+)
+def test_cayley_fixed_points_draw_stream_equals_single_draws(group):
+    from heisweil.suites import _cayley_fixed_points
+
+    k, streams = 6, [random.Random(5) for _ in range(3)]
+    stack = _cayley_fixed_points(group, streams[0], k)
+    singles = np.concatenate([_cayley_fixed_points(group, streams[1], 1) for _ in range(k)])
+    oracle = np.stack([_cayley_fixed_point_oracle(group, streams[2]) for _ in range(k)])
+    assert stack.shape == (k, group.n, group.n) and stack.dtype == group.dtype
+    assert np.array_equal(stack, singles) and np.array_equal(stack, oracle)
+    assert streams[0].getstate() == streams[1].getstate() == streams[2].getstate()
+    perm = tuple(range(group.n - 1, -1, -1))
+    alpha = make_alpha(group, "transpose_inverse", perm=perm)
+    assert np.array_equal(alpha(stack), stack)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [CongruenceGroup(2, 3, 3), CongruenceGroup(1, 3, 40, 36), CongruenceGroup(2, 5, 2)],
+    ids=repr,
+)
+def test_enumeration_index_inverts_enumerate(group):
+    els = group.enumerate()
+    index = group.enumeration_index(els)
+    assert index.dtype == np.int64
+    assert np.array_equal(index, np.arange(len(els)))
+    assert group.enumeration_index(els[-1]) == len(els) - 1
+    outsider = els[1].copy()
+    outsider[0, 0] = (outsider[0, 0] + 1) % group.modulus
+    with pytest.raises(ValueError, match="not in the congruence group"):
+        group.enumeration_index(outsider)
+    with pytest.raises(ValueError, match="exceeds the guard of 10"):
+        group.enumeration_index(els, guard=10)
+
+
+def test_h1_exhaustive_with_a_corrupted_alpha_names_an_element():
+    """alpha with the image of one coboundary t = y alpha(y)^-1 replaced by
+    1 passes the random involution test, but t is no longer a cocycle
+    (t alpha(t) = t != 1) while it stays a coboundary: the check fails on
+    t, with t as its witness."""
+    g = CongruenceGroup(2, 3, 3)
+    alpha = make_alpha(g, "transpose_inverse")
+    y = g.enumerate()[100]
+    target = g.mul(y, g.inv(alpha(y)))
+
+    def corrupted(m):
+        out = alpha(m)
+        out[np.all(m == target, axis=(-2, -1))] = g.identity()
+        return out
+
+    ok, details = h1_alpha_trivial(g, corrupted, mode="exhaustive")
+    assert not ok and details == {"z1": 728, "b1": 729}
+    check = Check("sqrt.h1_exhaustive")
+    h1_alpha_trivial(g, corrupted, mode="exhaustive", check=check)
+    assert not check.passed and check.witness == target.tolist()

@@ -620,3 +620,20 @@ def test_irreducible_character_rows_are_rows_of_the_character_table(p):
         values = [[zeta_p(p, g.space.pair(w0, g.names[h].w)) for h in els]]
         row = rho.characters(els)
         assert row == CycMatrix(rho.conductor, values) == table[i : i + 1], i
+
+
+def test_character_table_rows_over_differing_denominators(h3, tau3):
+    """Rows of reps with one denominator are stacked as read; a row over
+    another denominator is rescaled to the common one.  Every row equals
+    the rep's own character row, repeats and subgroup reps included."""
+    els = [5, 0, 5, 26, 13]
+    members = [0, 5, 13, 26]
+    num = np.zeros((len(members), 1, 1, tau3.num.shape[-1]), dtype=np.int64)
+    num[..., 0] = [[[1]], [[3]], [[1]], [[5]]]
+    halves = MatrixRep(h3, members, num, 2, tau3.conductor)  # not a rep: x / 2
+    dual = contragredient(tau3)
+    for reps in ([tau3, dual], [tau3, halves, dual], [halves]):
+        table = character_table(reps, els)
+        assert table.den == (2 if halves in reps else 1)
+        for i, rep in enumerate(reps):
+            assert table[i : i + 1] == rep.characters(els), i
