@@ -51,6 +51,7 @@ __all__ = [
 
 
 _python_ints = np.frompyfunc(operator.index, 1, 1)
+_ENUMERATION_GUARD = 20_000  # the most elements enumerate() lists by default
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ class CongruenceGroup:
             )
         return bound
 
-    def enumerate(self, guard: int = 20_000) -> np.ndarray:
+    def enumerate(self, guard: int = _ENUMERATION_GUARD) -> np.ndarray:
         """All elements as one (count, n, n) stack, ordered like
         itertools.product over the entries of (g - 1) / p^k0."""
         bound = self._enumeration_bound(guard)
@@ -167,11 +168,12 @@ class CongruenceGroup:
         m = digits.reshape(-1, self.n, self.n).astype(self.dtype)
         return (self._one + self.p**self.k0 * m) % self.modulus
 
-    def enumeration_index(self, g, guard: int = 20_000) -> np.ndarray:
+    def enumeration_index(self, g) -> np.ndarray:
         """The index in :meth:`enumerate` of g, or of each matrix of a
         stack, as int64: the digits of (g - 1) / p^k0 in base p^(K - k0),
-        the first entry most significant."""
-        bound = self._enumeration_bound(guard)
+        the first entry most significant.  ValueError past the default
+        guard of :meth:`enumerate`, which keeps every index in int64."""
+        bound = self._enumeration_bound(_ENUMERATION_GUARD)
         scale, size = self.p**self.k0, self.n * self.n
         e = (self.reduce(g) - self._one) % self.modulus
         if (e % scale).any():

@@ -268,14 +268,9 @@ def hom_dim(rep: MatrixRep, subgroup) -> int:
 
 
 def character_table(reps: list[MatrixRep], elements) -> CycMatrix:
-    """Row i holds tr reps[i](g) for each of ``elements``: the cached
-    character rows gathered at ``elements``, over one denominator.  Rows
-    over a common conductor and denominator are stacked as they are; only
-    differing ones are rescaled by :func:`batch_from_matrices`."""
-    n, chars = reps[0].conductor, [r._character for r in reps]
-    if len({(r.conductor, c.den) for r, c in zip(reps, chars)}) == 1:
-        num = np.stack([c.num[0, r._rows(elements)] for r, c in zip(reps, chars)])
-        return CycMatrix._packed(n, num, chars[0].den)
+    """Row i holds tr reps[i](g) for each of ``elements``: the character rows
+    stacked over one denominator."""
+    n = reps[0].conductor
     num, den = batch_from_matrices([r.characters(elements) for r in reps], n)
     return CycMatrix._packed(n, num[:, 0], den)
 

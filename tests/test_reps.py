@@ -623,9 +623,9 @@ def test_irreducible_character_rows_are_rows_of_the_character_table(p):
 
 
 def test_character_table_rows_over_differing_denominators(h3, tau3):
-    """Rows of reps with one denominator are stacked as read; a row over
-    another denominator is rescaled to the common one.  Every row equals
-    the rep's own character row, repeats and subgroup reps included."""
+    """A row over another denominator is rescaled to the common one, and
+    every row equals the rep's own character row, repeats and subgroup
+    reps included."""
     els = [5, 0, 5, 26, 13]
     members = [0, 5, 13, 26]
     num = np.zeros((len(members), 1, 1, tau3.num.shape[-1]), dtype=np.int64)
