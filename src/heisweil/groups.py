@@ -1,10 +1,11 @@
 """The one finite-group core: Cayley tables on indices and breadth-first search.
 
-Every finite group the package works with is small (|Sp(W)| <= 336 and
-|H| <= 343 at p = 7), so it can be a :class:`TableGroup`: a multiplication
-table on the indices 0..n-1 with the identity at index 0 (Sp(4, 3) is only
-listed, by :func:`heisweil.symplectic.enumerate_sp`).  Three traversal
-routines do the breadth-first work on these groups:
+Every finite group the package tabulates is small (|Sp(W)| <= 336 and
+|H| <= 343 at p = 7, and Sp x| H at p = 3 has 648 elements), so it can be
+a :class:`TableGroup`: a multiplication table on the indices 0..n-1 with
+the identity at index 0 (Sp(4, 3) is only listed, by
+:func:`heisweil.symplectic.enumerate_sp`).  Three traversal routines do
+the breadth-first work on these groups:
 
 - :func:`closure` collects everything reachable from some start elements
   under a set of generators: orbits, such as the conjugates of the
@@ -31,7 +32,13 @@ phi(s_k); at x = 1, phi(1) = 1 (from phi(s) = phi(1) phi(s)) gives
 phi(y) = phi(s_1) ... phi(s_k).  So |G| |S| identities prove what the
 |G|^2 pairs prove: :meth:`TableGroup.is_automorphism` reads them as one
 gather of the generator columns, and
-:func:`heisweil.reps.homomorphism_certificate` uses the same lemma.
+:func:`heisweil.reps.homomorphism_certificate`, the special isomorphisms
+and the Sp(W) closure of :mod:`heisweil.heisenberg` and the suites use the
+same lemma.  Associativity has its own form of it, Light's test
+(:meth:`TableGroup.associativity_edges`): |G|^2 |S| identities
+(x s) y = x (s y) prove what the |G|^3 triples prove.  A table of at most
+64 elements is checked by it when it is built; the heisenberg suite checks
+H at every p.
 
 The Heisenberg group W x| F_p (:class:`heisweil.heisenberg.HeisenbergGroup`)
 is a TableGroup subclass, so subgroup, commutator and automorphism checks
@@ -106,7 +113,9 @@ def extend_hom(tg: "TableGroup", gen_images: dict, mul, one):
 
 class TableGroup:
     """A finite group given by its multiplication table on indices 0..n-1,
-    with the identity at index 0."""
+    with the identity at index 0.  The constructor refuses, with a
+    ValueError, an entry outside 0..n-1, a misplaced identity, a missing
+    inverse and, up to 64 elements, a table that fails Light's test."""
 
     def __init__(self, table, names=None):
         self.table = np.asarray(table, dtype=np.int64)
@@ -118,17 +127,21 @@ class TableGroup:
         self.order = n
         self.names = names if names is not None else list(range(n))
         t, ident = self.table, np.arange(n)
+        if t.min() < 0 or t.max() >= n:
+            a, b = np.argwhere((t < 0) | (t >= n))[0]
+            raise ValueError(f"table entry {t[a, b]} at ({a}, {b}) not in 0..{n - 1}")
         if not (np.array_equal(t[0], ident) and np.array_equal(t[:, 0], ident)):
             raise ValueError("index 0 must be the identity")
         is_one = t == 0
         self.inverse_of = is_one.argmax(axis=1)
         if not (is_one.sum(axis=1) == 1).all() or (t[self.inverse_of, ident] != 0).any():
             raise ValueError("table lacks two-sided inverses")
-        # associativity spot check is O(n^3); keep it for n <= 64
-        if n <= 64:
-            for a in range(n):
-                if not np.array_equal(t[t[a]], t[a][t]):
-                    raise ValueError("table is not associative")
+        # Light's test reads n^2 |S| entries: the Mackey zoo's tables, not
+        # Sp x| H (648 elements, 5 generators), on every construction
+        if n <= 64 and not (edges := self.associativity_edges()).all():
+            x, i, y = np.argwhere(~edges)[0]
+            s = self.generators[i]
+            raise ValueError(f"non-associative table: ({x} {s}) {y} != {x} ({s} {y})")
         self._center = frozenset(np.flatnonzero((t == t.T).all(axis=1)).tolist())
 
     # the group protocol: elements are the indices 0..n-1
@@ -154,6 +167,21 @@ class TableGroup:
     def generators(self) -> tuple[int, ...]:
         """:func:`generators_within` the whole group, derived once per group."""
         return tuple(generators_within(self, range(self.order)))
+
+    def associativity_edges(self) -> np.ndarray:
+        """Light's associativity test: the boolean (n, |S|, n) array of
+        (x s) y == x (s y) for x, y in G and s the i-th of :attr:`generators`.
+
+        Lemma (Clifford and Preston I, 1.2): the set A of the a with
+        (x a) y = x (a y) for all x, y is closed under products, since
+        (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y)
+        for a, b in A.  A holds the identity and S, so it holds every product
+        of generators, which is how :meth:`subgroup_generated` reaches each
+        element; all True proves the table associative.  One gather of the
+        rows t[x s] and one of the columns t[s y] per generator.
+        """
+        t = self.table
+        return np.stack([t[t[:, s]] == t[:, t[s]] for s in self.generators], axis=1)
 
     def mask(self, members) -> np.ndarray:
         """The boolean mask of ``members`` (indices) over 0..n-1."""

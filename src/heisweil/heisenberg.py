@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -133,22 +132,19 @@ class HeisenbergGroup(TableGroup):
         moved %= self.p
         return self._read_index(moved, self.z)
 
-    @cached_property
-    def commutator_values(self) -> np.ndarray:
-        """Read-only (|H|, |H|) array of c with [a, b] = a b a^-1 b^-1 = (0, c),
-        read off the table once per group; raises on a non-central one."""
-        t, inv = self.table, self.inverse_of
-        comm = t[t, t[np.ix_(inv, inv)]]
-        off_center = self.w[comm].any(axis=-1)
-        if off_center.any():
-            a, b = np.argwhere(off_center)[0]
-            raise RuntimeError(
-                f"commutator of {self.names[a]} and {self.names[b]} is not central: "
-                f"{self.names[comm[a, b]]}"
-            )
-        values = self.z[comm]
-        values.flags.writeable = False
-        return values
+    def commutator_form_edges(self) -> np.ndarray:
+        """Whether [x, s] = x s x^-1 s^-1 is (0, <w_x, w_s>), which sits at
+        index <w_x, w_s>, as an (|H|, |S|) boolean array over x in H and s
+        the i-th of :attr:`generators`, read off the table.
+
+        All True proves [x, y] = (0, <w_x, w_y>) for every pair: with each
+        [x, s] central, [x, y s] = [x, y] y [x, s] y^-1 = [x, y] [x, s], so
+        y -> [x, y] is a homomorphism H -> Z, as y -> <w_x, w_y> is one to
+        F_p (w is additive by the law), and the two agree on generators.
+        """
+        t, inv, gens = self.table, self.inverse_of, np.array(self.generators)
+        comm = t[t[:, gens], t[inv[:, None], inv[gens]]]
+        return comm == self.w @ self.space.form @ self.w[gens].T % self.p
 
     # -- subgroups ----------------------------------------------------------
 
@@ -199,17 +195,25 @@ class HeisenbergGroup(TableGroup):
 
 
 def special_iso_axioms(group: HeisenbergGroup, mu, check: Check | None = None) -> bool:
-    """Whether mu is the central coordinate of a special isomorphism:
-    mu(0, z) = z on the center and mu(ab) = mu(a) + mu(b) + (1/2)[a, b] for
-    every pair, with the commutator read off the table."""
+    """Whether mu is the central coordinate of a special isomorphism
+    nu(w, z) = (w, mu(w, z)): mu(0, z) = z on the center, and nu is a
+    homomorphism H -> W x| F_p, whose law is the law of H.
+
+    By the generator lemma of :mod:`heisweil.groups`, nu(x s) = nu(x) nu(s)
+    for every x in H and s in :attr:`~heisweil.groups.TableGroup.generators`
+    makes nu multiplicative, so |H| |S| edges are checked, one gather of
+    the generator columns.  On pairs this is mu(ab) = mu(a) + mu(b) +
+    (1/2)<w_a, w_b>, as the w parts of both sides agree.
+    """
     g, mu = group, np.asarray(mu)
     check = Check("heisenberg.special_iso_axioms") if check is None else check
     center = np.array(sorted(g.center()))
     check.all(
         mu[center] == g.z[center], lambda i: {"mu": mu, "center": int(center[i])}
     )
-    twisted = (mu[:, None] + mu[None, :] + g.half * g.commutator_values) % g.p
-    check.all(mu[g.table] == twisted, lambda a, b: {"mu": mu, "a": a, "b": b})
+    gens, nu = np.array(g.generators), g.index_of(g.w, mu)  # nu(h) as an index
+    edges = nu[g.table[:, gens]] == g.table[nu[:, None], nu[gens]]
+    check.all(edges, lambda x, i: {"mu": mu, "a": x, "b": int(gens[i])})
     return check.passed
 
 
@@ -258,8 +262,9 @@ def special_iso_from_split_polarization(
 ) -> SpecialIso:
     """The unique nu sending both halves of a split polarization into W x 1.
 
-    nu(h_+ h_- z) has central part z + (1/2)[h_+, h_-]; the offset is then
-    recovered from mu and validated against every element.
+    nu(h_+ h_- z) has central part z + (1/2)[h_+, h_-], with the |H|
+    commutators [h_+, h_-] read off the table; the offset is then recovered
+    from mu and validated against every element.
     """
     g, p, ell = group, group.p, group.space.ell
     hplus, hminus = frozenset(hplus), frozenset(hminus)
@@ -279,7 +284,8 @@ def special_iso_from_split_polarization(
             f"h+ h- has w = {g.names[prod[bad[0]]].w}, not the decomposed "
             f"w = {g.names[bad[0]].w}"
         )
-    mu = (g.z - g.z[prod] + g.half * g.commutator_values[hp, hm]) % p
+    comm = g.table[prod, g.table[g.inverse_of[hp], g.inverse_of[hm]]]  # [h+, h-]
+    mu = (g.z - g.z[prod] + g.half * g.z[comm]) % p
 
     # offset from mu restricted to (w, 0): <w, w0> = mu((e_i, 0)) on basis
     rhs = mu[[g.from_w(g.space.basis_vector(i)) for i in range(g.dim)]]
@@ -359,18 +365,22 @@ def special_iso_equal_tests(isos: list[SpecialIso]):
     (equal as maps,
      equal preimages of W x 1,
      exists s in Sp with nu2 = s o nu1).
+
+    s o nu1 and nu2 are homomorphisms (:func:`special_iso_axioms`, and s
+    acts by an automorphism), and two homomorphisms that agree on the
+    generators of H are equal, so exists-s is read on the generator
+    columns: |Sp| |isos|^2 |S| comparisons.
     """
     g = isos[0].group
     mu = np.stack([nu.mu for nu in isos])
     same_map = (mu[:, None] == mu[None]).all(axis=2)
     on_w = mu == 0  # row i: the preimage of W x 1 under isos[i]
     same_preimage = (on_w[:, None] == on_w[None]).all(axis=2)
-    # row i of act: (w, z) -> (s_i w, z); images[k, h] = nu_k(h) as an index
+    # act[s, h]: (w, z) -> (s w, z); on_gens[k, i] = nu_k(s_i) as an index
     act = g.linear_action(sp_table(g.space).matrices)
-    images = np.arange(g.order) - g.z + mu
-    exists_s = np.array(
-        [(act[:, None, row] == images[None]).all(axis=2).any(axis=0) for row in images]
-    )
+    gens = np.array(g.generators)
+    on_gens = gens - g.z[gens] + mu[:, gens]
+    exists_s = (act[:, on_gens][:, :, None] == on_gens).all(axis=-1).any(axis=0)
     return same_map, same_preimage, exists_s
 
 

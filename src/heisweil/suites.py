@@ -10,9 +10,12 @@ byte-identical report.
 Coverage: a check evaluates every identity it names at every p the
 :class:`RunConfig` guard admits (p <= 7), through table broadcasts and the
 packed kernels; the SL(2, 3), H(3, 2) and abstract-lift checks run at
-p = 3 only.  The homomorphism and intertwining checks evaluate generator
-edges, and the lemmas in their docstrings carry them to every pair, so
-their ``checks`` count edges, not pairs.  What stays sampled:
+p = 3 only.  The homomorphism and intertwining checks, and every
+group-law identity of the heisenberg suite (associativity by Light's test,
+Sp(W) closure, the character chi_M, commutators against the form, the
+special isomorphisms and exists-s), evaluate generator edges, and the
+lemmas in their docstrings carry them to every pair or triple, so their
+``checks`` count edges, not pairs.  What stays sampled:
 
 - ``scalar.field_axioms``: 40 random triples, as the field is infinite;
 - one weil p-gate: the contragredient check is skipped at p = 7, where it
@@ -83,13 +86,14 @@ class RunConfig:
         """Return an error string when a guard rejects this config."""
         from heisweil.scalar import is_odd_prime
 
-        max_p = sympl.SP_ENUM_GUARD["ell1_max_p"]
+        guard = sympl.SP_ENUM_GUARD
+        max_p, ell2_p = guard["ell1_max_p"], guard["ell2_p"]
         if not is_odd_prime(self.p):
             return f"p = {self.p} must be an odd prime"
         if self.ell not in (1, 2):
-            return f"ell = {self.ell} unsupported (1, or 2 with p = 3)"
-        if self.ell == 2 and self.p != 3:
-            return "ell = 2 is supported only with p = 3"
+            return f"ell = {self.ell} unsupported (1, or 2 with p = {ell2_p})"
+        if self.ell == 2 and self.p != ell2_p:
+            return f"ell = 2 is supported only with p = {ell2_p}"
         if self.precision < 1:
             return f"precision = {self.precision} must be at least 1 (K >= k0 = 1)"
         if suite in ("reps", "all") and self.ell != 1:
@@ -139,22 +143,31 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
         sp = sympl.sp_table(space)
         names, mats = sp.names, sp.matrices
         rec("symplectic.group_order")(len(mats) == p * (p * p - 1), len(mats))
+        # x s is the listed matrix at t[x, s] on every generator edge; each y
+        # is a word s_1 ... s_k in the generators, so x y = x s_1 ... s_k is
+        # listed too, one edge at a time: Sp(W) is closed under products
+        sp_gens = np.array(sp.generators)
+        edges = mats[:, None] @ mats[sp_gens] % p == mats[sp.table[:, sp_gens]]
         rec("symplectic.closure").all(
-            sympl.is_symplectic(space, mats[:, None] @ mats[None]),
-            lambda i, j: (names[i], names[j]),
+            edges.all(axis=(-2, -1)), lambda i, j: (names[i], names[sp_gens[j]])
         )
 
+        # chi_M(m s) = chi_M(m) chi_M(s) on the edges of M: chi_M raises off
+        # M, so M s lies in M, and chi_M is multiplicative one edge at a time
         ms = sympl.enumerate_M(space)
         chi = sympl.chi_M(space, ms)
+        m_index = sympl.sp_index(space, ms)
+        m_gens = mats[generators_within(sp, m_index)]
         c = rec("symplectic.chi_M_order_two_homomorphism")
         c.all(
-            sympl.chi_M(space, ms[:, None] @ ms[None] % p) == chi[:, None] * chi[None],
-            lambda i, j: (sympl.sp_witness(ms[i]), sympl.sp_witness(ms[j])),
+            sympl.chi_M(space, ms[:, None] @ m_gens % p)
+            == chi[:, None] * sympl.chi_M(space, m_gens),
+            lambda i, j: (sympl.sp_witness(ms[i]), sympl.sp_witness(m_gens[j])),
         )
         c(set(chi.tolist()) == {1, -1}, "image is {1, -1}")
 
         pol = space.standard_polarization()
-        in_m = sp.mask(sympl.sp_index(space, ms).tolist())
+        in_m = sp.mask(m_index.tolist())
         keeps = _keeps(mats, pol.plus_span(), p) & _keeps(mats, pol.minus_span(), p)
         rec("symplectic.M_is_polarization_stabilizer").all(
             keeps == in_m, lambda i: names[i]
@@ -171,18 +184,12 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
                 c(True)
 
     group = heis.HeisenbergGroup(space)
-    t = group.table
-    c = rec("heisenberg.group_axioms")
-    # t[t][a, b, c] = (ab)c and t[:, t][a, b, c] = a(bc), a block of rows a
-    # at a time: the whole array has |H|^3 entries
-    for a in range(0, group.order, 8):
-        rows = t[a : a + 8]
-        c.all(t[rows] == rows[:, t], lambda i, b, x, a=a: (a + i, b, x))
-
-    # commutators off the table against <w_a, w_b> from the form
-    form_values = group.w @ space.form @ group.w.T % p
+    gens = group.generators
+    rec("heisenberg.group_axioms").all(
+        group.associativity_edges(), lambda x, i, y: (x, gens[i], y)
+    )
     rec("heisenberg.commutator_equals_form").all(
-        group.commutator_values == form_values
+        group.commutator_form_edges(), lambda x, i: (x, gens[i])
     )
 
     isos = heis.all_special_isos(group)
@@ -228,7 +235,7 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
     # H(3, 2) restricted to H(3, 1): the one check that builds the ell = 2
     # group, so it runs only where that group is in reach
     if p == 3 and cfg.ell == 1:
-        _specisores_check(rec("heisenberg.special_iso_restriction"))
+        _specisores_check(rec("heisenberg.special_iso_restriction"), group)
     return rec
 
 
@@ -240,9 +247,10 @@ def _keeps(mats, span, p: int) -> np.ndarray:
     return np.isin(sympl.codes(p, moved), sympl.codes(p, vecs)).all(axis=-1)
 
 
-def _specisores_check(c: Check) -> None:
+def _specisores_check(c: Check, small: heis.HeisenbergGroup) -> None:
+    """Every special isomorphism of H(3, 2), restricted to H(3, 1) =
+    ``small``, is one of H(3, 1)."""
     big = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 2))
-    small = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 1))
     # (w1, w2; z) -> (w1, 0, w2, 0; z) preserves the form
     embed = big.index_of(np.insert(small.w, [1, 2], 0, axis=1), small.z)
 

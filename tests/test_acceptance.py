@@ -341,10 +341,16 @@ def test_criterion_09_congruence_square_roots():
 # p = 3, 5, 7 at seeds 0 and 1, each report equals the previous one byte for
 # byte once its five `"mode": "exhaustive",` lines (one per suite config)
 # are removed with `grep -v`; nothing else changed.
+# Re-pinned when the heisenberg suite moved its group-law identities to
+# generator edges (Light's associativity test, the special isomorphisms,
+# commutators, exists-s and Sp(W) closure): for p = 3, 5, 7 at seeds 0 and 1
+# the reports differ from the previous ones only in the heisenberg suite's
+# `checks` line (87 201 -> 10 207, 2 375 033 -> 58 111 and
+# 46 352 733 -> 408 825).
 REPORT_SHA256 = {
-    3: "cf4fb9da8693c4728ede0846aecc3d8df63db64c9ebb902d5429428808c02e8f",
-    5: "0326cb5e72c0de180b92883612a07adb3a37a91a3857207b2ecdae1311837def",
-    7: "9d640256d5c13d82ca370ea14a2e6fc99a4aec9249f2af72c6b80dc14961a179",
+    3: "4d87af6765ab6e658428b0522d508cb2b5feb43e3f7e16ef2318c33c760ccd09",
+    5: "9fe0ac15132470d120ff4a18868f47a1cacd888faa6572b12256565d1909b7d2",
+    7: "64c83b84dc35d7ebc34b05360a3b49d6adc4066b37f86ff042b5c55f634ba989",
 }
 
 

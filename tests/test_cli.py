@@ -686,7 +686,14 @@ def test_check_counts_are_the_identities_evaluated(p):
     from heisweil import heisenberg as heis
     from heisweil import mackey as mk
     from heisweil.reps import irreducibles_of_H
-    from heisweil.symplectic import SymplecticSpace, enumerate_sp
+    from heisweil.groups import generators_within
+    from heisweil.symplectic import (
+        SymplecticSpace,
+        enumerate_M,
+        enumerate_sp,
+        sp_index,
+        sp_table,
+    )
 
     space = SymplecticSpace(p, 1)
     group = heis.HeisenbergGroup(space)
@@ -694,13 +701,26 @@ def test_check_counts_are_the_identities_evaluated(p):
     assert (sp_order, group.order) == (p * (p * p - 1), p**3)
     irreps = len(irreducibles_of_H(group))
     alphas = len(heis.order_two_automorphisms_inverting_center(group))
+    n, gens = group.order, len(group.generators)
+    w_order = p**2  # |W|, the number of special isomorphisms
 
     counts = {c.check: c.checks for c in SUITES["heisenberg"](RunConfig(p=p))}
-    assert counts["symplectic.closure"] == sp_order**2  # every pair
-    assert counts["heisenberg.group_axioms"] == group.order**3  # every triple
+    # an edge (x, s) per element x of Sp(W) and generator s
+    assert counts["symplectic.closure"] == sp_order * len(sp_table(space).generators)
+    # an edge per element of M (of order p - 1) and generator of M; the image
+    m_gens = generators_within(sp_table(space), sp_index(space, enumerate_M(space)))
+    chi_m = counts["symplectic.chi_M_order_two_homomorphism"]
+    assert chi_m == (p - 1) * len(m_gens) + 1
+    # Light's test: (x s) y = x (s y) for x, y in H and s a generator
+    assert counts["heisenberg.group_axioms"] == n * n * gens
+    # [x, s] = (0, <w_x, w_s>) on the edges
+    assert counts["heisenberg.commutator_equals_form"] == n * gens
+    # per special isomorphism: the center, then an edge (x, s) per x and s
+    assert counts["heisenberg.special_iso_axioms"] == w_order * (p + n * gens)
+    assert counts["heisenberg.special_iso_equal_tests_agree"] == w_order**2
     if p == 3:
-        # every offset of H(3, 2): the center of H(3, 1), then every pair
-        assert counts["heisenberg.special_iso_restriction"] == 3**4 * (3 + 27**2)
+        # every offset of H(3, 2), restricted: the center, then the edges
+        assert counts["heisenberg.special_iso_restriction"] == 3**4 * (3 + n * gens)
     counts = {c.check: c.checks for c in SUITES["reps"](RunConfig(p=p))}
     # tau(1) = 1, and an edge (x, h) per generator x of H and element h
     assert counts["reps.heisenberg_rep_homomorphism"] == group.order * 3 + 1

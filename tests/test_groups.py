@@ -1,11 +1,12 @@
 import itertools
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
 
-from heisweil.groups import closure, double_coset_labels, extend_hom
+from heisweil.groups import TableGroup, closure, double_coset_labels, extend_hom
 from heisweil.heisenberg import HElem, HeisenbergGroup
 from heisweil.linalg import CycMatrix
 from heisweil.mackey import (
@@ -185,12 +186,17 @@ def test_all_subgroups_matches_the_sweep_over_all_pairs(p):
     assert g.all_subgroups() == sorted(swept, key=lambda s: (len(s), sorted(s)))
 
 
-def _mask_oracle_groups():
-    """Every group of the Mackey zoo, by the first part of its label, and
-    H(3, 1)."""
+def _zoo_groups() -> dict:
+    """Every group of the Mackey zoo, by the first part of its label."""
     from heisweil.suites import standard_mackey_configurations
 
-    zoo = {label.split("/")[0]: tg for label, tg, *_ in standard_mackey_configurations()}
+    configs = standard_mackey_configurations()
+    return {label.split("/")[0]: tg for label, tg, *_ in configs}
+
+
+def _mask_oracle_groups():
+    """Every group of the Mackey zoo, and H(3, 1)."""
+    zoo = _zoo_groups()
     zoo["H(3,1)"] = HeisenbergGroup(SymplecticSpace(3, 1))
     return [pytest.param(label, tg, id=label) for label, tg in zoo.items()]
 
@@ -277,3 +283,60 @@ def test_is_automorphism_matches_the_all_pairs_oracle_on_theta_and_a_transposed_
     assert not group.is_automorphism(repeated)
     assert not group.is_automorphism(perm[:-1])
     assert not group.is_automorphism(np.append(perm, group.order))
+
+
+def _is_associative_oracle(t) -> bool:
+    """(a b) c == a (b c) on all |G|^3 triples, one row a at a time."""
+    return all(np.array_equal(t[t[a]], t[a][t]) for a in range(len(t)))
+
+
+def _light_oracle_groups():
+    """Every group of the Mackey zoo, H(3, 1), H(5, 1) and Sp(W) at p = 3
+    and 5."""
+    groups = _zoo_groups()
+    for p in (3, 5):
+        groups[f"H({p},1)"] = HeisenbergGroup(SymplecticSpace(p, 1))
+        groups[f"Sp({p})"] = sp_table(SymplecticSpace(p, 1))
+    return [pytest.param(label, tg, id=label) for label, tg in groups.items()]
+
+
+@pytest.mark.parametrize("label, group", _light_oracle_groups())
+def test_light_test_matches_the_all_triples_oracle(label, group):
+    """Light's test on the generator columns holds where every triple
+    associates; with two entries of one row swapped (identity and inverses
+    kept, so only associativity breaks) the oracle fails and so does
+    Light's test, on an edge (x, s, y) that fails.  Up to 64 elements the
+    constructor runs the test and names that edge; past it the edge is read
+    off the array."""
+    n = group.order
+    edges = group.associativity_edges()
+    assert edges.shape == (n, len(group.generators), n)
+    assert edges.all() and _is_associative_oracle(group.table)
+    rng = random.Random(label)
+    t = group.table.copy()
+    x = rng.randrange(1, n)
+    j, k = rng.sample([c for c in range(1, n) if t[x, c] != 0], 2)
+    t[x, [j, k]] = t[x, [k, j]]
+    assert not _is_associative_oracle(t)
+    if n <= 64:
+        with pytest.raises(ValueError, match="non-associative table") as err:
+            TableGroup(t)
+        witness = re.search(r"\((\d+) (\d+)\) (\d+) != ", str(err.value))
+        x, s, y = map(int, witness.groups())
+    else:
+        broken = TableGroup(t)
+        x, i, y = np.argwhere(~broken.associativity_edges())[0]
+        s = broken.generators[i]
+    assert t[t[x, s], y] != t[x, t[s, y]]
+
+
+@pytest.mark.parametrize("entry", [3, -1])
+def test_table_entry_outside_the_indices_is_named(entry):
+    """An entry past n - 1 is not read as an IndexError, and -1 does not
+    wrap around to the last row: both are refused with their bound."""
+    t = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    TableGroup(t)
+    t[1, 2] = entry
+    named = rf"table entry {entry} at \(1, 2\) not in 0\.\.2"
+    with pytest.raises(ValueError, match=named):
+        TableGroup(t)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisweil.checks import Check
 from heisweil.heisenberg import (
     HElem,
     HeisenbergAutomorphism,
@@ -76,8 +77,17 @@ def test_center_equals_commutator_subgroup(h3):
     assert h3.subgroup_generated(comms) == h3.center()
 
 
+def _commutator_values(g):
+    """The all-pairs oracle: the (|H|, |H|) array of c with [a, b] = (0, c),
+    every commutator checked central."""
+    t, inv = g.table, g.inverse_of
+    comm = t[t, t[np.ix_(inv, inv)]]
+    assert not g.w[comm].any(), "a commutator is not central"
+    return g.z[comm]
+
+
 def test_commutator_examples(h3):
-    comm = h3.commutator_values
+    comm = _commutator_values(h3)
     e1, e2 = h3.from_w((1, 0)), h3.from_w((0, 1))
     assert comm[e1, e2] == 1
     assert comm[h3.element((1, 0), 2), h3.element((1, 0), 1)] == 0
@@ -85,9 +95,28 @@ def test_commutator_examples(h3):
 
 
 def test_commutator_equals_form(h3):
-    comm = h3.commutator_values
+    comm = _commutator_values(h3)
     for a, b in itertools.product(h3.elements(), repeat=2):
         assert comm[a, b] == h3.space.pair(h3.names[a].w, h3.names[b].w)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_commutator_edges_match_the_all_pairs_oracle(p):
+    """commutator_form_edges against [a, b] = (0, <w_a, w_b>) on every pair:
+    both hold for H, and both fail for the group of the form 2 J read
+    against J.  The edges are |H| x |S| pairs of the oracle's array."""
+    space = SymplecticSpace(p, 1)
+    g = HeisenbergGroup(space)
+    edges = g.commutator_form_edges()
+    gens = list(g.generators)
+    assert edges.shape == (g.order, len(gens)) and edges.all()
+    oracle = _commutator_values(g) == g.w @ space.form @ g.w.T % p
+    assert oracle.all()
+    doubled = HeisenbergGroup(SymplecticSpace(p, 1, form=2 * space.form))
+    doubled.space = space  # the table follows 2 J, the check reads J
+    oracle = _commutator_values(doubled) == g.w @ space.form @ g.w.T % p
+    assert np.array_equal(doubled.commutator_form_edges(), oracle[:, gens])
+    assert not oracle.all() and not doubled.commutator_form_edges().all()
 
 
 # -- special isomorphisms ------------------------------------------------------
@@ -106,6 +135,38 @@ def test_special_iso_count_and_torsor(h3):
 def test_special_iso_axioms(h3):
     for nu in all_special_isos(h3)[:9]:
         assert nu.check_axioms()
+
+
+def _special_iso_axioms_oracle(g, mu) -> bool:
+    """mu(0, z) = z and mu(ab) = mu(a) + mu(b) + (1/2)[a, b] on all |H|^2
+    pairs."""
+    center = sorted(g.center())
+    twisted = (mu[:, None] + mu[None, :] + g.half * _commutator_values(g)) % g.p
+    return bool((mu[center] == g.z[center]).all() and (mu[g.table] == twisted).all())
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_special_iso_axioms_on_edges_match_the_all_pairs_oracle(p):
+    """The edge check and the all-pairs oracle agree on every special
+    isomorphism, on sums of two offsets (again special), and on seeded
+    corruptions: one changed entry, and random values off the center."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    isos = all_special_isos(g)
+    rng = np.random.default_rng(p)
+    mus = [nu.mu for nu in isos]
+    mus += [(a.mu + b.mu - g.z) % p for a, b in zip(isos, isos[3:])]
+    special = len(mus)
+    for h in rng.choice(g.order, 8, replace=False):
+        broken = isos[int(h) % len(isos)].mu.copy()
+        broken[h] = (broken[h] + 1) % p
+        mus.append(broken)
+    for _ in range(4):
+        mus.append(np.where(g.w.any(axis=1), rng.integers(0, p, g.order), g.z))
+    for k, mu in enumerate(mus):
+        check = Check("edges")
+        assert special_iso_axioms(g, mu, check) == (k < special), k
+        assert _special_iso_axioms_oracle(g, mu) == (k < special), k
+        assert check.checks == p + g.order * len(g.generators)
 
 
 def test_base_iso_from_standard_split_polarization(h3):
@@ -149,6 +210,23 @@ def test_split_from_iso_sizes_and_roundtrip(h3):
                 h3, h3.plus_subgroup(), hminus
             )
             assert back.offset == nu.offset
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_exists_s_on_generator_columns_matches_the_all_pairs_version(p):
+    """exists s in Sp with nu2 = s o nu1, read on the generator columns,
+    against s o nu1 compared with nu2 on every element of H; three isos are
+    listed twice, so the answer is not only the diagonal."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    isos = all_special_isos(g)
+    isos += isos[:3]
+    act = g.linear_action(sp_table(g.space).matrices)
+    images = np.stack([np.arange(g.order) - g.z + nu.mu for nu in isos])
+    oracle = np.array(
+        [(act[:, None, row] == images[None]).all(axis=2).any(axis=0) for row in images]
+    )
+    assert np.array_equal(special_iso_equal_tests(isos)[2], oracle)
+    assert oracle.sum() == len(isos) + 6
 
 
 def test_special_iso_equal_tests_trichotomy(h3):
@@ -311,7 +389,7 @@ def test_special_iso_restriction_to_nondegenerate_subspace():
         w0 = tuple(rng.randrange(3) for _ in range(4))
         nu_big = SpecialIso(big, w0)
         mu_small = {h: nu_big.mu[embed(h)] for h in small.elements()}
-        comm = small.commutator_values
+        comm = _commutator_values(small)
         # restriction satisfies both special-isomorphism axioms
         for z in range(3):
             assert mu_small[small.central(z)] == z

@@ -344,11 +344,14 @@ def test_mackey_suite_validates_each_theta_once(monkeypatch):
 
 
 def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
-    """A p = 3 mackey run on a fresh zoo derives the generators of each of
-    its 10 groups once (the G-orbit call of every configuration read them
-    anew before); a second run derives only those of the two groups it
-    builds per call, H(3, 1) and Sp x| H, as the shared zoo's groups keep
-    theirs.  Orbits under K still derive K's on every run."""
+    """A p = 3 mackey run on a fresh zoo derives the generators of each
+    group it builds once.  A table of at most 64 elements derives them in
+    its constructor, for Light's associativity test, so besides the 10
+    configuration groups the zoo's character subgroups (and Sp(W), if no
+    earlier test built its table) derive theirs, and no group derives them
+    twice.  A second run derives only those of the two groups it builds per
+    call, H(3, 1) and Sp x| H, as the shared zoo's groups keep theirs.
+    Orbits under K still derive K's on every run."""
     import heisweil.groups as groups_mod
     import heisweil.suites as suites_mod
 
@@ -372,8 +375,8 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
         runs.append((list(whole), list(parts)))
     (first, first_parts), (second, second_parts) = runs
     zoo = {(id(tg), tg.order) for _, tg, *_ in standard_mackey_configurations()}
-    assert len(first) == len(set(first)) == 10 and len(zoo) == 8
-    assert zoo < set(first)
+    assert len(first) == len(set(first)) and len(zoo) == 8
+    assert zoo < set(first) and {27, 648} <= {order for _, order in first}
     assert sorted(order for _, order in second) == [27, 648]
     assert len(set(second)) == 2 and not zoo & set(second)
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
