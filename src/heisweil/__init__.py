@@ -4,7 +4,8 @@ Everything is computed over the cyclotomic field Q(zeta_N) with N = lcm(4, p),
 using exact rational arithmetic throughout.  The subpackages split along the
 main objects:
 
-- ``groups``       the finite-group core: Cayley tables, closure, extend_hom
+- ``groups``       the finite-group core: Cayley tables, one breadth-first
+                   traversal, double cosets
 - ``scalar``       exact cyclotomic numbers, roots of unity, Gauss sums
 - ``linalg``       exact matrices and stacks of them, the one packed kernel
 - ``symplectic``   symplectic spaces over F_p, polarizations, Sp(W) as

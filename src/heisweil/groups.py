@@ -4,17 +4,14 @@ Every finite group the package tabulates is small (|Sp(W)| <= 336 and
 |H| <= 343 at p = 7, and Sp x| H at p = 3 has 648 elements), so it can be
 a :class:`TableGroup`: a multiplication table on the indices 0..n-1 with
 the identity at index 0 (Sp(4, 3) is only listed, by
-:func:`heisweil.symplectic.enumerate_sp`).  Three traversal routines do
-the breadth-first work on these groups:
-
-- :func:`closure` collects everything reachable from some start elements
-  under a set of generators: orbits, such as the conjugates of the
-  commutators that :meth:`TableGroup.commutator_subgroup` closes;
-- :meth:`TableGroup.subgroup_generated` is the one subgroup closure on a
-  table, one gather of each layer's rows at the generator columns; it
-  serves every subgroup sweep and [G, G];
-- :func:`extend_hom` extends images of generators to a homomorphism on a
-  whole table group, checking every (element, generator) edge.
+:func:`heisweil.symplectic.enumerate_sp`).  One breadth-first traversal
+walks these tables: :meth:`TableGroup._layers` yields each layer of the
+subgroup a set of generators reaches from the identity, with the layer's
+products by the generators, one gather of its rows at the generator
+columns.  :meth:`TableGroup.subgroup_generated` collects the layers; it
+serves every subgroup sweep and [G, G].  :func:`extend_hom` reads the
+same layers to give each element the image along the first edge that
+reaches it; the caller proves the extension a homomorphism.
 
 :func:`double_coset_labels` is the one coset partition: it labels every
 element with its double coset K x H, one table gather per coset, and serves
@@ -44,7 +41,7 @@ The Heisenberg group W x| F_p (:class:`heisweil.heisenberg.HeisenbergGroup`)
 is a TableGroup subclass, so subgroup, commutator and automorphism checks
 below serve it and the Mackey test groups alike.  Subgroups are handed out
 as frozensets of indices.  Membership is a boolean mask over the indices
-(:meth:`TableGroup.mask`): a closure scatters each layer into one, and a
+(:meth:`TableGroup.mask`): the traversal scatters each layer into one, and a
 subgroup, center or K test is one gather from one, never a sort.
 """
 
@@ -56,7 +53,6 @@ import numpy as np
 
 __all__ = [
     "TableGroup",
-    "closure",
     "double_coset_labels",
     "extend_hom",
     "generators_within",
@@ -64,50 +60,29 @@ __all__ = [
 ]
 
 
-def closure(start, gens, act) -> list:
-    """Everything reachable from ``start`` by x -> act(x, g), g in ``gens``,
-    in breadth-first discovery order (the start elements first)."""
-    gens = list(gens)
-    found = list(dict.fromkeys(start))
-    seen = set(found)
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = act(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        found.extend(nxt)
-        frontier = nxt
-    return found
+def extend_hom(tg: "TableGroup", gen_images: dict, mul, one) -> dict:
+    """Extend generator images {index: image} to every element of ``tg``.
 
-
-def extend_hom(tg: "TableGroup", gen_images: dict, mul, one):
-    """Extend generator images {index: image} to a homomorphism on ``tg``.
-
-    Returns {index: image} in discovery order, or None when two products
-    give one element different images or the generators do not reach
-    every element.  Checking every (element, generator) edge makes the
-    result multiplicative: phi(x g) = phi(x) phi(g) for each generator g.
+    Returns {index: image}, the identity's image ``one``, filled layer by
+    layer along :meth:`TableGroup._layers`: an element first reached by the
+    edge x -> x a, the first in row order of its layer's products, gets
+    mul(image of x, image of a).  The result is not yet proved a
+    homomorphism, as no other edge is compared: the caller proves it with a
+    generator-lemma certificate (module docstring) before reading it.
+    Raises ValueError when the generators do not reach every element.
     """
+    gens = list(gen_images)
     images = {0: one}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a, image in gen_images.items():
-                xa = tg.mul(x, a)
-                value = mul(images[x], image)
-                if xa not in images:
-                    images[xa] = value
-                    nxt.append(xa)
-                elif images[xa] != value:
-                    return None
-        frontier = nxt
+    for frontier, products in tg._layers(gens):
+        reached, first = np.unique(products, return_index=True)
+        for y, k in zip(reached.tolist(), first.tolist()):
+            if y not in images:
+                x, a = divmod(k, len(gens))
+                images[y] = mul(images[int(frontier[x])], gen_images[gens[a]])
     if len(images) != tg.order:
-        return None
+        raise ValueError(
+            f"generators {gens} reach {len(images)} of the {tg.order} elements"
+        )
     return images
 
 
@@ -178,10 +153,10 @@ class TableGroup:
         for a, b in A.  A holds the identity and S, so it holds every product
         of generators, which is how :meth:`subgroup_generated` reaches each
         element; all True proves the table associative.  One gather of the
-        rows t[x s] and one of the columns t[s y] per generator.
+        rows t[x s] and one of the columns t[s y], for all generators at once.
         """
-        t = self.table
-        return np.stack([t[t[:, s]] == t[:, t[s]] for s in self.generators], axis=1)
+        t, gens = self.table, np.array(self.generators, dtype=np.int64)
+        return t[t[:, gens]] == t[:, t[gens]]
 
     def mask(self, members) -> np.ndarray:
         """The boolean mask of ``members`` (indices) over 0..n-1."""
@@ -192,21 +167,31 @@ class TableGroup:
         mask[idx] = True
         return mask
 
-    def subgroup_generated(self, gens) -> frozenset:
-        """The subgroup generated by ``gens``, closed breadth-first from the
-        identity: each layer is one gather of its rows at the generator
-        columns, scattered into a mask of the elements it reaches."""
+    def _layers(self, gens):
+        """The package's one breadth-first traversal of a table: the layers
+        of the subgroup ``gens`` generates, as pairs (frontier, products)
+        with products[i, j] = frontier[i] gens[j], one gather of the
+        frontier's rows at the generator columns.  The first frontier is the
+        identity; each next one is scattered into a mask: the elements of
+        the products in no earlier frontier, in index order."""
         t, gens = self.table, np.fromiter(gens, dtype=np.int64)
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
         frontier = np.zeros(1, dtype=np.int64)
         while frontier.size:
+            products = t[frontier[:, None], gens]
+            yield frontier, products
             reached = np.zeros(self.order, dtype=bool)
-            reached[t[frontier[:, None], gens]] = True
+            reached[products] = True
             reached &= ~seen
             seen |= reached
             frontier = np.flatnonzero(reached)
-        return frozenset(np.flatnonzero(seen).tolist())
+
+    def subgroup_generated(self, gens) -> frozenset:
+        """The subgroup generated by ``gens``: the union of the frontiers of
+        :meth:`_layers`."""
+        layers = [frontier for frontier, _ in self._layers(gens)]
+        return frozenset(np.concatenate(layers).tolist())
 
     def is_subgroup(self, subset) -> bool:
         """Nonempty and closed under products (in a finite group that makes
@@ -231,18 +216,18 @@ class TableGroup:
         return np.array_equal(perm[t[:, gens]], t[perm[:, None], perm[gens]])
 
     def commutator_subgroup(self) -> frozenset:
-        """[G, G], as the normal closure N of the commutators [a, b] of the
-        generators a, b of G.
+        """[G, G], as the subgroup M generated by the |G| |S| commutators
+        [x, s] = x s x^-1 s^-1, x in G and s in S = :attr:`generators`.
 
-        Lemma: G/N is abelian, its generators commuting, so [G, G] <= N;
-        and N <= [G, G], which is normal.  N is generated by the classes of
-        those commutators under conjugation by the generators.
+        Lemma: M = [G, G].  M is normal, as a [b, s] a^-1 = [a b, s] [a, s]^-1
+        lies in M for every a and b in G.  In G/M every generator s commutes
+        with every x, so the generators are central and G/M is abelian,
+        which gives [G, G] <= M; and M <= [G, G] holds by definition.
         """
-        t, inv, gens = self.table, self.inverse_of, self.generators
-        comms = [int(t[t[a, b], t[inv[a], inv[b]]]) for a in gens for b in gens]
-        return self.subgroup_generated(
-            closure(comms, gens, lambda c, a: int(t[t[a, c], inv[a]]))
-        )
+        t, inv = self.table, self.inverse_of
+        gens = np.array(self.generators, dtype=np.int64)
+        comms = t[t[:, gens], t[inv[:, None], inv[gens]]]
+        return self.subgroup_generated(np.unique(comms))
 
     def element_order(self, a) -> int:
         x, k = a, 1

@@ -38,7 +38,6 @@ from heisweil.groups import TableGroup
 from heisweil.symplectic import (
     SP_ENUM_GUARD,
     GuardError,
-    Polarization,
     SymplecticSpace,
     enumerate_antisymplectic,
     enumerate_sp,
@@ -173,19 +172,17 @@ class HeisenbergGroup(TableGroup):
 
     # -- embedded subgroups of interest --------------------------------------
 
-    def plus_subgroup(self, pol: Polarization | None = None) -> frozenset[int]:
-        pol = pol or self.space.standard_polarization()
+    def plus_subgroup(self) -> frozenset[int]:
+        pol = self.space.standard_polarization()
         return frozenset(self.from_w(w) for w in pol.plus_span())
 
-    def minus_subgroup(self, pol: Polarization | None = None) -> frozenset[int]:
-        pol = pol or self.space.standard_polarization()
+    def minus_subgroup(self) -> frozenset[int]:
+        pol = self.space.standard_polarization()
         return frozenset(self.from_w(w) for w in pol.minus_span())
 
-    def minus_z_subgroup(self, pol: Polarization | None = None) -> frozenset[int]:
-        pol = pol or self.space.standard_polarization()
-        return frozenset(
-            self.element(w, z) for w in pol.minus_span() for z in range(self.p)
-        )
+    def minus_z_subgroup(self) -> frozenset[int]:
+        minus = self.space.standard_polarization().minus_span()
+        return frozenset(self.element(w, z) for w in minus for z in range(self.p))
 
     def __repr__(self):
         return f"HeisenbergGroup(p={self.p}, ell={self.space.ell})"
@@ -442,12 +439,10 @@ class HeisenbergAutomorphism:
         return frozenset(np.flatnonzero(self.perm == self.group.inverse_of).tolist())
 
 
-def involution_from_polarization(
-    group: HeisenbergGroup, pol: Polarization | None = None
-) -> HeisenbergAutomorphism:
-    """alpha(w+ + w-, z) = (w+ - w-, -z); order two, inverts the center."""
-    pol = pol or group.space.standard_polarization()
-    s = polarization_to_involution(pol)
+def involution_from_polarization(group: HeisenbergGroup) -> HeisenbergAutomorphism:
+    """alpha(w+ + w-, z) = (w+ - w-, -z) for the standard polarization;
+    order two, inverts the center."""
+    s = polarization_to_involution(group.space.standard_polarization())
     return HeisenbergAutomorphism(group, s, (0,) * group.dim, -1)
 
 

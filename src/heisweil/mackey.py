@@ -164,18 +164,18 @@ class InvolutionRecord:
 
 
 def inner_involution(g: TableGroup, a: int) -> InvolutionRecord:
-    return InvolutionRecord(tuple(g.conjugate(a, x) for x in range(g.order)))
+    """Int(a): x -> a x a^-1, one gather of row a of the table."""
+    return InvolutionRecord(tuple(g.table[g.table[a], g.inverse_of[a]].tolist()))
 
 
 def inner_involutions(g: TableGroup) -> list[InvolutionRecord]:
-    """Int(a) of order <= 2, i.e. a^2 central; deduplicated."""
-    out = {}
-    center = g.center()
-    for a in range(g.order):
-        if g.mul(a, a) in center:
-            rec = inner_involution(g, a)
-            out[rec.perm] = rec
-    return list(out.values())
+    """Int(a) of order <= 2, i.e. a^2 central, each once, in the order of
+    the smallest such a: one gather of the rows of those a."""
+    t = g.table
+    a = np.flatnonzero(g.mask(g.center())[t.diagonal()])
+    perms = t[t[a], g.inverse_of[a, None]]
+    first = np.sort(np.unique(perms, axis=0, return_index=True)[1])
+    return [InvolutionRecord(tuple(perm)) for perm in perms[first].tolist()]
 
 
 def _minimal_generators(g: TableGroup) -> list[int]:
@@ -208,19 +208,17 @@ def all_involutive_automorphisms(g: TableGroup) -> list[InvolutionRecord]:
         raise ValueError(
             f"automorphism search guarded to <= {max_gens} generators; got {len(gens)}"
         )
-    orders = {a: g.element_order(a) for a in range(g.order)}
-    candidates = [
-        [b for b in range(g.order) if orders[b] == orders[a]] for a in gens
-    ]
-    found = {}
-    for images in itertools.product(*candidates):
-        phi = extend_hom(g, dict(zip(gens, images)), g.mul, 0)
-        if phi is None:
-            continue
-        rec = InvolutionRecord(tuple(phi[x] for x in range(g.order)))
-        if rec.is_valid(g):  # bijective, of order <= 2, multiplicative
-            found[rec.perm] = rec
-    return list(found.values())
+    orders = np.array([g.element_order(a) for a in range(g.order)])
+    same_order = [np.flatnonzero(orders == orders[a]).tolist() for a in gens]
+    candidates = np.array(list(itertools.product(*same_order)), dtype=np.int64)
+    # every candidate tuple at once: phi[x] is the column of x's images
+    t = g.table
+    zero = np.zeros_like(candidates[:, 0])
+    phi = extend_hom(g, dict(zip(gens, candidates.T)), lambda a, b: t[a, b], zero)
+    perms = np.stack([phi[x] for x in range(g.order)], axis=1).tolist()
+    # is_valid proves each extension: bijective, of order <= 2, multiplicative
+    recs = (InvolutionRecord(tuple(perm)) for perm in perms)
+    return [rec for rec in recs if rec.is_valid(g)]
 
 
 def fixed_subgroup(g: TableGroup, theta: InvolutionRecord) -> frozenset:
@@ -270,7 +268,7 @@ def involution_orbits(
         frontier = np.array([seed.perm], dtype=t.dtype)
         found, seen = [seed], {frontier[0].tobytes()}
         while len(frontier):
-            # candidate (x, j) is gens[j] . frontier[x], in groups.closure's edge order
+            # candidate (x, j) is gens[j] . frontier[x], in row-major order
             nxt = []
             for row in outer[which, frontier[:, inner]].reshape(-1, g.order):
                 if (key := row.tobytes()) not in seen:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 
@@ -57,14 +56,13 @@ from heisweil import reps as reps_mod
 from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
 from heisweil.checks import Check, Recorder
-from heisweil.groups import double_coset_labels, extend_hom, generators_within
+from heisweil.groups import double_coset_labels, generators_within
 from heisweil.linalg import CycMatrix, root_multiples, trace_table
 from heisweil.scalar import (
     CycNumber,
     context,
     gauss_sum,
     legendre_symbol,
-    root_of_unity,
     run_conductor,
 )
 
@@ -497,42 +495,44 @@ def _contragredient_check(rec: Recorder, lift, table) -> None:
 
 
 def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
-    """All characters of an abelian subgroup, as MatrixReps on the members."""
-    mset = frozenset(members)
-    gens = generators_within(tg, mset)
+    """All characters of an abelian subgroup K with values in the N-th roots
+    of unity, N = ``conductor``, as MatrixReps on the sorted members, in the
+    order of their values on the generators S of K.
+
+    A character is read as its root exponents c: K -> Z/N.  Every tuple of
+    exponents N e / d on S (d the order of the generator, 0 <= e < d) is
+    extended along the breadth-first layers of K, c(x a) = c(x) + c(a) on
+    an edge that reaches x a, all tuples at once; the layer after the
+    identity is S itself, so c keeps the tuple on S.  A tuple is kept where
+    c(x a) = c(x) + c(a) on all K x S edges: by the generator lemma of
+    :mod:`heisweil.groups` that makes c a character, and distinct tuples
+    give distinct characters.
+    """
+    gens = generators_within(tg, members)
     orders = [tg.element_order(a) for a in gens]
-    # the subgroup as a TableGroup of its own, on sub-indices of sorted members
-    sub_names = sorted(mset)
-    sub_index = {x: i for i, x in enumerate(sub_names)}
-    sub = mk.TableGroup(
-        [[sub_index[tg.mul(a, b)] for b in sub_names] for a in sub_names]
-    )
+    if any(conductor % d for d in orders):
+        return []
+    steps = [conductor // d * np.arange(d) for d in orders]
+    exps = np.array(list(itertools.product(*steps)), dtype=np.int64)  # (tuples, |S|)
+    c = np.full((len(exps), tg.order), -1, dtype=np.int64)  # -1: not reached yet
+    c[:, 0] = 0
+    for frontier, products in tg._layers(gens):
+        x, j = np.nonzero(c[0, products] < 0)
+        c[:, products[x, j]] = (c[:, frontier[x]] + exps[:, j]) % conductor
+    k = np.array(sorted(members), dtype=np.int64)
+    sums = (c[:, k, None] + exps[:, None]) % conductor
+    kept = (c[:, tg.table[k[:, None], gens]] == sums).all(axis=(1, 2))
     chars = []
-    for exps in itertools.product(*[range(d) for d in orders]):
-        gen_vals = {
-            sub_index[a]: root_of_unity(conductor, (conductor // d) * e)
-            for a, d, e in zip(gens, orders, exps)
-            if conductor % d == 0
-        }
-        if len(gen_vals) != len(gens):
-            continue
-        values = extend_hom(sub, gen_vals, operator.mul, CycNumber.one(conductor))
-        if values is not None:
-            # the values in sub-index order, as one column: a stack of 1 x 1 images
-            col = CycMatrix(conductor, [[values[k]] for k in range(len(sub_names))])
-            chars.append(
-                reps_mod.MatrixRep(tg, sub_names, col.num[:, None], col.den, conductor)
-            )
-    unique = {}  # by character values, the first of each
-    for chi in chars:
-        unique.setdefault(chi.characters(sub_names), chi)
-    return list(unique.values())
+    for row in c[kept][:, k, None]:
+        col = CycMatrix.from_roots(conductor, row, np.ones_like(row))
+        chars.append(reps_mod.MatrixRep(tg, k, col.num[:, None], col.den, conductor))
+    return chars
 
 
-def _trivial_rep(tg: mk.TableGroup, members, conductor=4):
+def _trivial_rep(tg: mk.TableGroup, members):
     members = sorted(members)
-    one = CycMatrix.identity(conductor, 1).num[None]
-    return reps_mod.MatrixRep(tg, members, one.repeat(len(members), axis=0), 1, conductor)
+    one = CycMatrix.identity(4, 1).num[None]
+    return reps_mod.MatrixRep(tg, members, one.repeat(len(members), axis=0), 1, 4)
 
 
 def standard_mackey_configurations():

@@ -155,9 +155,9 @@ def span_mod(vectors, p: int, dim: int) -> frozenset[tuple[int, ...]]:
 
 
 class SymplecticSpace:
-    """F_p^(2l) with an invertible antisymmetric form matrix."""
+    """F_p^(2l) with the form matrix j of the module docstring."""
 
-    def __init__(self, p: int, ell: int, form=None):
+    def __init__(self, p: int, ell: int):
         if not is_odd_prime(p):
             raise ValueError(f"p = {p} must be an odd prime")
         if ell < 1:
@@ -165,15 +165,10 @@ class SymplecticSpace:
         self.p = p
         self.ell = ell
         self.dim = 2 * ell
-        if form is None:
-            form = np.zeros((self.dim, self.dim), dtype=np.int64)
-            form[:ell, ell:] = np.eye(ell, dtype=np.int64)
-            form[ell:, :ell] = -np.eye(ell, dtype=np.int64) % p
-        self.form = mat_mod(form, p)
-        if mat_det(self.form, p) == 0:
-            raise ValueError("form is degenerate")
-        if not np.array_equal((-self.form.T) % p, self.form):
-            raise ValueError("form is not antisymmetric")
+        self.form = np.zeros((self.dim, self.dim), dtype=np.int64)
+        self.form[:ell, ell:] = np.eye(ell, dtype=np.int64)
+        self.form[ell:, :ell] = (p - 1) * np.eye(ell, dtype=np.int64)
+        self.form.flags.writeable = False  # spaces compare and hash by (p, ell)
         self.half = (p + 1) // 2  # 1/2 in F_p
 
     def pair(self, a, b) -> int:
@@ -195,15 +190,11 @@ class SymplecticSpace:
         return f"SymplecticSpace(p={self.p}, ell={self.ell})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SymplecticSpace)
-            and self.p == other.p
-            and self.ell == other.ell
-            and np.array_equal(self.form, other.form)
-        )
+        same_kind = isinstance(other, SymplecticSpace)
+        return same_kind and (self.p, self.ell) == (other.p, other.ell)
 
     def __hash__(self):
-        return hash((self.p, self.ell, self.form.tobytes()))
+        return hash((self.p, self.ell))
 
 
 @dataclass(frozen=True)
@@ -381,13 +372,10 @@ SP_ENUM_GUARD = {"ell1_max_p": 7, "ell2_p": 3}
 
 def sp_guard(space: SymplecticSpace) -> None:
     """Raise GuardError unless Sp(W) is one the package enumerates or lifts:
-    ell = 1 with p <= 7, or ell = 2, p = 3 with the standard form."""
+    ell = 1 with p <= 7, or ell = 2, p = 3."""
     p, ell = space.p, space.ell
     max_p, ell2_p = SP_ENUM_GUARD["ell1_max_p"], SP_ENUM_GUARD["ell2_p"]
-    if ell == 2 and p == ell2_p:
-        if space != SymplecticSpace(p, ell):
-            raise GuardError("Sp(W) at ell=2 is supported only with the standard form")
-    elif not (ell == 1 and p <= max_p):
+    if not (ell == 1 and p <= max_p or ell == 2 and p == ell2_p):
         raise GuardError(
             f"Sp(W) guarded to ell=1, p<={max_p} or ell=2, p={ell2_p}; "
             f"got ell={ell}, p={p}"
@@ -397,15 +385,14 @@ def sp_guard(space: SymplecticSpace) -> None:
 @lru_cache(maxsize=None)
 def enumerate_sp(space: SymplecticSpace) -> np.ndarray:
     """All of Sp(W) as one read-only stack (|Sp|, 2l, 2l), the identity
-    first, built once per space; guarded to (ell=1, p<=7) and (ell=2, p=3,
-    standard form).
+    first, built once per space; guarded to (ell=1, p<=7) and (ell=2, p=3).
 
-    At ell = 1, Sp(W) = SL(2, p) for every nondegenerate form on F_p^2: the
-    p^4 matrices, in the order of their entries, filtered by det = 1, with
-    the identity moved to the front.  At ell = 2, a breadth-first search
-    from the identity over six generators, one stacked product and one
-    ``np.unique`` of base-p codes per layer; each layer's new matrices come
-    in code order.  The form multiplier is tested once, on the whole stack.
+    At ell = 1, Sp(W) = SL(2, p): the p^4 matrices, in the order of their
+    entries, filtered by det = 1, with the identity moved to the front.  At
+    ell = 2, a breadth-first search from the identity over six generators,
+    one stacked product and one ``np.unique`` of base-p codes per layer;
+    each layer's new matrices come in code order.  The form multiplier is
+    tested once, on the whole stack.
     """
     sp_guard(space)
     p, ell = space.p, space.ell

@@ -69,8 +69,6 @@ from heisweil.scalar import (
     gauss_sum,
     imaginary_unit,
     legendre_symbol,
-    root_of_unity,
-    run_conductor,
     zeta_p,
 )
 from heisweil.symplectic import (
@@ -100,7 +98,6 @@ __all__ = [
     "p_action_check",
     "sl23_reference",
     "sp_abelianization_order",
-    "sp_one_dim_characters",
     "three_extensions_p3",
     "trace_sign_on_M",
     "verify_homomorphism",
@@ -451,7 +448,7 @@ def trace_sign_on_M(lift: WeilLift, check: Check | None = None) -> Check:
     return check
 
 
-def p_action_check(lift: WeilLift, lam=None, check: Check | None = None) -> Check:
+def p_action_check(lift: WeilLift, check: Check | None = None) -> Check:
     """lambda(tauhat(g) phi) = chi^P(g) lambda(phi) for all g in P.
 
     In the plus model lambda is evaluation at the identity coset; in the
@@ -461,13 +458,11 @@ def p_action_check(lift: WeilLift, lam=None, check: Check | None = None) -> Chec
     """
     space = lift.space
     n, dim = lift.base.conductor, lift.base.dim
-    if lam is None:
-        if lift.base.model == "plus":
-            lam = [CycNumber.zero(n)] * dim
-            origin = lift.base.basis_labels.index((0,) * space.ell)
-            lam[origin] = CycNumber.one(n)
-        else:
-            lam = [CycNumber.one(n)] * dim
+    if lift.base.model == "plus":
+        lam = [CycNumber.zero(n)] * dim
+        lam[lift.base.basis_labels.index((0,) * space.ell)] = CycNumber.one(n)
+    else:
+        lam = [CycNumber.one(n)] * dim
     lam = CycMatrix(n, [lam])
     check = Check("weil.parabolic_action") if check is None else check
     parabolic = enumerate_P(space)
@@ -506,7 +501,10 @@ def sl23_reference(
     appendix-basis element i.
 
     ``lift`` is the Weil lift of the minus-model H(3, 1) rep with central
-    character zeta_3^1; any other lift raises ValueError.
+    character zeta_3^1; any other lift raises ValueError.  alpha and beta
+    are :func:`~heisweil.groups.extend_hom` of their printed generator
+    values, each proved a homomorphism by
+    :func:`~heisweil.reps.homomorphism_certificate`.
     """
     space, base = lift.space, lift.base
     if (space.p, space.ell, base.model, base.zeta_exponent) != (3, 1, "minus", 1):
@@ -522,11 +520,12 @@ def sl23_reference(
     translate = sp_index(space, xi @ tg.matrices @ mat_inv(xi, p) % p)
 
     def extend(gens: dict, dim: int) -> MatrixRep | None:
+        """The rep with these generator images, None unless the extension
+        passes :func:`~heisweil.reps.homomorphism_certificate`."""
         images = extend_hom(tg, gens, operator.matmul, CycMatrix.identity(n, dim))
-        if images is None:
-            return None
         num, den = batch_from_matrices([images[s] for s in range(tg.order)], n)
-        return MatrixRep(tg, np.arange(tg.order), num, den, n)
+        rep = MatrixRep(tg, np.arange(tg.order), num, den, n)
+        return rep if rep.verify_homomorphism() else None
 
     omega = zeta_p(3, 1, conductor=n)
 
@@ -623,23 +622,12 @@ def _abelianization_exponents(space: SymplecticSpace) -> tuple[int, np.ndarray]:
     return m, np.argsort(powers)[labels]  # the inverse permutation of powers
 
 
-def sp_one_dim_characters(space: SymplecticSpace) -> list[list]:
-    """All characters Sp -> C*, each as the list of its CycNumber values in
-    :func:`~heisweil.symplectic.sp_table` order: the k-th sends s to
-    zeta_m^(k e[s]), with (m, e) from the abelianization, which is trivial
-    except for SL(2,3) where it is cyclic of order three."""
-    m, e = _abelianization_exponents(space)
-    n = run_conductor(space.p)
-    if n % m:
-        raise RuntimeError(f"conductor {n} has no primitive {m}-th root of unity")
-    return [[root_of_unity(n, (n // m) * k * x) for x in e.tolist()] for k in range(m)]
-
-
 def three_extensions_p3(lift: WeilLift) -> np.ndarray:
     """All extensions of tau at p = 3, the lift and its two character twists,
     as (3, |Sp|, d, d, phi) numerators over the lift's denominator: row k is
-    s -> chi_k(s) omega(s) in sp_table order, chi_k the k-th of
-    :func:`sp_one_dim_characters`, gathered from one root_multiples call."""
+    s -> chi_k(s) omega(s) in sp_table order, chi_k the character that sends
+    s to zeta_3^(k e[s]), with e from the abelianization (cyclic of order
+    three), gathered from one root_multiples call."""
     space = lift.space
     if space.p != 3 or space.ell != 1:
         raise ValueError(

@@ -6,14 +6,18 @@ import re
 import numpy as np
 import pytest
 
-from heisweil.groups import TableGroup, closure, double_coset_labels, extend_hom
+from group_oracles import checked_extend_hom, closure, zoo_groups
+from heisweil.groups import TableGroup, double_coset_labels, extend_hom
 from heisweil.heisenberg import HElem, HeisenbergGroup
-from heisweil.linalg import CycMatrix
+from heisweil.linalg import CycMatrix, batch_from_matrices
 from heisweil.mackey import (
+    cyclic_group,
     dihedral_group,
+    direct_product,
     quaternion_group,
     symmetric_group,
 )
+from heisweil.reps import MatrixRep
 from heisweil.symplectic import SymplecticSpace
 from heisweil.weil import sp_table
 
@@ -48,27 +52,76 @@ def _scalar(n, value):
     return CycMatrix(n, [[value]])
 
 
+def _rep(g, images, n):
+    """The MatrixRep of an extension {index: 1 x 1 or d x d image}."""
+    num, den = batch_from_matrices([images[x] for x in range(g.order)], n)
+    return MatrixRep(g, np.arange(g.order), num, den, n)
+
+
 def test_extend_hom_sign_character():
+    """The extension of consistent images passes the certificate and is
+    multiplicative on every pair."""
     s3, rot, flip = _s3_generators()
     images = extend_hom(
         s3, {rot: _scalar(3, 1), flip: _scalar(3, -1)}, operator.matmul, _scalar(3, 1)
     )
-    assert images is not None and sorted(images) == list(range(6))
+    assert sorted(images) == list(range(6))
+    assert _rep(s3, images, 3).verify_homomorphism()
     for a in range(6):
         for b in range(6):
             assert images[a] @ images[b] == images[s3.mul(a, b)]
 
 
-def test_extend_hom_rejects_inconsistent_images():
-    # rot has order 3, but (-1)^3 = -1
+def test_extend_hom_inconsistent_images_fail_the_certificate():
+    """rot has order 3, but (-1)^3 = -1: the extension keeps the images on
+    the generators, fills every element, and the certificate refuses it."""
     s3, rot, flip = _s3_generators()
-    images = {rot: _scalar(3, -1), flip: _scalar(3, 1)}
-    assert extend_hom(s3, images, operator.matmul, _scalar(3, 1)) is None
+    gen_images = {rot: _scalar(3, -1), flip: _scalar(3, 1)}
+    images = extend_hom(s3, gen_images, operator.matmul, _scalar(3, 1))
+    assert sorted(images) == list(range(6))
+    assert images[rot] == gen_images[rot] and images[flip] == gen_images[flip]
+    assert not _rep(s3, images, 3).verify_homomorphism()
+    assert checked_extend_hom(s3, gen_images, operator.matmul, _scalar(3, 1)) is None
 
 
-def test_extend_hom_rejects_non_generating_set():
+def test_extend_hom_non_generating_set_raises():
     s3, rot, _ = _s3_generators()
-    assert extend_hom(s3, {rot: _scalar(3, 1)}, operator.matmul, _scalar(3, 1)) is None
+    with pytest.raises(ValueError, match="reach 3 of the 6 elements"):
+        extend_hom(s3, {rot: _scalar(3, 1)}, operator.matmul, _scalar(3, 1))
+
+
+@pytest.mark.parametrize(
+    "group, order",
+    [(symmetric_group(3), 6), (dihedral_group(4), 8), (quaternion_group(), 24)],
+    ids=["S3", "D4", "Q8"],
+)
+def test_extend_hom_matches_the_edge_checked_extension_on_automorphisms(group, order):
+    """Every automorphism (|Aut| = order), read back from its images on the
+    generators, is what the edge-by-edge extension gives; images given as
+    columns of a stack extend every column at once."""
+    g, gens = group, list(group.generators)
+    perms = itertools.permutations(range(1, g.order))
+    autos = [(0,) + perm for perm in perms if g.is_automorphism(np.array((0,) + perm))]
+    assert len(autos) == order
+    for perm in autos:
+        gen_images = {a: perm[a] for a in gens}
+        expected = checked_extend_hom(g, gen_images, g.mul, 0)
+        assert extend_hom(g, gen_images, g.mul, 0) == expected
+        assert [expected[x] for x in range(g.order)] == list(perm)
+    stack = np.array(autos)
+    columns = extend_hom(
+        g, {a: stack[:, a] for a in gens}, lambda a, b: g.table[a, b], stack[:, 0]
+    )
+    assert np.array_equal(np.stack([columns[x] for x in range(g.order)], axis=1), stack)
+
+
+def test_trivial_group_has_no_generators():
+    """A table of one element: no generators, Light's test on no edges,
+    and [G, G] = G."""
+    g = TableGroup([[0]])
+    assert g.generators == () and g.associativity_edges().shape == (1, 0, 1)
+    assert g.commutator_subgroup() == frozenset([0]) == g.subgroup_generated([])
+    assert extend_hom(g, {}, operator.matmul, _scalar(3, 1)) == {0: _scalar(3, 1)}
 
 
 def test_heisenberg_closure_matches_table_closure_p3():
@@ -144,14 +197,23 @@ def test_double_coset_labels_reject_a_non_subgroup():
     "group",
     [
         symmetric_group(3),
+        symmetric_group(4),
         dihedral_group(4),
+        dihedral_group(5),
+        dihedral_group(6),
         quaternion_group(),
+        direct_product(symmetric_group(3), cyclic_group(2)),
+        direct_product(symmetric_group(4), cyclic_group(2)),
         HeisenbergGroup(SymplecticSpace(3, 1)),
+        HeisenbergGroup(SymplecticSpace(5, 1)),
         sp_table(SymplecticSpace(3, 1)),
         sp_table(SymplecticSpace(5, 1)),
         sp_table(SymplecticSpace(7, 1)),
     ],
-    ids=["S3", "D4", "Q8", "H(3,1)", "SL(2,3)", "SL(2,5)", "SL(2,7)"],
+    ids=[
+        "S3", "S4", "D4", "D5", "D6", "Q8", "S3xC2", "S4xC2", "H(3,1)", "H(5,1)",
+        "SL(2,3)", "SL(2,5)", "SL(2,7)",
+    ],
 )
 def test_commutator_subgroup_matches_the_closure(group):
     """The normal closure of the generators' commutators against closing
@@ -186,17 +248,9 @@ def test_all_subgroups_matches_the_sweep_over_all_pairs(p):
     assert g.all_subgroups() == sorted(swept, key=lambda s: (len(s), sorted(s)))
 
 
-def _zoo_groups() -> dict:
-    """Every group of the Mackey zoo, by the first part of its label."""
-    from heisweil.suites import standard_mackey_configurations
-
-    configs = standard_mackey_configurations()
-    return {label.split("/")[0]: tg for label, tg, *_ in configs}
-
-
 def _mask_oracle_groups():
     """Every group of the Mackey zoo, and H(3, 1)."""
-    zoo = _zoo_groups()
+    zoo = zoo_groups()
     zoo["H(3,1)"] = HeisenbergGroup(SymplecticSpace(3, 1))
     return [pytest.param(label, tg, id=label) for label, tg in zoo.items()]
 
@@ -293,7 +347,7 @@ def _is_associative_oracle(t) -> bool:
 def _light_oracle_groups():
     """Every group of the Mackey zoo, H(3, 1), H(5, 1) and Sp(W) at p = 3
     and 5."""
-    groups = _zoo_groups()
+    groups = zoo_groups()
     for p in (3, 5):
         groups[f"H({p},1)"] = HeisenbergGroup(SymplecticSpace(p, 1))
         groups[f"Sp({p})"] = sp_table(SymplecticSpace(p, 1))

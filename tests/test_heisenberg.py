@@ -112,7 +112,9 @@ def test_commutator_edges_match_the_all_pairs_oracle(p):
     assert edges.shape == (g.order, len(gens)) and edges.all()
     oracle = _commutator_values(g) == g.w @ space.form @ g.w.T % p
     assert oracle.all()
-    doubled = HeisenbergGroup(SymplecticSpace(p, 1, form=2 * space.form))
+    twice = SymplecticSpace(p, 1)
+    twice.form = 2 * space.form % p
+    doubled = HeisenbergGroup(twice)
     doubled.space = space  # the table follows 2 J, the check reads J
     oracle = _commutator_values(doubled) == g.w @ space.form @ g.w.T % p
     assert np.array_equal(doubled.commutator_form_edges(), oracle[:, gens])

@@ -5,7 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from heisweil.groups import closure, double_coset_labels, extend_hom, generators_within
+from group_oracles import (
+    abelian_characters_by_subtable,
+    automorphisms_by_candidate,
+    closure,
+    zoo_groups,
+)
+from heisweil.groups import double_coset_labels, extend_hom, generators_within
 from heisweil.heisenberg import (
     HElem,
     HeisenbergGroup,
@@ -445,24 +451,31 @@ def test_contragredient_multiplicities_match(s3, a3):
 
 
 def test_two_dimensional_kappa():
-    # the standard 2-dimensional representation of S3 as kappa, K = G
+    """The standard 2-dimensional representation of S3 as kappa, K = G: the
+    extension of its generator images passes the certificate.  With the
+    scalar w in place of diag(w, w^2) as the rotation's image (still of
+    order 3, but it commutes with the flip's image, and rot does not commute
+    with flip) the extension fails it."""
     s3 = symmetric_group(3)
 
     rot = next(a for a in range(6) if s3.element_order(a) == 3)
     flip = next(a for a in range(6) if s3.element_order(a) == 2)
     w = root_of_unity(3, 1)
     n = 3
-    gen_images = {
-        rot: CycMatrix(n, [[w, CycNumber.zero(n)], [CycNumber.zero(n), w**2]]),
-        flip: CycMatrix(
-            n, [[CycNumber.zero(n), CycNumber.one(n)], [CycNumber.one(n), CycNumber.zero(n)]]
-        ),
-    }
+    zero, one = CycNumber.zero(n), CycNumber.one(n)
+    swap = CycMatrix(n, [[zero, one], [one, zero]])
     els = list(range(6))
-    images = extend_hom(s3, gen_images, operator.matmul, CycMatrix.identity(n, 2))
-    assert images is not None
-    num, den = batch_from_matrices([images[g] for g in els], n)
-    kappa = MatrixRep(s3, els, num, den, n)
+
+    def kappa_of(rot_image):
+        images = extend_hom(
+            s3, {rot: rot_image, flip: swap}, operator.matmul, CycMatrix.identity(n, 2)
+        )
+        num, den = batch_from_matrices([images[g] for g in els], n)
+        return MatrixRep(s3, els, num, den, n)
+
+    assert not kappa_of(CycMatrix(n, [[w, zero], [zero, w]])).verify_homomorphism()
+    kappa = kappa_of(CycMatrix(n, [[w, zero], [zero, w**2]]))
+    assert kappa.verify_homomorphism()
     theta = next(
         t for t in all_involutive_automorphisms(s3) if not t.is_identity()
     )
@@ -470,6 +483,68 @@ def test_two_dimensional_kappa():
     assert lhs == rhs
     h = sorted(fixed_subgroup(s3, theta))
     assert _mackey(s3, els, kappa, h) == induced_hom_dim_oracle(s3, els, kappa, h)
+
+
+@pytest.mark.parametrize(
+    "label", [label for label, tg in zoo_groups().items() if tg.order <= 24]
+)
+def test_stacked_automorphism_search_matches_the_per_candidate_search(label):
+    """All candidate tuples extended as one stack and proved by is_valid
+    give the list, in its order, that extending one candidate at a time
+    with every edge compared gives."""
+    tg = zoo_groups()[label]
+    found = all_involutive_automorphisms(tg)
+    assert found == automorphisms_by_candidate(tg)
+    assert all(theta.is_valid(tg) for theta in found)
+
+
+def _abelian_subgroups(tg) -> list:
+    """The abelian subgroups generated by one or two elements, by size."""
+    n = tg.order
+    subs = {tg.subgroup_generated([a, b]) for a in range(n) for b in range(a, n)}
+    abelian = [
+        k for k in subs if all(tg.mul(x, y) == tg.mul(y, x) for x in k for y in k)
+    ]
+    return sorted(abelian, key=lambda k: (len(k), sorted(k)))
+
+
+@pytest.mark.parametrize("label", list(zoo_groups()))
+def test_abelian_characters_match_the_subtable_oracle(label):
+    """On every abelian subgroup generated by one or two elements of each
+    zoo group, at conductors 2, 3, 4, 6, 8 and 12 (the zoo's own K and
+    conductors among them): the same characters, in the same order, with
+    the same stacks, as extending on a table of the subgroup with every edge
+    compared and deduplicating by values."""
+    tg = zoo_groups()[label]
+    for k in _abelian_subgroups(tg):
+        members = sorted(k)
+        for n in (2, 3, 4, 6, 8, 12):
+            got = _abelian_characters(tg, members, n)
+            expected = abelian_characters_by_subtable(tg, members, n)
+            assert [
+                (chi.elements.tolist(), chi.num.tolist(), chi.den) for chi in got
+            ] == [
+                (chi.elements.tolist(), chi.num.tolist(), chi.den) for chi in expected
+            ], (members, n)
+            if all(n % tg.element_order(x) == 0 for x in k):
+                assert len(got) == len(k)  # K is abelian of exponent dividing n
+
+
+@pytest.mark.parametrize("label", list(zoo_groups()))
+def test_inner_involutions_match_the_per_element_loop(label):
+    """Int(a) for every a, and the a with a^2 central deduplicated by
+    permutation in index order, against one conjugation at a time."""
+    tg = zoo_groups()[label]
+    center = tg.center()
+    by_element = [
+        tuple(tg.conjugate(a, x) for x in range(tg.order)) for a in range(tg.order)
+    ]
+    assert [inner_involution(tg, a).perm for a in range(tg.order)] == by_element
+    expected = {}
+    for a in range(tg.order):
+        if tg.mul(a, a) in center:
+            expected.setdefault(by_element[a], None)
+    assert [theta.perm for theta in inner_involutions(tg)] == list(expected)
 
 
 def test_direct_product_and_cyclic():

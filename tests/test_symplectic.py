@@ -94,19 +94,21 @@ def test_enumeration_guard():
         enumerate_sp(SymplecticSpace(11, 1))
 
 
-def test_enumeration_uses_a_custom_form_at_ell1():
-    space = SymplecticSpace(3, 1, form=[[0, 2], [1, 0]])
-    elems = enumerate_sp(space)
-    assert distinct(elems) == 24
-    assert elems.shape == (24, space.dim, space.dim)
-    assert all(is_symplectic(space, s) for s in elems)
-
-
-def test_enumeration_rejects_a_custom_form_at_ell2():
-    form = np.zeros((4, 4), dtype=np.int64)
-    form[0, 1], form[1, 0], form[2, 3], form[3, 2] = 1, -1, 1, -1
-    with pytest.raises(GuardError, match="standard form"):
-        enumerate_sp(SymplecticSpace(3, 2, form=form))
+@pytest.mark.parametrize("p, ell", [(3, 1), (5, 1), (3, 2)])
+def test_the_form_is_j_and_a_space_is_its_p_and_ell(p, ell):
+    """Every space carries j = [[0, 1], [-1, 0]] (blocks of size ell), so two
+    spaces are equal, and hash alike, exactly when p and ell agree."""
+    space = SymplecticSpace(p, ell)
+    one = np.eye(ell, dtype=np.int64)
+    zero = 0 * one
+    assert np.array_equal(space.form, np.block([[zero, one], [(p - 1) * one, zero]]))
+    same = SymplecticSpace(p, ell)
+    assert space == same and hash(space) == hash(same)
+    assert space != SymplecticSpace(p + 2 if p == 3 else 3, ell)
+    assert space != SymplecticSpace(p, ell + 1)
+    assert is_symplectic(space, weyl_element(space))
+    with pytest.raises(TypeError):
+        SymplecticSpace(p, ell, form=space.form)
 
 
 def test_sp_closure_random_pairs():

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import random
 from fractions import Fraction
 from math import lcm
@@ -12,9 +13,10 @@ import heisweil.weil as weil_mod
 from heisweil.cli import run
 
 from heisweil.checks import Check, Recorder
+from heisweil.groups import extend_hom
 from heisweil.heisenberg import HeisenbergGroup, SpecialIso, all_special_isos
 from heisweil.linalg import CycMatrix, batch_from_matrices, packed_product_table
-from heisweil.reps import heisenberg_rep
+from heisweil.reps import MatrixRep, heisenberg_rep
 from heisweil.scalar import CycNumber, root_of_unity, zeta_p
 from heisweil.suites import SUITES, RunConfig, _abstract_lift_checks, _sp_h_table
 from heisweil.symplectic import (
@@ -37,7 +39,6 @@ from heisweil.weil import (
     p_action_check,
     sl23_reference,
     sp_abelianization_order,
-    sp_one_dim_characters,
     sp_table,
     three_extensions_p3,
     trace_sign_on_M,
@@ -450,6 +451,24 @@ def test_sl23_displayed_beta_j_is_even_block_at_j_inverse(ref3):
     assert ref.displayed_j_reading == "inverse"
 
 
+def test_sl23_only_the_inverse_reading_passes_the_certificate(ref3):
+    """beta is extend_hom of beta(n(1)) and beta(j); with the displayed
+    matrix read directly as beta(j) the extension fills SL(2, 3) but the
+    homomorphism certificate refuses it, and alpha and beta pass it."""
+    alpha, beta, lift, ref = ref3
+    space, tg = lift.space, sp_table(lift.space)
+    n1 = index_of(space, n_element(space, [[1]]))
+    jel = index_of(space, weyl_element(space))
+    gens = {n1: beta.image(n1), jel: ref.beta_j_displayed}
+    images = extend_hom(tg, gens, operator.matmul, CycMatrix.identity(12, 2))
+    num, den = batch_from_matrices([images[s] for s in range(tg.order)], 12)
+    direct = MatrixRep(tg, np.arange(tg.order), num, den, 12)
+    check = Check("direct reading")
+    assert not direct.verify_homomorphism(check) and check.witness is not None
+    assert beta.image(jel) == oracle.inverse(ref.beta_j_displayed)
+    assert alpha.verify_homomorphism() and beta.verify_homomorphism()
+
+
 def test_sl23_unipotent_and_scalar_operators_match_printed_formulas(ref3):
     alpha, beta, lift, ref = ref3
     space = lift.space
@@ -570,16 +589,6 @@ def test_three_extensions_and_selection(lift3):
 @pytest.mark.parametrize("p,expected", [(3, 3), (5, 1), (7, 1)])
 def test_sp_abelianization(p, expected):
     assert sp_abelianization_order(SymplecticSpace(p, 1)) == expected
-
-
-def test_sp_characters_count():
-    assert len(sp_one_dim_characters(SymplecticSpace(3, 1))) == 3
-    assert len(sp_one_dim_characters(SymplecticSpace(5, 1))) == 1
-
-
-def test_sp_characters_p7_trivial_only():
-    (char,) = sp_one_dim_characters(SymplecticSpace(7, 1))
-    assert len(char) == 336 and all(v == 1 for v in char)
 
 
 # -- contragredient compatibility -------------------------------------------------
