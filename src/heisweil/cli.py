@@ -119,8 +119,8 @@ def _emit(payload, out_path: str | None, fmt: str = "json") -> None:
     Every piece of the text is built before the file is opened, so a payload
     the encoder rejects raises before anything is written.  The pieces are
     then written in order by one ``writelines``: no joined copy of the text
-    (8.9 MB for a p = 7 ``dump weil``, written to a file in ~19 ms on a
-    2-core VM) and no text of a whole matrix is made.
+    (8.9 MB in 18 171 pieces for a p = 7 ``dump weil``, written to a file in
+    ~18 ms on a 2-core VM) and no text of a whole matrix is made.
     """
     if fmt == "csv":
         reports = payload if isinstance(payload, list) else [payload]
@@ -177,13 +177,15 @@ def _pieces(obj) -> list[str]:
 
     With any ``indent`` CPython's json module falls back to its pure-Python
     encoder, which yields one string per token: 1.2 million for a p = 7
-    ``dump weil``, which is 34 971 pieces here.  A list of plain ints, or
-    of non-empty lists of plain ints, is one C-level ``str.join``, and so
-    is a 2-D integer ndarray, through one list of value strings.  A
-    non-empty matrix is its separators (:func:`_matrix_separators`) around
-    the texts of its entries.  The texts come from :func:`_entry_texts` on
-    a numerator stack: the whole stack of an ImageList, whose dict text
-    between two matrices is one string besides the element, or a
+    ``dump weil``, which is 18 171 pieces here (20 590 for ``dump reps``).
+    A list of plain ints, or of non-empty lists of plain ints, is one
+    C-level ``str.join``, and so is a 2-D integer ndarray, through one list
+    of value strings.  A non-empty matrix is the text before its first
+    entry, then the texts of its entries, each with the separator after it
+    (:func:`_matrix_separators`).  The texts come from :func:`_entry_texts`
+    on a numerator stack: the whole stack of an ImageList, whose dict text
+    between two matrices is one string besides the element, and whose key
+    before a matrix is one string with the matrix's opening, or a
     CycMatrix as a stack of one.  Other leaves (None, bool, float,
     subclasses) go to ``json.dumps``, whose text for a leaf does not depend
     on the indent.  Payloads are trees: there is no cycle check.
@@ -199,10 +201,6 @@ def _pieces(obj) -> list[str]:
         put((inner + "]," + inner + "[" + row_nl).join(map(("," + row_nl).join, rows)))
         put(inner + "]" + nl + "]")
 
-    def put_matrix(seps: tuple, entries: list) -> None:
-        parts.extend(chain.from_iterable(zip(seps, entries)))
-        put(seps[-1])
-
     def write(o, nl: str) -> None:
         # nl is the newline and indent of the line o starts on
         if isinstance(o, str):
@@ -212,8 +210,9 @@ def _pieces(obj) -> list[str]:
             if not (r and c):
                 write(o.to_json(), nl)
                 return
-            texts = _entry_texts(o.N, nl, o.num[None], o.den)
-            put_matrix(_matrix_separators(r, c, nl), texts[0])
+            seps = _matrix_separators(r, c, nl)
+            put(seps[0])
+            parts.extend(_entry_texts(o.N, nl, o.num[None], o.den, seps)[0])
         elif type(o) is ImageList:
             m, r, c, _ = o.num.shape
             if not (m and r and c):
@@ -222,16 +221,17 @@ def _pieces(obj) -> list[str]:
             # the dicts start on inner, their keys on key_nl
             inner, key_nl = nl + " ", nl + "  "
             head = "{" + key_nl + '"element": '
-            between, matrix_key = inner + "}," + inner + head, "," + key_nl + '"matrix": '
             seps = _matrix_separators(r, c, key_nl)
-            texts = _entry_texts(o.N, key_nl, o.num, o.den)
+            between = inner + "}," + inner + head
+            matrix_key = "," + key_nl + '"matrix": ' + seps[0]
+            texts = _entry_texts(o.N, key_nl, o.num, o.den, seps)
             put("[" + inner + head)
             for i, (e, entries) in enumerate(zip(o.elements, texts)):
                 if i:
                     put(between)
                 write(e, key_nl)
                 put(matrix_key)
-                put_matrix(seps, entries)
+                parts.extend(entries)
             put(inner + "}" + nl + "]")
         elif type(o) is int:
             put(int.__repr__(o))
@@ -308,11 +308,13 @@ def _int_table_texts(x: np.ndarray) -> list[list[str]]:
     return texts[index.reshape(x.shape)].tolist()
 
 
-def _entry_texts(n: int, nl: str, num: np.ndarray, den: int) -> list:
+def _entry_texts(n: int, nl: str, num: np.ndarray, den: int, seps: tuple) -> list:
     """The texts of the entries of each matrix num[i] / den of the stack
     ``num`` (m, r, c, phi) over Q(zeta_n), for matrices that start on the
-    line whose newline and indent is nl: one row-major list per matrix,
-    each entry as ``CycNumber.to_json`` gives it, reduced by its own gcd.
+    line whose newline and indent is nl, each followed by the separator
+    after it: one row-major list per matrix, entry k as
+    ``CycNumber.to_json`` gives it, reduced by its own gcd, then
+    ``seps[k + 1]`` of the matrix's :func:`_matrix_separators` ``seps``.
 
     When every numerator is int64 and den is below 2^63, the stack goes to
     :func:`_distinct_entry_texts` in slices of about ``_SLICE_ENTRIES``
@@ -324,19 +326,18 @@ def _entry_texts(n: int, nl: str, num: np.ndarray, den: int) -> list:
         return [
             entries
             for k in range(0, len(num), step)
-            for entries in _distinct_entry_texts(template, num[k : k + step], den)
+            for entries in _distinct_entry_texts(template, num[k : k + step], den, seps)
         ]
     texts = []
     for matrix in num:
         # Python ints: np.gcd against int64 would overflow
         a, d = CycMatrix._packed(n, matrix, den).reduced_entries()
-        texts.append(
-            [
-                template % tuple(chain.from_iterable(zip(e, repeat(e_den))))
-                for row, row_den in zip(a.tolist(), d.tolist())
-                for e, e_den in zip(row, row_den)
-            ]
+        entries = (
+            template % tuple(chain.from_iterable(zip(e, repeat(e_den))))
+            for row, row_den in zip(a.tolist(), d.tolist())
+            for e, e_den in zip(row, row_den)
         )
+        texts.append(list(map(str.__add__, entries, seps[1:])))
     return texts
 
 
@@ -347,13 +348,16 @@ _SLICE_ENTRIES = 4096
 _KEY_TYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
-def _distinct_entry_texts(template: str, num: np.ndarray, den: int) -> list[list[str]]:
+def _distinct_entry_texts(
+    template: str, num: np.ndarray, den: int, seps: tuple
+) -> list[list[str]]:
     """:func:`_entry_texts` for a stack of int64 numerators over a
     denominator below 2^63.  The entries share that denominator, so two are
     equal exactly when their numerators are: each distinct numerator vector
     is reduced by its gcd with den, as :meth:`CycMatrix.reduced_entries`
-    does, and formatted once.  The 16 464 entries of a p = 7 Weil dump hold
-    29."""
+    does, and formatted once, then joined once with each of the (at most
+    three) distinct separators that follow an entry.  The 16 464 entries of
+    a p = 7 Weil dump hold 29 numerators."""
     phi = num.shape[3]
     rows = num.reshape(-1, phi)
     _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
@@ -362,8 +366,12 @@ def _distinct_entry_texts(template: str, num: np.ndarray, den: int) -> list[list
     fill = np.empty((len(distinct), 2 * phi), dtype=np.int64)
     fill[:, 0::2] = distinct // g[:, None]
     fill[:, 1::2] = (den // g)[:, None]
-    texts = np.array([template % tuple(e) for e in fill.tolist()], dtype=object)
-    return texts[inverse.reshape(len(num), -1)].tolist()
+    # the separator after each entry position, as an index into kinds
+    kinds = sorted(set(seps[1:]))
+    kind = np.array([kinds.index(sep) for sep in seps[1:]], dtype=np.int64)
+    entries = [template % tuple(e) for e in fill.tolist()]
+    texts = np.array([e + sep for e in entries for sep in kinds], dtype=object)
+    return texts[inverse.reshape(len(num), -1) * len(kinds) + kind].tolist()
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

@@ -39,10 +39,12 @@ H at every p.
 
 The Heisenberg group W x| F_p (:class:`heisweil.heisenberg.HeisenbergGroup`)
 is a TableGroup subclass, so subgroup, commutator and automorphism checks
-below serve it and the Mackey test groups alike.  Subgroups are handed out
-as frozensets of indices.  Membership is a boolean mask over the indices
-(:meth:`TableGroup.mask`): the traversal scatters each layer into one, and a
-subgroup, center or K test is one gather from one, never a sort.
+below serve it and the Mackey test groups alike.  It builds its table on
+first read and hands it to :meth:`TableGroup._adopt`, which runs the
+constructor's checks on every table a TableGroup keeps.  Subgroups are
+handed out as frozensets of indices.  Membership is a boolean mask over the
+indices (:meth:`TableGroup.mask`): the traversal scatters each layer into
+one, and a subgroup, center or K test is one gather from one, never a sort.
 """
 
 from __future__ import annotations
@@ -88,36 +90,47 @@ def extend_hom(tg: "TableGroup", gen_images: dict, mul, one) -> dict:
 
 class TableGroup:
     """A finite group given by its multiplication table on indices 0..n-1,
-    with the identity at index 0.  The constructor refuses, with a
-    ValueError, an entry outside 0..n-1, a misplaced identity, a missing
-    inverse and, up to 64 elements, a table that fails Light's test."""
+    with the identity at index 0.  The table is refused, with a ValueError,
+    for an entry outside 0..n-1, a misplaced identity, a missing inverse
+    and, up to 64 elements, a failure of Light's test."""
 
     def __init__(self, table, names=None):
-        self.table = np.asarray(table, dtype=np.int64)
-        n = self.table.shape[0]
-        if self.table.shape != (n, n):
+        table = np.asarray(table, dtype=np.int64)
+        n = table.shape[0]
+        if table.shape != (n, n):
             raise ValueError(
-                f"multiplication table must be square; got shape {self.table.shape}"
+                f"multiplication table must be square; got shape {table.shape}"
             )
         self.order = n
         self.names = names if names is not None else list(range(n))
-        t, ident = self.table, np.arange(n)
-        if t.min() < 0 or t.max() >= n:
-            a, b = np.argwhere((t < 0) | (t >= n))[0]
-            raise ValueError(f"table entry {t[a, b]} at ({a}, {b}) not in 0..{n - 1}")
-        if not (np.array_equal(t[0], ident) and np.array_equal(t[:, 0], ident)):
+        self._adopt(table)
+
+    def _adopt(self, table: np.ndarray) -> None:
+        """Check the (n, n) ``table`` and keep it as the Cayley table, with
+        ``inverse_of`` and the center: the checks of the class docstring,
+        run by the constructor and by a subclass that builds its table on
+        first read.  A table that fails a check is not kept."""
+        n, ident = self.order, np.arange(self.order)
+        if table.min() < 0 or table.max() >= n:
+            a, b = np.argwhere((table < 0) | (table >= n))[0]
+            raise ValueError(
+                f"table entry {table[a, b]} at ({a}, {b}) not in 0..{n - 1}"
+            )
+        if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
             raise ValueError("index 0 must be the identity")
-        is_one = t == 0
-        self.inverse_of = is_one.argmax(axis=1)
-        if not (is_one.sum(axis=1) == 1).all() or (t[self.inverse_of, ident] != 0).any():
+        is_one = table == 0
+        inverse_of = is_one.argmax(axis=1)
+        if not (is_one.sum(axis=1) == 1).all() or (table[inverse_of, ident] != 0).any():
             raise ValueError("table lacks two-sided inverses")
-        # Light's test reads n^2 |S| entries: the Mackey zoo's tables, not
-        # Sp x| H (648 elements, 5 generators), on every construction
+        self.table, self.inverse_of = table, inverse_of
+        # Light's test reads n^2 |S| entries: the Mackey zoo's tables and
+        # H(3, 1), not Sp x| H (648 elements, 5 generators)
         if n <= 64 and not (edges := self.associativity_edges()).all():
             x, i, y = np.argwhere(~edges)[0]
             s = self.generators[i]
+            del self.table, self.inverse_of, self.generators
             raise ValueError(f"non-associative table: ({x} {s}) {y} != {x} ({s} {y})")
-        self._center = frozenset(np.flatnonzero((t == t.T).all(axis=1)).tolist())
+        self._center = frozenset(np.flatnonzero((table == table.T).all(axis=1)).tolist())
 
     # the group protocol: elements are the indices 0..n-1
     def elements(self):

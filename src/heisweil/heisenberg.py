@@ -6,13 +6,16 @@ The group law on pairs (w, z) with w in F_p^(2l) and z in F_p is
 
 where 1/2 means (p+1)/2 in F_p.  :class:`HeisenbergGroup` is a
 :class:`~heisweil.groups.TableGroup`: an element is an index, (w, z) sits at
-(w read in base p) * p + z, and the Cayley table is built once from the law
-by numpy broadcasting.  Index order is the sorted order of the pairs, the
-identity is 0 and the center {(0, z)} is 0..p-1.  The pair itself survives
-only as ``names[i]``, an :class:`HElem` for dumps and failure witnesses;
-``w[i]`` and ``z[i]`` hold the coordinates as arrays.  The center equals the
-commutator subgroup, and the commutator pairing factors through W as the
-symplectic form.
+(w read in base p) * p + z.  Index order is the sorted order of the pairs,
+the identity is 0 and the center {(0, z)} is 0..p-1.  The pair itself
+survives only as ``names[i]``, an :class:`HElem` for dumps and failure
+witnesses; ``w[i]`` and ``z[i]`` hold the coordinates as arrays, set by the
+constructor.  The Cayley table is built from the law by numpy broadcasting
+and checked as every TableGroup's is, once, the first time the table,
+``inverse_of``, the center or the generators are read: the Heisenberg
+representations and the Weil lift read only the coordinates, so a dump of
+their images builds no table.  The center equals the commutator subgroup,
+and the commutator pairing factors through W as the symplectic form.
 
 Special isomorphisms H -> W x| Z are stored by their torsor offset w0
 relative to the base one mu0(w, z) = z, with the central coordinate as a
@@ -75,30 +78,48 @@ class HElem(NamedTuple):
 
 
 class HeisenbergGroup(TableGroup):
-    """W x| F_p for a fixed symplectic space W, on its Cayley table."""
+    """W x| F_p for a fixed symplectic space W, on its Cayley table.
+
+    The coordinates ``w``, ``z`` and ``names`` are set by the constructor;
+    the table, and ``inverse_of`` and the center derived from it, are built
+    from the law on the form the space had at construction, and checked by
+    :meth:`TableGroup._adopt`, the first time one of them is read."""
 
     def __init__(self, space: SymplecticSpace):
         self.space = space
         self.p = p = space.p
         self.dim = dim = space.dim
         self.half = space.half
+        self._form = np.array(space.form, dtype=np.int64)
         self._digits = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         vecs = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
         # coordinates of every index
         self.w = np.repeat(vecs, p, axis=0)
         self.z = np.tile(np.arange(p, dtype=np.int64), len(vecs))
+        self.order = len(self.z)
+        self.names = [HElem(tuple(w), z) for w, z in zip(self.w.tolist(), self.z.tolist())]
+
+    def __getattr__(self, name):
+        # reached only while the table is unbuilt: the attributes it sets
+        if name not in ("table", "inverse_of", "_center"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self._adopt(self._law_table())
+        return self.__dict__[name]
+
+    def _law_table(self) -> np.ndarray:
+        """The (|H|, |H|) Cayley table of the law, by numpy broadcasting."""
+        p, vecs = self.p, self.w[:: self.p]
         w_part = ((vecs[:, None, :] + vecs[None, :, :]) % p) @ self._digits
-        twist = self.half * (vecs @ space.form @ vecs.T % p)
+        twist = self.half * (vecs @ self._form @ vecs.T % p)
         zs = np.arange(p)
         # table[(w1, z1), (w2, z2)] over the axes (w1, z1, w2, z2), built in
         # place: one table-sized array
         table = twist[:, None, :, None] + np.add.outer(zs, zs)[None, :, None, :]
         table %= p
         table += w_part[:, None, :, None] * p
-        n = len(self.z)
-        table = table.reshape(n, n)
-        names = [HElem(tuple(w), z) for w, z in zip(self.w.tolist(), self.z.tolist())]
-        super().__init__(table, names=names)
+        return table.reshape(self.order, self.order)
 
     # -- coordinates ----------------------------------------------------------
 

@@ -196,14 +196,18 @@ class CycMatrix:
             )
         if k < 0:
             raise ValueError(f"negative power {k}: CycMatrix has no inverse")
-        out = CycMatrix.identity(self.N, self.nrows)
-        base = self
-        while k:
+        if k == 0:
+            return CycMatrix.identity(self.N, self.nrows)
+        # square and multiply from the lowest bit; the product starts at the
+        # first set bit, and the base is squared only while bits remain
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base @ base
 
     def transpose(self) -> "CycMatrix":
         return CycMatrix._packed(self.N, self.num.transpose(1, 0, 2), self.den)

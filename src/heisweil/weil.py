@@ -699,9 +699,6 @@ class AbstractLift:
     def group(self) -> HeisenbergGroup:
         return self.std.group
 
-    def h_image(self, h) -> CycMatrix:
-        return self.std.base.image(self.nu.image(h))
-
     def verify_rep_on_pairs(self, pairs, check: Check | None = None) -> bool:
         """F[x] F[y] = F[x y] for each pair (x, y) of (sp index, h) factors,
         with F the semidirect family and x y from

@@ -12,7 +12,11 @@ or one edge at a time, with no table gathers:
 - :func:`automorphisms_by_candidate`: the involutive automorphisms, one
   candidate tuple of generator images at a time;
 - :func:`abelian_characters_by_subtable`: the characters of an abelian
-  subgroup, each extended on a table of the subgroup of its own.
+  subgroup, each extended on a table of the subgroup of its own;
+- :func:`heisenberg_law` and :func:`heisenberg_table_eager`: the law of
+  W x| F_p on pairs, and its Cayley table built at once by broadcasting, as
+  :class:`heisweil.heisenberg.HeisenbergGroup` built it in its constructor
+  before the table was built on first read.
 
 :func:`zoo_groups` hands the tests the groups of the Mackey zoo.
 """
@@ -22,7 +26,10 @@ from __future__ import annotations
 import itertools
 import operator
 
+import numpy as np
+
 from heisweil.groups import TableGroup, generators_within
+from heisweil.heisenberg import HElem
 from heisweil.linalg import CycMatrix
 from heisweil.mackey import InvolutionRecord, _minimal_generators
 from heisweil.reps import MatrixRep
@@ -128,3 +135,32 @@ def abelian_characters_by_subtable(tg: TableGroup, members, conductor: int):
     for chi in chars:
         unique.setdefault(chi.characters(sub_names), chi)
     return list(unique.values())
+
+
+def heisenberg_law(space):
+    """(w1, z1)(w2, z2) = (w1 + w2, z1 + z2 + (1/2)<w1, w2>) on HElem tuples."""
+    p, half, form = space.p, space.half, space.form.tolist()
+
+    def mul(a, b):
+        pair = sum(
+            x * form[i][j] * y for i, x in enumerate(a.w) for j, y in enumerate(b.w)
+        )
+        w = tuple((x + y) % p for x, y in zip(a.w, b.w))
+        return HElem(w, (a.z + b.z + half * pair) % p)
+
+    return mul
+
+
+def heisenberg_table_eager(space) -> np.ndarray:
+    """The Cayley table of W x| F_p on the indices (w read in base p) * p + z,
+    as one broadcast over (w1, z1, w2, z2)."""
+    p, dim = space.p, space.dim
+    digits = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    vecs = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
+    w_part = ((vecs[:, None, :] + vecs[None, :, :]) % p) @ digits
+    twist = space.half * (vecs @ space.form @ vecs.T % p)
+    zs = np.arange(p)
+    table = twist[:, None, :, None] + np.add.outer(zs, zs)[None, :, None, :]
+    table = table % p + w_part[:, None, :, None] * p
+    n = len(vecs) * p
+    return table.reshape(n, n)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import elimination_oracle as oracle
+from weil_oracle import h_image
 from heisweil import heisenberg as heis
 from heisweil import mackey as mk
 from heisweil import prounipotent as pro
@@ -239,7 +240,7 @@ def test_criterion_07_special_isomorphisms():
     els = range(weil_mod.sp_table(g.space).order)
     base_ab = weil_mod.abstract_lift(lift, heis.SpecialIso(g, (0, 0)))
     reference = {
-        (s, x): (lift.image(s) @ base_ab.h_image(x)).trace()
+        (s, x): (lift.image(s) @ h_image(base_ab, x)).trace()
         for s in els
         for x in g.elements()
     }
@@ -248,7 +249,7 @@ def test_criterion_07_special_isomorphisms():
         for s in els:
             for x in g.elements():
                 h = nu.inverse_image(x)
-                image = lift.image(s) @ ab.h_image(h)
+                image = lift.image(s) @ h_image(ab, h)
                 assert image.trace() == reference[(s, x)]
     elapsed = time.time() - start
     assert elapsed < 60

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 import heisweil
 from heisweil import cli
 from heisweil.cli import ImageList, _build_parser, _to_json, run
+from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import CycMatrix
 from heisweil.scalar import CycNumber, context
 from heisweil.suites import RunConfig, SUITES, standard_mackey_configurations
@@ -294,6 +295,35 @@ def test_dumps_write_their_images_from_one_stack(what, images, monkeypatch):
     assert len(built) < 30
 
 
+@pytest.mark.parametrize("what, tables", [("weil", 0), ("reps", 0), ("mackey", 1)])
+def test_dumps_build_the_heisenberg_table_only_where_they_read_it(
+    what, tables, monkeypatch
+):
+    """The p = 7 Weil and reps dumps read the coordinates of H, never its
+    Cayley table; the mackey dump prints the table."""
+    built = []
+    law_table = HeisenbergGroup._law_table
+
+    def counted(self):
+        built.append(self)
+        return law_table(self)
+
+    monkeypatch.setattr(HeisenbergGroup, "_law_table", counted)
+    code, _, err = _run_captured(["dump", what, "--p", "7"])
+    assert code == 0, err
+    assert len(built) == tables
+
+
+def test_a_p7_weil_dump_writes_each_entry_with_its_separator():
+    """One piece per matrix entry, which carries the separator after it, and
+    one per matrix for the text before its first entry: 18 171 in all."""
+    args = cli._parse_args(["dump", "weil", "--p", "7"])
+    payload = cli._dump(args, cli._config_from_args(args))
+    pieces = cli._pieces(payload)
+    assert len(pieces) <= 18_171
+    assert "".join(pieces) == _stdlib_json(_plain(payload))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -509,6 +539,18 @@ def test_packed_matrix_cases_reach_both_dtypes():
         assert _to_json(payload) == _stdlib_json(_plain(payload))
 
 
+# r x c with r, c >= 1, each case of the separators that follow an entry
+# drawn as often: 1 x 1 (the matrix's end only), 1 x c (within a row and
+# the end), r x 1 (between rows and the end) and r x c (all three)
+_side = st.integers(2, 3)
+_matrix_shapes = (
+    st.just((1, 1))
+    | st.tuples(st.just(1), _side)
+    | st.tuples(_side, st.just(1))
+    | st.tuples(_side, _side)
+)
+
+
 @st.composite
 def _same_shape_matrices(draw):
     """Two to five r x c matrices over one Q(zeta_n), each stored its own
@@ -516,7 +558,7 @@ def _same_shape_matrices(draw):
     or object numerators."""
     n = draw(st.sampled_from([4, 12, 28]))
     phi = context(n).phi
-    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    r, c = draw(_matrix_shapes)
     mats = []
     for _ in range(draw(st.integers(2, 5))):
         storage = draw(st.sampled_from(["int64", "big_den", "object"]))
@@ -575,11 +617,17 @@ def test_to_json_keeps_int64_entries_apart_that_floats_would_merge():
 @st.composite
 def _image_lists(draw):
     """Image lists of every storage case: no images, r x 0 and 0 x c
-    matrices, int64 numerators over a denominator below 2^63 or of at least
-    2^63, and object (Python int) numerators."""
+    matrices, the shapes of ``_matrix_shapes``, int64 numerators over a
+    denominator below 2^63 or of at least 2^63, and object (Python int)
+    numerators."""
     n = draw(st.sampled_from([1, 4, 12, 28]))
     phi = context(n).phi
-    m, r, c = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    m = draw(st.integers(0, 4))
+    r, c = draw(
+        _matrix_shapes
+        | st.tuples(st.integers(0, 3), st.just(0))
+        | st.tuples(st.just(0), st.integers(1, 3))
+    )
     den = draw(st.sampled_from([1, 7, 60, 2**63, 3 * 2**70]) | st.integers(1, 10**6))
     value = draw(
         st.sampled_from(

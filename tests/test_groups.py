@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from group_oracles import checked_extend_hom, closure, zoo_groups
+from group_oracles import checked_extend_hom, closure, heisenberg_law, zoo_groups
 from heisweil.groups import TableGroup, double_coset_labels, extend_hom
 from heisweil.heisenberg import HElem, HeisenbergGroup
 from heisweil.linalg import CycMatrix, batch_from_matrices
@@ -20,20 +20,6 @@ from heisweil.mackey import (
 from heisweil.reps import MatrixRep
 from heisweil.symplectic import SymplecticSpace
 from heisweil.weil import sp_table
-
-
-def _heisenberg_law(space):
-    """(w1, z1)(w2, z2) = (w1 + w2, z1 + z2 + (1/2)<w1, w2>) on HElem tuples."""
-    p, half, form = space.p, space.half, space.form.tolist()
-
-    def mul(a, b):
-        pair = sum(
-            x * form[i][j] * y for i, x in enumerate(a.w) for j, y in enumerate(b.w)
-        )
-        w = tuple((x + y) % p for x, y in zip(a.w, b.w))
-        return HElem(w, (a.z + b.z + half * pair) % p)
-
-    return mul
 
 
 def test_closure_is_breadth_first():
@@ -126,7 +112,7 @@ def test_trivial_group_has_no_generators():
 
 def test_heisenberg_closure_matches_table_closure_p3():
     g = HeisenbergGroup(SymplecticSpace(3, 1))
-    law = _heisenberg_law(g.space)
+    law = heisenberg_law(g.space)
     one = HElem((0, 0), 0)
     for a in range(g.order):
         for b in range(g.order):

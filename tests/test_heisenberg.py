@@ -1,4 +1,5 @@
 import collections
+import copy
 import itertools
 import random
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from group_oracles import heisenberg_law, heisenberg_table_eager
 from heisweil.checks import Check
+from heisweil.groups import table_group_from_mul
 from heisweil.heisenberg import (
     HElem,
     HeisenbergAutomorphism,
@@ -119,6 +122,88 @@ def test_commutator_edges_match_the_all_pairs_oracle(p):
     oracle = _commutator_values(doubled) == g.w @ space.form @ g.w.T % p
     assert np.array_equal(doubled.commutator_form_edges(), oracle[:, gens])
     assert not oracle.all() and not doubled.commutator_form_edges().all()
+
+
+# -- the table, built on first read -------------------------------------------------
+
+
+@pytest.mark.parametrize("p, ell", [(3, 1), (5, 1), (3, 2)])
+def test_table_built_on_first_read_equals_the_eager_build_and_the_law(p, ell):
+    space = SymplecticSpace(p, ell)
+    g = HeisenbergGroup(space)
+    assert "table" not in vars(g)
+    assert np.array_equal(g.table, heisenberg_table_eager(space))
+    by_law = table_group_from_mul(g.names, heisenberg_law(space), g.names[0])
+    assert by_law.names == g.names and np.array_equal(g.table, by_law.table)
+    assert np.array_equal(g.inverse_of, by_law.inverse_of)
+    assert g.center() == by_law.center() == frozenset(range(p))
+
+
+@pytest.mark.parametrize("read", ["table", "inverse_of", "center", "generators"])
+def test_each_table_read_builds_the_table_once(read, monkeypatch):
+    built = []
+    law_table = HeisenbergGroup._law_table
+
+    def counted(self):
+        built.append(self)
+        return law_table(self)
+
+    monkeypatch.setattr(HeisenbergGroup, "_law_table", counted)
+    g = HeisenbergGroup(SymplecticSpace(3, 1))
+    assert not built and g.order == 27 and len(g.names) == 27
+    first = g.center() if read == "center" else getattr(g, read)
+    assert built == [g]
+    assert g.generators == (1, 3, 9) and g.inverse_of[1] == 2
+    assert (g.center() if read == "center" else getattr(g, read)) is first
+    assert built == [g]
+
+
+def _corrupted(monkeypatch, corrupt):
+    law_table = HeisenbergGroup._law_table
+
+    def broken(self):
+        table = law_table(self)
+        corrupt(table)
+        return table
+
+    monkeypatch.setattr(HeisenbergGroup, "_law_table", broken)
+
+
+def test_a_corrupted_law_fails_the_table_checks_on_first_read(monkeypatch):
+    """The constructor's checks run on the table built on first read: two
+    products of one row swapped fail Light's test in H(3, 1), a lost inverse
+    fails the inverse check in H(3, 2), where Light's test does not run.
+    A failed table is not kept, so a second read fails again."""
+
+    def swap(t):
+        t[1, [3, 4]] = t[1, [4, 3]]
+
+    _corrupted(monkeypatch, swap)
+    g = HeisenbergGroup(SymplecticSpace(3, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-associative table"):
+            g.center()
+    assert not {"table", "inverse_of", "generators"} & set(vars(g))
+
+    def lose_inverse(t):
+        t[5, t[5] == 0] = 1
+
+    _corrupted(monkeypatch, lose_inverse)
+    g = HeisenbergGroup(SymplecticSpace(3, 2))
+    for read in ("table", "inverse_of"):
+        with pytest.raises(ValueError, match="lacks two-sided inverses"):
+            getattr(g, read)
+
+
+def test_a_copy_of_an_unbuilt_group_builds_its_own_table():
+    space = SymplecticSpace(3, 1)
+    g = HeisenbergGroup(space)
+    twin = copy.copy(g)
+    assert np.array_equal(twin.table, heisenberg_table_eager(space))
+    assert "table" in vars(twin) and "table" not in vars(g)
+    assert twin.generators == g.generators and twin.center() == g.center()
+    with pytest.raises(AttributeError, match="no attribute 'tabel'"):
+        g.tabel
 
 
 # -- special isomorphisms ------------------------------------------------------

@@ -649,6 +649,32 @@ def test_negative_power_raises():
             a**k
 
 
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_power_equals_repeated_products_with_fewest_kernel_calls(k, products, monkeypatch):
+    """m^k against k - 1 products of m, and the kernel calls of the power
+    counted: one squaring per bit below the highest, and one product per
+    set bit after the first."""
+    rng = random.Random(k)
+    m = CycMatrix.from_roots(
+        12,
+        np.array([[rng.randrange(12) for _ in range(3)] for _ in range(3)]),
+        np.array([[rng.randrange(-2, 3) for _ in range(3)] for _ in range(3)]),
+    )
+    expected = CycMatrix.identity(12, 3)
+    for _ in range(k):
+        expected = expected @ m
+    calls = []
+    kernel = linalg._products
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "_products", counted)
+    assert m**k == expected
+    assert len(calls) == products
+
+
 def test_package_has_no_elimination_over_the_field():
     for name in ("_rref", "nullspace", "row_space_rank", "same_row_space"):
         assert not hasattr(linalg, name), name
