@@ -13,6 +13,13 @@ serves every subgroup sweep and [G, G].  :func:`extend_hom` reads the
 same layers to give each element the image along the first edge that
 reaches it; the caller proves the extension a homomorphism.
 
+:func:`generators_within` is the one generating-set routine: every
+generator-edge check below, the automorphism search and the orbit and
+character sweeps of the suites read its sets, of a whole group
+(:attr:`TableGroup.generators`, derived once) or of a subgroup.  A set is
+irredundant, so no check reads the edges of a generator the others
+already generate: H(p, 1) gets (0, 1) and (1, 0) of W, not the center too.
+
 :func:`double_coset_labels` is the one coset partition: it labels every
 element with its double coset K x H, one table gather per coset, and serves
 the Mackey sums, the twisted-coset bookkeeping, the Q\\H/K forms of
@@ -124,7 +131,7 @@ class TableGroup:
             raise ValueError("table lacks two-sided inverses")
         self.table, self.inverse_of = table, inverse_of
         # Light's test reads n^2 |S| entries: the Mackey zoo's tables and
-        # H(3, 1), not Sp x| H (648 elements, 5 generators)
+        # H(3, 1), not Sp x| H (648 elements, 3 generators)
         if n <= 64 and not (edges := self.associativity_edges()).all():
             x, i, y = np.argwhere(~edges)[0]
             s = self.generators[i]
@@ -243,11 +250,8 @@ class TableGroup:
         return self.subgroup_generated(np.unique(comms))
 
     def element_order(self, a) -> int:
-        x, k = a, 1
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        """The order of ``a``: the size of the cyclic subgroup it generates."""
+        return len(self.subgroup_generated([a]))
 
     def __repr__(self):
         return f"TableGroup(order={self.order})"
@@ -279,13 +283,17 @@ def double_coset_labels(g: TableGroup, k_sub, h_sub) -> np.ndarray:
 
 
 def generators_within(g: TableGroup, members) -> list[int]:
-    """A small generating set of the subgroup given by ``members``: each
-    member, in index order, that the ones before it do not generate."""
-    members = sorted(frozenset(members))
+    """An irredundant generating set of the subgroup given by ``members``.
+
+    A greedy pass keeps each member, in index order, that the ones kept
+    before it do not generate; then each kept generator, in index order, is
+    dropped when the others left still generate the subgroup.  So no
+    generator of the result lies in the subgroup the others generate.
+    """
     target = frozenset(members)
     gens: list[int] = []
     generated = frozenset([0])
-    for a in members:
+    for a in sorted(target):
         if a in generated:
             continue
         gens.append(a)
@@ -294,6 +302,9 @@ def generators_within(g: TableGroup, members) -> list[int]:
             break
     if generated != target:
         raise ValueError("members are not a subgroup")
+    for a in list(gens):
+        if len(g.subgroup_generated([b for b in gens if b != a])) == len(target):
+            gens.remove(a)
     return gens
 
 

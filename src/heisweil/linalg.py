@@ -467,10 +467,10 @@ def root_multiples(n: int, k: int, num: np.ndarray) -> np.ndarray:
 
 
 def verify_multiplication_table(
-    num: np.ndarray, den: int, table: np.ndarray, n: int, max_failures: int = 5, rows=None
-):
+    num: np.ndarray, den: int, table: np.ndarray, n: int, rows
+) -> np.ndarray:
     """Check num[s] @ num[t] == num[table[i, t]] exactly, for s = rows[i]
-    (every index by default, with ``table`` the whole table) and every t.
+    and every t; ``np.arange(count)`` as ``rows`` reads the whole table.
 
     ``num`` holds numerators of square matrices over the common denominator
     ``den``; a product of two entries carries den^2, so the expected side is
@@ -480,11 +480,11 @@ def verify_multiplication_table(
     bounds every row, and from the largest expected numerator, so both sides
     are exact.  Each row's product, its gather of the expected side and the
     comparison mask are written into three buffers of the family's size,
-    allocated once.  Returns a list of failing (s, t) pairs, empty when
-    every product checked is the one the table names.
+    allocated once.  Returns the boolean (len(rows), count) array of the
+    identities, True where the product is the one the table names.
     """
     count, d, _, phi = num.shape
-    rows = np.arange(count) if rows is None else np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
     table = np.asarray(table)
     if table.shape != (len(rows), count) or not all(
         ((0 <= a) & (a < count)).all() for a in (rows, table)
@@ -509,16 +509,12 @@ def verify_multiplication_table(
     family = family.reshape(count * d, d * len(vs))
     prods = np.empty((count * d, d * len(ws)), dtype=dtype)
     gathered = np.empty_like(expected)
-    differ = np.empty(expected.shape, dtype=bool)
-    failures = []
-    for s, products in zip(rows.tolist(), table):
+    same = np.empty(expected.shape, dtype=bool)
+    ok = np.empty(table.shape, dtype=bool)
+    for s, products, row_ok in zip(rows.tolist(), table, ok):
         _packed_products(num[s][..., us].astype(dtype), family.T, coords, out=prods.T)
         # the table was checked above; "clip" takes into out unbuffered
         np.take(expected, products, axis=0, out=gathered, mode="clip")
-        np.not_equal(prods.reshape(expected.shape), gathered, out=differ)
-        if differ.any():
-            bad = np.flatnonzero(differ.any(axis=1))
-            failures.extend((s, int(t)) for t in bad[:max_failures])
-            if len(failures) >= max_failures:
-                return failures
-    return failures
+        np.equal(prods.reshape(expected.shape), gathered, out=same)
+        same.all(axis=1, out=row_ok)
+    return ok

@@ -140,7 +140,7 @@ def direct_product(g1: TableGroup, g2: TableGroup) -> TableGroup:
 # -- involutions -----------------------------------------------------------------
 
 
-# the largest group order, and the most minimal generators, of the search
+# the largest group order, and the most generators, of the search
 AUTOMORPHISM_SEARCH_GUARD = (24, 3)
 
 
@@ -178,32 +178,17 @@ def inner_involutions(g: TableGroup) -> list[InvolutionRecord]:
     return [InvolutionRecord(tuple(perm)) for perm in perms[first].tolist()]
 
 
-def _minimal_generators(g: TableGroup) -> list[int]:
-    gens: list[int] = []
-    generated = frozenset([0])
-    while len(generated) < g.order:
-        best = None
-        for a in range(g.order):
-            if a in generated:
-                continue
-            new = g.subgroup_generated(gens + [a])
-            if best is None or len(new) > best[0]:
-                best = (len(new), a, new)
-        gens.append(best[1])
-        generated = best[2]
-    return gens
-
-
 def all_involutive_automorphisms(g: TableGroup) -> list[InvolutionRecord]:
-    """Every automorphism of order <= 2, by generator-image search.
+    """Every automorphism of order <= 2, by generator-image search, sorted
+    by ``perm``.
 
     Guarded by :data:`AUTOMORPHISM_SEARCH_GUARD`: the search tries every
-    tuple of same-order images of the minimal generators.
+    tuple of same-order images of :attr:`~heisweil.groups.TableGroup.generators`.
     """
     max_order, max_gens = AUTOMORPHISM_SEARCH_GUARD
     if g.order > max_order:
         raise ValueError(f"automorphism search guarded to order <= {max_order}")
-    gens = _minimal_generators(g)
+    gens = g.generators
     if len(gens) > max_gens:
         raise ValueError(
             f"automorphism search guarded to <= {max_gens} generators; got {len(gens)}"
@@ -218,7 +203,7 @@ def all_involutive_automorphisms(g: TableGroup) -> list[InvolutionRecord]:
     perms = np.stack([phi[x] for x in range(g.order)], axis=1).tolist()
     # is_valid proves each extension: bijective, of order <= 2, multiplicative
     recs = (InvolutionRecord(tuple(perm)) for perm in perms)
-    return [rec for rec in recs if rec.is_valid(g)]
+    return sorted((rec for rec in recs if rec.is_valid(g)), key=lambda rec: rec.perm)
 
 
 def fixed_subgroup(g: TableGroup, theta: InvolutionRecord) -> frozenset:

@@ -456,7 +456,7 @@ def _abstract_lift_checks(rec: Recorder, lift, table, cfg: RunConfig) -> None:
     match = rec("weil.abstract_lift_characters_nu_independent")
     rep_law = rec("weil.abstract_lift_rep_law")
     for nu in heis.all_special_isos(g):
-        ab = weil_mod.abstract_lift(lift, nu)
+        ab = weil_mod.AbstractLift(std=lift, nu=nu)
         # tau(nu(h)) = zeta_p^<w_h, w0> tau(h) for every h at once
         pairings = g.w @ g.space.form @ np.array(nu.offset) % g.p
         same = images[[nu.image(h) for h in xs]] == twisted[pairings, xs]

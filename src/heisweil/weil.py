@@ -102,9 +102,9 @@ from heisweil.symplectic import (
 )
 
 __all__ = [
+    "AbstractLift",
     "NormalizationError",
     "WeilLift",
-    "abstract_lift",
     "p_action_check",
     "sl23_reference",
     "sp_abelianization_order",
@@ -672,19 +672,13 @@ def three_extensions_p3(lift: WeilLift) -> np.ndarray:
     return z[np.arange(3)[:, None] * e % 3, np.arange(len(e))]
 
 
-def abstract_lift(lift: WeilLift, nu: SpecialIso) -> "AbstractLift":
-    """The lift of tau to Sp x|_nu H obtained by transport through nu.
-
-    The Sp-part is the standard lift ``lift``, built once for every nu; the
-    H-part is h -> tau(w, mu(h)), so on H it differs from tau by the
-    character h -> zeta(<w, w0>).
-    """
-    return AbstractLift(std=lift, nu=nu)
-
-
 @dataclass
 class AbstractLift:
-    """(s, h) -> omega(s) tau(nu(h)) on Sp x|_nu H.
+    """(s, h) -> omega(s) tau(nu(h)) on Sp x|_nu H: the lift of tau to
+    Sp x|_nu H obtained by transport through nu.  The Sp-part is the
+    standard lift ``std``, built once for every nu; the H-part is
+    h -> tau(w, mu(h)), so on H it differs from tau by the character
+    h -> zeta(<w, w0>).
 
     (s, h) -> (s, nu(h)) is an isomorphism of Sp x|_nu H onto Sp x| H, so
     the image of (s, h) is entry s |H| + nu(h) of the lift's

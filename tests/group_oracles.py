@@ -31,7 +31,7 @@ import numpy as np
 from heisweil.groups import TableGroup, generators_within
 from heisweil.heisenberg import HElem
 from heisweil.linalg import CycMatrix
-from heisweil.mackey import InvolutionRecord, _minimal_generators
+from heisweil.mackey import InvolutionRecord
 from heisweil.reps import MatrixRep
 from heisweil.scalar import CycNumber, root_of_unity
 from heisweil.suites import standard_mackey_configurations
@@ -90,10 +90,11 @@ def checked_extend_hom(tg: TableGroup, gen_images: dict, mul, one):
 
 def automorphisms_by_candidate(g: TableGroup) -> list[InvolutionRecord]:
     """Every automorphism of order <= 2: each tuple of same-order images of
-    the minimal generators is extended by :func:`checked_extend_hom` on its
-    own, and kept when the extension is an involutive bijection."""
-    gens = _minimal_generators(g)
-    orders = {a: g.element_order(a) for a in range(g.order)}
+    the group's generators is extended by :func:`checked_extend_hom` on its
+    own, and kept when the extension is an involutive bijection.  Element
+    orders are the sizes of the cyclic subgroups :func:`closure` finds."""
+    gens = g.generators
+    orders = {a: len(closure([0], [a], g.mul)) for a in range(g.order)}
     candidates = [[b for b in range(g.order) if orders[b] == orders[a]] for a in gens]
     found = {}
     for images in itertools.product(*candidates):

@@ -238,14 +238,14 @@ def test_criterion_07_special_isomorphisms():
 
     lift = weil_mod.weil_lift(reps_mod.heisenberg_rep(g, 1, model="minus"))
     els = range(weil_mod.sp_table(g.space).order)
-    base_ab = weil_mod.abstract_lift(lift, heis.SpecialIso(g, (0, 0)))
+    base_ab = weil_mod.AbstractLift(std=lift, nu=heis.SpecialIso(g, (0, 0)))
     reference = {
         (s, x): (lift.image(s) @ h_image(base_ab, x)).trace()
         for s in els
         for x in g.elements()
     }
     for nu in isos:
-        ab = weil_mod.abstract_lift(lift, nu)
+        ab = weil_mod.AbstractLift(std=lift, nu=nu)
         for s in els:
             for x in g.elements():
                 h = nu.inverse_image(x)
@@ -346,17 +346,22 @@ def test_criterion_09_congruence_square_roots():
 # the reports differ from the previous ones only in the heisenberg suite's
 # `checks` line (87 201 -> 10 207, 2 375 033 -> 58 111 and
 # 46 352 733 -> 408 825).
+# Re-pinned when generators_within dropped redundant generators (H(p, 1)
+# from (1, p, p^2) to (p, p^2)) and the automorphism search read them: for
+# p = 3, 5, 7 at seeds 0 and 1 the reports differ from the previous ones
+# only in `checks` lines; at p = 7 heisenberg 408 825 -> 274 020, reps
+# 43 679 -> 43 336, weil 1 445 -> 1 443 and mackey 321 -> 319.
 REPORT_SHA256 = {
-    3: "4d87af6765ab6e658428b0522d508cb2b5feb43e3f7e16ef2318c33c760ccd09",
-    5: "9fe0ac15132470d120ff4a18868f47a1cacd888faa6572b12256565d1909b7d2",
-    7: "64c83b84dc35d7ebc34b05360a3b49d6adc4066b37f86ff042b5c55f634ba989",
+    3: "41a1497ea37b747f5ea7dd928f1585fe6e907e53edf4bcc8b50bf425a79fa628",
+    5: "a0710b421c32808688068b9b927ac655095c142eb9f87949449f55d37180b92e",
+    7: "5fd50caf5b56e76e254ac6dd4b0fecc0ce16e31e62b4ca84fe38cdd9e2011163",
 }
 # The same reports at seed 1, which moves the sampled checks (field axioms,
 # abstract-lift pairs, twisted-coset clauses, square roots).
 REPORT_SHA256_SEED1 = {
-    3: "482fb6e05dc745698322fe39b77804493bab996d73250102a99ce0fd7f5dc29d",
-    5: "a4ff2d59a51f702c55a7d2d1d5b02f1964d85f591dd2e200fe32f68af999eda1",
-    7: "b6702017adfb017e60f375c9a665118206733f35c306365c78f4c84ec9788104",
+    3: "627a61ca8add64774cc038bfb9164c6c2f74dbc922ea2a6808f77c6040c814ce",
+    5: "6d2c24b8ebd0d1ea094155431cd258a5bfabec48ce50422c9e367df056a29a52",
+    7: "587644f931320ccbefc20123cdc8d44765d47ab37f716ccaeeeb356f47ff89ac",
 }
 
 

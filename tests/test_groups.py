@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from group_oracles import checked_extend_hom, closure, heisenberg_law, zoo_groups
-from heisweil.groups import TableGroup, double_coset_labels, extend_hom
+from heisweil.groups import (
+    TableGroup,
+    double_coset_labels,
+    extend_hom,
+    generators_within,
+)
 from heisweil.heisenberg import HElem, HeisenbergGroup
 from heisweil.linalg import CycMatrix, batch_from_matrices
 from heisweil.mackey import (
@@ -15,9 +20,11 @@ from heisweil.mackey import (
     dihedral_group,
     direct_product,
     quaternion_group,
+    semidirect_table_group,
     symmetric_group,
 )
 from heisweil.reps import MatrixRep
+from heisweil.suites import standard_mackey_configurations
 from heisweil.symplectic import SymplecticSpace
 from heisweil.weil import sp_table
 
@@ -108,6 +115,56 @@ def test_trivial_group_has_no_generators():
     assert g.generators == () and g.associativity_edges().shape == (1, 0, 1)
     assert g.commutator_subgroup() == frozenset([0]) == g.subgroup_generated([])
     assert extend_hom(g, {}, operator.matmul, _scalar(3, 1)) == {0: _scalar(3, 1)}
+
+
+def _generating_set_groups():
+    """Every group of the Mackey zoo, H(p, 1) and Sp(W) for p = 3, 5, 7,
+    H(3, 2) and Sp x| H(3)."""
+    groups = zoo_groups()
+    for p in (3, 5, 7):
+        groups[f"H({p},1)"] = HeisenbergGroup(SymplecticSpace(p, 1))
+        groups[f"Sp({p})"] = sp_table(SymplecticSpace(p, 1))
+    groups["H(3,2)"] = HeisenbergGroup(SymplecticSpace(3, 2))
+    groups["SpxH(3)"] = semidirect_table_group(SymplecticSpace(3, 1))[0]
+    return [pytest.param(label, tg, id=label) for label, tg in groups.items()]
+
+
+def _assert_irredundant(g, gens, members):
+    """``gens`` generate ``members``, and each generator lies outside the
+    subgroup the others generate, both by the closure oracle."""
+    assert frozenset(closure([0], gens, g.mul)) == frozenset(members)
+    for a in gens:
+        assert a not in closure([0], [b for b in gens if b != a], g.mul), (gens, a)
+
+
+@pytest.mark.parametrize("label, group", _generating_set_groups())
+def test_generators_within_is_an_irredundant_generating_set(label, group):
+    """The cached generators are generators_within the whole group: they
+    generate it, and dropping any one leaves a proper subgroup."""
+    gens = generators_within(group, range(group.order))
+    assert tuple(gens) == group.generators
+    _assert_irredundant(group, gens, range(group.order))
+
+
+@pytest.mark.parametrize("label, group", _generating_set_groups())
+def test_element_order_is_the_size_of_the_cyclic_subgroup(label, group):
+    orders = [len(closure([0], [a], group.mul)) for a in range(group.order)]
+    assert [group.element_order(a) for a in range(group.order)] == orders
+
+
+def test_generators_within_a_subgroup_is_irredundant():
+    """The same on every subgroup K of the Mackey configurations."""
+    for _, tg, k_members, *_ in standard_mackey_configurations():
+        _assert_irredundant(tg, generators_within(tg, k_members), k_members)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_heisenberg_generators_are_the_basis_of_w(p):
+    """H(p, 1) is generated by (0, 1) and (1, 0) of W, at indices p and p^2;
+    the center (0, 0, 1) at index 1 is their commutator, so it is dropped."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    assert g.generators == (p, p * p)
+    assert [g.names[a] for a in g.generators] == [HElem((0, 1), 0), HElem((1, 0), 0)]
 
 
 def test_heisenberg_closure_matches_table_closure_p3():

@@ -153,7 +153,7 @@ def test_each_table_read_builds_the_table_once(read, monkeypatch):
     assert not built and g.order == 27 and len(g.names) == 27
     first = g.center() if read == "center" else getattr(g, read)
     assert built == [g]
-    assert g.generators == (1, 3, 9) and g.inverse_of[1] == 2
+    assert g.generators == (3, 9) and g.inverse_of[1] == 2
     assert (g.center() if read == "center" else getattr(g, read)) is first
     assert built == [g]
 

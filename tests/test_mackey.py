@@ -1,3 +1,4 @@
+import copy
 import itertools
 import operator
 
@@ -242,8 +243,8 @@ def test_multiplicity_bound_failure_is_recorded_with_its_witness(monkeypatch):
 
 def test_one_partition_and_one_oracle_value_per_configuration(monkeypatch):
     """A p = 3 mackey run partitions each fixed subgroup once per
-    configuration (65 partitions, not 125) and runs the oracle once for
-    kappa and once for kappa~ (60 calls for 30 configurations, not 120)."""
+    configuration (68 partitions) and runs the oracle once for kappa and
+    once for kappa~ (60 calls for 30 configurations, not 120)."""
     import heisweil.groups as groups_mod
     import heisweil.suites as suites_mod
     from heisweil.suites import SUITES, RunConfig
@@ -267,7 +268,7 @@ def test_one_partition_and_one_oracle_value_per_configuration(monkeypatch):
     monkeypatch.setattr(mk, "induced_hom_dim_oracle", spy)
     checks = SUITES["mackey"](RunConfig())
     assert all(c.passed for c in checks)
-    assert calls == {"double_coset_labels": 65, "induced_hom_dim_oracle": 60}
+    assert calls == {"double_coset_labels": 68, "induced_hom_dim_oracle": 60}
 
 
 def test_oracle_guard_names_its_limit():
@@ -489,12 +490,25 @@ def test_two_dimensional_kappa():
 )
 def test_stacked_automorphism_search_matches_the_per_candidate_search(label):
     """All candidate tuples extended as one stack and proved by is_valid
-    give the list, in its order, that extending one candidate at a time
-    with every edge compared gives."""
+    give the list, sorted by ``perm``, that extending one candidate at a
+    time with every edge compared gives."""
     tg = zoo_groups()[label]
     found = all_involutive_automorphisms(tg)
-    assert found == automorphisms_by_candidate(tg)
+    assert [t.perm for t in found] == sorted(t.perm for t in found)
+    assert found == sorted(automorphisms_by_candidate(tg), key=lambda t: t.perm)
     assert all(theta.is_valid(tg) for theta in found)
+
+
+@pytest.mark.parametrize(
+    "label", [label for label, tg in zoo_groups().items() if tg.order <= 24]
+)
+def test_automorphism_search_does_not_depend_on_the_generating_set(label):
+    """The generators in reverse order give other candidate tuples in
+    another order, and the same sorted list."""
+    tg = zoo_groups()[label]
+    other = copy.copy(tg)
+    other.generators = tuple(reversed(tg.generators))
+    assert all_involutive_automorphisms(other) == all_involutive_automorphisms(tg)
 
 
 def _abelian_subgroups(tg) -> list:
