@@ -22,7 +22,8 @@ def fmt(m: CycMatrix) -> str:
 
 def main() -> None:
     tau = heisenberg_rep(HeisenbergGroup(SymplecticSpace(3, 1)), 1, model="minus")
-    alpha, beta, lift, ref = sl23_reference(weil_lift(tau))
+    ref = sl23_reference(weil_lift(tau))
+    alpha, beta, lift = ref.alpha, ref.beta, ref.lift
     space = lift.space
     tg = sp_table(space)
     jel = int(sp_index(space, weyl_element(space)))

@@ -43,7 +43,6 @@ from heisweil.groups import (
     generators_within,
     table_group_from_mul,
 )
-from heisweil.heisenberg import HeisenbergGroup
 from heisweil.reps import MatrixRep, hom_dims
 from heisweil.symplectic import mat_inv, sp_index, sp_table
 
@@ -405,17 +404,17 @@ def semidirect_mul(sp: TableGroup, h: TableGroup, act, a, u, b, v) -> np.ndarray
     return sp.table[a, b] * h.order + h.table[act[sp.inverse_of[b], u], v]
 
 
-def semidirect_table_group(space):
-    """Sp(W) x| H as a TableGroup, :func:`semidirect_mul` on every pair;
-    names are (sp index, h index) pairs, (s, h) at index s |H| + h."""
-    g = HeisenbergGroup(space)
-    sp = sp_table(space)
+def semidirect_table_group(g) -> TableGroup:
+    """Sp(W) x| H as a TableGroup, for the caller's H = ``g``:
+    :func:`semidirect_mul` on every pair; names are (sp index, h index)
+    pairs, (s, h) at index s |H| + h."""
+    sp = sp_table(g.space)
     act = g.linear_action(sp.matrices)
     n = sp.order * g.order
     pairs = np.ix_(range(sp.order), range(g.order), range(sp.order), range(g.order))
     table = semidirect_mul(sp, g, act, *pairs).reshape(n, n)
     names = [(s, h) for s in range(sp.order) for h in range(g.order)]
-    return TableGroup(table, names=names), g
+    return TableGroup(table, names=names)
 
 
 def semidirect_involution_record(alpha) -> InvolutionRecord:

@@ -10,20 +10,20 @@ byte-identical report.
 Coverage: a check evaluates every identity it names at every p the
 :class:`RunConfig` guard admits (p <= 7), through table broadcasts and the
 packed kernels; the SL(2, 3), H(3, 2) and abstract-lift checks run at
-p = 3 only.  The homomorphism and intertwining checks, and every
-group-law identity of the heisenberg suite (associativity by Light's test,
-Sp(W) closure, the character chi_M, commutators against the form, the
-special isomorphisms and exists-s), evaluate generator edges, and the
-lemmas in their docstrings carry them to every pair or triple, so their
-``checks`` count edges, not pairs.  What stays sampled:
+p = 3 only.  The homomorphism and intertwining checks, the rep law of
+the abstract lifts (the homomorphism certificate of omega(s) tau(h) on
+Sp x| H, which covers every special isomorphism by the lemma of
+:attr:`~heisweil.weil.WeilLift.semidirect_family`), and every group-law
+identity of the heisenberg suite (associativity by Light's test, Sp(W)
+closure, the character chi_M, commutators against the form, the special
+isomorphisms and exists-s), evaluate generator edges, and the lemmas in
+their docstrings carry them to every pair or triple, so their ``checks``
+count edges, not pairs.  What stays sampled:
 
 - ``scalar.field_axioms``: 40 random triples, as the field is infinite;
 - one weil p-gate: the contragredient check is skipped at p = 7, where it
   would be the largest step of ``verify weil --p 7`` (about 0.1 s warm on
   a 2-core VM);
-- ``weil.abstract_lift_rep_law``: 40 random pairs per special isomorphism,
-  each product read through the law of Sp x| H on index pairs
-  (:meth:`~heisweil.weil.AbstractLift.verify_rep_on_pairs`);
 - ``mackey.twisted_coset_clauses``: clauses 1 and 3 at one random g per
   configuration;
 - the sqrt suite: random elements of congruence groups too large to sweep.
@@ -377,24 +377,22 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
     weil_mod.p_action_check(lift, check=rec("weil.parabolic_action_minus"))
     rec.append(action_plus)
 
-    # tr omega(s) tau(h) on Sp x H, read by the abstract-lift and the
-    # contragredient checks
-    table = _sp_h_table(lift) if p < 7 else None
     if p == 3:
         _sl23_checks(rec, lift)
-        _abstract_lift_checks(rec, lift, table, cfg)
+        _abstract_lift_checks(rec, lift)
     else:
         ab = weil_mod.sp_abelianization_order(group.space)
         rec("weil.unique_extension_no_characters")(
             ab == 1, {"abelianization_order": ab}
         )
     if p < 7:  # a p-gate: see the module docstring
-        _contragredient_check(rec, lift, table)
+        _contragredient_check(rec, lift)
     return rec
 
 
 def _sl23_checks(rec: Recorder, lift) -> None:
-    alpha, beta, _, ref = weil_mod.sl23_reference(lift)
+    ref = weil_mod.sl23_reference(lift)
+    alpha, beta = ref.alpha, ref.beta
     tg, n = sympl.sp_table(lift.space), lift.base.conductor
     names, els = tg.names, np.arange(tg.order)
     target = alpha.characters(els) + beta.characters(els)
@@ -439,45 +437,38 @@ def _sp_h_table(lift) -> CycMatrix:
     return trace_table(base.conductor, (base.num, base.den), (lift.num, lift.den))
 
 
-def _abstract_lift_checks(rec: Recorder, lift, table, cfg: RunConfig) -> None:
-    rng = random.Random(cfg.seed)
+def _abstract_lift_checks(rec: Recorder, lift) -> None:
+    """The abstract lifts (s, h) -> omega(s) tau(nu(h)): the twist relation
+    tau(nu(h)) = zeta_p^<w_h, w0> tau(h) for every nu and h, and their rep
+    law, proved for every nu at once by the homomorphism certificate of
+    omega(s) tau(h) on Sp x| H (the lemma of
+    :attr:`~heisweil.weil.WeilLift.semidirect_family`)."""
     g = lift.group
-    els = sympl.sp_table(g.space).names
-    sps, xs = range(len(els)), g.elements()
-    # entry (s, y) of the lift's Sp x H table is tr(omega(s) tau(y)); the
-    # abstract lift through nu has character (s, h) -> entry (s, nu(h)), so
-    # nu = 0 reads entry (s, x)
-    reference = table[:, [heis.SpecialIso(g, (0,) * g.dim).image(x) for x in xs]]
+    xs = g.elements()
     # images[h] = tau(h), and twisted[k, h] = zeta_p^k tau(h), both over one
     # denominator: one kernel call for every (k, h)
     images = lift.base.num
     twisted = root_multiples(lift.base.conductor, g.p, images)
     twist = rec("weil.abstract_lift_twist_relation")
-    match = rec("weil.abstract_lift_characters_nu_independent")
-    rep_law = rec("weil.abstract_lift_rep_law")
     for nu in heis.all_special_isos(g):
-        ab = weil_mod.AbstractLift(std=lift, nu=nu)
         # tau(nu(h)) = zeta_p^<w_h, w0> tau(h) for every h at once
         pairings = g.w @ g.space.form @ np.array(nu.offset) % g.p
         same = images[[nu.image(h) for h in xs]] == twisted[pairings, xs]
         twist.all(same.all(axis=(1, 2, 3)), lambda h: (nu, h))
-        chars = table[:, [nu.image(nu.inverse_image(x)) for x in xs]]
-        match.all(
-            chars.equal_entries(reference), lambda i, j: (nu, els[i], xs[j])
-        )
-        pairs = [
-            ((rng.choice(sps), rng.choice(g.elements())),
-             (rng.choice(sps), rng.choice(g.elements())))
-            for _ in range(40)
-        ]
-        ab.verify_rep_on_pairs(pairs, rep_law)
+    reps_mod.homomorphism_certificate(
+        mk.semidirect_table_group(g),
+        *lift.semidirect_family,
+        lift.base.conductor,
+        rec("weil.abstract_lift_rep_law"),
+    )
 
 
-def _contragredient_check(rec: Recorder, lift, table) -> None:
+def _contragredient_check(rec: Recorder, lift) -> None:
     """tr(omega(s^-1) tau(s . h^-1)) = tr(omega~(s) tau~(h)) for every (s, h):
     the character of the contragredient of the lift, read off the lift's
-    Sp x H table ``table``, against the lift of tau~."""
+    Sp x H table, against the lift of tau~."""
     g = lift.group
+    table = _sp_h_table(lift)
     lift_tilde = weil_mod.weil_lift(reps_mod.heisenberg_rep(g, g.p - 1, model="minus"))
     tg = sympl.sp_table(g.space)
     els = tg.names
@@ -648,7 +639,8 @@ def _order2(perm) -> bool:
 def heisenberg_mackey_configurations():
     """The p = 3 Heisenberg group and Sp x| H as Mackey test beds."""
     configs = []
-    sd, group = mk.semidirect_table_group(sympl.SymplecticSpace(3, 1))
+    group = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 1))
+    sd = mk.semidirect_table_group(group)
     tau = reps_mod.heisenberg_rep(group, 1, model="minus")
 
     alpha = heis.involution_from_polarization(group)

@@ -36,9 +36,10 @@ intertwining and the parabolic action are one kernel call per family.
 
 Sp(W) is the one indexed group :func:`~heisweil.symplectic.sp_table`, built
 once per space and shared, and at ell = 1 a lift's ``sp_elements`` are
-its matrices in that order; products in Sp(W) x| H come from the law on
-(sp index, h index) pairs, :func:`~heisweil.mackey.semidirect_mul`, not from
-a table of the semidirect product.
+its matrices in that order.  At p = 3 a lift also stacks omega(s) tau(h)
+on all of Sp(W) x| H (:attr:`WeilLift.semidirect_family`), in the layout
+of :func:`~heisweil.mackey.semidirect_table_group`, so the homomorphism
+certificate proves that family on the generator edges of Sp(W) x| H.
 
 Convention note: printed treatments of the p = 3 case often attach the
 inverse Fourier transform to j.  The reference model built by
@@ -63,7 +64,7 @@ import numpy as np
 
 from heisweil.checks import Check
 from heisweil.groups import double_coset_labels, extend_hom
-from heisweil.heisenberg import HeisenbergGroup, SpecialIso
+from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import (
     CycMatrix,
     batch_from_matrices,
@@ -71,7 +72,6 @@ from heisweil.linalg import (
     root_multiples,
     trace_table,
 )
-from heisweil.mackey import semidirect_mul
 from heisweil.reps import MatrixRep, homomorphism_certificate
 from heisweil.scalar import (
     CycNumber,
@@ -102,7 +102,6 @@ from heisweil.symplectic import (
 )
 
 __all__ = [
-    "AbstractLift",
     "NormalizationError",
     "WeilLift",
     "p_action_check",
@@ -159,9 +158,17 @@ class WeilLift:
 
     @cached_property
     def semidirect_family(self):
-        """(num, den): omega(s) tau(h) for every (s, h) of Sp x| H, stacked
-        as numerators over one denominator, (s, h) at s |H| + h with s in
-        the order of :func:`~heisweil.symplectic.sp_table`.
+        """(num, den): F(s, h) = omega(s) tau(h) for every (s, h) of Sp x| H,
+        stacked as numerators over one denominator, (s, h) at s |H| + h with
+        s in the order of :func:`~heisweil.symplectic.sp_table`: the layout
+        of :func:`~heisweil.mackey.semidirect_table_group`.
+
+        The abstract lift through a special isomorphism nu is
+        (s, h) -> omega(s) tau(nu(h)) on Sp x|_nu H, the group whose law
+        makes (s, h) -> (s, nu(h)) an isomorphism onto Sp x| H.  So it is F
+        composed with that isomorphism, and it is a homomorphism for every
+        nu as soon as F is one: the one homomorphism certificate of F on the
+        generator edges of Sp x| H proves the rep law of every abstract lift.
 
         One :func:`~heisweil.linalg.packed_product_table` builds the family:
         187 KB at p = 3, but about 540 MB at p = 7, so it is guarded to p = 3.
@@ -521,9 +528,7 @@ class Sl23Reference:
     even_basis_inverse: CycMatrix
 
 
-def sl23_reference(
-    lift: WeilLift,
-) -> tuple[MatrixRep, MatrixRep, WeilLift, Sl23Reference]:
+def sl23_reference(lift: WeilLift) -> Sl23Reference:
     """The explicit p=3 model: the character alpha, the 2-dimensional beta,
     and the Weil lift, all over SL(2, 3) written in the basis with the first
     vector in W- and the second in W+ (translation = conjugation by j).
@@ -597,7 +602,7 @@ def sl23_reference(
     if u_inv @ u != CycMatrix.identity(n, 3):
         raise RuntimeError("the constant inverse of the even basis change is wrong")
 
-    ref = Sl23Reference(
+    return Sl23Reference(
         alpha=alpha,
         beta=beta,
         lift=lift,
@@ -607,7 +612,6 @@ def sl23_reference(
         even_basis_change=u,
         even_basis_inverse=u_inv,
     )
-    return alpha, beta, lift, ref
 
 
 def _inverse_2x2(m: CycMatrix) -> CycMatrix:
@@ -627,7 +631,7 @@ def lift_in_odd_even_basis(ref: Sl23Reference, s_app: int) -> CycMatrix:
     return ref.even_basis_inverse @ mat @ ref.even_basis_change
 
 
-# -- extensions and abstract lifts -----------------------------------------------
+# -- extensions -------------------------------------------------------------------
 
 
 def sp_abelianization_order(space: SymplecticSpace) -> int:
@@ -670,48 +674,3 @@ def three_extensions_p3(lift: WeilLift) -> np.ndarray:
         raise RuntimeError(f"SL(2,3) must have 3 characters; found {m}")
     z = root_multiples(lift.base.conductor, 3, lift.num)
     return z[np.arange(3)[:, None] * e % 3, np.arange(len(e))]
-
-
-@dataclass
-class AbstractLift:
-    """(s, h) -> omega(s) tau(nu(h)) on Sp x|_nu H: the lift of tau to
-    Sp x|_nu H obtained by transport through nu.  The Sp-part is the
-    standard lift ``std``, built once for every nu; the H-part is
-    h -> tau(w, mu(h)), so on H it differs from tau by the character
-    h -> zeta(<w, w0>).
-
-    (s, h) -> (s, nu(h)) is an isomorphism of Sp x|_nu H onto Sp x| H, so
-    the image of (s, h) is entry s |H| + nu(h) of the lift's
-    ``semidirect_family``, and products follow the law on index pairs,
-    :func:`heisweil.mackey.semidirect_mul`.
-    """
-
-    std: WeilLift
-    nu: SpecialIso
-
-    @property
-    def group(self) -> HeisenbergGroup:
-        return self.std.group
-
-    def verify_rep_on_pairs(self, pairs, check: Check | None = None) -> bool:
-        """F[x] F[y] = F[x y] for each pair (x, y) of (sp index, h) factors,
-        with F the semidirect family and x y from
-        :func:`~heisweil.mackey.semidirect_mul`: one packed product table of
-        the left against the right factors, read on its diagonal."""
-        check = Check("weil.abstract_lift_rep_law") if check is None else check
-        num, den = self.std.semidirect_family
-        g, sp = self.group, sp_table(self.std.space)
-        # a, u, b, v: the (sp index, nu(h)) of both factors of every pair
-        a, u, b, v = np.array(
-            [[s, self.nu.image(h)] for pair in pairs for s, h in pair],
-            dtype=np.int64,
-        ).reshape(len(pairs), 4).T
-        product = semidirect_mul(sp, g, g.linear_action(sp.matrices), a, u, b, v)
-        i, j = a * g.order + u, b * g.order + v
-        k = np.arange(len(pairs))
-        prods = packed_product_table(self.std.base.conductor, num[i], num[j])[k, k]
-        # prods carry den^2: equal exactly when den divides them into F[x y]
-        quot, rem = np.divmod(prods, den)
-        ok = ((rem == 0) & (quot == num[product])).all(axis=(1, 2, 3))
-        check.all(ok, lambda k: (self.nu, *((sp.names[s], h) for s, h in pairs[k])))
-        return check.passed

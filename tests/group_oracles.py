@@ -12,7 +12,8 @@ or one edge at a time, with no table gathers:
 - :func:`automorphisms_by_candidate`: the involutive automorphisms, one
   candidate tuple of generator images at a time;
 - :func:`abelian_characters_by_subtable`: the characters of an abelian
-  subgroup, each extended on a table of the subgroup of its own;
+  subgroup, each extended on a table of the subgroup of its own, from
+  generators and orders that :func:`closure` finds;
 - :func:`heisenberg_law` and :func:`heisenberg_table_eager`: the law of
   W x| F_p on pairs, and its Cayley table built at once by broadcasting, as
   :class:`heisweil.heisenberg.HeisenbergGroup` built it in its constructor
@@ -28,7 +29,7 @@ import operator
 
 import numpy as np
 
-from heisweil.groups import TableGroup, generators_within
+from heisweil.groups import TableGroup
 from heisweil.heisenberg import HElem
 from heisweil.linalg import CycMatrix
 from heisweil.mackey import InvolutionRecord
@@ -112,10 +113,15 @@ def abelian_characters_by_subtable(tg: TableGroup, members, conductor: int):
     conductor-th roots of unity, as MatrixReps on the sorted members: each
     tuple of generator values extended by :func:`checked_extend_hom` on a
     TableGroup of the subgroup, built product by product, and deduplicated
-    by character values."""
+    by character values.  The generators are the members outside the
+    :func:`closure` of the ones taken before, in index order, and their
+    orders the sizes of their cyclic closures."""
     mset = frozenset(members)
-    gens = generators_within(tg, mset)
-    orders = [tg.element_order(a) for a in gens]
+    gens = []
+    for a in sorted(mset):
+        if a not in closure([0], gens, tg.mul):
+            gens.append(a)
+    orders = [len(closure([0], [a], tg.mul)) for a in gens]
     sub_names = sorted(mset)
     sub_index = {x: i for i, x in enumerate(sub_names)}
     sub = TableGroup([[sub_index[tg.mul(a, b)] for b in sub_names] for a in sub_names])

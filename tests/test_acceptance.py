@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import elimination_oracle as oracle
-from weil_oracle import h_image
 from heisweil import heisenberg as heis
 from heisweil import mackey as mk
 from heisweil import prounipotent as pro
@@ -48,7 +47,8 @@ def lifts():
 
 def test_criterion_01_sl23_crosscheck(lifts):
     start = time.time()
-    alpha, beta, lift, ref = weil_mod.sl23_reference(lifts[3])
+    ref = weil_mod.sl23_reference(lifts[3])
+    alpha, beta, lift = ref.alpha, ref.beta, ref.lift
     tg = weil_mod.sp_table(lift.space)
     els = range(tg.order)
     assert len(els) == 24
@@ -235,22 +235,6 @@ def test_criterion_07_special_isomorphisms():
                 g, g.plus_subgroup(), hminus
             )
             assert back.offset == nu.offset
-
-    lift = weil_mod.weil_lift(reps_mod.heisenberg_rep(g, 1, model="minus"))
-    els = range(weil_mod.sp_table(g.space).order)
-    base_ab = weil_mod.AbstractLift(std=lift, nu=heis.SpecialIso(g, (0, 0)))
-    reference = {
-        (s, x): (lift.image(s) @ h_image(base_ab, x)).trace()
-        for s in els
-        for x in g.elements()
-    }
-    for nu in isos:
-        ab = weil_mod.AbstractLift(std=lift, nu=nu)
-        for s in els:
-            for x in g.elements():
-                h = nu.inverse_image(x)
-                image = lift.image(s) @ h_image(ab, h)
-                assert image.trace() == reference[(s, x)]
     elapsed = time.time() - start
     assert elapsed < 60
     _report(
@@ -258,8 +242,7 @@ def test_criterion_07_special_isomorphisms():
         f"exactly p^(2l) = {expected} special isomorphisms (the stated "
         "figure 81 is the number of ordered pairs, all checked); the three "
         "equality tests agree on every pair; split-polarization round-trips "
-        "hold; abstract-lift characters agree across every choice of nu; "
-        f"{elapsed:.1f}s",
+        f"hold; {elapsed:.1f}s",
     )
 
 
@@ -351,15 +334,21 @@ def test_criterion_09_congruence_square_roots():
 # p = 3, 5, 7 at seeds 0 and 1 the reports differ from the previous ones
 # only in `checks` lines; at p = 7 heisenberg 408 825 -> 274 020, reps
 # 43 679 -> 43 336, weil 1 445 -> 1 443 and mackey 321 -> 319.
+# Re-pinned at p = 3 when the abstract lift's rep law became the
+# homomorphism certificate on the generator edges of Sp x| H and the
+# nu-independence check, which compared the Sp x H character table with
+# itself, was deleted: at seeds 0 and 1 the reports differ from the
+# previous ones only in the weil suite's `checks` line (7 252 -> 3 005);
+# p = 5 and 7 run neither check and are unchanged.
 REPORT_SHA256 = {
-    3: "41a1497ea37b747f5ea7dd928f1585fe6e907e53edf4bcc8b50bf425a79fa628",
+    3: "0ab366fb414f17a638f0d01998634230e95cbc5321c1f76362b38918ead72b92",
     5: "a0710b421c32808688068b9b927ac655095c142eb9f87949449f55d37180b92e",
     7: "5fd50caf5b56e76e254ac6dd4b0fecc0ce16e31e62b4ca84fe38cdd9e2011163",
 }
 # The same reports at seed 1, which moves the sampled checks (field axioms,
-# abstract-lift pairs, twisted-coset clauses, square roots).
+# twisted-coset clauses, square roots).
 REPORT_SHA256_SEED1 = {
-    3: "627a61ca8add64774cc038bfb9164c6c2f74dbc922ea2a6808f77c6040c814ce",
+    3: "99ae2bec5c12c1a911c09c9536b75bb0928eca9497454b7fbeee18097d7f9ef8",
     5: "6d2c24b8ebd0d1ea094155431cd258a5bfabec48ce50422c9e367df056a29a52",
     7: "587644f931320ccbefc20123cdc8d44765d47ab37f716ccaeeeb356f47ff89ac",
 }

@@ -125,7 +125,7 @@ def _generating_set_groups():
         groups[f"H({p},1)"] = HeisenbergGroup(SymplecticSpace(p, 1))
         groups[f"Sp({p})"] = sp_table(SymplecticSpace(p, 1))
     groups["H(3,2)"] = HeisenbergGroup(SymplecticSpace(3, 2))
-    groups["SpxH(3)"] = semidirect_table_group(SymplecticSpace(3, 1))[0]
+    groups["SpxH(3)"] = semidirect_table_group(groups["H(3,1)"])
     return [pytest.param(label, tg, id=label) for label, tg in groups.items()]
 
 

@@ -224,6 +224,20 @@ def test_special_iso_axioms(h3):
         assert nu.check_axioms()
 
 
+@pytest.mark.parametrize("p,ell", [(3, 1), (5, 1), (3, 2)])
+def test_special_iso_image_and_inverse_image_are_mutually_inverse(p, ell):
+    """nu^-1(nu(h)) = h and nu(nu^-1(x)) = x for every nu and every element,
+    and nu(w, z) = (w, z + <w, w0>) by the coordinates."""
+    g = HeisenbergGroup(SymplecticSpace(p, ell))
+    els = list(g.elements())
+    for nu in all_special_isos(g):
+        assert [nu.inverse_image(nu.image(h)) for h in els] == els
+        assert [nu.image(nu.inverse_image(x)) for x in els] == els
+        for h in els:
+            w, z = g.names[h]
+            assert g.names[nu.image(h)] == (w, (z + g.space.pair(w, nu.offset)) % p)
+
+
 def _special_iso_axioms_oracle(g, mu) -> bool:
     """mu(0, z) = z and mu(ab) = mu(a) + mu(b) + (1/2)[a, b] on all |H|^2
     pairs."""

@@ -525,20 +525,25 @@ def _abelian_subgroups(tg) -> list:
 def test_abelian_characters_match_the_subtable_oracle(label):
     """On every abelian subgroup generated by one or two elements of each
     zoo group, at conductors 2, 3, 4, 6, 8 and 12 (the zoo's own K and
-    conductors among them): the same characters, in the same order, with
-    the same stacks, as extending on a table of the subgroup with every edge
-    compared and deduplicating by values."""
+    conductors among them): the same characters, with the same stacks, as
+    extending on a table of the subgroup with every edge compared and
+    deduplicating by values, from generators the oracle finds itself; and
+    in the order of their root exponents on ``generators_within``."""
     tg = zoo_groups()[label]
+
+    def stack(chi):
+        return chi.elements.tolist(), chi.num.tolist(), chi.den
+
     for k in _abelian_subgroups(tg):
         members = sorted(k)
+        gens = generators_within(tg, members)
         for n in (2, 3, 4, 6, 8, 12):
             got = _abelian_characters(tg, members, n)
             expected = abelian_characters_by_subtable(tg, members, n)
-            assert [
-                (chi.elements.tolist(), chi.num.tolist(), chi.den) for chi in got
-            ] == [
-                (chi.elements.tolist(), chi.num.tolist(), chi.den) for chi in expected
-            ], (members, n)
+            assert sorted(map(stack, got)) == sorted(map(stack, expected)), (members, n)
+            roots = [root_of_unity(n, e) for e in range(n)]
+            exps = [tuple(roots.index(chi.image(a)[0, 0]) for a in gens) for chi in got]
+            assert exps == sorted(exps), (members, n)
             if all(n % tg.element_order(x) == 0 for x in k):
                 assert len(got) == len(k)  # K is abelian of exponent dividing n
 
@@ -597,7 +602,8 @@ def test_heisenberg_table_matches_pairwise_products(p, ell):
 
 def test_semidirect_table_matches_pairwise_products():
     space = SymplecticSpace(3, 1)
-    tg, g = semidirect_table_group(space)
+    g = HeisenbergGroup(space)
+    tg = semidirect_table_group(g)
     # reference: the same group built one product at a time from the law
     law = _heisenberg_law(space)
     sp = sp_table(space)
@@ -617,7 +623,8 @@ def test_semidirect_table_matches_pairwise_products():
 
 def test_semidirect_pair_law_equals_the_table_on_every_pair():
     space = SymplecticSpace(3, 1)
-    tg, g = semidirect_table_group(space)
+    g = HeisenbergGroup(space)
+    tg = semidirect_table_group(g)
     sp = sp_table(space)
     act = g.linear_action(sp.matrices)
     s, h = np.divmod(np.arange(tg.order), g.order)
@@ -628,7 +635,8 @@ def test_semidirect_pair_law_equals_the_table_on_every_pair():
 def test_semidirect_involution_record_needs_untwisted_alpha():
     # theta(s, h) = (abar s abar^-1, alpha(h)) is an automorphism of Sp x| H
     # for the untwisted alpha (w0 = 0) only; the others are rejected
-    tg, g = semidirect_table_group(SymplecticSpace(3, 1))
+    g = HeisenbergGroup(SymplecticSpace(3, 1))
+    tg = semidirect_table_group(g)
     alphas = order_two_automorphisms_inverting_center(g)
     untwisted = [a for a in alphas if not any(a.w0)]
     assert (len(alphas), len(untwisted)) == (36, 12)

@@ -1,14 +1,16 @@
 import dataclasses
+import hashlib
 import operator
 import random
+import runpy
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import elimination_oracle as oracle
-from weil_oracle import h_image
 import heisweil.linalg as linalg
 import heisweil.weil as weil_mod
 from heisweil.cli import run
@@ -19,7 +21,7 @@ from heisweil.heisenberg import HeisenbergGroup, SpecialIso, all_special_isos
 from heisweil.linalg import CycMatrix, batch_from_matrices, packed_product_table
 from heisweil.reps import MatrixRep, heisenberg_rep
 from heisweil.scalar import CycNumber, root_of_unity, zeta_p
-from heisweil.suites import SUITES, RunConfig, _abstract_lift_checks, _sp_h_table
+from heisweil.suites import SUITES, RunConfig, _abstract_lift_checks
 from heisweil.symplectic import (
     GuardError,
     SymplecticSpace,
@@ -32,7 +34,6 @@ from heisweil.symplectic import (
     weyl_element,
 )
 from heisweil.weil import (
-    AbstractLift,
     NormalizationError,
     _intertwining_table,
     _inverse_2x2,
@@ -66,7 +67,7 @@ def ref3(lift3):
     return sl23_reference(lift3)
 
 
-def with_images(lift, replaced: dict):
+def replace_images(lift, replaced: dict):
     """The lift with the rows of its stack at the indices of ``replaced``
     swapped for the given images, over the lcm of all denominators."""
     den = lcm(lift.den, *(image.den for image in replaced.values()))
@@ -89,7 +90,7 @@ def test_weil_lift_stack_is_read_only(lift3):
     for stack in (lift3.num, lift3.sp_elements):
         with pytest.raises(ValueError, match="read-only"):
             stack[1] = stack[0]
-    bad = with_images(lift3, {1: lift3.image(0)})
+    bad = replace_images(lift3, {1: lift3.image(0)})
     assert not bad.num.flags.writeable
     assert bad.semidirect_family is not family
     assert lift3.semidirect_family is family
@@ -191,7 +192,7 @@ def test_intertwining_witness_is_the_first_failing_pair(lift3):
     |S_Sp| |S_H| and the witness is the first (s, h) of the per-pair loop
     over generators that fails."""
     s = sp_generators(lift3)[1]
-    bad = with_images(lift3, {s: lift3.image(9)})
+    bad = replace_images(lift3, {s: lift3.image(9)})
     report = verify_intertwining(bad)
     g, tau, mat = bad.group, bad.base.image, bad.image(s)
     action = g.linear_action(bad.sp_elements[s])
@@ -225,7 +226,7 @@ def corrupted_lift(lift, sps, seed: int):
     for s in sps:
         image = images.get(s, lift.image(s))
         images[s] = image @ lift.base.image(rng.choice(noncentral))
-    return with_images(lift, images)
+    return replace_images(lift, images)
 
 
 @pytest.mark.parametrize("model", ["minus", "plus"])
@@ -297,7 +298,7 @@ def test_a_corrupted_non_generator_image_fails_the_weil_report(monkeypatch, tmp_
         lift = real(tau)
         if tau.model != "minus":
             return lift
-        return with_images(lift, {s: lift.image(s).scale(-1)})
+        return replace_images(lift, {s: lift.image(s).scale(-1)})
 
     monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
     check = next(
@@ -340,13 +341,15 @@ def test_sp_table_second_sweep_pass_builds_none(capsys):
     capsys.readouterr()
 
 
-def test_sp_table_verify_all_p3_builds_one_semidirect_table_and_three_lifts(
+def test_sp_table_verify_all_p3_builds_two_semidirect_tables_four_h31_and_three_lifts(
     monkeypatch, capsys
 ):
-    """verify all --p 3 builds Sp x| H once (the mackey configuration; the
-    abstract lift reads the law on pairs) and three p = 3 Weil lifts: the
-    plus, the minus and the contragredient's (the SL(2, 3) reference reads
-    the minus lift, and the mackey configuration takes tau as it is)."""
+    """verify all --p 3 builds Sp x| H twice, on the H its caller holds (the
+    weil suite's abstract-lift certificate and the mackey configuration),
+    H(3, 1) four times (the heisenberg, reps, weil and mackey suites) and
+    three p = 3 Weil lifts: the plus, the minus and the contragredient's
+    (the SL(2, 3) reference reads the minus lift, and the mackey
+    configuration takes tau as it is)."""
     import heisweil.mackey as mk
     import heisweil.weil as weil_mod
 
@@ -359,8 +362,17 @@ def test_sp_table_verify_all_p3_builds_one_semidirect_table_and_three_lifts(
             return real(*args)
 
         monkeypatch.setattr(module, name, spy)
+    built = []
+    real_init = HeisenbergGroup.__init__
+
+    def init(self, space):
+        built.append((space.p, space.ell))
+        real_init(self, space)
+
+    monkeypatch.setattr(HeisenbergGroup, "__init__", init)
     assert run(["verify", "all", "--p", "3"]) == 0
-    assert calls == {"semidirect_table_group": 1, "weil_lift": 3}
+    assert calls == {"semidirect_table_group": 2, "weil_lift": 3}
+    assert built.count((3, 1)) == 4
     capsys.readouterr()
 
 
@@ -373,7 +385,7 @@ def test_p_action_corrupted_image_reports_the_first_element(model):
     space, n = lift.space, lift.base.conductor
     parabolic = enumerate_P(space)
     at = sp_index(space, parabolic).tolist()
-    bad = with_images(lift, {x: lift.image(x).scale(-1) for x in (at[-3], at[7])})
+    bad = replace_images(lift, {x: lift.image(x).scale(-1) for x in (at[-3], at[7])})
     report = p_action_check(bad)
     lam = CycMatrix(n, [[1] * lift.base.dim]) if model == "minus" else None
     if lam is None:
@@ -425,6 +437,19 @@ def test_weil_guard_rejects_large_p():
 # -- the SL(2,3) appendix model ---------------------------------------------------
 
 
+# sha256 of the stdout of scripts/explore_sl23.py, which prints the p = 3
+# model (alpha, beta and the lift in odd/even coordinates); its output
+# depends on nothing but the package, so any change to it shows here.
+EXPLORE_SL23_SHA256 = "3c814b1754caffd9a2dae967b4462e52c8e107a8bf773a7eefb1a5b4df9fa19b"
+
+
+def test_explore_sl23_script_prints_the_pinned_bytes(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "explore_sl23.py"
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == EXPLORE_SL23_SHA256
+
+
 def test_sl23_reference_rejects_other_lifts(lift5):
     g3, g32 = (HeisenbergGroup(SymplecticSpace(3, ell)) for ell in (1, 2))
     others = (
@@ -439,7 +464,8 @@ def test_sl23_reference_rejects_other_lifts(lift5):
 
 
 def test_sl23_alpha_values(ref3):
-    alpha, beta, lift, ref = ref3
+    ref = ref3
+    alpha, beta, lift = ref.alpha, ref.beta, ref.lift
     space = lift.space
     assert alpha.image(index_of(space, weyl_element(space)))[0, 0] == CycNumber.one(12)
     assert alpha.image(index_of(space, n_element(space, [[1]])))[0, 0] == zeta_p(3, -1)
@@ -448,13 +474,15 @@ def test_sl23_alpha_values(ref3):
 
 
 def test_sl23_beta_det_is_alpha(ref3):
-    alpha, beta, lift, ref = ref3
+    ref = ref3
+    alpha, beta, lift = ref.alpha, ref.beta, ref.lift
     for s in range(sp_table(lift.space).order):
         assert oracle.det(beta.image(s)) == alpha.image(s)[0, 0]
 
 
 def test_sl23_character_decomposition(ref3):
-    alpha, beta, lift, ref = ref3
+    ref = ref3
+    alpha, beta, lift = ref.alpha, ref.beta, ref.lift
     els = range(sp_table(lift.space).order)
     for s in els:
         lhs = lift.image(ref.translate[s]).trace()
@@ -462,7 +490,8 @@ def test_sl23_character_decomposition(ref3):
 
 
 def test_sl23_displayed_beta_j_is_even_block_at_j_inverse(ref3):
-    alpha, beta, lift, ref = ref3
+    ref = ref3
+    alpha, beta, lift = ref.alpha, ref.beta, ref.lift
     space = lift.space
     jel = index_of(space, weyl_element(space))
     m = lift_in_odd_even_basis(ref, sp_table(space).inv(jel))
@@ -479,7 +508,8 @@ def test_sl23_only_the_inverse_reading_passes_the_certificate(ref3):
     """beta is extend_hom of beta(n(1)) and beta(j); with the displayed
     matrix read directly as beta(j) the extension fills SL(2, 3) but the
     homomorphism certificate refuses it, and alpha and beta pass it."""
-    alpha, beta, lift, ref = ref3
+    ref = ref3
+    alpha, beta, lift = ref.alpha, ref.beta, ref.lift
     space, tg = lift.space, sp_table(lift.space)
     n1 = index_of(space, n_element(space, [[1]]))
     jel = index_of(space, weyl_element(space))
@@ -494,7 +524,8 @@ def test_sl23_only_the_inverse_reading_passes_the_certificate(ref3):
 
 
 def test_sl23_unipotent_and_scalar_operators_match_printed_formulas(ref3):
-    alpha, beta, lift, ref = ref3
+    ref = ref3
+    alpha, beta, lift = ref.alpha, ref.beta, ref.lift
     space = lift.space
     n = 12
     # printed: n(b) acts on C[F_3] by the phase zeta(-b t^2); the appendix
@@ -527,7 +558,8 @@ def test_sl23_unipotent_and_scalar_operators_match_printed_formulas(ref3):
 
 
 def test_sl23_odd_part_carries_alpha(ref3):
-    alpha, beta, lift, ref = ref3
+    ref = ref3
+    alpha, beta, lift = ref.alpha, ref.beta, ref.lift
     els = range(sp_table(lift.space).order)
     for s in els:
         m = lift_in_odd_even_basis(ref, s)
@@ -536,7 +568,8 @@ def test_sl23_odd_part_carries_alpha(ref3):
 
 
 def test_sl23_alpha_and_beta_are_reps_on_sp_table(ref3):
-    alpha, beta, lift, ref = ref3
+    ref = ref3
+    alpha, beta, lift = ref.alpha, ref.beta, ref.lift
     tg = sp_table(lift.space)
     for rep, dim in ((alpha, 1), (beta, 2)):
         assert rep.group is tg and rep.dim == dim
@@ -559,7 +592,7 @@ def test_sl23_adjugate_inverse_equals_the_oracle_inverse(ref3):
             assert _inverse_2x2(m) == oracle.inverse(m)
             tried += 1
     assert tried >= 10
-    displayed = ref3[3].beta_j_displayed
+    displayed = ref3.beta_j_displayed
     assert _inverse_2x2(displayed) == oracle.inverse(displayed)
 
 
@@ -571,7 +604,7 @@ def test_sl23_adjugate_not_over_the_determinant_raises(monkeypatch):
 
 
 def test_sl23_even_basis_inverse_is_the_constant(ref3):
-    ref = ref3[3]
+    ref = ref3
     half = Fraction(1, 2)
     constant = CycMatrix(12, [[0, half, -half], [1, 0, 0], [0, half, half]])
     assert ref.even_basis_inverse == constant
@@ -599,7 +632,8 @@ def test_three_extensions_and_selection(lift3):
     chars = [tuple((imgs[s].trace()) for s in els) for imgs in exts]
     assert len(set(chars)) == 3
     # the selected lift is the one whose character matches alpha + beta
-    alpha, beta, _, ref = sl23_reference(lift3)
+    ref = sl23_reference(lift3)
+    alpha, beta = ref.alpha, ref.beta
     target = tuple(
         alpha.image(s)[0, 0] + beta.image(s).trace() for s in els
     )
@@ -643,18 +677,15 @@ def test_contragredient_of_lift_is_lift_of_contragredient(lift3):
 def test_abstract_lift_base_iso_is_plain_lift(lift3):
     g = lift3.group
     nu0 = SpecialIso(g, (0, 0))
-    ab = AbstractLift(std=lift3, nu=nu0)
-    for h in g.elements():
-        assert h_image(ab, h) == lift3.base.image(h)
+    assert [nu0.image(h) for h in g.elements()] == list(g.elements())
 
 
 def test_abstract_lift_twist_relation(lift3):
     g = lift3.group
     for nu in all_special_isos(g):
-        ab = AbstractLift(std=lift3, nu=nu)
         for h in g.elements():
             twist = zeta_p(3, g.space.pair(g.names[h].w, nu.offset))
-            assert h_image(ab, h) == lift3.base.image(h).scale(twist)
+            assert lift3.base.image(nu.image(h)) == lift3.base.image(h).scale(twist)
 
 
 def test_abstract_lift_twist_relation_on_a_corrupted_base_matches_reference(lift3):
@@ -672,51 +703,15 @@ def test_abstract_lift_twist_relation_on_a_corrupted_base_matches_reference(lift
             if witness is None and base.image(nu.image(h)) != base.image(h).scale(twist):
                 witness = (nu, h)
     rec = Recorder()
-    _abstract_lift_checks(rec, bad, _sp_h_table(bad), RunConfig())
+    _abstract_lift_checks(rec, bad)
     (check,) = [c for c in rec if c.check == "weil.abstract_lift_twist_relation"]
     assert check.checks == 243 and not check.passed
     assert witness is not None and check.witness == witness
 
     rec = Recorder()
-    _abstract_lift_checks(rec, lift3, _sp_h_table(lift3), RunConfig())
+    _abstract_lift_checks(rec, lift3)
     (check,) = [c for c in rec if c.check == "weil.abstract_lift_twist_relation"]
     assert check.checks == 243 and check.passed
-
-
-def test_abstract_lift_is_rep_of_twisted_product(lift3):
-    g = lift3.group
-    els = range(sp_table(g.space).order)
-    rng = random.Random(11)
-    hs = g.elements()
-    for nu in all_special_isos(g):
-        ab = AbstractLift(std=lift3, nu=nu)
-        pairs = [
-            (
-                (rng.choice(els), rng.choice(hs)),
-                (rng.choice(els), rng.choice(hs)),
-            )
-            for _ in range(100)
-        ]
-        assert ab.verify_rep_on_pairs(pairs)
-
-
-def test_abstract_lift_characters_nu_independent(lift3):
-    """Matched through nu, every choice gives the same character function."""
-    g = lift3.group
-    els = range(sp_table(g.space).order)
-    base = AbstractLift(std=lift3, nu=SpecialIso(g, (0, 0)))
-    reference = {
-        (s, x): (lift3.image(s) @ h_image(base, x)).trace()
-        for s in els
-        for x in g.elements()
-    }
-    for nu in all_special_isos(g):
-        ab = AbstractLift(std=lift3, nu=nu)
-        for s in els:
-            for x in g.elements():
-                h = nu.inverse_image(x)  # the element matching x
-                image = lift3.image(s) @ h_image(ab, h)
-                assert image.trace() == reference[(s, x)]
 
 
 def _rep_law_per_pair(lift, nu, pairs):
@@ -740,37 +735,49 @@ def _rep_law_per_pair(lift, nu, pairs):
     return len(pairs), witness
 
 
-def test_abstract_lift_rep_law_matches_per_pair_reference_on_a_corrupted_lift(lift3):
+def test_abstract_lift_is_rep_of_twisted_product(lift3):
+    """Every abstract lift passes the per-pair rep law on random pairs of
+    its own twisted product Sp x|_nu H."""
     g = lift3.group
     els = range(sp_table(g.space).order)
-    s_bad = els[5]
-    # no longer a homomorphism
-    bad = with_images(lift3, {s_bad: lift3.image(s_bad).scale(zeta_p(3, 1))})
-    rng = random.Random(5)
+    rng = random.Random(11)
     hs = g.elements()
-    failed = 0
     for nu in all_special_isos(g):
         pairs = [
             ((rng.choice(els), rng.choice(hs)), (rng.choice(els), rng.choice(hs)))
             for _ in range(40)
         ]
-        pairs[7] = ((s_bad, hs[2]), (els[1], hs[4]))  # every nu meets s_bad
-        check = Check("weil.abstract_lift_rep_law")
-        passed = AbstractLift(std=bad, nu=nu).verify_rep_on_pairs(pairs, check)
-        count, witness = _rep_law_per_pair(bad, nu, pairs)
-        assert check.checks == count == 40
-        assert check.witness == witness
-        assert passed == (witness is None)
-        failed += not passed
-    assert failed == len(all_special_isos(g))
-    assert AbstractLift(std=lift3, nu=all_special_isos(g)[1]).verify_rep_on_pairs(pairs)
+        assert _rep_law_per_pair(lift3, nu, pairs) == (40, None)
 
 
-def test_abstract_lift_rep_law_guards_p_above_3(lift5):
-    g = lift5.group
-    pairs = [((0, 0),) * 2]
+def test_abstract_lift_rep_law_certificate_and_the_per_pair_reference(lift3):
+    """The suite's rep law is the homomorphism certificate of omega(s) tau(h)
+    on the generator edges of Sp x| H: 1 + 3 * 648 identities, all true on
+    the lift.  With one image of Sp(W) scaled by zeta_3 it fails, and its
+    witness (x, y), read back through each nu as (s, nu^-1(h)), is a pair
+    on which the per-pair rep law of every abstract lift fails too."""
+    g = lift3.group
+    rec = Recorder()
+    _abstract_lift_checks(rec, lift3)
+    (check,) = [c for c in rec if c.check == "weil.abstract_lift_rep_law"]
+    assert check.checks == 1 + 3 * 648 and check.passed
+
+    s_bad = 5
+    bad = replace_images(lift3, {s_bad: lift3.image(s_bad).scale(zeta_p(3, 1))})
+    rec = Recorder()
+    _abstract_lift_checks(rec, bad)
+    (check,) = [c for c in rec if c.check == "weil.abstract_lift_rep_law"]
+    assert check.checks == 1 + 3 * 648 and not check.passed
+    (s1, h1), (s2, h2) = check.witness
+    for nu in all_special_isos(g):
+        pair = ((s1, nu.inverse_image(h1)), (s2, nu.inverse_image(h2)))
+        count, witness = _rep_law_per_pair(bad, nu, [pair])
+        assert count == 1 and witness is not None
+
+
+def test_semidirect_family_guards_p_above_3(lift5):
     with pytest.raises(GuardError, match="p <= 3"):
-        AbstractLift(std=lift5, nu=SpecialIso(g, (0, 0))).verify_rep_on_pairs(pairs)
+        lift5.semidirect_family
 
 
 # -- ell = 2: generator relations --------------------------------------------------
@@ -801,7 +808,7 @@ def test_ell2_corrupted_generator_image_fails_the_suite(monkeypatch, tmp_path):
         lift = real(tau)
         is_j = (lift.sp_elements == weyl_element(lift.space)).all(axis=(1, 2))
         (j,) = np.flatnonzero(is_j)
-        return with_images(lift, {j: lift.image(j).scale(-1)})
+        return replace_images(lift, {j: lift.image(j).scale(-1)})
 
     monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
     checks = {c.check: c for c in SUITES["weil"](RunConfig(p=3, ell=2))}
@@ -833,7 +840,7 @@ def test_a_corrupted_levi_image_reports_its_matrix(monkeypatch, tmp_path):
         if tau.model != "minus" or tau.zeta_exponent != 1:
             return lift
         m2 = index_of(lift.space, m_element(lift.space, [[2]]))
-        return with_images(lift, {m2: lift.image(m2).scale(-1)})
+        return replace_images(lift, {m2: lift.image(m2).scale(-1)})
 
     monkeypatch.setattr(weil_mod, "weil_lift", corrupted)
     out = tmp_path / "report.json"

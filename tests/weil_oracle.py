@@ -7,8 +7,7 @@ call.  The reference here builds every operator as its own CycMatrix, from
 the point maps and phases of the transversal, selects the normalization by
 evaluating the relations of each candidate, and multiplies out the Bruhat
 word of every element of SL(2, p) one ``@`` per factor, with j^-1 from the
-elimination oracle.  :func:`h_image` reads an abstract lift on H one image
-at a time.
+elimination oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from heisweil.symplectic import (
     n_element,
     weyl_element,
 )
-from heisweil.weil import AbstractLift
 
 
 def levi_image(rep: MatrixRep, y) -> CycMatrix:
@@ -135,8 +133,3 @@ def lift_images(tau: MatrixRep) -> tuple:
             raise RuntimeError(f"the Bruhat word of {s.tolist()} rebuilds {mat.tolist()}")
         images.append(acc)
     return c, images
-
-
-def h_image(ab: AbstractLift, h) -> CycMatrix:
-    """The image of (1, h) under the abstract lift ``ab``: tau(nu(h))."""
-    return ab.std.base.image(ab.nu.image(h))
