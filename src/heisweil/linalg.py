@@ -23,9 +23,8 @@ scattered back.  Every coordinate left out is exactly 0, so the product
 stays exact.  Weil and Heisenberg images lie in Q(zeta_p), the even
 coordinates of Q(zeta_4p), whose cut table is that of Q(zeta_2p): they
 multiply with a quarter of the multiply-adds.  A rational factor uses
-coordinate 0 alone, so a product with a rational right factor (the 0/1
-indicators of :func:`heisweil.reps.hom_dims`, the ones column of a
-character sum) is a plain per-coordinate product.  Operands whose
+coordinate 0 alone, so a product with a rational right factor is a plain
+per-coordinate product.  Operands whose
 supports are full take the whole table, with no gather and no scatter.
 The left factor is folded with the cut table into one
 (rows*|out|) x (k*|support of b|) integer operator, which multiplies the

@@ -6,18 +6,23 @@ on symmetric / dihedral / quaternion test groups, on the Heisenberg group
 W x| F_p (itself a TableGroup) and on Sp(W) x| H, whose table below is
 the law on (sp index, h index) pairs, :func:`semidirect_mul`, on every pair.
 
-The two Hom-dimension computations are deliberately independent:
+The two Hom-dimension computations are deliberately independent in what
+they sum, and share the one exact product that sums it:
 
 - :func:`mackey_hom_dim` sums dim Hom_{K ^ gHg^-1}(kappa, 1) over double
-  cosets KgH, the double-coset decomposition of Hom_H(Ind kappa, 1), as one
-  :func:`~heisweil.reps.hom_dims` call;
+  cosets KgH, the double-coset decomposition of Hom_H(Ind kappa, 1): the
+  0/1 rows of those subgroups, one divisor |K ^ gHg^-1| each;
 - :func:`induced_hom_dim_oracle` reads Ind_K^G(kappa) as block-permutation
   matrices over its own right-coset transversal and takes the exact trace
-  of the averaging projector over H, never mentioning double cosets.
+  of the averaging projector over H, never mentioning double cosets: one
+  row of weights, how often each x_i h x_i^-1 lies on the diagonal, with
+  the divisor |H|.
 
-Both read kappa's character through its one row of traces
-(:meth:`~heisweil.reps.MatrixRep.characters`), and the oracle sums that
-row over the diagonal blocks itself rather than calling ``hom_dims``.
+Each takes a list of kappas and makes one
+:func:`~heisweil.reps.projector_traces` call for all of them, which
+multiplies their character rows by its weight rows.  So the oracle's
+independence lies in its transversal and its weights, not in a product
+of its own.
 
 Their agreement on every configuration is the module-level theorem check.
 The double-coset side takes the (K, G^theta) partition of
@@ -43,7 +48,7 @@ from heisweil.groups import (
     generators_within,
     table_group_from_mul,
 )
-from heisweil.reps import MatrixRep, hom_dims
+from heisweil.reps import MatrixRep, hom_dims, projector_traces
 from heisweil.symplectic import mat_inv, sp_index, sp_table
 
 __all__ = [
@@ -273,8 +278,11 @@ def involution_orbits(
 ORACLE_GUARD = 200_000
 
 
-def mackey_hom_dim(g: TableGroup, k_sub, kappa: MatrixRep, h_sub, reps) -> int:
-    """Sum over double cosets KxH of dim Hom_{K ^ xHx^-1}(kappa, 1).
+def mackey_hom_dim(
+    g: TableGroup, k_sub, kappas: list[MatrixRep], h_sub, reps
+) -> list[int]:
+    """Sum over double cosets KxH of dim Hom_{K ^ xHx^-1}(kappa, 1), for
+    each of ``kappas``.
 
     ``reps`` holds one representative x of each double coset, as the
     (K, H) partition gives them; the summands are one :func:`hom_dims` call.
@@ -283,29 +291,34 @@ def mackey_hom_dim(g: TableGroup, k_sub, kappa: MatrixRep, h_sub, reps) -> int:
     h = np.array(sorted(h_sub), dtype=np.int64)
     k_set = frozenset(k_sub)
     conj = [k_set & frozenset(t[t[x, h], inv[x]].tolist()) for x in reps]
-    return int(hom_dims([kappa], conj).sum())
+    return hom_dims(kappas, conj).sum(axis=1).tolist()
 
 
-def induced_hom_dim_oracle(g: TableGroup, k_sub, kappa: MatrixRep, h_sub) -> int:
-    """dim Hom_H(Ind_K^G kappa, 1) without Mackey theory.
+def induced_hom_dim_oracle(
+    g: TableGroup, k_sub, kappas: list[MatrixRep], h_sub
+) -> list[int]:
+    """dim Hom_H(Ind_K^G kappa, 1) without Mackey theory, for each of
+    ``kappas``.
 
     Returns the exact trace of the idempotent averaging projector over H on
     the induced representation, read off its block-permutation matrices:
     x_i h = k x_j puts kappa(k) in block (i, j), so only j = i adds to the
-    trace, by trace kappa(x_i h x_i^-1): one sum over kappa's character row.
-    Guarded by :data:`ORACLE_GUARD`.
+    trace, by trace kappa(x_i h x_i^-1).  The traces are one weight row,
+    how often each element lies on that diagonal, over the divisor |H|, in
+    one :func:`~heisweil.reps.projector_traces` call.  Guarded by
+    :data:`ORACLE_GUARD` on the largest kappa.  RuntimeError when some
+    x_i h x_j^-1 lies outside K, or the trace is not an integer or is
+    negative.
     """
     t, inv = g.table, g.inverse_of
     k = np.array(sorted(k_sub), dtype=np.int64)
-    # right-coset transversal x_0 < x_1 < ... of K\G, and the coset of each element
-    coset_of = np.full(g.order, -1, dtype=np.int64)
-    transversal = []
-    for x in range(g.order):
-        if coset_of[x] < 0:
-            coset_of[t[k, x]] = len(transversal)
-            transversal.append(x)
-    xs, h = np.array(transversal), np.array(sorted(h_sub), dtype=np.int64)
-    size = (len(xs) * kappa.dim) ** 2 * len(h)
+    # right-coset transversal x_0 < x_1 < ... of K\G, the smallest member of
+    # each coset Kx, and the coset of each element
+    first = t[k].min(axis=0)
+    xs = np.unique(first)
+    coset_of = np.searchsorted(xs, first)
+    h = np.array(sorted(h_sub), dtype=np.int64)
+    size = (len(xs) * max(kappa.dim for kappa in kappas)) ** 2 * len(h)
     if size > ORACLE_GUARD:
         raise ValueError(
             f"induced-representation oracle guarded to (m d)^2 |H| <= "
@@ -319,14 +332,8 @@ def induced_hom_dim_oracle(g: TableGroup, k_sub, kappa: MatrixRep, h_sub) -> int
     if outside.size:
         a, i = outside[0]
         raise RuntimeError(f"x_i h x_j^-1 = {kk[a, i]} not in K (i = {i}, h = {h[a]})")
-    diagonal = kk[j == np.arange(len(xs))].tolist()  # x_i h x_i^-1
-    tr = kappa.character_sum(diagonal) / len(h)
-    if not tr.is_integer():
-        raise RuntimeError(f"projector trace {tr!r} is not a rational integer")
-    val = int(tr.rational_value())
-    if val < 0:
-        raise RuntimeError(f"projector trace {val} is negative")
-    return val
+    diagonal = np.bincount(kk[j == np.arange(len(xs))], minlength=g.order)
+    return projector_traces(kappas, diagonal[None], [len(h)])[:, 0].tolist()
 
 
 # -- twisted classes and multiplicity bookkeeping ----------------------------------
@@ -336,10 +343,16 @@ def s_theta(g: TableGroup, theta: InvolutionRecord, reps, orbit_of) -> list[list
     """S(theta, Theta') = {K x G^theta : x.theta in Theta'} for every K-orbit
     Theta' of the G-orbit of theta, as sublists of ``reps`` (one member of
     each (K, G^theta) double coset); ``orbit_of`` maps each involution of
-    the G-orbit, by ``perm``, to the index of its K-orbit."""
+    the G-orbit, by ``perm``, to the index of its K-orbit.  Every x.theta is
+    one row of a stacked gather, as :func:`conjugate_involution` makes it."""
+    t, perm = g.table, np.asarray(theta.perm)
+    xs = np.asarray(reps, dtype=np.int64)
+    xinv = g.inverse_of[xs]
+    # row r: y -> x theta(x^-1 y x) x^-1 for x = reps[r]
+    moved = t[t[xs[:, None], perm[t[t[xinv], xs[:, None]]]], xinv[:, None]]
     split = [[] for _ in range(max(orbit_of.values()) + 1)]
-    for x in reps:
-        split[orbit_of[conjugate_involution(g, x, theta).perm]].append(x)
+    for x, row in zip(reps, moved.tolist()):
+        split[orbit_of[tuple(row)]].append(x)
     return split
 
 
@@ -368,28 +381,40 @@ def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, cosets):
     """(m_K(Theta), |H^1_Theta| or None) for the G-orbit Theta of theta.
 
     m_K(Theta) is the size of ``cosets`` = S(theta, K.theta) from
-    :func:`s_theta`.  The bound |H^1| uses the center and is only meaningful
-    when Z <= K, so it is None otherwise; the caller compares the two.
+    :func:`s_theta`.  The bound |H^1| = |Z^1| / |B^1| uses the center and is
+    only meaningful when Z <= K, so it is None otherwise; the caller
+    compares the two.  Z^1 = {z central : theta(z) = z^-1} and B^1 =
+    {z theta(z)^-1}; a coboundary outside Z^1 raises RuntimeError.
     """
+    t, inv, perm = g.table, g.inverse_of, np.asarray(theta.perm)
     center = g.center()
-    z1 = [z for z in center if theta.apply(z) == g.inv(z)]
-    b1 = {g.mul(z, g.inv(theta.apply(z))) for z in center}
-    return len(cosets), len(z1) // len(b1) if center <= frozenset(k_sub) else None
+    z = np.array(sorted(center), dtype=np.int64)
+    z1 = g.mask(z) & (perm == inv)
+    b1 = t[z, inv[perm[z]]]
+    if (outside := np.flatnonzero(~z1[b1])).size:
+        a = outside[0]
+        raise RuntimeError(
+            f"coboundary z theta(z)^-1 = {b1[a]} of z = {z[a]} is not in Z^1"
+        )
+    bound = int(z1.sum()) // len(np.unique(b1))
+    return len(cosets), bound if center <= frozenset(k_sub) else None
 
 
-def orbmult_rhs(g: TableGroup, k_sub, kappa: MatrixRep, k_orbits, m: int) -> int:
+def orbmult_rhs(
+    g: TableGroup, k_sub, kappas: list[MatrixRep], k_orbits, m: int
+) -> list[int]:
     """The right side of the orbit multiplicity formula
 
     dim Hom_{G^theta}(Ind kappa, 1)
         = m_K * sum over K-orbits Theta' in Theta of dim Hom_{K ^ G^theta'}(kappa, 1),
 
-    with ``m`` = m_K(Theta) and one involution theta' read from each K-orbit;
-    the summands are one :func:`hom_dims` call.  The left side is the
-    oracle's value.
+    for each of ``kappas``, with ``m`` = m_K(Theta) and one involution
+    theta' read from each K-orbit; the summands are one :func:`hom_dims`
+    call.  The left side is the oracle's value.
     """
     k_set = frozenset(k_sub)
     fixed = [k_set & fixed_subgroup(g, k_orbit[0]) for k_orbit in k_orbits]
-    return m * int(hom_dims([kappa], fixed).sum())
+    return (m * hom_dims(kappas, fixed).sum(axis=1)).tolist()
 
 
 # -- Sp(W) x| H -------------------------------------------------------------------

@@ -13,9 +13,11 @@ A :class:`MatrixRep` holds its images as one read-only stack, which every
 reader takes with no restack.  Every character read goes through one
 routine: a rep computes its character once, as the row of traces that
 :func:`~heisweil.linalg.trace_table` returns for its stack;
-:func:`character_table` stacks such rows, and :func:`hom_dims` (every rep
-against every subgroup) reads them; equivalence and inner products of
-characters are products of such rows.  Hom-space dimensions are exact:
+:func:`character_table` stacks such rows, and :func:`projector_traces`
+(every rep against rows of integer weights over the group, of which
+:func:`hom_dims`, every rep against every subgroup, is the 0/1 case)
+multiplies them; equivalence and inner products of characters are products
+of such rows.  Hom-space dimensions are exact:
 the averaging operator over a subgroup is idempotent, so its rank equals its
 trace, a rational integer computed with no tolerance anywhere.  A basis of
 Hom_K(tau, 1) itself is read from the double cosets Q\\H/K, and
@@ -56,6 +58,7 @@ __all__ = [
     "hom_dims",
     "homomorphism_certificate",
     "irreducibles_of_H",
+    "projector_traces",
 ]
 
 
@@ -117,12 +120,6 @@ class MatrixRep:
     def characters(self, elements) -> CycMatrix:
         """tr rep(g) for each of ``elements``, repeats allowed, as a 1 x m row."""
         return self._character[:, self._rows(elements)]
-
-    def character_sum(self, elements) -> CycNumber:
-        """The sum of tr rep(g) over ``elements``: the row times ones."""
-        ones = np.ones((len(elements), 1), dtype=np.int64)
-        column = CycMatrix.from_roots(self.conductor, 0 * ones, ones)
-        return (self.characters(elements) @ column)[0, 0]
 
     def verify_homomorphism(self, check: Check | None = None) -> bool:
         """:func:`homomorphism_certificate` on the stack, for a rep defined
@@ -227,35 +224,54 @@ def contragredient(rep: MatrixRep) -> MatrixRep:
     )
 
 
+def projector_traces(reps: list[MatrixRep], weights, divisors) -> np.ndarray:
+    """(1/d_j) sum_g w_j(g) tr rep(g) for every rep (rows) and every row w_j
+    of non-negative integer ``weights`` over the group, with its divisor
+    d_j (columns): the exact trace of an averaging projector, which must be
+    an integer >= 0, or RuntimeError names it.
+
+    The weight rows, on the elements some row weighs, multiply the stacked
+    character numerators of the reps of each conductor, one power-basis
+    coordinate at a time, on the coordinates those characters use.
+    """
+    weights = np.asarray(weights, dtype=np.int64)
+    els = np.flatnonzero(weights.any(axis=0))
+    w, divisors = weights[:, els], np.asarray(divisors, dtype=np.int64)
+    parts, order = [], []
+    for n in dict.fromkeys(rep.conductor for rep in reps):
+        rows = [i for i, rep in enumerate(reps) if rep.conductor == n]
+        chars = character_table([reps[i] for i in rows], els)
+        used = chars.num.any(axis=(0, 1))
+        used[0] = True  # sums[..., 0] is coordinate 0, the rational part
+        num, ind = chars.num[..., used], w
+        # a row's sum adds at most its total weight times max|num|: exact in
+        # int64 below 2^63, and in Python ints past that bound
+        bound = int(w.sum(axis=1).max(initial=0)) * int(np.abs(num).max(initial=0))
+        if num.dtype == object or bound >= 2**63:
+            num, ind = num.astype(object), ind.astype(object)
+        sums = ind @ num  # sums[r, j]: the used coordinates of the sum by row j
+        sizes, const = chars.den * divisors, sums[..., 0]
+        fractional = sums[..., 1:].any(axis=2) | (const % sizes != 0)
+        faults = ((fractional, "is not an integer"), (const < 0, "is negative"))
+        for bad, what in faults:
+            if bad.any():
+                r, j = np.argwhere(bad)[0]
+                coords = np.zeros(len(used), dtype=object)
+                coords[used] = sums[r, j]
+                val = CycNumber(n, coords, int(sizes[j]))
+                raise RuntimeError(f"projector trace {val!r} of weight row {j} {what}")
+        parts.append(const // sizes)
+        order += rows
+    return np.concatenate(parts)[np.argsort(order)]
+
+
 def hom_dims(reps: list[MatrixRep], subgroups) -> np.ndarray:
     """dim Hom_K(rep, 1) for every rep (rows) and subgroup K (columns): the
     rank of the averaging projector over K, which being idempotent equals its
-    exact trace (1/|K|) sum_k tr rep(k).  The 0/1 indicators of the
-    subgroups, their masks over the group on the elements some K holds,
-    multiply the stacked character numerators one power-basis coordinate at
-    a time, on the coordinates the characters use; each entry must be an
-    integer >= 0."""
-    g = reps[0].group
-    masks = np.array([g.mask(k) for k in subgroups])
-    els = np.flatnonzero(masks.any(axis=0))
-    ind = masks[:, els].astype(np.int64)
-    chars = character_table(reps, els)
-    used = chars.num.any(axis=(0, 1))
-    used[0] = True  # sums[..., 0] is coordinate 0, the rational part
-    num = chars.num[..., used]
-    # a sum over K adds at most len(els) numerators: exact in int64 while
-    # len(els) max|num| < 2^63, and in Python ints past that bound
-    if num.dtype == object or len(els) * int(np.abs(num).max(initial=0)) >= 2**63:
-        num, ind = num.astype(object), ind.astype(object)
-    sums = ind @ num  # sums[r, j]: the used coordinates of the sum over K_j
-    sizes, const = chars.den * ind.sum(axis=1), sums[..., 0]
-    bad = sums[..., 1:].any(axis=2) | (const % sizes != 0) | (const < 0)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        members = np.flatnonzero(masks[j])
-        val = reps[i].character_sum(members) / len(members)
-        raise RuntimeError(f"projector trace {val!r} is not an integer >= 0")
-    return const // sizes
+    exact trace (1/|K|) sum_k tr rep(k), the 0/1 case of
+    :func:`projector_traces`."""
+    masks = np.array([reps[0].group.mask(k) for k in subgroups])
+    return projector_traces(reps, masks, masks.sum(axis=1))
 
 
 def hom_dim(rep: MatrixRep, subgroup) -> int:

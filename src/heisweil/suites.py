@@ -28,16 +28,24 @@ count edges, not pairs.  What stays sampled:
   configuration;
 - the sqrt suite: random elements of congruence groups too large to sweep.
 
-The mackey suite makes one pass per configuration (K, kappa, theta): the
-orbits of theta, G^theta, the (K, G^theta) partition, its split
-S(theta, Theta') by K-orbit, and the oracle's value for kappa and for
-kappa~ are each computed once, and every check of the configuration reads
-them.  The configurations of the zoo depend on neither p nor the seed:
-they are built once per process (:func:`_mackey_zoo`), read-only, while
-the Heisenberg ones, Sp x| H among them, are built per run.  The zoo
-also keeps each kappa~ with its character row; only the Heisenberg
-configurations build kappa~ per run, and the oracle on kappa~ runs every
-time.
+The mackey suite makes one pass per test bed, a maximal run of
+consecutive configurations that share (group, K, theta); the 30
+configurations form 19 beds.  A bed computes the G-orbit of theta, its
+K-orbits, G^theta, the (K, G^t) partitions and their splits
+S(t, Theta') by K-orbit (for theta's first three conjugates and each
+configuration's g.theta, with the seeded g drawn in configuration order)
+once, and makes one oracle, one Mackey-sum and one orbit-multiplicity
+call for all its kappa (the oracle also for every kappa~), each one
+:func:`~heisweil.reps.projector_traces` product per conductor.  Each
+configuration then evaluates its own checks on its own slice: clause 4
+reads theta's first three conjugates and that configuration's g.theta
+only, so every identity, count and first witness is the one a pass per
+configuration gives.  The configurations of the zoo depend on neither p
+nor the seed: they are built once per process (:func:`_mackey_zoo`),
+read-only, while the Heisenberg ones, Sp x| H among them, are built per
+run.  The zoo also keeps each kappa~ with its character row; only the
+Heisenberg configurations build kappa~ per run, and the oracle on kappa~
+runs every time.
 """
 
 from __future__ import annotations
@@ -680,31 +688,53 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
     orbmult = rec("mackey.orbit_multiplicity_formula")
     contr = rec("mackey.contragredient_multiplicity")
     rng = random.Random(cfg.seed)
-    for (label, tg, k_members, kappa, theta), tilde in zip(configs, tildes):
+    for _, bed in itertools.groupby(zip(configs, tildes), key=_test_bed):
+        bed = list(bed)
+        (_, tg, k_members, _, theta), _ = bed[0]
+        kappas = [kappa for (*_, kappa, _), _ in bed]
         orbit = mk.involution_orbits(tg, [theta], range(tg.order))[0]
         k_orbits = mk.involution_orbits(tg, orbit, k_members, validate=False)
         orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
-        g = rng.randrange(tg.order)
-        moved = mk.conjugate_involution(tg, g, theta)
-        cosets = _twisted_cosets(tg, k_members, [*orbit[:3], moved], orbit_of)
-        fixed, _, reps, split = cosets[theta.perm]
+        gs = [rng.randrange(tg.order) for _ in bed]
+        moved = [mk.conjugate_involution(tg, g, theta) for g in gs]
+        cosets = _twisted_cosets(tg, k_members, [*orbit[:3], *moved], orbit_of)
+        fixed, labels, reps, split = cosets[theta.perm]
+        twists = _twists(tg, k_members, theta, labels)
         h_members = sorted(fixed)
-        oracle = mk.induced_hom_dim_oracle(tg, k_members, kappa, h_members)
-        mackey = mk.mackey_hom_dim(tg, k_members, kappa, h_members, reps)
-        dcs(mackey == oracle, {"config": label, "mackey": mackey, "oracle": oracle})
-        _twisted_coset_checks(
-            clauses, triangle, label, tg, k_members, theta, g, moved, cosets, orbit_of
+        values = mk.induced_hom_dim_oracle(
+            tg, k_members, kappas + [tilde for _, tilde in bed], h_members
         )
+        oracle, tilde_oracle = values[: len(bed)], values[len(bed) :]
+        mackey = mk.mackey_hom_dim(tg, k_members, kappas, h_members, reps)
         m, bound = mk.m_K(tg, k_members, theta, split[orbit_of[theta.perm]])
-        if bound is not None:
-            bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
-        rhs = mk.orbmult_rhs(tg, k_members, kappa, k_orbits, m)
-        orbmult(oracle == rhs, {"config": label, "lhs": oracle, "rhs": rhs})
-        tilde_oracle = mk.induced_hom_dim_oracle(tg, k_members, tilde, h_members)
-        contr(oracle == tilde_oracle, label)
+        rhs = mk.orbmult_rhs(tg, k_members, kappas, k_orbits, m)
+        for i, ((label, *_), _) in enumerate(bed):
+            dcs(
+                mackey[i] == oracle[i],
+                {"config": label, "mackey": mackey[i], "oracle": oracle[i]},
+            )
+            # clause 4 reads theta's first three conjugates and this g.theta
+            mine = {t.perm: cosets[t.perm] for t in [*orbit[:3], moved[i]]}
+            _twisted_coset_checks(
+                clauses, triangle, label, tg, theta, gs[i], moved[i], mine, orbit_of,
+                twists,
+            )
+            if bound is not None:
+                bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
+            orbmult(
+                oracle[i] == rhs[i], {"config": label, "lhs": oracle[i], "rhs": rhs[i]}
+            )
+            contr(oracle[i] == tilde_oracle[i], label)
 
     _invstab_check(rec("mackey.involution_stabilizer"))
     return rec
+
+
+def _test_bed(item):
+    """The key of a (configuration, kappa~) pair's test bed: consecutive
+    configurations with one (group, K, theta) form one bed."""
+    (_, tg, k_members, _, theta), _ = item
+    return id(tg), tuple(k_members), theta.perm
 
 
 def _twisted_cosets(tg, k_members, involutions, orbit_of) -> dict:
@@ -724,24 +754,34 @@ def _twisted_cosets(tg, k_members, involutions, orbit_of) -> dict:
     return cosets
 
 
+def _twists(tg, k_members, theta, labels):
+    """What the clauses read of theta alone, given the labels of its
+    (K, G^theta) partition: the twist x theta(x)^-1 of every x, the
+    smallest member with a central twist of each coset (by label), and the
+    index of the twisted class (:func:`~heisweil.mackey.twisted_classes`)
+    of every twist, with the number of classes."""
+    twist = tg.table[np.arange(tg.order), tg.inverse_of[list(theta.perm)]]
+    central = tg.mask(tg.center())[twist]
+    first_central = {}
+    for x in np.flatnonzero(central).tolist():
+        first_central.setdefault(labels[x], x)
+    classes = mk.twisted_classes(tg, k_members, theta)
+    class_of = {y: i for i, cl in enumerate(classes) for y in cl}
+    return twist, first_central, class_of, len(classes)
+
+
 def _twisted_coset_checks(
-    c: Check, triangle: Check, label, tg, k_members, theta, g, moved, cosets, orbit_of
+    c: Check, triangle: Check, label, tg, theta, g, moved, cosets, orbit_of, twists
 ) -> None:
     """Clauses 1-4 on S(theta, Theta') = {K x G^theta : x.theta in Theta'}
     and the coset/class triangle, for theta and moved = g.theta, read off
-    the cosets of :func:`_twisted_cosets`."""
+    the cosets of :func:`_twisted_cosets` and theta's :func:`_twists`."""
     _, labels, reps, split = cosets[theta.perm]
     _, labels_moved, _, split_moved = cosets[moved.perm]
     mine = orbit_of[theta.perm]
     s_base = split[mine]
-
-    # x theta(x)^-1 for every x, and where it is central
     t = tg.table
-    twist = t[np.arange(tg.order), tg.inverse_of[list(theta.perm)]]
-    central = tg.mask(tg.center())[twist]
-    first_central = {}  # coset label -> its smallest member with a central twist
-    for x in np.flatnonzero(central).tolist():
-        first_central.setdefault(labels[x], x)
+    twist, first_central, class_of, n_classes = twists
 
     # clause 2: membership <-> a representative with g theta(g)^-1 central
     members = set(s_base)
@@ -778,10 +818,8 @@ def _twisted_coset_checks(
 
     # the triangle: x -> x theta(x)^-1 maps the double cosets one-to-one onto
     # the twisted classes
-    classes = mk.twisted_classes(tg, k_members, theta)
-    class_of = {y: i for i, cl in enumerate(classes) for y in cl}
     hit = {class_of[twist[x]] for x in reps}
-    triangle(len(reps) == len(classes) == len(hit), label)
+    triangle(len(reps) == n_classes == len(hit), label)
 
 
 def _invstab_check(c: Check) -> None:

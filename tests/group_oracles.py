@@ -14,6 +14,11 @@ or one edge at a time, with no table gathers:
 - :func:`abelian_characters_by_subtable`: the characters of an abelian
   subgroup, each extended on a table of the subgroup of its own, from
   generators and orders that :func:`closure` finds;
+- :func:`character_sum` and :func:`induced_hom_dim_by_loop`: the sum of a
+  character over a list of elements, as its row times a ones column, and
+  dim Hom_H(Ind_K^G kappa, 1) for one kappa from a right-coset transversal
+  built one element at a time, summing kappa's character over the
+  diagonal blocks with :func:`character_sum`;
 - :func:`heisenberg_law` and :func:`heisenberg_table_eager`: the law of
   W x| F_p on pairs, and its Cayley table built at once by broadcasting, as
   :class:`heisweil.heisenberg.HeisenbergGroup` built it in its constructor
@@ -142,6 +147,41 @@ def abelian_characters_by_subtable(tg: TableGroup, members, conductor: int):
     for chi in chars:
         unique.setdefault(chi.characters(sub_names), chi)
     return list(unique.values())
+
+
+def character_sum(rep: MatrixRep, elements) -> CycNumber:
+    """The sum of tr rep(g) over ``elements``, repeats counted: the
+    character row times a ones column."""
+    ones = np.ones((len(elements), 1), dtype=np.int64)
+    column = CycMatrix.from_roots(rep.conductor, 0 * ones, ones)
+    return (rep.characters(elements) @ column)[0, 0]
+
+
+def induced_hom_dim_by_loop(g: TableGroup, k_sub, kappa: MatrixRep, h_sub) -> int:
+    """dim Hom_H(Ind_K^G kappa, 1) as the exact trace of the averaging
+    projector over H on the block-permutation matrices of Ind kappa: the
+    transversal x_0 < x_1 < ... of K\\G is each element not yet in a coset
+    found, in index order; x_i h = k x_j puts kappa(k) in block (i, j), and
+    the trace is the character sum over the blocks with j = i, over |H|."""
+    t, inv = g.table, g.inverse_of
+    k = np.array(sorted(k_sub), dtype=np.int64)
+    coset_of = np.full(g.order, -1, dtype=np.int64)
+    transversal = []
+    for x in range(g.order):
+        if coset_of[x] < 0:
+            coset_of[t[k, x]] = len(transversal)
+            transversal.append(x)
+    h = sorted(h_sub)
+    diagonal = []
+    for x in transversal:
+        for y in h:
+            xy = g.mul(x, y)
+            if transversal[coset_of[xy]] == x:
+                diagonal.append(g.mul(xy, inv[x]))
+    tr = character_sum(kappa, diagonal) / len(h)
+    if not tr.is_integer() or tr.rational_value() < 0:
+        raise RuntimeError(f"projector trace {tr!r} is not an integer >= 0")
+    return int(tr.rational_value())
 
 
 def heisenberg_law(space):

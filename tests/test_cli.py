@@ -883,19 +883,23 @@ def test_check_counts_are_the_identities_evaluated(p):
 def test_failing_identity_reports_its_first_input(tmp_path, monkeypatch, capsys):
     from heisweil import mackey as mk
 
+    # configs[1] is the second kappa of the first test bed (S3, A3, theta0);
+    # its Mackey sum, and every later configuration's, is off by one
     configs = standard_mackey_configurations()
     label, tg, k_members, kappa, theta = configs[1]
     h_members = sorted(mk.fixed_subgroup(tg, theta))
-    right = mk.induced_hom_dim_oracle(tg, k_members, kappa, h_members)
+    right = mk.induced_hom_dim_oracle(tg, k_members, [kappa], h_members)[0]
+    intact = {id(configs[0][3])}
 
     real = mk.mackey_hom_dim
     calls = []
 
-    def off_by_one_from_the_second_call(*args):
+    def off_by_one_from_the_second_configuration(*args):
         calls.append(args)
-        return real(*args) + (len(calls) >= 2)
+        kappas = args[2]
+        return [v + (id(k) not in intact) for v, k in zip(real(*args), kappas)]
 
-    monkeypatch.setattr(mk, "mackey_hom_dim", off_by_one_from_the_second_call)
+    monkeypatch.setattr(mk, "mackey_hom_dim", off_by_one_from_the_second_configuration)
     out = tmp_path / "report.json"
     assert run(["verify", "mackey", "--out", str(out)]) == 1
     report = json.loads(out.read_text())

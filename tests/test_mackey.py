@@ -1,6 +1,8 @@
 import copy
 import itertools
+import json
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -8,9 +10,13 @@ import pytest
 from group_oracles import (
     abelian_characters_by_subtable,
     automorphisms_by_candidate,
+    character_sum,
     closure,
+    induced_hom_dim_by_loop,
     zoo_groups,
 )
+from heisweil.checks import Recorder
+from heisweil.cli import run
 from heisweil.groups import double_coset_labels, extend_hom, generators_within
 from heisweil.heisenberg import (
     HElem,
@@ -73,7 +79,21 @@ def _theta_cosets(g, k_sub, theta):
 
 
 def _mackey(g, k_sub, kappa, h_sub) -> int:
-    return mackey_hom_dim(g, k_sub, kappa, h_sub, _reps(g, k_sub, h_sub))
+    return mackey_hom_dim(g, k_sub, [kappa], h_sub, _reps(g, k_sub, h_sub))[0]
+
+
+def _oracle(g, k_sub, kappa, h_sub) -> int:
+    return induced_hom_dim_oracle(g, k_sub, [kappa], h_sub)[0]
+
+
+def _test_beds(configs) -> list[list]:
+    """The configurations in maximal runs that share (group, K, theta)."""
+
+    def bed_of(config):
+        _, tg, k_members, _, theta = config
+        return id(tg), tuple(k_members), theta.perm
+
+    return [list(run) for _, run in itertools.groupby(configs, key=bed_of)]
 
 
 def _orbmult(g, k_sub, kappa, theta) -> tuple[int, int]:
@@ -81,8 +101,8 @@ def _orbmult(g, k_sub, kappa, theta) -> tuple[int, int]:
     times the sum over K-orbits."""
     _, k_orbits, cosets = _theta_cosets(g, k_sub, theta)
     m, _ = m_K(g, k_sub, theta, cosets)
-    lhs = induced_hom_dim_oracle(g, k_sub, kappa, sorted(fixed_subgroup(g, theta)))
-    return lhs, orbmult_rhs(g, k_sub, kappa, k_orbits, m)
+    lhs = _oracle(g, k_sub, kappa, sorted(fixed_subgroup(g, theta)))
+    return lhs, orbmult_rhs(g, k_sub, [kappa], k_orbits, m)[0]
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +149,7 @@ def test_mackey_hom_dim_s3_examples(s3, a3):
     )
     for chi in _abelian_characters(s3, a3, 3):
         assert _mackey(s3, a3, chi, c2) == 1
-        assert induced_hom_dim_oracle(s3, a3, chi, c2) == 1
+        assert _oracle(s3, a3, chi, c2) == 1
     triv = _trivial_rep(s3, a3)
     assert _mackey(s3, a3, triv, list(range(6))) == 1  # Frobenius
 
@@ -138,7 +158,7 @@ def test_oracle_equals_mackey_on_full_zoo():
     for label, tg, k_members, kappa, theta in standard_mackey_configurations():
         h_members = sorted(fixed_subgroup(tg, theta))
         assert _mackey(tg, k_members, kappa, h_members) == (
-            induced_hom_dim_oracle(tg, k_members, kappa, h_members)
+            _oracle(tg, k_members, kappa, h_members)
         ), label
 
 
@@ -146,7 +166,7 @@ def test_oracle_equals_mackey_on_heisenberg_configs():
     for label, tg, k_members, kappa, theta in heisenberg_mackey_configurations():
         h_members = sorted(fixed_subgroup(tg, theta))
         assert _mackey(tg, k_members, kappa, h_members) == (
-            induced_hom_dim_oracle(tg, k_members, kappa, h_members)
+            _oracle(tg, k_members, kappa, h_members)
         ), label
 
 
@@ -241,10 +261,11 @@ def test_multiplicity_bound_failure_is_recorded_with_its_witness(monkeypatch):
     assert check.checks == 28
 
 
-def test_one_partition_and_one_oracle_value_per_configuration(monkeypatch):
-    """A p = 3 mackey run partitions each fixed subgroup once per
-    configuration (68 partitions) and runs the oracle once for kappa and
-    once for kappa~ (60 calls for 30 configurations, not 120)."""
+def test_one_partition_and_one_oracle_call_per_test_bed(monkeypatch):
+    """A p = 3 mackey run partitions each fixed subgroup once per test bed
+    (46 partitions) and runs the oracle once per bed, on every kappa and
+    kappa~ of the bed at once (19 calls for the 19 beds of the 30
+    configurations)."""
     import heisweil.groups as groups_mod
     import heisweil.suites as suites_mod
     from heisweil.suites import SUITES, RunConfig
@@ -268,14 +289,16 @@ def test_one_partition_and_one_oracle_value_per_configuration(monkeypatch):
     monkeypatch.setattr(mk, "induced_hom_dim_oracle", spy)
     checks = SUITES["mackey"](RunConfig())
     assert all(c.passed for c in checks)
-    assert calls == {"double_coset_labels": 68, "induced_hom_dim_oracle": 60}
+    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
+    assert (len(configs), len(_test_beds(configs))) == (30, 19)
+    assert calls == {"double_coset_labels": 46, "induced_hom_dim_oracle": 19}
 
 
 def test_oracle_guard_names_its_limit():
     z = cyclic_group(130)  # K = 1, H = G: (130 * 1)^2 * 130 entries
     triv = _trivial_rep(z, [0])
     with pytest.raises(ValueError, match="<= 200000; got 2197000"):
-        induced_hom_dim_oracle(z, [0], triv, range(130))
+        induced_hom_dim_oracle(z, [0], [triv], range(130))
 
 
 def test_automorphism_search_guards_name_their_limits():
@@ -334,7 +357,7 @@ def test_involution_orbits_match_the_closure_reference():
 
 def test_mackey_suite_validates_each_theta_once(monkeypatch):
     """The G-orbit call checks theta; the K-orbit call reads the conjugates
-    of a checked involution and checks none."""
+    of a checked involution and checks none; both run once per test bed."""
     seen = []
     real = mk.involution_orbits
 
@@ -345,8 +368,8 @@ def test_mackey_suite_validates_each_theta_once(monkeypatch):
     monkeypatch.setattr(mk, "involution_orbits", spy)
     checks = SUITES["mackey"](RunConfig())
     assert all(c.passed for c in checks)
-    configs = len(standard_mackey_configurations() + heisenberg_mackey_configurations())
-    assert seen == [True, False] * configs
+    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
+    assert seen == [True, False] * len(_test_beds(configs)) == [True, False] * 19
 
 
 def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
@@ -387,8 +410,8 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
     assert len(set(second)) == 2 and not zoo & set(second)
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
     assert len({id(tg) for _, tg, *_ in configs}) == 10
-    # one K-orbit call per configuration with K proper; K = G reads G's
-    proper = sum(len(k) < tg.order for _, tg, k, *_ in configs)
+    # one K-orbit call per test bed with K proper; K = G reads G's
+    proper = sum(len(k) < tg.order for (_, tg, k, *_), *_ in _test_beds(configs))
     assert len(first_parts) == len(second_parts) == proper
 
 
@@ -445,9 +468,7 @@ def test_contragredient_multiplicities_match(s3, a3):
             [chi.image(s3.inv(k)).transpose() for k in a3], 3
         )
         chi_tilde = MatrixRep(s3, a3, num, den, 3)
-        assert induced_hom_dim_oracle(s3, a3, chi, h) == (
-            induced_hom_dim_oracle(s3, a3, chi_tilde, h)
-        )
+        assert _oracle(s3, a3, chi, h) == _oracle(s3, a3, chi_tilde, h)
 
 
 def test_two_dimensional_kappa():
@@ -482,7 +503,7 @@ def test_two_dimensional_kappa():
     lhs, rhs = _orbmult(s3, els, kappa, theta)
     assert lhs == rhs
     h = sorted(fixed_subgroup(s3, theta))
-    assert _mackey(s3, els, kappa, h) == induced_hom_dim_oracle(s3, els, kappa, h)
+    assert _mackey(s3, els, kappa, h) == _oracle(s3, els, kappa, h)
 
 
 @pytest.mark.parametrize(
@@ -743,3 +764,236 @@ def test_mackey_runs_repeat_on_the_shared_zoo_and_after_cache_clear(seed):
     suites_mod._mackey_zoo.cache_clear()
     assert first == second == report()
     assert sum(count for _, count, *_ in first) > 0
+
+
+# -- the batched oracle, the weighted kernel and the per-bed suite -----------------
+
+
+def _suite_configurations():
+    return standard_mackey_configurations() + heisenberg_mackey_configurations()
+
+
+def _conjugates_in_k(g, k_sub, h_sub, x) -> list[int]:
+    """K ^ xHx^-1, one product at a time."""
+    return sorted({g.mul(g.mul(x, y), g.inv(x)) for y in h_sub} & set(k_sub))
+
+
+def test_batched_oracle_and_sums_match_the_per_kappa_references():
+    """On every test bed of the suite (the zoo, H(3, 1) and Sp x| H(3)),
+    every kappa and kappa~ at once: the oracle equals the loop oracle, and
+    the Mackey sum and the orbit multiplicity right side equal their
+    summands as character sums over |K ^ xHx^-1|, one kappa at a time."""
+    for bed in _test_beds(_suite_configurations()):
+        label, tg, k_sub, _, theta = bed[0]
+        kappas = [kappa for *_, kappa, _ in bed]
+        kappas += [contragredient(kappa) for kappa in kappas]
+        h_sub = sorted(fixed_subgroup(tg, theta))
+        expected = [induced_hom_dim_by_loop(tg, k_sub, kap, h_sub) for kap in kappas]
+        assert induced_hom_dim_oracle(tg, k_sub, kappas, h_sub) == expected, label
+
+        def summed(subgroups):
+            totals = []
+            for kappa in kappas:
+                terms = [character_sum(kappa, sub) / len(sub) for sub in subgroups]
+                assert all(term.is_integer() for term in terms), label
+                totals.append(sum(int(term.rational_value()) for term in terms))
+            return totals
+
+        reps = _reps(tg, k_sub, h_sub)
+        conj = [_conjugates_in_k(tg, k_sub, h_sub, x) for x in reps]
+        assert mackey_hom_dim(tg, k_sub, kappas, h_sub, reps) == summed(conj), label
+        _, k_orbits, cosets = _theta_cosets(tg, k_sub, theta)
+        m, _ = m_K(tg, k_sub, theta, cosets)
+        fixed = [sorted(fixed_subgroup(tg, o[0]) & set(k_sub)) for o in k_orbits]
+        rhs = [m * total for total in summed(fixed)]
+        assert orbmult_rhs(tg, k_sub, kappas, k_orbits, m) == rhs, label
+        assert rhs == expected, label
+
+
+def test_s_theta_matches_one_conjugation_per_representative():
+    """The stacked gather splits the double cosets as one
+    conjugate_involution per representative does, in the same order."""
+    for label, tg, k_sub, _, theta in _suite_configurations():
+        _, k_orbits, _ = _theta_cosets(tg, k_sub, theta)
+        orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
+        reps = _reps(tg, k_sub, fixed_subgroup(tg, theta))
+        expected = [[] for _ in k_orbits]
+        for x in reps:
+            expected[orbit_of[conjugate_involution(tg, x, theta).perm]].append(x)
+        assert mk.s_theta(tg, theta, reps, orbit_of) == expected, label
+
+
+def test_m_K_matches_the_per_element_cocycles():
+    """|Z^1| / |B^1| from the mask gathers against one product per central
+    element, on every configuration."""
+    for label, tg, k_sub, _, theta in _suite_configurations():
+        center = tg.center()
+        z1 = [z for z in center if theta.apply(z) == tg.inv(z)]
+        b1 = {tg.mul(z, tg.inv(theta.apply(z))) for z in center}
+        assert b1 <= set(z1) and len(z1) % len(b1) == 0, label
+        m, bound = m_K(tg, k_sub, theta, _theta_cosets(tg, k_sub, theta)[2])
+        assert bound == (len(z1) // len(b1) if center <= set(k_sub) else None), label
+
+
+def test_m_K_rejects_a_coboundary_outside_z1():
+    """x -> x + 1 on C3 is no automorphism: 0 - (0 + 1) = 2 is a coboundary,
+    while Z^1 = {z : z + 1 = -z} = {1}."""
+    c3 = cyclic_group(3)
+    shift = InvolutionRecord((1, 2, 0))
+    with pytest.raises(RuntimeError, match=r"= 2 of z = 0 is not in Z\^1"):
+        m_K(c3, range(3), shift, [])
+
+
+def _one_by_one(g, members, values, n):
+    """The 1 x 1 'rep' with the given integer images on ``members``."""
+    col = CycMatrix(n, [[v] for v in values])
+    return MatrixRep(g, members, col.num[:, None], col.den, n)
+
+
+def test_oracle_runtime_errors_name_their_cause():
+    c2, c3 = cyclic_group(2), cyclic_group(3)
+    # K = {0, 1} is no subgroup of C3: the transversal is 0, 1, and
+    # x_1 h = 1 + 1 = 2 lies in the coset of 0, as 2 + 1 = 0, but 2 - 0 = 2
+    # is not in K
+    kappa = _one_by_one(c3, [0, 1], [1, 1], 4)
+    outside = r"x_i h x_j\^-1 = 2 not in K \(i = 1, h = 1\)"
+    with pytest.raises(RuntimeError, match=outside):
+        induced_hom_dim_oracle(c3, [0, 1], [kappa], range(3))
+    # K = 1, H = C2: the trace is 2 zeta_3 / 2
+    zeta = MatrixRep(c2, [0], CycMatrix(3, [[root_of_unity(3, 1)]]).num[:, None], 1, 3)
+    with pytest.raises(RuntimeError, match="is not an integer"):
+        induced_hom_dim_oracle(c2, [0], [zeta], range(2))
+    # K = H = 1: the trace is 2 * (-1) / 1
+    minus = _one_by_one(c2, [0], [-1], 4)
+    negative = r"trace Cyc\(4; -2\) of weight row 0 is negative"
+    with pytest.raises(RuntimeError, match=negative):
+        induced_hom_dim_oracle(c2, [0], [minus], [0])
+
+
+def test_oracle_guard_reads_the_largest_kappa():
+    """(m d)^2 |H| with d the largest dimension of the kappas given: on C50
+    with K = 1 and H = G, (50 * 1)^2 * 50 = 125000 passes the guard and
+    (50 * 2)^2 * 50 does not."""
+    c50 = cyclic_group(50)
+    one = _trivial_rep(c50, [0])
+    two = MatrixRep(c50, [0], CycMatrix.identity(4, 2).num[None], 1, 4)
+    assert induced_hom_dim_oracle(c50, [0], [one], range(50)) == [1]
+    with pytest.raises(ValueError, match="<= 200000; got 500000"):
+        induced_hom_dim_oracle(c50, [0], [one, two], range(50))
+
+
+def test_oracle_sums_past_int64_are_exact():
+    """Ind_1^C2 of a 'trace' of 2^62, averaged over H = 1: the diagonal
+    weighs the identity twice, and 2 * 2^62 is past int64."""
+    c2 = cyclic_group(2)
+    kappa = _one_by_one(c2, [0], [2**62], 4)
+    assert induced_hom_dim_oracle(c2, [0], [kappa], [0]) == [2**63]
+    assert induced_hom_dim_oracle(c2, [0], [kappa], range(2)) == [2**62]
+
+
+def _per_configuration_suite(cfg):
+    """The mackey suite one configuration at a time, each with its own
+    orbits, cosets, oracle calls and sums, through the module attributes."""
+    import heisweil.suites as suites_mod
+
+    rec = Recorder()
+    zoo, _, zoo_tildes = suites_mod._mackey_zoo()
+    heis = heisenberg_mackey_configurations()
+    tildes = [*zoo_tildes, *(contragredient(kappa) for *_, kappa, _ in heis)]
+    dcs = rec("mackey.double_coset_sum_equals_oracle")
+    clauses = rec("mackey.twisted_coset_clauses")
+    triangle = rec("mackey.triangle_bijection")
+    bounded = rec("mackey.multiplicity_bound")
+    orbmult = rec("mackey.orbit_multiplicity_formula")
+    contr = rec("mackey.contragredient_multiplicity")
+    rng = random.Random(cfg.seed)
+    for (label, tg, k_sub, kappa, theta), tilde in zip([*zoo, *heis], tildes):
+        orbit = mk.involution_orbits(tg, [theta], range(tg.order))[0]
+        k_orbits = mk.involution_orbits(tg, orbit, k_sub, validate=False)
+        orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
+        g = rng.randrange(tg.order)
+        moved = mk.conjugate_involution(tg, g, theta)
+        cosets = suites_mod._twisted_cosets(tg, k_sub, [*orbit[:3], moved], orbit_of)
+        fixed, labels, reps, split = cosets[theta.perm]
+        h_sub = sorted(fixed)
+        oracle = mk.induced_hom_dim_oracle(tg, k_sub, [kappa], h_sub)[0]
+        mackey = mk.mackey_hom_dim(tg, k_sub, [kappa], h_sub, reps)[0]
+        dcs(mackey == oracle, {"config": label, "mackey": mackey, "oracle": oracle})
+        twists = suites_mod._twists(tg, k_sub, theta, labels)
+        suites_mod._twisted_coset_checks(
+            clauses, triangle, label, tg, theta, g, moved, cosets, orbit_of, twists
+        )
+        m, bound = mk.m_K(tg, k_sub, theta, split[orbit_of[theta.perm]])
+        if bound is not None:
+            bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
+        rhs = mk.orbmult_rhs(tg, k_sub, [kappa], k_orbits, m)[0]
+        orbmult(oracle == rhs, {"config": label, "lhs": oracle, "rhs": rhs})
+        tilde_oracle = mk.induced_hom_dim_oracle(tg, k_sub, [tilde], h_sub)[0]
+        contr(oracle == tilde_oracle, label)
+    suites_mod._invstab_check(rec("mackey.involution_stabilizer"))
+    return rec
+
+
+def _report(checks):
+    return [(c.check, c.checks, c.passed, c.witness) for c in checks]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_per_bed_suite_equals_the_per_configuration_loop(seed, monkeypatch):
+    """Names, counts, verdicts and witnesses, the 319 identities among
+    them; and the same seeded g moves theta in each configuration, in
+    configuration order."""
+    real, moves = mk.conjugate_involution, []
+
+    def spy(g, a, theta):
+        moves.append((g.order, a, theta.perm))
+        return real(g, a, theta)
+
+    monkeypatch.setattr(mk, "conjugate_involution", spy)
+    cfg = RunConfig(seed=seed)
+    expected = _report(_per_configuration_suite(cfg))
+    expected_moves, moves[:] = list(moves), []
+    assert _report(SUITES["mackey"](cfg)) == expected
+    assert moves == expected_moves and len(moves) == 30 + 22
+    assert sum(count for _, count, *_ in expected) == 319
+
+
+def test_per_bed_suite_reports_a_corrupted_configuration_first(monkeypatch):
+    """One configuration in the middle of a bed, S3/A3/chi1/theta0, gets a
+    Mackey sum off by one: the per-bed suite and the per-configuration loop
+    both record it, with that configuration's witness, and nothing else."""
+    configs = standard_mackey_configurations()
+    label, tg, k_sub, kappa, theta = configs[1]
+    assert [c[0] for c in configs[:3]] == [f"S3/A3/chi{i}/theta0" for i in range(3)]
+    real = mk.mackey_hom_dim
+
+    def off_by_one_on_kappa(g, k, kappas, h, reps):
+        values = real(g, k, kappas, h, reps)
+        return [v + (rep is kappa) for v, rep in zip(values, kappas)]
+
+    monkeypatch.setattr(mk, "mackey_hom_dim", off_by_one_on_kappa)
+    report = _report(SUITES["mackey"](RunConfig()))
+    assert report == _report(_per_configuration_suite(RunConfig()))
+    failing = [(name, count, witness) for name, count, ok, witness in report if not ok]
+    h_sub = sorted(fixed_subgroup(tg, theta))
+    right = induced_hom_dim_by_loop(tg, k_sub, kappa, h_sub)
+    witness = {"config": label, "mackey": right + 1, "oracle": right}
+    assert failing == [("mackey.double_coset_sum_equals_oracle", 30, witness)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_mackey_reports_at_p_3_5_7_differ_only_in_p(tmp_path, seed, capsys):
+    """The suite reads no p: its checks, and its report bytes but for
+    config.p, are the same at p = 3, 5 and 7."""
+    reports, checks = [], []
+    for p in (3, 5, 7):
+        out = tmp_path / f"mackey_p{p}.json"
+        argv = ["verify", "mackey", "--p", str(p), "--seed", str(seed)]
+        assert run([*argv, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"].pop("p") == p
+        reports.append(report)
+        checks.append(_report(SUITES["mackey"](RunConfig(p=p, seed=seed))))
+    capsys.readouterr()
+    assert reports[0] == reports[1] == reports[2] and reports[0]["checks"] == 319
+    assert checks[0] == checks[1] == checks[2]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import elimination_oracle as oracle
+from group_oracles import character_sum
 from heisweil.checks import Check
 from heisweil.heisenberg import (
     HeisenbergGroup,
@@ -26,9 +27,11 @@ from heisweil.reps import (
     hom_dim,
     hom_dims,
     irreducibles_of_H,
+    projector_traces,
 )
 from heisweil.scalar import CycNumber, context, zeta_p
 from heisweil.suites import (
+    _trivial_rep,
     heisenberg_mackey_configurations,
     standard_mackey_configurations,
 )
@@ -319,6 +322,38 @@ def test_hom_dims_sums_past_int64_are_exact(h3):
         assert hom_dims([rep], [members])[0, 0] == value
 
 
+def test_projector_traces_past_int64_are_exact(h3):
+    """The bound is the row's total weight times max|num|: a weight of 2 on
+    a trace of 2^62 sums to 2^63, past int64, on one element, where the 0/1
+    bound (elements times max|num|) would have kept int64."""
+    col = CycMatrix(12, [[2**62]])
+    rep = MatrixRep(h3, [0], col.num[:, None], col.den, 12)
+    weights = np.zeros((2, h3.order), dtype=np.int64)
+    weights[:, 0] = (2, 4)
+    assert projector_traces([rep], weights, [1, 8]).tolist() == [[2**63, 2**61]]
+
+
+@pytest.mark.parametrize("config", [1, 2], ids=["H(3, 1)", "Sp x| H(3)"])
+def test_projector_traces_equal_character_sums_on_weighted_rows(config):
+    """Rows that weigh subgroups of K by 1, 2, 3, 5 and 7 against one
+    character sum per rep and row, its elements repeated by their weights:
+    tau and tau~ (conductor 12) with the trivial rep (conductor 4) between
+    them, in one call that keeps their order."""
+    _, g, k_sub, kappa, _ = heisenberg_mackey_configurations()[config]
+    subgroups = [g.subgroup_generated([a]) for a in k_sub[1:4]] + [k_sub]
+    masks = np.array([g.mask(sub) for sub in subgroups], dtype=np.int64)
+    weights = np.array([[1, 0, 0, 0], [2, 3, 0, 0], [0, 5, 7, 1]]) @ masks
+    reps = [kappa, _trivial_rep(g, k_sub), contragredient(kappa)]
+    assert [rep.conductor for rep in reps] == [12, 4, 12]
+    got = projector_traces(reps, weights, [1, 1, 1])
+    assert got.shape == (3, 3) and got.dtype == np.int64
+    for rep, values in zip(reps, got.tolist()):
+        for row, value in zip(weights, values):
+            elements = np.repeat(np.arange(g.order), row).tolist()
+            expected = character_sum(rep, elements)
+            assert CycNumber.from_rational(rep.conductor, value) == expected
+
+
 def test_hom_dims_rejects_an_irrational_projector_trace(h3, tau3):
     # {0, z} is no subgroup: (tr tau(0) + tr tau(z)) / 2 = (3 + 3 zeta_3) / 2
     with pytest.raises(RuntimeError, match="is not an integer"):
@@ -334,7 +369,7 @@ def test_hom_dims_table_equals_character_sums(h3):
         for j, sub in enumerate(subgroups):
             total = int(table[i, j]) * len(sub)
             expect = CycNumber.from_rational(rho.conductor, total)
-            assert rho.character_sum(sorted(sub)) == expect
+            assert character_sum(rho, sorted(sub)) == expect
 
 
 def test_hom_dim_matches_fixed_forms(h3, tau3):
