@@ -11,7 +11,9 @@ Usage (noun-verb and verb-noun orders both work):
 
 Exit codes: 0 all selected checks passed, 1 at least one check failed,
 2 bad arguments or a guard violation.  Reports are JSON, deterministic
-for a fixed configuration and seed.
+for a fixed configuration and seed.  ``verify`` also writes one line per
+suite to stderr, ``PASS|FAIL suite=... checks=... failures=...
+seconds=...``, with the suite's wall time, which the report leaves out.
 
 An argv that starts with a known verb is parsed once, by the verb's own
 parser; help, a missing or an unknown verb go to the root parser.  Either
@@ -26,6 +28,7 @@ import dataclasses
 import functools
 import json
 import sys
+import time
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -490,14 +493,17 @@ def run(argv: list[str] | None = None) -> int:
         reports = []
         failed = False
         for name in names:
+            start = time.perf_counter()
             results = SUITES[name](cfg)
+            seconds = time.perf_counter() - start
             report = _suite_report(name, cfg, results)
             reports.append(report)
             failed |= bool(report["failures"])
             line = "PASS" if not report["failures"] else "FAIL"
+            # the wall time goes to stderr only: the report stays deterministic
             sys.stderr.write(
                 f"{line} suite={name} checks={report['checks']} "
-                f"failures={len(report['failures'])}\n"
+                f"failures={len(report['failures'])} seconds={seconds:.4f}\n"
             )
         _emit(reports if args.suite == "all" else reports[0], args.out, args.format)
         return 1 if failed else 0

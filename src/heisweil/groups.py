@@ -9,9 +9,12 @@ walks these tables: :meth:`TableGroup._layers` yields each layer of the
 subgroup a set of generators reaches from the identity, with the layer's
 products by the generators, one gather of its rows at the generator
 columns.  :meth:`TableGroup.subgroup_generated` collects the layers; it
-serves every subgroup sweep and [G, G].  :func:`extend_hom` reads the
-same layers to give each element the image along the first edge that
-reaches it; the caller proves the extension a homomorphism.
+serves every closure of a set of generators, [G, G] among them (the
+subgroups of H(p, 1) are listed from the group's structure instead, by
+:meth:`heisweil.heisenberg.HeisenbergGroup.all_subgroups`).
+:func:`extend_hom` reads the same layers to give each element the image
+along the first edge that reaches it; the caller proves the extension a
+homomorphism.
 
 :func:`generators_within` is the one generating-set routine: every
 generator-edge check below, the automorphism search and the orbit and
@@ -20,11 +23,12 @@ character sweeps of the suites read its sets, of a whole group
 irredundant, so no check reads the edges of a generator the others
 already generate: H(p, 1) gets (0, 1) and (1, 0) of W, not the center too.
 
-:func:`double_coset_labels` is the one coset partition: it labels every
-element with its double coset K x H, one table gather per coset, and serves
-the Mackey sums, the twisted-coset bookkeeping, the Q\\H/K forms of
-:func:`heisweil.reps.fixed_forms` and the abelianization of Sp(W) (as
-{1} x [G, G]).
+:func:`double_coset_labels` is the one coset partition of a table: it
+labels every element with its double coset K x H, one table gather per
+coset, and serves the Mackey sums, the twisted-coset bookkeeping and the
+abelianization of Sp(W) (as {1} x [G, G]).  The Q\\H/K of
+:func:`heisweil.reps.fixed_forms` are read off coordinates instead, as Q
+is normal in H with H/Q the W^+ block.
 
 Multiplicativity is checked on generators only, by the generator lemma
 (Clifford and Preston, *The Algebraic Theory of Semigroups* I, 1.2): if S
@@ -51,7 +55,8 @@ first read and hands it to :meth:`TableGroup._adopt`, which runs the
 constructor's checks on every table a TableGroup keeps.  Subgroups are
 handed out as frozensets of indices.  Membership is a boolean mask over the
 indices (:meth:`TableGroup.mask`): the traversal scatters each layer into
-one, and a subgroup, center or K test is one gather from one, never a sort.
+one, and a subgroup, center or K test is one gather from one, never a
+sort; :meth:`TableGroup.are_subgroups` tests a stack of masks at once.
 """
 
 from __future__ import annotations
@@ -220,6 +225,21 @@ class TableGroup:
         inside = self.mask(subset)
         k = np.flatnonzero(inside)
         return k.size > 0 and bool(inside[self.table[np.ix_(k, k)]].all())
+
+    def are_subgroups(self, masks) -> np.ndarray:
+        """:meth:`is_subgroup` for each row of a (k, n) boolean array of
+        masks: the rows of one size share one gather of their |K| x |K|
+        blocks of the table.  (One subset, as the Mackey sums test it on
+        every call, takes the shorter path of :meth:`is_subgroup`.)"""
+        masks = np.asarray(masks, dtype=bool)
+        sizes = masks.sum(axis=1)
+        closed = sizes > 0
+        for size in set(sizes[closed].tolist()):
+            rows = np.flatnonzero(sizes == size)
+            k = np.nonzero(masks[rows])[1].reshape(len(rows), size)
+            products = self.table[k[:, :, None], k[:, None, :]]
+            closed[rows] = masks[rows[:, None, None], products].all(axis=(1, 2))
+        return closed
 
     def is_automorphism(self, perm) -> bool:
         """A permutation of the indices with perm(ab) = perm(a) perm(b).

@@ -17,6 +17,14 @@ representations and the Weil lift read only the coordinates, so a dump of
 their images builds no table.  The center equals the commutator subgroup,
 and the commutator pairing factors through W as the symplectic form.
 
+Subgroups are read off coordinates too, by :meth:`HeisenbergGroup.index_of`
+broadcasts: the p^2 + 2p + 4 subgroups of H(p, 1)
+(:meth:`HeisenbergGroup.all_subgroups`, from its structure, with no
+closure), and the sides W^+, W^- and W^- x Z of the standard
+polarization, each built once per group.  The polarizations attached to
+involutions are checked for a whole list of involutions at once, on their
+stacked permutations (:func:`polarizations_from_involutions`).
+
 Special isomorphisms H -> W x| Z are stored by their torsor offset w0
 relative to the base one mu0(w, z) = z, with the central coordinate as a
 length-|H| array ``mu``; the set of them is a principal homogeneous space
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +72,7 @@ __all__ = [
     "order_two_automorphisms_inverting_center",
     "order_two_automorphisms_trivial_on_center",
     "polarization_from_involution",
+    "polarizations_from_involutions",
     "special_iso_axioms",
     "special_iso_equal_tests",
     "special_iso_from_split_polarization",
@@ -169,41 +179,67 @@ class HeisenbergGroup(TableGroup):
     # -- subgroups ----------------------------------------------------------
 
     def all_subgroups(self) -> list[frozenset[int]]:
-        """Every subgroup, via closures of pairs: at ell = 1 every subgroup is
-        2-generated (H itself, and the proper ones have order at most p^2).
-        <a, b> depends only on <a> and <b>, so the pairs are taken over one
-        generator per cyclic subgroup."""
+        """Every subgroup of H(p, 1), from its structure, with no closure,
+        in the order of (size, sorted members).
+
+        H(p, 1) has order p^3 and exponent p: (w, z)^k = (k w, k z), as
+        <w, w> = 0.  So a subgroup of order p is cyclic, <(w, z)> =
+        {(k w, k z)}.  One of order p^2 has index p, so it is normal, meets
+        the center Z (of order p) and contains it: it is the preimage of a
+        line of W, and each of the p + 1 lines gives one.  With {1} and H,
+        that makes p^2 + 2p + 4 subgroups.
+        """
         if self.space.ell != 1:
             raise GuardError(
-                "subgroup sweep needs ell = 1 (2-generated subgroups); "
+                "subgroup sweep needs ell = 1 (the subgroups of H(p, 1)); "
                 f"got ell = {self.space.ell}"
             )
-        cyclic: dict[frozenset[int], int] = {}
-        for a in range(self.order):
-            cyclic.setdefault(self.subgroup_generated([a]), a)
-        gens = list(cyclic.values())
-        seen = set(cyclic)
-        for i, a in enumerate(gens):
-            for b in gens[i + 1 :]:
-                seen.add(self.subgroup_generated([a, b]))
-        return sorted(seen, key=lambda s: (len(s), sorted(s)))
+        p, k = self.p, np.arange(self.p)
+        # column h: the powers (k w_h, k z_h) of h, one broadcast
+        powers = self.index_of(k[:, None, None] * self.w, k[:, None] * self.z)
+        cyclic = np.unique(np.sort(powers[:, 1:], axis=0).T, axis=0)
+        # row d: the (k d, z) over the line spanned by d, (0, 1) or (1, c)
+        dirs = np.array([(0, 1)] + [(1, c) for c in range(p)], dtype=np.int64)
+        over = k[:, None, None] * dirs[:, None, None]  # (p + 1, p, 1, 2)
+        lines = self.index_of(np.broadcast_to(over, (p + 1, p, p, 2)), k)
+        lines = np.unique(np.sort(lines.reshape(p + 1, p * p), axis=1), axis=0)
+        return [
+            frozenset([0]),
+            *(frozenset(row) for row in cyclic.tolist()),
+            *(frozenset(row) for row in lines.tolist()),
+            frozenset(range(self.order)),
+        ]
 
     def image_in_w(self, subset) -> frozenset[tuple[int, ...]]:
         return frozenset(self.names[h].w for h in subset)
 
     # -- embedded subgroups of interest --------------------------------------
 
+    @cached_property
     def plus_subgroup(self) -> frozenset[int]:
-        pol = self.space.standard_polarization()
-        return frozenset(self.from_w(w) for w in pol.plus_span())
+        """W^+ x {0} for the standard polarization, built once per group."""
+        return frozenset(self._side_index(self.space.standard_polarization().plus))
 
+    @cached_property
     def minus_subgroup(self) -> frozenset[int]:
-        pol = self.space.standard_polarization()
-        return frozenset(self.from_w(w) for w in pol.minus_span())
+        """W^- x {0} for the standard polarization, built once per group."""
+        return frozenset(self._side_index(self.space.standard_polarization().minus))
 
+    @cached_property
     def minus_z_subgroup(self) -> frozenset[int]:
-        minus = self.space.standard_polarization().minus_span()
-        return frozenset(self.element(w, z) for w in minus for z in range(self.p))
+        """W^- x Z for the standard polarization, built once per group."""
+        minus = self.space.standard_polarization().minus
+        return frozenset(self._side_index(minus, np.arange(self.p)))
+
+    def _side_index(self, basis, z=0) -> list[int]:
+        """Indices of (w, z) for every w in the span of ``basis`` and every
+        z of the 1-D ``z``, one index_of broadcast."""
+        ell = len(basis)
+        coeffs = np.array(list(itertools.product(range(self.p), repeat=ell)))
+        w = coeffs.reshape(-1, ell) @ np.array(basis)
+        z = np.atleast_1d(z)
+        w = np.broadcast_to(w[:, None], (len(w), len(z), self.dim))
+        return self.index_of(w, z).ravel().tolist()
 
     def __repr__(self):
         return f"HeisenbergGroup(p={self.p}, ell={self.space.ell})"
@@ -328,27 +364,73 @@ def _basis_of(group: HeisenbergGroup, vectors) -> list[tuple[int, ...]]:
     return [tuple(int(x) for x in row) for row in red]
 
 
-def _check_lagrangian_images(g: HeisenbergGroup, hplus, hminus):
-    """The images in W are complementary maximal totally isotropic subspaces."""
-    images = [g.image_in_w(hplus), g.image_in_w(hminus)]
-    if any(len(w) != g.p**g.space.ell for w in images):
-        raise ValueError("images do not have maximal isotropic size")
-    for w in images:
-        v = np.array(sorted(w), dtype=np.int64)
-        if (v @ g.space.form @ v.T % g.p).any():
-            raise ValueError("image is not totally isotropic")
-    if images[0] & images[1] != {(0,) * g.dim}:
-        raise ValueError("images are not complementary")
+_LAGRANGIAN_FAULTS = (
+    "images do not have maximal isotropic size",
+    "image is not totally isotropic",
+    "images are not complementary",
+)
+_POLARIZATION_FAULTS = (
+    "polarization needs subgroups",
+    "H^+ meets the center",
+    "Hhat^- must contain the center",
+    *_LAGRANGIAN_FAULTS,
+)
+_INVOLUTION_FAULTS = (
+    "alpha must act nontrivially on the center",
+    "alpha must have order two",
+    *_POLARIZATION_FAULTS,
+)
 
 
-def _check_split_polarization(group: HeisenbergGroup, hplus, hminus):
-    g = group
-    for side in (hplus, hminus):
-        if not g.is_subgroup(side):
-            raise ValueError("split polarization needs subgroups")
-        if len(side & g.center()) > 1:
-            raise ValueError("side meets the center nontrivially")
-    _check_lagrangian_images(g, hplus, hminus)
+def _raise_first(faults, messages) -> None:
+    """ValueError with the message of the first fault of the first row that
+    has one; ``faults`` lists, per message, one boolean per row."""
+    faults = np.column_stack(faults)
+    if faults.any():
+        raise ValueError(messages[np.argwhere(faults)[0, 1]])
+
+
+def _lagrangian_faults(g: HeisenbergGroup, plus, minus) -> list[np.ndarray]:
+    """The faults of :data:`_LAGRANGIAN_FAULTS` on each row of the (k, |H|)
+    masks ``plus`` and ``minus``: their images in W are complementary
+    maximal totally isotropic subspaces when no fault is set."""
+    p, size = g.p, g.p**g.space.ell
+    # the image in W of a mask, over the w codes index // p
+    images = [m.reshape(len(m), -1, p).any(axis=2) for m in (plus, minus)]
+    w = g.w[::p]
+    nonzero_pairing = (w @ g.space.form @ w.T % p != 0).astype(np.int64)
+    pairs_nonzero = [((im @ nonzero_pairing > 0) & im).any(axis=1) for im in images]
+    both = images[0] & images[1]
+    return [
+        (images[0].sum(axis=1) != size) | (images[1].sum(axis=1) != size),
+        pairs_nonzero[0] | pairs_nonzero[1],
+        ~both[:, 0] | (both.sum(axis=1) != 1),
+    ]
+
+
+def _polarization_faults(g: HeisenbergGroup, plus, hhat_minus) -> list[np.ndarray]:
+    """The faults of :data:`_POLARIZATION_FAULTS` on each row of the (k, |H|)
+    masks ``plus`` (H^+) and ``hhat_minus`` (Hhat^-)."""
+    center = g.mask(g.center())
+    return [
+        ~(g.are_subgroups(plus) & g.are_subgroups(hhat_minus)),
+        (plus & center).sum(axis=1) != 1,
+        (center & ~hhat_minus).any(axis=1),
+        *_lagrangian_faults(g, plus, hhat_minus),
+    ]
+
+
+def _check_split_polarization(g: HeisenbergGroup, hplus, hminus):
+    center = g.mask(g.center())
+    sides = g.mask(hplus)[None], g.mask(hminus)[None]
+    faults = []
+    for side in sides:
+        faults += [~g.are_subgroups(side), (side & center).sum(axis=1) > 1]
+    messages = (
+        "split polarization needs subgroups",
+        "side meets the center nontrivially",
+    ) * 2 + _LAGRANGIAN_FAULTS
+    _raise_first(faults + _lagrangian_faults(g, *sides), messages)
 
 
 def split_polarization_from_iso(nu: SpecialIso, hplus, hhat_minus):
@@ -367,13 +449,8 @@ def split_polarization_from_iso(nu: SpecialIso, hplus, hhat_minus):
 
 
 def _check_polarization(g: HeisenbergGroup, hplus, hhat_minus):
-    if not (g.is_subgroup(hplus) and g.is_subgroup(hhat_minus)):
-        raise ValueError("polarization needs subgroups")
-    if len(hplus & g.center()) != 1:
-        raise ValueError("H^+ meets the center")
-    if not g.center() <= hhat_minus:
-        raise ValueError("Hhat^- must contain the center")
-    _check_lagrangian_images(g, hplus, hhat_minus)
+    faults = _polarization_faults(g, g.mask(hplus)[None], g.mask(hhat_minus)[None])
+    _raise_first(faults, _POLARIZATION_FAULTS)
 
 
 def special_iso_equal_tests(isos: list[SpecialIso]):
@@ -467,18 +544,37 @@ def involution_from_polarization(group: HeisenbergGroup) -> HeisenbergAutomorphi
     return HeisenbergAutomorphism(group, s, (0,) * group.dim, -1)
 
 
+def polarizations_from_involutions(
+    alphas: list[HeisenbergAutomorphism],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed and inverted subgroups (H^+_a, Hhat^-_a) of every order-two
+    alpha of ``alphas`` (automorphisms of one group) that inverts the
+    center, as two (len(alphas), |H|) boolean masks; each pair forms a
+    polarization of H.
+
+    Every alpha is checked at once, on the stacked permutations: the order,
+    the subgroup, center and Lagrangian conditions.  The first alpha that
+    fails one raises ValueError naming the first condition it fails.
+    """
+    g = alphas[0].group
+    perms, ident = np.stack([a.perm for a in alphas]), np.arange(g.order)
+    plus, hhat_minus = perms == ident, perms == g.inverse_of
+    squares = np.take_along_axis(perms, perms, axis=1)
+    faults = [
+        np.array([a.central_sign != -1 for a in alphas]),
+        ~(squares == ident).all(axis=1) | plus.all(axis=1),
+        *_polarization_faults(g, plus, hhat_minus),
+    ]
+    _raise_first(faults, _INVOLUTION_FAULTS)
+    return plus, hhat_minus
+
+
 def polarization_from_involution(alpha: HeisenbergAutomorphism):
     """Fixed and inverted subgroups (H^+_a, Hhat^-_a) of an order-two alpha
-    that inverts the center; they form a polarization of H."""
-    g = alpha.group
-    if alpha.central_sign != -1:
-        raise ValueError("alpha must act nontrivially on the center")
-    if not alpha.is_order_two():
-        raise ValueError("alpha must have order two")
-    hplus = alpha.fixed_points()
-    hhat_minus = alpha.inverted_points()
-    _check_polarization(g, hplus, hhat_minus)
-    return hplus, hhat_minus
+    that inverts the center, as frozensets; they form a polarization of H.
+    See :func:`polarizations_from_involutions`."""
+    sides = polarizations_from_involutions([alpha])
+    return tuple(frozenset(np.flatnonzero(side[0]).tolist()) for side in sides)
 
 
 def _sweep_guard(g: HeisenbergGroup) -> None:

@@ -212,12 +212,15 @@ class CycMatrix:
         return CycMatrix._packed(self.N, self.num.transpose(1, 0, 2), self.den)
 
     def conj(self) -> "CycMatrix":
-        """Complex conjugation zeta -> zeta^-1 on every entry."""
+        """Complex conjugation zeta -> zeta^-1 on every entry: one product
+        with the conjugation matrix sigma, whose row j is zeta^-j.  Each
+        coordinate sums phi products, so the product is exact in int64 while
+        phi * max|num| * max|sigma| < 2^63, and runs on Python ints past that."""
         ctx = context(self.N)
-        sigma = ctx.power_table[-np.arange(ctx.phi) % self.N]  # row j: zeta^-j
-        # on Python ints: the sums of phi products are never bounded here
-        num = self.num.astype(object) @ sigma.astype(object)
-        return CycMatrix._packed(self.N, num, self.den)
+        sigma, num = ctx.power_table[-np.arange(ctx.phi) % self.N], self.num
+        if num.dtype == object or ctx.phi * _max_abs(num) * _max_abs(sigma) >= _INT64:
+            num, sigma = num.astype(object), sigma.astype(object)
+        return CycMatrix._packed(self.N, num @ sigma, self.den)
 
     def trace(self) -> CycNumber:
         m = np.arange(min(self.nrows, self.ncols))

@@ -70,9 +70,9 @@ class CongruenceGroup:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got n = {self.n}")
         if not is_odd_prime(self.p):
-            raise ValueError("p must be an odd prime")
+            raise ValueError(f"p must be an odd prime, got p = {self.p}")
         if not (1 <= self.k0 <= self.K):
-            raise ValueError("need 1 <= k0 <= K")
+            raise ValueError(f"need 1 <= k0 <= K, got k0 = {self.k0}, K = {self.K}")
         modulus = self.p**self.K
         dtype = np.int64 if self.n * (modulus - 1) ** 2 < 2**63 else object
         one = np.eye(self.n, dtype=dtype)  # Python ints 0 and 1 in an object array

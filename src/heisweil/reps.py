@@ -20,9 +20,13 @@ multiplies them; equivalence and inner products of characters are products
 of such rows.  Hom-space dimensions are exact:
 the averaging operator over a subgroup is idempotent, so its rank equals its
 trace, a rational integer computed with no tolerance anywhere.  A basis of
-Hom_K(tau, 1) itself is read from the double cosets Q\\H/K, and
-:func:`fixed_forms_certificate` proves it one with no elimination: the rows
-are K-invariant, have disjoint supports, and number the exact trace.
+Hom_K(tau, 1) itself is read from the double cosets Q\\H/K, for a whole
+list of subgroups K in one :func:`fixed_forms` call (one :func:`hom_dims`
+call, and the forms of all representatives of a K at once), and
+:func:`fixed_forms_certificate` proves each one with no elimination: the
+rows are K-invariant, have disjoint supports, and number the exact trace.
+The products rep(g)^T other(g) of two monomial reps, for every g, are one
+scatter of their monomial data (:func:`transpose_products`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from heisweil.checks import Check
-from heisweil.groups import double_coset_labels, generators_within
+from heisweil.groups import generators_within
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import (
     CycMatrix,
@@ -59,6 +63,7 @@ __all__ = [
     "homomorphism_certificate",
     "irreducibles_of_H",
     "projector_traces",
+    "transpose_products",
 ]
 
 
@@ -265,6 +270,28 @@ def projector_traces(reps: list[MatrixRep], weights, divisors) -> np.ndarray:
     return np.concatenate(parts)[np.argsort(order)]
 
 
+def transpose_products(rep: MatrixRep, other: MatrixRep) -> np.ndarray:
+    """The numerators of rep(g)^T other(g) for every g, over 1, as one
+    (m, dim, dim, phi) stack, read from the monomial data of two monomial
+    reps on the same elements.
+
+    Row t of rep(g) holds zeta_p^e in column c, and row t of other(g)
+    holds zeta_p^e' in column c', so row t adds zeta_p^(e + e') to entry
+    (c, c') of the product, for every g and t at once.
+    """
+    if rep.cols is None or other.cols is None:
+        raise ValueError("transpose_products needs two monomial reps")
+    same_elements = np.array_equal(rep.elements, other.elements)
+    if rep.conductor != other.conductor or not same_elements:
+        raise ValueError("transpose_products needs reps on one field and one element list")
+    n, p = rep.conductor, rep.group.p
+    m, dim = rep.cols.shape
+    exps = (rep.root_exponents + other.root_exponents) % p
+    counts = np.zeros((m, dim, dim, p), dtype=np.int64)
+    np.add.at(counts, (np.arange(m)[:, None], rep.cols, other.cols, exps), 1)
+    return counts @ context(n).power_table[(n // p) * np.arange(p)]
+
+
 def hom_dims(reps: list[MatrixRep], subgroups) -> np.ndarray:
     """dim Hom_K(rep, 1) for every rep (rows) and subgroup K (columns): the
     rank of the averaging projector over K, which being idempotent equals its
@@ -294,51 +321,62 @@ def character_table(reps: list[MatrixRep], elements) -> CycMatrix:
 class FixedForms:
     """A basis of Hom_K(tau, 1) and its :func:`fixed_forms_certificate`."""
 
-    dim: int  # the exact projector trace of hom_dim
+    dim: int  # the exact projector trace of hom_dims
     basis: CycMatrix  # one double-coset form lambda_x per row
     certified: bool
 
 
-def fixed_forms(rep: MatrixRep, subgroup, check: Check | None = None) -> FixedForms:
-    """Basis of Hom_K(tau, 1) for the minus model, with its certificate.
+def fixed_forms(rep: MatrixRep, subgroups) -> list[FixedForms]:
+    """Basis of Hom_K(tau, 1) for the minus model, with its certificate,
+    for every K of ``subgroups``, in their order.
 
     The rows are the double-coset sum forms lambda_x(phi) = sum_k phi(x k)
     over the cosets Q x K, Q = W^- Z, on which W^- x K x^-1 meets Z
-    trivially; :func:`fixed_forms_certificate` proves them a basis, and
-    records one identity in ``check`` when given.
+    trivially, built for all representatives x of a K at once (the
+    smallest element of each Q x K, read off the W^+ coordinates);
+    :func:`fixed_forms_certificate` proves them a basis.  The dimensions
+    are one :func:`hom_dims` call for all the subgroups.
     """
     if rep.model != "minus":
         raise ValueError("fixed_forms expects a minus-model Heisenberg rep")
     g: HeisenbergGroup = rep.group
     n, p, ell = rep.conductor, g.p, g.space.ell
-    members = sorted(frozenset(subgroup))
-    K = np.array(members, dtype=np.int64)
-    labels = double_coset_labels(g, g.minus_z_subgroup(), K)  # Q\H/K
+    subgroups = [sorted(frozenset(sub)) for sub in subgroups]
+    dims = hom_dims([rep], subgroups)[0].tolist()
     t, inv = g.table, g.inverse_of
-    w_minus = np.array(sorted(g.minus_subgroup()), dtype=np.int64)
+    w_minus = np.array(sorted(g.minus_subgroup), dtype=np.int64)
     # the center without the identity, as a mask over the indices
     nontrivial_center = g.mask(g.center())
     nontrivial_center[0] = False
     digits = p ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-
-    counts = []
-    for x in np.unique(labels, return_index=True)[1].tolist():
-        conj = t[t[x, K], inv[x]]  # x K x^-1
-        if nontrivial_center[t[np.ix_(w_minus, conj)]].any():
-            continue  # W^- x K x^-1 meets Z nontrivially: no invariant form here
-        # minus model: f(x k) = zeta(z + (1/2) v.u) phi(u) for x k = (u, v; z)
-        xk = t[x, K]
-        u, v = g.w[xk, :ell], g.w[xk, ell:]
-        exps = (g.z[xk] + g.half * (u * v).sum(axis=1)) % p
-        count = np.zeros((rep.dim, p), dtype=np.int64)
-        np.add.at(count, (u @ digits, exps), 1)
-        counts.append(count)
+    # (u, 0; 0) for every u of the W+ block, in index order
+    u_rows = np.arange(p**ell) * p ** (ell + 1)
     # entry u of the row of x: sum over e of count[u, e] zeta_p^(k e)
     roots = context(n).power_table[(n // p) * (rep.zeta_exponent * np.arange(p) % p)]
-    num = np.array(counts, dtype=np.int64).reshape(-1, rep.dim, p) @ roots
-    basis = CycMatrix._packed(n, num, 1)
-    dim = hom_dim(rep, members)
-    return FixedForms(dim, basis, fixed_forms_certificate(rep, members, basis, dim, check))
+
+    out = []
+    for members, dim in zip(subgroups, dims):
+        K = np.array(members, dtype=np.int64)
+        # Q\H/K: Q contains [H, H] = Z, so it is normal with H/Q the u's, and
+        # Q x K is the h with u_h in u_x + U, U the u's of K; its smallest
+        # element is (u, 0; 0), u the smallest of its coset of U
+        cosets = (g.w[u_rows, None, :ell] + g.w[K, :ell]) % p @ digits
+        xs = u_rows[np.unique(cosets.min(axis=1))]
+        xk = t[xs[:, None], K]  # row i: x_i K
+        conj = t[xk, inv[xs][:, None]]  # x_i K x_i^-1
+        # no invariant form on Q x K where W^- x K x^-1 meets Z nontrivially
+        meets = nontrivial_center[t[w_minus[:, None], conj[:, None]]].any(axis=(1, 2))
+        xk = xk[~meets]
+        # minus model: f(x k) = zeta(z + (1/2) v.u) phi(u) for x k = (u, v; z)
+        u, v = g.w[xk, :ell], g.w[xk, ell:]
+        exps = (g.z[xk] + g.half * (u * v).sum(axis=-1)) % p
+        count = np.zeros((len(xk), rep.dim, p), dtype=np.int64)
+        np.add.at(count, (np.arange(len(xk))[:, None], u @ digits, exps), 1)
+        basis = CycMatrix._packed(n, count @ roots, 1)
+        out.append(
+            FixedForms(dim, basis, fixed_forms_certificate(rep, members, basis, dim))
+        )
+    return out
 
 
 def fixed_forms_certificate(

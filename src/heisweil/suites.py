@@ -28,6 +28,17 @@ count edges, not pairs.  What stays sampled:
   configuration;
 - the sqrt suite: random elements of congruence groups too large to sweep.
 
+The reps suite makes one batched pass per sweep: one
+:func:`~heisweil.reps.fixed_forms` call for the p^2 + 2p + 4 subgroups of
+H(p, 1) (listed from its structure) and one for the three examples, one
+stacked product for the invariant pairing tau(h)^T tau~(h) over every h,
+the polarizations of every central-inverting involution checked at once
+(:func:`~heisweil.heisenberg.polarizations_from_involutions`), and one
+:func:`~heisweil.reps.hom_dims` call per family of subgroups.  Each check
+still records its identities in the order of the subgroup, element or
+involution, so its count and first witness are those of a pass one item
+at a time.
+
 The mackey suite makes one pass per test bed, a maximal run of
 consecutive configurations that share (group, K, theta); the 30
 configurations form 19 beds.  A bed computes the G-orbit of theta, its
@@ -212,12 +223,12 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
 
         c = rec("heisenberg.split_polarization_roundtrips")
         base = heis.special_iso_from_split_polarization(
-            group, group.plus_subgroup(), group.minus_subgroup()
+            group, group.plus_subgroup, group.minus_subgroup
         )
         c(base.offset == (0,) * group.dim, base)
         g0 = group.element(tuple([1] + [0] * (group.dim - 1)), 0)
-        hplus = frozenset(group.conjugate(g0, h) for h in group.plus_subgroup())
-        hminus = frozenset(group.conjugate(g0, h) for h in group.minus_subgroup())
+        hplus = frozenset(group.conjugate(g0, h) for h in group.plus_subgroup)
+        hminus = frozenset(group.conjugate(g0, h) for h in group.minus_subgroup)
         nu2 = heis.special_iso_from_split_polarization(group, hplus, hminus)
         matching = [
             x
@@ -227,7 +238,7 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
         c(matching == [nu2], matching)
         for nu in isos:
             hminus_split = heis.split_polarization_from_iso(
-                nu, group.plus_subgroup(), group.minus_z_subgroup()
+                nu, group.plus_subgroup, group.minus_z_subgroup
             )
             c(len(hminus_split) == p**cfg.ell, nu)
 
@@ -280,41 +291,45 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
 
     # fixed forms: the double-coset basis and its certificate, on every subgroup
     c = rec("reps.fixed_forms_oracle_equivalence")
-    for sub in group.all_subgroups():
-        res = reps_mod.fixed_forms(tau, sub, c)
+    subgroups = group.all_subgroups()
+    for sub, res in zip(subgroups, reps_mod.fixed_forms(tau, subgroups)):
+        c(res.certified, sorted(sub))
         if group.center() <= sub:
             c(res.dim == 0, sorted(sub))
 
     c = rec("reps.fixed_forms_examples")
     w0 = group.subgroup_generated([group.from_w(tuple([1] * group.dim))])
-    for label, sub, dim in (
-        ("H+", group.plus_subgroup(), 1),
+    examples = (
+        ("H+", group.plus_subgroup, 1),
         ("center", group.center(), 0),
         ("<(1, ..., 1)>", w0, 1),
-    ):
-        c(reps_mod.fixed_forms(tau, sub).dim == dim, label)
+    )
+    forms = reps_mod.fixed_forms(tau, [sub for _, sub, _ in examples])
+    for (label, _, dim), res in zip(examples, forms):
+        c(res.dim == dim, label)
 
     # <tau(h) e_i, tau~(h) e_j> = <e_i, e_j> for every pair of basis vectors:
     # the pairing is the dot product, so tau(h)^T tau~(h) is the identity
     cotau_model = reps_mod.heisenberg_rep(group, p - 1, model="minus")
-    eye = CycMatrix.identity(n, tau.dim)
+    eye = CycMatrix.identity(n, tau.dim).num
     rec("reps.invariant_pairing").all(
-        [
-            (tau.image(h).transpose() @ cotau_model.image(h)).equal_entries(eye)
-            for h in els
-        ],
+        (reps_mod.transpose_products(tau, cotau_model) == eye).all(axis=-1),
         lambda h, i, j: (h, i, j),
     )
 
     cotau_row = reps_mod.contragredient(tau).characters(els)
     alphas = heis.order_two_automorphisms_inverting_center(group)
     # H^alpha, the H^+ of the polarization attached to alpha
-    plus = [heis.polarization_from_involution(alpha)[0] for alpha in alphas]
-    c = rec("reps.involution_polarization_and_homdim")
-    for alpha, dim in zip(alphas, reps_mod.hom_dims([tau], plus)[0]):
-        c(dim == 1, alpha)
-        # tau o alpha ~ tau~: the character of tau o alpha is tau's at alpha(h)
-        c(tau.characters(alpha.perm) == cotau_row, alpha)
+    plus = [np.flatnonzero(m) for m in heis.polarizations_from_involutions(alphas)[0]]
+    # tau o alpha ~ tau~: the character of tau o alpha is tau's at alpha(h),
+    # for every alpha at once; values compare across the two denominators
+    twisted = tau.characters(np.concatenate([alpha.perm for alpha in alphas]))
+    twisted_num = twisted.num.reshape(len(alphas), group.order, -1)
+    same = twisted_num * cotau_row.den == cotau_row.num[0] * twisted.den
+    dims = reps_mod.hom_dims([tau], plus)[0]
+    rec("reps.involution_polarization_and_homdim").all(
+        np.column_stack([dims == 1, same.all(axis=(1, 2))]), lambda a, _: alphas[a]
+    )
 
     irreps = reps_mod.irreducibles_of_H(group)
     rec("reps.gelfand_bound").all(
@@ -331,9 +346,11 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
     gram = chars @ chars.conj().transpose()
     c.all(gram.equal_entries(CycMatrix.identity(n, len(irreps)).scale(group.order)))
 
-    c = rec("reps.central_trivial_involutions_have_no_forms")
-    for a in heis.order_two_automorphisms_trivial_on_center(group):
-        c(reps_mod.hom_dim(tau, a.fixed_points()) == 0, a)
+    trivial = heis.order_two_automorphisms_trivial_on_center(group)
+    dims = reps_mod.hom_dims([tau], [a.fixed_points() for a in trivial])[0]
+    rec("reps.central_trivial_involutions_have_no_forms").all(
+        dims == 0, lambda i: trivial[i]
+    )
     return rec
 
 
@@ -653,7 +670,7 @@ def heisenberg_mackey_configurations():
 
     alpha = heis.involution_from_polarization(group)
     theta = mk.InvolutionRecord(tuple(alpha.perm.tolist()))
-    k_members = sorted(group.minus_z_subgroup())
+    k_members = sorted(group.minus_z_subgroup)
     # kappa(h) = zeta_3^z(h) on the members, as a stack of 1 x 1 images
     exps = 4 * group.z[k_members][:, None]
     zetas = CycMatrix.from_roots(12, exps, np.ones_like(exps))

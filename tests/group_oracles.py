@@ -19,6 +19,14 @@ or one edge at a time, with no table gathers:
   dim Hom_H(Ind_K^G kappa, 1) for one kappa from a right-coset transversal
   built one element at a time, summing kappa's character over the
   diagonal blocks with :func:`character_sum`;
+- :func:`all_subgroups_by_closure`: every subgroup of H(p, 1) as the
+  closures of one and of two cyclic generators, the sweep
+  :meth:`heisweil.heisenberg.HeisenbergGroup.all_subgroups` made before it
+  listed them from the structure of the group;
+- :func:`polarization_fault_by_sets`: the conditions a polarization
+  (H^+, Hhat^-) must meet, tested one subgroup at a time on frozensets, as
+  :func:`heisweil.heisenberg.polarization_from_involution` tested them
+  before every involution was checked at once on masks;
 - :func:`heisenberg_law` and :func:`heisenberg_table_eager`: the law of
   W x| F_p on pairs, and its Cayley table built at once by broadcasting, as
   :class:`heisweil.heisenberg.HeisenbergGroup` built it in its constructor
@@ -211,3 +219,43 @@ def heisenberg_table_eager(space) -> np.ndarray:
     table = table % p + w_part[:, None, :, None] * p
     n = len(vecs) * p
     return table.reshape(n, n)
+
+
+def all_subgroups_by_closure(g) -> list[frozenset[int]]:
+    """Every subgroup of H(p, 1) by closures of pairs: every subgroup is
+    2-generated (H itself, and the proper ones have order at most p^2), and
+    <a, b> depends only on <a> and <b>, so the pairs are taken over one
+    generator per cyclic subgroup.  Sorted by (size, sorted members)."""
+    cyclic: dict[frozenset[int], int] = {}
+    for a in range(g.order):
+        cyclic.setdefault(g.subgroup_generated([a]), a)
+    gens = list(cyclic.values())
+    seen = set(cyclic)
+    for i, a in enumerate(gens):
+        for b in gens[i + 1 :]:
+            seen.add(g.subgroup_generated([a, b]))
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
+def polarization_fault_by_sets(g, hplus, hhat_minus) -> str | None:
+    """The first condition (H^+, Hhat^-) fails as a polarization of H, by the
+    message the package raises for it, or None: both subgroups, H^+ meets
+    the center trivially, Hhat^- contains it, and the images in W are
+    complementary maximal totally isotropic subspaces."""
+    hplus, hhat_minus = frozenset(hplus), frozenset(hhat_minus)
+    if not (g.is_subgroup(hplus) and g.is_subgroup(hhat_minus)):
+        return "polarization needs subgroups"
+    if len(hplus & g.center()) != 1:
+        return "H^+ meets the center"
+    if not g.center() <= hhat_minus:
+        return "Hhat^- must contain the center"
+    images = [g.image_in_w(hplus), g.image_in_w(hhat_minus)]
+    if any(len(w) != g.p**g.space.ell for w in images):
+        return "images do not have maximal isotropic size"
+    for w in images:
+        v = np.array(sorted(w), dtype=np.int64)
+        if (v @ g.space.form @ v.T % g.p).any():
+            return "image is not totally isotropic"
+    if images[0] & images[1] != {(0,) * g.dim}:
+        return "images are not complementary"
+    return None

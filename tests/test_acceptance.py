@@ -182,18 +182,16 @@ def test_criterion_06_fixed_forms_oracle_equivalence():
     g3 = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 1))
     tau3 = reps_mod.heisenberg_rep(g3, 1, model="minus")
     subgroups3 = g3.all_subgroups()
-    for sub in subgroups3:
-        res = reps_mod.fixed_forms(tau3, sub)
+    for sub, res in zip(subgroups3, reps_mod.fixed_forms(tau3, subgroups3)):
         assert res.certified
         assert oracle.spans_fixed_forms(tau3, sub, res.basis)
-    assert reps_mod.fixed_forms(tau3, g3.center()).dim == 0
-    assert reps_mod.fixed_forms(tau3, g3.plus_subgroup()).dim == 1
+    center, plus = reps_mod.fixed_forms(tau3, [g3.center(), g3.plus_subgroup])
+    assert center.dim == 0 and plus.dim == 1
 
     g5 = heis.HeisenbergGroup(sympl.SymplecticSpace(5, 1))
     tau5 = reps_mod.heisenberg_rep(g5, 1, model="minus")
     subgroups5 = g5.all_subgroups()
-    for sub in subgroups5:
-        res = reps_mod.fixed_forms(tau5, sub)
+    for sub, res in zip(subgroups5, reps_mod.fixed_forms(tau5, subgroups5)):
         assert res.certified
         assert oracle.spans_fixed_forms(tau5, sub, res.basis)
     elapsed = time.time() - start
@@ -222,17 +220,17 @@ def test_criterion_07_special_isomorphisms():
     assert pair_count == 81  # all ordered pairs
 
     base = heis.special_iso_from_split_polarization(
-        g, g.plus_subgroup(), g.minus_subgroup()
+        g, g.plus_subgroup, g.minus_subgroup
     )
     assert base.offset == (0, 0)
     for nu in isos:
         hminus = heis.split_polarization_from_iso(
-            nu, g.plus_subgroup(), g.minus_z_subgroup()
+            nu, g.plus_subgroup, g.minus_z_subgroup
         )
         assert len(hminus) == 3
-        if all(nu.mu[h] == 0 for h in g.plus_subgroup()):
+        if all(nu.mu[h] == 0 for h in g.plus_subgroup):
             back = heis.special_iso_from_split_polarization(
-                g, g.plus_subgroup(), hminus
+                g, g.plus_subgroup, hminus
             )
             assert back.offset == nu.offset
     elapsed = time.time() - start

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -370,6 +371,25 @@ def test_sqrt_large_modulus_under_optimize_flag():
 def test_sqrt_rejects_malformed_input(n, matrix, message):
     code, out, err = _run_captured(
         ["sqrt", "--n", str(n), "--p", "3", "--K", "4", "--matrix", matrix]
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "p,K,k0,message",
+    [
+        (9, 4, 1, "p must be an odd prime, got p = 9"),
+        (3, 2, 3, "need 1 <= k0 <= K, got k0 = 3, K = 2"),
+        (3, 4, 0, "need 1 <= k0 <= K, got k0 = 0, K = 4"),
+    ],
+)
+def test_sqrt_guards_name_the_rejected_values(p, K, k0, message):
+    """Each congruence-group guard names the values it rejects (the n guard
+    is a case of test_sqrt_rejects_malformed_input)."""
+    code, out, err = _run_captured(
+        ["sqrt", "--n", "2", "--p", str(p), "--K", str(K), "--k0", str(k0),
+         "--matrix", "[[1, 0], [0, 1]]"]
     )
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
@@ -913,6 +933,23 @@ def test_failing_identity_reports_its_first_input(tmp_path, monkeypatch, capsys)
     assert f"FAIL suite=mackey checks={report['checks']} failures=1" in (
         capsys.readouterr().err
     )
+
+
+def test_verify_writes_each_suites_wall_time_to_stderr_only():
+    """One stderr line per suite ends in its wall time, which the report on
+    stdout leaves out (its digests are pinned in test_acceptance.py)."""
+    code, out, err = _run_captured(["verify", "all", "--p", "3"])
+    lines = err.splitlines()
+    assert code == 0 and "seconds" not in out
+    assert [line.split()[1] for line in lines] == [
+        f"suite={name}" for name in cli.SUITE_NAMES
+    ]
+    for line, report in zip(lines, json.loads(out)):
+        assert re.fullmatch(
+            rf"PASS suite={report['suite']} checks={report['checks']} failures=0 "
+            r"seconds=\d+\.\d{4}",
+            line,
+        ), line
 
 
 def _captured_parse(parse, argv):

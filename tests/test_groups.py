@@ -300,22 +300,33 @@ def _mask_oracle_groups():
 
 @pytest.mark.parametrize("label, group", _mask_oracle_groups())
 def test_mask_closure_and_subgroup_test_match_the_closure_oracle(label, group):
-    """subgroup_generated and is_subgroup, on boolean masks, against closing
-    one product at a time: every single generator and 40 seeded pairs; a
-    seeded subset is a subgroup exactly when its products stay inside."""
+    """subgroup_generated, is_subgroup and are_subgroups, on boolean masks,
+    against closing one product at a time: every single generator and 40
+    seeded pairs; a seeded subset is a subgroup exactly when its products
+    stay inside.  are_subgroups takes every subset tested, and the empty
+    one, as one stack of masks."""
     g, rng = group, random.Random(label)
     gens = [[a] for a in range(g.order)]
     gens += [rng.sample(range(g.order), 2) for _ in range(40)]
+    subsets, verdicts = [frozenset()], [False]
     for pick in gens:
         expected = frozenset(closure([0], pick, g.mul))
         assert g.subgroup_generated(pick) == expected, pick
         assert g.is_subgroup(expected)
+        subsets.append(expected)
+        verdicts.append(True)
         if len(expected) > 2:  # |S| - 1 divides |S| only for |S| = 2
             assert not g.is_subgroup(expected - {max(expected)})
+            subsets.append(expected - {max(expected)})
+            verdicts.append(False)
     for _ in range(40):
         subset = set(rng.sample(range(g.order), rng.randrange(1, g.order + 1)))
         closed = all(g.mul(a, b) in subset for a in subset for b in subset)
         assert g.is_subgroup(subset) == closed, sorted(subset)
+        subsets.append(subset)
+        verdicts.append(closed)
+    masks = np.array([g.mask(subset) for subset in subsets])
+    assert g.are_subgroups(masks).tolist() == verdicts
     assert not g.is_subgroup([])
     with pytest.raises(ValueError, match=f"lie in 0..{g.order - 1}"):
         g.is_subgroup([0, g.order])

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from group_oracles import heisenberg_law, heisenberg_table_eager
+from group_oracles import (
+    all_subgroups_by_closure,
+    heisenberg_law,
+    heisenberg_table_eager,
+    polarization_fault_by_sets,
+)
+import heisweil.heisenberg as heis
 from heisweil.checks import Check
 from heisweil.groups import table_group_from_mul
 from heisweil.heisenberg import (
@@ -21,6 +27,7 @@ from heisweil.heisenberg import (
     order_two_automorphisms_inverting_center,
     order_two_automorphisms_trivial_on_center,
     polarization_from_involution,
+    polarizations_from_involutions,
     special_iso_axioms,
     special_iso_equal_tests,
     special_iso_from_split_polarization,
@@ -272,15 +279,15 @@ def test_special_iso_axioms_on_edges_match_the_all_pairs_oracle(p):
 
 def test_base_iso_from_standard_split_polarization(h3):
     nu = special_iso_from_split_polarization(
-        h3, h3.plus_subgroup(), h3.minus_subgroup()
+        h3, h3.plus_subgroup, h3.minus_subgroup
     )
     assert nu.offset == (0, 0)
 
 
 def test_conjugated_split_polarization_shifts_offset(h3):
     g0 = h3.element((1, 2), 0)
-    hplus = frozenset(h3.conjugate(g0, h) for h in h3.plus_subgroup())
-    hminus = frozenset(h3.conjugate(g0, h) for h in h3.minus_subgroup())
+    hplus = frozenset(h3.conjugate(g0, h) for h in h3.plus_subgroup)
+    hminus = frozenset(h3.conjugate(g0, h) for h in h3.minus_subgroup)
     nu = special_iso_from_split_polarization(h3, hplus, hminus)
     assert nu.offset != (0, 0)
     # uniqueness: exactly one special iso maps both sides into W x 1
@@ -295,20 +302,20 @@ def test_conjugated_split_polarization_shifts_offset(h3):
 
 def test_split_polarization_from_iso_base(h3):
     hminus = split_polarization_from_iso(
-        SpecialIso(h3, (0, 0)), h3.plus_subgroup(), h3.minus_z_subgroup()
+        SpecialIso(h3, (0, 0)), h3.plus_subgroup, h3.minus_z_subgroup
     )
-    assert hminus == h3.minus_subgroup()
+    assert hminus == h3.minus_subgroup
 
 
 def test_split_from_iso_sizes_and_roundtrip(h3):
     for nu in all_special_isos(h3):
         hminus = split_polarization_from_iso(
-            nu, h3.plus_subgroup(), h3.minus_z_subgroup()
+            nu, h3.plus_subgroup, h3.minus_z_subgroup
         )
         assert len(hminus) == 3  # p^l
-        if all(nu.mu[h] == 0 for h in h3.plus_subgroup()):
+        if all(nu.mu[h] == 0 for h in h3.plus_subgroup):
             back = special_iso_from_split_polarization(
-                h3, h3.plus_subgroup(), hminus
+                h3, h3.plus_subgroup, hminus
             )
             assert back.offset == nu.offset
 
@@ -353,7 +360,7 @@ def test_involution_from_polarization_formula(h3):
 def test_polarization_from_involution_roundtrip(h3):
     alpha = involution_from_polarization(h3)
     hplus, hhat = polarization_from_involution(alpha)
-    assert hplus == h3.plus_subgroup()
+    assert hplus == h3.plus_subgroup
     assert hhat == frozenset(
         h3.element((0, y), z) for y in range(3) for z in range(3)
     )
@@ -465,6 +472,110 @@ def test_subgroup_count_oracle(p):
     sizes = collections.Counter(len(s) for s in subs)
     assert len(subs) == p * p + 2 * p + 4
     assert sizes == {1: 1, p: p * p + p + 1, p * p: p + 1, p**3: 1}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_all_subgroups_equals_the_closure_sweep(p):
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    assert g.all_subgroups() == all_subgroups_by_closure(g)
+
+
+def test_all_subgroups_makes_no_closure(monkeypatch):
+    def no_closure(self, gens):
+        raise AssertionError("all_subgroups closed a generating set")
+
+    monkeypatch.setattr(HeisenbergGroup, "subgroup_generated", no_closure)
+    g = HeisenbergGroup(SymplecticSpace(5, 1))
+    assert len(g.all_subgroups()) == 39
+    assert "table" not in vars(g)  # and it reads no table
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_polarization_subgroups_are_built_once_from_the_spans(p, monkeypatch):
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    pol = g.space.standard_polarization()
+    expected = {
+        "plus_subgroup": {g.from_w(w) for w in pol.plus_span()},
+        "minus_subgroup": {g.from_w(w) for w in pol.minus_span()},
+        "minus_z_subgroup": {
+            g.element(w, z) for w in pol.minus_span() for z in range(p)
+        },
+    }
+
+    def no_element(self, w, z):
+        raise AssertionError("built one element at a time")
+
+    monkeypatch.setattr(HeisenbergGroup, "element", no_element)
+    for name, members in expected.items():
+        side = getattr(g, name)
+        assert isinstance(side, frozenset) and side == members
+        assert getattr(g, name) is side  # kept, not rebuilt
+        assert all(type(h) is int for h in side)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_batched_polarizations_equal_the_per_involution_reference(p):
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    alphas = order_two_automorphisms_inverting_center(g)
+    plus, hhat_minus = polarizations_from_involutions(alphas)
+    assert plus.shape == hhat_minus.shape == (len(alphas), g.order)
+    for alpha, fixed, inverted in zip(alphas, plus, hhat_minus):
+        assert set(np.flatnonzero(fixed).tolist()) == alpha.fixed_points()
+        assert set(np.flatnonzero(inverted).tolist()) == alpha.inverted_points()
+        sides = alpha.fixed_points(), alpha.inverted_points()
+        assert polarization_fault_by_sets(g, *sides) is None
+    assert polarization_from_involution(alphas[-1]) == (
+        alphas[-1].fixed_points(),
+        alphas[-1].inverted_points(),
+    )
+
+
+def test_polarization_faults_equal_the_set_reference(h3):
+    """Every ordered pair of subgroups of H(3, 1), and of three sets that are
+    not subgroups, as (H^+, Hhat^-), checked at once on masks: each row's
+    first fault is the reference's."""
+    g = h3
+    sets = g.all_subgroups() + [
+        frozenset([0, 1]),
+        g.plus_subgroup - {max(g.plus_subgroup)},
+        frozenset(),
+    ]
+    pairs = list(itertools.product(sets, repeat=2))
+    plus = np.array([g.mask(a) for a, _ in pairs])
+    hhat = np.array([g.mask(b) for _, b in pairs])
+    faults = np.column_stack(heis._polarization_faults(g, plus, hhat))
+    got = [
+        heis._POLARIZATION_FAULTS[row.argmax()] if row.any() else None for row in faults
+    ]
+    expected = [polarization_fault_by_sets(g, a, b) for a, b in pairs]
+    assert got == expected
+    # at ell = 1 an image of maximal isotropic size is a line, so isotropic:
+    # that fault needs the hyperbolic plane <e1, f1> of H(3, 2), under W x Z
+    isotropy = "image is not totally isotropic"
+    assert set(expected) == (set(heis._POLARIZATION_FAULTS) | {None}) - {isotropy}
+    big = HeisenbergGroup(SymplecticSpace(3, 2))
+    plane = {
+        big.element((a, 0, b, 0), z) for a, b, z in itertools.product(range(3), repeat=3)
+    }
+    assert polarization_fault_by_sets(big, big.plus_subgroup, plane) == isotropy
+    with pytest.raises(ValueError, match=f"^{isotropy}$"):
+        heis._check_polarization(big, big.plus_subgroup, plane)
+
+
+def test_first_bad_involution_raises_its_first_fault(h3):
+    good = order_two_automorphisms_inverting_center(h3)[:3]
+    trivial = order_two_automorphisms_trivial_on_center(h3)[0]
+    # antisymplectic with s^2 = [[1, 1], [1, 2]] != 1
+    not_order_two = HeisenbergAutomorphism(h3, np.array([[0, 1], [1, 1]]), (0, 0), -1)
+    for first, message in (
+        (trivial, "alpha must act nontrivially on the center"),
+        (not_order_two, "alpha must have order two"),
+    ):
+        later = not_order_two if first is trivial else trivial
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            polarizations_from_involutions(good + [first] + good + [later])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            polarization_from_involution(first)
 
 
 def test_subgroup_sweep_names_its_limit():

@@ -708,3 +708,22 @@ def test_from_roots_equals_the_entrywise_matrix(n):
         )
         assert got == expected and hash(got) == hash(expected)
         assert got.num.dtype == dtype
+
+
+@pytest.mark.parametrize("n", [12, 28])
+def test_conj_equals_entrywise_conj_on_both_sides_of_the_int64_bound(n):
+    """conj runs in int64 while phi * max|num| * max|sigma| < 2^63 and on
+    Python ints past it; on both sides, and on object storage, it equals
+    CycNumber.conj on every entry.  Every |sigma| entry is 1 at these n."""
+    ctx, rng = context(n), random.Random(n)
+    sigma = ctx.power_table[-np.arange(ctx.phi) % n]
+    limit = 2**63 // (ctx.phi * int(np.abs(sigma).max()))
+    for top in (7, limit - 1, limit, 2**62, 2**70):
+        num = np.array(
+            [rng.randint(-top, top) for _ in range(2 * 3 * ctx.phi)], dtype=object
+        ).reshape(2, 3, ctx.phi)
+        num[0, 0] = top  # the maximum is reached
+        m = CycMatrix._packed(n, num, 1)
+        assert m.num.dtype == (np.int64 if top < 2**63 else object)
+        expected = CycMatrix(n, [[e.conj() for e in row] for row in m.rows])
+        assert m.conj() == expected

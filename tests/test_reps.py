@@ -8,7 +8,9 @@ import pytest
 
 import elimination_oracle as oracle
 from group_oracles import character_sum
+from heisweil import reps as reps_mod
 from heisweil.checks import Check
+from heisweil.groups import double_coset_labels
 from heisweil.heisenberg import (
     HeisenbergGroup,
     involution_from_polarization,
@@ -28,6 +30,7 @@ from heisweil.reps import (
     hom_dims,
     irreducibles_of_H,
     projector_traces,
+    transpose_products,
 )
 from heisweil.scalar import CycNumber, context, zeta_p
 from heisweil.suites import (
@@ -160,15 +163,15 @@ def test_invariant_pairing(h3, tau3):
 
 
 def test_fixed_forms_center_kills_everything(h3, tau3):
-    res = fixed_forms(tau3, h3.center())
+    (res,) = fixed_forms(tau3, [h3.center()])
     assert res.dim == 0 and res.certified
     assert oracle.spans_fixed_forms(tau3, h3.center(), res.basis)
 
 
 def test_fixed_forms_wplus_is_summation_form(h3, tau3):
-    res = fixed_forms(tau3, h3.plus_subgroup())
+    (res,) = fixed_forms(tau3, [h3.plus_subgroup])
     assert res.dim == 1 and res.certified
-    assert oracle.spans_fixed_forms(tau3, h3.plus_subgroup(), res.basis)
+    assert oracle.spans_fixed_forms(tau3, h3.plus_subgroup, res.basis)
     lam = res.basis.rows[0]
     # lambda_1(phi) = sum over W+ of phi: all-ones row up to scale
     assert all(c == lam[0] for c in lam) and not lam[0].is_zero()
@@ -177,7 +180,7 @@ def test_fixed_forms_wplus_is_summation_form(h3, tau3):
 def test_fixed_forms_arbitrary_max_isotropic(h3, tau3):
     # W_0 spanned by e1 + e2: maximal totally isotropic, dimension one again
     w0 = h3.subgroup_generated([h3.from_w((1, 1))])
-    res = fixed_forms(tau3, w0)
+    (res,) = fixed_forms(tau3, [w0])
     assert res.dim == 1 and res.certified
     assert oracle.spans_fixed_forms(tau3, w0, res.basis)
 
@@ -187,8 +190,7 @@ def assert_certified_and_oracle_spans(group, tau, count):
     span the nullspace the oracle's elimination finds."""
     subgroups = group.all_subgroups()
     assert len(subgroups) == count
-    for sub in subgroups:
-        res = fixed_forms(tau, sub)
+    for sub, res in zip(subgroups, fixed_forms(tau, subgroups), strict=True):
         assert res.certified, f"certificate fails on a subgroup of order {len(sub)}"
         assert res.basis.nrows == res.dim
         assert oracle.spans_fixed_forms(
@@ -211,11 +213,116 @@ def test_fixed_forms_all_subgroups_p7():
     assert_certified_and_oracle_spans(g, heisenberg_rep(g, 1, model="minus"), 67)
 
 
-def test_fixed_forms_records_one_identity_per_call(h3, tau3):
-    check = Check("reps.fixed_forms")
-    for sub in h3.all_subgroups():
-        fixed_forms(tau3, sub, check)
-    assert check.passed and check.checks == 19
+def test_fixed_forms_runs_one_hom_dims_call_and_one_certificate_per_subgroup(
+    h3, tau3, monkeypatch
+):
+    """The dimensions of every subgroup come from one hom_dims call, and each
+    basis is proved by one certificate, in the order of the subgroups."""
+    from heisweil import reps as reps_mod
+
+    dims_calls, proved = [], []
+    real_dims, real_certificate = reps_mod.hom_dims, reps_mod.fixed_forms_certificate
+
+    def counted_dims(reps, subgroups):
+        dims_calls.append(len(subgroups))
+        return real_dims(reps, subgroups)
+
+    def counted_certificate(rep, subgroup, basis, dim, check=None):
+        proved.append(subgroup)
+        return real_certificate(rep, subgroup, basis, dim, check)
+
+    monkeypatch.setattr(reps_mod, "hom_dims", counted_dims)
+    monkeypatch.setattr(reps_mod, "fixed_forms_certificate", counted_certificate)
+    subgroups = h3.all_subgroups()
+    results = fixed_forms(tau3, subgroups)
+    assert dims_calls == [19] and len(results) == 19
+    assert proved == [sorted(sub) for sub in subgroups]
+    assert all(res.certified for res in results)
+
+
+def fixed_forms_one_subgroup(rep, subgroup):
+    """The reference: the double-coset basis of Hom_K(rep, 1) and its
+    certificate for one K, one representative x at a time, as
+    :func:`heisweil.reps.fixed_forms` built it before it took a list."""
+    g = rep.group
+    n, p, ell = rep.conductor, g.p, g.space.ell
+    members = sorted(frozenset(subgroup))
+    K = np.array(members, dtype=np.int64)
+    labels = double_coset_labels(g, g.minus_z_subgroup, K)
+    t, inv = g.table, g.inverse_of
+    w_minus = np.array(sorted(g.minus_subgroup), dtype=np.int64)
+    nontrivial_center = g.mask(g.center())
+    nontrivial_center[0] = False
+    digits = p ** np.arange(ell - 1, -1, -1, dtype=np.int64)
+    counts = []
+    for x in np.unique(labels, return_index=True)[1].tolist():
+        conj = t[t[x, K], inv[x]]
+        if nontrivial_center[t[np.ix_(w_minus, conj)]].any():
+            continue
+        xk = t[x, K]
+        u, v = g.w[xk, :ell], g.w[xk, ell:]
+        exps = (g.z[xk] + g.half * (u * v).sum(axis=1)) % p
+        count = np.zeros((rep.dim, p), dtype=np.int64)
+        np.add.at(count, (u @ digits, exps), 1)
+        counts.append(count)
+    roots = context(n).power_table[(n // p) * (rep.zeta_exponent * np.arange(p) % p)]
+    num = np.array(counts, dtype=np.int64).reshape(-1, rep.dim, p) @ roots
+    basis = CycMatrix._packed(n, num, 1)
+    dim = hom_dim(rep, members)
+    return dim, basis, fixed_forms_certificate(rep, members, basis, dim)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fixed_forms_equals_the_per_subgroup_reference(p):
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    tau = heisenberg_rep(g, 1, model="minus")
+    subgroups = g.all_subgroups()
+    for sub, res in zip(subgroups, fixed_forms(tau, subgroups), strict=True):
+        assert (res.dim, res.basis, res.certified) == fixed_forms_one_subgroup(tau, sub)
+
+
+def test_a_corrupted_basis_is_the_suites_first_witness(monkeypatch):
+    """Drop the last row of the basis of two subgroups with forms: the
+    certificate fails on both, and the earlier one is the witness."""
+    from heisweil.suites import RunConfig, suite_reps
+
+    g = HeisenbergGroup(SymplecticSpace(3, 1))
+    subgroups = g.all_subgroups()
+    dims = hom_dims([heisenberg_rep(g, 1)], subgroups)[0]
+    with_forms = [sorted(sub) for sub, d in zip(subgroups, dims) if d]
+    first, later = with_forms[len(with_forms) // 2], with_forms[-1]
+    real = reps_mod.fixed_forms_certificate
+
+    def corrupted(rep, subgroup, basis, dim, check=None):
+        if subgroup in (first, later):
+            basis = basis[: basis.nrows - 1]
+        return real(rep, subgroup, basis, dim, check)
+
+    monkeypatch.setattr(reps_mod, "fixed_forms_certificate", corrupted)
+    (check,) = [
+        c for c in suite_reps(RunConfig(p=3)) if c.check == "reps.fixed_forms_oracle_equivalence"
+    ]
+    assert not check.passed and check.witness == first
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_transpose_products_equal_per_element_products(p):
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    tau, plus = heisenberg_rep(g, 1), heisenberg_rep(g, 2, model="plus")
+    pairs = [
+        (tau, heisenberg_rep(g, p - 1)),  # the invariant pairing: the identity
+        (tau, contragredient(tau)),
+        (plus, heisenberg_rep(g, 1, model="plus")),
+    ]
+    for rep, other in pairs:
+        num = transpose_products(rep, other)
+        for h in g.elements():
+            expected = rep.image(h).transpose() @ other.image(h)
+            assert CycMatrix._packed(rep.conductor, num[h], 1) == expected
+    eye = CycMatrix.identity(tau.conductor, tau.dim).num
+    assert (transpose_products(*pairs[0]) == eye).all()
+    with pytest.raises(ValueError, match="two monomial reps"):
+        transpose_products(tau, irreducibles_of_H(g)[0])
 
 
 def certificate_witness(tau, sub, basis, dim):
@@ -229,9 +336,8 @@ def certificate_witness(tau, sub, basis, dim):
 def test_certificate_fails_a_shifted_root_exponent(h3, tau3):
     """One entry of one row times zeta_p: still nonzero on the same support
     and as many rows as the trace, but no longer K-invariant."""
-    n, tried = tau3.conductor, 0
-    for sub in h3.all_subgroups():
-        res = fixed_forms(tau3, sub)
+    n, tried, subgroups = tau3.conductor, 0, h3.all_subgroups()
+    for sub, res in zip(subgroups, fixed_forms(tau3, subgroups)):
         rows = res.basis.rows
         support = [j for j, c in enumerate(rows[0] if rows else []) if not c.is_zero()]
         if len(support) < 2:  # a multiple of a one-entry row stays invariant
@@ -247,9 +353,8 @@ def test_certificate_fails_a_shifted_root_exponent(h3, tau3):
 def test_certificate_fails_a_duplicated_row(h3, tau3):
     """A repeated row is K-invariant but overlaps its twin in support: the
     certificate fails against the trace, and also against one more."""
-    tried = 0
-    for sub in h3.all_subgroups():
-        res = fixed_forms(tau3, sub)
+    tried, subgroups = 0, h3.all_subgroups()
+    for sub, res in zip(subgroups, fixed_forms(tau3, subgroups)):
         if not res.dim:
             continue
         num = res.basis.num
@@ -262,9 +367,8 @@ def test_certificate_fails_a_duplicated_row(h3, tau3):
 
 def test_certificate_fails_a_dropped_row(h3, tau3):
     """All but the last row: invariant and disjoint, one short of the trace."""
-    tried = 0
-    for sub in h3.all_subgroups():
-        res = fixed_forms(tau3, sub)
+    tried, subgroups = 0, h3.all_subgroups()
+    for sub, res in zip(subgroups, fixed_forms(tau3, subgroups)):
         if not res.dim:
             continue
         fewer = res.basis[: res.dim - 1]
@@ -373,8 +477,9 @@ def test_hom_dims_table_equals_character_sums(h3):
 
 
 def test_hom_dim_matches_fixed_forms(h3, tau3):
-    for sub in h3.all_subgroups():
-        assert hom_dim(tau3, sub) == fixed_forms(tau3, sub).dim
+    subgroups = h3.all_subgroups()
+    for sub, res in zip(subgroups, fixed_forms(tau3, subgroups)):
+        assert hom_dim(tau3, sub) == res.dim
 
 
 def test_heisthm_suite_p3_p5():
@@ -451,11 +556,11 @@ def test_hplusfixed_conjugation_identity(h3, tau3):
     rng = random.Random(7)
     for _ in range(10):
         w0 = (rng.randrange(3), rng.randrange(3))
-        ws = [h3.names[h].w for h in h3.plus_subgroup()]
+        ws = [h3.names[h].w for h in h3.plus_subgroup]
         lift = frozenset(h3.element(w, h3.space.pair(w, w0)) for w in ws)
         assert h3.is_subgroup(lift)
         g0 = h3.from_w(w0)
-        for h in h3.plus_subgroup():
+        for h in h3.plus_subgroup:
             w = h3.names[h].w
             assert h3.mul(h3.mul(h3.inv(g0), h), g0) == h3.element(
                 w, h3.space.pair(w, w0)
