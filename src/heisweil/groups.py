@@ -19,7 +19,8 @@ homomorphism.
 :func:`generators_within` is the one generating-set routine: every
 generator-edge check below, the automorphism search and the orbit and
 character sweeps of the suites read its sets, of a whole group
-(:attr:`TableGroup.generators`, derived once) or of a subgroup.  A set is
+(:attr:`TableGroup.generators`) or of a subgroup
+(:meth:`TableGroup.generators_of`), each derived once per group.  A set is
 irredundant, so no check reads the edges of a generator the others
 already generate: H(p, 1) gets (0, 1) and (1, 0) of W, not the center too.
 
@@ -167,6 +168,19 @@ class TableGroup:
     def generators(self) -> tuple[int, ...]:
         """:func:`generators_within` the whole group, derived once per group."""
         return tuple(generators_within(self, range(self.order)))
+
+    def generators_of(self, members) -> tuple[int, ...]:
+        """:func:`generators_within` the subgroup ``members``, derived once
+        per group and subgroup and kept with the group, so a group built
+        once per process, as the Mackey zoo's are, derives each set once."""
+        key = frozenset(members)
+        if key not in self._generating_sets:
+            self._generating_sets[key] = tuple(generators_within(self, key))
+        return self._generating_sets[key]
+
+    @cached_property
+    def _generating_sets(self) -> dict:
+        return {}
 
     def associativity_edges(self) -> np.ndarray:
         """Light's associativity test: the boolean (n, |S|, n) array of

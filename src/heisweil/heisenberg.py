@@ -20,10 +20,12 @@ and the commutator pairing factors through W as the symplectic form.
 Subgroups are read off coordinates too, by :meth:`HeisenbergGroup.index_of`
 broadcasts: the p^2 + 2p + 4 subgroups of H(p, 1)
 (:meth:`HeisenbergGroup.all_subgroups`, from its structure, with no
-closure), and the sides W^+, W^- and W^- x Z of the standard
-polarization, each built once per group.  The polarizations attached to
-involutions are checked for a whole list of involutions at once, on their
-stacked permutations (:func:`polarizations_from_involutions`).
+closure, and the generators each is built from,
+:meth:`HeisenbergGroup.subgroup_generators`), and the sides W^+, W^- and
+W^- x Z of the standard polarization, each built once per group.  The
+polarizations attached to involutions are checked for a whole list of
+involutions at once, on their stacked permutations
+(:func:`polarizations_from_involutions`).
 
 Special isomorphisms H -> W x| Z are stored by their torsor offset w0
 relative to the base one mu0(w, z) = z, with the central coordinate as a
@@ -189,6 +191,20 @@ class HeisenbergGroup(TableGroup):
         line of W, and each of the p + 1 lines gives one.  With {1} and H,
         that makes p^2 + 2p + 4 subgroups.
         """
+        return list(self._subgroup_structure[0])
+
+    def subgroup_generators(self) -> list[tuple[int, ...]]:
+        """A generating set of each subgroup of :meth:`all_subgroups`, in
+        its order, read from how it is built: none for {1}; (w, z) for the
+        cyclic <(w, z)>; (d, 0) and the center's (0, 1) for the preimage of
+        the line spanned by d; (1, 0) and (0, 1) of W for H, whose
+        commutator is the center."""
+        return list(self._subgroup_structure[1])
+
+    @cached_property
+    def _subgroup_structure(self) -> tuple[tuple, tuple]:
+        """(subgroups, generating sets) of :meth:`all_subgroups` and
+        :meth:`subgroup_generators`, built once per group."""
         if self.space.ell != 1:
             raise GuardError(
                 "subgroup sweep needs ell = 1 (the subgroups of H(p, 1)); "
@@ -197,18 +213,30 @@ class HeisenbergGroup(TableGroup):
         p, k = self.p, np.arange(self.p)
         # column h: the powers (k w_h, k z_h) of h, one broadcast
         powers = self.index_of(k[:, None, None] * self.w, k[:, None] * self.z)
-        cyclic = np.unique(np.sort(powers[:, 1:], axis=0).T, axis=0)
+        cyclic, first = np.unique(
+            np.sort(powers[:, 1:], axis=0).T, axis=0, return_index=True
+        )
         # row d: the (k d, z) over the line spanned by d, (0, 1) or (1, c)
         dirs = np.array([(0, 1)] + [(1, c) for c in range(p)], dtype=np.int64)
         over = k[:, None, None] * dirs[:, None, None]  # (p + 1, p, 1, 2)
         lines = self.index_of(np.broadcast_to(over, (p + 1, p, p, 2)), k)
-        lines = np.unique(np.sort(lines.reshape(p + 1, p * p), axis=1), axis=0)
-        return [
+        lines, line_of = np.unique(
+            np.sort(lines.reshape(p + 1, p * p), axis=1), axis=0, return_index=True
+        )
+        center = self.central(1)
+        subgroups = (
             frozenset([0]),
             *(frozenset(row) for row in cyclic.tolist()),
             *(frozenset(row) for row in lines.tolist()),
             frozenset(range(self.order)),
-        ]
+        )
+        gens = (
+            (),
+            *((h,) for h in (first + 1).tolist()),
+            *((d, center) for d in self.index_of(dirs[line_of], 0).tolist()),
+            tuple(self.index_of(np.eye(2, dtype=np.int64), 0).tolist()),
+        )
+        return subgroups, gens
 
     def image_in_w(self, subset) -> frozenset[tuple[int, ...]]:
         return frozenset(self.names[h].w for h in subset)
@@ -288,12 +316,6 @@ class SpecialIso:
     def image(self, h) -> int:
         """nu(h) = (w, mu(h)), written as an index of the same layout as H."""
         return int(h - self.group.z[h] + self.mu[h])
-
-    def inverse_image(self, x) -> int:
-        """The h with nu(h) = x, for x = (w, z) written as an index: h has
-        the same w and z_h = z - <w, w0> = 2 z - mu(x)."""
-        zx = self.group.z[x]
-        return int(x - zx + (2 * zx - self.mu[x]) % self.group.p)
 
     def preimage_of_w(self) -> frozenset[int]:
         """nu^-1(W x 1): the elements with trivial central coordinate."""
@@ -532,9 +554,6 @@ class HeisenbergAutomorphism:
         return frozenset(
             np.flatnonzero(self.perm == np.arange(self.group.order)).tolist()
         )
-
-    def inverted_points(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.perm == self.group.inverse_of).tolist())
 
 
 def involution_from_polarization(group: HeisenbergGroup) -> HeisenbergAutomorphism:

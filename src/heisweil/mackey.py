@@ -7,7 +7,10 @@ W x| F_p (itself a TableGroup) and on Sp(W) x| H, whose table below is
 the law on (sp index, h index) pairs, :func:`semidirect_mul`, on every pair.
 
 The two Hom-dimension computations are deliberately independent in what
-they sum, and share the one exact product that sums it:
+they sum, and share the one exact product that sums it.  Each, like the
+orbit multiplicity sum, is a builder of weight rows over G, with one
+divisor per row, and its value for a kappa is the sum of the kappa's
+projector traces over the rows:
 
 - :func:`mackey_hom_dim` sums dim Hom_{K ^ gHg^-1}(kappa, 1) over double
   cosets KgH, the double-coset decomposition of Hom_H(Ind kappa, 1): the
@@ -16,13 +19,15 @@ they sum, and share the one exact product that sums it:
   matrices over its own right-coset transversal and takes the exact trace
   of the averaging projector over H, never mentioning double cosets: one
   row of weights, how often each x_i h x_i^-1 lies on the diagonal, with
-  the divisor |H|.
+  the divisor |H|;
+- :func:`orbmult_rhs`, the sum of the orbit multiplicity formula, has one
+  0/1 row per K-orbit.
 
-Each takes a list of kappas and makes one
-:func:`~heisweil.reps.projector_traces` call for all of them, which
-multiplies their character rows by its weight rows.  So the oracle's
-independence lies in its transversal and its weights, not in a product
-of its own.
+:func:`summed_traces` evaluates any number of such parts for a list of
+kappas in one :func:`~heisweil.reps.projector_traces` call, which
+multiplies their character rows by the stacked weight rows; the mackey
+suite makes that one call per test bed.  So the oracle's independence
+lies in its transversal and its weights, not in a product of its own.
 
 Their agreement on every configuration is the module-level theorem check.
 The double-coset side takes the (K, G^theta) partition of
@@ -45,10 +50,9 @@ import numpy as np
 from heisweil.groups import (
     TableGroup,
     extend_hom,
-    generators_within,
     table_group_from_mul,
 )
-from heisweil.reps import MatrixRep, hom_dims, projector_traces
+from heisweil.reps import MatrixRep, projector_traces
 from heisweil.symplectic import mat_inv, sp_index, sp_table
 
 __all__ = [
@@ -70,6 +74,7 @@ __all__ = [
     "quaternion_group",
     "s_theta",
     "semidirect_mul",
+    "summed_traces",
     "symmetric_group",
     "table_group_from_mul",
     "twisted_classes",
@@ -232,30 +237,35 @@ def involution_orbits(
     """Partition of the given involutions under conjugation by the actor
     subgroup, each orbit in breadth-first discovery order from a generating
     set of the actor: :attr:`~heisweil.groups.TableGroup.generators` when
-    the actor is all of G, derived once per group.
+    the actor is all of G, else
+    :meth:`~heisweil.groups.TableGroup.generators_of` the actor, each
+    derived once per group.
 
     a.theta = c_a o theta o c_a^-1 with c_a(x) = a x a^-1, so a layer of the
     search is one gather over (frontier x generators) on the stacked
-    permutations.  ``validate`` checks that the first involution is one;
-    a caller passing conjugates of a checked involution can skip it.
+    permutations.  A permutation is keyed by the bytes of its row, and an
+    orbit member that is one of ``thetas`` is handed back as that record,
+    not rebuilt.  ``validate`` checks that the first involution is one; a
+    caller passing conjugates of a checked involution can skip it.
     """
     thetas = list(thetas)
     if validate and thetas and not thetas[0].is_valid(g):
         raise ValueError("input is not an involutive automorphism")
     t, actor = g.table, frozenset(actor)
-    whole = len(actor) == g.order
-    gens = g.generators if whole else generators_within(g, actor)
+    gens = g.generators if len(actor) == g.order else g.generators_of(actor)
     gens = np.array(gens, dtype=np.int64)
     # outer[j] = c_a and inner[j] = c_a^-1 for the generator a = gens[j]
     outer = t[t[gens], g.inverse_of[gens, None]]
     inner = t[t[g.inverse_of[gens]], gens[:, None]]
     which = np.arange(len(gens))[:, None]
-    remaining = {theta.perm: theta for theta in thetas}
+    rows = np.array([theta.perm for theta in thetas], dtype=t.dtype)
+    given = {row.tobytes(): theta for row, theta in zip(rows, thetas)}
+    remaining = dict(given)
     orbits = []
     while remaining:
-        _, seed = remaining.popitem()
-        frontier = np.array([seed.perm], dtype=t.dtype)
-        found, seen = [seed], {frontier[0].tobytes()}
+        key, seed = remaining.popitem()
+        frontier = np.frombuffer(key, dtype=t.dtype)[None]
+        found, seen = [seed], {key}
         while len(frontier):
             # candidate (x, j) is gens[j] . frontier[x], in row-major order
             nxt = []
@@ -263,10 +273,10 @@ def involution_orbits(
                 if (key := row.tobytes()) not in seen:
                     seen.add(key)
                     nxt.append(row)
-            found.extend(InvolutionRecord(tuple(row.tolist())) for row in nxt)
+                    found.append(given.get(key) or InvolutionRecord(tuple(row.tolist())))
             frontier = np.array(nxt, dtype=t.dtype).reshape(len(nxt), g.order)
-        for theta in found:
-            remaining.pop(theta.perm, None)
+        for key in seen:
+            remaining.pop(key, None)
         orbits.append(found)
     return orbits
 
@@ -278,37 +288,48 @@ def involution_orbits(
 ORACLE_GUARD = 200_000
 
 
-def mackey_hom_dim(
-    g: TableGroup, k_sub, kappas: list[MatrixRep], h_sub, reps
-) -> list[int]:
-    """Sum over double cosets KxH of dim Hom_{K ^ xHx^-1}(kappa, 1), for
-    each of ``kappas``.
+def summed_traces(kappas: list[MatrixRep], parts) -> list[list[int]]:
+    """For every part, a pair (weights, divisors) of the builders below,
+    and every kappa, the sum of the kappa's projector traces over the rows
+    of the part: one :func:`~heisweil.reps.projector_traces` call on the
+    stacked rows of all parts, each sum in Python ints."""
+    sizes = [len(divisors) for _, divisors in parts]
+    weights = np.concatenate([np.asarray(w, dtype=np.int64) for w, _ in parts])
+    traces = projector_traces(kappas, weights, np.concatenate([d for _, d in parts]))
+    ends = np.cumsum(sizes).tolist()
+    return [
+        traces[:, end - size : end].astype(object).sum(axis=1).tolist()
+        for size, end in zip(sizes, ends)
+    ]
 
-    ``reps`` holds one representative x of each double coset, as the
-    (K, H) partition gives them; the summands are one :func:`hom_dims` call.
-    """
+
+def mackey_hom_dim(g: TableGroup, k_sub, h_sub, reps) -> tuple[np.ndarray, np.ndarray]:
+    """The weight rows of the sum over double cosets KxH of
+    dim Hom_{K ^ xHx^-1}(kappa, 1): the mask of K ^ xHx^-1 for every x of
+    ``reps``, one representative of each double coset as the (K, H)
+    partition gives them, with its size as divisor; one stacked gather."""
     t, inv = g.table, g.inverse_of
     h = np.array(sorted(h_sub), dtype=np.int64)
-    k_set = frozenset(k_sub)
-    conj = [k_set & frozenset(t[t[x, h], inv[x]].tolist()) for x in reps]
-    return hom_dims(kappas, conj).sum(axis=1).tolist()
+    xs = np.asarray(reps, dtype=np.int64)
+    masks = np.zeros((len(xs), g.order), dtype=bool)
+    masks[np.arange(len(xs))[:, None], t[t[xs[:, None], h], inv[xs][:, None]]] = True
+    masks &= g.mask(k_sub)
+    return masks, masks.sum(axis=1)
 
 
 def induced_hom_dim_oracle(
-    g: TableGroup, k_sub, kappas: list[MatrixRep], h_sub
-) -> list[int]:
-    """dim Hom_H(Ind_K^G kappa, 1) without Mackey theory, for each of
-    ``kappas``.
+    g: TableGroup, k_sub, h_sub, dim: int
+) -> tuple[np.ndarray, list[int]]:
+    """The weight row of dim Hom_H(Ind_K^G kappa, 1) without Mackey theory,
+    for kappas of dimension at most ``dim``.
 
-    Returns the exact trace of the idempotent averaging projector over H on
-    the induced representation, read off its block-permutation matrices:
-    x_i h = k x_j puts kappa(k) in block (i, j), so only j = i adds to the
-    trace, by trace kappa(x_i h x_i^-1).  The traces are one weight row,
-    how often each element lies on that diagonal, over the divisor |H|, in
-    one :func:`~heisweil.reps.projector_traces` call.  Guarded by
-    :data:`ORACLE_GUARD` on the largest kappa.  RuntimeError when some
-    x_i h x_j^-1 lies outside K, or the trace is not an integer or is
-    negative.
+    The value is the exact trace of the idempotent averaging projector over
+    H on the induced representation, read off its block-permutation
+    matrices: x_i h = k x_j puts kappa(k) in block (i, j), so only j = i
+    adds to the trace, by trace kappa(x_i h x_i^-1).  So the row weighs
+    each element by how often it lies on that diagonal, over the divisor
+    |H|.  Guarded by :data:`ORACLE_GUARD` on (m d)^2 |H| with d = ``dim``.
+    RuntimeError when some x_i h x_j^-1 lies outside K.
     """
     t, inv = g.table, g.inverse_of
     k = np.array(sorted(k_sub), dtype=np.int64)
@@ -318,7 +339,7 @@ def induced_hom_dim_oracle(
     xs = np.unique(first)
     coset_of = np.searchsorted(xs, first)
     h = np.array(sorted(h_sub), dtype=np.int64)
-    size = (len(xs) * max(kappa.dim for kappa in kappas)) ** 2 * len(h)
+    size = (len(xs) * dim) ** 2 * len(h)
     if size > ORACLE_GUARD:
         raise ValueError(
             f"induced-representation oracle guarded to (m d)^2 |H| <= "
@@ -333,7 +354,7 @@ def induced_hom_dim_oracle(
         a, i = outside[0]
         raise RuntimeError(f"x_i h x_j^-1 = {kk[a, i]} not in K (i = {i}, h = {h[a]})")
     diagonal = np.bincount(kk[j == np.arange(len(xs))], minlength=g.order)
-    return projector_traces(kappas, diagonal[None], [len(h)])[:, 0].tolist()
+    return diagonal[None], [len(h)]
 
 
 # -- twisted classes and multiplicity bookkeeping ----------------------------------
@@ -400,21 +421,19 @@ def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, cosets):
     return len(cosets), bound if center <= frozenset(k_sub) else None
 
 
-def orbmult_rhs(
-    g: TableGroup, k_sub, kappas: list[MatrixRep], k_orbits, m: int
-) -> list[int]:
-    """The right side of the orbit multiplicity formula
+def orbmult_rhs(g: TableGroup, k_sub, k_orbits) -> tuple[np.ndarray, np.ndarray]:
+    """The weight rows of the right side of the orbit multiplicity formula
 
     dim Hom_{G^theta}(Ind kappa, 1)
         = m_K * sum over K-orbits Theta' in Theta of dim Hom_{K ^ G^theta'}(kappa, 1),
 
-    for each of ``kappas``, with ``m`` = m_K(Theta) and one involution
-    theta' read from each K-orbit; the summands are one :func:`hom_dims`
-    call.  The left side is the oracle's value.
+    the mask of K ^ G^theta' for one involution theta' read from each
+    K-orbit, with its size as divisor; the caller multiplies the summed
+    traces by m_K(Theta).  The left side is the oracle's value.
     """
-    k_set = frozenset(k_sub)
-    fixed = [k_set & fixed_subgroup(g, k_orbit[0]) for k_orbit in k_orbits]
-    return (m * hom_dims(kappas, fixed).sum(axis=1)).tolist()
+    perms = np.array([k_orbit[0].perm for k_orbit in k_orbits], dtype=np.int64)
+    masks = (perms == np.arange(g.order)) & g.mask(k_sub)
+    return masks, masks.sum(axis=1)
 
 
 # -- Sp(W) x| H -------------------------------------------------------------------

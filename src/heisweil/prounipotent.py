@@ -261,6 +261,35 @@ def _is_involution(group: CongruenceGroup, alpha, gs, images) -> bool:
     )
 
 
+def _involution_on_enumeration(group: CongruenceGroup, els, images):
+    """The :meth:`CongruenceGroup.enumeration_index` of alpha(g) for every g
+    of ``els`` = ``group.enumerate()``, whose images under alpha are
+    ``images``, when alpha passes :func:`_is_involution` on them; None
+    otherwise.
+
+    The index of alpha(g), with alpha(g) equal to the element at that index,
+    proves alpha(g) in the group.  Then alpha(alpha(g)) is ``images`` at
+    that index, and alpha(g h), for h the element after g, is ``images`` at
+    the index of g h: both identities are gathers, and alpha is never
+    applied again.
+    """
+    try:
+        image_of = group.enumeration_index(images)
+    except ValueError:
+        return None
+    if not np.array_equal(els[image_of], images):
+        return None
+    if not np.array_equal(image_of[image_of], np.arange(len(els))):
+        return None
+    after = np.roll(els, -1, axis=0)
+    products = group.enumeration_index(group.mul(els, after))
+    del after
+    images_after = np.roll(images, -1, axis=0)
+    if not np.array_equal(images[products], group.mul(images, images_after)):
+        return None
+    return image_of
+
+
 def h1_alpha_trivial(
     group: CongruenceGroup,
     alpha,
@@ -273,14 +302,18 @@ def h1_alpha_trivial(
 
     alpha must be an involutive automorphism, or ValueError is raised.  The
     guard checks alpha(alpha(g)) = g, alpha(g) in the group and alpha(g h) =
-    alpha(g) alpha(h) for h the element after g, on every element of the
-    group in exhaustive mode, with no random draw, and on 42 random ones
-    otherwise.
+    alpha(g) alpha(h) for h the element after g: on every element of the
+    group in exhaustive mode, with no random draw
+    (:func:`_involution_on_enumeration`), and on 42 random ones otherwise
+    (:func:`_is_involution`).
 
-    exhaustive: enumerate the whole group as one stack and check, for every
-    element, that it is a cocycle (z alpha(z) = 1) exactly when it is a
-    coboundary g alpha(g)^-1, the coboundaries marked by their
-    :meth:`CongruenceGroup.enumeration_index`.
+    exhaustive: enumerate the whole group as one stack, apply alpha and
+    invert once each, and read everything else off the
+    :meth:`CongruenceGroup.enumeration_index` of the results: z is a cocycle
+    (z alpha(z) = 1) exactly when the index of alpha(z) is that of z^-1,
+    and the coboundaries g alpha(g)^-1, one product with the inverses
+    gathered at the indices of the alpha(g), are marked by their indices.
+    The check is that the two marks agree on every element.
     constructive: for random alpha-inverted z, the square root
     y = sqrt(z) satisfies z = y alpha(y)^-1 exactly (alpha commutes with
     sqrt by uniqueness of square roots).
@@ -288,19 +321,26 @@ def h1_alpha_trivial(
     """
     rng = random.Random(seed)
     check = Check(f"sqrt.h1_{mode}") if check is None else check
-    # the 42 draws fix the witnesses drawn after them from the same rng
-    els = group.enumerate() if mode == "exhaustive" else group.random_elements(rng, 42)
-    images = alpha(els)
-    if not _is_involution(group, alpha, els, images):
-        raise ValueError("alpha is not an involutive automorphism of the group")
+    not_involutive = "alpha is not an involutive automorphism of the group"
     if mode == "exhaustive":
-        in_z1 = np.all(group.mul(els, images) == group.identity(), axis=(-2, -1))
+        els = group.enumerate()
+        image_of = _involution_on_enumeration(group, els, alpha(els))
+        if image_of is None:
+            raise ValueError(not_involutive)
+        inverses = group.inv(els)
+        in_z1 = image_of == group.enumeration_index(inverses)
+        coboundaries = group.mul(els, inverses[image_of])
+        del inverses
         in_b1 = np.zeros(len(els), dtype=bool)
-        in_b1[group.enumeration_index(group.mul(els, group.inv(images)))] = True
+        in_b1[group.enumeration_index(coboundaries)] = True
         check.all(in_z1 == in_b1, lambda i: els[i].tolist())
         return check.passed, {"z1": int(in_z1.sum()), "b1": int(in_b1.sum())}
     if mode != "constructive":
         raise ValueError(f"unknown mode {mode!r}")
+    # the 42 draws fix the witnesses drawn after them from the same rng
+    els = group.random_elements(rng, 42)
+    if not _is_involution(group, alpha, els, alpha(els)):
+        raise ValueError(not_involutive)
     if witnesses < 1:
         raise ValueError(f"need at least one witness, got {witnesses}")
     gs = group.random_elements(rng, witnesses)

@@ -326,9 +326,13 @@ class FixedForms:
     certified: bool
 
 
-def fixed_forms(rep: MatrixRep, subgroups) -> list[FixedForms]:
+def fixed_forms(rep: MatrixRep, subgroups, generators=None) -> list[FixedForms]:
     """Basis of Hom_K(tau, 1) for the minus model, with its certificate,
-    for every K of ``subgroups``, in their order.
+    for every K of ``subgroups``, in their order.  ``generators``, when
+    given, holds a generating set of each K, in the same order, for the
+    certificate, as
+    :meth:`~heisweil.heisenberg.HeisenbergGroup.subgroup_generators` gives
+    them for :meth:`~heisweil.heisenberg.HeisenbergGroup.all_subgroups`.
 
     The rows are the double-coset sum forms lambda_x(phi) = sum_k phi(x k)
     over the cosets Q x K, Q = W^- Z, on which W^- x K x^-1 meets Z
@@ -342,6 +346,7 @@ def fixed_forms(rep: MatrixRep, subgroups) -> list[FixedForms]:
     g: HeisenbergGroup = rep.group
     n, p, ell = rep.conductor, g.p, g.space.ell
     subgroups = [sorted(frozenset(sub)) for sub in subgroups]
+    generators = [None] * len(subgroups) if generators is None else generators
     dims = hom_dims([rep], subgroups)[0].tolist()
     t, inv = g.table, g.inverse_of
     w_minus = np.array(sorted(g.minus_subgroup), dtype=np.int64)
@@ -355,7 +360,7 @@ def fixed_forms(rep: MatrixRep, subgroups) -> list[FixedForms]:
     roots = context(n).power_table[(n // p) * (rep.zeta_exponent * np.arange(p) % p)]
 
     out = []
-    for members, dim in zip(subgroups, dims):
+    for members, gens, dim in zip(subgroups, generators, dims, strict=True):
         K = np.array(members, dtype=np.int64)
         # Q\H/K: Q contains [H, H] = Z, so it is normal with H/Q the u's, and
         # Q x K is the h with u_h in u_x + U, U the u's of K; its smallest
@@ -373,20 +378,26 @@ def fixed_forms(rep: MatrixRep, subgroups) -> list[FixedForms]:
         count = np.zeros((len(xk), rep.dim, p), dtype=np.int64)
         np.add.at(count, (np.arange(len(xk))[:, None], u @ digits, exps), 1)
         basis = CycMatrix._packed(n, count @ roots, 1)
-        out.append(
-            FixedForms(dim, basis, fixed_forms_certificate(rep, members, basis, dim))
-        )
+        certified = fixed_forms_certificate(rep, members, basis, dim, generators=gens)
+        out.append(FixedForms(dim, basis, certified))
     return out
 
 
 def fixed_forms_certificate(
-    rep: MatrixRep, subgroup, basis: CycMatrix, dim: int, check: Check | None = None
+    rep: MatrixRep,
+    subgroup,
+    basis: CycMatrix,
+    dim: int,
+    check: Check | None = None,
+    generators=None,
 ) -> bool:
     """Whether the rows of ``basis`` are a basis of Hom_K(rep, 1), K =
     ``subgroup``, whose dimension is ``dim`` (:func:`hom_dim`):
 
     (a) lambda rep(k) = lambda for every row lambda and every k of
-        :func:`~heisweil.groups.generators_within` K, one packed product;
+        ``generators``, a generating set of K the caller read from how it
+        built K, or when None of :func:`~heisweil.groups.generators_within`
+        K; one packed product;
     (b) every row is nonzero and no two rows share a nonzero coordinate;
     (c) there are ``dim`` rows.
 
@@ -397,7 +408,9 @@ def fixed_forms_certificate(
     the sorted subgroup as its witness.
     """
     members = sorted(frozenset(subgroup))
-    gens = rep._rows(generators_within(rep.group, members))
+    if generators is None:
+        generators = generators_within(rep.group, members)
+    gens = rep._rows(list(generators))
     # lambda rep(k) carries basis.den * rep.den, as lambda * rep.den does
     moved = packed_product_table(rep.conductor, basis.num[None], rep.num[gens])[0]
     support = basis.num.any(axis=2)

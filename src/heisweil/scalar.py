@@ -230,9 +230,6 @@ class CycNumber:
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.nums[0], self.den)
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.rational_value().denominator == 1
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "CycNumber":

@@ -45,18 +45,21 @@ configurations form 19 beds.  A bed computes the G-orbit of theta, its
 K-orbits, G^theta, the (K, G^t) partitions and their splits
 S(t, Theta') by K-orbit (for theta's first three conjugates and each
 configuration's g.theta, with the seeded g drawn in configuration order)
-once, and makes one oracle, one Mackey-sum and one orbit-multiplicity
-call for all its kappa (the oracle also for every kappa~), each one
-:func:`~heisweil.reps.projector_traces` product per conductor.  Each
+once, builds the weight rows of the oracle, the Mackey sum and the orbit
+multiplicity formula once, and sums them for every kappa and kappa~ of
+the bed in one :func:`~heisweil.mackey.summed_traces` call, one
+:func:`~heisweil.reps.projector_traces` call per bed.  Each
 configuration then evaluates its own checks on its own slice: clause 4
 reads theta's first three conjugates and that configuration's g.theta
 only, so every identity, count and first witness is the one a pass per
 configuration gives.  The configurations of the zoo depend on neither p
 nor the seed: they are built once per process (:func:`_mackey_zoo`),
 read-only, while the Heisenberg ones, Sp x| H among them, are built per
-run.  The zoo also keeps each kappa~ with its character row; only the
-Heisenberg configurations build kappa~ per run, and the oracle on kappa~
-runs every time.
+run.  A zoo group keeps the generating set of each K it is asked for
+(:meth:`~heisweil.groups.TableGroup.generators_of`), so the K-orbits
+derive it in the first run only.  The zoo also keeps each kappa~ with
+its character row; only the Heisenberg configurations build kappa~ per
+run, and the oracle on kappa~ runs every time.
 """
 
 from __future__ import annotations
@@ -292,7 +295,8 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
     # fixed forms: the double-coset basis and its certificate, on every subgroup
     c = rec("reps.fixed_forms_oracle_equivalence")
     subgroups = group.all_subgroups()
-    for sub, res in zip(subgroups, reps_mod.fixed_forms(tau, subgroups)):
+    forms = reps_mod.fixed_forms(tau, subgroups, group.subgroup_generators())
+    for sub, res in zip(subgroups, forms):
         c(res.certified, sorted(sub))
         if group.center() <= sub:
             c(res.dim == 0, sorted(sub))
@@ -524,7 +528,7 @@ def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
     :mod:`heisweil.groups` that makes c a character, and distinct tuples
     give distinct characters.
     """
-    gens = generators_within(tg, members)
+    gens = tg.generators_of(members)
     orders = [tg.element_order(a) for a in gens]
     if any(conductor % d for d in orders):
         return []
@@ -567,8 +571,10 @@ def _mackey_zoo():
     process, as none depends on p or the seed; a run reads them and
     evaluates every identity anew.  Each table and ``inverse_of`` is
     read-only, K is a sorted tuple and theta a frozen record, so no run can
-    change what the next one reads.  The stabilizer cases are (label,
-    group, theta) for S3, D4 and Q8 with their first nontrivial involution.
+    change what the next one reads; what a run adds to a group is the
+    generating set of a subgroup, derived once.  The stabilizer cases are
+    (label, group, theta) for S3, D4 and Q8 with their first nontrivial
+    involution.
     The contragredients are kappa~ of each configuration, in order; every
     rep's stack of images is read-only."""
     configs = []
@@ -718,13 +724,19 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
         fixed, labels, reps, split = cosets[theta.perm]
         twists = _twists(tg, k_members, theta, labels)
         h_members = sorted(fixed)
-        values = mk.induced_hom_dim_oracle(
-            tg, k_members, kappas + [tilde for _, tilde in bed], h_members
+        both = kappas + [tilde for _, tilde in bed]
+        dim = max(kappa.dim for kappa in both)
+        values, mackey, summands = mk.summed_traces(
+            both,
+            [
+                mk.induced_hom_dim_oracle(tg, k_members, h_members, dim),
+                mk.mackey_hom_dim(tg, k_members, h_members, reps),
+                mk.orbmult_rhs(tg, k_members, k_orbits),
+            ],
         )
         oracle, tilde_oracle = values[: len(bed)], values[len(bed) :]
-        mackey = mk.mackey_hom_dim(tg, k_members, kappas, h_members, reps)
         m, bound = mk.m_K(tg, k_members, theta, split[orbit_of[theta.perm]])
-        rhs = mk.orbmult_rhs(tg, k_members, kappas, k_orbits, m)
+        rhs = [m * summand for summand in summands]
         for i, ((label, *_), _) in enumerate(bed):
             dcs(
                 mackey[i] == oracle[i],

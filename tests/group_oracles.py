@@ -30,7 +30,11 @@ or one edge at a time, with no table gathers:
 - :func:`heisenberg_law` and :func:`heisenberg_table_eager`: the law of
   W x| F_p on pairs, and its Cayley table built at once by broadcasting, as
   :class:`heisweil.heisenberg.HeisenbergGroup` built it in its constructor
-  before the table was built on first read.
+  before the table was built on first read;
+- :func:`is_integer`, :func:`special_iso_inverse_image` and
+  :func:`inverted_points`: whether a cyclotomic number is a rational
+  integer, nu^-1 of a special isomorphism nu, and the elements an
+  automorphism inverts, which only the tests read.
 
 :func:`zoo_groups` hands the tests the groups of the Mackey zoo.
 """
@@ -187,7 +191,7 @@ def induced_hom_dim_by_loop(g: TableGroup, k_sub, kappa: MatrixRep, h_sub) -> in
             if transversal[coset_of[xy]] == x:
                 diagonal.append(g.mul(xy, inv[x]))
     tr = character_sum(kappa, diagonal) / len(h)
-    if not tr.is_integer() or tr.rational_value() < 0:
+    if not is_integer(tr) or tr.rational_value() < 0:
         raise RuntimeError(f"projector trace {tr!r} is not an integer >= 0")
     return int(tr.rational_value())
 
@@ -259,3 +263,21 @@ def polarization_fault_by_sets(g, hplus, hhat_minus) -> str | None:
     if images[0] & images[1] != {(0,) * g.dim}:
         return "images are not complementary"
     return None
+
+
+def is_integer(c: CycNumber) -> bool:
+    """Whether c is a rational integer."""
+    return c.is_rational() and c.rational_value().denominator == 1
+
+
+def special_iso_inverse_image(nu, x) -> int:
+    """The h with nu(h) = x, for x = (w, z) written as an index: h has the
+    same w and z_h = z - <w, w0> = 2 z - mu(x)."""
+    zx = nu.group.z[x]
+    return int(x - zx + (2 * zx - nu.mu[x]) % nu.group.p)
+
+
+def inverted_points(alpha) -> frozenset[int]:
+    """The h with alpha(h) = h^-1, for an automorphism of a Heisenberg
+    group carried as a permutation."""
+    return frozenset(np.flatnonzero(alpha.perm == alpha.group.inverse_of).tolist())

@@ -252,9 +252,14 @@ def test_criterion_08_mackey_suite():
         h_members = sorted(mk.fixed_subgroup(tg, theta))
         labels = double_coset_labels(tg, k_members, h_members)
         reps = np.unique(labels, return_index=True)[1].tolist()
-        assert mk.mackey_hom_dim(tg, k_members, [kappa], h_members, reps) == (
-            mk.induced_hom_dim_oracle(tg, k_members, [kappa], h_members)
-        ), label
+        mackey, oracle = mk.summed_traces(
+            [kappa],
+            [
+                mk.mackey_hom_dim(tg, k_members, h_members, reps),
+                mk.induced_hom_dim_oracle(tg, k_members, h_members, kappa.dim),
+            ],
+        )
+        assert mackey == oracle, label
     results = suite_mackey(RunConfig(p=3))
     for r in results:
         assert r.passed, (r.check, r.witness)

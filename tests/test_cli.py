@@ -908,18 +908,20 @@ def test_failing_identity_reports_its_first_input(tmp_path, monkeypatch, capsys)
     configs = standard_mackey_configurations()
     label, tg, k_members, kappa, theta = configs[1]
     h_members = sorted(mk.fixed_subgroup(tg, theta))
-    right = mk.induced_hom_dim_oracle(tg, k_members, [kappa], h_members)[0]
+    oracle_row = mk.induced_hom_dim_oracle(tg, k_members, h_members, kappa.dim)
+    right = mk.summed_traces([kappa], [oracle_row])[0][0]
     intact = {id(configs[0][3])}
 
-    real = mk.mackey_hom_dim
+    real = mk.summed_traces
     calls = []
 
-    def off_by_one_from_the_second_configuration(*args):
-        calls.append(args)
-        kappas = args[2]
-        return [v + (id(k) not in intact) for v, k in zip(real(*args), kappas)]
+    def off_by_one_from_the_second_configuration(kappas, parts):
+        # the suite sums the parts (oracle, Mackey, orbit multiplicity)
+        calls.append(kappas)
+        oracle, mackey, rhs = real(kappas, parts)
+        return oracle, [v + (id(k) not in intact) for v, k in zip(mackey, kappas)], rhs
 
-    monkeypatch.setattr(mk, "mackey_hom_dim", off_by_one_from_the_second_configuration)
+    monkeypatch.setattr(mk, "summed_traces", off_by_one_from_the_second_configuration)
     out = tmp_path / "report.json"
     assert run(["verify", "mackey", "--out", str(out)]) == 1
     report = json.loads(out.read_text())

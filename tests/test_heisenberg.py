@@ -12,7 +12,9 @@ from group_oracles import (
     all_subgroups_by_closure,
     heisenberg_law,
     heisenberg_table_eager,
+    inverted_points,
     polarization_fault_by_sets,
+    special_iso_inverse_image,
 )
 import heisweil.heisenberg as heis
 from heisweil.checks import Check
@@ -238,8 +240,8 @@ def test_special_iso_image_and_inverse_image_are_mutually_inverse(p, ell):
     g = HeisenbergGroup(SymplecticSpace(p, ell))
     els = list(g.elements())
     for nu in all_special_isos(g):
-        assert [nu.inverse_image(nu.image(h)) for h in els] == els
-        assert [nu.image(nu.inverse_image(x)) for x in els] == els
+        assert [special_iso_inverse_image(nu, nu.image(h)) for h in els] == els
+        assert [nu.image(special_iso_inverse_image(nu, x)) for x in els] == els
         for h in els:
             w, z = g.names[h]
             assert g.names[nu.image(h)] == (w, (z + g.space.pair(w, nu.offset)) % p)
@@ -487,7 +489,22 @@ def test_all_subgroups_makes_no_closure(monkeypatch):
     monkeypatch.setattr(HeisenbergGroup, "subgroup_generated", no_closure)
     g = HeisenbergGroup(SymplecticSpace(5, 1))
     assert len(g.all_subgroups()) == 39
+    assert len(g.subgroup_generators()) == 39
     assert "table" not in vars(g)  # and it reads no table
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_subgroup_generators_generate_each_listed_subgroup(p):
+    """Each generating set closes to its subgroup of all_subgroups: none for
+    {1}, one element for a cyclic subgroup, (d, 0) and the center's (0, 1)
+    for a line's preimage, two for H."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    subs, gens = g.all_subgroups(), g.subgroup_generators()
+    assert [len(s) for s in gens] == [0] + [1] * (p * p + p + 1) + [2] * (p + 2)
+    for sub, s in zip(subs, gens, strict=True):
+        assert g.subgroup_generated(s) == sub
+    for sub, (d, c) in zip(subs[p * p + p + 2 : -1], gens[p * p + p + 2 : -1]):
+        assert g.z[d] == 0 and c == g.central(1)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -521,12 +538,12 @@ def test_batched_polarizations_equal_the_per_involution_reference(p):
     assert plus.shape == hhat_minus.shape == (len(alphas), g.order)
     for alpha, fixed, inverted in zip(alphas, plus, hhat_minus):
         assert set(np.flatnonzero(fixed).tolist()) == alpha.fixed_points()
-        assert set(np.flatnonzero(inverted).tolist()) == alpha.inverted_points()
-        sides = alpha.fixed_points(), alpha.inverted_points()
+        assert set(np.flatnonzero(inverted).tolist()) == inverted_points(alpha)
+        sides = alpha.fixed_points(), inverted_points(alpha)
         assert polarization_fault_by_sets(g, *sides) is None
     assert polarization_from_involution(alphas[-1]) == (
         alphas[-1].fixed_points(),
-        alphas[-1].inverted_points(),
+        inverted_points(alphas[-1]),
     )
 
 

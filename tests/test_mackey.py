@@ -13,6 +13,7 @@ from group_oracles import (
     character_sum,
     closure,
     induced_hom_dim_by_loop,
+    is_integer,
     zoo_groups,
 )
 from heisweil.checks import Recorder
@@ -45,6 +46,7 @@ from heisweil.mackey import (
     semidirect_involution_record,
     semidirect_mul,
     semidirect_table_group,
+    summed_traces,
     symmetric_group,
     table_group_from_mul,
     twisted_classes,
@@ -79,11 +81,18 @@ def _theta_cosets(g, k_sub, theta):
 
 
 def _mackey(g, k_sub, kappa, h_sub) -> int:
-    return mackey_hom_dim(g, k_sub, [kappa], h_sub, _reps(g, k_sub, h_sub))[0]
+    rows = mackey_hom_dim(g, k_sub, h_sub, _reps(g, k_sub, h_sub))
+    return summed_traces([kappa], [rows])[0][0]
+
+
+def _oracle_values(g, k_sub, kappas, h_sub) -> list[int]:
+    """The oracle for each of ``kappas``, its row built for the largest."""
+    dim = max(kappa.dim for kappa in kappas)
+    return summed_traces(kappas, [induced_hom_dim_oracle(g, k_sub, h_sub, dim)])[0]
 
 
 def _oracle(g, k_sub, kappa, h_sub) -> int:
-    return induced_hom_dim_oracle(g, k_sub, [kappa], h_sub)[0]
+    return _oracle_values(g, k_sub, [kappa], h_sub)[0]
 
 
 def _test_beds(configs) -> list[list]:
@@ -102,7 +111,7 @@ def _orbmult(g, k_sub, kappa, theta) -> tuple[int, int]:
     _, k_orbits, cosets = _theta_cosets(g, k_sub, theta)
     m, _ = m_K(g, k_sub, theta, cosets)
     lhs = _oracle(g, k_sub, kappa, sorted(fixed_subgroup(g, theta)))
-    return lhs, orbmult_rhs(g, k_sub, [kappa], k_orbits, m)[0]
+    return lhs, m * summed_traces([kappa], [orbmult_rhs(g, k_sub, k_orbits)])[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +177,21 @@ def test_oracle_equals_mackey_on_heisenberg_configs():
         assert _mackey(tg, k_members, kappa, h_members) == (
             _oracle(tg, k_members, kappa, h_members)
         ), label
+
+
+def test_k_orbits_hand_back_the_g_orbit_records():
+    """On every bed's (G, K, theta), the K-orbits of theta's G-orbit are a
+    partition of it whose members are the G-orbit's own records, in an
+    order a rebuilt record would share."""
+    for bed in _test_beds(_suite_configurations()):
+        label, tg, k_sub, _, theta = bed[0]
+        orbit = involution_orbits(tg, [theta], range(tg.order))[0]
+        k_orbits = involution_orbits(tg, orbit, k_sub, validate=False)
+        members = [t for o in k_orbits for t in o]
+        assert sorted(map(id, members)) == sorted(map(id, orbit)), label
+        for o in k_orbits:
+            (again,) = involution_orbits(tg, [InvolutionRecord(o[0].perm)], k_sub)
+            assert again == o, label
 
 
 def test_involution_orbits_trivial_actor(s3):
@@ -263,14 +287,20 @@ def test_multiplicity_bound_failure_is_recorded_with_its_witness(monkeypatch):
 
 def test_one_partition_and_one_oracle_call_per_test_bed(monkeypatch):
     """A p = 3 mackey run partitions each fixed subgroup once per test bed
-    (46 partitions) and runs the oracle once per bed, on every kappa and
-    kappa~ of the bed at once (19 calls for the 19 beds of the 30
-    configurations)."""
+    (46 partitions), builds the oracle row once per bed, and makes one
+    projector_traces call per bed, for the oracle, Mackey and orbit
+    multiplicity rows on every kappa and kappa~ of the bed at once (19 of
+    each for the 19 beds of the 30 configurations)."""
     import heisweil.groups as groups_mod
+    import heisweil.reps as reps_mod
     import heisweil.suites as suites_mod
     from heisweil.suites import SUITES, RunConfig
 
-    calls = {"double_coset_labels": 0, "induced_hom_dim_oracle": 0}
+    calls = {
+        "double_coset_labels": 0,
+        "induced_hom_dim_oracle": 0,
+        "projector_traces": 0,
+    }
 
     def counted(module, name):
         real = getattr(module, name)
@@ -287,18 +317,62 @@ def test_one_partition_and_one_oracle_call_per_test_bed(monkeypatch):
             monkeypatch.setattr(module, "double_coset_labels", spy)
     spy = counted(mk, "induced_hom_dim_oracle")
     monkeypatch.setattr(mk, "induced_hom_dim_oracle", spy)
+    # hom_dims reads the one in reps, the Mackey sums the one in mackey
+    spy = counted(reps_mod, "projector_traces")
+    for module in (reps_mod, mk):
+        monkeypatch.setattr(module, "projector_traces", spy)
     checks = SUITES["mackey"](RunConfig())
     assert all(c.passed for c in checks)
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
     assert (len(configs), len(_test_beds(configs))) == (30, 19)
-    assert calls == {"double_coset_labels": 46, "induced_hom_dim_oracle": 19}
+    assert calls == {
+        "double_coset_labels": 46,
+        "induced_hom_dim_oracle": 19,
+        "projector_traces": 19,
+    }
+
+
+def test_per_bed_sums_equal_the_separate_values_on_every_configuration():
+    """On every bed, the one summed_traces call of the suite (oracle, Mackey
+    and orbit multiplicity rows, every kappa and kappa~) equals a call per
+    part and per kappa, and the values of each of the 30 configurations
+    agree: Mackey sum = oracle = m_K times the orbit sum = oracle on kappa~."""
+    configs = _suite_configurations()
+    seen = 0
+    for bed in _test_beds(configs):
+        _, tg, k_sub, _, theta = bed[0]
+        kappas = [kappa for *_, kappa, _ in bed]
+        both = kappas + [contragredient(kappa) for kappa in kappas]
+        h_sub = sorted(fixed_subgroup(tg, theta))
+        _, k_orbits, cosets = _theta_cosets(tg, k_sub, theta)
+        m, _ = m_K(tg, k_sub, theta, cosets)
+        dim = max(kappa.dim for kappa in both)
+        parts = [
+            induced_hom_dim_oracle(tg, k_sub, h_sub, dim),
+            mackey_hom_dim(tg, k_sub, h_sub, _reps(tg, k_sub, h_sub)),
+            orbmult_rhs(tg, k_sub, k_orbits),
+        ]
+        merged = summed_traces(both, parts)
+        separate = [
+            [summed_traces([kappa], [part])[0][0] for kappa in both] for part in parts
+        ]
+        assert merged == separate
+        oracle, mackey, summands = merged
+        for i, (label, *_) in enumerate(bed):
+            assert mackey[i] == oracle[i] == m * summands[i], label
+            assert oracle[i] == oracle[len(bed) + i], label
+            assert oracle[i] == _oracle(tg, k_sub, kappas[i], h_sub), label
+            assert mackey[i] == _mackey(tg, k_sub, kappas[i], h_sub), label
+            assert (oracle[i], m * summands[i]) == _orbmult(tg, k_sub, kappas[i], theta)
+            seen += 1
+    assert seen == len(configs) == 30
 
 
 def test_oracle_guard_names_its_limit():
     z = cyclic_group(130)  # K = 1, H = G: (130 * 1)^2 * 130 entries
     triv = _trivial_rep(z, [0])
     with pytest.raises(ValueError, match="<= 200000; got 2197000"):
-        induced_hom_dim_oracle(z, [0], [triv], range(130))
+        induced_hom_dim_oracle(z, [0], range(130), triv.dim)
 
 
 def test_automorphism_search_guards_name_their_limits():
@@ -380,7 +454,9 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
     earlier test built its table) derive theirs, and no group derives them
     twice.  A second run derives only those of the two groups it builds per
     call, H(3, 1) and Sp x| H, as the shared zoo's groups keep theirs.
-    Orbits under K still derive K's on every run."""
+    The same holds for the generators of K: each (group, K) derives them
+    once, the zoo's K in the first run only, and the second run derives
+    only the K of the beds on H(3, 1) and Sp x| H with K proper."""
     import heisweil.groups as groups_mod
     import heisweil.suites as suites_mod
 
@@ -388,12 +464,14 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
     real = groups_mod.generators_within
 
     def spy(g, members):
-        members = list(members)
-        (whole if len(set(members)) == g.order else parts).append((id(g), g.order))
+        members = frozenset(members)
+        if len(members) == g.order:
+            whole.append((id(g), g.order))
+        else:
+            parts.append((id(g), g.order, members))
         return real(g, members)
 
-    for module in (groups_mod, mk):
-        monkeypatch.setattr(module, "generators_within", spy)
+    monkeypatch.setattr(groups_mod, "generators_within", spy)
     suites_mod._mackey_zoo.cache_clear()
     runs = []
     for _ in range(2):
@@ -410,9 +488,13 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
     assert len(set(second)) == 2 and not zoo & set(second)
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
     assert len({id(tg) for _, tg, *_ in configs}) == 10
-    # one K-orbit call per test bed with K proper; K = G reads G's
-    proper = sum(len(k) < tg.order for (_, tg, k, *_), *_ in _test_beds(configs))
-    assert len(first_parts) == len(second_parts) == proper
+    # the K of every bed with K proper (K = G reads G's), the zoo's once
+    beds = _test_beds(configs)
+    proper = {(tg.order, frozenset(k)) for (_, tg, k, *_), *_ in beds if len(k) < tg.order}
+    assert len(first_parts) == len(set(first_parts))
+    assert proper <= {(order, k) for _, order, k in first_parts}
+    assert sorted(order for _, order, _ in second_parts) == [27, 648]
+    assert {(order, k) for _, order, k in second_parts} <= proper
 
 
 def test_h1_bound_two_for_theta_trivial_on_center():
@@ -789,24 +871,26 @@ def test_batched_oracle_and_sums_match_the_per_kappa_references():
         kappas += [contragredient(kappa) for kappa in kappas]
         h_sub = sorted(fixed_subgroup(tg, theta))
         expected = [induced_hom_dim_by_loop(tg, k_sub, kap, h_sub) for kap in kappas]
-        assert induced_hom_dim_oracle(tg, k_sub, kappas, h_sub) == expected, label
+        assert _oracle_values(tg, k_sub, kappas, h_sub) == expected, label
 
         def summed(subgroups):
             totals = []
             for kappa in kappas:
                 terms = [character_sum(kappa, sub) / len(sub) for sub in subgroups]
-                assert all(term.is_integer() for term in terms), label
+                assert all(is_integer(term) for term in terms), label
                 totals.append(sum(int(term.rational_value()) for term in terms))
             return totals
 
         reps = _reps(tg, k_sub, h_sub)
         conj = [_conjugates_in_k(tg, k_sub, h_sub, x) for x in reps]
-        assert mackey_hom_dim(tg, k_sub, kappas, h_sub, reps) == summed(conj), label
+        rows = mackey_hom_dim(tg, k_sub, h_sub, reps)
+        assert summed_traces(kappas, [rows])[0] == summed(conj), label
         _, k_orbits, cosets = _theta_cosets(tg, k_sub, theta)
         m, _ = m_K(tg, k_sub, theta, cosets)
         fixed = [sorted(fixed_subgroup(tg, o[0]) & set(k_sub)) for o in k_orbits]
         rhs = [m * total for total in summed(fixed)]
-        assert orbmult_rhs(tg, k_sub, kappas, k_orbits, m) == rhs, label
+        (summands,) = summed_traces(kappas, [orbmult_rhs(tg, k_sub, k_orbits)])
+        assert [m * summand for summand in summands] == rhs, label
         assert rhs == expected, label
 
 
@@ -858,28 +942,48 @@ def test_oracle_runtime_errors_name_their_cause():
     kappa = _one_by_one(c3, [0, 1], [1, 1], 4)
     outside = r"x_i h x_j\^-1 = 2 not in K \(i = 1, h = 1\)"
     with pytest.raises(RuntimeError, match=outside):
-        induced_hom_dim_oracle(c3, [0, 1], [kappa], range(3))
+        _oracle_values(c3, [0, 1], [kappa], range(3))
     # K = 1, H = C2: the trace is 2 zeta_3 / 2
     zeta = MatrixRep(c2, [0], CycMatrix(3, [[root_of_unity(3, 1)]]).num[:, None], 1, 3)
     with pytest.raises(RuntimeError, match="is not an integer"):
-        induced_hom_dim_oracle(c2, [0], [zeta], range(2))
+        _oracle_values(c2, [0], [zeta], range(2))
     # K = H = 1: the trace is 2 * (-1) / 1
     minus = _one_by_one(c2, [0], [-1], 4)
     negative = r"trace Cyc\(4; -2\) of weight row 0 is negative"
     with pytest.raises(RuntimeError, match=negative):
-        induced_hom_dim_oracle(c2, [0], [minus], [0])
+        _oracle_values(c2, [0], [minus], [0])
 
 
 def test_oracle_guard_reads_the_largest_kappa():
-    """(m d)^2 |H| with d the largest dimension of the kappas given: on C50
-    with K = 1 and H = G, (50 * 1)^2 * 50 = 125000 passes the guard and
-    (50 * 2)^2 * 50 does not."""
+    """(m d)^2 |H| with d the dimension the row is built for, the largest
+    of the kappas to be summed: on C50 with K = 1 and H = G,
+    (50 * 1)^2 * 50 = 125000 passes the guard and (50 * 2)^2 * 50 does
+    not."""
     c50 = cyclic_group(50)
     one = _trivial_rep(c50, [0])
     two = MatrixRep(c50, [0], CycMatrix.identity(4, 2).num[None], 1, 4)
-    assert induced_hom_dim_oracle(c50, [0], [one], range(50)) == [1]
+    assert _oracle_values(c50, [0], [one], range(50)) == [1]
     with pytest.raises(ValueError, match="<= 200000; got 500000"):
-        induced_hom_dim_oracle(c50, [0], [one, two], range(50))
+        _oracle_values(c50, [0], [one, two], range(50))
+    with pytest.raises(ValueError, match="<= 200000; got 500000"):
+        induced_hom_dim_oracle(c50, [0], range(50), 2)
+
+
+def test_suite_builds_each_oracle_row_for_the_largest_kappa_of_its_bed(monkeypatch):
+    """The suite hands the oracle the largest dimension among a bed's kappa
+    and kappa~: 1 on the zoo's characters and the H(3, 1) character, 3 on
+    the beds whose kappa is tau."""
+    real, dims = mk.induced_hom_dim_oracle, []
+
+    def spy(g, k_sub, h_sub, dim):
+        dims.append(dim)
+        return real(g, k_sub, h_sub, dim)
+
+    monkeypatch.setattr(mk, "induced_hom_dim_oracle", spy)
+    assert all(c.passed for c in SUITES["mackey"](RunConfig()))
+    beds = _test_beds(_suite_configurations())
+    expected = [max(kappa.dim for *_, kappa, _ in bed) for bed in beds]
+    assert dims == expected and expected[-2:] == [3, 3] and set(expected[:-2]) == {1}
 
 
 def test_oracle_sums_past_int64_are_exact():
@@ -887,8 +991,8 @@ def test_oracle_sums_past_int64_are_exact():
     weighs the identity twice, and 2 * 2^62 is past int64."""
     c2 = cyclic_group(2)
     kappa = _one_by_one(c2, [0], [2**62], 4)
-    assert induced_hom_dim_oracle(c2, [0], [kappa], [0]) == [2**63]
-    assert induced_hom_dim_oracle(c2, [0], [kappa], range(2)) == [2**62]
+    assert _oracle_values(c2, [0], [kappa], [0]) == [2**63]
+    assert _oracle_values(c2, [0], [kappa], range(2)) == [2**62]
 
 
 def _per_configuration_suite(cfg):
@@ -916,8 +1020,15 @@ def _per_configuration_suite(cfg):
         cosets = suites_mod._twisted_cosets(tg, k_sub, [*orbit[:3], moved], orbit_of)
         fixed, labels, reps, split = cosets[theta.perm]
         h_sub = sorted(fixed)
-        oracle = mk.induced_hom_dim_oracle(tg, k_sub, [kappa], h_sub)[0]
-        mackey = mk.mackey_hom_dim(tg, k_sub, [kappa], h_sub, reps)[0]
+        dim = max(kappa.dim, tilde.dim)
+        (oracle, tilde_oracle), (mackey, _), (summand, _) = mk.summed_traces(
+            [kappa, tilde],
+            [
+                mk.induced_hom_dim_oracle(tg, k_sub, h_sub, dim),
+                mk.mackey_hom_dim(tg, k_sub, h_sub, reps),
+                mk.orbmult_rhs(tg, k_sub, k_orbits),
+            ],
+        )
         dcs(mackey == oracle, {"config": label, "mackey": mackey, "oracle": oracle})
         twists = suites_mod._twists(tg, k_sub, theta, labels)
         suites_mod._twisted_coset_checks(
@@ -926,9 +1037,8 @@ def _per_configuration_suite(cfg):
         m, bound = mk.m_K(tg, k_sub, theta, split[orbit_of[theta.perm]])
         if bound is not None:
             bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
-        rhs = mk.orbmult_rhs(tg, k_sub, [kappa], k_orbits, m)[0]
+        rhs = m * summand
         orbmult(oracle == rhs, {"config": label, "lhs": oracle, "rhs": rhs})
-        tilde_oracle = mk.induced_hom_dim_oracle(tg, k_sub, [tilde], h_sub)[0]
         contr(oracle == tilde_oracle, label)
     suites_mod._invstab_check(rec("mackey.involution_stabilizer"))
     return rec
@@ -961,17 +1071,18 @@ def test_per_bed_suite_equals_the_per_configuration_loop(seed, monkeypatch):
 def test_per_bed_suite_reports_a_corrupted_configuration_first(monkeypatch):
     """One configuration in the middle of a bed, S3/A3/chi1/theta0, gets a
     Mackey sum off by one: the per-bed suite and the per-configuration loop
-    both record it, with that configuration's witness, and nothing else."""
+    both record it, with that configuration's witness, and nothing else.
+    Both sum the parts (oracle, Mackey, orbit multiplicity) in that order."""
     configs = standard_mackey_configurations()
     label, tg, k_sub, kappa, theta = configs[1]
     assert [c[0] for c in configs[:3]] == [f"S3/A3/chi{i}/theta0" for i in range(3)]
-    real = mk.mackey_hom_dim
+    real = mk.summed_traces
 
-    def off_by_one_on_kappa(g, k, kappas, h, reps):
-        values = real(g, k, kappas, h, reps)
-        return [v + (rep is kappa) for v, rep in zip(values, kappas)]
+    def off_by_one_on_kappa(kappas, parts):
+        oracle, mackey, rhs = real(kappas, parts)
+        return oracle, [v + (rep is kappa) for v, rep in zip(mackey, kappas)], rhs
 
-    monkeypatch.setattr(mk, "mackey_hom_dim", off_by_one_on_kappa)
+    monkeypatch.setattr(mk, "summed_traces", off_by_one_on_kappa)
     report = _report(SUITES["mackey"](RunConfig()))
     assert report == _report(_per_configuration_suite(RunConfig()))
     failing = [(name, count, witness) for name, count, ok, witness in report if not ok]

@@ -659,10 +659,15 @@ def test_h1_exhaustive_with_a_corrupted_alpha_names_an_element(monkeypatch):
     1: t is no longer a cocycle (t alpha(t) = t != 1) while it stays a
     coboundary, so the Z^1 = B^1 check fails on t, with t as its witness.
     An involutive automorphism of a group of odd order has H^1 = 1, so only
-    a map that is none can fail the check; the involution guard, which
-    rejects this map (the next test), is replaced by one that accepts, so
-    the test reads the check alone."""
-    monkeypatch.setattr(prounipotent, "_is_involution", lambda *args: True)
+    a map that is none can fail the check; the exhaustive involution guard,
+    which rejects this map (the next test), is replaced by one that accepts
+    and hands back the index of every image, so the test reads the check
+    alone."""
+
+    def accepts(group, els, images):
+        return group.enumeration_index(images)
+
+    monkeypatch.setattr(prounipotent, "_involution_on_enumeration", accepts)
     g, _, corrupted, target = _alpha_with_a_coboundary_sent_to_1()
     ok, details = h1_alpha_trivial(g, corrupted, mode="exhaustive")
     assert not ok and details == {"z1": 728, "b1": 729}
@@ -691,3 +696,62 @@ def test_h1_exhaustive_guard_rejects_the_corrupted_alpha(monkeypatch):
     # the transpose is an involution of the group, but not multiplicative
     with pytest.raises(ValueError, match="not an involutive automorphism"):
         h1_alpha_trivial(g, lambda m: np.swapaxes(m, -1, -2), mode="exhaustive")
+
+
+def test_h1_exhaustive_guard_refuses_an_image_outside_the_group():
+    """An image off 1 mod p^k0 has no enumeration index; the guard names
+    the map, not the index."""
+    g, alpha, _, _ = _alpha_with_a_coboundary_sent_to_1()
+
+    def shifted(m):
+        return (alpha(m) + 1) % g.modulus
+
+    with pytest.raises(ValueError, match="^alpha is not an involutive automorphism"):
+        h1_alpha_trivial(g, shifted, mode="exhaustive")
+    # an image equal to an element mod p^K but not reduced is refused too
+    with pytest.raises(ValueError, match="^alpha is not an involutive automorphism"):
+        h1_alpha_trivial(g, lambda m: alpha(m) + g.modulus, mode="exhaustive")
+
+
+def test_h1_exhaustive_guard_agrees_with_the_per_element_guard():
+    """The gathers of the exhaustive guard against _is_involution, which
+    applies alpha again to the images and to the products: the same verdict
+    on the true alpha, the corrupted one and the transpose, and on the true
+    alpha the index of each image."""
+    g, alpha, corrupted, _ = _alpha_with_a_coboundary_sent_to_1()
+    els = g.enumerate()
+    maps = {
+        "alpha": alpha,
+        "corrupted": corrupted,
+        "transpose": lambda m: np.swapaxes(m, -1, -2),
+    }
+    verdicts = {}
+    for name, f in maps.items():
+        images = f(els)
+        index = prounipotent._involution_on_enumeration(g, els, images)
+        verdict = prounipotent._is_involution(g, f, els, images)
+        assert (index is not None) == verdict, name
+        verdicts[name] = verdict
+    assert verdicts == {"alpha": True, "corrupted": False, "transpose": False}
+    index = prounipotent._involution_on_enumeration(g, els, alpha(els))
+    assert np.array_equal(els[index], alpha(els))
+
+
+def test_h1_exhaustive_applies_alpha_once_and_inverts_twice(monkeypatch):
+    """The whole group is mapped by alpha once, with the inverse inside it,
+    and inverted once more; everything else is a gather at the indices."""
+    g, alpha, _, _ = _alpha_with_a_coboundary_sent_to_1()
+    calls = {"alpha": 0, "inv": 0}
+    real_inv = CongruenceGroup.inv
+
+    def inv(self, a):
+        calls["inv"] += 1
+        return real_inv(self, a)
+
+    def counted_alpha(m):
+        calls["alpha"] += 1
+        return alpha(m)
+
+    monkeypatch.setattr(CongruenceGroup, "inv", inv)
+    assert h1_alpha_trivial(g, counted_alpha, mode="exhaustive")[0]
+    assert calls == {"alpha": 1, "inv": 2}

@@ -200,6 +200,39 @@ def assert_certified_and_oracle_spans(group, tau, count):
             assert res.dim == 0
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_certificate_on_the_structural_generators_equals_generators_within(p):
+    """fixed_forms with the generating sets all_subgroups builds from gives
+    the bases and verdicts it gives with generators_within, which the
+    suite's sweep then no longer calls."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    tau = heisenberg_rep(g, 1, model="minus")
+    subgroups = g.all_subgroups()
+    derived = fixed_forms(tau, subgroups)
+    given = fixed_forms(tau, subgroups, g.subgroup_generators())
+    for a, b in zip(derived, given, strict=True):
+        assert (a.dim, a.basis, a.certified) == (b.dim, b.basis, True)
+
+
+def test_the_reps_suite_derives_no_subgroup_generators(monkeypatch):
+    """The reps suite proves the fixed forms of the listed subgroups on the
+    generators they are built from; only the three examples (H+, the
+    center and <(1, 1)>, of order 3 each at p = 3), which are not listed by
+    structure, derive theirs."""
+    from heisweil.suites import RunConfig, suite_reps
+
+    derived = []
+    real = reps_mod.generators_within
+
+    def spy(g, members):
+        derived.append(len(frozenset(members)))
+        return real(g, members)
+
+    monkeypatch.setattr(reps_mod, "generators_within", spy)
+    assert all(c.passed for c in suite_reps(RunConfig(p=3)))
+    assert derived == [3, 3, 3]
+
+
 def test_fixed_forms_all_subgroups_p3(h3, tau3):
     assert_certified_and_oracle_spans(h3, tau3, 19)
 
@@ -227,9 +260,9 @@ def test_fixed_forms_runs_one_hom_dims_call_and_one_certificate_per_subgroup(
         dims_calls.append(len(subgroups))
         return real_dims(reps, subgroups)
 
-    def counted_certificate(rep, subgroup, basis, dim, check=None):
+    def counted_certificate(rep, subgroup, basis, dim, check=None, generators=None):
         proved.append(subgroup)
-        return real_certificate(rep, subgroup, basis, dim, check)
+        return real_certificate(rep, subgroup, basis, dim, check, generators)
 
     monkeypatch.setattr(reps_mod, "hom_dims", counted_dims)
     monkeypatch.setattr(reps_mod, "fixed_forms_certificate", counted_certificate)
@@ -293,10 +326,10 @@ def test_a_corrupted_basis_is_the_suites_first_witness(monkeypatch):
     first, later = with_forms[len(with_forms) // 2], with_forms[-1]
     real = reps_mod.fixed_forms_certificate
 
-    def corrupted(rep, subgroup, basis, dim, check=None):
+    def corrupted(rep, subgroup, basis, dim, check=None, generators=None):
         if subgroup in (first, later):
             basis = basis[: basis.nrows - 1]
-        return real(rep, subgroup, basis, dim, check)
+        return real(rep, subgroup, basis, dim, check, generators)
 
     monkeypatch.setattr(reps_mod, "fixed_forms_certificate", corrupted)
     (check,) = [
