@@ -25,8 +25,6 @@ list of subgroups K in one :func:`fixed_forms` call (one :func:`hom_dims`
 call, and the forms of all representatives of a K at once), and
 :func:`fixed_forms_certificate` proves each one with no elimination: the
 rows are K-invariant, have disjoint supports, and number the exact trace.
-The products rep(g)^T other(g) of two monomial reps, for every g, are one
-scatter of their monomial data (:func:`transpose_products`).
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from heisweil.groups import generators_within
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import (
     CycMatrix,
+    _exact_dtype,
     batch_from_matrices,
     packed_product_table,
     trace_table,
@@ -63,7 +62,6 @@ __all__ = [
     "homomorphism_certificate",
     "irreducibles_of_H",
     "projector_traces",
-    "transpose_products",
 ]
 
 
@@ -237,7 +235,9 @@ def projector_traces(reps: list[MatrixRep], weights, divisors) -> np.ndarray:
 
     The weight rows, on the elements some row weighs, multiply the stacked
     character numerators of the reps of each conductor, one power-basis
-    coordinate at a time, on the coordinates those characters use.
+    coordinate at a time, on the coordinates those characters use, in the
+    packed kernel's exact dtype for their bound
+    (:func:`~heisweil.linalg._exact_dtype`).
     """
     weights = np.asarray(weights, dtype=np.int64)
     els = np.flatnonzero(weights.any(axis=0))
@@ -248,13 +248,15 @@ def projector_traces(reps: list[MatrixRep], weights, divisors) -> np.ndarray:
         chars = character_table([reps[i] for i in rows], els)
         used = chars.num.any(axis=(0, 1))
         used[0] = True  # sums[..., 0] is coordinate 0, the rational part
-        num, ind = chars.num[..., used], w
-        # a row's sum adds at most its total weight times max|num|: exact in
-        # int64 below 2^63, and in Python ints past that bound
+        num = chars.num[..., used]
+        # every partial sum of a row's sum is at most its total weight times
+        # max|num|, which picks the narrowest exact dtype
         bound = int(w.sum(axis=1).max(initial=0)) * int(np.abs(num).max(initial=0))
-        if num.dtype == object or bound >= 2**63:
-            num, ind = num.astype(object), ind.astype(object)
-        sums = ind @ num  # sums[r, j]: the used coordinates of the sum by row j
+        dtype = _exact_dtype(bound)
+        # sums[r, j]: the used coordinates of the sum by row j
+        sums = w.astype(dtype) @ num.astype(dtype)
+        if dtype is not object:
+            sums = sums.astype(np.int64)
         sizes, const = chars.den * divisors, sums[..., 0]
         fractional = sums[..., 1:].any(axis=2) | (const % sizes != 0)
         faults = ((fractional, "is not an integer"), (const < 0, "is negative"))
@@ -268,28 +270,6 @@ def projector_traces(reps: list[MatrixRep], weights, divisors) -> np.ndarray:
         parts.append(const // sizes)
         order += rows
     return np.concatenate(parts)[np.argsort(order)]
-
-
-def transpose_products(rep: MatrixRep, other: MatrixRep) -> np.ndarray:
-    """The numerators of rep(g)^T other(g) for every g, over 1, as one
-    (m, dim, dim, phi) stack, read from the monomial data of two monomial
-    reps on the same elements.
-
-    Row t of rep(g) holds zeta_p^e in column c, and row t of other(g)
-    holds zeta_p^e' in column c', so row t adds zeta_p^(e + e') to entry
-    (c, c') of the product, for every g and t at once.
-    """
-    if rep.cols is None or other.cols is None:
-        raise ValueError("transpose_products needs two monomial reps")
-    same_elements = np.array_equal(rep.elements, other.elements)
-    if rep.conductor != other.conductor or not same_elements:
-        raise ValueError("transpose_products needs reps on one field and one element list")
-    n, p = rep.conductor, rep.group.p
-    m, dim = rep.cols.shape
-    exps = (rep.root_exponents + other.root_exponents) % p
-    counts = np.zeros((m, dim, dim, p), dtype=np.int64)
-    np.add.at(counts, (np.arange(m)[:, None], rep.cols, other.cols, exps), 1)
-    return counts @ context(n).power_table[(n // p) * np.arange(p)]
 
 
 def hom_dims(reps: list[MatrixRep], subgroups) -> np.ndarray:

@@ -18,12 +18,10 @@ identity of the heisenberg suite (associativity by Light's test, Sp(W)
 closure, the character chi_M, commutators against the form, the special
 isomorphisms and exists-s), evaluate generator edges, and the lemmas in
 their docstrings carry them to every pair or triple, so their ``checks``
-count edges, not pairs.  What stays sampled:
+count edges, not pairs; the contragredient check evaluates generators,
+and its lemma carries them to every element.  What stays sampled:
 
 - ``scalar.field_axioms``: 40 random triples, as the field is infinite;
-- one weil p-gate: the contragredient check is skipped at p = 7, where it
-  would be the largest step of ``verify weil --p 7`` (about 0.1 s warm on
-  a 2-core VM);
 - ``mackey.twisted_coset_clauses``: clauses 1 and 3 at one random g per
   configuration;
 - the sqrt suite: random elements of congruence groups too large to sweep.
@@ -31,7 +29,9 @@ count edges, not pairs.  What stays sampled:
 The reps suite makes one batched pass per sweep: one
 :func:`~heisweil.reps.fixed_forms` call for the p^2 + 2p + 4 subgroups of
 H(p, 1) (listed from its structure) and one for the three examples, one
-stacked product for the invariant pairing tau(h)^T tau~(h) over every h,
+stacked comparison for the invariant pairing over every h (the zeta^-1
+model against :func:`~heisweil.reps.contragredient`, whose character row
+the involution check reads too),
 the polarizations of every central-inverting involution checked at once
 (:func:`~heisweil.heisenberg.polarizations_from_involutions`), and one
 :func:`~heisweil.reps.hom_dims` call per family of subgroups.  Each check
@@ -313,15 +313,18 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
         c(res.dim == dim, label)
 
     # <tau(h) e_i, tau~(h) e_j> = <e_i, e_j> for every pair of basis vectors:
-    # the pairing is the dot product, so tau(h)^T tau~(h) is the identity
+    # the pairing is the dot product, so tau(h)^T tau~(h) = 1, that is
+    # tau~(h) = (tau(h)^T)^-1 = tau(h^-1)^T, as tau is a homomorphism: the
+    # zeta^-1 model equals the contragredient entry by entry, for every h
+    cotau = reps_mod.contragredient(tau)
     cotau_model = reps_mod.heisenberg_rep(group, p - 1, model="minus")
-    eye = CycMatrix.identity(n, tau.dim).num
     rec("reps.invariant_pairing").all(
-        (reps_mod.transpose_products(tau, cotau_model) == eye).all(axis=-1),
+        (cotau_model.num * cotau.den == cotau.num * cotau_model.den).all(axis=-1),
         lambda h, i, j: (h, i, j),
     )
+    cotau_row = cotau.characters(els)
+    del cotau, cotau_model  # neither stack is held through hom_dims below
 
-    cotau_row = reps_mod.contragredient(tau).characters(els)
     alphas = heis.order_two_automorphisms_inverting_center(group)
     # H^alpha, the H^+ of the polarization attached to alpha
     plus = [np.flatnonzero(m) for m in heis.polarizations_from_involutions(alphas)[0]]
@@ -414,8 +417,7 @@ def suite_weil(cfg: RunConfig) -> list[Check]:
         rec("weil.unique_extension_no_characters")(
             ab == 1, {"abelianization_order": ab}
         )
-    if p < 7:  # a p-gate: see the module docstring
-        _contragredient_check(rec, lift)
+    _contragredient_check(rec, lift)
     return rec
 
 
@@ -460,12 +462,6 @@ def _sl23_checks(rec: Recorder, lift) -> None:
     c(translated.count(target) == 1, {"selected": translated.count(target)})
 
 
-def _sp_h_table(lift) -> CycMatrix:
-    """tr(omega(s) tau(h)) for s in sp_table order and h in H: one trace_table."""
-    base = lift.base
-    return trace_table(base.conductor, (base.num, base.den), (lift.num, lift.den))
-
-
 def _abstract_lift_checks(rec: Recorder, lift) -> None:
     """The abstract lifts (s, h) -> omega(s) tau(nu(h)): the twist relation
     tau(nu(h)) = zeta_p^<w_h, w0> tau(h) for every nu and h, and their rep
@@ -493,20 +489,24 @@ def _abstract_lift_checks(rec: Recorder, lift) -> None:
 
 
 def _contragredient_check(rec: Recorder, lift) -> None:
-    """tr(omega(s^-1) tau(s . h^-1)) = tr(omega~(s) tau~(h)) for every (s, h):
-    the character of the contragredient of the lift, read off the lift's
-    Sp x H table, against the lift of tau~."""
-    g = lift.group
-    table = _sp_h_table(lift)
-    lift_tilde = weil_mod.weil_lift(reps_mod.heisenberg_rep(g, g.p - 1, model="minus"))
-    tg = sympl.sp_table(g.space)
-    els = tg.names
-    act = g.linear_action(tg.matrices)  # act[i, h] = s_i . h
-    i, h = np.indices(act.shape)
-    lhs = table[tg.inverse_of[i], act[i, g.inverse_of[h]]]
-    rec("weil.contragredient_of_lift_is_lift_of_contragredient").all(
-        lhs.equal_entries(_sp_h_table(lift_tilde)), lambda i, h: (els[i], h)
-    )
+    """rho(x^-1)^T == conj rho(x), for rho = omega and x among the
+    generators of ``sp_table``, and for rho = tau (the lift's base) and x
+    among the generators of H; one identity per generator, its witness the
+    generator's name.
+
+    Lemma: x -> rho(x^-1)^T and x -> conj rho(x) are homomorphisms once rho
+    is one, so agreeing on generators they agree on every element.  omega
+    is proved one by ``weil.homomorphism_exhaustive``, and tau by
+    ``reps.heisenberg_rep_homomorphism``, the premise of intertwining.  So
+    the contragredient of (s, h) -> omega(s) tau(h) is its conjugate on all
+    of Sp x H, and conj omega is a lift of conj tau = tau~, as sigma_-1
+    (zeta -> zeta^-1) carries every identity the suite proves of omega and
+    tau to their conjugates."""
+    c = rec("weil.contragredient_of_lift_is_lift_of_contragredient")
+    sp = sympl.sp_table(lift.space)
+    for tg, image in ((sp, lift.image), (lift.group, lift.base.image)):
+        for x in tg.generators:
+            c(image(tg.inv(x)).transpose() == image(x).conj(), tg.names[x])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from heisweil.reps import (
     hom_dims,
     irreducibles_of_H,
     projector_traces,
-    transpose_products,
 )
 from heisweil.scalar import CycNumber, context, zeta_p
 from heisweil.suites import (
@@ -137,11 +136,17 @@ def test_contragredient_properties(h3, tau3):
 def test_monomial_data_rebuilds_the_images(p, model):
     """Row t of rep(h) holds zeta_p^root_exponents[h, t] in column
     cols[h, t]: for tau and for its contragredient, whose data is the
-    transpose's, not tau's copied."""
+    transpose's, not tau's copied.  The contragredient is the zeta^-1
+    model, stack and monomial data alike, which the reps suite's invariant
+    pairing compares entry by entry."""
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     tau = heisenberg_rep(g, 1, model=model)
     tilde = contragredient(tau)
     assert not np.array_equal(tilde.root_exponents, tau.root_exponents)
+    inverse_model = heisenberg_rep(g, p - 1, model=model)
+    for stack in ("num", "cols", "root_exponents"):
+        assert np.array_equal(getattr(tilde, stack), getattr(inverse_model, stack))
+    assert tilde.den == inverse_model.den
     for rep in (tau, tilde):
         n = rep.conductor
         roots = context(n).power_table[(n // p) * rep.root_exponents]
@@ -160,6 +165,27 @@ def test_invariant_pairing(h3, tau3):
     eye = CycMatrix.identity(tau3.conductor, tau3.dim)
     for h in h3.elements():
         assert tau3.image(h).transpose() @ cotau_model.image(h) == eye
+
+
+def test_suite_invariant_pairing_names_the_first_bad_entry(monkeypatch, h3, tau3):
+    """contragredient(tau) with one image negated: the reps suite's
+    invariant pairing, the zeta^-1 model against it, fails at that image's
+    first nonzero entry and still counts every entry of every image."""
+    from heisweil.suites import RunConfig, suite_reps
+
+    real = reps_mod.contragredient
+
+    def corrupted(rep):
+        tilde = real(rep)
+        num = tilde.num.copy()
+        num[5] *= -1
+        return replace(tilde, num=num)
+
+    monkeypatch.setattr(reps_mod, "contragredient", corrupted)
+    (check,) = [c for c in suite_reps(RunConfig(p=3)) if c.check == "reps.invariant_pairing"]
+    i, j = np.argwhere(real(tau3).num[5].any(axis=-1))[0].tolist()
+    assert not check.passed and check.checks == h3.order * 3**2
+    assert check.witness == (5, i, j)
 
 
 def test_fixed_forms_center_kills_everything(h3, tau3):
@@ -338,26 +364,6 @@ def test_a_corrupted_basis_is_the_suites_first_witness(monkeypatch):
     assert not check.passed and check.witness == first
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_transpose_products_equal_per_element_products(p):
-    g = HeisenbergGroup(SymplecticSpace(p, 1))
-    tau, plus = heisenberg_rep(g, 1), heisenberg_rep(g, 2, model="plus")
-    pairs = [
-        (tau, heisenberg_rep(g, p - 1)),  # the invariant pairing: the identity
-        (tau, contragredient(tau)),
-        (plus, heisenberg_rep(g, 1, model="plus")),
-    ]
-    for rep, other in pairs:
-        num = transpose_products(rep, other)
-        for h in g.elements():
-            expected = rep.image(h).transpose() @ other.image(h)
-            assert CycMatrix._packed(rep.conductor, num[h], 1) == expected
-    eye = CycMatrix.identity(tau.conductor, tau.dim).num
-    assert (transpose_products(*pairs[0]) == eye).all()
-    with pytest.raises(ValueError, match="two monomial reps"):
-        transpose_products(tau, irreducibles_of_H(g)[0])
-
-
 def certificate_witness(tau, sub, basis, dim):
     """The certificate on the given rows: its verdict and its witness."""
     check = Check("reps.fixed_forms")
@@ -468,6 +474,18 @@ def test_projector_traces_past_int64_are_exact(h3):
     weights = np.zeros((2, h3.order), dtype=np.int64)
     weights[:, 0] = (2, 4)
     assert projector_traces([rep], weights, [1, 8]).tolist() == [[2**63, 2**61]]
+
+
+@pytest.mark.parametrize("value", [2**24 - 1, 2**24 + 1, 2**53 - 1, 2**53 + 1])
+def test_projector_traces_at_the_float_tier_edges_are_exact(h3, value):
+    """The sums take the packed kernel's tiers, float32 below 2^24, float64
+    below 2^53 and Python ints past that: an odd trace just past an edge,
+    which the narrower float would round, comes back exact."""
+    col = CycMatrix(12, [[value]])
+    rep = MatrixRep(h3, [0], col.num[:, None], col.den, 12)
+    weights = np.zeros((1, h3.order), dtype=np.int64)
+    weights[0, 0] = 1
+    assert projector_traces([rep], weights, [1]).tolist() == [[value]]
 
 
 @pytest.mark.parametrize("config", [1, 2], ids=["H(3, 1)", "Sp x| H(3)"])

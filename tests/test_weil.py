@@ -22,7 +22,12 @@ from heisweil.heisenberg import HeisenbergGroup, SpecialIso, all_special_isos
 from heisweil.linalg import CycMatrix, batch_from_matrices, packed_product_table
 from heisweil.reps import MatrixRep, heisenberg_rep
 from heisweil.scalar import CycNumber, root_of_unity, zeta_p
-from heisweil.suites import SUITES, RunConfig, _abstract_lift_checks
+from heisweil.suites import (
+    SUITES,
+    RunConfig,
+    _abstract_lift_checks,
+    _contragredient_check,
+)
 from heisweil.symplectic import (
     GuardError,
     SymplecticSpace,
@@ -279,7 +284,7 @@ def test_verify_weil_p7_kernel_calls(monkeypatch, capsys):
 
     monkeypatch.setattr(linalg, "_packed_products", counted)
     assert run(["verify", "weil", "--p", "7", "--seed", "1"]) == 0
-    assert "checks=1443 failures=0" in capsys.readouterr().err
+    assert "checks=1447 failures=0" in capsys.readouterr().err
     assert len(calls) <= 100
 
 
@@ -342,14 +347,14 @@ def test_sp_table_second_sweep_pass_builds_none(capsys):
     capsys.readouterr()
 
 
-def test_sp_table_verify_all_p3_builds_two_semidirect_tables_four_h31_and_three_lifts(
+def test_sp_table_verify_all_p3_builds_two_semidirect_tables_four_h31_and_two_lifts(
     monkeypatch, capsys
 ):
     """verify all --p 3 builds Sp x| H twice, on the H its caller holds (the
     weil suite's abstract-lift certificate and the mackey configuration),
     H(3, 1) four times (the heisenberg, reps, weil and mackey suites) and
-    three p = 3 Weil lifts: the plus, the minus and the contragredient's
-    (the SL(2, 3) reference reads the minus lift, and the mackey
+    two p = 3 Weil lifts: the plus and the minus (the SL(2, 3) reference
+    and the contragredient check read the minus lift, and the mackey
     configuration takes tau as it is)."""
     import heisweil.mackey as mk
     import heisweil.weil as weil_mod
@@ -372,7 +377,7 @@ def test_sp_table_verify_all_p3_builds_two_semidirect_tables_four_h31_and_three_
 
     monkeypatch.setattr(HeisenbergGroup, "__init__", init)
     assert run(["verify", "all", "--p", "3"]) == 0
-    assert calls == {"semidirect_table_group": 2, "weil_lift": 3}
+    assert calls == {"semidirect_table_group": 2, "weil_lift": 2}
     assert built.count((3, 1)) == 4
     capsys.readouterr()
 
@@ -672,6 +677,56 @@ def test_contragredient_of_lift_is_lift_of_contragredient(lift3):
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("model", ["minus", "plus"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_contragredient_identities_hold_on_every_element(p, model):
+    """What the suite's generator check stands for, element by element:
+    omega(s^-1)^T == conj omega(s) for every s, tau(h^-1)^T == conj tau(h)
+    for every h, and the lift of tau~ (the zeta^-1 model) is conj omega on
+    the whole stack."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    lift = weil_lift(heisenberg_rep(g, 1, model=model))
+    lift_tilde = weil_lift(heisenberg_rep(g, p - 1, model=model))
+    tg = sp_table(g.space)
+    for s in range(tg.order):
+        conj = lift.image(s).conj()
+        assert lift.image(tg.inv(s)).transpose() == conj, s
+        assert lift_tilde.image(s) == conj, s
+    tau = lift.base
+    for h in g.elements():
+        assert tau.image(g.inv(h)).transpose() == tau.image(h).conj(), h
+
+
+def contragredient_check(lift) -> Check:
+    rec = Recorder()
+    _contragredient_check(rec, lift)
+    (check,) = rec
+    return check
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_contragredient_check_counts_four_generators_and_names_a_bad_one(p):
+    """Two generators of Sp(W) and two of H, at every p.  omega negated at
+    one generator of sp_table, or tau at one generator of H, fails the
+    check with that generator's name: for Sp(W), its {"matrix", "sign"}
+    record."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    lift = weil_lift(heisenberg_rep(g, 1, model="minus"))
+    good = contragredient_check(lift)
+    assert good.passed and good.checks == 4
+    tg = sp_table(g.space)
+    for s in tg.generators:
+        bad = contragredient_check(replace_images(lift, {s: lift.image(s).scale(-1)}))
+        assert not bad.passed and bad.checks == 4
+        assert bad.witness == tg.names[s] == sp_witness(tg.matrices[s])
+    for h in g.generators:
+        num = lift.base.num.copy()
+        num[h] *= -1
+        base = dataclasses.replace(lift.base, num=num)
+        bad = contragredient_check(dataclasses.replace(lift, base=base))
+        assert not bad.passed and bad.witness == g.names[h]
+
+
 # -- abstract lifts through special isomorphisms -----------------------------------
 
 
@@ -831,7 +886,10 @@ def test_ell2_corrupted_generator_image_fails_the_suite(monkeypatch, tmp_path):
 def test_a_corrupted_levi_image_reports_its_matrix(monkeypatch, tmp_path):
     """omega(m(2)) negated in the p = 5 minus lift: the Levi trace sign and
     the parabolic action fail at m(2), and the report writes each Sp(W)
-    witness as {"matrix": rows, "sign": 1}."""
+    witness as {"matrix": rows, "sign": 1}.  Neither m(2) nor its inverse
+    m(3) is a generator of Sp(W), so the contragredient check, read on
+    generators, passes: the corruption reaches it only through its premise,
+    the homomorphism certificate, which fails."""
     import json
 
     import heisweil.weil as weil_mod
@@ -858,8 +916,7 @@ def test_a_corrupted_levi_image_reports_its_matrix(monkeypatch, tmp_path):
         ],
         "weil.trace_sign_on_levi": [m2, trace],
         "weil.parabolic_action_minus": m2,
-        "weil.contragredient_of_lift_is_lift_of_contragredient": [
-            {"matrix": [[3, 0], [0, 2]], "sign": 1},
-            0,
-        ],
     }
+    space = SymplecticSpace(5, 1)
+    levi = {index_of(space, m_element(space, [[y]])) for y in (2, 3)}
+    assert not levi & set(sp_table(space).generators)
