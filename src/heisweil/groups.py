@@ -105,11 +105,25 @@ class TableGroup:
     """A finite group given by its multiplication table on indices 0..n-1,
     with the identity at index 0.  The table is refused, with a ValueError,
     for an entry outside 0..n-1, a misplaced identity, a missing inverse
-    and, up to 64 elements, a failure of Light's test."""
+    and, up to 64 elements, a failure of Light's test.
+
+    A signed-integer table keeps its dtype when that dtype holds every
+    index 0..n-1, so Sp x| H(3) keeps its table in int16; any other integer
+    table is cast to int64, and a table of another kind (float, bool) is
+    refused with a ValueError naming its dtype.  Every reader gathers
+    through the table, so a gather's result has the table's dtype; the
+    indices it hands out are Python ints or the int64 (intp) arrays of
+    ``inverse_of`` and the numpy index routines."""
 
     def __init__(self, table, names=None):
-        table = np.asarray(table, dtype=np.int64)
+        table = np.asarray(table)
+        if table.dtype.kind not in "iu":
+            raise ValueError(
+                f"multiplication table must hold integers; got dtype {table.dtype}"
+            )
         n = table.shape[0]
+        if table.dtype.kind == "u" or np.iinfo(table.dtype).max < n - 1:
+            table = table.astype(np.int64)
         if table.shape != (n, n):
             raise ValueError(
                 f"multiplication table must be square; got shape {table.shape}"

@@ -4,7 +4,8 @@ Groups are multiplication tables (:class:`TableGroup` from
 :mod:`heisweil.groups`), so everything here is generic: the same code runs
 on symmetric / dihedral / quaternion test groups, on the Heisenberg group
 W x| F_p (itself a TableGroup) and on Sp(W) x| H, whose table below is
-the law on (sp index, h index) pairs, :func:`semidirect_mul`, on every pair.
+the law on (sp index, h index) pairs, :func:`semidirect_mul`, on every pair,
+built once per space at p = 3 and kept read-only in int16.
 
 The two Hom-dimension computations are deliberately independent in what
 they sum, and share the one exact product that sums it.  Each, like the
@@ -42,6 +43,7 @@ partition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -52,8 +54,9 @@ from heisweil.groups import (
     extend_hom,
     table_group_from_mul,
 )
+from heisweil.heisenberg import HeisenbergGroup
 from heisweil.reps import MatrixRep, projector_traces
-from heisweil.symplectic import mat_inv, sp_index, sp_table
+from heisweil.symplectic import GuardError, SymplecticSpace, mat_inv, sp_index, sp_table
 
 __all__ = [
     "InvolutionRecord",
@@ -448,17 +451,38 @@ def semidirect_mul(sp: TableGroup, h: TableGroup, act, a, u, b, v) -> np.ndarray
     return sp.table[a, b] * h.order + h.table[act[sp.inverse_of[b], u], v]
 
 
-def semidirect_table_group(g) -> TableGroup:
-    """Sp(W) x| H as a TableGroup, for the caller's H = ``g``:
-    :func:`semidirect_mul` on every pair; names are (sp index, h index)
-    pairs, (s, h) at index s |H| + h."""
-    sp = sp_table(g.space)
+# Sp x| H is tabulated at p = 3 only: 648 elements there, but 15 000 at
+# p = 5, whose int64 table would take 1.8 GB
+SEMIDIRECT_TABLE_MAX_P = 3
+
+
+@functools.lru_cache(maxsize=None)
+def semidirect_table_group(space: SymplecticSpace) -> TableGroup:
+    """Sp(W) x| H(W) as a TableGroup, built once per space and shared, as
+    :func:`~heisweil.symplectic.sp_table` is: :func:`semidirect_mul` on
+    every pair; names are (sp index, h index) pairs, (s, h) at index
+    s |H| + h, with H laid out as :class:`~heisweil.heisenberg.HeisenbergGroup`
+    lays it out.  The table is kept in int16 (648 < 2^15), and it and
+    ``inverse_of`` are read-only; what a reader adds to the group is its
+    generators and the generating set of each subgroup it asks for, each
+    derived once per process.  GuardError past ell = 1,
+    p <= :data:`SEMIDIRECT_TABLE_MAX_P`."""
+    if space.ell != 1 or space.p > SEMIDIRECT_TABLE_MAX_P:
+        raise GuardError(
+            f"Sp x| H is tabulated for ell = 1, p <= {SEMIDIRECT_TABLE_MAX_P} only "
+            f"(at p = 5 its table would take 1.8 GB); "
+            f"got p = {space.p}, ell = {space.ell}"
+        )
+    g, sp = HeisenbergGroup(space), sp_table(space)
     act = g.linear_action(sp.matrices)
     n = sp.order * g.order
     pairs = np.ix_(range(sp.order), range(g.order), range(sp.order), range(g.order))
-    table = semidirect_mul(sp, g, act, *pairs).reshape(n, n)
+    table = semidirect_mul(sp, g, act, *pairs).reshape(n, n).astype(np.int16)
     names = [(s, h) for s in range(sp.order) for h in range(g.order)]
-    return TableGroup(table, names=names)
+    tg = TableGroup(table, names=names)
+    for shared in (tg.table, tg.inverse_of):
+        shared.flags.writeable = False
+    return tg
 
 
 def semidirect_involution_record(alpha) -> InvolutionRecord:

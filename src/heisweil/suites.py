@@ -53,13 +53,15 @@ configuration then evaluates its own checks on its own slice: clause 4
 reads theta's first three conjugates and that configuration's g.theta
 only, so every identity, count and first witness is the one a pass per
 configuration gives.  The configurations of the zoo depend on neither p
-nor the seed: they are built once per process (:func:`_mackey_zoo`),
-read-only, while the Heisenberg ones, Sp x| H among them, are built per
-run.  A zoo group keeps the generating set of each K it is asked for
-(:meth:`~heisweil.groups.TableGroup.generators_of`), so the K-orbits
-derive it in the first run only.  The zoo also keeps each kappa~ with
-its character row; only the Heisenberg configurations build kappa~ per
-run, and the oracle on kappa~ runs every time.
+nor the seed: they are built once per process, read-only, the zoo's by
+:func:`_mackey_zoo` and the three on H(3, 1) and Sp x| H by
+:func:`_heisenberg_beds`, which reads the one Sp x| H the weil suite's
+abstract-lift certificate reads too.  A group keeps its generators and
+the generating set of each K it is asked for
+(:meth:`~heisweil.groups.TableGroup.generators_of`), so the orbits
+derive them in the first run only.  Each kappa~ is kept with its
+character row; the orbits, cosets, Mackey sums and the oracle on kappa
+and kappa~ run every time.
 """
 
 from __future__ import annotations
@@ -481,7 +483,7 @@ def _abstract_lift_checks(rec: Recorder, lift) -> None:
         same = images[[nu.image(h) for h in xs]] == twisted[pairings, xs]
         twist.all(same.all(axis=(1, 2, 3)), lambda h: (nu, h))
     reps_mod.homomorphism_certificate(
-        mk.semidirect_table_group(g),
+        mk.semidirect_table_group(g.space),
         *lift.semidirect_family,
         lift.base.conductor,
         rec("weil.abstract_lift_rep_law"),
@@ -569,10 +571,11 @@ def standard_mackey_configurations():
 def _mackey_zoo():
     """(configurations, stabilizer cases, contragredients), built once per
     process, as none depends on p or the seed; a run reads them and
-    evaluates every identity anew.  Each table and ``inverse_of`` is
-    read-only, K is a sorted tuple and theta a frozen record, so no run can
-    change what the next one reads; what a run adds to a group is the
-    generating set of a subgroup, derived once.  The stabilizer cases are
+    evaluates every identity anew.  The test beds on H(3, 1) and Sp x| H
+    are kept the same way, by :func:`_heisenberg_beds`.  Each table and
+    ``inverse_of`` is read-only, K is a sorted tuple and theta a frozen
+    record, so no run can change what the next one reads; what a run adds
+    to a group is the generating set of a subgroup, derived once.  The stabilizer cases are
     (label, group, theta) for S3, D4 and Q8 with their first nontrivial
     involution.
     The contragredients are kappa~ of each configuration, in order; every
@@ -668,42 +671,59 @@ def _order2(perm) -> bool:
 
 
 def heisenberg_mackey_configurations():
-    """The p = 3 Heisenberg group and Sp x| H as Mackey test beds."""
+    """The p = 3 Heisenberg group and Sp x| H as Mackey test beds, as a
+    fresh list over the one set :func:`_heisenberg_beds` builds per
+    process."""
+    return list(_heisenberg_beds()[0])
+
+
+@functools.cache
+def _heisenberg_beds():
+    """(configurations, contragredients) of H(3, 1) and Sp x| H(3), built
+    once per process, as neither depends on p or the seed; :func:`_mackey_zoo`
+    keeps the zoo's the same way.  Sp x| H is the one
+    :func:`~heisweil.mackey.semidirect_table_group` of the space, the group
+    the weil suite's abstract-lift certificate reads, so its generators and
+    the generating set of each K are derived once per process.  H's table
+    and ``inverse_of`` are read-only, as Sp x| H's are, and so is every
+    array of every kappa and kappa~; a run evaluates every identity anew."""
     configs = []
-    group = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 1))
-    sd = mk.semidirect_table_group(group)
+    space = sympl.SymplecticSpace(3, 1)
+    group = heis.HeisenbergGroup(space)
+    for shared in (group.table, group.inverse_of):
+        shared.flags.writeable = False
+    sd = mk.semidirect_table_group(space)
     tau = reps_mod.heisenberg_rep(group, 1, model="minus")
 
     alpha = heis.involution_from_polarization(group)
     theta = mk.InvolutionRecord(tuple(alpha.perm.tolist()))
-    k_members = sorted(group.minus_z_subgroup)
+    k_members = tuple(sorted(group.minus_z_subgroup))
     # kappa(h) = zeta_3^z(h) on the members, as a stack of 1 x 1 images
-    exps = 4 * group.z[k_members][:, None]
+    exps = 4 * group.z[list(k_members)][:, None]
     zetas = CycMatrix.from_roots(12, exps, np.ones_like(exps))
     kappa = reps_mod.MatrixRep(group, k_members, zetas.num[:, None], zetas.den, 12)
     configs.append(("H3/HhatMinus/zeta/polar", group, k_members, kappa, theta))
-    configs.append(
-        ("H3/G/tau/polar", group, list(range(group.order)), tau, theta)
-    )
+    configs.append(("H3/G/tau/polar", group, tuple(range(group.order)), tau, theta))
 
     # {1} x H holds the indices h < |H|, as Sp(W) lists the identity first;
     # kappa there is omega(1) tau(h) = tau(h), as the lift sends 1 to 1
-    h_members = list(range(group.order))
+    h_members = tuple(range(group.order))
     kappa_sd = reps_mod.MatrixRep(sd, tau.elements, tau.num, tau.den, 12)
     theta_sd = mk.semidirect_involution_record(alpha)
     configs.append(("SpH3/H/tau/polar", sd, h_members, kappa_sd, theta_sd))
-    return configs
+    tildes = tuple(reps_mod.contragredient(kappa) for *_, kappa, _ in configs)
+    for rep in (*(kappa for *_, kappa, _ in configs), *tildes):
+        for monomial in (rep.cols, rep.root_exponents):
+            if monomial is not None:
+                monomial.flags.writeable = False
+    return tuple(configs), tildes
 
 
 def suite_mackey(cfg: RunConfig) -> list[Check]:
     rec = Recorder()
     zoo, _, zoo_tildes = _mackey_zoo()
-    heis = heisenberg_mackey_configurations()
-    configs = [*zoo, *heis]
-    tildes = [
-        *zoo_tildes,
-        *(reps_mod.contragredient(kappa) for *_, kappa, _ in heis),
-    ]
+    heis_configs, heis_tildes = _heisenberg_beds()
+    configs, tildes = [*zoo, *heis_configs], [*zoo_tildes, *heis_tildes]
     dcs = rec("mackey.double_coset_sum_equals_oracle")
     clauses = rec("mackey.twisted_coset_clauses")
     triangle = rec("mackey.triangle_bijection")

@@ -40,6 +40,9 @@ its matrices in that order.  At p = 3 a lift also stacks omega(s) tau(h)
 on all of Sp(W) x| H (:attr:`WeilLift.semidirect_family`), in the layout
 of :func:`~heisweil.mackey.semidirect_table_group`, so the homomorphism
 certificate proves that family on the generator edges of Sp(W) x| H.
+That table, too, is built once per space and shared (read-only, in
+int16), with the mackey suite's test bed on Sp(W) x| H, so its generators
+are derived once per process.
 
 Convention note: printed treatments of the p = 3 case often attach the
 inverse Fourier transform to j.  The reference model built by

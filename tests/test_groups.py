@@ -125,7 +125,7 @@ def _generating_set_groups():
         groups[f"H({p},1)"] = HeisenbergGroup(SymplecticSpace(p, 1))
         groups[f"Sp({p})"] = sp_table(SymplecticSpace(p, 1))
     groups["H(3,2)"] = HeisenbergGroup(SymplecticSpace(3, 2))
-    groups["SpxH(3)"] = semidirect_table_group(groups["H(3,1)"])
+    groups["SpxH(3)"] = semidirect_table_group(SymplecticSpace(3, 1))
     return [pytest.param(label, tg, id=label) for label, tg in groups.items()]
 
 
@@ -448,3 +448,116 @@ def test_table_entry_outside_the_indices_is_named(entry):
     named = rf"table entry {entry} at \(1, 2\) not in 0\.\.2"
     with pytest.raises(ValueError, match=named):
         TableGroup(t)
+
+
+# -- the kept table dtype ------------------------------------------------------
+
+
+def _regular_family(g, n=4):
+    """The regular representation R(a) e_x = e_(a x) of ``g``, numerators
+    over 1 in Q(zeta_n), one row of the table per image."""
+    from heisweil.scalar import context
+
+    num = np.zeros((g.order, g.order, g.order, context(n).phi), dtype=np.int64)
+    a, x = np.divmod(np.arange(g.order**2), g.order)
+    num[a, g.table[a, x], x, 0] = 1
+    return num, 1, n
+
+
+def _sp_h_family():
+    """omega(s) tau(h) on all of Sp x| H(3), the minus-model p = 3 lift."""
+    from heisweil.reps import heisenberg_rep
+    from heisweil.weil import weil_lift
+
+    lift = weil_lift(heisenberg_rep(HeisenbergGroup(SymplecticSpace(3, 1)), 1, "minus"))
+    return (*lift.semidirect_family, lift.base.conductor)
+
+
+def _dtype_cases():
+    """(label, table, K, theta, family) for Sp x| H(3) and two zoo groups,
+    each with a K and theta of its Mackey configuration."""
+    from heisweil.suites import heisenberg_mackey_configurations
+
+    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
+    chosen = {"S4/S3/triv/inner", "Q8/C4/chi0/theta0", "SpH3/H/tau/polar"}
+    cases = []
+    for label, tg, k, _, theta in configs:
+        if label in chosen:
+            family = _sp_h_family if tg.order == 648 else lambda tg=tg: _regular_family(tg)
+            cases.append(pytest.param(tg, k, theta, family, id=label))
+    assert len(cases) == 3
+    return cases
+
+
+def _readings(g, k, theta, family):
+    """What the group-level readers give on ``g``, as plain data: the
+    inverses, center, generators, generators of K, subgroup tests, the
+    automorphism test, the (K, G^theta) partition, the G- and K-orbits of
+    theta, the split S(theta, Theta'), and the homomorphism certificate of
+    ``family`` and of a copy with one image replaced."""
+    from heisweil.checks import Check
+    from heisweil.mackey import fixed_subgroup, involution_orbits, s_theta
+    from heisweil.reps import homomorphism_certificate
+
+    fixed = sorted(fixed_subgroup(g, theta))
+    # K and one element outside it: not closed, as 1 < |K| < |G| here
+    not_closed = sorted({*k, next(x for x in range(g.order) if x not in k)})
+    masks = np.stack([g.mask(k), g.mask(fixed), g.mask(not_closed), g.mask([])])
+    perm = np.array(theta.perm)
+    swapped = perm.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    labels = double_coset_labels(g, k, fixed)
+    reps = np.unique(labels, return_index=True)[1].tolist()
+    orbit = involution_orbits(g, [theta], range(g.order))[0]
+    k_orbits = involution_orbits(g, orbit, k, validate=False)
+    orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
+    num, den, n = family()
+    bad = num.copy()
+    bad[len(bad) // 2] = num[len(bad) // 2 + 1]
+    certificates = []
+    for stack in (num, bad):
+        check = Check("hom")
+        homomorphism_certificate(g, stack, den, n, check)
+        certificates.append((check.checks, check.passed, check.witness))
+    return (
+        g.inverse_of.tolist(),
+        g.center(),
+        g.generators,
+        g.generators_of(k),
+        [g.is_subgroup(sub) for sub in (k, fixed, not_closed)],
+        g.are_subgroups(masks).tolist(),
+        [g.is_automorphism(p) for p in (perm, swapped)],
+        labels.tolist(),
+        [[t.perm for t in o] for o in k_orbits],
+        s_theta(g, theta, reps, orbit_of),
+        certificates,
+    )
+
+
+@pytest.mark.parametrize("tg, k, theta, family", _dtype_cases())
+def test_int16_table_reads_as_its_int64_copy(tg, k, theta, family):
+    """An int16 table keeps its dtype, and every group-level reader gives
+    what it gives on the int64 copy of the same table."""
+    narrow, wide = (
+        TableGroup(tg.table.astype(dt), names=tg.names) for dt in (np.int16, np.int64)
+    )
+    assert narrow.table.dtype == np.int16 and wide.table.dtype == np.int64
+    assert _readings(narrow, k, theta, family) == _readings(wide, k, theta, family)
+
+
+def test_table_dtype_is_kept_when_it_holds_every_index():
+    """A signed dtype that holds n - 1 is kept; an unsigned one and a
+    Python list become int64."""
+    table = symmetric_group(3).table
+    for dt in (np.int8, np.int16, np.int32, np.int64):
+        assert TableGroup(table.astype(dt)).table.dtype == dt
+    assert TableGroup(table.astype(np.uint8)).table.dtype == np.int64
+    assert TableGroup(table.tolist()).table.dtype == np.int64
+    assert TableGroup(cyclic_group(200).table.astype(np.int16)).table.dtype == np.int16
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+def test_table_of_another_kind_is_refused_naming_its_dtype(dtype):
+    table = np.zeros((1, 1), dtype=dtype)
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        TableGroup(table)

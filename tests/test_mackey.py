@@ -447,16 +447,16 @@ def test_mackey_suite_validates_each_theta_once(monkeypatch):
 
 
 def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
-    """A p = 3 mackey run on a fresh zoo derives the generators of each
-    group it builds once.  A table of at most 64 elements derives them in
-    its constructor, for Light's associativity test, so besides the 10
-    configuration groups the zoo's character subgroups (and Sp(W), if no
-    earlier test built its table) derive theirs, and no group derives them
-    twice.  A second run derives only those of the two groups it builds per
-    call, H(3, 1) and Sp x| H, as the shared zoo's groups keep theirs.
-    The same holds for the generators of K: each (group, K) derives them
-    once, the zoo's K in the first run only, and the second run derives
-    only the K of the beds on H(3, 1) and Sp x| H with K proper."""
+    """A p = 3 mackey run on a fresh zoo and fresh Heisenberg beds derives
+    the generators of each group it builds once.  A table of at most 64
+    elements derives them in its constructor, for Light's associativity
+    test, so besides the 10 configuration groups the zoo's character
+    subgroups (and Sp(W), if no earlier test built its table) derive
+    theirs, and no group derives them twice.  The same holds for the
+    generators of K: each (group, K) derives them once.  A second run
+    derives none: every configuration group, H(3, 1) and Sp x| H among
+    them, is built once per process and keeps its generators and those of
+    each K."""
     import heisweil.groups as groups_mod
     import heisweil.suites as suites_mod
 
@@ -473,6 +473,8 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
 
     monkeypatch.setattr(groups_mod, "generators_within", spy)
     suites_mod._mackey_zoo.cache_clear()
+    suites_mod._heisenberg_beds.cache_clear()
+    mk.semidirect_table_group.cache_clear()
     runs = []
     for _ in range(2):
         whole.clear()
@@ -481,20 +483,16 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
         assert all(c.passed for c in checks)
         runs.append((list(whole), list(parts)))
     (first, first_parts), (second, second_parts) = runs
-    zoo = {(id(tg), tg.order) for _, tg, *_ in standard_mackey_configurations()}
-    assert len(first) == len(set(first)) and len(zoo) == 8
-    assert zoo < set(first) and {27, 648} <= {order for _, order in first}
-    assert sorted(order for _, order in second) == [27, 648]
-    assert len(set(second)) == 2 and not zoo & set(second)
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
-    assert len({id(tg) for _, tg, *_ in configs}) == 10
+    groups = {(id(tg), tg.order) for _, tg, *_ in configs}
+    assert len(first) == len(set(first)) and len(groups) == 10
+    assert groups < set(first) and {27, 648} <= {order for _, order in groups}
+    assert second == [] and second_parts == []
     # the K of every bed with K proper (K = G reads G's), the zoo's once
     beds = _test_beds(configs)
     proper = {(tg.order, frozenset(k)) for (_, tg, k, *_), *_ in beds if len(k) < tg.order}
     assert len(first_parts) == len(set(first_parts))
     assert proper <= {(order, k) for _, order, k in first_parts}
-    assert sorted(order for _, order, _ in second_parts) == [27, 648]
-    assert {(order, k) for _, order, k in second_parts} <= proper
 
 
 def test_h1_bound_two_for_theta_trivial_on_center():
@@ -706,7 +704,7 @@ def test_heisenberg_table_matches_pairwise_products(p, ell):
 def test_semidirect_table_matches_pairwise_products():
     space = SymplecticSpace(3, 1)
     g = HeisenbergGroup(space)
-    tg = semidirect_table_group(g)
+    tg = semidirect_table_group(g.space)
     # reference: the same group built one product at a time from the law
     law = _heisenberg_law(space)
     sp = sp_table(space)
@@ -727,7 +725,7 @@ def test_semidirect_table_matches_pairwise_products():
 def test_semidirect_pair_law_equals_the_table_on_every_pair():
     space = SymplecticSpace(3, 1)
     g = HeisenbergGroup(space)
-    tg = semidirect_table_group(g)
+    tg = semidirect_table_group(g.space)
     sp = sp_table(space)
     act = g.linear_action(sp.matrices)
     s, h = np.divmod(np.arange(tg.order), g.order)
@@ -739,7 +737,7 @@ def test_semidirect_involution_record_needs_untwisted_alpha():
     # theta(s, h) = (abar s abar^-1, alpha(h)) is an automorphism of Sp x| H
     # for the untwisted alpha (w0 = 0) only; the others are rejected
     g = HeisenbergGroup(SymplecticSpace(3, 1))
-    tg = semidirect_table_group(g)
+    tg = semidirect_table_group(g.space)
     alphas = order_two_automorphisms_inverting_center(g)
     untwisted = [a for a in alphas if not any(a.w0)]
     assert (len(alphas), len(untwisted)) == (36, 12)
@@ -828,6 +826,83 @@ def test_mackey_zoo_is_shared_read_only_and_unchanged_by_a_run():
     checks = SUITES["mackey"](RunConfig(seed=5))
     assert all(c.passed for c in checks)
     assert _zoo_snapshot() == before
+
+
+def test_semidirect_table_and_heisenberg_beds_are_built_once_per_process(monkeypatch):
+    """From cleared caches, Sp x| H is tabulated once (one
+    :func:`semidirect_mul` call) and the Heisenberg beds are built once (one
+    tau), however often the table, the beds and the mackey suite are read;
+    each read hands out the same groups, reps and thetas, in a fresh list."""
+    import heisweil.reps as reps_mod
+    import heisweil.suites as suites_mod
+
+    calls = {"semidirect_mul": 0, "heisenberg_rep": 0}
+    for module, name in ((mk, "semidirect_mul"), (reps_mod, "heisenberg_rep")):
+        real = getattr(module, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    suites_mod._heisenberg_beds.cache_clear()
+    mk.semidirect_table_group.cache_clear()
+    space = SymplecticSpace(3, 1)
+    tg = semidirect_table_group(space)
+    first = heisenberg_mackey_configurations()
+    for _ in range(2):
+        assert semidirect_table_group(SymplecticSpace(3, 1)) is tg
+        assert all(c.passed for c in SUITES["mackey"](RunConfig(p=5)))
+        again = heisenberg_mackey_configurations()
+        assert again is not first and again == first
+    assert calls == {"semidirect_mul": 1, "heisenberg_rep": 1}
+    assert first[2][1] is tg and tg.table.dtype == np.int16
+
+
+def test_semidirect_table_and_heisenberg_beds_are_read_only():
+    """Sp x| H's table and inverses, H(3, 1)'s, and the stacks of tau and
+    of every kappa~ of the beds refuse writes."""
+    import heisweil.suites as suites_mod
+
+    configs, tildes = suites_mod._heisenberg_beds()
+    tau = next(kappa for label, *_, kappa, _ in configs if label == "H3/G/tau/polar")
+    arrays = [tau.num, tau.cols, *(tilde.num for tilde in tildes)]
+    for tg in {id(tg): tg for _, tg, *_ in configs}.values():
+        arrays += [tg.table, tg.inverse_of]
+    assert len(arrays) == 2 + 3 + 4
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+
+
+@pytest.mark.parametrize("p, ell", [(5, 1), (7, 1), (3, 2)])
+def test_semidirect_table_is_guarded_to_p3(p, ell):
+    """Past p = 3 the table would take 1.8 GB (p = 5); the guard names the
+    limit and builds nothing."""
+    from heisweil.symplectic import GuardError
+
+    with pytest.raises(GuardError, match="ell = 1, p <= 3 only"):
+        semidirect_table_group(SymplecticSpace(p, ell))
+
+
+def test_weil_certificate_and_mackey_bed_read_one_semidirect_table(monkeypatch):
+    """The weil suite's abstract-lift certificate runs on the very Sp x| H
+    group of the mackey bed SpH3/H/tau/polar."""
+    import heisweil.reps as reps_mod
+
+    groups = []
+    real = reps_mod.homomorphism_certificate
+
+    def spy(group, *args):
+        groups.append(group)
+        return real(group, *args)
+
+    monkeypatch.setattr(reps_mod, "homomorphism_certificate", spy)
+    assert all(c.passed for c in SUITES["weil"](RunConfig(p=3)))
+    sd = [g for g in groups if g.order == 648]
+    configs = heisenberg_mackey_configurations()
+    bed = next(tg for label, tg, *_ in configs if label == "SpH3/H/tau/polar")
+    assert len(sd) == 1 and sd[0] is bed is semidirect_table_group(SymplecticSpace(3, 1))
 
 
 @pytest.mark.parametrize("seed", [0, 11])

@@ -34,6 +34,7 @@ from heisweil.symplectic import (
     chi_P,
     enumerate_P,
     m_element,
+    mat_inv,
     n_element,
     sp_index,
     sp_witness,
@@ -270,6 +271,28 @@ def test_intertwining_corrupted_image_reports_the_first_failing_pair(p, model):
         assert report.witness == witness and sps[i] == s
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_minus_lift_is_the_plus_lift_at_the_weyl_conjugate(p):
+    """omega_minus(s) == omega_plus(j s j^-1) exactly, for every s of Sp(W)
+    and every zeta exponent: the minus model induces from the Lagrangian
+    that j swaps with the plus model's, and the two lifts are built
+    independently (their own parabolic operators, Fourier kernel and
+    normalization), so each is an oracle for the other.  One denominator
+    and equal numerator stacks, row j s j^-1 of the plus stack against row
+    s of the minus stack."""
+    space = SymplecticSpace(p, 1)
+    g, mats = HeisenbergGroup(space), sp_table(space).matrices
+    j = weyl_element(space)
+    conjugated = sp_index(space, j @ mats @ mat_inv(j, p) % p)
+    for k in range(1, p):
+        plus = weil_lift(heisenberg_rep(g, k, model="plus"))
+        minus = weil_lift(heisenberg_rep(g, k, model="minus"))
+        assert np.array_equal(minus.sp_elements, mats)
+        assert np.array_equal(plus.sp_elements, mats)
+        assert minus.den == plus.den, k
+        assert np.array_equal(minus.num, plus.num[conjugated]), k
+
+
 def test_verify_weil_p7_kernel_calls(monkeypatch, capsys):
     """The homomorphism certificates run on the generator rows, and
     intertwining and the parabolic action as stacked calls: the p = 7 weil
@@ -347,20 +370,24 @@ def test_sp_table_second_sweep_pass_builds_none(capsys):
     capsys.readouterr()
 
 
-def test_sp_table_verify_all_p3_builds_two_semidirect_tables_four_h31_and_two_lifts(
+def test_sp_table_verify_all_p3_builds_one_semidirect_table_and_two_lifts(
     monkeypatch, capsys
 ):
-    """verify all --p 3 builds Sp x| H twice, on the H its caller holds (the
-    weil suite's abstract-lift certificate and the mackey configuration),
-    H(3, 1) four times (the heisenberg, reps, weil and mackey suites) and
-    two p = 3 Weil lifts: the plus and the minus (the SL(2, 3) reference
-    and the contragredient check read the minus lift, and the mackey
-    configuration takes tau as it is)."""
+    """verify all --p 3, run twice in one process from cleared caches,
+    builds Sp x| H once: the weil suite's abstract-lift certificate and the
+    mackey bed read the one table.  Each run builds H(3, 1) three times
+    (the heisenberg, reps and weil suites) and the first run twice more,
+    once for the mackey beds and once inside Sp x| H, both kept for the
+    process; and each run builds two p = 3 Weil lifts, the plus and the
+    minus (the SL(2, 3) reference and the contragredient check read the
+    minus lift, and the mackey beds take tau as it is)."""
     import heisweil.mackey as mk
-    import heisweil.weil as weil_mod
+    import heisweil.suites as suites_mod
 
-    calls = {"semidirect_table_group": 0, "weil_lift": 0}
-    for module, name in ((mk, "semidirect_table_group"), (weil_mod, "weil_lift")):
+    suites_mod._heisenberg_beds.cache_clear()
+    mk.semidirect_table_group.cache_clear()
+    calls = {"semidirect_mul": 0, "weil_lift": 0}
+    for module, name in ((mk, "semidirect_mul"), (weil_mod, "weil_lift")):
         real = getattr(module, name)
 
         def spy(*args, real=real, name=name):
@@ -376,9 +403,17 @@ def test_sp_table_verify_all_p3_builds_two_semidirect_tables_four_h31_and_two_li
         real_init(self, space)
 
     monkeypatch.setattr(HeisenbergGroup, "__init__", init)
-    assert run(["verify", "all", "--p", "3"]) == 0
-    assert calls == {"semidirect_table_group": 2, "weil_lift": 2}
-    assert built.count((3, 1)) == 4
+    runs = []
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        built.clear()
+        assert run(["verify", "all", "--p", "3"]) == 0
+        runs.append((dict(calls), built.count((3, 1))))
+    assert runs == [
+        ({"semidirect_mul": 1, "weil_lift": 2}, 5),
+        ({"semidirect_mul": 0, "weil_lift": 2}, 3),
+    ]
+    assert mk.semidirect_table_group.cache_info().misses == 1
     capsys.readouterr()
 
 
