@@ -35,12 +35,12 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from heisweil.checks import Check
-from heisweil.heisenberg import HElem, HeisenbergAutomorphism, SpecialIso
+from heisweil.heisenberg import HElem, SpecialIso
 from heisweil.linalg import _INT64, CycMatrix
 from heisweil.prounipotent import CongruenceGroup
 from heisweil.scalar import CycNumber
 from heisweil.suites import RunConfig, SUITES
-from heisweil.symplectic import codes, sp_witness
+from heisweil.symplectic import codes
 
 SUITE_NAMES = ["heisenberg", "reps", "weil", "mackey", "sqrt"]
 
@@ -425,9 +425,6 @@ def _jsonable(x):
         return {"w": list(x.w), "z": x.z}
     if isinstance(x, SpecialIso):
         return {"offset": _jsonable(x.offset)}
-    if isinstance(x, HeisenbergAutomorphism):
-        s = sp_witness(x.s, x.central_sign)
-        return {"s": s, "w0": _jsonable(x.w0), "sign": x.central_sign}
     if isinstance(x, CongruenceGroup):
         return {"n": x.n, "p": x.p, "K": x.K, "k0": x.k0}
     if isinstance(x, (np.ndarray, np.generic)):

@@ -23,8 +23,8 @@ broadcasts: the p^2 + 2p + 4 subgroups of H(p, 1)
 closure, and the generators each is built from,
 :meth:`HeisenbergGroup.subgroup_generators`), and the sides W^+, W^- and
 W^- x Z of the standard polarization, each built once per group.  The
-polarizations attached to involutions are checked for a whole list of
-involutions at once, on their stacked permutations
+polarizations attached to involutions are checked for a whole stack of
+involutions at once, on their permutations
 (:func:`polarizations_from_involutions`).
 
 Special isomorphisms H -> W x| Z are stored by their torsor offset w0
@@ -32,10 +32,16 @@ relative to the base one mu0(w, z) = z, with the central coordinate as a
 length-|H| array ``mu``; the set of them is a principal homogeneous space
 of W.  Automorphisms of H carried here are the maps
 (w, z) -> (s.w, eps*z + <w0, w>) with s a (2l, 2l) matrix of form
-multiplier eps, the central sign, stored as permutation arrays of the
-indices; every automorphism of order two lives in this family.  Such a map
-squares to (s^2 w, z + <w0, (eps + s) w>), so it has order two exactly
-when s^2 = 1, s w0 = -w0 (as s^T J = eps J s^-1) and (s, w0) != (1, 0).
+multiplier eps, the central sign; every automorphism of order two lives in
+this family.  Such a map squares to (s^2 w, z + <w0, (eps + s) w>), so it
+has order two exactly when s^2 = 1, s w0 = -w0 (as s^T J = eps J s^-1) and
+(s, w0) != (1, 0).  A family of them with one sign is one
+:class:`Automorphisms` record: the stacks of s and w0 and the (k, |H|)
+permutations of the indices, built by one
+:meth:`HeisenbergGroup.linear_action` and one broadcast of the twists
+<w0, w>.  The checks read it by index gathers: fixed points are
+``perm == arange``, inverted points ``perm == inverse_of``, and
+alpha(h) is ``perm[:, h]``.
 """
 
 from __future__ import annotations
@@ -62,18 +68,18 @@ from heisweil.symplectic import (
     polarization_to_involution,
     rref_mod,
     sp_table,
+    sp_witness,
 )
 
 __all__ = [
+    "Automorphisms",
     "HElem",
-    "HeisenbergAutomorphism",
     "HeisenbergGroup",
     "SpecialIso",
     "all_special_isos",
     "involution_from_polarization",
     "order_two_automorphisms_inverting_center",
     "order_two_automorphisms_trivial_on_center",
-    "polarization_from_involution",
     "polarizations_from_involutions",
     "special_iso_axioms",
     "special_iso_equal_tests",
@@ -504,96 +510,77 @@ def special_iso_equal_tests(isos: list[SpecialIso]):
 # -- automorphisms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeisenbergAutomorphism:
-    """(w, z) -> (s.w, central_sign * z + <w0, w>), as the permutation
-    ``perm`` of the indices.
+class Automorphisms:
+    """The automorphisms (w, z) -> (s_i w, sign * z + <w0_i, w>) of one
+    group, i < k, as one stack: ``s`` of shape (k, 2l, 2l), ``w0`` of shape
+    (k, 2l), one central ``sign`` and the read-only permutations ``perm``
+    of the indices, shape (k, |H|).
 
-    s is a (2l, 2l) matrix whose form multiplier is central_sign: symplectic
-    s fix the center, antisymplectic s invert it.  Two automorphisms are
-    equal, and hash alike, when their groups, entries of s, w0 and signs are.
+    The form multiplier of every s must be the sign, tested once on the
+    whole stack: symplectic s fix the center, antisymplectic s invert it.
     """
 
-    group: HeisenbergGroup
-    s: np.ndarray = field(compare=False)
-    w0: tuple[int, ...]
-    central_sign: int
-    s_key: bytes = field(init=False, repr=False)
-    perm: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.central_sign not in (1, -1):
-            raise ValueError("central_sign must be +-1")
-        g = self.group
-        s = mat_mod(self.s, g.p)
-        form_test = is_symplectic if self.central_sign == 1 else is_antisymplectic
-        if not form_test(g.space, s):
+    def __init__(self, group: HeisenbergGroup, s, w0, sign: int):
+        if sign not in (1, -1):
+            raise ValueError("central sign must be +-1")
+        g = group
+        s = mat_mod(s, g.p)
+        form_test = is_symplectic if sign == 1 else is_antisymplectic
+        if not np.all(form_test(g.space, s)):
             raise ValueError("central sign must match the form multiplier of s")
-        s.flags.writeable = False
-        twist = g.w @ (np.array(self.w0, dtype=np.int64) @ g.space.form)
-        moved = g.linear_action(s)  # (s.w, z)
-        perm = moved - g.z + (self.central_sign * g.z + twist) % g.p
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "s_key", s.tobytes())
-        object.__setattr__(self, "perm", perm)
+        self.group, self.s, self.sign = g, s, sign
+        self.w0 = mat_mod(w0, g.p).reshape(len(s), g.dim)
+        twist = self.w0 @ g.space.form @ g.w.T  # <w0_i, w_h>
+        perm = g.linear_action(s) - g.z  # (s w, 0)
+        perm += (sign * g.z + twist) % g.p
+        perm.flags.writeable = False
+        self.perm = perm
 
-    def apply(self, h) -> int:
-        return int(self.perm[h])
+    def __len__(self) -> int:
+        return len(self.s)
 
-    def is_automorphism(self) -> bool:
-        return self.group.is_automorphism(self.perm)
+    def order_two(self) -> np.ndarray:
+        """Whether each automorphism has order two: alpha^2 = 1 != alpha."""
+        perm, ident = self.perm, np.arange(self.group.order)
+        squares = np.take_along_axis(perm, perm, axis=1)
+        return (squares == ident).all(axis=1) & (perm != ident).any(axis=1)
 
-    def is_order_two(self) -> bool:
-        ident = np.arange(self.group.order)
-        return bool(
-            np.array_equal(self.perm[self.perm], ident)
-            and not np.array_equal(self.perm, ident)
-        )
-
-    def fixed_points(self) -> frozenset[int]:
-        return frozenset(
-            np.flatnonzero(self.perm == np.arange(self.group.order)).tolist()
-        )
+    def witness(self, i: int) -> dict:
+        """The i-th automorphism as a failure witness."""
+        return {
+            "s": sp_witness(self.s[i], self.sign),
+            "w0": self.w0[i].tolist(),
+            "sign": self.sign,
+        }
 
 
-def involution_from_polarization(group: HeisenbergGroup) -> HeisenbergAutomorphism:
-    """alpha(w+ + w-, z) = (w+ - w-, -z) for the standard polarization;
-    order two, inverts the center."""
+def involution_from_polarization(group: HeisenbergGroup) -> Automorphisms:
+    """alpha(w+ + w-, z) = (w+ - w-, -z) for the standard polarization, as a
+    stack of one; order two, inverts the center."""
     s = polarization_to_involution(group.space.standard_polarization())
-    return HeisenbergAutomorphism(group, s, (0,) * group.dim, -1)
+    return Automorphisms(group, s[None], np.zeros((1, group.dim)), -1)
 
 
 def polarizations_from_involutions(
-    alphas: list[HeisenbergAutomorphism],
+    alphas: Automorphisms,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed and inverted subgroups (H^+_a, Hhat^-_a) of every order-two
-    alpha of ``alphas`` (automorphisms of one group) that inverts the
-    center, as two (len(alphas), |H|) boolean masks; each pair forms a
-    polarization of H.
+    """The fixed and inverted subgroups (H^+_a, Hhat^-_a) of every alpha of
+    ``alphas``, which must have order two and invert the center, as two
+    (len(alphas), |H|) boolean masks; each pair forms a polarization of H.
 
     Every alpha is checked at once, on the stacked permutations: the order,
     the subgroup, center and Lagrangian conditions.  The first alpha that
     fails one raises ValueError naming the first condition it fails.
     """
-    g = alphas[0].group
-    perms, ident = np.stack([a.perm for a in alphas]), np.arange(g.order)
-    plus, hhat_minus = perms == ident, perms == g.inverse_of
-    squares = np.take_along_axis(perms, perms, axis=1)
+    g, perms = alphas.group, alphas.perm
+    plus, hhat_minus = perms == np.arange(g.order), perms == g.inverse_of
     faults = [
-        np.array([a.central_sign != -1 for a in alphas]),
-        ~(squares == ident).all(axis=1) | plus.all(axis=1),
+        np.full(len(alphas), alphas.sign != -1),
+        ~alphas.order_two(),
         *_polarization_faults(g, plus, hhat_minus),
     ]
     _raise_first(faults, _INVOLUTION_FAULTS)
     return plus, hhat_minus
-
-
-def polarization_from_involution(alpha: HeisenbergAutomorphism):
-    """Fixed and inverted subgroups (H^+_a, Hhat^-_a) of an order-two alpha
-    that inverts the center, as frozensets; they form a polarization of H.
-    See :func:`polarizations_from_involutions`."""
-    sides = polarizations_from_involutions([alpha])
-    return tuple(frozenset(np.flatnonzero(side[0]).tolist()) for side in sides)
 
 
 def _sweep_guard(g: HeisenbergGroup) -> None:
@@ -606,34 +593,28 @@ def _sweep_guard(g: HeisenbergGroup) -> None:
         )
 
 
-def _order_two_sweep(g: HeisenbergGroup, mats, central_sign: int):
+def _order_two_sweep(g: HeisenbergGroup, mats, sign: int) -> Automorphisms:
     """The order-two automorphisms (s, w0) with s in the stack ``mats`` of
-    form multiplier central_sign, in the order of s and then of w0 read in
-    base p: s^2 = 1 and s w0 = -w0 on the stack, (1, 0) left out (see the
-    module docstring)."""
+    form multiplier sign, in the order of s and then of w0 read in base p:
+    s^2 = 1 and s w0 = -w0 on the stack, (1, 0) left out (see the module
+    docstring)."""
     p, eye = g.p, np.eye(g.dim, dtype=np.int64)
     mats = mats[(mats @ mats % p == eye).all(axis=(1, 2))]
     w0s = g.w[::p]  # every w, in the order of its index
     negated = ((w0s @ np.swapaxes(mats, 1, 2) + w0s) % p == 0).all(axis=-1)
     negated[:, 0] &= ~(mats == eye).all(axis=(1, 2))  # (1, 0) is the identity
-    return [
-        HeisenbergAutomorphism(g, mats[k], tuple(w0s[v].tolist()), central_sign)
-        for k, v in np.argwhere(negated).tolist()
-    ]
+    k, v = np.nonzero(negated)
+    return Automorphisms(g, mats[k], w0s[v], sign)
 
 
-def order_two_automorphisms_trivial_on_center(
-    group: HeisenbergGroup,
-) -> list[HeisenbergAutomorphism]:
+def order_two_automorphisms_trivial_on_center(group: HeisenbergGroup) -> Automorphisms:
     """All order-two automorphisms fixing Z pointwise: nontrivial (s, w0)
     with s symplectic, s^2 = 1 and s.w0 = -w0."""
     _sweep_guard(group)
     return _order_two_sweep(group, enumerate_sp(group.space), 1)
 
 
-def order_two_automorphisms_inverting_center(
-    group: HeisenbergGroup,
-) -> list[HeisenbergAutomorphism]:
+def order_two_automorphisms_inverting_center(group: HeisenbergGroup) -> Automorphisms:
     """All order-two automorphisms with alpha|Z = inversion: (s, w0) with s
     antisymplectic, s^2 = 1 and s.w0 = -w0."""
     _sweep_guard(group)

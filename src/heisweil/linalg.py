@@ -42,12 +42,12 @@ comparison into buffers allocated once.  On the rows of a generating set
 it is the certificate of :func:`heisweil.reps.homomorphism_certificate`.
 
 There is no elimination over Q(zeta_N) here: no inverse, determinant,
-rank or nullspace, and ``**`` takes powers k >= 0 only.  The package proves
-what it would read from one without it: Hom_K(tau, 1) by the certificate
-of :func:`heisweil.reps.fixed_forms`, the SL(2, 3) inverse and determinants
-by 2 x 2 closed forms, and the ell = 2 Weil relations in a form with no
-inverse.  A Gauss-Jordan oracle stays in the tests, as the reference these
-are compared against.
+rank or nullspace, and no ``**``: a power is written as its products.
+The package proves what it would read from one without it: Hom_K(tau, 1)
+by the certificate of :func:`heisweil.reps.fixed_forms`, the SL(2, 3)
+inverse and determinants by 2 x 2 closed forms, and the ell = 2 Weil
+relations in a form with no inverse.  A Gauss-Jordan oracle stays in the
+tests, as the reference these are compared against.
 """
 
 from __future__ import annotations
@@ -187,26 +187,6 @@ class CycMatrix:
             raise ValueError(f"conductor mismatch: {self.N} vs {other.N}")
         nums = _products(self.N, self.num, other.num)
         return CycMatrix._packed(self.N, nums, self.den * other.den)
-
-    def __pow__(self, k: int) -> "CycMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError(
-                f"power of a non-square {self.nrows}x{self.ncols} matrix"
-            )
-        if k < 0:
-            raise ValueError(f"negative power {k}: CycMatrix has no inverse")
-        if k == 0:
-            return CycMatrix.identity(self.N, self.nrows)
-        # square and multiply from the lowest bit; the product starts at the
-        # first set bit, and the base is squared only while bits remain
-        out, base = None, self
-        while True:
-            if k & 1:
-                out = base if out is None else out @ base
-            k >>= 1
-            if not k:
-                return out
-            base = base @ base
 
     def transpose(self) -> "CycMatrix":
         return CycMatrix._packed(self.N, self.num.transpose(1, 0, 2), self.den)

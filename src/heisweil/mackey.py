@@ -485,14 +485,16 @@ def semidirect_table_group(space: SymplecticSpace) -> TableGroup:
     return tg
 
 
-def semidirect_involution_record(alpha) -> InvolutionRecord:
+def semidirect_involution_record(alphas, i: int) -> InvolutionRecord:
     """theta(s, h) = (abar s abar^-1, alpha(h)) on Sp(W) x| H, as
-    :func:`semidirect_table_group` lays it out, for a central-inverting
-    alpha with w0 = 0: only for those is theta an automorphism."""
-    if any(alpha.w0):
-        raise ValueError(f"alpha must have w0 = 0; got w0 = {alpha.w0}")
-    space, abar = alpha.group.space, alpha.s
+    :func:`semidirect_table_group` lays it out, for alpha the i-th of the
+    :class:`~heisweil.heisenberg.Automorphisms` ``alphas``, central-inverting
+    with w0 = 0: only for those is theta an automorphism."""
+    w0 = tuple(alphas.w0[i].tolist())
+    if any(w0):
+        raise ValueError(f"alpha must have w0 = 0; got w0 = {w0}")
+    space, abar = alphas.group.space, alphas.s[i]
     conjugated = abar @ sp_table(space).matrices @ mat_inv(abar, space.p) % space.p
     moved = sp_index(space, conjugated)
-    perm = moved[:, None] * alpha.group.order + alpha.perm[None, :]
+    perm = moved[:, None] * alphas.group.order + alphas.perm[i]
     return InvolutionRecord(tuple(perm.ravel().tolist()))

@@ -30,11 +30,16 @@ The reps suite makes one batched pass per sweep: one
 :func:`~heisweil.reps.fixed_forms` call for the p^2 + 2p + 4 subgroups of
 H(p, 1) (listed from its structure) and one for the three examples, one
 stacked comparison for the invariant pairing over every h (the zeta^-1
-model against :func:`~heisweil.reps.contragredient`, whose character row
-the involution check reads too),
-the polarizations of every central-inverting involution checked at once
-(:func:`~heisweil.heisenberg.polarizations_from_involutions`), and one
-:func:`~heisweil.reps.hom_dims` call per family of subgroups.  Each check
+model against :func:`~heisweil.reps.contragredient`), and one
+:func:`~heisweil.reps.hom_dims` call per family of subgroups.  Each family
+of involutions is one :class:`~heisweil.heisenberg.Automorphisms` stack,
+read by index gathers: the polarizations of every central-inverting
+involution are checked at once
+(:func:`~heisweil.heisenberg.polarizations_from_involutions`), tau o alpha
+is compared with the contragredient by one integer key per character
+value of tau and tau~, as the (k, |H|) gather of tau's keys by the
+permutations, and the fixed points of the central-trivial family are
+``perm == arange``.  Each check
 still records its identities in the order of the subgroup, element or
 involution, so its count and first witness are those of a pass one item
 at a time.
@@ -247,12 +252,15 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
             )
             c(len(hminus_split) == p**cfg.ell, nu)
 
-        c = rec("heisenberg.order_two_trivial_center")
-        center = sorted(group.center())
-        for a in heis.order_two_automorphisms_trivial_on_center(group):
-            c(a.is_order_two(), a)
-            for z in center:
-                c(a.apply(z) == z, (a, z))
+        # per alpha: order two, then alpha(z) = z for each z of the center
+        alphas = heis.order_two_automorphisms_trivial_on_center(group)
+        center = np.array(sorted(group.center()))
+        rec("heisenberg.order_two_trivial_center").all(
+            np.column_stack([alphas.order_two(), alphas.perm[:, center] == center]),
+            lambda i, j: (
+                alphas.witness(i) if j == 0 else (alphas.witness(i), int(center[j - 1]))
+            ),
+        )
 
     # H(3, 2) restricted to H(3, 1): the one check that builds the ell = 2
     # group, so it runs only where that group is in reach
@@ -324,25 +332,31 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
         (cotau_model.num * cotau.den == cotau.num * cotau_model.den).all(axis=-1),
         lambda h, i, j: (h, i, j),
     )
-    cotau_row = cotau.characters(els)
+    # one integer key per character value of tau and of tau~, the values put
+    # over one denominator, so equal values get equal keys
+    tau_row, cotau_row = tau.characters(els), cotau.characters(els)
+    values = np.concatenate(
+        [tau_row.num[0] * cotau_row.den, cotau_row.num[0] * tau_row.den]
+    )
+    keys = np.unique(values, axis=0, return_inverse=True)[1]
+    key_tau, key_cotau = keys.reshape(2, group.order)
     del cotau, cotau_model  # neither stack is held through hom_dims below
 
     alphas = heis.order_two_automorphisms_inverting_center(group)
     # H^alpha, the H^+ of the polarization attached to alpha
     plus = [np.flatnonzero(m) for m in heis.polarizations_from_involutions(alphas)[0]]
     # tau o alpha ~ tau~: the character of tau o alpha is tau's at alpha(h),
-    # for every alpha at once; values compare across the two denominators
-    twisted = tau.characters(np.concatenate([alpha.perm for alpha in alphas]))
-    twisted_num = twisted.num.reshape(len(alphas), group.order, -1)
-    same = twisted_num * cotau_row.den == cotau_row.num[0] * twisted.den
+    # compared by key for every alpha and h at once
+    same = key_tau[alphas.perm] == key_cotau
     dims = reps_mod.hom_dims([tau], plus)[0]
     rec("reps.involution_polarization_and_homdim").all(
-        np.column_stack([dims == 1, same.all(axis=(1, 2))]), lambda a, _: alphas[a]
+        np.column_stack([dims == 1, same.all(axis=1)]),
+        lambda a, _: alphas.witness(a),
     )
 
     irreps = reps_mod.irreducibles_of_H(group)
     rec("reps.gelfand_bound").all(
-        reps_mod.hom_dims(irreps, plus).T <= 1, lambda a, i: (alphas[a], i)
+        reps_mod.hom_dims(irreps, plus).T <= 1, lambda a, i: (alphas.witness(a), i)
     )
     _double_coset_identity(rec("reps.gelfand_coset_identity"), group)
 
@@ -356,9 +370,10 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
     c.all(gram.equal_entries(CycMatrix.identity(n, len(irreps)).scale(group.order)))
 
     trivial = heis.order_two_automorphisms_trivial_on_center(group)
-    dims = reps_mod.hom_dims([tau], [a.fixed_points() for a in trivial])[0]
+    fixed = trivial.perm == np.arange(group.order)
+    dims = reps_mod.hom_dims([tau], [np.flatnonzero(m) for m in fixed])[0]
     rec("reps.central_trivial_involutions_have_no_forms").all(
-        dims == 0, lambda i: trivial[i]
+        dims == 0, trivial.witness
     )
     return rec
 
@@ -696,7 +711,7 @@ def _heisenberg_beds():
     tau = reps_mod.heisenberg_rep(group, 1, model="minus")
 
     alpha = heis.involution_from_polarization(group)
-    theta = mk.InvolutionRecord(tuple(alpha.perm.tolist()))
+    theta = mk.InvolutionRecord(tuple(alpha.perm[0].tolist()))
     k_members = tuple(sorted(group.minus_z_subgroup))
     # kappa(h) = zeta_3^z(h) on the members, as a stack of 1 x 1 images
     exps = 4 * group.z[list(k_members)][:, None]
@@ -709,7 +724,7 @@ def _heisenberg_beds():
     # kappa there is omega(1) tau(h) = tau(h), as the lift sends 1 to 1
     h_members = tuple(range(group.order))
     kappa_sd = reps_mod.MatrixRep(sd, tau.elements, tau.num, tau.den, 12)
-    theta_sd = mk.semidirect_involution_record(alpha)
+    theta_sd = mk.semidirect_involution_record(alpha, 0)
     configs.append(("SpH3/H/tau/polar", sd, h_members, kappa_sd, theta_sd))
     tildes = tuple(reps_mod.contragredient(kappa) for *_, kappa, _ in configs)
     for rep in (*(kappa for *_, kappa, _ in configs), *tildes):

@@ -414,7 +414,7 @@ def _verify_relations(lift: WeilLift, check: Check) -> Check:
     check(jj == mm, "j^2 = m(-1)")
     braided = j @ n_eye
     ident = CycMatrix.identity(n, lift.base.dim)
-    check(braided**3 == ident, "(j n(I))^3 = 1")
+    check(braided @ braided @ braided == ident, "(j n(I))^3 = 1")
     return check
 
 

@@ -25,16 +25,19 @@ or one edge at a time, with no table gathers:
   listed them from the structure of the group;
 - :func:`polarization_fault_by_sets`: the conditions a polarization
   (H^+, Hhat^-) must meet, tested one subgroup at a time on frozensets, as
-  :func:`heisweil.heisenberg.polarization_from_involution` tested them
-  before every involution was checked at once on masks;
+  the package tested them one involution at a time before every
+  involution was checked at once on masks;
 - :func:`heisenberg_law` and :func:`heisenberg_table_eager`: the law of
   W x| F_p on pairs, and its Cayley table built at once by broadcasting, as
   :class:`heisweil.heisenberg.HeisenbergGroup` built it in its constructor
   before the table was built on first read;
-- :func:`is_integer`, :func:`special_iso_inverse_image` and
-  :func:`inverted_points`: whether a cyclotomic number is a rational
-  integer, nu^-1 of a special isomorphism nu, and the elements an
-  automorphism inverts, which only the tests read.
+- :func:`automorphism_perm_by_element`: the permutation of the indices
+  by an automorphism (w, z) -> (s w, sign z + <w0, w>), one element at a
+  time on the names, against the stacked
+  :class:`heisweil.heisenberg.Automorphisms`;
+- :func:`is_integer` and :func:`special_iso_inverse_image`: whether a
+  cyclotomic number is a rational integer, and nu^-1 of a special
+  isomorphism nu, which only the tests read.
 
 :func:`zoo_groups` hands the tests the groups of the Mackey zoo.
 """
@@ -277,7 +280,17 @@ def special_iso_inverse_image(nu, x) -> int:
     return int(x - zx + (2 * zx - nu.mu[x]) % nu.group.p)
 
 
-def inverted_points(alpha) -> frozenset[int]:
-    """The h with alpha(h) = h^-1, for an automorphism of a Heisenberg
-    group carried as a permutation."""
-    return frozenset(np.flatnonzero(alpha.perm == alpha.group.inverse_of).tolist())
+def automorphism_perm_by_element(g, s, w0, sign: int) -> list[int]:
+    """perm[h] = the index of (s w_h, sign z_h + <w0, w_h>) for every h of
+    the Heisenberg group g, one element at a time: the matrix product, the
+    twist by the form and the lookup of the image pair among the names."""
+    p, form, s = g.p, g.space.form.tolist(), np.asarray(s).tolist()
+    # <w0, w> = sum_j (w0^T J)_j w_j
+    w0_form = [sum(u * form[i][j] for i, u in enumerate(w0)) for j in range(g.dim)]
+    index_of = {name: h for h, name in enumerate(g.names)}
+    perm = []
+    for w, z in g.names:
+        sw = tuple(sum(a * x for a, x in zip(row, w)) % p for row in s)
+        twist = sum(a * x for a, x in zip(w0_form, w))
+        perm.append(index_of[HElem(sw, (sign * z + twist) % p)])
+    return perm

@@ -126,13 +126,13 @@ def test_criterion_04_involutions_give_polarizations_and_homdim_one():
         tau = reps_mod.heisenberg_rep(g, 1, model="minus")
         cotau = reps_mod.contragredient(tau)
         alphas = heis.order_two_automorphisms_inverting_center(g)
-        assert alphas
+        assert len(alphas)
         counts[p] = len(alphas)
-        for alpha in alphas:
-            hplus, hhat = heis.polarization_from_involution(alpha)  # validates
-            assert reps_mod.hom_dim(tau, hplus) == 1
+        plus, _ = heis.polarizations_from_involutions(alphas)  # validates
+        for perm, fixed in zip(alphas.perm, plus):
+            assert reps_mod.hom_dim(tau, np.flatnonzero(fixed)) == 1
             twisted = reps_mod.MatrixRep(
-                g, tau.elements, tau.num[alpha.perm], tau.den, tau.conductor
+                g, tau.elements, tau.num[perm], tau.den, tau.conductor
             )
             els = g.elements()
             assert twisted.characters(els) == cotau.characters(els)
@@ -152,8 +152,8 @@ def test_criterion_05_gelfand_pairs():
         g = heis.HeisenbergGroup(sympl.SymplecticSpace(p, 1))
         irreps = reps_mod.irreducibles_of_H(g)
         alphas = heis.order_two_automorphisms_inverting_center(g)
-        for alpha in alphas:
-            hplus = alpha.fixed_points()
+        for perm in alphas.perm:
+            hplus = np.flatnonzero(perm == np.arange(g.order))
             for rho in irreps:
                 assert reps_mod.hom_dim(rho, hplus) <= 1
         # the double-coset identity behind the Gelfand property, elementwise

@@ -938,6 +938,66 @@ def test_failing_identity_reports_its_first_input(tmp_path, monkeypatch, capsys)
     )
 
 
+def test_automorphism_witness_is_the_printed_dict():
+    """One row of each central sign, as a report prints it: s with its sign,
+    then w0, then the sign."""
+    from heisweil import heisenberg as heis
+    from heisweil.symplectic import SymplecticSpace
+
+    group = HeisenbergGroup(SymplecticSpace(3, 1))
+    inverting = heis.order_two_automorphisms_inverting_center(group)
+    trivial = heis.order_two_automorphisms_trivial_on_center(group)
+    witness = cli._jsonable(inverting.witness(13))
+    assert witness == {
+        "s": {"matrix": [[1, 0], [2, 2]], "sign": -1},
+        "w0": [0, 1],
+        "sign": -1,
+    }
+    assert list(witness) == ["s", "w0", "sign"]
+    assert cli._jsonable(trivial.witness(4)) == {
+        "s": {"matrix": [[2, 0], [0, 2]], "sign": 1},
+        "w0": [1, 1],
+        "sign": 1,
+    }
+
+
+def test_non_involutive_automorphism_is_the_first_witness(tmp_path, monkeypatch):
+    """Two transvections slipped into the central-trivial family: the
+    heisenberg suite still counts k (1 + p) identities, and reports the
+    first transvection, which has no order two."""
+    from heisweil import heisenberg as heis
+    from heisweil.symplectic import SymplecticSpace
+
+    real = heis.order_two_automorphisms_trivial_on_center
+
+    def with_transvections(group):
+        good = real(group)
+        s = [*good.s[:2], [[1, 1], [0, 1]], *good.s[2:], [[1, 2], [0, 1]]]
+        w0 = [*good.w0[:2], (0, 0), *good.w0[2:], (1, 0)]
+        return heis.Automorphisms(group, s, w0, 1)
+
+    monkeypatch.setattr(
+        heis, "order_two_automorphisms_trivial_on_center", with_transvections
+    )
+    p = 3
+    k = len(real(HeisenbergGroup(SymplecticSpace(p, 1)))) + 2
+    results = SUITES["heisenberg"](RunConfig(p=p))
+    check = _check_named(results, "heisenberg.order_two_trivial_center")
+    assert check.checks == k * (1 + p)
+    out = tmp_path / "report.json"
+    assert run(["verify", "heisenberg", "--p", str(p), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["failures"] == [
+        {
+            "check": "heisenberg.order_two_trivial_center",
+            "witness": {
+                "s": {"matrix": [[1, 1], [0, 1]], "sign": 1},
+                "w0": [0, 0],
+                "sign": 1,
+            },
+        }
+    ]
+
+
 def test_verify_writes_each_suites_wall_time_to_stderr_only():
     """One stderr line per suite ends in its wall time, which the report on
     stdout leaves out (its digests are pinned in test_acceptance.py)."""

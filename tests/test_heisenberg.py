@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from group_oracles import (
     all_subgroups_by_closure,
+    automorphism_perm_by_element,
     heisenberg_law,
     heisenberg_table_eager,
-    inverted_points,
     polarization_fault_by_sets,
     special_iso_inverse_image,
 )
@@ -20,15 +20,14 @@ import heisweil.heisenberg as heis
 from heisweil.checks import Check
 from heisweil.groups import table_group_from_mul
 from heisweil.heisenberg import (
+    Automorphisms,
     HElem,
-    HeisenbergAutomorphism,
     HeisenbergGroup,
     SpecialIso,
     all_special_isos,
     involution_from_polarization,
     order_two_automorphisms_inverting_center,
     order_two_automorphisms_trivial_on_center,
-    polarization_from_involution,
     polarizations_from_involutions,
     special_iso_axioms,
     special_iso_equal_tests,
@@ -351,17 +350,27 @@ def test_special_iso_equal_tests_trichotomy(h3):
 # -- automorphisms --------------------------------------------------------------
 
 
+def _order_two(perm) -> bool:
+    ident = np.arange(len(perm))
+    return np.array_equal(perm[perm], ident) and not np.array_equal(perm, ident)
+
+
 def test_involution_from_polarization_formula(h3):
     alpha = involution_from_polarization(h3)
+    assert len(alpha) == 1 and alpha.sign == -1
+    perm = alpha.perm[0]
     # e1 in W+: w-part fixed, center negated
-    assert alpha.apply(h3.element((1, 0), 1)) == h3.element((1, 0), -1)
-    assert alpha.is_order_two()
-    assert alpha.is_automorphism()
+    assert perm[h3.element((1, 0), 1)] == h3.element((1, 0), -1)
+    assert _order_two(perm)
+    assert h3.is_automorphism(perm)
 
 
-def test_polarization_from_involution_roundtrip(h3):
+def test_polarizations_from_involutions_roundtrip(h3):
     alpha = involution_from_polarization(h3)
-    hplus, hhat = polarization_from_involution(alpha)
+    hplus, hhat = (
+        frozenset(np.flatnonzero(side[0]).tolist())
+        for side in polarizations_from_involutions(alpha)
+    )
     assert hplus == h3.plus_subgroup
     assert hhat == frozenset(
         h3.element((0, y), z) for y in range(3) for z in range(3)
@@ -369,22 +378,27 @@ def test_polarization_from_involution_roundtrip(h3):
     assert len(hplus) == 3 and len(hhat) == 9  # p^l and p^(l+1)
     # Hhat^- = {h : h * alpha(h) central}
     assert hhat == frozenset(
-        h for h in h3.elements() if not any(h3.names[h3.mul(h, alpha.apply(h))].w)
+        h for h in h3.elements() if not any(h3.names[h3.mul(h, alpha.perm[0, h])].w)
     )
 
 
 def test_central_sign_must_match_matrix_sign(h3):
     s = [[1, 0], [0, -1]]
     assert is_antisymplectic(h3.space, s)
-    with pytest.raises(ValueError):
-        HeisenbergAutomorphism(h3, s, (0, 0), 1)
-    alpha = HeisenbergAutomorphism(h3, s, (0, 0), -1)
-    # equal, and hashing alike, by the entries of s, w0 and the sign
-    same = HeisenbergAutomorphism(h3, np.array([[1, 0], [0, 2]]), (0, 0), -1)
-    assert alpha == same and hash(alpha) == hash(same)
-    assert alpha != HeisenbergAutomorphism(h3, [[2, 0], [0, 1]], (0, 0), -1)
-    assert alpha != HeisenbergAutomorphism(h3, s, (0, 1), -1)
-    assert len({alpha, same}) == 1
+    transvection = [[1, 1], [0, 1]]  # symplectic
+    message = "^central sign must match the form multiplier of s$"
+    with pytest.raises(ValueError, match=message):
+        Automorphisms(h3, [s], [(0, 0)], 1)
+    # one row of the wrong multiplier refuses the whole stack
+    with pytest.raises(ValueError, match=message):
+        Automorphisms(h3, [s, transvection, s], [(0, 0)] * 3, -1)
+    with pytest.raises(ValueError, match=r"^central sign must be \+-1$"):
+        Automorphisms(h3, [s], [(0, 0)], 0)
+    alphas = Automorphisms(h3, [s, [[4, 0], [0, 2]]], [(0, 0), (0, 4)], -1)
+    # entries are reduced mod p, and the permutations are read-only
+    assert alphas.s.tolist() == [[[1, 0], [0, 2]]] * 2
+    assert alphas.w0.tolist() == [[0, 0], [0, 1]]
+    assert not alphas.perm.flags.writeable
 
 
 @pytest.mark.parametrize("p, ell", [(11, 1), (3, 2)])
@@ -398,58 +412,72 @@ def test_automorphism_sweeps_name_their_limit(p, ell):
             sweep(g)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+def _order_two_by_element(g, mats, sign):
+    """The (s, w0) of every order-two automorphism with s in ``mats`` and
+    every w0, in the order of s and then of w0, and their permutations, each
+    from :func:`automorphism_perm_by_element`.  alpha^2 has w part s^2 w,
+    so only the s with s^2 = 1 are tried."""
+    p, eye = g.p, np.eye(2, dtype=np.int64)
+    found, perms = [], []
+    for s in mats:
+        if not np.array_equal(s @ s % p, eye):
+            continue
+        for w0 in itertools.product(range(p), repeat=2):
+            perm = np.array(automorphism_perm_by_element(g, s, w0, sign))
+            if _order_two(perm):
+                found.append((s.tolist(), list(w0)))
+                perms.append(perm)
+    return found, np.array(perms)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_order_two_trivial_on_center_crosscheck(p):
-    g = HeisenbergGroup(SymplecticSpace(p, 1))
-    listed = order_two_automorphisms_trivial_on_center(g)
-    for alpha in listed[:10]:
-        assert alpha.is_order_two() and alpha.is_automorphism()
-        assert all(alpha.apply(z) == z for z in g.center())
-    # brute-force cross-check over all (s, w0) candidates
+    """The stacked sweep against every symplectic (s, w0) tested on its
+    permutation built element by element: the same automorphisms, in the
+    same order, with the same permutations."""
     from heisweil.symplectic import enumerate_sp
 
-    brute = []
-    for s in enumerate_sp(g.space):
-        for w0 in itertools.product(range(p), repeat=2):
-            cand = HeisenbergAutomorphism(g, s, w0, 1)
-            if cand.is_order_two():
-                brute.append(cand)
-    assert brute == listed  # the same automorphisms, in the same order
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    listed = order_two_automorphisms_trivial_on_center(g)
+    assert listed.sign == 1
+    found, perms = _order_two_by_element(g, enumerate_sp(g.space), 1)
+    assert found == list(zip(listed.s.tolist(), listed.w0.tolist()))
+    assert np.array_equal(perms, listed.perm)
+    for perm in listed.perm[:10]:
+        assert g.is_automorphism(perm)
+    center = sorted(g.center())
+    assert (listed.perm[:, center] == center).all()
     # no inner automorphism has order two for odd p
-    assert not any(np.array_equal(a.s, np.eye(2)) for a in listed)
+    assert not (listed.s == np.eye(2)).all(axis=(1, 2)).any()
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_order_two_inverting_center_crosscheck(p):
     """The stacked sweep against every antisymplectic (s, w0) tested on its
-    permutation: the same automorphisms, in the same order."""
+    permutation built element by element: the same automorphisms, in the
+    same order, with the same permutations."""
     from heisweil.symplectic import enumerate_antisymplectic
 
     g = HeisenbergGroup(SymplecticSpace(p, 1))
-    brute = [
-        cand
-        for s in enumerate_antisymplectic(g.space)
-        for w0 in itertools.product(range(p), repeat=2)
-        if (cand := HeisenbergAutomorphism(g, s, w0, -1)).is_order_two()
-    ]
-    assert brute == order_two_automorphisms_inverting_center(g)
+    listed = order_two_automorphisms_inverting_center(g)
+    assert listed.sign == -1
+    found, perms = _order_two_by_element(g, enumerate_antisymplectic(g.space), -1)
+    assert found == list(zip(listed.s.tolist(), listed.w0.tolist()))
+    assert np.array_equal(perms, listed.perm)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_order_two_inverting_center_all_give_polarizations(p):
+    from heisweil.symplectic import eigen_polarization, span_mod
+
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     alphas = order_two_automorphisms_inverting_center(g)
-    assert alphas, "there must be involutions inverting the center"
-    for alpha in alphas:
-        hplus, hhat = polarization_from_involution(alpha)
+    assert len(alphas), "there must be involutions inverting the center"
+    for s, fixed, inverted in zip(alphas.s, *polarizations_from_involutions(alphas)):
         # images are the +-1 eigenspaces of the reduced map
-        from heisweil.symplectic import eigen_polarization
-
-        plus, minus = eigen_polarization(g.space, alpha.s)
-        from heisweil.symplectic import span_mod
-
-        assert g.image_in_w(hplus) == span_mod(plus, p, 2)
-        assert g.image_in_w(hhat) == span_mod(minus, p, 2)
+        plus, minus = eigen_polarization(g.space, s)
+        assert g.image_in_w(np.flatnonzero(fixed)) == span_mod(plus, p, 2)
+        assert g.image_in_w(np.flatnonzero(inverted)) == span_mod(minus, p, 2)
 
 
 def test_subgroup_count_p3(h3):
@@ -536,15 +564,17 @@ def test_batched_polarizations_equal_the_per_involution_reference(p):
     alphas = order_two_automorphisms_inverting_center(g)
     plus, hhat_minus = polarizations_from_involutions(alphas)
     assert plus.shape == hhat_minus.shape == (len(alphas), g.order)
-    for alpha, fixed, inverted in zip(alphas, plus, hhat_minus):
-        assert set(np.flatnonzero(fixed).tolist()) == alpha.fixed_points()
-        assert set(np.flatnonzero(inverted).tolist()) == inverted_points(alpha)
-        sides = alpha.fixed_points(), inverted_points(alpha)
+    # the inverse of (w, z) is (-w, -z)
+    inverse = [g.element(tuple(-x for x in w), -z) for w, z in g.names]
+    for s, w0, fixed, inverted in zip(alphas.s, alphas.w0, plus, hhat_minus):
+        perm = automorphism_perm_by_element(g, s, w0, -1)
+        sides = (
+            frozenset(h for h in g.elements() if perm[h] == h),
+            frozenset(h for h in g.elements() if perm[h] == inverse[h]),
+        )
+        assert set(np.flatnonzero(fixed).tolist()) == sides[0]
+        assert set(np.flatnonzero(inverted).tolist()) == sides[1]
         assert polarization_fault_by_sets(g, *sides) is None
-    assert polarization_from_involution(alphas[-1]) == (
-        alphas[-1].fixed_points(),
-        inverted_points(alphas[-1]),
-    )
 
 
 def test_polarization_faults_equal_the_set_reference(h3):
@@ -580,19 +610,29 @@ def test_polarization_faults_equal_the_set_reference(h3):
 
 
 def test_first_bad_involution_raises_its_first_fault(h3):
-    good = order_two_automorphisms_inverting_center(h3)[:3]
-    trivial = order_two_automorphisms_trivial_on_center(h3)[0]
-    # antisymplectic with s^2 = [[1, 1], [1, 2]] != 1
-    not_order_two = HeisenbergAutomorphism(h3, np.array([[0, 1], [1, 1]]), (0, 0), -1)
-    for first, message in (
-        (trivial, "alpha must act nontrivially on the center"),
-        (not_order_two, "alpha must have order two"),
-    ):
-        later = not_order_two if first is trivial else trivial
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            polarizations_from_involutions(good + [first] + good + [later])
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            polarization_from_involution(first)
+    """A central-inverting stack whose rows fail to be of order two among
+    good rows: the first bad row raises its fault."""
+    good = order_two_automorphisms_inverting_center(h3)
+    # antisymplectic with s^2 = [[1, 1], [1, 2]] != 1, and diag(1, -1), with
+    # s^2 = 1 but s w0 = w0 != -w0 for w0 = (1, 0)
+    not_order_two = [[0, 1], [1, 1]]
+    twisted = [[1, 0], [0, 2]]
+    s = [*good.s[:3], not_order_two, *good.s[:3], twisted]
+    w0 = [*good.w0[:3], (0, 0), *good.w0[:3], (1, 0)]
+    alphas = Automorphisms(h3, s, w0, -1)
+    orders = [_order_two(perm) for perm in alphas.perm]
+    assert orders == ([True] * 3 + [False]) * 2
+    with pytest.raises(ValueError, match="^alpha must have order two$"):
+        polarizations_from_involutions(alphas)
+
+
+def test_involutions_fixing_the_center_are_refused(h3):
+    """A stack of central sign +1 gives no polarization, whatever its rows."""
+    trivial = order_two_automorphisms_trivial_on_center(h3)
+    assert all(_order_two(perm) for perm in trivial.perm)
+    message = "^alpha must act nontrivially on the center$"
+    with pytest.raises(ValueError, match=message):
+        polarizations_from_involutions(trivial)
 
 
 def test_subgroup_sweep_names_its_limit():
@@ -647,9 +687,9 @@ def test_special_iso_axioms_reject_one_changed_entry(h3):
 
 def test_automorphism_check_rejects_non_multiplicative_permutation(h3):
     alpha = involution_from_polarization(h3)
-    assert h3.is_automorphism(alpha.perm)
+    assert h3.is_automorphism(alpha.perm[0])
     # swapping two images keeps a bijection but breaks products
-    perm = alpha.perm.copy()
+    perm = alpha.perm[0].copy()
     perm[[3, 4]] = perm[[4, 3]]
     assert not h3.is_automorphism(perm)
     assert not h3.is_automorphism(perm[:-1])  # not a permutation of H

@@ -172,7 +172,7 @@ def test_shape_mismatch_names_both_shapes():
     a = CycMatrix(12, [[0] * 3] * 2)
     with pytest.raises(ValueError, match="cannot multiply 2x3 by 2x3"):
         a @ a
-    for op in (lambda m: m**2, oracle.inverse, oracle.det):
+    for op in (oracle.inverse, oracle.det):
         with pytest.raises(ValueError, match="non-square 2x3"):
             op(a)
 
@@ -643,40 +643,6 @@ def test_nullspace_is_the_kernel(n, shape):
     rank = oracle.row_space_rank(rows)
     assert rank + len(basis) == ncols
     assert oracle.row_space_rank([list(v) for v in basis]) == len(basis)
-
-
-def test_negative_power_raises():
-    a = CycMatrix(12, [[0, 1], [-1, 0]])
-    assert a**4 == CycMatrix.identity(12, 2)
-    for k in (-1, -3):
-        with pytest.raises(ValueError, match="negative power"):
-            a**k
-
-
-@pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
-def test_power_equals_repeated_products_with_fewest_kernel_calls(k, products, monkeypatch):
-    """m^k against k - 1 products of m, and the kernel calls of the power
-    counted: one squaring per bit below the highest, and one product per
-    set bit after the first."""
-    rng = random.Random(k)
-    m = CycMatrix.from_roots(
-        12,
-        np.array([[rng.randrange(12) for _ in range(3)] for _ in range(3)]),
-        np.array([[rng.randrange(-2, 3) for _ in range(3)] for _ in range(3)]),
-    )
-    expected = CycMatrix.identity(12, 3)
-    for _ in range(k):
-        expected = expected @ m
-    calls = []
-    kernel = linalg._products
-
-    def counted(*args):
-        calls.append(None)
-        return kernel(*args)
-
-    monkeypatch.setattr(linalg, "_products", counted)
-    assert m**k == expected
-    assert len(calls) == products
 
 
 def test_package_has_no_elimination_over_the_field():

@@ -739,14 +739,15 @@ def test_semidirect_involution_record_needs_untwisted_alpha():
     g = HeisenbergGroup(SymplecticSpace(3, 1))
     tg = semidirect_table_group(g.space)
     alphas = order_two_automorphisms_inverting_center(g)
-    untwisted = [a for a in alphas if not any(a.w0)]
-    assert (len(alphas), len(untwisted)) == (36, 12)
-    for alpha in alphas:
-        if alpha in untwisted:
-            assert semidirect_involution_record(alpha).is_valid(tg)
+    untwisted = ~alphas.w0.any(axis=1)
+    assert (len(alphas), untwisted.sum()) == (36, 12)
+    for i, w0 in enumerate(alphas.w0.tolist()):
+        if untwisted[i]:
+            assert semidirect_involution_record(alphas, i).is_valid(tg)
         else:
-            with pytest.raises(ValueError, match="w0 = 0"):
-                semidirect_involution_record(alpha)
+            message = rf"^alpha must have w0 = 0; got w0 = \({w0[0]}, {w0[1]}\)$"
+            with pytest.raises(ValueError, match=message):
+                semidirect_involution_record(alphas, i)
 
 
 def test_involution_record_validity(s3):

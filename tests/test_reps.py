@@ -16,7 +16,7 @@ from heisweil.heisenberg import (
     involution_from_polarization,
     order_two_automorphisms_inverting_center,
     order_two_automorphisms_trivial_on_center,
-    polarization_from_involution,
+    polarizations_from_involutions,
 )
 from heisweil.linalg import CycMatrix, batch_from_matrices, verify_multiplication_table
 from heisweil.reps import (
@@ -419,12 +419,11 @@ def test_certificate_fails_a_dropped_row(h3, tau3):
 
 def test_hom_dim_examples(h3, tau3):
     assert hom_dim(tau3, [h3.identity()]) == 3  # p^l: the whole dual space
-    alpha = involution_from_polarization(h3)
-    hplus, _ = polarization_from_involution(alpha)
-    assert hom_dim(tau3, hplus) == 1
+    plus, _ = polarizations_from_involutions(involution_from_polarization(h3))
+    assert hom_dim(tau3, np.flatnonzero(plus[0])) == 1
     # order-two alpha trivial on the center: no invariant forms
-    triv = order_two_automorphisms_trivial_on_center(h3)[0]
-    assert hom_dim(tau3, triv.fixed_points()) == 0
+    triv = order_two_automorphisms_trivial_on_center(h3).perm[0]
+    assert hom_dim(tau3, np.flatnonzero(triv == np.arange(h3.order))) == 0
 
 
 def test_hom_dim_rejects_a_non_integer_projector_trace(tau3):
@@ -538,12 +537,11 @@ def test_heisthm_suite_p3_p5():
         g = HeisenbergGroup(SymplecticSpace(p, 1))
         tau = heisenberg_rep(g, 1, model="minus")
         cotau = contragredient(tau)
-        for alpha in order_two_automorphisms_inverting_center(g):
-            hplus, hhat = polarization_from_involution(alpha)
-            assert hom_dim(tau, hplus) == 1
-            twisted = MatrixRep(
-                g, tau.elements, tau.num[alpha.perm], tau.den, tau.conductor
-            )
+        alphas = order_two_automorphisms_inverting_center(g)
+        plus, _ = polarizations_from_involutions(alphas)
+        for perm, fixed in zip(alphas.perm, plus):
+            assert hom_dim(tau, np.flatnonzero(fixed)) == 1
+            twisted = MatrixRep(g, tau.elements, tau.num[perm], tau.den, tau.conductor)
             assert same_character(twisted, cotau)
 
 
@@ -552,8 +550,8 @@ def test_gelfand_pair_p3_p5():
         g = HeisenbergGroup(SymplecticSpace(p, 1))
         irreps = irreducibles_of_H(g)
         alphas = order_two_automorphisms_inverting_center(g)
-        for alpha in alphas:
-            hplus = alpha.fixed_points()
+        for perm in alphas.perm:
+            hplus = np.flatnonzero(perm == np.arange(g.order))
             for rho in irreps:
                 assert hom_dim(rho, hplus) <= 1
 
