@@ -17,8 +17,8 @@ along the first edge that reaches it; the caller proves the extension a
 homomorphism.
 
 :func:`generators_within` is the one generating-set routine: every
-generator-edge check below, the automorphism search and the orbit and
-character sweeps of the suites read its sets, of a whole group
+generator-edge check below, the automorphism search and the character
+sweeps of the suites read its sets, of a whole group
 (:attr:`TableGroup.generators`) or of a subgroup
 (:meth:`TableGroup.generators_of`), each derived once per group.  A set is
 irredundant, so no check reads the edges of a generator the others
@@ -26,8 +26,10 @@ already generate: H(p, 1) gets (0, 1) and (1, 0) of W, not the center too.
 
 :func:`double_coset_labels` is the one coset partition of a table: it
 labels every element with its double coset K x H, one table gather per
-coset, and serves the Mackey sums, the twisted-coset bookkeeping and the
-abelianization of Sp(W) (as {1} x [G, G]).  The Q\\H/K of
+coset, and serves the Mackey sums, the twisted-coset bookkeeping, the
+K-orbits of an involution's G-orbit (as K\\G/G_theta, by
+:func:`heisweil.mackey.k_orbit_labels`) and the abelianization of Sp(W)
+(as {1} x [G, G]).  The Q\\H/K of
 :func:`heisweil.reps.fixed_forms` are read off coordinates instead, as Q
 is normal in H with H/Q the W^+ block.
 

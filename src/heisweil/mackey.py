@@ -39,6 +39,17 @@ by the K-orbit of x.theta), :func:`m_K` (the size of one part of that
 split) and the suites' twisted-coset clauses read that one partition and
 that one split.  The oracle builds its own transversal and never sees the
 partition.
+
+The G-orbit Theta of an involution theta and its K-orbits are never
+enumerated as involutions.  a.theta = Int(a theta(a)^-1) o theta, so
+a.theta = theta exactly when the twist a theta(a)^-1 is central
+(:func:`involution_stabilizer`, G_theta), and Theta is G/G_theta.  As
+k.(a.theta) = (k a).theta, the K-orbit of a.theta is the double coset
+K a G_theta: :func:`k_orbit_labels` is one
+:func:`~heisweil.groups.double_coset_labels` call, and every reader
+addresses a.theta by its conjugator a.  :func:`s_theta` reads the K-orbit
+of x.(a.theta) = (x a).theta as the label of x a, and :func:`fixed_masks`
+gives G^(a.theta) = a G^theta a^-1, one gather for any number of a.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ import numpy as np
 
 from heisweil.groups import (
     TableGroup,
+    double_coset_labels,
     extend_hom,
     table_group_from_mul,
 )
@@ -66,11 +78,13 @@ __all__ = [
     "cyclic_group",
     "dihedral_group",
     "direct_product",
+    "fixed_masks",
     "fixed_subgroup",
     "induced_hom_dim_oracle",
     "inner_involution",
     "inner_involutions",
-    "involution_orbits",
+    "involution_stabilizer",
+    "k_orbit_labels",
     "m_K",
     "mackey_hom_dim",
     "orbmult_rhs",
@@ -141,12 +155,13 @@ def quaternion_group() -> TableGroup:
 
 
 def direct_product(g1: TableGroup, g2: TableGroup) -> TableGroup:
-    els = [(a, b) for a in range(g1.order) for b in range(g2.order)]
-
-    def mul(x, y):
-        return (g1.mul(x[0], y[0]), g2.mul(x[1], y[1]))
-
-    return table_group_from_mul(els, mul, (0, 0))
+    """G1 x G2 on the pairs (a, b), (a, b) at index a |G2| + b: the table is
+    the two tables broadcast together, t1[a1, a2] |G2| + t2[b1, b2]."""
+    n1, n2 = g1.order, g2.order
+    t1, t2 = g1.table.astype(np.int64), g2.table.astype(np.int64)
+    table = t1[:, None, :, None] * n2 + t2[None, :, None, :]
+    names = [(a, b) for a in range(n1) for b in range(n2)]
+    return TableGroup(table.reshape(n1 * n2, n1 * n2), names=names)
 
 
 # -- involutions -----------------------------------------------------------------
@@ -234,54 +249,40 @@ def conjugate_involution(
     return InvolutionRecord(tuple(t[t[a, perm[t[t[ainv], a]]], ainv].tolist()))
 
 
-def involution_orbits(
-    g: TableGroup, thetas, actor, validate: bool = True
-) -> list[list[InvolutionRecord]]:
-    """Partition of the given involutions under conjugation by the actor
-    subgroup, each orbit in breadth-first discovery order from a generating
-    set of the actor: :attr:`~heisweil.groups.TableGroup.generators` when
-    the actor is all of G, else
-    :meth:`~heisweil.groups.TableGroup.generators_of` the actor, each
-    derived once per group.
+def involution_stabilizer(g: TableGroup, theta: InvolutionRecord) -> np.ndarray:
+    """G_theta = {a : a.theta = theta}, the stabilizer of theta under
+    conjugation, as sorted indices.
 
-    a.theta = c_a o theta o c_a^-1 with c_a(x) = a x a^-1, so a layer of the
-    search is one gather over (frontier x generators) on the stacked
-    permutations.  A permutation is keyed by the bytes of its row, and an
-    orbit member that is one of ``thetas`` is handed back as that record,
-    not rebuilt.  ``validate`` checks that the first involution is one; a
-    caller passing conjugates of a checked involution can skip it.
-    """
-    thetas = list(thetas)
-    if validate and thetas and not thetas[0].is_valid(g):
+    Lemma: a.theta = Int(a theta(a)^-1) o theta, as
+    a theta(a^-1 x a) a^-1 = c theta(x) c^-1 with c = a theta(a)^-1.  So
+    a.theta = theta exactly when a theta(a)^-1 lies in Z(G), and the
+    G-orbit of theta is G/G_theta, a.theta being the coset a G_theta.  One
+    gather of the twists a theta(a)^-1, read through the center mask."""
+    t, perm = g.table, np.asarray(theta.perm)
+    central = g.mask(g.center())[t[np.arange(g.order), g.inverse_of[perm]]]
+    return np.flatnonzero(central)
+
+
+def k_orbit_labels(g: TableGroup, k_sub, theta: InvolutionRecord) -> np.ndarray:
+    """For every conjugator a, the number of the K-orbit of a.theta in the
+    G-orbit of theta: the label of the double coset K a G_theta
+    (:func:`~heisweil.groups.double_coset_labels`), as k.(a.theta) =
+    (k a).theta and a.theta = b.theta exactly when a G_theta = b G_theta
+    (:func:`involution_stabilizer`).  The K-orbits are numbered in the order
+    of their smallest conjugators, theta's own (a = 1, index 0) first.  ValueError
+    when theta is not an involutive automorphism, or K no subgroup."""
+    if not theta.is_valid(g):
         raise ValueError("input is not an involutive automorphism")
-    t, actor = g.table, frozenset(actor)
-    gens = g.generators if len(actor) == g.order else g.generators_of(actor)
-    gens = np.array(gens, dtype=np.int64)
-    # outer[j] = c_a and inner[j] = c_a^-1 for the generator a = gens[j]
-    outer = t[t[gens], g.inverse_of[gens, None]]
-    inner = t[t[g.inverse_of[gens]], gens[:, None]]
-    which = np.arange(len(gens))[:, None]
-    rows = np.array([theta.perm for theta in thetas], dtype=t.dtype)
-    given = {row.tobytes(): theta for row, theta in zip(rows, thetas)}
-    remaining = dict(given)
-    orbits = []
-    while remaining:
-        key, seed = remaining.popitem()
-        frontier = np.frombuffer(key, dtype=t.dtype)[None]
-        found, seen = [seed], {key}
-        while len(frontier):
-            # candidate (x, j) is gens[j] . frontier[x], in row-major order
-            nxt = []
-            for row in outer[which, frontier[:, inner]].reshape(-1, g.order):
-                if (key := row.tobytes()) not in seen:
-                    seen.add(key)
-                    nxt.append(row)
-                    found.append(given.get(key) or InvolutionRecord(tuple(row.tolist())))
-            frontier = np.array(nxt, dtype=t.dtype).reshape(len(nxt), g.order)
-        for key in seen:
-            remaining.pop(key, None)
-        orbits.append(found)
-    return orbits
+    return double_coset_labels(g, k_sub, involution_stabilizer(g, theta))
+
+
+def fixed_masks(g: TableGroup, theta: InvolutionRecord, conjugators) -> np.ndarray:
+    """The masks of G^(a.theta) = a G^theta a^-1, one row per conjugator a,
+    as y is fixed by a.theta exactly when a^-1 y a is fixed by theta: one
+    gather."""
+    t, a = g.table, np.asarray(conjugators, dtype=np.int64)[:, None]
+    fixed = np.asarray(theta.perm) == np.arange(g.order)
+    return fixed[t[t[g.inverse_of[a], np.arange(g.order)], a]]
 
 
 # -- double cosets and Mackey sums -------------------------------------------------
@@ -363,20 +364,17 @@ def induced_hom_dim_oracle(
 # -- twisted classes and multiplicity bookkeeping ----------------------------------
 
 
-def s_theta(g: TableGroup, theta: InvolutionRecord, reps, orbit_of) -> list[list[int]]:
-    """S(theta, Theta') = {K x G^theta : x.theta in Theta'} for every K-orbit
-    Theta' of the G-orbit of theta, as sublists of ``reps`` (one member of
-    each (K, G^theta) double coset); ``orbit_of`` maps each involution of
-    the G-orbit, by ``perm``, to the index of its K-orbit.  Every x.theta is
-    one row of a stacked gather, as :func:`conjugate_involution` makes it."""
-    t, perm = g.table, np.asarray(theta.perm)
-    xs = np.asarray(reps, dtype=np.int64)
-    xinv = g.inverse_of[xs]
-    # row r: y -> x theta(x^-1 y x) x^-1 for x = reps[r]
-    moved = t[t[xs[:, None], perm[t[t[xinv], xs[:, None]]]], xinv[:, None]]
-    split = [[] for _ in range(max(orbit_of.values()) + 1)]
-    for x, row in zip(reps, moved.tolist()):
-        split[orbit_of[tuple(row)]].append(x)
+def s_theta(g: TableGroup, a: int, reps, k_labels) -> list[list[int]]:
+    """S(a.theta, Theta') = {K x G^(a.theta) : x.(a.theta) in Theta'} for
+    every K-orbit Theta' of the G-orbit of theta, as sublists of ``reps``
+    (one member of each (K, G^(a.theta)) double coset), in the order of
+    ``k_labels``, the K-orbits of :func:`k_orbit_labels`.  As
+    x.(a.theta) = (x a).theta, the K-orbit of x is the label of x a: one
+    gather, no conjugation."""
+    split = [[] for _ in range(int(k_labels.max()) + 1)]
+    parts = k_labels[g.table[np.asarray(reps, dtype=np.int64), a]]
+    for x, part in zip(reps, parts.tolist()):
+        split[part].append(x)
     return split
 
 
@@ -424,18 +422,21 @@ def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, cosets):
     return len(cosets), bound if center <= frozenset(k_sub) else None
 
 
-def orbmult_rhs(g: TableGroup, k_sub, k_orbits) -> tuple[np.ndarray, np.ndarray]:
+def orbmult_rhs(
+    g: TableGroup, k_sub, theta: InvolutionRecord, k_labels
+) -> tuple[np.ndarray, np.ndarray]:
     """The weight rows of the right side of the orbit multiplicity formula
 
     dim Hom_{G^theta}(Ind kappa, 1)
         = m_K * sum over K-orbits Theta' in Theta of dim Hom_{K ^ G^theta'}(kappa, 1),
 
-    the mask of K ^ G^theta' for one involution theta' read from each
-    K-orbit, with its size as divisor; the caller multiplies the summed
-    traces by m_K(Theta).  The left side is the oracle's value.
+    the mask of K ^ a G^theta a^-1 for the smallest conjugator a of each
+    K-orbit of ``k_labels`` (:func:`k_orbit_labels`), theta' = a.theta,
+    with its size as divisor; the caller multiplies the summed traces by
+    m_K(Theta).  The left side is the oracle's value.
     """
-    perms = np.array([k_orbit[0].perm for k_orbit in k_orbits], dtype=np.int64)
-    masks = (perms == np.arange(g.order)) & g.mask(k_sub)
+    firsts = np.unique(k_labels, return_index=True)[1]
+    masks = fixed_masks(g, theta, firsts) & g.mask(k_sub)
     return masks, masks.sum(axis=1)
 
 

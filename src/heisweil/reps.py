@@ -272,18 +272,19 @@ def projector_traces(reps: list[MatrixRep], weights, divisors) -> np.ndarray:
     return np.concatenate(parts)[np.argsort(order)]
 
 
-def hom_dims(reps: list[MatrixRep], subgroups) -> np.ndarray:
-    """dim Hom_K(rep, 1) for every rep (rows) and subgroup K (columns): the
-    rank of the averaging projector over K, which being idempotent equals its
-    exact trace (1/|K|) sum_k tr rep(k), the 0/1 case of
-    :func:`projector_traces`."""
-    masks = np.array([reps[0].group.mask(k) for k in subgroups])
+def hom_dims(reps: list[MatrixRep], masks) -> np.ndarray:
+    """dim Hom_K(rep, 1) for every rep (rows) and subgroup K (columns), each
+    K a row of the (k, |G|) boolean array ``masks``: the rank of the
+    averaging projector over K, which being idempotent equals its exact
+    trace (1/|K|) sum_k tr rep(k), the 0/1 case of :func:`projector_traces`."""
+    masks = np.asarray(masks, dtype=bool)
     return projector_traces(reps, masks, masks.sum(axis=1))
 
 
 def hom_dim(rep: MatrixRep, subgroup) -> int:
-    """dim Hom_K(rep, 1) for one rep and one subgroup; see :func:`hom_dims`."""
-    return int(hom_dims([rep], [subgroup])[0, 0])
+    """dim Hom_K(rep, 1) for one rep and one subgroup, given by its
+    members; see :func:`hom_dims`."""
+    return int(hom_dims([rep], [rep.group.mask(subgroup)])[0, 0])
 
 
 def character_table(reps: list[MatrixRep], elements) -> CycMatrix:
@@ -327,7 +328,7 @@ def fixed_forms(rep: MatrixRep, subgroups, generators=None) -> list[FixedForms]:
     n, p, ell = rep.conductor, g.p, g.space.ell
     subgroups = [sorted(frozenset(sub)) for sub in subgroups]
     generators = [None] * len(subgroups) if generators is None else generators
-    dims = hom_dims([rep], subgroups)[0].tolist()
+    dims = hom_dims([rep], [g.mask(sub) for sub in subgroups])[0].tolist()
     t, inv = g.table, g.inverse_of
     w_minus = np.array(sorted(g.minus_subgroup), dtype=np.int64)
     # the center without the identity, as a mask over the indices

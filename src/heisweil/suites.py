@@ -46,11 +46,15 @@ at a time.
 
 The mackey suite makes one pass per test bed, a maximal run of
 consecutive configurations that share (group, K, theta); the 30
-configurations form 19 beds.  A bed computes the G-orbit of theta, its
-K-orbits, G^theta, the (K, G^t) partitions and their splits
-S(t, Theta') by K-orbit (for theta's first three conjugates and each
-configuration's g.theta, with the seeded g drawn in configuration order)
-once, builds the weight rows of the oracle, the Mackey sum and the orbit
+configurations form 19 beds.  A bed checks theta once and labels the
+K-orbits of its G-orbit as the double cosets K a G_theta of the
+conjugators a (:func:`~heisweil.mackey.k_orbit_labels`), so an involution
+a.theta is named by a and never built.  It computes G^theta, the
+(K, G^(a.theta)) partitions and their splits S(a.theta, Theta') by K-orbit
+(for theta's first three conjugates, the three smallest left-coset
+representatives a of G_theta, and each configuration's g.theta, with the
+seeded g drawn in configuration order) once, builds the weight rows of
+the oracle, the Mackey sum and the orbit
 multiplicity formula once, and sums them for every kappa and kappa~ of
 the bed in one :func:`~heisweil.mackey.summed_traces` call, one
 :func:`~heisweil.reps.projector_traces` call per bed.  Each
@@ -63,10 +67,10 @@ nor the seed: they are built once per process, read-only, the zoo's by
 :func:`_heisenberg_beds`, which reads the one Sp x| H the weil suite's
 abstract-lift certificate reads too.  A group keeps its generators and
 the generating set of each K it is asked for
-(:meth:`~heisweil.groups.TableGroup.generators_of`), so the orbits
-derive them in the first run only.  Each kappa~ is kept with its
-character row; the orbits, cosets, Mackey sums and the oracle on kappa
-and kappa~ run every time.
+(:meth:`~heisweil.groups.TableGroup.generators_of`), so the zoo's
+characters derive them in the first run only.  Each kappa~ is kept with
+its character row; the K-orbits, cosets, Mackey sums and the oracle on
+kappa and kappa~ run every time.
 """
 
 from __future__ import annotations
@@ -344,7 +348,7 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
 
     alphas = heis.order_two_automorphisms_inverting_center(group)
     # H^alpha, the H^+ of the polarization attached to alpha
-    plus = [np.flatnonzero(m) for m in heis.polarizations_from_involutions(alphas)[0]]
+    plus = heis.polarizations_from_involutions(alphas)[0]
     # tau o alpha ~ tau~: the character of tau o alpha is tau's at alpha(h),
     # compared by key for every alpha and h at once
     same = key_tau[alphas.perm] == key_cotau
@@ -371,7 +375,7 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
 
     trivial = heis.order_two_automorphisms_trivial_on_center(group)
     fixed = trivial.perm == np.arange(group.order)
-    dims = reps_mod.hom_dims([tau], [np.flatnonzero(m) for m in fixed])[0]
+    dims = reps_mod.hom_dims([tau], fixed)[0]
     rec("reps.central_trivial_involutions_have_no_forms").all(
         dims == 0, trivial.witness
     )
@@ -750,13 +754,11 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
         bed = list(bed)
         (_, tg, k_members, _, theta), _ = bed[0]
         kappas = [kappa for (*_, kappa, _), _ in bed]
-        orbit = mk.involution_orbits(tg, [theta], range(tg.order))[0]
-        k_orbits = mk.involution_orbits(tg, orbit, k_members, validate=False)
-        orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
+        k_labels = mk.k_orbit_labels(tg, k_members, theta)
         gs = [rng.randrange(tg.order) for _ in bed]
-        moved = [mk.conjugate_involution(tg, g, theta) for g in gs]
-        cosets = _twisted_cosets(tg, k_members, [*orbit[:3], *moved], orbit_of)
-        fixed, labels, reps, split = cosets[theta.perm]
+        firsts = _first_conjugators(tg, theta)
+        cosets = _twisted_cosets(tg, k_members, theta, [*firsts, *gs], k_labels)
+        fixed, labels, reps, split = cosets[0]
         twists = _twists(tg, k_members, theta, labels)
         h_members = sorted(fixed)
         both = kappas + [tilde for _, tilde in bed]
@@ -766,11 +768,11 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
             [
                 mk.induced_hom_dim_oracle(tg, k_members, h_members, dim),
                 mk.mackey_hom_dim(tg, k_members, h_members, reps),
-                mk.orbmult_rhs(tg, k_members, k_orbits),
+                mk.orbmult_rhs(tg, k_members, theta, k_labels),
             ],
         )
         oracle, tilde_oracle = values[: len(bed)], values[len(bed) :]
-        m, bound = mk.m_K(tg, k_members, theta, split[orbit_of[theta.perm]])
+        m, bound = mk.m_K(tg, k_members, theta, split[k_labels[0]])
         rhs = [m * summand for summand in summands]
         for i, ((label, *_), _) in enumerate(bed):
             dcs(
@@ -778,10 +780,9 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
                 {"config": label, "mackey": mackey[i], "oracle": oracle[i]},
             )
             # clause 4 reads theta's first three conjugates and this g.theta
-            mine = {t.perm: cosets[t.perm] for t in [*orbit[:3], moved[i]]}
+            mine = {a: cosets[a] for a in [*firsts, gs[i]]}
             _twisted_coset_checks(
-                clauses, triangle, label, tg, theta, gs[i], moved[i], mine, orbit_of,
-                twists,
+                clauses, triangle, label, tg, gs[i], mine, k_labels, twists
             )
             if bound is not None:
                 bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
@@ -801,20 +802,29 @@ def _test_bed(item):
     return id(tg), tuple(k_members), theta.perm
 
 
-def _twisted_cosets(tg, k_members, involutions, orbit_of) -> dict:
-    """Per involution t, by ``perm``: G^t, the (K, G^t) partition (the label
-    of every element, the smallest member of each coset) and its split
-    S(t, Theta') by K-orbit; one partition per distinct fixed subgroup."""
+def _first_conjugators(tg, theta) -> list[int]:
+    """The conjugators of theta's first three conjugates: the three
+    smallest left-coset representatives a of G_theta, a.theta being the
+    coset a G_theta (:func:`~heisweil.mackey.involution_stabilizer`); the
+    first is 1, theta itself."""
+    stabilizer = mk.involution_stabilizer(tg, theta)
+    return np.unique(tg.table[:, stabilizer].min(axis=1))[:3].tolist()
+
+
+def _twisted_cosets(tg, k_members, theta, conjugators, k_labels) -> dict:
+    """Per conjugator a: G^(a.theta) = a G^theta a^-1, the (K, G^(a.theta))
+    partition (the label of every element, the smallest member of each
+    coset) and its split S(a.theta, Theta') by the K-orbits of
+    ``k_labels``; one partition per distinct fixed subgroup."""
+    conjugators = list(dict.fromkeys(conjugators))
     partitions, cosets = {}, {}
-    for t in involutions:
-        if t.perm in cosets:
-            continue
-        fixed = mk.fixed_subgroup(tg, t)
+    for a, mask in zip(conjugators, mk.fixed_masks(tg, theta, conjugators)):
+        fixed = frozenset(np.flatnonzero(mask).tolist())
         if fixed not in partitions:
             labels = double_coset_labels(tg, k_members, fixed)
             partitions[fixed] = labels, np.unique(labels, return_index=True)[1].tolist()
         labels, reps = partitions[fixed]
-        cosets[t.perm] = fixed, labels, reps, mk.s_theta(tg, t, reps, orbit_of)
+        cosets[a] = fixed, labels, reps, mk.s_theta(tg, a, reps, k_labels)
     return cosets
 
 
@@ -825,24 +835,25 @@ def _twists(tg, k_members, theta, labels):
     index of the twisted class (:func:`~heisweil.mackey.twisted_classes`)
     of every twist, with the number of classes."""
     twist = tg.table[np.arange(tg.order), tg.inverse_of[list(theta.perm)]]
-    central = tg.mask(tg.center())[twist]
-    first_central = {}
-    for x in np.flatnonzero(central).tolist():
-        first_central.setdefault(labels[x], x)
+    central = np.flatnonzero(tg.mask(tg.center())[twist])
+    found, first = np.unique(labels[central], return_index=True)
+    first_central = dict(zip(found.tolist(), central[first].tolist()))
     classes = mk.twisted_classes(tg, k_members, theta)
     class_of = {y: i for i, cl in enumerate(classes) for y in cl}
     return twist, first_central, class_of, len(classes)
 
 
 def _twisted_coset_checks(
-    c: Check, triangle: Check, label, tg, theta, g, moved, cosets, orbit_of, twists
+    c: Check, triangle: Check, label, tg, g, cosets, k_labels, twists
 ) -> None:
     """Clauses 1-4 on S(theta, Theta') = {K x G^theta : x.theta in Theta'}
-    and the coset/class triangle, for theta and moved = g.theta, read off
-    the cosets of :func:`_twisted_cosets` and theta's :func:`_twists`."""
-    _, labels, reps, split = cosets[theta.perm]
-    _, labels_moved, _, split_moved = cosets[moved.perm]
-    mine = orbit_of[theta.perm]
+    and the coset/class triangle, for theta and g.theta, read off the
+    cosets of :func:`_twisted_cosets` (keyed by conjugator, theta's by the
+    identity 0), the K-orbits of :func:`~heisweil.mackey.k_orbit_labels`
+    and theta's :func:`_twists`."""
+    _, labels, reps, split = cosets[0]
+    _, labels_moved, _, split_moved = cosets[g]
+    mine = k_labels[0]
     s_base = split[mine]
     t = tg.table
     twist, first_central, class_of, n_classes = twists
@@ -876,7 +887,7 @@ def _twisted_coset_checks(
     }
     c(
         len(image_keys) == len(s_base)
-        and image_keys == {labels_moved[x] for x in split_moved[orbit_of[moved.perm]]},
+        and image_keys == {labels_moved[x] for x in split_moved[k_labels[g]]},
         {"config": label, "clause": 3, "g": g},
     )
 
@@ -887,12 +898,17 @@ def _twisted_coset_checks(
 
 
 def _invstab_check(c: Check) -> None:
+    """a.theta = theta exactly when a theta(a)^-1 is central, for every a
+    of S3, D4 and Q8: every conjugate a.theta, one row per a of one
+    (|G|, |G|) gather, against :func:`~heisweil.mackey.involution_stabilizer`."""
     for label, tg, theta in _mackey_zoo()[1]:
-        center = tg.center()
-        for a in range(tg.order):
-            stab = mk.conjugate_involution(tg, a, theta).perm == theta.perm
-            central = tg.mul(a, tg.inv(theta.apply(a))) in center
-            c(stab == central, {"group": label, "a": a})
+        t, inv, perm = tg.table, tg.inverse_of, np.asarray(theta.perm)
+        a = np.arange(tg.order)[:, None]
+        # row a: x -> a theta(a^-1 x a) a^-1
+        moved = t[t[a, perm[t[t[inv[a], a.T], a]]], inv[a]]
+        stab = (moved == perm).all(axis=1)
+        central = tg.mask(mk.involution_stabilizer(tg, theta))
+        c.all(stab == central, lambda i: {"group": label, "a": i})
 
 
 # ---------------------------------------------------------------------------

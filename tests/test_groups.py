@@ -492,11 +492,17 @@ def _dtype_cases():
 def _readings(g, k, theta, family):
     """What the group-level readers give on ``g``, as plain data: the
     inverses, center, generators, generators of K, subgroup tests, the
-    automorphism test, the (K, G^theta) partition, the G- and K-orbits of
-    theta, the split S(theta, Theta'), and the homomorphism certificate of
-    ``family`` and of a copy with one image replaced."""
+    automorphism test, the (K, G^theta) partition, the stabilizer G_theta
+    and the K-orbits of theta's G-orbit, the split S(theta, Theta'), and
+    the homomorphism certificate of ``family`` and of a copy with one image
+    replaced."""
     from heisweil.checks import Check
-    from heisweil.mackey import fixed_subgroup, involution_orbits, s_theta
+    from heisweil.mackey import (
+        fixed_subgroup,
+        involution_stabilizer,
+        k_orbit_labels,
+        s_theta,
+    )
     from heisweil.reps import homomorphism_certificate
 
     fixed = sorted(fixed_subgroup(g, theta))
@@ -508,9 +514,7 @@ def _readings(g, k, theta, family):
     swapped[[1, 2]] = swapped[[2, 1]]
     labels = double_coset_labels(g, k, fixed)
     reps = np.unique(labels, return_index=True)[1].tolist()
-    orbit = involution_orbits(g, [theta], range(g.order))[0]
-    k_orbits = involution_orbits(g, orbit, k, validate=False)
-    orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
+    k_labels = k_orbit_labels(g, k, theta)
     num, den, n = family()
     bad = num.copy()
     bad[len(bad) // 2] = num[len(bad) // 2 + 1]
@@ -528,8 +532,9 @@ def _readings(g, k, theta, family):
         g.are_subgroups(masks).tolist(),
         [g.is_automorphism(p) for p in (perm, swapped)],
         labels.tolist(),
-        [[t.perm for t in o] for o in k_orbits],
-        s_theta(g, theta, reps, orbit_of),
+        involution_stabilizer(g, theta).tolist(),
+        k_labels.tolist(),
+        s_theta(g, 0, reps, k_labels),
         certificates,
     )
 

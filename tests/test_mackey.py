@@ -38,7 +38,8 @@ from heisweil.mackey import (
     induced_hom_dim_oracle,
     inner_involution,
     inner_involutions,
-    involution_orbits,
+    involution_stabilizer,
+    k_orbit_labels,
     m_K,
     mackey_hom_dim,
     orbmult_rhs,
@@ -71,13 +72,12 @@ def _reps(g, k_sub, h_sub) -> list[int]:
 
 
 def _theta_cosets(g, k_sub, theta):
-    """(G-orbit of theta, its K-orbits, S(theta, K.theta)), from scratch;
-    S is read through the module, so a substituted s_theta is used."""
-    orbit = involution_orbits(g, [theta], range(g.order))[0]
-    k_orbits = involution_orbits(g, orbit, k_sub)
-    orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
+    """(the K-orbit labels of theta's G-orbit, S(theta, K.theta)), from
+    scratch; S is read through the module, so a substituted s_theta is
+    used."""
+    k_labels = k_orbit_labels(g, k_sub, theta)
     reps = _reps(g, k_sub, fixed_subgroup(g, theta))
-    return orbit, k_orbits, mk.s_theta(g, theta, reps, orbit_of)[orbit_of[theta.perm]]
+    return k_labels, mk.s_theta(g, 0, reps, k_labels)[k_labels[0]]
 
 
 def _mackey(g, k_sub, kappa, h_sub) -> int:
@@ -108,10 +108,11 @@ def _test_beds(configs) -> list[list]:
 def _orbmult(g, k_sub, kappa, theta) -> tuple[int, int]:
     """Both sides of the orbit multiplicity formula: the oracle, and m_K
     times the sum over K-orbits."""
-    _, k_orbits, cosets = _theta_cosets(g, k_sub, theta)
+    k_labels, cosets = _theta_cosets(g, k_sub, theta)
     m, _ = m_K(g, k_sub, theta, cosets)
     lhs = _oracle(g, k_sub, kappa, sorted(fixed_subgroup(g, theta)))
-    return lhs, m * summed_traces([kappa], [orbmult_rhs(g, k_sub, k_orbits)])[0][0]
+    rows = orbmult_rhs(g, k_sub, theta, k_labels)
+    return lhs, m * summed_traces([kappa], [rows])[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -179,32 +180,75 @@ def test_oracle_equals_mackey_on_heisenberg_configs():
         ), label
 
 
-def test_k_orbits_hand_back_the_g_orbit_records():
-    """On every bed's (G, K, theta), the K-orbits of theta's G-orbit are a
-    partition of it whose members are the G-orbit's own records, in an
-    order a rebuilt record would share."""
+def test_invstab_on_zoo_groups():
+    for tg in (symmetric_group(3), dihedral_group(4), quaternion_group()):
+        center = tg.center()
+        theta = next(
+            t for t in all_involutive_automorphisms(tg) if not t.is_identity()
+        )
+        stabilizer = set(involution_stabilizer(tg, theta).tolist())
+        for a in range(tg.order):
+            stab = conjugate_involution(tg, a, theta).perm == theta.perm
+            assert stab == (tg.mul(a, tg.inv(theta.apply(a))) in center)
+            assert stab == (a in stabilizer)
+
+
+def _conjugates(g, theta) -> list[tuple]:
+    """a.theta for every conjugator a, one conjugate_involution each."""
+    return [conjugate_involution(g, a, theta).perm for a in range(g.order)]
+
+
+def test_involution_stabilizer_is_where_the_conjugate_is_theta():
+    """The lemma a.theta = Int(a theta(a)^-1) o theta on every bed's group,
+    Sp x| H(3) among them: a fixes theta exactly when its twist is central,
+    against one conjugate_involution per a."""
     for bed in _test_beds(_suite_configurations()):
-        label, tg, k_sub, _, theta = bed[0]
-        orbit = involution_orbits(tg, [theta], range(tg.order))[0]
-        k_orbits = involution_orbits(tg, orbit, k_sub, validate=False)
-        members = [t for o in k_orbits for t in o]
-        assert sorted(map(id, members)) == sorted(map(id, orbit)), label
-        for o in k_orbits:
-            (again,) = involution_orbits(tg, [InvolutionRecord(o[0].perm)], k_sub)
-            assert again == o, label
+        label, tg, _, _, theta = bed[0]
+        stab = [a for a, perm in enumerate(_conjugates(tg, theta)) if perm == theta.perm]
+        center = tg.center()
+        central = [
+            a for a in range(tg.order) if tg.mul(a, tg.inv(theta.apply(a))) in center
+        ]
+        assert involution_stabilizer(tg, theta).tolist() == stab == central, label
 
 
-def test_involution_orbits_trivial_actor(s3):
-    invs = [t for t in all_involutive_automorphisms(s3) if not t.is_identity()]
-    orbits = involution_orbits(s3, invs, [0])
-    assert all(len(o) == 1 for o in orbits)
+def test_k_orbit_labels_partition_the_g_orbit_as_the_closure_does():
+    """On all 30 configurations, the K-orbits of theta's G-orbit read off
+    the (K, G_theta) labels of the conjugators are the orbits of the
+    breadth-first closure, as a set partition, numbered in the order of
+    their smallest conjugators."""
+    for label, tg, k_sub, _, theta in _suite_configurations():
+        labels = k_orbit_labels(tg, k_sub, theta)
+        conjugates = _conjugates(tg, theta)
+        (orbit,) = closure_orbits(tg, [theta], range(tg.order))
+        assert set(conjugates) == set(orbit), label
+        parts = [set() for _ in range(labels.max() + 1)]
+        for a, perm in enumerate(conjugates):
+            parts[labels[a]].add(perm)
+        thetas = [InvolutionRecord(perm) for perm in orbit]
+        expected = {frozenset(o) for o in closure_orbits(tg, thetas, k_sub)}
+        assert {frozenset(part) for part in parts} == expected, label
+        assert len(parts) == len(expected), label
+        firsts = np.unique(labels, return_index=True)[1]
+        assert labels[0] == 0 and (np.diff(firsts) > 0).all(), label
 
 
-def test_involution_orbits_rejects_a_non_subgroup_actor(s3):
-    invs = [t for t in all_involutive_automorphisms(s3) if not t.is_identity()]
+def test_k_orbit_labels_under_the_trivial_actor(s3):
+    """K = 1: every K-orbit is one involution, one per left coset of G_theta."""
+    for theta in _nontrivial_s3(s3):
+        labels = k_orbit_labels(s3, [0], theta)
+        conjugates = _conjugates(s3, theta)
+        assert labels.max() + 1 == len(set(conjugates))
+        for a in range(6):
+            for b in range(6):
+                same = conjugates[a] == conjugates[b]
+                assert (labels[a] == labels[b]) == same
+
+
+def test_k_orbit_labels_reject_a_non_subgroup_actor(s3):
     rot = next(a for a in range(6) if s3.element_order(a) == 3)
-    with pytest.raises(ValueError, match="not a subgroup"):
-        involution_orbits(s3, invs, [0, rot])
+    with pytest.raises(ValueError, match="need subgroups"):
+        k_orbit_labels(s3, [0, rot], _nontrivial_s3(s3)[0])
 
 
 def test_inner_involutions_by_transpositions_form_one_orbit(s3):
@@ -212,26 +256,22 @@ def test_inner_involutions_by_transpositions_form_one_orbit(s3):
         a for a in range(1, 6) if s3.element_order(a) == 2
     ]
     invs = [inner_involution(s3, a) for a in transpositions]
-    orbits = involution_orbits(s3, invs, range(6))
-    assert len(orbits) == 1 and len(orbits[0]) == 3
+    theta = invs[0]
+    assert k_orbit_labels(s3, range(6), theta).max() == 0
+    assert set(_conjugates(s3, theta)) == {t.perm for t in invs}
+    left_cosets = s3.table[:, involution_stabilizer(s3, theta)].min(axis=1)
+    assert len(np.unique(left_cosets)) == 3
 
 
-def test_invstab_on_zoo_groups():
-    for tg in (symmetric_group(3), dihedral_group(4), quaternion_group()):
-        center = tg.center()
-        theta = next(
-            t for t in all_involutive_automorphisms(tg) if not t.is_identity()
-        )
-        for a in range(tg.order):
-            stab = conjugate_involution(tg, a, theta).perm == theta.perm
-            assert stab == (tg.mul(a, tg.inv(theta.apply(a))) in center)
+def _nontrivial_s3(s3):
+    return [t for t in all_involutive_automorphisms(s3) if not t.is_identity()]
 
 
 def test_s_theta_central_twist_characterization(s3, a3):
     theta = next(
         t for t in all_involutive_automorphisms(s3) if not t.is_identity()
     )
-    members = _theta_cosets(s3, a3, theta)[2]
+    members = _theta_cosets(s3, a3, theta)[1]
     center = s3.center()
     h = sorted(fixed_subgroup(s3, theta))
     for x in _reps(s3, a3, h):
@@ -244,7 +284,7 @@ def test_m_K_centerless_is_one(s3, a3):
     theta = next(
         t for t in all_involutive_automorphisms(s3) if not t.is_identity()
     )
-    m, bound = m_K(s3, a3, theta, _theta_cosets(s3, a3, theta)[2])
+    m, bound = m_K(s3, a3, theta, _theta_cosets(s3, a3, theta)[1])
     assert m == 1 and bound == 1  # trivial center: Z^1 = B^1 = {e}
 
 
@@ -252,7 +292,7 @@ def test_m_K_bound_two_on_quaternions():
     q8 = quaternion_group()
     theta = inner_involution(q8, 2)  # Int(i): order two modulo the center
     k = sorted(q8.subgroup_generated([2]))  # <i> contains the center
-    m, bound = m_K(q8, k, theta, _theta_cosets(q8, k, theta)[2])
+    m, bound = m_K(q8, k, theta, _theta_cosets(q8, k, theta)[1])
     assert bound == 2 and m <= 2
 
 
@@ -262,21 +302,21 @@ def test_multiplicity_bound_failure_is_recorded_with_its_witness(monkeypatch):
 
     # the first configuration with Z <= K, the first one the bound applies to
     for label, tg, k_members, kappa, theta in standard_mackey_configurations():
-        m, bound = m_K(tg, k_members, theta, _theta_cosets(tg, k_members, theta)[2])
+        m, bound = m_K(tg, k_members, theta, _theta_cosets(tg, k_members, theta)[1])
         if bound is not None:
             break
-    key = (tg.order, theta.perm)
+    key = k_orbit_labels(tg, k_members, theta)
     real = mk.s_theta
 
-    def extra_cosets(g, th, reps, orbit_of):
-        split = real(g, th, reps, orbit_of)
-        if (g.order, th.perm) == key:
-            mine = orbit_of[th.perm]
+    def extra_cosets(g, a, reps, k_labels):
+        split = real(g, a, reps, k_labels)
+        if g is tg and a == 0 and np.array_equal(k_labels, key):
+            mine = k_labels[0]
             split[mine] = split[mine] + list(range(bound + 1))
         return split
 
     monkeypatch.setattr(mk, "s_theta", extra_cosets)
-    cosets = _theta_cosets(tg, k_members, theta)[2]
+    cosets = _theta_cosets(tg, k_members, theta)[1]
     assert mk.m_K(tg, k_members, theta, cosets) == (m + bound + 1, bound)
     checks = SUITES["mackey"](RunConfig())
     check = next(c for c in checks if c.check == "mackey.multiplicity_bound")
@@ -287,8 +327,10 @@ def test_multiplicity_bound_failure_is_recorded_with_its_witness(monkeypatch):
 
 def test_one_partition_and_one_oracle_call_per_test_bed(monkeypatch):
     """A p = 3 mackey run partitions each fixed subgroup once per test bed
-    (46 partitions), builds the oracle row once per bed, and makes one
-    projector_traces call per bed, for the oracle, Mackey and orbit
+    (47 partitions, for theta's three smallest-conjugator conjugates and
+    each seeded g.theta) and G by (K, G_theta) once per bed (19 more),
+    builds the oracle row once per bed, and makes one projector_traces
+    call per bed, for the oracle, Mackey and orbit
     multiplicity rows on every kappa and kappa~ of the bed at once (19 of
     each for the 19 beds of the 30 configurations)."""
     import heisweil.groups as groups_mod
@@ -326,7 +368,7 @@ def test_one_partition_and_one_oracle_call_per_test_bed(monkeypatch):
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
     assert (len(configs), len(_test_beds(configs))) == (30, 19)
     assert calls == {
-        "double_coset_labels": 46,
+        "double_coset_labels": 47 + 19,
         "induced_hom_dim_oracle": 19,
         "projector_traces": 19,
     }
@@ -344,13 +386,13 @@ def test_per_bed_sums_equal_the_separate_values_on_every_configuration():
         kappas = [kappa for *_, kappa, _ in bed]
         both = kappas + [contragredient(kappa) for kappa in kappas]
         h_sub = sorted(fixed_subgroup(tg, theta))
-        _, k_orbits, cosets = _theta_cosets(tg, k_sub, theta)
+        k_labels, cosets = _theta_cosets(tg, k_sub, theta)
         m, _ = m_K(tg, k_sub, theta, cosets)
         dim = max(kappa.dim for kappa in both)
         parts = [
             induced_hom_dim_oracle(tg, k_sub, h_sub, dim),
             mackey_hom_dim(tg, k_sub, h_sub, _reps(tg, k_sub, h_sub)),
-            orbmult_rhs(tg, k_sub, k_orbits),
+            orbmult_rhs(tg, k_sub, theta, k_labels),
         ]
         merged = summed_traces(both, parts)
         separate = [
@@ -416,34 +458,24 @@ def closure_orbits(g, thetas, actor):
     return orbits
 
 
-def test_involution_orbits_match_the_closure_reference():
-    """G-orbit of theta and its K-orbits on every configuration of the
-    suite, the 648-element Sp x| H one among them: same orbits, same order."""
-    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
-    for label, tg, k_members, kappa, theta in configs:
-        orbit = involution_orbits(tg, [theta], range(tg.order))[0]
-        assert [[t.perm for t in orbit]] == closure_orbits(tg, [theta], range(tg.order))
-        k_orbits = involution_orbits(tg, orbit, k_members, validate=False)
-        assert [[t.perm for t in o] for o in k_orbits] == closure_orbits(
-            tg, orbit, k_members
-        ), label
-
-
 def test_mackey_suite_validates_each_theta_once(monkeypatch):
-    """The G-orbit call checks theta; the K-orbit call reads the conjugates
-    of a checked involution and checks none; both run once per test bed."""
-    seen = []
-    real = mk.involution_orbits
+    """The suite checks theta once per test bed, when it labels the
+    K-orbits of theta's G-orbit, and the conjugates of a checked theta
+    never."""
+    import heisweil.suites as suites_mod
 
-    def spy(g, thetas, actor, validate=True):
-        seen.append(validate)
-        return real(g, thetas, actor, validate)
+    suites_mod._mackey_zoo(), suites_mod._heisenberg_beds()
+    seen, real = [], InvolutionRecord.is_valid
 
-    monkeypatch.setattr(mk, "involution_orbits", spy)
+    def spy(theta, g):
+        seen.append(theta.perm)
+        return real(theta, g)
+
+    monkeypatch.setattr(InvolutionRecord, "is_valid", spy)
     checks = SUITES["mackey"](RunConfig())
     assert all(c.passed for c in checks)
-    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
-    assert seen == [True, False] * len(_test_beds(configs)) == [True, False] * 19
+    beds = _test_beds(_suite_configurations())
+    assert seen == [bed[0][4].perm for bed in beds] and len(seen) == 19
 
 
 def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
@@ -452,11 +484,11 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
     elements derives them in its constructor, for Light's associativity
     test, so besides the 10 configuration groups the zoo's character
     subgroups (and Sp(W), if no earlier test built its table) derive
-    theirs, and no group derives them twice.  The same holds for the
-    generators of K: each (group, K) derives them once.  A second run
-    derives none: every configuration group, H(3, 1) and Sp x| H among
-    them, is built once per process and keeps its generators and those of
-    each K."""
+    theirs, and no group derives them twice.  The generators of a K are
+    derived only for the zoo's characters, each (group, K) once: the
+    K-orbits are double cosets and read none.  A second run derives none:
+    every configuration group, H(3, 1) and Sp x| H among them, is built
+    once per process and keeps its generators and those of each K."""
     import heisweil.groups as groups_mod
     import heisweil.suites as suites_mod
 
@@ -488,11 +520,12 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
     assert len(first) == len(set(first)) and len(groups) == 10
     assert groups < set(first) and {27, 648} <= {order for _, order in groups}
     assert second == [] and second_parts == []
-    # the K of every bed with K proper (K = G reads G's), the zoo's once
+    # a K of a zoo bed with characters, each once; none of H(3, 1) or Sp x| H
     beds = _test_beds(configs)
     proper = {(tg.order, frozenset(k)) for (_, tg, k, *_), *_ in beds if len(k) < tg.order}
     assert len(first_parts) == len(set(first_parts))
-    assert proper <= {(order, k) for _, order, k in first_parts}
+    derived = {(order, k) for _, order, k in first_parts}
+    assert derived < proper and not {27, 648} & {order for order, _ in derived}
 
 
 def test_h1_bound_two_for_theta_trivial_on_center():
@@ -666,6 +699,35 @@ def test_inner_involutions_match_the_per_element_loop(label):
     assert [theta.perm for theta in inner_involutions(tg)] == list(expected)
 
 
+def _direct_product_by_mul(g1, g2):
+    """The reference: one ``mul`` call per pair, through table_group_from_mul."""
+    els = [(a, b) for a in range(g1.order) for b in range(g2.order)]
+
+    def mul(x, y):
+        return (g1.mul(x[0], y[0]), g2.mul(x[1], y[1]))
+
+    return table_group_from_mul(els, mul, (0, 0))
+
+
+def test_direct_product_equals_the_table_of_its_multiplication_map():
+    """The broadcast table, its names and their index order are those of
+    table_group_from_mul on S3 x C2, S4 x C2 and C2^4."""
+    s3, s4, c2 = symmetric_group(3), symmetric_group(4), cyclic_group(2)
+    c2_2, c2_2_by_mul = direct_product(c2, c2), _direct_product_by_mul(c2, c2)
+    cases = [
+        ((s3, c2), (s3, c2)),
+        ((s4, c2), (s4, c2)),
+        ((c2_2, c2_2), (c2_2_by_mul, c2_2_by_mul)),
+    ]
+    for factors, reference_factors in cases:
+        got = direct_product(*factors)
+        expected = _direct_product_by_mul(*reference_factors)
+        assert got.order == expected.order
+        assert np.array_equal(got.table, expected.table)
+        assert got.table.dtype == expected.table.dtype
+        assert got.names == expected.names
+
+
 def test_direct_product_and_cyclic():
     c6 = direct_product(cyclic_group(2), cyclic_group(3))
     assert c6.order == 6
@@ -761,7 +823,7 @@ def test_involution_record_validity(s3):
     assert not InvolutionRecord((1, 2, 0, 3, 4, 5)).is_valid(s3)  # order 3
     assert not InvolutionRecord((0, 0, 2, 3, 4, 5)).is_valid(s3)  # not bijective
     with pytest.raises(ValueError, match="not an involutive automorphism"):
-        involution_orbits(s3, [InvolutionRecord(tuple(swap))], range(6))
+        k_orbit_labels(s3, range(6), InvolutionRecord(tuple(swap)))
 
 
 def test_involution_record_validity_on_a_large_cyclic_group():
@@ -961,26 +1023,33 @@ def test_batched_oracle_and_sums_match_the_per_kappa_references():
         conj = [_conjugates_in_k(tg, k_sub, h_sub, x) for x in reps]
         rows = mackey_hom_dim(tg, k_sub, h_sub, reps)
         assert summed_traces(kappas, [rows])[0] == summed(conj), label
-        _, k_orbits, cosets = _theta_cosets(tg, k_sub, theta)
+        k_labels, cosets = _theta_cosets(tg, k_sub, theta)
         m, _ = m_K(tg, k_sub, theta, cosets)
-        fixed = [sorted(fixed_subgroup(tg, o[0]) & set(k_sub)) for o in k_orbits]
+        # K ^ G^theta' for theta' = a.theta, a the smallest of its K-orbit
+        firsts = np.unique(k_labels, return_index=True)[1].tolist()
+        moved = [conjugate_involution(tg, a, theta) for a in firsts]
+        fixed = [sorted(fixed_subgroup(tg, t) & set(k_sub)) for t in moved]
         rhs = [m * total for total in summed(fixed)]
-        (summands,) = summed_traces(kappas, [orbmult_rhs(tg, k_sub, k_orbits)])
+        (summands,) = summed_traces(kappas, [orbmult_rhs(tg, k_sub, theta, k_labels)])
         assert [m * summand for summand in summands] == rhs, label
         assert rhs == expected, label
 
 
 def test_s_theta_matches_one_conjugation_per_representative():
-    """The stacked gather splits the double cosets as one
-    conjugate_involution per representative does, in the same order."""
+    """The one gather splits the double cosets of theta and of a seeded
+    g.theta (seeds 0 and 1) as one conjugate_involution per representative
+    does, each x.(g.theta) placed in its K-orbit, in the same order."""
+    rngs = [random.Random(seed) for seed in (0, 1)]
     for label, tg, k_sub, _, theta in _suite_configurations():
-        _, k_orbits, _ = _theta_cosets(tg, k_sub, theta)
-        orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
-        reps = _reps(tg, k_sub, fixed_subgroup(tg, theta))
-        expected = [[] for _ in k_orbits]
-        for x in reps:
-            expected[orbit_of[conjugate_involution(tg, x, theta).perm]].append(x)
-        assert mk.s_theta(tg, theta, reps, orbit_of) == expected, label
+        k_labels = k_orbit_labels(tg, k_sub, theta)
+        orbit_of = dict(zip(_conjugates(tg, theta), k_labels.tolist()))
+        for a in (0, *(rng.randrange(tg.order) for rng in rngs)):
+            moved = conjugate_involution(tg, a, theta)
+            reps = _reps(tg, k_sub, fixed_subgroup(tg, moved))
+            expected = [[] for _ in range(k_labels.max() + 1)]
+            for x in reps:
+                expected[orbit_of[conjugate_involution(tg, x, moved).perm]].append(x)
+            assert mk.s_theta(tg, a, reps, k_labels) == expected, (label, a)
 
 
 def test_m_K_matches_the_per_element_cocycles():
@@ -991,7 +1060,7 @@ def test_m_K_matches_the_per_element_cocycles():
         z1 = [z for z in center if theta.apply(z) == tg.inv(z)]
         b1 = {tg.mul(z, tg.inv(theta.apply(z))) for z in center}
         assert b1 <= set(z1) and len(z1) % len(b1) == 0, label
-        m, bound = m_K(tg, k_sub, theta, _theta_cosets(tg, k_sub, theta)[2])
+        m, bound = m_K(tg, k_sub, theta, _theta_cosets(tg, k_sub, theta)[1])
         assert bound == (len(z1) // len(b1) if center <= set(k_sub) else None), label
 
 
@@ -1088,13 +1157,11 @@ def _per_configuration_suite(cfg):
     contr = rec("mackey.contragredient_multiplicity")
     rng = random.Random(cfg.seed)
     for (label, tg, k_sub, kappa, theta), tilde in zip([*zoo, *heis], tildes):
-        orbit = mk.involution_orbits(tg, [theta], range(tg.order))[0]
-        k_orbits = mk.involution_orbits(tg, orbit, k_sub, validate=False)
-        orbit_of = {t.perm: i for i, o in enumerate(k_orbits) for t in o}
+        k_labels = mk.k_orbit_labels(tg, k_sub, theta)
         g = rng.randrange(tg.order)
-        moved = mk.conjugate_involution(tg, g, theta)
-        cosets = suites_mod._twisted_cosets(tg, k_sub, [*orbit[:3], moved], orbit_of)
-        fixed, labels, reps, split = cosets[theta.perm]
+        firsts = suites_mod._first_conjugators(tg, theta)
+        cosets = suites_mod._twisted_cosets(tg, k_sub, theta, [*firsts, g], k_labels)
+        fixed, labels, reps, split = cosets[0]
         h_sub = sorted(fixed)
         dim = max(kappa.dim, tilde.dim)
         (oracle, tilde_oracle), (mackey, _), (summand, _) = mk.summed_traces(
@@ -1102,15 +1169,15 @@ def _per_configuration_suite(cfg):
             [
                 mk.induced_hom_dim_oracle(tg, k_sub, h_sub, dim),
                 mk.mackey_hom_dim(tg, k_sub, h_sub, reps),
-                mk.orbmult_rhs(tg, k_sub, k_orbits),
+                mk.orbmult_rhs(tg, k_sub, theta, k_labels),
             ],
         )
         dcs(mackey == oracle, {"config": label, "mackey": mackey, "oracle": oracle})
         twists = suites_mod._twists(tg, k_sub, theta, labels)
         suites_mod._twisted_coset_checks(
-            clauses, triangle, label, tg, theta, g, moved, cosets, orbit_of, twists
+            clauses, triangle, label, tg, g, cosets, k_labels, twists
         )
-        m, bound = mk.m_K(tg, k_sub, theta, split[orbit_of[theta.perm]])
+        m, bound = mk.m_K(tg, k_sub, theta, split[k_labels[0]])
         if bound is not None:
             bounded(m <= bound, {"config": label, "m_K": m, "h1_bound": bound})
         rhs = m * summand
@@ -1129,18 +1196,20 @@ def test_per_bed_suite_equals_the_per_configuration_loop(seed, monkeypatch):
     """Names, counts, verdicts and witnesses, the 319 identities among
     them; and the same seeded g moves theta in each configuration, in
     configuration order."""
-    real, moves = mk.conjugate_involution, []
+    import heisweil.suites as suites_mod
 
-    def spy(g, a, theta):
-        moves.append((g.order, a, theta.perm))
-        return real(g, a, theta)
+    real, moves = suites_mod._twisted_coset_checks, []
 
-    monkeypatch.setattr(mk, "conjugate_involution", spy)
+    def spy(c, triangle, label, tg, g, *rest):
+        moves.append((label, g))
+        return real(c, triangle, label, tg, g, *rest)
+
+    monkeypatch.setattr(suites_mod, "_twisted_coset_checks", spy)
     cfg = RunConfig(seed=seed)
     expected = _report(_per_configuration_suite(cfg))
     expected_moves, moves[:] = list(moves), []
     assert _report(SUITES["mackey"](cfg)) == expected
-    assert moves == expected_moves and len(moves) == 30 + 22
+    assert moves == expected_moves and len(moves) == 30
     assert sum(count for _, count, *_ in expected) == 319
 
 

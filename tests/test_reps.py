@@ -347,7 +347,8 @@ def test_a_corrupted_basis_is_the_suites_first_witness(monkeypatch):
 
     g = HeisenbergGroup(SymplecticSpace(3, 1))
     subgroups = g.all_subgroups()
-    dims = hom_dims([heisenberg_rep(g, 1)], subgroups)[0]
+    masks = [g.mask(sub) for sub in subgroups]
+    dims = hom_dims([heisenberg_rep(g, 1)], masks)[0]
     with_forms = [sorted(sub) for sub, d in zip(subgroups, dims) if d]
     first, later = with_forms[len(with_forms) // 2], with_forms[-1]
     real = reps_mod.fixed_forms_certificate
@@ -450,7 +451,7 @@ def test_hom_dims_equals_the_dense_indicator_product(p):
     irreps = irreducibles_of_H(g)
     reps = irreps + [heisenberg_rep(g, 1, model="plus"), contragredient(irreps[-1])]
     subgroups = g.all_subgroups()
-    table = hom_dims(reps, subgroups)
+    table = hom_dims(reps, [g.mask(sub) for sub in subgroups])
     assert np.array_equal(table, hom_dims_through_the_dense_indicator(reps, subgroups))
     assert table.dtype == np.int64 and (table >= 0).all()
 
@@ -461,7 +462,7 @@ def test_hom_dims_sums_past_int64_are_exact(h3):
     for value, members in ((2**62, [0, 1]), (2**70, [0])):
         col = CycMatrix(12, [[value]] * len(members))
         rep = MatrixRep(h3, members, col.num[:, None], col.den, 12)
-        assert hom_dims([rep], [members])[0, 0] == value
+        assert hom_dims([rep], [h3.mask(members)])[0, 0] == value
 
 
 def test_projector_traces_past_int64_are_exact(h3):
@@ -511,13 +512,13 @@ def test_projector_traces_equal_character_sums_on_weighted_rows(config):
 def test_hom_dims_rejects_an_irrational_projector_trace(h3, tau3):
     # {0, z} is no subgroup: (tr tau(0) + tr tau(z)) / 2 = (3 + 3 zeta_3) / 2
     with pytest.raises(RuntimeError, match="is not an integer"):
-        hom_dims([tau3], [[0, h3.central(1)]])
+        hom_dims([tau3], [h3.mask([0, h3.central(1)])])
 
 
 def test_hom_dims_table_equals_character_sums(h3):
     irreps = irreducibles_of_H(h3)
     subgroups = h3.all_subgroups()
-    table = hom_dims(irreps, subgroups)
+    table = hom_dims(irreps, [h3.mask(sub) for sub in subgroups])
     assert table.shape == (len(irreps), len(subgroups))
     for i, rho in enumerate(irreps):
         for j, sub in enumerate(subgroups):
