@@ -25,11 +25,12 @@ irredundant, so no check reads the edges of a generator the others
 already generate: H(p, 1) gets (0, 1) and (1, 0) of W, not the center too.
 
 :func:`double_coset_labels` is the one coset partition of a table: it
-labels every element with its double coset K x H, one table gather per
-coset, and serves the Mackey sums, the twisted-coset bookkeeping, the
-K-orbits of an involution's G-orbit (as K\\G/G_theta, by
-:func:`heisweil.mackey.k_orbit_labels`) and the abelianization of Sp(W)
-(as {1} x [G, G]).  The Q\\H/K of
+labels every element with its double coset K x H by two gathers, as the
+least over k of min((k x) H) is the smallest member of K x H, the union
+of the right cosets (k x) H.  It serves the Mackey sums, the
+twisted-coset bookkeeping, the K-orbits of an involution's G-orbit (as
+K\\G/G_theta, by :func:`heisweil.mackey.k_orbit_labels`) and the
+abelianization of Sp(W) (as {1} x [G, G]).  The Q\\H/K of
 :func:`heisweil.reps.fixed_forms` are read off coordinates instead, as Q
 is normal in H with H/Q the W^+ block.
 
@@ -164,9 +165,6 @@ class TableGroup:
     # the group protocol: elements are the indices 0..n-1
     def elements(self):
         return list(range(self.order))
-
-    def identity(self):
-        return 0
 
     def mul(self, a, b):
         return int(self.table[a, b])
@@ -311,25 +309,20 @@ def double_coset_labels(g: TableGroup, k_sub, h_sub) -> np.ndarray:
     """For each element x, the number of its double coset K x H.
 
     Cosets are numbered in the order of their smallest members, so the first
-    index of each label is its coset's smallest element.  Each coset is one
-    gather ``t[t[K, x]][:, H]`` from the table.
+    index of each label is its coset's smallest element.  Lemma: K x H is
+    the union of the right cosets (k x) H, k in K, so its smallest member is
+    the least over k of min((k x) H).  So two gathers give every coset's
+    smallest member at once: the row minima of the columns H of the table,
+    min(y H) for every y, then their least over the rows t[K].  Double
+    cosets of subgroups partition G, so equal minima mean one coset.
     """
     k = np.array(sorted(set(k_sub)), dtype=np.int64)
     h = np.array(sorted(set(h_sub)), dtype=np.int64)
     if not (g.is_subgroup(k) and g.is_subgroup(h)):
         raise ValueError("double cosets need subgroups K and H")
     t = g.table
-    labels = np.full(g.order, -1, dtype=np.int64)
-    count = 0
-    for x in range(g.order):
-        if labels[x] >= 0:
-            continue
-        coset = t[t[k, x]][:, h]
-        if (labels[coset] >= 0).any():
-            raise RuntimeError(f"double coset of {x} meets an earlier one")
-        labels[coset] = count
-        count += 1
-    return labels
+    least = t[:, h].min(axis=1)[t[k]].min(axis=0)
+    return np.unique(least, return_inverse=True)[1]
 
 
 def generators_within(g: TableGroup, members) -> list[int]:

@@ -378,25 +378,22 @@ def s_theta(g: TableGroup, a: int, reps, k_labels) -> list[list[int]]:
     return split
 
 
-def twisted_classes(g: TableGroup, k_sub, theta: InvolutionRecord):
-    """K-orbits on {x theta(x)^-1} under k . y = k y theta(k)^-1, as sorted
-    lists in the order of their smallest members.
+def twisted_classes(g: TableGroup, k_sub, theta: InvolutionRecord) -> np.ndarray:
+    """For every x, the number of the twisted class of its twist
+    x theta(x)^-1: the K-orbits on the twists under k . y = k y theta(k)^-1,
+    numbered in the order of their smallest members.
 
-    The orbit of y is one gather ``t[t[K, y], theta(K)^-1]`` from the table.
+    As k . (x theta(x)^-1) = (k x) theta(k x)^-1, the orbit of a twist holds
+    only twists.  One (|K|, n) gather ``t[t[K], theta(K)^-1]`` gives the
+    orbit of every y, column by column; its column minima, read at the
+    twists, are the smallest members of their classes.
     """
     t, inv = g.table, g.inverse_of
     perm = np.asarray(theta.perm)
     k = np.array(sorted(k_sub), dtype=np.int64)
-    twisted_inverse = inv[perm[k]]
-    unseen = np.zeros(g.order, dtype=bool)
-    unseen[t[np.arange(g.order), inv[perm]]] = True
-    classes = []
-    for y in np.flatnonzero(unseen).tolist():
-        if unseen[y]:
-            orbit = np.unique(t[t[k, y], twisted_inverse])
-            unseen[orbit] = False
-            classes.append(orbit.tolist())
-    return classes
+    least = t[t[k], inv[perm[k]][:, None]].min(axis=0)
+    twist = t[np.arange(g.order), inv[perm]]
+    return np.unique(least[twist], return_inverse=True)[1]
 
 
 def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, cosets):

@@ -689,13 +689,6 @@ def _order2(perm) -> bool:
     return all(perm[perm[i]] == i for i in range(len(perm)))
 
 
-def heisenberg_mackey_configurations():
-    """The p = 3 Heisenberg group and Sp x| H as Mackey test beds, as a
-    fresh list over the one set :func:`_heisenberg_beds` builds per
-    process."""
-    return list(_heisenberg_beds()[0])
-
-
 @functools.cache
 def _heisenberg_beds():
     """(configurations, contragredients) of H(3, 1) and Sp x| H(3), built
@@ -830,17 +823,14 @@ def _twisted_cosets(tg, k_members, theta, conjugators, k_labels) -> dict:
 
 def _twists(tg, k_members, theta, labels):
     """What the clauses read of theta alone, given the labels of its
-    (K, G^theta) partition: the twist x theta(x)^-1 of every x, the
-    smallest member with a central twist of each coset (by label), and the
-    index of the twisted class (:func:`~heisweil.mackey.twisted_classes`)
-    of every twist, with the number of classes."""
+    (K, G^theta) partition: the smallest member with a central twist
+    x theta(x)^-1 of each coset (by label), and the label of the twisted
+    class of every x's twist (:func:`~heisweil.mackey.twisted_classes`)."""
     twist = tg.table[np.arange(tg.order), tg.inverse_of[list(theta.perm)]]
     central = np.flatnonzero(tg.mask(tg.center())[twist])
     found, first = np.unique(labels[central], return_index=True)
     first_central = dict(zip(found.tolist(), central[first].tolist()))
-    classes = mk.twisted_classes(tg, k_members, theta)
-    class_of = {y: i for i, cl in enumerate(classes) for y in cl}
-    return twist, first_central, class_of, len(classes)
+    return first_central, mk.twisted_classes(tg, k_members, theta)
 
 
 def _twisted_coset_checks(
@@ -856,7 +846,7 @@ def _twisted_coset_checks(
     mine = k_labels[0]
     s_base = split[mine]
     t = tg.table
-    twist, first_central, class_of, n_classes = twists
+    first_central, classes = twists
 
     # clause 2: membership <-> a representative with g theta(g)^-1 central
     members = set(s_base)
@@ -893,8 +883,8 @@ def _twisted_coset_checks(
 
     # the triangle: x -> x theta(x)^-1 maps the double cosets one-to-one onto
     # the twisted classes
-    hit = {class_of[twist[x]] for x in reps}
-    triangle(len(reps) == n_classes == len(hit), label)
+    hit = np.unique(classes[reps])
+    triangle(len(reps) == len(hit) == classes.max() + 1, label)
 
 
 def _invstab_check(c: Check) -> None:

@@ -39,7 +39,8 @@ or one edge at a time, with no table gathers:
   cyclotomic number is a rational integer, and nu^-1 of a special
   isomorphism nu, which only the tests read.
 
-:func:`zoo_groups` hands the tests the groups of the Mackey zoo.
+:func:`zoo_groups` hands the tests the groups of the Mackey zoo, and
+:func:`heisenberg_mackey_configurations` the H(3, 1) and Sp x| H(3) beds.
 """
 
 from __future__ import annotations
@@ -55,13 +56,20 @@ from heisweil.linalg import CycMatrix
 from heisweil.mackey import InvolutionRecord
 from heisweil.reps import MatrixRep
 from heisweil.scalar import CycNumber, root_of_unity
-from heisweil.suites import standard_mackey_configurations
+from heisweil.suites import _heisenberg_beds, standard_mackey_configurations
 
 
 def zoo_groups() -> dict:
     """Every group of the Mackey zoo, by the first part of its label."""
     configs = standard_mackey_configurations()
     return {label.split("/")[0]: tg for label, tg, *_ in configs}
+
+
+def heisenberg_mackey_configurations() -> list:
+    """The p = 3 Heisenberg group and Sp x| H as Mackey test beds, as a
+    fresh list over the one set :func:`heisweil.suites._heisenberg_beds`
+    builds per process."""
+    return list(_heisenberg_beds()[0])
 
 
 def closure(start, gens, act) -> list:

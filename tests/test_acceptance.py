@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import elimination_oracle as oracle
+from group_oracles import heisenberg_mackey_configurations
 from heisweil import heisenberg as heis
 from heisweil import mackey as mk
 from heisweil import prounipotent as pro
@@ -25,7 +26,6 @@ from heisweil.groups import double_coset_labels
 from heisweil.linalg import CycMatrix
 from heisweil.suites import (
     RunConfig,
-    heisenberg_mackey_configurations,
     standard_mackey_configurations,
     suite_mackey,
 )

@@ -6,7 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from group_oracles import checked_extend_hom, closure, heisenberg_law, zoo_groups
+from group_oracles import (
+    checked_extend_hom,
+    closure,
+    heisenberg_law,
+    heisenberg_mackey_configurations,
+    zoo_groups,
+)
 from heisweil.groups import (
     TableGroup,
     double_coset_labels,
@@ -19,6 +25,7 @@ from heisweil.mackey import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    fixed_subgroup,
     quaternion_group,
     semidirect_table_group,
     symmetric_group,
@@ -200,31 +207,43 @@ def _brute_double_cosets(g, k_sub, h_sub) -> list[set]:
     return cosets
 
 
-@pytest.mark.parametrize(
-    "group",
-    [
-        symmetric_group(3),
-        dihedral_group(4),
-        quaternion_group(),
-        HeisenbergGroup(SymplecticSpace(3, 1)),
-    ],
-    ids=["S3", "D4", "Q8", "H(3,1)"],
-)
-def test_double_coset_labels_match_the_set_partition(group):
-    g = group
-    # every subgroup of these groups is generated by two elements
+def _every_subgroup_pair(g):
+    """``g`` and every pair (K, H) of its subgroups; every subgroup of the
+    groups given here is generated by two elements."""
     subgroups = sorted(
         {g.subgroup_generated([a, b]) for a in range(g.order) for b in range(g.order)},
         key=sorted,
     )
-    for k_sub in subgroups:
-        for h_sub in subgroups:
-            labels = double_coset_labels(g, k_sub, h_sub)
-            cosets = [set(np.flatnonzero(labels == i)) for i in range(labels.max() + 1)]
-            expected = _brute_double_cosets(g, k_sub, h_sub)
-            assert cosets == expected
-            first = np.unique(labels, return_index=True)[1].tolist()
-            assert first == [min(c) for c in expected]
+    return g, list(itertools.product(subgroups, repeat=2))
+
+
+def _semidirect_bed_pair():
+    """Sp x| H(3), int16 table and all, with its Mackey bed's (K, G^theta),
+    which has 12 double cosets."""
+    _, g, k_sub, _, theta = heisenberg_mackey_configurations()[2]
+    return g, [(k_sub, fixed_subgroup(g, theta))]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _every_subgroup_pair(symmetric_group(3)),
+        lambda: _every_subgroup_pair(dihedral_group(4)),
+        lambda: _every_subgroup_pair(quaternion_group()),
+        lambda: _every_subgroup_pair(HeisenbergGroup(SymplecticSpace(3, 1))),
+        _semidirect_bed_pair,
+    ],
+    ids=["S3", "D4", "Q8", "H(3,1)", "SpH3"],
+)
+def test_double_coset_labels_match_the_set_partition(case):
+    g, pairs = case()
+    for k_sub, h_sub in pairs:
+        labels = double_coset_labels(g, k_sub, h_sub)
+        cosets = [set(np.flatnonzero(labels == i)) for i in range(labels.max() + 1)]
+        expected = _brute_double_cosets(g, k_sub, h_sub)
+        assert cosets == expected
+        first = np.unique(labels, return_index=True)[1].tolist()
+        assert first == [min(c) for c in expected]
 
 
 def test_double_coset_labels_reject_a_non_subgroup():
@@ -360,11 +379,6 @@ def test_is_automorphism_matches_the_all_pairs_oracle_on_every_permutation_of_s3
 def _automorphism_oracle_cases():
     """(label, group, theta's permutation) for every zoo theta and the
     p = 3 Heisenberg and Sp x| H thetas."""
-    from heisweil.suites import (
-        heisenberg_mackey_configurations,
-        standard_mackey_configurations,
-    )
-
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
     cases = {}
     for label, tg, _, _, theta in configs:
@@ -476,8 +490,6 @@ def _sp_h_family():
 def _dtype_cases():
     """(label, table, K, theta, family) for Sp x| H(3) and two zoo groups,
     each with a K and theta of its Mackey configuration."""
-    from heisweil.suites import heisenberg_mackey_configurations
-
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
     chosen = {"S4/S3/triv/inner", "Q8/C4/chi0/theta0", "SpH3/H/tau/polar"}
     cases = []

@@ -55,8 +55,8 @@ def test_multiplication_example(h3):
 
 def test_identity_and_inverse(h3):
     for h in h3.elements():
-        assert h3.mul(h, h3.identity()) == h
-        assert h3.mul(h, h3.inv(h)) == h3.identity()
+        assert h3.mul(h, 0) == h
+        assert h3.mul(h, h3.inv(h)) == 0
 
 
 def test_group_axioms_exhaustive_p3(h3):

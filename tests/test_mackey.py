@@ -12,6 +12,7 @@ from group_oracles import (
     automorphisms_by_candidate,
     character_sum,
     closure,
+    heisenberg_mackey_configurations,
     induced_hom_dim_by_loop,
     is_integer,
     zoo_groups,
@@ -59,7 +60,6 @@ from heisweil.suites import (
     RunConfig,
     _abelian_characters,
     _trivial_rep,
-    heisenberg_mackey_configurations,
     standard_mackey_configurations,
 )
 from heisweil.symplectic import SymplecticSpace
@@ -426,21 +426,36 @@ def test_automorphism_search_guards_name_their_limits():
         all_involutive_automorphisms(direct_product(symmetric_group(4), c2))
 
 
+def _twisted_class_labels_by_closure(tg, k_members, theta) -> list[int]:
+    """The reference: for every x, the number of the K-orbit of its twist
+    x theta(x)^-1 under k . y = k y theta(k)^-1, the orbits closed
+    breadth-first from each smallest unreached twist, one g.mul at a time."""
+    twists = [tg.mul(x, tg.inv(theta.apply(x))) for x in range(tg.order)]
+    unreached, orbits = set(twists), []
+    while unreached:
+        orbit = closure(
+            [min(unreached)],
+            k_members,
+            lambda y, k: tg.mul(tg.mul(k, y), tg.inv(theta.apply(k))),
+        )
+        unreached -= set(orbit)
+        orbits.append(orbit)
+    class_of = {y: i for i, orbit in enumerate(orbits) for y in orbit}
+    return [class_of[y] for y in twists]
+
+
 def test_twisted_classes_match_the_closure_reference():
-    """K-orbits under k . y = k y theta(k)^-1 against a breadth-first
-    closure from each smallest unreached twist: same classes, same order."""
-    for label, tg, k_members, kappa, theta in standard_mackey_configurations():
-        twists = {tg.mul(x, tg.inv(theta.apply(x))) for x in range(tg.order)}
-        expected = []
-        while twists:
-            orbit = closure(
-                [min(twists)],
-                k_members,
-                lambda y, k: tg.mul(tg.mul(k, y), tg.inv(theta.apply(k))),
-            )
-            twists -= set(orbit)
-            expected.append(sorted(orbit))
-        assert twisted_classes(tg, k_members, theta) == expected, label
+    """The class of every x's twist against the breadth-first closure: same
+    classes, numbered alike, on every zoo configuration and the three
+    H(3, 1) and Sp x| H(3) beds, whose int16 table has 12 classes."""
+    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
+    counts = {}
+    for label, tg, k_members, kappa, theta in configs:
+        classes = twisted_classes(tg, k_members, theta)
+        expected = _twisted_class_labels_by_closure(tg, k_members, theta)
+        assert classes.tolist() == expected, label
+        counts[label] = max(expected) + 1
+    assert counts["SpH3/H/tau/polar"] == 12
 
 
 def closure_orbits(g, thetas, actor):
@@ -539,16 +554,35 @@ def test_h1_bound_two_for_theta_trivial_on_center():
 
 
 def test_triangle_bijection_on_zoo():
+    """x -> x theta(x)^-1 sends the smallest members of the double cosets
+    K x G^theta one-to-one onto the twisted classes of the closure
+    reference."""
     for label, tg, k_members, kappa, theta in standard_mackey_configurations()[:8]:
         h = sorted(fixed_subgroup(tg, theta))
         dcs = _reps(tg, k_members, h)
-        classes = twisted_classes(tg, k_members, theta)
-        assert len(dcs) == len(classes), label
-        images = set()
-        for x in dcs:
-            tw = tg.mul(x, tg.inv(theta.apply(x)))
-            images.add(next(i for i, c in enumerate(classes) if tw in c))
-        assert images == set(range(len(classes))), label
+        expected = _twisted_class_labels_by_closure(tg, k_members, theta)
+        assert twisted_classes(tg, k_members, theta).tolist() == expected, label
+        assert sorted(expected[x] for x in dcs) == list(range(max(expected) + 1))
+
+
+def test_triangle_failure_is_recorded_with_the_configuration_label(monkeypatch):
+    """With the first two twisted classes merged, the double cosets of a
+    configuration with two classes or more outnumber its classes: the
+    triangle check fails, with the first such configuration's label as its
+    witness, and no other check reads the classes."""
+    configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
+    real = mk.twisted_classes
+    label = next(
+        label for label, tg, k, _, theta in configs if real(tg, k, theta).max() > 0
+    )
+
+    def merged(g, k_sub, theta):
+        return np.maximum(real(g, k_sub, theta) - 1, 0)
+
+    monkeypatch.setattr(mk, "twisted_classes", merged)
+    report = _report(SUITES["mackey"](RunConfig()))
+    failing = [(name, count, witness) for name, count, ok, witness in report if not ok]
+    assert failing == [("mackey.triangle_bijection", 30, label)]
 
 
 def test_orbmult_formula_s3(s3, a3):
