@@ -15,20 +15,12 @@ character zeta(z) = zeta_p^(k z):
   (cF)^2 = c^2 F^2 and (cF b)^3 = c^3 (F b)^3, the powers of F are taken
   once and one table call scales them by the square and the cube of every
   candidate;
-- all other elements get images through the Bruhat factorization
-  s = n(a/c) j m(-c) n(d/c), or m(a) n(b/a) on the small cell.  The p
-  images n(x) and the p - 1 images m(y) are each one stack, written from
-  their phases and point permutations (in the minus model n(x) is the
-  conjugate by j of a phase, two table calls).  The images of Sp(W) are
-  one stack of numerators over one denominator, built by
-  :func:`~heisweil.linalg.packed_product_table` along the Bruhat factors:
-  j m(y) for every y, then n(x) j m(y) for every x and y, then, one table
-  per y, those and m(y) against every n(z).  So a lift makes p + 2 table
-  calls in the plus model and p + 4 in the minus model, besides the
-  products of single matrices for the powers of F, c F and j^-1: 14 and
-  18 kernel calls at p = 7, never one per element.  The stacked
-  :func:`~heisweil.symplectic.bruhat_factor` of all of Sp(W) places every
-  image of a cell row in the stack by one fancy index.
+- at ell = 1 every other image is written in closed form, with no matrix
+  product: c times a root of unity entrywise on the big Bruhat cell, a
+  signed monomial of roots on the small cell (Gerardin, J. Algebra 46,
+  1977).  All of Sp(W) is one gather from one table of roots, and the
+  minus model is the same formula at the Weyl conjugates; the formula and
+  that lemma are in :func:`weil_lift`.
 
 Every check reads the stack: characters, the homomorphism certificate,
 intertwining and the parabolic action are one kernel call per family.
@@ -61,7 +53,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
@@ -275,6 +266,27 @@ def weil_lift(tau: MatrixRep) -> WeilLift:
     For ell = 1 every element of SL(2, p) receives an image; for
     (ell, p) = (2, 3) only the generators do, and the lift is checked by
     their relations.
+
+    At ell = 1 the images are written in closed form.  Exponents count
+    powers of zeta_n, with q = n/p, k the zeta exponent, h = 1/2 in F_p, chi
+    the Legendre symbol and (x, y, z) the
+    :func:`~heisweil.symplectic.bruhat_factor` word of s.  The plus model's
+    n(b) is the diagonal zeta_n^(q k h b t^2), m(y) holds chi(y) at [t, y t]
+    and j = c F with F[t, u] = zeta_n^(q k t u).  So on the big cell,
+    s = n(x) j m(y) n(z), omega(s)[t, u] = c zeta_n^E with
+    E = q k (h x t^2 + t y^-1 u + h z u^2) + (n/2) [chi(y) = -1]; on the
+    small cell, s = m(y) n(z), row t holds chi(y) zeta_n^(q k h z (y t)^2)
+    in column y t and 0 elsewhere.  Every entry is a row of one table (c
+    zeta_n^e from one :func:`~heisweil.linalg.root_multiples` call, zeta_n^e
+    and 0, over the denominator of c), gathered once.  The image of j holds
+    c, in lowest terms, at [0, 0], so the stack is in lowest terms.
+
+    Lemma: omega_-(s) = omega_+(j s j^-1), and j s j^-1 = j^-1 s j as
+    j^2 = m(-1) is central.  The minus model's generators act as the plus
+    model's operators at their conjugates: j n(b) j^-1 by the phase of
+    n(b), m(y) by the operator of m(y^-1) = j m(y) j^-1, and j by c F, with
+    the same c, as the selection reads the same m(-1), F and phase in both
+    models.  Two homomorphisms equal on generators are equal.
     """
     g: HeisenbergGroup = tau.group
     space, p, ell = g.space, g.p, g.space.ell
@@ -316,44 +328,30 @@ def weil_lift(tau: MatrixRep) -> WeilLift:
             "this signals a convention bug, not a mathematical possibility"
         )
     c = winners[0]
-    j_img = fourier.scale(c)
-
     if ell == 2:
-        return WeilLift(tau, *_generator_images_ell2(tau, j_img), c)
+        return WeilLift(tau, *_generator_images_ell2(tau, fourier.scale(c)), c)
 
-    # ell = 1: every element through its Bruhat cell, the p images n(x) and
-    # the p - 1 images m(y) each one stack
-    phases = _phase_stack(tau, np.arange(p))
-    if tau.model == "plus":
-        nnum, nden = phases, 1
-    else:
-        # n(x) = j n'(-x) j^-1 with n'(-x) the lower unipotent, which acts by
-        # the phase of x; j^-1 = j^3 = m(-1) j, since the selection enforced
-        # j^2 = m(-1)
-        j_inv = minus_one @ j_img
-        if j_img @ j_inv != ident:
-            raise RuntimeError("m(-1) j is not the inverse of j: m(-1)^2 != 1")
-        jn = packed_product_table(n, j_img.num[None], phases)[0]
-        nnum = packed_product_table(n, jn, j_inv.num[None])[:, 0]
-        nden = j_img.den * j_inv.den
-    mnum = _levi_stack(tau, np.arange(1, p))  # over 1
-    jm = packed_product_table(n, j_img.num[None], mnum)[0]  # j m(y)
-    njm = packed_product_table(n, nnum, jm)  # [x, y]: n(x) j m(y)
+    # ell = 1: the closed form of the docstring, as one gather from one table
     mats = enumerate_sp(space)  # sp_table's matrices, without building its table
-    big, x, y, z = bruhat_factor(space, mats)
-    x, scale = np.where(big, x, p), nden * j_img.den
-    # one cell row at a time, cells[x, z]: n(x) j m(y) n(z) for x < p and
-    # m(y) n(z), scaled to the same denominator, at x = p; an int64 stack
-    # takes an object row exactly, or raises if it cannot
-    num = np.empty((len(mats), *nnum.shape[1:]), dtype=np.result_type(njm, nnum))
-    for yi in range(1, p):
-        left = np.concatenate([njm[:, yi - 1], mnum[yi - 1, None] * scale])
-        cells, at = packed_product_table(n, left, nnum), y == yi
-        num[at] = cells[x[at], z[at]]
-    den = scale * nden
-    g = gcd(den, int(np.gcd.reduce(num.ravel())))  # the stack's lowest terms
-    num //= g
-    lift = WeilLift(tau, mats, num, den // g, normalization=c)
+    j = weyl_element(space)
+    words = mats if tau.model == "plus" else j @ mats @ j.T % p  # j^-1 = j^T
+    big, x, y, z = (a[:, None, None] for a in bruhat_factor(space, words))
+    field = np.arange(p)
+    inverse = (field[:, None] * field % p == 1).argmax(axis=1)
+    nonsquare = ~np.isin(field, field**2 % p)
+    phase = (n // p) * tau.zeta_exponent  # zeta(k v) = zeta_n^(phase v)
+    half = phase * g.half
+    t = np.array(tau.basis_labels, dtype=np.int64).reshape(p, 1)
+    u = t.T
+    sign = (n // 2) * nonsquare[y]  # chi(y) = -1 as the root zeta_n^(n/2)
+    big_cell = half * (x * t**2 + z * u**2) + phase * inverse[y] * (t * u) + sign
+    small_cell = n + (half * z * (y * t) ** 2 + sign) % n
+    at = np.where(big, big_cell % n, np.where(u == y * t % p, small_cell, 2 * n))
+    # row e < n: c zeta_n^e; row n + e: zeta_n^e; row 2 n: 0; over c's denominator
+    cm, roots = CycMatrix(n, [[c]]), context(n).power_table
+    c_roots = root_multiples(n, n, cm.num[None]).reshape(n, -1)
+    table = np.concatenate([c_roots, roots * cm.den, 0 * roots[:1]])
+    lift = WeilLift(tau, mats, table[at], cm.den, normalization=c)
     if not lift.restriction_is_base():
         raise RuntimeError("the Weil lift does not send the identity to the identity")
     return lift

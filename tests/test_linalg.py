@@ -526,8 +526,8 @@ def test_weil_lift_equals_the_bruhat_word_products(p, model, monkeypatch):
 
         monkeypatch.setattr(CycMatrix, "__matmul__", counted)
         lift = weil_lift(tau)
-        # the powers of F and j^-1 only: O(1), not O(p) or O(|Sp|)
-        assert len(calls) <= 6
+        # the powers of F only, F^2, F b and (F b)^3: none per image
+        assert len(calls) == 4
         monkeypatch.undo()
         normalization, images = weil_oracle.lift_images(tau)
         assert lift.normalization == normalization

@@ -4,7 +4,7 @@ import operator
 import random
 import runpy
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -274,12 +274,15 @@ def test_intertwining_corrupted_image_reports_the_first_failing_pair(p, model):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_minus_lift_is_the_plus_lift_at_the_weyl_conjugate(p):
     """omega_minus(s) == omega_plus(j s j^-1) exactly, for every s of Sp(W)
-    and every zeta exponent: the minus model induces from the Lagrangian
-    that j swaps with the plus model's, and the two lifts are built
-    independently (their own parabolic operators, Fourier kernel and
-    normalization), so each is an oracle for the other.  One denominator
-    and equal numerator stacks, row j s j^-1 of the plus stack against row
-    s of the minus stack."""
+    and every zeta exponent: the lemma of :func:`~heisweil.weil.weil_lift`
+    by which the minus lift is the plus formula at the Weyl conjugates.
+    Each model selects its own normalization, so this checks that the two
+    selections agree and that the conjugated Bruhat words are read as the
+    lemma says.  The two lifts are not independent: the oracle for each is
+    :func:`weil_oracle.lift_images`, one matrix product per Bruhat factor
+    (``tests/test_linalg.py``).  One denominator and equal numerator
+    stacks, row j s j^-1 of the plus stack against row s of the minus
+    stack."""
     space = SymplecticSpace(p, 1)
     g, mats = HeisenbergGroup(space), sp_table(space).matrices
     j = weyl_element(space)
@@ -291,6 +294,64 @@ def test_minus_lift_is_the_plus_lift_at_the_weyl_conjugate(p):
         assert np.array_equal(plus.sp_elements, mats)
         assert minus.den == plus.den, k
         assert np.array_equal(minus.num, plus.num[conjugated]), k
+
+
+@pytest.mark.parametrize("model", ["plus", "minus"])
+def test_an_ell1_lift_makes_the_same_kernel_calls_at_every_p(model, monkeypatch):
+    """An ell = 1 lift makes 6 calls of the packed kernel at p = 3, 5 and
+    7: the four products of the powers of F, one table scaling them by
+    every candidate, and one root_multiples call on c.  None is made per
+    Bruhat cell, per y or per element."""
+    calls, counts = [], []
+    kernel = linalg._packed_products
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_packed_products", counted)
+    for p in (3, 5, 7):
+        tau = heisenberg_rep(HeisenbergGroup(SymplecticSpace(p, 1)), 1, model=model)
+        del calls[:]
+        weil_lift(tau)
+        counts.append(len(calls))
+    assert counts == [6, 6, 6]
+
+
+def test_every_ell1_lift_is_in_lowest_terms():
+    """gcd(den, every numerator) = 1 for every p <= 7, zeta and model: the
+    lift reduces no stack, as its image of j holds c in lowest terms."""
+    for p in (3, 5, 7):
+        g = HeisenbergGroup(SymplecticSpace(p, 1))
+        for model in ("plus", "minus"):
+            for zeta in range(1, p):
+                lift = weil_lift(heisenberg_rep(g, zeta, model=model))
+                common = np.gcd.reduce(lift.num.ravel())
+                assert gcd(lift.den, int(common)) == 1, (p, model, zeta)
+
+
+def test_a_wrong_z_phase_in_the_closed_form_fails_verify_weil(monkeypatch, tmp_path):
+    """The closed form built with the sign of the z-phase flipped on the big
+    cell (bruhat_factor words with -z there) still sends 1 to 1, and
+    ``verify weil --p 5`` fails the homomorphism certificate of each model,
+    weil.homomorphism_exhaustive on the minus lift among them, each with a
+    pair of elements as witness: the suite checks the formula rather than
+    trusting it."""
+    import json
+
+    real = weil_mod.bruhat_factor
+
+    def flipped(space, mats):
+        big, x, y, z = real(space, mats)
+        return big, x, y, np.where(big, -z % space.p, z)
+
+    monkeypatch.setattr(weil_mod, "bruhat_factor", flipped)
+    out = tmp_path / "report.json"
+    assert run(["verify", "weil", "--p", "5", "--out", str(out)]) == 1
+    failures = {f["check"]: f["witness"] for f in json.loads(out.read_text())["failures"]}
+    for name in ("weil.homomorphism_exhaustive", "weil.homomorphism_plus_model"):
+        witness = failures[name]
+        assert len(witness) == 2 and all(len(w["matrix"]) == 2 for w in witness), name
 
 
 def test_verify_weil_p7_kernel_calls(monkeypatch, capsys):

@@ -1,13 +1,16 @@
 """The Weil lift one matrix at a time: the tests' reference oracle.
 
-The package builds a lift from whole stacks (:func:`heisweil.weil.weil_lift`):
+The package writes a lift in closed form (:func:`heisweil.weil.weil_lift`):
 the normalization by one kernel call on the powers of the Fourier kernel,
-the images n(x) and m(y) as stacks, and each Bruhat cell row by one table
-call.  The reference here builds every operator as its own CycMatrix, from
-the point maps and phases of the transversal, selects the normalization by
-evaluating the relations of each candidate, and multiplies out the Bruhat
-word of every element of SL(2, p) one ``@`` per factor, with j^-1 from the
-elimination oracle.
+then every image as one gather from a table of roots of unity, by the
+quadratic-phase formula on the Bruhat cells, and the minus model as the
+plus formula at the Weyl conjugates.  The reference here uses none of
+that: it builds every operator of each model as its own CycMatrix, from
+the point maps and phases of the transversal, selects the normalization
+by evaluating the relations of each candidate, and multiplies out the
+Bruhat word of every element of SL(2, p) one ``@`` per factor, with j^-1
+from the elimination oracle (in the minus model n(x) is j times a lower
+unipotent times j^-1).
 """
 
 from __future__ import annotations
