@@ -43,7 +43,7 @@ phi(x y) = phi(x s_1 ... s_(k-1)) phi(s_k) = ... = phi(x) phi(s_1) ...
 phi(s_k); at x = 1, phi(1) = 1 (from phi(s) = phi(1) phi(s)) gives
 phi(y) = phi(s_1) ... phi(s_k).  So |G| |S| identities prove what the
 |G|^2 pairs prove: :meth:`TableGroup.is_automorphism` reads them as one
-gather of the generator columns, and
+gather of the generator columns for a whole stack of permutations, and
 :func:`heisweil.reps.homomorphism_certificate`, the special isomorphisms
 and the Sp(W) closure of :mod:`heisweil.heisenberg` and the suites use the
 same lemma.  Associativity has its own form of it, Light's test
@@ -61,6 +61,9 @@ handed out as frozensets of indices.  Membership is a boolean mask over the
 indices (:meth:`TableGroup.mask`): the traversal scatters each layer into
 one, and a subgroup, center or K test is one gather from one, never a
 sort; :meth:`TableGroup.are_subgroups` tests a stack of masks at once.
+Element orders are one power table, :attr:`TableGroup.orders`: every
+element's powers are walked at once, one gather of the table per step,
+until each has reached the identity.
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ __all__ = [
     "double_coset_labels",
     "extend_hom",
     "generators_within",
-    "table_group_from_mul",
 ]
 
 
@@ -124,15 +126,17 @@ class TableGroup:
             raise ValueError(
                 f"multiplication table must hold integers; got dtype {table.dtype}"
             )
-        n = table.shape[0]
-        if table.dtype.kind == "u" or np.iinfo(table.dtype).max < n - 1:
-            table = table.astype(np.int64)
-        if table.shape != (n, n):
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError(
                 f"multiplication table must be square; got shape {table.shape}"
             )
-        self.order = n
-        self.names = names if names is not None else list(range(n))
+        n = len(table)
+        if table.dtype.kind == "u" or np.iinfo(table.dtype).max < n - 1:
+            table = table.astype(np.int64)
+        names = list(range(n)) if names is None else names
+        if len(names) != n:
+            raise ValueError(f"names must name the {n} elements; got {len(names)}")
+        self.order, self.names = n, names
         self._adopt(table)
 
     def _adopt(self, table: np.ndarray) -> None:
@@ -269,19 +273,26 @@ class TableGroup:
             closed[rows] = masks[rows[:, None, None], products].all(axis=(1, 2))
         return closed
 
-    def is_automorphism(self, perm) -> bool:
-        """A permutation of the indices with perm(ab) = perm(a) perm(b).
+    def is_automorphism(self, perms) -> np.ndarray:
+        """For each row of the (k, n) stack ``perms``, whether it is a
+        permutation of the indices with perm(ab) = perm(a) perm(b).
 
         By the generator lemma of the module docstring, a bijection with
         perm(x s) = perm(x) perm(s) for every x and every s in
         :attr:`generators` is an automorphism, so only the |G| x |S|
-        generator columns of the table are compared.
+        generator columns of the table are compared, for the bijective
+        rows at once.  Rows of another length than n are all False.
         """
-        perm = np.asarray(perm)
-        if not np.array_equal(np.sort(perm), np.arange(self.order)):
-            return False
-        t, gens = self.table, np.array(self.generators, dtype=np.int64)
-        return np.array_equal(perm[t[:, gens]], t[perm[:, None], perm[gens]])
+        perms = np.asarray(perms)
+        if perms.ndim != 2:
+            raise ValueError(f"automorphisms come as a (k, n) stack; got {perms.shape}")
+        if perms.shape[1] != self.order:
+            return np.zeros(len(perms), dtype=bool)
+        ok = (np.sort(perms, axis=1) == np.arange(self.order)).all(axis=1)
+        t, gens, p = self.table, np.array(self.generators, dtype=np.int64), perms[ok]
+        images = t[p[:, :, None], p[:, None, gens]]
+        ok[ok] = (p[:, t[:, gens]] == images).all(axis=(1, 2))
+        return ok
 
     def commutator_subgroup(self) -> frozenset:
         """[G, G], as the subgroup M generated by the |G| |S| commutators
@@ -297,9 +308,18 @@ class TableGroup:
         comms = t[t[:, gens], t[inv[:, None], inv[gens]]]
         return self.subgroup_generated(np.unique(comms))
 
-    def element_order(self, a) -> int:
-        """The order of ``a``: the size of the cyclic subgroup it generates."""
-        return len(self.subgroup_generated([a]))
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """The read-only array of element orders: the order of a is the
+        least k >= 1 with a^k = 1, read off the powers x -> x a of every
+        element at once, one gather of the table per step."""
+        t, a = self.table, np.arange(self.order)
+        orders, x, k = np.zeros(self.order, dtype=np.int64), a, 1
+        while not orders.all():
+            orders[(x == 0) & (orders == 0)] = k
+            x, k = t[x, a], k + 1
+        orders.flags.writeable = False
+        return orders
 
     def __repr__(self):
         return f"TableGroup(order={self.order})"
@@ -349,17 +369,3 @@ def generators_within(g: TableGroup, members) -> list[int]:
         if len(g.subgroup_generated([b for b in gens if b != a])) == len(target):
             gens.remove(a)
     return gens
-
-
-def table_group_from_mul(elements, mul, identity) -> TableGroup:
-    """Build a TableGroup from abstract elements and a multiplication map."""
-    elements = list(elements)
-    elements.remove(identity)
-    elements = [identity] + elements
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            table[i, j] = index[mul(a, b)]
-    return TableGroup(table, names=elements)

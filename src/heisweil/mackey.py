@@ -5,7 +5,17 @@ Groups are multiplication tables (:class:`TableGroup` from
 on symmetric / dihedral / quaternion test groups, on the Heisenberg group
 W x| F_p (itself a TableGroup) and on Sp(W) x| H, whose table below is
 the law on (sp index, h index) pairs, :func:`semidirect_mul`, on every pair,
-built once per space at p = 3 and kept read-only in int16.
+built once per space at p = 3 and kept read-only in int16.  The test
+groups are laws on index arrays too, each table one broadcast:
+(i + j) % n for C_n, the (rotation, flip) law for D_n, the composition of
+the stacked permutations for S_n (each product found by its base-n code),
+the (unit, sign) law for Q8, and the two tables side by side for a direct
+product.
+
+:func:`all_involutive_automorphisms` extends every tuple of same-order
+generator images (read off :attr:`~heisweil.groups.TableGroup.orders`) at
+once and keeps the involutive automorphisms among the extensions with one
+stacked :meth:`~heisweil.groups.TableGroup.is_automorphism` call.
 
 The two Hom-dimension computations are deliberately independent in what
 they sum, and share the one exact product that sums it.  Each, like the
@@ -60,12 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from heisweil.groups import (
-    TableGroup,
-    double_coset_labels,
-    extend_hom,
-    table_group_from_mul,
-)
+from heisweil.groups import TableGroup, double_coset_labels, extend_hom
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.reps import MatrixRep, projector_traces
 from heisweil.symplectic import GuardError, SymplecticSpace, mat_inv, sp_index, sp_table
@@ -93,7 +98,6 @@ __all__ = [
     "semidirect_mul",
     "summed_traces",
     "symmetric_group",
-    "table_group_from_mul",
     "twisted_classes",
 ]
 
@@ -102,56 +106,46 @@ __all__ = [
 
 
 def cyclic_group(n: int) -> TableGroup:
-    return TableGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    """C_n on the residues 0..n-1: the table (i + j) % n."""
+    i = np.arange(n)
+    return TableGroup((i[:, None] + i) % n)
 
 
 def dihedral_group(n: int) -> TableGroup:
-    """Order 2n: elements (r, f) = rotation r, flip f in {0, 1}."""
-    els = [(r, f) for f in (0, 1) for r in range(n)]
-
-    def mul(a, b):
-        (r1, f1), (r2, f2) = a, b
-        # (r1, f1)(r2, f2): flips conjugate rotations
-        r = (r1 + (r2 if f1 == 0 else -r2)) % n
-        return (r, (f1 + f2) % 2)
-
-    return table_group_from_mul(els, mul, (0, 0))
+    """Order 2n: elements (r, f) = rotation r, flip f in {0, 1}, (r, f) at
+    index f n + r.  A flip conjugates rotations, so
+    (r1, f1)(r2, f2) = ((r1 + (-1)^f1 r2) % n, f1 ^ f2)."""
+    i = np.arange(2 * n)
+    r, f = i % n, i // n
+    table = (r[:, None] + (1 - 2 * f[:, None]) * r) % n + n * (f[:, None] ^ f)
+    return TableGroup(table, names=list(zip(r.tolist(), f.tolist())))
 
 
 def symmetric_group(n: int) -> TableGroup:
-    els = list(itertools.permutations(range(n)))
+    """S_n on the permutations of 0..n-1 in lexicographic order, with
+    (a b)(x) = a(b(x)): every product composed at once, and found among the
+    permutations by its base-n code, as lexicographic order is code order."""
+    names = list(itertools.permutations(range(n)))
+    perms = np.array(names, dtype=np.int64).reshape(len(names), n)
+    digits = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    products = perms[np.arange(len(perms))[:, None, None], perms]
+    return TableGroup(np.searchsorted(perms @ digits, products @ digits), names=names)
 
-    def mul(a, b):  # (a b)(x) = a(b(x))
-        return tuple(a[b[x]] for x in range(n))
 
-    return table_group_from_mul(els, mul, tuple(range(n)))
+# QUATERNION_SIGN[u1, u2] = 1 where the product of the units u1 u2 of
+# 1, i, j, k is negative: i i, j j, k k, j i, k j and i k
+QUATERNION_SIGN = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
 
 
 def quaternion_group() -> TableGroup:
-    """Q8 = {+-1, +-i, +-j, +-k} with the usual relations."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    def split(x):
-        sign = -1 if x.startswith("-") else 1
-        return sign, x.lstrip("-")
-
-    basic = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-        ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-        ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-        ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-        ("i", "k"): (-1, "j"),
-    }
-
-    def mul(a, b):
-        sa, ua = split(a)
-        sb, ub = split(b)
-        s, u = basic[(ua, ub)]
-        sign = sa * sb * s
-        return u if sign == 1 else "-" + u
-
-    return table_group_from_mul(names, mul, "1")
+    """Q8 = {+-1, +-i, +-j, +-k} with the usual relations, s u at index
+    2 u + s for the unit u of 1, i, j, k and the sign bit s: the unit of a
+    product is u1 ^ u2 (i j = k, and so on), its sign s1 ^ s2 ^
+    :data:`QUATERNION_SIGN`[u1, u2]."""
+    names = [sign + unit for unit in "1ijk" for sign in ("", "-")]
+    u, s = np.divmod(np.arange(8), 2)
+    sign = s[:, None] ^ s ^ QUATERNION_SIGN[u[:, None], u]
+    return TableGroup(2 * (u[:, None] ^ u) + sign, names=names)
 
 
 def direct_product(g1: TableGroup, g2: TableGroup) -> TableGroup:
@@ -183,8 +177,8 @@ class InvolutionRecord:
     def is_valid(self, g: TableGroup) -> bool:
         """Bijective, of order <= 2, and p(ab) = p(a)p(b) for all pairs
         (:meth:`~heisweil.groups.TableGroup.is_automorphism`)."""
-        p = np.asarray(self.perm)
-        return g.is_automorphism(p) and np.array_equal(p[p], np.arange(g.order))
+        p, ident = np.asarray(self.perm), np.arange(g.order)
+        return bool(g.is_automorphism(p[None])[0]) and np.array_equal(p[p], ident)
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.perm))
@@ -220,17 +214,19 @@ def all_involutive_automorphisms(g: TableGroup) -> list[InvolutionRecord]:
         raise ValueError(
             f"automorphism search guarded to <= {max_gens} generators; got {len(gens)}"
         )
-    orders = np.array([g.element_order(a) for a in range(g.order)])
-    same_order = [np.flatnonzero(orders == orders[a]).tolist() for a in gens]
+    same_order = [np.flatnonzero(g.orders == g.orders[a]) for a in gens]
     candidates = np.array(list(itertools.product(*same_order)), dtype=np.int64)
     # every candidate tuple at once: phi[x] is the column of x's images
     t = g.table
     zero = np.zeros_like(candidates[:, 0])
     phi = extend_hom(g, dict(zip(gens, candidates.T)), lambda a, b: t[a, b], zero)
-    perms = np.stack([phi[x] for x in range(g.order)], axis=1).tolist()
-    # is_valid proves each extension: bijective, of order <= 2, multiplicative
-    recs = (InvolutionRecord(tuple(perm)) for perm in perms)
-    return sorted((rec for rec in recs if rec.is_valid(g)), key=lambda rec: rec.perm)
+    perms = np.stack([phi[x] for x in range(g.order)], axis=1)
+    # one stacked test proves each extension: bijective, multiplicative and
+    # of order <= 2; np.unique sorts the rows
+    squares = np.take_along_axis(perms, perms, axis=1)
+    involutive = (squares == np.arange(g.order)).all(axis=1)
+    kept = np.unique(perms[g.is_automorphism(perms) & involutive], axis=0)
+    return [InvolutionRecord(tuple(perm)) for perm in kept.tolist()]
 
 
 def fixed_subgroup(g: TableGroup, theta: InvolutionRecord) -> frozenset:

@@ -29,6 +29,7 @@ import numpy as np
 __all__ = [
     "CycContext",
     "CycNumber",
+    "PRIME_TEST_BOUND",
     "context",
     "cyclotomic_polynomial",
     "gauss_sum",
@@ -39,14 +40,40 @@ __all__ = [
 ]
 
 
+# Miller-Rabin to the first 13 primes as bases is deterministic below
+# PRIME_TEST_BOUND, the least strong pseudoprime to all of them (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86
+# (2017), 985-1003)
+PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_odd_prime(p: int) -> bool:
+    """Whether p is an odd prime, by Miller-Rabin to the bases
+    :data:`PRIME_TEST_BASES`; ValueError for p >= :data:`PRIME_TEST_BOUND`,
+    where the test is not proven."""
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(
+            f"p = {p} is not below {PRIME_TEST_BOUND}, the bound of the primality test"
+        )
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p <= PRIME_TEST_BASES[-1]:
+        return p in PRIME_TEST_BASES
+    # p - 1 = d 2^s with d odd; a base a witnesses that p is composite unless
+    # a^d = 1 or a^(d 2^r) = -1 for some r < s
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in PRIME_TEST_BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 

@@ -119,8 +119,11 @@ class RunConfig:
 
         guard = sympl.SP_ENUM_GUARD
         max_p, ell2_p = guard["ell1_max_p"], guard["ell2_p"]
-        if not is_odd_prime(self.p):
-            return f"p = {self.p} must be an odd prime"
+        try:
+            if not is_odd_prime(self.p):
+                return f"p = {self.p} must be an odd prime"
+        except ValueError as exc:  # p at or past the bound of the primality test
+            return str(exc)
         if self.ell not in (1, 2):
             return f"ell = {self.ell} unsupported (1, or 2 with p = {ell2_p})"
         if self.ell == 2 and self.p != ell2_p:
@@ -550,7 +553,7 @@ def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
     give distinct characters.
     """
     gens = tg.generators_of(members)
-    orders = [tg.element_order(a) for a in gens]
+    orders = tg.orders[list(gens)].tolist()
     if any(conductor % d for d in orders):
         return []
     steps = [conductor // d * np.arange(d) for d in orders]
@@ -618,10 +621,14 @@ def _mackey_zoo():
 
     s4 = mk.symmetric_group(4)
     nontriv4 = _nontrivial(mk.inner_involutions(s4))
+    perms4 = np.array(s4.names)
     # K = a copy of S3 inside S4 (stabilizer of the last point)
-    s3_in_s4 = [i for i, name in enumerate(s4.names) if name[3] == 3]
+    s3_in_s4 = np.flatnonzero(perms4[:, 3] == 3).tolist()
     add("S4/S3/triv/inner", s4, s3_in_s4, nontriv4[0])
-    v4 = [i for i, name in enumerate(s4.names) if _is_v4(name)]
+    # the Klein four-subgroup: the identity and the double transpositions,
+    # the elements of order <= 2 but the transpositions, which fix 2 points
+    fixed = (perms4 == np.arange(4)).sum(axis=1)
+    v4 = np.flatnonzero((s4.orders <= 2) & (fixed != 2)).tolist()
     for i, chi in enumerate(_abelian_characters(s4, v4, 4)[:2]):
         add(f"S4/V4/chi{i}/inner", s4, v4, nontriv4[1], chi)
 
@@ -670,23 +677,14 @@ def _mackey_zoo():
 
 
 def _cyclic_subgroup(tg: mk.TableGroup, order: int) -> list[int]:
-    """The first cyclic subgroup <a> of the given order, as sorted indices."""
-    gen = (s for a in range(tg.order) if len(s := tg.subgroup_generated([a])) == order)
-    return sorted(next(gen))
+    """The cyclic subgroup <a> of the first a of the given order, as sorted
+    indices."""
+    a = int(np.flatnonzero(tg.orders == order)[0])
+    return sorted(tg.subgroup_generated([a]))
 
 
 def _nontrivial(thetas) -> list:
     return [t for t in thetas if not t.is_identity()]
-
-
-def _is_v4(perm) -> bool:
-    # double transpositions and the identity (the Klein four-subgroup of S4)
-    fixed = sum(1 for i, x in enumerate(perm) if i == x)
-    return fixed == 4 or fixed == 0 and _order2(perm)
-
-
-def _order2(perm) -> bool:
-    return all(perm[perm[i]] == i for i in range(len(perm)))
 
 
 @functools.cache

@@ -471,20 +471,18 @@ def _intertwining_table(lift: WeilLift, sps, hs) -> np.ndarray:
 
 
 def trace_sign_on_M(lift: WeilLift, check: Check | None = None) -> Check:
-    """Traces on the Levi are real, nonzero, with sign chi^M."""
+    """Traces on the Levi are rational, nonzero, with sign chi^M: every
+    coordinate but the first of a trace in the power basis is zero, and
+    the first is nonzero with the sign chi^M (den > 0).  One identity per
+    element of M, all read off the one row of traces."""
     space, n = lift.space, lift.base.conductor
     check = Check("weil.trace_sign_on_levi") if check is None else check
     levi = enumerate_M(space)
     traces = trace_table(n, (lift.num[sp_index(space, levi)], lift.den))
-    for i, chi in enumerate(chi_M(space, levi).tolist()):
-        tr = traces[0, i]
-        ok = (
-            tr == tr.conj()
-            and not tr.is_zero()
-            and tr.is_rational()
-            and (1 if tr.rational_value() > 0 else -1) == chi
-        )
-        check(ok, (sp_witness(levi[i]), tr))
+    first, rest = traces.num[0, :, 0], traces.num[0, :, 1:]
+    sign = np.where(first > 0, 1, -1)
+    ok = ~rest.any(axis=1) & (first != 0) & (sign == chi_M(space, levi))
+    check.all(ok, lambda i: (sp_witness(levi[i]), traces[0, i]))
     return check
 
 

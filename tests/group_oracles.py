@@ -39,6 +39,12 @@ or one edge at a time, with no table gathers:
   cyclotomic number is a rational integer, and nu^-1 of a special
   isomorphism nu, which only the tests read.
 
+- :func:`table_group_from_mul`: a TableGroup from abstract elements and a
+  multiplication map, one ``mul`` call per pair, and
+  :func:`zoo_group_by_law`: the cyclic, dihedral, symmetric and quaternion
+  groups built through it from their laws on names, as the package built
+  them before it broadcast each law over index arrays.
+
 :func:`zoo_groups` hands the tests the groups of the Mackey zoo, and
 :func:`heisenberg_mackey_configurations` the H(3, 1) and Sp x| H(3) beds.
 """
@@ -70,6 +76,61 @@ def heisenberg_mackey_configurations() -> list:
     fresh list over the one set :func:`heisweil.suites._heisenberg_beds`
     builds per process."""
     return list(_heisenberg_beds()[0])
+
+
+def table_group_from_mul(elements, mul, identity) -> TableGroup:
+    """A TableGroup on ``elements``, the identity moved to index 0, with the
+    table filled one ``mul`` call per pair and the elements as names."""
+    elements = list(elements)
+    elements.remove(identity)
+    elements = [identity] + elements
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[mul(a, b)] for b in elements] for a in elements]
+    return TableGroup(table, names=elements)
+
+
+# the products of the units 1, i, j, k of Q8, as (sign, unit)
+_QUATERNION_UNITS = {
+    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
+    ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
+    ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
+    ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
+    ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
+    ("i", "k"): (-1, "j"),
+}
+
+
+def zoo_group_by_law(kind: str, n: int = 0) -> TableGroup:
+    """C_n, D_n (order 2n), S_n or Q8 (``kind`` "C", "D", "S" or "Q", n
+    unread) from its law on names through :func:`table_group_from_mul`:
+    residues mod n;
+    pairs (r, f) of a rotation and a flip, flips first by f; permutation
+    tuples with (a b)(x) = a(b(x)); and the strings +-1, +-i, +-j, +-k."""
+    if kind == "C":
+        return table_group_from_mul(range(n), lambda a, b: (a + b) % n, 0)
+    if kind == "D":
+
+        def mul(a, b):
+            (r1, f1), (r2, f2) = a, b
+            return ((r1 + (r2 if f1 == 0 else -r2)) % n, (f1 + f2) % 2)
+
+        return table_group_from_mul(
+            [(r, f) for f in (0, 1) for r in range(n)], mul, (0, 0)
+        )
+    if kind == "S":
+        return table_group_from_mul(
+            itertools.permutations(range(n)),
+            lambda a, b: tuple(a[b[x]] for x in range(n)),
+            tuple(range(n)),
+        )
+
+    def quaternion_mul(a, b):
+        sign, unit = _QUATERNION_UNITS[(a.lstrip("-"), b.lstrip("-"))]
+        sign *= (-1) ** (a.startswith("-") + b.startswith("-"))
+        return unit if sign == 1 else "-" + unit
+
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    return table_group_from_mul(names, quaternion_mul, "1")
 
 
 def closure(start, gens, act) -> list:

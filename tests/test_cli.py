@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from heisweil import cli
 from heisweil.cli import ImageList, _build_parser, _to_json, run
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import CycMatrix
-from heisweil.scalar import CycNumber, context
+from heisweil.scalar import PRIME_TEST_BOUND, CycNumber, context
 from heisweil.suites import RunConfig, SUITES, standard_mackey_configurations
 
 
@@ -382,6 +383,14 @@ def test_sqrt_rejects_malformed_input(n, matrix, message):
         (9, 4, 1, "p must be an odd prime, got p = 9"),
         (3, 2, 3, "need 1 <= k0 <= K, got k0 = 3, K = 2"),
         (3, 4, 0, "need 1 <= k0 <= K, got k0 = 0, K = 4"),
+        (10**18 + 1, 1, 1, "p must be an odd prime, got p = 1000000000000000001"),
+        (
+            PRIME_TEST_BOUND,
+            1,
+            1,
+            f"p = {PRIME_TEST_BOUND} is not below {PRIME_TEST_BOUND}, "
+            "the bound of the primality test",
+        ),
     ],
 )
 def test_sqrt_guards_name_the_rejected_values(p, K, k0, message):
@@ -792,12 +801,33 @@ def test_cli_prints_stdlib_indent_1(argv, monkeypatch):
         (["dump", "weil", "--p", "3", "--ell", "2"], "plus model at ell = 2"),
         (["dump", "weil", "--p", "3", "--ell", "2", "--model", "plus", "--zeta", "0"],
          "zeta = 0 must be nonzero mod p"),
+        (["verify", "mackey", "--p", str(10**18 + 1)],
+         "p = 1000000000000000001 must be an odd prime"),
+        (["verify", "mackey", "--p", str(PRIME_TEST_BOUND)],
+         f"is not below {PRIME_TEST_BOUND}, the bound of the primality test"),
     ],
 )
 def test_guard_names_the_limit(argv, limit, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("guard: ") and limit in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "mackey", "--p", str(10**18 + 3)],
+        ["sqrt", "--n", "1", "--p", str(10**18 + 3), "--K", "1", "--matrix", "[[1]]"],
+    ],
+    ids=["verify-mackey", "sqrt"],
+)
+def test_a_prime_near_10_18_passes_the_guards_within_two_seconds(argv, capsys):
+    """p = 10^18 + 3 is prime; the primality guard answers at once, so the
+    mackey suite (which reads no p) and a square root mod p both run."""
+    start = time.perf_counter()
+    assert run(argv) == 0
+    assert time.perf_counter() - start < 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from heisweil.mackey import (
     dihedral_group,
     direct_product,
     fixed_subgroup,
+    inner_involution,
     quaternion_group,
     semidirect_table_group,
     symmetric_group,
@@ -43,8 +44,8 @@ def test_closure_is_breadth_first():
 
 def _s3_generators():
     s3 = symmetric_group(3)
-    rot = next(a for a in range(6) if s3.element_order(a) == 3)
-    flip = next(a for a in range(6) if s3.element_order(a) == 2)
+    rot = next(a for a in range(6) if s3.orders[a] == 3)
+    flip = next(a for a in range(6) if s3.orders[a] == 2)
     return s3, rot, flip
 
 
@@ -100,8 +101,8 @@ def test_extend_hom_matches_the_edge_checked_extension_on_automorphisms(group, o
     generators, is what the edge-by-edge extension gives; images given as
     columns of a stack extend every column at once."""
     g, gens = group, list(group.generators)
-    perms = itertools.permutations(range(1, g.order))
-    autos = [(0,) + perm for perm in perms if g.is_automorphism(np.array((0,) + perm))]
+    perms = np.array([(0,) + perm for perm in itertools.permutations(range(1, g.order))])
+    autos = [tuple(perm) for perm in perms[g.is_automorphism(perms)].tolist()]
     assert len(autos) == order
     for perm in autos:
         gen_images = {a: perm[a] for a in gens}
@@ -155,8 +156,11 @@ def test_generators_within_is_an_irredundant_generating_set(label, group):
 
 @pytest.mark.parametrize("label, group", _generating_set_groups())
 def test_element_order_is_the_size_of_the_cyclic_subgroup(label, group):
+    """The power table ``orders`` against the size of each cyclic closure;
+    the array is read-only."""
     orders = [len(closure([0], [a], group.mul)) for a in range(group.order)]
-    assert [group.element_order(a) for a in range(group.order)] == orders
+    assert group.orders.tolist() == orders
+    assert not group.orders.flags.writeable
 
 
 def test_generators_within_a_subgroup_is_irredundant():
@@ -248,7 +252,7 @@ def test_double_coset_labels_match_the_set_partition(case):
 
 def test_double_coset_labels_reject_a_non_subgroup():
     s3 = symmetric_group(3)
-    rot = next(a for a in range(6) if s3.element_order(a) == 3)
+    rot = next(a for a in range(6) if s3.orders[a] == 3)
     with pytest.raises(ValueError, match="need subgroups"):
         double_coset_labels(s3, [0, rot], range(6))
     with pytest.raises(ValueError, match="need subgroups"):
@@ -367,13 +371,29 @@ def _is_automorphism_oracle(g, perm) -> bool:
 
 
 def test_is_automorphism_matches_the_all_pairs_oracle_on_every_permutation_of_s3():
+    """One stacked call on the 720 permutations of S3's indices."""
     s3 = symmetric_group(3)
-    found = 0
-    for perm in itertools.permutations(range(6)):
-        expected = _is_automorphism_oracle(s3, perm)
-        assert s3.is_automorphism(np.array(perm)) == expected, perm
-        found += expected
-    assert found == 6  # Aut(S3) = Inn(S3) = S3
+    perms = np.array(list(itertools.permutations(range(6))))
+    expected = [_is_automorphism_oracle(s3, perm) for perm in perms]
+    assert s3.is_automorphism(perms).tolist() == expected
+    assert sum(expected) == 6  # Aut(S3) = Inn(S3) = S3
+
+
+def test_is_automorphism_refuses_non_bijective_rows():
+    """Rows with a repeated index, an index past n or a negative one are
+    False, in a stack with automorphisms, and leave the verdicts of the
+    other rows alone; a stack of another width is all False, and a single
+    permutation, not a stack, is refused."""
+    s3 = symmetric_group(3)
+    ident, inner = list(range(6)), list(inner_involution(s3, 1).perm)
+    rows = [ident, [0, 0, 2, 3, 4, 5], inner, [0, 1, 2, 3, 4, 6], [5, 4, 3, 2, 1, -1]]
+    assert s3.is_automorphism(np.array(rows)).tolist() == [
+        _is_automorphism_oracle(s3, row) for row in rows
+    ] == [True, False, True, False, False]
+    assert s3.is_automorphism(np.zeros((3, 5), dtype=np.int64)).tolist() == [False] * 3
+    assert s3.is_automorphism(np.zeros((0, 6), dtype=np.int64)).shape == (0,)
+    with pytest.raises(ValueError, match=r"\(k, n\) stack; got \(6,\)"):
+        s3.is_automorphism(np.arange(6))
 
 
 def _automorphism_oracle_cases():
@@ -394,17 +414,20 @@ def test_is_automorphism_matches_the_all_pairs_oracle_on_theta_and_a_transposed_
     indices is one exactly when the oracle says so; and a repeated index or
     a wrong length is refused."""
     perm = np.array(perm)
-    assert group.is_automorphism(perm) and _is_automorphism_oracle(group, perm)
     rng = random.Random(group.order)
     i, j = rng.sample(range(group.order), 2)
     swapped = perm.copy()
     swapped[[i, j]] = swapped[[j, i]]
-    assert group.is_automorphism(swapped) == _is_automorphism_oracle(group, swapped)
     repeated = perm.copy()
     repeated[i] = perm[j]
-    assert not group.is_automorphism(repeated)
-    assert not group.is_automorphism(perm[:-1])
-    assert not group.is_automorphism(np.append(perm, group.order))
+    assert group.is_automorphism(np.stack([perm, swapped, repeated])).tolist() == [
+        True,
+        _is_automorphism_oracle(group, swapped),
+        False,
+    ]
+    assert _is_automorphism_oracle(group, perm)
+    assert not group.is_automorphism(perm[None, :-1])[0]
+    assert not group.is_automorphism(np.append(perm, group.order)[None])[0]
 
 
 def _is_associative_oracle(t) -> bool:
@@ -542,7 +565,7 @@ def _readings(g, k, theta, family):
         g.generators_of(k),
         [g.is_subgroup(sub) for sub in (k, fixed, not_closed)],
         g.are_subgroups(masks).tolist(),
-        [g.is_automorphism(p) for p in (perm, swapped)],
+        g.is_automorphism(np.stack([perm, swapped])).tolist(),
         labels.tolist(),
         involution_stabilizer(g, theta).tolist(),
         k_labels.tolist(),

@@ -15,6 +15,8 @@ from group_oracles import (
     heisenberg_mackey_configurations,
     induced_hom_dim_by_loop,
     is_integer,
+    table_group_from_mul,
+    zoo_group_by_law,
     zoo_groups,
 )
 from heisweil.checks import Recorder
@@ -50,7 +52,6 @@ from heisweil.mackey import (
     semidirect_table_group,
     summed_traces,
     symmetric_group,
-    table_group_from_mul,
     twisted_classes,
 )
 from heisweil.reps import MatrixRep, contragredient
@@ -132,6 +133,13 @@ def test_table_group_rejects_bad_tables():
         TableGroup([[0, 1], [1, 1]])  # not a group
     with pytest.raises(ValueError):
         TableGroup([[1, 0], [0, 1]])  # identity not at 0
+    shapes = {r"\(\)": np.int64(5), r"\(2,\)": [0, 1], r"\(1, 2\)": [[0, 1]]}
+    for shape, table in shapes.items():
+        with pytest.raises(ValueError, match=f"must be square; got shape {shape}$"):
+            TableGroup(table)
+    for names in (["e"], ["e", "a", "b"]):
+        with pytest.raises(ValueError, match=f"name the 2 elements; got {len(names)}$"):
+            TableGroup([[0, 1], [1, 0]], names=names)
 
 
 def test_double_coset_examples(s3, a3):
@@ -246,14 +254,14 @@ def test_k_orbit_labels_under_the_trivial_actor(s3):
 
 
 def test_k_orbit_labels_reject_a_non_subgroup_actor(s3):
-    rot = next(a for a in range(6) if s3.element_order(a) == 3)
+    rot = next(a for a in range(6) if s3.orders[a] == 3)
     with pytest.raises(ValueError, match="need subgroups"):
         k_orbit_labels(s3, [0, rot], _nontrivial_s3(s3)[0])
 
 
 def test_inner_involutions_by_transpositions_form_one_orbit(s3):
     transpositions = [
-        a for a in range(1, 6) if s3.element_order(a) == 2
+        a for a in range(1, 6) if s3.orders[a] == 2
     ]
     invs = [inner_involution(s3, a) for a in transpositions]
     theta = invs[0]
@@ -626,8 +634,8 @@ def test_two_dimensional_kappa():
     with flip) the extension fails it."""
     s3 = symmetric_group(3)
 
-    rot = next(a for a in range(6) if s3.element_order(a) == 3)
-    flip = next(a for a in range(6) if s3.element_order(a) == 2)
+    rot = next(a for a in range(6) if s3.orders[a] == 3)
+    flip = next(a for a in range(6) if s3.orders[a] == 2)
     w = root_of_unity(3, 1)
     n = 3
     zero, one = CycNumber.zero(n), CycNumber.one(n)
@@ -712,7 +720,7 @@ def test_abelian_characters_match_the_subtable_oracle(label):
             roots = [root_of_unity(n, e) for e in range(n)]
             exps = [tuple(roots.index(chi.image(a)[0, 0]) for a in gens) for chi in got]
             assert exps == sorted(exps), (members, n)
-            if all(n % tg.element_order(x) == 0 for x in k):
+            if all(n % tg.orders[x] == 0 for x in k):
                 assert len(got) == len(k)  # K is abelian of exponent dividing n
 
 
@@ -743,6 +751,36 @@ def _direct_product_by_mul(g1, g2):
     return table_group_from_mul(els, mul, (0, 0))
 
 
+def _by_broadcast(label: str) -> TableGroup:
+    """C_n, D_n, S_n, Q8 or S_n x C2 by the package's array laws."""
+    if label.endswith("xC2"):
+        return direct_product(_by_broadcast(label[:2]), cyclic_group(2))
+    build = {"C": cyclic_group, "D": dihedral_group, "S": symmetric_group}
+    return quaternion_group() if label == "Q8" else build[label[0]](int(label[1:]))
+
+
+def _by_mul(label: str) -> TableGroup:
+    """The same group through table_group_from_mul, one ``mul`` call per
+    pair; a direct product from the references of its factors."""
+    if label.endswith("xC2"):
+        return _direct_product_by_mul(_by_mul(label[:2]), _by_mul("C2"))
+    return zoo_group_by_law(label[0], int(label[1:]))
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["C2", "C3", "C4", "C5", "C6", "S3", "S4", "D4", "D5", "D6", "Q8", "S3xC2", "S4xC2"],
+)
+def test_zoo_laws_equal_the_table_group_from_mul_oracle(label):
+    """Each broadcast law gives the table, dtype and names, in the same
+    index order, that one ``mul`` call per pair gives."""
+    got, expected = _by_broadcast(label), _by_mul(label)
+    assert np.array_equal(got.table, expected.table)
+    assert got.table.dtype == expected.table.dtype
+    assert got.names == expected.names
+    assert [type(name) for name in got.names] == [type(name) for name in expected.names]
+
+
 def test_direct_product_equals_the_table_of_its_multiplication_map():
     """The broadcast table, its names and their index order are those of
     table_group_from_mul on S3 x C2, S4 x C2 and C2^4."""
@@ -765,8 +803,7 @@ def test_direct_product_equals_the_table_of_its_multiplication_map():
 def test_direct_product_and_cyclic():
     c6 = direct_product(cyclic_group(2), cyclic_group(3))
     assert c6.order == 6
-    orders = sorted(c6.element_order(a) for a in range(6))
-    assert orders == [1, 2, 3, 3, 6, 6]
+    assert sorted(c6.orders.tolist()) == [1, 2, 3, 3, 6, 6]
 
 
 def _heisenberg_law(space):
@@ -849,7 +886,7 @@ def test_semidirect_involution_record_needs_untwisted_alpha():
 def test_involution_record_validity(s3):
     inner = inner_involution(s3, 1)
     assert inner.is_valid(s3)
-    transposition = next(a for a in range(1, 6) if s3.element_order(a) == 2)
+    transposition = next(a for a in range(1, 6) if s3.orders[a] == 2)
     other = next(a for a in range(1, 6) if a != transposition)
     swap = list(range(6))
     swap[transposition], swap[other] = other, transposition

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisweil.scalar import (
+    PRIME_TEST_BOUND,
     CycNumber,
     cyclotomic_polynomial,
     gauss_sum,
     imaginary_unit,
+    is_odd_prime,
     legendre_symbol,
     root_of_unity,
     run_conductor,
@@ -100,6 +102,36 @@ def test_gauss_sum_against_bruteforce_and_norm(p):
 def test_gauss_sum_rejects_non_odd_primes(p):
     with pytest.raises(ValueError):
         gauss_sum(p)
+
+
+def _is_odd_prime_by_trial_division(n: int) -> bool:
+    if n < 3 or n % 2 == 0:
+        return False
+    return all(n % d for d in range(3, int(n**0.5) + 1, 2))
+
+
+def test_miller_rabin_agrees_with_trial_division_below_200000():
+    assert [n for n in range(200_000) if is_odd_prime(n)] == [
+        n for n in range(200_000) if _is_odd_prime_by_trial_division(n)
+    ]
+
+
+def test_miller_rabin_refuses_strong_pseudoprimes_and_large_primes_pass():
+    """The least strong pseudoprimes to the first 1, 2, ..., 12 prime bases
+    are composite, and so are Carmichael numbers; primes near 10^18 and
+    2^61 - 1 are prime; PRIME_TEST_BOUND, the least strong pseudoprime to
+    all 13 bases, and everything above it are refused with the bound."""
+    pseudoprimes = [
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051, 318665857834031151167461,
+        561, 41041, 825265,
+    ]
+    assert not any(map(is_odd_prime, pseudoprimes))
+    assert is_odd_prime(10**18 + 3) and is_odd_prime(2**61 - 1)
+    assert not is_odd_prime(10**18 + 1) and not is_odd_prime(PRIME_TEST_BOUND - 2)
+    for p in (PRIME_TEST_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"not below {PRIME_TEST_BOUND}"):
+            is_odd_prime(p)
 
 
 def small_cyc(n):
