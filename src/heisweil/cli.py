@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from heisweil.checks import Check
-from heisweil.heisenberg import HElem, SpecialIso
+from heisweil.heisenberg import HElem
 from heisweil.linalg import _INT64, CycMatrix
 from heisweil.prounipotent import CongruenceGroup
 from heisweil.scalar import CycNumber
@@ -423,8 +423,6 @@ def _jsonable(x):
         return x.to_json()
     if isinstance(x, HElem):
         return {"w": list(x.w), "z": x.z}
-    if isinstance(x, SpecialIso):
-        return {"offset": _jsonable(x.offset)}
     if isinstance(x, CongruenceGroup):
         return {"n": x.n, "p": x.p, "K": x.K, "k0": x.k0}
     if isinstance(x, (np.ndarray, np.generic)):
@@ -532,7 +530,7 @@ def _dump_guard(args, cfg: RunConfig) -> str | None:
 
 
 def _dump(args, cfg: RunConfig):
-    from heisweil.heisenberg import HeisenbergGroup, all_special_isos
+    from heisweil.heisenberg import HeisenbergGroup, special_isos
     from heisweil.reps import heisenberg_rep
     from heisweil.symplectic import SymplecticSpace
     from heisweil.weil import weil_lift
@@ -573,9 +571,7 @@ def _dump(args, cfg: RunConfig):
             "p": cfg.p,
             "ell": cfg.ell,
             "elements": [{"w": list(h.w), "z": h.z} for h in group.names],
-            "special_iso_offsets": [
-                list(nu.offset) for nu in all_special_isos(group)
-            ],
+            "special_iso_offsets": special_isos(group).w0.tolist(),
         }
         if cfg.ell == 1:  # where every subgroup is 2-generated
             payload["subgroups"] = [

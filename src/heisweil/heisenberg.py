@@ -27,27 +27,26 @@ polarizations attached to involutions are checked for a whole stack of
 involutions at once, on their permutations
 (:func:`polarizations_from_involutions`).
 
-Special isomorphisms H -> W x| Z are stored by their torsor offset w0
-relative to the base one mu0(w, z) = z, with the central coordinate as a
-length-|H| array ``mu``; the set of them is a principal homogeneous space
-of W.  Automorphisms of H carried here are the maps
-(w, z) -> (s.w, eps*z + <w0, w>) with s a (2l, 2l) matrix of form
-multiplier eps, the central sign; every automorphism of order two lives in
-this family.  Such a map squares to (s^2 w, z + <w0, (eps + s) w>), so it
-has order two exactly when s^2 = 1, s w0 = -w0 (as s^T J = eps J s^-1) and
-(s, w0) != (1, 0).  A family of them with one sign is one
-:class:`Automorphisms` record: the stacks of s and w0 and the (k, |H|)
-permutations of the indices, built by one
+Every map of H carried here is one :class:`Automorphisms` record: the
+maps (w, z) -> (s.w, eps*z + <w0, w>) with s a (2l, 2l) matrix of form
+multiplier eps, the central sign, stacked as the stacks of s and w0 and
+the (k, |H|) permutations ``perm`` of the indices, built by one
 :meth:`HeisenbergGroup.linear_action` and one broadcast of the twists
-<w0, w>.  The checks read it by index gathers: fixed points are
-``perm == arange``, inverted points ``perm == inverse_of``, and
+<w0, w>.  The special isomorphisms H -> W x| Z are the family s = 1,
+eps = 1: nu_w0(w, z) = (w, z + <w0, w>), one per w0 of W, a principal
+homogeneous space of W (:func:`special_isos`, w0 in the order of its
+index); the central coordinate of nu(h) is ``perm % p``, and nu^-1(W x 1)
+is ``perm % p == 0``.  Every automorphism of order two lives in the same
+family: such a map squares to (s^2 w, z + <w0, (eps + s) w>), so it has
+order two exactly when s^2 = 1, s w0 = -w0 (as s^T J = eps J s^-1) and
+(s, w0) != (1, 0).  The checks read a stack by index gathers: fixed points
+are ``perm == arange``, inverted points ``perm == inverse_of``, and
 alpha(h) is ``perm[:, h]``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -75,8 +74,6 @@ __all__ = [
     "Automorphisms",
     "HElem",
     "HeisenbergGroup",
-    "SpecialIso",
-    "all_special_isos",
     "involution_from_polarization",
     "order_two_automorphisms_inverting_center",
     "order_two_automorphisms_trivial_on_center",
@@ -84,6 +81,7 @@ __all__ = [
     "special_iso_axioms",
     "special_iso_equal_tests",
     "special_iso_from_split_polarization",
+    "special_isos",
     "split_polarization_from_iso",
 ]
 
@@ -282,71 +280,58 @@ class HeisenbergGroup(TableGroup):
 # -- special isomorphisms -------------------------------------------------------
 
 
-def special_iso_axioms(group: HeisenbergGroup, mu, check: Check | None = None) -> bool:
-    """Whether mu is the central coordinate of a special isomorphism
-    nu(w, z) = (w, mu(w, z)): mu(0, z) = z on the center, and nu is a
-    homomorphism H -> W x| F_p, whose law is the law of H.
+def special_isos(group: HeisenbergGroup) -> Automorphisms:
+    """Every special isomorphism nu(w, z) = (w, z + <w0, w>), one per w0 of
+    W in the order of its index, as one stack of s = 1 and sign 1."""
+    w0, dim = group.w[:: group.p], group.dim
+    eye = np.broadcast_to(np.eye(dim, dtype=np.int64), (len(w0), dim, dim))
+    return Automorphisms(group, eye, w0, 1)
+
+
+def special_iso_axioms(
+    group: HeisenbergGroup, perms, check: Check | None = None, name=int
+) -> np.ndarray:
+    """Whether each row of the (k, |H|) stack ``perms`` gives a special
+    isomorphism nu(w, z) = (w, mu(w, z)), with mu = ``perms % p`` (the w
+    part of a row is not read, so a row may index a larger group): mu(0, z)
+    = z on the center, and nu is a homomorphism H -> W x| F_p, whose law is
+    the law of H.  One bool per row.
 
     By the generator lemma of :mod:`heisweil.groups`, nu(x s) = nu(x) nu(s)
     for every x in H and s in :attr:`~heisweil.groups.TableGroup.generators`
     makes nu multiplicative, so |H| |S| edges are checked, one gather of
     the generator columns.  On pairs this is mu(ab) = mu(a) + mu(b) +
-    (1/2)<w_a, w_b>, as the w parts of both sides agree.
+    (1/2)<w_a, w_b>, as the w parts of both sides agree.  Each row records
+    its p center identities, then its edges (x, s) in row-major order; a
+    failure's witness names its row i as ``name(i)``.
     """
-    g, mu = group, np.asarray(mu)
+    g = group
     check = Check("heisenberg.special_iso_axioms") if check is None else check
-    center = np.array(sorted(g.center()))
-    check.all(
-        mu[center] == g.z[center], lambda i: {"mu": mu, "center": int(center[i])}
-    )
-    gens, nu = np.array(g.generators), g.index_of(g.w, mu)  # nu(h) as an index
-    edges = nu[g.table[:, gens]] == g.table[nu[:, None], nu[gens]]
-    check.all(edges, lambda x, i: {"mu": mu, "a": x, "b": int(gens[i])})
-    return check.passed
+    mu = np.asarray(perms) % g.p
+    center, gens = np.array(sorted(g.center())), np.array(g.generators)
+    nu = mu + (np.arange(g.order) - g.z)  # nu(h) as an index
+    edges = nu[:, g.table[:, gens]] == g.table[nu[:, :, None], nu[:, None, gens]]
+    oks = np.concatenate([mu[:, center] == g.z[center], edges.reshape(len(nu), -1)], 1)
 
+    def witness(i, j):
+        if j < len(center):
+            return {"nu": name(i), "center": int(center[j])}
+        x, k = divmod(j - len(center), len(gens))
+        return {"nu": name(i), "a": x, "b": int(gens[k])}
 
-@dataclass(frozen=True)
-class SpecialIso:
-    """nu(w, z) = (w, z + <w, w0>), encoded by the torsor offset w0;
-    ``mu[h]`` is the central coordinate of nu(h)."""
-
-    group: HeisenbergGroup
-    offset: tuple[int, ...]
-    mu: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        g = self.group
-        offset = np.array(self.offset, dtype=np.int64)
-        object.__setattr__(self, "mu", (g.z + g.w @ g.space.form @ offset) % g.p)
-
-    def image(self, h) -> int:
-        """nu(h) = (w, mu(h)), written as an index of the same layout as H."""
-        return int(h - self.group.z[h] + self.mu[h])
-
-    def preimage_of_w(self) -> frozenset[int]:
-        """nu^-1(W x 1): the elements with trivial central coordinate."""
-        return frozenset(np.flatnonzero(self.mu == 0).tolist())
-
-    def check_axioms(self, check: Check | None = None) -> bool:
-        """mu(z) = z on the center and the product twist rule everywhere."""
-        return special_iso_axioms(self.group, self.mu, check)
-
-
-def all_special_isos(group: HeisenbergGroup) -> list[SpecialIso]:
-    return [
-        SpecialIso(group, w)
-        for w in itertools.product(range(group.p), repeat=group.dim)
-    ]
+    check.all(oks, witness)
+    return oks.all(axis=1)
 
 
 def special_iso_from_split_polarization(
     group: HeisenbergGroup, hplus, hminus
-) -> SpecialIso:
-    """The unique nu sending both halves of a split polarization into W x 1.
+) -> Automorphisms:
+    """The unique nu sending both halves of a split polarization into W x 1,
+    as a stack of one.
 
     nu(h_+ h_- z) has central part z + (1/2)[h_+, h_-], with the |H|
-    commutators [h_+, h_-] read off the table; the offset is then recovered
-    from mu and validated against every element.
+    commutators [h_+, h_-] read off the table; w0 is then solved from mu on
+    the basis, <w0, e_i> = mu(e_i, 0), and validated against every element.
     """
     g, p, ell = group, group.p, group.space.ell
     hplus, hminus = frozenset(hplus), frozenset(hminus)
@@ -369,11 +354,11 @@ def special_iso_from_split_polarization(
     comm = g.table[prod, g.table[g.inverse_of[hp], g.inverse_of[hm]]]  # [h+, h-]
     mu = (g.z - g.z[prod] + g.half * g.z[comm]) % p
 
-    # offset from mu restricted to (w, 0): <w, w0> = mu((e_i, 0)) on basis
-    rhs = mu[[g.from_w(g.space.basis_vector(i)) for i in range(g.dim)]]
-    w0 = tuple(int(x) for x in (mat_inv(g.space.form, p) @ rhs) % p)
-    nu = SpecialIso(group, w0)
-    if not np.array_equal(nu.mu, mu):
+    # J^T w0 = (mu(e_i, 0))_i
+    rhs = mu[g.index_of(np.eye(g.dim, dtype=np.int64), 0)]
+    w0 = mat_inv(g._form.T, p) @ rhs % p
+    nu = Automorphisms(group, np.eye(g.dim, dtype=np.int64)[None], w0[None], 1)
+    if not np.array_equal(nu.perm[0] % p, mu):
         raise RuntimeError("split-polarization map is not in the offset torsor")
     return nu
 
@@ -461,18 +446,36 @@ def _check_split_polarization(g: HeisenbergGroup, hplus, hminus):
     _raise_first(faults + _lagrangian_faults(g, *sides), messages)
 
 
-def split_polarization_from_iso(nu: SpecialIso, hplus, hhat_minus):
-    """H^- = Hhat^- intersect nu^-1(W x 1), the splitting attached to nu."""
-    g = nu.group
-    hplus, hhat_minus = frozenset(hplus), frozenset(hhat_minus)
+_SPLITTING_FAULTS = (
+    "splitting is not a subgroup",
+    "splitting meets the center nontrivially",
+    "splitting times the center is not Hhat^-",
+)
+
+
+def split_polarization_from_iso(isos: Automorphisms, hplus, hhat_minus) -> np.ndarray:
+    """H^- = Hhat^- intersect nu^-1(W x 1), the splitting attached to each
+    special isomorphism nu of the stack ``isos``, as (len(isos), |H|) masks.
+
+    The polarization (H^+, Hhat^-) is checked once; every splitting must be
+    a subgroup that meets the center trivially with H^- Z = Hhat^-, read on
+    the w codes index // p.  The first row that fails raises RuntimeError
+    naming its first fault and its w0.
+    """
+    g = isos.group
     _check_polarization(g, hplus, hhat_minus)
-    hminus = hhat_minus & nu.preimage_of_w()
-    if not g.is_subgroup(hminus):
-        raise RuntimeError("splitting is not a subgroup")
-    if len(hminus & g.center()) != 1:
-        raise RuntimeError("splitting meets the center nontrivially")
-    if frozenset(g.mul(h, z) for h in hminus for z in g.center()) != hhat_minus:
-        raise RuntimeError("splitting times the center is not Hhat^-")
+    hhat = g.mask(hhat_minus)
+    hminus = hhat & (isos.perm % g.p == 0)
+    # H^- Z: every (w, z) with w the w of an element of H^-
+    times_center = np.repeat(hminus.reshape(len(isos), -1, g.p).any(axis=2), g.p, axis=1)
+    faults = np.column_stack([
+        ~g.are_subgroups(hminus),
+        (hminus & g.mask(g.center())).sum(axis=1) != 1,
+        (times_center != hhat).any(axis=1),
+    ])
+    if faults.any():
+        row, fault = np.argwhere(faults)[0]
+        raise RuntimeError(f"{_SPLITTING_FAULTS[fault]} at w0 = {isos.w0[row].tolist()}")
     return hminus
 
 
@@ -481,9 +484,10 @@ def _check_polarization(g: HeisenbergGroup, hplus, hhat_minus):
     _raise_first(faults, _POLARIZATION_FAULTS)
 
 
-def special_iso_equal_tests(isos: list[SpecialIso]):
-    """The three equivalence tests on every ordered pair (nu1, nu2) of
-    ``isos``, as three len(isos) x len(isos) boolean arrays:
+def special_iso_equal_tests(isos: Automorphisms):
+    """The three equivalence tests on every ordered pair (nu1, nu2) of the
+    special isomorphisms ``isos``, as three len(isos) x len(isos) boolean
+    arrays:
 
     (equal as maps,
      equal preimages of W x 1,
@@ -494,15 +498,13 @@ def special_iso_equal_tests(isos: list[SpecialIso]):
     generators of H are equal, so exists-s is read on the generator
     columns: |Sp| |isos|^2 |S| comparisons.
     """
-    g = isos[0].group
-    mu = np.stack([nu.mu for nu in isos])
-    same_map = (mu[:, None] == mu[None]).all(axis=2)
-    on_w = mu == 0  # row i: the preimage of W x 1 under isos[i]
+    g, perm = isos.group, isos.perm
+    same_map = (perm[:, None] == perm[None]).all(axis=2)
+    on_w = perm % g.p == 0  # row i: the preimage of W x 1 under nu_i
     same_preimage = (on_w[:, None] == on_w[None]).all(axis=2)
     # act[s, h]: (w, z) -> (s w, z); on_gens[k, i] = nu_k(s_i) as an index
     act = g.linear_action(sp_table(g.space).matrices)
-    gens = np.array(g.generators)
-    on_gens = gens - g.z[gens] + mu[:, gens]
+    on_gens = perm[:, np.array(g.generators)]
     exists_s = (act[:, on_gens][:, :, None] == on_gens).all(axis=-1).any(axis=0)
     return same_map, same_preimage, exists_s
 
@@ -518,18 +520,22 @@ class Automorphisms:
 
     The form multiplier of every s must be the sign, tested once on the
     whole stack: symplectic s fix the center, antisymplectic s invert it.
+    An s or a w0 of another shape, or another sign, raises ValueError.
     """
 
     def __init__(self, group: HeisenbergGroup, s, w0, sign: int):
         if sign not in (1, -1):
             raise ValueError("central sign must be +-1")
         g = group
-        s = mat_mod(s, g.p)
+        s, w0 = mat_mod(s, g.p), mat_mod(w0, g.p)
+        if s.ndim != 3 or s.shape[1:] != (g.dim, g.dim):
+            raise ValueError(f"s must have shape (k, {g.dim}, {g.dim}); got {s.shape}")
+        if w0.shape != (len(s), g.dim):
+            raise ValueError(f"w0 must have shape ({len(s)}, {g.dim}); got {w0.shape}")
         form_test = is_symplectic if sign == 1 else is_antisymplectic
         if not np.all(form_test(g.space, s)):
             raise ValueError("central sign must match the form multiplier of s")
-        self.group, self.s, self.sign = g, s, sign
-        self.w0 = mat_mod(w0, g.p).reshape(len(s), g.dim)
+        self.group, self.s, self.w0, self.sign = g, s, w0, sign
         twist = self.w0 @ g.space.form @ g.w.T  # <w0_i, w_h>
         perm = g.linear_action(s) - g.z  # (s w, 0)
         perm += (sign * g.z + twist) % g.p

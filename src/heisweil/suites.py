@@ -44,6 +44,14 @@ still records its identities in the order of the subgroup, element or
 involution, so its count and first witness are those of a pass one item
 at a time.
 
+The heisenberg suite reads the special isomorphisms as one
+:class:`~heisweil.heisenberg.Automorphisms` stack
+(:func:`~heisweil.heisenberg.special_isos`), as the weil suite's twist
+relation of the abstract lifts does: the axioms, the three equality tests,
+the splittings of the standard polarization and the restrictions from
+H(3, 2) are each one stacked call, and a failing identity names its
+special isomorphism by :meth:`~heisweil.heisenberg.Automorphisms.witness`.
+
 The mackey suite makes one pass per test bed, a maximal run of
 consecutive configurations that share (group, K, theta); the 30
 configurations form 19 beds.  A bed checks theta once and labels the
@@ -226,38 +234,39 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
         group.commutator_form_edges(), lambda x, i: (x, gens[i])
     )
 
-    isos = heis.all_special_isos(group)
+    isos = heis.special_isos(group)
     rec("heisenberg.special_iso_count")(len(isos) == p ** (2 * cfg.ell), len(isos))
     if cfg.ell == 1:
         c = rec("heisenberg.special_iso_axioms")
-        for nu in isos:
-            nu.check_axioms(c)
+        heis.special_iso_axioms(group, isos.perm, c, isos.witness)
         same_map, same_preimage, exists_s = heis.special_iso_equal_tests(isos)
         rec("heisenberg.special_iso_equal_tests_agree").all(
             (same_map == same_preimage) & (same_preimage == exists_s),
-            lambda i, j: (isos[i], isos[j]),
+            lambda i, j: (isos.witness(i), isos.witness(j)),
         )
 
         c = rec("heisenberg.split_polarization_roundtrips")
         base = heis.special_iso_from_split_polarization(
             group, group.plus_subgroup, group.minus_subgroup
         )
-        c(base.offset == (0,) * group.dim, base)
+        c(not base.w0.any(), base.witness(0))
+        # the halves conjugated by g0: g0 h g0^-1, one gather each
         g0 = group.element(tuple([1] + [0] * (group.dim - 1)), 0)
-        hplus = frozenset(group.conjugate(g0, h) for h in group.plus_subgroup)
-        hminus = frozenset(group.conjugate(g0, h) for h in group.minus_subgroup)
+        hplus, hminus = (
+            group.table[group.table[g0, sorted(half)], group.inverse_of[g0]]
+            for half in (group.plus_subgroup, group.minus_subgroup)
+        )
         nu2 = heis.special_iso_from_split_polarization(group, hplus, hminus)
-        matching = [
-            x
-            for x in isos
-            if all(x.mu[h] == 0 for h in hplus) and all(x.mu[h] == 0 for h in hminus)
-        ]
-        c(matching == [nu2], matching)
-        for nu in isos:
-            hminus_split = heis.split_polarization_from_iso(
-                nu, group.plus_subgroup, group.minus_z_subgroup
-            )
-            c(len(hminus_split) == p**cfg.ell, nu)
+        on_w = isos.perm[:, np.concatenate([hplus, hminus])] % p == 0
+        matching = np.flatnonzero(on_w.all(axis=1))
+        c(
+            np.array_equal(isos.perm[matching], nu2.perm),
+            [isos.witness(i) for i in matching],
+        )
+        hminus_split = heis.split_polarization_from_iso(
+            isos, group.plus_subgroup, group.minus_z_subgroup
+        )
+        c.all(hminus_split.sum(axis=1) == p**cfg.ell, isos.witness)
 
         # per alpha: order two, then alpha(z) = z for each z of the center
         alphas = heis.order_two_automorphisms_trivial_on_center(group)
@@ -290,9 +299,8 @@ def _specisores_check(c: Check, small: heis.HeisenbergGroup) -> None:
     big = heis.HeisenbergGroup(sympl.SymplecticSpace(3, 2))
     # (w1, w2; z) -> (w1, 0, w2, 0; z) preserves the form
     embed = big.index_of(np.insert(small.w, [1, 2], 0, axis=1), small.z)
-
-    for nu in heis.all_special_isos(big):
-        heis.special_iso_axioms(small, nu.mu[embed], c)
+    isos = heis.special_isos(big)
+    heis.special_iso_axioms(small, isos.perm[:, embed], c, isos.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -488,22 +496,22 @@ def _sl23_checks(rec: Recorder, lift) -> None:
 
 def _abstract_lift_checks(rec: Recorder, lift) -> None:
     """The abstract lifts (s, h) -> omega(s) tau(nu(h)): the twist relation
-    tau(nu(h)) = zeta_p^<w_h, w0> tau(h) for every nu and h, and their rep
-    law, proved for every nu at once by the homomorphism certificate of
-    omega(s) tau(h) on Sp x| H (the lemma of
+    tau(nu(h)) = zeta_p^<w0, w_h> tau(h) for every nu and h, in (nu, h)
+    row-major order, and their rep law, proved for every nu at once by the
+    homomorphism certificate of omega(s) tau(h) on Sp x| H (the lemma of
     :attr:`~heisweil.weil.WeilLift.semidirect_family`)."""
     g = lift.group
-    xs = g.elements()
+    isos = heis.special_isos(g)
     # images[h] = tau(h), and twisted[k, h] = zeta_p^k tau(h), both over one
     # denominator: one kernel call for every (k, h)
     images = lift.base.num
     twisted = root_multiples(lift.base.conductor, g.p, images)
-    twist = rec("weil.abstract_lift_twist_relation")
-    for nu in heis.all_special_isos(g):
-        # tau(nu(h)) = zeta_p^<w_h, w0> tau(h) for every h at once
-        pairings = g.w @ g.space.form @ np.array(nu.offset) % g.p
-        same = images[[nu.image(h) for h in xs]] == twisted[pairings, xs]
-        twist.all(same.all(axis=(1, 2, 3)), lambda h: (nu, h))
+    pairings = isos.w0 @ g.space.form @ g.w.T % g.p  # <w0, w_h> per (nu, h)
+    same = images[isos.perm] == twisted[pairings, np.arange(g.order)]
+    rec("weil.abstract_lift_twist_relation").all(
+        same.reshape(*pairings.shape, -1).all(axis=2),
+        lambda i, h: (isos.witness(i), h),
+    )
     reps_mod.homomorphism_certificate(
         mk.semidirect_table_group(g.space),
         *lift.semidirect_family,

@@ -37,7 +37,13 @@ or one edge at a time, with no table gathers:
   :class:`heisweil.heisenberg.Automorphisms`;
 - :func:`is_integer` and :func:`special_iso_inverse_image`: whether a
   cyclotomic number is a rational integer, and nu^-1 of a special
-  isomorphism nu, which only the tests read.
+  isomorphism nu, which only the tests read;
+- :func:`special_iso_mu_by_offset`, :func:`special_iso_axioms_by_offset`
+  and :func:`split_polarization_by_offset`: one special isomorphism at a
+  time, by its offset w0 and its central coordinate mu, one element or
+  edge at a time, as the package checked them before every special
+  isomorphism became a row of one
+  :class:`heisweil.heisenberg.Automorphisms` stack.
 
 - :func:`table_group_from_mul`: a TableGroup from abstract elements and a
   multiplication map, one ``mul`` call per pair, and
@@ -342,11 +348,56 @@ def is_integer(c: CycNumber) -> bool:
     return c.is_rational() and c.rational_value().denominator == 1
 
 
-def special_iso_inverse_image(nu, x) -> int:
-    """The h with nu(h) = x, for x = (w, z) written as an index: h has the
-    same w and z_h = z - <w, w0> = 2 z - mu(x)."""
-    zx = nu.group.z[x]
-    return int(x - zx + (2 * zx - nu.mu[x]) % nu.group.p)
+def special_iso_inverse_image(isos, i, x) -> int:
+    """The h with nu(h) = x for nu the i-th row of the special isomorphisms
+    ``isos`` and x = (w, z) written as an index: h has the same w and z_h =
+    z - <w0, w> = 2 z - mu(x), with mu = perm % p."""
+    zx, p = isos.group.z[x], isos.group.p
+    return int(x - zx + (2 * zx - isos.perm[i, x]) % p)
+
+
+def special_iso_mu_by_offset(g, w0) -> np.ndarray:
+    """mu(w, z) = z + <w0, w>, the central coordinate of nu_w0, one element
+    at a time on the names, with the form written out entry by entry."""
+    form, dim = g.space.form.tolist(), g.dim
+    pair = lambda w: sum(w0[i] * form[i][j] * w[j] for i in range(dim) for j in range(dim))
+    return np.array([(z + pair(w)) % g.p for w, z in g.names], dtype=np.int64)
+
+
+def special_iso_axioms_by_offset(g, mus, name=int) -> tuple[int, object]:
+    """(count, first witness) of the special-isomorphism axioms on each
+    central coordinate mu of ``mus``, one row at a time: mu(0, z) = z for
+    each z of the center, then nu(x s) = nu(x) nu(s) for each element x and
+    generator s, with nu(h) = (w_h, mu(h)) and products by ``g.mul``."""
+    count, witness = 0, None
+    center = sorted(g.center())
+    for i, mu in enumerate(mus):
+        nu = lambda h: g.element(g.names[h].w, int(mu[h]))
+        found = [(mu[c] == g.z[c], {"nu": name(i), "center": c}) for c in center]
+        found += [
+            (nu(g.mul(x, s)) == g.mul(nu(x), nu(s)), {"nu": name(i), "a": x, "b": s})
+            for x in g.elements()
+            for s in g.generators
+        ]
+        count += len(found)
+        if witness is None:
+            witness = next((w for ok, w in found if not ok), None)
+    return count, witness
+
+
+def split_polarization_by_offset(g, mu, hplus, hhat_minus):
+    """H^- = Hhat^- intersect {mu = 0} for one special isomorphism with
+    central coordinate mu, its conditions tested on frozensets, one product
+    at a time: the splitting, or the message of the first condition it
+    fails."""
+    hminus = frozenset(h for h in hhat_minus if mu[h] == 0)
+    if not g.is_subgroup(hminus):
+        return "splitting is not a subgroup"
+    if len(hminus & g.center()) != 1:
+        return "splitting meets the center nontrivially"
+    if frozenset(g.mul(h, z) for h in hminus for z in g.center()) != frozenset(hhat_minus):
+        return "splitting times the center is not Hhat^-"
+    return hminus
 
 
 def automorphism_perm_by_element(g, s, w0, sign: int) -> list[int]:

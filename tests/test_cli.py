@@ -279,6 +279,31 @@ def test_dump_bytes_pinned_p3(argv, digest):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+# sha256 of stdout for `verify heisenberg --p 3 --ell 2` (237 331 checks)
+# and `dump heisenberg --p <p> --ell <ell>`, whose special-isomorphism
+# offsets are the w0 of every special isomorphism in base-p order
+HEISENBERG_SHA256 = {
+    ("verify", 3, 2): "1709ae3a69966fca605a53fc1edeb4ecb2f360fe4cf708560b3adaf98ba06182",
+    ("dump", 3, 1): "2b6aae13a8b635142c5f6eb4ff070b2f5275228c2c058acdb756dc4be282f4bb",
+    ("dump", 5, 1): "6fdd652447f65c67410efb9cb9d11dd6d99ef5868f5d95f7172fc8fbaa81ebe7",
+    ("dump", 7, 1): "d28dfc90ae804f23a6fa000252be49c6fbcea9c713b8bac655bbf8083d19a01a",
+    ("dump", 3, 2): "6ec5499e296e3d0cd81182bb89eea4c0edd7e270adc4a2fac4fddd28bc4c959d",
+}
+
+
+@pytest.mark.parametrize(
+    "command,p,ell",
+    sorted(HEISENBERG_SHA256),
+    ids=[f"{c}-p{p}-ell{ell}" for c, p, ell in sorted(HEISENBERG_SHA256)],
+)
+def test_heisenberg_verify_and_dump_bytes_pinned(command, p, ell):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run([command, "heisenberg", "--p", str(p), "--ell", str(ell)]) == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == HEISENBERG_SHA256[command, p, ell]
+
+
 @pytest.mark.parametrize("what, images", [("weil", 120), ("reps", 125)])
 def test_dumps_write_their_images_from_one_stack(what, images, monkeypatch):
     """`dump weil` and `dump reps` at p = 5 wrap no image as a CycMatrix:
@@ -989,6 +1014,26 @@ def test_automorphism_witness_is_the_printed_dict():
         "w0": [1, 1],
         "sign": 1,
     }
+
+
+def test_special_iso_witness_is_the_printed_dict():
+    """A failing special-isomorphism identity names its row by the
+    automorphism witness of that row: s = 1 with its sign, w0, the sign."""
+    from heisweil import heisenberg as heis
+    from heisweil.checks import Check
+    from heisweil.symplectic import SymplecticSpace
+
+    group = HeisenbergGroup(SymplecticSpace(3, 1))
+    isos = heis.special_isos(group)
+    perms = isos.perm.copy()
+    perms[5, 10] += 1 if perms[5, 10] % 3 < 2 else -2  # mu(h) + 1 at h = 10
+    check = Check("heisenberg.special_iso_axioms")
+    verdicts = heis.special_iso_axioms(group, perms, check, isos.witness)
+    assert verdicts.tolist() == [i != 5 for i in range(9)]
+    witness = cli._jsonable(check.witness)
+    row = {"s": {"matrix": [[1, 0], [0, 1]], "sign": 1}, "w0": [1, 2], "sign": 1}
+    assert witness["nu"] == row and list(witness) == ["nu", "a", "b"]
+    assert cli._jsonable(isos.witness(5)) == row
 
 
 def test_non_involutive_automorphism_is_the_first_witness(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import collections
 import copy
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from group_oracles import (
     heisenberg_law,
     heisenberg_table_eager,
     polarization_fault_by_sets,
+    special_iso_axioms_by_offset,
     special_iso_inverse_image,
+    special_iso_mu_by_offset,
+    split_polarization_by_offset,
     table_group_from_mul,
 )
 import heisweil.heisenberg as heis
@@ -23,8 +27,6 @@ from heisweil.heisenberg import (
     Automorphisms,
     HElem,
     HeisenbergGroup,
-    SpecialIso,
-    all_special_isos,
     involution_from_polarization,
     order_two_automorphisms_inverting_center,
     order_two_automorphisms_trivial_on_center,
@@ -32,9 +34,17 @@ from heisweil.heisenberg import (
     special_iso_axioms,
     special_iso_equal_tests,
     special_iso_from_split_polarization,
+    special_isos,
     split_polarization_from_iso,
 )
-from heisweil.symplectic import GuardError, SymplecticSpace, is_antisymplectic, sp_table
+from heisweil.symplectic import (
+    GuardError,
+    SymplecticSpace,
+    is_antisymplectic,
+    n_element,
+    sp_table,
+    weyl_element,
+)
 
 
 @pytest.fixture(scope="module")
@@ -218,32 +228,51 @@ def test_a_copy_of_an_unbuilt_group_builds_its_own_table():
 
 
 def test_special_iso_count_and_torsor(h3):
-    # |W| = p^(2l) = 9 of them; W acts simply transitively via the offset
-    isos = all_special_isos(h3)
-    assert len(isos) == 3 ** 2
-    assert len({nu.offset for nu in isos}) == 9
+    # |W| = p^(2l) = 9 of them, one stack of s = 1 and sign 1; W acts simply
+    # transitively via the offset
+    isos = special_isos(h3)
+    assert len(isos) == 3 ** 2 and isos.sign == 1
+    assert (isos.s == np.eye(2, dtype=np.int64)).all()
+    assert len({tuple(w0) for w0 in isos.w0.tolist()}) == 9
     # distinct offsets give distinct maps (simply transitive W-action)
-    mu_tables = {tuple(nu.mu.tolist()) for nu in isos}
-    assert len(mu_tables) == 9
+    assert len({tuple(row) for row in isos.perm.tolist()}) == 9
+    # the offsets are all of W in base-p order, as the heisenberg dump lists them
+    assert isos.w0.tolist() == [list(w) for w in itertools.product(range(3), repeat=2)]
 
 
 def test_special_iso_axioms(h3):
-    for nu in all_special_isos(h3)[:9]:
-        assert nu.check_axioms()
+    assert special_iso_axioms(h3, special_isos(h3).perm).tolist() == [True] * 9
 
 
 @pytest.mark.parametrize("p,ell", [(3, 1), (5, 1), (3, 2)])
 def test_special_iso_image_and_inverse_image_are_mutually_inverse(p, ell):
     """nu^-1(nu(h)) = h and nu(nu^-1(x)) = x for every nu and every element,
-    and nu(w, z) = (w, z + <w, w0>) by the coordinates."""
+    and nu(w, z) = (w, z + <w0, w>) by the coordinates, as the per-offset
+    oracle writes it out."""
     g = HeisenbergGroup(SymplecticSpace(p, ell))
     els = list(g.elements())
-    for nu in all_special_isos(g):
-        assert [special_iso_inverse_image(nu, nu.image(h)) for h in els] == els
-        assert [nu.image(special_iso_inverse_image(nu, x)) for x in els] == els
+    isos = special_isos(g)
+    for i, (perm, w0) in enumerate(zip(isos.perm.tolist(), isos.w0.tolist())):
+        assert [special_iso_inverse_image(isos, i, perm[h]) for h in els] == els
+        assert [perm[special_iso_inverse_image(isos, i, x)] for x in els] == els
         for h in els:
             w, z = g.names[h]
-            assert g.names[nu.image(h)] == (w, (z + g.space.pair(w, nu.offset)) % p)
+            assert g.names[perm[h]] == (w, (z + g.space.pair(w0, w)) % p)
+        assert np.array_equal(isos.perm[i] % p, special_iso_mu_by_offset(g, w0))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_an_offset_zero_mod_p_gives_the_base_map(p):
+    """w0 is read mod p: an offset of multiples of p is the base map, the
+    identity on the indices, and an offset is the same map as its residue."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    eye = np.eye(2, dtype=np.int64)[None]
+    base = Automorphisms(g, eye, [(p, 0)], 1)
+    assert base.w0.tolist() == [[0, 0]]
+    assert np.array_equal(base.perm[0], np.arange(g.order))
+    assert np.array_equal(special_isos(g).perm[0], base.perm[0])
+    shifted = Automorphisms(g, eye, [(p + 1, 2 * p - 1)], 1)
+    assert np.array_equal(shifted.perm, Automorphisms(g, eye, [(1, p - 1)], 1).perm)
 
 
 def _special_iso_axioms_oracle(g, mu) -> bool:
@@ -256,33 +285,70 @@ def _special_iso_axioms_oracle(g, mu) -> bool:
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_special_iso_axioms_on_edges_match_the_all_pairs_oracle(p):
-    """The edge check and the all-pairs oracle agree on every special
-    isomorphism, on sums of two offsets (again special), and on seeded
-    corruptions: one changed entry, and random values off the center."""
+    """The stacked edge check and the all-pairs oracle agree on every
+    special isomorphism, on sums of two offsets (again special), and on
+    seeded corruptions: one changed entry, and random values off the
+    center."""
     g = HeisenbergGroup(SymplecticSpace(p, 1))
-    isos = all_special_isos(g)
+    mus = list(special_isos(g).perm % p)
     rng = np.random.default_rng(p)
-    mus = [nu.mu for nu in isos]
-    mus += [(a.mu + b.mu - g.z) % p for a, b in zip(isos, isos[3:])]
+    mus += [(a + b - g.z) % p for a, b in zip(mus, mus[3:])]
     special = len(mus)
     for h in rng.choice(g.order, 8, replace=False):
-        broken = isos[int(h) % len(isos)].mu.copy()
+        broken = mus[int(h) % p**2].copy()
         broken[h] = (broken[h] + 1) % p
         mus.append(broken)
     for _ in range(4):
         mus.append(np.where(g.w.any(axis=1), rng.integers(0, p, g.order), g.z))
-    for k, mu in enumerate(mus):
-        check = Check("edges")
-        assert special_iso_axioms(g, mu, check) == (k < special), k
-        assert _special_iso_axioms_oracle(g, mu) == (k < special), k
-        assert check.checks == p + g.order * len(g.generators)
+    check = Check("edges")
+    rows = special_iso_axioms(g, np.stack(mus), check)
+    assert rows.tolist() == [k < special for k in range(len(mus))]
+    assert [_special_iso_axioms_oracle(g, mu) for mu in mus] == rows.tolist()
+    assert check.checks == len(mus) * (p + g.order * len(g.generators))
+
+
+@pytest.mark.parametrize("p,ell,rows", [(3, 1, None), (5, 1, None), (3, 2, 10)])
+def test_stacked_special_iso_axioms_match_the_per_offset_oracle(p, ell, rows):
+    """One stacked call against the per-offset oracle, one row and one edge
+    at a time: the same count, the same verdict per row and the same first
+    witness, on the special isomorphisms (a seeded subset at ell = 2) and
+    on stacks with seeded corrupted rows: a changed center entry, a changed
+    entry off the center, random values off the center."""
+    g = HeisenbergGroup(SymplecticSpace(p, ell))
+    rng = np.random.default_rng(10 * p + ell)
+    isos = special_isos(g)
+    pick = range(len(isos)) if rows is None else sorted(rng.choice(len(isos), rows, False))
+    good = [isos.perm[i] % p for i in pick]
+    center = int(rng.integers(1, p))
+    off_center = int(rng.integers(p, g.order))
+    corrupted = []
+    for h in (center, off_center):
+        mu = good[int(rng.integers(len(good)))].copy()
+        mu[h] = (mu[h] + 1) % p
+        corrupted.append(mu)
+    corrupted.append(np.where(g.w.any(axis=1), rng.integers(0, p, g.order), g.z))
+    stacks = [good]
+    for mu in corrupted:
+        at = int(rng.integers(len(good) + 1))
+        stacks.append(good[:at] + [mu] + good[at:])
+    stacks.append(corrupted + good)
+    for mus in stacks:
+        check = Check("special_iso_axioms")
+        verdicts = special_iso_axioms(g, np.stack(mus), check)
+        count, witness = special_iso_axioms_by_offset(g, mus)
+        assert (check.checks, check.witness) == (count, witness)
+        assert check.passed == (witness is None)
+        assert verdicts.tolist() == [
+            special_iso_axioms_by_offset(g, [mu])[1] is None for mu in mus
+        ]
+    assert not all(special_iso_axioms(g, np.stack(corrupted)))
 
 
 def test_base_iso_from_standard_split_polarization(h3):
     nu = special_iso_from_split_polarization(
         h3, h3.plus_subgroup, h3.minus_subgroup
     )
-    assert nu.offset == (0, 0)
+    assert len(nu) == 1 and nu.w0.tolist() == [[0, 0]]
 
 
 def test_conjugated_split_polarization_shifts_offset(h3):
@@ -290,35 +356,80 @@ def test_conjugated_split_polarization_shifts_offset(h3):
     hplus = frozenset(h3.conjugate(g0, h) for h in h3.plus_subgroup)
     hminus = frozenset(h3.conjugate(g0, h) for h in h3.minus_subgroup)
     nu = special_iso_from_split_polarization(h3, hplus, hminus)
-    assert nu.offset != (0, 0)
+    assert nu.w0.any()
+    assert np.array_equal(nu.perm[0] % 3, special_iso_mu_by_offset(h3, nu.w0[0]))
     # uniqueness: exactly one special iso maps both sides into W x 1
+    isos = special_isos(h3)
     matching = [
-        candidate
-        for candidate in all_special_isos(h3)
-        if all(candidate.mu[h] == 0 for h in hplus)
-        and all(candidate.mu[h] == 0 for h in hminus)
+        i
+        for i, mu in enumerate(isos.perm % 3)
+        if all(mu[h] == 0 for h in hplus) and all(mu[h] == 0 for h in hminus)
     ]
-    assert matching == [nu]
+    assert len(matching) == 1 and np.array_equal(isos.perm[matching], nu.perm)
 
 
 def test_split_polarization_from_iso_base(h3):
-    hminus = split_polarization_from_iso(
-        SpecialIso(h3, (0, 0)), h3.plus_subgroup, h3.minus_z_subgroup
+    (hminus,) = split_polarization_from_iso(
+        special_iso_from_split_polarization(h3, h3.plus_subgroup, h3.minus_subgroup),
+        h3.plus_subgroup,
+        h3.minus_z_subgroup,
     )
-    assert hminus == h3.minus_subgroup
+    assert frozenset(np.flatnonzero(hminus).tolist()) == h3.minus_subgroup
 
 
 def test_split_from_iso_sizes_and_roundtrip(h3):
-    for nu in all_special_isos(h3):
-        hminus = split_polarization_from_iso(
-            nu, h3.plus_subgroup, h3.minus_z_subgroup
-        )
-        assert len(hminus) == 3  # p^l
-        if all(nu.mu[h] == 0 for h in h3.plus_subgroup):
+    isos = special_isos(h3)
+    masks = split_polarization_from_iso(isos, h3.plus_subgroup, h3.minus_z_subgroup)
+    assert masks.shape == (9, 27) and masks.sum(axis=1).tolist() == [3] * 9  # p^l
+    for i, (mu, hminus) in enumerate(zip(isos.perm % 3, masks)):
+        if all(mu[h] == 0 for h in h3.plus_subgroup):
             back = special_iso_from_split_polarization(
-                h3, h3.plus_subgroup, hminus
+                h3, h3.plus_subgroup, np.flatnonzero(hminus).tolist()
             )
-            assert back.offset == nu.offset
+            assert np.array_equal(back.w0[0], isos.w0[i])
+
+
+@pytest.mark.parametrize("p,ell", [(3, 1), (5, 1), (3, 2)])
+def test_stacked_split_polarizations_match_the_per_offset_oracle(p, ell):
+    """The stacked splittings against the per-offset oracle on frozensets:
+    the same H^- on every special isomorphism and on rows with a symplectic
+    s != 1 (the splitting reads only perm % p); and on stacks with one
+    seeded corrupted row of central coordinates, the same first fault,
+    raised with that row's w0."""
+    g = HeisenbergGroup(SymplecticSpace(p, ell))
+    rng = np.random.default_rng(p + ell)
+    isos = special_isos(g)
+    # n(b) j for random symmetric b: symplectic, and never 1
+    b = rng.integers(0, p, (6, ell, ell))
+    mats = n_element(g.space, b + np.swapaxes(b, 1, 2)) @ weyl_element(g.space) % p
+    moved = Automorphisms(g, mats, isos.w0[:6], 1)
+    sides = g.plus_subgroup, g.minus_z_subgroup
+    for stack in (isos, moved):
+        masks = split_polarization_from_iso(stack, *sides)
+        for mu, mask in zip(stack.perm % p, masks):
+            expected = split_polarization_by_offset(g, mu, *sides)
+            assert expected == frozenset(np.flatnonzero(mask).tolist())
+
+    hhat = np.array(sorted(sides[1]))
+    masks = split_polarization_from_iso(isos, *sides)
+    for fault in range(3):
+        at = int(rng.integers(len(isos)))
+        mu = isos.perm[at] % p
+        hminus = np.flatnonzero(masks[at])
+        if fault == 0:  # one more element of Hhat^- sent into W x 1
+            mu[rng.choice(np.setdiff1d(hhat, hminus))] = 0
+        elif fault == 1:  # all of Hhat^-
+            mu[hhat] = 0
+        else:  # only the identity
+            mu[hminus[1:]] = 1
+        expected = split_polarization_by_offset(g, mu, *sides)
+        assert expected == heis._SPLITTING_FAULTS[fault]
+        corrupted = copy.copy(isos)
+        corrupted.perm = isos.perm.copy()
+        corrupted.perm[at] += mu - isos.perm[at] % p
+        w0 = re.escape(str(isos.w0[at].tolist()))
+        with pytest.raises(RuntimeError, match=f"^{re.escape(expected)} at w0 = {w0}$"):
+            split_polarization_from_iso(corrupted, *sides)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -327,10 +438,11 @@ def test_exists_s_on_generator_columns_matches_the_all_pairs_version(p):
     against s o nu1 compared with nu2 on every element of H; three isos are
     listed twice, so the answer is not only the diagonal."""
     g = HeisenbergGroup(SymplecticSpace(p, 1))
-    isos = all_special_isos(g)
-    isos += isos[:3]
+    isos = special_isos(g)
+    rows = np.r_[np.arange(len(isos)), 0:3]
+    isos = Automorphisms(g, isos.s[rows], isos.w0[rows], 1)
     act = g.linear_action(sp_table(g.space).matrices)
-    images = np.stack([np.arange(g.order) - g.z + nu.mu for nu in isos])
+    images = isos.perm
     oracle = np.array(
         [(act[:, None, row] == images[None]).all(axis=2).any(axis=0) for row in images]
     )
@@ -338,9 +450,37 @@ def test_exists_s_on_generator_columns_matches_the_all_pairs_version(p):
     assert oracle.sum() == len(isos) + 6
 
 
-def test_special_iso_equal_tests_trichotomy(h3):
-    isos = all_special_isos(h3)
+@pytest.mark.parametrize("p", [3, 5])
+def test_stacked_equal_tests_match_the_per_pair_oracle(p):
+    """The three stacked tests against the per-offset maps compared one
+    pair at a time: equal maps by their mu, equal preimages of W x 1 as
+    frozensets, and s o nu1 = nu2 for some s of Sp(W) on every element; on
+    the special isomorphisms in a seeded order, with two of them twice."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    isos = special_isos(g)
+    rows = np.random.default_rng(p).permutation(np.r_[np.arange(len(isos)), 1, 4])
+    isos = Automorphisms(g, isos.s[rows], isos.w0[rows], 1)
+    mus = [special_iso_mu_by_offset(g, w0) for w0 in isos.w0.tolist()]
+    preimages = [frozenset(np.flatnonzero(mu == 0).tolist()) for mu in mus]
+    act = g.linear_action(sp_table(g.space).matrices)
+    nus = [g.index_of(g.w, mu) for mu in mus]
+    expected = [
+        [
+            (
+                np.array_equal(mu1, mu2),
+                pre1 == pre2,
+                any(np.array_equal(a[nu1], nu2) for a in act),
+            )
+            for mu2, pre2, nu2 in zip(mus, preimages, nus)
+        ]
+        for mu1, pre1, nu1 in zip(mus, preimages, nus)
+    ]
     tests = special_iso_equal_tests(isos)
+    assert np.array_equal(np.stack(tests, axis=-1), np.array(expected))
+
+
+def test_special_iso_equal_tests_trichotomy(h3):
+    tests = special_iso_equal_tests(special_isos(h3))
     t = tuple(bool(a[0, 0]) for a in tests)
     assert t == (True, True, True)
     t = tuple(bool(a[1, 2]) for a in tests)
@@ -410,6 +550,28 @@ def test_automorphism_sweeps_name_their_limit(p, ell):
     ):
         with pytest.raises(GuardError, match=f"p <= 7; got ell = {ell}, p = {p}"):
             sweep(g)
+
+
+def test_automorphisms_name_the_expected_shapes(h3):
+    """A stack of s or of w0 of another shape raises ValueError naming the
+    shape it needs, before any form test."""
+    eye = np.eye(2, dtype=np.int64)
+    cases = [
+        (eye[None], np.zeros((2, 2)), r"w0 must have shape \(1, 2\); got \(2, 2\)"),
+        (eye[None], (0, 0), r"w0 must have shape \(1, 2\); got \(2,\)"),
+        (eye[None], np.zeros((1, 3)), r"w0 must have shape \(1, 2\); got \(1, 3\)"),
+        (np.eye(3)[None], [(0, 0)], r"s must have shape \(k, 2, 2\); got \(1, 3, 3\)"),
+        (eye, [(0, 0)], r"s must have shape \(k, 2, 2\); got \(2, 2\)"),
+        (np.ones((1, 2, 3)), [(0, 0)], r"s must have shape \(k, 2, 2\); got \(1, 2, 3\)"),
+    ]
+    for s, w0, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Automorphisms(h3, s, w0, 1)
+    big = HeisenbergGroup(SymplecticSpace(3, 2))
+    with pytest.raises(ValueError, match=r"^s must have shape \(k, 4, 4\); got \(1, 2, 2\)$"):
+        Automorphisms(big, eye[None], np.zeros((1, 4)), 1)
+    empty = Automorphisms(h3, np.zeros((0, 2, 2)), np.zeros((0, 2)), 1)
+    assert len(empty) == 0 and empty.perm.shape == (0, 27)
 
 
 def _order_two_by_element(g, mats, sign):
@@ -652,11 +814,16 @@ def test_special_iso_restriction_to_nondegenerate_subspace():
     for a in small.elements():
         for b in small.elements():
             assert embed(small.mul(a, b)) == big.mul(embed(a), embed(b))
+    isos = special_isos(big)
+    embedded = [embed(h) for h in small.elements()]
+    # every restriction at once, as the heisenberg suite checks them
+    check = Check("restriction")
+    assert special_iso_axioms(small, isos.perm[:, embedded], check).all()
+    assert check.checks == 81 * (3 + 27 * len(small.generators))
     rng = random.Random(1)
     for _ in range(5):
-        w0 = tuple(rng.randrange(3) for _ in range(4))
-        nu_big = SpecialIso(big, w0)
-        mu_small = {h: nu_big.mu[embed(h)] for h in small.elements()}
+        i = rng.randrange(len(isos))
+        mu_small = {h: isos.perm[i, embed(h)] % 3 for h in small.elements()}
         comm = _commutator_values(small)
         # restriction satisfies both special-isomorphism axioms
         for z in range(3):
@@ -676,12 +843,12 @@ def test_special_iso_restriction_to_nondegenerate_subspace():
 
 
 def test_special_iso_axioms_reject_one_changed_entry(h3):
-    nu = all_special_isos(h3)[4]
-    assert special_iso_axioms(h3, nu.mu)
+    mu = special_isos(h3).perm[4] % 3
+    assert special_iso_axioms(h3, mu[None]).tolist() == [True]
     for h in (0, 5, 26):  # a central element and two off the center
-        broken = nu.mu.copy()
+        broken = mu.copy()
         broken[h] = (broken[h] + 1) % 3
-        assert not special_iso_axioms(h3, broken)
+        assert special_iso_axioms(h3, np.stack([mu, broken])).tolist() == [True, False]
 
 
 def test_automorphism_check_rejects_non_multiplicative_permutation(h3):

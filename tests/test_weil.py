@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import operator
 import random
@@ -18,7 +19,7 @@ from heisweil.cli import run
 
 from heisweil.checks import Check, Recorder
 from heisweil.groups import extend_hom
-from heisweil.heisenberg import HeisenbergGroup, SpecialIso, all_special_isos
+from heisweil.heisenberg import HeisenbergGroup, special_isos
 from heisweil.linalg import CycMatrix, batch_from_matrices, packed_product_table
 from heisweil.reps import MatrixRep, heisenberg_rep
 from heisweil.scalar import CycNumber, root_of_unity, zeta_p
@@ -828,16 +829,18 @@ def test_contragredient_check_counts_four_generators_and_names_a_bad_one(p):
 
 def test_abstract_lift_base_iso_is_plain_lift(lift3):
     g = lift3.group
-    nu0 = SpecialIso(g, (0, 0))
-    assert [nu0.image(h) for h in g.elements()] == list(g.elements())
+    isos = special_isos(g)
+    assert isos.w0[0].tolist() == [0, 0]
+    assert isos.perm[0].tolist() == list(g.elements())
 
 
 def test_abstract_lift_twist_relation(lift3):
     g = lift3.group
-    for nu in all_special_isos(g):
+    isos = special_isos(g)
+    for perm, w0 in zip(isos.perm.tolist(), isos.w0.tolist()):
         for h in g.elements():
-            twist = zeta_p(3, g.space.pair(g.names[h].w, nu.offset))
-            assert lift3.base.image(nu.image(h)) == lift3.base.image(h).scale(twist)
+            twist = zeta_p(3, g.space.pair(w0, g.names[h].w))
+            assert lift3.base.image(perm[h]) == lift3.base.image(h).scale(twist)
 
 
 def test_abstract_lift_twist_relation_on_a_corrupted_base_matches_reference(lift3):
@@ -848,12 +851,13 @@ def test_abstract_lift_twist_relation_on_a_corrupted_base_matches_reference(lift
     num[4] *= -1
     base = dataclasses.replace(lift3.base, num=num)
     bad = dataclasses.replace(lift3, base=base)
+    isos = special_isos(g)
     witness = None
-    for nu in all_special_isos(g):
+    for i, (perm, w0) in enumerate(zip(isos.perm.tolist(), isos.w0.tolist())):
         for h in g.elements():
-            twist = zeta_p(3, g.space.pair(g.names[h].w, nu.offset))
-            if witness is None and base.image(nu.image(h)) != base.image(h).scale(twist):
-                witness = (nu, h)
+            twist = zeta_p(3, g.space.pair(w0, g.names[h].w))
+            if witness is None and base.image(perm[h]) != base.image(h).scale(twist):
+                witness = (isos.witness(i), h)
     rec = Recorder()
     _abstract_lift_checks(rec, bad)
     (check,) = [c for c in rec if c.check == "weil.abstract_lift_twist_relation"]
@@ -866,25 +870,26 @@ def test_abstract_lift_twist_relation_on_a_corrupted_base_matches_reference(lift
     assert check.checks == 243 and check.passed
 
 
-def _rep_law_per_pair(lift, nu, pairs):
-    """The rep law of the abstract lift, one ``@`` per factor: the
-    multiplication of Sp x|_nu H written out from its definition
+def _rep_law_per_pair(lift, isos, i, pairs):
+    """The rep law of the abstract lift through nu, the i-th row of the
+    special isomorphisms ``isos``, one ``@`` per factor: the multiplication
+    of Sp x|_nu H written out from its definition
     (s1, h1)(s2, h2) = (s1 s2, (s2^-1 ._nu h1) h2), with
     s ._nu h = nu^-1(s . nu(h)).  Returns (count, first failing witness)."""
-    g, tg = lift.group, sp_table(lift.space)
+    g, tg, nu = lift.group, sp_table(lift.space), isos.perm[i]
 
     def image(s, h):
-        return lift.image(s) @ lift.base.image(nu.image(h))
+        return lift.image(s) @ lift.base.image(nu[h])
 
     def twisted_action(s, h):
-        moved = g.linear_action(tg.matrices[s])[nu.image(h)]
-        return special_iso_inverse_image(nu, moved)
+        moved = g.linear_action(tg.matrices[s])[nu[h]]
+        return special_iso_inverse_image(isos, i, moved)
 
     witness = None
     for (s1, h1), (s2, h2) in pairs:
         prod = image(tg.mul(s1, s2), g.mul(twisted_action(tg.inv(s2), h1), h2))
         if witness is None and image(s1, h1) @ image(s2, h2) != prod:
-            witness = (nu, (tg.names[s1], h1), (tg.names[s2], h2))
+            witness = (i, (tg.names[s1], h1), (tg.names[s2], h2))
     return len(pairs), witness
 
 
@@ -895,12 +900,13 @@ def test_abstract_lift_is_rep_of_twisted_product(lift3):
     els = range(sp_table(g.space).order)
     rng = random.Random(11)
     hs = g.elements()
-    for nu in all_special_isos(g):
+    isos = special_isos(g)
+    for i in range(len(isos)):
         pairs = [
             ((rng.choice(els), rng.choice(hs)), (rng.choice(els), rng.choice(hs)))
             for _ in range(40)
         ]
-        assert _rep_law_per_pair(lift3, nu, pairs) == (40, None)
+        assert _rep_law_per_pair(lift3, isos, i, pairs) == (40, None)
 
 
 def test_abstract_lift_rep_law_certificate_and_the_per_pair_reference(lift3):
@@ -922,10 +928,11 @@ def test_abstract_lift_rep_law_certificate_and_the_per_pair_reference(lift3):
     (check,) = [c for c in rec if c.check == "weil.abstract_lift_rep_law"]
     assert check.checks == 1 + 3 * 648 and not check.passed
     (s1, h1), (s2, h2) = check.witness
-    for nu in all_special_isos(g):
-        inverse = special_iso_inverse_image
-        pair = ((s1, inverse(nu, h1)), (s2, inverse(nu, h2)))
-        count, witness = _rep_law_per_pair(bad, nu, [pair])
+    isos = special_isos(g)
+    for i in range(len(isos)):
+        inverse = functools.partial(special_iso_inverse_image, isos, i)
+        pair = ((s1, inverse(h1)), (s2, inverse(h2)))
+        count, witness = _rep_law_per_pair(bad, isos, i, [pair])
         assert count == 1 and witness is not None
 
 
