@@ -10,7 +10,8 @@ Usage (noun-verb and verb-noun orders both work):
     heisweil sqrt --n 1 --p 3 --K 4 --k0 1 --matrix "[[4]]"
 
 Exit codes: 0 all selected checks passed, 1 at least one check failed,
-2 bad arguments or a guard violation.  Reports are JSON, deterministic
+2 bad arguments, a guard violation or an ``--out`` file that cannot be
+written (``error: cannot write <path>: <reason>`` on stderr).  Reports are JSON, deterministic
 for a fixed configuration and seed.  ``verify`` also writes one line per
 suite to stderr, ``PASS|FAIL suite=... checks=... failures=...
 seconds=...``, with the suite's wall time, which the report leaves out.
@@ -116,8 +117,10 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(**{k: given[k] for k in names if k in given})
 
 
-def _emit(payload, out_path: str | None, fmt: str = "json") -> None:
-    """Write the payload and a newline to ``out_path``, or to stdout.
+def _emit(payload, out_path: str | None, fmt: str = "json") -> int:
+    """Write the payload and a newline to ``out_path``, or to stdout, and
+    return 0; a file that cannot be opened or written prints
+    ``error: cannot write <path>: <reason>`` to stderr and returns 2.
 
     Every piece of the text is built before the file is opened, so a payload
     the encoder rejects raises before anything is written.  The pieces are
@@ -135,9 +138,17 @@ def _emit(payload, out_path: str | None, fmt: str = "json") -> None:
         pieces = ["\n".join(lines)]
     else:
         pieces = _pieces(payload)
-    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(pieces)
-        fh.write("\n")
+    try:
+        with (
+            open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+        ) as fh:
+            fh.writelines(pieces)
+            fh.write("\n")
+    except OSError as exc:
+        where = out_path or "stdout"
+        sys.stderr.write(f"error: cannot write {where}: {exc.strerror or exc}\n")
+        return 2
+    return 0
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -500,17 +511,15 @@ def run(argv: list[str] | None = None) -> int:
                 f"{line} suite={name} checks={report['checks']} "
                 f"failures={len(report['failures'])} seconds={seconds:.4f}\n"
             )
-        _emit(reports if args.suite == "all" else reports[0], args.out, args.format)
-        return 1 if failed else 0
+        payload = reports if args.suite == "all" else reports[0]
+        return _emit(payload, args.out, args.format) or (1 if failed else 0)
 
     if args.verb == "dump":
         err = _dump_guard(args, cfg)
         if err:
             sys.stderr.write(f"guard: {err}\n")
             return 2
-        payload = _dump(args, cfg)
-        _emit(payload, args.out)
-        return 0
+        return _emit(_dump(args, cfg), args.out)
     return 2
 
 
@@ -544,7 +553,7 @@ def _dump(args, cfg: RunConfig):
         return {
             "p": cfg.p,
             "ell": cfg.ell,
-            "zeta_exponent": args.zeta,
+            "zeta_exponent": lift.base.zeta_exponent,
             "model": args.model,
             "normalization": lift.normalization.to_json(),
             "images": ImageList(
@@ -616,7 +625,7 @@ def _run_sqrt(args) -> int:
         # json.JSONDecodeError is a ValueError; never print an empty reason
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return 2
-    _emit(
+    return _emit(
         {
             "root": root.tolist(),
             "residual_levels": levels,
@@ -624,7 +633,6 @@ def _run_sqrt(args) -> int:
         },
         args.out,
     )
-    return 0
 
 
 def main() -> None:

@@ -21,11 +21,17 @@ Subgroups are read off coordinates too, by :meth:`HeisenbergGroup.index_of`
 broadcasts: the p^2 + 2p + 4 subgroups of H(p, 1)
 (:meth:`HeisenbergGroup.all_subgroups`, from its structure, with no
 closure, and the generators each is built from,
-:meth:`HeisenbergGroup.subgroup_generators`), and the sides W^+, W^- and
-W^- x Z of the standard polarization, each built once per group.  The
-polarizations attached to involutions are checked for a whole stack of
-involutions at once, on their permutations
-(:func:`polarizations_from_involutions`).
+:meth:`HeisenbergGroup.subgroup_generators`).
+
+A polarization W = W^+ + W^- has one encoding in the package: subgroups of
+H, as sets or as (k, |H|) boolean masks over the indices, with their
+images in W read off the w codes index // p.  The sides W^+ x 0, W^- x 0
+and W^- x Z of the standard polarization are coordinate blocks,
+{w[l:] = 0, z = 0}, {w[:l] = 0, z = 0} and {w[:l] = 0}, each built once
+per group.  The polarization (H^+, Hhat^-) of an involution alpha is its
+fixed and inverted points, and a whole stack of involutions is checked at
+once on its permutations (:func:`polarization_faults`,
+:func:`polarizations_from_involutions`).
 
 Every map of H carried here is one :class:`Automorphisms` record: the
 maps (w, z) -> (s.w, eps*z + <w0, w>) with s a (2l, 2l) matrix of form
@@ -64,10 +70,10 @@ from heisweil.symplectic import (
     is_symplectic,
     mat_inv,
     mat_mod,
-    polarization_to_involution,
     rref_mod,
     sp_table,
     sp_witness,
+    standard_involution,
 )
 
 __all__ = [
@@ -77,6 +83,7 @@ __all__ = [
     "involution_from_polarization",
     "order_two_automorphisms_inverting_center",
     "order_two_automorphisms_trivial_on_center",
+    "polarization_faults",
     "polarizations_from_involutions",
     "special_iso_axioms",
     "special_iso_equal_tests",
@@ -242,36 +249,31 @@ class HeisenbergGroup(TableGroup):
         )
         return subgroups, gens
 
-    def image_in_w(self, subset) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.names[h].w for h in subset)
-
     # -- embedded subgroups of interest --------------------------------------
 
     @cached_property
     def plus_subgroup(self) -> frozenset[int]:
-        """W^+ x {0} for the standard polarization, built once per group."""
-        return frozenset(self._side_index(self.space.standard_polarization().plus))
+        """W^+ x {0} for the standard polarization, {w[l:] = 0, z = 0},
+        built once per group."""
+        return self._block(slice(self.space.ell, None), self.z == 0)
 
     @cached_property
     def minus_subgroup(self) -> frozenset[int]:
-        """W^- x {0} for the standard polarization, built once per group."""
-        return frozenset(self._side_index(self.space.standard_polarization().minus))
+        """W^- x {0} for the standard polarization, {w[:l] = 0, z = 0},
+        built once per group."""
+        return self._block(slice(None, self.space.ell), self.z == 0)
 
     @cached_property
     def minus_z_subgroup(self) -> frozenset[int]:
-        """W^- x Z for the standard polarization, built once per group."""
-        minus = self.space.standard_polarization().minus
-        return frozenset(self._side_index(minus, np.arange(self.p)))
+        """W^- x Z for the standard polarization, {w[:l] = 0}, built once
+        per group."""
+        return self._block(slice(None, self.space.ell), True)
 
-    def _side_index(self, basis, z=0) -> list[int]:
-        """Indices of (w, z) for every w in the span of ``basis`` and every
-        z of the 1-D ``z``, one index_of broadcast."""
-        ell = len(basis)
-        coeffs = np.array(list(itertools.product(range(self.p), repeat=ell)))
-        w = coeffs.reshape(-1, ell) @ np.array(basis)
-        z = np.atleast_1d(z)
-        w = np.broadcast_to(w[:, None], (len(w), len(z), self.dim))
-        return self.index_of(w, z).ravel().tolist()
+    def _block(self, vanishing: slice, keep) -> frozenset[int]:
+        """The indices where the coordinates ``w[vanishing]`` are 0 and the
+        mask ``keep`` holds."""
+        keep = keep & ~self.w[:, vanishing].any(axis=1)
+        return frozenset(np.flatnonzero(keep).tolist())
 
     def __repr__(self):
         return f"HeisenbergGroup(p={self.p}, ell={self.space.ell})"
@@ -337,8 +339,8 @@ def special_iso_from_split_polarization(
     hplus, hminus = frozenset(hplus), frozenset(hminus)
     _check_split_polarization(group, hplus, hminus)
 
-    plus_basis = np.array(_basis_of(g, g.image_in_w(hplus)), dtype=np.int64)
-    minus_basis = np.array(_basis_of(g, g.image_in_w(hminus)), dtype=np.int64)
+    plus_basis = rref_mod(g.w[sorted(hplus)], p)[0]
+    minus_basis = rref_mod(g.w[sorted(hminus)], p)[0]
     inv = mat_inv(np.concatenate([plus_basis, minus_basis]).T, p)
     # w = w+ + w- for every element, and the side elements over w+ and w-
     coords = g.w @ inv.T % p
@@ -371,12 +373,6 @@ def _side_by_w(g: HeisenbergGroup, side) -> np.ndarray:
     return lookup
 
 
-def _basis_of(group: HeisenbergGroup, vectors) -> list[tuple[int, ...]]:
-    mat = np.array(sorted(vectors), dtype=np.int64)
-    red, _, _ = rref_mod(mat, group.p)
-    return [tuple(int(x) for x in row) for row in red]
-
-
 _LAGRANGIAN_FAULTS = (
     "images do not have maximal isotropic size",
     "image is not totally isotropic",
@@ -397,8 +393,7 @@ _INVOLUTION_FAULTS = (
 
 def _raise_first(faults, messages) -> None:
     """ValueError with the message of the first fault of the first row that
-    has one; ``faults`` lists, per message, one boolean per row."""
-    faults = np.column_stack(faults)
+    has one; ``faults`` is a (rows, messages) boolean table."""
     if faults.any():
         raise ValueError(messages[np.argwhere(faults)[0, 1]])
 
@@ -443,7 +438,7 @@ def _check_split_polarization(g: HeisenbergGroup, hplus, hminus):
         "split polarization needs subgroups",
         "side meets the center nontrivially",
     ) * 2 + _LAGRANGIAN_FAULTS
-    _raise_first(faults + _lagrangian_faults(g, *sides), messages)
+    _raise_first(np.column_stack(faults + _lagrangian_faults(g, *sides)), messages)
 
 
 _SPLITTING_FAULTS = (
@@ -481,7 +476,7 @@ def split_polarization_from_iso(isos: Automorphisms, hplus, hhat_minus) -> np.nd
 
 def _check_polarization(g: HeisenbergGroup, hplus, hhat_minus):
     faults = _polarization_faults(g, g.mask(hplus)[None], g.mask(hhat_minus)[None])
-    _raise_first(faults, _POLARIZATION_FAULTS)
+    _raise_first(np.column_stack(faults), _POLARIZATION_FAULTS)
 
 
 def special_iso_equal_tests(isos: Automorphisms):
@@ -563,8 +558,30 @@ class Automorphisms:
 def involution_from_polarization(group: HeisenbergGroup) -> Automorphisms:
     """alpha(w+ + w-, z) = (w+ - w-, -z) for the standard polarization, as a
     stack of one; order two, inverts the center."""
-    s = polarization_to_involution(group.space.standard_polarization())
+    s = standard_involution(group.space)
     return Automorphisms(group, s[None], np.zeros((1, group.dim)), -1)
+
+
+def _fixed_and_inverted(alphas: Automorphisms) -> tuple[np.ndarray, np.ndarray]:
+    """The (len(alphas), |H|) masks of the fixed and the inverted points."""
+    g, perms = alphas.group, alphas.perm
+    return perms == np.arange(g.order), perms == g.inverse_of
+
+
+def polarization_faults(alphas: Automorphisms) -> np.ndarray:
+    """The (len(alphas), len(_INVOLUTION_FAULTS)) boolean table of the faults
+    of every alpha of ``alphas`` as an involution that induces a
+    polarization: row i is clear when alpha_i has order two, inverts the
+    center, and its fixed and inverted points (H^+, Hhat^-) are subgroups,
+    H^+ meets the center trivially, Hhat^- contains it, and their images in
+    W are complementary maximal totally isotropic subspaces.  Every alpha is
+    checked at once, on the stacked permutations."""
+    faults = [
+        np.full(len(alphas), alphas.sign != -1),
+        ~alphas.order_two(),
+        *_polarization_faults(alphas.group, *_fixed_and_inverted(alphas)),
+    ]
+    return np.column_stack(faults)
 
 
 def polarizations_from_involutions(
@@ -574,19 +591,11 @@ def polarizations_from_involutions(
     ``alphas``, which must have order two and invert the center, as two
     (len(alphas), |H|) boolean masks; each pair forms a polarization of H.
 
-    Every alpha is checked at once, on the stacked permutations: the order,
-    the subgroup, center and Lagrangian conditions.  The first alpha that
-    fails one raises ValueError naming the first condition it fails.
+    The first alpha with a fault of :func:`polarization_faults` raises
+    ValueError naming the first condition it fails.
     """
-    g, perms = alphas.group, alphas.perm
-    plus, hhat_minus = perms == np.arange(g.order), perms == g.inverse_of
-    faults = [
-        np.full(len(alphas), alphas.sign != -1),
-        ~alphas.order_two(),
-        *_polarization_faults(g, plus, hhat_minus),
-    ]
-    _raise_first(faults, _INVOLUTION_FAULTS)
-    return plus, hhat_minus
+    _raise_first(polarization_faults(alphas), _INVOLUTION_FAULTS)
+    return _fixed_and_inverted(alphas)
 
 
 def _sweep_guard(g: HeisenbergGroup) -> None:

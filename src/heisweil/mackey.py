@@ -79,14 +79,11 @@ __all__ = [
     "InvolutionRecord",
     "TableGroup",
     "all_involutive_automorphisms",
-    "conjugate_involution",
     "cyclic_group",
     "dihedral_group",
     "direct_product",
     "fixed_masks",
-    "fixed_subgroup",
     "induced_hom_dim_oracle",
-    "inner_involution",
     "inner_involutions",
     "involution_stabilizer",
     "k_orbit_labels",
@@ -171,9 +168,6 @@ class InvolutionRecord:
 
     perm: tuple[int, ...]
 
-    def apply(self, x: int) -> int:
-        return self.perm[x]
-
     def is_valid(self, g: TableGroup) -> bool:
         """Bijective, of order <= 2, and p(ab) = p(a)p(b) for all pairs
         (:meth:`~heisweil.groups.TableGroup.is_automorphism`)."""
@@ -182,11 +176,6 @@ class InvolutionRecord:
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.perm))
-
-
-def inner_involution(g: TableGroup, a: int) -> InvolutionRecord:
-    """Int(a): x -> a x a^-1, one gather of row a of the table."""
-    return InvolutionRecord(tuple(g.table[g.table[a], g.inverse_of[a]].tolist()))
 
 
 def inner_involutions(g: TableGroup) -> list[InvolutionRecord]:
@@ -227,22 +216,6 @@ def all_involutive_automorphisms(g: TableGroup) -> list[InvolutionRecord]:
     involutive = (squares == np.arange(g.order)).all(axis=1)
     kept = np.unique(perms[g.is_automorphism(perms) & involutive], axis=0)
     return [InvolutionRecord(tuple(perm)) for perm in kept.tolist()]
-
-
-def fixed_subgroup(g: TableGroup, theta: InvolutionRecord) -> frozenset:
-    """G^theta, the indices where theta's permutation is the identity."""
-    fixed = np.asarray(theta.perm) == np.arange(g.order)
-    return frozenset(np.flatnonzero(fixed).tolist())
-
-
-def conjugate_involution(
-    g: TableGroup, a: int, theta: InvolutionRecord
-) -> InvolutionRecord:
-    """a . theta = Int(a) o theta o Int(a^-1), on the whole table at once."""
-    t, ainv = g.table, g.inv(a)
-    perm = np.asarray(theta.perm)
-    # x -> a theta(a^-1 x a) a^-1
-    return InvolutionRecord(tuple(t[t[a, perm[t[t[ainv], a]]], ainv].tolist()))
 
 
 def involution_stabilizer(g: TableGroup, theta: InvolutionRecord) -> np.ndarray:

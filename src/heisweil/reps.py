@@ -57,7 +57,6 @@ __all__ = [
     "fixed_forms",
     "fixed_forms_certificate",
     "heisenberg_rep",
-    "hom_dim",
     "hom_dims",
     "homomorphism_certificate",
     "irreducibles_of_H",
@@ -281,12 +280,6 @@ def hom_dims(reps: list[MatrixRep], masks) -> np.ndarray:
     return projector_traces(reps, masks, masks.sum(axis=1))
 
 
-def hom_dim(rep: MatrixRep, subgroup) -> int:
-    """dim Hom_K(rep, 1) for one rep and one subgroup, given by its
-    members; see :func:`hom_dims`."""
-    return int(hom_dims([rep], [rep.group.mask(subgroup)])[0, 0])
-
-
 def character_table(reps: list[MatrixRep], elements) -> CycMatrix:
     """Row i holds tr reps[i](g) for each of ``elements``: the character rows
     stacked over one denominator."""
@@ -373,7 +366,7 @@ def fixed_forms_certificate(
     generators=None,
 ) -> bool:
     """Whether the rows of ``basis`` are a basis of Hom_K(rep, 1), K =
-    ``subgroup``, whose dimension is ``dim`` (:func:`hom_dim`):
+    ``subgroup``, whose dimension is ``dim`` (:func:`hom_dims`):
 
     (a) lambda rep(k) = lambda for every row lambda and every k of
         ``generators``, a generating set of K the caller read from how it

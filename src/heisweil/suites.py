@@ -51,6 +51,13 @@ relation of the abstract lifts does: the axioms, the three equality tests,
 the splittings of the standard polarization and the restrictions from
 H(3, 2) are each one stacked call, and a failing identity names its
 special isomorphism by :meth:`~heisweil.heisenberg.Automorphisms.witness`.
+Polarizations have one encoding, subgroups of H as masks over its indices:
+the stabilizer check reads W^+ and W^- as the w of the members of H's
+standard halves, and the antisymplectic involutions s are one
+:class:`~heisweil.heisenberg.Automorphisms` stack of the maps
+(w, z) -> (s w, -z), whose fixed and inverted points are checked as
+polarizations by one :func:`~heisweil.heisenberg.polarization_faults`
+table, one identity per s.
 
 The mackey suite makes one pass per test bed, a maximal run of
 consecutive configurations that share (group, K, theta); the 30
@@ -181,6 +188,7 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
     c(g * g == CycNumber.from_rational(n, legendre_symbol(-1, p) * p), "g^2")
 
     space = sympl.SymplecticSpace(p, cfg.ell)
+    group = heis.HeisenbergGroup(space)
     if cfg.ell == 1:
         sp = sympl.sp_table(space)
         names, mats = sp.names, sp.matrices
@@ -208,24 +216,21 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
         )
         c(set(chi.tolist()) == {1, -1}, "image is {1, -1}")
 
-        pol = space.standard_polarization()
-        in_m = sp.mask(m_index.tolist())
-        keeps = _keeps(mats, pol.plus_span(), p) & _keeps(mats, pol.minus_span(), p)
+        # W^+ and W^-: the w of the members of H's standard halves
+        w_plus, w_minus = (
+            group.w[sorted(half)] for half in (group.plus_subgroup, group.minus_subgroup)
+        )
+        keeps = _keeps(mats, w_plus, p) & _keeps(mats, w_minus, p)
         rec("symplectic.M_is_polarization_stabilizer").all(
-            keeps == in_m, lambda i: names[i]
+            keeps == sp.mask(m_index.tolist()), lambda i: names[i]
         )
 
-        c = rec("symplectic.eigen_polarization_of_involutions")
         anti = sympl.enumerate_antisymplectic(space)
-        for s in anti[(anti @ anti % p == np.eye(2, dtype=np.int64)).all(axis=(1, 2))]:
-            try:
-                sympl.Polarization(space, *sympl.eigen_polarization(space, s))
-            except ValueError:
-                c(False, sympl.sp_witness(s, -1))
-            else:
-                c(True)
+        anti = anti[(anti @ anti % p == np.eye(2, dtype=np.int64)).all(axis=(1, 2))]
+        _involution_polarization_check(
+            rec("symplectic.eigen_polarization_of_involutions"), group, anti
+        )
 
-    group = heis.HeisenbergGroup(space)
     gens = group.generators
     rec("heisenberg.group_axioms").all(
         group.associativity_edges(), lambda x, i, y: (x, gens[i], y)
@@ -285,12 +290,23 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
     return rec
 
 
-def _keeps(mats, span, p: int) -> np.ndarray:
-    """Whether each matrix of the stack maps the set of vectors ``span``
+def _keeps(mats, vecs, p: int) -> np.ndarray:
+    """Whether each matrix of the stack maps the set of the rows of ``vecs``
     into itself: s v for every s and v, as columns, found by their codes."""
-    vecs = np.array(sorted(span), dtype=np.int64)[..., None]
+    vecs = vecs[..., None]
     moved = mats[:, None] @ vecs % p
     return np.isin(sympl.codes(p, moved), sympl.codes(p, vecs)).all(axis=-1)
+
+
+def _involution_polarization_check(c: Check, group: heis.HeisenbergGroup, anti) -> None:
+    """Whether the fixed and inverted points of (w, z) -> (s w, -z) form a
+    polarization of H, for every antisymplectic s of the stack ``anti`` at
+    once: one identity per s, a failure witnessed by s."""
+    alphas = heis.Automorphisms(group, anti, np.zeros((len(anti), group.dim)), -1)
+    c.all(
+        ~heis.polarization_faults(alphas).any(axis=1),
+        lambda i: sympl.sp_witness(alphas.s[i], -1),
+    )
 
 
 def _specisores_check(c: Check, small: heis.HeisenbergGroup) -> None:

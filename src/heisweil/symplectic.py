@@ -1,4 +1,4 @@
-"""Symplectic spaces over F_p, polarizations, and Sp(W) as stacked matrices.
+"""Symplectic spaces over F_p and Sp(W) as stacked matrices.
 
 The basis convention is fixed globally: e_1..e_l span W+ and
 e_{l+1}..e_{2l} span W-, and the form matrix in that basis is
@@ -15,12 +15,18 @@ and :func:`sp_table` indexes it: an element is a row of its ``matrices``
 or that row's index, which :func:`sp_index` finds from the entries read
 in base p (:func:`codes`).  Antisymplectic maps (form multiplier -1) are
 matrices too; a witness writes either as :func:`sp_witness` does.
+
+No subspace of W is carried here as a basis or a set of vectors.  A
+polarization W = W+ + W- has one encoding, boolean masks over the
+Heisenberg group H = W x| F_p (:mod:`heisweil.heisenberg`): the standard
+one is the pair of coordinate blocks {w[l:] = 0} and {w[:l] = 0}, the
+eigenspaces of :func:`standard_involution`, and the polarization of an
+antisymplectic involution s is read off the fixed and inverted points of
+its automorphism (w, z) -> (s w, -z) of H.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,13 +36,11 @@ from heisweil.scalar import is_odd_prime, legendre_symbol
 
 __all__ = [
     "GuardError",
-    "Polarization",
     "SymplecticSpace",
     "bruhat_factor",
     "chi_M",
     "chi_P",
     "codes",
-    "eigen_polarization",
     "enumerate_antisymplectic",
     "enumerate_M",
     "enumerate_N",
@@ -46,11 +50,11 @@ __all__ = [
     "is_symplectic",
     "m_element",
     "n_element",
-    "polarization_to_involution",
     "sp_guard",
     "sp_index",
     "sp_table",
     "sp_witness",
+    "standard_involution",
     "weyl_element",
 ]
 
@@ -123,34 +127,6 @@ def mat_det(a, p: int):
     return det if len(pivots) == a.shape[0] else 0
 
 
-def nullspace_mod(a, p: int) -> list[tuple[int, ...]]:
-    """Basis of the right kernel of a mod p, as tuples."""
-    a = np.atleast_2d(np.array(a, dtype=np.int64) % p)
-    red, pivots, _ = rref_mod(a, p)
-    ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[fc] = 1
-        for row, pc in zip(red, pivots):
-            v[pc] = (-row[fc]) % p
-        basis.append(tuple(int(x) for x in v))
-    return basis
-
-
-def span_mod(vectors, p: int, dim: int) -> frozenset[tuple[int, ...]]:
-    """All F_p-linear combinations of the given vectors."""
-    vecs = [np.array(v, dtype=np.int64) % p for v in vectors]
-    out = set()
-    for coeffs in itertools.product(range(p), repeat=len(vecs)):
-        w = np.zeros(dim, dtype=np.int64)
-        for c, v in zip(coeffs, vecs):
-            w = (w + c * v) % p
-        out.add(tuple(int(x) for x in w))
-    return frozenset(out)
-
-
 # -- the space ----------------------------------------------------------------
 
 
@@ -171,21 +147,6 @@ class SymplecticSpace:
         self.form.flags.writeable = False  # spaces compare and hash by (p, ell)
         self.half = (p + 1) // 2  # 1/2 in F_p
 
-    def pair(self, a, b) -> int:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        return int(a @ self.form @ b % self.p)
-
-    def basis_vector(self, i: int) -> tuple[int, ...]:
-        v = [0] * self.dim
-        v[i] = 1
-        return tuple(v)
-
-    def standard_polarization(self) -> "Polarization":
-        plus = tuple(self.basis_vector(i) for i in range(self.ell))
-        minus = tuple(self.basis_vector(self.ell + i) for i in range(self.ell))
-        return Polarization(self, plus, minus)
-
     def __repr__(self):
         return f"SymplecticSpace(p={self.p}, ell={self.ell})"
 
@@ -195,34 +156,6 @@ class SymplecticSpace:
 
     def __hash__(self):
         return hash((self.p, self.ell))
-
-
-@dataclass(frozen=True)
-class Polarization:
-    """W = W+ + W- with both sides maximal totally isotropic."""
-
-    space: SymplecticSpace
-    plus: tuple[tuple[int, ...], ...]
-    minus: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        sp = self.space
-        for side in (self.plus, self.minus):
-            if len(side) != sp.ell:
-                raise ValueError("each side needs ell basis vectors")
-            for a in side:
-                for b in side:
-                    if sp.pair(a, b) != 0:
-                        raise ValueError("side is not totally isotropic")
-        stacked = np.array(self.plus + self.minus, dtype=np.int64)
-        if mat_det(stacked, sp.p) == 0:
-            raise ValueError("W+ and W- do not span W")
-
-    def plus_span(self) -> frozenset:
-        return span_mod(self.plus, self.space.p, self.space.dim)
-
-    def minus_span(self) -> frozenset:
-        return span_mod(self.minus, self.space.p, self.space.dim)
 
 
 # -- form tests, codes and witnesses ---------------------------------------------
@@ -327,41 +260,6 @@ def chi_P(space: SymplecticSpace, mats) -> np.ndarray:
     if np.any(mats[..., ell:, :ell]) or not np.all(is_symplectic(space, mats)):
         raise ValueError("element does not stabilize W+")
     return _legendre(mat_det(mats[..., :ell, :ell], p), p)
-
-
-# -- involutions and polarizations ----------------------------------------------
-
-
-def eigen_polarization(space: SymplecticSpace, s):
-    """Fixed and negated subspaces of an order-two matrix s, via
-    w = (w+sw)/2 + (w-sw)/2.
-
-    Returns (plus_basis, minus_basis).  For antisymplectic s this is a
-    polarization; the caller can wrap it in :class:`Polarization`.
-    """
-    p = space.p
-    s = mat_mod(s, p)
-    eye = np.eye(space.dim, dtype=np.int64)
-    if not np.array_equal(s @ s % p, eye):
-        raise ValueError("element must have order dividing two")
-    plus = nullspace_mod((s - eye) % p, p)
-    minus = nullspace_mod((s + eye) % p, p)
-    if len(plus) + len(minus) != space.dim:
-        # a failed check in the suite, which catches ValueError
-        raise ValueError(
-            f"eigenspaces of dimensions {len(plus)} + {len(minus)} "
-            f"do not span W of dimension {space.dim}"
-        )
-    return tuple(plus), tuple(minus)
-
-
-def polarization_to_involution(pol: Polarization) -> np.ndarray:
-    """The unique antisymplectic involution with the polarization as eigenspaces."""
-    space = pol.space
-    p = space.p
-    u = np.array(pol.plus + pol.minus, dtype=np.int64).T % p
-    d = np.diag([1] * space.ell + [-1] * space.ell)
-    return _checked(space, u @ d @ mat_inv(u, p), -1)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -472,11 +370,16 @@ def sp_index(space: SymplecticSpace, mats) -> np.ndarray:
     return found
 
 
+def standard_involution(space: SymplecticSpace) -> np.ndarray:
+    """sigma = diag(1_l, -1_l) mod p, the antisymplectic involution that
+    fixes W+ and negates W-: the involution of the standard polarization."""
+    return _checked(space, np.diag([1] * space.ell + [-1] * space.ell), -1)
+
+
 def enumerate_antisymplectic(space: SymplecticSpace) -> np.ndarray:
     """The coset Sp(W) sigma, s sigma in the order of :func:`enumerate_sp`,
-    with sigma = diag(1_l, -1_l) the involution of the standard polarization."""
-    sigma = _checked(space, np.diag([1] * space.ell + [-1] * space.ell), -1)
-    return enumerate_sp(space) @ sigma % space.p
+    with sigma the :func:`standard_involution`."""
+    return enumerate_sp(space) @ standard_involution(space) % space.p
 
 
 def enumerate_M(space: SymplecticSpace) -> np.ndarray:

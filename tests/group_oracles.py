@@ -44,6 +44,17 @@ or one edge at a time, with no table gathers:
   edge at a time, as the package checked them before every special
   isomorphism became a row of one
   :class:`heisweil.heisenberg.Automorphisms` stack.
+- :func:`form_pair`, :func:`image_in_w`, :func:`nullspace_mod`,
+  :func:`span_mod`, :func:`standard_bases`, :func:`eigen_polarization`,
+  :func:`check_polarization`, :func:`eigen_polarization_holds` and
+  :func:`polarization_to_involution`: a polarization as tuple bases of
+  W+ and W-, spans listed one coefficient tuple at a time, eigenbases one
+  free column at a time and isotropy one pair of vectors at a time, as
+  the package carried polarizations before masks over H became their one
+  encoding;
+- :func:`hom_dim`, :func:`apply_involution`, :func:`inner_involution`,
+  :func:`fixed_subgroup` and :func:`conjugate_involution`: one rep and
+  one subgroup, or one involution, at a time, which only the tests read.
 
 - :func:`table_group_from_mul`: a TableGroup from abstract elements and a
   multiplication map, one ``mul`` call per pair, and
@@ -66,9 +77,10 @@ from heisweil.groups import TableGroup
 from heisweil.heisenberg import HElem
 from heisweil.linalg import CycMatrix
 from heisweil.mackey import InvolutionRecord
-from heisweil.reps import MatrixRep
+from heisweil.reps import MatrixRep, hom_dims
 from heisweil.scalar import CycNumber, root_of_unity
 from heisweil.suites import _heisenberg_beds, standard_mackey_configurations
+from heisweil.symplectic import mat_det, mat_inv, rref_mod
 
 
 def zoo_groups() -> dict:
@@ -331,7 +343,7 @@ def polarization_fault_by_sets(g, hplus, hhat_minus) -> str | None:
         return "H^+ meets the center"
     if not g.center() <= hhat_minus:
         return "Hhat^- must contain the center"
-    images = [g.image_in_w(hplus), g.image_in_w(hhat_minus)]
+    images = [image_in_w(g, hplus), image_in_w(g, hhat_minus)]
     if any(len(w) != g.p**g.space.ell for w in images):
         return "images do not have maximal isotropic size"
     for w in images:
@@ -414,3 +426,127 @@ def automorphism_perm_by_element(g, s, w0, sign: int) -> list[int]:
         twist = sum(a * x for a, x in zip(w0_form, w))
         perm.append(index_of[HElem(sw, (sign * z + twist) % p)])
     return perm
+
+
+def form_pair(space, a, b) -> int:
+    """<a, b> = a^T J b mod p for two vectors of the symplectic space."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    return int(a @ space.form @ b % space.p)
+
+
+def image_in_w(g, subset) -> frozenset[tuple[int, ...]]:
+    """The w coordinates of the members of ``subset``, as tuples."""
+    return frozenset(g.names[h].w for h in subset)
+
+
+def nullspace_mod(a, p: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel of a mod p, as tuples, one free column at a
+    time."""
+    a = np.atleast_2d(np.array(a, dtype=np.int64) % p)
+    red, pivots, _ = rref_mod(a, p)
+    ncols = a.shape[1]
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = np.zeros(ncols, dtype=np.int64)
+        v[fc] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = (-row[fc]) % p
+        basis.append(tuple(int(x) for x in v))
+    return basis
+
+
+def span_mod(vectors, p: int, dim: int) -> frozenset[tuple[int, ...]]:
+    """All F_p-linear combinations of the given vectors, one coefficient
+    tuple at a time."""
+    vecs = [np.array(v, dtype=np.int64) % p for v in vectors]
+    out = set()
+    for coeffs in itertools.product(range(p), repeat=len(vecs)):
+        w = np.zeros(dim, dtype=np.int64)
+        for c, v in zip(coeffs, vecs):
+            w = (w + c * v) % p
+        out.add(tuple(int(x) for x in w))
+    return frozenset(out)
+
+
+def standard_bases(space) -> tuple[tuple, tuple]:
+    """The bases (e_1..e_l) of W+ and (e_{l+1}..e_{2l}) of W-, as tuples."""
+    eye = [tuple(int(x) for x in row) for row in np.eye(space.dim, dtype=np.int64)]
+    return tuple(eye[: space.ell]), tuple(eye[space.ell :])
+
+
+def eigen_polarization(space, s):
+    """The bases (plus, minus) of the fixed and negated subspaces of an
+    order-two matrix s, as the nullspaces of s - 1 and s + 1; ValueError
+    when s does not have order dividing two or the two do not span W."""
+    p = space.p
+    s = np.array(s, dtype=np.int64) % p
+    eye = np.eye(space.dim, dtype=np.int64)
+    if not np.array_equal(s @ s % p, eye):
+        raise ValueError("element must have order dividing two")
+    plus = nullspace_mod((s - eye) % p, p)
+    minus = nullspace_mod((s + eye) % p, p)
+    if len(plus) + len(minus) != space.dim:
+        raise ValueError("eigenspaces do not span W")
+    return tuple(plus), tuple(minus)
+
+
+def check_polarization(space, plus, minus) -> None:
+    """ValueError unless the bases ``plus`` and ``minus`` give W = W+ + W-
+    with both sides maximal totally isotropic, one pair of vectors at a
+    time."""
+    for side in (plus, minus):
+        if len(side) != space.ell:
+            raise ValueError("each side needs ell basis vectors")
+        if any(form_pair(space, a, b) for a in side for b in side):
+            raise ValueError("side is not totally isotropic")
+    if mat_det(np.array(plus + minus, dtype=np.int64), space.p) == 0:
+        raise ValueError("W+ and W- do not span W")
+
+
+def eigen_polarization_holds(space, s) -> bool:
+    """Whether the eigenspaces of s form a polarization, one involution at a
+    time: :func:`eigen_polarization` and then :func:`check_polarization`."""
+    try:
+        check_polarization(space, *eigen_polarization(space, s))
+    except ValueError:
+        return False
+    return True
+
+
+def polarization_to_involution(space, plus, minus) -> np.ndarray:
+    """The involution u diag(1_l, -1_l) u^-1 with the bases ``plus`` and
+    ``minus`` as the columns of u: +1 on W+, -1 on W-."""
+    p = space.p
+    u = np.array(plus + minus, dtype=np.int64).T % p
+    d = np.diag([1] * space.ell + [-1] * space.ell)
+    return u @ d @ mat_inv(u, p) % p
+
+
+def hom_dim(rep, subgroup) -> int:
+    """dim Hom_K(rep, 1) for one rep and one subgroup, given by its
+    members, as one row of :func:`heisweil.reps.hom_dims`."""
+    return int(hom_dims([rep], [rep.group.mask(subgroup)])[0, 0])
+
+
+def apply_involution(theta: InvolutionRecord, x: int) -> int:
+    """theta(x), read off its permutation."""
+    return theta.perm[x]
+
+
+def inner_involution(g: TableGroup, a: int) -> InvolutionRecord:
+    """Int(a): x -> a x a^-1, one gather of row a of the table."""
+    return InvolutionRecord(tuple(g.table[g.table[a], g.inverse_of[a]].tolist()))
+
+
+def fixed_subgroup(g: TableGroup, theta: InvolutionRecord) -> frozenset:
+    """G^theta, the indices where theta's permutation is the identity."""
+    fixed = np.asarray(theta.perm) == np.arange(g.order)
+    return frozenset(np.flatnonzero(fixed).tolist())
+
+
+def conjugate_involution(g: TableGroup, a: int, theta: InvolutionRecord) -> InvolutionRecord:
+    """a . theta = Int(a) o theta o Int(a^-1), on the whole table at once."""
+    t, ainv = g.table, g.inv(a)
+    perm = np.asarray(theta.perm)
+    # x -> a theta(a^-1 x a) a^-1
+    return InvolutionRecord(tuple(t[t[a, perm[t[t[ainv], a]]], ainv].tolist()))

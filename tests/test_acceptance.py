@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import elimination_oracle as oracle
-from group_oracles import heisenberg_mackey_configurations
+from group_oracles import fixed_subgroup, heisenberg_mackey_configurations, hom_dim
 from heisweil import heisenberg as heis
 from heisweil import mackey as mk
 from heisweil import prounipotent as pro
@@ -130,7 +130,7 @@ def test_criterion_04_involutions_give_polarizations_and_homdim_one():
         counts[p] = len(alphas)
         plus, _ = heis.polarizations_from_involutions(alphas)  # validates
         for perm, fixed in zip(alphas.perm, plus):
-            assert reps_mod.hom_dim(tau, np.flatnonzero(fixed)) == 1
+            assert hom_dim(tau, np.flatnonzero(fixed)) == 1
             twisted = reps_mod.MatrixRep(
                 g, tau.elements, tau.num[perm], tau.den, tau.conductor
             )
@@ -155,7 +155,7 @@ def test_criterion_05_gelfand_pairs():
         for perm in alphas.perm:
             hplus = np.flatnonzero(perm == np.arange(g.order))
             for rho in irreps:
-                assert reps_mod.hom_dim(rho, hplus) <= 1
+                assert hom_dim(rho, hplus) <= 1
         # the double-coset identity behind the Gelfand property, elementwise
         for a in range(p):
             for b in range(p):
@@ -247,7 +247,7 @@ def test_criterion_08_mackey_suite():
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
     assert len(configs) >= 20
     for label, tg, k_members, kappa, theta in configs:
-        h_members = sorted(mk.fixed_subgroup(tg, theta))
+        h_members = sorted(fixed_subgroup(tg, theta))
         labels = double_coset_labels(tg, k_members, h_members)
         reps = np.unique(labels, return_index=True)[1].tolist()
         mackey, oracle = mk.summed_traces(

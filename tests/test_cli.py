@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import heisweil
+from group_oracles import fixed_subgroup
 from heisweil import cli
 from heisweil.cli import ImageList, _build_parser, _to_json, run
 from heisweil.heisenberg import HeisenbergGroup
@@ -365,6 +366,33 @@ def test_out_file_bytes_equal_stdout(argv, tmp_path):
     path = tmp_path / "out.json"
     assert run(argv + ["--out", str(path)]) == 0
     assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "heisenberg"],
+        ["dump", "mackey"],
+        ["sqrt", "--n", "1", "--p", "3", "--K", "4", "--k0", "1", "--matrix", "[[4]]"],
+    ],
+)
+def test_an_unwritable_out_file_exits_2_with_an_error_line(argv, tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = _run_captured(argv + ["--out", str(path)])
+    assert code == 2
+    assert out == ""
+    # verify writes its PASS lines first; the error is the last line
+    assert err.splitlines()[-1] == f"error: cannot write {path}: No such file or directory"
+    assert not path.exists()
+
+
+def test_weil_dump_records_the_zeta_exponent_of_the_lift():
+    """--zeta -1, 2 and 5 build the one lift of k = 2 at p = 3, and give
+    the same bytes."""
+    outs = [_run_captured(["dump", "weil", "--p", "3", "--zeta", z]) for z in ("-1", "2", "5")]
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    assert outs[0][1] == outs[1][1] == outs[2][1]
+    assert json.loads(outs[1][1])["zeta_exponent"] == 2
 
 
 def test_sqrt_large_modulus_under_optimize_flag():
@@ -800,7 +828,7 @@ def test_cli_prints_stdlib_indent_1(argv, monkeypatch):
 
     def recording_emit(payload, out_path, fmt="json"):
         payloads.append(payload)
-        emit(payload, out_path, fmt)
+        return emit(payload, out_path, fmt)
 
     monkeypatch.setattr(cli, "_emit", recording_emit)
     code, out, err = _run_captured(argv)
@@ -929,6 +957,11 @@ def test_check_counts_are_the_identities_evaluated(p):
     # per special isomorphism: the center, then an edge (x, s) per x and s
     assert counts["heisenberg.special_iso_axioms"] == w_order * (p + n * gens)
     assert counts["heisenberg.special_iso_equal_tests_agree"] == w_order**2
+    # an identity per element of Sp(W), and per antisymplectic involution
+    assert counts["symplectic.M_is_polarization_stabilizer"] == sp_order
+    assert counts["symplectic.eigen_polarization_of_involutions"] == p * (p + 1)
+    # the base map, the conjugated halves' map, then a size per special iso
+    assert counts["heisenberg.split_polarization_roundtrips"] == 2 + w_order
     if p == 3:
         # every offset of H(3, 2), restricted: the center, then the edges
         assert counts["heisenberg.special_iso_restriction"] == 3**4 * (3 + n * gens)
@@ -963,7 +996,7 @@ def test_failing_identity_reports_its_first_input(tmp_path, monkeypatch, capsys)
     # its Mackey sum, and every later configuration's, is off by one
     configs = standard_mackey_configurations()
     label, tg, k_members, kappa, theta = configs[1]
-    h_members = sorted(mk.fixed_subgroup(tg, theta))
+    h_members = sorted(fixed_subgroup(tg, theta))
     oracle_row = mk.induced_hom_dim_oracle(tg, k_members, h_members, kappa.dim)
     right = mk.summed_traces([kappa], [oracle_row])[0][0]
     intact = {id(configs[0][3])}

@@ -9,8 +9,10 @@ import pytest
 from group_oracles import (
     checked_extend_hom,
     closure,
+    fixed_subgroup,
     heisenberg_law,
     heisenberg_mackey_configurations,
+    inner_involution,
     zoo_groups,
 )
 from heisweil.groups import (
@@ -25,8 +27,6 @@ from heisweil.mackey import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    fixed_subgroup,
-    inner_involution,
     quaternion_group,
     semidirect_table_group,
     symmetric_group,
@@ -533,7 +533,6 @@ def _readings(g, k, theta, family):
     replaced."""
     from heisweil.checks import Check
     from heisweil.mackey import (
-        fixed_subgroup,
         involution_stabilizer,
         k_orbit_labels,
         s_theta,

@@ -12,13 +12,19 @@ from hypothesis import strategies as st
 from group_oracles import (
     all_subgroups_by_closure,
     automorphism_perm_by_element,
+    eigen_polarization,
+    eigen_polarization_holds,
+    form_pair,
     heisenberg_law,
     heisenberg_table_eager,
+    image_in_w,
     polarization_fault_by_sets,
     special_iso_axioms_by_offset,
     special_iso_inverse_image,
     special_iso_mu_by_offset,
+    span_mod,
     split_polarization_by_offset,
+    standard_bases,
     table_group_from_mul,
 )
 import heisweil.heisenberg as heis
@@ -30,6 +36,7 @@ from heisweil.heisenberg import (
     involution_from_polarization,
     order_two_automorphisms_inverting_center,
     order_two_automorphisms_trivial_on_center,
+    polarization_faults,
     polarizations_from_involutions,
     special_iso_axioms,
     special_iso_equal_tests,
@@ -37,12 +44,16 @@ from heisweil.heisenberg import (
     special_isos,
     split_polarization_from_iso,
 )
+from heisweil.suites import _involution_polarization_check
 from heisweil.symplectic import (
     GuardError,
     SymplecticSpace,
+    enumerate_antisymplectic,
     is_antisymplectic,
     n_element,
     sp_table,
+    sp_witness,
+    standard_involution,
     weyl_element,
 )
 
@@ -118,7 +129,7 @@ def test_commutator_examples(h3):
 def test_commutator_equals_form(h3):
     comm = _commutator_values(h3)
     for a, b in itertools.product(h3.elements(), repeat=2):
-        assert comm[a, b] == h3.space.pair(h3.names[a].w, h3.names[b].w)
+        assert comm[a, b] == form_pair(h3.space, h3.names[a].w, h3.names[b].w)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -257,7 +268,7 @@ def test_special_iso_image_and_inverse_image_are_mutually_inverse(p, ell):
         assert [perm[special_iso_inverse_image(isos, i, x)] for x in els] == els
         for h in els:
             w, z = g.names[h]
-            assert g.names[perm[h]] == (w, (z + g.space.pair(w0, w)) % p)
+            assert g.names[perm[h]] == (w, (z + form_pair(g.space, w0, w)) % p)
         assert np.array_equal(isos.perm[i] % p, special_iso_mu_by_offset(g, w0))
 
 
@@ -629,16 +640,61 @@ def test_order_two_inverting_center_crosscheck(p):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_order_two_inverting_center_all_give_polarizations(p):
-    from heisweil.symplectic import eigen_polarization, span_mod
-
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     alphas = order_two_automorphisms_inverting_center(g)
     assert len(alphas), "there must be involutions inverting the center"
     for s, fixed, inverted in zip(alphas.s, *polarizations_from_involutions(alphas)):
         # images are the +-1 eigenspaces of the reduced map
         plus, minus = eigen_polarization(g.space, s)
-        assert g.image_in_w(np.flatnonzero(fixed)) == span_mod(plus, p, 2)
-        assert g.image_in_w(np.flatnonzero(inverted)) == span_mod(minus, p, 2)
+        assert image_in_w(g, np.flatnonzero(fixed)) == span_mod(plus, p, 2)
+        assert image_in_w(g, np.flatnonzero(inverted)) == span_mod(minus, p, 2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stacked_eigen_polarizations_match_the_per_involution_oracle(p):
+    """The suite's one stacked check of the antisymplectic involutions
+    against their eigenspaces as nullspaces, one involution at a time: the
+    same verdicts, count and first witness, on the p(p + 1) involutions and
+    on a copy with three antisymplectic rows of order other than two put in
+    at seeded places."""
+    space = SymplecticSpace(p, 1)
+    g = HeisenbergGroup(space)
+    anti = enumerate_antisymplectic(space)
+    involutive = (anti @ anti % p == np.eye(2, dtype=np.int64)).all(axis=(1, 2))
+    good, bad = anti[involutive], anti[~involutive]
+    assert len(good) == p * (p + 1)
+    rng = random.Random(p)
+    rows = list(good)
+    for _ in range(3):
+        rows.insert(rng.randrange(len(rows) + 1), bad[rng.randrange(len(bad))])
+    corrupted = np.array(rows)
+    for stack, wrong in ((good, 0), (corrupted, 3)):
+        verdicts = [eigen_polarization_holds(space, s) for s in stack]
+        assert verdicts.count(False) == wrong
+        alphas = Automorphisms(g, stack, np.zeros((len(stack), 2)), -1)
+        assert (~polarization_faults(alphas).any(axis=1)).tolist() == verdicts
+        c = Check("symplectic.eigen_polarization_of_involutions")
+        _involution_polarization_check(c, g, stack)
+        assert (c.checks, c.passed) == (len(stack), all(verdicts))
+        if wrong:
+            assert c.witness == sp_witness(stack[verdicts.index(False)], -1)
+
+
+@pytest.mark.parametrize("p,ell", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_standard_involution_fixes_plus_and_inverts_minus_z(p, ell):
+    """diag(1_l, -1_l) mod p is antisymplectic of order two, and the fixed
+    and inverted points of (w, z) -> (s w, -z) are W^+ x 0 and W^- x Z."""
+    g = HeisenbergGroup(SymplecticSpace(p, ell))
+    s = standard_involution(g.space)
+    assert np.array_equal(s, np.diag([1] * ell + [p - 1] * ell))
+    assert is_antisymplectic(g.space, s)
+    assert np.array_equal(s @ s % p, np.eye(2 * ell, dtype=np.int64))
+    alpha = Automorphisms(g, s[None], np.zeros((1, 2 * ell)), -1)
+    assert not polarization_faults(alpha).any()
+    fixed, inverted = polarizations_from_involutions(alpha)
+    assert frozenset(np.flatnonzero(fixed[0]).tolist()) == g.plus_subgroup
+    assert frozenset(np.flatnonzero(inverted[0]).tolist()) == g.minus_z_subgroup
+    assert np.array_equal(involution_from_polarization(g).s, s[None])
 
 
 def test_subgroup_count_p3(h3):
@@ -699,13 +755,11 @@ def test_subgroup_generators_generate_each_listed_subgroup(p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_polarization_subgroups_are_built_once_from_the_spans(p, monkeypatch):
     g = HeisenbergGroup(SymplecticSpace(p, 1))
-    pol = g.space.standard_polarization()
+    plus, minus = (span_mod(basis, p, 2) for basis in standard_bases(g.space))
     expected = {
-        "plus_subgroup": {g.from_w(w) for w in pol.plus_span()},
-        "minus_subgroup": {g.from_w(w) for w in pol.minus_span()},
-        "minus_z_subgroup": {
-            g.element(w, z) for w in pol.minus_span() for z in range(p)
-        },
+        "plus_subgroup": {g.from_w(w) for w in plus},
+        "minus_subgroup": {g.from_w(w) for w in minus},
+        "minus_z_subgroup": {g.element(w, z) for w in minus for z in range(p)},
     }
 
     def no_element(self, w, z):

@@ -11,9 +11,14 @@ from group_oracles import (
     abelian_characters_by_subtable,
     automorphisms_by_candidate,
     character_sum,
+    apply_involution,
     closure,
+    conjugate_involution,
+    fixed_subgroup,
     heisenberg_mackey_configurations,
+    hom_dim,
     induced_hom_dim_by_loop,
+    inner_involution,
     is_integer,
     table_group_from_mul,
     zoo_group_by_law,
@@ -33,13 +38,10 @@ from heisweil.mackey import (
     InvolutionRecord,
     TableGroup,
     all_involutive_automorphisms,
-    conjugate_involution,
     cyclic_group,
     dihedral_group,
     direct_product,
-    fixed_subgroup,
     induced_hom_dim_oracle,
-    inner_involution,
     inner_involutions,
     involution_stabilizer,
     k_orbit_labels,
@@ -197,7 +199,7 @@ def test_invstab_on_zoo_groups():
         stabilizer = set(involution_stabilizer(tg, theta).tolist())
         for a in range(tg.order):
             stab = conjugate_involution(tg, a, theta).perm == theta.perm
-            assert stab == (tg.mul(a, tg.inv(theta.apply(a))) in center)
+            assert stab == (tg.mul(a, tg.inv(apply_involution(theta, a))) in center)
             assert stab == (a in stabilizer)
 
 
@@ -215,7 +217,7 @@ def test_involution_stabilizer_is_where_the_conjugate_is_theta():
         stab = [a for a, perm in enumerate(_conjugates(tg, theta)) if perm == theta.perm]
         center = tg.center()
         central = [
-            a for a in range(tg.order) if tg.mul(a, tg.inv(theta.apply(a))) in center
+            a for a in range(tg.order) if tg.mul(a, tg.inv(apply_involution(theta, a))) in center
         ]
         assert involution_stabilizer(tg, theta).tolist() == stab == central, label
 
@@ -284,7 +286,7 @@ def test_s_theta_central_twist_characterization(s3, a3):
     h = sorted(fixed_subgroup(s3, theta))
     for x in _reps(s3, a3, h):
         coset = {s3.mul(s3.mul(a, x), b) for a in a3 for b in h}
-        has = any(s3.mul(gq, s3.inv(theta.apply(gq))) in center for gq in coset)
+        has = any(s3.mul(gq, s3.inv(apply_involution(theta, gq))) in center for gq in coset)
         assert (x in members) == has
 
 
@@ -438,13 +440,13 @@ def _twisted_class_labels_by_closure(tg, k_members, theta) -> list[int]:
     """The reference: for every x, the number of the K-orbit of its twist
     x theta(x)^-1 under k . y = k y theta(k)^-1, the orbits closed
     breadth-first from each smallest unreached twist, one g.mul at a time."""
-    twists = [tg.mul(x, tg.inv(theta.apply(x))) for x in range(tg.order)]
+    twists = [tg.mul(x, tg.inv(apply_involution(theta, x))) for x in range(tg.order)]
     unreached, orbits = set(twists), []
     while unreached:
         orbit = closure(
             [min(unreached)],
             k_members,
-            lambda y, k: tg.mul(tg.mul(k, y), tg.inv(theta.apply(k))),
+            lambda y, k: tg.mul(tg.mul(k, y), tg.inv(apply_involution(theta, k))),
         )
         unreached -= set(orbit)
         orbits.append(orbit)
@@ -556,8 +558,8 @@ def test_h1_bound_two_for_theta_trivial_on_center():
     q8 = quaternion_group()
     ident = InvolutionRecord(tuple(range(8)))
     center = q8.center()
-    z1 = [z for z in center if ident.apply(z) == q8.inv(z)]
-    b1 = {q8.mul(z, q8.inv(ident.apply(z))) for z in center}
+    z1 = [z for z in center if apply_involution(ident, z) == q8.inv(z)]
+    b1 = {q8.mul(z, q8.inv(apply_involution(ident, z))) for z in center}
     assert len(z1) == 2 and len(b1) == 1
 
 
@@ -603,8 +605,6 @@ def test_orbmult_formula_s3(s3, a3):
 
 
 def test_orbmult_reduces_to_hom_dim_when_K_is_G(s3):
-    from heisweil.reps import hom_dim
-
     theta = next(
         t for t in all_involutive_automorphisms(s3) if not t.is_identity()
     )
@@ -1128,8 +1128,8 @@ def test_m_K_matches_the_per_element_cocycles():
     element, on every configuration."""
     for label, tg, k_sub, _, theta in _suite_configurations():
         center = tg.center()
-        z1 = [z for z in center if theta.apply(z) == tg.inv(z)]
-        b1 = {tg.mul(z, tg.inv(theta.apply(z))) for z in center}
+        z1 = [z for z in center if apply_involution(theta, z) == tg.inv(z)]
+        b1 = {tg.mul(z, tg.inv(apply_involution(theta, z))) for z in center}
         assert b1 <= set(z1) and len(z1) % len(b1) == 0, label
         m, bound = m_K(tg, k_sub, theta, _theta_cosets(tg, k_sub, theta)[1])
         assert bound == (len(z1) // len(b1) if center <= set(k_sub) else None), label

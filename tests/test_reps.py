@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import elimination_oracle as oracle
-from group_oracles import character_sum, heisenberg_mackey_configurations
+from group_oracles import character_sum, form_pair, heisenberg_mackey_configurations, hom_dim
 from heisweil import reps as reps_mod
 from heisweil.checks import Check
 from heisweil.groups import double_coset_labels
@@ -26,7 +26,6 @@ from heisweil.reps import (
     fixed_forms,
     fixed_forms_certificate,
     heisenberg_rep,
-    hom_dim,
     hom_dims,
     irreducibles_of_H,
     projector_traces,
@@ -606,13 +605,13 @@ def test_hplusfixed_conjugation_identity(h3, tau3):
     for _ in range(10):
         w0 = (rng.randrange(3), rng.randrange(3))
         ws = [h3.names[h].w for h in h3.plus_subgroup]
-        lift = frozenset(h3.element(w, h3.space.pair(w, w0)) for w in ws)
+        lift = frozenset(h3.element(w, form_pair(h3.space, w, w0)) for w in ws)
         assert h3.is_subgroup(lift)
         g0 = h3.from_w(w0)
         for h in h3.plus_subgroup:
             w = h3.names[h].w
             assert h3.mul(h3.mul(h3.inv(g0), h), g0) == h3.element(
-                w, h3.space.pair(w, w0)
+                w, form_pair(h3.space, w, w0)
             )
         assert hom_dim(tau3, lift) == 1
 
@@ -807,7 +806,7 @@ def test_irreducible_character_rows_are_rows_of_the_character_table(p):
     offsets = list(itertools.product(range(p), repeat=g.dim))
     assert [r.model for r in irreps] == ["char"] * len(offsets) + ["minus"] * (p - 1)
     for i, (rho, w0) in enumerate(zip(irreps, offsets)):
-        values = [[zeta_p(p, g.space.pair(w0, g.names[h].w)) for h in els]]
+        values = [[zeta_p(p, form_pair(g.space, w0, g.names[h].w)) for h in els]]
         row = rho.characters(els)
         assert row == CycMatrix(rho.conductor, values) == table[i : i + 1], i
 

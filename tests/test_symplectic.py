@@ -4,16 +4,23 @@ import random
 import numpy as np
 import pytest
 
+from group_oracles import (
+    check_polarization,
+    eigen_polarization,
+    form_pair,
+    polarization_to_involution,
+    span_mod,
+    standard_bases,
+)
+from heisweil.heisenberg import HeisenbergGroup
 from heisweil.scalar import legendre_symbol
 from heisweil.symplectic import (
     GuardError,
-    Polarization,
     SymplecticSpace,
     bruhat_factor,
     chi_M,
     chi_P,
     codes,
-    eigen_polarization,
     enumerate_antisymplectic,
     enumerate_M,
     enumerate_N,
@@ -25,10 +32,10 @@ from heisweil.symplectic import (
     mat_det,
     mat_inv,
     n_element,
-    polarization_to_involution,
     sp_index,
     sp_table,
     sp_witness,
+    standard_involution,
     weyl_element,
 )
 
@@ -51,10 +58,10 @@ def sp3():
 def test_form_is_antisymmetric_and_bilinear(sp3):
     vs = list(itertools.product(range(3), repeat=2))
     for a, b in itertools.product(vs[:5], vs):
-        assert sp3.pair(a, b) == (-sp3.pair(b, a)) % 3
+        assert form_pair(sp3, a, b) == (-form_pair(sp3, b, a)) % 3
     a, b, c = (1, 2), (2, 1), (0, 1)
-    lhs = sp3.pair(tuple((x + y) % 3 for x, y in zip(a, b)), c)
-    assert lhs == (sp3.pair(a, c) + sp3.pair(b, c)) % 3
+    lhs = form_pair(sp3, tuple((x + y) % 3 for x, y in zip(a, b)), c)
+    assert lhs == (form_pair(sp3, a, c) + form_pair(sp3, b, c)) % 3
 
 
 def test_is_symplectic_on_a_stack(sp3):
@@ -161,8 +168,11 @@ def test_chi_P_is_homomorphism(p):
 
 def test_M_is_stabilizer_of_standard_polarization():
     space = SymplecticSpace(3, 1)
-    pol = space.standard_polarization()
-    plus, minus = pol.plus_span(), pol.minus_span()
+    plus, minus = (span_mod(basis, 3, 2) for basis in standard_bases(space))
+    # the w of the members of H's standard halves are the spans
+    g = HeisenbergGroup(space)
+    assert {tuple(w) for w in g.w[sorted(g.plus_subgroup)].tolist()} == plus
+    assert {tuple(w) for w in g.w[sorted(g.minus_subgroup)].tolist()} == minus
     m_set = {m.tobytes() for m in enumerate_M(space)}
     for s in enumerate_sp(space):
         stabilizes = all(apply(s, w, 3) in plus for w in plus) and all(
@@ -187,14 +197,18 @@ def test_eigen_polarization_identity(sp3):
 
 
 def test_polarization_involution_roundtrip(sp3):
-    pol = sp3.standard_polarization()
-    s = polarization_to_involution(pol)
+    std_plus, std_minus = standard_bases(sp3)
+    check_polarization(sp3, std_plus, std_minus)
+    s = polarization_to_involution(sp3, std_plus, std_minus)
     assert is_antisymplectic(sp3, s) and np.array_equal(s @ s % 3, np.eye(2))
     assert np.array_equal(s, np.array([[1, 0], [0, 2]]))
+    assert np.array_equal(s, standard_involution(sp3))
     plus, minus = eigen_polarization(sp3, s)
-    assert Polarization(sp3, plus, minus).plus_span() == pol.plus_span()
-    swapped = Polarization(sp3, pol.minus, pol.plus)
-    s2 = polarization_to_involution(swapped)
+    check_polarization(sp3, plus, minus)
+    assert span_mod(plus, 3, 2) == span_mod(std_plus, 3, 2)
+    check_polarization(sp3, std_minus, std_plus)  # the swapped polarization
+    s2 = polarization_to_involution(sp3, std_minus, std_plus)
+    assert is_antisymplectic(sp3, s2)
     assert np.array_equal(s2, (-s) % 3)
 
 
@@ -205,7 +219,7 @@ def test_every_antisymplectic_involution_gives_polarization(p):
         assert is_antisymplectic(space, s)
         if np.array_equal(s @ s % p, np.eye(2)):
             plus, minus = eigen_polarization(space, s)
-            Polarization(space, plus, minus)  # validates isotropy and spanning
+            check_polarization(space, plus, minus)  # isotropy and spanning
 
 
 def bruhat_words(space, mats) -> list[list[np.ndarray]]:

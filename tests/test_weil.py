@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import elimination_oracle as oracle
-from group_oracles import special_iso_inverse_image
+from group_oracles import form_pair, special_iso_inverse_image
 import heisweil.linalg as linalg
 import heisweil.weil as weil_mod
 from heisweil.cli import run
@@ -839,7 +839,7 @@ def test_abstract_lift_twist_relation(lift3):
     isos = special_isos(g)
     for perm, w0 in zip(isos.perm.tolist(), isos.w0.tolist()):
         for h in g.elements():
-            twist = zeta_p(3, g.space.pair(w0, g.names[h].w))
+            twist = zeta_p(3, form_pair(g.space, w0, g.names[h].w))
             assert lift3.base.image(perm[h]) == lift3.base.image(h).scale(twist)
 
 
@@ -855,7 +855,7 @@ def test_abstract_lift_twist_relation_on_a_corrupted_base_matches_reference(lift
     witness = None
     for i, (perm, w0) in enumerate(zip(isos.perm.tolist(), isos.w0.tolist())):
         for h in g.elements():
-            twist = zeta_p(3, g.space.pair(w0, g.names[h].w))
+            twist = zeta_p(3, form_pair(g.space, w0, g.names[h].w))
             if witness is None and base.image(perm[h]) != base.image(h).scale(twist):
                 witness = (isos.witness(i), h)
     rec = Recorder()
