@@ -586,7 +586,7 @@ def _dump(args, cfg: RunConfig):
             payload["subgroups"] = [
                 [
                     {"w": list(group.names[h].w), "z": group.names[h].z}
-                    for h in sorted(sub)
+                    for h in np.flatnonzero(sub).tolist()
                 ]
                 for sub in group.all_subgroups()
             ]

@@ -56,12 +56,16 @@ The Heisenberg group W x| F_p (:class:`heisweil.heisenberg.HeisenbergGroup`)
 is a TableGroup subclass, so subgroup, commutator and automorphism checks
 below serve it and the Mackey test groups alike.  It builds its table on
 first read and hands it to :meth:`TableGroup._adopt`, which runs the
-constructor's checks on every table a TableGroup keeps.  Subgroups are
-handed out as frozensets of indices.  Membership is a boolean mask over the
-indices (:meth:`TableGroup.mask`): the traversal scatters each layer into
-one, and a subgroup, center or K test is one gather from one, never a
-sort; :meth:`TableGroup.are_subgroups` tests a stack of masks at once.
-Element orders are one power table, :attr:`TableGroup.orders`: every
+constructor's checks on every table a TableGroup keeps, and makes the
+table, ``inverse_of`` and the center read-only.  A subgroup has one
+encoding: a read-only (n,) boolean mask over the indices, and a family of
+subgroups is a (k, n) array of masks.  The traversal scatters each layer
+into the mask it returns, every subgroup argument is such a mask, and a
+subgroup, center or K test is one gather from one, never a sort; indices
+are read off a mask (``np.flatnonzero``) only where a gather needs them.
+:meth:`TableGroup.mask` is the one way to build a mask from a list of
+indices, and :meth:`TableGroup.are_subgroups` tests a stack of masks at
+once.  Element orders are one power table, :attr:`TableGroup.orders`: every
 element's powers are walked at once, one gather of the table per step,
 until each has reached the identity.
 """
@@ -77,11 +81,20 @@ __all__ = [
     "double_coset_labels",
     "extend_hom",
     "generators_within",
+    "read_only",
 ]
 
 
-def extend_hom(tg: "TableGroup", gen_images: dict, mul, one) -> dict:
-    """Extend generator images {index: image} to every element of ``tg``.
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only, as every mask and permutation the group core
+    hands out is."""
+    a.flags.writeable = False
+    return a
+
+
+def extend_hom(tg: "TableGroup", gen_images: dict, mul, one, within=None) -> dict:
+    """Extend generator images {index: image} to every element of ``tg``,
+    or of the subgroup with the mask ``within``.
 
     Returns {index: image}, the identity's image ``one``, filled layer by
     layer along :meth:`TableGroup._layers`: an element first reached by the
@@ -92,16 +105,17 @@ def extend_hom(tg: "TableGroup", gen_images: dict, mul, one) -> dict:
     Raises ValueError when the generators do not reach every element.
     """
     gens = list(gen_images)
+    size = tg.order if within is None else int(within.sum())
     images = {0: one}
-    for frontier, products in tg._layers(gens):
+    for frontier, products, _ in tg._layers(gens):
         reached, first = np.unique(products, return_index=True)
         for y, k in zip(reached.tolist(), first.tolist()):
             if y not in images:
                 x, a = divmod(k, len(gens))
                 images[y] = mul(images[int(frontier[x])], gen_images[gens[a]])
-    if len(images) != tg.order:
+    if len(images) != size:
         raise ValueError(
-            f"generators {gens} reach {len(images)} of the {tg.order} elements"
+            f"generators {gens} reach {len(images)} of the {size} elements"
         )
     return images
 
@@ -115,13 +129,14 @@ class TableGroup:
     A signed-integer table keeps its dtype when that dtype holds every
     index 0..n-1, so Sp x| H(3) keeps its table in int16; any other integer
     table is cast to int64, and a table of another kind (float, bool) is
-    refused with a ValueError naming its dtype.  Every reader gathers
+    refused with a ValueError naming its dtype.  The group keeps a
+    read-only copy of the table.  Every reader gathers
     through the table, so a gather's result has the table's dtype; the
     indices it hands out are Python ints or the int64 (intp) arrays of
     ``inverse_of`` and the numpy index routines."""
 
     def __init__(self, table, names=None):
-        table = np.asarray(table)
+        table = np.array(table)
         if table.dtype.kind not in "iu":
             raise ValueError(
                 f"multiplication table must hold integers; got dtype {table.dtype}"
@@ -141,9 +156,10 @@ class TableGroup:
 
     def _adopt(self, table: np.ndarray) -> None:
         """Check the (n, n) ``table`` and keep it as the Cayley table, with
-        ``inverse_of`` and the center: the checks of the class docstring,
-        run by the constructor and by a subclass that builds its table on
-        first read.  A table that fails a check is not kept."""
+        ``inverse_of`` and the center mask, all three read-only: the checks
+        of the class docstring, run by the constructor and by a subclass
+        that builds its table on first read.  A table that fails a check is
+        not kept."""
         n, ident = self.order, np.arange(self.order)
         if table.min() < 0 or table.max() >= n:
             a, b = np.argwhere((table < 0) | (table >= n))[0]
@@ -156,7 +172,7 @@ class TableGroup:
         inverse_of = is_one.argmax(axis=1)
         if not (is_one.sum(axis=1) == 1).all() or (table[inverse_of, ident] != 0).any():
             raise ValueError("table lacks two-sided inverses")
-        self.table, self.inverse_of = table, inverse_of
+        self.table, self.inverse_of = read_only(table), read_only(inverse_of)
         # Light's test reads n^2 |S| entries: the Mackey zoo's tables and
         # H(3, 1), not Sp x| H (648 elements, 3 generators)
         if n <= 64 and not (edges := self.associativity_edges()).all():
@@ -164,7 +180,7 @@ class TableGroup:
             s = self.generators[i]
             del self.table, self.inverse_of, self.generators
             raise ValueError(f"non-associative table: ({x} {s}) {y} != {x} ({s} {y})")
-        self._center = frozenset(np.flatnonzero((table == table.T).all(axis=1)).tolist())
+        self._center = read_only((table == table.T).all(axis=1))
 
     # the group protocol: elements are the indices 0..n-1
     def elements(self):
@@ -179,21 +195,22 @@ class TableGroup:
     def conjugate(self, g, h):
         return self.mul(self.mul(g, h), self.inv(g))
 
-    def center(self) -> frozenset:
+    def center(self) -> np.ndarray:
         return self._center
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """:func:`generators_within` the whole group, derived once per group."""
-        return tuple(generators_within(self, range(self.order)))
+        return tuple(generators_within(self, np.ones(self.order, dtype=bool)))
 
-    def generators_of(self, members) -> tuple[int, ...]:
-        """:func:`generators_within` the subgroup ``members``, derived once
-        per group and subgroup and kept with the group, so a group built
-        once per process, as the Mackey zoo's are, derives each set once."""
-        key = frozenset(members)
+    def generators_of(self, members: np.ndarray) -> tuple[int, ...]:
+        """:func:`generators_within` the subgroup with the mask ``members``,
+        derived once per group and subgroup and kept with the group, so a
+        group built once per process, as the Mackey zoo's are, derives each
+        set once."""
+        key = members.tobytes()
         if key not in self._generating_sets:
-            self._generating_sets[key] = tuple(generators_within(self, key))
+            self._generating_sets[key] = tuple(generators_within(self, members))
         return self._generating_sets[key]
 
     @cached_property
@@ -216,47 +233,55 @@ class TableGroup:
         return t[t[:, gens]] == t[:, t[gens]]
 
     def mask(self, members) -> np.ndarray:
-        """The boolean mask of ``members`` (indices) over 0..n-1."""
+        """The read-only boolean mask of ``members`` (indices) over 0..n-1."""
         idx = np.fromiter(members, dtype=np.int64)
         if idx.size and not (0 <= idx.min() and idx.max() < self.order):
             raise ValueError(f"group indices lie in 0..{self.order - 1}")
         mask = np.zeros(self.order, dtype=bool)
         mask[idx] = True
-        return mask
+        return read_only(mask)
 
     def _layers(self, gens):
         """The package's one breadth-first traversal of a table: the layers
-        of the subgroup ``gens`` generates, as pairs (frontier, products)
-        with products[i, j] = frontier[i] gens[j], one gather of the
-        frontier's rows at the generator columns.  The first frontier is the
-        identity; each next one is scattered into a mask: the elements of
-        the products in no earlier frontier, in index order."""
+        of the subgroup ``gens`` generates, as triples (frontier, products,
+        seen) with products[i, j] = frontier[i] gens[j], one gather of the
+        frontier's rows at the generator columns, and ``seen`` the mask of
+        the frontiers so far, one array the walk updates in place.  The
+        first frontier is the identity; each next one is scattered into a
+        mask: the elements of the products in no earlier frontier, in index
+        order.  At the last layer ``seen`` is the subgroup."""
         t, gens = self.table, np.fromiter(gens, dtype=np.int64)
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
         frontier = np.zeros(1, dtype=np.int64)
         while frontier.size:
             products = t[frontier[:, None], gens]
-            yield frontier, products
+            yield frontier, products, seen
             reached = np.zeros(self.order, dtype=bool)
             reached[products] = True
             reached &= ~seen
             seen |= reached
             frontier = np.flatnonzero(reached)
 
-    def subgroup_generated(self, gens) -> frozenset:
-        """The subgroup generated by ``gens``: the union of the frontiers of
-        :meth:`_layers`."""
-        layers = [frontier for frontier, _ in self._layers(gens)]
-        return frozenset(np.concatenate(layers).tolist())
+    def subgroup_generated(self, gens) -> np.ndarray:
+        """The mask of the subgroup generated by ``gens``: the ``seen`` mask
+        of the last layer of :meth:`_layers`."""
+        *_, (_, _, seen) = self._layers(gens)
+        return read_only(seen)
 
-    def is_subgroup(self, subset) -> bool:
-        """Nonempty and closed under products (in a finite group that makes
-        a subgroup), tested as one gather of the |K| x |K| block of the
-        table from the mask of K."""
-        inside = self.mask(subset)
-        k = np.flatnonzero(inside)
-        return k.size > 0 and bool(inside[self.table[np.ix_(k, k)]].all())
+    def is_subgroup(self, mask) -> bool:
+        """Whether the boolean (n,) ``mask`` is nonempty and closed under
+        products (in a finite group that makes a subgroup), tested as one
+        gather of the |K| x |K| block of the table.  ValueError for an array
+        of another dtype or shape."""
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (self.order,):
+            raise ValueError(
+                f"a subgroup is a bool mask of shape ({self.order},); "
+                f"got {mask.dtype} of shape {mask.shape}"
+            )
+        k = np.flatnonzero(mask)
+        return k.size > 0 and bool(mask[self.table[np.ix_(k, k)]].all())
 
     def are_subgroups(self, masks) -> np.ndarray:
         """:meth:`is_subgroup` for each row of a (k, n) boolean array of
@@ -294,8 +319,8 @@ class TableGroup:
         ok[ok] = (p[:, t[:, gens]] == images).all(axis=(1, 2))
         return ok
 
-    def commutator_subgroup(self) -> frozenset:
-        """[G, G], as the subgroup M generated by the |G| |S| commutators
+    def commutator_subgroup(self) -> np.ndarray:
+        """The mask of [G, G], the subgroup M generated by the |G| |S| commutators
         [x, s] = x s x^-1 s^-1, x in G and s in S = :attr:`generators`.
 
         Lemma: M = [G, G].  M is normal, as a [b, s] a^-1 = [a b, s] [a, s]^-1
@@ -325,8 +350,11 @@ class TableGroup:
         return f"TableGroup(order={self.order})"
 
 
-def double_coset_labels(g: TableGroup, k_sub, h_sub) -> np.ndarray:
-    """For each element x, the number of its double coset K x H.
+def double_coset_labels(
+    g: TableGroup, k_sub: np.ndarray, h_sub: np.ndarray
+) -> np.ndarray:
+    """For each element x, the number of its double coset K x H, for the
+    subgroups with the masks ``k_sub`` and ``h_sub``.
 
     Cosets are numbered in the order of their smallest members, so the first
     index of each label is its coset's smallest element.  Lemma: K x H is
@@ -336,36 +364,35 @@ def double_coset_labels(g: TableGroup, k_sub, h_sub) -> np.ndarray:
     min(y H) for every y, then their least over the rows t[K].  Double
     cosets of subgroups partition G, so equal minima mean one coset.
     """
-    k = np.array(sorted(set(k_sub)), dtype=np.int64)
-    h = np.array(sorted(set(h_sub)), dtype=np.int64)
-    if not (g.is_subgroup(k) and g.is_subgroup(h)):
+    if not (g.is_subgroup(k_sub) and g.is_subgroup(h_sub)):
         raise ValueError("double cosets need subgroups K and H")
-    t = g.table
+    t, k, h = g.table, np.flatnonzero(k_sub), np.flatnonzero(h_sub)
     least = t[:, h].min(axis=1)[t[k]].min(axis=0)
     return np.unique(least, return_inverse=True)[1]
 
 
-def generators_within(g: TableGroup, members) -> list[int]:
-    """An irredundant generating set of the subgroup given by ``members``.
+def generators_within(g: TableGroup, members: np.ndarray) -> list[int]:
+    """An irredundant generating set of the subgroup with the mask
+    ``members``.
 
     A greedy pass keeps each member, in index order, that the ones kept
     before it do not generate; then each kept generator, in index order, is
     dropped when the others left still generate the subgroup.  So no
     generator of the result lies in the subgroup the others generate.
     """
-    target = frozenset(members)
     gens: list[int] = []
-    generated = frozenset([0])
-    for a in sorted(target):
-        if a in generated:
+    generated = g.mask([0])
+    for a in np.flatnonzero(members).tolist():
+        if generated[a]:
             continue
         gens.append(a)
         generated = g.subgroup_generated(gens)
-        if generated == target:
+        if np.array_equal(generated, members):
             break
-    if generated != target:
+    if not np.array_equal(generated, members):
         raise ValueError("members are not a subgroup")
+    size = generated.sum()
     for a in list(gens):
-        if len(g.subgroup_generated([b for b in gens if b != a])) == len(target):
+        if g.subgroup_generated([b for b in gens if b != a]).sum() == size:
             gens.remove(a)
     return gens

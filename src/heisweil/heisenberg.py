@@ -18,13 +18,14 @@ their images builds no table.  The center equals the commutator subgroup,
 and the commutator pairing factors through W as the symplectic form.
 
 Subgroups are read off coordinates too, by :meth:`HeisenbergGroup.index_of`
-broadcasts: the p^2 + 2p + 4 subgroups of H(p, 1)
-(:meth:`HeisenbergGroup.all_subgroups`, from its structure, with no
-closure, and the generators each is built from,
-:meth:`HeisenbergGroup.subgroup_generators`).
+broadcasts, as read-only boolean masks over the indices, the one encoding
+of a subgroup in :mod:`heisweil.groups`: the p^2 + 2p + 4 subgroups of
+H(p, 1) are one (k, |H|) array (:meth:`HeisenbergGroup.all_subgroups`,
+from its structure, with no closure, and the generators each is built
+from, :meth:`HeisenbergGroup.subgroup_generators`).
 
 A polarization W = W^+ + W^- has one encoding in the package: subgroups of
-H, as sets or as (k, |H|) boolean masks over the indices, with their
+H, as (|H|,) or (k, |H|) boolean masks over the indices, with their
 images in W read off the w codes index // p.  The sides W^+ x 0, W^- x 0
 and W^- x Z of the standard polarization are coordinate blocks,
 {w[l:] = 0, z = 0}, {w[:l] = 0, z = 0} and {w[:l] = 0}, each built once
@@ -59,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from heisweil.checks import Check
-from heisweil.groups import TableGroup
+from heisweil.groups import TableGroup, read_only
 from heisweil.symplectic import (
     SP_ENUM_GUARD,
     GuardError,
@@ -191,9 +192,10 @@ class HeisenbergGroup(TableGroup):
 
     # -- subgroups ----------------------------------------------------------
 
-    def all_subgroups(self) -> list[frozenset[int]]:
+    def all_subgroups(self) -> np.ndarray:
         """Every subgroup of H(p, 1), from its structure, with no closure,
-        in the order of (size, sorted members).
+        as one read-only (k, |H|) array of masks, in the order of (size,
+        sorted members).
 
         H(p, 1) has order p^3 and exponent p: (w, z)^k = (k w, k z), as
         <w, w> = 0.  So a subgroup of order p is cyclic, <(w, z)> =
@@ -202,7 +204,7 @@ class HeisenbergGroup(TableGroup):
         line of W, and each of the p + 1 lines gives one.  With {1} and H,
         that makes p^2 + 2p + 4 subgroups.
         """
-        return list(self._subgroup_structure[0])
+        return self._subgroup_structure[0]
 
     def subgroup_generators(self) -> list[tuple[int, ...]]:
         """A generating set of each subgroup of :meth:`all_subgroups`, in
@@ -213,7 +215,7 @@ class HeisenbergGroup(TableGroup):
         return list(self._subgroup_structure[1])
 
     @cached_property
-    def _subgroup_structure(self) -> tuple[tuple, tuple]:
+    def _subgroup_structure(self) -> tuple[np.ndarray, tuple]:
         """(subgroups, generating sets) of :meth:`all_subgroups` and
         :meth:`subgroup_generators`, built once per group."""
         if self.space.ell != 1:
@@ -235,45 +237,43 @@ class HeisenbergGroup(TableGroup):
             np.sort(lines.reshape(p + 1, p * p), axis=1), axis=0, return_index=True
         )
         center = self.central(1)
-        subgroups = (
-            frozenset([0]),
-            *(frozenset(row) for row in cyclic.tolist()),
-            *(frozenset(row) for row in lines.tolist()),
-            frozenset(range(self.order)),
-        )
+        # row 0 is {1}, then the cyclic subgroups and the lines, then H
+        subgroups = np.zeros((len(cyclic) + len(lines) + 2, self.order), dtype=bool)
+        subgroups[0, 0] = subgroups[-1] = True
+        for start, members in ((1, cyclic), (1 + len(cyclic), lines)):
+            subgroups[start + np.arange(len(members))[:, None], members] = True
         gens = (
             (),
             *((h,) for h in (first + 1).tolist()),
             *((d, center) for d in self.index_of(dirs[line_of], 0).tolist()),
             tuple(self.index_of(np.eye(2, dtype=np.int64), 0).tolist()),
         )
-        return subgroups, gens
+        return read_only(subgroups), gens
 
     # -- embedded subgroups of interest --------------------------------------
 
     @cached_property
-    def plus_subgroup(self) -> frozenset[int]:
+    def plus_subgroup(self) -> np.ndarray:
         """W^+ x {0} for the standard polarization, {w[l:] = 0, z = 0},
         built once per group."""
         return self._block(slice(self.space.ell, None), self.z == 0)
 
     @cached_property
-    def minus_subgroup(self) -> frozenset[int]:
+    def minus_subgroup(self) -> np.ndarray:
         """W^- x {0} for the standard polarization, {w[:l] = 0, z = 0},
         built once per group."""
         return self._block(slice(None, self.space.ell), self.z == 0)
 
     @cached_property
-    def minus_z_subgroup(self) -> frozenset[int]:
+    def minus_z_subgroup(self) -> np.ndarray:
         """W^- x Z for the standard polarization, {w[:l] = 0}, built once
         per group."""
         return self._block(slice(None, self.space.ell), True)
 
-    def _block(self, vanishing: slice, keep) -> frozenset[int]:
-        """The indices where the coordinates ``w[vanishing]`` are 0 and the
-        mask ``keep`` holds."""
-        keep = keep & ~self.w[:, vanishing].any(axis=1)
-        return frozenset(np.flatnonzero(keep).tolist())
+    def _block(self, vanishing: slice, keep) -> np.ndarray:
+        """The read-only mask of the indices where the coordinates
+        ``w[vanishing]`` are 0 and the mask ``keep`` holds."""
+        return read_only(keep & ~self.w[:, vanishing].any(axis=1))
 
     def __repr__(self):
         return f"HeisenbergGroup(p={self.p}, ell={self.space.ell})"
@@ -310,7 +310,7 @@ def special_iso_axioms(
     g = group
     check = Check("heisenberg.special_iso_axioms") if check is None else check
     mu = np.asarray(perms) % g.p
-    center, gens = np.array(sorted(g.center())), np.array(g.generators)
+    center, gens = np.flatnonzero(g.center()), np.array(g.generators)
     nu = mu + (np.arange(g.order) - g.z)  # nu(h) as an index
     edges = nu[:, g.table[:, gens]] == g.table[nu[:, :, None], nu[:, None, gens]]
     oks = np.concatenate([mu[:, center] == g.z[center], edges.reshape(len(nu), -1)], 1)
@@ -328,19 +328,18 @@ def special_iso_axioms(
 def special_iso_from_split_polarization(
     group: HeisenbergGroup, hplus, hminus
 ) -> Automorphisms:
-    """The unique nu sending both halves of a split polarization into W x 1,
-    as a stack of one.
+    """The unique nu sending both halves of a split polarization, the masks
+    ``hplus`` and ``hminus``, into W x 1, as a stack of one.
 
     nu(h_+ h_- z) has central part z + (1/2)[h_+, h_-], with the |H|
     commutators [h_+, h_-] read off the table; w0 is then solved from mu on
     the basis, <w0, e_i> = mu(e_i, 0), and validated against every element.
     """
     g, p, ell = group, group.p, group.space.ell
-    hplus, hminus = frozenset(hplus), frozenset(hminus)
     _check_split_polarization(group, hplus, hminus)
 
-    plus_basis = rref_mod(g.w[sorted(hplus)], p)[0]
-    minus_basis = rref_mod(g.w[sorted(hminus)], p)[0]
+    plus_basis = rref_mod(g.w[hplus], p)[0]
+    minus_basis = rref_mod(g.w[hminus], p)[0]
     inv = mat_inv(np.concatenate([plus_basis, minus_basis]).T, p)
     # w = w+ + w- for every element, and the side elements over w+ and w-
     coords = g.w @ inv.T % p
@@ -366,8 +365,9 @@ def special_iso_from_split_polarization(
 
 
 def _side_by_w(g: HeisenbergGroup, side) -> np.ndarray:
-    """Lookup from (w read in base p) to the element of ``side`` over w."""
-    members = np.array(sorted(side), dtype=np.int64)
+    """Lookup from (w read in base p) to the element of the mask ``side``
+    over w."""
+    members = np.flatnonzero(side)
     lookup = np.full(g.order // g.p, -1, dtype=np.int64)
     lookup[members // g.p] = members
     return lookup
@@ -419,7 +419,7 @@ def _lagrangian_faults(g: HeisenbergGroup, plus, minus) -> list[np.ndarray]:
 def _polarization_faults(g: HeisenbergGroup, plus, hhat_minus) -> list[np.ndarray]:
     """The faults of :data:`_POLARIZATION_FAULTS` on each row of the (k, |H|)
     masks ``plus`` (H^+) and ``hhat_minus`` (Hhat^-)."""
-    center = g.mask(g.center())
+    center = g.center()
     return [
         ~(g.are_subgroups(plus) & g.are_subgroups(hhat_minus)),
         (plus & center).sum(axis=1) != 1,
@@ -429,8 +429,7 @@ def _polarization_faults(g: HeisenbergGroup, plus, hhat_minus) -> list[np.ndarra
 
 
 def _check_split_polarization(g: HeisenbergGroup, hplus, hminus):
-    center = g.mask(g.center())
-    sides = g.mask(hplus)[None], g.mask(hminus)[None]
+    center, sides = g.center(), (hplus[None], hminus[None])
     faults = []
     for side in sides:
         faults += [~g.are_subgroups(side), (side & center).sum(axis=1) > 1]
@@ -452,21 +451,20 @@ def split_polarization_from_iso(isos: Automorphisms, hplus, hhat_minus) -> np.nd
     """H^- = Hhat^- intersect nu^-1(W x 1), the splitting attached to each
     special isomorphism nu of the stack ``isos``, as (len(isos), |H|) masks.
 
-    The polarization (H^+, Hhat^-) is checked once; every splitting must be
+    The polarization (H^+, Hhat^-), two masks, is checked once; every splitting must be
     a subgroup that meets the center trivially with H^- Z = Hhat^-, read on
     the w codes index // p.  The first row that fails raises RuntimeError
     naming its first fault and its w0.
     """
     g = isos.group
     _check_polarization(g, hplus, hhat_minus)
-    hhat = g.mask(hhat_minus)
-    hminus = hhat & (isos.perm % g.p == 0)
+    hminus = hhat_minus & (isos.perm % g.p == 0)
     # H^- Z: every (w, z) with w the w of an element of H^-
     times_center = np.repeat(hminus.reshape(len(isos), -1, g.p).any(axis=2), g.p, axis=1)
     faults = np.column_stack([
         ~g.are_subgroups(hminus),
-        (hminus & g.mask(g.center())).sum(axis=1) != 1,
-        (times_center != hhat).any(axis=1),
+        (hminus & g.center()).sum(axis=1) != 1,
+        (times_center != hhat_minus).any(axis=1),
     ])
     if faults.any():
         row, fault = np.argwhere(faults)[0]
@@ -475,7 +473,7 @@ def split_polarization_from_iso(isos: Automorphisms, hplus, hhat_minus) -> np.nd
 
 
 def _check_polarization(g: HeisenbergGroup, hplus, hhat_minus):
-    faults = _polarization_faults(g, g.mask(hplus)[None], g.mask(hhat_minus)[None])
+    faults = _polarization_faults(g, hplus[None], hhat_minus[None])
     _raise_first(np.column_stack(faults), _POLARIZATION_FAULTS)
 
 

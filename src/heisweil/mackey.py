@@ -12,10 +12,16 @@ the stacked permutations for S_n (each product found by its base-n code),
 the (unit, sign) law for Q8, and the two tables side by side for a direct
 product.
 
-:func:`all_involutive_automorphisms` extends every tuple of same-order
-generator images (read off :attr:`~heisweil.groups.TableGroup.orders`) at
-once and keeps the involutive automorphisms among the extensions with one
-stacked :meth:`~heisweil.groups.TableGroup.is_automorphism` call.
+Subgroups are read-only boolean masks over the indices, as everywhere in
+:mod:`heisweil.groups`: every K and H argument below is one, and so is
+G_theta.  An involution theta is a read-only (n,) int64 permutation of the
+indices, theta(x) = theta[x], and a family of involutions is a (k, n)
+array of them.  :func:`all_involutive_automorphisms` extends every tuple
+of same-order generator images (read off
+:attr:`~heisweil.groups.TableGroup.orders`) at once and keeps the
+involutive automorphisms among the extensions with one stacked
+:func:`is_involution` call, which reads
+:meth:`~heisweil.groups.TableGroup.is_automorphism` on the whole stack.
 
 The two Hom-dimension computations are deliberately independent in what
 they sum, and share the one exact product that sums it.  Each, like the
@@ -66,17 +72,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
-from heisweil.groups import TableGroup, double_coset_labels, extend_hom
+from heisweil.groups import TableGroup, double_coset_labels, extend_hom, read_only
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.reps import MatrixRep, projector_traces
 from heisweil.symplectic import GuardError, SymplecticSpace, mat_inv, sp_index, sp_table
 
 __all__ = [
-    "InvolutionRecord",
     "TableGroup",
     "all_involutive_automorphisms",
     "cyclic_group",
@@ -86,6 +89,7 @@ __all__ = [
     "induced_hom_dim_oracle",
     "inner_involutions",
     "involution_stabilizer",
+    "is_involution",
     "k_orbit_labels",
     "m_K",
     "mackey_hom_dim",
@@ -162,35 +166,31 @@ def direct_product(g1: TableGroup, g2: TableGroup) -> TableGroup:
 AUTOMORPHISM_SEARCH_GUARD = (24, 3)
 
 
-@dataclass(frozen=True)
-class InvolutionRecord:
-    """An automorphism of order <= 2 stored as a permutation of indices."""
-
-    perm: tuple[int, ...]
-
-    def is_valid(self, g: TableGroup) -> bool:
-        """Bijective, of order <= 2, and p(ab) = p(a)p(b) for all pairs
-        (:meth:`~heisweil.groups.TableGroup.is_automorphism`)."""
-        p, ident = np.asarray(self.perm), np.arange(g.order)
-        return bool(g.is_automorphism(p[None])[0]) and np.array_equal(p[p], ident)
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.perm))
+def is_involution(g: TableGroup, perms) -> np.ndarray:
+    """For each row of the (k, n) stack ``perms``, whether it is an
+    automorphism (:meth:`~heisweil.groups.TableGroup.is_automorphism`) of
+    order <= 2, perm[perm] = arange; one bool per row."""
+    perms = np.asarray(perms)
+    ok = g.is_automorphism(perms)
+    p = perms[ok]
+    ok[ok] = (np.take_along_axis(p, p, axis=1) == np.arange(p.shape[1])).all(axis=1)
+    return ok
 
 
-def inner_involutions(g: TableGroup) -> list[InvolutionRecord]:
+def inner_involutions(g: TableGroup) -> np.ndarray:
     """Int(a) of order <= 2, i.e. a^2 central, each once, in the order of
-    the smallest such a: one gather of the rows of those a."""
+    the smallest such a, as one read-only (k, n) array: one gather of the
+    rows of those a."""
     t = g.table
-    a = np.flatnonzero(g.mask(g.center())[t.diagonal()])
-    perms = t[t[a], g.inverse_of[a, None]]
+    a = np.flatnonzero(g.center()[t.diagonal()])
+    perms = t[t[a], g.inverse_of[a, None]].astype(np.int64)
     first = np.sort(np.unique(perms, axis=0, return_index=True)[1])
-    return [InvolutionRecord(tuple(perm)) for perm in perms[first].tolist()]
+    return read_only(perms[first])
 
 
-def all_involutive_automorphisms(g: TableGroup) -> list[InvolutionRecord]:
-    """Every automorphism of order <= 2, by generator-image search, sorted
-    by ``perm``.
+def all_involutive_automorphisms(g: TableGroup) -> np.ndarray:
+    """Every automorphism of order <= 2, by generator-image search, as one
+    read-only (k, n) array with its rows sorted.
 
     Guarded by :data:`AUTOMORPHISM_SEARCH_GUARD`: the search tries every
     tuple of same-order images of :attr:`~heisweil.groups.TableGroup.generators`.
@@ -209,30 +209,26 @@ def all_involutive_automorphisms(g: TableGroup) -> list[InvolutionRecord]:
     t = g.table
     zero = np.zeros_like(candidates[:, 0])
     phi = extend_hom(g, dict(zip(gens, candidates.T)), lambda a, b: t[a, b], zero)
-    perms = np.stack([phi[x] for x in range(g.order)], axis=1)
+    perms = np.stack([phi[x] for x in range(g.order)], axis=1).astype(np.int64)
     # one stacked test proves each extension: bijective, multiplicative and
     # of order <= 2; np.unique sorts the rows
-    squares = np.take_along_axis(perms, perms, axis=1)
-    involutive = (squares == np.arange(g.order)).all(axis=1)
-    kept = np.unique(perms[g.is_automorphism(perms) & involutive], axis=0)
-    return [InvolutionRecord(tuple(perm)) for perm in kept.tolist()]
+    return read_only(np.unique(perms[is_involution(g, perms)], axis=0))
 
 
-def involution_stabilizer(g: TableGroup, theta: InvolutionRecord) -> np.ndarray:
+def involution_stabilizer(g: TableGroup, theta: np.ndarray) -> np.ndarray:
     """G_theta = {a : a.theta = theta}, the stabilizer of theta under
-    conjugation, as sorted indices.
+    conjugation, as a read-only mask.
 
     Lemma: a.theta = Int(a theta(a)^-1) o theta, as
     a theta(a^-1 x a) a^-1 = c theta(x) c^-1 with c = a theta(a)^-1.  So
     a.theta = theta exactly when a theta(a)^-1 lies in Z(G), and the
     G-orbit of theta is G/G_theta, a.theta being the coset a G_theta.  One
     gather of the twists a theta(a)^-1, read through the center mask."""
-    t, perm = g.table, np.asarray(theta.perm)
-    central = g.mask(g.center())[t[np.arange(g.order), g.inverse_of[perm]]]
-    return np.flatnonzero(central)
+    twists = g.table[np.arange(g.order), g.inverse_of[theta]]
+    return read_only(g.center()[twists])
 
 
-def k_orbit_labels(g: TableGroup, k_sub, theta: InvolutionRecord) -> np.ndarray:
+def k_orbit_labels(g: TableGroup, k_sub: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """For every conjugator a, the number of the K-orbit of a.theta in the
     G-orbit of theta: the label of the double coset K a G_theta
     (:func:`~heisweil.groups.double_coset_labels`), as k.(a.theta) =
@@ -240,17 +236,17 @@ def k_orbit_labels(g: TableGroup, k_sub, theta: InvolutionRecord) -> np.ndarray:
     (:func:`involution_stabilizer`).  The K-orbits are numbered in the order
     of their smallest conjugators, theta's own (a = 1, index 0) first.  ValueError
     when theta is not an involutive automorphism, or K no subgroup."""
-    if not theta.is_valid(g):
+    if not is_involution(g, np.asarray(theta)[None])[0]:
         raise ValueError("input is not an involutive automorphism")
     return double_coset_labels(g, k_sub, involution_stabilizer(g, theta))
 
 
-def fixed_masks(g: TableGroup, theta: InvolutionRecord, conjugators) -> np.ndarray:
+def fixed_masks(g: TableGroup, theta: np.ndarray, conjugators) -> np.ndarray:
     """The masks of G^(a.theta) = a G^theta a^-1, one row per conjugator a,
     as y is fixed by a.theta exactly when a^-1 y a is fixed by theta: one
     gather."""
     t, a = g.table, np.asarray(conjugators, dtype=np.int64)[:, None]
-    fixed = np.asarray(theta.perm) == np.arange(g.order)
+    fixed = theta == np.arange(g.order)
     return fixed[t[t[g.inverse_of[a], np.arange(g.order)], a]]
 
 
@@ -276,25 +272,27 @@ def summed_traces(kappas: list[MatrixRep], parts) -> list[list[int]]:
     ]
 
 
-def mackey_hom_dim(g: TableGroup, k_sub, h_sub, reps) -> tuple[np.ndarray, np.ndarray]:
-    """The weight rows of the sum over double cosets KxH of
+def mackey_hom_dim(
+    g: TableGroup, k_sub: np.ndarray, h_sub: np.ndarray, reps
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weight rows of the sum over double cosets KxH (K and H masks) of
     dim Hom_{K ^ xHx^-1}(kappa, 1): the mask of K ^ xHx^-1 for every x of
     ``reps``, one representative of each double coset as the (K, H)
     partition gives them, with its size as divisor; one stacked gather."""
     t, inv = g.table, g.inverse_of
-    h = np.array(sorted(h_sub), dtype=np.int64)
+    h = np.flatnonzero(h_sub)
     xs = np.asarray(reps, dtype=np.int64)
     masks = np.zeros((len(xs), g.order), dtype=bool)
     masks[np.arange(len(xs))[:, None], t[t[xs[:, None], h], inv[xs][:, None]]] = True
-    masks &= g.mask(k_sub)
+    masks &= k_sub
     return masks, masks.sum(axis=1)
 
 
 def induced_hom_dim_oracle(
-    g: TableGroup, k_sub, h_sub, dim: int
+    g: TableGroup, k_sub: np.ndarray, h_sub: np.ndarray, dim: int
 ) -> tuple[np.ndarray, list[int]]:
     """The weight row of dim Hom_H(Ind_K^G kappa, 1) without Mackey theory,
-    for kappas of dimension at most ``dim``.
+    for kappas of dimension at most ``dim`` and the masks K and H.
 
     The value is the exact trace of the idempotent averaging projector over
     H on the induced representation, read off its block-permutation
@@ -305,13 +303,13 @@ def induced_hom_dim_oracle(
     RuntimeError when some x_i h x_j^-1 lies outside K.
     """
     t, inv = g.table, g.inverse_of
-    k = np.array(sorted(k_sub), dtype=np.int64)
+    k = np.flatnonzero(k_sub)
     # right-coset transversal x_0 < x_1 < ... of K\G, the smallest member of
     # each coset Kx, and the coset of each element
     first = t[k].min(axis=0)
     xs = np.unique(first)
     coset_of = np.searchsorted(xs, first)
-    h = np.array(sorted(h_sub), dtype=np.int64)
+    h = np.flatnonzero(h_sub)
     size = (len(xs) * dim) ** 2 * len(h)
     if size > ORACLE_GUARD:
         raise ValueError(
@@ -322,7 +320,7 @@ def induced_hom_dim_oracle(
     y = t[xs[None, :], h[:, None]]
     j = coset_of[y]
     kk = t[y, inv[xs[j]]]
-    outside = np.argwhere(~g.mask(k)[kk])
+    outside = np.argwhere(~k_sub[kk])
     if outside.size:
         a, i = outside[0]
         raise RuntimeError(f"x_i h x_j^-1 = {kk[a, i]} not in K (i = {i}, h = {h[a]})")
@@ -347,7 +345,7 @@ def s_theta(g: TableGroup, a: int, reps, k_labels) -> list[list[int]]:
     return split
 
 
-def twisted_classes(g: TableGroup, k_sub, theta: InvolutionRecord) -> np.ndarray:
+def twisted_classes(g: TableGroup, k_sub: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """For every x, the number of the twisted class of its twist
     x theta(x)^-1: the K-orbits on the twists under k . y = k y theta(k)^-1,
     numbered in the order of their smallest members.
@@ -357,15 +355,13 @@ def twisted_classes(g: TableGroup, k_sub, theta: InvolutionRecord) -> np.ndarray
     orbit of every y, column by column; its column minima, read at the
     twists, are the smallest members of their classes.
     """
-    t, inv = g.table, g.inverse_of
-    perm = np.asarray(theta.perm)
-    k = np.array(sorted(k_sub), dtype=np.int64)
-    least = t[t[k], inv[perm[k]][:, None]].min(axis=0)
-    twist = t[np.arange(g.order), inv[perm]]
+    t, inv, k = g.table, g.inverse_of, np.flatnonzero(k_sub)
+    least = t[t[k], inv[theta[k]][:, None]].min(axis=0)
+    twist = t[np.arange(g.order), inv[theta]]
     return np.unique(least[twist], return_inverse=True)[1]
 
 
-def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, cosets):
+def m_K(g: TableGroup, k_sub: np.ndarray, theta: np.ndarray, cosets):
     """(m_K(Theta), |H^1_Theta| or None) for the G-orbit Theta of theta.
 
     m_K(Theta) is the size of ``cosets`` = S(theta, K.theta) from
@@ -374,22 +370,21 @@ def m_K(g: TableGroup, k_sub, theta: InvolutionRecord, cosets):
     compares the two.  Z^1 = {z central : theta(z) = z^-1} and B^1 =
     {z theta(z)^-1}; a coboundary outside Z^1 raises RuntimeError.
     """
-    t, inv, perm = g.table, g.inverse_of, np.asarray(theta.perm)
-    center = g.center()
-    z = np.array(sorted(center), dtype=np.int64)
-    z1 = g.mask(z) & (perm == inv)
-    b1 = t[z, inv[perm[z]]]
+    t, inv, center = g.table, g.inverse_of, g.center()
+    z = np.flatnonzero(center)
+    z1 = center & (theta == inv)
+    b1 = t[z, inv[theta[z]]]
     if (outside := np.flatnonzero(~z1[b1])).size:
         a = outside[0]
         raise RuntimeError(
             f"coboundary z theta(z)^-1 = {b1[a]} of z = {z[a]} is not in Z^1"
         )
     bound = int(z1.sum()) // len(np.unique(b1))
-    return len(cosets), bound if center <= frozenset(k_sub) else None
+    return len(cosets), bound if (center <= k_sub).all() else None
 
 
 def orbmult_rhs(
-    g: TableGroup, k_sub, theta: InvolutionRecord, k_labels
+    g: TableGroup, k_sub: np.ndarray, theta: np.ndarray, k_labels
 ) -> tuple[np.ndarray, np.ndarray]:
     """The weight rows of the right side of the orbit multiplicity formula
 
@@ -402,7 +397,7 @@ def orbmult_rhs(
     m_K(Theta).  The left side is the oracle's value.
     """
     firsts = np.unique(k_labels, return_index=True)[1]
-    masks = fixed_masks(g, theta, firsts) & g.mask(k_sub)
+    masks = fixed_masks(g, theta, firsts) & k_sub
     return masks, masks.sum(axis=1)
 
 
@@ -430,10 +425,10 @@ def semidirect_table_group(space: SymplecticSpace) -> TableGroup:
     every pair; names are (sp index, h index) pairs, (s, h) at index
     s |H| + h, with H laid out as :class:`~heisweil.heisenberg.HeisenbergGroup`
     lays it out.  The table is kept in int16 (648 < 2^15), and it and
-    ``inverse_of`` are read-only; what a reader adds to the group is its
-    generators and the generating set of each subgroup it asks for, each
-    derived once per process.  GuardError past ell = 1,
-    p <= :data:`SEMIDIRECT_TABLE_MAX_P`."""
+    ``inverse_of`` are read-only, as every TableGroup's are; what a reader
+    adds to the group is its generators and the generating set of each
+    subgroup it asks for, each derived once per process.  GuardError past
+    ell = 1, p <= :data:`SEMIDIRECT_TABLE_MAX_P`."""
     if space.ell != 1 or space.p > SEMIDIRECT_TABLE_MAX_P:
         raise GuardError(
             f"Sp x| H is tabulated for ell = 1, p <= {SEMIDIRECT_TABLE_MAX_P} only "
@@ -446,15 +441,13 @@ def semidirect_table_group(space: SymplecticSpace) -> TableGroup:
     pairs = np.ix_(range(sp.order), range(g.order), range(sp.order), range(g.order))
     table = semidirect_mul(sp, g, act, *pairs).reshape(n, n).astype(np.int16)
     names = [(s, h) for s in range(sp.order) for h in range(g.order)]
-    tg = TableGroup(table, names=names)
-    for shared in (tg.table, tg.inverse_of):
-        shared.flags.writeable = False
-    return tg
+    return TableGroup(table, names=names)
 
 
-def semidirect_involution_record(alphas, i: int) -> InvolutionRecord:
+def semidirect_involution_record(alphas, i: int) -> np.ndarray:
     """theta(s, h) = (abar s abar^-1, alpha(h)) on Sp(W) x| H, as
-    :func:`semidirect_table_group` lays it out, for alpha the i-th of the
+    :func:`semidirect_table_group` lays it out, as a read-only permutation
+    of its indices, for alpha the i-th of the
     :class:`~heisweil.heisenberg.Automorphisms` ``alphas``, central-inverting
     with w0 = 0: only for those is theta an automorphism."""
     w0 = tuple(alphas.w0[i].tolist())
@@ -464,4 +457,4 @@ def semidirect_involution_record(alphas, i: int) -> InvolutionRecord:
     conjugated = abar @ sp_table(space).matrices @ mat_inv(abar, space.p) % space.p
     moved = sp_index(space, conjugated)
     perm = moved[:, None] * alphas.group.order + alphas.perm[i]
-    return InvolutionRecord(tuple(perm.ravel().tolist()))
+    return read_only(perm.ravel())

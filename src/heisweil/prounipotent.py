@@ -26,13 +26,18 @@ set of elements is a boolean mask over the indices, not a set of tuples.
 Every operation takes one matrix (n, n) or a stack (..., n, n).  Reduced
 entries lie in [0, p^K), so a product has entries below n (p^K - 1)^2.  A
 group computes in int64 only when that bound is below 2^63 and in Python
-ints (``dtype=object``) otherwise, so no product wraps.
+ints (``dtype=object``) otherwise, so no product wraps.  A modulus must
+print: int -> str refuses an int of more than sys.get_int_max_str_digits()
+digits, so a group refuses p^K >= 10^limit (:data:`_MODULUS_BOUND`, taken
+once per process; a limit of 0 means none).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +57,9 @@ __all__ = [
 
 _python_ints = np.frompyfunc(operator.index, 1, 1)
 _ENUMERATION_GUARD = 20_000  # the most elements enumerate() lists by default
+# the digits int -> str writes (0: no limit), and the least modulus it refuses
+_MAX_DIGITS = sys.get_int_max_str_digits()
+_MODULUS_BOUND = 10**_MAX_DIGITS if _MAX_DIGITS else math.inf
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,13 @@ class CongruenceGroup:
             raise ValueError(f"p must be an odd prime, got p = {self.p}")
         if not (1 <= self.k0 <= self.K):
             raise ValueError(f"need 1 <= k0 <= K, got k0 = {self.k0}, K = {self.K}")
-        modulus = self.p**self.K
+        # p^K >= 3^K > 10^limit once K > 3 limit, refused before the power
+        too_long = self.K > 3 * _MAX_DIGITS > 0
+        if too_long or (modulus := self.p**self.K) >= _MODULUS_BOUND:
+            raise ValueError(
+                f"modulus p^K = {self.p}^{self.K} must stay below 10^{_MAX_DIGITS}, "
+                f"as int -> str writes at most {_MAX_DIGITS} digits"
+            )
         dtype = np.int64 if self.n * (modulus - 1) ** 2 < 2**63 else object
         one = np.eye(self.n, dtype=dtype)  # Python ints 0 and 1 in an object array
         one.flags.writeable = False

@@ -152,7 +152,7 @@ def homomorphism_certificate(
     a failing edge's witness is (x, g) by the group's names.
     """
     g, gens = group, list(group.generators)
-    if len(g.subgroup_generated(gens)) != g.order:
+    if not g.subgroup_generated(gens).all():
         raise ValueError(f"generators {gens} do not reach all {g.order} elements")
     identity = CycMatrix.identity(n, num.shape[1])
     check(CycMatrix._packed(n, num[0], den) == identity, "identity")
@@ -302,7 +302,8 @@ class FixedForms:
 
 def fixed_forms(rep: MatrixRep, subgroups, generators=None) -> list[FixedForms]:
     """Basis of Hom_K(tau, 1) for the minus model, with its certificate,
-    for every K of ``subgroups``, in their order.  ``generators``, when
+    for every K of ``subgroups``, in their order: a (k, |H|) array of
+    masks, or a list of masks.  ``generators``, when
     given, holds a generating set of each K, in the same order, for the
     certificate, as
     :meth:`~heisweil.heisenberg.HeisenbergGroup.subgroup_generators` gives
@@ -319,14 +320,12 @@ def fixed_forms(rep: MatrixRep, subgroups, generators=None) -> list[FixedForms]:
         raise ValueError("fixed_forms expects a minus-model Heisenberg rep")
     g: HeisenbergGroup = rep.group
     n, p, ell = rep.conductor, g.p, g.space.ell
-    subgroups = [sorted(frozenset(sub)) for sub in subgroups]
     generators = [None] * len(subgroups) if generators is None else generators
-    dims = hom_dims([rep], [g.mask(sub) for sub in subgroups])[0].tolist()
+    dims = hom_dims([rep], subgroups)[0].tolist()
     t, inv = g.table, g.inverse_of
-    w_minus = np.array(sorted(g.minus_subgroup), dtype=np.int64)
+    w_minus = np.flatnonzero(g.minus_subgroup)
     # the center without the identity, as a mask over the indices
-    nontrivial_center = g.mask(g.center())
-    nontrivial_center[0] = False
+    nontrivial_center = g.center() & (np.arange(g.order) != 0)
     digits = p ** np.arange(ell - 1, -1, -1, dtype=np.int64)
     # (u, 0; 0) for every u of the W+ block, in index order
     u_rows = np.arange(p**ell) * p ** (ell + 1)
@@ -335,7 +334,7 @@ def fixed_forms(rep: MatrixRep, subgroups, generators=None) -> list[FixedForms]:
 
     out = []
     for members, gens, dim in zip(subgroups, generators, dims, strict=True):
-        K = np.array(members, dtype=np.int64)
+        K = np.flatnonzero(members)
         # Q\H/K: Q contains [H, H] = Z, so it is normal with H/Q the u's, and
         # Q x K is the h with u_h in u_x + U, U the u's of K; its smallest
         # element is (u, 0; 0), u the smallest of its coset of U
@@ -365,8 +364,8 @@ def fixed_forms_certificate(
     check: Check | None = None,
     generators=None,
 ) -> bool:
-    """Whether the rows of ``basis`` are a basis of Hom_K(rep, 1), K =
-    ``subgroup``, whose dimension is ``dim`` (:func:`hom_dims`):
+    """Whether the rows of ``basis`` are a basis of Hom_K(rep, 1), K the
+    subgroup with the mask ``subgroup``, whose dimension is ``dim`` (:func:`hom_dims`):
 
     (a) lambda rep(k) = lambda for every row lambda and every k of
         ``generators``, a generating set of K the caller read from how it
@@ -379,11 +378,10 @@ def fixed_forms_certificate(
     invariance under K; (b) makes the rows independent; (c) counts them to
     the dimension of the space, so they span it.  No elimination is needed.
     The verdict is recorded in ``check``, when given, as one identity with
-    the sorted subgroup as its witness.
+    the subgroup's indices as its witness.
     """
-    members = sorted(frozenset(subgroup))
     if generators is None:
-        generators = generators_within(rep.group, members)
+        generators = generators_within(rep.group, subgroup)
     gens = rep._rows(list(generators))
     # lambda rep(k) carries basis.den * rep.den, as lambda * rep.den does
     moved = packed_product_table(rep.conductor, basis.num[None], rep.num[gens])[0]
@@ -395,7 +393,7 @@ def fixed_forms_certificate(
         and basis.nrows == dim
     )
     if check is not None:
-        check(ok, members)
+        check(ok, np.flatnonzero(subgroup).tolist())
     return ok
 
 

@@ -76,7 +76,11 @@ the bed in one :func:`~heisweil.mackey.summed_traces` call, one
 configuration then evaluates its own checks on its own slice: clause 4
 reads theta's first three conjugates and that configuration's g.theta
 only, so every identity, count and first witness is the one a pass per
-configuration gives.  The configurations of the zoo depend on neither p
+configuration gives.  K is a read-only mask over the group's indices
+and theta a read-only int64 permutation, the one array encoding of
+:mod:`heisweil.groups` and :mod:`heisweil.mackey`, so a bed is keyed, and
+each fixed subgroup's partition kept, by the bytes of those arrays.  The
+configurations of the zoo depend on neither p
 nor the seed: they are built once per process, read-only, the zoo's by
 :func:`_mackey_zoo` and the three on H(3, 1) and Sp x| H by
 :func:`_heisenberg_beds`, which reads the one Sp x| H the weil suite's
@@ -104,7 +108,7 @@ from heisweil import reps as reps_mod
 from heisweil import symplectic as sympl
 from heisweil import weil as weil_mod
 from heisweil.checks import Check, Recorder
-from heisweil.groups import double_coset_labels, generators_within
+from heisweil.groups import double_coset_labels, extend_hom, read_only
 from heisweil.linalg import CycMatrix, root_multiples, trace_table
 from heisweil.scalar import (
     CycNumber,
@@ -145,6 +149,10 @@ class RunConfig:
             return f"ell = 2 is supported only with p = {ell2_p}"
         if self.precision < 1:
             return f"precision = {self.precision} must be at least 1 (K >= k0 = 1)"
+        try:  # the sqrt suite's alpha-factor groups are mod 3^precision
+            pro.CongruenceGroup(1, 3, self.precision)
+        except ValueError as exc:
+            return f"precision = {self.precision}: {exc}"
         if suite in ("reps", "all") and self.ell != 1:
             return "the reps suite runs at ell = 1 only"
         if suite in ("weil", "all") and self.ell == 1 and self.p > max_p:
@@ -206,8 +214,8 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
         # M, so M s lies in M, and chi_M is multiplicative one edge at a time
         ms = sympl.enumerate_M(space)
         chi = sympl.chi_M(space, ms)
-        m_index = sympl.sp_index(space, ms)
-        m_gens = mats[generators_within(sp, m_index)]
+        m_mask = sp.mask(sympl.sp_index(space, ms))
+        m_gens = mats[list(sp.generators_of(m_mask))]
         c = rec("symplectic.chi_M_order_two_homomorphism")
         c.all(
             sympl.chi_M(space, ms[:, None] @ m_gens % p)
@@ -217,12 +225,10 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
         c(set(chi.tolist()) == {1, -1}, "image is {1, -1}")
 
         # W^+ and W^-: the w of the members of H's standard halves
-        w_plus, w_minus = (
-            group.w[sorted(half)] for half in (group.plus_subgroup, group.minus_subgroup)
-        )
+        w_plus, w_minus = group.w[group.plus_subgroup], group.w[group.minus_subgroup]
         keeps = _keeps(mats, w_plus, p) & _keeps(mats, w_minus, p)
         rec("symplectic.M_is_polarization_stabilizer").all(
-            keeps == sp.mask(m_index.tolist()), lambda i: names[i]
+            keeps == m_mask, lambda i: names[i]
         )
 
         anti = sympl.enumerate_antisymplectic(space)
@@ -255,14 +261,13 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
             group, group.plus_subgroup, group.minus_subgroup
         )
         c(not base.w0.any(), base.witness(0))
-        # the halves conjugated by g0: g0 h g0^-1, one gather each
+        # the halves conjugated by g0: y lies in g0 K g0^-1 when g0^-1 y g0
+        # lies in K, one gather each
         g0 = group.element(tuple([1] + [0] * (group.dim - 1)), 0)
-        hplus, hminus = (
-            group.table[group.table[g0, sorted(half)], group.inverse_of[g0]]
-            for half in (group.plus_subgroup, group.minus_subgroup)
-        )
+        moved = group.table[group.table[group.inverse_of[g0]], g0]
+        hplus, hminus = group.plus_subgroup[moved], group.minus_subgroup[moved]
         nu2 = heis.special_iso_from_split_polarization(group, hplus, hminus)
-        on_w = isos.perm[:, np.concatenate([hplus, hminus])] % p == 0
+        on_w = isos.perm[:, hplus | hminus] % p == 0
         matching = np.flatnonzero(on_w.all(axis=1))
         c(
             np.array_equal(isos.perm[matching], nu2.perm),
@@ -275,7 +280,7 @@ def suite_heisenberg(cfg: RunConfig) -> list[Check]:
 
         # per alpha: order two, then alpha(z) = z for each z of the center
         alphas = heis.order_two_automorphisms_trivial_on_center(group)
-        center = np.array(sorted(group.center()))
+        center = np.flatnonzero(group.center())
         rec("heisenberg.order_two_trivial_center").all(
             np.column_stack([alphas.order_two(), alphas.perm[:, center] == center]),
             lambda i, j: (
@@ -338,9 +343,9 @@ def suite_reps(cfg: RunConfig) -> list[Check]:
     subgroups = group.all_subgroups()
     forms = reps_mod.fixed_forms(tau, subgroups, group.subgroup_generators())
     for sub, res in zip(subgroups, forms):
-        c(res.certified, sorted(sub))
-        if group.center() <= sub:
-            c(res.dim == 0, sorted(sub))
+        c(res.certified, np.flatnonzero(sub).tolist())
+        if (group.center() <= sub).all():
+            c(res.dim == 0, np.flatnonzero(sub).tolist())
 
     c = rec("reps.fixed_forms_examples")
     w0 = group.subgroup_generated([group.from_w(tuple([1] * group.dim))])
@@ -562,19 +567,20 @@ def _contragredient_check(rec: Recorder, lift) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
-    """All characters of an abelian subgroup K with values in the N-th roots
-    of unity, N = ``conductor``, as MatrixReps on the sorted members, in the
-    order of their values on the generators S of K.
+def _abelian_characters(tg: mk.TableGroup, members: np.ndarray, conductor: int):
+    """All characters of an abelian subgroup K, the mask ``members``, with
+    values in the N-th roots of unity, N = ``conductor``, as MatrixReps on
+    the members in index order, in the order of their values on the
+    generators S of K.
 
     A character is read as its root exponents c: K -> Z/N.  Every tuple of
     exponents N e / d on S (d the order of the generator, 0 <= e < d) is
-    extended along the breadth-first layers of K, c(x a) = c(x) + c(a) on
-    an edge that reaches x a, all tuples at once; the layer after the
-    identity is S itself, so c keeps the tuple on S.  A tuple is kept where
-    c(x a) = c(x) + c(a) on all K x S edges: by the generator lemma of
-    :mod:`heisweil.groups` that makes c a character, and distinct tuples
-    give distinct characters.
+    extended over K by :func:`~heisweil.groups.extend_hom`, with addition
+    mod N on the stacked exponent columns, all tuples at once; c keeps the
+    tuple on S.  A tuple is kept where c(x a) = c(x) + c(a) on all K x S
+    edges: by the generator lemma of :mod:`heisweil.groups` that makes c a
+    character, and distinct tuples give distinct characters.  So a kept
+    row does not depend on the edge that reached each element.
     """
     gens = tg.generators_of(members)
     orders = tg.orders[list(gens)].tolist()
@@ -582,12 +588,16 @@ def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
         return []
     steps = [conductor // d * np.arange(d) for d in orders]
     exps = np.array(list(itertools.product(*steps)), dtype=np.int64)  # (tuples, |S|)
-    c = np.full((len(exps), tg.order), -1, dtype=np.int64)  # -1: not reached yet
-    c[:, 0] = 0
-    for frontier, products in tg._layers(gens):
-        x, j = np.nonzero(c[0, products] < 0)
-        c[:, products[x, j]] = (c[:, frontier[x]] + exps[:, j]) % conductor
-    k = np.array(sorted(members), dtype=np.int64)
+    images = extend_hom(
+        tg,
+        dict(zip(gens, exps.T)),
+        lambda a, b: (a + b) % conductor,
+        np.zeros(len(exps), dtype=np.int64),
+        within=members,
+    )
+    k = np.flatnonzero(members)
+    c = np.zeros((len(exps), tg.order), dtype=np.int64)
+    c[:, k] = np.stack([images[x] for x in k.tolist()], axis=1)
     sums = (c[:, k, None] + exps[:, None]) % conductor
     kept = (c[:, tg.table[k[:, None], gens]] == sums).all(axis=(1, 2))
     chars = []
@@ -597,8 +607,8 @@ def _abelian_characters(tg: mk.TableGroup, members: list[int], conductor: int):
     return chars
 
 
-def _trivial_rep(tg: mk.TableGroup, members):
-    members = sorted(members)
+def _trivial_rep(tg: mk.TableGroup, members: np.ndarray):
+    members = np.flatnonzero(members)
     one = CycMatrix.identity(4, 1).num[None]
     return reps_mod.MatrixRep(tg, members, one.repeat(len(members), axis=0), 1, 4)
 
@@ -619,19 +629,19 @@ def _mackey_zoo():
     process, as none depends on p or the seed; a run reads them and
     evaluates every identity anew.  The test beds on H(3, 1) and Sp x| H
     are kept the same way, by :func:`_heisenberg_beds`.  Each table and
-    ``inverse_of`` is read-only, K is a sorted tuple and theta a frozen
-    record, so no run can change what the next one reads; what a run adds
-    to a group is the generating set of a subgroup, derived once.  The stabilizer cases are
+    ``inverse_of`` is read-only, as every TableGroup's is, K a read-only
+    mask and theta a read-only permutation, so no run can change what the
+    next one reads; what a run adds to a group is the generating set of a
+    subgroup, derived once.  The stabilizer cases are
     (label, group, theta) for S3, D4 and Q8 with their first nontrivial
     involution.
     The contragredients are kappa~ of each configuration, in order; every
     rep's stack of images is read-only."""
     configs = []
 
-    def add(label, tg, k_members, theta, kappa=None):
-        k_members = tuple(sorted(k_members))
-        kappa = _trivial_rep(tg, k_members) if kappa is None else kappa
-        configs.append((label, tg, k_members, kappa, theta))
+    def add(label, tg, k_mask, theta, kappa=None):
+        kappa = _trivial_rep(tg, k_mask) if kappa is None else kappa
+        configs.append((label, tg, read_only(k_mask), kappa, theta))
 
     # symmetric groups
     s3 = mk.symmetric_group(3)
@@ -640,19 +650,19 @@ def _mackey_zoo():
     for i, chi in enumerate(_abelian_characters(s3, a3, 3)):
         add(f"S3/A3/chi{i}/theta0", s3, a3, thetas3[0], chi)
     add("S3/C2/triv/theta0", s3, c2, thetas3[0])
-    add("S3/G/triv/theta0", s3, range(6), thetas3[0])
+    add("S3/G/triv/theta0", s3, np.ones(6, dtype=bool), thetas3[0])
     add("S3/A3/triv/theta1", s3, a3, thetas3[1])
 
     s4 = mk.symmetric_group(4)
     nontriv4 = _nontrivial(mk.inner_involutions(s4))
     perms4 = np.array(s4.names)
     # K = a copy of S3 inside S4 (stabilizer of the last point)
-    s3_in_s4 = np.flatnonzero(perms4[:, 3] == 3).tolist()
+    s3_in_s4 = perms4[:, 3] == 3
     add("S4/S3/triv/inner", s4, s3_in_s4, nontriv4[0])
     # the Klein four-subgroup: the identity and the double transpositions,
     # the elements of order <= 2 but the transpositions, which fix 2 points
     fixed = (perms4 == np.arange(4)).sum(axis=1)
-    v4 = np.flatnonzero((s4.orders <= 2) & (fixed != 2)).tolist()
+    v4 = (s4.orders <= 2) & (fixed != 2)
     for i, chi in enumerate(_abelian_characters(s4, v4, 4)[:2]):
         add(f"S4/V4/chi{i}/inner", s4, v4, nontriv4[1], chi)
 
@@ -671,7 +681,7 @@ def _mackey_zoo():
     # quaternion group
     q8 = mk.quaternion_group()
     thetas8 = _nontrivial(mk.all_involutive_automorphisms(q8))
-    i_sub = sorted(q8.subgroup_generated([2]))
+    i_sub = q8.subgroup_generated([2])
     for i, chi in enumerate(_abelian_characters(q8, i_sub, 4)[:3]):
         add(f"Q8/C4/chi{i}/theta0", q8, i_sub, thetas8[0], chi)
     add("Q8/C4/triv/theta1", q8, i_sub, thetas8[1])
@@ -692,23 +702,21 @@ def _mackey_zoo():
     chars4 = _abelian_characters(s4c2, c4, 4)
     add("S4xC2/C4/chi1/inner", s4c2, c4, theta48, chars4[1])
 
-    for tg in {id(tg): tg for _, tg, *_ in configs}.values():
-        for shared in (tg.table, tg.inverse_of):
-            shared.flags.writeable = False
     tildes = tuple(reps_mod.contragredient(kappa) for *_, kappa, _ in configs)
     stabilizer = (("S3", s3, thetas3[0]), ("D4", *d4), ("Q8", q8, thetas8[0]))
     return tuple(configs), stabilizer, tildes
 
 
-def _cyclic_subgroup(tg: mk.TableGroup, order: int) -> list[int]:
-    """The cyclic subgroup <a> of the first a of the given order, as sorted
-    indices."""
+def _cyclic_subgroup(tg: mk.TableGroup, order: int) -> np.ndarray:
+    """The mask of the cyclic subgroup <a> of the first a of the given
+    order."""
     a = int(np.flatnonzero(tg.orders == order)[0])
-    return sorted(tg.subgroup_generated([a]))
+    return tg.subgroup_generated([a])
 
 
-def _nontrivial(thetas) -> list:
-    return [t for t in thetas if not t.is_identity()]
+def _nontrivial(thetas: np.ndarray) -> np.ndarray:
+    """The rows of a (k, n) stack of involutions that are not the identity."""
+    return read_only(thetas[(thetas != np.arange(thetas.shape[1])).any(axis=1)])
 
 
 @functools.cache
@@ -719,29 +727,29 @@ def _heisenberg_beds():
     :func:`~heisweil.mackey.semidirect_table_group` of the space, the group
     the weil suite's abstract-lift certificate reads, so its generators and
     the generating set of each K are derived once per process.  H's table
-    and ``inverse_of`` are read-only, as Sp x| H's are, and so is every
-    array of every kappa and kappa~; a run evaluates every identity anew."""
+    and ``inverse_of`` are read-only, as every TableGroup's are, and so is
+    every array of every kappa and kappa~, every K and every theta; a run
+    evaluates every identity anew."""
     configs = []
     space = sympl.SymplecticSpace(3, 1)
     group = heis.HeisenbergGroup(space)
-    for shared in (group.table, group.inverse_of):
-        shared.flags.writeable = False
     sd = mk.semidirect_table_group(space)
     tau = reps_mod.heisenberg_rep(group, 1, model="minus")
 
     alpha = heis.involution_from_polarization(group)
-    theta = mk.InvolutionRecord(tuple(alpha.perm[0].tolist()))
-    k_members = tuple(sorted(group.minus_z_subgroup))
+    theta, k_mask = alpha.perm[0], group.minus_z_subgroup
     # kappa(h) = zeta_3^z(h) on the members, as a stack of 1 x 1 images
-    exps = 4 * group.z[list(k_members)][:, None]
+    exps = 4 * group.z[k_mask][:, None]
     zetas = CycMatrix.from_roots(12, exps, np.ones_like(exps))
-    kappa = reps_mod.MatrixRep(group, k_members, zetas.num[:, None], zetas.den, 12)
-    configs.append(("H3/HhatMinus/zeta/polar", group, k_members, kappa, theta))
-    configs.append(("H3/G/tau/polar", group, tuple(range(group.order)), tau, theta))
+    members = np.flatnonzero(k_mask)
+    kappa = reps_mod.MatrixRep(group, members, zetas.num[:, None], zetas.den, 12)
+    configs.append(("H3/HhatMinus/zeta/polar", group, k_mask, kappa, theta))
+    whole = group.mask(range(group.order))
+    configs.append(("H3/G/tau/polar", group, whole, tau, theta))
 
     # {1} x H holds the indices h < |H|, as Sp(W) lists the identity first;
     # kappa there is omega(1) tau(h) = tau(h), as the lift sends 1 to 1
-    h_members = tuple(range(group.order))
+    h_members = sd.mask(range(group.order))
     kappa_sd = reps_mod.MatrixRep(sd, tau.elements, tau.num, tau.den, 12)
     theta_sd = mk.semidirect_involution_record(alpha, 0)
     configs.append(("SpH3/H/tau/polar", sd, h_members, kappa_sd, theta_sd))
@@ -767,27 +775,26 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
     rng = random.Random(cfg.seed)
     for _, bed in itertools.groupby(zip(configs, tildes), key=_test_bed):
         bed = list(bed)
-        (_, tg, k_members, _, theta), _ = bed[0]
+        (_, tg, k_mask, _, theta), _ = bed[0]
         kappas = [kappa for (*_, kappa, _), _ in bed]
-        k_labels = mk.k_orbit_labels(tg, k_members, theta)
+        k_labels = mk.k_orbit_labels(tg, k_mask, theta)
         gs = [rng.randrange(tg.order) for _ in bed]
         firsts = _first_conjugators(tg, theta)
-        cosets = _twisted_cosets(tg, k_members, theta, [*firsts, *gs], k_labels)
+        cosets = _twisted_cosets(tg, k_mask, theta, [*firsts, *gs], k_labels)
         fixed, labels, reps, split = cosets[0]
-        twists = _twists(tg, k_members, theta, labels)
-        h_members = sorted(fixed)
+        twists = _twists(tg, k_mask, theta, labels)
         both = kappas + [tilde for _, tilde in bed]
         dim = max(kappa.dim for kappa in both)
         values, mackey, summands = mk.summed_traces(
             both,
             [
-                mk.induced_hom_dim_oracle(tg, k_members, h_members, dim),
-                mk.mackey_hom_dim(tg, k_members, h_members, reps),
-                mk.orbmult_rhs(tg, k_members, theta, k_labels),
+                mk.induced_hom_dim_oracle(tg, k_mask, fixed, dim),
+                mk.mackey_hom_dim(tg, k_mask, fixed, reps),
+                mk.orbmult_rhs(tg, k_mask, theta, k_labels),
             ],
         )
         oracle, tilde_oracle = values[: len(bed)], values[len(bed) :]
-        m, bound = mk.m_K(tg, k_members, theta, split[k_labels[0]])
+        m, bound = mk.m_K(tg, k_mask, theta, split[k_labels[0]])
         rhs = [m * summand for summand in summands]
         for i, ((label, *_), _) in enumerate(bed):
             dcs(
@@ -813,8 +820,8 @@ def suite_mackey(cfg: RunConfig) -> list[Check]:
 def _test_bed(item):
     """The key of a (configuration, kappa~) pair's test bed: consecutive
     configurations with one (group, K, theta) form one bed."""
-    (_, tg, k_members, _, theta), _ = item
-    return id(tg), tuple(k_members), theta.perm
+    (_, tg, k_mask, _, theta), _ = item
+    return id(tg), k_mask.tobytes(), theta.tobytes()
 
 
 def _first_conjugators(tg, theta) -> list[int]:
@@ -826,33 +833,35 @@ def _first_conjugators(tg, theta) -> list[int]:
     return np.unique(tg.table[:, stabilizer].min(axis=1))[:3].tolist()
 
 
-def _twisted_cosets(tg, k_members, theta, conjugators, k_labels) -> dict:
-    """Per conjugator a: G^(a.theta) = a G^theta a^-1, the (K, G^(a.theta))
-    partition (the label of every element, the smallest member of each
-    coset) and its split S(a.theta, Theta') by the K-orbits of
-    ``k_labels``; one partition per distinct fixed subgroup."""
+def _twisted_cosets(tg, k_mask, theta, conjugators, k_labels) -> dict:
+    """Per conjugator a: the mask of G^(a.theta) = a G^theta a^-1, the
+    (K, G^(a.theta)) partition (the label of every element, the smallest
+    member of each coset) and its split S(a.theta, Theta') by the K-orbits
+    of ``k_labels``; one partition per distinct fixed subgroup, keyed by
+    the bytes of its mask."""
     conjugators = list(dict.fromkeys(conjugators))
     partitions, cosets = {}, {}
-    for a, mask in zip(conjugators, mk.fixed_masks(tg, theta, conjugators)):
-        fixed = frozenset(np.flatnonzero(mask).tolist())
-        if fixed not in partitions:
-            labels = double_coset_labels(tg, k_members, fixed)
-            partitions[fixed] = labels, np.unique(labels, return_index=True)[1].tolist()
-        labels, reps = partitions[fixed]
+    for a, fixed in zip(conjugators, mk.fixed_masks(tg, theta, conjugators)):
+        key = fixed.tobytes()
+        if key not in partitions:
+            labels = double_coset_labels(tg, k_mask, fixed)
+            partitions[key] = labels, np.unique(labels, return_index=True)[1].tolist()
+        labels, reps = partitions[key]
         cosets[a] = fixed, labels, reps, mk.s_theta(tg, a, reps, k_labels)
     return cosets
 
 
-def _twists(tg, k_members, theta, labels):
+def _twists(tg, k_mask, theta, labels):
     """What the clauses read of theta alone, given the labels of its
     (K, G^theta) partition: the smallest member with a central twist
-    x theta(x)^-1 of each coset (by label), and the label of the twisted
-    class of every x's twist (:func:`~heisweil.mackey.twisted_classes`)."""
-    twist = tg.table[np.arange(tg.order), tg.inverse_of[list(theta.perm)]]
-    central = np.flatnonzero(tg.mask(tg.center())[twist])
+    x theta(x)^-1 of each coset (by label), the x with a central twist
+    being G_theta (:func:`~heisweil.mackey.involution_stabilizer`), and the
+    label of the twisted class of every x's twist
+    (:func:`~heisweil.mackey.twisted_classes`)."""
+    central = np.flatnonzero(mk.involution_stabilizer(tg, theta))
     found, first = np.unique(labels[central], return_index=True)
     first_central = dict(zip(found.tolist(), central[first].tolist()))
-    return first_central, mk.twisted_classes(tg, k_members, theta)
+    return first_central, mk.twisted_classes(tg, k_mask, theta)
 
 
 def _twisted_coset_checks(
@@ -914,12 +923,12 @@ def _invstab_check(c: Check) -> None:
     of S3, D4 and Q8: every conjugate a.theta, one row per a of one
     (|G|, |G|) gather, against :func:`~heisweil.mackey.involution_stabilizer`."""
     for label, tg, theta in _mackey_zoo()[1]:
-        t, inv, perm = tg.table, tg.inverse_of, np.asarray(theta.perm)
+        t, inv = tg.table, tg.inverse_of
         a = np.arange(tg.order)[:, None]
         # row a: x -> a theta(a^-1 x a) a^-1
-        moved = t[t[a, perm[t[t[inv[a], a.T], a]]], inv[a]]
-        stab = (moved == perm).all(axis=1)
-        central = tg.mask(mk.involution_stabilizer(tg, theta))
+        moved = t[t[a, theta[t[t[inv[a], a.T], a]]], inv[a]]
+        stab = (moved == theta).all(axis=1)
+        central = mk.involution_stabilizer(tg, theta)
         c.all(stab == central, lambda i: {"group": label, "a": i})
 
 

@@ -352,9 +352,8 @@ def sp_table(space: SymplecticSpace) -> TableGroup:
     if (table < 0).any():
         raise RuntimeError("a product of two elements of Sp(W) left Sp(W)")
     tg = TableGroup(table, names=tuple(sp_witness(s) for s in mats))
+    index.flags.writeable = False
     tg.matrices, tg.index = mats, index
-    for shared in (tg.table, tg.inverse_of, tg.index):
-        shared.flags.writeable = False
     return tg
 
 

@@ -635,7 +635,7 @@ def lift_in_odd_even_basis(ref: Sl23Reference, s_app: int) -> CycMatrix:
 
 def sp_abelianization_order(space: SymplecticSpace) -> int:
     tg = sp_table(space)
-    return tg.order // len(tg.commutator_subgroup())
+    return tg.order // int(tg.commutator_subgroup().sum())
 
 
 def _abelianization_exponents(space: SymplecticSpace) -> tuple[int, np.ndarray]:
@@ -644,8 +644,8 @@ def _abelianization_exponents(space: SymplecticSpace) -> tuple[int, np.ndarray]:
     e[s]-th power of one generator of it."""
     tg = sp_table(space)
     comm = tg.commutator_subgroup()
-    m = tg.order // len(comm)
-    labels = double_coset_labels(tg, [0], comm)  # the coset s.[G, G] of each s
+    m = tg.order // int(comm.sum())
+    labels = double_coset_labels(tg, tg.mask([0]), comm)  # the coset s.[G, G] of each s
     reps = np.unique(labels, return_index=True)[1].tolist()
     if len(reps) != m:
         raise RuntimeError(f"found {len(reps)} cosets of [G, G], expected {m}")

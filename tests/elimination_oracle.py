@@ -105,7 +105,7 @@ def fixed_form_space(rep, generators) -> list[list[CycNumber]]:
 
 def spans_fixed_forms(rep, subgroup, basis: CycMatrix) -> bool:
     """Whether the rows of ``basis`` are nonzero, independent, and span
-    the nullspace Hom_K(rep, 1), K = ``subgroup``."""
+    the nullspace Hom_K(rep, 1), K the subgroup with the mask ``subgroup``."""
     null = fixed_form_space(rep, generators_within(rep.group, subgroup))
     rows = basis.rows
     return (

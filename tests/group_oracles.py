@@ -55,6 +55,16 @@ or one edge at a time, with no table gathers:
 - :func:`hom_dim`, :func:`apply_involution`, :func:`inner_involution`,
   :func:`fixed_subgroup` and :func:`conjugate_involution`: one rep and
   one subgroup, or one involution, at a time, which only the tests read.
+- :class:`InvolutionRecord`, :func:`as_set`, :func:`subgroup_by_closure`,
+  :func:`center_by_pairs`, :func:`commutator_by_closure`,
+  :func:`block_by_names`, :func:`stabilizer_by_conjugates` and
+  :func:`inner_involutions_by_element`: the encodings the package handed
+  out before every subgroup became a read-only boolean mask and every
+  involution a read-only int64 permutation array: a subgroup as a
+  frozenset of indices, closed one product at a time, and an involution as
+  a tuple-backed record, checked one pair at a time.  The oracles here
+  take a subgroup as a mask or as indices, and an involution as a record
+  or as a permutation array.
 
 - :func:`table_group_from_mul`: a TableGroup from abstract elements and a
   multiplication map, one ``mul`` call per pair, and
@@ -70,17 +80,100 @@ from __future__ import annotations
 
 import itertools
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 from heisweil.groups import TableGroup
 from heisweil.heisenberg import HElem
 from heisweil.linalg import CycMatrix
-from heisweil.mackey import InvolutionRecord
 from heisweil.reps import MatrixRep, hom_dims
 from heisweil.scalar import CycNumber, root_of_unity
 from heisweil.suites import _heisenberg_beds, standard_mackey_configurations
 from heisweil.symplectic import mat_det, mat_inv, rref_mod
+
+
+@dataclass(frozen=True)
+class InvolutionRecord:
+    """An automorphism of order <= 2 stored as a tuple permutation of the
+    indices, as the package stored one before its involutions became
+    read-only int64 arrays."""
+
+    perm: tuple[int, ...]
+
+    def is_valid(self, g: TableGroup) -> bool:
+        """Bijective, of order <= 2, and p(ab) = p(a) p(b) on all |G|^2
+        pairs, one pair at a time."""
+        p, n = self.perm, g.order
+        if sorted(p) != list(range(n)) or any(p[p[x]] != x for x in range(n)):
+            return False
+        return all(p[g.mul(a, b)] == g.mul(p[a], p[b]) for a in range(n) for b in range(n))
+
+    def is_identity(self) -> bool:
+        return all(i == x for i, x in enumerate(self.perm))
+
+
+def record(theta) -> InvolutionRecord:
+    """The tuple-backed record of a permutation array, or the record itself."""
+    if isinstance(theta, InvolutionRecord):
+        return theta
+    return InvolutionRecord(tuple(np.asarray(theta).tolist()))
+
+
+def as_set(sub) -> frozenset[int]:
+    """The members of a subgroup given as a boolean mask, or as indices, as
+    the frozenset the package handed out before its subgroups were masks."""
+    if isinstance(sub, np.ndarray) and sub.dtype == bool:
+        return frozenset(np.flatnonzero(sub).tolist())
+    return frozenset(int(x) for x in sub)
+
+
+def subgroup_by_closure(g: TableGroup, gens) -> frozenset[int]:
+    """The subgroup generated by ``gens``, closed one product at a time."""
+    return frozenset(closure([0], gens, g.mul))
+
+
+def center_by_pairs(g: TableGroup) -> frozenset[int]:
+    """Z(G): the a with a b = b a for every b, one pair at a time."""
+    n = g.order
+    return frozenset(a for a in range(n) if all(g.mul(a, b) == g.mul(b, a) for b in range(n)))
+
+
+def commutator_by_closure(g: TableGroup) -> frozenset[int]:
+    """[G, G]: every commutator a b a^-1 b^-1, closed one product at a time."""
+    n = g.order
+    comms = {g.mul(g.mul(a, b), g.mul(g.inv(a), g.inv(b))) for a in range(n) for b in range(n)}
+    return subgroup_by_closure(g, sorted(comms))
+
+
+def block_by_names(g, vanishing: slice, z_zero: bool) -> frozenset[int]:
+    """The h of H whose coordinates w[vanishing] vanish, and with z = 0 when
+    ``z_zero``, one name at a time."""
+    return frozenset(
+        h
+        for h, (w, z) in enumerate(g.names)
+        if not any(w[vanishing]) and (z == 0 or not z_zero)
+    )
+
+
+def stabilizer_by_conjugates(g: TableGroup, theta) -> frozenset[int]:
+    """G_theta: the a with a.theta = theta, one conjugate at a time."""
+    perm = record(theta).perm
+    return frozenset(
+        a for a in range(g.order) if conjugate_involution(g, a, theta).perm == perm
+    )
+
+
+def inner_involutions_by_element(g: TableGroup) -> list[InvolutionRecord]:
+    """Int(a) for every a with a^2 central, each once, in the order of the
+    smallest such a, one element at a time."""
+    center = center_by_pairs(g)
+    found = {}
+    for a in range(g.order):
+        if g.mul(a, a) in center:
+            inner = inner_involution(g, a)
+            found.setdefault(inner.perm, inner)
+    return list(found.values())
 
 
 def zoo_groups() -> dict:
@@ -209,21 +302,22 @@ def automorphisms_by_candidate(g: TableGroup) -> list[InvolutionRecord]:
         phi = checked_extend_hom(g, dict(zip(gens, images)), g.mul, 0)
         if phi is None:
             continue
-        rec = InvolutionRecord(tuple(phi[x] for x in range(g.order)))
+        rec = InvolutionRecord(tuple(int(phi[x]) for x in range(g.order)))
         if rec.is_valid(g):
             found[rec.perm] = rec
     return list(found.values())
 
 
 def abelian_characters_by_subtable(tg: TableGroup, members, conductor: int):
-    """All characters of the abelian subgroup ``members`` with values in the
-    conductor-th roots of unity, as MatrixReps on the sorted members: each
+    """All characters of the abelian subgroup ``members`` (a mask or
+    indices) with values in the conductor-th roots of unity, as MatrixReps
+    on the sorted members: each
     tuple of generator values extended by :func:`checked_extend_hom` on a
     TableGroup of the subgroup, built product by product, and deduplicated
     by character values.  The generators are the members outside the
     :func:`closure` of the ones taken before, in index order, and their
     orders the sizes of their cyclic closures."""
-    mset = frozenset(members)
+    mset = as_set(members)
     gens = []
     for a in sorted(mset):
         if a not in closure([0], gens, tg.mul):
@@ -266,14 +360,14 @@ def induced_hom_dim_by_loop(g: TableGroup, k_sub, kappa: MatrixRep, h_sub) -> in
     found, in index order; x_i h = k x_j puts kappa(k) in block (i, j), and
     the trace is the character sum over the blocks with j = i, over |H|."""
     t, inv = g.table, g.inverse_of
-    k = np.array(sorted(k_sub), dtype=np.int64)
+    k = np.array(sorted(as_set(k_sub)), dtype=np.int64)
     coset_of = np.full(g.order, -1, dtype=np.int64)
     transversal = []
     for x in range(g.order):
         if coset_of[x] < 0:
             coset_of[t[k, x]] = len(transversal)
             transversal.append(x)
-    h = sorted(h_sub)
+    h = sorted(as_set(h_sub))
     diagonal = []
     for x in transversal:
         for y in h:
@@ -322,12 +416,12 @@ def all_subgroups_by_closure(g) -> list[frozenset[int]]:
     generator per cyclic subgroup.  Sorted by (size, sorted members)."""
     cyclic: dict[frozenset[int], int] = {}
     for a in range(g.order):
-        cyclic.setdefault(g.subgroup_generated([a]), a)
+        cyclic.setdefault(subgroup_by_closure(g, [a]), a)
     gens = list(cyclic.values())
     seen = set(cyclic)
     for i, a in enumerate(gens):
         for b in gens[i + 1 :]:
-            seen.add(g.subgroup_generated([a, b]))
+            seen.add(subgroup_by_closure(g, [a, b]))
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
@@ -336,12 +430,12 @@ def polarization_fault_by_sets(g, hplus, hhat_minus) -> str | None:
     message the package raises for it, or None: both subgroups, H^+ meets
     the center trivially, Hhat^- contains it, and the images in W are
     complementary maximal totally isotropic subspaces."""
-    hplus, hhat_minus = frozenset(hplus), frozenset(hhat_minus)
-    if not (g.is_subgroup(hplus) and g.is_subgroup(hhat_minus)):
+    hplus, hhat_minus, center = as_set(hplus), as_set(hhat_minus), as_set(g.center())
+    if not (g.is_subgroup(g.mask(hplus)) and g.is_subgroup(g.mask(hhat_minus))):
         return "polarization needs subgroups"
-    if len(hplus & g.center()) != 1:
+    if len(hplus & center) != 1:
         return "H^+ meets the center"
-    if not g.center() <= hhat_minus:
+    if not center <= hhat_minus:
         return "Hhat^- must contain the center"
     images = [image_in_w(g, hplus), image_in_w(g, hhat_minus)]
     if any(len(w) != g.p**g.space.ell for w in images):
@@ -382,7 +476,7 @@ def special_iso_axioms_by_offset(g, mus, name=int) -> tuple[int, object]:
     each z of the center, then nu(x s) = nu(x) nu(s) for each element x and
     generator s, with nu(h) = (w_h, mu(h)) and products by ``g.mul``."""
     count, witness = 0, None
-    center = sorted(g.center())
+    center = sorted(as_set(g.center()))
     for i, mu in enumerate(mus):
         nu = lambda h: g.element(g.names[h].w, int(mu[h]))
         found = [(mu[c] == g.z[c], {"nu": name(i), "center": c}) for c in center]
@@ -402,12 +496,13 @@ def split_polarization_by_offset(g, mu, hplus, hhat_minus):
     central coordinate mu, its conditions tested on frozensets, one product
     at a time: the splitting, or the message of the first condition it
     fails."""
+    center, hhat_minus = as_set(g.center()), as_set(hhat_minus)
     hminus = frozenset(h for h in hhat_minus if mu[h] == 0)
-    if not g.is_subgroup(hminus):
+    if not g.is_subgroup(g.mask(hminus)):
         return "splitting is not a subgroup"
-    if len(hminus & g.center()) != 1:
+    if len(hminus & center) != 1:
         return "splitting meets the center nontrivially"
-    if frozenset(g.mul(h, z) for h in hminus for z in g.center()) != frozenset(hhat_minus):
+    if frozenset(g.mul(h, z) for h in hminus for z in center) != hhat_minus:
         return "splitting times the center is not Hhat^-"
     return hminus
 
@@ -436,7 +531,7 @@ def form_pair(space, a, b) -> int:
 
 def image_in_w(g, subset) -> frozenset[tuple[int, ...]]:
     """The w coordinates of the members of ``subset``, as tuples."""
-    return frozenset(g.names[h].w for h in subset)
+    return frozenset(g.names[h].w for h in as_set(subset))
 
 
 def nullspace_mod(a, p: int) -> list[tuple[int, ...]]:
@@ -524,13 +619,13 @@ def polarization_to_involution(space, plus, minus) -> np.ndarray:
 
 def hom_dim(rep, subgroup) -> int:
     """dim Hom_K(rep, 1) for one rep and one subgroup, given by its
-    members, as one row of :func:`heisweil.reps.hom_dims`."""
-    return int(hom_dims([rep], [rep.group.mask(subgroup)])[0, 0])
+    members or its mask, as one row of :func:`heisweil.reps.hom_dims`."""
+    return int(hom_dims([rep], [rep.group.mask(as_set(subgroup))])[0, 0])
 
 
-def apply_involution(theta: InvolutionRecord, x: int) -> int:
+def apply_involution(theta, x: int) -> int:
     """theta(x), read off its permutation."""
-    return theta.perm[x]
+    return record(theta).perm[x]
 
 
 def inner_involution(g: TableGroup, a: int) -> InvolutionRecord:
@@ -538,15 +633,14 @@ def inner_involution(g: TableGroup, a: int) -> InvolutionRecord:
     return InvolutionRecord(tuple(g.table[g.table[a], g.inverse_of[a]].tolist()))
 
 
-def fixed_subgroup(g: TableGroup, theta: InvolutionRecord) -> frozenset:
+def fixed_subgroup(g: TableGroup, theta) -> frozenset:
     """G^theta, the indices where theta's permutation is the identity."""
-    fixed = np.asarray(theta.perm) == np.arange(g.order)
-    return frozenset(np.flatnonzero(fixed).tolist())
+    return frozenset(x for x, y in enumerate(record(theta).perm) if x == y)
 
 
-def conjugate_involution(g: TableGroup, a: int, theta: InvolutionRecord) -> InvolutionRecord:
+def conjugate_involution(g: TableGroup, a: int, theta) -> InvolutionRecord:
     """a . theta = Int(a) o theta o Int(a^-1), on the whole table at once."""
     t, ainv = g.table, g.inv(a)
-    perm = np.asarray(theta.perm)
+    perm = np.asarray(record(theta).perm)
     # x -> a theta(a^-1 x a) a^-1
     return InvolutionRecord(tuple(t[t[a, perm[t[t[ainv], a]]], ainv].tolist()))

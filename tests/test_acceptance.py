@@ -226,10 +226,8 @@ def test_criterion_07_special_isomorphisms():
     masks = heis.split_polarization_from_iso(isos, g.plus_subgroup, g.minus_z_subgroup)
     for i, (mu, hminus) in enumerate(zip(isos.perm % 3, masks)):
         assert hminus.sum() == 3
-        if all(mu[h] == 0 for h in g.plus_subgroup):
-            back = heis.special_iso_from_split_polarization(
-                g, g.plus_subgroup, np.flatnonzero(hminus).tolist()
-            )
+        if all(mu[h] == 0 for h in np.flatnonzero(g.plus_subgroup)):
+            back = heis.special_iso_from_split_polarization(g, g.plus_subgroup, hminus)
             assert back.w0[0].tolist() == isos.w0[i].tolist()
     elapsed = time.time() - start
     assert elapsed < 60
@@ -247,7 +245,7 @@ def test_criterion_08_mackey_suite():
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
     assert len(configs) >= 20
     for label, tg, k_members, kappa, theta in configs:
-        h_members = sorted(fixed_subgroup(tg, theta))
+        h_members = tg.mask(fixed_subgroup(tg, theta))
         labels = double_coset_labels(tg, k_members, h_members)
         reps = np.unique(labels, return_index=True)[1].tolist()
         mackey, oracle = mk.summed_traces(

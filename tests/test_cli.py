@@ -457,6 +457,57 @@ def test_sqrt_guards_name_the_rejected_values(p, K, k0, message):
     assert err == f"error: {message}\n"
 
 
+def _largest_printable_exponent(p: int = 3) -> int:
+    """The largest K with p^K below 10^limit, limit the digits int -> str
+    writes: the largest modulus a group accepts."""
+    bound = 10 ** sys.get_int_max_str_digits()
+    K = int(sys.get_int_max_str_digits() / np.log10(p))
+    while p ** (K + 1) < bound:
+        K += 1
+    while p**K >= bound:
+        K -= 1
+    return K
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="int -> str has no limit")
+@pytest.mark.parametrize("extra", [1, 88, 10**9])
+def test_sqrt_refuses_a_modulus_int_to_str_cannot_write(extra):
+    """A modulus of 10^limit or more, limit = 4300 digits by default, would
+    crash the writer: it is an error line and exit 2.  3^9100 is the case
+    that crashed, and 3^(10^9) is refused before the power is taken; the
+    largest modulus below the bound still answers."""
+    limit, K = sys.get_int_max_str_digits(), _largest_printable_exponent()
+    argv = ["sqrt", "--n", "1", "--p", "3", "--K", str(K + extra), "--k0", "1",
+            "--matrix", "[[4]]"]
+    start = time.perf_counter()
+    code, out, err = _run_captured(argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: modulus p^K = 3^{K + extra} must stay below 10^{limit}, as int -> str "
+        f"writes at most {limit} digits\n"
+    )
+    argv[6] = str(K)
+    code, out, err = _run_captured(argv)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["modulus"] == 3**K and report["root"][0][0] ** 2 % 3**K == 4
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="int -> str has no limit")
+def test_verify_refuses_a_precision_past_the_modulus_bound(capsys):
+    """The sqrt suite's alpha-factor groups are mod 3^precision, so
+    --precision has the modulus bound of sqrt: a guard line and exit 2,
+    for every suite, before any suite runs."""
+    limit, K = sys.get_int_max_str_digits(), _largest_printable_exponent()
+    for suite, precision in (("sqrt", K + 1), ("sqrt", 9100), ("all", K + 1)):
+        assert run(["verify", suite, "--precision", str(precision)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"guard: precision = {precision}: modulus")
+        assert f"below 10^{limit}" in err
+    assert RunConfig(precision=K).validate_for("sqrt") is None
+
+
 def test_parser_reuse_matches_fresh_runs():
     calls = [
         ["sqrt", "--n", "1", "--p", "3", "--K", "4", "--matrix", "[[4]]"],
@@ -947,7 +998,8 @@ def test_check_counts_are_the_identities_evaluated(p):
     # an edge (x, s) per element x of Sp(W) and generator s
     assert counts["symplectic.closure"] == sp_order * len(sp_table(space).generators)
     # an edge per element of M (of order p - 1) and generator of M; the image
-    m_gens = generators_within(sp_table(space), sp_index(space, enumerate_M(space)))
+    sp = sp_table(space)
+    m_gens = generators_within(sp, sp.mask(sp_index(space, enumerate_M(space))))
     chi_m = counts["symplectic.chi_M_order_two_homomorphism"]
     assert chi_m == (p - 1) * len(m_gens) + 1
     # Light's test: (x s) y = x (s y) for x, y in H and s a generator
@@ -996,7 +1048,7 @@ def test_failing_identity_reports_its_first_input(tmp_path, monkeypatch, capsys)
     # its Mackey sum, and every later configuration's, is off by one
     configs = standard_mackey_configurations()
     label, tg, k_members, kappa, theta = configs[1]
-    h_members = sorted(fixed_subgroup(tg, theta))
+    h_members = tg.mask(fixed_subgroup(tg, theta))
     oracle_row = mk.induced_hom_dim_oracle(tg, k_members, h_members, kappa.dim)
     right = mk.summed_traces([kappa], [oracle_row])[0][0]
     intact = {id(configs[0][3])}

@@ -7,12 +7,22 @@ import numpy as np
 import pytest
 
 from group_oracles import (
+    all_subgroups_by_closure,
+    as_set,
+    automorphisms_by_candidate,
+    block_by_names,
+    center_by_pairs,
     checked_extend_hom,
     closure,
+    commutator_by_closure,
     fixed_subgroup,
     heisenberg_law,
     heisenberg_mackey_configurations,
     inner_involution,
+    inner_involutions_by_element,
+    record,
+    stabilizer_by_conjugates,
+    subgroup_by_closure,
     zoo_groups,
 )
 from heisweil.groups import (
@@ -23,11 +33,17 @@ from heisweil.groups import (
 )
 from heisweil.heisenberg import HElem, HeisenbergGroup
 from heisweil.linalg import CycMatrix, batch_from_matrices
+from heisweil.heisenberg import order_two_automorphisms_inverting_center
 from heisweil.mackey import (
+    all_involutive_automorphisms,
     cyclic_group,
     dihedral_group,
     direct_product,
+    inner_involutions,
+    involution_stabilizer,
+    is_involution,
     quaternion_group,
+    semidirect_involution_record,
     semidirect_table_group,
     symmetric_group,
 )
@@ -121,7 +137,8 @@ def test_trivial_group_has_no_generators():
     and [G, G] = G."""
     g = TableGroup([[0]])
     assert g.generators == () and g.associativity_edges().shape == (1, 0, 1)
-    assert g.commutator_subgroup() == frozenset([0]) == g.subgroup_generated([])
+    assert as_set(g.commutator_subgroup()) == frozenset([0])
+    assert as_set(g.subgroup_generated([])) == frozenset([0])
     assert extend_hom(g, {}, operator.matmul, _scalar(3, 1)) == {0: _scalar(3, 1)}
 
 
@@ -138,9 +155,9 @@ def _generating_set_groups():
 
 
 def _assert_irredundant(g, gens, members):
-    """``gens`` generate ``members``, and each generator lies outside the
-    subgroup the others generate, both by the closure oracle."""
-    assert frozenset(closure([0], gens, g.mul)) == frozenset(members)
+    """``gens`` generate the mask ``members``, and each generator lies
+    outside the subgroup the others generate, both by the closure oracle."""
+    assert frozenset(closure([0], gens, g.mul)) == as_set(members)
     for a in gens:
         assert a not in closure([0], [b for b in gens if b != a], g.mul), (gens, a)
 
@@ -149,9 +166,10 @@ def _assert_irredundant(g, gens, members):
 def test_generators_within_is_an_irredundant_generating_set(label, group):
     """The cached generators are generators_within the whole group: they
     generate it, and dropping any one leaves a proper subgroup."""
-    gens = generators_within(group, range(group.order))
+    whole = group.mask(range(group.order))
+    gens = generators_within(group, whole)
     assert tuple(gens) == group.generators
-    _assert_irredundant(group, gens, range(group.order))
+    _assert_irredundant(group, gens, whole)
 
 
 @pytest.mark.parametrize("label, group", _generating_set_groups())
@@ -184,7 +202,7 @@ def test_heisenberg_closure_matches_table_closure_p3():
     one = HElem((0, 0), 0)
     for a in range(g.order):
         for b in range(g.order):
-            on_table = {g.names[i] for i in g.subgroup_generated([a, b])}
+            on_table = {g.names[i] for i in np.flatnonzero(g.subgroup_generated([a, b]))}
             by_law = closure([one], [g.names[a], g.names[b]], law)
             assert set(by_law) == on_table
 
@@ -193,17 +211,18 @@ def test_is_subgroup_rejects_a_set_missing_one_product():
     g = HeisenbergGroup(SymplecticSpace(3, 1))
     for sub in g.all_subgroups():
         assert g.is_subgroup(sub)
-        for x in sorted(sub)[1:]:
-            assert not g.is_subgroup(sub - {x})
+        for x in np.flatnonzero(sub)[1:]:
+            assert not g.is_subgroup(g.mask(as_set(sub) - {x}))
     s3 = symmetric_group(3)
-    assert s3.is_subgroup(range(6)) and s3.is_subgroup([0])
-    assert not s3.is_subgroup(range(1, 6))  # no identity
-    assert not s3.is_subgroup([])
+    assert s3.is_subgroup(s3.mask(range(6))) and s3.is_subgroup(s3.mask([0]))
+    assert not s3.is_subgroup(s3.mask(range(1, 6)))  # no identity
+    assert not s3.is_subgroup(s3.mask([]))
 
 
 def _brute_double_cosets(g, k_sub, h_sub) -> list[set]:
     """The sets K x H as sets of products, in the order of their smallest
     members: the reference partition."""
+    k_sub, h_sub = as_set(k_sub), as_set(h_sub)
     cosets = []
     for x in range(g.order):
         if not any(x in c for c in cosets):
@@ -215,17 +234,17 @@ def _every_subgroup_pair(g):
     """``g`` and every pair (K, H) of its subgroups; every subgroup of the
     groups given here is generated by two elements."""
     subgroups = sorted(
-        {g.subgroup_generated([a, b]) for a in range(g.order) for b in range(g.order)},
+        {as_set(g.subgroup_generated([a, b])) for a in range(g.order) for b in range(g.order)},
         key=sorted,
     )
-    return g, list(itertools.product(subgroups, repeat=2))
+    return g, list(itertools.product([g.mask(s) for s in subgroups], repeat=2))
 
 
 def _semidirect_bed_pair():
     """Sp x| H(3), int16 table and all, with its Mackey bed's (K, G^theta),
     which has 12 double cosets."""
     _, g, k_sub, _, theta = heisenberg_mackey_configurations()[2]
-    return g, [(k_sub, fixed_subgroup(g, theta))]
+    return g, [(k_sub, g.mask(fixed_subgroup(g, theta)))]
 
 
 @pytest.mark.parametrize(
@@ -254,9 +273,11 @@ def test_double_coset_labels_reject_a_non_subgroup():
     s3 = symmetric_group(3)
     rot = next(a for a in range(6) if s3.orders[a] == 3)
     with pytest.raises(ValueError, match="need subgroups"):
-        double_coset_labels(s3, [0, rot], range(6))
+        double_coset_labels(s3, s3.mask([0, rot]), s3.mask(range(6)))
     with pytest.raises(ValueError, match="need subgroups"):
-        double_coset_labels(s3, range(6), [rot])
+        double_coset_labels(s3, s3.mask(range(6)), s3.mask([rot]))
+    with pytest.raises(ValueError, match=r"bool mask of shape \(6,\); got int64"):
+        double_coset_labels(s3, np.arange(6), s3.mask(range(6)))
 
 
 @pytest.mark.parametrize(
@@ -288,18 +309,17 @@ def test_commutator_subgroup_matches_the_closure(group):
     t, inv = group.table, group.inverse_of
     comms = np.unique(t[t, t[np.ix_(inv, inv)]]).tolist()  # a b a^-1 b^-1
     expected = frozenset(closure([0], comms, group.mul))
-    assert group.commutator_subgroup() == expected
-    assert group.is_subgroup(expected)
+    assert as_set(group.commutator_subgroup()) == expected
+    assert group.is_subgroup(group.mask(expected))
 
 
 def test_subgroup_generated_takes_any_iterable_of_generators():
     g = HeisenbergGroup(SymplecticSpace(3, 1))
-    assert g.subgroup_generated([]) == frozenset([0])
+    assert as_set(g.subgroup_generated([])) == frozenset([0])
     a, b = g.from_w((1, 0)), g.from_w((0, 1))
-    whole = frozenset(range(g.order))
     for gens in ([a, b], (b, a, a), frozenset([a, b]), np.array([a, b]), iter([a, b])):
-        assert g.subgroup_generated(gens) == whole
-    assert g.subgroup_generated([a]) == frozenset(closure([0], [a], g.mul))
+        assert g.subgroup_generated(gens).all()
+    assert as_set(g.subgroup_generated([a])) == frozenset(closure([0], [a], g.mul))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -311,7 +331,8 @@ def test_all_subgroups_matches_the_sweep_over_all_pairs(p):
     for a in range(g.order):
         for b in range(a, g.order):
             swept.add(frozenset(closure([0], [a, b], g.mul)))
-    assert g.all_subgroups() == sorted(swept, key=lambda s: (len(s), sorted(s)))
+    expected = sorted(swept, key=lambda s: (len(s), sorted(s)))
+    assert [as_set(row) for row in g.all_subgroups()] == expected
 
 
 def _mask_oracle_groups():
@@ -334,27 +355,29 @@ def test_mask_closure_and_subgroup_test_match_the_closure_oracle(label, group):
     subsets, verdicts = [frozenset()], [False]
     for pick in gens:
         expected = frozenset(closure([0], pick, g.mul))
-        assert g.subgroup_generated(pick) == expected, pick
-        assert g.is_subgroup(expected)
+        assert as_set(g.subgroup_generated(pick)) == expected, pick
+        assert g.is_subgroup(g.mask(expected))
         subsets.append(expected)
         verdicts.append(True)
         if len(expected) > 2:  # |S| - 1 divides |S| only for |S| = 2
-            assert not g.is_subgroup(expected - {max(expected)})
+            assert not g.is_subgroup(g.mask(expected - {max(expected)}))
             subsets.append(expected - {max(expected)})
             verdicts.append(False)
     for _ in range(40):
         subset = set(rng.sample(range(g.order), rng.randrange(1, g.order + 1)))
         closed = all(g.mul(a, b) in subset for a in subset for b in subset)
-        assert g.is_subgroup(subset) == closed, sorted(subset)
+        assert g.is_subgroup(g.mask(subset)) == closed, sorted(subset)
         subsets.append(subset)
         verdicts.append(closed)
     masks = np.array([g.mask(subset) for subset in subsets])
     assert g.are_subgroups(masks).tolist() == verdicts
-    assert not g.is_subgroup([])
+    assert not g.is_subgroup(g.mask([]))
     with pytest.raises(ValueError, match=f"lie in 0..{g.order - 1}"):
-        g.is_subgroup([0, g.order])
+        g.is_subgroup(g.mask([0, g.order]))
     with pytest.raises(ValueError, match=f"lie in 0..{g.order - 1}"):
         g.mask([-1])
+    with pytest.raises(ValueError, match=f"bool mask of shape \\({g.order},\\)"):
+        g.is_subgroup(g.mask([0])[:-1])
 
 
 def _is_automorphism_oracle(g, perm) -> bool:
@@ -402,7 +425,7 @@ def _automorphism_oracle_cases():
     configs = standard_mackey_configurations() + heisenberg_mackey_configurations()
     cases = {}
     for label, tg, _, _, theta in configs:
-        cases.setdefault((id(tg), theta.perm), (label, tg, theta.perm))
+        cases.setdefault((id(tg), theta.tobytes()), (label, tg, theta))
     return [pytest.param(tg, perm, id=label) for label, tg, perm in cases.values()]
 
 
@@ -539,11 +562,12 @@ def _readings(g, k, theta, family):
     )
     from heisweil.reps import homomorphism_certificate
 
-    fixed = sorted(fixed_subgroup(g, theta))
+    fixed = g.mask(fixed_subgroup(g, theta))
     # K and one element outside it: not closed, as 1 < |K| < |G| here
-    not_closed = sorted({*k, next(x for x in range(g.order) if x not in k)})
-    masks = np.stack([g.mask(k), g.mask(fixed), g.mask(not_closed), g.mask([])])
-    perm = np.array(theta.perm)
+    not_closed = k.copy()
+    not_closed[np.flatnonzero(~k)[0]] = True
+    masks = np.stack([k, fixed, not_closed, g.mask([])])
+    perm = np.array(theta)
     swapped = perm.copy()
     swapped[[1, 2]] = swapped[[2, 1]]
     labels = double_coset_labels(g, k, fixed)
@@ -559,7 +583,7 @@ def _readings(g, k, theta, family):
         certificates.append((check.checks, check.passed, check.witness))
     return (
         g.inverse_of.tolist(),
-        g.center(),
+        g.center().tolist(),
         g.generators,
         g.generators_of(k),
         [g.is_subgroup(sub) for sub in (k, fixed, not_closed)],
@@ -600,3 +624,172 @@ def test_table_of_another_kind_is_refused_naming_its_dtype(dtype):
     table = np.zeros((1, 1), dtype=dtype)
     with pytest.raises(ValueError, match=np.dtype(dtype).name):
         TableGroup(table)
+
+
+# -- one array encoding: masks and permutation arrays against frozensets and tuples
+
+
+def _encoding_groups():
+    """Every group of the Mackey zoo, H(p, 1) and Sp(W) for p = 3, 5, 7."""
+    groups = zoo_groups()
+    for p in (3, 5, 7):
+        groups[f"H({p},1)"] = HeisenbergGroup(SymplecticSpace(p, 1))
+        groups[f"Sp({p})"] = sp_table(SymplecticSpace(p, 1))
+    return [pytest.param(label, tg, id=label) for label, tg in groups.items()]
+
+
+def _is_mask_of(g, mask) -> bool:
+    return mask.dtype == bool and mask.shape == (g.order,) and not mask.flags.writeable
+
+
+@pytest.mark.parametrize("label, group", _encoding_groups())
+def test_subgroup_masks_equal_the_frozenset_encoding(label, group):
+    """The center, [G, G], the closure of every single generator and of 20
+    seeded pairs, and H's standard halves: each a read-only (n,) mask whose
+    members are the frozenset the one-product-at-a-time oracles give, the
+    encoding the package handed out before masks."""
+    g, rng = group, random.Random(label)
+    assert _is_mask_of(g, g.center()) and as_set(g.center()) == center_by_pairs(g)
+    comm = g.commutator_subgroup()
+    assert _is_mask_of(g, comm) and as_set(comm) == commutator_by_closure(g)
+    picks = [[a] for a in range(g.order)] + [rng.sample(range(g.order), 2) for _ in range(20)]
+    for gens in picks:
+        sub = g.subgroup_generated(gens)
+        assert _is_mask_of(g, sub) and as_set(sub) == subgroup_by_closure(g, gens), gens
+    assert _is_mask_of(g, g.mask([0])) and as_set(g.mask([0])) == frozenset([0])
+    if isinstance(g, HeisenbergGroup):
+        ell = g.space.ell
+        blocks = {
+            "plus_subgroup": (slice(ell, None), True),
+            "minus_subgroup": (slice(None, ell), True),
+            "minus_z_subgroup": (slice(None, ell), False),
+        }
+        for name, (vanishing, z_zero) in blocks.items():
+            side = getattr(g, name)
+            assert _is_mask_of(g, side) and as_set(side) == block_by_names(g, vanishing, z_zero)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_all_subgroups_rows_equal_the_frozenset_list_in_order(p):
+    """One read-only (p^2 + 2p + 4, p^3) array whose rows are the frozensets
+    of the closure sweep, in its order of (size, sorted members)."""
+    g = HeisenbergGroup(SymplecticSpace(p, 1))
+    subs = g.all_subgroups()
+    assert subs.shape == (p * p + 2 * p + 4, g.order) and subs.dtype == bool
+    assert not subs.flags.writeable and g.all_subgroups() is subs
+    assert [as_set(row) for row in subs] == all_subgroups_by_closure(g)
+
+
+def _involution_rows(g) -> np.ndarray:
+    """The involutions the package lists for ``g``: the central-inverting
+    ones of H(p, 1), whose inner involutions are trivial, the involutive
+    automorphisms where the search admits the group, else the inner ones."""
+    if isinstance(g, HeisenbergGroup):
+        return order_two_automorphisms_inverting_center(g).perm
+    if g.order <= 24:
+        return all_involutive_automorphisms(g)
+    return inner_involutions(g)
+
+
+@pytest.mark.parametrize("label, group", _encoding_groups())
+def test_involution_arrays_equal_the_tuple_records(label, group):
+    """inner_involutions and the automorphism search are read-only (k, n)
+    int64 arrays whose rows are the ``perm`` tuples of the records the
+    element-by-element references give, in the same order; each row is an
+    involution by is_involution and by the record's all-pairs test (up to
+    64 elements), and the stabilizer of the first nontrivial one is the
+    mask of the a whose conjugate is theta, one conjugate at a time."""
+    g = group
+    inner = inner_involutions(g)
+    assert inner.dtype == np.int64 and inner.shape[1] == g.order and not inner.flags.writeable
+    expected = [t.perm for t in inner_involutions_by_element(g)]
+    assert [tuple(row) for row in inner.tolist()] == expected
+    if g.order <= 24:
+        found = all_involutive_automorphisms(g)
+        assert found.dtype == np.int64 and not found.flags.writeable
+        by_candidate = sorted(t.perm for t in automorphisms_by_candidate(g))
+        assert [tuple(row) for row in found.tolist()] == by_candidate
+    rows = _involution_rows(g)
+    assert is_involution(g, rows).all()
+    if g.order <= 64:
+        assert all(record(row).is_valid(g) for row in rows)
+    theta = next(row for row in rows if (row != np.arange(g.order)).any())
+    stabilizer = involution_stabilizer(g, theta)
+    assert _is_mask_of(g, stabilizer)
+    assert as_set(stabilizer) == stabilizer_by_conjugates(g, theta)
+
+
+def test_semidirect_involution_arrays_equal_the_tuple_built_one_element_at_a_time():
+    """theta(s, h) = (abar s abar^-1, alpha(h)) for every untwisted alpha:
+    the read-only int64 array equals the tuple built one (s, h) at a time
+    from the matrices, and every row is an involution of Sp x| H(3)."""
+    from heisweil.heisenberg import order_two_automorphisms_inverting_center
+    from heisweil.symplectic import mat_inv, sp_index
+
+    space = SymplecticSpace(3, 1)
+    h, sp = HeisenbergGroup(space), sp_table(space)
+    tg = semidirect_table_group(space)
+    alphas = order_two_automorphisms_inverting_center(h)
+    thetas = []
+    for i in np.flatnonzero(~alphas.w0.any(axis=1)).tolist():
+        abar, abar_inv = alphas.s[i], mat_inv(alphas.s[i], 3)
+        perm = tuple(
+            int(sp_index(space, abar @ sp.matrices[s] @ abar_inv % 3)) * h.order
+            + int(alphas.perm[i, x])
+            for s in range(sp.order)
+            for x in range(h.order)
+        )
+        theta = semidirect_involution_record(alphas, i)
+        assert theta.dtype == np.int64 and not theta.flags.writeable
+        assert tuple(theta.tolist()) == perm
+        thetas.append(theta)
+    assert len(thetas) == 12 and is_involution(tg, np.stack(thetas)).all()
+
+
+def _read_only_groups():
+    """Every group of the Mackey zoo, H(p, 1) for p = 3, 5, Sp(W) for
+    p = 3, 5 and Sp x| H(3)."""
+    groups = zoo_groups()
+    for p in (3, 5):
+        groups[f"H({p},1)"] = HeisenbergGroup(SymplecticSpace(p, 1))
+        groups[f"Sp({p})"] = sp_table(SymplecticSpace(p, 1))
+    groups["SpxH(3)"] = semidirect_table_group(SymplecticSpace(3, 1))
+    return [pytest.param(label, tg, id=label) for label, tg in groups.items()]
+
+
+@pytest.mark.parametrize("label, group", _read_only_groups())
+def test_tables_masks_and_permutations_refuse_writes(label, group):
+    """The table, the inverse array and every mask or permutation the group
+    core returns refuse writes, with no freeze by the caller."""
+    g = group
+    thetas = _involution_rows(g)
+    arrays = [
+        g.table,
+        g.inverse_of,
+        g.orders,
+        g.center(),
+        g.commutator_subgroup(),
+        g.subgroup_generated(g.generators[:1]),
+        g.mask([0]),
+        thetas,
+        thetas[0],
+        involution_stabilizer(g, thetas[0]),
+    ]
+    if isinstance(g, HeisenbergGroup):
+        arrays += [g.all_subgroups(), g.plus_subgroup, g.minus_subgroup, g.minus_z_subgroup]
+    if g.order == 648:
+        space = SymplecticSpace(3, 1)
+        alphas = order_two_automorphisms_inverting_center(HeisenbergGroup(space))
+        arrays.append(semidirect_involution_record(alphas, 0))
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]
+
+
+def test_a_table_group_keeps_a_read_only_copy_of_the_table_it_is_given():
+    """The caller's array stays writable and apart from the group's."""
+    table = symmetric_group(3).table.copy()
+    g = TableGroup(table)
+    assert table.flags.writeable and not g.table.flags.writeable
+    table[0, 0] = 5
+    assert g.table[0, 0] == 0

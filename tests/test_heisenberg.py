@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from group_oracles import (
     all_subgroups_by_closure,
+    as_set,
     automorphism_perm_by_element,
     eigen_polarization,
     eigen_polarization_holds,
@@ -106,7 +107,7 @@ def test_center_equals_commutator_subgroup(h3):
         for a in h3.elements()
         for b in h3.elements()
     }
-    assert h3.subgroup_generated(comms) == h3.center()
+    assert np.array_equal(h3.subgroup_generated(comms), h3.center())
 
 
 def _commutator_values(g):
@@ -165,7 +166,7 @@ def test_table_built_on_first_read_equals_the_eager_build_and_the_law(p, ell):
     by_law = table_group_from_mul(g.names, heisenberg_law(space), g.names[0])
     assert by_law.names == g.names and np.array_equal(g.table, by_law.table)
     assert np.array_equal(g.inverse_of, by_law.inverse_of)
-    assert g.center() == by_law.center() == frozenset(range(p))
+    assert as_set(g.center()) == as_set(by_law.center()) == frozenset(range(p))
 
 
 @pytest.mark.parametrize("read", ["table", "inverse_of", "center", "generators"])
@@ -230,7 +231,8 @@ def test_a_copy_of_an_unbuilt_group_builds_its_own_table():
     twin = copy.copy(g)
     assert np.array_equal(twin.table, heisenberg_table_eager(space))
     assert "table" in vars(twin) and "table" not in vars(g)
-    assert twin.generators == g.generators and twin.center() == g.center()
+    assert twin.generators == g.generators
+    assert np.array_equal(twin.center(), g.center())
     with pytest.raises(AttributeError, match="no attribute 'tabel'"):
         g.tabel
 
@@ -289,7 +291,7 @@ def test_an_offset_zero_mod_p_gives_the_base_map(p):
 def _special_iso_axioms_oracle(g, mu) -> bool:
     """mu(0, z) = z and mu(ab) = mu(a) + mu(b) + (1/2)[a, b] on all |H|^2
     pairs."""
-    center = sorted(g.center())
+    center = np.flatnonzero(g.center())
     twisted = (mu[:, None] + mu[None, :] + g.half * _commutator_values(g)) % g.p
     return bool((mu[center] == g.z[center]).all() and (mu[g.table] == twisted).all())
 
@@ -364,9 +366,9 @@ def test_base_iso_from_standard_split_polarization(h3):
 
 def test_conjugated_split_polarization_shifts_offset(h3):
     g0 = h3.element((1, 2), 0)
-    hplus = frozenset(h3.conjugate(g0, h) for h in h3.plus_subgroup)
-    hminus = frozenset(h3.conjugate(g0, h) for h in h3.minus_subgroup)
-    nu = special_iso_from_split_polarization(h3, hplus, hminus)
+    hplus = frozenset(h3.conjugate(g0, h) for h in as_set(h3.plus_subgroup))
+    hminus = frozenset(h3.conjugate(g0, h) for h in as_set(h3.minus_subgroup))
+    nu = special_iso_from_split_polarization(h3, h3.mask(hplus), h3.mask(hminus))
     assert nu.w0.any()
     assert np.array_equal(nu.perm[0] % 3, special_iso_mu_by_offset(h3, nu.w0[0]))
     # uniqueness: exactly one special iso maps both sides into W x 1
@@ -385,7 +387,7 @@ def test_split_polarization_from_iso_base(h3):
         h3.plus_subgroup,
         h3.minus_z_subgroup,
     )
-    assert frozenset(np.flatnonzero(hminus).tolist()) == h3.minus_subgroup
+    assert np.array_equal(hminus, h3.minus_subgroup)
 
 
 def test_split_from_iso_sizes_and_roundtrip(h3):
@@ -393,10 +395,8 @@ def test_split_from_iso_sizes_and_roundtrip(h3):
     masks = split_polarization_from_iso(isos, h3.plus_subgroup, h3.minus_z_subgroup)
     assert masks.shape == (9, 27) and masks.sum(axis=1).tolist() == [3] * 9  # p^l
     for i, (mu, hminus) in enumerate(zip(isos.perm % 3, masks)):
-        if all(mu[h] == 0 for h in h3.plus_subgroup):
-            back = special_iso_from_split_polarization(
-                h3, h3.plus_subgroup, np.flatnonzero(hminus).tolist()
-            )
+        if all(mu[h] == 0 for h in as_set(h3.plus_subgroup)):
+            back = special_iso_from_split_polarization(h3, h3.plus_subgroup, hminus)
             assert np.array_equal(back.w0[0], isos.w0[i])
 
 
@@ -421,7 +421,7 @@ def test_stacked_split_polarizations_match_the_per_offset_oracle(p, ell):
             expected = split_polarization_by_offset(g, mu, *sides)
             assert expected == frozenset(np.flatnonzero(mask).tolist())
 
-    hhat = np.array(sorted(sides[1]))
+    hhat = np.flatnonzero(sides[1])
     masks = split_polarization_from_iso(isos, *sides)
     for fault in range(3):
         at = int(rng.integers(len(isos)))
@@ -522,7 +522,7 @@ def test_polarizations_from_involutions_roundtrip(h3):
         frozenset(np.flatnonzero(side[0]).tolist())
         for side in polarizations_from_involutions(alpha)
     )
-    assert hplus == h3.plus_subgroup
+    assert hplus == as_set(h3.plus_subgroup)
     assert hhat == frozenset(
         h3.element((0, y), z) for y in range(3) for z in range(3)
     )
@@ -617,7 +617,7 @@ def test_order_two_trivial_on_center_crosscheck(p):
     assert found == list(zip(listed.s.tolist(), listed.w0.tolist()))
     assert np.array_equal(perms, listed.perm)
     assert g.is_automorphism(listed.perm[:10]).all()
-    center = sorted(g.center())
+    center = np.flatnonzero(g.center())
     assert (listed.perm[:, center] == center).all()
     # no inner automorphism has order two for odd p
     assert not (listed.s == np.eye(2)).all(axis=(1, 2)).any()
@@ -692,19 +692,19 @@ def test_standard_involution_fixes_plus_and_inverts_minus_z(p, ell):
     alpha = Automorphisms(g, s[None], np.zeros((1, 2 * ell)), -1)
     assert not polarization_faults(alpha).any()
     fixed, inverted = polarizations_from_involutions(alpha)
-    assert frozenset(np.flatnonzero(fixed[0]).tolist()) == g.plus_subgroup
-    assert frozenset(np.flatnonzero(inverted[0]).tolist()) == g.minus_z_subgroup
+    assert np.array_equal(fixed[0], g.plus_subgroup)
+    assert np.array_equal(inverted[0], g.minus_z_subgroup)
     assert np.array_equal(involution_from_polarization(g).s, s[None])
 
 
 def test_subgroup_count_p3(h3):
     subs = h3.all_subgroups()
     # extraspecial group of order 27, exponent 3: 1 + 13 + 4 + 1 subgroups
-    assert len(subs) == 19
+    assert subs.shape == (19, 27) and subs.dtype == bool and not subs.flags.writeable
     by_size = {}
-    for s in subs:
-        by_size.setdefault(len(s), 0)
-        by_size[len(s)] += 1
+    for s in subs.sum(axis=1).tolist():
+        by_size.setdefault(s, 0)
+        by_size[s] += 1
     assert by_size == {1: 1, 3: 13, 9: 4, 27: 1}
 
 
@@ -716,7 +716,7 @@ def test_subgroup_count_oracle(p):
     # contains it and is the preimage of one of the p + 1 lines of W
     g = HeisenbergGroup(SymplecticSpace(p, 1))
     subs = g.all_subgroups()
-    sizes = collections.Counter(len(s) for s in subs)
+    sizes = collections.Counter(subs.sum(axis=1).tolist())
     assert len(subs) == p * p + 2 * p + 4
     assert sizes == {1: 1, p: p * p + p + 1, p * p: p + 1, p**3: 1}
 
@@ -724,7 +724,7 @@ def test_subgroup_count_oracle(p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_all_subgroups_equals_the_closure_sweep(p):
     g = HeisenbergGroup(SymplecticSpace(p, 1))
-    assert g.all_subgroups() == all_subgroups_by_closure(g)
+    assert [as_set(row) for row in g.all_subgroups()] == all_subgroups_by_closure(g)
 
 
 def test_all_subgroups_makes_no_closure(monkeypatch):
@@ -747,7 +747,7 @@ def test_subgroup_generators_generate_each_listed_subgroup(p):
     subs, gens = g.all_subgroups(), g.subgroup_generators()
     assert [len(s) for s in gens] == [0] + [1] * (p * p + p + 1) + [2] * (p + 2)
     for sub, s in zip(subs, gens, strict=True):
-        assert g.subgroup_generated(s) == sub
+        assert np.array_equal(g.subgroup_generated(s), sub)
     for sub, (d, c) in zip(subs[p * p + p + 2 : -1], gens[p * p + p + 2 : -1]):
         assert g.z[d] == 0 and c == g.central(1)
 
@@ -768,9 +768,9 @@ def test_polarization_subgroups_are_built_once_from_the_spans(p, monkeypatch):
     monkeypatch.setattr(HeisenbergGroup, "element", no_element)
     for name, members in expected.items():
         side = getattr(g, name)
-        assert isinstance(side, frozenset) and side == members
+        assert side.dtype == bool and as_set(side) == members
         assert getattr(g, name) is side  # kept, not rebuilt
-        assert all(type(h) is int for h in side)
+        assert side.shape == (g.order,) and not side.flags.writeable
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -797,9 +797,10 @@ def test_polarization_faults_equal_the_set_reference(h3):
     not subgroups, as (H^+, Hhat^-), checked at once on masks: each row's
     first fault is the reference's."""
     g = h3
-    sets = g.all_subgroups() + [
+    plus = as_set(g.plus_subgroup)
+    sets = [as_set(sub) for sub in g.all_subgroups()] + [
         frozenset([0, 1]),
-        g.plus_subgroup - {max(g.plus_subgroup)},
+        plus - {max(plus)},
         frozenset(),
     ]
     pairs = list(itertools.product(sets, repeat=2))
@@ -821,7 +822,7 @@ def test_polarization_faults_equal_the_set_reference(h3):
     }
     assert polarization_fault_by_sets(big, big.plus_subgroup, plane) == isotropy
     with pytest.raises(ValueError, match=f"^{isotropy}$"):
-        heis._check_polarization(big, big.plus_subgroup, plane)
+        heis._check_polarization(big, big.plus_subgroup, big.mask(plane))
 
 
 def test_first_bad_involution_raises_its_first_fault(h3):

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from group_oracles import (
+    InvolutionRecord,
     abelian_characters_by_subtable,
+    as_set,
+    record,
     automorphisms_by_candidate,
     character_sum,
     apply_involution,
@@ -35,7 +38,6 @@ from heisweil.heisenberg import (
 from heisweil import mackey as mk
 from heisweil.linalg import CycMatrix, batch_from_matrices
 from heisweil.mackey import (
-    InvolutionRecord,
     TableGroup,
     all_involutive_automorphisms,
     cyclic_group,
@@ -79,7 +81,7 @@ def _theta_cosets(g, k_sub, theta):
     scratch; S is read through the module, so a substituted s_theta is
     used."""
     k_labels = k_orbit_labels(g, k_sub, theta)
-    reps = _reps(g, k_sub, fixed_subgroup(g, theta))
+    reps = _reps(g, k_sub, g.mask(fixed_subgroup(g, theta)))
     return k_labels, mk.s_theta(g, 0, reps, k_labels)[k_labels[0]]
 
 
@@ -102,8 +104,8 @@ def _test_beds(configs) -> list[list]:
     """The configurations in maximal runs that share (group, K, theta)."""
 
     def bed_of(config):
-        _, tg, k_members, _, theta = config
-        return id(tg), tuple(k_members), theta.perm
+        _, tg, k_mask, _, theta = config
+        return id(tg), k_mask.tobytes(), theta.tobytes()
 
     return [list(run) for _, run in itertools.groupby(configs, key=bed_of)]
 
@@ -113,7 +115,7 @@ def _orbmult(g, k_sub, kappa, theta) -> tuple[int, int]:
     times the sum over K-orbits."""
     k_labels, cosets = _theta_cosets(g, k_sub, theta)
     m, _ = m_K(g, k_sub, theta, cosets)
-    lhs = _oracle(g, k_sub, kappa, sorted(fixed_subgroup(g, theta)))
+    lhs = _oracle(g, k_sub, kappa, g.mask(fixed_subgroup(g, theta)))
     rows = orbmult_rhs(g, k_sub, theta, k_labels)
     return lhs, m * summed_traces([kappa], [rows])[0][0]
 
@@ -125,9 +127,16 @@ def s3():
 
 @pytest.fixture(scope="module")
 def a3(s3):
-    return sorted(
-        next(s for a in range(6) if len(s := s3.subgroup_generated([a])) == 3)
-    )
+    return next(s for a in range(6) if (s := s3.subgroup_generated([a])).sum() == 3)
+
+
+def _c2(s3):
+    return next(s for a in range(1, 6) if (s := s3.subgroup_generated([a])).sum() == 2)
+
+
+def _nontrivial(tg) -> list[np.ndarray]:
+    """The involutive automorphisms of ``tg`` but the identity."""
+    return [t for t in all_involutive_automorphisms(tg) if (t != np.arange(tg.order)).any()]
 
 
 def test_table_group_rejects_bad_tables():
@@ -145,38 +154,32 @@ def test_table_group_rejects_bad_tables():
 
 
 def test_double_coset_examples(s3, a3):
-    c2 = sorted(
-        next(s for a in range(1, 6) if len(s := s3.subgroup_generated([a])) == 2)
-    )
-    assert double_coset_labels(s3, list(range(6)), list(range(6))).max() == 0
+    c2, whole, one = _c2(s3), s3.mask(range(6)), s3.mask([0])
+    assert double_coset_labels(s3, whole, whole).max() == 0
     assert double_coset_labels(s3, a3, c2).max() == 0
-    assert double_coset_labels(s3, [0], [0]).tolist() == list(range(6))
+    assert double_coset_labels(s3, one, one).tolist() == list(range(6))
 
 
 def test_double_cosets_partition(s3, a3):
-    c2 = sorted(
-        next(s for a in range(1, 6) if len(s := s3.subgroup_generated([a])) == 2)
-    )
+    c2 = _c2(s3)
     labels = double_coset_labels(s3, a3, c2)
     for x in range(6):
-        coset = {s3.mul(s3.mul(a, x), b) for a in a3 for b in c2}
+        coset = {s3.mul(s3.mul(a, x), b) for a in as_set(a3) for b in as_set(c2)}
         assert coset == set(np.flatnonzero(labels == labels[x]).tolist())
 
 
 def test_mackey_hom_dim_s3_examples(s3, a3):
-    c2 = sorted(
-        next(s for a in range(1, 6) if len(s := s3.subgroup_generated([a])) == 2)
-    )
+    c2 = _c2(s3)
     for chi in _abelian_characters(s3, a3, 3):
         assert _mackey(s3, a3, chi, c2) == 1
         assert _oracle(s3, a3, chi, c2) == 1
     triv = _trivial_rep(s3, a3)
-    assert _mackey(s3, a3, triv, list(range(6))) == 1  # Frobenius
+    assert _mackey(s3, a3, triv, s3.mask(range(6))) == 1  # Frobenius
 
 
 def test_oracle_equals_mackey_on_full_zoo():
     for label, tg, k_members, kappa, theta in standard_mackey_configurations():
-        h_members = sorted(fixed_subgroup(tg, theta))
+        h_members = tg.mask(fixed_subgroup(tg, theta))
         assert _mackey(tg, k_members, kappa, h_members) == (
             _oracle(tg, k_members, kappa, h_members)
         ), label
@@ -184,7 +187,7 @@ def test_oracle_equals_mackey_on_full_zoo():
 
 def test_oracle_equals_mackey_on_heisenberg_configs():
     for label, tg, k_members, kappa, theta in heisenberg_mackey_configurations():
-        h_members = sorted(fixed_subgroup(tg, theta))
+        h_members = tg.mask(fixed_subgroup(tg, theta))
         assert _mackey(tg, k_members, kappa, h_members) == (
             _oracle(tg, k_members, kappa, h_members)
         ), label
@@ -192,13 +195,11 @@ def test_oracle_equals_mackey_on_heisenberg_configs():
 
 def test_invstab_on_zoo_groups():
     for tg in (symmetric_group(3), dihedral_group(4), quaternion_group()):
-        center = tg.center()
-        theta = next(
-            t for t in all_involutive_automorphisms(tg) if not t.is_identity()
-        )
-        stabilizer = set(involution_stabilizer(tg, theta).tolist())
+        center = as_set(tg.center())
+        theta = _nontrivial(tg)[0]
+        stabilizer = as_set(involution_stabilizer(tg, theta))
         for a in range(tg.order):
-            stab = conjugate_involution(tg, a, theta).perm == theta.perm
+            stab = conjugate_involution(tg, a, theta).perm == tuple(theta.tolist())
             assert stab == (tg.mul(a, tg.inv(apply_involution(theta, a))) in center)
             assert stab == (a in stabilizer)
 
@@ -214,12 +215,14 @@ def test_involution_stabilizer_is_where_the_conjugate_is_theta():
     against one conjugate_involution per a."""
     for bed in _test_beds(_suite_configurations()):
         label, tg, _, _, theta = bed[0]
-        stab = [a for a, perm in enumerate(_conjugates(tg, theta)) if perm == theta.perm]
-        center = tg.center()
+        perm = tuple(theta.tolist())
+        stab = [a for a, conj in enumerate(_conjugates(tg, theta)) if conj == perm]
+        center = as_set(tg.center())
         central = [
             a for a in range(tg.order) if tg.mul(a, tg.inv(apply_involution(theta, a))) in center
         ]
-        assert involution_stabilizer(tg, theta).tolist() == stab == central, label
+        stabilizer = involution_stabilizer(tg, theta)
+        assert np.flatnonzero(stabilizer).tolist() == stab == central, label
 
 
 def test_k_orbit_labels_partition_the_g_orbit_as_the_closure_does():
@@ -230,7 +233,7 @@ def test_k_orbit_labels_partition_the_g_orbit_as_the_closure_does():
     for label, tg, k_sub, _, theta in _suite_configurations():
         labels = k_orbit_labels(tg, k_sub, theta)
         conjugates = _conjugates(tg, theta)
-        (orbit,) = closure_orbits(tg, [theta], range(tg.order))
+        (orbit,) = closure_orbits(tg, [theta], tg.mask(range(tg.order)))
         assert set(conjugates) == set(orbit), label
         parts = [set() for _ in range(labels.max() + 1)]
         for a, perm in enumerate(conjugates):
@@ -246,7 +249,7 @@ def test_k_orbit_labels_partition_the_g_orbit_as_the_closure_does():
 def test_k_orbit_labels_under_the_trivial_actor(s3):
     """K = 1: every K-orbit is one involution, one per left coset of G_theta."""
     for theta in _nontrivial_s3(s3):
-        labels = k_orbit_labels(s3, [0], theta)
+        labels = k_orbit_labels(s3, s3.mask([0]), theta)
         conjugates = _conjugates(s3, theta)
         assert labels.max() + 1 == len(set(conjugates))
         for a in range(6):
@@ -258,7 +261,7 @@ def test_k_orbit_labels_under_the_trivial_actor(s3):
 def test_k_orbit_labels_reject_a_non_subgroup_actor(s3):
     rot = next(a for a in range(6) if s3.orders[a] == 3)
     with pytest.raises(ValueError, match="need subgroups"):
-        k_orbit_labels(s3, [0, rot], _nontrivial_s3(s3)[0])
+        k_orbit_labels(s3, s3.mask([0, rot]), _nontrivial_s3(s3)[0])
 
 
 def test_inner_involutions_by_transpositions_form_one_orbit(s3):
@@ -266,42 +269,38 @@ def test_inner_involutions_by_transpositions_form_one_orbit(s3):
         a for a in range(1, 6) if s3.orders[a] == 2
     ]
     invs = [inner_involution(s3, a) for a in transpositions]
-    theta = invs[0]
-    assert k_orbit_labels(s3, range(6), theta).max() == 0
+    theta = np.array(invs[0].perm)
+    assert k_orbit_labels(s3, s3.mask(range(6)), theta).max() == 0
     assert set(_conjugates(s3, theta)) == {t.perm for t in invs}
     left_cosets = s3.table[:, involution_stabilizer(s3, theta)].min(axis=1)
     assert len(np.unique(left_cosets)) == 3
 
 
 def _nontrivial_s3(s3):
-    return [t for t in all_involutive_automorphisms(s3) if not t.is_identity()]
+    return _nontrivial(s3)
 
 
 def test_s_theta_central_twist_characterization(s3, a3):
-    theta = next(
-        t for t in all_involutive_automorphisms(s3) if not t.is_identity()
-    )
+    theta = _nontrivial(s3)[0]
     members = _theta_cosets(s3, a3, theta)[1]
-    center = s3.center()
-    h = sorted(fixed_subgroup(s3, theta))
-    for x in _reps(s3, a3, h):
-        coset = {s3.mul(s3.mul(a, x), b) for a in a3 for b in h}
+    center = as_set(s3.center())
+    h = fixed_subgroup(s3, theta)
+    for x in _reps(s3, a3, s3.mask(h)):
+        coset = {s3.mul(s3.mul(a, x), b) for a in as_set(a3) for b in h}
         has = any(s3.mul(gq, s3.inv(apply_involution(theta, gq))) in center for gq in coset)
         assert (x in members) == has
 
 
 def test_m_K_centerless_is_one(s3, a3):
-    theta = next(
-        t for t in all_involutive_automorphisms(s3) if not t.is_identity()
-    )
+    theta = _nontrivial(s3)[0]
     m, bound = m_K(s3, a3, theta, _theta_cosets(s3, a3, theta)[1])
     assert m == 1 and bound == 1  # trivial center: Z^1 = B^1 = {e}
 
 
 def test_m_K_bound_two_on_quaternions():
     q8 = quaternion_group()
-    theta = inner_involution(q8, 2)  # Int(i): order two modulo the center
-    k = sorted(q8.subgroup_generated([2]))  # <i> contains the center
+    theta = np.array(inner_involution(q8, 2).perm)  # Int(i): order two modulo the center
+    k = q8.subgroup_generated([2])  # <i> contains the center
     m, bound = m_K(q8, k, theta, _theta_cosets(q8, k, theta)[1])
     assert bound == 2 and m <= 2
 
@@ -395,7 +394,7 @@ def test_per_bed_sums_equal_the_separate_values_on_every_configuration():
         _, tg, k_sub, _, theta = bed[0]
         kappas = [kappa for *_, kappa, _ in bed]
         both = kappas + [contragredient(kappa) for kappa in kappas]
-        h_sub = sorted(fixed_subgroup(tg, theta))
+        h_sub = tg.mask(fixed_subgroup(tg, theta))
         k_labels, cosets = _theta_cosets(tg, k_sub, theta)
         m, _ = m_K(tg, k_sub, theta, cosets)
         dim = max(kappa.dim for kappa in both)
@@ -422,9 +421,9 @@ def test_per_bed_sums_equal_the_separate_values_on_every_configuration():
 
 def test_oracle_guard_names_its_limit():
     z = cyclic_group(130)  # K = 1, H = G: (130 * 1)^2 * 130 entries
-    triv = _trivial_rep(z, [0])
+    triv = _trivial_rep(z, z.mask([0]))
     with pytest.raises(ValueError, match="<= 200000; got 2197000"):
-        induced_hom_dim_oracle(z, [0], range(130), triv.dim)
+        induced_hom_dim_oracle(z, z.mask([0]), z.mask(range(130)), triv.dim)
 
 
 def test_automorphism_search_guards_name_their_limits():
@@ -445,7 +444,7 @@ def _twisted_class_labels_by_closure(tg, k_members, theta) -> list[int]:
     while unreached:
         orbit = closure(
             [min(unreached)],
-            k_members,
+            sorted(as_set(k_members)),
             lambda y, k: tg.mul(tg.mul(k, y), tg.inv(apply_involution(theta, k))),
         )
         unreached -= set(orbit)
@@ -472,7 +471,7 @@ def closure_orbits(g, thetas, actor):
     """The reference: one conjugate_involution per (involution, generator)
     edge, closed breadth-first, seeds taken last-in first."""
     gens = generators_within(g, actor)
-    remaining = {t.perm: t for t in thetas}
+    remaining = {t.perm: t for t in map(record, thetas)}
     orbits = []
     while remaining:
         _, seed = remaining.popitem()
@@ -490,17 +489,17 @@ def test_mackey_suite_validates_each_theta_once(monkeypatch):
     import heisweil.suites as suites_mod
 
     suites_mod._mackey_zoo(), suites_mod._heisenberg_beds()
-    seen, real = [], InvolutionRecord.is_valid
+    seen, real = [], mk.is_involution
 
-    def spy(theta, g):
-        seen.append(theta.perm)
-        return real(theta, g)
+    def spy(g, perms):
+        seen.extend(perms.tolist())
+        return real(g, perms)
 
-    monkeypatch.setattr(InvolutionRecord, "is_valid", spy)
+    monkeypatch.setattr(mk, "is_involution", spy)
     checks = SUITES["mackey"](RunConfig())
     assert all(c.passed for c in checks)
     beds = _test_beds(_suite_configurations())
-    assert seen == [bed[0][4].perm for bed in beds] and len(seen) == 19
+    assert seen == [bed[0][4].tolist() for bed in beds] and len(seen) == 19
 
 
 def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
@@ -521,11 +520,10 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
     real = groups_mod.generators_within
 
     def spy(g, members):
-        members = frozenset(members)
-        if len(members) == g.order:
+        if members.all():
             whole.append((id(g), g.order))
         else:
-            parts.append((id(g), g.order, members))
+            parts.append((id(g), g.order, members.tobytes()))
         return real(g, members)
 
     monkeypatch.setattr(groups_mod, "generators_within", spy)
@@ -547,7 +545,7 @@ def test_mackey_suite_derives_each_groups_generators_once(monkeypatch):
     assert second == [] and second_parts == []
     # a K of a zoo bed with characters, each once; none of H(3, 1) or Sp x| H
     beds = _test_beds(configs)
-    proper = {(tg.order, frozenset(k)) for (_, tg, k, *_), *_ in beds if len(k) < tg.order}
+    proper = {(tg.order, k.tobytes()) for (_, tg, k, *_), *_ in beds if not k.all()}
     assert len(first_parts) == len(set(first_parts))
     derived = {(order, k) for _, order, k in first_parts}
     assert derived < proper and not {27, 648} & {order for order, _ in derived}
@@ -557,7 +555,7 @@ def test_h1_bound_two_for_theta_trivial_on_center():
     # theta trivial on a C2 center: Z^1 = Z, B^1 = {e}, bound = 2
     q8 = quaternion_group()
     ident = InvolutionRecord(tuple(range(8)))
-    center = q8.center()
+    center = as_set(q8.center())
     z1 = [z for z in center if apply_involution(ident, z) == q8.inv(z)]
     b1 = {q8.mul(z, q8.inv(apply_involution(ident, z))) for z in center}
     assert len(z1) == 2 and len(b1) == 1
@@ -568,7 +566,7 @@ def test_triangle_bijection_on_zoo():
     K x G^theta one-to-one onto the twisted classes of the closure
     reference."""
     for label, tg, k_members, kappa, theta in standard_mackey_configurations()[:8]:
-        h = sorted(fixed_subgroup(tg, theta))
+        h = tg.mask(fixed_subgroup(tg, theta))
         dcs = _reps(tg, k_members, h)
         expected = _twisted_class_labels_by_closure(tg, k_members, theta)
         assert twisted_classes(tg, k_members, theta).tolist() == expected, label
@@ -596,33 +594,29 @@ def test_triangle_failure_is_recorded_with_the_configuration_label(monkeypatch):
 
 
 def test_orbmult_formula_s3(s3, a3):
-    theta = next(
-        t for t in all_involutive_automorphisms(s3) if not t.is_identity()
-    )
+    theta = _nontrivial(s3)[0]
     for chi in _abelian_characters(s3, a3, 3):
         lhs, rhs = _orbmult(s3, a3, chi, theta)
         assert lhs == rhs
 
 
 def test_orbmult_reduces_to_hom_dim_when_K_is_G(s3):
-    theta = next(
-        t for t in all_involutive_automorphisms(s3) if not t.is_identity()
-    )
-    triv = _trivial_rep(s3, range(6))
-    lhs, rhs = _orbmult(s3, list(range(6)), triv, theta)
+    theta = _nontrivial(s3)[0]
+    whole = s3.mask(range(6))
+    triv = _trivial_rep(s3, whole)
+    lhs, rhs = _orbmult(s3, whole, triv, theta)
     assert lhs == rhs == hom_dim(triv, sorted(fixed_subgroup(s3, theta)))
 
 
 def test_contragredient_multiplicities_match(s3, a3):
-    theta = next(
-        t for t in all_involutive_automorphisms(s3) if not t.is_identity()
-    )
-    h = sorted(fixed_subgroup(s3, theta))
+    theta = _nontrivial(s3)[0]
+    h = s3.mask(fixed_subgroup(s3, theta))
+    members = np.flatnonzero(a3)
     for chi in _abelian_characters(s3, a3, 3):
         num, den = batch_from_matrices(
-            [chi.image(s3.inv(k)).transpose() for k in a3], 3
+            [chi.image(s3.inv(k)).transpose() for k in members], 3
         )
-        chi_tilde = MatrixRep(s3, a3, num, den, 3)
+        chi_tilde = MatrixRep(s3, members, num, den, 3)
         assert _oracle(s3, a3, chi, h) == _oracle(s3, a3, chi_tilde, h)
 
 
@@ -652,27 +646,29 @@ def test_two_dimensional_kappa():
     assert not kappa_of(CycMatrix(n, [[w, zero], [zero, w]])).verify_homomorphism()
     kappa = kappa_of(CycMatrix(n, [[w, zero], [zero, w**2]]))
     assert kappa.verify_homomorphism()
-    theta = next(
-        t for t in all_involutive_automorphisms(s3) if not t.is_identity()
-    )
-    lhs, rhs = _orbmult(s3, els, kappa, theta)
+    theta = _nontrivial(s3)[0]
+    whole = s3.mask(els)
+    lhs, rhs = _orbmult(s3, whole, kappa, theta)
     assert lhs == rhs
-    h = sorted(fixed_subgroup(s3, theta))
-    assert _mackey(s3, els, kappa, h) == _oracle(s3, els, kappa, h)
+    h = s3.mask(fixed_subgroup(s3, theta))
+    assert _mackey(s3, whole, kappa, h) == _oracle(s3, whole, kappa, h)
 
 
 @pytest.mark.parametrize(
     "label", [label for label, tg in zoo_groups().items() if tg.order <= 24]
 )
 def test_stacked_automorphism_search_matches_the_per_candidate_search(label):
-    """All candidate tuples extended as one stack and proved by is_valid
-    give the list, sorted by ``perm``, that extending one candidate at a
-    time with every edge compared gives."""
+    """All candidate tuples extended as one stack and proved by
+    is_involution give the rows, sorted, that extending one candidate at a
+    time with every edge compared gives, as the records' ``perm`` tuples."""
     tg = zoo_groups()[label]
     found = all_involutive_automorphisms(tg)
-    assert [t.perm for t in found] == sorted(t.perm for t in found)
-    assert found == sorted(automorphisms_by_candidate(tg), key=lambda t: t.perm)
-    assert all(theta.is_valid(tg) for theta in found)
+    assert found.dtype == np.int64 and found.shape[1] == tg.order
+    assert found.tolist() == sorted(found.tolist())
+    expected = sorted(t.perm for t in automorphisms_by_candidate(tg))
+    assert [tuple(row) for row in found.tolist()] == expected
+    assert all(record(theta).is_valid(tg) for theta in found)
+    assert mk.is_involution(tg, found).all()
 
 
 @pytest.mark.parametrize(
@@ -684,13 +680,13 @@ def test_automorphism_search_does_not_depend_on_the_generating_set(label):
     tg = zoo_groups()[label]
     other = copy.copy(tg)
     other.generators = tuple(reversed(tg.generators))
-    assert all_involutive_automorphisms(other) == all_involutive_automorphisms(tg)
+    assert np.array_equal(all_involutive_automorphisms(other), all_involutive_automorphisms(tg))
 
 
 def _abelian_subgroups(tg) -> list:
     """The abelian subgroups generated by one or two elements, by size."""
     n = tg.order
-    subs = {tg.subgroup_generated([a, b]) for a in range(n) for b in range(a, n)}
+    subs = {as_set(tg.subgroup_generated([a, b])) for a in range(n) for b in range(a, n)}
     abelian = [
         k for k in subs if all(tg.mul(x, y) == tg.mul(y, x) for x in k for y in k)
     ]
@@ -711,15 +707,15 @@ def test_abelian_characters_match_the_subtable_oracle(label):
         return chi.elements.tolist(), chi.num.tolist(), chi.den
 
     for k in _abelian_subgroups(tg):
-        members = sorted(k)
+        members = tg.mask(k)
         gens = generators_within(tg, members)
         for n in (2, 3, 4, 6, 8, 12):
             got = _abelian_characters(tg, members, n)
             expected = abelian_characters_by_subtable(tg, members, n)
-            assert sorted(map(stack, got)) == sorted(map(stack, expected)), (members, n)
+            assert sorted(map(stack, got)) == sorted(map(stack, expected)), (sorted(k), n)
             roots = [root_of_unity(n, e) for e in range(n)]
             exps = [tuple(roots.index(chi.image(a)[0, 0]) for a in gens) for chi in got]
-            assert exps == sorted(exps), (members, n)
+            assert exps == sorted(exps), (sorted(k), n)
             if all(n % tg.orders[x] == 0 for x in k):
                 assert len(got) == len(k)  # K is abelian of exponent dividing n
 
@@ -729,7 +725,7 @@ def test_inner_involutions_match_the_per_element_loop(label):
     """Int(a) for every a, and the a with a^2 central deduplicated by
     permutation in index order, against one conjugation at a time."""
     tg = zoo_groups()[label]
-    center = tg.center()
+    center = as_set(tg.center())
     by_element = [
         tuple(tg.conjugate(a, x) for x in range(tg.order)) for a in range(tg.order)
     ]
@@ -738,7 +734,9 @@ def test_inner_involutions_match_the_per_element_loop(label):
     for a in range(tg.order):
         if tg.mul(a, a) in center:
             expected.setdefault(by_element[a], None)
-    assert [theta.perm for theta in inner_involutions(tg)] == list(expected)
+    found = inner_involutions(tg)
+    assert found.dtype == np.int64 and not found.flags.writeable
+    assert [tuple(theta) for theta in found.tolist()] == list(expected)
 
 
 def _direct_product_by_mul(g1, g2):
@@ -876,7 +874,9 @@ def test_semidirect_involution_record_needs_untwisted_alpha():
     assert (len(alphas), untwisted.sum()) == (36, 12)
     for i, w0 in enumerate(alphas.w0.tolist()):
         if untwisted[i]:
-            assert semidirect_involution_record(alphas, i).is_valid(tg)
+            theta = semidirect_involution_record(alphas, i)
+            assert theta.dtype == np.int64 and not theta.flags.writeable
+            assert mk.is_involution(tg, theta[None]).tolist() == [True]
         else:
             message = rf"^alpha must have w0 = 0; got w0 = \({w0[0]}, {w0[1]}\)$"
             with pytest.raises(ValueError, match=message):
@@ -884,33 +884,37 @@ def test_semidirect_involution_record_needs_untwisted_alpha():
 
 
 def test_involution_record_validity(s3):
+    """One bool per row of a stack, each as the tuple-backed record's
+    all-pairs test gives it; a row of another length is not one."""
     inner = inner_involution(s3, 1)
     assert inner.is_valid(s3)
     transposition = next(a for a in range(1, 6) if s3.orders[a] == 2)
     other = next(a for a in range(1, 6) if a != transposition)
     swap = list(range(6))
     swap[transposition], swap[other] = other, transposition
-    assert not InvolutionRecord(tuple(swap)).is_valid(s3)  # not multiplicative
-    assert not InvolutionRecord((1, 2, 0, 3, 4, 5)).is_valid(s3)  # order 3
-    assert not InvolutionRecord((0, 0, 2, 3, 4, 5)).is_valid(s3)  # not bijective
+    rows = [inner.perm, swap, (1, 2, 0, 3, 4, 5), (0, 0, 2, 3, 4, 5), tuple(range(6))]
+    # not multiplicative, of order 3, not bijective, the identity
+    expected = [True, False, False, False, True]
+    assert mk.is_involution(s3, np.array(rows)).tolist() == expected
+    assert [InvolutionRecord(tuple(row)).is_valid(s3) for row in rows] == expected
+    assert mk.is_involution(s3, np.zeros((2, 5), dtype=np.int64)).tolist() == [False] * 2
     with pytest.raises(ValueError, match="not an involutive automorphism"):
-        k_orbit_labels(s3, range(6), InvolutionRecord(tuple(swap)))
+        k_orbit_labels(s3, s3.mask(range(6)), np.array(swap))
 
 
 def test_involution_record_validity_on_a_large_cyclic_group():
     # order 130, one generator: the generator columns against all pairs
     z = cyclic_group(130)
-    negation = InvolutionRecord(tuple((-x) % 130 for x in range(130)))
-    assert negation.is_valid(z)
+    negation = (-np.arange(130)) % 130
+    assert mk.is_involution(z, negation[None])[0]
+    assert record(negation).is_valid(z)
     # negation with 30 and 100 fixed is bijective and of order 2 but not
     # multiplicative
-    perm = list(negation.perm)
+    perm = negation.copy()
     perm[100], perm[30] = perm[30], perm[100]
-    swapped = InvolutionRecord(tuple(perm))
-    assert not swapped.is_valid(z)
-    p = np.array(perm)
-    whole = np.array_equal(p[z.table], z.table[np.ix_(p, p)])
-    assert swapped.is_valid(z) == whole
+    assert not mk.is_involution(z, perm[None])[0]
+    whole = np.array_equal(perm[z.table], z.table[np.ix_(perm, perm)])
+    assert mk.is_involution(z, perm[None])[0] == whole == record(perm).is_valid(z)
 
 
 def _zoo_snapshot():
@@ -922,17 +926,19 @@ def _zoo_snapshot():
 
     configs, stabilizer, tildes = suites_mod._mackey_zoo()
     return [
-        (label, tg.table.tolist(), tg.inverse_of.tolist(), list(k), theta.perm,
-         kappa.characters(k).to_json(), tilde.characters(k).to_json(),
-         [tilde.image(x).to_json() for x in k])
+        (label, tg.table.tolist(), tg.inverse_of.tolist(), k.tolist(), theta.tolist(),
+         kappa.characters(np.flatnonzero(k)).to_json(),
+         tilde.characters(np.flatnonzero(k)).to_json(),
+         [tilde.image(x).to_json() for x in np.flatnonzero(k)])
         for (label, tg, k, kappa, theta), tilde in zip(configs, tildes)
-    ] + [(label, tg.table.tolist(), theta.perm) for label, tg, theta in stabilizer]
+    ] + [(label, tg.table.tolist(), theta.tolist()) for label, tg, theta in stabilizer]
 
 
 def test_mackey_zoo_is_shared_read_only_and_unchanged_by_a_run():
     """The zoo is built once per process and handed out as fresh lists of
     the same configurations; every table and inverse array is read-only, K
-    is a tuple, kappa and the kept kappa~ hold read-only stacks, kappa~'s
+    is a read-only mask and theta a read-only int64 permutation, kappa and
+    the kept kappa~ hold read-only stacks, kappa~'s
     character row is the traces of its images, and a suite run leaves every
     configuration as it was."""
     import heisweil.suites as suites_mod
@@ -945,14 +951,16 @@ def test_mackey_zoo_is_shared_read_only_and_unchanged_by_a_run():
         assert not tg.table.flags.writeable and not tg.inverse_of.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             tg.table[0, 0] = 1
-    assert all(type(k) is tuple for _, _, k, *_ in configs)
+    for _, tg, k, _, theta in configs:
+        assert k.dtype == bool and k.shape == (tg.order,) and not k.flags.writeable
+        assert theta.dtype == np.int64 and not theta.flags.writeable
     assert len(tildes) == len(configs)
     for (*_, k, kappa, _), tilde in zip(configs, tildes):
-        fresh = contragredient(kappa)
-        assert np.array_equal(tilde.elements, k) and tilde.den == fresh.den
+        fresh, members = contragredient(kappa), np.flatnonzero(k)
+        assert np.array_equal(tilde.elements, members) and tilde.den == fresh.den
         assert np.array_equal(tilde.num, fresh.num)
-        traces = [[tilde.image(x).trace() for x in k]]
-        assert tilde.characters(k) == CycMatrix(tilde.conductor, traces)
+        traces = [[tilde.image(x).trace() for x in members]]
+        assert tilde.characters(members) == CycMatrix(tilde.conductor, traces)
         for stack in (tilde.num, tilde.elements, kappa.num):
             with pytest.raises(ValueError, match="read-only"):
                 stack[0] = 0
@@ -994,8 +1002,8 @@ def test_semidirect_table_and_heisenberg_beds_are_built_once_per_process(monkeyp
 
 
 def test_semidirect_table_and_heisenberg_beds_are_read_only():
-    """Sp x| H's table and inverses, H(3, 1)'s, and the stacks of tau and
-    of every kappa~ of the beds refuse writes."""
+    """Sp x| H's table and inverses, H(3, 1)'s, the stacks of tau and of
+    every kappa~ of the beds, and every K and theta refuse writes."""
     import heisweil.suites as suites_mod
 
     configs, tildes = suites_mod._heisenberg_beds()
@@ -1003,7 +1011,9 @@ def test_semidirect_table_and_heisenberg_beds_are_read_only():
     arrays = [tau.num, tau.cols, *(tilde.num for tilde in tildes)]
     for tg in {id(tg): tg for _, tg, *_ in configs}.values():
         arrays += [tg.table, tg.inverse_of]
-    assert len(arrays) == 2 + 3 + 4
+    for _, _, k, _, theta in configs:
+        arrays += [k, theta]
+    assert len(arrays) == 2 + 3 + 4 + 6
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
@@ -1066,7 +1076,7 @@ def _suite_configurations():
 
 def _conjugates_in_k(g, k_sub, h_sub, x) -> list[int]:
     """K ^ xHx^-1, one product at a time."""
-    return sorted({g.mul(g.mul(x, y), g.inv(x)) for y in h_sub} & set(k_sub))
+    return sorted({g.mul(g.mul(x, y), g.inv(x)) for y in as_set(h_sub)} & as_set(k_sub))
 
 
 def test_batched_oracle_and_sums_match_the_per_kappa_references():
@@ -1078,7 +1088,7 @@ def test_batched_oracle_and_sums_match_the_per_kappa_references():
         label, tg, k_sub, _, theta = bed[0]
         kappas = [kappa for *_, kappa, _ in bed]
         kappas += [contragredient(kappa) for kappa in kappas]
-        h_sub = sorted(fixed_subgroup(tg, theta))
+        h_sub = tg.mask(fixed_subgroup(tg, theta))
         expected = [induced_hom_dim_by_loop(tg, k_sub, kap, h_sub) for kap in kappas]
         assert _oracle_values(tg, k_sub, kappas, h_sub) == expected, label
 
@@ -1099,7 +1109,7 @@ def test_batched_oracle_and_sums_match_the_per_kappa_references():
         # K ^ G^theta' for theta' = a.theta, a the smallest of its K-orbit
         firsts = np.unique(k_labels, return_index=True)[1].tolist()
         moved = [conjugate_involution(tg, a, theta) for a in firsts]
-        fixed = [sorted(fixed_subgroup(tg, t) & set(k_sub)) for t in moved]
+        fixed = [sorted(fixed_subgroup(tg, t) & as_set(k_sub)) for t in moved]
         rhs = [m * total for total in summed(fixed)]
         (summands,) = summed_traces(kappas, [orbmult_rhs(tg, k_sub, theta, k_labels)])
         assert [m * summand for summand in summands] == rhs, label
@@ -1116,7 +1126,7 @@ def test_s_theta_matches_one_conjugation_per_representative():
         orbit_of = dict(zip(_conjugates(tg, theta), k_labels.tolist()))
         for a in (0, *(rng.randrange(tg.order) for rng in rngs)):
             moved = conjugate_involution(tg, a, theta)
-            reps = _reps(tg, k_sub, fixed_subgroup(tg, moved))
+            reps = _reps(tg, k_sub, tg.mask(fixed_subgroup(tg, moved)))
             expected = [[] for _ in range(k_labels.max() + 1)]
             for x in reps:
                 expected[orbit_of[conjugate_involution(tg, x, moved).perm]].append(x)
@@ -1127,21 +1137,21 @@ def test_m_K_matches_the_per_element_cocycles():
     """|Z^1| / |B^1| from the mask gathers against one product per central
     element, on every configuration."""
     for label, tg, k_sub, _, theta in _suite_configurations():
-        center = tg.center()
+        center = as_set(tg.center())
         z1 = [z for z in center if apply_involution(theta, z) == tg.inv(z)]
         b1 = {tg.mul(z, tg.inv(apply_involution(theta, z))) for z in center}
         assert b1 <= set(z1) and len(z1) % len(b1) == 0, label
         m, bound = m_K(tg, k_sub, theta, _theta_cosets(tg, k_sub, theta)[1])
-        assert bound == (len(z1) // len(b1) if center <= set(k_sub) else None), label
+        assert bound == (len(z1) // len(b1) if center <= as_set(k_sub) else None), label
 
 
 def test_m_K_rejects_a_coboundary_outside_z1():
     """x -> x + 1 on C3 is no automorphism: 0 - (0 + 1) = 2 is a coboundary,
     while Z^1 = {z : z + 1 = -z} = {1}."""
     c3 = cyclic_group(3)
-    shift = InvolutionRecord((1, 2, 0))
+    shift = np.array([1, 2, 0])
     with pytest.raises(RuntimeError, match=r"= 2 of z = 0 is not in Z\^1"):
-        m_K(c3, range(3), shift, [])
+        m_K(c3, c3.mask(range(3)), shift, [])
 
 
 def _one_by_one(g, members, values, n):
@@ -1158,16 +1168,16 @@ def test_oracle_runtime_errors_name_their_cause():
     kappa = _one_by_one(c3, [0, 1], [1, 1], 4)
     outside = r"x_i h x_j\^-1 = 2 not in K \(i = 1, h = 1\)"
     with pytest.raises(RuntimeError, match=outside):
-        _oracle_values(c3, [0, 1], [kappa], range(3))
+        _oracle_values(c3, c3.mask([0, 1]), [kappa], c3.mask(range(3)))
     # K = 1, H = C2: the trace is 2 zeta_3 / 2
     zeta = MatrixRep(c2, [0], CycMatrix(3, [[root_of_unity(3, 1)]]).num[:, None], 1, 3)
     with pytest.raises(RuntimeError, match="is not an integer"):
-        _oracle_values(c2, [0], [zeta], range(2))
+        _oracle_values(c2, c2.mask([0]), [zeta], c2.mask(range(2)))
     # K = H = 1: the trace is 2 * (-1) / 1
     minus = _one_by_one(c2, [0], [-1], 4)
     negative = r"trace Cyc\(4; -2\) of weight row 0 is negative"
     with pytest.raises(RuntimeError, match=negative):
-        _oracle_values(c2, [0], [minus], [0])
+        _oracle_values(c2, c2.mask([0]), [minus], c2.mask([0]))
 
 
 def test_oracle_guard_reads_the_largest_kappa():
@@ -1176,13 +1186,14 @@ def test_oracle_guard_reads_the_largest_kappa():
     (50 * 1)^2 * 50 = 125000 passes the guard and (50 * 2)^2 * 50 does
     not."""
     c50 = cyclic_group(50)
-    one = _trivial_rep(c50, [0])
+    trivial, whole = c50.mask([0]), c50.mask(range(50))
+    one = _trivial_rep(c50, trivial)
     two = MatrixRep(c50, [0], CycMatrix.identity(4, 2).num[None], 1, 4)
-    assert _oracle_values(c50, [0], [one], range(50)) == [1]
+    assert _oracle_values(c50, trivial, [one], whole) == [1]
     with pytest.raises(ValueError, match="<= 200000; got 500000"):
-        _oracle_values(c50, [0], [one, two], range(50))
+        _oracle_values(c50, trivial, [one, two], whole)
     with pytest.raises(ValueError, match="<= 200000; got 500000"):
-        induced_hom_dim_oracle(c50, [0], range(50), 2)
+        induced_hom_dim_oracle(c50, trivial, whole, 2)
 
 
 def test_suite_builds_each_oracle_row_for_the_largest_kappa_of_its_bed(monkeypatch):
@@ -1207,8 +1218,9 @@ def test_oracle_sums_past_int64_are_exact():
     weighs the identity twice, and 2 * 2^62 is past int64."""
     c2 = cyclic_group(2)
     kappa = _one_by_one(c2, [0], [2**62], 4)
-    assert _oracle_values(c2, [0], [kappa], [0]) == [2**63]
-    assert _oracle_values(c2, [0], [kappa], range(2)) == [2**62]
+    trivial = c2.mask([0])
+    assert _oracle_values(c2, trivial, [kappa], trivial) == [2**63]
+    assert _oracle_values(c2, trivial, [kappa], c2.mask(range(2))) == [2**62]
 
 
 def _per_configuration_suite(cfg):
@@ -1232,8 +1244,7 @@ def _per_configuration_suite(cfg):
         g = rng.randrange(tg.order)
         firsts = suites_mod._first_conjugators(tg, theta)
         cosets = suites_mod._twisted_cosets(tg, k_sub, theta, [*firsts, g], k_labels)
-        fixed, labels, reps, split = cosets[0]
-        h_sub = sorted(fixed)
+        h_sub, labels, reps, split = cosets[0]
         dim = max(kappa.dim, tilde.dim)
         (oracle, tilde_oracle), (mackey, _), (summand, _) = mk.summed_traces(
             [kappa, tilde],
@@ -1302,7 +1313,7 @@ def test_per_bed_suite_reports_a_corrupted_configuration_first(monkeypatch):
     report = _report(SUITES["mackey"](RunConfig()))
     assert report == _report(_per_configuration_suite(RunConfig()))
     failing = [(name, count, witness) for name, count, ok, witness in report if not ok]
-    h_sub = sorted(fixed_subgroup(tg, theta))
+    h_sub = fixed_subgroup(tg, theta)
     right = induced_hom_dim_by_loop(tg, k_sub, kappa, h_sub)
     witness = {"config": label, "mackey": right + 1, "oracle": right}
     assert failing == [("mackey.double_coset_sum_equals_oracle", 30, witness)]

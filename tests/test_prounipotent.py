@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,26 @@ from heisweil.prounipotent import (
     sqrt,
     sqrt_with_trace,
 )
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(), reason="int -> str has no limit")
+def test_modulus_bound_is_the_int_to_str_limit():
+    """p^K must stay below 10^limit, the bound taken once per process: the
+    largest such K is accepted and the next refused, at p = 3 and at a
+    prime near 10^18, and a K past 3 limit is refused at once."""
+    limit = sys.get_int_max_str_digits()
+    assert prounipotent._MODULUS_BOUND == 10**limit
+    for p in (3, 10**18 + 3):
+        K = 1
+        while p ** (K + 1) < 10**limit:
+            K += 1
+        assert CongruenceGroup(1, p, K).modulus == p**K
+        with pytest.raises(ValueError, match=rf"^modulus p\^K = {p}\^{K + 1} must stay "):
+            CongruenceGroup(1, p, K + 1)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"below 10\^{limit}, as int -> str writes"):
+        CongruenceGroup(2, 3, 10**12)
+    assert time.perf_counter() - start < 1
 
 
 def _doubling_trace(k0, K):

@@ -230,7 +230,7 @@ def corrupted_lift(lift, sps, seed: int):
     not commute with."""
     rng = random.Random(seed)
     g, images = lift.group, {}
-    noncentral = [h for h in g.elements() if h not in g.center()]
+    noncentral = np.flatnonzero(~g.center()).tolist()
     for s in sps:
         image = images.get(s, lift.image(s))
         images[s] = image @ lift.base.image(rng.choice(noncentral))
