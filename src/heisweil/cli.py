@@ -66,7 +66,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     verify.add_argument("suite", choices=SUITE_NAMES + ["all"])
     _add_config_flags(verify)
-    verify.add_argument("--precision", type=int, default=4, help="K for sqrt suites")
+    verify.add_argument(
+        "--precision",
+        type=int,
+        default=4,
+        help="K for the sqrt suite, whose alpha-factor groups work mod 3^K in "
+        "Python ints, so 1 <= K <= 9012; the time grows fast with K: verify "
+        "sqrt takes about 3 / 10 / 43 s at K = 2000 / 4000 / 9012 on a 2-core VM",
+    )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -125,7 +132,7 @@ def _emit(payload, out_path: str | None, fmt: str = "json") -> int:
     Every piece of the text is built before the file is opened, so a payload
     the encoder rejects raises before anything is written.  The pieces are
     then written in order by one ``writelines``: no joined copy of the text
-    (8.9 MB in 18 171 pieces for a p = 7 ``dump weil``, written to a file in
+    (8.9 MB in 16 827 pieces for a p = 7 ``dump weil``, written to a file in
     ~18 ms on a 2-core VM) and no text of a whole matrix is made.
     """
     if fmt == "csv":
@@ -152,36 +159,73 @@ def _emit(payload, out_path: str | None, fmt: str = "json") -> int:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
+class Coordinates:
+    """The list of dicts {"w": w[i], "z": z[i]}: elements of H by their
+    coordinates, held as the integer columns ``w`` (m, d) and ``z`` (m,).
+    :func:`_pieces` writes it from the columns, one template filled per
+    element; its plain JSON is :meth:`to_json`."""
+
+    w: np.ndarray
+    z: np.ndarray
+
+    def __post_init__(self):
+        w, z = self.w, self.z
+        # one integer type must hold both, as the writer stacks them
+        if not (
+            w.ndim == 2 and z.ndim == 1 and len(w) == len(z)
+            and np.result_type(w, z).kind in "iu"
+        ):
+            raise ValueError(
+                f"w of shape {w.shape} ({w.dtype}) and z of shape {z.shape} "
+                f"({z.dtype}) are not one (m, d) and one (m,) integer column"
+            )
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def to_json(self) -> list[dict]:
+        return [{"w": w, "z": z} for w, z in zip(self.w.tolist(), self.z.tolist())]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class ImageList:
     """The list of dicts {"element": elements[i], "matrix": num[i] / den},
-    held as one stack: ``elements`` are plain JSON values, and ``num`` is
+    held as two columns: ``elements`` is an (m, r, c) integer array of
+    matrices or the :class:`Coordinates` of m elements of H, and ``num`` is
     the (m, r, c, phi) numerator stack of the matrices over Q(zeta_N), over
-    the one denominator ``den``.  :func:`_pieces` writes it from the stack,
-    with no CycMatrix per image; its plain JSON is :meth:`to_json`."""
+    the one denominator ``den``.  :func:`_pieces` writes it from the
+    columns, with no CycMatrix per image and no Python value per element;
+    its plain JSON is :meth:`to_json`."""
 
-    elements: list
+    elements: np.ndarray | Coordinates
     num: np.ndarray
     den: int
     N: int
 
     def __post_init__(self):
-        if len(self.elements) != len(self.num):
-            raise ValueError(
-                f"{len(self.elements)} elements for {len(self.num)} matrices"
-            )
+        e = self.elements
+        if not (
+            type(e) is Coordinates
+            or (isinstance(e, np.ndarray) and e.ndim == 3 and e.dtype.kind in "iu")
+        ):
+            raise TypeError("elements must be an (m, r, c) integer array or Coordinates")
+        if len(e) != len(self.num):
+            raise ValueError(f"{len(e)} elements for {len(self.num)} matrices")
 
     def to_json(self) -> list[dict]:
+        e = self.elements
+        elements = e.to_json() if type(e) is Coordinates else e.tolist()
         return [
-            {"element": e, "matrix": CycMatrix._packed(self.N, num, self.den).to_json()}
-            for e, num in zip(self.elements, self.num)
+            {"element": x, "matrix": CycMatrix._packed(self.N, num, self.den).to_json()}
+            for x, num in zip(elements, self.num)
         ]
 
 
 def _to_json(obj) -> str:
     """``json.dumps(plain, sort_keys=True, indent=1)``, byte for byte, where
-    ``plain`` is ``obj`` with every CycMatrix and ImageList replaced by its
-    ``to_json()`` and every ndarray by its ``tolist()``: the join of
-    :func:`_pieces`."""
+    ``plain`` is ``obj`` with every CycMatrix, ImageList and Coordinates
+    replaced by its ``to_json()`` and every ndarray by its ``tolist()``: the
+    join of :func:`_pieces`."""
     return "".join(_pieces(obj))
 
 
@@ -191,16 +235,18 @@ def _pieces(obj) -> list[str]:
 
     With any ``indent`` CPython's json module falls back to its pure-Python
     encoder, which yields one string per token: 1.2 million for a p = 7
-    ``dump weil``, which is 18 171 pieces here (20 590 for ``dump reps``).
+    ``dump weil``, which is 16 827 pieces here (17 160 for ``dump reps``).
     A list of plain ints, or of non-empty lists of plain ints, is one
     C-level ``str.join``, and so is a 2-D integer ndarray, through one list
     of value strings.  A non-empty matrix is the text before its first
     entry, then the texts of its entries, each with the separator after it
     (:func:`_matrix_separators`).  The texts come from :func:`_entry_texts`
-    on a numerator stack: the whole stack of an ImageList, whose dict text
-    between two matrices is one string besides the element, and whose key
-    before a matrix is one string with the matrix's opening, or a
-    CycMatrix as a stack of one.  Other leaves (None, bool, float,
+    on a numerator stack: the whole stack of an ImageList, or a CycMatrix
+    as a stack of one.  The elements of an ImageList, and a Coordinates
+    list, are one text per element from :func:`_column_texts`, which
+    formats the whole integer column at once; in an ImageList the text from
+    the end of one matrix to the first entry of the next, the element's
+    text among it, is one string.  Other leaves (None, bool, float,
     subclasses) go to ``json.dumps``, whose text for a leaf does not depend
     on the indent.  Payloads are trees: there is no cycle check.
     """
@@ -236,17 +282,20 @@ def _pieces(obj) -> list[str]:
             inner, key_nl = nl + " ", nl + "  "
             head = "{" + key_nl + '"element": '
             seps = _matrix_separators(r, c, key_nl)
-            between = inner + "}," + inner + head
             matrix_key = "," + key_nl + '"matrix": ' + seps[0]
+            opening, between = "[" + inner + head, inner + "}," + inner + head
             texts = _entry_texts(o.N, key_nl, o.num, o.den, seps)
-            put("[" + inner + head)
-            for i, (e, entries) in enumerate(zip(o.elements, texts)):
-                if i:
-                    put(between)
-                write(e, key_nl)
-                put(matrix_key)
+            for e, entries in zip(_column_texts(o.elements, key_nl), texts):
+                put(opening + e + matrix_key)
                 parts.extend(entries)
+                opening = between
             put(inner + "}" + nl + "]")
+        elif type(o) is Coordinates:
+            if not len(o):
+                put("[]")
+                return
+            inner = nl + " "
+            put("[" + inner + ("," + inner).join(_column_texts(o, inner)) + nl + "]")
         elif type(o) is int:
             put(int.__repr__(o))
         elif isinstance(o, np.ndarray):
@@ -308,10 +357,27 @@ def _pieces(obj) -> list[str]:
     return parts
 
 
+def _column_texts(column: np.ndarray | Coordinates, nl: str) -> list[str]:
+    """The indent=1 text of each element of an element column, starting on
+    the line whose newline and indent is nl: the column's integers are
+    formatted once, by :func:`_int_table_texts` on one (m, k) table, and
+    each row fills one ``%s`` template of k slots, built once per column."""
+    if type(column) is Coordinates:
+        table = np.column_stack((column.w, column.z))
+        template = _coordinates_template(column.w.shape[1], nl)
+    else:
+        m, r, c = column.shape
+        table = column.reshape(m, r * c)
+        template = "%s".join(_matrix_separators(r, c, nl))
+    return list(map(template.__mod__, map(tuple, _int_table_texts(table))))
+
+
 def _int_table_texts(x: np.ndarray) -> list[list[str]]:
     """The rows of a 2-D integer array as lists of ``int.__repr__`` texts,
     each distinct value formatted once: over the range of the values when
     it is no longer than the array, else over ``np.unique``."""
+    if not x.size:
+        return x.tolist()
     lo, hi = int(x.min()), int(x.max())
     if hi - lo < x.size and np.can_cast(x.dtype, np.int64):
         values, index = range(lo, hi + 1), x.astype(np.int64, copy=False) - lo
@@ -422,8 +488,19 @@ def _matrix_separators(r: int, c: int, nl: str) -> tuple[str, ...]:
     the text is separators[0], entry 0, separators[1], ..., entry r c - 1,
     separators[r c], with the entries in row-major order."""
     i1, i2 = nl + " ", nl + "  "
-    row = "[" + i2 + ("," + i2).join(["%s"] * c) + i1 + "]"
-    return tuple(("[" + i1 + ("," + i1).join([row] * r) + nl + "]").split("%s"))
+    row = "[" + i2 + ("," + i2).join(["%s"] * c) + i1 + "]" if c else "[]"
+    text = "[" + i1 + ("," + i1).join([row] * r) + nl + "]" if r else "[]"
+    return tuple(text.split("%s"))
+
+
+@functools.cache
+def _coordinates_template(d: int, nl: str) -> str:
+    """The indent=1 text of {"w": w, "z": z}, w of length d, that starts on
+    the line whose newline and indent is nl, with a ``%s`` for each entry
+    of w and one for z."""
+    i1, i2 = nl + " ", nl + "  "
+    w = "[" + i2 + ("," + i2).join(["%s"] * d) + i1 + "]" if d else "[]"
+    return "{" + i1 + '"w": ' + w + "," + i1 + '"z": %s' + nl + "}"
 
 
 def _jsonable(x):
@@ -557,7 +634,7 @@ def _dump(args, cfg: RunConfig):
             "model": args.model,
             "normalization": lift.normalization.to_json(),
             "images": ImageList(
-                lift.sp_elements[order].tolist(),
+                lift.sp_elements[order],
                 lift.num[order],
                 lift.den,
                 lift.base.conductor,
@@ -569,26 +646,19 @@ def _dump(args, cfg: RunConfig):
             "p": cfg.p,
             "ell": cfg.ell,
             "images": ImageList(
-                [{"w": list(h.w), "z": h.z} for h in group.names],
-                tau.num,
-                tau.den,
-                tau.conductor,
+                Coordinates(group.w, group.z), tau.num, tau.den, tau.conductor
             ),
         }
     if args.what == "heisenberg":
         payload = {
             "p": cfg.p,
             "ell": cfg.ell,
-            "elements": [{"w": list(h.w), "z": h.z} for h in group.names],
+            "elements": Coordinates(group.w, group.z),
             "special_iso_offsets": special_isos(group).w0.tolist(),
         }
         if cfg.ell == 1:  # where every subgroup is 2-generated
             payload["subgroups"] = [
-                [
-                    {"w": list(group.names[h].w), "z": group.names[h].z}
-                    for h in np.flatnonzero(sub).tolist()
-                ]
-                for sub in group.all_subgroups()
+                Coordinates(group.w[sub], group.z[sub]) for sub in group.all_subgroups()
             ]
         return payload
     if args.what == "mackey":

@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 import heisweil
 from group_oracles import fixed_subgroup
 from heisweil import cli
-from heisweil.cli import ImageList, _build_parser, _to_json, run
+from heisweil.cli import Coordinates, ImageList, _build_parser, _to_json, run
 from heisweil.heisenberg import HeisenbergGroup
 from heisweil.linalg import CycMatrix
 from heisweil.scalar import PRIME_TEST_BOUND, CycNumber, context
@@ -245,6 +245,29 @@ WEIL_DUMP_SHA256 = {
 # `dump reps --p 7`, as perfbench/digests.json pins it under "reps/p7"
 REPS_P7_SHA256 = "a0d4f3cbdf9110e8c15768342a9d4a5fd149b0c91e3c6a227f71f36aa09fdccc"
 
+# the weil and reps dumps whose element columns no pin above reaches: the
+# 4 x 4 elements of ell = 2, H(3, 2), and reps in the plus model and at a
+# zeta other than 1; checked against the writer that wrote one element at
+# a time
+COLUMN_DUMP_SHA256 = {
+    "weil-p3-ell2-plus": (
+        ["weil", "--p", "3", "--ell", "2", "--model", "plus"],
+        "fb385123f233c881e72864a5de8d688fa145fce8ec7e9cf1ed6f42c543592fd0",
+    ),
+    "reps-p3-ell2": (
+        ["reps", "--p", "3", "--ell", "2"],
+        "cd9734cc813c83c6ac4b3d85dd8d16b382f877177ce46701f06c547961a0d8fb",
+    ),
+    "reps-p5-plus": (
+        ["reps", "--p", "5", "--model", "plus"],
+        "754a58a51a20d25d7e2798db30c2a1284d59a2ff4204e1cd42f645e6cb5f92b3",
+    ),
+    "reps-p5-minus-zeta3": (
+        ["reps", "--p", "5", "--zeta", "3", "--model", "minus"],
+        "2f695b36255f2079a52c31ca1bfac99bd78b79685e385c451d702fa59ded2dc5",
+    ),
+}
+
 # `dump mackey --p <p>`, written from the table's tolist(); p = 7 as
 # perfbench/digests.json pins it under "mackey/p7"
 MACKEY_SHA256 = {
@@ -268,6 +291,10 @@ MACKEY_SHA256 = {
         for (p, model, zeta), digest in sorted(WEIL_DUMP_SHA256.items())
     ]
     + [pytest.param(["dump", "reps", "--p", "7"], REPS_P7_SHA256, id="reps-p7")]
+    + [
+        pytest.param(["dump", *argv], digest, id=key)
+        for key, (argv, digest) in sorted(COLUMN_DUMP_SHA256.items())
+    ]
     + [
         pytest.param(["dump", "mackey", "--p", str(p)], digest, id=f"mackey-p{p}")
         for p, digest in sorted(MACKEY_SHA256.items())
@@ -344,11 +371,12 @@ def test_dumps_build_the_heisenberg_table_only_where_they_read_it(
 
 def test_a_p7_weil_dump_writes_each_entry_with_its_separator():
     """One piece per matrix entry, which carries the separator after it, and
-    one per matrix for the text before its first entry: 18 171 in all."""
+    one per matrix for the text from the end of the matrix before it to its
+    first entry, the element's text among it: 16 827 in all."""
     args = cli._parse_args(["dump", "weil", "--p", "7"])
     payload = cli._dump(args, cli._config_from_args(args))
     pieces = cli._pieces(payload)
-    assert len(pieces) <= 18_171
+    assert len(pieces) <= 16_827
     assert "".join(pieces) == _stdlib_json(_plain(payload))
 
 
@@ -536,21 +564,23 @@ def _stdlib_json(obj) -> str:
 def _plain(obj):
     """obj with every CycMatrix replaced by the to_json of its CycNumber
     entries (the entrywise reduction, independent of the packed one), every
-    ImageList by its dicts of elements and such matrices, and every ndarray
-    by its tolist()."""
+    ImageList by its dicts of elements and such matrices, every Coordinates
+    by its dicts, and every ndarray by its tolist()."""
     if isinstance(obj, CycMatrix):
         return [[e.to_json() for e in row] for row in obj.rows]
     if isinstance(obj, ImageList):
         return [
             {
-                "element": _plain(e),
+                "element": e,
                 "matrix": [
                     [CycNumber(obj.N, entry, obj.den).to_json() for entry in row]
                     for row in num.tolist()
                 ],
             }
-            for e, num in zip(obj.elements, obj.num)
+            for e, num in zip(_plain_column(obj.elements), obj.num)
         ]
+    if isinstance(obj, Coordinates):
+        return _plain_column(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, dict):
@@ -558,6 +588,16 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(x) for x in obj]
     return obj
+
+
+def _plain_column(column):
+    """The elements of an element column as plain JSON, one int at a time:
+    the dicts {"w": ..., "z": ...} of Coordinates, else the matrices."""
+    if isinstance(column, Coordinates):
+        return [
+            {"w": [int(x) for x in w], "z": int(z)} for w, z in zip(column.w, column.z)
+        ]
+    return [[[int(x) for x in row] for row in matrix] for matrix in column]
 
 
 _ints = st.integers() | st.integers(-(2**200), 2**200)
@@ -752,7 +792,7 @@ def _image_lists(draw):
     """Image lists of every storage case: no images, r x 0 and 0 x c
     matrices, the shapes of ``_matrix_shapes``, int64 numerators over a
     denominator below 2^63 or of at least 2^63, and object (Python int)
-    numerators."""
+    numerators; the elements are a column of ``_element_columns``."""
     n = draw(st.sampled_from([1, 4, 12, 28]))
     phi = context(n).phi
     m = draw(st.integers(0, 4))
@@ -781,10 +821,7 @@ def _image_lists(draw):
     num = np.array(entries, dtype=object).reshape(m, r, c, phi)
     if draw(st.booleans()) and all(abs(x) < 2**63 for x in num.flat):
         num = num.astype(np.int64)
-    elements = draw(
-        st.lists(st.recursive(_leaves, _containers, max_leaves=4), min_size=m, max_size=m)
-    )
-    return ImageList(elements, num, den, n)
+    return ImageList(draw(_element_columns(m)), num, den, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -793,22 +830,119 @@ def _image_lists(draw):
 def test_to_json_writes_image_lists_as_stdlib(data):
     if data is None:  # no images, and a stack of Python ints
         leaves = [
-            ImageList([], np.zeros((0, 2, 2, 4), dtype=np.int64), 1, 12),
-            ImageList([[1], {"z": 2}], np.array([[[[2**80, 0, 0, 1]]]] * 2), 6, 12),
+            ImageList(
+                np.zeros((0, 2, 2), dtype=np.int64),
+                np.zeros((0, 2, 2, 4), dtype=np.int64),
+                1,
+                12,
+            ),
+            ImageList(
+                Coordinates(np.array([[1], [-1]]), np.array([0, 2])),
+                np.array([[[[2**80, 0, 0, 1]]]] * 2),
+                6,
+                12,
+            ),
         ]
         assert leaves[1].num.dtype == object
     else:
         leaves = data.draw(st.lists(_image_lists(), min_size=1, max_size=2))
     leaf = leaves[0]
-    assert _plain(leaf.to_json()) == _plain(leaf)  # _plain makes tuples lists
+    assert leaf.to_json() == _plain(leaf)
     assert _to_json(leaf) == _stdlib_json(_plain(leaf))
     payload = {"images": leaf, "nested": [{"more": leaves[-1]}, leaf]}
     assert _to_json(payload) == _stdlib_json(_plain(payload))
 
 
-def test_image_list_needs_one_element_per_matrix():
-    with pytest.raises(ValueError, match="2 elements for 1 matrices"):
-        ImageList([0, 1], np.zeros((1, 1, 1, 1), dtype=np.int64), 1, 1)
+# small and negative values, which _int_table_texts formats over their
+# range, and values near +-2^62 or anywhere in int64, which it formats
+# through np.unique
+_column_values = (
+    st.integers(-7, 7)
+    | st.integers(2**62 - 3, 2**62 + 3)
+    | st.integers(-(2**62) - 3, -(2**62) + 3)
+    | st.integers(-(2**63), 2**63 - 1)
+)
+
+
+@st.composite
+def _element_columns(draw, m: int):
+    """An element column of m elements: an (m, r, c) int64 stack of
+    matrices, r, c in 1..4 and, less often, 0, or the Coordinates of m
+    elements of H, w of length 1..4 or 0."""
+    side = st.integers(1, 4) | st.just(0)
+    if draw(st.booleans()):
+        shape = (m, draw(side), draw(side))
+        return draw(hnp.arrays(np.int64, shape, elements=_column_values))
+    d = draw(side)
+    w = draw(hnp.arrays(np.int64, (m, d), elements=_column_values))
+    return Coordinates(w, draw(hnp.arrays(np.int64, m, elements=_column_values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_to_json_writes_element_columns_as_stdlib(data):
+    """An ImageList built from an element column, and a Coordinates column
+    on its own, write what stdlib writes for their plain forms, at every
+    depth."""
+    if data is None:  # the range of every int64, in both kinds of column
+        big = np.array([[[_INT64_MIN, _INT64_MAX], [-(2**62), 2**62]]])
+        columns = [big, Coordinates(big[0], np.array([_INT64_MIN, _INT64_MAX]))]
+    else:
+        m = data.draw(st.integers(0, 4))
+        columns = [data.draw(_element_columns(m))]
+    for column in columns:
+        m = len(column)
+        num = np.arange(4 * m, dtype=np.int64).reshape(m, 1, 1, 4) % 3
+        images = ImageList(column, num, 6, 12)
+        assert images.to_json() == _plain(images)
+        payload = {"images": images, "nested": [images, {"more": images}], "x": column}
+        assert _to_json(images) == _stdlib_json(_plain(images))
+        assert _to_json(payload) == _stdlib_json(_plain(payload))
+        if isinstance(column, Coordinates):
+            assert column.to_json() == _plain(column)
+            nested = [column, [column, {"c": column}]]
+            assert _to_json(nested) == _stdlib_json(_plain(nested))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_image_list_needs_one_element_per_matrix(data):
+    m, k = data.draw(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda mk: mk[0] != mk[1])
+    )
+    column = data.draw(_element_columns(k))
+    with pytest.raises(ValueError, match=f"^{k} elements for {m} matrices$"):
+        ImageList(column, np.zeros((m, 1, 1, 4), dtype=np.int64), 1, 12)
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        [[[0]]],
+        np.zeros((1, 1), dtype=np.int64),
+        np.zeros((1, 1, 1)),
+        np.zeros((1, 1, 1), dtype=bool),
+    ],
+)
+def test_image_list_elements_are_an_integer_column(elements):
+    with pytest.raises(TypeError, match="integer array or Coordinates"):
+        ImageList(elements, np.zeros((1, 1, 1, 4), dtype=np.int64), 1, 12)
+
+
+@pytest.mark.parametrize(
+    "w, z",
+    [
+        (np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)),
+        (np.zeros((3, 2), dtype=np.int64), np.zeros(2, dtype=np.int64)),
+        (np.zeros((3, 2)), np.zeros(3, dtype=np.int64)),
+        # no integer type holds both
+        (np.zeros((3, 2), dtype=np.uint64), np.zeros(3, dtype=np.int64)),
+    ],
+)
+def test_coordinates_are_one_column_of_w_and_one_of_z(w, z):
+    with pytest.raises(ValueError, match="are not one"):
+        Coordinates(w, z)
 
 
 _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
